@@ -210,6 +210,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
 		prog, init := wl.Build()
@@ -253,6 +254,7 @@ func BenchmarkSchemeDispatch(b *testing.B) {
 	}
 	for _, v := range core.Registered() {
 		b.Run(v.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			var instrs uint64
 			for i := 0; i < b.N; i++ {
 				prog, init := wl.Build()

@@ -404,10 +404,8 @@ func (m *Machine) Run() (Result, error) {
 			m.core.RestoreArch(st.Regs, st.PC, st.Halted)
 			m.warmed = true
 		default:
-			for !m.core.Halted() && m.core.Stats().Committed < m.cfg.WarmupInstrs {
-				if err = m.core.Step(); err != nil {
-					return Result{Variant: m.cfg.Variant, Model: m.cfg.Model}, err
-				}
+			if err = m.core.RunUntilCommitted(m.cfg.WarmupInstrs); err != nil {
+				return Result{Variant: m.cfg.Variant, Model: m.cfg.Model}, err
 			}
 			base = m.core.Stats()
 		}

@@ -192,57 +192,75 @@ func (i Instr) String() string {
 	}
 }
 
-// IsBranch reports whether the opcode is a control-flow instruction.
-func (o Op) IsBranch() bool {
-	switch o {
-	case OpBeq, OpBne, OpBlt, OpBge, OpJmp:
-		return true
+// Class is the set of opcode classes an Op belongs to. The pipeline
+// decodes it once per instruction (at rename) instead of re-deriving the
+// Is* predicates in every stage.
+type Class uint8
+
+const (
+	ClassBranch        Class = 1 << iota // control flow, OpJmp included
+	ClassCondBranch                      // conditional branch
+	ClassLoad                            // reads memory
+	ClassStore                           // writes memory
+	ClassFP                              // floating-point arithmetic
+	ClassFPTransmitter                   // fmul/fdiv/fsqrt: operand-dependent latency
+	ClassWritesReg                       // produces a register result
+)
+
+var opClasses = func() (t [256]Class) {
+	for o := OpMovI; o < numOps; o++ {
+		t[o] = ClassWritesReg
 	}
-	return false
-}
+	for _, o := range []Op{OpBeq, OpBne, OpBlt, OpBge} {
+		t[o] = ClassBranch | ClassCondBranch
+	}
+	t[OpJmp], t[OpFlush] = ClassBranch, 0
+	t[OpLoad] |= ClassLoad
+	t[OpLoadB] |= ClassLoad
+	t[OpStore], t[OpStoreB] = ClassStore, ClassStore
+	for _, o := range []Op{OpFAdd, OpFSub, OpFMul, OpFDiv, OpFSqrt} {
+		t[o] |= ClassFP
+	}
+	for _, o := range []Op{OpFMul, OpFDiv, OpFSqrt} {
+		t[o] |= ClassFPTransmitter
+	}
+	return t
+}()
+
+// Class returns the opcode's class set.
+func (o Op) Class() Class { return opClasses[o] }
+
+// IsBranch reports whether the opcode is a control-flow instruction.
+func (o Op) IsBranch() bool { return opClasses[o]&ClassBranch != 0 }
 
 // IsCondBranch reports whether the opcode is a conditional branch.
-func (o Op) IsCondBranch() bool { return o.IsBranch() && o != OpJmp }
+func (o Op) IsCondBranch() bool { return opClasses[o]&ClassCondBranch != 0 }
 
 // IsLoad reports whether the opcode reads memory. Loads are the paper's
 // canonical access instructions and transmitters.
-func (o Op) IsLoad() bool { return o == OpLoad || o == OpLoadB }
+func (o Op) IsLoad() bool { return opClasses[o]&ClassLoad != 0 }
 
 // IsStore reports whether the opcode writes memory.
-func (o Op) IsStore() bool { return o == OpStore || o == OpStoreB }
+func (o Op) IsStore() bool { return opClasses[o]&ClassStore != 0 }
 
 // IsMem reports whether the opcode accesses data memory.
-func (o Op) IsMem() bool { return o.IsLoad() || o.IsStore() }
+func (o Op) IsMem() bool { return opClasses[o]&(ClassLoad|ClassStore) != 0 }
 
 // IsFP reports whether the opcode is a floating-point arithmetic operation.
-func (o Op) IsFP() bool {
-	switch o {
-	case OpFAdd, OpFSub, OpFMul, OpFDiv, OpFSqrt:
-		return true
-	}
-	return false
-}
+func (o Op) IsFP() bool { return opClasses[o]&ClassFP != 0 }
 
 // IsFPTransmitter reports whether the opcode is one of the floating-point
 // micro-ops the paper treats as transmitters in the STT{ld+fp} and SDO
 // configurations (fmult/div/fsqrt: their latency depends on operand values).
-func (o Op) IsFPTransmitter() bool {
-	return o == OpFMul || o == OpFDiv || o == OpFSqrt
-}
+func (o Op) IsFPTransmitter() bool { return opClasses[o]&ClassFPTransmitter != 0 }
 
 // WritesReg reports whether instructions with this opcode produce a
 // register result.
-func (o Op) WritesReg() bool {
-	switch o {
-	case OpNop, OpHalt, OpStore, OpStoreB, OpBeq, OpBne, OpBlt, OpBge,
-		OpJmp, OpFlush:
-		return false
-	}
-	return true
-}
+func (o Op) WritesReg() bool { return opClasses[o]&ClassWritesReg != 0 }
 
 // SrcRegs appends the source registers read by instruction i to dst and
-// returns the extended slice. dst may be nil.
+// returns the extended slice. dst may be nil; passing buf[:0] of a
+// [2]Reg on the caller's stack makes the call allocation-free.
 func (i Instr) SrcRegs(dst []Reg) []Reg {
 	switch i.Op {
 	case OpNop, OpHalt, OpMovI, OpJmp, OpRdCyc:

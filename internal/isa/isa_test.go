@@ -50,6 +50,34 @@ func TestOpClassification(t *testing.T) {
 	}
 }
 
+// TestClassTableExhaustive pins the op-class table against switch-based
+// reference predicates for every opcode.
+func TestClassTableExhaustive(t *testing.T) {
+	for o := Op(0); o < numOps; o++ {
+		var want Class
+		switch o {
+		case OpBeq, OpBne, OpBlt, OpBge:
+			want = ClassBranch | ClassCondBranch
+		case OpJmp:
+			want = ClassBranch
+		case OpLoad, OpLoadB:
+			want = ClassLoad | ClassWritesReg
+		case OpStore, OpStoreB:
+			want = ClassStore
+		case OpFAdd, OpFSub:
+			want = ClassFP | ClassWritesReg
+		case OpFMul, OpFDiv, OpFSqrt:
+			want = ClassFP | ClassFPTransmitter | ClassWritesReg
+		case OpNop, OpHalt, OpFlush:
+		default:
+			want = ClassWritesReg
+		}
+		if got := o.Class(); got != want {
+			t.Errorf("%v.Class() = %b, want %b", o, got, want)
+		}
+	}
+}
+
 func TestCondBranchClassification(t *testing.T) {
 	for _, op := range []Op{OpBeq, OpBne, OpBlt, OpBge} {
 		if !op.IsCondBranch() {

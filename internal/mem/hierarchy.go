@@ -310,10 +310,13 @@ func (h *Hierarchy) OblLoad(now uint64, addr uint64, pred Level) OblResult {
 	h.OblLookups++
 	res := OblResult{Found: LevelNone}
 	t := now
-	var mshrKeys []struct {
+	// The private MSHRs held while crossing L1->L2 and L2->L3: at most two,
+	// so the record lives on the stack.
+	var mshrKeys [2]struct {
 		c   *Cache
 		key uint64
 	}
+	crossed := 0
 	cacheDepth := pred
 	if cacheDepth > L3 {
 		cacheDepth = L3
@@ -363,10 +366,8 @@ func (h *Hierarchy) OblLoad(now uint64, addr uint64, pred Level) OblResult {
 			key := 1<<63 | h.oblSeq // cannot collide with line addresses
 			start, _, _ := c.AcquireMSHR(t, key, false)
 			t = start
-			mshrKeys = append(mshrKeys, struct {
-				c   *Cache
-				key uint64
-			}{c, key})
+			mshrKeys[crossed].c, mshrKeys[crossed].key = c, key
+			crossed++
 		}
 	}
 	if pred == LevelMem {
@@ -381,7 +382,7 @@ func (h *Hierarchy) OblLoad(now uint64, addr uint64, pred Level) OblResult {
 	if res.Found == LevelNone {
 		res.EarlyDone = res.Done
 	}
-	for _, mk := range mshrKeys {
+	for _, mk := range mshrKeys[:crossed] {
 		mk.c.CommitMSHR(mk.key, res.Done)
 	}
 	if res.Found != LevelNone {

@@ -26,13 +26,28 @@ type Core struct {
 	regs      [isa.NumRegs]uint64
 	renameMap [isa.NumRegs]int64 // producer seq, -1 = committed regfile
 
-	rob     []robEntry
-	headSeq uint64 // oldest live seq
-	tailSeq uint64 // next seq to allocate
-	iq      []uint64
-	lq      []uint64
-	sq      []uint64
+	rob     []robEntry // ring of 2ⁿ ≥ ROBSize slots indexed by seq&robMask
+	robMask uint64
+	headSeq uint64   // oldest live seq
+	tailSeq uint64   // next seq to allocate
+	iq      []iqSlot // age-ordered, capacity IQSize
+	wake    bool     // a producer completed since issue ran: re-poll blocked IQ slots
+	lq, sq  ring[uint64]
 	parked  []parkedSquash
+
+	// Work lists: the seqs each stage walks instead of scanning the ROB
+	// (DESIGN.md "cost model"); squash trims them, CheckInvariants recomputes them.
+	exec   []uint64 // executing non-store, non-Obl ops (unordered)
+	stData []uint64 // stores with an address still waiting for data (unordered)
+	brs    []uint64 // conditional branches without effectApplied (age-ordered)
+	fps    []uint64 // fpSDO ops without effectApplied (age-ordered)
+	obls   []uint64 // Obl-Lds whose state machine is still running (age-ordered)
+
+	frontierDirty uint64     // oldest seq that may have started blocking the frontier (noSeq: none)
+	nextDone      uint64     // earliest doneAt left in exec (noSeq: none)
+	changed       bool       // a stage altered more than per-cycle counters since run cleared it
+	memCfg        mem.Config // latency table for the Table III / Figure 7 accounting
+
 	fpPortsBusy,
 	intPortsBusy,
 	memPortsBusy int
@@ -40,8 +55,8 @@ type Core struct {
 	fetchPC         int
 	fetchHalted     bool
 	fetchStallUntil uint64
-	fetchLine       uint64 // last I-cache line fetched (0 = none yet)
-	fetchBuf        []fetchSlot
+	fetchLine       uint64          // last I-cache line fetched (0 = none yet)
+	fetchBuf        ring[fetchSlot] // holds at most 2*Width slots
 
 	obs *obs.Recorder
 
@@ -53,6 +68,8 @@ type Core struct {
 	stats    Stats
 	interval intervalState
 }
+
+const noSeq = ^uint64(0) // "no such seq / cycle" sentinel
 
 // parkedSquash is a squash whose application is delayed until its predicate
 // untaints (STT's resolution-based implicit channel rule).
@@ -70,7 +87,6 @@ type fetchSlot struct {
 	predTaken  bool
 	predTarget int
 	snap       bpred.Snapshot
-	isCond     bool
 }
 
 // New builds a core. prog is the program, data the architectural memory
@@ -95,9 +111,22 @@ func New(cfg Config, prog *isa.Program, data *isa.Memory, port MemPort) *Core {
 		data:   data,
 		port:   port,
 		bp:     bpred.New(cfg.BP),
-		rob:    make([]robEntry, cfg.ROBSize),
 		scheme: cfg.Scheme,
+		memCfg: hierCfgOf(port),
+
+		rob:      make([]robEntry, ceilPow2(cfg.ROBSize)),
+		iq:       make([]iqSlot, 0, cfg.IQSize),
+		lq:       newRing[uint64](cfg.LQSize),
+		sq:       newRing[uint64](cfg.SQSize),
+		parked:   make([]parkedSquash, 0, cfg.LQSize),
+		fetchBuf: newRing[fetchSlot](2 * cfg.Width),
+		exec:     make([]uint64, 0, cfg.ROBSize),
+		stData:   make([]uint64, 0, cfg.SQSize),
+		brs:      make([]uint64, 0, cfg.ROBSize),
+		fps:      make([]uint64, 0, cfg.ROBSize),
+		obls:     make([]uint64, 0, cfg.LQSize),
 	}
+	c.robMask, c.frontierDirty, c.nextDone = uint64(len(c.rob)-1), noSeq, noSeq
 	c.schemeTaint = c.scheme.TracksTaint()
 	if m := c.scheme.SpecMode(); m != mem.SpecOff {
 		sp, ok := port.(SpecMemPort)
@@ -155,7 +184,7 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 func (c *Core) Halted() bool { return c.halted }
 
 // entry returns the ROB entry for a live seq.
-func (c *Core) entry(seq uint64) *robEntry { return &c.rob[seq%uint64(len(c.rob))] }
+func (c *Core) entry(seq uint64) *robEntry { return &c.rob[seq&c.robMask] }
 
 func (c *Core) live(seq uint64) bool { return seq >= c.headSeq && seq < c.tailSeq }
 
@@ -166,19 +195,81 @@ func (c *Core) pcAddr(pc int) uint64 { return c.cfg.CodeBase + uint64(pc)*8 }
 // Run simulates until halt or until a configured bound is hit, returning
 // the final statistics.
 func (c *Core) Run() (Stats, error) {
-	for !c.halted {
-		if c.cfg.MaxCycles > 0 && c.cycle >= c.cfg.MaxCycles {
-			break
-		}
-		if c.cfg.MaxInstrs > 0 && c.stats.Committed >= c.cfg.MaxInstrs {
-			break
-		}
-		if err := c.Step(); err != nil {
-			return c.stats, err
-		}
+	if err := c.run(c.cfg.MaxInstrs, c.cfg.MaxCycles); err != nil {
+		return c.stats, err
 	}
 	c.stats.Halted = c.halted
 	return c.stats, nil
+}
+
+// RunUntilCommitted simulates until n instructions have committed (or the
+// program halts), on the same stall-skipping loop as Run but ignoring
+// Config.MaxInstrs/MaxCycles: the detailed warm-up entry point.
+func (c *Core) RunUntilCommitted(n uint64) error { return c.run(n, 0) }
+
+// run is Step in a loop plus stall skip-ahead: a cycle that left changed
+// clear repeats exactly until a time-dependent condition flips. Skipping
+// starts at the second such cycle in a row: the first may have had an
+// idempotent hidden effect (an IQ mark, Hybrid.Predict evicting a slot).
+func (c *Core) run(maxInstrs, maxCycles uint64) error {
+	idle := 0
+	for !c.halted && (maxCycles == 0 || c.cycle < maxCycles) && (maxInstrs == 0 || c.stats.Committed < maxInstrs) {
+		c.changed = false
+		before := c.tickCounters()
+		if err := c.Step(); err != nil {
+			return err
+		}
+		if c.changed {
+			idle = 0
+		} else if idle++; idle >= 2 {
+			c.skipAhead(before, maxCycles)
+		}
+	}
+	return nil
+}
+
+// tickCounters returns the statistics an all-stalled cycle still ticks.
+func (c *Core) tickCounters() [3]uint64 {
+	return [3]uint64{c.stats.LoadDelayCycles, c.stats.FPDelayCycles, c.stats.ValidationStall}
+}
+
+// skipAhead jumps from an all-stalled cycle to just before the first cycle
+// at which anything can differ, bulk-adding what each skipped cycle ticks:
+// the stalled cycle's own deltas since before, and interval occupancy.
+func (c *Core) skipAhead(before [3]uint64, maxCycles uint64) {
+	next := c.nextDone
+	bound := func(t uint64) {
+		if t > c.cycle && t < next {
+			next = t
+		}
+	}
+	bound(c.fetchStallUntil)
+	bound(c.lastCommitCycle + c.cfg.WatchdogCycles + 1)
+	if maxCycles > 0 {
+		bound(maxCycles + 1)
+	}
+	if c.cfg.Check != nil {
+		bound((c.cycle | (checkInterval - 1)) + 1)
+	}
+	if c.interval.every != 0 {
+		bound(c.interval.lastCycle + c.interval.every)
+	}
+	for _, seq := range c.obls {
+		e := c.entry(seq)
+		bound(e.oblRes.Done)
+		bound(e.oblRes.EarlyDone)
+		bound(e.valDone)
+	}
+	k := next - 1 - c.cycle
+	c.cycle += k
+	c.stats.Cycles = c.cycle
+	after := c.tickCounters()
+	c.stats.LoadDelayCycles += k * (after[0] - before[0])
+	c.stats.FPDelayCycles += k * (after[1] - before[1])
+	c.stats.ValidationStall += k * (after[2] - before[2])
+	if c.interval.every != 0 {
+		c.sampleInterval(k)
+	}
 }
 
 // checkInterval is how often (in cycles) Step polls Config.Check. A
@@ -210,7 +301,7 @@ func (c *Core) Step() error {
 	c.rename()
 	c.fetch()
 	if c.interval.every != 0 {
-		c.sampleInterval()
+		c.sampleInterval(1)
 	}
 	return nil
 }
@@ -230,7 +321,8 @@ func (c *Core) fetch() {
 		return
 	}
 	fetched := 0
-	for fetched < c.cfg.Width && len(c.fetchBuf) < 2*c.cfg.Width {
+	for fetched < c.cfg.Width && c.fetchBuf.n < 2*c.cfg.Width {
+		c.changed = true
 		addr := c.pcAddr(c.fetchPC)
 		line := mem.LineAddr(addr)
 		if line != c.fetchLine {
@@ -243,10 +335,11 @@ func (c *Core) fetch() {
 			}
 		}
 		in := c.prog.At(c.fetchPC)
-		slot := fetchSlot{pc: c.fetchPC, in: in}
+		slot := c.fetchBuf.at(c.fetchBuf.n) // pushed in place
+		*slot = fetchSlot{pc: c.fetchPC, in: in}
+		c.fetchBuf.n++
 		switch {
 		case in.Op == isa.OpHalt:
-			c.fetchBuf = append(c.fetchBuf, slot)
 			c.fetchHalted = true
 			c.stats.Fetched++
 			return
@@ -255,7 +348,6 @@ func (c *Core) fetch() {
 			c.fetchPC = in.Target
 		case in.Op.IsCondBranch():
 			taken, snap := c.bp.PredictDirection(addr)
-			slot.isCond = true
 			slot.predTaken, slot.snap = taken, snap
 			if taken {
 				slot.predTarget = in.Target
@@ -267,7 +359,6 @@ func (c *Core) fetch() {
 		default:
 			c.fetchPC++
 		}
-		c.fetchBuf = append(c.fetchBuf, slot)
 		c.stats.Fetched++
 		fetched++
 	}
@@ -276,26 +367,20 @@ func (c *Core) fetch() {
 // --- Rename / dispatch ---
 
 func (c *Core) rename() {
-	for n := 0; n < c.cfg.Width && len(c.fetchBuf) > 0; n++ {
+	for n := 0; n < c.cfg.Width && c.fetchBuf.n > 0; n++ {
 		if c.tailSeq-c.headSeq >= uint64(c.cfg.ROBSize) {
 			return // ROB full
 		}
-		slot := c.fetchBuf[0]
+		slot := c.fetchBuf.at(0)
 		in := slot.in
+		class := in.Op.Class()
 		needsIQ := in.Op != isa.OpNop && in.Op != isa.OpHalt && in.Op != isa.OpFlush && in.Op != isa.OpJmp
-		if needsIQ && len(c.iq) >= c.cfg.IQSize {
-			return
+		if needsIQ && len(c.iq) >= c.cfg.IQSize ||
+			class&isa.ClassLoad != 0 && c.lq.n >= c.cfg.LQSize ||
+			(class&isa.ClassStore != 0 || in.Op == isa.OpFlush) && c.sq.n >= c.cfg.SQSize {
+			return // a queue is full (flushes order with stores via the SQ)
 		}
-		if in.Op.IsLoad() && len(c.lq) >= c.cfg.LQSize {
-			return
-		}
-		if in.Op.IsStore() && len(c.sq) >= c.cfg.SQSize {
-			return
-		}
-		if in.Op == isa.OpFlush && len(c.sq) >= c.cfg.SQSize {
-			return // flushes order with stores via the SQ
-		}
-		c.fetchBuf = c.fetchBuf[1:]
+		c.changed = true
 
 		seq := c.tailSeq
 		c.tailSeq++
@@ -305,17 +390,21 @@ func (c *Core) rename() {
 				Detail: fmt.Sprintf("seq=%d pc=%d %v", seq, slot.pc, slot.in)})
 		}
 		e := c.entry(seq)
-		*e = robEntry{
-			seq: seq, pc: slot.pc, in: in,
-			predTaken: slot.predTaken, predTarget: slot.predTarget,
-			bpSnap: slot.snap, sqForward: -1, prevProd: -1,
-		}
-		srcs := in.SrcRegs(nil)
-		e.nSrc = len(srcs)
+		*e = robEntry{} // zeroed in place, then filled: no 300-byte temporary copy
+		e.seq, e.pc, e.in, e.class = seq, slot.pc, in, class
+		e.predTaken, e.predTarget, e.bpSnap = slot.predTaken, slot.predTarget, slot.snap
+		e.sqForward, e.prevProd = -1, -1
+		c.fetchBuf.pop()
+		var regs [2]isa.Reg
+		srcs := in.SrcRegs(regs[:0])
+		e.nSrc = uint8(len(srcs))
 		for i, r := range srcs {
 			e.src[i] = operand{reg: r, producer: c.renameMap[r]}
 		}
-		if in.Op.WritesReg() {
+		if e.nNeed = e.nSrc; class&(isa.ClassLoad|isa.ClassStore) != 0 {
+			e.nNeed = 1 // the AGU needs only the address; store data binds later
+		}
+		if class&isa.ClassWritesReg != 0 {
 			e.hasDest = true
 			e.prevProd = c.renameMap[in.Rd]
 			c.renameMap[in.Rd] = int64(seq)
@@ -333,15 +422,17 @@ func (c *Core) rename() {
 			// Flushes carry an address source; they apply at commit. The
 			// address is read at commit time from the committed regfile.
 			e.state = stDone
-			c.sq = append(c.sq, seq)
+			c.sq.push(seq)
 		default:
-			c.iq = append(c.iq, seq)
+			c.iq = append(c.iq, iqSlot{seq: seq})
 		}
-		if in.Op.IsLoad() {
-			c.lq = append(c.lq, seq)
-		}
-		if in.Op.IsStore() {
-			c.sq = append(c.sq, seq)
+		switch {
+		case class&isa.ClassLoad != 0:
+			c.lq.push(seq)
+		case class&isa.ClassStore != 0:
+			c.sq.push(seq)
+		case class&isa.ClassCondBranch != 0:
+			c.brs = append(c.brs, seq)
 		}
 	}
 }
@@ -366,7 +457,7 @@ func (c *Core) operandInfo(o operand) (val uint64, ready bool, root uint64) {
 // srcsReady reports whether all of e's sources are ready, and the max root.
 func (c *Core) srcsReady(e *robEntry) (ready bool, vals [2]uint64, root uint64) {
 	ready = true
-	for i := 0; i < e.nSrc; i++ {
+	for i := 0; i < int(e.nSrc); i++ {
 		v, ok, r := c.operandInfo(e.src[i])
 		if !ok {
 			ready = false

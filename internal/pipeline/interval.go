@@ -51,15 +51,16 @@ func (c *Core) EnableIntervalSampling(every uint64, fn func(IntervalSample)) {
 	c.interval = intervalState{every: every, fn: fn, last: c.stats, lastCycle: c.cycle}
 }
 
-// sampleInterval runs once per cycle while enabled (called from Step).
-func (c *Core) sampleInterval() {
+// sampleInterval accounts the current occupancy for n cycles: 1 from Step,
+// a stalled span from skipAhead (which stops short of interval boundaries).
+func (c *Core) sampleInterval(n uint64) {
 	iv := &c.interval
 	rob := c.tailSeq - c.headSeq
-	lq := uint64(len(c.lq))
-	iv.robOccSum += rob
-	iv.lqOccSum += lq
-	iv.robHist[occBucket(rob, uint64(c.cfg.ROBSize))]++
-	iv.lqHist[occBucket(lq, uint64(c.cfg.LQSize))]++
+	lq := uint64(c.lq.n)
+	iv.robOccSum += n * rob
+	iv.lqOccSum += n * lq
+	iv.robHist[occBucket(rob, uint64(c.cfg.ROBSize))] += n
+	iv.lqHist[occBucket(lq, uint64(c.cfg.LQSize))] += n
 	if c.cycle-iv.lastCycle >= iv.every {
 		c.emitInterval()
 	}

@@ -38,47 +38,74 @@ func (c *Core) CheckInvariants() error {
 		}
 	}
 
-	// LQ and SQ are age-ordered subsets of the live window containing
-	// exactly the live loads / stores+flushes.
-	checkQueue := func(name string, q []uint64, member func(*robEntry) bool) error {
+	// Every queue and work list is recomputed by a brute-force ROB scan: it
+	// holds exactly the live entries its predicate selects, once each, and
+	// in age order where the stages rely on that.
+	seqs := func(r *ring[uint64]) (out []uint64) {
+		for i := 0; i < r.n; i++ {
+			out = append(out, *r.at(i))
+		}
+		return out
+	}
+	var iq []uint64
+	for _, s := range c.iq {
+		iq = append(iq, s.seq)
+	}
+	for _, l := range []struct {
+		name    string
+		got     []uint64
+		ordered bool
+		member  func(*robEntry) bool
+	}{
+		{"LQ", seqs(&c.lq), true, (*robEntry).isLoad},
+		{"SQ", seqs(&c.sq), true, func(e *robEntry) bool { return e.isStore() || e.in.Op == isa.OpFlush }},
+		{"IQ", iq, true, func(e *robEntry) bool { return e.state == stWaiting }},
+		{"exec", c.exec, false, func(e *robEntry) bool { return e.state == stExecuting && e.obl == oblNone && !e.isStore() }},
+		{"stData", c.stData, false, func(e *robEntry) bool { return e.isStore() && e.addrValid && !e.sqDataReady }},
+		{"brs", c.brs, true, func(e *robEntry) bool { return e.isCond() && !e.effectApplied }},
+		{"fps", c.fps, true, func(e *robEntry) bool { return e.fpSDO && !e.effectApplied }},
+		{"obls", c.obls, true, func(e *robEntry) bool { return e.obl != oblNone && e.obl != oblResolved }},
+	} {
+		want := map[uint64]bool{}
+		for seq := c.headSeq; seq < c.tailSeq; seq++ {
+			if l.member(c.entry(seq)) {
+				want[seq] = true
+			}
+		}
 		prev := uint64(0)
-		seen := make(map[uint64]bool, len(q))
-		for _, seq := range q {
-			if seq <= prev {
-				return fmt.Errorf("pipeline: %s not age-ordered at %d", name, seq)
+		for _, seq := range l.got {
+			if !want[seq] {
+				return fmt.Errorf("pipeline: %s holds seq %d, which is dead, listed twice or of the wrong kind", l.name, seq)
+			}
+			delete(want, seq)
+			if l.ordered && seq <= prev {
+				return fmt.Errorf("pipeline: %s not age-ordered at %d", l.name, seq)
 			}
 			prev = seq
-			if !c.live(seq) {
-				return fmt.Errorf("pipeline: %s holds dead seq %d", name, seq)
-			}
-			if !member(c.entry(seq)) {
-				return fmt.Errorf("pipeline: %s holds wrong-kind seq %d (%v)", name, seq, c.entry(seq).in)
-			}
-			seen[seq] = true
 		}
-		for seq := c.headSeq; seq < c.tailSeq; seq++ {
-			if member(c.entry(seq)) && !seen[seq] {
-				return fmt.Errorf("pipeline: %s is missing live seq %d (%v)", name, seq, c.entry(seq).in)
-			}
+		for seq := range want {
+			return fmt.Errorf("pipeline: %s is missing live seq %d (%v)", l.name, seq, c.entry(seq).in)
 		}
-		return nil
-	}
-	if err := checkQueue("LQ", c.lq, func(e *robEntry) bool { return e.isLoad() }); err != nil {
-		return err
-	}
-	if err := checkQueue("SQ", c.sq, func(e *robEntry) bool {
-		return e.isStore() || e.in.Op == isa.OpFlush
-	}); err != nil {
-		return err
 	}
 
-	// The IQ holds only live, un-issued instructions.
-	for _, seq := range c.iq {
-		if !c.live(seq) {
-			return fmt.Errorf("pipeline: IQ holds dead seq %d", seq)
+	// An IQ blocked mark names an in-flight producer of a source the entry
+	// needs to issue, unless issue ran out of width with a wake-up pending.
+	for _, s := range c.iq {
+		e, w := c.entry(s.seq), s.waitOn
+		needed := w == 0
+		for i := 0; i < int(e.nNeed); i++ {
+			needed = needed || e.src[i].producer == int64(w) && c.live(w) && c.entry(w).state != stDone
 		}
-		if st := c.entry(seq).state; st != stWaiting {
-			return fmt.Errorf("pipeline: IQ holds seq %d in state %d", seq, st)
+		if !needed && !c.wake {
+			return fmt.Errorf("pipeline: IQ seq %d marked blocked on %d, not an in-flight needed producer", s.seq, w)
+		}
+	}
+
+	// The incremental frontier scan resumes at min(frontier, frontierDirty):
+	// nothing older may block, or a full scan would stop earlier.
+	for seq := c.headSeq; seq < min(c.frontier, c.frontierDirty, c.tailSeq); seq++ {
+		if c.blocksFrontier(c.entry(seq)) {
+			return fmt.Errorf("pipeline: seq %d blocks below the frontier resume point min(%d, %d)", seq, c.frontier, c.frontierDirty)
 		}
 	}
 
@@ -103,9 +130,10 @@ func (c *Core) CheckInvariants() error {
 		}
 	}
 
-	// The frontier never exceeds the allocation point.
-	if c.frontier > c.tailSeq {
-		return fmt.Errorf("pipeline: frontier %d beyond tail %d", c.frontier, c.tailSeq)
+	// The frontier never exceeds the allocation point, except stale between
+	// a squash and the next computeFrontier — which the squash pulled back.
+	if min(c.frontier, c.frontierDirty) > c.tailSeq {
+		return fmt.Errorf("pipeline: frontier %d (dirty from %d) beyond tail %d", c.frontier, c.frontierDirty, c.tailSeq)
 	}
 	return nil
 }

@@ -41,8 +41,8 @@ func (c *Core) readMem(e *robEntry) uint64 {
 // against such stores are detected when the store's address untaints.
 func (c *Core) sqSearch(e *robEntry) (val uint64, fwdSeq int64, fwdOK, stall bool) {
 	la, ls := e.addr, accessSize(e.in.Op)
-	for i := len(c.sq) - 1; i >= 0; i-- {
-		s := c.entry(c.sq[i])
+	for i := c.sq.n - 1; i >= 0; i-- {
+		s := c.entry(*c.sq.at(i))
 		if s.seq >= e.seq || s.in.Op == isa.OpFlush {
 			continue
 		}
@@ -188,6 +188,7 @@ func (c *Core) issueOblLoad(e *robEntry, pred mem.Level) bool {
 	}
 	e.oblRes = c.port.OblLoad(c.cycle, e.addr, pred)
 	e.obl = oblInFlight
+	c.obls = insertSeq(c.obls, e.seq)
 	e.state = stExecuting
 	e.doneAt = e.oblRes.Done // informational; binding happens in stepObl
 	e.destRoot = e.seq
@@ -220,7 +221,8 @@ func (c *Core) issueOblLoad(e *robEntry, pred mem.Level) bool {
 // have been reordered with an older load, and hence may be exposed rather
 // than validated (InvisiSpec [47, Appendix A]).
 func (c *Core) noOlderIncompleteLoads(seq uint64) bool {
-	for _, ls := range c.lq {
+	for i := 0; i < c.lq.n; i++ {
+		ls := *c.lq.at(i)
 		if ls >= seq {
 			break // the LQ is age-ordered
 		}
@@ -253,8 +255,8 @@ func (e *robEntry) oblActualLevel() mem.Level { return e.oblRes.Found }
 func (c *Core) checkStoreViolation(s *robEntry) {
 	sa, ss := s.addr, accessSize(s.in.Op)
 	var victim *robEntry
-	for _, ls := range c.lq {
-		e := c.entry(ls)
+	for i := 0; i < c.lq.n; i++ {
+		e := c.entry(*c.lq.at(i))
 		if e.seq <= s.seq || !e.addrValid || e.state == stWaiting {
 			continue
 		}
@@ -279,7 +281,7 @@ func (c *Core) checkStoreViolation(s *robEntry) {
 		root = victim.addrRoot
 	}
 	if c.schemeTaint && !c.cfg.NoImplicitChannelProtection && c.tainted(root) {
-		victim.pendingSq = true
+		c.markPendingSq(victim)
 		c.parked = append(c.parked, parkedSquash{
 			from: victim.seq, root: root, cause: sqMemOrder, refetch: victim.pc,
 		})
@@ -294,8 +296,8 @@ func (c *Core) checkStoreViolation(s *robEntry) {
 // squash is delayed until the load's address untaints (its own visibility
 // point) under STT/SDO, and applied immediately in the Unsafe core.
 func (c *Core) onInvalidate(lineAddr uint64) {
-	for _, ls := range c.lq {
-		e := c.entry(ls)
+	for i := 0; i < c.lq.n; i++ {
+		e := c.entry(*c.lq.at(i))
 		if !e.addrValid || mem.LineAddr(e.addr) != lineAddr || e.state == stWaiting {
 			continue
 		}
@@ -308,7 +310,7 @@ func (c *Core) onInvalidate(lineAddr uint64) {
 				c.squash(e.seq, sqConsistency, e.pc)
 				return
 			}
-			e.pendingSq = true
+			c.markPendingSq(e)
 			c.parked = append(c.parked, parkedSquash{
 				from: e.seq, root: e.seq, vpSelf: true, cause: sqConsistency, refetch: e.pc,
 			})
@@ -322,22 +324,25 @@ func (c *Core) onInvalidate(lineAddr uint64) {
 	}
 }
 
-// stepOblAll advances every Obl-Ld state machine one cycle (§V-C2's event
-// orderings). Called from resolve() after the frontier is computed.
+// stepOblAll advances every Obl-Ld state machine in obls one cycle (§V-C2's
+// event orderings). Called from resolve() after the frontier is computed.
 func (c *Core) stepOblAll() {
-	for _, ls := range c.lq {
-		if ls >= c.tailSeq {
-			break
-		}
-		e := c.entry(ls)
-		if e.obl == oblNone || e.obl == oblResolved {
-			continue
-		}
+	kept := c.obls[:0]
+	for _, seq := range c.obls {
+		e := c.entry(seq)
+		was, dropped := e.obl, e.oblDropped
 		c.stepObl(e)
-		if ls >= c.tailSeq {
+		if e.obl != was || e.oblDropped != dropped {
+			c.changed = true
+		}
+		if seq >= c.tailSeq {
 			break // a squash removed this and younger entries
 		}
+		if e.obl != oblResolved {
+			kept = append(kept, seq)
+		}
 	}
+	c.obls = kept
 }
 
 func (c *Core) stepObl(e *robEntry) {
@@ -359,7 +364,7 @@ func (c *Core) stepObl(e *robEntry) {
 			c.bindOblValue(e, e.destVal)
 			e.obl = oblComplete
 			if !e.oblSuccessful() {
-				e.pendingSq = true // squash once safe (§VI-A Pending Squash)
+				c.markPendingSq(e) // squash once safe (§VI-A Pending Squash)
 			}
 		}
 
@@ -494,6 +499,7 @@ func (c *Core) bindOblValue(e *robEntry, v uint64) {
 	}
 	e.destVal = v
 	e.state = stDone
+	c.wake = true
 }
 
 // startValidation issues the validation access (a normal, filling load).
@@ -517,13 +523,12 @@ func (c *Core) recordPrediction(e *robEntry, actual mem.Level) {
 	if e.sqForward >= 0 || actual == mem.LevelNone {
 		return // store-forwarded: no meaningful level; predictor untouched
 	}
-	cfg := hierCfgOf(c.port)
 	switch {
 	case actual == e.oblPred:
 		c.stats.PredPrecise++
 	case actual < e.oblPred:
 		c.stats.PredImprecise++
-		c.stats.ImprecisionCycles += cfg.LatencyOf(e.oblPred) - cfg.LatencyOf(actual)
+		c.stats.ImprecisionCycles += c.memCfg.LatencyOf(e.oblPred) - c.memCfg.LatencyOf(actual)
 	default:
 		c.stats.PredInaccurate++
 	}

@@ -3,25 +3,26 @@ package pipeline
 import (
 	"fmt"
 
+	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/obs"
 )
 
-// resolve runs the untaint-driven machinery once per cycle: it computes
+// resolve runs the untaint-driven machinery once per cycle: it advances
 // the visibility frontier, then — oldest first — applies parked squashes
 // whose predicates untainted, branch resolutions (delayed for tainted
 // predicates per STT's implicit-channel rule), Obl-Ld state transitions,
 // and SDO floating-point resolutions.
 func (c *Core) resolve() {
-	c.frontier = c.computeFrontier()
+	c.computeFrontier()
 	c.applyParked()
 	c.resolveBranches()
 	c.stepOblAll()
 	c.resolveFPSDO()
 }
 
-// computeFrontier returns the first sequence number that is still
-// speculative under the configured attack model. Everything older is
+// computeFrontier sets c.frontier to the first sequence number that is
+// still speculative under the configured attack model. Everything older is
 // non-speculative: its taint roots compare as untainted.
 //
 // Spectre: an access instruction reaches its visibility point when all
@@ -32,13 +33,26 @@ func (c *Core) resolve() {
 // stores with unresolved addresses (memory-order violations), loads whose
 // own value/validation story is not finished, unresolved SDO operations,
 // and parked squashes.
-func (c *Core) computeFrontier() uint64 {
-	for seq := c.headSeq; seq < c.tailSeq; seq++ {
-		if c.blocksFrontier(c.entry(seq)) {
-			return seq
-		}
+//
+// The scan resumes at the previous frontier, pulled back to frontierDirty:
+// an entry that stopped blocking blocks again only if its Pending Squash
+// bit is set or a squash frees its seq, and both lower frontierDirty.
+func (c *Core) computeFrontier() {
+	seq := max(min(c.frontier, c.frontierDirty), c.headSeq)
+	for seq < c.tailSeq && !c.blocksFrontier(c.entry(seq)) {
+		seq++
 	}
-	return c.tailSeq
+	if seq != c.frontier {
+		c.frontier = seq
+		c.changed = true
+	}
+	c.frontierDirty = noSeq
+}
+
+// markPendingSq sets e's Pending Squash bit, which blocks the frontier at e.
+func (c *Core) markPendingSq(e *robEntry) {
+	e.pendingSq = true
+	c.frontierDirty = min(c.frontierDirty, e.seq)
 }
 
 func (c *Core) blocksFrontier(e *robEntry) bool {
@@ -46,10 +60,10 @@ func (c *Core) blocksFrontier(e *robEntry) bool {
 		return true
 	}
 	if c.cfg.Model == Spectre {
-		return e.in.Op.IsCondBranch() && !e.effectApplied
+		return e.isCond() && !e.effectApplied
 	}
 	// Futuristic.
-	if e.isBranch() && !e.effectApplied {
+	if e.is(isa.ClassBranch) && !e.effectApplied {
 		return true
 	}
 	if e.isStore() && !e.addrValid {
@@ -107,23 +121,29 @@ func (c *Core) applyParked() {
 	c.parked = kept
 }
 
-// resolveBranches applies branch resolution effects, oldest first. Under
-// STT/SDO a tainted predicate parks the resolution (and the predictor
-// update) until it untaints — the resolution-based implicit channel rule.
+// resolveBranches applies branch resolution effects, oldest first, over
+// the brs list. Under STT/SDO a tainted predicate parks the resolution (and
+// the predictor update) until it untaints — the resolution-based implicit
+// channel rule.
 func (c *Core) resolveBranches() {
-	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+	kept := c.brs[:0]
+	for _, seq := range c.brs {
 		e := c.entry(seq)
-		if !e.in.Op.IsCondBranch() || !e.resolved || e.effectApplied {
+		if !e.resolved {
+			kept = append(kept, seq)
 			continue
 		}
 		if c.schemeTaint && !c.cfg.NoImplicitChannelProtection && c.tainted(e.destRoot) {
 			if e.delayedSince == 0 {
 				e.delayedSince = c.cycle
 				c.stats.DelayedResolutions++
+				c.changed = true
 			}
+			kept = append(kept, seq)
 			continue
 		}
 		e.effectApplied = true
+		c.changed = true
 		c.stats.BranchesResolved++
 		if c.obs.On(obs.ClassBranch) {
 			c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassBranch, Kind: "resolve-branch",
@@ -137,25 +157,27 @@ func (c *Core) resolveBranches() {
 		}
 		c.bp.Update(c.pcAddr(e.pc), e.actualTaken, e.mispredicted, e.bpSnap)
 		if e.mispredicted {
-			return // younger state is gone; nothing left to scan
+			break // younger state is gone, the rest of the list with it
 		}
 	}
+	c.brs = kept
 }
 
-// resolveFPSDO resolves SDO floating-point operations whose arguments have
-// untainted: success trains nothing (the static predictor has no state);
-// failure squashes starting at the operation, which then re-executes on
-// the normal (data-dependent latency) path.
+// resolveFPSDO resolves, oldest first over the fps list, SDO floating-point
+// operations whose arguments have untainted: success trains nothing (the
+// static predictor has no state); failure squashes starting at the
+// operation, which then re-executes on the normal (data-dependent latency)
+// path.
 func (c *Core) resolveFPSDO() {
-	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+	kept := c.fps[:0]
+	for _, seq := range c.fps {
 		e := c.entry(seq)
-		if !e.fpSDO || e.effectApplied || e.state == stWaiting {
-			continue
-		}
-		if c.tainted(argsRoot(e)) {
+		if c.tainted(e.destRoot) { // for fpSDO entries destRoot is the arguments' root
+			kept = append(kept, seq)
 			continue
 		}
 		e.effectApplied = true
+		c.changed = true
 		if e.fpFail {
 			c.stats.FPSDOFail++
 			if c.obs.On(obs.ClassFP) {
@@ -164,14 +186,11 @@ func (c *Core) resolveFPSDO() {
 					Detail: fmt.Sprintf("seq=%d pc=%d %v subnormal operands", e.seq, e.pc, e.in)})
 			}
 			c.squash(e.seq, sqFPFail, e.pc)
-			return
+			break
 		}
 	}
+	c.fps = kept
 }
-
-// argsRoot returns the taint root of an instruction's source operands
-// (for fpSDO entries destRoot holds exactly that).
-func argsRoot(e *robEntry) uint64 { return e.destRoot }
 
 // squash discards every instruction with seq >= from, repairs the rename
 // map and branch-history state, redirects fetch to refetch, and records
@@ -188,17 +207,19 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 				from, squashCauseNames[cause], refetch, c.tailSeq)})
 	}
 
+	c.changed = true
+	c.frontierDirty = min(c.frontierDirty, from)
 	if from < c.tailSeq {
 		c.stats.SquashedInstrs += c.tailSeq - from
 		restored := false
-		var snap = c.entry(from).bpSnap // placeholder; fixed in the loop below
+		var snap bpred.Snapshot
 		for seq := c.tailSeq; seq > from; {
 			seq--
 			e := c.entry(seq)
 			if e.hasDest {
 				c.renameMap[e.in.Rd] = e.prevProd
 			}
-			if e.in.Op.IsCondBranch() {
+			if e.isCond() {
 				snap = e.bpSnap
 				restored = true
 			}
@@ -207,15 +228,17 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 			c.bp.Restore(snap)
 		}
 
-		trim := func(q []uint64) []uint64 {
-			for len(q) > 0 && q[len(q)-1] >= from {
-				q = q[:len(q)-1]
-			}
-			return q
+		for len(c.iq) > 0 && c.iq[len(c.iq)-1].seq >= from {
+			c.iq = c.iq[:len(c.iq)-1]
 		}
-		c.iq = trimUnordered(c.iq, from)
-		c.lq = trim(c.lq)
-		c.sq = trim(c.sq)
+		for _, q := range [...]*ring[uint64]{&c.lq, &c.sq} {
+			for q.n > 0 && *q.at(q.n - 1) >= from {
+				q.n--
+			}
+		}
+		for _, q := range [...]*[]uint64{&c.exec, &c.stData, &c.brs, &c.fps, &c.obls} {
+			*q = trimSeqs(*q, from)
+		}
 
 		kept := c.parked[:0]
 		for _, p := range c.parked {
@@ -235,7 +258,7 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 	// The frontend redirect happens even when no ROB entry is younger than
 	// the squash point: wrong-path instructions may still sit in the fetch
 	// buffer.
-	c.fetchBuf = c.fetchBuf[:0]
+	c.fetchBuf.n = 0
 	c.fetchPC = refetch
 	c.fetchHalted = false
 	c.fetchLine = ^uint64(0)
@@ -244,9 +267,8 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 	}
 }
 
-// trimUnordered removes seqs >= from from a queue that may not be sorted
-// (the IQ is age-ordered on append but issue removes from the middle).
-func trimUnordered(q []uint64, from uint64) []uint64 {
+// trimSeqs removes seqs >= from from a work list, keeping its order.
+func trimSeqs(q []uint64, from uint64) []uint64 {
 	kept := q[:0]
 	for _, s := range q {
 		if s < from {
@@ -270,11 +292,12 @@ func (c *Core) commit() {
 		switch {
 		case e.in.Op == isa.OpHalt:
 			c.halted = true
+			c.changed = true
 			c.stats.Committed++
 			c.lastCommitCycle = c.cycle
 			c.headSeq++
 			return
-		case e.in.Op.IsCondBranch():
+		case e.isCond():
 			if !e.effectApplied {
 				return
 			}
@@ -316,11 +339,11 @@ func (c *Core) commit() {
 				c.renameMap[e.in.Rd] = -1
 			}
 		}
-		if len(c.lq) > 0 && c.lq[0] == e.seq {
-			c.lq = c.lq[1:]
+		if c.lq.n > 0 && *c.lq.at(0) == e.seq {
+			c.lq.pop()
 		}
-		if len(c.sq) > 0 && c.sq[0] == e.seq {
-			c.sq = c.sq[1:]
+		if c.sq.n > 0 && *c.sq.at(0) == e.seq {
+			c.sq.pop()
 		}
 		if c.obs.On(obs.ClassCommit) {
 			c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassCommit, Kind: "commit",
@@ -333,5 +356,6 @@ func (c *Core) commit() {
 		c.headSeq++
 		c.stats.Committed++
 		c.lastCommitCycle = c.cycle
+		c.changed = true
 	}
 }

@@ -28,6 +28,16 @@ import (
 // Schemes are stateless singletons: per-run state lives in the Core and
 // the memory system, so one Scheme value is safely shared by concurrent
 // simulations.
+//
+// The event-driven stage loop holds every scheme to two rules. (1) No side
+// effect on an unready operand: issue does not call IssueLoad or
+// IssueTaintedFP while the address source (or any FP source) is still in
+// flight, so a scheme must not count on being polled then. (2) An attempt
+// that returns false may only set e.delayedSince (once, with its Delayed* /
+// OblPredMem counter), tick LoadDelayCycles / FPDelayCycles, or do something
+// idempotent (LocPred.Predict evicting a slot): Core.Run skips spans of
+// cycles in which every attempt fails the same way and bulk-adds exactly
+// those two counters.
 type Scheme interface {
 	// Name is the scheme's display name (matches the core registry).
 	Name() string
@@ -180,6 +190,7 @@ func (schemeSDO) IssueTaintedFP(c *Core, e *robEntry, vals [2]uint64, root uint6
 	e.destVal = isa.EvalALU(e.in, vals[0], vals[1], c.cycle)
 	e.destRoot = root
 	e.fpSDO = true
+	c.fps = insertSeq(c.fps, e.seq)
 	e.fpArgs = [2]uint64{vals[0], vals[1]}
 	e.fpFail = isa.FPSlowPath(e.in.Op, vals[0], vals[1], e.destVal)
 	e.doneAt = c.cycle + opLatency(e.in, vals[0], vals[1], e.destVal, true)

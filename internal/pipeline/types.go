@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -56,70 +58,94 @@ type operand struct {
 
 // robEntry is one in-flight instruction. It embeds the load/store-queue
 // fields (the §VI-A extensions included) since LQ/SQ entries correspond
-// 1:1 with their ROB entries.
+// 1:1 with their ROB entries. Field order is layout: what issue, complete
+// and the frontier scan read every cycle comes first, cold state last.
 type robEntry struct {
-	seq  uint64
-	pc   int
-	in   isa.Instr
-	src  [2]operand
-	nSrc int
-
-	state  entryState
+	seq    uint64
 	doneAt uint64 // valid when state >= stExecuting
+	src    [2]operand
+	in     isa.Instr
+	pc     int
+
+	state entryState
+	class isa.Class // decoded once at rename
+	nSrc  uint8
+	nNeed uint8 // leading sources that must be ready to issue (memory ops: the address only)
+	obl   oblState
+
+	hasDest       bool
+	resolved      bool // branch outcome computed
+	effectApplied bool // resolution effects (squash/train) performed
+	pendingSq     bool // Pending Squash bit (§VI-A): squash when safe
+	fpSDO         bool // executed on the predicted fast path with tainted args
+	addrValid     bool
+	sqDataReady   bool
 
 	// Destination (merged rename: value lives in the ROB entry).
-	hasDest  bool
 	destVal  uint64
 	destRoot uint64 // YRoT: 0 = untainted
 	prevProd int64  // previous producer of in.Rd, for squash repair
 
-	// Branch bookkeeping.
-	predTaken     bool
-	predTarget    int
-	bpSnap        bpred.Snapshot
-	resolved      bool // outcome computed
-	actualTaken   bool
-	actualTarget  int
-	mispredicted  bool
-	effectApplied bool // resolution effects (squash/train) performed
-
 	// Memory bookkeeping.
-	addrValid   bool
-	addr        uint64
-	addrRoot    uint64 // taint root of the address operands
-	sqData      uint64 // store: value to write
-	sqDataReady bool
-	sqForward   int64 // load: seq of forwarding store, -1 if from memory
-	memLevel    mem.Level
-	specFill    bool // load filled the speculative shadow (promote at commit)
+	addr      uint64
+	addrRoot  uint64 // taint root of the address operands
+	sqData    uint64 // store: value to write
+	sqForward int64  // load: seq of forwarding store, -1 if from memory
+	// STT transmitter-delay accounting: cycle of the first taint stall (0 = never).
+	delayedSince uint64
+	memLevel     mem.Level
+	specFill     bool // load filled the speculative shadow (promote at commit)
+
+	// Branch bookkeeping.
+	predTaken    bool
+	actualTaken  bool
+	mispredicted bool
+	predTarget   int
+	actualTarget int
+	bpSnap       bpred.Snapshot
 
 	// Obl-Ld state machine (§V-C2 / §VI-A fields).
-	obl           oblState
 	oblRes        mem.OblResult
 	oblPred       mem.Level // predicted level ("Actual Level" trains the predictor)
 	oblTLBOK      bool      // L1 TLB probe hit (⊥ translation forces fail)
 	exposure      bool      // §VI-A Validation/Exposure bit
-	valDone       uint64    // D: validation completion cycle
-	valLevel      mem.Level // level the validation found data in
-	valSnapshot   uint64    // value the Obl-Ld forwarded (compared at D)
 	valInFlight   bool
-	oblDropped    bool // fail revealed while safe; waiting for the validation
-	oblMemDelayed bool // SDO predicted DRAM: delayed until safe (§VI-B2)
-	pendingInval  bool // line invalidated while speculative (§V-C1)
+	oblDropped    bool      // fail revealed while safe; waiting for the validation
+	oblMemDelayed bool      // SDO predicted DRAM: delayed until safe (§VI-B2)
+	pendingInval  bool      // line invalidated while speculative (§V-C1)
+	valLevel      mem.Level // level the validation found data in
+	valDone       uint64    // D: validation completion cycle
+	valSnapshot   uint64    // value the Obl-Ld forwarded (compared at D)
 
 	// SDO floating-point operation.
-	fpSDO     bool // executed on the predicted fast path with tainted args
-	fpFail    bool // args turned out subnormal: squash when safe
-	fpArgs    [2]uint64
-	pendingSq bool // Pending Squash bit (§VI-A): squash when safe
-
-	// STT transmitter-delay accounting.
-	delayedSince uint64 // cycle the instruction first stalled on taint (0 = never)
+	fpFail bool // args turned out subnormal: squash when safe
+	fpArgs [2]uint64
 }
 
-func (e *robEntry) isBranch() bool { return e.in.Op.IsBranch() }
-func (e *robEntry) isLoad() bool   { return e.in.Op.IsLoad() }
-func (e *robEntry) isStore() bool  { return e.in.Op.IsStore() }
+func (e *robEntry) is(cl isa.Class) bool { return e.class&cl != 0 }
+func (e *robEntry) isCond() bool         { return e.is(isa.ClassCondBranch) }
+func (e *robEntry) isLoad() bool         { return e.is(isa.ClassLoad) }
+func (e *robEntry) isStore() bool        { return e.is(isa.ClassStore) }
+
+// iqSlot is one issue-queue entry. waitOn is its blocked mark: a producer
+// it needs to issue that was in flight when issue last polled it (0: none).
+type iqSlot struct{ seq, waitOn uint64 }
+
+// ring is a fixed-capacity FIFO, the allocation-free form of q = q[1:] plus
+// append. The owner enforces the occupancy limit; the buffer is rounded up
+// to a power of two so indexing is a mask.
+type ring[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, ceilPow2(capacity))} }
+
+func ceilPow2(n int) int { return 1 << bits.Len(uint(max(n, 1)-1)) }
+
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+func (r *ring[T]) push(v T)    { *r.at(r.n) = v; r.n++ }
+func (r *ring[T]) pop()        { r.head = (r.head + 1) & (len(r.buf) - 1); r.n-- }
 
 // Stats aggregates everything the experiment harness reads. All counters
 // are cumulative over a run.
