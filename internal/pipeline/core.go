@@ -26,12 +26,11 @@ type Core struct {
 	regs      [isa.NumRegs]uint64
 	renameMap [isa.NumRegs]int64 // producer seq, -1 = committed regfile
 
-	rob     []robEntry // ring of 2ⁿ ≥ ROBSize slots indexed by seq&robMask
-	robMask uint64
-	headSeq uint64   // oldest live seq
-	tailSeq uint64   // next seq to allocate
-	iq      []iqSlot // age-ordered, capacity IQSize
-	wake    bool     // a producer completed since issue ran: re-poll blocked IQ slots
+	rob     []robEntry // ring of 2ⁿ ≥ ROBSize slots indexed by seq&(len-1)
+	headSeq uint64     // oldest live seq
+	tailSeq uint64     // next seq to allocate
+	iq      []iqSlot   // age-ordered, capacity IQSize
+	wake    bool       // a producer completed since issue ran: re-poll blocked IQ slots
 	lq, sq  ring[uint64]
 	parked  []parkedSquash
 
@@ -126,7 +125,7 @@ func New(cfg Config, prog *isa.Program, data *isa.Memory, port MemPort) *Core {
 		fps:      make([]uint64, 0, cfg.ROBSize),
 		obls:     make([]uint64, 0, cfg.LQSize),
 	}
-	c.robMask, c.frontierDirty, c.nextDone = uint64(len(c.rob)-1), noSeq, noSeq
+	c.frontierDirty, c.nextDone = noSeq, noSeq
 	c.schemeTaint = c.scheme.TracksTaint()
 	if m := c.scheme.SpecMode(); m != mem.SpecOff {
 		sp, ok := port.(SpecMemPort)
@@ -184,7 +183,7 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 func (c *Core) Halted() bool { return c.halted }
 
 // entry returns the ROB entry for a live seq.
-func (c *Core) entry(seq uint64) *robEntry { return &c.rob[seq&c.robMask] }
+func (c *Core) entry(seq uint64) *robEntry { return &c.rob[seq&uint64(len(c.rob)-1)] }
 
 func (c *Core) live(seq uint64) bool { return seq >= c.headSeq && seq < c.tailSeq }
 

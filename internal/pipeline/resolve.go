@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bpred"
 	"repro/internal/isa"
@@ -237,7 +238,7 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 			}
 		}
 		for _, q := range [...]*[]uint64{&c.exec, &c.stData, &c.brs, &c.fps, &c.obls} {
-			*q = trimSeqs(*q, from)
+			*q = slices.DeleteFunc(*q, func(s uint64) bool { return s >= from })
 		}
 
 		kept := c.parked[:0]
@@ -265,17 +266,6 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 	if c.fetchStallUntil < c.cycle+1 {
 		c.fetchStallUntil = c.cycle + 1 // one-cycle redirect bubble
 	}
-}
-
-// trimSeqs removes seqs >= from from a work list, keeping its order.
-func trimSeqs(q []uint64, from uint64) []uint64 {
-	kept := q[:0]
-	for _, s := range q {
-		if s < from {
-			kept = append(kept, s)
-		}
-	}
-	return kept
 }
 
 // commit retires completed instructions in order, applying stores and
