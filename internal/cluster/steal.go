@@ -39,8 +39,7 @@ func (n *Node) stealLoop() {
 // budget is spent. The budget is conservative: locally queued cells
 // count against it, so stealing never delays the node's own work.
 func (n *Node) stealOnce() {
-	m := n.svc.Snapshot()
-	idle := m.Workers - m.InFlight - m.QueueDepth
+	idle := n.svc.IdleWorkers()
 	if idle <= 0 {
 		return
 	}

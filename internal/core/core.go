@@ -191,7 +191,7 @@ type Config struct {
 	// Mem overrides the Table I memory parameters when non-nil.
 	Mem *mem.Config
 	// Pipe overrides the Table I core parameters when non-nil (its
-	// Protection/Model/LocPred fields are overwritten from Variant/Model).
+	// Scheme/Model/LocPred fields are overwritten from Variant/Model).
 	Pipe *pipeline.Config
 }
 

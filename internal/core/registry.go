@@ -40,7 +40,6 @@ var registry = builtinSchemes()
 func builtinSchemes() []SchemeInfo {
 	stt := func(fp bool) func(pc *pipeline.Config, _ func(uint64) mem.Level) {
 		return func(pc *pipeline.Config, _ func(uint64) mem.Level) {
-			pc.Protection = pipeline.ProtSTT
 			pc.Scheme = pipeline.SchemeSTT
 			pc.FPTransmitters = fp
 		}
@@ -49,7 +48,6 @@ func builtinSchemes() []SchemeInfo {
 	// transmitters with architected DO operations (§VIII-A).
 	sdoCfg := func(pred func(probe func(uint64) mem.Level) sdo.LocationPredictor) func(pc *pipeline.Config, probe func(uint64) mem.Level) {
 		return func(pc *pipeline.Config, probe func(uint64) mem.Level) {
-			pc.Protection = pipeline.ProtSDO
 			pc.Scheme = pipeline.SchemeSDO
 			pc.FPTransmitters = true
 			pc.LocPred = pred(probe)
@@ -63,7 +61,6 @@ func builtinSchemes() []SchemeInfo {
 			Name: "Unsafe", Aliases: []string{"unsafe"}, TableII: true,
 			Description: "An unmodified insecure processor",
 			Configure: func(pc *pipeline.Config, _ func(uint64) mem.Level) {
-				pc.Protection = pipeline.ProtNone
 				pc.Scheme = pipeline.SchemeUnsafe
 				pc.FPTransmitters = false
 			},
@@ -147,7 +144,6 @@ var (
 		Aliases:     []string{"safespec", "safe-spec"},
 		Description: "Shadow speculative cache+TLB; fills commit on retire, vanish on squash",
 		Configure: func(pc *pipeline.Config, _ func(uint64) mem.Level) {
-			pc.Protection = pipeline.ProtNone
 			pc.Scheme = pipeline.SchemeSafeSpec
 			pc.FPTransmitters = false
 		},
@@ -158,7 +154,6 @@ var (
 		Aliases:     []string{"specbox", "spec-box"},
 		Description: "Speculation-labelled cache lines, invisible to probes until commit",
 		Configure: func(pc *pipeline.Config, _ func(uint64) mem.Level) {
-			pc.Protection = pipeline.ProtNone
 			pc.Scheme = pipeline.SchemeSpecBox
 			pc.FPTransmitters = false
 		},

@@ -79,11 +79,6 @@ type Config struct {
 	// negative: no prober — breakers then reopen only via the
 	// half-open-trial path).
 	ProbeInterval time.Duration
-	// Validate, when non-nil, vets a 200 response body before it is
-	// returned; an error counts as a peer failure (corrupt response) and
-	// the lookup falls through. The caller owns the format of /cache
-	// bodies, so it owns validation too.
-	Validate func(key string, body []byte) error
 	// Faults injects peer-down / peer-slow / peer-corrupt chaos (nil in
 	// production: zero cost).
 	Faults *faults.Injector
@@ -315,68 +310,48 @@ func rendezvousScore(key, member string) uint64 {
 	return h.Sum64()
 }
 
-// Rank orders members for key by rendezvous (highest-random-weight)
-// hashing. Every node that evaluates the same (key, member set) gets
-// the same order, so a cluster agrees on each key's owner — Rank(...)
-// [0] — with no coordination or shared state. The members slice is not
-// modified.
-func Rank(key string, members []string) []string {
-	out := append([]string(nil), members...)
+// rankBy orders members for key by rendezvous (highest-random-weight)
+// hashing over each member's name. Every node that evaluates the same
+// (key, name set) gets the same order, so a cluster agrees on each
+// key's preferred owner with no coordination or shared state. The
+// members slice is not modified.
+func rankBy[T any](key string, members []T, name func(T) string) []T {
+	out := append([]T(nil), members...)
 	sort.SliceStable(out, func(a, b int) bool {
-		return rendezvousScore(key, out[a]) > rendezvousScore(key, out[b])
+		return rendezvousScore(key, name(out[a])) > rendezvousScore(key, name(out[b]))
 	})
 	return out
 }
 
-// rank orders the peers for key by rendezvous hashing: every node
-// hashes (key, peer) identically, so the cluster agrees on each key's
-// preferred owner with no coordination or shared state.
-func (c *Client) rank(key string) []*peer {
-	type scored struct {
-		p *peer
-		s uint64
-	}
-	sc := make([]scored, len(c.peers))
-	for i, p := range c.peers {
-		sc[i] = scored{p: p, s: rendezvousScore(key, p.url)}
-	}
-	sort.Slice(sc, func(a, b int) bool { return sc[a].s > sc[b].s })
-	out := make([]*peer, len(sc))
-	for i, s := range sc {
-		out[i] = s.p
-	}
-	return out
+// Rank orders member names for key by rendezvous hashing (see rankBy);
+// Rank(...)[0] is the key's owner.
+func Rank(key string, members []string) []string {
+	return rankBy(key, members, func(m string) string { return m })
 }
 
 type lookupRes struct {
-	body []byte
-	url  string
-	ok   bool
+	val any
+	url string
+	ok  bool
 }
 
-// Lookup asks the peers for key and returns the first validated body,
-// with the answering peer's URL. Any failure — no peers, breakers all
-// open, peers down, slow, or corrupt — is reported as a miss (false),
-// never an error: the caller's fallback is local simulation.
-func (c *Client) Lookup(ctx context.Context, key string) ([]byte, string, bool) {
-	if c == nil {
-		return nil, "", false
-	}
-	return c.LookupPath(ctx, key, "/cache/"+key, c.cfg.Validate)
-}
-
-// LookupPath is Lookup generalized to any content-addressed GET
-// endpoint: the peers are still ranked (and their breakers tripped) by
-// key, but the request path and the response validator are the
-// caller's. This is how artifact peering (checkpoints, sample plans)
-// reuses the same hedging + breaker machinery as result lookups.
-func (c *Client) LookupPath(ctx context.Context, key, path string, validate func(key string, body []byte) error) ([]byte, string, bool) {
+// Lookup GETs path from the peers, ranked (and their breakers tripped)
+// by the content-addressed key, and returns the first response that
+// decode accepts — the decoded value, so a body is parsed and verified
+// exactly once — with the answering peer's URL. The caller owns the
+// format of the endpoint, so it owns decode: an error from it counts as
+// a peer failure (corrupt response) and the lookup falls through. Any
+// failure — no peers, breakers all open, peers down, slow, or corrupt —
+// is reported as a miss (false), never an error: the caller's fallback
+// is local work. Result lookups (/cache/{key}) and artifact peering
+// (/artifacts/{kind}/{hash}) share this one path.
+func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body []byte) (any, error)) (any, string, bool) {
 	if c == nil {
 		return nil, "", false
 	}
 	now := time.Now()
 	var cands []*peer
-	for _, p := range c.rank(key) {
+	for _, p := range rankBy(key, c.peers, func(p *peer) string { return p.url }) {
 		if p.allow(now, c.cfg.BreakerThreshold) {
 			cands = append(cands, p)
 			if len(cands) == c.cfg.MaxFanout {
@@ -397,7 +372,7 @@ func (c *Client) LookupPath(ctx context.Context, key, path string, validate func
 
 	ch := make(chan lookupRes, len(cands))
 	launch := func(p *peer) {
-		go func() { ch <- c.fetch(ctx, p, key, path, validate) }()
+		go func() { ch <- c.fetch(ctx, p, key, path, decode) }()
 	}
 	launch(cands[0])
 	inflight, next := 1, 1
@@ -413,7 +388,7 @@ func (c *Client) LookupPath(ctx context.Context, key, path string, validate func
 			inflight--
 			if r.ok {
 				c.hits.Add(1)
-				return r.body, r.url, true
+				return r.val, r.url, true
 			}
 			if inflight == 0 && next < len(cands) {
 				launch(cands[next])
@@ -439,7 +414,7 @@ func (c *Client) LookupPath(ctx context.Context, key, path string, validate func
 
 // fetch asks one peer for one key. Failures trip the peer's breaker; a
 // 404 is an authoritative (healthy) miss.
-func (c *Client) fetch(ctx context.Context, p *peer, key, path string, validate func(key string, body []byte) error) lookupRes {
+func (c *Client) fetch(ctx context.Context, p *peer, key, path string, decode func(body []byte) (any, error)) lookupRes {
 	fail := func(why string) lookupRes {
 		p.errors.Add(1)
 		c.errors.Add(1)
@@ -482,14 +457,13 @@ func (c *Client) fetch(ctx context.Context, p *peer, key, path string, validate 
 		if c.cfg.Faults.PeerCorrupt(p.url, key) && len(body) > 0 {
 			body[len(body)/2] ^= 0xff
 		}
-		if v := validate; v != nil {
-			if err := v(key, body); err != nil {
-				return fail("corrupt response: " + err.Error())
-			}
+		val, err := decode(body)
+		if err != nil {
+			return fail("corrupt response: " + err.Error())
 		}
 		p.ok()
 		p.hits.Add(1)
-		return lookupRes{body: body, url: p.url, ok: true}
+		return lookupRes{val: val, url: p.url, ok: true}
 	case resp.StatusCode == http.StatusNotFound:
 		// The peer is healthy, it just does not hold the key.
 		p.ok()

@@ -43,9 +43,24 @@ func cacheServer(t *testing.T, entries map[string]string) (*httptest.Server, *at
 	return srv, &reqs
 }
 
+// lookup asks c for /cache/{key}, accepting any body unless vet (may be
+// nil) rejects it, and returns the raw body.
+func lookup(c *Client, key string, vet func(body []byte) error) ([]byte, string, bool) {
+	v, url, ok := c.Lookup(context.Background(), key, "/cache/"+key, func(body []byte) (any, error) {
+		if vet != nil {
+			if err := vet(body); err != nil {
+				return nil, err
+			}
+		}
+		return body, nil
+	})
+	body, _ := v.([]byte)
+	return body, url, ok
+}
+
 func TestNilClientMisses(t *testing.T) {
 	var c *Client
-	if _, _, ok := c.Lookup(context.Background(), "k"); ok {
+	if _, _, ok := lookup(c, "k", nil); ok {
 		t.Fatal("nil client returned a hit")
 	}
 	if c.Peers() != 0 || c.Available() != 0 || c.Snapshot() != nil {
@@ -62,11 +77,11 @@ func TestLookupHitAndMiss(t *testing.T) {
 	c := New(fastCfg(srv.URL))
 	defer c.Close()
 
-	body, url, ok := c.Lookup(context.Background(), "k1")
+	body, url, ok := lookup(c, "k1", nil)
 	if !ok || string(body) != "body-1" || url != srv.URL {
 		t.Fatalf("hit = %q %q %v, want body-1 from %s", body, url, ok, srv.URL)
 	}
-	if _, _, ok := c.Lookup(context.Background(), "absent"); ok {
+	if _, _, ok := lookup(c, "absent", nil); ok {
 		t.Fatal("404 key returned a hit")
 	}
 	st := c.Stats()
@@ -86,7 +101,7 @@ func TestDownPeerFallsThroughToNext(t *testing.T) {
 
 	c := New(fastCfg(down.URL, up.URL))
 	defer c.Close()
-	body, url, ok := c.Lookup(context.Background(), "k1")
+	body, url, ok := lookup(c, "k1", nil)
 	if !ok || string(body) != "body-1" || url != up.URL {
 		t.Fatalf("lookup with one dead peer = %q %q %v, want fallthrough hit", body, url, ok)
 	}
@@ -97,13 +112,10 @@ func TestDownPeerFallsThroughToNext(t *testing.T) {
 
 func TestValidateRejectionIsAPeerFailure(t *testing.T) {
 	srv, _ := cacheServer(t, map[string]string{"/cache/k1": "garbage"})
-	cfg := fastCfg(srv.URL)
-	cfg.Validate = func(key string, body []byte) error {
-		return fmt.Errorf("checksum mismatch for %s", key)
-	}
-	c := New(cfg)
+	c := New(fastCfg(srv.URL))
 	defer c.Close()
-	if _, _, ok := c.Lookup(context.Background(), "k1"); ok {
+	reject := func([]byte) error { return fmt.Errorf("checksum mismatch") }
+	if _, _, ok := lookup(c, "k1", reject); ok {
 		t.Fatal("corrupt body passed validation")
 	}
 	st := c.Stats()
@@ -120,7 +132,7 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 
 	// DefaultBreakerOpens consecutive failures open the breaker.
 	for i := 0; i < DefaultBreakerOpens; i++ {
-		if _, _, ok := c.Lookup(context.Background(), "k"); ok {
+		if _, _, ok := lookup(c, "k", nil); ok {
 			t.Fatal("dead peer returned a hit")
 		}
 	}
@@ -132,7 +144,7 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	}
 	// While open, lookups don't even dial: request count stays flat.
 	errsBefore := c.Stats().Errors
-	if _, _, ok := c.Lookup(context.Background(), "k"); ok {
+	if _, _, ok := lookup(c, "k", nil); ok {
 		t.Fatal("open breaker returned a hit")
 	}
 	if errs := c.Stats().Errors; errs != errsBefore {
@@ -152,7 +164,7 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	revived, _ := cacheServer(t, map[string]string{"/cache/k": "body"})
 	c.peers[0].url = revived.URL // swap the address: same peer, now alive
 	time.Sleep(2 * c.cfg.BreakerBackoff)
-	if _, _, ok := c.Lookup(context.Background(), "k"); !ok {
+	if _, _, ok := lookup(c, "k", nil); !ok {
 		t.Fatal("half-open trial against a live peer missed")
 	}
 	if ps := c.Snapshot()[0]; ps.State != "ok" || ps.ConsecutiveFails != 0 {
@@ -161,42 +173,34 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 }
 
 func TestHedgedLookupWinsOnSlowPrimary(t *testing.T) {
-	fast, _ := cacheServer(t, map[string]string{"/cache/khedge": "fast-body"})
+	// Both servers start before the one client is built, so the ranking
+	// the key is chosen by is the ranking the lookup uses. The fast peer
+	// answers any /cache/* path: whichever key ranks the slow peer first
+	// is served.
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "fast-body")
+	}))
+	defer fast.Close()
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(300 * time.Millisecond)
 		fmt.Fprint(w, "slow-body")
 	}))
 	defer slow.Close()
-
-	// Make the slow server the rendezvous primary for the key; if the
-	// hash happens to rank fast first the test still passes but exercises
-	// nothing, so pick whichever ordering puts slow first by probing both.
 	c := New(fastCfg(slow.URL, fast.URL))
 	defer c.Close()
-	ranked := c.rank("khedge")
-	if ranked[0].url != slow.URL {
-		// Fall back to a key that ranks slow first.
-		for i := 0; i < 64; i++ {
-			k := fmt.Sprintf("khedge-%d", i)
-			if c.rank(k)[0].url == slow.URL {
-				c.Close()
-				fast2, _ := cacheServer(t, map[string]string{"/cache/" + k: "fast-body"})
-				c = New(fastCfg(slow.URL, fast2.URL))
-				body, _, ok := c.Lookup(context.Background(), k)
-				if !ok || string(body) != "fast-body" {
-					t.Fatalf("hedged lookup = %q %v, want fast-body", body, ok)
-				}
-				if c.Stats().Hedges == 0 {
-					t.Fatal("no hedge recorded despite slow primary")
-				}
-				return
-			}
+
+	key := ""
+	for i := 0; i < 64 && key == ""; i++ {
+		if k := fmt.Sprintf("khedge-%d", i); rankedURLs(c, k)[0] == slow.URL {
+			key = k
 		}
+	}
+	if key == "" {
 		t.Fatal("could not find a key ranking the slow peer first")
 	}
-	body, _, ok := c.Lookup(context.Background(), "khedge")
-	if !ok || string(body) != "fast-body" {
-		t.Fatalf("hedged lookup = %q %v, want fast-body from the hedge", body, ok)
+	body, url, ok := lookup(c, key, nil)
+	if !ok || string(body) != "fast-body" || url != fast.URL {
+		t.Fatalf("hedged lookup = %q from %s %v, want fast-body from the hedge", body, url, ok)
 	}
 	if c.Stats().Hedges == 0 {
 		t.Fatal("no hedge recorded despite slow primary")
@@ -208,8 +212,8 @@ func TestRendezvousRankIsStableAndSpread(t *testing.T) {
 	defer c.Close()
 	// Stable: same key, same order, every time.
 	for i := 0; i < 10; i++ {
-		a := urls(c.rank("some-key"))
-		b := urls(c.rank("some-key"))
+		a := rankedURLs(c, "some-key")
+		b := rankedURLs(c, "some-key")
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("rank not deterministic: %v vs %v", a, b)
 		}
@@ -221,7 +225,7 @@ func TestRendezvousRankIsStableAndSpread(t *testing.T) {
 	first := map[string]int{}
 	for i := 0; i < 64; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		r1, r2 := urls(c.rank(k)), urls(c2.rank(k))
+		r1, r2 := rankedURLs(c, k), rankedURLs(c2, k)
 		if !reflect.DeepEqual(r1, r2) {
 			t.Fatalf("clients disagree on rank for %s: %v vs %v", k, r1, r2)
 		}
@@ -244,14 +248,14 @@ func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
 		}
 		cfg := fastCfg(srv.URL)
 		cfg.Faults = inj
-		cfg.Validate = func(key string, body []byte) error {
+		vet := func(body []byte) error {
 			if string(body) != "body-1" {
 				return fmt.Errorf("corrupt")
 			}
 			return nil
 		}
 		c := New(cfg)
-		if _, _, ok := c.Lookup(context.Background(), "k1"); ok {
+		if _, _, ok := lookup(c, "k1", vet); ok {
 			t.Fatalf("%s: injected fault still produced a hit", spec)
 		}
 		if st := c.Stats(); st.Errors == 0 {
@@ -268,7 +272,7 @@ func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
 	cfg.Faults = inj
 	c := New(cfg)
 	defer c.Close()
-	body, _, ok := c.Lookup(context.Background(), "k1")
+	body, _, ok := lookup(c, "k1", nil)
 	if !ok || string(body) != "body-1" {
 		t.Fatalf("slow peer under the timeout = %q %v, want a delayed hit", body, ok)
 	}
@@ -298,10 +302,11 @@ func TestProbeClosesBreakerOnRecovery(t *testing.T) {
 	t.Fatalf("prober never closed the breaker: %+v", c.Snapshot()[0])
 }
 
-func urls(ps []*peer) []string {
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.url
+// rankedURLs is the order in which c consults its peers for key.
+func rankedURLs(c *Client, key string) []string {
+	all := make([]string, len(c.peers))
+	for i, p := range c.peers {
+		all[i] = p.url
 	}
-	return out
+	return Rank(key, all)
 }

@@ -20,6 +20,9 @@ import (
 type metric interface {
 	name() string
 	write(w io.Writer)
+	// value is the metric's current sample as write prints it (a
+	// histogram's observation count).
+	value() float64
 }
 
 // Registry holds metrics and renders them. Registration happens at
@@ -54,6 +57,22 @@ func (r *Registry) WriteText(w io.Writer) {
 	for _, m := range ms {
 		m.write(w)
 	}
+}
+
+// Value reads one metric by the name /metrics exposes it under — what
+// an operator's scrape would see — and reports whether it is registered.
+func (r *Registry) Value(name string) (float64, bool) {
+	r.mu.Lock()
+	i := sort.Search(len(r.metrics), func(i int) bool { return r.metrics[i].name() >= name })
+	var m metric
+	if i < len(r.metrics) && r.metrics[i].name() == name {
+		m = r.metrics[i]
+	}
+	r.mu.Unlock()
+	if m == nil {
+		return 0, false
+	}
+	return m.value(), true // outside r.mu: function-backed metrics take their owner's locks
 }
 
 // ServeHTTP implements the /metrics endpoint.
@@ -99,7 +118,8 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-func (c *Counter) name() string { return c.nm }
+func (c *Counter) name() string   { return c.nm }
+func (c *Counter) value() float64 { return float64(c.v.Load()) }
 func (c *Counter) write(w io.Writer) {
 	header(w, c.nm, "counter", c.help)
 	fmt.Fprintf(w, "%s %d\n", c.nm, c.v.Load())
@@ -126,7 +146,8 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-func (g *Gauge) name() string { return g.nm }
+func (g *Gauge) name() string   { return g.nm }
+func (g *Gauge) value() float64 { return g.Value() }
 func (g *Gauge) write(w io.Writer) {
 	header(w, g.nm, "gauge", g.help)
 	fmt.Fprintf(w, "%s %s\n", g.nm, formatValue(g.Value()))
@@ -154,7 +175,8 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
-func (m *infoMetric) name() string { return m.nm }
+func (m *infoMetric) name() string   { return m.nm }
+func (m *infoMetric) value() float64 { return 1 }
 func (m *infoMetric) write(w io.Writer) {
 	header(w, m.nm, "gauge", m.help)
 	parts := make([]string, 0, len(m.labels))
@@ -184,7 +206,8 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 	r.register(&funcMetric{nm: name, help: help, typ: "gauge", fn: fn})
 }
 
-func (f *funcMetric) name() string { return f.nm }
+func (f *funcMetric) name() string   { return f.nm }
+func (f *funcMetric) value() float64 { return f.fn() }
 func (f *funcMetric) write(w io.Writer) {
 	header(w, f.nm, f.typ, f.help)
 	fmt.Fprintf(w, "%s %s\n", f.nm, formatValue(f.fn()))
@@ -267,7 +290,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return 2 * h.bounds[len(h.bounds)-1]
 }
 
-func (h *Histogram) name() string { return h.nm }
+func (h *Histogram) name() string   { return h.nm }
+func (h *Histogram) value() float64 { return float64(h.Count()) }
 func (h *Histogram) write(w io.Writer) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

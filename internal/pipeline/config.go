@@ -17,34 +17,6 @@ import (
 	"repro/internal/sdo"
 )
 
-// Protection selects the defense configuration (Table II rows).
-type Protection uint8
-
-const (
-	// ProtNone is the unmodified insecure processor ("Unsafe").
-	ProtNone Protection = iota
-	// ProtSTT delays execution of tainted transmitters (STT{ld} /
-	// STT{ld+fp} depending on Config.FPTransmitters).
-	ProtSTT
-	// ProtSDO executes tainted transmitters as SDO operations: loads as
-	// Obl-Lds via the location predictor, FP transmitters (when enabled) at
-	// the statically-predicted normal latency.
-	ProtSDO
-)
-
-// String names the protection mode.
-func (p Protection) String() string {
-	switch p {
-	case ProtNone:
-		return "Unsafe"
-	case ProtSTT:
-		return "STT"
-	case ProtSDO:
-		return "STT+SDO"
-	}
-	return "Protection(?)"
-}
-
 // AttackModel selects the visibility point definition (§III).
 type AttackModel uint8
 
@@ -90,17 +62,15 @@ type Config struct {
 	FPUnits  int
 	MemPorts int // AGU/cache ports shared by loads and stores
 
-	Protection Protection
-	// Scheme, when non-nil, selects the protection scheme directly; nil
-	// derives it from the legacy Protection enum (schemeFor), so Configs
-	// that predate the Scheme interface behave unchanged.
+	// Scheme selects the protection scheme (see scheme.go; DefaultConfig
+	// sets SchemeUnsafe).
 	Scheme Scheme
 	Model  AttackModel
 	// FPTransmitters treats fmul/fdiv/fsqrt as transmitters (STT{ld+fp}
 	// and all SDO configurations, per §VIII-A).
 	FPTransmitters bool
-	// LocPred chooses cache levels for Obl-Lds (required when Protection
-	// is ProtSDO).
+	// LocPred chooses cache levels for Obl-Lds (required when Scheme is
+	// SchemeSDO).
 	LocPred sdo.LocationPredictor
 
 	BP bpred.Config
@@ -157,7 +127,7 @@ func DefaultConfig() Config {
 		IntALUs:        6,
 		FPUnits:        4,
 		MemPorts:       4,
-		Protection:     ProtNone,
+		Scheme:         SchemeUnsafe,
 		Model:          Spectre,
 		CodeBase:       0x40_0000,
 		WatchdogCycles: 200_000,

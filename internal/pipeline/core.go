@@ -92,14 +92,11 @@ type fetchSlot struct {
 // (shared with the functional golden model's semantics), port the memory
 // system.
 func New(cfg Config, prog *isa.Program, data *isa.Memory, port MemPort) *Core {
-	if cfg.Width <= 0 {
+	if cfg.Width <= 0 || cfg.Scheme == nil {
 		panic("pipeline: config must come from DefaultConfig")
 	}
-	if cfg.Scheme == nil {
-		cfg.Scheme = schemeFor(cfg.Protection)
-	}
 	if _, sdo := cfg.Scheme.(schemeSDO); sdo && cfg.LocPred == nil {
-		panic("pipeline: ProtSDO requires a location predictor")
+		panic("pipeline: scheme " + cfg.Scheme.Name() + " requires a location predictor")
 	}
 	if cfg.WatchdogCycles == 0 {
 		cfg.WatchdogCycles = 200_000

@@ -86,7 +86,7 @@ func oblScenario(t *testing.T, windowHops int, pred mem.Level, model AttackModel
 	init(data)
 	h := mem.NewHierarchy(mem.DefaultConfig())
 	cfg := DefaultConfig()
-	cfg.Protection = ProtSDO
+	cfg.Scheme = SchemeSDO
 	cfg.Model = model
 	cfg.LocPred = sdo.Static{Level: pred}
 	core := New(cfg, prog, data, h)
@@ -194,7 +194,7 @@ func TestOblFailSquashesOnlyWhenSafe(t *testing.T) {
 	init(data)
 	h := mem.NewHierarchy(mem.DefaultConfig())
 	cfg := DefaultConfig()
-	cfg.Protection = ProtSDO
+	cfg.Scheme = SchemeSDO
 	cfg.Model = Spectre
 	cfg.LocPred = sdo.Static{Level: mem.L1}
 	core := New(cfg, prog, data, h)
@@ -226,7 +226,7 @@ func TestInvariantsHoldDuringRun(t *testing.T) {
 		init(data)
 		h := mem.NewHierarchy(mem.DefaultConfig())
 		cfg := DefaultConfig()
-		cfg.Protection = ProtSDO
+		cfg.Scheme = SchemeSDO
 		cfg.Model = mdl
 		cfg.LocPred = sdo.NewHybrid(512)
 		core := New(cfg, prog, data, h)
@@ -270,7 +270,7 @@ func TestMemPredictedLoadsRevertToDelay(t *testing.T) {
 	init(data)
 	h := mem.NewHierarchy(mem.DefaultConfig())
 	cfg := DefaultConfig()
-	cfg.Protection = ProtSDO
+	cfg.Scheme = SchemeSDO
 	cfg.Model = Futuristic
 	cfg.LocPred = sdo.Static{Level: mem.LevelMem}
 	core := New(cfg, prog, data, h)
@@ -333,7 +333,7 @@ func TestAblationKnobs(t *testing.T) {
 		init(data)
 		h := mem.NewHierarchy(mem.DefaultConfig())
 		cfg := DefaultConfig()
-		cfg.Protection = ProtSDO
+		cfg.Scheme = SchemeSDO
 		cfg.Model = Futuristic
 		cfg.LocPred = sdo.NewHybrid(512)
 		if mut != nil {

@@ -13,7 +13,7 @@ import (
 // runOn executes prog on a fresh single-core machine with the given
 // protection/model/predictor and returns the core (for stats/regs) and its
 // memory image.
-func runOn(t *testing.T, prot Protection, model AttackModel, fpTx bool,
+func runOn(t *testing.T, prot Scheme, model AttackModel, fpTx bool,
 	predName string, prog *isa.Program, init func(*isa.Memory)) (*Core, *isa.Memory) {
 	t.Helper()
 	data := isa.NewMemory()
@@ -22,10 +22,10 @@ func runOn(t *testing.T, prot Protection, model AttackModel, fpTx bool,
 	}
 	h := mem.NewHierarchy(mem.DefaultConfig())
 	cfg := DefaultConfig()
-	cfg.Protection = prot
+	cfg.Scheme = prot
 	cfg.Model = model
 	cfg.FPTransmitters = fpTx
-	if prot == ProtSDO {
+	if prot == SchemeSDO {
 		switch predName {
 		case "perfect":
 			cfg.LocPred = sdo.Perfect{Probe: h.Probe}
@@ -41,10 +41,10 @@ func runOn(t *testing.T, prot Protection, model AttackModel, fpTx bool,
 	}
 	core := New(cfg, prog, data, h)
 	if _, err := core.Run(); err != nil {
-		t.Fatalf("%v/%v/%s: %v", prot, model, predName, err)
+		t.Fatalf("%s/%v/%s: %v", prot.Name(), model, predName, err)
 	}
 	if !core.Halted() {
-		t.Fatalf("%v/%v/%s: did not halt", prot, model, predName)
+		t.Fatalf("%s/%v/%s: did not halt", prot.Name(), model, predName)
 	}
 	return core, data
 }
@@ -52,7 +52,7 @@ func runOn(t *testing.T, prot Protection, model AttackModel, fpTx bool,
 // allConfigs enumerates the interesting (protection, model, fpTx, pred)
 // combinations.
 type cfgTuple struct {
-	prot Protection
+	prot Scheme
 	mod  AttackModel
 	fpTx bool
 	pred string
@@ -62,14 +62,14 @@ func allConfigs() []cfgTuple {
 	var out []cfgTuple
 	for _, m := range []AttackModel{Spectre, Futuristic} {
 		out = append(out,
-			cfgTuple{ProtNone, m, false, ""},
-			cfgTuple{ProtSTT, m, false, ""},
-			cfgTuple{ProtSTT, m, true, ""},
-			cfgTuple{ProtSDO, m, true, "l1"},
-			cfgTuple{ProtSDO, m, true, "l2"},
-			cfgTuple{ProtSDO, m, true, "l3"},
-			cfgTuple{ProtSDO, m, true, "hybrid"},
-			cfgTuple{ProtSDO, m, true, "perfect"},
+			cfgTuple{SchemeUnsafe, m, false, ""},
+			cfgTuple{SchemeSTT, m, false, ""},
+			cfgTuple{SchemeSTT, m, true, ""},
+			cfgTuple{SchemeSDO, m, true, "l1"},
+			cfgTuple{SchemeSDO, m, true, "l2"},
+			cfgTuple{SchemeSDO, m, true, "l3"},
+			cfgTuple{SchemeSDO, m, true, "hybrid"},
+			cfgTuple{SchemeSDO, m, true, "perfect"},
 		)
 	}
 	return out
@@ -92,12 +92,12 @@ func checkEquivalence(t *testing.T, prog *isa.Program, init func(*isa.Memory)) {
 		regs := core.Regs()
 		for r := 0; r < isa.NumRegs; r++ {
 			if regs[r] != golden.Regs[r] {
-				t.Fatalf("%v/%v/%s: r%d = %d, golden %d",
-					cf.prot, cf.mod, cf.pred, r, regs[r], golden.Regs[r])
+				t.Fatalf("%s/%v/%s: r%d = %d, golden %d",
+					cf.prot.Name(), cf.mod, cf.pred, r, regs[r], golden.Regs[r])
 			}
 		}
 		if !data.Equal(goldenMem) {
-			t.Fatalf("%v/%v/%s: memory diverged from golden", cf.prot, cf.mod, cf.pred)
+			t.Fatalf("%s/%v/%s: memory diverged from golden", cf.prot.Name(), cf.mod, cf.pred)
 		}
 	}
 }
@@ -274,7 +274,7 @@ func taintedLoadGadget() (*isa.Program, func(*isa.Memory)) {
 func TestSTTDelaysTaintedLoads(t *testing.T) {
 	prog, init := taintedLoadGadget()
 	for _, m := range []AttackModel{Spectre, Futuristic} {
-		core, _ := runOn(t, ProtSTT, m, false, "", prog, init)
+		core, _ := runOn(t, SchemeSTT, m, false, "", prog, init)
 		st := core.Stats()
 		if st.DelayedLoads == 0 {
 			t.Errorf("%v: STT should delay dependent loads (got 0)", m)
@@ -288,7 +288,7 @@ func TestSTTDelaysTaintedLoads(t *testing.T) {
 func TestSDOIssuesOblLoads(t *testing.T) {
 	prog, init := taintedLoadGadget()
 	for _, m := range []AttackModel{Spectre, Futuristic} {
-		core, _ := runOn(t, ProtSDO, m, true, "l2", prog, init)
+		core, _ := runOn(t, SchemeSDO, m, true, "l2", prog, init)
 		st := core.Stats()
 		if st.OblIssued == 0 {
 			t.Errorf("%v: SDO should issue Obl-Lds", m)
@@ -304,7 +304,7 @@ func TestSDOIssuesOblLoads(t *testing.T) {
 
 func TestUnsafeNeverDelaysOrObls(t *testing.T) {
 	prog, init := taintedLoadGadget()
-	core, _ := runOn(t, ProtNone, Spectre, false, "", prog, init)
+	core, _ := runOn(t, SchemeUnsafe, Spectre, false, "", prog, init)
 	st := core.Stats()
 	if st.DelayedLoads != 0 || st.OblIssued != 0 {
 		t.Errorf("unsafe config ran protection machinery: %+v", st)
@@ -316,9 +316,9 @@ func TestProtectionOrdering(t *testing.T) {
 	// execution time (allowing equality).
 	prog, init := taintedLoadGadget()
 	for _, m := range []AttackModel{Spectre, Futuristic} {
-		unsafe, _ := runOn(t, ProtNone, m, false, "", prog, init)
-		stt, _ := runOn(t, ProtSTT, m, false, "", prog, init)
-		sdoP, _ := runOn(t, ProtSDO, m, true, "perfect", prog, init)
+		unsafe, _ := runOn(t, SchemeUnsafe, m, false, "", prog, init)
+		stt, _ := runOn(t, SchemeSTT, m, false, "", prog, init)
+		sdoP, _ := runOn(t, SchemeSDO, m, true, "perfect", prog, init)
 		cu, cs, cp := unsafe.Stats().Cycles, stt.Stats().Cycles, sdoP.Stats().Cycles
 		if cu > cs {
 			t.Errorf("%v: unsafe (%d) slower than STT (%d)", m, cu, cs)
@@ -332,7 +332,7 @@ func TestProtectionOrdering(t *testing.T) {
 func TestPerfectPredictorNeverSquashesOnOblFail(t *testing.T) {
 	prog, init := taintedLoadGadget()
 	for _, m := range []AttackModel{Spectre, Futuristic} {
-		core, _ := runOn(t, ProtSDO, m, true, "perfect", prog, init)
+		core, _ := runOn(t, SchemeSDO, m, true, "perfect", prog, init)
 		st := core.Stats()
 		if st.Squashes[sqOblFail] != 0 {
 			t.Errorf("%v: perfect predictor caused %d obl-fail squashes", m, st.Squashes[sqOblFail])
@@ -348,7 +348,7 @@ func TestStaticL1CausesFailSquashes(t *testing.T) {
 	// guarantee the L1 predictor fails sometimes (B before C happens under
 	// Spectre because the loop branch depends on untainted counters).
 	prog, init := taintedLoadGadget()
-	core, _ := runOn(t, ProtSDO, Spectre, true, "l1", prog, init)
+	core, _ := runOn(t, SchemeSDO, Spectre, true, "l1", prog, init)
 	st := core.Stats()
 	if st.OblFail == 0 {
 		t.Error("static L1 should see Obl-Ld failures on this workload")
@@ -385,7 +385,7 @@ func TestBranchMispredictsRecover(t *testing.T) {
 		}
 	}
 	checkEquivalence(t, prog, init)
-	core, _ := runOn(t, ProtNone, Spectre, false, "", prog, init)
+	core, _ := runOn(t, SchemeUnsafe, Spectre, false, "", prog, init)
 	if core.Stats().BranchMispredicts == 0 {
 		t.Error("random branch pattern should mispredict sometimes")
 	}
@@ -412,7 +412,7 @@ func TestMemOrderViolationDetected(t *testing.T) {
 		Halt().
 		MustBuild()
 	checkEquivalence(t, prog, nil)
-	core, _ := runOn(t, ProtNone, Spectre, false, "", prog, nil)
+	core, _ := runOn(t, SchemeUnsafe, Spectre, false, "", prog, nil)
 	if core.Regs()[isa.R6] != 99 {
 		t.Fatalf("load read %d, want 99", core.Regs()[isa.R6])
 	}
@@ -430,7 +430,7 @@ func TestHaltOnWrongPathDoesNotStopSim(t *testing.T) {
 		MovI(isa.R3, 42).
 		Halt()
 	prog := b.MustBuild()
-	core, _ := runOn(t, ProtNone, Spectre, false, "", prog, nil)
+	core, _ := runOn(t, SchemeUnsafe, Spectre, false, "", prog, nil)
 	if core.Regs()[isa.R3] != 42 {
 		t.Fatalf("R3 = %d, want 42", core.Regs()[isa.R3])
 	}
@@ -447,7 +447,7 @@ func TestRdCycMonotone(t *testing.T) {
 		RdCyc(isa.R2).
 		Halt().
 		MustBuild()
-	core, _ := runOn(t, ProtNone, Spectre, false, "", prog, nil)
+	core, _ := runOn(t, SchemeUnsafe, Spectre, false, "", prog, nil)
 	r := core.Regs()
 	if r[isa.R2] <= r[isa.R1] {
 		t.Fatalf("rdcyc not monotone: %d then %d", r[isa.R1], r[isa.R2])
@@ -472,7 +472,7 @@ func TestStatsHelpers(t *testing.T) {
 }
 
 func TestProtectionStrings(t *testing.T) {
-	if ProtNone.String() != "Unsafe" || ProtSTT.String() != "STT" || ProtSDO.String() != "STT+SDO" {
+	if SchemeUnsafe.Name() != "Unsafe" || SchemeSTT.Name() != "STT" || SchemeSDO.Name() != "STT+SDO" {
 		t.Fatal("protection names")
 	}
 	if Spectre.String() != "Spectre" || Futuristic.String() != "Futuristic" {

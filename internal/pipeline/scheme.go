@@ -72,8 +72,9 @@ type SpecMemPort interface {
 	SquashSpec(from uint64)
 }
 
-// The built-in schemes. SchemeUnsafe/SchemeSTT/SchemeSDO reproduce the
-// three legacy Protection modes bit-for-bit; SchemeSafeSpec and
+// The built-in schemes. SchemeUnsafe/SchemeSTT/SchemeSDO are the paper's
+// Table II configurations (STT delays tainted transmitters; STT+SDO
+// executes them as Obl-Lds / fixed-latency FP ops); SchemeSafeSpec and
 // SchemeSpecBox are the shadow-structure defenses layered on
 // mem/spec.go.
 var (
@@ -83,18 +84,6 @@ var (
 	SchemeSafeSpec Scheme = schemeShadow{name: "SafeSpec", mode: mem.SpecShadow}
 	SchemeSpecBox  Scheme = schemeShadow{name: "SpecBox", mode: mem.SpecLabel}
 )
-
-// schemeFor derives the Scheme from the legacy Protection enum, keeping
-// Configs that predate the Scheme field working unchanged.
-func schemeFor(p Protection) Scheme {
-	switch p {
-	case ProtSTT:
-		return SchemeSTT
-	case ProtSDO:
-		return SchemeSDO
-	}
-	return SchemeUnsafe
-}
 
 // --- Unsafe: the unmodified insecure processor ---
 

@@ -4,34 +4,218 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/simpoint"
 )
 
-// Artifact peering (the cluster's third pillar). The expensive per-
-// workload artifacts — functional-warmup checkpoints and SimPoint
-// sampling plans — are content-addressed exactly like results: the
-// on-disk store names each file by artifactName(key), a hash of the
-// same key the in-memory tiers use. With Config.PeerArtifacts on, a
-// node serves its store over GET /artifacts/{ckpt,plan}/{hash} and, on
-// a local memory+disk miss, consults the fabric (same rendezvous
-// ranking, breakers and hedging as result lookups, via LookupPath)
-// before capturing or profiling from scratch. So a stolen or resumed
-// cell never re-warms or re-profiles what any cluster peer already has.
+// The artifact tiers. The expensive per-workload artifacts — functional-
+// warmup checkpoints and SimPoint sampling plans — are content-addressed
+// exactly like results, and both resolve through one ladder
+// (artifactTier.resolve): memory, else the on-disk store (a restarted
+// server restores instead of re-simulating), else a cluster peer
+// (Config.PeerArtifacts), else built fresh — under singleflight, so
+// concurrent cells for the same key block until the one load/build
+// finishes. Whatever a peer or a build produced is persisted best-effort
+// for the next restart (and for this node's own peers).
+//
+// The on-disk store names each file by artifactName(key), a hash of the
+// same key the in-memory tier uses; a node serves its store over GET
+// /artifacts/{ckpt,plan}/{hash} and consults the fabric (same rendezvous
+// ranking, breakers and hedging as result lookups) before capturing or
+// profiling from scratch. So a stolen or resumed cell never re-warms or
+// re-profiles what any cluster peer already has.
 //
 // The wire format mirrors the result entries' integrity rule: an
 // envelope carrying the hash, a checksum over (hash, gob bytes), and
-// the gob payload. The receiver re-verifies the checksum, then gob-
-// decodes and validates the artifact's build inputs (warmup budget,
-// window, sampling config) exactly as ckptStore.load does for disk
-// files — a corrupt or stale peer artifact degrades to a local
-// capture, never a wrong simulation.
+// the gob payload. The receiver re-verifies the checksum, then decodes
+// through the same artifactCodec a disk load uses, which validates the
+// artifact's build inputs (warmup budget, window, sampling config) — a
+// corrupt or stale artifact, from disk or from a peer, degrades to the
+// next rung, never a wrong simulation.
+
+// artifactCodec is one artifact kind's serialized (gob) form, bound to
+// the build inputs of the artifact being resolved: decode rejects a
+// stale or colliding payload — one built from different inputs — as well
+// as an undecodable one.
+type artifactCodec[T any] struct {
+	encode func(io.Writer, T) error
+	decode func(io.Reader) (T, error)
+}
+
+// ckptCodec is the checkpoint codec for a warmup budget.
+func ckptCodec(warmup uint64) artifactCodec[*arch.Checkpoint] {
+	return artifactCodec[*arch.Checkpoint]{
+		encode: func(w io.Writer, ck *arch.Checkpoint) error { return ck.Encode(w) },
+		decode: func(r io.Reader) (*arch.Checkpoint, error) {
+			ck, err := arch.Decode(r)
+			if err == nil && ck.WarmupInstrs != warmup {
+				err = fmt.Errorf("simsvc: checkpoint warmed %d instrs, want %d", ck.WarmupInstrs, warmup)
+			}
+			return ck, err
+		},
+	}
+}
+
+// planFile is the serialized (gob) form of one sampling plan: the plan
+// itself, its representative checkpoints, and the inputs it was built
+// from — validated on decode so a stale or colliding payload is rebuilt
+// rather than trusted.
+type planFile struct {
+	Warmup, Window uint64
+	Cfg            simpoint.Config
+	Plan           *simpoint.Plan
+	Checkpoints    []*arch.Checkpoint
+}
+
+// planCodec is the sampling-plan codec for one (warmup, window, config).
+func planCodec(warmup, window uint64, cfg simpoint.Config) artifactCodec[*harness.SamplePlan] {
+	return artifactCodec[*harness.SamplePlan]{
+		encode: func(w io.Writer, sp *harness.SamplePlan) error {
+			return gob.NewEncoder(w).Encode(&planFile{Warmup: warmup, Window: window, Cfg: cfg, Plan: sp.Plan, Checkpoints: sp.Checkpoints})
+		},
+		decode: func(r io.Reader) (*harness.SamplePlan, error) {
+			var pf planFile
+			if err := gob.NewDecoder(r).Decode(&pf); err != nil {
+				return nil, err
+			}
+			if pf.Plan == nil || pf.Warmup != warmup || pf.Window != window || pf.Cfg != cfg ||
+				len(pf.Checkpoints) != len(pf.Plan.Reps) {
+				return nil, errors.New("simsvc: sample plan built from different inputs")
+			}
+			return &harness.SamplePlan{Plan: pf.Plan, Checkpoints: pf.Checkpoints}, nil
+		},
+	}
+}
+
+// artifactTier is the resolve ladder for one artifact kind.
+type artifactTier[T any] struct {
+	svc   *Service
+	kind  string // "ckpt" | "plan": file extension and /artifacts/{kind} segment
+	label string // "checkpoint" | "plan": event-kind and error-message prefix
+
+	mu      sync.Mutex
+	flights map[string]*artifactFlight[T]
+
+	hits      *obs.Counter // cells that reused a resolved (or resolving) artifact
+	diskHits  *obs.Counter // memory misses answered from the on-disk store
+	peerHits  *obs.Counter // memory+disk misses answered by a peer (nil unless PeerArtifacts)
+	persisted *obs.Counter // artifacts written to the on-disk store
+}
+
+// artifactFlight is one tier entry: the first cell to need it resolves
+// while later cells block on done; once done it is the memory rung.
+type artifactFlight[T any] struct {
+	done chan struct{}
+	v    T
+	err  error
+}
+
+// resolve returns the artifact for key, walking the ladder on a memory
+// miss. A failed or panicking build is isolated: this caller and any
+// blocked on the flight get the error, and the flight is dropped so a
+// later cell can retry.
+func (t *artifactTier[T]) resolve(parent *trace.Span, key string, c artifactCodec[T], build func() (T, error)) (T, error) {
+	t.mu.Lock()
+	if f, ok := t.flights[key]; ok {
+		t.mu.Unlock()
+		<-f.done
+		if f.err == nil {
+			t.hits.Inc()
+		}
+		return f.v, f.err
+	}
+	f := &artifactFlight[T]{done: make(chan struct{})}
+	t.flights[key] = f
+	t.mu.Unlock()
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				f.err = fmt.Errorf("simsvc: %s build for %s panicked: %v", t.label, key, r)
+				t.svc.event(t.label+"-panic", fmt.Sprintf("%s: %v", key, r))
+			}
+			close(f.done)
+		}()
+		f.v, f.err = t.fill(parent, key, c, build)
+	}()
+	if f.err != nil {
+		t.mu.Lock()
+		delete(t.flights, key)
+		t.mu.Unlock()
+	}
+	return f.v, f.err
+}
+
+// fill walks the rungs below memory: disk, peer, build.
+func (t *artifactTier[T]) fill(parent *trace.Span, key string, c artifactCodec[T], build func() (T, error)) (T, error) {
+	s, hash := t.svc, artifactName(key)
+	if f, ok := s.ckstore.open(t.kind, hash); ok {
+		v, err := c.decode(f)
+		f.Close()
+		if err == nil {
+			t.diskHits.Inc()
+			return v, nil
+		}
+	}
+	v, ok := t.fromPeer(parent, key, hash, c)
+	if !ok {
+		var err error
+		if v, err = build(); err != nil {
+			return v, err
+		}
+	}
+	if s.ckstore.enabled() {
+		err := s.ckstore.write(t.kind, hash, func(w io.Writer) error { return c.encode(w, v) })
+		if err != nil {
+			s.event(t.label+"-persist-failed", fmt.Sprintf("simsvc: save %s: %v", t.label, err))
+		} else {
+			t.persisted.Inc()
+		}
+	}
+	return v, nil
+}
+
+// fromPeer consults the fabric for the artifact under a ckpt-peer-lookup
+// span. Any failure — peering off, no peer holds it, corrupt or stale
+// body — is a miss; the caller builds locally.
+func (t *artifactTier[T]) fromPeer(parent *trace.Span, key, hash string, c artifactCodec[T]) (T, bool) {
+	var v T
+	s := t.svc
+	if !s.cfg.PeerArtifacts || s.fab == nil {
+		return v, false
+	}
+	sp := parent.Child(trace.PhaseCkptPeer)
+	sp.Set("kind", t.kind)
+	start := time.Now()
+	got, peerURL, ok := s.fab.Lookup(s.ctx, hash, "/artifacts/"+t.kind+"/"+hash, func(body []byte) (any, error) {
+		data, err := decodeArtifact(hash, body)
+		if err != nil {
+			return nil, err
+		}
+		return c.decode(bytes.NewReader(data))
+	})
+	s.peerDur.Observe(time.Since(start).Seconds())
+	sp.Set("hit", strconv.FormatBool(ok))
+	if ok {
+		sp.Set("peer", peerURL)
+	}
+	sp.Finish()
+	if !ok {
+		return v, false
+	}
+	t.peerHits.Inc()
+	s.event(t.kind+"-peer-hit", fmt.Sprintf("%s from %s", key, peerURL))
+	return got.(T), true
+}
 
 // artifactEntry is the wire form of one peered artifact.
 type artifactEntry struct {
@@ -41,11 +225,6 @@ type artifactEntry struct {
 	Sum string `json:"sum"`
 	// Data is the raw gob encoding, as stored on disk.
 	Data []byte `json:"data"`
-}
-
-// encodeArtifact wraps raw gob bytes for the wire.
-func encodeArtifact(hash string, data []byte) ([]byte, error) {
-	return json.Marshal(artifactEntry{Hash: hash, Sum: entrySum(hash, data), Data: data})
 }
 
 // decodeArtifact parses and checksums a peer artifact body.
@@ -63,106 +242,18 @@ func decodeArtifact(hash string, body []byte) ([]byte, error) {
 	return e.Data, nil
 }
 
-// validateArtifact is the fabric LookupPath validator for hash: a body
-// that fails it counts as a peer failure, not a hit.
-func validateArtifact(hash string, body []byte) error {
-	_, err := decodeArtifact(hash, body)
-	return err
-}
-
 // ArtifactEntry serves one stored artifact ("ckpt" or "plan") in wire
 // form, for the /artifacts endpoints. False: not stored here.
 func (s *Service) ArtifactEntry(kind, hash string) ([]byte, bool) {
-	data, ok := s.ckstore.readArtifact(kind, hash)
+	f, ok := s.ckstore.open(kind, hash)
 	if !ok {
 		return nil, false
 	}
-	body, err := encodeArtifact(hash, data)
+	data, err := io.ReadAll(f)
+	f.Close()
 	if err != nil {
 		return nil, false
 	}
-	return body, true
-}
-
-// peerCheckpoint consults the fabric for the warmup checkpoint keyed by
-// key, under a ckpt-peer-lookup span. Any failure — peering off, no
-// peer holds it, corrupt body, warmup mismatch — is a miss; the caller
-// captures locally.
-func (s *Service) peerCheckpoint(parent *trace.Span, key string, warmup uint64) *arch.Checkpoint {
-	if !s.cfg.PeerArtifacts || s.fab == nil {
-		return nil
-	}
-	hash := artifactName(key)
-	sp := parent.Child(trace.PhaseCkptPeer)
-	sp.Set("kind", "ckpt")
-	start := time.Now()
-	body, peerURL, ok := s.fab.LookupPath(s.ctx, hash, "/artifacts/ckpt/"+hash, validateArtifact)
-	s.peerDur.Observe(time.Since(start).Seconds())
-	var ck *arch.Checkpoint
-	if ok {
-		if data, err := decodeArtifact(hash, body); err == nil {
-			if c, err := arch.Decode(bytes.NewReader(data)); err == nil && c.WarmupInstrs == warmup {
-				ck = c
-			}
-		}
-	}
-	sp.Set("hit", strconv.FormatBool(ck != nil))
-	if ck != nil {
-		sp.Set("peer", peerURL)
-	}
-	sp.Finish()
-	if ck == nil {
-		return nil
-	}
-	s.ckptPeerHits.Add(1)
-	s.event("ckpt-peer-hit", fmt.Sprintf("%s from %s", key, peerURL))
-	// Persist best-effort so the next restart (and our own peers) have it.
-	if s.ckstore.enabled() {
-		if err := s.ckstore.save(key, ck); err == nil {
-			s.ckptsPersisted.Add(1)
-		}
-	}
-	return ck
-}
-
-// peerPlan consults the fabric for the sampling plan keyed by key,
-// under a ckpt-peer-lookup span, validating the plan's build inputs
-// like a disk load. Any failure is a miss; the caller profiles locally.
-func (s *Service) peerPlan(parent *trace.Span, key string, spec RunSpec, cfg simpoint.Config) *harness.SamplePlan {
-	if !s.cfg.PeerArtifacts || s.fab == nil {
-		return nil
-	}
-	hash := artifactName(key)
-	sp := parent.Child(trace.PhaseCkptPeer)
-	sp.Set("kind", "plan")
-	start := time.Now()
-	body, peerURL, ok := s.fab.LookupPath(s.ctx, hash, "/artifacts/plan/"+hash, validateArtifact)
-	s.peerDur.Observe(time.Since(start).Seconds())
-	var plan *harness.SamplePlan
-	if ok {
-		if data, err := decodeArtifact(hash, body); err == nil {
-			var pf planFile
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&pf); err == nil &&
-				pf.Plan != nil && pf.Warmup == spec.WarmupInstrs && pf.Window == spec.MaxInstrs &&
-				pf.Cfg == cfg && len(pf.Checkpoints) == len(pf.Plan.Reps) {
-				plan = &harness.SamplePlan{Plan: pf.Plan, Checkpoints: pf.Checkpoints}
-			}
-		}
-	}
-	sp.Set("hit", strconv.FormatBool(plan != nil))
-	if plan != nil {
-		sp.Set("peer", peerURL)
-	}
-	sp.Finish()
-	if plan == nil {
-		return nil
-	}
-	s.planPeerHits.Add(1)
-	s.event("plan-peer-hit", fmt.Sprintf("%s from %s", key, peerURL))
-	if s.ckstore.enabled() {
-		if err := s.ckstore.savePlan(key, spec.WarmupInstrs, spec.MaxInstrs, cfg, plan); err == nil {
-			s.plansPersisted.Add(1)
-		}
-	}
-	return plan
+	body, err := json.Marshal(artifactEntry{Hash: hash, Sum: entrySum(hash, data), Data: data})
+	return body, err == nil
 }

@@ -6,14 +6,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 // cacheFileVersion versions the on-disk cache format (the JSON shape of
@@ -76,6 +78,32 @@ func entrySize(key string, r core.Result) int64 {
 		return int64(len(key))
 	}
 	return int64(len(key) + len(raw))
+}
+
+// register declares the cache's /metrics view on r; the values live
+// under the cache's own lock and are sampled at scrape time.
+func (c *Cache) register(r *obs.Registry) {
+	ctr, gau := r.NewCounterFunc, r.NewGaugeFunc
+	ctr("sdo_cache_hits_total", "Result-cache hits.",
+		func() float64 { h, _ := c.Stats(); return float64(h) })
+	ctr("sdo_cache_misses_total", "Result-cache misses.",
+		func() float64 { _, m := c.Stats(); return float64(m) })
+	ctr("sdo_cache_evictions_total", "Results evicted by the LRU size bound.",
+		func() float64 { return float64(c.Evictions()) })
+	gau("sdo_cache_entries", "Results currently cached.",
+		func() float64 { return float64(c.Len()) })
+	gau("sdo_cache_max_entries", "Configured result-cache bound (0: unbounded).",
+		func() float64 { return float64(c.MaxEntries()) })
+	gau("sdo_cache_bytes", "Total encoded size of cached results.",
+		func() float64 { return float64(c.Bytes()) })
+	gau("sdo_cache_max_bytes", "Configured result-cache byte bound (0: unbounded).",
+		func() float64 { return float64(c.MaxBytes()) })
+	ctr("sdo_cache_evicted_bytes_total", "Encoded bytes evicted by the cache bounds.",
+		func() float64 { return float64(c.EvictedBytes()) })
+	ctr("sdo_cache_corrupt_entries_total", "Persisted entries dropped by checksum verification.",
+		func() float64 { return float64(c.CorruptEntries()) })
+	ctr("sdo_cache_quarantined_files_total", "Unparseable cache files quarantined (renamed aside).",
+		func() float64 { return float64(c.QuarantinedFiles()) })
 }
 
 // NewCache returns an empty, unbounded cache.
@@ -288,6 +316,26 @@ type cacheEntry struct {
 	Result json.RawMessage `json:"result"`
 }
 
+// verify is the one integrity rule for an entry, whether it was loaded
+// from the persisted file or received from a peer: re-compact the result
+// (the raw bytes may carry a file's indentation, while the checksum is
+// over the canonical compact encoding), recompute the sum, then decode.
+// It returns the result and the entry's accounted size (see entrySize).
+func (e cacheEntry) verify() (core.Result, int64, error) {
+	var r core.Result
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, e.Result); err != nil {
+		return r, 0, fmt.Errorf("simsvc: cache entry result: %w", err)
+	}
+	if entrySum(e.Key, compact.Bytes()) != e.Sum {
+		return r, 0, errors.New("simsvc: cache entry checksum mismatch")
+	}
+	if err := json.Unmarshal(e.Result, &r); err != nil {
+		return r, 0, fmt.Errorf("simsvc: cache entry result: %w", err)
+	}
+	return r, int64(len(e.Key) + compact.Len()), nil
+}
+
 // entrySum is the per-entry integrity checksum: sha256 over the key and
 // the compact (canonical) JSON encoding of the result, truncated for
 // file compactness — this is corruption detection, not cryptography.
@@ -299,7 +347,7 @@ func entrySum(key string, compactResult []byte) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// Save writes the cache atomically (temp file + rename) to path, with a
+// Save writes the cache atomically (atomicWrite) to path, with a
 // per-entry checksum. A crash mid-save leaves the previous file intact.
 func (c *Cache) Save(path string) error {
 	c.mu.Lock()
@@ -331,20 +379,8 @@ func (c *Cache) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("simsvc: encode cache: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".sdo-cache-*")
-	if err != nil {
-		return fmt.Errorf("simsvc: save cache: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("simsvc: save cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("simsvc: save cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	write := func(w io.Writer) error { _, err := w.Write(data); return err }
+	if err := atomicWrite(path, write); err != nil {
 		return fmt.Errorf("simsvc: save cache: %w", err)
 	}
 	return nil
@@ -389,20 +425,11 @@ func loadCache(path string, inj *faults.Injector) (*Cache, error) {
 		if _, ok := c.entries[e.Key]; ok {
 			continue
 		}
-		// Re-compact before verifying: the raw bytes carry the file's
-		// indentation, while the checksum is over the canonical compact
-		// encoding.
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, e.Result); err != nil || entrySum(e.Key, compact.Bytes()) != e.Sum {
+		r, size, err := e.verify()
+		if err != nil {
 			c.corrupt++
 			continue
 		}
-		var r core.Result
-		if err := json.Unmarshal(e.Result, &r); err != nil {
-			c.corrupt++
-			continue
-		}
-		size := int64(len(e.Key) + compact.Len())
 		c.entries[e.Key] = c.order.PushFront(&lruEntry{key: e.Key, res: r, size: size})
 		c.bytes += size
 	}

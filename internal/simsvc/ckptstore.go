@@ -2,32 +2,29 @@ package simsvc
 
 import (
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
-	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
-	"repro/internal/arch"
 	"repro/internal/faults"
-	"repro/internal/harness"
-	"repro/internal/simpoint"
 )
 
 // ckptDirSuffix names the checkpoint directory next to the result cache:
 // CachePath + ckptDirSuffix.
 const ckptDirSuffix = ".ckpts"
 
-// ckptStore persists functional-warmup checkpoints (gob, one file per
-// checkpoint key) alongside the result cache, so a restarted server
-// restores warm state from disk instead of re-simulating warmup. Files
-// are content-addressed by the hash of the checkpoint key — the same key
-// the in-memory tier uses, so a schema bump or a kernel edit changes the
-// file name and stale checkpoints are simply never read again.
+// ckptStore persists the artifact tiers' payloads — functional-warmup
+// checkpoints and sampling plans (gob, one <hash>.ckpt / <hash>.plan file
+// per artifact key) — alongside the result cache, so a restarted server
+// restores warm state and skips BBV re-profiling instead of redoing
+// either. Files are content-addressed by the hash of the artifact key —
+// the same key the in-memory tier uses, so a schema bump or a kernel edit
+// changes the file name and stale artifacts are simply never read again.
 //
-// The store is strictly best-effort: any failure to save or load is
+// The store is strictly best-effort: any failure to write or read is
 // reported to the caller's metrics/events and the service falls back to
-// capturing in-process, exactly as if the file did not exist.
+// building in-process, exactly as if the file did not exist.
 type ckptStore struct {
 	dir string // "" disables the store
 	inj *faults.Injector
@@ -52,16 +49,11 @@ func artifactName(key string) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// path maps a checkpoint key to its file.
-func (st *ckptStore) path(key string) string {
-	return filepath.Join(st.dir, artifactName(key)+".ckpt")
-}
-
-// readArtifact returns the raw gob bytes of a stored artifact by kind
-// ("ckpt" or "plan") and file base name, for serving to cluster peers.
-// The hash is vetted as lowercase hex so a hostile path segment can
-// never escape the store directory.
-func (st *ckptStore) readArtifact(kind, hash string) ([]byte, bool) {
+// open opens a stored artifact's gob file by kind ("ckpt" or "plan") and
+// file base name — for the local disk rung and for serving to cluster
+// peers alike; the caller closes it. The hash is vetted as lowercase hex
+// so a hostile path segment can never escape the store directory.
+func (st *ckptStore) open(kind, hash string) (*os.File, bool) {
 	if !st.enabled() || st.inj.LoadErr() != nil {
 		return nil, false
 	}
@@ -71,136 +63,40 @@ func (st *ckptStore) readArtifact(kind, hash string) ([]byte, bool) {
 	if _, err := hex.DecodeString(hash); err != nil {
 		return nil, false
 	}
-	var ext string
-	switch kind {
-	case "ckpt", "plan":
-		ext = "." + kind
-	default:
+	if kind != "ckpt" && kind != "plan" {
 		return nil, false
 	}
-	b, err := os.ReadFile(filepath.Join(st.dir, hash+ext))
-	if err != nil {
-		return nil, false
-	}
-	return b, true
+	f, err := os.Open(filepath.Join(st.dir, hash+"."+kind))
+	return f, err == nil
 }
 
-// load reads and validates the checkpoint for key. Any failure — missing
-// file, decode error, or a snapshot whose warmup budget does not match —
-// yields nil and the caller re-captures.
-func (st *ckptStore) load(key string, warmup uint64) *arch.Checkpoint {
-	if !st.enabled() || st.inj.LoadErr() != nil {
-		return nil
-	}
-	f, err := os.Open(st.path(key))
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	ck, err := arch.Decode(f)
-	if err != nil || ck.WarmupInstrs != warmup {
-		return nil
-	}
-	return ck
-}
-
-// planFile is the serialized (gob) form of one sampling plan: the plan
-// itself, its representative checkpoints, and the inputs it was built
-// from — validated on load so a stale or colliding file is rebuilt
-// rather than trusted.
-type planFile struct {
-	Warmup, Window uint64
-	Cfg            simpoint.Config
-	Plan           *simpoint.Plan
-	Checkpoints    []*arch.Checkpoint
-}
-
-// planPath maps a plan key to its file, next to the checkpoints.
-func (st *ckptStore) planPath(key string) string {
-	return filepath.Join(st.dir, artifactName(key)+".plan")
-}
-
-// loadPlan reads and validates the sampling plan for key. Any failure —
-// missing file, decode error, or a plan built from different inputs —
-// yields nil and the caller rebuilds (one BBV profile + clustering +
-// capture pass, exactly as if the file did not exist).
-func (st *ckptStore) loadPlan(key string, warmup, window uint64, cfg simpoint.Config) *harness.SamplePlan {
-	if !st.enabled() || st.inj.LoadErr() != nil {
-		return nil
-	}
-	f, err := os.Open(st.planPath(key))
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	var pf planFile
-	if err := gob.NewDecoder(f).Decode(&pf); err != nil {
-		return nil
-	}
-	if pf.Plan == nil || pf.Warmup != warmup || pf.Window != window || pf.Cfg != cfg ||
-		len(pf.Checkpoints) != len(pf.Plan.Reps) {
-		return nil
-	}
-	return &harness.SamplePlan{Plan: pf.Plan, Checkpoints: pf.Checkpoints}
-}
-
-// savePlan writes the sampling plan atomically (temp file + rename), so
-// a restarted server skips the BBV re-profiling pass entirely.
-func (st *ckptStore) savePlan(key string, warmup, window uint64, cfg simpoint.Config, sp *harness.SamplePlan) error {
-	if !st.enabled() {
-		return nil
-	}
+// write stores an artifact's gob encoding atomically, so a crash
+// mid-write leaves either no file or the previous one.
+func (st *ckptStore) write(kind, hash string, encode func(io.Writer) error) error {
 	if err := st.inj.SaveErr(); err != nil {
-		return fmt.Errorf("simsvc: save plan: %w", err)
+		return err
 	}
 	if err := os.MkdirAll(st.dir, 0o755); err != nil {
-		return fmt.Errorf("simsvc: save plan: %w", err)
+		return err
 	}
-	tmp, err := os.CreateTemp(st.dir, ".plan-*")
-	if err != nil {
-		return fmt.Errorf("simsvc: save plan: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	pf := planFile{Warmup: warmup, Window: window, Cfg: cfg, Plan: sp.Plan, Checkpoints: sp.Checkpoints}
-	if err := gob.NewEncoder(tmp).Encode(&pf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("simsvc: save plan: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("simsvc: save plan: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), st.planPath(key)); err != nil {
-		return fmt.Errorf("simsvc: save plan: %w", err)
-	}
-	return nil
+	return atomicWrite(filepath.Join(st.dir, hash+"."+kind), encode)
 }
 
-// save writes the checkpoint atomically (temp file + rename); a crash
-// mid-save leaves either no file or the previous one.
-func (st *ckptStore) save(key string, ck *arch.Checkpoint) error {
-	if !st.enabled() {
-		return nil
-	}
-	if err := st.inj.SaveErr(); err != nil {
-		return fmt.Errorf("simsvc: save checkpoint: %w", err)
-	}
-	if err := os.MkdirAll(st.dir, 0o755); err != nil {
-		return fmt.Errorf("simsvc: save checkpoint: %w", err)
-	}
-	tmp, err := os.CreateTemp(st.dir, ".ckpt-*")
+// atomicWrite replaces path with what write produces, via a temp file in
+// the same directory plus rename: readers (and a crash) see the old
+// contents or the new, never a torn file.
+func atomicWrite(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
 	if err != nil {
-		return fmt.Errorf("simsvc: save checkpoint: %w", err)
+		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := ck.Encode(tmp); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return fmt.Errorf("simsvc: save checkpoint: %w", err)
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("simsvc: save checkpoint: %w", err)
+		return err
 	}
-	if err := os.Rename(tmp.Name(), st.path(key)); err != nil {
-		return fmt.Errorf("simsvc: save checkpoint: %w", err)
-	}
-	return nil
+	return os.Rename(tmp.Name(), path)
 }

@@ -2,6 +2,7 @@ package simsvc
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,9 +19,8 @@ func TestCheckpointStoreSurvivesRestart(t *testing.T) {
 	// workload and persists each to the store.
 	s1 := newService(t, Config{Workers: 2, CachePath: path})
 	submitAndWait(t, s1, functionalReq())
-	m1 := s1.Snapshot()
-	if m1.CheckpointsCaptured != 2 || m1.CheckpointsPersisted != 2 || m1.CheckpointDiskHits != 0 {
-		t.Fatalf("first server checkpoint counters: %+v", m1)
+	if metric(t, s1, "sdo_checkpoints_captured_total") != 2 || metric(t, s1, "sdo_checkpoints_persisted_total") != 2 || metric(t, s1, "sdo_checkpoint_disk_hits_total") != 0 {
+		t.Fatalf("first server checkpoint counters: %s", metricLines(s1, "sdo_checkpoint"))
 	}
 	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -38,12 +38,11 @@ func TestCheckpointStoreSurvivesRestart(t *testing.T) {
 	req := functionalReq()
 	req.MaxInstrs = 3000
 	j := submitAndWait(t, s2, req)
-	m2 := s2.Snapshot()
-	if m2.CheckpointDiskHits != 2 || m2.CheckpointsCaptured != 0 {
-		t.Errorf("restarted server did not restore from disk: %+v", m2)
+	if metric(t, s2, "sdo_checkpoint_disk_hits_total") != 2 || metric(t, s2, "sdo_checkpoints_captured_total") != 0 {
+		t.Errorf("restarted server did not restore from disk: %s", metricLines(s2, "sdo_checkpoint"))
 	}
-	if m2.WarmupInstrsSimulated != 0 {
-		t.Errorf("restarted server re-simulated %d warmup instructions", m2.WarmupInstrsSimulated)
+	if got := metric(t, s2, "sdo_warmup_instrs_simulated_total"); got != 0 {
+		t.Errorf("restarted server re-simulated %v warmup instructions", got)
 	}
 
 	// Disk-restored checkpoints must be invisible in the results: equal
@@ -82,9 +81,8 @@ func TestCheckpointStoreRejectsBudgetMismatch(t *testing.T) {
 	w := uint64(1500)
 	req.WarmupInstrs = &w
 	submitAndWait(t, s2, req)
-	m := s2.Snapshot()
-	if m.CheckpointDiskHits != 0 || m.CheckpointsCaptured != 2 {
-		t.Errorf("budget change reused stale checkpoints: %+v", m)
+	if metric(t, s2, "sdo_checkpoint_disk_hits_total") != 0 || metric(t, s2, "sdo_checkpoints_captured_total") != 2 {
+		t.Errorf("budget change reused stale checkpoints: %s", metricLines(s2, "sdo_checkpoint"))
 	}
 }
 
@@ -92,22 +90,25 @@ func TestCheckpointStoreDisabledWithoutCachePath(t *testing.T) {
 	s := newService(t, Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	submitAndWait(t, s, functionalReq())
-	if m := s.Snapshot(); m.CheckpointsPersisted != 0 {
-		t.Errorf("memory-only service persisted checkpoints: %+v", m)
+	if got := metric(t, s, "sdo_checkpoints_persisted_total"); got != 0 {
+		t.Errorf("memory-only service persisted %v checkpoints", got)
 	}
 }
 
 func TestCkptStoreCorruptFileIgnored(t *testing.T) {
 	dir := t.TempDir()
 	st := newCkptStore(filepath.Join(dir, "cache.json"), nil)
-	key := "some|ckpt|key"
-	if err := os.MkdirAll(st.dir, 0o755); err != nil {
+	hash := artifactName("some|ckpt|key")
+	garbage := func(w io.Writer) error { _, err := w.Write([]byte("not a gob")); return err }
+	if err := st.write("ckpt", hash, garbage); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(st.path(key), []byte("not a gob"), 0o644); err != nil {
-		t.Fatal(err)
+	f, ok := st.open("ckpt", hash)
+	if !ok {
+		t.Fatal("stored file not readable")
 	}
-	if ck := st.load(key, 1000); ck != nil {
+	defer f.Close()
+	if _, err := ckptCodec(1000).decode(f); err == nil {
 		t.Fatal("corrupt checkpoint file decoded")
 	}
 }

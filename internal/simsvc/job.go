@@ -67,8 +67,9 @@ type Job struct {
 	resumed bool
 
 	// onTerminal, set by the service before the job starts, observes the
-	// transition to a terminal state (persistence scheduling, registry
-	// eviction). Called exactly once, outside j.mu.
+	// transition to a terminal state (journal record, persistence
+	// scheduling, registry eviction). Called exactly once, outside j.mu,
+	// before done is closed.
 	onTerminal func(*Job)
 
 	mu            sync.Mutex
@@ -105,17 +106,20 @@ func (j *Job) Trace() *trace.JobTrace { return j.jt }
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // finish moves the job into a terminal state. Caller holds j.mu; the
-// returned func (the onTerminal notification) must be invoked after j.mu
-// is released.
+// returned func must be invoked after j.mu is released. It runs the
+// onTerminal notification and only then closes done, so a waiter on
+// Done() never sees the job finished before the service has journaled
+// (fsynced) the terminal record and published the resume counters.
 func (j *Job) finish(state JobState, err error) func() {
 	j.state = state
 	j.err = err
 	j.finished = time.Now()
-	close(j.done)
-	if j.onTerminal == nil {
-		return func() {}
+	return func() {
+		if j.onTerminal != nil {
+			j.onTerminal(j)
+		}
+		close(j.done)
 	}
-	return func() { j.onTerminal(j) }
 }
 
 // TryCancel atomically cancels the job if it is still running. It returns

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 // The job journal is the durable half of resumable sweeps: a write-ahead
@@ -301,6 +302,24 @@ func (j *jobJournal) stats() (appends, appendErrs uint64, recovered, skippedLine
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.appends, j.appendErr, j.recovered, j.skipped
+}
+
+// register declares the journal's /metrics view on r; the values live
+// under the journal's own lock and are sampled at scrape time.
+func (j *jobJournal) register(r *obs.Registry) {
+	r.NewCounterFunc("sdo_journal_appends_total", "Job-journal records durably appended (fsynced).",
+		func() float64 { a, _, _, _ := j.stats(); return float64(a) })
+	r.NewCounterFunc("sdo_journal_append_failures_total", "Job-journal appends that failed (record lost; journal degrades past the limit).",
+		func() float64 { _, e, _, _ := j.stats(); return float64(e) })
+	r.NewCounterFunc("sdo_journal_corrupt_lines_total", "Malformed or torn journal lines skipped during replay.",
+		func() float64 { _, _, _, sk := j.stats(); return float64(sk) })
+	r.NewGaugeFunc("sdo_journal_enabled", "1 while the job journal persists to disk, 0 when degraded to memory-only.",
+		func() float64 {
+			if j.isDegraded() {
+				return 0
+			}
+			return 1
+		})
 }
 
 // close releases the append handle.

@@ -1,25 +1,26 @@
 package simsvc
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
 
 // The service side of cache peering. The wire format of GET /cache/{key}
 // is exactly one persisted cache entry — {key, sum, result} with the
 // same integrity checksum the on-disk cache carries — so a peer response
-// is vetted by the same rule as a loaded cache file: re-compact the
-// result, recompute the sum, drop on mismatch. A corrupt peer can cost a
-// lookup, never poison the determinism guarantee.
+// is vetted by the same rule as a loaded cache file (cacheEntry.verify).
+// A corrupt peer can cost a lookup, never poison the determinism
+// guarantee.
 
-// decodePeerEntry parses and verifies a peer /cache response body.
-func decodePeerEntry(key string, body []byte) (core.Result, error) {
+// decodeEntry parses and verifies one wire-form cache entry for key: a
+// peer's /cache response or a thief's stolen-cell completion.
+func decodeEntry(key string, body []byte) (core.Result, error) {
 	var e cacheEntry
 	if err := json.Unmarshal(body, &e); err != nil {
 		return core.Result{}, fmt.Errorf("simsvc: peer entry: %w", err)
@@ -27,37 +28,22 @@ func decodePeerEntry(key string, body []byte) (core.Result, error) {
 	if e.Key != key {
 		return core.Result{}, fmt.Errorf("simsvc: peer entry key mismatch (got %q)", e.Key)
 	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, e.Result); err != nil {
-		return core.Result{}, fmt.Errorf("simsvc: peer entry result: %w", err)
-	}
-	if entrySum(key, compact.Bytes()) != e.Sum {
-		return core.Result{}, fmt.Errorf("simsvc: peer entry checksum mismatch")
-	}
-	var r core.Result
-	if err := json.Unmarshal(e.Result, &r); err != nil {
-		return core.Result{}, fmt.Errorf("simsvc: peer entry result: %w", err)
-	}
-	return r, nil
-}
-
-// validatePeerEntry is the fabric's Validate hook: a body that fails it
-// counts as a peer failure (breaker food), not a hit.
-func validatePeerEntry(key string, body []byte) error {
-	_, err := decodePeerEntry(key, body)
-	return err
+	r, _, err := e.verify()
+	return r, err
 }
 
 // peerLookup consults the peer fabric for a content-addressed key under
-// a peer-lookup trace span. Misses and every failure mode come back as
-// (zero, false): the caller's fallback is local simulation.
+// a peer-lookup trace span. Misses and every failure mode — a body that
+// fails decodeEntry counts as a peer failure (breaker food), not a hit —
+// come back as (zero, false): the caller's fallback is local simulation.
 func (s *Service) peerLookup(root *trace.Span, key string) (core.Result, string, bool) {
 	if s.fab == nil {
 		return core.Result{}, "", false
 	}
 	ps := root.Child(trace.PhasePeer)
 	start := time.Now()
-	body, peerURL, ok := s.fab.Lookup(s.ctx, key)
+	v, peerURL, ok := s.fab.Lookup(s.ctx, key, "/cache/"+key,
+		func(body []byte) (any, error) { return decodeEntry(key, body) })
 	s.peerDur.Observe(time.Since(start).Seconds())
 	ps.Set("hit", strconv.FormatBool(ok))
 	if ok {
@@ -67,12 +53,25 @@ func (s *Service) peerLookup(root *trace.Span, key string) (core.Result, string,
 	if !ok {
 		return core.Result{}, "", false
 	}
-	// The fabric already ran validatePeerEntry on this body; a decode
-	// failure here would be a programming error, and degrading to a miss
-	// keeps even that failure-safe.
-	r, err := decodePeerEntry(key, body)
-	if err != nil {
-		return core.Result{}, "", false
-	}
-	return r, peerURL, true
+	return v.(core.Result), peerURL, true
+}
+
+// registerPeerMetrics declares the fabric's /metrics view (its counters
+// live in the fabric client) and the peer-lookup latency histogram.
+func (s *Service) registerPeerMetrics() {
+	r, fab := s.reg, s.fab
+	r.NewCounterFunc("sdo_peer_hits_total", "Cache misses answered by a peer node.",
+		func() float64 { return float64(fab.Stats().Hits) })
+	r.NewCounterFunc("sdo_peer_misses_total", "Peer lookups no peer could answer (fell back to local simulation).",
+		func() float64 { return float64(fab.Stats().Misses) })
+	r.NewCounterFunc("sdo_peer_errors_total", "Peer request failures (down, slow, HTTP error, corrupt response).",
+		func() float64 { return float64(fab.Stats().Errors) })
+	r.NewCounterFunc("sdo_peer_hedges_total", "Peer lookups hedged to a second peer after the hedge delay.",
+		func() float64 { return float64(fab.Stats().Hedges) })
+	r.NewGaugeFunc("sdo_peers_configured", "Peers in the static peer list.",
+		func() float64 { return float64(fab.Peers()) })
+	r.NewGaugeFunc("sdo_peers_available", "Peers whose circuit breaker currently admits lookups.",
+		func() float64 { return float64(fab.Available()) })
+	s.peerDur = r.NewHistogram("sdo_peer_lookup_seconds",
+		"Wall time of peer cache lookups (hit or miss).", obs.DefaultLatencyBuckets())
 }

@@ -35,19 +35,19 @@ func TestPeerHitServesSweepWithoutSimulating(t *testing.T) {
 	defer b.Shutdown(context.Background())
 	jb := submitAndWait(t, b, smallReq())
 
-	m := b.Snapshot()
-	if m.PeerHits != 4 {
-		t.Fatalf("PeerHits = %d, want all 4 cells from the peer", m.PeerHits)
+	if got := metric(t, b, "sdo_peer_hits_total"); got != 4 {
+		t.Fatalf("PeerHits = %v, want all 4 cells from the peer", got)
 	}
-	if m.RunsExecuted != 0 {
-		t.Fatalf("RunsExecuted = %d, want 0 (peer answered everything)", m.RunsExecuted)
+	if got := metric(t, b, "sdo_runs_executed_total"); got != 0 {
+		t.Fatalf("RunsExecuted = %v, want 0 (peer answered everything)", got)
 	}
+	wantDeliveries(t, jb, "  [peer]", 4)
 	if got, want := exportBytes(t, jb), exportBytes(t, ja); !bytes.Equal(got, want) {
 		t.Fatal("peer-served export differs from the origin node's export")
 	}
 	// Peer traffic is a peek: A's demand hit/miss counters are untouched.
-	if ma := a.Snapshot(); ma.CacheHits != 0 {
-		t.Fatalf("peer lookups skewed A's demand cache hits: %d", ma.CacheHits)
+	if got := metric(t, a, "sdo_cache_hits_total"); got != 0 {
+		t.Fatalf("peer lookups skewed A's demand cache hits: %v", got)
 	}
 	// The fabric surfaces in B's health document.
 	h := b.Health()
@@ -67,14 +67,13 @@ func TestPeerDownFallsBackToLocal(t *testing.T) {
 	defer b.Shutdown(context.Background())
 	j := submitAndWait(t, b, smallReq())
 
-	m := b.Snapshot()
 	if st := j.Status(); st.Failed != 0 {
 		t.Fatalf("dead peer failed %d cells", st.Failed)
 	}
-	if m.RunsExecuted != 4 {
-		t.Fatalf("RunsExecuted = %d, want all 4 locally", m.RunsExecuted)
+	if got := metric(t, b, "sdo_runs_executed_total"); got != 4 {
+		t.Fatalf("RunsExecuted = %v, want all 4 locally", got)
 	}
-	if m.PeerErrors == 0 {
+	if got := metric(t, b, "sdo_peer_errors_total"); got == 0 {
 		t.Fatal("dead peer produced no peer errors")
 	}
 	// Peer trouble never degrades the node's own health.
@@ -107,9 +106,8 @@ func TestPeerFaultInjectionNeverFailsCells(t *testing.T) {
 		if st := j.Status(); st.Failed != 0 {
 			t.Errorf("%s: %d cells failed", spec, st.Failed)
 		}
-		m := b.Snapshot()
-		if m.PeerHits+uint64(m.RunsExecuted) < 4 {
-			t.Errorf("%s: cells unaccounted for: %d peer hits + %d local runs", spec, m.PeerHits, m.RunsExecuted)
+		if hits, runs := metric(t, b, "sdo_peer_hits_total"), metric(t, b, "sdo_runs_executed_total"); hits+runs < 4 {
+			t.Errorf("%s: cells unaccounted for: %v peer hits + %v local runs", spec, hits, runs)
 		}
 		b.Shutdown(context.Background())
 	}
@@ -131,12 +129,11 @@ func TestPeerCorruptResponseCannotPoison(t *testing.T) {
 	defer b.Shutdown(context.Background())
 	jb := submitAndWait(t, b, smallReq())
 
-	m := b.Snapshot()
-	if m.PeerHits != 0 {
-		t.Fatalf("corrupt peer bodies produced %d hits", m.PeerHits)
+	if got := metric(t, b, "sdo_peer_hits_total"); got != 0 {
+		t.Fatalf("corrupt peer bodies produced %v hits", got)
 	}
-	if m.RunsExecuted != 4 {
-		t.Fatalf("RunsExecuted = %d, want all 4 locally after corrupt responses", m.RunsExecuted)
+	if got := metric(t, b, "sdo_runs_executed_total"); got != 4 {
+		t.Fatalf("RunsExecuted = %v, want all 4 locally after corrupt responses", got)
 	}
 	if got, want := exportBytes(t, jb), exportBytes(t, ja); !bytes.Equal(got, want) {
 		t.Fatal("corrupt peer changed the final export")

@@ -36,3 +36,13 @@ func (s *Service) resumeJobs(jobs []journalJob) {
 		s.event("resume-started", fmt.Sprintf("%s: %d cells re-admitted", st.ID, st.Total))
 	}
 }
+
+// registerResumeMetrics declares the resume accounting; called only
+// with a job journal, the one source of resumed jobs.
+func (s *Service) registerResumeMetrics() {
+	s.resumedJobs = s.reg.NewCounter("sdo_resume_jobs_total", "Non-terminal jobs re-admitted from the job journal on startup.")
+	s.resumeSkipped = s.reg.NewCounter("sdo_resume_cells_skipped_total", "Resumed-job cells answered by the persisted result cache (work the previous life already did).")
+	s.resumeReruns = s.reg.NewCounter("sdo_resume_cells_rerun_total", "Resumed-job cells re-simulated because the persisted cache lacked them.")
+	s.reg.NewGaugeFunc("sdo_resume_jobs_active", "Resumed jobs still replaying (healthz reports degraded while > 0).",
+		func() float64 { return float64(s.resuming.Load()) })
+}

@@ -105,18 +105,17 @@ func TestResumeAfterCrash(t *testing.T) {
 	if st.ResumeSkipped != 4 {
 		t.Errorf("resume_cells_skipped = %d, want 4", st.ResumeSkipped)
 	}
-	m := s2.Snapshot()
-	if m.ResumedJobs != 1 {
-		t.Errorf("ResumedJobs = %d, want 1", m.ResumedJobs)
+	if got := metric(t, s2, "sdo_resume_jobs_total"); got != 1 {
+		t.Errorf("ResumedJobs = %v, want 1", got)
 	}
-	if m.ResumeCellsSkipped != 4 {
-		t.Errorf("ResumeCellsSkipped = %d, want 4", m.ResumeCellsSkipped)
+	if got := metric(t, s2, "sdo_resume_cells_skipped_total"); got != 4 {
+		t.Errorf("ResumeCellsSkipped = %v, want 4", got)
 	}
-	if m.RunsExecuted != 4 {
-		t.Errorf("RunsExecuted = %d, want only the 4 missing cells", m.RunsExecuted)
+	if got := metric(t, s2, "sdo_runs_executed_total"); got != 4 {
+		t.Errorf("RunsExecuted = %v, want only the 4 missing cells", got)
 	}
-	if m.ResumingJobs != 0 {
-		t.Errorf("ResumingJobs after completion = %d, want 0", m.ResumingJobs)
+	if got := metric(t, s2, "sdo_resume_jobs_active"); got != 0 {
+		t.Errorf("ResumingJobs after completion = %v, want 0", got)
 	}
 	if h := s2.Health(); h.Status != "ok" {
 		t.Errorf("health after resume = %q (%v), want ok", h.Status, h.Reasons)
@@ -154,8 +153,8 @@ func TestResumeCompletedSweepIsDropped(t *testing.T) {
 
 	s2 := newService(t, cfg)
 	defer s2.Shutdown(context.Background())
-	if m := s2.Snapshot(); m.ResumedJobs != 0 {
-		t.Fatalf("clean restart resumed %d jobs, want 0", m.ResumedJobs)
+	if got := metric(t, s2, "sdo_resume_jobs_total"); got != 0 {
+		t.Fatalf("clean restart resumed %v jobs, want 0", got)
 	}
 	if _, ok := s2.Job("sweep-1"); ok {
 		t.Fatal("terminal sweep resurrected after restart")
@@ -180,8 +179,8 @@ func TestResumeBadRequestConvergesToFailed(t *testing.T) {
 	// The poison job was journaled terminal: the next life resumes nothing.
 	s2 := newService(t, Config{Workers: 1, JournalPath: journalPath})
 	defer s2.Shutdown(context.Background())
-	if m := s2.Snapshot(); m.ResumedJobs != 0 {
-		t.Fatalf("poison job replayed again: ResumedJobs = %d", m.ResumedJobs)
+	if got := metric(t, s2, "sdo_resume_jobs_total"); got != 0 {
+		t.Fatalf("poison job replayed again: ResumedJobs = %v", got)
 	}
 }
 
@@ -190,7 +189,7 @@ func TestResumeBadRequestConvergesToFailed(t *testing.T) {
 func TestJournalDegradedSurfacesInHealth(t *testing.T) {
 	s := newService(t, Config{Workers: 1, JournalPath: t.TempDir()}) // a directory: unopenable
 	defer s.Shutdown(context.Background())
-	if !s.Snapshot().JournalDegraded {
+	if metric(t, s, "sdo_journal_enabled") != 0 {
 		t.Fatal("metrics do not report the degraded journal")
 	}
 	h := s.Health()

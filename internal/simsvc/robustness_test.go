@@ -115,12 +115,11 @@ func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 		t.Fatalf("chaos sweep has failures: %+v", st)
 	}
 
-	m := s.Snapshot()
-	if m.CacheCorruptEntries != 1 {
-		t.Fatalf("corrupt cache entries = %d, want 1", m.CacheCorruptEntries)
+	if got := metric(t, s, "sdo_cache_corrupt_entries_total"); got != 1 {
+		t.Fatalf("corrupt cache entries = %v, want 1", got)
 	}
-	if m.CellPanics == 0 || m.Retries == 0 || m.FaultsInjected == 0 {
-		t.Fatalf("fault metrics not counted: %+v", m)
+	if metric(t, s, "sdo_cell_panics_total") == 0 || metric(t, s, "sdo_runs_retried_total") == 0 || metric(t, s, "sdo_faults_injected_total") == 0 {
+		t.Fatalf("fault metrics not counted: %s", metricLines(s, "sdo_"))
 	}
 
 	// The export must be byte-identical to a fault-free CLI run of the
@@ -148,13 +147,13 @@ func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 	// The write-behind persist after the job hits the injected disk-full
 	// error (counted, not fatal) ...
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Snapshot().PersistFailures == 0 {
+	for metric(t, s, "sdo_cache_persist_failures_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("disk-full persist failure never counted")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if s.Snapshot().CacheDegraded {
+	if metric(t, s, "sdo_cache_persistence_enabled") != 1 {
 		t.Fatal("one persist failure should not degrade the cache")
 	}
 	// ... and the shutdown-time persist (disk-full budget exhausted)
@@ -205,8 +204,8 @@ func TestChaosPermanentFailureDegrades(t *testing.T) {
 	if st.Retries != 2 {
 		t.Fatalf("retries = %d, want 2 (one per failed cell)", st.Retries)
 	}
-	if m := s.Snapshot(); m.CellsFailed != 2 {
-		t.Fatalf("cells failed = %d, want 2", m.CellsFailed)
+	if got := metric(t, s, "sdo_cells_failed_total"); got != 2 {
+		t.Fatalf("cells failed = %v, want 2", got)
 	}
 
 	res, err := j.Results()
@@ -339,9 +338,8 @@ func TestPersistFailuresDegradeToMemoryOnly(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		s.persistNow()
 	}
-	m := s.Snapshot()
-	if m.PersistFailures != 2 || !m.CacheDegraded {
-		t.Fatalf("persist failures=%d degraded=%v, want 2/true", m.PersistFailures, m.CacheDegraded)
+	if fails, enabled := metric(t, s, "sdo_cache_persist_failures_total"), metric(t, s, "sdo_cache_persistence_enabled"); fails != 2 || enabled != 0 {
+		t.Fatalf("persist failures=%v persistence enabled=%v, want 2/0 (degraded)", fails, enabled)
 	}
 	if h := s.Health(); h.Status != "degraded" {
 		t.Fatalf("health = %+v, want degraded", h)
@@ -370,7 +368,7 @@ func TestJobRegistryBounds(t *testing.T) {
 	if _, ok := s.Job(ids[0]); ok {
 		t.Fatal("oldest finished job not evicted")
 	}
-	if m := s.Snapshot(); m.JobsEvicted == 0 {
+	if got := metric(t, s, "sdo_jobs_evicted_total"); got == 0 {
 		t.Fatal("evictions not counted")
 	}
 }
@@ -406,8 +404,8 @@ func TestBackpressure(t *testing.T) {
 	if len(s.Jobs()) != 0 {
 		t.Fatal("rejected submission left a job registered")
 	}
-	if m := s.Snapshot(); m.JobsRejected != 1 {
-		t.Fatalf("rejections counted = %d, want 1", m.JobsRejected)
+	if got := metric(t, s, "sdo_jobs_rejected_total"); got != 1 {
+		t.Fatalf("rejections counted = %v, want 1", got)
 	}
 }
 

@@ -39,26 +39,25 @@ func TestSampledSweep(t *testing.T) {
 
 	// 4 cells over 2 workloads: one plan build per workload, every other
 	// sampled cell joins the plan flight.
-	m := s.Snapshot()
-	if m.SamplePlansBuilt != 2 {
-		t.Errorf("built %d sample plans, want 2", m.SamplePlansBuilt)
+	if got := metric(t, s, "sdo_sample_plans_built_total"); got != 2 {
+		t.Errorf("built %v sample plans, want 2", got)
 	}
-	if m.SamplePlanHits != 2 {
-		t.Errorf("%d plan hits, want 2", m.SamplePlanHits)
+	if got := metric(t, s, "sdo_sample_plan_hits_total"); got != 2 {
+		t.Errorf("%v plan hits, want 2", got)
 	}
-	if m.SampledCells != 4 {
-		t.Errorf("%d sampled cells, want 4", m.SampledCells)
+	if got := metric(t, s, "sdo_sampled_cells_total"); got != 4 {
+		t.Errorf("%v sampled cells, want 4", got)
 	}
-	if m.SampledDetailedInstrs == 0 || m.ProfiledInstrs == 0 {
-		t.Errorf("sampled instruction accounting missing: %+v", m)
+	if metric(t, s, "sdo_sampled_detailed_instrs_total") == 0 || metric(t, s, "sdo_profiled_instrs_total") == 0 {
+		t.Errorf("sampled instruction accounting missing: %s", metricLines(s, "sdo_"))
 	}
 
 	// A repeated sampled sweep answers entirely from the result cache:
 	// nothing runs, no plan is rebuilt.
+	execBefore := metric(t, s, "sdo_runs_executed_total")
 	submitAndWait(t, s, sampledReq())
-	m2 := s.Snapshot()
-	if m2.RunsExecuted != m.RunsExecuted || m2.SamplePlansBuilt != 2 || m2.SamplePlanHits != 2 {
-		t.Errorf("cached sampled re-sweep ran work: %+v", m2)
+	if metric(t, s, "sdo_runs_executed_total") != execBefore || metric(t, s, "sdo_sample_plans_built_total") != 2 || metric(t, s, "sdo_sample_plan_hits_total") != 2 {
+		t.Errorf("cached sampled re-sweep ran work: %s", metricLines(s, "sdo_"))
 	}
 }
 
@@ -96,12 +95,11 @@ func TestSamplePlanPersistence(t *testing.T) {
 
 	s1 := newService(t, Config{Workers: 2, CachePath: cache})
 	submitAndWait(t, s1, sampledReq())
-	m1 := s1.Snapshot()
-	if m1.SamplePlansBuilt != 2 {
-		t.Fatalf("built %d plans, want 2", m1.SamplePlansBuilt)
+	if got := metric(t, s1, "sdo_sample_plans_built_total"); got != 2 {
+		t.Fatalf("built %v plans, want 2", got)
 	}
-	if m1.SamplePlansPersisted != 2 {
-		t.Fatalf("persisted %d plans, want 2: %+v", m1.SamplePlansPersisted, m1)
+	if got := metric(t, s1, "sdo_sample_plans_persisted_total"); got != 2 {
+		t.Fatalf("persisted %v plans, want 2: %s", got, metricLines(s1, "sdo_sample_plan"))
 	}
 	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -118,15 +116,14 @@ func TestSamplePlanPersistence(t *testing.T) {
 	if st := j.Status(); st.Cached != 0 {
 		t.Fatalf("restart sweep unexpectedly cached: %+v", st)
 	}
-	m2 := s2.Snapshot()
-	if m2.SamplePlansBuilt != 0 {
-		t.Errorf("restarted server re-built %d plans, want 0", m2.SamplePlansBuilt)
+	if got := metric(t, s2, "sdo_sample_plans_built_total"); got != 0 {
+		t.Errorf("restarted server re-built %v plans, want 0", got)
 	}
-	if m2.SamplePlanDiskHits != 2 {
-		t.Errorf("plan disk hits = %d, want 2", m2.SamplePlanDiskHits)
+	if got := metric(t, s2, "sdo_sample_plan_disk_hits_total"); got != 2 {
+		t.Errorf("plan disk hits = %v, want 2", got)
 	}
-	if m2.ProfiledInstrs != 0 {
-		t.Errorf("restarted server re-profiled %d instrs, want 0", m2.ProfiledInstrs)
+	if got := metric(t, s2, "sdo_profiled_instrs_total"); got != 0 {
+		t.Errorf("restarted server re-profiled %v instrs, want 0", got)
 	}
 
 	// Determinism: disk-restored plans reconstruct the same results a

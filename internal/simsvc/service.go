@@ -156,14 +156,6 @@ type Config struct {
 	// cancelled/failed/expired speculation exceeds it, speculation is
 	// disabled for the life of the process (0: default 5m).
 	SpecBudget time.Duration
-	// SpecMinConfidence drops predictions scored below it (0: 0.2).
-	SpecMinConfidence float64
-	// SpecMinHitRate throttles speculation while the hit-rate over
-	// resolved speculations sits below it (0: 0.25).
-	SpecMinHitRate float64
-	// SpecMaxCells bounds cells pre-executed per prediction round
-	// (0: 64).
-	SpecMaxCells int
 }
 
 // withDefaults fills the zero-value policy knobs.
@@ -247,22 +239,18 @@ type Service struct {
 	order    []string
 	inflight map[string]*flight
 
-	// Checkpoint tier: one functional-warmup checkpoint per (workload
-	// fingerprint, warmup budget), captured once under singleflight and
-	// restored by every functional-mode cell that shares it. Unbounded,
-	// but entries exist only per distinct (workload, warmup) pair — a
-	// handful per deployment.
-	ckMu  sync.Mutex
-	ckpts map[string]*ckFlight
-
-	// Sample-plan tier: one BBV profile + clustering + checkpoint series
-	// per (workload fingerprint, window, sampling config), built once
-	// under singleflight and executed by every sampled-mode cell that
-	// shares it (see RunSpec.PlanKey). The expensive part of sampled mode
-	// — one functional profiling pass plus k-means — is thereby paid once
-	// per workload per sweep shape, like the checkpoint tier above.
-	planMu sync.Mutex
-	plans  map[string]*planFlight
+	// The artifact tiers (see artifacts.go), both instances of the one
+	// resolve ladder. ckpts: one functional-warmup checkpoint per
+	// (workload fingerprint, warmup budget), restored by every
+	// functional-mode cell that shares it. plans: one BBV profile +
+	// clustering + checkpoint series per (workload fingerprint, window,
+	// sampling config), executed by every sampled-mode cell that shares it
+	// (see RunSpec.PlanKey) — the expensive part of sampled mode, one
+	// functional profiling pass plus k-means, is thereby paid once per
+	// workload per sweep shape. Unbounded, but entries exist only per
+	// distinct key — a handful per deployment.
+	ckpts *artifactTier[*arch.Checkpoint]
+	plans *artifactTier[*harness.SamplePlan]
 
 	// Write-behind cache persistence: schedulePersist debounces a
 	// background save after each terminal job; repeated failures flip
@@ -276,53 +264,44 @@ type Service struct {
 	retryMu    sync.Mutex
 	retryTimes []time.Time
 
-	// Metrics (see /metrics).
-	runsExecuted atomic.Uint64 // simulations actually run
-	runsDeduped  atomic.Uint64 // cells that joined an in-flight identical run
-	runsSkipped  atomic.Uint64 // cells abandoned by cancellation/shutdown
-	runNanos     atomic.Uint64 // cumulative wall time of executed runs
-	jobsTotal    atomic.Uint64
+	// Metrics (see /metrics): each is declared once, against reg, by
+	// registerMetrics or by the component that owns it (cache, journal,
+	// artifact tiers, speculation, stealState).
+	reg          *obs.Registry
+	runsExecuted *obs.Counter  // simulations actually run
+	runsDeduped  *obs.Counter  // cells that joined an in-flight identical run
+	runsSkipped  *obs.Counter  // cells abandoned by cancellation/shutdown
+	runNanos     atomic.Uint64 // cumulative wall time of executed runs (exported in seconds)
+	jobsTotal    *obs.Counter
 
-	retriesTotal atomic.Uint64 // cell attempts beyond the first
-	cellsFailed  atomic.Uint64 // cells that failed permanently
-	slowCells    atomic.Uint64 // executed cells that exceeded the p99 run duration
-	cellPanics   atomic.Uint64 // attempts that panicked (recovered)
-	cellTimeouts atomic.Uint64 // attempts killed by the wall-clock deadline
-	cellStalls   atomic.Uint64 // attempts killed by the stall watchdog
-	jobsRejected atomic.Uint64 // submissions refused by backpressure
-	jobsEvicted  atomic.Uint64 // finished jobs dropped from the registry
+	retriesTotal *obs.Counter // cell attempts beyond the first
+	cellsFailed  *obs.Counter // cells that failed permanently
+	slowCells    *obs.Counter // executed cells that exceeded the p99 run duration
+	cellPanics   *obs.Counter // attempts that panicked (recovered)
+	cellTimeouts *obs.Counter // attempts killed by the wall-clock deadline
+	cellStalls   *obs.Counter // attempts killed by the stall watchdog
+	jobsRejected *obs.Counter // submissions refused by backpressure
+	jobsEvicted  *obs.Counter // finished jobs dropped from the registry
 
-	persistFailures   atomic.Uint64 // cache persist failures (total)
+	persistFailures   *obs.Counter  // cache persist failures (total)
 	persistFailStreak atomic.Uint64 // consecutive persist failures
 	cacheDegraded     atomic.Bool   // persistence disabled (memory-only)
 	cacheLoadFailed   atomic.Bool   // startup cache load failed (started empty)
 
-	resumedJobs   atomic.Uint64 // jobs re-admitted from the journal on startup
-	resumeSkipped atomic.Uint64 // resumed cells answered by the persisted cache
-	resumeReruns  atomic.Uint64 // resumed cells that had to re-simulate
-	resuming      atomic.Int64  // resumed jobs not yet terminal (healthz: degraded)
+	// Resume accounting (counters nil unless cfg.JournalPath: only
+	// journal-resumed jobs touch them).
+	resumedJobs   *obs.Counter // jobs re-admitted from the journal on startup
+	resumeSkipped *obs.Counter // resumed cells answered by the persisted cache
+	resumeReruns  *obs.Counter // resumed cells that had to re-simulate
+	resuming      atomic.Int64 // resumed jobs not yet terminal (healthz: degraded)
 
-	ckptsCaptured   atomic.Uint64 // warmup checkpoints captured
-	ckptHits        atomic.Uint64 // cells that restored an existing checkpoint
-	warmupSimulated atomic.Uint64 // warmup instructions actually simulated
-	ckptsPersisted  atomic.Uint64 // checkpoints written to the disk store
-	ckptDiskHits    atomic.Uint64 // checkpoint-tier misses answered from disk
+	ckptsCaptured   *obs.Counter // warmup checkpoints captured (standalone or in a plan)
+	warmupSimulated *obs.Counter // warmup instructions actually simulated
+	plansBuilt      *obs.Counter // sample plans built (profile + cluster + checkpoints)
+	sampledCells    *obs.Counter // cells executed in sampled mode
+	sampledInstrs   *obs.Counter // detailed instructions executed by sampled cells
+	profiledInstrs  *obs.Counter // functional instructions spent profiling BBVs
 
-	ckptPeerHits   atomic.Uint64 // checkpoint-tier misses answered by a cluster peer
-	planPeerHits   atomic.Uint64 // plan-tier misses answered by a cluster peer
-	cellsStolen    atomic.Uint64 // queued cells leased out to work-stealing peers
-	stealCompleted atomic.Uint64 // stolen-cell results delivered back (either side)
-	leaseExpiries  atomic.Uint64 // steal leases that expired unfulfilled (cell reclaimed)
-
-	plansBuilt     atomic.Uint64 // sample plans built (profile + cluster + checkpoints)
-	planHits       atomic.Uint64 // sampled cells that reused an existing plan
-	sampledCells   atomic.Uint64 // cells executed in sampled mode
-	sampledInstrs  atomic.Uint64 // detailed instructions executed by sampled cells
-	profiledInstrs atomic.Uint64 // functional instructions spent profiling BBVs
-	plansPersisted atomic.Uint64 // sample plans written to the disk store
-	planDiskHits   atomic.Uint64 // plan-tier misses answered from disk
-
-	reg      *obs.Registry
 	runDur   *obs.Histogram // per-run wall time
 	queueLat *obs.Histogram // submit-to-start latency per cell
 	planDur  *obs.Histogram // sample-plan build wall time
@@ -351,21 +330,6 @@ type delivery struct {
 	// — the open await-inflight span the deliverer finishes.
 	ct    *trace.CellTrace
 	await *trace.Span
-}
-
-// ckFlight is one checkpoint-tier entry: the first cell to need it
-// captures while later cells block on done.
-type ckFlight struct {
-	done chan struct{}
-	ck   *arch.Checkpoint
-}
-
-// planFlight is one sample-plan-tier entry: the first sampled cell to
-// need it profiles/clusters/captures while later cells block on done.
-type planFlight struct {
-	done chan struct{}
-	sp   *harness.SamplePlan
-	err  error
 }
 
 // New starts a service. The persisted cache at cfg.CachePath, if any, is
@@ -408,8 +372,7 @@ func New(cfg Config) (*Service, error) {
 		flight:   ring,
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*flight),
-		ckpts:    make(map[string]*ckFlight),
-		plans:    make(map[string]*planFlight),
+		reg:      obs.NewRegistry(),
 	}
 	if cfg.Trace {
 		s.tracer = trace.New(cfg.TraceMaxJobs)
@@ -419,11 +382,12 @@ func New(cfg Config) (*Service, error) {
 		s.event("cache-load-failed", cfg.CachePath)
 	}
 	s.pool = harness.NewPool(ctx, cfg.Workers)
+	s.registerMetrics()
 	if cfg.Speculate {
 		s.spec = newSpeculation(s)
 	}
 	if cfg.WorkStealing {
-		s.steal = newStealState()
+		s.steal = newStealState(s.reg)
 	}
 	if len(cfg.Peers) > 0 {
 		s.fab = fabric.New(fabric.Config{
@@ -432,10 +396,10 @@ func New(cfg Config) (*Service, error) {
 			HedgeDelay:    cfg.PeerHedgeDelay,
 			MaxFanout:     cfg.PeerMaxFanout,
 			ProbeInterval: cfg.PeerProbeInterval,
-			Validate:      validatePeerEntry,
 			Faults:        cfg.Faults,
 			Event:         s.event,
 		})
+		s.registerPeerMetrics()
 	}
 	// Durable resumable jobs: replay the write-ahead job journal and
 	// re-admit every sweep that was submitted but never reached a
@@ -450,8 +414,9 @@ func New(cfg Config) (*Service, error) {
 		if s.journal.isDegraded() {
 			s.event("journal-degraded", cfg.JournalPath)
 		}
+		s.journal.register(s.reg)
+		s.registerResumeMetrics()
 	}
-	s.registerMetrics()
 	s.resumeJobs(resumable)
 	return s, nil
 }
@@ -464,36 +429,17 @@ func (s *Service) event(kind, detail string) {
 	}
 }
 
-// registerMetrics builds the /metrics registry. Counter/gauge values
-// that already live in atomics or subcomponents are sampled at scrape
-// time; the latency distributions are real histograms.
+// registerMetrics declares the metrics the service itself owns and
+// builds the two artifact tiers around theirs; the optional subsystems
+// (speculation, stealing, peering, journal) declare their own when New
+// constructs them. Values that already live in a subcomponent are
+// sampled at scrape time; the latency distributions are real histograms.
 func (s *Service) registerMetrics() {
-	r := obs.NewRegistry()
-	ctr := func(name, help string, fn func() float64) { r.NewCounterFunc(name, help, fn) }
-	gau := func(name, help string, fn func() float64) { r.NewGaugeFunc(name, help, fn) }
+	r := s.reg
+	ctr, gau := r.NewCounter, r.NewGaugeFunc
 
-	ctr("sdo_cache_hits_total", "Result-cache hits.",
-		func() float64 { h, _ := s.cache.Stats(); return float64(h) })
-	ctr("sdo_cache_misses_total", "Result-cache misses.",
-		func() float64 { _, m := s.cache.Stats(); return float64(m) })
-	ctr("sdo_cache_evictions_total", "Results evicted by the LRU size bound.",
-		func() float64 { return float64(s.cache.Evictions()) })
-	gau("sdo_cache_entries", "Results currently cached.",
-		func() float64 { return float64(s.cache.Len()) })
-	gau("sdo_cache_max_entries", "Configured result-cache bound (0: unbounded).",
-		func() float64 { return float64(s.cache.MaxEntries()) })
-	gau("sdo_cache_bytes", "Total encoded size of cached results.",
-		func() float64 { return float64(s.cache.Bytes()) })
-	gau("sdo_cache_max_bytes", "Configured result-cache byte bound (0: unbounded).",
-		func() float64 { return float64(s.cache.MaxBytes()) })
-	ctr("sdo_cache_evicted_bytes_total", "Encoded bytes evicted by the cache bounds.",
-		func() float64 { return float64(s.cache.EvictedBytes()) })
-	ctr("sdo_cache_corrupt_entries_total", "Persisted entries dropped by checksum verification.",
-		func() float64 { return float64(s.cache.CorruptEntries()) })
-	ctr("sdo_cache_quarantined_files_total", "Unparseable cache files quarantined (renamed aside).",
-		func() float64 { return float64(s.cache.QuarantinedFiles()) })
-	ctr("sdo_cache_persist_failures_total", "Cache persist attempts that failed.",
-		func() float64 { return float64(s.persistFailures.Load()) })
+	s.cache.register(r)
+	s.persistFailures = ctr("sdo_cache_persist_failures_total", "Cache persist attempts that failed.")
 	gau("sdo_cache_persistence_enabled", "1 while the cache persists to disk, 0 when memory-only.",
 		func() float64 {
 			if s.cfg.CachePath == "" || s.cacheDegraded.Load() {
@@ -507,64 +453,52 @@ func (s *Service) registerMetrics() {
 		func() float64 { return float64(s.pool.Active()) })
 	gau("sdo_workers", "Worker-pool size.",
 		func() float64 { return float64(s.cfg.Workers) })
-	ctr("sdo_runs_executed_total", "Simulations actually run.",
-		func() float64 { return float64(s.runsExecuted.Load()) })
-	ctr("sdo_runs_deduped_total", "Cells coalesced onto an identical in-flight run.",
-		func() float64 { return float64(s.runsDeduped.Load()) })
-	ctr("sdo_runs_skipped_total", "Cells abandoned by cancellation or shutdown.",
-		func() float64 { return float64(s.runsSkipped.Load()) })
-	ctr("sdo_run_seconds_total", "Cumulative wall time of executed simulations.",
+	s.runsExecuted = ctr("sdo_runs_executed_total", "Simulations actually run.")
+	s.runsDeduped = ctr("sdo_runs_deduped_total", "Cells coalesced onto an identical in-flight run.")
+	s.runsSkipped = ctr("sdo_runs_skipped_total", "Cells abandoned by cancellation or shutdown.")
+	r.NewCounterFunc("sdo_run_seconds_total", "Cumulative wall time of executed simulations.",
 		func() float64 { return float64(s.runNanos.Load()) / 1e9 })
-	ctr("sdo_runs_retried_total", "Cell attempts beyond the first (transient-failure retries).",
-		func() float64 { return float64(s.retriesTotal.Load()) })
-	ctr("sdo_cells_failed_total", "Cells that failed permanently (retries exhausted or non-retryable).",
-		func() float64 { return float64(s.cellsFailed.Load()) })
-	ctr("sdo_slow_cells_total", "Executed cells whose wall time exceeded the observed p99 run duration.",
-		func() float64 { return float64(s.slowCells.Load()) })
-	ctr("sdo_cell_panics_total", "Cell attempts that panicked (recovered in isolation).",
-		func() float64 { return float64(s.cellPanics.Load()) })
-	ctr("sdo_cell_timeouts_total", "Cell attempts killed by the per-cell deadline.",
-		func() float64 { return float64(s.cellTimeouts.Load()) })
-	ctr("sdo_cell_stalls_total", "Cell attempts killed by the progress-based stall watchdog.",
-		func() float64 { return float64(s.cellStalls.Load()) })
-	ctr("sdo_jobs_total", "Sweep jobs submitted.",
-		func() float64 { return float64(s.jobsTotal.Load()) })
-	ctr("sdo_jobs_rejected_total", "Submissions rejected by queue backpressure (HTTP 429).",
-		func() float64 { return float64(s.jobsRejected.Load()) })
-	ctr("sdo_jobs_evicted_total", "Finished jobs evicted from the registry (TTL or count bound).",
-		func() float64 { return float64(s.jobsEvicted.Load()) })
+	s.retriesTotal = ctr("sdo_runs_retried_total", "Cell attempts beyond the first (transient-failure retries).")
+	s.cellsFailed = ctr("sdo_cells_failed_total", "Cells that failed permanently (retries exhausted or non-retryable).")
+	s.slowCells = ctr("sdo_slow_cells_total", "Executed cells whose wall time exceeded the observed p99 run duration.")
+	s.cellPanics = ctr("sdo_cell_panics_total", "Cell attempts that panicked (recovered in isolation).")
+	s.cellTimeouts = ctr("sdo_cell_timeouts_total", "Cell attempts killed by the per-cell deadline.")
+	s.cellStalls = ctr("sdo_cell_stalls_total", "Cell attempts killed by the progress-based stall watchdog.")
+	s.jobsTotal = ctr("sdo_jobs_total", "Sweep jobs submitted.")
+	s.jobsRejected = ctr("sdo_jobs_rejected_total", "Submissions rejected by queue backpressure (HTTP 429).")
+	s.jobsEvicted = ctr("sdo_jobs_evicted_total", "Finished jobs evicted from the registry (TTL or count bound).")
 	gau("sdo_jobs_tracked", "Jobs currently in the registry.",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(len(s.jobs))
 		})
-	ctr("sdo_faults_injected_total", "Chaos faults injected (0 unless fault injection is enabled).",
+	r.NewCounterFunc("sdo_faults_injected_total", "Chaos faults injected (0 unless fault injection is enabled).",
 		func() float64 { return float64(s.inj.Stats().Total()) })
-	ctr("sdo_checkpoints_captured_total", "Functional-warmup checkpoints captured.",
-		func() float64 { return float64(s.ckptsCaptured.Load()) })
-	ctr("sdo_checkpoint_hits_total", "Cells that restored an existing warmup checkpoint.",
-		func() float64 { return float64(s.ckptHits.Load()) })
-	ctr("sdo_warmup_instrs_simulated_total", "Warmup instructions actually simulated (checkpoint reuse keeps this at one warmup per workload).",
-		func() float64 { return float64(s.warmupSimulated.Load()) })
-	ctr("sdo_checkpoints_persisted_total", "Warmup checkpoints written to the on-disk store.",
-		func() float64 { return float64(s.ckptsPersisted.Load()) })
-	ctr("sdo_checkpoint_disk_hits_total", "Checkpoint-tier misses answered from the on-disk store (warmup skipped across restarts).",
-		func() float64 { return float64(s.ckptDiskHits.Load()) })
-	ctr("sdo_sample_plans_built_total", "Sampling plans built (BBV profile + clustering + checkpoint series).",
-		func() float64 { return float64(s.plansBuilt.Load()) })
-	ctr("sdo_sample_plan_hits_total", "Sampled cells that reused an existing sampling plan.",
-		func() float64 { return float64(s.planHits.Load()) })
-	ctr("sdo_sampled_cells_total", "Cells executed in sampled (SimPoint) mode.",
-		func() float64 { return float64(s.sampledCells.Load()) })
-	ctr("sdo_sampled_detailed_instrs_total", "Detailed instructions executed by sampled cells (vs. max_instrs per cell in detailed mode).",
-		func() float64 { return float64(s.sampledInstrs.Load()) })
-	ctr("sdo_profiled_instrs_total", "Functional instructions spent on BBV profiling passes.",
-		func() float64 { return float64(s.profiledInstrs.Load()) })
-	ctr("sdo_sample_plans_persisted_total", "Sampling plans written to the on-disk store.",
-		func() float64 { return float64(s.plansPersisted.Load()) })
-	ctr("sdo_sample_plan_disk_hits_total", "Plan-tier misses answered from the on-disk store (BBV re-profiling skipped across restarts).",
-		func() float64 { return float64(s.planDiskHits.Load()) })
+
+	s.ckptsCaptured = ctr("sdo_checkpoints_captured_total", "Functional-warmup checkpoints captured.")
+	s.warmupSimulated = ctr("sdo_warmup_instrs_simulated_total", "Warmup instructions actually simulated (checkpoint reuse keeps this at one warmup per workload).")
+	s.ckpts = &artifactTier[*arch.Checkpoint]{
+		svc: s, kind: "ckpt", label: "checkpoint", flights: make(map[string]*artifactFlight[*arch.Checkpoint]),
+		hits:      ctr("sdo_checkpoint_hits_total", "Cells that restored an existing warmup checkpoint."),
+		persisted: ctr("sdo_checkpoints_persisted_total", "Warmup checkpoints written to the on-disk store."),
+		diskHits:  ctr("sdo_checkpoint_disk_hits_total", "Checkpoint-tier misses answered from the on-disk store (warmup skipped across restarts)."),
+	}
+	s.plansBuilt = ctr("sdo_sample_plans_built_total", "Sampling plans built (BBV profile + clustering + checkpoint series).")
+	s.sampledCells = ctr("sdo_sampled_cells_total", "Cells executed in sampled (SimPoint) mode.")
+	s.sampledInstrs = ctr("sdo_sampled_detailed_instrs_total", "Detailed instructions executed by sampled cells (vs. max_instrs per cell in detailed mode).")
+	s.profiledInstrs = ctr("sdo_profiled_instrs_total", "Functional instructions spent on BBV profiling passes.")
+	s.plans = &artifactTier[*harness.SamplePlan]{
+		svc: s, kind: "plan", label: "plan", flights: make(map[string]*artifactFlight[*harness.SamplePlan]),
+		hits:      ctr("sdo_sample_plan_hits_total", "Sampled cells that reused an existing sampling plan."),
+		persisted: ctr("sdo_sample_plans_persisted_total", "Sampling plans written to the on-disk store."),
+		diskHits:  ctr("sdo_sample_plan_disk_hits_total", "Plan-tier misses answered from the on-disk store (BBV re-profiling skipped across restarts)."),
+	}
+	if s.cfg.PeerArtifacts {
+		s.ckpts.peerHits = ctr("sdo_cluster_ckpt_peer_hits_total", "Checkpoint-tier misses answered by a cluster peer (warmup skipped).")
+		s.plans.peerHits = ctr("sdo_cluster_plan_peer_hits_total", "Sample-plan-tier misses answered by a cluster peer (BBV profiling skipped).")
+	}
+
 	s.runDur = r.NewHistogram("sdo_run_duration_seconds",
 		"Wall time of individual executed simulations.", obs.DefaultLatencyBuckets())
 	s.queueLat = r.NewHistogram("sdo_queue_latency_seconds",
@@ -575,83 +509,11 @@ func (s *Service) registerMetrics() {
 		gau("sdo_cell_timeout_seconds", "Current auto-tuned per-cell deadline (0: none yet).",
 			func() float64 { return s.cellTimeout().Seconds() })
 	}
-	if sp := s.spec; sp != nil {
-		ctr("sdo_spec_predictions_total", "Prediction candidates that contributed pre-executable cells.",
-			func() float64 { return float64(sp.predictions.Load()) })
-		ctr("sdo_spec_cells_preexecuted_total", "Speculative cells run to completion into the result cache.",
-			func() float64 { return float64(sp.cellsExecuted.Load()) })
-		ctr("sdo_spec_hits_total", "Demand cells served by speculative pre-execution.",
-			func() float64 { return float64(sp.hits.Load()) })
-		ctr("sdo_spec_cancellations_total", "Speculative cells squashed mid-run by demand arrival or shutdown.",
-			func() float64 { return float64(sp.cancellations.Load()) })
-		ctr("sdo_spec_cpu_seconds_total", "Wall time spent executing speculative cells.",
-			func() float64 { return float64(sp.specNanos.Load()) / 1e9 })
-		ctr("sdo_spec_wasted_cpu_seconds_total", "Speculative wall time wasted (cancelled, failed or expired unclaimed).",
-			func() float64 { return float64(sp.wastedNanos.Load()) / 1e9 })
-		gau("sdo_spec_throttle_state", "Speculation governor state: 0 ok, 1 throttled (low hit-rate), 2 exhausted (budget spent).",
-			func() float64 { return float64(sp.gov.State()) })
-		gau("sdo_spec_backlog", "Speculative cells queued or running.",
-			func() float64 { return float64(sp.backlog()) })
-	}
 	if s.tracer != nil {
 		gau("sdo_trace_jobs", "Job traces currently retained.",
 			func() float64 { return float64(s.tracer.Jobs()) })
 	}
-	if s.journal != nil {
-		ctr("sdo_resume_jobs_total", "Non-terminal jobs re-admitted from the job journal on startup.",
-			func() float64 { return float64(s.resumedJobs.Load()) })
-		ctr("sdo_resume_cells_skipped_total", "Resumed-job cells answered by the persisted result cache (work the previous life already did).",
-			func() float64 { return float64(s.resumeSkipped.Load()) })
-		ctr("sdo_resume_cells_rerun_total", "Resumed-job cells re-simulated because the persisted cache lacked them.",
-			func() float64 { return float64(s.resumeReruns.Load()) })
-		gau("sdo_resume_jobs_active", "Resumed jobs still replaying (healthz reports degraded while > 0).",
-			func() float64 { return float64(s.resuming.Load()) })
-		ctr("sdo_journal_appends_total", "Job-journal records durably appended (fsynced).",
-			func() float64 { a, _, _, _ := s.journal.stats(); return float64(a) })
-		ctr("sdo_journal_append_failures_total", "Job-journal appends that failed (record lost; journal degrades past the limit).",
-			func() float64 { _, e, _, _ := s.journal.stats(); return float64(e) })
-		ctr("sdo_journal_corrupt_lines_total", "Malformed or torn journal lines skipped during replay.",
-			func() float64 { _, _, _, sk := s.journal.stats(); return float64(sk) })
-		gau("sdo_journal_enabled", "1 while the job journal persists to disk, 0 when degraded to memory-only.",
-			func() float64 {
-				if s.journal.isDegraded() {
-					return 0
-				}
-				return 1
-			})
-	}
-	if s.fab != nil {
-		ctr("sdo_peer_hits_total", "Cache misses answered by a peer node.",
-			func() float64 { return float64(s.fab.Stats().Hits) })
-		ctr("sdo_peer_misses_total", "Peer lookups no peer could answer (fell back to local simulation).",
-			func() float64 { return float64(s.fab.Stats().Misses) })
-		ctr("sdo_peer_errors_total", "Peer request failures (down, slow, HTTP error, corrupt response).",
-			func() float64 { return float64(s.fab.Stats().Errors) })
-		ctr("sdo_peer_hedges_total", "Peer lookups hedged to a second peer after the hedge delay.",
-			func() float64 { return float64(s.fab.Stats().Hedges) })
-		gau("sdo_peers_configured", "Peers in the static peer list.",
-			func() float64 { return float64(s.fab.Peers()) })
-		gau("sdo_peers_available", "Peers whose circuit breaker currently admits lookups.",
-			func() float64 { return float64(s.fab.Available()) })
-		s.peerDur = r.NewHistogram("sdo_peer_lookup_seconds",
-			"Wall time of peer cache lookups (hit or miss).", obs.DefaultLatencyBuckets())
-	}
-	if s.cfg.PeerArtifacts {
-		ctr("sdo_cluster_ckpt_peer_hits_total", "Checkpoint-tier misses answered by a cluster peer (warmup skipped).",
-			func() float64 { return float64(s.ckptPeerHits.Load()) })
-		ctr("sdo_cluster_plan_peer_hits_total", "Sample-plan-tier misses answered by a cluster peer (BBV profiling skipped).",
-			func() float64 { return float64(s.planPeerHits.Load()) })
-	}
-	if s.steal != nil {
-		ctr("sdo_cluster_cells_stolen_total", "Queued cells leased out to work-stealing cluster peers.",
-			func() float64 { return float64(s.cellsStolen.Load()) })
-		ctr("sdo_cluster_steal_completions_total", "Stolen-cell results accepted back into the cache.",
-			func() float64 { return float64(s.stealCompleted.Load()) })
-		ctr("sdo_cluster_lease_expiries_total", "Steal leases that expired unfulfilled (cell reclaimed locally).",
-			func() float64 { return float64(s.leaseExpiries.Load()) })
-	}
 	obs.RegisterProcessMetrics(r)
-	s.reg = r
 }
 
 // Registry exposes the service's metrics registry (the /metrics
@@ -661,6 +523,13 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 // Cache exposes the service's result cache (read-mostly: tests and
 // metrics).
 func (s *Service) Cache() *Cache { return s.cache }
+
+// IdleWorkers is how many pool workers neither run nor have a queued
+// cell to pick up — the capacity optional work (speculation, stealing
+// from cluster peers) may use without delaying demand cells.
+func (s *Service) IdleWorkers() int {
+	return s.cfg.Workers - s.pool.Active() - s.pool.QueueDepth()
+}
 
 // Health is the /healthz document.
 type Health struct {
@@ -925,7 +794,7 @@ func ablationCells(opt harness.Options) []RunSpec {
 // run time (1s when nothing has run yet), clamped to [1s, 5m].
 func (s *Service) retryAfter(pending int) time.Duration {
 	avg := time.Second
-	if n := s.runsExecuted.Load(); n > 0 {
+	if n := s.runsExecuted.Value(); n > 0 {
 		avg = time.Duration(s.runNanos.Load() / n)
 	}
 	d := time.Duration(pending) * avg / time.Duration(s.cfg.Workers)
@@ -1088,8 +957,9 @@ func (s *Service) jobFinished(j *Job) {
 				st.ID, st.State, st.Completed, st.Total, st.Cached, st.Failed)})
 	}
 	// The terminal transition is fsynced before anything can observe the
-	// job as finished-and-persisted: a crash right after this point must
-	// not resurrect the job on restart.
+	// job as finished (Job.finish closes Done only after this callback
+	// returns): a crash after a client saw "done" must not resurrect the
+	// job on restart.
 	if !s.journal.terminal(st.ID, st.State) && s.journal != nil && !s.journal.isDegraded() {
 		s.event("journal-append-failed", st.ID)
 	}
@@ -1136,151 +1006,47 @@ func (s *Service) evictJobsLocked() {
 	}
 }
 
-// checkpoint returns the warmup checkpoint for key: from the in-memory
-// tier, else from the on-disk store (a restarted server restores warm
-// state instead of re-simulating warmup), else captured fresh — under
-// singleflight, so concurrent cells for the same workload block until the
-// one load/capture finishes. A freshly-captured checkpoint is persisted
-// best-effort for the next restart. A panicking capture is isolated: this
-// cell (and any that were blocked on the flight) gets nil and falls back
-// to in-place warmup; the flight is dropped so a later cell can retry.
+// checkpoint resolves the warmup checkpoint for key through the
+// checkpoint tier's ladder (artifacts.go). A failed or panicking capture
+// is isolated: this cell (and any that were blocked on the flight) gets
+// nil and falls back to in-place warmup.
 func (s *Service) checkpoint(parent *trace.Span, key string, wl workload.Workload, warmup uint64) *arch.Checkpoint {
-	s.ckMu.Lock()
-	f, ok := s.ckpts[key]
-	if !ok {
-		f = &ckFlight{done: make(chan struct{})}
-		s.ckpts[key] = f
-		s.ckMu.Unlock()
-		fromDisk, fromPeer := false, false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					s.event("checkpoint-panic", fmt.Sprintf("%s: %v", key, r))
-				}
-				close(f.done)
-			}()
-			if ck := s.ckstore.load(key, warmup); ck != nil {
-				f.ck, fromDisk = ck, true
-				return
-			}
-			if ck := s.peerCheckpoint(parent, key, warmup); ck != nil {
-				f.ck, fromPeer = ck, true
-				return
-			}
-			f.ck = harness.CaptureCheckpoint(wl, warmup)
-		}()
-		if f.ck == nil {
-			s.ckMu.Lock()
-			delete(s.ckpts, key)
-			s.ckMu.Unlock()
-			return nil
-		}
-		if fromDisk {
-			s.ckptDiskHits.Add(1)
-			return f.ck
-		}
-		if fromPeer {
-			// peerCheckpoint already counted the hit and persisted it.
-			return f.ck
-		}
-		s.ckptsCaptured.Add(1)
-		s.warmupSimulated.Add(f.ck.Arch.Instrs)
-		if s.ckstore.enabled() {
-			if err := s.ckstore.save(key, f.ck); err != nil {
-				s.event("checkpoint-persist-failed", err.Error())
-			} else {
-				s.ckptsPersisted.Add(1)
-			}
-		}
-		return f.ck
-	}
-	s.ckMu.Unlock()
-	<-f.done
-	if f.ck != nil {
-		s.ckptHits.Add(1)
-	}
-	return f.ck
+	ck, _ := s.ckpts.resolve(parent, key, ckptCodec(warmup), func() (*arch.Checkpoint, error) {
+		ck := harness.CaptureCheckpoint(wl, warmup)
+		s.ckptsCaptured.Inc()
+		s.warmupSimulated.Add(ck.Arch.Instrs)
+		return ck, nil
+	})
+	return ck
 }
 
-// samplePlan returns the sampling plan for key: from the in-memory
-// tier, else from the on-disk store (a restarted server skips the BBV
-// re-profiling pass), else built fresh — under singleflight, so
-// concurrent sampled cells for the same workload block until the one
-// load/build finishes. A freshly-built plan is persisted best-effort
-// next to the checkpoints for the next restart. A failed or panicking
-// build fails this cell and any blocked on the flight; the flight is
-// dropped so a later cell can retry.
+// samplePlan resolves the sampling plan for key through the plan tier's
+// ladder (artifacts.go). A failed or panicking build fails this cell and
+// any blocked on the flight.
 func (s *Service) samplePlan(parent *trace.Span, key string, wl workload.Workload, spec RunSpec) (*harness.SamplePlan, error) {
-	s.planMu.Lock()
-	f, ok := s.plans[key]
-	if !ok {
-		f = &planFlight{done: make(chan struct{})}
-		s.plans[key] = f
-		s.planMu.Unlock()
+	cfg := simpoint.Config{IntervalInstrs: spec.SampleInterval, MaxK: spec.SampleMaxK, Seed: spec.SampleSeed}
+	return s.plans.resolve(parent, key, planCodec(spec.WarmupInstrs, spec.MaxInstrs, cfg), func() (*harness.SamplePlan, error) {
 		start := time.Now()
-		cfg := simpoint.Config{IntervalInstrs: spec.SampleInterval, MaxK: spec.SampleMaxK, Seed: spec.SampleSeed}
-		fromDisk, fromPeer := false, false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					f.err = fmt.Errorf("simsvc: sample plan for %s panicked: %v", spec.Workload, r)
-					s.event("plan-panic", fmt.Sprintf("%s: %v", key, r))
-				}
-				close(f.done)
-			}()
-			if sp := s.ckstore.loadPlan(key, spec.WarmupInstrs, spec.MaxInstrs, cfg); sp != nil {
-				f.sp, fromDisk = sp, true
-				return
-			}
-			if sp := s.peerPlan(parent, key, spec, cfg); sp != nil {
-				f.sp, fromPeer = sp, true
-				return
-			}
-			f.sp, f.err = harness.BuildSamplePlan(wl, spec.WarmupInstrs, spec.MaxInstrs, cfg)
-		}()
-		if f.err != nil {
-			s.planMu.Lock()
-			delete(s.plans, key)
-			s.planMu.Unlock()
-			return nil, f.err
-		}
-		if fromDisk {
-			s.planDiskHits.Add(1)
-			return f.sp, nil
-		}
-		if fromPeer {
-			// peerPlan already counted the hit and persisted it.
-			return f.sp, nil
+		sp, err := harness.BuildSamplePlan(wl, spec.WarmupInstrs, spec.MaxInstrs, cfg)
+		if err != nil {
+			return nil, err
 		}
 		s.planDur.Observe(time.Since(start).Seconds())
-		s.plansBuilt.Add(1)
-		s.profiledInstrs.Add(f.sp.Plan.ProfiledInstrs)
-		s.ckptsCaptured.Add(uint64(len(f.sp.Checkpoints)))
-		if n := len(f.sp.Checkpoints); n > 0 {
+		s.plansBuilt.Inc()
+		s.profiledInstrs.Add(sp.Plan.ProfiledInstrs)
+		s.ckptsCaptured.Add(uint64(len(sp.Checkpoints)))
+		if n := len(sp.Checkpoints); n > 0 {
 			// One continuous capture pass warms to the last boundary.
-			s.warmupSimulated.Add(f.sp.Checkpoints[n-1].Arch.Instrs)
-		}
-		if s.ckstore.enabled() {
-			if err := s.ckstore.savePlan(key, spec.WarmupInstrs, spec.MaxInstrs, cfg, f.sp); err != nil {
-				s.event("plan-persist-failed", err.Error())
-			} else {
-				s.plansPersisted.Add(1)
-			}
+			s.warmupSimulated.Add(sp.Checkpoints[n-1].Arch.Instrs)
 		}
 		if s.rec.On(obs.ClassSample) {
 			s.rec.Emit(obs.Event{Class: obs.ClassSample, Kind: "plan-built",
 				Detail: fmt.Sprintf("%s: k=%d/%d intervals, sampled %d/%d instrs, err-est %.3f",
-					spec.Workload, f.sp.Plan.K, f.sp.Plan.NumIntervals,
-					f.sp.Plan.SampledInstrs(), f.sp.Plan.WindowInstrs, f.sp.Plan.ErrEstimate)})
+					spec.Workload, sp.Plan.K, sp.Plan.NumIntervals,
+					sp.Plan.SampledInstrs(), sp.Plan.WindowInstrs, sp.Plan.ErrEstimate)})
 		}
-		return f.sp, nil
-	}
-	s.planMu.Unlock()
-	<-f.done
-	if f.sp != nil {
-		s.planHits.Add(1)
-	}
-	return f.sp, f.err
+		return sp, nil
+	})
 }
 
 // Job returns a submitted job by ID.
@@ -1341,6 +1107,73 @@ func (s *Service) cellEvent(ev harness.CellEvent) {
 	}
 }
 
+// settlement is what a finished flight owes each of its waiters.
+type settlement struct {
+	res core.Result
+	// err nil delivers res. A *harness.CellError is a permanent cell
+	// failure: the waiting jobs degrade rather than die. Any other error
+	// fails the waiting jobs with it (ErrCancelled: the cell was skipped).
+	err     error
+	status  string // terminal status of each waiter's cell trace
+	note    string // progress-line suffix: how the result was obtained
+	cached  bool   // counts toward the jobs' cached_runs
+	retries int
+	// pre is the speculative pre-execution's own trace (speculative
+	// flights with tracing on; nil otherwise). It is closed here, once
+	// claimed is final, and stitched under each waiter it served.
+	pre *trace.CellTrace
+}
+
+// settle retires the finished flight for key — whoever finished it: the
+// demand executor, a peer or stolen-cell hit, or a speculative
+// pre-execution — and gives every (job, cell) waiting on it exactly one
+// delivery. The result, if any, must already be in the cache, so a cell
+// arriving from here on finds either the flight or the entry. Reports
+// whether a demand cell had claimed the flight (speculative flights; a
+// demand flight's executor is itself a waiter).
+func (s *Service) settle(key string, k harness.Key, o settlement) (claimed bool) {
+	s.mu.Lock()
+	f := s.inflight[key]
+	delete(s.inflight, key)
+	s.mu.Unlock()
+
+	if o.err == nil {
+		o.pre.Root().Set("claimed", strconv.FormatBool(f.claimed))
+	}
+	o.pre.Finish()
+	var (
+		ce   *harness.CellError
+		fail Failure
+		line string
+	)
+	switch {
+	case o.err == nil:
+		line = harness.FormatProgress(k, o.res) + o.note
+	case errors.As(o.err, &ce) && len(f.waiters) > 0:
+		s.cellsFailed.Inc()
+		s.event("cell-failed", ce.Error())
+		fail = Failure{Cell: cellName(k), Kind: string(ce.Kind), Attempts: ce.Attempts, Error: ce.Err.Error()}
+		line = fmt.Sprintf("%-14s %-11s %-10s FAILED: %s after %d attempt(s): %v",
+			k.Workload, k.Variant, k.Model, ce.Kind, ce.Attempts, ce.Err)
+	}
+	for _, w := range f.waiters {
+		w.await.Finish()
+		if o.err == nil {
+			w.ct.Stitch(o.pre)
+		}
+		att := finishCell(w.ct, o.status)
+		switch {
+		case o.err == nil:
+			w.job.deliver(w.idx, w.key, o.res, line, o.cached, o.retries, att)
+		case ce != nil:
+			w.job.cellFail(w.idx, w.key, fail, line, o.retries)
+		default:
+			w.job.fail(o.err)
+		}
+	}
+	return f.claimed
+}
+
 // runCell executes (or resolves from cache / an identical in-flight run)
 // one cell on a pool worker. idx is the cell's index in its job's
 // enumeration order. Execution is hardened: panics are isolated, the
@@ -1357,7 +1190,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 		}
 	}
 	if ctx.Err() != nil || j.ctx.Err() != nil {
-		s.runsSkipped.Add(1)
+		s.runsSkipped.Inc()
 		j.skip()
 		return
 	}
@@ -1375,9 +1208,6 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 		ct.Root().Set("resumed", "true")
 	}
 	ct.Root().ChildAt(trace.PhaseQueue, enqueued).Finish()
-	line := func(r core.Result, note string) string {
-		return harness.FormatProgress(k, r) + note
-	}
 	cs := ct.Root().Child(trace.PhaseCache)
 	r, hit := s.cache.Get(key)
 	cs.Set("hit", strconv.FormatBool(hit))
@@ -1390,7 +1220,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 				// the demand request it was predicted for: credit the
 				// governor with the compute the hit just saved, and
 				// stitch the pre-execution's spans into this trace.
-				s.spec.hits.Add(1)
+				s.spec.hits.Inc()
 				s.spec.gov.Hit(cpu)
 				ct.Stitch(s.tracer.ClaimSpec(key))
 				note = "  [cached, speculated]"
@@ -1398,7 +1228,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 					k.Workload, k.Variant, k.Model, cpu.Round(time.Millisecond)))
 			}
 		}
-		j.deliver(idx, k, r, line(r, note), true, 0, finishCell(ct, "cached"))
+		j.deliver(idx, k, r, harness.FormatProgress(k, r)+note, true, 0, finishCell(ct, "cached"))
 		return
 	}
 	s.mu.Lock()
@@ -1412,16 +1242,15 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 			f.claimed = true
 		}
 		s.mu.Unlock()
-		s.runsDeduped.Add(1)
+		s.runsDeduped.Inc()
 		if claimedNow {
-			s.spec.hits.Add(1)
+			s.spec.hits.Inc()
 			s.spec.event("spec-hit", fmt.Sprintf("%s/%v/%v (joined in flight)",
 				k.Workload, k.Variant, k.Model))
 		}
 		return
 	}
-	f := &flight{waiters: []delivery{{job: j, idx: idx, key: k, ct: ct}}}
-	s.inflight[key] = f
+	s.inflight[key] = &flight{waiters: []delivery{{job: j, idx: idx, key: k, ct: ct}}}
 	s.mu.Unlock()
 
 	// Work stealing: if a peer claimed this cell under a still-live
@@ -1431,14 +1260,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 	// was never stolen.
 	if s.steal != nil {
 		if r, thief, ok := s.stealWait(ct.Root(), key); ok {
-			s.mu.Lock()
-			delete(s.inflight, key)
-			waiters := f.waiters
-			s.mu.Unlock()
-			for _, w := range waiters {
-				w.await.Finish()
-				w.job.deliver(w.idx, w.key, r, line(r, "  [stolen]"), true, 0, finishCell(w.ct, "stolen"))
-			}
+			s.settle(key, k, settlement{res: r, status: "stolen", note: "  [stolen]", cached: true})
 			if s.rec.On(obs.ClassTrace) {
 				s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "steal-hit",
 					Detail: fmt.Sprintf("%s from thief %s", cellName(k), thief)})
@@ -1455,14 +1277,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 	if r, peerURL, ok := s.peerLookup(ct.Root(), key); ok {
 		s.cache.Put(key, r)
 		s.schedulePersist()
-		s.mu.Lock()
-		delete(s.inflight, key)
-		waiters := f.waiters
-		s.mu.Unlock()
-		for _, w := range waiters {
-			w.await.Finish()
-			w.job.deliver(w.idx, w.key, r, line(r, "  [peer]"), true, 0, finishCell(w.ct, "peer"))
-		}
+		s.settle(key, k, settlement{res: r, status: "peer", note: "  [peer]", cached: true})
 		if s.rec.On(obs.ClassTrace) {
 			s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "peer-hit",
 				Detail: fmt.Sprintf("%s from %s", cellName(k), peerURL)})
@@ -1470,27 +1285,21 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 		return
 	}
 
-	pol := harness.RunPolicy{
-		MaxAttempts:  s.cfg.MaxAttempts,
-		RetryBackoff: s.cfg.RetryBackoff,
-		CellTimeout:  s.cellTimeout(),
-		StallTimeout: s.cfg.StallTimeout,
-		Abort:        func() bool { return s.flightAbandoned(key) },
-		Notify:       s.cellEvent,
-	}
 	// The cell runs under a non-cancelling context: shutdown drains
 	// in-flight cells (complete-and-persist), and a cancelled job's
-	// cells abort via pol.Abort only once no other live job waits on
-	// them. The executing waiter's root span rides along so the harness
-	// nests its attempt/interval spans under this cell's simulate phase.
-	r, retries, elapsed, err := s.execute(trace.NewContext(context.Background(), ct.Root()), spec, pol)
+	// cells abort via the policy's Abort hook only once no other live job
+	// waits on them. The executing waiter's root span rides along so the
+	// harness nests its attempt/interval spans under this cell's simulate
+	// phase.
+	r, retries, elapsed, err := s.execute(trace.NewContext(context.Background(), ct.Root()), spec, false,
+		func() bool { return s.flightAbandoned(key) })
 	if elapsed > 0 {
-		s.runNanos.Add(uint64(elapsed))
-		s.runDur.Observe(elapsed.Seconds())
-		s.runsExecuted.Add(1)
 		s.noteSlowCell(k, elapsed, ct)
 	}
-	if err == nil {
+	o := settlement{res: r, err: err, status: "done", retries: retries}
+	var ce *harness.CellError
+	switch {
+	case err == nil:
 		s.cache.Put(key, r)
 		if s.journal != nil {
 			// With resumable jobs on, each completed cell schedules a
@@ -1500,38 +1309,18 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 			// the whole in-flight sweep.
 			s.schedulePersist()
 		}
-	}
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	waiters := f.waiters
-	s.mu.Unlock()
-
-	var ce *harness.CellError
-	switch {
-	case err == nil:
-		for _, w := range waiters {
-			w.await.Finish()
-			w.job.deliver(w.idx, w.key, r, line(r, ""), false, retries, finishCell(w.ct, "done"))
-		}
 	case errors.As(err, &ce):
-		s.deliverFailure(waiters, k, ce, retries)
+		o.status = "failed"
 	case errors.Is(err, harness.ErrCellAbandoned):
-		s.runsSkipped.Add(1)
-		for _, w := range waiters {
-			w.await.Finish()
-			finishCell(w.ct, "abandoned")
-			w.job.skip()
-		}
+		s.runsSkipped.Inc()
+		o.status, o.err = "abandoned", ErrCancelled
 	default:
 		// Infrastructure error (cancellation, unknown workload, bad
 		// checkpoint key): fail the waiting jobs outright.
-		for _, w := range waiters {
-			w.await.Finish()
-			finishCell(w.ct, "error")
-			w.job.fail(fmt.Errorf("simsvc: %s/%v/%v: %w", spec.Workload, spec.Variant, spec.Model, err))
-		}
+		o.status = "error"
+		o.err = fmt.Errorf("simsvc: %s/%v/%v: %w", spec.Workload, spec.Variant, spec.Model, err)
 	}
+	s.settle(key, k, o)
 }
 
 // cellName renders a harness key as the "workload/variant/model" label
@@ -1589,13 +1378,24 @@ func (s *Service) noteSlowCell(k harness.Key, elapsed time.Duration, ct *trace.C
 }
 
 // execute runs one cell's simulation — workload lookup, the sample-plan
-// or checkpoint tier, then the harness call under pol — and returns the
-// result, retry count, and how long the harness call itself took
-// (0 when the tiers failed before any simulation ran). Both the demand
-// path (runCell) and the speculative path (speculation.runCell) execute
-// cells through here, so a speculative result is bit-identical to the
-// demand result for the same key.
-func (s *Service) execute(ctx context.Context, spec RunSpec, pol harness.RunPolicy) (core.Result, int, time.Duration, error) {
+// or checkpoint tier, then the harness call under the service's fault
+// policy — accounts the run, and returns the result, retry count, and
+// how long the harness call itself took (0 when the tiers failed before
+// any simulation ran). The demand path (runCell), the thief path
+// (RunStolen) and the speculative path (speculation.runCell) all execute
+// cells through here, so a speculative or stolen result is bit-identical
+// to the demand result for the same key. abort (may be nil) lets a
+// mid-run demand cell stop once nothing waits on it.
+func (s *Service) execute(ctx context.Context, spec RunSpec, speculative bool, abort func() bool) (core.Result, int, time.Duration, error) {
+	pol := harness.RunPolicy{MaxAttempts: 1, CellTimeout: s.cellTimeout(), StallTimeout: s.cfg.StallTimeout}
+	if !speculative {
+		// A speculative cell gets one silent attempt and no Abort hook:
+		// cancellation (squash) arrives through ctx, and a failed
+		// speculation is simply dropped — retries and failure accounting
+		// are a demand-path luxury the governor should not pay for.
+		pol.MaxAttempts, pol.RetryBackoff = s.cfg.MaxAttempts, s.cfg.RetryBackoff
+		pol.Abort, pol.Notify = abort, s.cellEvent
+	}
 	parent := trace.FromContext(ctx)
 	wl, err := workload.ByName(spec.Workload)
 	if err != nil {
@@ -1657,27 +1457,14 @@ func (s *Service) execute(ctx context.Context, spec RunSpec, pol harness.RunPoli
 	}
 	elapsed := time.Since(start)
 	sim.Finish()
+	if speculative {
+		s.spec.specNanos.Add(uint64(elapsed))
+	} else {
+		s.runNanos.Add(uint64(elapsed))
+		s.runDur.Observe(elapsed.Seconds())
+		s.runsExecuted.Inc()
+	}
 	return r, retries, elapsed, err
-}
-
-// deliverFailure records one permanently-failed cell and degrades every
-// waiting job rather than killing it.
-func (s *Service) deliverFailure(waiters []delivery, k harness.Key, ce *harness.CellError, retries int) {
-	s.cellsFailed.Add(1)
-	s.event("cell-failed", ce.Error())
-	fail := Failure{
-		Cell:     fmt.Sprintf("%s/%v/%v", k.Workload, k.Variant, k.Model),
-		Kind:     string(ce.Kind),
-		Attempts: ce.Attempts,
-		Error:    ce.Err.Error(),
-	}
-	failLine := fmt.Sprintf("%-14s %-11s %-10s FAILED: %s after %d attempt(s): %v",
-		k.Workload, k.Variant, k.Model, ce.Kind, ce.Attempts, ce.Err)
-	for _, w := range waiters {
-		w.await.Finish()
-		finishCell(w.ct, "failed")
-		w.job.cellFail(w.idx, w.key, fail, failLine, retries)
-	}
 }
 
 // autoTimeoutFactor scales the observed p99 run duration into the
@@ -1813,165 +1600,4 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}
 	s.journal.close()
 	return waitErr
-}
-
-// Metrics is a point-in-time snapshot of the service counters.
-type Metrics struct {
-	CacheHits         uint64
-	CacheMisses       uint64
-	CacheEvictions    uint64
-	CacheEntries      int
-	CacheBytes        int64
-	CacheEvictedBytes uint64
-	QueueDepth        int
-	InFlight          int
-	Workers           int
-	RunsExecuted      uint64
-	RunsDeduped       uint64
-	RunsSkipped       uint64
-	RunSeconds        float64
-	JobsTotal         uint64
-
-	Retries      uint64
-	CellsFailed  uint64
-	CellPanics   uint64
-	CellTimeouts uint64
-	CellStalls   uint64
-	JobsRejected uint64
-	JobsEvicted  uint64
-	JobsTracked  int
-
-	CacheCorruptEntries   uint64
-	CacheQuarantinedFiles uint64
-	PersistFailures       uint64
-	CacheDegraded         bool
-	FaultsInjected        uint64
-
-	// Resumable-job counters (zero unless Config.JournalPath).
-	ResumedJobs         uint64
-	ResumeCellsSkipped  uint64
-	ResumeCellsRerun    uint64
-	ResumingJobs        int64
-	JournalAppends      uint64
-	JournalAppendFails  uint64
-	JournalCorruptLines int
-	JournalDegraded     bool
-
-	// Cache-peering counters (zero unless Config.Peers).
-	PeerHits        uint64
-	PeerMisses      uint64
-	PeerErrors      uint64
-	PeerHedges      uint64
-	PeersConfigured int
-	PeersAvailable  int
-
-	CheckpointsCaptured   uint64
-	CheckpointHits        uint64
-	WarmupInstrsSimulated uint64
-	CheckpointsPersisted  uint64
-	CheckpointDiskHits    uint64
-
-	SamplePlansBuilt      uint64
-	SamplePlanHits        uint64
-	SampledCells          uint64
-	SampledDetailedInstrs uint64
-	ProfiledInstrs        uint64
-	SamplePlansPersisted  uint64
-	SamplePlanDiskHits    uint64
-
-	// Speculation counters (zero unless Config.Speculate).
-	SpecPredictions      uint64
-	SpecCellsExecuted    uint64
-	SpecHits             uint64
-	SpecCancellations    uint64
-	SpecCPUSeconds       float64
-	SpecWastedCPUSeconds float64
-	SpecThrottleState    string
-	SpecBacklog          int
-	SpecUnclaimed        int
-}
-
-// Snapshot gathers the current metrics.
-func (s *Service) Snapshot() Metrics {
-	hits, misses := s.cache.Stats()
-	s.mu.Lock()
-	tracked := len(s.jobs)
-	s.mu.Unlock()
-	m := Metrics{
-		CacheHits:         hits,
-		CacheMisses:       misses,
-		CacheEvictions:    s.cache.Evictions(),
-		CacheEntries:      s.cache.Len(),
-		CacheBytes:        s.cache.Bytes(),
-		CacheEvictedBytes: s.cache.EvictedBytes(),
-		QueueDepth:        s.pool.QueueDepth(),
-		InFlight:          s.pool.Active(),
-		Workers:           s.cfg.Workers,
-		RunsExecuted:      s.runsExecuted.Load(),
-		RunsDeduped:       s.runsDeduped.Load(),
-		RunsSkipped:       s.runsSkipped.Load(),
-		RunSeconds:        float64(s.runNanos.Load()) / 1e9,
-		JobsTotal:         s.jobsTotal.Load(),
-
-		Retries:      s.retriesTotal.Load(),
-		CellsFailed:  s.cellsFailed.Load(),
-		CellPanics:   s.cellPanics.Load(),
-		CellTimeouts: s.cellTimeouts.Load(),
-		CellStalls:   s.cellStalls.Load(),
-		JobsRejected: s.jobsRejected.Load(),
-		JobsEvicted:  s.jobsEvicted.Load(),
-		JobsTracked:  tracked,
-
-		CacheCorruptEntries:   s.cache.CorruptEntries(),
-		CacheQuarantinedFiles: s.cache.QuarantinedFiles(),
-		PersistFailures:       s.persistFailures.Load(),
-		CacheDegraded:         s.cacheDegraded.Load(),
-		FaultsInjected:        s.inj.Stats().Total(),
-
-		CheckpointsCaptured:   s.ckptsCaptured.Load(),
-		CheckpointHits:        s.ckptHits.Load(),
-		WarmupInstrsSimulated: s.warmupSimulated.Load(),
-		CheckpointsPersisted:  s.ckptsPersisted.Load(),
-		CheckpointDiskHits:    s.ckptDiskHits.Load(),
-
-		SamplePlansBuilt:      s.plansBuilt.Load(),
-		SamplePlanHits:        s.planHits.Load(),
-		SampledCells:          s.sampledCells.Load(),
-		SampledDetailedInstrs: s.sampledInstrs.Load(),
-		ProfiledInstrs:        s.profiledInstrs.Load(),
-		SamplePlansPersisted:  s.plansPersisted.Load(),
-		SamplePlanDiskHits:    s.planDiskHits.Load(),
-	}
-	if jn := s.journal; jn != nil {
-		m.ResumedJobs = s.resumedJobs.Load()
-		m.ResumeCellsSkipped = s.resumeSkipped.Load()
-		m.ResumeCellsRerun = s.resumeReruns.Load()
-		m.ResumingJobs = s.resuming.Load()
-		a, e, _, sk := jn.stats()
-		m.JournalAppends = a
-		m.JournalAppendFails = e
-		m.JournalCorruptLines = sk
-		m.JournalDegraded = jn.isDegraded()
-	}
-	if f := s.fab; f != nil {
-		fs := f.Stats()
-		m.PeerHits = fs.Hits
-		m.PeerMisses = fs.Misses
-		m.PeerErrors = fs.Errors
-		m.PeerHedges = fs.Hedges
-		m.PeersConfigured = f.Peers()
-		m.PeersAvailable = f.Available()
-	}
-	if sp := s.spec; sp != nil {
-		m.SpecPredictions = sp.predictions.Load()
-		m.SpecCellsExecuted = sp.cellsExecuted.Load()
-		m.SpecHits = sp.hits.Load()
-		m.SpecCancellations = sp.cancellations.Load()
-		m.SpecCPUSeconds = float64(sp.specNanos.Load()) / 1e9
-		m.SpecWastedCPUSeconds = float64(sp.wastedNanos.Load()) / 1e9
-		m.SpecThrottleState = sp.gov.State().String()
-		m.SpecBacklog = sp.backlog()
-		m.SpecUnclaimed = sp.track.Len()
-	}
-	return m
 }

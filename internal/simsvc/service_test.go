@@ -65,21 +65,22 @@ func TestDeterminismIsCacheSoundness(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	j1 := submitAndWait(t, s, smallReq())
-	execAfterFirst := s.Snapshot().RunsExecuted
+	execAfterFirst := metric(t, s, "sdo_runs_executed_total")
 	if execAfterFirst != 4 {
-		t.Fatalf("first sweep executed %d runs, want 4", execAfterFirst)
+		t.Fatalf("first sweep executed %v runs, want 4", execAfterFirst)
 	}
 
 	j2 := submitAndWait(t, s, smallReq())
-	m := s.Snapshot()
-	if m.RunsExecuted != execAfterFirst {
-		t.Fatalf("second sweep ran %d simulations, want 0", m.RunsExecuted-execAfterFirst)
+	if got := metric(t, s, "sdo_runs_executed_total"); got != execAfterFirst {
+		t.Fatalf("second sweep ran %v simulations, want 0", got-execAfterFirst)
 	}
 	if st := j2.Status(); st.Cached != st.Total {
 		t.Fatalf("second sweep: %d/%d cells from cache", st.Cached, st.Total)
 	}
-	if m.CacheHits != 4 {
-		t.Fatalf("cache hits = %d, want 4", m.CacheHits)
+	wantDeliveries(t, j1, "", 0)
+	wantDeliveries(t, j2, "  [cached]", 4)
+	if got := metric(t, s, "sdo_cache_hits_total"); got != 4 {
+		t.Fatalf("cache hits = %v, want 4", got)
 	}
 
 	// Bit-identical ExportRun counters between the two jobs.
@@ -152,8 +153,8 @@ func TestSingleflight(t *testing.T) {
 	if st := j2.Status(); st.State != JobDone {
 		t.Fatalf("j2: %+v", st)
 	}
-	if m := s.Snapshot(); m.RunsExecuted != 4 {
-		t.Fatalf("executed %d simulations for two identical 4-cell sweeps, want 4", m.RunsExecuted)
+	if got := metric(t, s, "sdo_runs_executed_total"); got != 4 {
+		t.Fatalf("executed %v simulations for two identical 4-cell sweeps, want 4", got)
 	}
 	ra, _ := j1.Results()
 	rb, _ := j2.Results()
@@ -203,7 +204,7 @@ func TestCancellationNoLeakedGoroutines(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if m := s.Snapshot(); m.RunsExecuted+m.RunsSkipped+m.RunsDeduped == 0 {
+	if metric(t, s, "sdo_runs_executed_total")+metric(t, s, "sdo_runs_skipped_total")+metric(t, s, "sdo_runs_deduped_total") == 0 {
 		t.Fatal("expected some cells to be accounted for")
 	}
 	waitGoroutines(t, base)
@@ -228,8 +229,8 @@ func TestShutdownPersistsAndReloadsCache(t *testing.T) {
 		t.Fatalf("reloaded cache has %d entries, want 4", s2.Cache().Len())
 	}
 	j2 := submitAndWait(t, s2, smallReq())
-	if m := s2.Snapshot(); m.RunsExecuted != 0 {
-		t.Fatalf("restarted service executed %d simulations, want 0", m.RunsExecuted)
+	if got := metric(t, s2, "sdo_runs_executed_total"); got != 0 {
+		t.Fatalf("restarted service executed %v simulations, want 0", got)
 	}
 	res2, _ := j2.Results()
 	for k, r := range res1.Runs {

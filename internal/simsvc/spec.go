@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,11 +25,10 @@ import (
 // moment demand work needs the slot, leaving nothing behind but sound
 // cache entries; the governor bounds the wasted compute.
 type speculation struct {
-	svc      *Service
-	pred     *specexec.Predictor
-	gov      *specexec.Governor
-	track    *specexec.Tracker
-	maxCells int
+	svc   *Service
+	pred  *specexec.Predictor
+	gov   *specexec.Governor
+	track *specexec.Tracker
 
 	mu        sync.Mutex
 	stopped   bool
@@ -39,34 +37,43 @@ type speculation struct {
 	active    int
 	wg        sync.WaitGroup
 
-	predictions   atomic.Uint64 // candidates that contributed cells
-	cellsExecuted atomic.Uint64 // speculative cells run to completion
-	hits          atomic.Uint64 // demand cells served by speculation
-	cancellations atomic.Uint64 // speculative cells squashed mid-run
-	specNanos     atomic.Uint64 // wall time of speculative execution
-	wastedNanos   atomic.Uint64 // the cancelled/failed/expired share
+	predictions   *obs.Counter  // candidates that contributed cells
+	cellsExecuted *obs.Counter  // speculative cells run to completion
+	hits          *obs.Counter  // demand cells served by speculation
+	cancellations *obs.Counter  // speculative cells squashed mid-run
+	specNanos     atomic.Uint64 // wall time of speculative execution (exported in seconds)
+	wastedNanos   atomic.Uint64 // the cancelled/failed/expired share (exported in seconds)
 }
 
+// specMaxCells bounds cells pre-executed per prediction round.
+const specMaxCells = 64
+
 // newSpeculation wires the predictor, governor and tracker from the
-// service config. Called only when cfg.Speculate is set.
+// service config (confidence and hit-rate thresholds are specexec's own
+// defaults) and declares the engine's metrics. Called only when
+// cfg.Speculate is set.
 func newSpeculation(s *Service) *speculation {
-	maxCells := s.cfg.SpecMaxCells
-	if maxCells <= 0 {
-		maxCells = 64
+	r := s.reg
+	sp := &speculation{
+		svc:   s,
+		pred:  specexec.NewPredictor(specexec.PredictorConfig{JournalPath: s.cfg.SpecJournal}),
+		gov:   specexec.NewGovernor(specexec.GovernorConfig{BudgetCPU: s.cfg.SpecBudget}),
+		track: specexec.NewTracker(0),
+
+		predictions:   r.NewCounter("sdo_spec_predictions_total", "Prediction candidates that contributed pre-executable cells."),
+		cellsExecuted: r.NewCounter("sdo_spec_cells_preexecuted_total", "Speculative cells run to completion into the result cache."),
+		hits:          r.NewCounter("sdo_spec_hits_total", "Demand cells served by speculative pre-execution."),
+		cancellations: r.NewCounter("sdo_spec_cancellations_total", "Speculative cells squashed mid-run by demand arrival or shutdown."),
 	}
-	return &speculation{
-		svc: s,
-		pred: specexec.NewPredictor(specexec.PredictorConfig{
-			JournalPath:   s.cfg.SpecJournal,
-			MinConfidence: s.cfg.SpecMinConfidence,
-		}),
-		gov: specexec.NewGovernor(specexec.GovernorConfig{
-			BudgetCPU:  s.cfg.SpecBudget,
-			MinHitRate: s.cfg.SpecMinHitRate,
-		}),
-		track:    specexec.NewTracker(0),
-		maxCells: maxCells,
-	}
+	r.NewCounterFunc("sdo_spec_cpu_seconds_total", "Wall time spent executing speculative cells.",
+		func() float64 { return float64(sp.specNanos.Load()) / 1e9 })
+	r.NewCounterFunc("sdo_spec_wasted_cpu_seconds_total", "Speculative wall time wasted (cancelled, failed or expired unclaimed).",
+		func() float64 { return float64(sp.wastedNanos.Load()) / 1e9 })
+	r.NewGaugeFunc("sdo_spec_throttle_state", "Speculation governor state: 0 ok, 1 throttled (low hit-rate), 2 exhausted (budget spent).",
+		func() float64 { return float64(sp.gov.State()) })
+	r.NewGaugeFunc("sdo_spec_backlog", "Speculative cells queued or running.",
+		func() float64 { return float64(sp.backlog()) })
+	return sp
 }
 
 // event emits a ClassSpec observability event.
@@ -204,8 +211,7 @@ func (sp *speculation) launch() {
 				return
 			}
 		}
-		idle := s.cfg.Workers - s.pool.Active() - sp.active
-		if idle <= 0 {
+		if s.IdleWorkers()-sp.active <= 0 {
 			sp.mu.Unlock()
 			return
 		}
@@ -238,7 +244,7 @@ func (sp *speculation) refill() bool {
 	seen := make(map[string]bool)
 	var cells []RunSpec
 	for _, cand := range cands {
-		if len(cells) >= sp.maxCells {
+		if len(cells) >= specMaxCells {
 			break
 		}
 		var req SweepRequest
@@ -251,7 +257,7 @@ func (sp *speculation) refill() bool {
 		}
 		used := false
 		for _, c := range specs {
-			if len(cells) >= sp.maxCells {
+			if len(cells) >= specMaxCells {
 				break
 			}
 			key, err := c.CacheKey()
@@ -269,7 +275,7 @@ func (sp *speculation) refill() bool {
 			used = true
 		}
 		if used {
-			sp.predictions.Add(1)
+			sp.predictions.Inc()
 			sp.event("predict", fmt.Sprintf("%s: sig %s conf %.2f", cand.Reason, cand.Sig, cand.Confidence))
 		}
 	}
@@ -307,87 +313,53 @@ func (sp *speculation) runCell(spec RunSpec) {
 		return
 	}
 	ctx, cancel := context.WithCancel(s.ctx)
-	f := &flight{spec: true, cancel: cancel}
-	s.inflight[key] = f
+	s.inflight[key] = &flight{spec: true, cancel: cancel}
 	s.mu.Unlock()
 	defer cancel()
 
 	k := spec.Key()
-	sp.event("spec-start", fmt.Sprintf("%s/%v/%v", k.Workload, k.Variant, k.Model))
+	sp.event("spec-start", cellName(k))
 	// The pre-execution gets a standalone trace rooted at a spec-preexec
 	// span (nil with tracing off). If the demand request it predicted
 	// arrives, the whole tree is stitched under the demand cell's root.
 	ct := s.tracer.StartSpecCell(cellName(k))
-	// One attempt, no Abort hook: cancellation (squash) arrives through
-	// the context, and a failed speculation is simply dropped — retries
-	// are a demand-path luxury the governor should not pay for.
-	pol := harness.RunPolicy{
-		MaxAttempts:  1,
-		CellTimeout:  s.cellTimeout(),
-		StallTimeout: s.cfg.StallTimeout,
-	}
-	r, _, elapsed, err := s.execute(trace.NewContext(ctx, ct.Root()), spec, pol)
+	r, _, elapsed, err := s.execute(trace.NewContext(ctx, ct.Root()), spec, true, nil)
 
-	s.mu.Lock()
-	delete(s.inflight, key)
-	waiters := f.waiters
-	claimed := f.claimed
-	s.mu.Unlock()
-
-	sp.specNanos.Add(uint64(elapsed))
-	line := func(note string) string { return harness.FormatProgress(k, r) + note }
 	var ce *harness.CellError
 	switch {
 	case err == nil:
 		s.cache.Put(key, r)
-		sp.cellsExecuted.Add(1)
-		ct.Root().Set("claimed", strconv.FormatBool(claimed))
-		ct.Finish()
+		sp.cellsExecuted.Inc()
+		claimed := s.settle(key, k, settlement{res: r, status: "speculated", note: "  [speculated]", pre: ct})
 		if claimed {
 			sp.gov.Hit(elapsed)
-			for _, w := range waiters {
-				w.await.Finish()
-				w.ct.Stitch(ct)
-				w.job.deliver(w.idx, w.key, r, line("  [speculated]"), false, 0,
-					finishCell(w.ct, "speculated"))
-			}
 		} else {
 			sp.track.Add(key, elapsed)
 			s.tracer.TrackSpec(key, ct)
 		}
-		sp.event("spec-executed", fmt.Sprintf("%s/%v/%v in %s (claimed=%t)",
-			k.Workload, k.Variant, k.Model, elapsed.Round(time.Millisecond), claimed))
+		sp.event("spec-executed", fmt.Sprintf("%s in %s (claimed=%t)",
+			cellName(k), elapsed.Round(time.Millisecond), claimed))
 	case errors.Is(err, context.Canceled):
-		sp.cancellations.Add(1)
-		sp.wastedNanos.Add(uint64(elapsed))
-		sp.gov.Waste(elapsed)
+		sp.cancellations.Inc()
 		ct.Root().Set("squashed", "true")
-		ct.Finish()
-		for _, w := range waiters {
-			w.await.Finish()
-			finishCell(w.ct, "cancelled")
-			w.job.skip()
-		}
-		sp.event("spec-cancelled", fmt.Sprintf("%s/%v/%v after %s",
-			k.Workload, k.Variant, k.Model, elapsed.Round(time.Millisecond)))
-	case errors.As(err, &ce) && claimed:
+		s.settle(key, k, settlement{err: ErrCancelled, status: "cancelled", pre: ct})
+		sp.event("spec-cancelled", fmt.Sprintf("%s after %s", cellName(k), elapsed.Round(time.Millisecond)))
+	case errors.As(err, &ce):
 		// A claimed speculation that failed permanently degrades its
-		// demand waiters exactly as a demand execution would have.
-		sp.wastedNanos.Add(uint64(elapsed))
-		sp.gov.Waste(elapsed)
-		ct.Finish()
-		s.deliverFailure(waiters, k, ce, 0)
-		sp.event("spec-failed", ce.Error())
-	default:
-		sp.wastedNanos.Add(uint64(elapsed))
-		sp.gov.Waste(elapsed)
-		ct.Finish()
-		for _, w := range waiters {
-			w.await.Finish()
-			finishCell(w.ct, "error")
-			w.job.skip()
+		// demand waiters exactly as a demand execution would have; an
+		// unclaimed one has no waiters and is simply dropped.
+		if s.settle(key, k, settlement{err: ce, status: "failed", pre: ct}) {
+			sp.event("spec-failed", ce.Error())
+		} else {
+			sp.event("spec-failed", fmt.Sprintf("%s: %v", cellName(k), err))
 		}
-		sp.event("spec-failed", fmt.Sprintf("%s/%v/%v: %v", k.Workload, k.Variant, k.Model, err))
+	default:
+		s.settle(key, k, settlement{err: ErrCancelled, status: "error", pre: ct})
+		sp.event("spec-failed", fmt.Sprintf("%s: %v", cellName(k), err))
+	}
+	if err != nil {
+		sp.wastedNanos.Add(uint64(elapsed))
+		sp.gov.Waste(elapsed)
 	}
 	if state := sp.gov.State(); state != specexec.StateOK {
 		sp.event("spec-throttled", state.String())
@@ -447,10 +419,10 @@ func (s *Service) SpecStatus() SpecStatus {
 		Enabled:       true,
 		Predictor:     sp.pred.Snapshot(),
 		Governor:      sp.gov.Snapshot(),
-		Predictions:   sp.predictions.Load(),
-		CellsExecuted: sp.cellsExecuted.Load(),
-		Hits:          sp.hits.Load(),
-		Cancellations: sp.cancellations.Load(),
+		Predictions:   sp.predictions.Value(),
+		CellsExecuted: sp.cellsExecuted.Value(),
+		Hits:          sp.hits.Value(),
+		Cancellations: sp.cancellations.Value(),
 		Backlog:       sp.backlog(),
 		Unclaimed:     sp.track.Len(),
 		Candidates:    sp.pred.Predict(),

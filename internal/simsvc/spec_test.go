@@ -71,21 +71,20 @@ func TestSpeculationHit(t *testing.T) {
 		}
 		return true
 	})
-	before := s2.Snapshot()
-	if before.SpecCellsExecuted == 0 {
-		t.Fatalf("no speculative cells executed: %+v", before)
+	if got := metric(t, s2, "sdo_spec_cells_preexecuted_total"); got == 0 {
+		t.Fatalf("no speculative cells executed: %s", metricLines(s2, "sdo_spec"))
 	}
+	execBefore := metric(t, s2, "sdo_runs_executed_total")
 
 	j := submitAndWait(t, s2, reqB)
-	after := s2.Snapshot()
-	if after.RunsExecuted != before.RunsExecuted {
-		t.Errorf("demand B re-simulated %d runs, want 0 (speculation hit)",
-			after.RunsExecuted-before.RunsExecuted)
+	if got := metric(t, s2, "sdo_runs_executed_total"); got != execBefore {
+		t.Errorf("demand B re-simulated %v runs, want 0 (speculation hit)", got-execBefore)
 	}
 	if st := j.Status(); st.Cached != st.Total {
 		t.Errorf("B served %d/%d cells from cache", st.Cached, st.Total)
 	}
-	if after.SpecHits == 0 {
+	wantDeliveries(t, j, "  [cached, speculated]", 1)
+	if got := metric(t, s2, "sdo_spec_hits_total"); got == 0 {
 		t.Error("speculation hit not credited")
 	}
 	if gov := s2.SpecStatus().Governor; gov.UsefulCPUSeconds <= 0 {
@@ -137,9 +136,13 @@ func TestSpeculationCancellation(t *testing.T) {
 
 	// Every cell attempt sleeps 3s before simulating (cancellably), so
 	// the speculative run of C is reliably still in flight when D lands.
+	// Two workers: the launcher is kicked from the pool worker that
+	// finishes A, which still counts as busy until it returns, so a
+	// one-worker pool sees no idle slot whenever the launcher wins that
+	// race (and nothing re-kicks it until the next job finishes).
 	inj := faults.New(faults.Config{Seed: 1, SlowProb: 1, SlowDelay: 3 * time.Second})
 	s := newService(t, Config{
-		Workers: 1, Speculate: true, SpecJournal: journal,
+		Workers: 2, Speculate: true, SpecJournal: journal,
 		SpecBudget: time.Nanosecond, // any waste exhausts the budget
 		Faults:     inj,
 	})
@@ -160,12 +163,11 @@ func TestSpeculationCancellation(t *testing.T) {
 	// D needs none of C's cells: Submit preempts the speculative flight.
 	submitAndWait(t, s, reqD)
 	pollUntil(t, "the cancellation to be accounted", 10*time.Second, func() bool {
-		return s.Snapshot().SpecCancellations >= 1
+		return metric(t, s, "sdo_spec_cancellations_total") >= 1
 	})
 
-	m := s.Snapshot()
-	if m.SpecWastedCPUSeconds <= 0 {
-		t.Errorf("cancelled speculation accounted no waste: %+v", m)
+	if got := metric(t, s, "sdo_spec_wasted_cpu_seconds_total"); got <= 0 {
+		t.Errorf("cancelled speculation accounted no waste: %s", metricLines(s, "sdo_spec"))
 	}
 	st := s.SpecStatus()
 	if st.Governor.State != "exhausted" {
@@ -173,8 +175,8 @@ func TestSpeculationCancellation(t *testing.T) {
 			st.Governor.State, time.Nanosecond, st.Governor.WastedCPUSeconds)
 	}
 	// An exhausted governor launches nothing further.
-	if got := s.Snapshot().SpecBacklog; got != 0 {
-		t.Errorf("exhausted governor still has backlog %d", got)
+	if got := metric(t, s, "sdo_spec_backlog"); got != 0 {
+		t.Errorf("exhausted governor still has backlog %v", got)
 	}
 }
 
@@ -214,9 +216,8 @@ func TestSpeculationOffIsInvisible(t *testing.T) {
 		t.Fatal("SpecStatus claims enabled")
 	}
 	submitAndWait(t, s, specReq("exchange2_r", "unsafe"))
-	m := s.Snapshot()
-	if m.SpecPredictions != 0 || m.SpecCellsExecuted != 0 || m.SpecHits != 0 {
-		t.Fatalf("spec metrics non-zero with speculation off: %+v", m)
+	if got := metricLines(s, "sdo_spec"); got != "" {
+		t.Fatalf("spec metrics exported with speculation off: %s", got)
 	}
 }
 

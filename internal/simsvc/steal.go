@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
@@ -67,12 +66,20 @@ type stealState struct {
 	pending map[string]*pendingCell
 	order   []string // FIFO claim order (keys; may hold stale entries)
 	leases  map[string]*cellLease
+
+	cellsStolen    *obs.Counter // queued cells leased out to work-stealing peers
+	stealCompleted *obs.Counter // stolen-cell results delivered back
+	leaseExpiries  *obs.Counter // steal leases that expired unfulfilled (cell reclaimed)
 }
 
-func newStealState() *stealState {
+func newStealState(r *obs.Registry) *stealState {
 	return &stealState{
 		pending: make(map[string]*pendingCell),
 		leases:  make(map[string]*cellLease),
+
+		cellsStolen:    r.NewCounter("sdo_cluster_cells_stolen_total", "Queued cells leased out to work-stealing cluster peers."),
+		stealCompleted: r.NewCounter("sdo_cluster_steal_completions_total", "Stolen-cell results accepted back into the cache."),
+		leaseExpiries:  r.NewCounter("sdo_cluster_lease_expiries_total", "Steal leases that expired unfulfilled (cell reclaimed locally)."),
 	}
 }
 
@@ -167,7 +174,7 @@ func (s *Service) StealCells(thief string, max int) []StolenCell {
 	st.order = live
 	st.mu.Unlock()
 	for _, key := range expired {
-		s.leaseExpiries.Add(1)
+		st.leaseExpiries.Inc()
 		s.event("steal-lease-expired", key)
 	}
 
@@ -198,7 +205,7 @@ func (s *Service) StealCells(thief string, max int) []StolenCell {
 		s.journal.lease(c.Key, thief, until)
 		c.Until = until
 		out = append(out, c)
-		s.cellsStolen.Add(1)
+		st.cellsStolen.Inc()
 	}
 	if len(out) > 0 && s.rec.On(obs.ClassTrace) {
 		s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "cells-stolen",
@@ -216,14 +223,14 @@ func (s *Service) CompleteSteal(key string, body []byte) error {
 	if s.steal == nil {
 		return fmt.Errorf("simsvc: work stealing disabled")
 	}
-	r, err := decodePeerEntry(key, body)
+	r, err := decodeEntry(key, body)
 	if err != nil {
 		return err
 	}
 	s.cache.Put(key, r)
 	s.schedulePersist()
-	s.stealCompleted.Add(1)
 	st := s.steal
+	st.stealCompleted.Inc()
 	st.mu.Lock()
 	l, ok := st.leases[key]
 	if ok {
@@ -271,7 +278,7 @@ func (s *Service) stealWait(root *trace.Span, key string) (core.Result, string, 
 	sp.Set("outcome", "expired")
 	sp.Finish()
 	if s.steal.drop(key, l) {
-		s.leaseExpiries.Add(1)
+		s.steal.leaseExpiries.Inc()
 		s.event("steal-lease-expired", fmt.Sprintf("%s (thief %s); reclaimed locally", key, l.thief))
 	}
 	return core.Result{}, "", false
@@ -289,19 +296,7 @@ func (s *Service) RunStolen(ctx context.Context, spec RunSpec) ([]byte, error) {
 	if e, ok := s.cache.PeekEncoded(key); ok {
 		return json.Marshal(e)
 	}
-	pol := harness.RunPolicy{
-		MaxAttempts:  s.cfg.MaxAttempts,
-		RetryBackoff: s.cfg.RetryBackoff,
-		CellTimeout:  s.cellTimeout(),
-		StallTimeout: s.cfg.StallTimeout,
-		Notify:       s.cellEvent,
-	}
-	r, _, elapsed, err := s.execute(ctx, spec, pol)
-	if elapsed > 0 {
-		s.runNanos.Add(uint64(elapsed))
-		s.runDur.Observe(elapsed.Seconds())
-		s.runsExecuted.Add(1)
-	}
+	r, _, _, err := s.execute(ctx, spec, false, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -361,18 +361,18 @@ func TestSlowCellNote(t *testing.T) {
 	k := harness.Key{Workload: "exchange2_r"}
 
 	s.noteSlowCell(k, time.Hour, nil)
-	if n := s.slowCells.Load(); n != 0 {
+	if n := s.slowCells.Value(); n != 0 {
 		t.Fatalf("slow cell flagged with an empty histogram: %d", n)
 	}
 	for i := 0; i < slowCellMinSamples; i++ {
 		s.runDur.Observe(0.010)
 	}
 	s.noteSlowCell(k, 5*time.Millisecond, nil)
-	if n := s.slowCells.Load(); n != 0 {
+	if n := s.slowCells.Value(); n != 0 {
 		t.Fatalf("in-distribution cell flagged: %d", n)
 	}
 	s.noteSlowCell(k, time.Second, nil)
-	if n := s.slowCells.Load(); n != 1 {
+	if n := s.slowCells.Value(); n != 1 {
 		t.Fatalf("slow cell not flagged: %d", n)
 	}
 	found := false

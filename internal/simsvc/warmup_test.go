@@ -31,22 +31,21 @@ func TestFunctionalWarmupCheckpointTier(t *testing.T) {
 	// 4 cells over 2 workloads: one capture per (workload, warmup), every
 	// other cell restores it. Warmup is simulated exactly once per
 	// workload.
-	m := s.Snapshot()
-	if m.CheckpointsCaptured != 2 {
-		t.Errorf("captured %d checkpoints, want 2", m.CheckpointsCaptured)
+	if got := metric(t, s, "sdo_checkpoints_captured_total"); got != 2 {
+		t.Errorf("captured %v checkpoints, want 2", got)
 	}
-	if m.CheckpointHits != 2 {
-		t.Errorf("%d checkpoint hits, want 2", m.CheckpointHits)
+	if got := metric(t, s, "sdo_checkpoint_hits_total"); got != 2 {
+		t.Errorf("%v checkpoint hits, want 2", got)
 	}
-	if want := 2 * uint64(1000); m.WarmupInstrsSimulated != want {
-		t.Errorf("simulated %d warmup instructions, want %d", m.WarmupInstrsSimulated, want)
+	if got, want := metric(t, s, "sdo_warmup_instrs_simulated_total"), 2*float64(1000); got != want {
+		t.Errorf("simulated %v warmup instructions, want %v", got, want)
 	}
 
 	// A repeated functional sweep answers from the result cache without
 	// touching the checkpoint tier again.
 	submitAndWait(t, s, functionalReq())
-	if m2 := s.Snapshot(); m2.CheckpointsCaptured != 2 || m2.CheckpointHits != 2 {
-		t.Errorf("cached re-sweep changed checkpoint counters: %+v", m2)
+	if metric(t, s, "sdo_checkpoints_captured_total") != 2 || metric(t, s, "sdo_checkpoint_hits_total") != 2 {
+		t.Errorf("cached re-sweep changed checkpoint counters: %s", metricLines(s, "sdo_checkpoint"))
 	}
 }
 

@@ -148,21 +148,21 @@ func TestRandomDifferential(t *testing.T) {
 
 		type cfgCase struct {
 			name string
-			prot pipeline.Protection
+			prot pipeline.Scheme
 			mod  pipeline.AttackModel
 			pred func(h *mem.Hierarchy) sdo.LocationPredictor
 		}
 		cases := []cfgCase{
-			{"unsafe", pipeline.ProtNone, pipeline.Spectre, nil},
-			{"stt-spectre", pipeline.ProtSTT, pipeline.Spectre, nil},
-			{"stt-futuristic", pipeline.ProtSTT, pipeline.Futuristic, nil},
-			{"sdo-l1-spectre", pipeline.ProtSDO, pipeline.Spectre,
+			{"unsafe", pipeline.SchemeUnsafe, pipeline.Spectre, nil},
+			{"stt-spectre", pipeline.SchemeSTT, pipeline.Spectre, nil},
+			{"stt-futuristic", pipeline.SchemeSTT, pipeline.Futuristic, nil},
+			{"sdo-l1-spectre", pipeline.SchemeSDO, pipeline.Spectre,
 				func(*mem.Hierarchy) sdo.LocationPredictor { return sdo.Static{Level: mem.L1} }},
-			{"sdo-l3-futuristic", pipeline.ProtSDO, pipeline.Futuristic,
+			{"sdo-l3-futuristic", pipeline.SchemeSDO, pipeline.Futuristic,
 				func(*mem.Hierarchy) sdo.LocationPredictor { return sdo.Static{Level: mem.L3} }},
-			{"sdo-hybrid-spectre", pipeline.ProtSDO, pipeline.Spectre,
+			{"sdo-hybrid-spectre", pipeline.SchemeSDO, pipeline.Spectre,
 				func(*mem.Hierarchy) sdo.LocationPredictor { return sdo.NewHybrid(512) }},
-			{"sdo-perfect-futuristic", pipeline.ProtSDO, pipeline.Futuristic,
+			{"sdo-perfect-futuristic", pipeline.SchemeSDO, pipeline.Futuristic,
 				func(h *mem.Hierarchy) sdo.LocationPredictor { return sdo.Perfect{Probe: h.Probe} }},
 		}
 		for _, cs := range cases {
@@ -170,9 +170,9 @@ func TestRandomDifferential(t *testing.T) {
 			init(data)
 			h := mem.NewHierarchy(mem.DefaultConfig())
 			cfg := pipeline.DefaultConfig()
-			cfg.Protection = cs.prot
+			cfg.Scheme = cs.prot
 			cfg.Model = cs.mod
-			cfg.FPTransmitters = cs.prot != pipeline.ProtNone
+			cfg.FPTransmitters = cs.prot != pipeline.SchemeUnsafe
 			if cs.pred != nil {
 				cfg.LocPred = cs.pred(h)
 			}
