@@ -77,8 +77,7 @@ func main() {
 
 		clusterPeers  = flag.String("cluster-peers", "", "full cluster membership as comma-separated id=url pairs incl. this node, e.g. a=http://na:8344,b=http://nb:8344 (federates nodes into one logical /sweeps service)")
 		nodeID        = flag.String("node-id", "", "this node's member id within -cluster-peers")
-		stealInterval = flag.Duration("steal-interval", 0, "work-stealing peer-poll period (0: default 2s; negative: stealing off)")
-		stealMax      = flag.Int("steal-max", 0, "max cells claimed per steal poll (0: default 4)")
+		stealInterval = flag.Duration("steal-interval", 0, "work-stealing fallback poll period; stealing normally wakes on peers' hints and on free worker slots (0: default 2s; negative: stealing off)")
 		stealTTL      = flag.Duration("steal-lease-ttl", 0, "steal-lease duration; an expired lease's cell is reclaimed by its owner (0: default 30s)")
 	)
 	flag.Parse()
@@ -215,7 +214,6 @@ func main() {
 			Service:       svc,
 			Trace:         *traceOn,
 			StealInterval: *stealInterval,
-			StealMax:      *stealMax,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sdoserver:", err)

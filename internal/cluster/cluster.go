@@ -3,9 +3,10 @@
 // partitioned by rendezvous hashing over the member set, requests for a
 // job the local node does not hold are transparently proxied to the
 // ranked owner, and GET /sweeps is answered by scatter-gather across
-// the membership. Idle nodes steal queued cells from busy peers under
-// journaled leases, and checkpoint/plan artifacts are fetched from
-// peers before being rebuilt locally (wired in simsvc, enabled here).
+// the membership. Nodes with free worker slots steal queued cells from
+// busy peers under journaled leases, woken by the busy peer's hint rather
+// than a poll, and checkpoint/plan artifacts are fetched from peers
+// before being rebuilt locally (wired in simsvc, enabled here).
 //
 // The layer is strictly additive: with a single member (or no cluster
 // flags at all) the wrapped service behaves byte-identically to a
@@ -45,7 +46,6 @@ const (
 // Defaults for Config zero values.
 const (
 	DefaultStealInterval = 2 * time.Second
-	DefaultStealMax      = 4
 	DefaultDialTimeout   = 3 * time.Second
 	DefaultFanoutTimeout = 10 * time.Second
 )
@@ -120,8 +120,10 @@ type Config struct {
 
 	Trace bool // record proxy / steal-claim spans, served at GET /cluster/trace
 
-	StealInterval time.Duration // peer-poll period; 0: default, <0: stealing off
-	StealMax      int           // max cells claimed per poll (0: default)
+	// StealInterval is the fallback poll period of the steal loop, which
+	// otherwise wakes on peers' hints and on local worker slots freeing up.
+	// 0: default; <0: stealing off (no loop, no hints sent or honoured).
+	StealInterval time.Duration
 
 	DialTimeout   time.Duration // proxy connect budget (0: default)
 	FanoutTimeout time.Duration // scatter-gather / steal RPC budget (0: default)
@@ -153,7 +155,14 @@ type Node struct {
 	proxyErrors *obs.Counter // owner-unreachable 503s
 	scatters    *obs.Counter // scatter-gather listings fanned out
 	steals      *obs.Counter // cells stolen from peers and completed
-	stealErrors *obs.Counter // stolen cells that failed to run or post back
+	stealErrors *obs.Counter // stolen cells that failed to run or post back; hints that failed to send
+	hints       *obs.Counter // work-available hints received from peers
+
+	// The steal loop's two mailboxes, both coalescing (capacity 1, senders
+	// never block): hinted holds a peer's wake hint, queued says a local
+	// submission left cells waiting and the peers should be hinted.
+	hinted chan wakeup
+	queued chan struct{}
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -173,9 +182,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.StealInterval == 0 {
 		cfg.StealInterval = DefaultStealInterval
 	}
-	if cfg.StealMax <= 0 {
-		cfg.StealMax = DefaultStealMax
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = DefaultDialTimeout
 	}
@@ -183,9 +189,11 @@ func New(cfg Config) (*Node, error) {
 		cfg.FanoutTimeout = DefaultFanoutTimeout
 	}
 	n := &Node{
-		cfg:  cfg,
-		svc:  cfg.Service,
-		byID: make(map[string]Member, len(cfg.Members)),
+		cfg:    cfg,
+		svc:    cfg.Service,
+		byID:   make(map[string]Member, len(cfg.Members)),
+		hinted: make(chan wakeup, 1),
+		queued: make(chan struct{}, 1),
 	}
 	for _, m := range cfg.Members {
 		n.ids = append(n.ids, m.ID)
@@ -218,12 +226,20 @@ func New(cfg Config) (*Node, error) {
 		"Queued cells this node stole from peers and completed back to their owner.")
 	n.stealErrors = reg.NewCounter("sdo_cluster_steal_errors_total",
 		"Stolen cells that failed to execute or to post back to their owner.")
+	n.hints = reg.NewCounter("sdo_cluster_steal_hints_total",
+		"Work-available hints received from cluster peers.")
 	n.ctx, n.cancel = context.WithCancel(context.Background())
-	if cfg.StealInterval > 0 && len(cfg.Members) > 1 {
+	if n.stealing() {
 		n.wg.Add(1)
 		go n.stealLoop()
 	}
 	return n, nil
+}
+
+// stealing reports whether this node runs the steal loop (and so sends
+// and honours hints): StealInterval not negative, and peers to steal from.
+func (n *Node) stealing() bool {
+	return n.cfg.StealInterval > 0 && len(n.cfg.Members) > 1
 }
 
 // Close stops the stealing loop. The wrapped Service is not shut down;

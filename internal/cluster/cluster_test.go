@@ -32,6 +32,13 @@ func (s *swapHandler) set(h http.Handler) {
 	s.mu.Unlock()
 }
 
+// wrap puts mw in front of the current handler.
+func (s *swapHandler) wrap(mw func(http.Handler) http.Handler) {
+	s.mu.Lock()
+	s.h = mw(s.h)
+	s.mu.Unlock()
+}
+
 func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	h := s.h
@@ -344,45 +351,191 @@ func TestClusterScatterGatherListing(t *testing.T) {
 	}
 }
 
-// TestClusterWorkStealing: an idle node drains a busy peer's queue, the
-// owner's export stays byte-identical to a standalone run, and the
-// steal metrics account for the transfer.
-func TestClusterWorkStealing(t *testing.T) {
+// stealReq is one functional-warmup cell per workload. Such a cell asks
+// the node's cluster peers for the workload's checkpoint before building
+// it, which is what lets gateArtifacts hold it mid-run.
+func stealReq() simsvc.SweepRequest {
 	req := smallReq()
-	req.Workloads = []string{"exchange2_r", "deepsjeng_r", "xz_r", "mcf_r"}
-	req.MaxInstrs = 20_000 // slow the cells so the thief's poll lands mid-queue
+	req.Workloads = []string{"exchange2_r", "deepsjeng_r", "xz_r", "mcf_r", "gcc_r", "x264_r", "leela_r", "namd_r"}
+	req.Variants = []string{"hybrid"}
+	req.WarmupMode = "functional"
+	return req
+}
 
-	// Standalone golden: same request, isolated node.
-	solo := startCluster(t, []string{"solo"}, nil)[0]
-	stSolo := postSweep(t, solo.srv.URL, req)
-	golden, _ := get(t, solo.srv.URL+"/sweeps/"+stSolo.ID+"/export", 200)
+// gateArtifacts parks the first hold checkpoint fetches that reach tn
+// until release is called: the cells that sent them (on tn's peers) stop
+// mid-run on an event the test controls, then carry on — a peer miss,
+// a local build — exactly as if tn never had the checkpoint. entered
+// gets one signal per parked fetch.
+func gateArtifacts(t *testing.T, tn *testNode, hold int32) (entered <-chan struct{}, release func()) {
+	t.Helper()
+	in := make(chan struct{}, hold)
+	open := make(chan struct{})
+	var seen atomic.Int32
+	tn.swap.wrap(func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/artifacts/") && seen.Add(1) <= hold {
+				in <- struct{}{}
+				<-open
+			}
+			inner.ServeHTTP(w, r)
+		})
+	})
+	var once sync.Once
+	release = func() { once.Do(func() { close(open) }) }
+	t.Cleanup(release)
+	return in, release
+}
 
+// stealPair is a two-node cluster for the steal tests: owner a has one
+// worker, thief b has thiefWorkers. Both steal loops run with an hour-long
+// fallback tick (mut may shorten it), so whatever gets stolen was stolen
+// on a hint or an idle edge; and b parks every checkpoint fetch from a
+// until the returned release, so a's one worker stays inside its first
+// cell and everything behind it is there for b to take.
+func stealPair(t *testing.T, thiefWorkers int, mut func(i int, ncfg *Config)) (a, b *testNode, release func()) {
+	t.Helper()
 	nodes := startCluster(t, []string{"a", "b"}, func(i int, scfg *simsvc.Config, ncfg *Config) {
-		if i == 0 {
-			scfg.Workers = 1 // the victim: a long queue
-		} else {
-			scfg.Workers = 4
-			ncfg.StealInterval = 20 * time.Millisecond
-			ncfg.StealMax = 2
+		scfg.Workers = 1
+		if i == 1 {
+			scfg.Workers = thiefWorkers
+		}
+		scfg.PeerTimeout = time.Minute // only release ends a parked fetch
+		ncfg.StealInterval = time.Hour
+		if mut != nil {
+			mut(i, ncfg)
 		}
 	})
-	a, b := nodes[0], nodes[1]
+	_, release = gateArtifacts(t, nodes[1], 1<<30)
+	return nodes[0], nodes[1], release
+}
+
+func soloGolden(t *testing.T, req simsvc.SweepRequest) []byte {
+	t.Helper()
+	solo := startCluster(t, []string{"solo"}, nil)[0]
+	st := postSweep(t, solo.srv.URL, req)
+	golden, _ := get(t, solo.srv.URL+"/sweeps/"+st.ID+"/export", 200)
+	return golden
+}
+
+// waitMetric polls a node's /metrics until name reaches min.
+func waitMetric(t *testing.T, tn *testNode, name string, min float64) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); metric(t, tn.srv.URL, name) < min; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node %s: %s never reached %v", tn.id, name, min)
+		}
+	}
+}
+
+// TestClusterWorkStealing: the owner's hint wakes the thief, which drains
+// the owner's queue with the fallback ticker an hour away; the owner's
+// export stays byte-identical to a standalone run and the steal metrics
+// account for the transfer.
+func TestClusterWorkStealing(t *testing.T) {
+	req := stealReq()
+	golden := soloGolden(t, req)
+	a, b, release := stealPair(t, 1, nil)
 
 	st := postSweep(t, a.srv.URL, req)
+	waitMetric(t, b, "sdo_cluster_steals_total", 1)
+	release()
 	export, _ := get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)
 	if !bytes.Equal(export, golden) {
 		t.Fatalf("stolen sweep export differs from standalone golden (%d vs %d bytes)",
 			len(export), len(golden))
 	}
-	if v := metric(t, b.srv.URL, "sdo_cluster_steals_total"); v < 1 {
-		t.Errorf("thief completed %v steals, want >= 1", v)
+	if v := metric(t, b.srv.URL, "sdo_cluster_steal_hints_total"); v != 1 {
+		t.Errorf("thief received %v hints, want 1 (one per submitted job)", v)
 	}
-	if v := metric(t, a.srv.URL, "sdo_cluster_cells_stolen_total"); v < 1 {
-		t.Errorf("owner leased out %v cells, want >= 1", v)
+	stolen := metric(t, a.srv.URL, "sdo_cluster_cells_stolen_total")
+	if stolen < 1 {
+		t.Errorf("owner leased out %v cells, want >= 1", stolen)
 	}
-	if v := metric(t, a.srv.URL, "sdo_cluster_steal_completions_total"); v < 1 {
-		t.Errorf("owner accepted %v steal completions, want >= 1", v)
+	if v := metric(t, a.srv.URL, "sdo_cluster_steal_completions_total"); v != stolen {
+		t.Errorf("owner accepted %v steal completions for %v leases", v, stolen)
 	}
+	if v := metric(t, a.srv.URL, "sdo_cluster_lease_expiries_total"); v != 0 {
+		t.Errorf("%v leases expired, want 0", v)
+	}
+}
+
+// TestClusterStealOnIdleEdge: a thief that is busy when the hint arrives
+// steals as soon as its own job finishes — the freed slot wakes it, with
+// no second hint and no tick.
+func TestClusterStealOnIdleEdge(t *testing.T) {
+	a, b, releaseA := stealPair(t, 1, nil)
+	// b's own one-cell job parks on a checkpoint fetch at a.
+	entered, releaseB := gateArtifacts(t, a, 1)
+	own := stealReq()
+	own.Workloads = []string{"perlbench_r"}
+	stB := postSweep(t, b.srv.URL, own)
+	<-entered
+
+	stA := postSweep(t, a.srv.URL, stealReq())
+	waitMetric(t, b, "sdo_cluster_steal_hints_total", 1)
+	if v := metric(t, a.srv.URL, "sdo_cluster_cells_stolen_total"); v != 0 {
+		t.Fatalf("busy thief claimed %v cells", v)
+	}
+
+	releaseB()
+	waitMetric(t, b, "sdo_cluster_steals_total", 1)
+	if v := metric(t, b.srv.URL, "sdo_cluster_steal_hints_total"); v != 1 {
+		t.Errorf("thief needed %v hints, want the one it was busy for", v)
+	}
+	releaseA()
+	get(t, b.srv.URL+"/sweeps/"+stB.ID+"/export", 200)
+	get(t, a.srv.URL+"/sweeps/"+stA.ID+"/export", 200)
+}
+
+// TestClusterStealNoBatchBarrier: a two-slot thief with one stolen cell
+// stuck keeps stealing on its other slot; nothing waits for a batch.
+func TestClusterStealNoBatchBarrier(t *testing.T) {
+	req := stealReq()
+	golden := soloGolden(t, req)
+	a, b, release := stealPair(t, 2, nil)
+	// One of the thief's stolen cells parks on its checkpoint fetch at a.
+	entered, releaseStuck := gateArtifacts(t, a, 1)
+
+	st := postSweep(t, a.srv.URL, req)
+	<-entered
+	waitMetric(t, b, "sdo_cluster_steals_total", 2)
+	releaseStuck()
+	release()
+	export, _ := get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)
+	if !bytes.Equal(export, golden) {
+		t.Fatalf("stolen sweep export differs from standalone golden (%d vs %d bytes)",
+			len(export), len(golden))
+	}
+}
+
+// TestClusterStealLostHint: a hint that fails is counted and not retried;
+// the fallback ticker — 20 ms here, nothing else can wake this thief —
+// finds the work.
+func TestClusterStealLostHint(t *testing.T) {
+	a, b, release := stealPair(t, 1, func(i int, ncfg *Config) {
+		if i == 1 {
+			ncfg.StealInterval = 20 * time.Millisecond
+		}
+	})
+	b.swap.wrap(func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/cluster/wake" {
+				http.Error(w, "hint lost", http.StatusInternalServerError)
+				return
+			}
+			inner.ServeHTTP(w, r)
+		})
+	})
+
+	st := postSweep(t, a.srv.URL, stealReq())
+	waitMetric(t, b, "sdo_cluster_steals_total", 1)
+	waitMetric(t, a, "sdo_cluster_steal_errors_total", 1)
+	if v := metric(t, b.srv.URL, "sdo_cluster_steal_hints_total"); v != 0 {
+		t.Errorf("thief counted %v hints, want 0 (the endpoint was failing)", v)
+	}
+	release()
+	get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)
 }
 
 // TestClusterArtifactPeering: checkpoints and sampling plans built by
@@ -448,9 +601,7 @@ func TestClusterStealLeaseExpiryReclamation(t *testing.T) {
 	req := smallReq()
 	req.MaxInstrs = 10_000
 
-	solo := startCluster(t, []string{"solo"}, nil)[0]
-	stSolo := postSweep(t, solo.srv.URL, req)
-	golden, _ := get(t, solo.srv.URL+"/sweeps/"+stSolo.ID+"/export", 200)
+	golden := soloGolden(t, req)
 
 	nodes := startCluster(t, []string{"a"}, func(i int, scfg *simsvc.Config, ncfg *Config) {
 		scfg.Workers = 1

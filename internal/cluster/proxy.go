@@ -24,6 +24,7 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /cluster", n.handleInfo)
 	mux.HandleFunc("GET /cluster/steal", n.handleSteal)
 	mux.HandleFunc("POST /cluster/complete", n.handleComplete)
+	mux.HandleFunc("POST /cluster/wake", n.handleWake)
 	if n.tr != nil {
 		mux.HandleFunc("GET /cluster/trace", n.handleClusterTrace)
 	}
@@ -35,6 +36,9 @@ func (n *Node) Handler() http.Handler {
 //
 //   - GET /sweeps fans out to every member and merges (scatter-gather),
 //     unless the request already hopped here from a peer.
+//   - POST /sweeps is always local; one that leaves more cells
+//     outstanding than the node has workers has the steal loop hint the
+//     peers (once per submission, never per cell).
 //   - /sweeps/{id}... for a job the local service holds is served
 //     locally — ownership is a partition of the ID space, so holding
 //     the job means being its home.
@@ -51,6 +55,12 @@ func (n *Node) route(base http.Handler) http.Handler {
 		id := sweepID(r.URL.Path)
 		if id == "" {
 			base.ServeHTTP(w, r)
+			if r.Method == http.MethodPost && r.URL.Path == "/sweeps" && n.stealing() && n.svc.IdleWorkers() < 0 {
+				select {
+				case n.queued <- struct{}{}:
+				default: // a hint round is already due
+				}
+			}
 			return
 		}
 		if _, ok := n.svc.Job(id); ok {
@@ -277,17 +287,18 @@ func (n *Node) handleInfo(w http.ResponseWriter, _ *http.Request) {
 		Self     string       `json:"self"`
 		Members  []memberInfo `json:"members"`
 		Stealing bool         `json:"stealing"`
-	}{Self: n.self.ID, Stealing: n.cfg.StealInterval > 0 && len(n.cfg.Members) > 1}
+	}{Self: n.self.ID, Stealing: n.stealing()}
 	for _, m := range n.cfg.Members {
 		out.Members = append(out.Members, memberInfo{Member: m, Self: m.ID == n.self.ID})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleSteal hands out lease-protected queued cells to a polling
-// thief. An empty list is the normal answer on an idle or drained node.
+// handleSteal hands out lease-protected queued cells to a thief, as
+// many as it has free slots for (?max=, one when absent). An empty list
+// is the normal answer on an idle or drained node.
 func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
-	max := n.cfg.StealMax
+	max := 1
 	if v, err := strconv.Atoi(r.URL.Query().Get("max")); err == nil && v > 0 {
 		max = v
 	}
@@ -318,6 +329,20 @@ func (n *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if err := n.svc.CompleteSteal(key, body); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// handleWake takes a peer's hint that it has queued cells to spare and
+// wakes the steal loop, which polls that peer first. Hints coalesce; with
+// stealing off they are acknowledged and ignored.
+func (n *Node) handleWake(w http.ResponseWriter, r *http.Request) {
+	if n.stealing() {
+		n.hints.Inc()
+		select {
+		case n.hinted <- wakeup{why: "hint", from: r.URL.Query().Get("from")}:
+		default: // the loop is already due to wake on an earlier hint
+		}
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

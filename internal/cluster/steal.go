@@ -8,67 +8,79 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
 	"time"
 
 	"repro/internal/obs/trace"
 	"repro/internal/simsvc"
 )
 
-// stealLoop periodically polls peers for queued cells while this node
-// has idle workers. Stolen cells run through the local service's
-// RunStolen path (own cache, artifact peering, fault policy) and post
-// their content-addressed wire entries back to the owner, which
-// validates the checksum before settling the lease — a thief can waste
-// a lease but never corrupt a result.
+// wakeup is why the steal loop woke (the steal-claim span's wake=
+// attribute) and, for a hint, which member sent it.
+type wakeup struct {
+	why  string // "hint", "idle" or "tick"
+	from string
+}
+
+// stealLoop sleeps until there may be something to steal and a slot to
+// run it on: a peer hinted that it queued work behind busy workers, a
+// local worker slot just freed up, or — the safety net for a lost hint
+// and for jobs a peer resumed from its journal — the StealInterval
+// ticker fired. Stolen cells run on the local service's pool (own cache,
+// artifact peering, fault policy) and post their content-addressed wire
+// entries back to the owner, which validates the checksum before settling
+// the lease — a thief can waste a lease but never corrupt a result.
 func (n *Node) stealLoop() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.cfg.StealInterval)
 	defer t.Stop()
 	for {
+		var w wakeup
 		select {
 		case <-n.ctx.Done():
 			return
+		case <-n.queued:
+			n.hintPeers()
+			continue
+		case w = <-n.hinted:
+		case <-n.svc.IdleEdge():
+			w.why = "idle"
 		case <-t.C:
-			n.stealOnce()
+			w.why = "tick"
 		}
+		n.steal(w)
 	}
 }
 
-// stealOnce polls each peer in rotated order until the idle-worker
-// budget is spent. The budget is conservative: locally queued cells
-// count against it, so stealing never delays the node's own work.
-func (n *Node) stealOnce() {
-	idle := n.svc.IdleWorkers()
-	if idle <= 0 {
-		return
+// steal claims cells while this node has free worker slots and some peer
+// still hands any out, the hinting peer first. Each claim asks for
+// exactly the free slots and every claimed cell is on the pool before the
+// next IdleWorkers read, so the node never holds more leases than it can
+// run at once and stealing never delays its own work. Nothing waits for a
+// stolen cell here: its completion frees a slot, which wakes the loop.
+func (n *Node) steal(w wakeup) {
+	peers := n.others()
+	for i, m := range peers {
+		if m.ID == w.from {
+			peers[0], peers[i] = peers[i], peers[0]
+		}
 	}
-	for _, mem := range n.others() {
-		if idle <= 0 || n.ctx.Err() != nil {
-			return
+	for claimed := true; claimed; {
+		claimed = false
+		for _, m := range peers {
+			free := n.svc.IdleWorkers()
+			if free <= 0 || n.ctx.Err() != nil {
+				return
+			}
+			cells, err := n.claimFrom(m, free)
+			if err != nil {
+				n.logf("cluster: steal poll %s: %v", m.ID, err)
+				continue
+			}
+			for _, c := range cells {
+				claimed = true
+				n.runStolen(m, c, w.why)
+			}
 		}
-		want := n.cfg.StealMax
-		if want > idle {
-			want = idle
-		}
-		cells, err := n.claimFrom(mem, want)
-		if err != nil {
-			n.logf("cluster: steal poll %s: %v", mem.ID, err)
-			continue
-		}
-		if len(cells) == 0 {
-			continue
-		}
-		var wg sync.WaitGroup
-		for _, c := range cells {
-			wg.Add(1)
-			go func(c simsvc.StolenCell) {
-				defer wg.Done()
-				n.runStolen(mem, c)
-			}(c)
-		}
-		wg.Wait()
-		idle -= len(cells)
 	}
 }
 
@@ -105,51 +117,75 @@ func (n *Node) claimFrom(m Member, max int) ([]simsvc.StolenCell, error) {
 	return ok, nil
 }
 
-// runStolen executes one stolen cell and posts the result back. The run
-// is bounded by the lease deadline: past it the owner reclaims the cell
-// and any further local work here is wasted, so stop instead.
-func (n *Node) runStolen(owner Member, c simsvc.StolenCell) {
-	var sp *trace.Span
-	if n.jt != nil {
-		ct := n.jt.StartCell("steal "+c.Key, time.Now())
-		sp = ct.Root().Child(trace.PhaseStealClaim)
-		sp.Set("owner", owner.ID)
-		sp.Set("key", c.Key)
-		defer func() { sp.Finish(); ct.Finish() }()
-	}
-	ctx := n.ctx
-	if !c.Until.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, c.Until)
+// runStolen puts one claimed cell on the local pool — before returning,
+// so the caller's next IdleWorkers read counts it — and posts the result
+// back from a goroutine of its own: the worker slot is free again while
+// the completion is still on the wire. The run is bounded by the lease
+// deadline: past it the owner reclaims the cell and any further local
+// work here is wasted, so stop instead.
+func (n *Node) runStolen(owner Member, c simsvc.StolenCell, wake string) {
+	ctx, cancel := context.WithDeadline(n.ctx, c.Until)
+	run := n.svc.RunStolen(ctx, c.Spec)
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
 		defer cancel()
-	}
-	wire, err := n.svc.RunStolen(ctx, c.Spec)
-	if err != nil {
-		n.stealErrors.Inc()
-		if sp != nil {
-			sp.Set("outcome", "run-failed")
+		var sp *trace.Span
+		if n.jt != nil {
+			ct := n.jt.StartCell("steal "+c.Key, time.Now())
+			sp = ct.Root().Child(trace.PhaseStealClaim)
+			sp.Set("owner", owner.ID)
+			sp.Set("key", c.Key)
+			sp.Set("wake", wake)
+			defer func() { sp.Finish(); ct.Finish() }()
 		}
-		n.logf("cluster: stolen cell %s from %s: %v", c.Key, owner.ID, err)
-		return
-	}
-	if err := n.postComplete(ctx, owner, c.Key, wire); err != nil {
-		n.stealErrors.Inc()
-		if sp != nil {
-			sp.Set("outcome", "post-failed")
+		outcome := "completed"
+		var r simsvc.StolenRun
+		select {
+		case r = <-run:
+		case <-ctx.Done():
+			r.Err = ctx.Err() // still queued behind the node's own work
 		}
-		n.logf("cluster: post stolen %s to %s: %v", c.Key, owner.ID, err)
-		return
-	}
-	n.steals.Inc()
-	if sp != nil {
-		sp.Set("outcome", "completed")
+		if r.Err != nil {
+			outcome = "run-failed"
+			n.logf("cluster: stolen cell %s from %s: %v", c.Key, owner.ID, r.Err)
+		} else if err := n.post(ctx, owner.URL+"/cluster/complete?key="+url.QueryEscape(c.Key), r.Wire); err != nil {
+			outcome = "post-failed"
+			n.logf("cluster: post stolen %s to %s: %v", c.Key, owner.ID, err)
+		}
+		if outcome == "completed" {
+			n.steals.Inc()
+		} else {
+			n.stealErrors.Inc()
+		}
+		if sp != nil {
+			sp.Set("outcome", outcome)
+		}
+	}()
+}
+
+// hintPeers tells every other member that this node just queued more
+// cells than it has workers for. It runs on the steal loop's goroutine
+// (which Close waits for) but does not wait for the sends: fire and
+// forget. A lost hint costs the peer at most one StealInterval, so a
+// failure is counted, never retried.
+func (n *Node) hintPeers() {
+	for _, m := range n.others() {
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			if err := n.post(n.ctx, m.URL+"/cluster/wake?from="+url.QueryEscape(n.self.ID), nil); err != nil {
+				n.stealErrors.Inc()
+				n.logf("cluster: steal hint to %s: %v", m.ID, err)
+			}
+		}()
 	}
 }
 
-// postComplete returns the wire entry to the owner.
-func (n *Node) postComplete(ctx context.Context, owner Member, key string, wire []byte) error {
-	u := owner.URL + "/cluster/complete?key=" + url.QueryEscape(key)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(wire))
+// post sends one short steal-protocol POST (a completion's wire entry, a
+// bodyless wake hint) and reports any non-2xx answer as an error.
+func (n *Node) post(ctx context.Context, u string, body []byte) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

@@ -14,6 +14,12 @@ import (
 // graceful-shutdown behaviour the service needs, and the error behaviour
 // the sweep needs (no new simulations once one has failed).
 type Pool struct {
+	// OnIdle, when set before the first Submit, is called by a worker that
+	// finished a task and found nothing queued: the moment a slot frees up
+	// for optional work. It runs after the slot is released, so a Busy read
+	// made from inside it already excludes the finished task.
+	OnIdle func()
+
 	ctx    context.Context
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -55,7 +61,11 @@ func (p *Pool) worker() {
 		fn(p.ctx)
 		p.mu.Lock()
 		p.active--
+		idle := len(p.queue) == 0
 		p.mu.Unlock()
+		if idle && p.OnIdle != nil {
+			p.OnIdle()
+		}
 	}
 }
 
@@ -95,6 +105,15 @@ func (p *Pool) Active() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.active
+}
+
+// Busy returns the number of tasks executing or waiting, read as one
+// value (a task moving from the queue to a worker is never missed or
+// counted twice).
+func (p *Pool) Busy() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.active + len(p.queue)
 }
 
 // RunPool runs fn(ctx, i) for every i in [0, n) on a pool of `workers`

@@ -388,6 +388,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.WorkStealing {
 		s.steal = newStealState(s.reg)
+		s.pool.OnIdle = s.steal.signalIdle
 	}
 	if len(cfg.Peers) > 0 {
 		s.fab = fabric.New(fabric.Config{
@@ -526,9 +527,10 @@ func (s *Service) Cache() *Cache { return s.cache }
 
 // IdleWorkers is how many pool workers neither run nor have a queued
 // cell to pick up — the capacity optional work (speculation, stealing
-// from cluster peers) may use without delaying demand cells.
+// from cluster peers) may use without delaying demand cells. Stolen cells
+// run on the pool (RunStolen), so they count as busy workers here.
 func (s *Service) IdleWorkers() int {
-	return s.cfg.Workers - s.pool.Active() - s.pool.QueueDepth()
+	return s.cfg.Workers - s.pool.Busy()
 }
 
 // Health is the /healthz document.

@@ -239,11 +239,11 @@ func TestStolenCellDeliveredOnce(t *testing.T) {
 		}
 		return false
 	})
-	wire, err := thief.RunStolen(context.Background(), cells[0].Spec)
-	if err != nil {
-		t.Fatal(err)
+	run := <-thief.RunStolen(context.Background(), cells[0].Spec)
+	if run.Err != nil {
+		t.Fatal(run.Err)
 	}
-	if err := owner.CompleteSteal(cells[0].Key, wire); err != nil {
+	if err := owner.CompleteSteal(cells[0].Key, run.Wire); err != nil {
 		t.Fatal(err)
 	}
 	waitJob(t, j)

@@ -14,12 +14,14 @@ import (
 
 // Work stealing (the cluster's second pillar). When Config.WorkStealing
 // is on, the service keeps a registry of cells that are enqueued but not
-// yet picked up by a worker. An idle cluster peer (the thief) claims up
-// to k of them via Service.StealCells, which hands each out under a
-// lease: thief identity plus an expiry, written ahead to the job journal.
-// The thief executes the cell through its own service (so it benefits
-// from its own cache, checkpoint and plan tiers) and posts the
-// content-addressed wire entry back via Service.CompleteSteal.
+// yet picked up by a worker. A cluster peer with free worker slots (the
+// thief) claims that many via Service.StealCells, which hands each out
+// under a lease: thief identity plus an expiry, written ahead to the job
+// journal. Claims come from the tail of the queue while the owner's
+// workers dequeue from its head, so the two meet once, at the end. The
+// thief runs the cell on its own worker pool (Service.RunStolen: its own
+// cache, checkpoint and plan tiers) and posts the content-addressed wire
+// entry back via Service.CompleteSteal.
 //
 // Safety comes from the cache's content addressing, not from the lease:
 // a lease only bounds how long the owner's worker waits before running
@@ -64,8 +66,9 @@ type cellLease struct {
 type stealState struct {
 	mu      sync.Mutex
 	pending map[string]*pendingCell
-	order   []string // FIFO claim order (keys; may hold stale entries)
+	order   []string // enqueue order (keys; may hold stale entries)
 	leases  map[string]*cellLease
+	idle    chan struct{} // idle-edge signal, see Service.IdleEdge
 
 	cellsStolen    *obs.Counter // queued cells leased out to work-stealing peers
 	stealCompleted *obs.Counter // stolen-cell results delivered back
@@ -76,6 +79,7 @@ func newStealState(r *obs.Registry) *stealState {
 	return &stealState{
 		pending: make(map[string]*pendingCell),
 		leases:  make(map[string]*cellLease),
+		idle:    make(chan struct{}, 1),
 
 		cellsStolen:    r.NewCounter("sdo_cluster_cells_stolen_total", "Queued cells leased out to work-stealing cluster peers."),
 		stealCompleted: r.NewCounter("sdo_cluster_steal_completions_total", "Stolen-cell results accepted back into the cache."),
@@ -136,29 +140,51 @@ func (st *stealState) drop(key string, l *cellLease) bool {
 	return false
 }
 
+// signalIdle is the pool's OnIdle hook: a worker slot just freed up with
+// nothing queued behind it.
+func (st *stealState) signalIdle() {
+	select {
+	case st.idle <- struct{}{}:
+	default: // a signal is already pending; edges coalesce
+	}
+}
+
+// IdleEdge delivers one (coalesced) signal each time a worker finishes a
+// cell — the node's own or a stolen one — and finds nothing queued: the
+// moment IdleWorkers rises. The cluster's steal loop sleeps on it. Nil
+// (blocks forever) with work stealing off.
+func (s *Service) IdleEdge() <-chan struct{} {
+	if s.steal == nil {
+		return nil
+	}
+	return s.steal.idle
+}
+
 // StealCells claims up to max pending cells for thief under fresh
-// leases. Cells already cached, in flight locally, or under an
-// unexpired lease are not handed out. Returns nil when stealing is off
-// or nothing is claimable.
+// leases, newest-enqueued first. Cells already cached, in flight locally,
+// or under an unexpired lease are skipped before max is applied, so an
+// empty answer means nothing is claimable. Returns nil when stealing is
+// off.
 func (s *Service) StealCells(thief string, max int) []StolenCell {
 	st := s.steal
 	if st == nil || max <= 0 || thief == "" {
 		return nil
 	}
-	// Snapshot claimable candidates in FIFO order, then filter against
-	// the cache and the inflight table outside st.mu (lock order: never
-	// hold st.mu and s.mu together).
+	// Snapshot unleased pending keys from the tail, then filter against the
+	// cache and the inflight table outside st.mu (lock order: never hold
+	// st.mu and s.mu together).
 	now := time.Now()
-	var expired []string
-	var cands []StolenCell
+	var expired, cands []string
 	st.mu.Lock()
 	live := st.order[:0]
 	for _, key := range st.order {
-		p, ok := st.pending[key]
-		if !ok {
-			continue // dequeued; drop from the order lazily
+		if _, ok := st.pending[key]; ok {
+			live = append(live, key) // the rest were dequeued; drop them lazily
 		}
-		live = append(live, key)
+	}
+	st.order = live
+	for i := len(live) - 1; i >= 0; i-- {
+		key := live[i]
 		if l, leased := st.leases[key]; leased {
 			if now.Before(l.until) {
 				continue
@@ -167,11 +193,8 @@ func (s *Service) StealCells(thief string, max int) []StolenCell {
 			delete(st.leases, key)
 			expired = append(expired, key)
 		}
-		if len(cands) < max {
-			cands = append(cands, StolenCell{Key: key, Spec: p.spec})
-		}
+		cands = append(cands, key)
 	}
-	st.order = live
 	st.mu.Unlock()
 	for _, key := range expired {
 		st.leaseExpiries.Inc()
@@ -180,21 +203,24 @@ func (s *Service) StealCells(thief string, max int) []StolenCell {
 
 	until := now.Add(s.cfg.StealLeaseTTL)
 	var out []StolenCell
-	for _, c := range cands {
-		if s.cache.Contains(c.Key) {
+	for _, key := range cands {
+		if len(out) == max {
+			break
+		}
+		if s.cache.Contains(key) {
 			continue
 		}
 		s.mu.Lock()
-		_, running := s.inflight[c.Key]
+		_, running := s.inflight[key]
 		s.mu.Unlock()
 		if running {
 			continue
 		}
 		st.mu.Lock()
-		_, leased := st.leases[c.Key]
-		_, stillPending := st.pending[c.Key]
+		_, leased := st.leases[key]
+		p, stillPending := st.pending[key]
 		if !leased && stillPending {
-			st.leases[c.Key] = &cellLease{thief: thief, until: until, done: make(chan struct{})}
+			st.leases[key] = &cellLease{thief: thief, until: until, done: make(chan struct{})}
 		}
 		st.mu.Unlock()
 		if leased || !stillPending {
@@ -202,9 +228,8 @@ func (s *Service) StealCells(thief string, max int) []StolenCell {
 		}
 		// Write-ahead: the lease is durable before the claim leaves the
 		// node, so the journal always explains why a cell sat waiting.
-		s.journal.lease(c.Key, thief, until)
-		c.Until = until
-		out = append(out, c)
+		s.journal.lease(key, thief, until)
+		out = append(out, StolenCell{Key: key, Spec: p.spec, Until: until})
 		st.cellsStolen.Inc()
 	}
 	if len(out) > 0 && s.rec.On(obs.ClassTrace) {
@@ -233,9 +258,10 @@ func (s *Service) CompleteSteal(key string, body []byte) error {
 	st.stealCompleted.Inc()
 	st.mu.Lock()
 	l, ok := st.leases[key]
-	if ok {
-		delete(st.leases, key)
-	}
+	delete(st.leases, key)
+	// Settled: no longer stealable, even though the owner's worker has yet
+	// to reach it (its dequeue then finds nothing, its cache lookup hits).
+	delete(st.pending, key)
 	st.mu.Unlock()
 	if ok {
 		close(l.done)
@@ -284,24 +310,48 @@ func (s *Service) stealWait(root *trace.Span, key string) (core.Result, string, 
 	return core.Result{}, "", false
 }
 
-// RunStolen executes a stolen cell's spec on this (thief) node — local
-// cache first, then the full execute path with its checkpoint/plan tiers
-// and artifact peering — and returns the content-addressed wire entry to
-// post back to the owner.
-func (s *Service) RunStolen(ctx context.Context, spec RunSpec) ([]byte, error) {
+// StolenRun is the outcome of one RunStolen: the wire entry to post
+// back to the owner, or why there is none.
+type StolenRun struct {
+	Wire []byte
+	Err  error
+}
+
+// RunStolen runs a stolen cell's spec on this (thief) node's worker pool
+// — local cache first, then the full execute path with its checkpoint/
+// plan tiers and artifact peering — and delivers the content-addressed
+// wire entry on the returned channel. The cell is on the pool before
+// RunStolen returns, so IdleWorkers already counts it: a thief that
+// claims IdleWorkers() cells and hands each to RunStolen never holds more
+// leases than free slots, and its own jobs queue behind a stolen run
+// instead of beside it.
+func (s *Service) RunStolen(ctx context.Context, spec RunSpec) <-chan StolenRun {
+	out := make(chan StolenRun, 1)
+	if !s.pool.Submit(func(context.Context) {
+		wire, err := s.runStolen(ctx, spec)
+		out <- StolenRun{Wire: wire, Err: err}
+	}) {
+		out <- StolenRun{Err: ErrClosed}
+	}
+	return out
+}
+
+func (s *Service) runStolen(ctx context.Context, spec RunSpec) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err // lease ran out (or the node stopped) while queued
+	}
 	key, err := spec.CacheKey()
 	if err != nil {
 		return nil, err
 	}
-	if e, ok := s.cache.PeekEncoded(key); ok {
-		return json.Marshal(e)
+	if !s.cache.Contains(key) {
+		r, _, _, err := s.execute(ctx, spec, false, nil)
+		if err != nil {
+			return nil, err
+		}
+		s.cache.Put(key, r)
+		s.schedulePersist()
 	}
-	r, _, _, err := s.execute(ctx, spec, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.cache.Put(key, r)
-	s.schedulePersist()
 	e, ok := s.cache.PeekEncoded(key)
 	if !ok {
 		return nil, fmt.Errorf("simsvc: stolen cell %s: result not cacheable", key)
