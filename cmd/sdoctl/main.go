@@ -17,7 +17,6 @@
 //	sdoctl variants                  # list the registered protection schemes
 //	sdoctl health
 //	sdoctl metrics
-//	sdoctl spec                      # speculation status (server: -speculate)
 //	sdoctl trace sweep-1             # span-tree trace (server: -trace)
 //	sdoctl flight                    # flight recorder: last N events + build info
 //
@@ -69,7 +68,6 @@ commands:
   variants  list the registered protection schemes (/variants)
   health    show the server's /healthz document
   metrics   dump the server's /metrics document
-  spec      show speculation status (/spec; server must run -speculate)
   trace     show a sweep's span-tree trace:  sdoctl trace <id> [-format text|json|chrome] [-o file]
             (server must run -trace)
   flight    dump the flight recorder (/debug/flight: last events + build info)
@@ -145,8 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return c.showJSON("/healthz")
 	case "metrics":
 		return c.stream("/metrics")
-	case "spec":
-		return c.showJSON("/spec")
 	case "trace":
 		id, ok := needID()
 		if !ok {

@@ -225,7 +225,7 @@ func New(cfg Config) (*Node, error) {
 	n.steals = reg.NewCounter("sdo_cluster_steals_total",
 		"Queued cells this node stole from peers and completed back to their owner.")
 	n.stealErrors = reg.NewCounter("sdo_cluster_steal_errors_total",
-		"Stolen cells that failed to execute or to post back to their owner.")
+		"Stolen cells that failed to execute or to post back to their owner, plus wake hints that failed to reach a peer.")
 	n.hints = reg.NewCounter("sdo_cluster_steal_hints_total",
 		"Work-available hints received from cluster peers.")
 	n.ctx, n.cancel = context.WithCancel(context.Background())

@@ -51,9 +51,7 @@ func TestMetricsGolden(t *testing.T) {
 			Peers:         []string{"http://127.0.0.1:1"},
 			PeerArtifacts: true,
 			WorkStealing:  true,
-			Speculate:     true,
 			Trace:         true,
-			AutoTimeout:   true,
 			// No prober: the peer is a placeholder nothing listens on.
 			PeerProbeInterval: -1,
 		}},

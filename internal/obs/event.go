@@ -51,16 +51,12 @@ const (
 	// pipeline: BBV profiling passes, clustering outcomes (sampling-plan
 	// builds) and sampled-cell reconstruction.
 	ClassSample
-	// ClassSpec covers speculative sweep pre-execution above the pipeline:
-	// prediction rounds, speculative cell starts/completions, demand hits
-	// on pre-executed entries, cancellations and governor throttling.
-	ClassSpec
 	// ClassTrace covers sweep-lifecycle tracing above the pipeline: cell
 	// phase spans rendered through the Chrome sink (internal/obs/trace)
 	// and slow-cell straggler warnings.
 	ClassTrace
 
-	numClasses = 14
+	numClasses = 13
 )
 
 // ClassAll enables every event class.
@@ -81,7 +77,6 @@ var classNames = map[Class]string{
 	ClassFP:     "fp",
 	ClassFault:  "fault",
 	ClassSample: "sample",
-	ClassSpec:   "spec",
 	ClassTrace:  "trace",
 }
 

@@ -10,9 +10,8 @@ import (
 )
 
 // Node is the serialized form of one span: offsets are microseconds
-// relative to the job's epoch (speculative pre-execution spans stitched
-// from before the job started can therefore be negative). An unfinished
-// span reports its duration up to the snapshot instant.
+// relative to the job's epoch. An unfinished span reports its duration up
+// to the snapshot instant.
 type Node struct {
 	Name     string            `json:"name"`
 	StartUS  int64             `json:"start_us"`
@@ -98,9 +97,7 @@ func spanDur(s *Span, now time.Time) time.Duration {
 //
 // exactly — OtherUS is defined as the remainder (scheduling gaps between
 // phases), clamped at zero against timer skew. RetryUS, ReconstructUS
-// and Attempts describe the inside of SimulateUS; SpecUS is the stitched
-// speculative pre-execution, which ran before the demand wall clock
-// started and is therefore accounted beside it, never inside it.
+// and Attempts describe the inside of SimulateUS.
 type Attribution struct {
 	WallUS        int64 `json:"wall_us"`
 	QueueUS       int64 `json:"queue_us,omitempty"`
@@ -114,7 +111,6 @@ type Attribution struct {
 	RetryUS       int64 `json:"retry_backoff_us,omitempty"`
 	ReconstructUS int64 `json:"reconstruct_us,omitempty"`
 	Attempts      int   `json:"attempts,omitempty"`
-	SpecUS        int64 `json:"spec_preexec_us,omitempty"`
 }
 
 // Attribution derives the breakdown from the cell's span tree (nil on a
@@ -145,9 +141,6 @@ func (ct *CellTrace) Attribution() *Attribution {
 			a.CheckpointUS += d
 		case PhaseSimulate:
 			a.SimulateUS += d
-		case PhaseSpec:
-			a.SpecUS += d
-			continue // pre-demand compute: beside the wall clock, not in it
 		default:
 			continue // unknown phases land in Other
 		}
@@ -158,15 +151,10 @@ func (ct *CellTrace) Attribution() *Attribution {
 		a.OtherUS = 0
 	}
 	// Attempt/backoff/reconstruct live nested under simulate (and under
-	// interval spans in sampled mode); count them wherever they are, but
-	// never inside a stitched spec-preexec subtree — those attempts were
-	// the speculation's, already summarized by SpecUS.
+	// interval spans in sampled mode); count them wherever they are.
 	var walk func(s *Span)
 	walk = func(s *Span) {
 		for _, c := range s.children {
-			if c.name == PhaseSpec {
-				continue
-			}
 			switch c.name {
 			case PhaseAttempt:
 				a.Attempts++
@@ -185,8 +173,7 @@ func (ct *CellTrace) Attribution() *Attribution {
 // WriteChrome renders the trace document in the Chrome trace-event
 // format by feeding the span tree through the existing obs.ChromeSink
 // (one microsecond of span time per "cycle"). Offsets are shifted so the
-// earliest span — possibly a stitched pre-execution from before the job
-// epoch — lands at ts 0, since the sink's timestamps are unsigned.
+// earliest span lands at ts 0.
 func (d *Doc) WriteChrome(w io.Writer) error {
 	sink := obs.NewChromeSink(w)
 	var min int64
@@ -266,6 +253,5 @@ func (a *Attribution) Summary() string {
 	if a.Attempts > 1 {
 		parts = append(parts, fmt.Sprintf("attempts %d", a.Attempts))
 	}
-	add("spec-preexec", a.SpecUS)
 	return strings.Join(parts, " | ")
 }

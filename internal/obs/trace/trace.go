@@ -2,9 +2,8 @@
 // job, one span tree per cell, with a span for every phase a cell passes
 // through on its way to a result — queue wait, cache lookup, checkpoint
 // restore, sample-plan build, detailed or sampled simulation (including
-// per-attempt retry spans and per-representative interval spans), result
-// reconstruction, and speculative pre-execution stitched in after the
-// fact.
+// per-attempt retry spans and per-representative interval spans) and
+// result reconstruction.
 //
 // The design rule mirrors obs.Class's masking discipline one level up:
 // every producer holds a possibly-nil *Tracer / *JobTrace / *CellTrace /
@@ -26,7 +25,7 @@ import (
 // Attribution breakdown accounts; the nested names appear under
 // PhaseSimulate.
 const (
-	// RootName is the root span of a demand cell (starts at enqueue,
+	// RootName is the root span of a cell (starts at enqueue,
 	// finishes at delivery — the cell's reported wall clock).
 	RootName = "cell"
 	// PhaseQueue is the submit-to-start wait on the worker pool.
@@ -54,12 +53,6 @@ const (
 	PhaseInterval = "interval"
 	// PhaseReconstruct is the sampled-mode weighted reconstruction.
 	PhaseReconstruct = "reconstruct"
-	// PhaseSpec is a speculative pre-execution: the root of a spec cell's
-	// standalone trace, and — once the demand request arrives — the name
-	// of the stitched copy under the demand cell's root. Its duration was
-	// spent before the demand cell's wall clock and is accounted
-	// separately (Attribution.SpecUS), never summed into the phases.
-	PhaseSpec = "spec-preexec"
 	// PhaseProxy is a cluster request forwarded to the job's owner node
 	// (attrs owner=<node>, status=<code>); lives in the cluster layer's
 	// own trace, not a cell trace.
@@ -75,34 +68,24 @@ const (
 )
 
 // Tracer owns the retained job traces (a bounded LRU by submission
-// order) and the unclaimed speculative cell traces awaiting a demand
-// hit. A nil *Tracer is the tracing-off state: every method no-ops.
+// order). A nil *Tracer is the tracing-off state: every method no-ops.
 type Tracer struct {
 	maxJobs int
 
-	mu        sync.Mutex
-	jobs      map[string]*JobTrace
-	order     []string
-	spec      map[string]*CellTrace // by cache key, unclaimed pre-executions
-	specOrder []string
+	mu    sync.Mutex
+	jobs  map[string]*JobTrace
+	order []string
 }
 
 // DefaultMaxJobs bounds retained job traces when the caller passes 0.
 const DefaultMaxJobs = 64
-
-// maxSpecTraces bounds retained unclaimed speculative traces (FIFO).
-const maxSpecTraces = 1024
 
 // New returns a tracer retaining up to maxJobs job traces (0: default).
 func New(maxJobs int) *Tracer {
 	if maxJobs <= 0 {
 		maxJobs = DefaultMaxJobs
 	}
-	return &Tracer{
-		maxJobs: maxJobs,
-		jobs:    make(map[string]*JobTrace),
-		spec:    make(map[string]*CellTrace),
-	}
+	return &Tracer{maxJobs: maxJobs, jobs: make(map[string]*JobTrace)}
 }
 
 // StartJob opens a trace for one sweep job, evicting the oldest retained
@@ -144,51 +127,6 @@ func (t *Tracer) Jobs() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.jobs)
-}
-
-// StartSpecCell opens a standalone trace for one speculative
-// pre-execution. Its root span is named PhaseSpec so a later Stitch can
-// graft the whole tree under the demand cell's root unchanged.
-func (t *Tracer) StartSpecCell(cell string) *CellTrace {
-	if t == nil {
-		return nil
-	}
-	now := time.Now()
-	ct := &CellTrace{cell: cell, epoch: now}
-	ct.root = &Span{ct: ct, name: PhaseSpec, start: now}
-	return ct
-}
-
-// TrackSpec retains a completed, unclaimed speculative trace under its
-// cache key so the demand cell that later hits the cached entry can
-// stitch it (mirrors specexec.Tracker.Add).
-func (t *Tracer) TrackSpec(key string, ct *CellTrace) {
-	if t == nil || ct == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.spec[key]; !ok {
-		t.specOrder = append(t.specOrder, key)
-	}
-	t.spec[key] = ct
-	for len(t.specOrder) > maxSpecTraces {
-		delete(t.spec, t.specOrder[0])
-		t.specOrder = t.specOrder[1:]
-	}
-}
-
-// ClaimSpec removes and returns the speculative trace for a cache key
-// (nil when none is tracked — mirrors specexec.Tracker.Claim).
-func (t *Tracer) ClaimSpec(key string) *CellTrace {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ct := t.spec[key]
-	delete(t.spec, key)
-	return ct
 }
 
 // JobTrace is one sweep job's trace: an epoch (span offsets in the
@@ -247,39 +185,6 @@ func (ct *CellTrace) Root() *Span {
 
 // Finish closes the root span now.
 func (ct *CellTrace) Finish() { ct.Root().Finish() }
-
-// Stitch grafts a deep copy of a speculative pre-execution's span tree
-// under this cell's root, marking it stitched. The copy is taken under
-// pre's lock and attached under ct's, so a spec trace still shared with
-// the tracker can be stitched into several snapshots safely.
-func (ct *CellTrace) Stitch(pre *CellTrace) {
-	if ct == nil || pre == nil {
-		return
-	}
-	pre.mu.Lock()
-	clone := cloneSpan(pre.root, ct)
-	pre.mu.Unlock()
-	if clone == nil {
-		return
-	}
-	clone.attrs = append(clone.attrs, Attr{"stitched", "true"})
-	ct.mu.Lock()
-	ct.root.children = append(ct.root.children, clone)
-	ct.mu.Unlock()
-}
-
-// cloneSpan deep-copies a span tree, rehoming it under owner's lock.
-func cloneSpan(s *Span, owner *CellTrace) *Span {
-	if s == nil {
-		return nil
-	}
-	c := &Span{ct: owner, name: s.name, start: s.start, end: s.end,
-		attrs: append([]Attr(nil), s.attrs...)}
-	for _, ch := range s.children {
-		c.children = append(c.children, cloneSpan(ch, owner))
-	}
-	return c
-}
 
 // Attr is one key/value annotation on a span.
 type Attr struct{ Key, Value string }

@@ -38,7 +38,6 @@ func TestNilSafety(t *testing.T) {
 	child.Finish()
 	sp.ChildAt("y", time.Now()).FinishAt(time.Now())
 	ct.Finish()
-	ct.Stitch(nil)
 	if a := ct.Attribution(); a != nil {
 		t.Fatalf("nil cell Attribution = %v, want nil", a)
 	}
@@ -50,13 +49,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if s := ct.Cell(); s != "" {
 		t.Fatalf("nil cell Cell = %q, want empty", s)
-	}
-	tr.TrackSpec("k", nil)
-	if got := tr.ClaimSpec("k"); got != nil {
-		t.Fatalf("nil tracer ClaimSpec = %v, want nil", got)
-	}
-	if got := tr.StartSpecCell("wl/v/m"); got != nil {
-		t.Fatalf("nil tracer StartSpecCell = %v, want nil", got)
 	}
 	if s := (&Attribution{}).Summary(); s == "" {
 		t.Fatal("zero attribution Summary is empty")
@@ -173,64 +165,6 @@ func TestAttributionSums(t *testing.T) {
 	}
 	if a.Attempts != 2 || a.RetryUS != 50_000 || a.ReconstructUS != 20_000 {
 		t.Fatalf("nested counters wrong: %+v", a)
-	}
-}
-
-// TestStitch checks a speculative pre-execution trace is deep-copied
-// under the demand root, excluded from the phase sum, and counted as
-// SpecUS — and that mutating the original afterwards does not reach the
-// stitched copy.
-func TestStitch(t *testing.T) {
-	tr := New(0)
-	preStart := time.Now().Add(-2 * time.Second)
-	pre := tr.StartSpecCell("wl/v/m")
-	pre.root.start = preStart
-	inner := pre.Root().ChildAt(PhaseAttempt, preStart)
-	inner.FinishAt(preStart.Add(800 * time.Millisecond))
-	pre.Root().FinishAt(preStart.Add(time.Second))
-	tr.TrackSpec("key", pre)
-
-	base := time.Now().Add(-100 * time.Millisecond)
-	ct := tr.StartJob("sweep-1").StartCell("wl/v/m", base)
-	got := tr.ClaimSpec("key")
-	if got != pre {
-		t.Fatalf("ClaimSpec = %v, want the tracked trace", got)
-	}
-	if again := tr.ClaimSpec("key"); again != nil {
-		t.Fatalf("second ClaimSpec = %v, want nil", again)
-	}
-	ct.Stitch(got)
-	ct.Root().FinishAt(base.Add(100 * time.Millisecond))
-
-	n := ct.Node()
-	if len(n.Children) != 1 || n.Children[0].Name != PhaseSpec {
-		t.Fatalf("stitched tree = %+v", n)
-	}
-	st := n.Children[0]
-	if st.Attrs["stitched"] != "true" {
-		t.Fatalf("stitched span attrs = %v", st.Attrs)
-	}
-	if len(st.Children) != 1 || st.Children[0].Name != PhaseAttempt {
-		t.Fatalf("stitched children = %+v", st.Children)
-	}
-	// The copy is independent of the original.
-	inner.Set("late", "mutation")
-	if n2 := ct.Node(); n2.Children[0].Children[0].Attrs["late"] != "" {
-		t.Fatal("stitched copy shares state with the original spec trace")
-	}
-
-	a := ct.Attribution()
-	if a.SpecUS != 1_000_000 {
-		t.Fatalf("spec = %d, want 1000000", a.SpecUS)
-	}
-	// Spec is beside the wall clock, not in it: the sum invariant holds
-	// without it, and the attempt inside the spec subtree is not counted.
-	sum := a.QueueUS + a.CacheUS + a.AwaitUS + a.PlanUS + a.CheckpointUS + a.SimulateUS + a.OtherUS
-	if sum != a.WallUS || a.WallUS != 100_000 {
-		t.Fatalf("sum %d wall %d: %+v", sum, a.WallUS, a)
-	}
-	if a.Attempts != 0 {
-		t.Fatalf("attempts = %d, want 0 (spec subtree excluded)", a.Attempts)
 	}
 }
 

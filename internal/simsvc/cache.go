@@ -211,9 +211,8 @@ func (c *Cache) Get(key string) (core.Result, bool) {
 }
 
 // Contains reports whether key is cached, without touching the hit/miss
-// counters or the LRU order — the speculation scheduler peeks at the
-// cache to skip already-answered candidate cells, and a peek is not a
-// demand lookup.
+// counters or the LRU order — the steal registry peeks at the cache to
+// skip already-answered cells, and a peek is not a demand lookup.
 func (c *Cache) Contains(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

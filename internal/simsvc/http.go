@@ -49,12 +49,6 @@ func (s *Service) Handler() http.Handler {
 		writeJSON(w, code, h)
 	})
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.spec != nil {
-		// GET /spec — speculation predictor/governor state. Registered
-		// only with -speculate, so a disabled server's API surface is
-		// exactly what it was before the subsystem existed.
-		mux.HandleFunc("GET /spec", s.handleSpec)
-	}
 	mux.HandleFunc("POST /sweeps", s.handleSubmit)
 	mux.HandleFunc("GET /sweeps", s.handleList)
 	mux.HandleFunc("GET /sweeps/{id}", s.handleStatus)

@@ -24,8 +24,8 @@ import (
 // result cache answer the cells that already completed — only the missing
 // cells are re-simulated (see resume.go).
 //
-// The format shares the specexec submission journal's robustness rules:
-// one self-describing JSON object per line, unknown fields ignored (so
+// The format is built to survive crashes and upgrades: one
+// self-describing JSON object per line, unknown fields ignored (so
 // future versions can add fields), malformed or truncated lines skipped
 // on replay instead of failing startup, and the whole file compacted
 // (terminal jobs dropped) atomically via temp+rename on load. Appends

@@ -11,8 +11,7 @@ import (
 // enqueues all of its cells, and every cell whose result survived in the
 // persisted cache (or arrives from a peer) resolves as a cache hit —
 // only the genuinely missing cells re-simulate. Resumed jobs bypass
-// queue backpressure (they were admitted once already) and do not
-// re-teach the speculation predictor.
+// queue backpressure (they were admitted once already).
 //
 // A request that no longer resolves (e.g. a workload was unregistered
 // between lives) is journaled as failed rather than retried forever, so

@@ -71,8 +71,7 @@ type Config struct {
 	// (nil in production: zero cost).
 	Faults *faults.Injector
 	// Recorder, when non-nil, receives ClassFault events (cell failures,
-	// retries, quarantine, persistence degradation) and, with speculation
-	// enabled, ClassSpec events.
+	// retries, quarantine, persistence degradation).
 	Recorder *obs.Recorder
 
 	// Trace enables the sweep-lifecycle span model (internal/obs/trace):
@@ -135,27 +134,6 @@ type Config struct {
 	// StealLeaseTTL bounds how long the owner waits on a stolen cell
 	// before reclaiming it locally (0: DefaultStealLeaseTTL).
 	StealLeaseTTL time.Duration
-
-	// AutoTimeout derives each cell attempt's wall-clock deadline from
-	// the observed run-duration histogram (p99 × autoTimeoutFactor,
-	// clamped to [1s, CellTimeout-or-10m]) once enough runs have been
-	// observed, instead of the one static CellTimeout. Off by default.
-	AutoTimeout bool
-
-	// Speculate enables predictive pre-execution: the service learns
-	// from the submission history which sweeps tend to follow which and
-	// runs the predicted cells on idle workers into the result cache
-	// (see internal/specexec). Off by default; when off, behavior is
-	// identical to a build without the subsystem.
-	Speculate bool
-	// SpecJournal persists the submission history as JSONL ("" with
-	// CachePath set: derived as CachePath+".history"; "" otherwise:
-	// in-memory history only).
-	SpecJournal string
-	// SpecBudget bounds cumulative wasted speculative compute; once
-	// cancelled/failed/expired speculation exceeds it, speculation is
-	// disabled for the life of the process (0: default 5m).
-	SpecBudget time.Duration
 }
 
 // withDefaults fills the zero-value policy knobs.
@@ -180,9 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlightEvents <= 0 {
 		c.FlightEvents = 256
-	}
-	if c.Speculate && c.SpecJournal == "" && c.CachePath != "" {
-		c.SpecJournal = c.CachePath + ".history"
 	}
 	if c.StealLeaseTTL <= 0 {
 		c.StealLeaseTTL = DefaultStealLeaseTTL
@@ -225,7 +200,6 @@ type Service struct {
 	cancel  context.CancelFunc
 	inj     *faults.Injector
 	rec     *obs.Recorder
-	spec    *speculation      // nil unless cfg.Speculate
 	tracer  *trace.Tracer     // nil unless cfg.Trace
 	flight  *obs.SafeRingSink // /debug/flight ring (always on)
 	journal *jobJournal       // nil unless cfg.JournalPath
@@ -266,7 +240,7 @@ type Service struct {
 
 	// Metrics (see /metrics): each is declared once, against reg, by
 	// registerMetrics or by the component that owns it (cache, journal,
-	// artifact tiers, speculation, stealState).
+	// artifact tiers, stealState).
 	reg          *obs.Registry
 	runsExecuted *obs.Counter  // simulations actually run
 	runsDeduped  *obs.Counter  // cells that joined an in-flight identical run
@@ -309,15 +283,9 @@ type Service struct {
 }
 
 // flight is one in-progress simulation with every (job, cell) waiting on
-// it; the executing worker delivers the result to all of them. A
-// speculative flight additionally carries its cancellation (squash)
-// hook; a demand cell that joins one claims it, which both counts as a
-// speculation hit and protects it from preemption.
+// it; the executing worker delivers the result to all of them.
 type flight struct {
 	waiters []delivery
-	spec    bool               // pre-executing a predicted cell
-	claimed bool               // a demand cell joined a speculative flight
-	cancel  context.CancelFunc // squashes a speculative flight (spec only)
 }
 
 type delivery struct {
@@ -383,9 +351,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.pool = harness.NewPool(ctx, cfg.Workers)
 	s.registerMetrics()
-	if cfg.Speculate {
-		s.spec = newSpeculation(s)
-	}
 	if cfg.WorkStealing {
 		s.steal = newStealState(s.reg)
 		s.pool.OnIdle = s.steal.signalIdle
@@ -432,7 +397,7 @@ func (s *Service) event(kind, detail string) {
 
 // registerMetrics declares the metrics the service itself owns and
 // builds the two artifact tiers around theirs; the optional subsystems
-// (speculation, stealing, peering, journal) declare their own when New
+// (stealing, peering, journal) declare their own when New
 // constructs them. Values that already live in a subcomponent are
 // sampled at scrape time; the latency distributions are real histograms.
 func (s *Service) registerMetrics() {
@@ -506,10 +471,6 @@ func (s *Service) registerMetrics() {
 		"Submit-to-start latency of scheduled cells.", obs.DefaultLatencyBuckets())
 	s.planDur = r.NewHistogram("sdo_sample_plan_seconds",
 		"Wall time of sampling-plan builds (profile + cluster + checkpoints).", obs.DefaultLatencyBuckets())
-	if s.cfg.AutoTimeout {
-		gau("sdo_cell_timeout_seconds", "Current auto-tuned per-cell deadline (0: none yet).",
-			func() float64 { return s.cellTimeout().Seconds() })
-	}
 	if s.tracer != nil {
 		gau("sdo_trace_jobs", "Job traces currently retained.",
 			func() float64 { return float64(s.tracer.Jobs()) })
@@ -526,9 +487,9 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 func (s *Service) Cache() *Cache { return s.cache }
 
 // IdleWorkers is how many pool workers neither run nor have a queued
-// cell to pick up — the capacity optional work (speculation, stealing
-// from cluster peers) may use without delaying demand cells. Stolen cells
-// run on the pool (RunStolen), so they count as busy workers here.
+// cell to pick up — the capacity stealing from cluster peers may use
+// without delaying demand cells. Stolen cells run on the pool (RunStolen),
+// so they count as busy workers here.
 func (s *Service) IdleWorkers() int {
 	return s.cfg.Workers - s.pool.Busy()
 }
@@ -823,9 +784,8 @@ type submitOpts struct {
 	// jobs keep the ID sdoctl already holds.
 	id string
 	// resumed re-admissions bypass queue backpressure (the work was
-	// already admitted once), skip the write-ahead journal append (their
-	// submit record already survives in the journal) and skip the
-	// speculation predictor (the original submission already taught it).
+	// already admitted once) and skip the write-ahead journal append
+	// (their submit record already survives in the journal).
 	resumed bool
 }
 
@@ -919,21 +879,6 @@ func (s *Service) submit(req SweepRequest, so submitOpts) (*Job, error) {
 			Detail: fmt.Sprintf("%s: %d cells", j.ID, len(cells))})
 	}
 
-	if s.spec != nil && !so.resumed {
-		// Demand preempts speculation: squash speculative cells this
-		// submission does not need (keeping ones it does — their demand
-		// cells will join the running flight as a hit), then teach the
-		// predictor the new transition.
-		keep := make(map[string]bool, len(cells))
-		for _, c := range cells {
-			if k, err := c.CacheKey(); err == nil {
-				keep[k] = true
-			}
-		}
-		s.spec.preempt(keep)
-		s.spec.observe(opt, req.Ablations)
-	}
-
 	enqueued := time.Now()
 	for i, c := range cells {
 		i, c := i, c
@@ -948,9 +893,7 @@ func (s *Service) submit(req SweepRequest, so submitOpts) (*Job, error) {
 }
 
 // jobFinished observes a job reaching a terminal state: the result cache
-// is persisted write-behind, the registry bound is enforced, and the
-// speculation engine is kicked — the pool is likely idle now, and the
-// just-finished job is fresh prediction context.
+// is persisted write-behind and the registry bound is enforced.
 func (s *Service) jobFinished(j *Job) {
 	st := j.Status()
 	if s.rec.On(obs.ClassTrace) {
@@ -976,9 +919,6 @@ func (s *Service) jobFinished(j *Job) {
 	s.evictJobsLocked()
 	s.mu.Unlock()
 	s.schedulePersist()
-	if s.spec != nil {
-		s.spec.kick()
-	}
 }
 
 // evictJobsLocked enforces the registry bounds (caller holds s.mu):
@@ -1120,29 +1060,19 @@ type settlement struct {
 	note    string // progress-line suffix: how the result was obtained
 	cached  bool   // counts toward the jobs' cached_runs
 	retries int
-	// pre is the speculative pre-execution's own trace (speculative
-	// flights with tracing on; nil otherwise). It is closed here, once
-	// claimed is final, and stitched under each waiter it served.
-	pre *trace.CellTrace
 }
 
 // settle retires the finished flight for key — whoever finished it: the
-// demand executor, a peer or stolen-cell hit, or a speculative
-// pre-execution — and gives every (job, cell) waiting on it exactly one
-// delivery. The result, if any, must already be in the cache, so a cell
-// arriving from here on finds either the flight or the entry. Reports
-// whether a demand cell had claimed the flight (speculative flights; a
-// demand flight's executor is itself a waiter).
-func (s *Service) settle(key string, k harness.Key, o settlement) (claimed bool) {
+// executor, or a peer or stolen-cell hit — and gives every (job, cell)
+// waiting on it exactly one delivery. The result, if any, must already be
+// in the cache, so a cell arriving from here on finds either the flight
+// or the entry.
+func (s *Service) settle(key string, k harness.Key, o settlement) {
 	s.mu.Lock()
 	f := s.inflight[key]
 	delete(s.inflight, key)
 	s.mu.Unlock()
 
-	if o.err == nil {
-		o.pre.Root().Set("claimed", strconv.FormatBool(f.claimed))
-	}
-	o.pre.Finish()
 	var (
 		ce   *harness.CellError
 		fail Failure
@@ -1151,7 +1081,7 @@ func (s *Service) settle(key string, k harness.Key, o settlement) (claimed bool)
 	switch {
 	case o.err == nil:
 		line = harness.FormatProgress(k, o.res) + o.note
-	case errors.As(o.err, &ce) && len(f.waiters) > 0:
+	case errors.As(o.err, &ce):
 		s.cellsFailed.Inc()
 		s.event("cell-failed", ce.Error())
 		fail = Failure{Cell: cellName(k), Kind: string(ce.Kind), Attempts: ce.Attempts, Error: ce.Err.Error()}
@@ -1160,9 +1090,6 @@ func (s *Service) settle(key string, k harness.Key, o settlement) (claimed bool)
 	}
 	for _, w := range f.waiters {
 		w.await.Finish()
-		if o.err == nil {
-			w.ct.Stitch(o.pre)
-		}
 		att := finishCell(w.ct, o.status)
 		switch {
 		case o.err == nil:
@@ -1173,7 +1100,6 @@ func (s *Service) settle(key string, k harness.Key, o settlement) (claimed bool)
 			w.job.fail(o.err)
 		}
 	}
-	return f.claimed
 }
 
 // runCell executes (or resolves from cache / an identical in-flight run)
@@ -1215,41 +1141,15 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 	cs.Set("hit", strconv.FormatBool(hit))
 	cs.Finish()
 	if hit {
-		note := "  [cached]"
-		if s.spec != nil {
-			if cpu, wasSpec := s.spec.track.Claim(key); wasSpec {
-				// The entry was pre-executed speculatively and this is
-				// the demand request it was predicted for: credit the
-				// governor with the compute the hit just saved, and
-				// stitch the pre-execution's spans into this trace.
-				s.spec.hits.Inc()
-				s.spec.gov.Hit(cpu)
-				ct.Stitch(s.tracer.ClaimSpec(key))
-				note = "  [cached, speculated]"
-				s.spec.event("spec-hit", fmt.Sprintf("%s/%v/%v (saved %s)",
-					k.Workload, k.Variant, k.Model, cpu.Round(time.Millisecond)))
-			}
-		}
-		j.deliver(idx, k, r, harness.FormatProgress(k, r)+note, true, 0, finishCell(ct, "cached"))
+		j.deliver(idx, k, r, harness.FormatProgress(k, r)+"  [cached]", true, 0, finishCell(ct, "cached"))
 		return
 	}
 	s.mu.Lock()
 	if f, ok := s.inflight[key]; ok {
 		await := ct.Root().Child(trace.PhaseAwait)
 		f.waiters = append(f.waiters, delivery{job: j, idx: idx, key: k, ct: ct, await: await})
-		claimedNow := f.spec && !f.claimed
-		if claimedNow {
-			// Joining a still-running speculative flight claims it: it
-			// now counts as a hit and is immune to preemption.
-			f.claimed = true
-		}
 		s.mu.Unlock()
 		s.runsDeduped.Inc()
-		if claimedNow {
-			s.spec.hits.Inc()
-			s.spec.event("spec-hit", fmt.Sprintf("%s/%v/%v (joined in flight)",
-				k.Workload, k.Variant, k.Model))
-		}
 		return
 	}
 	s.inflight[key] = &flight{waiters: []delivery{{job: j, idx: idx, key: k, ct: ct}}}
@@ -1293,7 +1193,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 	// waits on them. The executing waiter's root span rides along so the
 	// harness nests its attempt/interval spans under this cell's simulate
 	// phase.
-	r, retries, elapsed, err := s.execute(trace.NewContext(context.Background(), ct.Root()), spec, false,
+	r, retries, elapsed, err := s.execute(trace.NewContext(context.Background(), ct.Root()), spec,
 		func() bool { return s.flightAbandoned(key) })
 	if elapsed > 0 {
 		s.noteSlowCell(k, elapsed, ct)
@@ -1383,20 +1283,18 @@ func (s *Service) noteSlowCell(k harness.Key, elapsed time.Duration, ct *trace.C
 // or checkpoint tier, then the harness call under the service's fault
 // policy — accounts the run, and returns the result, retry count, and
 // how long the harness call itself took (0 when the tiers failed before
-// any simulation ran). The demand path (runCell), the thief path
-// (RunStolen) and the speculative path (speculation.runCell) all execute
-// cells through here, so a speculative or stolen result is bit-identical
-// to the demand result for the same key. abort (may be nil) lets a
-// mid-run demand cell stop once nothing waits on it.
-func (s *Service) execute(ctx context.Context, spec RunSpec, speculative bool, abort func() bool) (core.Result, int, time.Duration, error) {
-	pol := harness.RunPolicy{MaxAttempts: 1, CellTimeout: s.cellTimeout(), StallTimeout: s.cfg.StallTimeout}
-	if !speculative {
-		// A speculative cell gets one silent attempt and no Abort hook:
-		// cancellation (squash) arrives through ctx, and a failed
-		// speculation is simply dropped — retries and failure accounting
-		// are a demand-path luxury the governor should not pay for.
-		pol.MaxAttempts, pol.RetryBackoff = s.cfg.MaxAttempts, s.cfg.RetryBackoff
-		pol.Abort, pol.Notify = abort, s.cellEvent
+// any simulation ran). The demand path (runCell) and the thief path
+// (RunStolen) both execute cells through here, so a stolen result is
+// bit-identical to the demand result for the same key. abort (may be nil)
+// lets a mid-run demand cell stop once nothing waits on it.
+func (s *Service) execute(ctx context.Context, spec RunSpec, abort func() bool) (core.Result, int, time.Duration, error) {
+	pol := harness.RunPolicy{
+		MaxAttempts:  s.cfg.MaxAttempts,
+		RetryBackoff: s.cfg.RetryBackoff,
+		CellTimeout:  s.cfg.CellTimeout,
+		StallTimeout: s.cfg.StallTimeout,
+		Abort:        abort,
+		Notify:       s.cellEvent,
 	}
 	parent := trace.FromContext(ctx)
 	wl, err := workload.ByName(spec.Workload)
@@ -1459,50 +1357,10 @@ func (s *Service) execute(ctx context.Context, spec RunSpec, speculative bool, a
 	}
 	elapsed := time.Since(start)
 	sim.Finish()
-	if speculative {
-		s.spec.specNanos.Add(uint64(elapsed))
-	} else {
-		s.runNanos.Add(uint64(elapsed))
-		s.runDur.Observe(elapsed.Seconds())
-		s.runsExecuted.Inc()
-	}
+	s.runNanos.Add(uint64(elapsed))
+	s.runDur.Observe(elapsed.Seconds())
+	s.runsExecuted.Inc()
 	return r, retries, elapsed, err
-}
-
-// autoTimeoutFactor scales the observed p99 run duration into the
-// auto-tuned per-cell deadline.
-const autoTimeoutFactor = 3
-
-// autoTimeoutMinSamples is how many runs must have been observed before
-// auto-tuning trusts the histogram over the static configuration.
-const autoTimeoutMinSamples = 20
-
-// cellTimeout returns the per-cell deadline for the next attempt: the
-// static CellTimeout, or — with AutoTimeout enabled and enough history —
-// p99 of observed run durations × autoTimeoutFactor, clamped to
-// [1s, CellTimeout] (10m when no static ceiling is configured). The
-// derived deadline adapts to the deployment's real workload mix instead
-// of requiring one hand-tuned number to fit both microbenchmarks and
-// hour-long cells.
-func (s *Service) cellTimeout() time.Duration {
-	if !s.cfg.AutoTimeout {
-		return s.cfg.CellTimeout
-	}
-	if s.runDur.Count() < autoTimeoutMinSamples {
-		return s.cfg.CellTimeout
-	}
-	d := time.Duration(s.runDur.Quantile(0.99) * autoTimeoutFactor * float64(time.Second))
-	floor, ceil := time.Second, s.cfg.CellTimeout
-	if ceil <= 0 {
-		ceil = 10 * time.Minute
-	}
-	if d < floor {
-		d = floor
-	}
-	if d > ceil {
-		d = ceil
-	}
-	return d
 }
 
 // schedulePersist queues a debounced write-behind save of the result
@@ -1569,11 +1427,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 
 	s.cancel() // queued cells skip; running cells finish
 	s.fab.Close()
-	if s.spec != nil {
-		// Speculative work is squashable by definition: cancel it all
-		// and join the goroutines before draining demand cells.
-		s.spec.stop()
-	}
 	s.pool.Close()
 	done := make(chan struct{})
 	go func() {

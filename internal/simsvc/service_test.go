@@ -24,6 +24,31 @@ func smallReq() SweepRequest {
 	}
 }
 
+// specReq is a one-cell sweep, parameterized by workload and variant so
+// tests can build distinct-but-related requests.
+func specReq(workload, variant string) SweepRequest {
+	warmup := uint64(1000)
+	return SweepRequest{
+		Workloads:    []string{workload},
+		Variants:     []string{variant},
+		Models:       []string{"spectre"},
+		MaxInstrs:    2000,
+		WarmupInstrs: &warmup,
+	}
+}
+
+func pollUntil(t *testing.T, what string, d time.Duration, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatalf("timed out after %v waiting for %s", d, what)
+}
+
 func newService(t *testing.T, cfg Config) *Service {
 	t.Helper()
 	s, err := New(cfg)

@@ -3,7 +3,6 @@ package simsvc
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +38,6 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		spec    bool // a speculative flight the waiters claimed
 		o       settlement
 		state   JobState
 		line    string // the one progress line ("" for none)
@@ -49,7 +47,6 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 		{name: "executed", o: settlement{res: res, status: "done", retries: 1}, state: JobDone, line: okLine, retries: 1},
 		{name: "peer hit", o: settlement{res: res, status: "peer", note: "  [peer]", cached: true}, state: JobDone, line: okLine + "  [peer]", cached: 1},
 		{name: "stolen hit", o: settlement{res: res, status: "stolen", note: "  [stolen]", cached: true}, state: JobDone, line: okLine + "  [stolen]", cached: 1},
-		{name: "claimed speculation", spec: true, o: settlement{res: res, status: "speculated", note: "  [speculated]"}, state: JobDone, line: okLine + "  [speculated]"},
 		{name: "permanent failure", o: settlement{err: cellErr, status: "failed", retries: 1}, state: JobFailed,
 			line: "exchange2_r    Unsafe      Spectre    FAILED: panic after 2 attempt(s): boom", retries: 1},
 		{name: "skipped", o: settlement{err: ErrCancelled, status: "abandoned"}, state: JobCancelled},
@@ -58,7 +55,7 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			failedBefore := metric(t, s, "sdo_cells_failed_total")
 			jobs := []*Job{bareJob("executor"), bareJob("joiner")}
-			f := &flight{spec: tc.spec, claimed: tc.spec}
+			f := &flight{}
 			for _, j := range jobs {
 				f.waiters = append(f.waiters, delivery{job: j, key: k})
 			}
@@ -66,9 +63,7 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 			s.inflight["key"] = f
 			s.mu.Unlock()
 
-			if claimed := s.settle("key", k, tc.o); claimed != tc.spec {
-				t.Errorf("settle reported claimed=%v, want %v", claimed, tc.spec)
-			}
+			s.settle("key", k, tc.o)
 			s.mu.Lock()
 			_, still := s.inflight["key"]
 			s.mu.Unlock()
@@ -126,19 +121,13 @@ func wantDeliveries(t *testing.T, j *Job, note string, cached int) {
 	}
 }
 
-// flightRunning polls until a flight (speculative or demand, per spec)
-// is registered in s.
-func flightRunning(t *testing.T, s *Service, spec bool) {
+// flightRunning polls until a flight is registered in s.
+func flightRunning(t *testing.T, s *Service) {
 	t.Helper()
 	pollUntil(t, "a flight to start", 30*time.Second, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		for _, f := range s.inflight {
-			if f.spec == spec {
-				return true
-			}
-		}
-		return false
+		return len(s.inflight) > 0
 	})
 }
 
@@ -155,40 +144,12 @@ func TestJoinerSharesExecutorsFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flightRunning(t, s, false)
+	flightRunning(t, s)
 	j2 := submitAndWait(t, s, req)
 	waitJob(t, j1)
 	wantDeliveries(t, j1, "", 0)
 	wantDeliveries(t, j2, "", 0)
 	wantMetrics(t, s, map[string]float64{"sdo_runs_executed_total": 1, "sdo_runs_deduped_total": 1})
-}
-
-// TestDemandClaimsRunningSpeculation: a demand cell arriving while its
-// speculative pre-execution is mid-run joins (claims) that flight and is
-// served by it — "[speculated]", not a cache hit, not a second run.
-func TestDemandClaimsRunningSpeculation(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "history.jsonl")
-	reqA := specReq("exchange2_r", "unsafe")
-	reqB := specReq("deepsjeng_r", "unsafe")
-	scratch := newService(t, Config{Workers: 1})
-	writeJournal(t, scratch, journal, reqA, reqB)
-	scratch.Shutdown(context.Background())
-
-	// Two workers, for the reason TestSpeculationCancellation gives: the
-	// worker finishing A must not be the only slot the launcher can see.
-	inj := faults.New(faults.Config{Seed: 1, SlowProb: 1, SlowDelay: 500 * time.Millisecond})
-	s := newService(t, Config{Workers: 2, Speculate: true, SpecJournal: journal, Faults: inj})
-	defer s.Shutdown(context.Background())
-	submitAndWait(t, s, reqA)
-	flightRunning(t, s, true)
-	execBefore := metric(t, s, "sdo_runs_executed_total")
-
-	j := submitAndWait(t, s, reqB)
-	wantDeliveries(t, j, "  [speculated]", 0)
-	wantMetrics(t, s, map[string]float64{
-		"sdo_runs_executed_total": execBefore, "sdo_runs_deduped_total": 1,
-		"sdo_spec_hits_total": 1, "sdo_spec_cancellations_total": 0,
-	})
 }
 
 // hasSpan reports whether the span tree under n contains a span named name.

@@ -345,7 +345,7 @@ func (s *Service) runStolen(ctx context.Context, spec RunSpec) ([]byte, error) {
 		return nil, err
 	}
 	if !s.cache.Contains(key) {
-		r, _, _, err := s.execute(ctx, spec, false, nil)
+		r, _, _, err := s.execute(ctx, spec, nil)
 		if err != nil {
 			return nil, err
 		}

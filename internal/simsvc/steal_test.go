@@ -191,8 +191,8 @@ func TestStealCellsTailFirst(t *testing.T) {
 }
 
 // TestIdleWorkersCountsStolenRuns: a stolen run occupies a pool slot, so
-// the idle count that sizes the next claim (and speculation's launches)
-// sees it, and its completion is an idle edge.
+// the idle count that sizes the next claim sees it, and its completion is
+// an idle edge.
 func TestIdleWorkersCountsStolenRuns(t *testing.T) {
 	gate := newArtifactGate(t)
 	thief := newService(t, gatedConfig(gate, 2))

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -128,68 +132,6 @@ func TestTraceRetriedCell(t *testing.T) {
 	if retried == 0 {
 		t.Fatal("chaos seed produced no cell with multiple attempt spans")
 	}
-}
-
-// TestTraceSpeculationStitch checks that a speculative pre-execution
-// later claimed as a demand cache hit is stitched into the demand cell's
-// trace: the demand root gains a spec-preexec subtree and the
-// attribution accounts it beside (not inside) the wall clock.
-func TestTraceSpeculationStitch(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "history.jsonl")
-	reqA := specReq("exchange2_r", "unsafe")
-	reqB := specReq("exchange2_r", "hybrid")
-
-	s1 := newService(t, Config{Workers: 2, Speculate: true, SpecJournal: journal})
-	submitAndWait(t, s1, reqA)
-	submitAndWait(t, s1, reqB)
-	if err := s1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := newService(t, Config{Workers: 2, Speculate: true, SpecJournal: journal, Trace: true})
-	defer s2.Shutdown(context.Background())
-	submitAndWait(t, s2, reqA)
-
-	_, cellsB, err := s2.resolve(reqB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pollUntil(t, "speculative pre-execution of B", 30*time.Second, func() bool {
-		for _, c := range cellsB {
-			key, err := c.CacheKey()
-			if err != nil || !s2.cache.Contains(key) {
-				return false
-			}
-		}
-		return true
-	})
-
-	j := submitAndWait(t, s2, reqB)
-	if st := j.Status(); st.Cached != st.Total {
-		t.Fatalf("B not served from cache: %+v", st)
-	}
-	doc := traceDoc(t, j)
-	if len(doc.Cells) != 1 {
-		t.Fatalf("trace has %d cells, want 1", len(doc.Cells))
-	}
-	cell := doc.Cells[0]
-	stitched := findSpans(cell.Spans, trace.PhaseSpec)
-	if len(stitched) != 1 {
-		t.Fatalf("demand cell has %d spec-preexec spans, want 1 stitched: %+v",
-			len(stitched), cell.Spans)
-	}
-	if stitched[0].Attrs["stitched"] != "true" {
-		t.Errorf("stitched span not marked: %v", stitched[0].Attrs)
-	}
-	// The speculation simulated for real, so its subtree carries the
-	// simulate/attempt chain and the attribution credits SpecUS.
-	if len(findSpans(stitched[0], trace.PhaseSimulate)) != 1 {
-		t.Errorf("stitched subtree has no simulate span")
-	}
-	if cell.Attribution.SpecUS <= 0 {
-		t.Errorf("attribution spec_preexec_us = %d, want > 0", cell.Attribution.SpecUS)
-	}
-	checkAttributionSums(t, cell)
 }
 
 // TestTraceOffByteIdentical is the zero-cost-off contract: with tracing
@@ -413,5 +355,85 @@ func TestTraceCachedCell(t *testing.T) {
 	}
 	if !strings.HasPrefix(j.ID, "sweep-") {
 		t.Fatalf("unexpected job id %s", j.ID)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/trace_doc_keys.golden from the current trace document")
+
+// traceDocKeys collects into out every JSON object key ("key <k>") and
+// every span name ("span <n>") of a decoded trace document.
+func traceDocKeys(v any, out map[string]bool) {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, c := range x {
+			out["key "+k] = true
+			if name, ok := c.(string); ok && k == "name" {
+				out["span "+name] = true
+			}
+			traceDocKeys(c, out)
+		}
+	case []any:
+		for _, c := range x {
+			traceDocKeys(c, out)
+		}
+	}
+}
+
+// TestTraceDocKeysGolden pins the wire shape of GET /sweeps/{id}/trace
+// for a plain traced sweep: the set of JSON keys and span names of a
+// two-cell sweep on a fresh one-worker service (both cells simulate, the
+// second one queues behind the first). A tracer change that adds, renames
+// or drops a key or a span for such a sweep fails here.
+func TestTraceDocKeysGolden(t *testing.T) {
+	s := newService(t, Config{Workers: 1, Trace: true})
+	defer s.Shutdown(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	req := specReq("exchange2_r", "unsafe")
+	req.Variants = []string{"unsafe", "hybrid"}
+	j := submitAndWait(t, s, req)
+	resp, err := http.Get(srv.URL + "/sweeps/" + j.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc any
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("trace document is not JSON: %v", err)
+	}
+	seen := make(map[string]bool)
+	traceDocKeys(doc, seen)
+	// The attribution's phase fields are omitempty and in whole
+	// microseconds. queue_us is always there — the second cell waits out
+	// the first one's whole run on the one worker — but a cache miss can
+	// take under 1µs and round cache_us away, so that one key is pinned
+	// through the struct tag it is marshalled from instead.
+	if !seen["key cache_us"] {
+		f, _ := reflect.TypeOf(trace.Attribution{}).FieldByName("CacheUS")
+		if tag := f.Tag.Get("json"); tag != "cache_us,omitempty" {
+			t.Errorf("Attribution.CacheUS json tag = %q, want cache_us,omitempty", tag)
+		}
+		seen["key cache_us"] = true
+	}
+	var lines []string
+	for k := range seen {
+		lines = append(lines, k)
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+
+	golden := filepath.Join("testdata", "trace_doc_keys.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("trace document keys drifted from %s:\n got:\n%s want:\n%s", golden, got, want)
 	}
 }
