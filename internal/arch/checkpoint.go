@@ -13,6 +13,11 @@ import (
 // architectural state and memory image at the warmup boundary plus the
 // serialized warm state of the memory hierarchy and branch predictor.
 //
+// A Checkpoint is immutable once built, decoded or fetched: every cell of
+// its workload restores from the same value, concurrently, and a restored
+// machine shares Mem's pages instead of copying them (it copies a page
+// before its first write to it), so nothing may write through Mem.
+//
 // A checkpoint is captured once per (workload, warmup budget) and
 // restored into a fresh detailed machine for every variant/model/ablation
 // cell of a sweep. Reuse is sound because Warmup is non-speculative: no
@@ -26,7 +31,7 @@ type Checkpoint struct {
 	// executed count is Arch.Instrs, smaller only if the program halted).
 	WarmupInstrs uint64
 	Arch         State
-	Mem          map[uint64][]byte // page image (isa.Memory.Image)
+	Mem          map[uint64][]byte // page image (isa.Memory.ShareImage); read-only
 	Hier         mem.HierState
 	BP           bpred.State
 }
@@ -35,24 +40,21 @@ type Checkpoint struct {
 // functional warmup, and snapshots the result. init (optional) populates
 // the initial memory image.
 func Capture(p *isa.Program, init func(*isa.Memory), memCfg mem.Config, bpCfg bpred.Config, codeBase uint64, warmupInstrs uint64) *Checkpoint {
-	cks := CaptureSeries(p, init, memCfg, bpCfg, codeBase, []uint64{warmupInstrs})
-	return cks[0]
+	return CaptureSeries(p, isa.NewImage(init), memCfg, bpCfg, codeBase, []uint64{warmupInstrs})[0]
 }
 
-// CaptureSeries runs one continuous functional warmup over prog,
+// CaptureSeries runs one continuous functional warmup over prog on the
+// initial memory image data (which it consumes: warmup writes to it),
 // snapshotting a Checkpoint at each of the given committed-instruction
 // boundaries (which must be non-decreasing). Each snapshot is
 // bit-identical to a fresh Capture with that boundary as the budget —
-// warmup is deterministic and snapshots are deep copies — but the whole
-// series costs a single pass instead of one pass per boundary. This is
-// the capture primitive of SimPoint-style multi-checkpoint sampling:
-// functional cache/TLB/bpred warmup is carried across the skipped
-// intervals between representatives.
-func CaptureSeries(p *isa.Program, init func(*isa.Memory), memCfg mem.Config, bpCfg bpred.Config, codeBase uint64, boundaries []uint64) []*Checkpoint {
-	data := isa.NewMemory()
-	if init != nil {
-		init(data)
-	}
+// warmup is deterministic and a snapshot's pages are never written again
+// (see Warmer.Snapshot) — but the whole series costs a single pass
+// instead of one pass per boundary, and holds one copy of every page the
+// program did not dirty in between. This is the capture primitive of
+// SimPoint-style multi-checkpoint sampling: functional cache/TLB/bpred
+// warmup is carried across the skipped intervals between representatives.
+func CaptureSeries(p *isa.Program, data *isa.Memory, memCfg mem.Config, bpCfg bpred.Config, codeBase uint64, boundaries []uint64) []*Checkpoint {
 	w := NewWarmer(p, data, mem.NewHierarchy(memCfg), bpred.New(bpCfg), codeBase)
 	out := make([]*Checkpoint, len(boundaries))
 	for i, b := range boundaries {

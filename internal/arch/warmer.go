@@ -13,11 +13,12 @@ import (
 //
 // The execution path is identical to a single Warmup call with the same
 // final budget — snapshotting at an intermediate boundary never perturbs
-// the instructions that follow (every snapshot is a deep copy) — so a
-// checkpoint taken at boundary b by a Warmer that previously snapshotted
-// earlier boundaries is bit-identical to one captured by a fresh
-// Warmup(p, ..., b). This is what makes one continuous warmup pass able
-// to serve a whole SimPoint-style multi-checkpoint schedule.
+// the instructions that follow, nor they it (the warmer copies a page a
+// snapshot holds before writing to it) — so a checkpoint taken at
+// boundary b by a Warmer that previously snapshotted earlier boundaries
+// is bit-identical to one captured by a fresh Warmup(p, ..., b). This is
+// what makes one continuous warmup pass able to serve a whole
+// SimPoint-style multi-checkpoint schedule.
 type Warmer struct {
 	prog     *isa.Program
 	data     *isa.Memory
@@ -72,14 +73,17 @@ func (w *Warmer) Advance(toInstrs uint64) State {
 	return w.st
 }
 
-// Snapshot deep-copies the current warm state into a restorable
-// Checkpoint whose WarmupInstrs is the executed instruction count, so a
-// Machine configured with exactly that warmup budget can Restore it.
+// Snapshot captures the current warm state as a restorable Checkpoint
+// whose WarmupInstrs is the executed instruction count, so a Machine
+// configured with exactly that warmup budget can Restore it. Hierarchy
+// and predictor state are copied; the memory image is taken by reference
+// (isa.Memory.ShareImage): the checkpoint holds the warmer's current
+// pages, and the warmer copies one before it next writes to it.
 func (w *Warmer) Snapshot() *Checkpoint {
 	return &Checkpoint{
 		WarmupInstrs: w.st.Instrs,
 		Arch:         w.st,
-		Mem:          w.data.Image(),
+		Mem:          w.data.ShareImage(),
 		Hier:         w.hier.State(),
 		BP:           w.bp.State(),
 	}

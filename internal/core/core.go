@@ -234,17 +234,31 @@ func pipelineConfig(cfg Config, probe func(uint64) mem.Level) pipeline.Config {
 	return pc
 }
 
-// NewMachine builds a single-core machine for prog. init (optional)
-// populates the initial memory image.
-func NewMachine(cfg Config, prog *isa.Program, init func(*isa.Memory)) *Machine {
-	data := isa.NewMemory()
-	if init != nil {
-		init(data)
-	}
-	mc := mem.DefaultConfig()
+// geometry resolves the memory and pipeline parameters cfg selects: the
+// Table I defaults unless overridden.
+func geometry(cfg Config) (mem.Config, pipeline.Config) {
+	mc, pc := mem.DefaultConfig(), pipeline.DefaultConfig()
 	if cfg.Mem != nil {
 		mc = *cfg.Mem
 	}
+	if cfg.Pipe != nil {
+		pc = *cfg.Pipe
+	}
+	return mc, pc
+}
+
+// NewMachine builds a single-core machine for prog. init (optional)
+// populates the initial memory image.
+func NewMachine(cfg Config, prog *isa.Program, init func(*isa.Memory)) *Machine {
+	return NewMachineWithMemory(cfg, prog, isa.NewImage(init))
+}
+
+// NewMachineWithMemory builds a single-core machine for prog on the given
+// architectural memory, which the machine takes over: pass a private
+// Clone of a shared initial image, or an empty memory when a checkpoint
+// is about to be restored over it.
+func NewMachineWithMemory(cfg Config, prog *isa.Program, data *isa.Memory) *Machine {
+	mc, _ := geometry(cfg)
 	hier := mem.NewHierarchy(mc)
 	pc := pipelineConfig(cfg, hier.Probe)
 	return &Machine{
@@ -263,35 +277,21 @@ func NewMachine(cfg Config, prog *isa.Program, init func(*isa.Memory)) *Machine 
 // of Variant, Model and Ablate by construction, which is what makes it
 // reusable across every cell of a sweep grid.
 func CaptureCheckpoint(cfg Config, prog *isa.Program, init func(*isa.Memory)) *arch.Checkpoint {
-	mc := mem.DefaultConfig()
-	if cfg.Mem != nil {
-		mc = *cfg.Mem
-	}
-	pc := pipeline.DefaultConfig()
-	if cfg.Pipe != nil {
-		pc = *cfg.Pipe
-	}
+	mc, pc := geometry(cfg)
 	return arch.Capture(prog, init, mc, pc.BP, pc.CodeBase, cfg.WarmupInstrs)
 }
 
 // CaptureCheckpoints is the multi-boundary form of CaptureCheckpoint:
-// one continuous functional warmup pass snapshotting at each of the
-// given non-decreasing committed-instruction boundaries. It is the
-// capture primitive for SimPoint-style sampled runs, where every
-// representative interval needs a checkpoint at its start with warm
-// state carried across the skipped intervals in between. As with
-// CaptureCheckpoint, only Mem and Pipe are consulted, so the series is
-// shared across every variant/model cell of a sweep.
-func CaptureCheckpoints(cfg Config, prog *isa.Program, init func(*isa.Memory), boundaries []uint64) []*arch.Checkpoint {
-	mc := mem.DefaultConfig()
-	if cfg.Mem != nil {
-		mc = *cfg.Mem
-	}
-	pc := pipeline.DefaultConfig()
-	if cfg.Pipe != nil {
-		pc = *cfg.Pipe
-	}
-	return arch.CaptureSeries(prog, init, mc, pc.BP, pc.CodeBase, boundaries)
+// one continuous functional warmup pass over the initial image data
+// (consumed: warmup writes to it), snapshotting at each of the given
+// non-decreasing committed-instruction boundaries. It is the capture
+// primitive for SimPoint-style sampled runs, where every representative
+// interval needs a checkpoint at its start with warm state carried across
+// the skipped intervals in between. Only Mem and Pipe are consulted, so
+// the series is shared across every variant/model cell of a sweep.
+func CaptureCheckpoints(cfg Config, prog *isa.Program, data *isa.Memory, boundaries []uint64) []*arch.Checkpoint {
+	mc, pc := geometry(cfg)
+	return arch.CaptureSeries(prog, data, mc, pc.BP, pc.CodeBase, boundaries)
 }
 
 // Restore loads a functional-warmup checkpoint into the machine before
@@ -301,6 +301,12 @@ func CaptureCheckpoints(cfg Config, prog *isa.Program, init func(*isa.Memory), b
 // checkpoint was captured with; Run then goes straight to the
 // measurement window. Restoring is bit-for-bit equivalent to performing
 // the functional warmup in place (asserted by TestRestoreEquivalence).
+//
+// The memory image replaces whatever the machine held and is adopted by
+// reference (isa.Memory.AdoptImage): the machine shares the checkpoint's
+// pages and copies one before its first write to it, so ck is left
+// unchanged by any number of restores, into this machine again or into
+// machines running at the same time.
 func (m *Machine) Restore(ck *arch.Checkpoint) error {
 	if m.cfg.WarmupMode != WarmupFunctional {
 		return fmt.Errorf("core: Restore requires WarmupMode == WarmupFunctional")
@@ -309,7 +315,7 @@ func (m *Machine) Restore(ck *arch.Checkpoint) error {
 		return fmt.Errorf("core: checkpoint captured with warmup %d, machine configured with %d",
 			ck.WarmupInstrs, m.cfg.WarmupInstrs)
 	}
-	m.data.SetImage(ck.Mem)
+	m.data.AdoptImage(ck.Mem)
 	if err := m.hier.SetState(ck.Hier); err != nil {
 		return err
 	}
@@ -451,14 +457,8 @@ type Multicore struct {
 // NewMulticore builds one core per program, all sharing memory. init runs
 // once on the shared image.
 func NewMulticore(cfg Config, progs []*isa.Program, init func(*isa.Memory)) *Multicore {
-	data := isa.NewMemory()
-	if init != nil {
-		init(data)
-	}
-	mcfg := mem.DefaultConfig()
-	if cfg.Mem != nil {
-		mcfg = *cfg.Mem
-	}
+	data := isa.NewImage(init)
+	mcfg, _ := geometry(cfg)
 	mcfg.L3Slices = len(progs)
 	sys := coherence.NewSystem(mcfg, len(progs))
 	mc := &Multicore{sys: sys, data: data}

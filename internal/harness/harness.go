@@ -20,6 +20,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/isa"
 	"repro/internal/obs/trace"
 	"repro/internal/pipeline"
 	"repro/internal/simpoint"
@@ -245,16 +246,26 @@ func (o Options) reuseCheckpoints() bool {
 // CaptureCheckpoint runs functional warmup for one workload and snapshots
 // the result for reuse across every cell that shares (workload, warmup).
 func CaptureCheckpoint(wl workload.Workload, warmup uint64) *arch.Checkpoint {
-	prog, init := wl.Build()
-	return core.CaptureCheckpoint(core.Config{WarmupInstrs: warmup}, prog, init)
+	prog, data := wl.Image()
+	return core.CaptureCheckpoints(core.Config{}, prog, data, []uint64{warmup})[0]
 }
 
 // RunOne executes a single simulation cell: one workload under one design
 // variant and attack model. This is the single execution path shared by
-// the CLI sweep, the ablation study and the simulation service.
+// the CLI sweep, the ablation study and the simulation service. Every
+// call — a retry after a panic included — starts from a pristine image: a
+// private copy-on-write copy of the workload's initial image, or, when a
+// checkpoint is restored, the checkpoint's own pages over an empty memory.
 func RunOne(wl workload.Workload, v core.Variant, m pipeline.AttackModel, ab core.Ablation, p RunParams) (core.Result, error) {
-	prog, init := wl.Build()
-	machine := core.NewMachine(core.Config{
+	var prog *isa.Program
+	var data *isa.Memory
+	if p.Checkpoint != nil {
+		prog, _ = wl.Build()
+		data = isa.NewMemory() // Restore below supplies the image
+	} else {
+		prog, data = wl.Image()
+	}
+	machine := core.NewMachineWithMemory(core.Config{
 		Variant:        v,
 		Model:          m,
 		Ablate:         ab,
@@ -263,7 +274,7 @@ func RunOne(wl workload.Workload, v core.Variant, m pipeline.AttackModel, ab cor
 		MaxInstrs:      p.MaxInstrs,
 		IntervalCycles: p.IntervalCycles,
 		Check:          p.Check,
-	}, prog, init)
+	}, prog, data)
 	if p.Checkpoint != nil {
 		if err := machine.Restore(p.Checkpoint); err != nil {
 			return core.Result{}, err

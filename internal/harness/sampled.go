@@ -61,10 +61,13 @@ type SamplePlan struct {
 
 // BuildSamplePlan profiles one workload's measurement window
 // [warmup, warmup+window), clusters it, and captures the representative
-// checkpoints in a single warmup pass.
+// checkpoints in a single warmup pass. Both passes run on copy-on-write
+// copies of the workload's initial image, so the plan's checkpoints share
+// every page the kernel did not dirty — with each other and, for a suite
+// workload, with the process-wide image.
 func BuildSamplePlan(wl workload.Workload, warmup, window uint64, cfg simpoint.Config) (*SamplePlan, error) {
-	prog, init := wl.Build()
-	pr, err := simpoint.ProfileProgram(prog, init, warmup, window, cfg)
+	prog, data := wl.Image()
+	pr, err := simpoint.ProfileProgram(prog, data.Clone(), warmup, window, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +75,7 @@ func BuildSamplePlan(wl workload.Workload, warmup, window uint64, cfg simpoint.C
 	if err != nil {
 		return nil, err
 	}
-	cks := core.CaptureCheckpoints(core.Config{}, prog, init, plan.Boundaries())
+	cks := core.CaptureCheckpoints(core.Config{}, prog, data, plan.Boundaries())
 	return &SamplePlan{Plan: plan, Checkpoints: cks}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -167,5 +168,68 @@ func TestSampledSweepDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Runs, b.Runs) {
 		t.Fatal("repeated sampled sweep differs")
+	}
+}
+
+// TestCheckpointSurvivesRestores is the immutability contract restoring
+// by reference rests on: one SamplePlan serves every cell of its workload,
+// at once, and each restored machine shares the checkpoints' pages
+// instead of copying them. Two cells under different schemes run the same
+// plan concurrently (every interval of both in flight together) and then
+// one after the other; the results must agree, and every checkpoint's
+// memory image must come out bit-for-bit what it was before the first
+// restore. lbm_r is the kernel that makes this bite: it streams stores,
+// so every interval dirties pages its checkpoint holds.
+func TestCheckpointSurvivesRestores(t *testing.T) {
+	const warmup, window = 4000, 24_000
+	wl := byName(t, "lbm_r")
+	// A hand-laid plan: lbm_r is so uniform that clustering picks one
+	// representative, and the contract needs several checkpoints that
+	// share pages with each other.
+	plan := &simpoint.Plan{WarmupInstrs: warmup, WindowInstrs: window, NumIntervals: 8, K: 3}
+	for i := 0; i < plan.K; i++ {
+		plan.Reps = append(plan.Reps, simpoint.Rep{Index: 3 * i, Start: warmup + uint64(i)*9000, Len: 3000, Weight: 1.0 / 3})
+	}
+	prog, data := wl.Image()
+	sp := &SamplePlan{Plan: plan, Checkpoints: core.CaptureCheckpoints(core.Config{}, prog, data, plan.Boundaries())}
+	before := make([]map[uint64][]byte, len(sp.Checkpoints))
+	for i, ck := range sp.Checkpoints {
+		before[i] = make(map[uint64][]byte, len(ck.Mem))
+		for pn, b := range ck.Mem {
+			before[i][pn] = append([]byte{}, b...)
+		}
+	}
+
+	variants := []core.Variant{core.Hybrid, core.SafeSpec}
+	run := func(v core.Variant) core.Result {
+		r, _, err := RunSampledCell(context.Background(), 2, wl, v, pipeline.Futuristic,
+			core.Ablation{}, sp, RunParams{}, RunPolicy{}, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		return r
+	}
+	concurrent := make([]core.Result, len(variants))
+	var wg sync.WaitGroup
+	for i, v := range variants {
+		wg.Add(1)
+		go func(i int, v core.Variant) {
+			defer wg.Done()
+			concurrent[i] = run(v)
+		}(i, v)
+	}
+	wg.Wait()
+	for i, v := range variants {
+		if serial := run(v); !reflect.DeepEqual(serial, concurrent[i]) {
+			t.Errorf("%v: the serial run differs from the concurrent one:\n got %+v\nwant %+v", v, serial, concurrent[i])
+		}
+		if concurrent[i].Committed == 0 {
+			t.Errorf("%v: nothing committed", v)
+		}
+	}
+	for i, ck := range sp.Checkpoints {
+		if !reflect.DeepEqual(ck.Mem, before[i]) {
+			t.Errorf("checkpoint %d (boundary %d): memory image changed under its restores", i, ck.WarmupInstrs)
+		}
 	}
 }

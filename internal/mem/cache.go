@@ -22,9 +22,12 @@ type Cache struct {
 	stamp    uint64
 	bankBusy []uint64
 
-	// mshr maps outstanding miss line-addresses to the cycle their data
-	// returns. Entries are pruned lazily.
-	mshr map[uint64]uint64
+	// mshr holds the outstanding misses: the key each was registered
+	// under (a line address, or an Obl-Ld's synthetic key) and the cycle
+	// its data returns. A slice, not a map: the file has cfg.MSHRs entries
+	// (plus the few acquired but not yet committed) and every miss scans
+	// all of it. Entries are pruned lazily.
+	mshr []mshrEntry
 
 	// Stats.
 	Hits, Misses    uint64
@@ -34,6 +37,8 @@ type Cache struct {
 	DirtyWritebacks uint64
 	InvalidationsIn uint64
 }
+
+type mshrEntry struct{ key, done uint64 }
 
 // NewCache returns a cache with the given geometry. Sets = Size / (Line *
 // Ways); the set count must be a power of two.
@@ -52,7 +57,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		sets:     sets,
 		setMask:  uint64(numSets - 1),
 		bankBusy: make([]uint64, cfg.Banks),
-		mshr:     make(map[uint64]uint64),
+		mshr:     make([]mshrEntry, 0, cfg.MSHRs),
 	}
 }
 
@@ -194,11 +199,13 @@ func (c *Cache) ReserveAllBanks(now, dur uint64) (start uint64) {
 
 // pruneMSHR drops entries whose data has returned by now.
 func (c *Cache) pruneMSHR(now uint64) {
-	for la, done := range c.mshr {
-		if done <= now {
-			delete(c.mshr, la)
+	live := c.mshr[:0]
+	for _, e := range c.mshr {
+		if e.done > now {
+			live = append(live, e)
 		}
 	}
+	c.mshr = live
 }
 
 // AcquireMSHR allocates a miss-status register at time now for the line
@@ -214,8 +221,10 @@ func (c *Cache) pruneMSHR(now uint64) {
 func (c *Cache) AcquireMSHR(now uint64, key uint64, merge bool) (start uint64, mergedDone uint64, merged bool) {
 	c.pruneMSHR(now)
 	if merge {
-		if done, ok := c.mshr[key]; ok {
-			return now, done, true
+		for _, e := range c.mshr {
+			if e.key == key {
+				return now, e.done, true
+			}
 		}
 	}
 	start = now
@@ -223,9 +232,9 @@ func (c *Cache) AcquireMSHR(now uint64, key uint64, merge bool) (start uint64, m
 		// Wait for the earliest outstanding miss to complete.
 		min := uint64(0)
 		first := true
-		for _, done := range c.mshr {
-			if first || done < min {
-				min = done
+		for _, e := range c.mshr {
+			if first || e.done < min {
+				min = e.done
 				first = false
 			}
 		}
@@ -238,8 +247,23 @@ func (c *Cache) AcquireMSHR(now uint64, key uint64, merge bool) (start uint64, m
 	return start, 0, false
 }
 
-// CommitMSHR records the completion time of the miss registered under key.
-func (c *Cache) CommitMSHR(key uint64, done uint64) { c.mshr[key] = done }
+// CommitMSHR records the completion time of the miss registered under
+// key, replacing the time of a live entry with the same key.
+//
+// Not inlined: in Hierarchy.OblLoad the inlined scan-and-append grows the
+// frame of every Obl-Ld, including the L1-only ones that commit no MSHR
+// (measured: 21 ns against 18 ns per L1 Obl-Ld).
+//
+//go:noinline
+func (c *Cache) CommitMSHR(key uint64, done uint64) {
+	for i := range c.mshr {
+		if c.mshr[i].key == key {
+			c.mshr[i].done = done
+			return
+		}
+	}
+	c.mshr = append(c.mshr, mshrEntry{key, done})
+}
 
 // OutstandingMisses returns the current number of live MSHR entries as of
 // time now (for tests).

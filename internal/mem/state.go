@@ -81,7 +81,7 @@ func (c *Cache) SetState(s CacheState) error {
 	for i := range c.bankBusy {
 		c.bankBusy[i] = 0
 	}
-	c.mshr = make(map[uint64]uint64)
+	c.mshr = c.mshr[:0]
 	return nil
 }
 

@@ -124,17 +124,15 @@ func (a *bbvAccum) project(seed uint64, intervalLen uint64) []float64 {
 // pure arch.State walk, two orders of magnitude cheaper than detailed
 // simulation.
 //
-// If the program halts before the window ends, the profile covers the
-// instructions that exist; if it halts before the window starts, an
-// error is returned (there is nothing to sample).
-func ProfileProgram(prog *isa.Program, init func(*isa.Memory), warmup, window uint64, cfg Config) (*Profile, error) {
+// data is the program's initial memory image, which the walk consumes (the
+// program's stores land in it). If the program halts before the window
+// ends, the profile covers the instructions that exist; if it halts
+// before the window starts, an error is returned (there is nothing to
+// sample).
+func ProfileProgram(prog *isa.Program, data *isa.Memory, warmup, window uint64, cfg Config) (*Profile, error) {
 	cfg = cfg.WithDefaults()
 	if window == 0 {
 		return nil, fmt.Errorf("simpoint: zero-length measurement window")
-	}
-	data := isa.NewMemory()
-	if init != nil {
-		init(data)
 	}
 	var st arch.State
 	for st.Instrs < warmup && !st.Halted {

@@ -15,8 +15,8 @@ func profileFor(t *testing.T, name string, warmup, window uint64, cfg Config) *P
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, init := wl.Build()
-	p, err := ProfileProgram(prog, init, warmup, window, cfg)
+	prog, data := wl.Image()
+	p, err := ProfileProgram(prog, data, warmup, window, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +63,12 @@ func TestProfileErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, init := wl.Build()
-	if _, err := ProfileProgram(prog, init, 1000, 0, Config{}); err == nil {
+	prog, data := wl.Image()
+	if _, err := ProfileProgram(prog, data.Clone(), 1000, 0, Config{}); err == nil {
 		t.Error("zero window accepted")
 	}
 	// Warmup far beyond the program's halt point.
-	if _, err := ProfileProgram(prog, init, 1<<40, 1000, Config{}); err == nil {
+	if _, err := ProfileProgram(prog, data, 1<<40, 1000, Config{}); err == nil {
 		t.Error("warmup beyond halt accepted")
 	}
 }

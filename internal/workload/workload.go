@@ -25,6 +25,8 @@ package workload
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/isa"
 )
@@ -37,15 +39,60 @@ type Workload struct {
 	Desc string
 	// FP reports whether the kernel exercises floating-point transmitters.
 	FP bool
-	// Build returns the program and its initial memory image. The program
-	// halts on its own after the default iteration count; harness runs cut
-	// earlier with a committed-instruction budget.
+	// Build returns the program and a function that fills in its initial
+	// memory image. The program halts on its own after the default
+	// iteration count; harness runs cut earlier with a committed-instruction
+	// budget. A copy of a suite workload may have its Build wrapped (tests
+	// count calls that way) but not replaced by a different kernel: Image
+	// would keep serving the suite kernel's image. A different kernel is a
+	// new Workload literal.
 	Build func() (*isa.Program, func(*isa.Memory))
+
+	// base is set on the workloads All and ByName serve, and only on them:
+	// the registered kernel's identity, under which Image builds the
+	// initial image once per process.
+	base *baseImage
 }
 
-// All returns the full suite in a stable order.
-func All() []Workload {
-	return []Workload{
+// baseImage is one registered kernel's initial memory image, built on
+// first use and frozen: nothing writes its pages again, every caller gets
+// a copy-on-write clone. There is no eviction and nothing to tune — the
+// whole suite is 2,986 pages (12.2 MB).
+type baseImage struct {
+	once sync.Once
+	mem  *isa.Memory
+}
+
+// imageBuilds counts the initial images Image has built (tests read it
+// through export_test.go).
+var imageBuilds atomic.Int64
+
+func buildImage(init func(*isa.Memory)) *isa.Memory {
+	imageBuilds.Add(1)
+	return isa.NewImage(init)
+}
+
+// Image returns the program and a private copy of its initial memory
+// image, ready to run and free to write. For a workload served by All or
+// ByName the image is built once per process and the copy shares its
+// pages copy-on-write, so it costs a page directory plus the pages the
+// run dirties; any other Workload builds its image on every call.
+func (w Workload) Image() (*isa.Program, *isa.Memory) {
+	prog, init := w.Build()
+	if w.base == nil {
+		return prog, buildImage(init)
+	}
+	w.base.once.Do(func() {
+		w.base.mem = buildImage(init)
+		w.base.mem.Freeze()
+	})
+	return prog, w.base.mem.Clone()
+}
+
+// suite is the registered kernels in report order, each with the identity
+// its initial image is memoised under.
+var suite = func() []Workload {
+	ws := []Workload{
 		mcf(),
 		omnetpp(),
 		xalancbmk(),
@@ -61,11 +108,18 @@ func All() []Workload {
 		cactuBSSN(),
 		fotonik3d(),
 	}
-}
+	for i := range ws {
+		ws[i].base = new(baseImage)
+	}
+	return ws
+}()
+
+// All returns the full suite in a stable order.
+func All() []Workload { return append([]Workload(nil), suite...) }
 
 // ByName finds a workload by its name.
 func ByName(name string) (Workload, error) {
-	for _, w := range All() {
+	for _, w := range suite {
 		if w.Name == name {
 			return w, nil
 		}
@@ -76,7 +130,7 @@ func ByName(name string) (Workload, error) {
 // Names lists all workload names in order.
 func Names() []string {
 	var out []string
-	for _, w := range All() {
+	for _, w := range suite {
 		out = append(out, w.Name)
 	}
 	return out
