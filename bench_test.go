@@ -204,18 +204,32 @@ func BenchmarkPentest(b *testing.B) {
 // --- Microbenchmarks of the substrates ---
 
 // BenchmarkSimulatorThroughput measures raw simulation speed (simulated
-// instructions per second) on the insecure core.
+// instructions per second) of the detailed core, one sub-benchmark per ledger
+// kernel (bench/'s Figure 6 grid) × {Unsafe, STT{ld}, Hybrid} under the
+// Futuristic model: the emptiest issue queue (deepsjeng_r/Unsafe, the
+// README trajectory row) through the fullest (taint-delayed mcf_r).
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	wl, err := workload.ByName("deepsjeng_r")
-	if err != nil {
-		b.Fatal(err)
+	for _, name := range []string{"mcf_r", "xalancbmk_r", "x264_r", "deepsjeng_r"} {
+		wl, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range []core.Variant{core.Unsafe, core.STTLd, core.Hybrid} {
+			b.Run(fmt.Sprintf("%s/%v", name, v), func(b *testing.B) {
+				benchThroughput(b, wl, core.Config{Variant: v, Model: pipeline.Futuristic, MaxInstrs: 50_000})
+			})
+		}
 	}
+}
+
+// benchThroughput runs wl under cfg b.N times, image build included, and
+// reports allocations and simulated instructions per second.
+func benchThroughput(b *testing.B, wl workload.Workload, cfg core.Config) {
 	b.ReportAllocs()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
 		prog, init := wl.Build()
-		m := core.NewMachine(core.Config{Variant: core.Unsafe, MaxInstrs: 50_000}, prog, init)
-		r, err := m.Run()
+		r, err := core.NewMachine(cfg, prog, init).Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,18 +268,7 @@ func BenchmarkSchemeDispatch(b *testing.B) {
 	}
 	for _, v := range core.Registered() {
 		b.Run(v.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			var instrs uint64
-			for i := 0; i < b.N; i++ {
-				prog, init := wl.Build()
-				m := core.NewMachine(core.Config{Variant: v, MaxInstrs: 50_000}, prog, init)
-				r, err := m.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				instrs += r.Committed
-			}
-			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
+			benchThroughput(b, wl, core.Config{Variant: v, MaxInstrs: 50_000})
 		})
 	}
 }

@@ -21,30 +21,34 @@ var bothModels = []pipeline.AttackModel{pipeline.Spectre, pipeline.Futuristic}
 var benchKernels = []string{"mcf_r", "xalancbmk_r", "x264_r", "deepsjeng_r"}
 
 // TestWorkListsMatchROBScan is the list ≡ scan oracle: the pipeline's work
-// lists, IQ blocked marks and incremental frontier are recomputed by brute
-// force from the ROB (Core.CheckInvariants) after every cycle of seeded
-// random programs, under every registered scheme and both attack models.
+// lists, the issue queue's partition into ready set and waiter lists, and the
+// incremental frontier are recomputed by brute force from the ROB
+// (Core.CheckInvariants) after every cycle of seeded random programs, under
+// every registered scheme (one parallel sub-test each) and both attack models.
 func TestWorkListsMatchROBScan(t *testing.T) {
 	programs := 200
 	if testing.Short() {
 		programs = 20
 	}
-	for seed := 0; seed < programs; seed++ {
-		prog, init := workload.RandomProgram(rand.New(rand.NewSource(int64(seed))), workload.DefaultRandomOptions())
-		for _, v := range Registered() {
-			for _, mdl := range bothModels {
-				m := NewMachine(Config{Variant: v, Model: mdl}, prog, init)
-				c := m.Core()
-				for !c.Halted() {
-					if err := c.Step(); err != nil {
-						t.Fatalf("seed %d %v/%v: %v", seed, v, mdl, err)
-					}
-					if err := c.CheckInvariants(); err != nil {
-						t.Fatalf("seed %d %v/%v cycle %d: %v", seed, v, mdl, c.Cycle(), err)
+	for _, v := range Registered() {
+		t.Run(v.String(), func(t *testing.T) {
+			t.Parallel()
+			for seed := 0; seed < programs; seed++ {
+				prog, init := workload.RandomProgram(rand.New(rand.NewSource(int64(seed))), workload.DefaultRandomOptions())
+				for _, mdl := range bothModels {
+					m := NewMachine(Config{Variant: v, Model: mdl}, prog, init)
+					c := m.Core()
+					for !c.Halted() {
+						if err := c.Step(); err != nil {
+							t.Fatalf("seed %d %v: %v", seed, mdl, err)
+						}
+						if err := c.CheckInvariants(); err != nil {
+							t.Fatalf("seed %d %v cycle %d: %v", seed, mdl, c.Cycle(), err)
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 

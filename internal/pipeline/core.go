@@ -29,8 +29,8 @@ type Core struct {
 	rob     []robEntry // ring of 2ⁿ ≥ ROBSize slots indexed by seq&(len-1)
 	headSeq uint64     // oldest live seq
 	tailSeq uint64     // next seq to allocate
-	iq      []iqSlot   // age-ordered, capacity IQSize
-	wake    bool       // a producer completed since issue ran: re-poll blocked IQ slots
+	ready   []uint64   // issue queue, ready set: one bit per ROB ring slot (exec.go "enqueue")
+	iqN     int        // issue-queue occupancy: live stWaiting entries, ready or hanging on a producer
 	lq, sq  ring[uint64]
 	parked  []parkedSquash
 
@@ -58,6 +58,7 @@ type Core struct {
 	fetchBuf        ring[fetchSlot] // holds at most 2*Width slots
 
 	obs *obs.Recorder
+	chk []uint64 // CheckInvariants scratch: a bitset over ROB ring slots
 
 	cycle           uint64
 	frontier        uint64
@@ -111,7 +112,7 @@ func New(cfg Config, prog *isa.Program, data *isa.Memory, port MemPort) *Core {
 		memCfg: hierCfgOf(port),
 
 		rob:      make([]robEntry, ceilPow2(cfg.ROBSize)),
-		iq:       make([]iqSlot, 0, cfg.IQSize),
+		ready:    make([]uint64, max(1, ceilPow2(cfg.ROBSize)/64)),
 		lq:       newRing[uint64](cfg.LQSize),
 		sq:       newRing[uint64](cfg.SQSize),
 		parked:   make([]parkedSquash, 0, cfg.LQSize),
@@ -184,6 +185,12 @@ func (c *Core) entry(seq uint64) *robEntry { return &c.rob[seq&uint64(len(c.rob)
 
 func (c *Core) live(seq uint64) bool { return seq >= c.headSeq && seq < c.tailSeq }
 
+// slotBit locates seq's ROB ring slot in a bitmap over slots (c.ready).
+func (c *Core) slotBit(seq uint64) (word, bit uint64) {
+	pos := seq & uint64(len(c.rob)-1)
+	return pos >> 6, 1 << (pos & 63)
+}
+
 // pcAddr synthesises the byte address of an instruction index, feeding the
 // branch predictor and I-cache.
 func (c *Core) pcAddr(pc int) uint64 { return c.cfg.CodeBase + uint64(pc)*8 }
@@ -206,7 +213,7 @@ func (c *Core) RunUntilCommitted(n uint64) error { return c.run(n, 0) }
 // run is Step in a loop plus stall skip-ahead: a cycle that left changed
 // clear repeats exactly until a time-dependent condition flips. Skipping
 // starts at the second such cycle in a row: the first may have had an
-// idempotent hidden effect (an IQ mark, Hybrid.Predict evicting a slot).
+// idempotent hidden effect (Hybrid.Predict evicting a slot).
 func (c *Core) run(maxInstrs, maxCycles uint64) error {
 	idle := 0
 	for !c.halted && (maxCycles == 0 || c.cycle < maxCycles) && (maxInstrs == 0 || c.stats.Committed < maxInstrs) {
@@ -371,7 +378,7 @@ func (c *Core) rename() {
 		in := slot.in
 		class := in.Op.Class()
 		needsIQ := in.Op != isa.OpNop && in.Op != isa.OpHalt && in.Op != isa.OpFlush && in.Op != isa.OpJmp
-		if needsIQ && len(c.iq) >= c.cfg.IQSize ||
+		if needsIQ && c.iqN >= c.cfg.IQSize ||
 			class&isa.ClassLoad != 0 && c.lq.n >= c.cfg.LQSize ||
 			(class&isa.ClassStore != 0 || in.Op == isa.OpFlush) && c.sq.n >= c.cfg.SQSize {
 			return // a queue is full (flushes order with stores via the SQ)
@@ -420,7 +427,8 @@ func (c *Core) rename() {
 			e.state = stDone
 			c.sq.push(seq)
 		default:
-			c.iq = append(c.iq, iqSlot{seq: seq})
+			c.iqN++
+			c.enqueue(e)
 		}
 		switch {
 		case class&isa.ClassLoad != 0:

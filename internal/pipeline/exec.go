@@ -2,64 +2,76 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/obs"
 )
 
-// issue selects ready instructions from the issue queue in age order,
-// subject to functional-unit availability and the active protection
-// policy's transmitter rules, and begins their execution. A slot marked
-// blocked on an in-flight producer is not offered to issue* nor, until some
-// producer completes (c.wake), re-polled: an attempt failing on an unready
-// operand has no side effect (the Scheme contract). Attempts failing for
-// another reason run every cycle — they tick counters.
+// issue offers the ready set — waiting entries whose needed sources are all
+// bound — to the functional units in age order, subject to port availability
+// and the active protection policy's transmitter rules, until Width have
+// issued. An entry hanging on an in-flight producer is not visited at all: an
+// attempt failing on an unready operand has no side effect (the Scheme
+// contract). A ready entry that fails for another reason (taint delay, ports,
+// a store-queue stall) keeps its bit and is retried every cycle — it ticks
+// counters.
+//
+// Ring position is seq&mask, so age order is ring order from the head's
+// position round to it again: the head's word first (its bits from the head
+// up) and last (its bits below the head). A ring shorter than 64 slots is
+// that one word, twice.
 func (c *Core) issue() {
+	mask := uint64(len(c.rob) - 1)
+	start := c.headSeq & mask
+	words := uint64(len(c.ready)) // a power of two, like len(c.rob)
 	issued := 0
-	wake := c.wake
-	c.wake = false
-	kept := c.iq[:0]
-	for _, s := range c.iq {
-		if s.seq >= c.tailSeq {
-			break // a store issued above squashed this entry and every younger one
+	for i := uint64(0); i <= words; i++ {
+		wi := (start>>6 + i) & (words - 1)
+		word := c.ready[wi]
+		if i == 0 {
+			word &= ^uint64(0) << (start & 63)
 		}
-		e := c.entry(s.seq)
-		if issued >= c.cfg.Width {
-			c.wake = wake // slots from here on are not re-polled: keep the wake-up pending
-		} else if w := s.waitOn; w == 0 || wake && (w < c.headSeq || c.entry(w).state == stDone) {
-			s.waitOn = c.blockedOn(e) // unmarked, or woken and its producer finished: poll
+		if i == words {
+			word &= 1<<(start&63) - 1
 		}
-		if issued >= c.cfg.Width || s.waitOn != 0 {
-			kept = append(kept, s)
-			continue
-		}
-		since := e.delayedSince
-		ok := false
-		switch {
-		case e.isCond():
-			ok = c.issueBranch(e)
-		case e.isLoad():
-			ok = c.issueLoad(e)
-		case e.isStore():
-			ok = c.issueStore(e)
-		case e.is(isa.ClassFP):
-			ok = c.issueFP(e)
-		default:
-			ok = c.issueALU(e)
-		}
-		if !ok {
-			kept = append(kept, s)
-			c.changed = c.changed || e.delayedSince != since
-			continue
-		}
-		issued++
-		c.changed = true
-		if !e.isStore() && e.obl == oblNone { // stores complete by data bind, Obl-Lds through stepObl
-			c.exec = append(c.exec, s.seq)
+		for ; word != 0; word &= word - 1 {
+			pos := wi<<6 | uint64(bits.TrailingZeros64(word))
+			seq := c.headSeq + (pos-start)&mask
+			if seq >= c.tailSeq {
+				return // a store issued above squashed this entry and every younger one; word is a stale copy
+			}
+			e := &c.rob[pos]
+			since := e.delayedSince
+			ok := false
+			switch {
+			case e.isCond():
+				ok = c.issueBranch(e)
+			case e.isLoad():
+				ok = c.issueLoad(e)
+			case e.isStore():
+				ok = c.issueStore(e)
+			case e.is(isa.ClassFP):
+				ok = c.issueFP(e)
+			default:
+				ok = c.issueALU(e)
+			}
+			if !ok {
+				c.changed = c.changed || e.delayedSince != since
+				continue
+			}
+			c.ready[wi] &^= 1 << (pos & 63)
+			c.iqN--
+			c.changed = true
+			if !e.isStore() && e.obl == oblNone { // stores complete by data bind, Obl-Lds through stepObl
+				c.exec = append(c.exec, seq)
+			}
+			if issued++; issued == c.cfg.Width {
+				return
+			}
 		}
 	}
-	c.iq = kept
 }
 
 // blockedOn returns the first in-flight producer among the sources e needs
@@ -71,6 +83,39 @@ func (c *Core) blockedOn(e *robEntry) uint64 {
 		}
 	}
 	return 0
+}
+
+// enqueue files a waiting entry in the issue queue: on the waiter list of the
+// first in-flight producer it needs or, with none left, in the ready set.
+// rename files every entry once; after that only wakeWaiters moves it, because
+// readiness is monotone: a bound producer stays bound until it commits, and a
+// squashed producer takes its (younger) consumers with it.
+func (c *Core) enqueue(e *robEntry) {
+	e.waitOn, e.waitNext = c.blockedOn(e), 0
+	if e.waitOn != 0 {
+		p := c.entry(e.waitOn)
+		e.waitNext, p.waitHead = p.waitHead, e.seq
+		return
+	}
+	w, bit := c.slotBit(e.seq)
+	c.ready[w] |= bit
+}
+
+// wakeWaiters re-files every entry hanging on p, whose result was just bound
+// (a waiter may hang next on its second source). It is called from the only
+// two places an entry with a destination becomes stDone: completeExecution and
+// bindOblValue. Stores bind their data without a destination and the ops
+// rename marks stDone directly (Nop, Halt, Jmp, Flush) write no register, so
+// nothing ever waits on those; CheckInvariants would find a waiter left
+// hanging on a bound producer.
+func (c *Core) wakeWaiters(p *robEntry) {
+	w := p.waitHead
+	p.waitHead = 0
+	for w != 0 {
+		e := c.entry(w)
+		w = e.waitNext
+		c.enqueue(e)
+	}
 }
 
 // insertSeq inserts seq into an age-ordered list.
@@ -176,9 +221,10 @@ func (c *Core) issueStore(e *robEntry) bool {
 	return true
 }
 
-// completeExecution retires finished executions (exec) into the "done" state,
-// then binds late store data (stData): a store is younger than the producer
-// of its data, so this is the order a scan of the window saw them in.
+// completeExecution retires finished executions (exec) into the "done" state
+// and wakes their waiters, then binds late store data (stData): a store is
+// younger than the producer of its data, so this is the order a scan of the
+// window saw them in.
 func (c *Core) completeExecution() {
 	kept, next := c.exec[:0], noSeq
 	for _, seq := range c.exec {
@@ -192,7 +238,8 @@ func (c *Core) completeExecution() {
 		if e.isCond() {
 			e.resolved = true
 		}
-		c.changed, c.wake = true, true
+		c.wakeWaiters(e)
+		c.changed = true
 	}
 	c.exec, c.nextDone = kept, next
 

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 )
@@ -40,64 +41,118 @@ func (c *Core) CheckInvariants() error {
 
 	// Every queue and work list is recomputed by a brute-force ROB scan: it
 	// holds exactly the live entries its predicate selects, once each, and
-	// in age order where the stages rely on that.
-	seqs := func(r *ring[uint64]) (out []uint64) {
-		for i := 0; i < r.n; i++ {
-			out = append(out, *r.at(i))
-		}
-		return out
+	// in age order where the stages rely on that. want is a bitset over ROB
+	// ring slots, owned by the core so a check every cycle allocates nothing.
+	if c.chk == nil {
+		c.chk = make([]uint64, len(c.ready))
 	}
-	var iq []uint64
-	for _, s := range c.iq {
-		iq = append(iq, s.seq)
-	}
+	want := c.chk
+	has := func(set []uint64, seq uint64) bool { w, bit := c.slotBit(seq); return set[w]&bit != 0 }
+	put := func(seq uint64) { w, bit := c.slotBit(seq); want[w] |= bit }
+	del := func(seq uint64) { w, bit := c.slotBit(seq); want[w] &^= bit }
 	for _, l := range []struct {
 		name    string
-		got     []uint64
+		ring    *ring[uint64] // the list, when it is a ring
+		list    []uint64      // the list otherwise
 		ordered bool
 		member  func(*robEntry) bool
 	}{
-		{"LQ", seqs(&c.lq), true, (*robEntry).isLoad},
-		{"SQ", seqs(&c.sq), true, func(e *robEntry) bool { return e.isStore() || e.in.Op == isa.OpFlush }},
-		{"IQ", iq, true, func(e *robEntry) bool { return e.state == stWaiting }},
-		{"exec", c.exec, false, func(e *robEntry) bool { return e.state == stExecuting && e.obl == oblNone && !e.isStore() }},
-		{"stData", c.stData, false, func(e *robEntry) bool { return e.isStore() && e.addrValid && !e.sqDataReady }},
-		{"brs", c.brs, true, func(e *robEntry) bool { return e.isCond() && !e.effectApplied }},
-		{"fps", c.fps, true, func(e *robEntry) bool { return e.fpSDO && !e.effectApplied }},
-		{"obls", c.obls, true, func(e *robEntry) bool { return e.obl != oblNone && e.obl != oblResolved }},
+		{"LQ", &c.lq, nil, true, (*robEntry).isLoad},
+		{"SQ", &c.sq, nil, true, func(e *robEntry) bool { return e.isStore() || e.in.Op == isa.OpFlush }},
+		{"exec", nil, c.exec, false, func(e *robEntry) bool { return e.state == stExecuting && e.obl == oblNone && !e.isStore() }},
+		{"stData", nil, c.stData, false, func(e *robEntry) bool { return e.isStore() && e.addrValid && !e.sqDataReady }},
+		{"brs", nil, c.brs, true, func(e *robEntry) bool { return e.isCond() && !e.effectApplied }},
+		{"fps", nil, c.fps, true, func(e *robEntry) bool { return e.fpSDO && !e.effectApplied }},
+		{"obls", nil, c.obls, true, func(e *robEntry) bool { return e.obl != oblNone && e.obl != oblResolved }},
 	} {
-		want := map[uint64]bool{}
+		clear(want)
 		for seq := c.headSeq; seq < c.tailSeq; seq++ {
 			if l.member(c.entry(seq)) {
-				want[seq] = true
+				put(seq)
 			}
 		}
+		n := len(l.list)
+		if l.ring != nil {
+			n = l.ring.n
+		}
 		prev := uint64(0)
-		for _, seq := range l.got {
-			if !want[seq] {
+		for i := 0; i < n; i++ {
+			var seq uint64
+			if l.ring != nil {
+				seq = *l.ring.at(i)
+			} else {
+				seq = l.list[i]
+			}
+			if !c.live(seq) || !has(want, seq) {
 				return fmt.Errorf("pipeline: %s holds seq %d, which is dead, listed twice or of the wrong kind", l.name, seq)
 			}
-			delete(want, seq)
+			del(seq)
 			if l.ordered && seq <= prev {
 				return fmt.Errorf("pipeline: %s not age-ordered at %d", l.name, seq)
 			}
 			prev = seq
 		}
-		for seq := range want {
-			return fmt.Errorf("pipeline: %s is missing live seq %d (%v)", l.name, seq, c.entry(seq).in)
+		for seq := c.headSeq; seq < c.tailSeq; seq++ {
+			if has(want, seq) {
+				return fmt.Errorf("pipeline: %s is missing live seq %d (%v)", l.name, seq, c.entry(seq).in)
+			}
 		}
 	}
 
-	// An IQ blocked mark names an in-flight producer of a source the entry
-	// needs to issue, unless issue ran out of width with a wake-up pending.
-	for _, s := range c.iq {
-		e, w := c.entry(s.seq), s.waitOn
-		needed := w == 0
-		for i := 0; i < int(e.nNeed); i++ {
-			needed = needed || e.src[i].producer == int64(w) && c.live(w) && c.entry(w).state != stDone
+	// The issue queue is an exact partition of the live stWaiting entries:
+	// one is in the ready set iff no source it needs is in flight (iff its
+	// waitOn is 0); any other hangs on exactly one waiter list, reachable
+	// once — that of a live, unbound, needed producer older than itself. No
+	// other ready bit is set and iqN counts them all. want collects the
+	// entries that must be found on a list.
+	clear(want)
+	inIQ, readyBits := 0, 0
+	for _, w := range c.ready {
+		readyBits += bits.OnesCount64(w)
+	}
+	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+		e := c.entry(seq)
+		bit := has(c.ready, seq)
+		if e.state != stWaiting {
+			if bit {
+				return fmt.Errorf("pipeline: ready bit set for seq %d, which is not waiting (state %d)", seq, e.state)
+			}
+			continue
 		}
-		if !needed && !c.wake {
-			return fmt.Errorf("pipeline: IQ seq %d marked blocked on %d, not an in-flight needed producer", s.seq, w)
+		inIQ++
+		if blocked := c.blockedOn(e) != 0; bit == blocked || bit != (e.waitOn == 0) {
+			return fmt.Errorf("pipeline: IQ seq %d: ready bit %v, waitOn %d, but blockedOn = %d", seq, bit, e.waitOn, c.blockedOn(e))
+		}
+		if bit {
+			readyBits--
+			continue
+		}
+		w, needed := e.waitOn, false
+		for i := 0; i < int(e.nNeed); i++ {
+			needed = needed || e.src[i].producer == int64(w)
+		}
+		if !needed || w < c.headSeq || w >= seq || c.entry(w).state == stDone {
+			return fmt.Errorf("pipeline: IQ seq %d waits on %d, not a live, older, in-flight producer it needs", seq, w)
+		}
+		put(seq)
+	}
+	if readyBits != 0 {
+		return fmt.Errorf("pipeline: %d ready bits set for dead ROB slots", readyBits)
+	}
+	if inIQ != c.iqN {
+		return fmt.Errorf("pipeline: iqN = %d, but %d live entries are waiting", c.iqN, inIQ)
+	}
+	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+		for w := c.entry(seq).waitHead; w != 0; w = c.entry(w).waitNext {
+			if !c.live(w) || !has(want, w) || c.entry(w).waitOn != seq {
+				return fmt.Errorf("pipeline: waiter list of seq %d holds %d, which is dead, listed twice or not waiting on it", seq, w)
+			}
+			del(w)
+		}
+	}
+	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+		if has(want, seq) {
+			return fmt.Errorf("pipeline: IQ seq %d waits on %d but is not on its waiter list", seq, c.entry(seq).waitOn)
 		}
 	}
 

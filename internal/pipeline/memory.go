@@ -499,7 +499,7 @@ func (c *Core) bindOblValue(e *robEntry, v uint64) {
 	}
 	e.destVal = v
 	e.state = stDone
-	c.wake = true
+	c.wakeWaiters(e)
 }
 
 // startValidation issues the validation access (a normal, filling load).

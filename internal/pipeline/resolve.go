@@ -224,14 +224,14 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 				snap = e.bpSnap
 				restored = true
 			}
+			if e.state == stWaiting {
+				c.dequeueSquashed(e, from)
+			}
 		}
 		if restored {
 			c.bp.Restore(snap)
 		}
 
-		for len(c.iq) > 0 && c.iq[len(c.iq)-1].seq >= from {
-			c.iq = c.iq[:len(c.iq)-1]
-		}
 		for _, q := range [...]*ring[uint64]{&c.lq, &c.sq} {
 			for q.n > 0 && *q.at(q.n - 1) >= from {
 				q.n--
@@ -265,6 +265,29 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 	c.fetchLine = ^uint64(0)
 	if c.fetchStallUntil < c.cycle+1 {
 		c.fetchStallUntil = c.cycle + 1 // one-cycle redirect bubble
+	}
+}
+
+// dequeueSquashed takes a waiting entry out of the issue queue during
+// squash(from): out of the ready set, or off the waiter list of a producer
+// that survives the squash. The unlink is eager because seqs are reallocated
+// after a squash — a stale link would later name a different instruction. The
+// list of a squashed producer dies with it (rename zeroes the slot).
+func (c *Core) dequeueSquashed(e *robEntry, from uint64) {
+	c.iqN--
+	switch {
+	case e.waitOn == 0:
+		w, bit := c.slotBit(e.seq)
+		c.ready[w] &^= bit
+	case e.waitOn < from:
+		link := &c.entry(e.waitOn).waitHead
+		for *link != e.seq {
+			if *link == 0 {
+				panic("pipeline: squashed waiter is not on its producer's list")
+			}
+			link = &c.entry(*link).waitNext
+		}
+		*link = e.waitNext
 	}
 }
 

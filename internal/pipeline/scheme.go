@@ -30,9 +30,11 @@ import (
 // simulations.
 //
 // The event-driven stage loop holds every scheme to two rules. (1) No side
-// effect on an unready operand: issue does not call IssueLoad or
-// IssueTaintedFP while the address source (or any FP source) is still in
-// flight, so a scheme must not count on being polled then. (2) An attempt
+// effect on an unready operand: while the address source (or any FP source)
+// is still in flight the instruction hangs on that producer's waiter list and
+// issue does not visit it at all — IssueLoad and IssueTaintedFP are first
+// called the cycle the last such source binds — so a scheme must not count on
+// being polled before then. (2) An attempt
 // that returns false may only set e.delayedSince (once, with its Delayed* /
 // OblPredMem counter), tick LoadDelayCycles / FPDelayCycles, or do something
 // idempotent (LocPred.Predict evicting a slot): Core.Run skips spans of

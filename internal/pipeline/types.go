@@ -63,9 +63,13 @@ type operand struct {
 type robEntry struct {
 	seq    uint64
 	doneAt uint64 // valid when state >= stExecuting
-	src    [2]operand
-	in     isa.Instr
-	pc     int
+	// Issue-queue wake-up links, seqs with 0 = none (seqs start at 1).
+	waitOn   uint64 // in-flight producer this waiting entry hangs on (0: it is in c.ready)
+	waitHead uint64 // first entry hanging on this one
+	waitNext uint64 // next waiter of waitOn
+	src      [2]operand
+	in       isa.Instr
+	pc       int
 
 	state entryState
 	class isa.Class // decoded once at rename
@@ -126,10 +130,6 @@ func (e *robEntry) is(cl isa.Class) bool { return e.class&cl != 0 }
 func (e *robEntry) isCond() bool         { return e.is(isa.ClassCondBranch) }
 func (e *robEntry) isLoad() bool         { return e.is(isa.ClassLoad) }
 func (e *robEntry) isStore() bool        { return e.is(isa.ClassStore) }
-
-// iqSlot is one issue-queue entry. waitOn is its blocked mark: a producer
-// it needs to issue that was in flight when issue last polled it (0: none).
-type iqSlot struct{ seq, waitOn uint64 }
 
 // ring is a fixed-capacity FIFO, the allocation-free form of q = q[1:] plus
 // append. The owner enforces the occupancy limit; the buffer is rounded up
