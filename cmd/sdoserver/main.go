@@ -85,10 +85,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&c.JournalPath, "journal", "", "job-journal file for durable resumable sweeps (default: <cache>.jobs when -cache is set; \"off\" disables)")
 
 	fs.StringVar(&o.peers, "peers", "", "comma-separated peer base URLs for cache peering, e.g. http://10.0.0.2:8344,http://10.0.0.3:8344")
-	fs.DurationVar(&c.PeerTimeout, "peer-timeout", 0, "per-request peer lookup deadline (0: default 2s)")
-	fs.DurationVar(&c.PeerHedgeDelay, "peer-hedge", 0, "hedge a peer lookup to the next-ranked peer after this delay (0: default 75ms)")
-	fs.DurationVar(&c.PeerProbeInterval, "peer-probe", 0, "peer health-probe period (0: default 5s; negative: off)")
-	fs.IntVar(&c.PeerMaxFanout, "peer-fanout", 0, "max peers consulted per lookup (0: default 2)")
 
 	fs.StringVar(&o.clusterPeers, "cluster-peers", "", "full cluster membership as comma-separated id=url pairs incl. this node, e.g. a=http://na:8344,b=http://nb:8344 (federates nodes into one logical /sweeps service)")
 	fs.StringVar(&o.nodeID, "node-id", "", "this node's member id within -cluster-peers")

@@ -11,8 +11,8 @@ import (
 // TestFlagsDocumented audits the command's surface against the docs:
 // every registered flag is documented in README.md as `-name` (optionally
 // followed by an argument placeholder), and the names of the removed
-// speculation and deadline-auto-tuning surface appear in no operator
-// document.
+// speculation, deadline-auto-tuning and peer-tuning surface appear in no
+// operator document.
 func TestFlagsDocumented(t *testing.T) {
 	root := filepath.Join("..", "..")
 	read := func(rel string) string {
@@ -47,6 +47,10 @@ func TestFlagsDocumented(t *testing.T) {
 		regexp.MustCompile("-auto" + "-timeout"),
 		regexp.MustCompile("spec" + "exec"),
 		regexp.MustCompile(`/spec([^a-zA-Z.]|$)`), // the endpoint, not a spec.go path
+		regexp.MustCompile("-peer" + "-timeout"),
+		regexp.MustCompile("-peer" + "-hedge"),
+		regexp.MustCompile("-peer" + "-fanout"),
+		regexp.MustCompile("-peer" + "-probe"),
 	}
 	for _, doc := range []string{
 		"README.md", "DESIGN.md", "EXPERIMENTS.md",

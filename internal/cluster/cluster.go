@@ -16,8 +16,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,12 +41,12 @@ const (
 	PartialHeader = "X-Sdo-Cluster-Partial"
 )
 
-// Defaults for Config zero values.
-const (
-	DefaultStealInterval = 2 * time.Second
-	DefaultDialTimeout   = 3 * time.Second
-	DefaultFanoutTimeout = 10 * time.Second
-)
+// DefaultStealInterval is the fallback steal poll period.
+const DefaultStealInterval = 2 * time.Second
+
+// rpcTimeout bounds each short cluster RPC: a scatter-gather fetch, a
+// steal claim, a completion, a wake hint.
+const rpcTimeout = 10 * time.Second
 
 // Member is one node of the cluster.
 type Member struct {
@@ -124,11 +122,6 @@ type Config struct {
 	// otherwise wakes on peers' hints and on local worker slots freeing up.
 	// 0: default; <0: stealing off (no loop, no hints sent or honoured).
 	StealInterval time.Duration
-
-	DialTimeout   time.Duration // proxy connect budget (0: default)
-	FanoutTimeout time.Duration // scatter-gather / steal RPC budget (0: default)
-
-	Logf func(format string, args ...any) // optional diagnostics
 }
 
 // Node wires one local Service into the cluster: request routing,
@@ -140,13 +133,11 @@ type Node struct {
 	byID map[string]Member
 	self Member
 
-	// proxyClient carries per-job proxied requests. No overall timeout:
-	// /sweeps/{id}/export blocks until the job finishes and /progress
-	// streams, so only the dial is bounded — a dead owner fails fast, a
-	// slow sweep does not. boundedClient carries the short RPCs
-	// (scatter-gather, steal claims, completions).
-	proxyClient   *http.Client
-	boundedClient *http.Client
+	// fab is the service's peer client, the only way a request leaves
+	// this node for another: proxied requests, scatter-gather, steal
+	// claims, completions and wake hints share its transport and its
+	// per-peer breakers with the cache and artifact lookups.
+	fab *fabric.Client
 
 	tr *trace.Tracer
 	jt *trace.JobTrace
@@ -182,15 +173,10 @@ func New(cfg Config) (*Node, error) {
 	if cfg.StealInterval == 0 {
 		cfg.StealInterval = DefaultStealInterval
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
-	if cfg.FanoutTimeout <= 0 {
-		cfg.FanoutTimeout = DefaultFanoutTimeout
-	}
 	n := &Node{
 		cfg:    cfg,
 		svc:    cfg.Service,
+		fab:    cfg.Service.Fabric(),
 		byID:   make(map[string]Member, len(cfg.Members)),
 		hinted: make(chan wakeup, 1),
 		queued: make(chan struct{}, 1),
@@ -200,16 +186,12 @@ func New(cfg Config) (*Node, error) {
 		n.byID[m.ID] = m
 		if m.ID == cfg.Self {
 			n.self = m
+		} else if !n.fab.HasPeer(m.URL) {
+			return nil, fmt.Errorf("cluster: member %s (%s) is not one of the service's peers", m.ID, m.URL)
 		}
 	}
 	if n.self.ID == "" {
 		return nil, fmt.Errorf("cluster: self %q not in member list", cfg.Self)
-	}
-	dial := (&net.Dialer{Timeout: cfg.DialTimeout}).DialContext
-	n.proxyClient = &http.Client{Transport: &http.Transport{DialContext: dial}}
-	n.boundedClient = &http.Client{
-		Transport: &http.Transport{DialContext: dial},
-		Timeout:   cfg.FanoutTimeout,
 	}
 	if cfg.Trace {
 		n.tr = trace.New(4)
@@ -247,12 +229,6 @@ func (n *Node) stealing() bool {
 func (n *Node) Close() {
 	n.cancel()
 	n.wg.Wait()
-}
-
-func (n *Node) logf(format string, args ...any) {
-	if n.cfg.Logf != nil {
-		n.cfg.Logf(format, args...)
-	}
 }
 
 // others returns the membership minus self, rotated to start just past

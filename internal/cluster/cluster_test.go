@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs/trace"
 	"repro/internal/simsvc"
 )
 
@@ -418,14 +419,21 @@ func soloGolden(t *testing.T, req simsvc.SweepRequest) []byte {
 	return golden
 }
 
+// waitFor polls until ok reports true, for at most a minute.
+func waitFor(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); !ok(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // waitMetric polls a node's /metrics until name reaches min.
 func waitMetric(t *testing.T, tn *testNode, name string, min float64) {
 	t.Helper()
-	for deadline := time.Now().Add(time.Minute); metric(t, tn.srv.URL, name) < min; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("node %s: %s never reached %v", tn.id, name, min)
-		}
-	}
+	waitFor(t, fmt.Sprintf("node %s: %s to reach %v", tn.id, name, min),
+		func() bool { return metric(t, tn.srv.URL, name) >= min })
 }
 
 // TestClusterWorkStealing: the owner's hint wakes the thief, which drains
@@ -632,4 +640,198 @@ func TestClusterStealLeaseExpiryReclamation(t *testing.T) {
 	if v := metric(t, a.srv.URL, "sdo_cluster_steal_completions_total"); v != 0 {
 		t.Errorf("steal completions = %v, want 0 (thief never reported back)", v)
 	}
+}
+
+// peerState is how tn's fabric client sees the member at url.
+func peerState(t *testing.T, tn *testNode, url string) (state string, fails int) {
+	t.Helper()
+	for _, ps := range tn.svc.Health().Peers {
+		if ps.URL == url {
+			return ps.State, ps.ConsecutiveFails
+		}
+	}
+	t.Fatalf("node %s has no peer %s", tn.id, url)
+	return "", 0
+}
+
+// TestClusterFrozenMemberIsSkipped: a member that accepts connections and
+// never answers is one peer failure to every kind of traffic. Once cache
+// lookups (and the prober) have opened its breaker, listings, wake hints
+// and steal rounds skip it instead of each waiting out an RPC timeout on
+// it, and it rejoins once it answers again.
+func TestClusterFrozenMemberIsSkipped(t *testing.T) {
+	nodes := startCluster(t, []string{"a", "b", "c"}, func(i int, scfg *simsvc.Config, ncfg *Config) {
+		switch i {
+		case 0:
+			// a gives up on a lookup quickly; its prober keeps striking c, so
+			// the breaker cannot half-open in the middle of the test. Workers
+			// to spare: a steal round always has a free slot left to offer c.
+			scfg.Workers = 8
+			scfg.PeerTimeout = 50 * time.Millisecond
+			scfg.PeerProbeInterval = 10 * time.Millisecond
+		case 1:
+			// b's one worker parks inside its first cell's lookup against c
+			// until c thaws; the cells behind it are there to steal.
+			scfg.Workers = 1
+			scfg.PeerTimeout = time.Minute
+		}
+	})
+	a, b, c := nodes[0], nodes[1], nodes[2]
+
+	// Freeze c, counting the cluster-layer requests (listings, claims,
+	// hints, completions) that reach it.
+	thawed := make(chan struct{})
+	var thawOnce sync.Once
+	thaw := func() { thawOnce.Do(func() { close(thawed) }) }
+	t.Cleanup(thaw) // before the nodes shut down: they wait for parked requests
+	var clusterReqs atomic.Int64
+	c.swap.wrap(func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/sweeps" || strings.HasPrefix(r.URL.Path, "/cluster/") {
+				clusterReqs.Add(1)
+			}
+			select {
+			case <-thawed:
+				inner.ServeHTTP(w, r)
+			case <-r.Context().Done():
+			}
+		})
+	})
+	var hintsToB atomic.Int64
+	b.swap.wrap(func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/cluster/wake" {
+				hintsToB.Add(1)
+			}
+			inner.ServeHTTP(w, r)
+		})
+	})
+
+	// Every cell of a sweep on a consults c and times out: three misses
+	// open the breaker. Wait until the strikes have pushed its backoff past
+	// anything this test could take.
+	st := postSweep(t, a.srv.URL, smallReq())
+	get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)
+	waitFor(t, "lookups to open c's breaker on a and the prober's strikes to hold it open", func() bool {
+		state, fails := peerState(t, a, c.srv.URL)
+		return state == "open" && fails >= 8
+	})
+	before := clusterReqs.Load()
+
+	// A listing names c as missing without asking it.
+	start := time.Now()
+	resp, err := (&http.Client{Timeout: 2 * time.Second}).Get(a.srv.URL + "/sweeps")
+	if err != nil {
+		t.Fatalf("listing with c frozen: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if d := time.Since(start); resp.StatusCode != 200 || d > time.Second {
+		t.Errorf("listing with c frozen: status %d after %v, want 200 in < 1s", resp.StatusCode, d)
+	}
+	if p := resp.Header.Get(PartialHeader); p != "c" {
+		t.Errorf("partial header %q, want c", p)
+	}
+
+	// A hint round reaches b and skips c; the unsent hint is still counted.
+	a.node.hintPeers()
+	a.node.wg.Wait()
+	if n := hintsToB.Load(); n != 1 {
+		t.Errorf("b received %d hints, want 1", n)
+	}
+	if v := metric(t, a.srv.URL, "sdo_cluster_steal_errors_total"); v != 1 {
+		t.Errorf("a counted %v lost hints, want 1 (the one to c)", v)
+	}
+
+	// A steal round still claims from b, and skips c with a slot to spare.
+	req := smallReq()
+	req.Workloads = []string{"xz_r", "mcf_r", "gcc_r", "x264_r"}
+	req.Variants = []string{"hybrid"}
+	stB := postSweep(t, b.srv.URL, req)
+	start = time.Now()
+	a.node.steal(wakeup{why: "tick"})
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("steal round with c frozen took %v", d)
+	}
+	waitMetric(t, a, "sdo_cluster_steals_total", 1)
+	if free := a.svc.IdleWorkers(); free <= 0 {
+		t.Errorf("a has %d idle workers: the steal round never got as far as c", free)
+	}
+	if n := clusterReqs.Load(); n != before {
+		t.Errorf("%d cluster requests reached frozen c through its open breaker", n-before)
+	}
+
+	// Thawed, c answers a's next probe and is a member again; b's parked
+	// cell gets its answer and the sweep finishes.
+	thaw()
+	waitFor(t, "a probe to close c's breaker on a after the thaw", func() bool {
+		state, _ := peerState(t, a, c.srv.URL)
+		return state == "ok"
+	})
+	get(t, b.srv.URL+"/sweeps/"+stB.ID+"/export", 200)
+	if _, hdr := get(t, a.srv.URL+"/sweeps", 200); hdr.Get(PartialHeader) != "" {
+		t.Errorf("listing after the thaw still partial: %q", hdr.Get(PartialHeader))
+	}
+}
+
+// TestClusterTraceEndpoint: GET /cluster/trace serves the node's proxy and
+// steal-claim spans, as the span tree and as Chrome trace events, and is
+// not mounted without Trace.
+func TestClusterTraceEndpoint(t *testing.T) {
+	a, b, release := stealPair(t, 1, func(i int, ncfg *Config) { ncfg.Trace = i == 1 })
+	get(t, a.srv.URL+"/cluster/trace", 404)
+
+	st := postSweep(t, a.srv.URL, stealReq())
+	waitMetric(t, b, "sdo_cluster_steals_total", 1)
+	release()
+	get(t, b.srv.URL+"/sweeps/"+st.ID, 200) // a's job: b proxies the status request
+
+	// spans collects every span of b's cluster trace by name. The thief
+	// sets a steal-claim's outcome just after it counts the steal, so poll.
+	var spans map[string][]map[string]string
+	waitFor(t, "a finished steal-claim span in b's cluster trace", func() bool {
+		body, _ := get(t, b.srv.URL+"/cluster/trace", 200)
+		var doc trace.Doc
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatalf("cluster trace: %v: %s", err, body)
+		}
+		spans = map[string][]map[string]string{}
+		var walk func(n *trace.Node)
+		walk = func(n *trace.Node) {
+			spans[n.Name] = append(spans[n.Name], n.Attrs)
+			for _, ch := range n.Children {
+				walk(ch)
+			}
+		}
+		for _, cell := range doc.Cells {
+			walk(cell.Spans)
+		}
+		cl := spans[trace.PhaseStealClaim]
+		return len(cl) > 0 && cl[0]["outcome"] != ""
+	})
+	if px := spans[trace.PhaseProxy]; len(px) != 1 || px[0]["owner"] != "a" || px[0]["served-by"] != "a" || px[0]["job"] != st.ID {
+		t.Errorf("proxy spans = %v, want one with owner=a served-by=a job=%s", px, st.ID)
+	}
+	cl := spans[trace.PhaseStealClaim][0]
+	if cl["owner"] != "a" || cl["key"] == "" || cl["wake"] != "hint" || cl["outcome"] != "completed" {
+		t.Errorf("steal-claim span = %v, want owner=a, a key, wake=hint, outcome=completed", cl)
+	}
+
+	body, _ := get(t, b.srv.URL+"/cluster/trace?format=chrome", 200)
+	var chrome struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(body, &chrome); err != nil {
+		t.Fatalf("chrome cluster trace: %v: %s", err, body)
+	}
+	names := map[string]bool{}
+	for _, ev := range chrome.TraceEvents {
+		names[ev.Name] = true
+	}
+	if !names[trace.PhaseProxy] || !names[trace.PhaseStealClaim] {
+		t.Errorf("chrome cluster trace lacks proxy / steal-claim events: %v", names)
+	}
+	get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)
 }

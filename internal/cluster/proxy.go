@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -135,7 +137,6 @@ func (n *Node) proxyJob(w http.ResponseWriter, r *http.Request, id string) {
 				})
 				return
 			}
-			n.logf("cluster: proxy %s %s to %s: %v", r.Method, r.URL.Path, mid, err)
 			continue
 		}
 		if resp.StatusCode == http.StatusNotFound {
@@ -158,16 +159,36 @@ func (n *Node) proxyJob(w http.ResponseWriter, r *http.Request, id string) {
 	http.Error(w, "unknown job", http.StatusNotFound)
 }
 
-// forward replays r against member m with the hop header set.
+// forward replays r against member m with the hop header set. Its only
+// deadline is the client's own request context: /export blocks until the
+// job finishes and /progress streams, so a dead owner fails fast (dial
+// bound, open breaker) and a slow sweep does not.
 func (n *Node) forward(r *http.Request, m Member, body []byte) (*http.Response, error) {
-	out, err := http.NewRequestWithContext(r.Context(), r.Method,
-		m.URL+r.URL.RequestURI(), bytes.NewReader(body))
+	h := r.Header.Clone()
+	h.Set(HopHeader, n.self.ID)
+	return n.fab.Do(r.Context(), m.URL, r.Method, r.URL.RequestURI(), h, body)
+}
+
+// rpc sends one short cluster RPC to member m, bounded by rpcTimeout, and
+// decodes the JSON body of a 2xx answer into out (nil: discarded). Any
+// other status is an error.
+func (n *Node) rpc(ctx context.Context, m Member, method, path string, body []byte, out any) error {
+	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
+	defer cancel()
+	resp, err := n.fab.Do(ctx, m.URL, method, path, http.Header{HopHeader: {n.self.ID}}, body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out.Header = r.Header.Clone()
-	out.Header.Set(HopHeader, n.self.ID)
-	return n.proxyClient.Do(out)
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
+	}
+	if out == nil {
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // copyResponse relays a proxied response, flushing after every chunk so
@@ -219,7 +240,7 @@ func (n *Node) scatterList(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, m Member) {
 			defer wg.Done()
-			lists[i], errs[i] = n.fetchList(r, m)
+			errs[i] = n.rpc(r.Context(), m, http.MethodGet, "/sweeps", nil, &lists[i])
 		}(i, m)
 	}
 	wg.Wait()
@@ -227,7 +248,6 @@ func (n *Node) scatterList(w http.ResponseWriter, r *http.Request) {
 	var down []string
 	for i, m := range others {
 		if errs[i] != nil {
-			n.logf("cluster: list from %s: %v", m.ID, errs[i])
 			down = append(down, m.ID)
 			continue
 		}
@@ -250,32 +270,6 @@ func (n *Node) scatterList(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, out)
 }
-
-func (n *Node) fetchList(r *http.Request, m Member) ([]simsvc.Status, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, m.URL+"/sweeps", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(HopHeader, n.self.ID)
-	resp, err := n.boundedClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, errStatus(resp.StatusCode)
-	}
-	var sts []simsvc.Status
-	if err := json.NewDecoder(resp.Body).Decode(&sts); err != nil {
-		return nil, err
-	}
-	return sts, nil
-}
-
-type errStatus int
-
-func (e errStatus) Error() string { return "http status " + strconv.Itoa(int(e)) }
 
 // handleInfo describes the membership and this node's place in it.
 func (n *Node) handleInfo(w http.ResponseWriter, _ *http.Request) {

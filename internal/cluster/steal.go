@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"time"
@@ -73,8 +70,7 @@ func (n *Node) steal(w wakeup) {
 			}
 			cells, err := n.claimFrom(m, free)
 			if err != nil {
-				n.logf("cluster: steal poll %s: %v", m.ID, err)
-				continue
+				continue // unreachable, skipped on its open breaker, or a bad answer: next peer
 			}
 			for _, c := range cells {
 				claimed = true
@@ -86,22 +82,9 @@ func (n *Node) steal(w wakeup) {
 
 // claimFrom asks one peer for up to max queued cells.
 func (n *Node) claimFrom(m Member, max int) ([]simsvc.StolenCell, error) {
-	u := fmt.Sprintf("%s/cluster/steal?max=%d&thief=%s", m.URL, max, url.QueryEscape(n.self.ID))
-	req, err := http.NewRequestWithContext(n.ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.boundedClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, errStatus(resp.StatusCode)
-	}
 	var cells []simsvc.StolenCell
-	if err := json.NewDecoder(resp.Body).Decode(&cells); err != nil {
+	path := fmt.Sprintf("/cluster/steal?max=%d&thief=%s", max, url.QueryEscape(n.self.ID))
+	if err := n.rpc(n.ctx, m, http.MethodGet, path, nil, &cells); err != nil {
 		return nil, err
 	}
 	// Trust but verify: the key must be the spec's own cache key, or the
@@ -110,8 +93,6 @@ func (n *Node) claimFrom(m Member, max int) ([]simsvc.StolenCell, error) {
 	for _, c := range cells {
 		if k, err := c.Spec.CacheKey(); err == nil && k == c.Key {
 			ok = append(ok, c)
-		} else {
-			n.logf("cluster: steal from %s: key/spec mismatch for %s", m.ID, c.Key)
 		}
 	}
 	return ok, nil
@@ -148,10 +129,8 @@ func (n *Node) runStolen(owner Member, c simsvc.StolenCell, wake string) {
 		}
 		if r.Err != nil {
 			outcome = "run-failed"
-			n.logf("cluster: stolen cell %s from %s: %v", c.Key, owner.ID, r.Err)
-		} else if err := n.post(ctx, owner.URL+"/cluster/complete?key="+url.QueryEscape(c.Key), r.Wire); err != nil {
+		} else if err := n.rpc(ctx, owner, http.MethodPost, "/cluster/complete?key="+url.QueryEscape(c.Key), r.Wire, nil); err != nil {
 			outcome = "post-failed"
-			n.logf("cluster: post stolen %s to %s: %v", c.Key, owner.ID, err)
 		}
 		if outcome == "completed" {
 			n.steals.Inc()
@@ -174,31 +153,9 @@ func (n *Node) hintPeers() {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			if err := n.post(n.ctx, m.URL+"/cluster/wake?from="+url.QueryEscape(n.self.ID), nil); err != nil {
+			if err := n.rpc(n.ctx, m, http.MethodPost, "/cluster/wake?from="+url.QueryEscape(n.self.ID), nil, nil); err != nil {
 				n.stealErrors.Inc()
-				n.logf("cluster: steal hint to %s: %v", m.ID, err)
 			}
 		}()
 	}
-}
-
-// post sends one short steal-protocol POST (a completion's wire entry, a
-// bodyless wake hint) and reports any non-2xx answer as an error.
-func (n *Node) post(ctx context.Context, u string, body []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.boundedClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
 }

@@ -19,13 +19,20 @@
 // MaxFanout. Every failure mode (connection refused, timeout, HTTP
 // error, corrupt body) resolves to a cache miss, never an error: the
 // caller simulates locally and the sweep proceeds.
+//
+// It is also the only code that sends a request to another node: the
+// cluster layer's addressed requests (Do) share the lookups' and the
+// prober's transport, breaker gate and strike accounting (send).
 package fabric
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -47,6 +54,14 @@ const (
 	DefaultProbeInterval  = 5 * time.Second
 )
 
+// dialTimeout bounds the connect of every node-to-node request: a dead
+// host fails fast whatever deadline, or none, its request carries.
+const dialTimeout = 3 * time.Second
+
+// ErrPeerOpen is the answer for a peer whose breaker is open: nothing
+// was dialled.
+var ErrPeerOpen = errors.New("fabric: peer circuit breaker open")
+
 // maxEntryBytes bounds a peer response body (a single encoded cell
 // result is a few KB; this is a defensive ceiling, not a tuning knob).
 const maxEntryBytes = 32 << 20
@@ -57,7 +72,8 @@ type Config struct {
 	// "http://10.0.0.2:8347"). Empty: New returns nil, and a nil *Client
 	// answers every Lookup with a miss at the cost of one nil check.
 	Peers []string
-	// Timeout bounds each peer HTTP request (0: DefaultTimeout).
+	// Timeout bounds each lookup and probe request (0: DefaultTimeout);
+	// a request sent with Do carries its caller's deadline instead.
 	Timeout time.Duration
 	// HedgeDelay is how long the best-ranked peer gets to answer before
 	// the lookup is hedged to the next-ranked peer (0:
@@ -205,8 +221,9 @@ func (p *peer) status(now time.Time, threshold int) PeerStatus {
 	return st
 }
 
-// Client performs failure-aware peer cache lookups. A nil *Client is
-// valid and always misses.
+// Client performs failure-aware peer cache lookups and carries the
+// cluster's addressed requests. A nil *Client is valid: it always misses
+// and knows no peer.
 type Client struct {
 	cfg   Config
 	hc    *http.Client
@@ -227,9 +244,13 @@ func New(cfg Config) *Client {
 	if len(cfg.Peers) == 0 {
 		return nil
 	}
+	// Only the dial is bounded here; each request brings its deadline in
+	// its context, so a proxied /export can block for the length of its
+	// sweep on the same pool that bounds a steal claim.
+	dial := (&net.Dialer{Timeout: dialTimeout}).DialContext
 	c := &Client{
 		cfg:  cfg,
-		hc:   &http.Client{Timeout: cfg.Timeout},
+		hc:   &http.Client{Transport: &http.Transport{DialContext: dial}},
 		stop: make(chan struct{}),
 	}
 	for _, u := range cfg.Peers {
@@ -412,18 +433,84 @@ func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body 
 	return nil, "", false
 }
 
-// fetch asks one peer for one key. Failures trip the peer's breaker; a
-// 404 is an authoritative (healthy) miss.
-func (c *Client) fetch(ctx context.Context, p *peer, key, path string, decode func(body []byte) (any, error)) lookupRes {
-	fail := func(why string) lookupRes {
-		p.errors.Add(1)
-		c.errors.Add(1)
-		if p.fail(time.Now(), c.cfg) {
-			c.event("peer-breaker-open", p.url)
-		}
-		c.event("peer-error", fmt.Sprintf("%s: %s", p.url, why))
-		return lookupRes{}
+// send is the one place a request leaves for another node: gate,
+// request, strike. Gated, an open breaker answers ErrPeerOpen and nothing
+// is dialled; the prober (whose job is to dial open breakers) and Lookup
+// (which consulted allow to pick its candidates) pass gated=false. Any
+// HTTP response means the peer is reachable — what else it means is the
+// caller's to say; no response is a strike.
+func (c *Client) send(ctx context.Context, p *peer, gated bool, method, path string, header http.Header, body []byte) (*http.Response, error) {
+	if gated && !p.allow(time.Now(), c.cfg.BreakerThreshold) {
+		return nil, ErrPeerOpen
 	}
+	req, err := http.NewRequestWithContext(ctx, method, p.url+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if header != nil {
+		req.Header = header
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		c.strike(ctx, p, err.Error())
+	}
+	return resp, err
+}
+
+// strike counts one failure of a request made under ctx against p,
+// opening its breaker at the threshold. A transport failure or an expired
+// deadline counts; a request its caller cancelled — a client hanging up
+// on a proxied stream, shutdown, a hedge's loser — says nothing about the
+// peer and does not.
+func (c *Client) strike(ctx context.Context, p *peer, why string) {
+	if errors.Is(ctx.Err(), context.Canceled) {
+		return
+	}
+	p.errors.Add(1)
+	c.errors.Add(1)
+	if p.fail(time.Now(), c.cfg) {
+		c.event("peer-breaker-open", p.url)
+	}
+	c.event("peer-error", p.url+": "+why)
+}
+
+// peer finds the configured peer with the given base URL (nil: none, as
+// on a nil client).
+func (c *Client) peer(url string) *peer {
+	if c != nil {
+		url = strings.TrimRight(url, "/") // as New stored them
+		for _, p := range c.peers {
+			if p.url == url {
+				return p
+			}
+		}
+	}
+	return nil
+}
+
+// HasPeer reports whether Do can address peerURL.
+func (c *Client) HasPeer(peerURL string) bool { return c.peer(peerURL) != nil }
+
+// Do sends one addressed request to the configured peer with base URL
+// peerURL under ctx's deadline (it adds none) and hands the caller the
+// response to read and close. An unknown URL is an error, never a dial;
+// an open breaker is ErrPeerOpen; any response closes the breaker.
+func (c *Client) Do(ctx context.Context, peerURL, method, path string, header http.Header, body []byte) (*http.Response, error) {
+	p := c.peer(peerURL)
+	if p == nil {
+		return nil, fmt.Errorf("fabric: %s is not a configured peer", peerURL)
+	}
+	resp, err := c.send(ctx, p, true, method, path, header, body)
+	if err == nil {
+		p.ok()
+	}
+	return resp, err
+}
+
+// fetch asks one peer for one key. It reads a 5xx or a body decode
+// rejects as a strike too; a 404 is an authoritative (healthy) miss.
+func (c *Client) fetch(ctx context.Context, p *peer, key, path string, decode func(body []byte) (any, error)) lookupRes {
+	fail := func(why string) lookupRes { c.strike(ctx, p, why); return lookupRes{} }
 	if err := c.cfg.Faults.PeerErr(p.url, key); err != nil {
 		return fail(err.Error())
 	}
@@ -436,13 +523,9 @@ func (c *Client) fetch(ctx context.Context, p *peer, key, path string, decode fu
 	}
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, p.url+path, nil)
+	resp, err := c.send(rctx, p, false, http.MethodGet, path, nil, nil)
 	if err != nil {
-		return fail(err.Error())
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fail(err.Error())
+		return lookupRes{}
 	}
 	defer func() {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, maxEntryBytes))
@@ -477,7 +560,8 @@ func (c *Client) fetch(ctx context.Context, p *peer, key, path string, decode fu
 // probeLoop periodically probes every peer's /healthz. Any HTTP
 // response at all (even 503: a draining peer can still serve its
 // cache) marks the peer healthy and closes its breaker, so recovered
-// peers rejoin lookups without waiting for a half-open trial.
+// peers rejoin lookups without waiting for a half-open trial; no response
+// is a strike, so the prober and the breaker cannot disagree for long.
 func (c *Client) probeLoop() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.cfg.ProbeInterval)
@@ -497,11 +581,7 @@ func (c *Client) probeLoop() {
 func (c *Client) probe(p *peer) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+"/healthz", nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, p, false, http.MethodGet, "/healthz", nil, nil)
 	reachable := err == nil
 	if reachable {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -278,28 +279,141 @@ func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
 	}
 }
 
+// TestProbeClosesBreakerOnRecovery covers both directions of the prober's
+// verdict, with no lookup ever touching the peer: DefaultBreakerOpens
+// unanswered probes open its breaker, and the first answered one closes it.
 func TestProbeClosesBreakerOnRecovery(t *testing.T) {
-	srv, _ := cacheServer(t, map[string]string{})
+	var frozen atomic.Bool
+	frozen.Store(true)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if frozen.Load() {
+			<-r.Context().Done() // accepts the connection, never answers
+		}
+	}))
+	defer srv.Close()
 	cfg := fastCfg(srv.URL)
-	cfg.ProbeInterval = 20 * time.Millisecond
+	cfg.Timeout = 20 * time.Millisecond
+	cfg.ProbeInterval = 10 * time.Millisecond
 	c := New(cfg)
 	defer c.Close()
-	// Force the breaker open, then let the prober observe the healthy
-	// /healthz (any response counts) and close it.
-	for i := 0; i < DefaultBreakerOpens; i++ {
-		c.peers[0].fail(time.Now(), c.cfg)
+
+	waitPeer(t, c, "probes to open the breaker", func(ps PeerStatus) bool {
+		return ps.State == "open" && !ps.Healthy && ps.ConsecutiveFails >= DefaultBreakerOpens
+	})
+	if st := c.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("setup: a lookup ran (%+v); only probes may touch the peer here", st)
 	}
-	if ps := c.Snapshot()[0]; ps.State != "open" {
-		t.Fatalf("setup: breaker state %q, want open", ps.State)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if ps := c.Snapshot()[0]; ps.State == "ok" {
-			return
+	// Any /healthz response counts as reachable.
+	frozen.Store(false)
+	waitPeer(t, c, "a probe to close the breaker", func(ps PeerStatus) bool {
+		return ps.State == "ok" && ps.Healthy && ps.ConsecutiveFails == 0
+	})
+}
+
+// waitPeer polls c's first peer until ok accepts its status.
+func waitPeer(t *testing.T, c *Client, what string, ok func(PeerStatus) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !ok(c.Snapshot()[0]); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: %+v", what, c.Snapshot()[0])
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("prober never closed the breaker: %+v", c.Snapshot()[0])
+}
+
+// parkingServer answers nothing: each request signals entered, parks until
+// its client goes away, then signals left.
+func parkingServer(t *testing.T) (srv *httptest.Server, entered, left chan struct{}) {
+	t.Helper()
+	entered, left = make(chan struct{}, 16), make(chan struct{}, 16)
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		<-r.Context().Done()
+		left <- struct{}{}
+	}))
+	t.Cleanup(srv.Close)
+	return srv, entered, left
+}
+
+// TestCallerCancellationIsNotAPeerFailure pins the strike rule proxied
+// /progress streams and hedged lookups depend on: a request its caller
+// cancelled says nothing about the peer, a deadline that expired does.
+func TestCallerCancellationIsNotAPeerFailure(t *testing.T) {
+	slow, entered, left := parkingServer(t)
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "fast-body")
+	}))
+	defer fast.Close()
+	c := New(fastCfg(slow.URL, fast.URL))
+	defer c.Close()
+	slowPeer := func() PeerStatus { return c.Snapshot()[0] }
+	clean := func(after string) {
+		t.Helper()
+		if ps := slowPeer(); ps.State != "ok" || ps.ConsecutiveFails != 0 || ps.Errors != 0 {
+			t.Fatalf("after %s: slow peer = %+v, want state ok, 0 consecutive fails, 0 errors", after, ps)
+		}
+	}
+
+	// Three addressed requests cancelled mid-flight.
+	for i := 0; i < DefaultBreakerOpens; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, err := c.Do(ctx, slow.URL, http.MethodGet, "/sweeps/sweep-1/progress", nil, nil)
+			errc <- err
+		}()
+		<-entered
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Do: err = %v, want context.Canceled", err)
+		}
+		<-left
+	}
+	clean("three cancelled Do requests")
+
+	// Three hedged lookups whose slow primary loses and is cancelled.
+	for i, n := 0, 0; n < DefaultBreakerOpens; i++ {
+		key := fmt.Sprintf("khedge-%d", i)
+		if rankedURLs(c, key)[0] != slow.URL {
+			continue
+		}
+		n++
+		if body, url, ok := lookup(c, key, nil); !ok || string(body) != "fast-body" || url != fast.URL {
+			t.Fatalf("hedged lookup = %q from %s %v, want fast-body from the hedge", body, url, ok)
+		}
+		<-entered
+		<-left // the loser's request is over before the peer is inspected
+	}
+	if c.Stats().Hedges != DefaultBreakerOpens {
+		t.Fatalf("hedges = %d, want %d", c.Stats().Hedges, DefaultBreakerOpens)
+	}
+	clean("three hedged lookups whose primary lost")
+
+	// The same handler under a deadline: three strikes, and the open
+	// breaker then answers without dialling.
+	for i := 0; i < DefaultBreakerOpens; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err := c.Do(ctx, slow.URL, http.MethodGet, "/sweeps", nil, nil)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Do past its deadline: err = %v, want context.DeadlineExceeded", err)
+		}
+		<-entered
+		<-left
+	}
+	if ps := slowPeer(); ps.State != "open" || ps.Errors != DefaultBreakerOpens {
+		t.Fatalf("after three expired deadlines: slow peer = %+v, want open with %d errors", ps, DefaultBreakerOpens)
+	}
+	if _, err := c.Do(context.Background(), slow.URL, http.MethodGet, "/sweeps", nil, nil); !errors.Is(err, ErrPeerOpen) {
+		t.Fatalf("Do through an open breaker: err = %v, want ErrPeerOpen", err)
+	}
+	select {
+	case <-entered:
+		t.Fatal("Do through an open breaker dialled the peer")
+	default:
+	}
+	if _, err := c.Do(context.Background(), "http://127.0.0.1:1", http.MethodGet, "/sweeps", nil, nil); err == nil {
+		t.Fatal("Do to an unconfigured URL did not fail")
+	}
 }
 
 // rankedURLs is the order in which c consults its peers for key.

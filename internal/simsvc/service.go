@@ -102,17 +102,12 @@ type Config struct {
 	// /cache/{key} before simulating; every peer failure degrades to
 	// local simulation (see internal/fabric). Empty: peering off.
 	Peers []string
-	// PeerTimeout bounds each peer HTTP request (0: fabric default).
+	// PeerTimeout bounds each peer lookup request (0: fabric default).
+	// No flag sets it: it is a seam for tests, like PeerProbeInterval.
 	PeerTimeout time.Duration
-	// PeerHedgeDelay is how long the best-ranked peer gets before the
-	// lookup hedges to the next one (0: fabric default).
-	PeerHedgeDelay time.Duration
 	// PeerProbeInterval is the background peer health-probe period
-	// (0: fabric default; negative: no prober).
+	// (0: fabric default; negative: no prober). A test seam only.
 	PeerProbeInterval time.Duration
-	// PeerMaxFanout bounds peers consulted per lookup (0: fabric
-	// default).
-	PeerMaxFanout int
 
 	// OwnsID, when non-nil, restricts job-ID allocation to IDs it
 	// accepts: the allocator skips numbers whose "sweep-N" this node does
@@ -359,8 +354,6 @@ func New(cfg Config) (*Service, error) {
 		s.fab = fabric.New(fabric.Config{
 			Peers:         cfg.Peers,
 			Timeout:       cfg.PeerTimeout,
-			HedgeDelay:    cfg.PeerHedgeDelay,
-			MaxFanout:     cfg.PeerMaxFanout,
 			ProbeInterval: cfg.PeerProbeInterval,
 			Faults:        cfg.Faults,
 			Event:         s.event,
@@ -481,6 +474,10 @@ func (s *Service) registerMetrics() {
 // Registry exposes the service's metrics registry (the /metrics
 // document), e.g. for embedding additional process-level collectors.
 func (s *Service) Registry() *obs.Registry { return s.reg }
+
+// Fabric exposes the service's peer client (nil without Peers): the one
+// transport and breaker set the cluster layer sends its requests through.
+func (s *Service) Fabric() *fabric.Client { return s.fab }
 
 // Cache exposes the service's result cache (read-mostly: tests and
 // metrics).
