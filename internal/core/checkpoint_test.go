@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -109,5 +110,40 @@ func TestFunctionalWarmupExactWindow(t *testing.T) {
 	}
 	if r.Committed < cfg.MaxInstrs {
 		t.Fatalf("measurement window committed %d < budget %d", r.Committed, cfg.MaxInstrs)
+	}
+}
+
+// BenchmarkRestore is the fixed cost a checkpointed cell pays before it
+// simulates anything, as harness.RunOne pays it: a machine on an empty
+// memory, the checkpoint restored over it, the hierarchy released when
+// the cell is done. "built" withholds the release, so every machine
+// allocates and zeroes its own tag arrays, which is what every machine
+// did before the pool; the B/op gap between the two is those arrays.
+func BenchmarkRestore(b *testing.B) {
+	wl, err := workload.ByName("mcf_r")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Variant: Hybrid, Model: pipeline.Futuristic,
+		WarmupInstrs: 50_000, WarmupMode: WarmupFunctional, MaxInstrs: 60_000}
+	prog, init := wl.Build()
+	ck := CaptureCheckpoint(cfg, prog, init)
+	for _, pooled := range []bool{true, false} {
+		name := "built"
+		if pooled {
+			name = "pooled"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := NewMachineWithMemory(cfg, prog, isa.NewMemory())
+				if err := m.Restore(ck); err != nil {
+					b.Fatal(err)
+				}
+				if pooled {
+					m.Release()
+				}
+			}
+		})
 	}
 }

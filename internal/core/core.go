@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/coherence"
@@ -257,9 +258,13 @@ func NewMachine(cfg Config, prog *isa.Program, init func(*isa.Memory)) *Machine 
 // architectural memory, which the machine takes over: pass a private
 // Clone of a shared initial image, or an empty memory when a checkpoint
 // is about to be restored over it.
+//
+// The memory hierarchy comes from a process-wide pool when a machine
+// before this one was Released with the same geometry, and is built
+// otherwise; the two are indistinguishable (mem.Hierarchy.Reset).
 func NewMachineWithMemory(cfg Config, prog *isa.Program, data *isa.Memory) *Machine {
 	mc, _ := geometry(cfg)
-	hier := mem.NewHierarchy(mc)
+	hier := newHierarchy(mc)
 	pc := pipelineConfig(cfg, hier.Probe)
 	return &Machine{
 		cfg:  cfg,
@@ -269,6 +274,34 @@ func NewMachineWithMemory(cfg Config, prog *isa.Program, data *isa.Memory) *Mach
 		data: data,
 		prog: prog,
 	}
+}
+
+// hierPool holds the hierarchies of Released machines, each reset to its
+// as-built state. Building one allocates and zeroes ~1 MB of tag arrays,
+// which a sweep would otherwise do once per cell and a sampled sweep once
+// per interval.
+var hierPool sync.Pool
+
+// newHierarchy returns a single-core hierarchy of geometry mc in its
+// as-built state: a pooled one when its geometry matches (one of another
+// geometry is dropped for the collector), else a new one.
+func newHierarchy(mc mem.Config) *mem.Hierarchy {
+	if h, ok := hierPool.Get().(*mem.Hierarchy); ok && h.Config() == mc {
+		return h
+	}
+	return mem.NewHierarchy(mc)
+}
+
+// Release resets the machine's memory hierarchy and hands it back for the
+// next NewMachineWithMemory to reuse; resetting here rather than on reuse
+// also drops the hierarchy's references to this machine's pipeline. The
+// machine must not be used afterwards, and nothing else may still hold
+// its Hierarchy: call it only once Run has returned, never on a machine a
+// panic unwound out of.
+func (m *Machine) Release() {
+	m.hier.Reset()
+	hierPool.Put(m.hier)
+	m.hier, m.core = nil, nil
 }
 
 // CaptureCheckpoint runs functional warmup for prog/init under cfg's

@@ -280,7 +280,11 @@ func RunOne(wl workload.Workload, v core.Variant, m pipeline.AttackModel, ab cor
 			return core.Result{}, err
 		}
 	}
-	return machine.Run()
+	r, err := machine.Run()
+	// Reached only when Run returned: a machine a panic unwound out of, or
+	// one Restore rejected, keeps its hierarchy out of the pool.
+	machine.Release()
+	return r, err
 }
 
 // FormatProgress renders the per-run progress line.

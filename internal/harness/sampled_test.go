@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -230,6 +232,48 @@ func TestCheckpointSurvivesRestores(t *testing.T) {
 	for i, ck := range sp.Checkpoints {
 		if !reflect.DeepEqual(ck.Mem, before[i]) {
 			t.Errorf("checkpoint %d (boundary %d): memory image changed under its restores", i, ck.WarmupInstrs)
+		}
+	}
+}
+
+// TestHierarchyReuseIsInvisible: a machine takes its memory hierarchy
+// from a pool of Released ones (core.NewMachineWithMemory), so in a warm
+// process a cell runs on tag arrays that served some other cell — another
+// scheme, another kernel — moments earlier. A 2-worker sampled sweep over
+// every registered scheme and the 64-cell detailed grid must export the
+// same bytes from an empty pool (every hierarchy built) and from a full
+// one (every hierarchy reused).
+func TestHierarchyReuseIsInvisible(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var wls []workload.Workload
+	for _, name := range []string{"mcf_r", "xalancbmk_r", "x264_r", "deepsjeng_r"} {
+		wls = append(wls, byName(t, name))
+	}
+	models := []pipeline.AttackModel{pipeline.Spectre, pipeline.Futuristic}
+	for name, opt := range map[string]Options{
+		"sampled": {WarmupInstrs: 5000, MaxInstrs: 12_000, SimMode: SimSampled,
+			Sample:    simpoint.Config{IntervalInstrs: 2000, Seed: 1},
+			Workloads: wls, Variants: core.Registered(), Models: models, Parallel: true},
+		"detailed": {WarmupInstrs: 2000, MaxInstrs: 6000,
+			Workloads: wls, Variants: core.Variants(), Models: models, Parallel: true},
+	} {
+		export := func() []byte {
+			res, err := Run(opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var buf bytes.Buffer
+			if err := res.WriteJSON(&buf); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return buf.Bytes()
+		}
+		// Two collections empty a sync.Pool.
+		runtime.GC()
+		runtime.GC()
+		cold := export()
+		if hot := export(); !bytes.Equal(cold, hot) {
+			t.Errorf("%s: the export from pooled hierarchies differs from the one from new hierarchies", name)
 		}
 	}
 }

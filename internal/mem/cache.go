@@ -1,14 +1,5 @@
 package mem
 
-// line is one tag-array entry. Caches model tags and replacement state
-// only; data lives in isa.Memory (see the package comment).
-type line struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	lru   uint64 // last-touch stamp; larger = more recent
-}
-
 // Cache is a single set-associative, banked, write-back/write-allocate
 // cache with a bounded MSHR file. It exposes three access paths:
 //
@@ -17,7 +8,7 @@ type line struct {
 //   - Bank and MSHR reservation helpers used by Hierarchy for timing.
 type Cache struct {
 	cfg      CacheConfig
-	sets     [][]line
+	sets     [][]LineState
 	setMask  uint64
 	stamp    uint64
 	bankBusy []uint64
@@ -36,6 +27,11 @@ type Cache struct {
 	Evictions       uint64
 	DirtyWritebacks uint64
 	InvalidationsIn uint64
+
+	// lines is every tag-array entry, sets × ways row-major: sets[i] is
+	// lines[i*Ways:(i+1)*Ways]. The access paths index sets; snapshot,
+	// restore and reset move the whole array at once (state.go).
+	lines []LineState
 }
 
 type mshrEntry struct{ key, done uint64 }
@@ -47,13 +43,14 @@ func NewCache(cfg CacheConfig) *Cache {
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic("mem: cache set count must be a positive power of two")
 	}
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Ways)
+	sets := make([][]LineState, numSets)
+	lines := make([]LineState, numSets*cfg.Ways)
 	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
+		sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	return &Cache{
 		cfg:      cfg,
+		lines:    lines,
 		sets:     sets,
 		setMask:  uint64(numSets - 1),
 		bankBusy: make([]uint64, cfg.Banks),
@@ -76,7 +73,7 @@ func (c *Cache) Lookup(addr uint64) bool {
 	la := LineAddr(addr)
 	for i := range c.sets[c.setIdx(la)] {
 		l := &c.sets[c.setIdx(la)][i]
-		if l.valid && l.tag == la {
+		if l.Valid && l.Tag == la {
 			return true
 		}
 	}
@@ -90,11 +87,11 @@ func (c *Cache) Touch(addr uint64, write bool) bool {
 	la := LineAddr(addr)
 	set := c.sets[c.setIdx(la)]
 	for i := range set {
-		if set[i].valid && set[i].tag == la {
+		if set[i].Valid && set[i].Tag == la {
 			c.stamp++
-			set[i].lru = c.stamp
+			set[i].LRU = c.stamp
 			if write {
-				set[i].dirty = true
+				set[i].Dirty = true
 			}
 			c.Hits++
 			return true
@@ -112,33 +109,33 @@ func (c *Cache) Fill(addr uint64, write bool) (evictedAddr uint64, evictedDirty,
 	set := c.sets[c.setIdx(la)]
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == la {
+		if set[i].Valid && set[i].Tag == la {
 			// Already present (e.g. racing fills); just touch.
 			c.stamp++
-			set[i].lru = c.stamp
+			set[i].LRU = c.stamp
 			if write {
-				set[i].dirty = true
+				set[i].Dirty = true
 			}
 			return 0, false, false
 		}
-		if !set[i].valid {
+		if !set[i].Valid {
 			victim = i
-		} else if set[victim].valid && set[i].lru < set[victim].lru {
+		} else if set[victim].Valid && set[i].LRU < set[victim].LRU {
 			victim = i
 		}
 	}
 	v := &set[victim]
-	if v.valid {
+	if v.Valid {
 		evicted = true
-		evictedAddr = v.tag
-		evictedDirty = v.dirty
+		evictedAddr = v.Tag
+		evictedDirty = v.Dirty
 		c.Evictions++
-		if v.dirty {
+		if v.Dirty {
 			c.DirtyWritebacks++
 		}
 	}
 	c.stamp++
-	*v = line{valid: true, dirty: write, tag: la, lru: c.stamp}
+	*v = LineState{Valid: true, Dirty: write, Tag: la, LRU: c.stamp}
 	return evictedAddr, evictedDirty, evicted
 }
 
@@ -148,9 +145,9 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	la := LineAddr(addr)
 	set := c.sets[c.setIdx(la)]
 	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			dirty = set[i].dirty
-			set[i] = line{}
+		if set[i].Valid && set[i].Tag == la {
+			dirty = set[i].Dirty
+			set[i] = LineState{}
 			c.InvalidationsIn++
 			return true, dirty
 		}
@@ -277,7 +274,7 @@ func (c *Cache) Contents() int {
 	n := 0
 	for _, set := range c.sets {
 		for _, l := range set {
-			if l.valid {
+			if l.Valid {
 				n++
 			}
 		}

@@ -27,6 +27,7 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 		openRow:  make([]uint64, cfg.Banks),
 		rowValid: make([]bool, cfg.Banks),
 		bankBusy: make([]uint64, cfg.Banks),
+		queue:    make([]uint64, 0, cfg.QueueEntries),
 	}
 }
 

@@ -15,12 +15,14 @@ import "fmt"
 // touch it, so at the warmup boundary it is empty by construction, and a
 // restored machine is indistinguishable from one that warmed up in place.
 
-// LineState is one tag-array entry of a CacheState.
+// LineState is one tag-array entry, in a Cache and in its CacheState
+// alike. Caches model tags and replacement state only; data lives in
+// isa.Memory (see the package comment).
 type LineState struct {
 	Valid bool
 	Dirty bool
 	Tag   uint64
-	LRU   uint64
+	LRU   uint64 // last-touch stamp; larger = more recent
 }
 
 // CacheState is the persistent state of a Cache: every tag-array entry
@@ -39,8 +41,8 @@ type CacheState struct {
 
 // State snapshots the cache's persistent state.
 func (c *Cache) State() CacheState {
-	s := CacheState{
-		Lines:           make([]LineState, 0, len(c.sets)*c.cfg.Ways),
+	return CacheState{
+		Lines:           append([]LineState(nil), c.lines...),
 		Stamp:           c.stamp,
 		Hits:            c.Hits,
 		Misses:          c.Misses,
@@ -50,39 +52,32 @@ func (c *Cache) State() CacheState {
 		DirtyWritebacks: c.DirtyWritebacks,
 		InvalidationsIn: c.InvalidationsIn,
 	}
-	for _, set := range c.sets {
-		for _, l := range set {
-			s.Lines = append(s.Lines, LineState{Valid: l.valid, Dirty: l.dirty, Tag: l.tag, LRU: l.lru})
-		}
-	}
-	return s
 }
 
 // SetState restores a snapshot taken from a cache of identical geometry.
 // Transient timing state (bank reservations, MSHRs) is reset.
 func (c *Cache) SetState(s CacheState) error {
-	if len(s.Lines) != len(c.sets)*c.cfg.Ways {
+	if len(s.Lines) != len(c.lines) {
 		return fmt.Errorf("mem: cache state has %d lines, geometry wants %d",
-			len(s.Lines), len(c.sets)*c.cfg.Ways)
+			len(s.Lines), len(c.lines))
 	}
-	i := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := s.Lines[i]
-			c.sets[si][wi] = line{valid: l.Valid, dirty: l.Dirty, tag: l.Tag, lru: l.LRU}
-			i++
-		}
-	}
+	copy(c.lines, s.Lines)
 	c.stamp = s.Stamp
 	c.Hits, c.Misses = s.Hits, s.Misses
 	c.BankWaitCycles, c.MSHRWaitCycles = s.BankWaitCycles, s.MSHRWaitCycles
 	c.Evictions, c.DirtyWritebacks = s.Evictions, s.DirtyWritebacks
 	c.InvalidationsIn = s.InvalidationsIn
-	for i := range c.bankBusy {
-		c.bankBusy[i] = 0
-	}
+	clear(c.bankBusy)
 	c.mshr = c.mshr[:0]
 	return nil
+}
+
+// reset returns the cache to the state NewCache built it in, keeping its
+// arrays.
+func (c *Cache) reset() {
+	clear(c.lines)
+	clear(c.bankBusy)
+	*c = Cache{cfg: c.cfg, sets: c.sets, setMask: c.setMask, bankBusy: c.bankBusy, mshr: c.mshr[:0], lines: c.lines}
 }
 
 // TLBLevelState is one fully-associative TLB level's entries.
@@ -112,6 +107,13 @@ func (l *tlbLevel) setState(s TLBLevelState) error {
 	copy(l.lruAt, s.LRUAt)
 	l.stamp = s.Stamp
 	return nil
+}
+
+func (l *tlbLevel) reset() {
+	clear(l.pages)
+	clear(l.valid)
+	clear(l.lruAt)
+	l.stamp = 0
 }
 
 // TLBState is the persistent state of a two-level TLB.
@@ -151,6 +153,15 @@ func (t *TLB) SetState(s TLBState) error {
 	return nil
 }
 
+// reset returns the TLB to the state NewTLB built it in.
+func (t *TLB) reset() {
+	t.l1.reset()
+	if t.l2 != nil {
+		t.l2.reset()
+	}
+	*t = TLB{cfg: t.cfg, l1: t.l1, l2: t.l2}
+}
+
 // DRAMState is the persistent state of the memory controller: the open
 // row per bank and the stat counters. Scheduler state (bank busy times,
 // the request queue) is transient and excluded.
@@ -186,11 +197,17 @@ func (d *DRAM) SetState(s DRAMState) error {
 	copy(d.openRow, s.OpenRow)
 	copy(d.rowValid, s.RowValid)
 	d.Accesses, d.RowHits, d.RowMisses, d.QueueWait = s.Accesses, s.RowHits, s.RowMisses, s.QueueWait
-	for i := range d.bankBusy {
-		d.bankBusy[i] = 0
-	}
+	clear(d.bankBusy)
 	d.queue = d.queue[:0]
 	return nil
+}
+
+// reset returns the controller to the state NewDRAM built it in.
+func (d *DRAM) reset() {
+	clear(d.openRow)
+	clear(d.rowValid)
+	clear(d.bankBusy)
+	*d = DRAM{cfg: d.cfg, openRow: d.openRow, rowValid: d.rowValid, bankBusy: d.bankBusy, queue: d.queue[:0]}
 }
 
 // WarmAccess updates the controller's persistent row-buffer state (and the
@@ -273,6 +290,25 @@ func (h *Hierarchy) SetState(s HierState) error {
 	// with an empty shadow, like one that warmed up in place.
 	h.specReset()
 	return nil
+}
+
+// Reset returns the hierarchy — private and shared levels — to the state
+// NewHierarchy built it in, keeping every array: tags, stamps, counters,
+// bank/MSHR/DRAM-queue timing state, the TLB, the shadow structures and
+// their mode, the recorder and the invalidation listener. It is what lets
+// one hierarchy serve machine after machine (core's pool) with nothing of
+// the previous run visible to the next. Like SetState it is a single-core
+// facility: it clears the shared L3 and DRAM whoever else is attached.
+func (h *Hierarchy) Reset() {
+	h.l1i.reset()
+	h.l1d.reset()
+	h.l2.reset()
+	h.tlb.reset()
+	for _, sl := range h.shared.slices {
+		sl.reset()
+	}
+	h.shared.dram.reset()
+	*h = Hierarchy{cfg: h.cfg, shared: h.shared, coreID: h.coreID, l1i: h.l1i, l1d: h.l1d, l2: h.l2, tlb: h.tlb}
 }
 
 // WarmLoad, WarmStore and WarmFetch are the functional-warmup access

@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/simpoint"
+	"repro/internal/workload"
 )
 
 // The artifact tiers. The expensive per-workload artifacts — functional-
@@ -66,22 +67,26 @@ func ckptCodec(warmup uint64) artifactCodec[*arch.Checkpoint] {
 	}
 }
 
-// planFile is the serialized (gob) form of one sampling plan: the plan
-// itself, its representative checkpoints, and the inputs it was built
-// from — validated on decode so a stale or colliding payload is rebuilt
-// rather than trusted.
+// planFile is the serialized (gob) form of one sampling plan: the
+// clustering and the inputs it was built from — validated on decode so a
+// stale or colliding payload is rebuilt rather than trusted. It does not
+// carry the representatives' checkpoints: re-capturing them from the
+// plan's boundaries is one deterministic functional pass that costs less
+// than decoding their memory images did (DESIGN.md, "Sampled
+// simulation"), so a stored plan is ~0.5 kB where it was megabytes.
 type planFile struct {
 	Warmup, Window uint64
 	Cfg            simpoint.Config
 	Plan           *simpoint.Plan
-	Checkpoints    []*arch.Checkpoint
 }
 
-// planCodec is the sampling-plan codec for one (warmup, window, config).
-func planCodec(warmup, window uint64, cfg simpoint.Config) artifactCodec[*harness.SamplePlan] {
+// planCodec is the sampling-plan codec for one (workload, warmup, window,
+// config). Decode ends where a build does, in harness.CaptureSamplePlan,
+// and counts the capture pass like one.
+func (s *Service) planCodec(wl workload.Workload, warmup, window uint64, cfg simpoint.Config) artifactCodec[*harness.SamplePlan] {
 	return artifactCodec[*harness.SamplePlan]{
 		encode: func(w io.Writer, sp *harness.SamplePlan) error {
-			return gob.NewEncoder(w).Encode(&planFile{Warmup: warmup, Window: window, Cfg: cfg, Plan: sp.Plan, Checkpoints: sp.Checkpoints})
+			return gob.NewEncoder(w).Encode(&planFile{Warmup: warmup, Window: window, Cfg: cfg, Plan: sp.Plan})
 		},
 		decode: func(r io.Reader) (*harness.SamplePlan, error) {
 			var pf planFile
@@ -89,10 +94,14 @@ func planCodec(warmup, window uint64, cfg simpoint.Config) artifactCodec[*harnes
 				return nil, err
 			}
 			if pf.Plan == nil || pf.Warmup != warmup || pf.Window != window || pf.Cfg != cfg ||
-				len(pf.Checkpoints) != len(pf.Plan.Reps) {
+				pf.Plan.WarmupInstrs != warmup || pf.Plan.WindowInstrs != window {
 				return nil, errors.New("simsvc: sample plan built from different inputs")
 			}
-			return &harness.SamplePlan{Plan: pf.Plan, Checkpoints: pf.Checkpoints}, nil
+			sp, err := harness.CaptureSamplePlan(wl, pf.Plan)
+			if err == nil {
+				s.countCapture(sp)
+			}
+			return sp, err
 		},
 	}
 }
@@ -196,7 +205,14 @@ func (t *artifactTier[T]) fromPeer(parent *trace.Span, key, hash string, c artif
 	sp := parent.Child(trace.PhaseCkptPeer)
 	sp.Set("kind", t.kind)
 	start := time.Now()
-	got, peerURL, ok := s.fab.Lookup(s.ctx, hash, "/artifacts/"+t.kind+"/"+hash, func(body []byte) (any, error) {
+	got, peerURL, ok := s.fab.Lookup(s.ctx, hash, "/artifacts/"+t.kind+"/"+hash, func(body []byte) (_ any, err error) {
+		// The fabric calls this on its own goroutines, outside resolve's
+		// recover, and a plan decode runs the functional emulator.
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("simsvc: peer %s decode panicked: %v", t.label, r)
+			}
+		}()
 		data, err := decodeArtifact(hash, body)
 		if err != nil {
 			return nil, err

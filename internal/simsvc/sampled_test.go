@@ -2,6 +2,7 @@ package simsvc
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -89,7 +90,9 @@ func TestSampledMatchesHarness(t *testing.T) {
 
 // TestSamplePlanPersistence: sampling plans survive restarts on disk
 // next to the checkpoints, so a restarted server skips the BBV
-// re-profiling pass for workloads it has already planned.
+// re-profiling pass for workloads it has already planned. What survives
+// is the clustering — a couple of kilobytes; the restarted server
+// re-captures the representatives' checkpoints from it.
 func TestSamplePlanPersistence(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "cache.json")
 
@@ -124,6 +127,20 @@ func TestSamplePlanPersistence(t *testing.T) {
 	}
 	if got := metric(t, s2, "sdo_profiled_instrs_total"); got != 0 {
 		t.Errorf("restarted server re-profiled %v instrs, want 0", got)
+	}
+	if got := metric(t, s2, "sdo_checkpoints_captured_total"); got == 0 {
+		t.Error("restarted server captured no checkpoints for its disk-loaded plans")
+	}
+	plans, err := filepath.Glob(filepath.Join(s2.ckstore.dir, "*.plan"))
+	if err != nil || len(plans) != 2 {
+		t.Fatalf("stored plans = %v, %v; want 2", plans, err)
+	}
+	for _, p := range plans {
+		if fi, err := os.Stat(p); err != nil {
+			t.Error(err)
+		} else if fi.Size() > 16<<10 {
+			t.Errorf("%s is %d bytes; a stored plan carries no memory image", p, fi.Size())
+		}
 	}
 
 	// Determinism: disk-restored plans reconstruct the same results a

@@ -964,7 +964,7 @@ func (s *Service) checkpoint(parent *trace.Span, key string, wl workload.Workloa
 // any blocked on the flight.
 func (s *Service) samplePlan(parent *trace.Span, key string, wl workload.Workload, spec RunSpec) (*harness.SamplePlan, error) {
 	cfg := simpoint.Config{IntervalInstrs: spec.SampleInterval, MaxK: spec.SampleMaxK, Seed: spec.SampleSeed}
-	return s.plans.resolve(parent, key, planCodec(spec.WarmupInstrs, spec.MaxInstrs, cfg), func() (*harness.SamplePlan, error) {
+	return s.plans.resolve(parent, key, s.planCodec(wl, spec.WarmupInstrs, spec.MaxInstrs, cfg), func() (*harness.SamplePlan, error) {
 		start := time.Now()
 		sp, err := harness.BuildSamplePlan(wl, spec.WarmupInstrs, spec.MaxInstrs, cfg)
 		if err != nil {
@@ -973,11 +973,7 @@ func (s *Service) samplePlan(parent *trace.Span, key string, wl workload.Workloa
 		s.planDur.Observe(time.Since(start).Seconds())
 		s.plansBuilt.Inc()
 		s.profiledInstrs.Add(sp.Plan.ProfiledInstrs)
-		s.ckptsCaptured.Add(uint64(len(sp.Checkpoints)))
-		if n := len(sp.Checkpoints); n > 0 {
-			// One continuous capture pass warms to the last boundary.
-			s.warmupSimulated.Add(sp.Checkpoints[n-1].Arch.Instrs)
-		}
+		s.countCapture(sp)
 		if s.rec.On(obs.ClassSample) {
 			s.rec.Emit(obs.Event{Class: obs.ClassSample, Kind: "plan-built",
 				Detail: fmt.Sprintf("%s: k=%d/%d intervals, sampled %d/%d instrs, err-est %.3f",
@@ -986,6 +982,16 @@ func (s *Service) samplePlan(parent *trace.Span, key string, wl workload.Workloa
 		}
 		return sp, nil
 	})
+}
+
+// countCapture accounts for the functional pass that captured sp's
+// checkpoints — after a build, and after a disk or peer hit re-captured
+// them from the stored clustering.
+func (s *Service) countCapture(sp *harness.SamplePlan) {
+	n := len(sp.Checkpoints)
+	s.ckptsCaptured.Add(uint64(n))
+	// One continuous pass warms to the last boundary.
+	s.warmupSimulated.Add(sp.Checkpoints[n-1].Arch.Instrs)
 }
 
 // Job returns a submitted job by ID.
