@@ -114,8 +114,8 @@ func main() {
 	}
 
 	// Cluster mode: parse the membership and fold the other members into
-	// the cache-peering list, so result lookups, artifact peering, and
-	// steal completions all flow over the same fabric.
+	// the cache-peering list, so result lookups and steal completions
+	// flow over the same fabric.
 	var (
 		members   []cluster.Member
 		memberIDs []string
@@ -161,7 +161,6 @@ func main() {
 
 	if members != nil {
 		cfg.OwnsID = cluster.Owns(o.nodeID, memberIDs)
-		cfg.PeerArtifacts = true
 		cfg.WorkStealing = true
 	}
 	svc, err := simsvc.New(*cfg)

@@ -13,7 +13,7 @@ import (
 // architectural state and memory image at the warmup boundary plus the
 // serialized warm state of the memory hierarchy and branch predictor.
 //
-// A Checkpoint is immutable once built, decoded or fetched: every cell of
+// A Checkpoint is immutable once built (or decoded): every cell of
 // its workload restores from the same value, concurrently, and a restored
 // machine shares Mem's pages instead of copying them (it copies a page
 // before its first write to it), so nothing may write through Mem.

@@ -5,8 +5,7 @@
 // ranked owner, and GET /sweeps is answered by scatter-gather across
 // the membership. Nodes with free worker slots steal queued cells from
 // busy peers under journaled leases, woken by the busy peer's hint rather
-// than a poll, and checkpoint/plan artifacts are fetched from peers
-// before being rebuilt locally (wired in simsvc, enabled here).
+// than a poll.
 //
 // The layer is strictly additive: with a single member (or no cluster
 // flags at all) the wrapped service behaves byte-identically to a
@@ -136,7 +135,7 @@ type Node struct {
 	// fab is the service's peer client, the only way a request leaves
 	// this node for another: proxied requests, scatter-gather, steal
 	// claims, completions and wake hints share its transport and its
-	// per-peer breakers with the cache and artifact lookups.
+	// per-peer breakers with the cache lookups.
 	fab *fabric.Client
 
 	tr *trace.Tracer

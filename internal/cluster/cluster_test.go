@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/simsvc"
 )
@@ -55,9 +55,30 @@ type testNode struct {
 	id   string
 	srv  *httptest.Server
 	swap *swapHandler
+	gate *buildGate
 	svc  *simsvc.Service
 	node *Node
 }
+
+// buildGate is the obs.Sink every test node's service records its
+// sampling events into. The service emits "plan-built" synchronously from
+// inside a sampling-plan build, so an armed gate (gateBuilds) stops the
+// node inside a sampled cell — on an event the test controls, not on a
+// sleep. Unarmed, it lets everything through.
+type buildGate struct {
+	hold    atomic.Int32  // builds still to park
+	entered chan struct{} // one signal per parked build
+	open    chan struct{}
+}
+
+func (g *buildGate) Emit(e obs.Event) {
+	if e.Kind == "plan-built" && g.hold.Add(-1) >= 0 {
+		g.entered <- struct{}{}
+		<-g.open
+	}
+}
+
+func (g *buildGate) Close() error { return nil }
 
 // startCluster builds an in-process cluster of len(ids) nodes, each a
 // full simsvc.Service wrapped by a cluster Node behind its own test
@@ -71,7 +92,8 @@ func startCluster(t *testing.T, ids []string, mut func(i int, scfg *simsvc.Confi
 		sw := &swapHandler{}
 		srv := httptest.NewServer(sw)
 		t.Cleanup(srv.Close)
-		nodes[i] = &testNode{id: id, srv: srv, swap: sw}
+		nodes[i] = &testNode{id: id, srv: srv, swap: sw,
+			gate: &buildGate{entered: make(chan struct{}, 16), open: make(chan struct{})}}
 		members[i] = Member{ID: id, URL: srv.URL}
 	}
 	for i, id := range ids {
@@ -82,11 +104,11 @@ func startCluster(t *testing.T, ids []string, mut func(i int, scfg *simsvc.Confi
 			}
 		}
 		scfg := simsvc.Config{
-			Workers:       2,
-			OwnsID:        Owns(id, ids),
-			PeerArtifacts: true,
-			WorkStealing:  true,
-			Peers:         peers,
+			Workers:      2,
+			OwnsID:       Owns(id, ids),
+			WorkStealing: true,
+			Peers:        peers,
+			Recorder:     obs.NewRecorder(obs.ClassSample, nodes[i].gate),
 		}
 		ncfg := Config{Self: id, Members: members, StealInterval: -1}
 		if mut != nil {
@@ -352,48 +374,37 @@ func TestClusterScatterGatherListing(t *testing.T) {
 	}
 }
 
-// stealReq is one functional-warmup cell per workload. Such a cell asks
-// the node's cluster peers for the workload's checkpoint before building
-// it, which is what lets gateArtifacts hold it mid-run.
+// stealReq is one sampled cell per workload. Each builds its workload's
+// sampling plan first, which is what lets gateBuilds hold it mid-run.
 func stealReq() simsvc.SweepRequest {
 	req := smallReq()
 	req.Workloads = []string{"exchange2_r", "deepsjeng_r", "xz_r", "mcf_r", "gcc_r", "x264_r", "leela_r", "namd_r"}
 	req.Variants = []string{"hybrid"}
-	req.WarmupMode = "functional"
+	req.SimMode = "sampled"
+	req.MaxInstrs = 6000
+	req.SampleIntervalInstrs = 2000
 	return req
 }
 
-// gateArtifacts parks the first hold checkpoint fetches that reach tn
-// until release is called: the cells that sent them (on tn's peers) stop
-// mid-run on an event the test controls, then carry on — a peer miss,
-// a local build — exactly as if tn never had the checkpoint. entered
-// gets one signal per parked fetch.
-func gateArtifacts(t *testing.T, tn *testNode, hold int32) (entered <-chan struct{}, release func()) {
+// gateBuilds parks tn's next hold sampling-plan builds until release is
+// called: the cells that started them stop mid-run on an event the test
+// controls, then carry on. entered gets one signal per parked build.
+func gateBuilds(t *testing.T, tn *testNode, hold int32) (entered <-chan struct{}, release func()) {
 	t.Helper()
-	in := make(chan struct{}, hold)
-	open := make(chan struct{})
-	var seen atomic.Int32
-	tn.swap.wrap(func(inner http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/artifacts/") && seen.Add(1) <= hold {
-				in <- struct{}{}
-				<-open
-			}
-			inner.ServeHTTP(w, r)
-		})
-	})
+	g := tn.gate
+	g.hold.Store(hold)
 	var once sync.Once
-	release = func() { once.Do(func() { close(open) }) }
+	release = func() { once.Do(func() { g.hold.Store(0); close(g.open) }) }
 	t.Cleanup(release)
-	return in, release
+	return g.entered, release
 }
 
 // stealPair is a two-node cluster for the steal tests: owner a has one
 // worker, thief b has thiefWorkers. Both steal loops run with an hour-long
 // fallback tick (mut may shorten it), so whatever gets stolen was stolen
-// on a hint or an idle edge; and b parks every checkpoint fetch from a
-// until the returned release, so a's one worker stays inside its first
-// cell and everything behind it is there for b to take.
+// on a hint or an idle edge; and a parks every plan build until the
+// returned release, so its one worker stays inside its first cell and
+// everything behind it is there for b to take.
 func stealPair(t *testing.T, thiefWorkers int, mut func(i int, ncfg *Config)) (a, b *testNode, release func()) {
 	t.Helper()
 	nodes := startCluster(t, []string{"a", "b"}, func(i int, scfg *simsvc.Config, ncfg *Config) {
@@ -401,13 +412,12 @@ func stealPair(t *testing.T, thiefWorkers int, mut func(i int, ncfg *Config)) (a
 		if i == 1 {
 			scfg.Workers = thiefWorkers
 		}
-		scfg.PeerTimeout = time.Minute // only release ends a parked fetch
 		ncfg.StealInterval = time.Hour
 		if mut != nil {
 			mut(i, ncfg)
 		}
 	})
-	_, release = gateArtifacts(t, nodes[1], 1<<30)
+	_, release = gateBuilds(t, nodes[0], 1<<30)
 	return nodes[0], nodes[1], release
 }
 
@@ -473,8 +483,8 @@ func TestClusterWorkStealing(t *testing.T) {
 // no second hint and no tick.
 func TestClusterStealOnIdleEdge(t *testing.T) {
 	a, b, releaseA := stealPair(t, 1, nil)
-	// b's own one-cell job parks on a checkpoint fetch at a.
-	entered, releaseB := gateArtifacts(t, a, 1)
+	// b's own one-cell job parks in its plan build.
+	entered, releaseB := gateBuilds(t, b, 1)
 	own := stealReq()
 	own.Workloads = []string{"perlbench_r"}
 	stB := postSweep(t, b.srv.URL, own)
@@ -502,8 +512,8 @@ func TestClusterStealNoBatchBarrier(t *testing.T) {
 	req := stealReq()
 	golden := soloGolden(t, req)
 	a, b, release := stealPair(t, 2, nil)
-	// One of the thief's stolen cells parks on its checkpoint fetch at a.
-	entered, releaseStuck := gateArtifacts(t, a, 1)
+	// The first of the thief's stolen cells parks in its plan build.
+	entered, releaseStuck := gateBuilds(t, b, 1)
 
 	st := postSweep(t, a.srv.URL, req)
 	<-entered
@@ -546,57 +556,49 @@ func TestClusterStealLostHint(t *testing.T) {
 	get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)
 }
 
-// TestClusterArtifactPeering: checkpoints and sampling plans built by
-// one node are fetched by peers instead of rebuilt, and a peer-warmed
-// sweep's export is byte-identical to a standalone run's.
-func TestClusterArtifactPeering(t *testing.T) {
-	// Two artifact kinds, two scenarios on the same pair of nodes:
-	// functional-warmup detailed sweeps share per-workload checkpoints,
-	// sampled sweeps share per-workload plans (whose checkpoints ride
-	// inside the plan file). The warm/probe requests differ only in
-	// variant, so result cache keys miss while artifact keys match.
+// TestClusterNodesBuildIdenticalArtifacts: nodes share results, never
+// checkpoints or sampling plans — each builds its own, and because both
+// builds are deterministic every node's export of a functional-warmup
+// sweep and of a sampled sweep is byte-identical to a standalone run's.
+func TestClusterNodesBuildIdenticalArtifacts(t *testing.T) {
 	ckptReq := smallReq()
-	ckptReq.Variants = []string{"unsafe"}
 	ckptReq.WarmupMode = "functional"
 	planReq := smallReq()
-	planReq.Variants = []string{"unsafe"}
 	planReq.SimMode = "sampled"
 
-	solo := startCluster(t, []string{"solo"}, func(i int, scfg *simsvc.Config, ncfg *Config) {
-		scfg.CachePath = filepath.Join(t.TempDir(), "cache.json")
-	})[0]
-	nodes := startCluster(t, []string{"a", "b"}, func(i int, scfg *simsvc.Config, ncfg *Config) {
-		scfg.CachePath = filepath.Join(t.TempDir(), "cache.json")
-	})
-	a, b := nodes[0], nodes[1]
+	nodes := startCluster(t, []string{"a", "b"}, nil)
+	for _, tn := range nodes {
+		// No result travels either, so the second node to see a request
+		// has to simulate it — and build for it — like the first.
+		tn.swap.wrap(func(inner http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasPrefix(r.URL.Path, "/cache/") {
+					http.NotFound(w, r)
+					return
+				}
+				inner.ServeHTTP(w, r)
+			})
+		})
+	}
 
 	for _, tc := range []struct {
-		name, metric string
-		req          simsvc.SweepRequest
+		name, built string
+		req         simsvc.SweepRequest
 	}{
-		{"checkpoint", "sdo_cluster_ckpt_peer_hits_total", ckptReq},
-		{"plan", "sdo_cluster_plan_peer_hits_total", planReq},
+		{"checkpoint", "sdo_checkpoints_captured_total", ckptReq},
+		{"plan", "sdo_sample_plans_built_total", planReq},
 	} {
-		probe := tc.req
-		probe.Variants = []string{"hybrid"}
-
-		// Standalone golden for the probe sweep.
-		stSolo := postSweep(t, solo.srv.URL, probe)
-		golden, _ := get(t, solo.srv.URL+"/sweeps/"+stSolo.ID+"/export", 200)
-
-		// Node a builds (and persists) the artifacts.
-		stA := postSweep(t, a.srv.URL, tc.req)
-		get(t, a.srv.URL+"/sweeps/"+stA.ID+"/export", 200)
-
-		// Node b's sweep misses the result cache but peers the artifacts.
-		stB := postSweep(t, b.srv.URL, probe)
-		export, _ := get(t, b.srv.URL+"/sweeps/"+stB.ID+"/export", 200)
-		if !bytes.Equal(export, golden) {
-			t.Fatalf("%s: peer-warmed export differs from standalone golden (%d vs %d bytes)",
-				tc.name, len(export), len(golden))
-		}
-		if v := metric(t, b.srv.URL, tc.metric); v < 1 {
-			t.Errorf("%s peer hits = %v, want >= 1", tc.name, v)
+		golden := soloGolden(t, tc.req)
+		for _, tn := range nodes {
+			st := postSweep(t, tn.srv.URL, tc.req)
+			export, _ := get(t, tn.srv.URL+"/sweeps/"+st.ID+"/export", 200)
+			if !bytes.Equal(export, golden) {
+				t.Fatalf("%s: node %s export differs from standalone golden (%d vs %d bytes)",
+					tc.name, tn.id, len(export), len(golden))
+			}
+			if v := metric(t, tn.srv.URL, tc.built); v < float64(len(tc.req.Workloads)) {
+				t.Errorf("%s: node %s has %s = %v, want one build per workload", tc.name, tn.id, tc.built, v)
+			}
 		}
 	}
 }

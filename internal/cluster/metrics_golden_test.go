@@ -45,13 +45,12 @@ func TestMetricsGolden(t *testing.T) {
 	}{
 		{name: "off", cfg: simsvc.Config{Workers: 1}},
 		{name: "on", node: true, cfg: simsvc.Config{
-			Workers:       1,
-			CachePath:     filepath.Join(dir, "cache.json"),
-			JournalPath:   filepath.Join(dir, "cache.json.jobs"),
-			Peers:         []string{"http://127.0.0.1:1"},
-			PeerArtifacts: true,
-			WorkStealing:  true,
-			Trace:         true,
+			Workers:      1,
+			CachePath:    filepath.Join(dir, "cache.json"),
+			JournalPath:  filepath.Join(dir, "cache.json.jobs"),
+			Peers:        []string{"http://127.0.0.1:1"},
+			WorkStealing: true,
+			Trace:        true,
 			// No prober: the peer is a placeholder nothing listens on.
 			PeerProbeInterval: -1,
 		}},

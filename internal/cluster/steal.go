@@ -23,7 +23,7 @@ type wakeup struct {
 // local worker slot just freed up, or — the safety net for a lost hint
 // and for jobs a peer resumed from its journal — the StealInterval
 // ticker fired. Stolen cells run on the local service's pool (own cache,
-// artifact peering, fault policy) and post their content-addressed wire
+// artifact tiers, fault policy) and post their content-addressed wire
 // entries back to the owner, which validates the checksum before settling
 // the lease — a thief can waste a lease but never corrupt a result.
 func (n *Node) stealLoop() {

@@ -364,8 +364,7 @@ type lookupRes struct {
 // a peer failure (corrupt response) and the lookup falls through. Any
 // failure — no peers, breakers all open, peers down, slow, or corrupt —
 // is reported as a miss (false), never an error: the caller's fallback
-// is local work. Result lookups (/cache/{key}) and artifact peering
-// (/artifacts/{kind}/{hash}) share this one path.
+// is local work. Result lookups (/cache/{key}) are the one caller.
 func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body []byte) (any, error)) (any, string, bool) {
 	if c == nil {
 		return nil, "", false

@@ -61,7 +61,12 @@ type SamplePlan struct {
 
 // BuildSamplePlan profiles one workload's measurement window
 // [warmup, warmup+window), clusters it, and captures the representative
-// checkpoints (CaptureSamplePlan).
+// checkpoints in a single warmup pass. Both passes run on copy-on-write
+// copies of the workload's initial image, so the plan's checkpoints share
+// every page the kernel did not dirty — with each other and, for a suite
+// workload, with the process-wide image. Both are deterministic (seeded
+// clustering, arch.CaptureSeries): every build from the same inputs
+// yields a bit-identical plan.
 func BuildSamplePlan(wl workload.Workload, warmup, window uint64, cfg simpoint.Config) (*SamplePlan, error) {
 	prog, data := wl.Image()
 	pr, err := simpoint.ProfileProgram(prog, data, warmup, window, cfg)
@@ -72,23 +77,6 @@ func BuildSamplePlan(wl workload.Workload, warmup, window uint64, cfg simpoint.C
 	if err != nil {
 		return nil, err
 	}
-	return CaptureSamplePlan(wl, plan)
-}
-
-// CaptureSamplePlan makes a clustering executable: one functional warmup
-// pass over a copy-on-write copy of the workload's initial image captures
-// a checkpoint at each representative's start, so the checkpoints share
-// every page the kernel did not dirty — with each other and, for a suite
-// workload, with the process-wide image. The pass is deterministic
-// (arch.CaptureSeries), which is why a plan is stored and peered without
-// its checkpoints: whoever holds the clustering — the builder, a
-// restarted server, a peer — ends here and gets bit-identical ones. A
-// plan that arrived from outside is validated first.
-func CaptureSamplePlan(wl workload.Workload, plan *simpoint.Plan) (*SamplePlan, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	prog, data := wl.Image()
 	cks := core.CaptureCheckpoints(core.Config{}, prog, data, plan.Boundaries())
 	return &SamplePlan{Plan: plan, Checkpoints: cks}, nil
 }

@@ -38,7 +38,7 @@ const (
 	// PhaseAwait covers a cell that joined an identical in-flight run and
 	// waited for its result instead of executing.
 	PhaseAwait = "await-inflight"
-	// PhasePlan is the sample-plan tier (build, disk load, or join).
+	// PhasePlan is the sample-plan tier (build or join).
 	PhasePlan = "plan"
 	// PhaseCheckpoint is the warmup-checkpoint tier (capture/restore).
 	PhaseCheckpoint = "checkpoint"
@@ -61,10 +61,6 @@ const (
 	// leased (stolen) cell's result (attrs thief, outcome); on the thief,
 	// the claim + execution of a stolen cell.
 	PhaseStealClaim = "steal-claim"
-	// PhaseCkptPeer is an artifact-peering lookup: a checkpoint or sample
-	// plan fetched from a cluster peer instead of re-captured (attrs
-	// kind=ckpt|plan, hit=true|false, peer=<url> on a hit).
-	PhaseCkptPeer = "ckpt-peer-lookup"
 )
 
 // Tracer owns the retained job traces (a bounded LRU by submission

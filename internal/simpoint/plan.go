@@ -69,26 +69,6 @@ func (p *Plan) Boundaries() []uint64 {
 	return out
 }
 
-// Validate reports whether the plan is one Cluster could have produced,
-// as far as executing it depends on: at least one representative, each
-// non-empty and inside [WarmupInstrs, WarmupInstrs+WindowInstrs), in
-// ascending order without overlap. A plan read from a file or a peer is
-// checked before anything walks its boundaries.
-func (p *Plan) Validate() error {
-	if len(p.Reps) == 0 {
-		return fmt.Errorf("simpoint: plan has no representatives")
-	}
-	next, end := p.WarmupInstrs, p.WarmupInstrs+p.WindowInstrs
-	for _, r := range p.Reps {
-		if r.Len == 0 || r.Start < next || r.Start >= end || r.Len > end-r.Start {
-			return fmt.Errorf("simpoint: representative [%d,+%d) out of order or outside the window [%d,%d)",
-				r.Start, r.Len, p.WarmupInstrs, end)
-		}
-		next = r.Start + r.Len
-	}
-	return nil
-}
-
 // Cluster builds the sampling plan from a profile: cluster the interval
 // BBVs with BIC-selected k, pick per cluster the interval closest to the
 // centroid as representative, and weight it by its cluster's share of

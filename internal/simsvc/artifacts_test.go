@@ -1,47 +1,36 @@
 package simsvc
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"io"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"reflect"
+	"errors"
+	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/isa"
-	"repro/internal/simpoint"
 	"repro/internal/workload"
 )
 
 // tierKind drives one artifact kind through its real entry point
 // (Service.checkpoint / Service.samplePlan), so the table below pins the
-// one resolve ladder for both kinds.
+// one memo for both kinds.
 type tierKind struct {
-	name string // "ckpt" | "plan": the on-disk extension
+	name string // "ckpt" | "plan"
 	// resolve asks s for the artifact under the kind's fixed key, building
-	// from wl on a miss; v is nil when there is none. stale asks under the
-	// same key but different build inputs (warmup budget / window), which
-	// any stored or peered payload must fail validation against.
-	resolve func(s *Service, wl workload.Workload, stale bool) (v any, err error)
-	key     string
+	// from wl on a miss; v is nil when there is none.
+	resolve func(s *Service, wl workload.Workload) (v any, err error)
+	// failedBuildRetried drives s's tier of this kind through a build
+	// that returns an error and then one that succeeds, under one key.
+	failedBuildRetried func(t *testing.T, s *Service)
 	// failsWithError: a failed build surfaces as an error (plans) rather
 	// than a nil artifact the cell degrades around (checkpoints).
 	failsWithError bool
-	// maxFile bounds the stored file (0: unbounded). A plan file holds the
-	// clustering only; its checkpoints are re-captured on load.
-	maxFile int64
 
-	built, hits, diskHits, persisted, peerHits string // metric names
-	// work counts the instructions only a build from nothing executes: a
-	// checkpoint's warmup, a plan's profiling pass. Re-capturing a loaded
-	// plan's checkpoints is not a build and moves neither it nor built.
+	built, hits string // metric names
+	// work counts the instructions only a build executes: a checkpoint's
+	// warmup, a plan's profiling pass.
 	work string
 }
 
@@ -59,40 +48,52 @@ func tierKinds(t *testing.T) []tierKind {
 	}
 	return []tierKind{
 		{
-			name: "ckpt", key: ckKey,
-			resolve: func(s *Service, wl workload.Workload, stale bool) (any, error) {
-				warmup := spec.WarmupInstrs
-				if stale {
-					warmup++
-				}
-				if ck := s.checkpoint(nil, ckKey, wl, warmup); ck != nil {
+			name: "ckpt",
+			resolve: func(s *Service, wl workload.Workload) (any, error) {
+				if ck := s.checkpoint(ckKey, wl, spec.WarmupInstrs); ck != nil {
 					return ck, nil
 				}
 				return nil, nil
 			},
-			built: "sdo_checkpoints_captured_total", work: "sdo_warmup_instrs_simulated_total",
-			hits:     "sdo_checkpoint_hits_total",
-			diskHits: "sdo_checkpoint_disk_hits_total", persisted: "sdo_checkpoints_persisted_total",
-			peerHits: "sdo_cluster_ckpt_peer_hits_total",
+			failedBuildRetried: func(t *testing.T, s *Service) { failedBuildRetried(t, s.ckpts, &arch.Checkpoint{}) },
+			built:              "sdo_checkpoints_captured_total", work: "sdo_warmup_instrs_simulated_total",
+			hits: "sdo_checkpoint_hits_total",
 		},
 		{
-			name: "plan", key: planKey, failsWithError: true, maxFile: 16 << 10,
-			resolve: func(s *Service, wl workload.Workload, stale bool) (any, error) {
-				sp := spec
-				if stale {
-					sp.MaxInstrs += 500
-				}
-				plan, err := s.samplePlan(nil, planKey, wl, sp)
+			name: "plan", failsWithError: true,
+			resolve: func(s *Service, wl workload.Workload) (any, error) {
+				plan, err := s.samplePlan(planKey, wl, spec)
 				if plan == nil {
 					return nil, err
 				}
 				return plan, err
 			},
-			built: "sdo_sample_plans_built_total", work: "sdo_profiled_instrs_total",
-			hits:     "sdo_sample_plan_hits_total",
-			diskHits: "sdo_sample_plan_disk_hits_total", persisted: "sdo_sample_plans_persisted_total",
-			peerHits: "sdo_cluster_plan_peer_hits_total",
+			failedBuildRetried: func(t *testing.T, s *Service) { failedBuildRetried(t, s.plans, &harness.SamplePlan{}) },
+			built:              "sdo_sample_plans_built_total", work: "sdo_profiled_instrs_total",
+			hits: "sdo_sample_plan_hits_total",
 		},
+	}
+}
+
+// failedBuildRetried: a build that returns an error fails its caller and
+// is not memoised — the next caller builds again, and that one sticks.
+func failedBuildRetried[T comparable](t *testing.T, tier *artifactTier[T], good T) {
+	t.Helper()
+	builds := 0
+	build := func(v T, err error) func() (T, error) {
+		return func() (T, error) { builds++; return v, err }
+	}
+	var zero T
+	if _, err := tier.resolve("k", build(zero, errors.New("injected build failure"))); err == nil {
+		t.Error("failed build returned no error")
+	}
+	for i := 0; i < 2; i++ {
+		if v, err := tier.resolve("k", build(good, nil)); v != good || err != nil {
+			t.Errorf("resolve after a failed build = %v, %v; want the rebuilt artifact", v, err)
+		}
+	}
+	if builds != 2 {
+		t.Errorf("builds = %d, want 2 (the failure, then one retry that is memoised)", builds)
 	}
 }
 
@@ -107,17 +108,17 @@ func tierWorkload(t *testing.T) workload.Workload {
 }
 
 // mustResolve resolves through k and requires an artifact.
-func mustResolve(t *testing.T, k tierKind, s *Service, wl workload.Workload, stale bool) any {
+func mustResolve(t *testing.T, k tierKind, s *Service, wl workload.Workload) any {
 	t.Helper()
-	v, err := k.resolve(s, wl, stale)
+	v, err := k.resolve(s, wl)
 	if v == nil || err != nil {
 		t.Fatalf("%s resolve = %v, %v; want an artifact", k.name, v, err)
 	}
 	return v
 }
 
-// wantBuilds asserts how many times s built k's artifact from nothing, by
-// the tier's build counter and by the work only a build does.
+// wantBuilds asserts how many times s built k's artifact, by the tier's
+// build counter and by the work only a build does.
 func wantBuilds(t *testing.T, k tierKind, s *Service, n float64) {
 	t.Helper()
 	if got := metric(t, s, k.built); got != n {
@@ -125,23 +126,6 @@ func wantBuilds(t *testing.T, k tierKind, s *Service, n float64) {
 	}
 	if got := metric(t, s, k.work); (got > 0) != (n > 0) {
 		t.Errorf("%s = %v after %v builds", k.work, got, n)
-	}
-}
-
-// wantSameArtifact asserts a loaded artifact equals the built one in
-// full — for a plan, the re-captured checkpoints included — and that its
-// stored file respects the kind's bound.
-func wantSameArtifact(t *testing.T, k tierKind, s *Service, got, built any) {
-	t.Helper()
-	if !reflect.DeepEqual(got, built) {
-		t.Errorf("loaded %s differs from the built one", k.name)
-	}
-	fi, err := os.Stat(filepath.Join(s.ckstore.dir, artifactName(k.key)+"."+k.name))
-	if err != nil {
-		t.Fatalf("artifact not in the local store: %v", err)
-	}
-	if k.maxFile > 0 && fi.Size() > k.maxFile {
-		t.Errorf("stored %s is %d bytes, want <= %d", k.name, fi.Size(), k.maxFile)
 	}
 }
 
@@ -153,22 +137,6 @@ func wantMetrics(t *testing.T, s *Service, pairs map[string]float64) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-}
-
-// peerPair is node A (holding the artifact on disk, served over HTTP)
-// and node B (empty store, peering with A under bFaults).
-func peerPair(t *testing.T, k tierKind, bFaults *faults.Injector) (a, b *Service, built any) {
-	t.Helper()
-	dir := t.TempDir()
-	a = newService(t, Config{Workers: 1, CachePath: filepath.Join(dir, "a.json"), PeerArtifacts: true})
-	t.Cleanup(func() { a.Shutdown(context.Background()) })
-	built = mustResolve(t, k, a, tierWorkload(t), false)
-	srv := httptest.NewServer(a.Handler())
-	t.Cleanup(srv.Close)
-	b = newService(t, Config{Workers: 1, CachePath: filepath.Join(dir, "b.json"), PeerArtifacts: true,
-		Peers: []string{srv.URL}, PeerProbeInterval: -1, Faults: bFaults})
-	t.Cleanup(func() { b.Shutdown(context.Background()) })
-	return a, b, built
 }
 
 func TestArtifactTierLadder(t *testing.T) {
@@ -184,86 +152,21 @@ func TestArtifactTierLadder(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if v, err := k.resolve(s, wl, false); v == nil || err != nil {
+					if v, err := k.resolve(s, wl); v == nil || err != nil {
 						t.Errorf("resolve = %v, %v; want an artifact", v, err)
 					}
 				}()
 			}
 			wg.Wait()
 			wantBuilds(t, k, s, 1)
-			wantMetrics(t, s, map[string]float64{k.hits: n - 1, k.persisted: 0})
+			wantMetrics(t, s, map[string]float64{k.hits: n - 1})
 		})
 
-		t.Run(k.name+"/disk hit after restart", func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "cache.json")
-			s1 := newService(t, Config{Workers: 1, CachePath: path})
-			wl := tierWorkload(t)
-			built := mustResolve(t, k, s1, wl, false)
-			wantBuilds(t, k, s1, 1)
-			wantMetrics(t, s1, map[string]float64{k.persisted: 1, k.diskHits: 0})
-			if err := s1.Shutdown(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			s2 := newService(t, Config{Workers: 1, CachePath: path})
-			defer s2.Shutdown(context.Background())
-			got := mustResolve(t, k, s2, wl, false)
-			wantBuilds(t, k, s2, 0)
-			wantMetrics(t, s2, map[string]float64{k.diskHits: 1, k.persisted: 0})
-			wantSameArtifact(t, k, s2, got, built)
-		})
-
-		t.Run(k.name+"/peer hit is persisted locally", func(t *testing.T) {
-			_, b, built := peerPair(t, k, nil)
-			got := mustResolve(t, k, b, tierWorkload(t), false)
-			wantBuilds(t, k, b, 0)
-			wantMetrics(t, b, map[string]float64{k.peerHits: 1, k.persisted: 1, "sdo_peer_errors_total": 0})
-			wantSameArtifact(t, k, b, got, built)
-		})
-
-		t.Run(k.name+"/corrupt disk file degrades to a rebuild", func(t *testing.T) {
-			s := newService(t, Config{Workers: 1, CachePath: filepath.Join(t.TempDir(), "cache.json")})
+		t.Run(k.name+"/failed build is retried", func(t *testing.T) {
+			s := newService(t, Config{Workers: 1})
 			defer s.Shutdown(context.Background())
-			garbage := func(w io.Writer) error { _, err := w.Write([]byte("not a gob")); return err }
-			if err := s.ckstore.write(k.name, artifactName(k.key), garbage); err != nil {
-				t.Fatal(err)
-			}
-			mustResolve(t, k, s, tierWorkload(t), false)
-			wantBuilds(t, k, s, 1)
-			wantMetrics(t, s, map[string]float64{k.diskHits: 0, k.persisted: 1})
-		})
-
-		t.Run(k.name+"/stale disk file degrades to a rebuild", func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "cache.json")
-			s1 := newService(t, Config{Workers: 1, CachePath: path})
-			wl := tierWorkload(t)
-			mustResolve(t, k, s1, wl, false)
-			s1.Shutdown(context.Background())
-			s2 := newService(t, Config{Workers: 1, CachePath: path})
-			defer s2.Shutdown(context.Background())
-			mustResolve(t, k, s2, wl, true)
-			wantBuilds(t, k, s2, 1)
-			wantMetrics(t, s2, map[string]float64{k.diskHits: 0})
-		})
-
-		t.Run(k.name+"/stale peer body degrades to a rebuild", func(t *testing.T) {
-			_, b, _ := peerPair(t, k, nil)
-			mustResolve(t, k, b, tierWorkload(t), true)
-			wantBuilds(t, k, b, 1)
-			wantMetrics(t, b, map[string]float64{k.peerHits: 0})
-			if got := metric(t, b, "sdo_peer_errors_total"); got == 0 {
-				t.Error("stale peer body not counted as a peer failure")
-			}
-		})
-
-		t.Run(k.name+"/corrupt peer body degrades to a rebuild", func(t *testing.T) {
-			inj, err := faults.Parse("seed=7,peer-corrupt=1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, b, _ := peerPair(t, k, inj)
-			mustResolve(t, k, b, tierWorkload(t), false)
-			wantBuilds(t, k, b, 1)
-			wantMetrics(t, b, map[string]float64{k.peerHits: 0})
+			k.failedBuildRetried(t, s)
+			wantMetrics(t, s, map[string]float64{k.hits: 1})
 		})
 
 		t.Run(k.name+"/panicking build releases waiters and drops the flight", func(t *testing.T) {
@@ -283,102 +186,55 @@ func TestArtifactTierLadder(t *testing.T) {
 			}
 			var wg sync.WaitGroup
 			wg.Add(2)
-			go func() { defer wg.Done(); check(k.resolve(s, boom, false)) }()
+			go func() { defer wg.Done(); check(k.resolve(s, boom)) }()
 			<-started
 			// The second caller joins the flight (or, if it loses the race
 			// to the panic, starts and fails its own): either way it must
 			// be released with the same failure, not hang.
-			go func() { defer wg.Done(); check(k.resolve(s, boom, false)) }()
+			go func() { defer wg.Done(); check(k.resolve(s, boom)) }()
 			close(release)
 			wg.Wait()
 			// The failed flight was dropped: the next caller retries and wins.
-			mustResolve(t, k, s, tierWorkload(t), false)
+			mustResolve(t, k, s, tierWorkload(t))
 			wantBuilds(t, k, s, 1)
 			wantMetrics(t, s, map[string]float64{k.hits: 0})
 		})
 	}
 }
 
-// parentPlanFile is planFile as the commits before the plan tier stopped
-// storing checkpoints wrote it.
-type parentPlanFile struct {
-	Warmup, Window uint64
-	Cfg            simpoint.Config
-	Plan           *simpoint.Plan
-	Checkpoints    []*arch.Checkpoint
-}
-
-// TestPlanCodecFormat pins what the plan codec accepts: a file in the
-// parent's shape (its checkpoints are skipped and re-captured), nothing
-// built from other inputs, and no clustering whose boundaries a capture
-// pass could not walk.
-func TestPlanCodecFormat(t *testing.T) {
+// TestArtifactTierBounded: a tier keeps its artifactTierMax most recently
+// resolved keys, so client-chosen budgets and seeds cannot grow it without
+// bound; an evicted key is simply built again.
+func TestArtifactTierBounded(t *testing.T) {
 	s := newService(t, Config{Workers: 1})
 	defer s.Shutdown(context.Background())
-	wl := tierWorkload(t)
-	const warmup, window = 1000, 2000
-	cfg := simpoint.Config{IntervalInstrs: 500, MaxK: 4, Seed: 1}
-	built, err := harness.BuildSamplePlan(wl, warmup, window, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(built.Plan.Reps) < 2 {
-		t.Fatalf("plan has %d representatives; the reorder case needs 2", len(built.Plan.Reps))
-	}
-	encode := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
+	builds := 0
+	resolve := func(i int) int {
+		v, err := s.plans.resolve(strconv.Itoa(i), func() (*harness.SamplePlan, error) {
+			builds++
+			return &harness.SamplePlan{}, nil
+		})
+		if v == nil || err != nil {
+			t.Fatalf("resolve(%d) = %v, %v", i, v, err)
 		}
-		return buf.Bytes()
+		return builds
 	}
-	parent := encode(&parentPlanFile{Warmup: warmup, Window: window, Cfg: cfg, Plan: built.Plan, Checkpoints: built.Checkpoints})
-
-	got, err := s.planCodec(wl, warmup, window, cfg).decode(bytes.NewReader(parent))
-	if err != nil {
-		t.Fatalf("parent-format plan rejected: %v", err)
+	for i := 0; i <= artifactTierMax; i++ {
+		resolve(i)
 	}
-	if !reflect.DeepEqual(got, built) {
-		t.Error("parent-format plan decodes to a different plan")
+	if got := resolve(artifactTierMax); got != artifactTierMax+1 {
+		t.Errorf("builds = %d after re-asking the newest key, want a hit (%d)", got, artifactTierMax+1)
 	}
-	var own bytes.Buffer
-	if err := s.planCodec(wl, warmup, window, cfg).encode(&own, built); err != nil {
-		t.Fatal(err)
+	if got := resolve(0); got != artifactTierMax+2 {
+		t.Errorf("builds = %d after re-asking the oldest key, want a rebuild (%d)", got, artifactTierMax+2)
 	}
-	if own.Len() > 16<<10 || own.Len() >= len(parent) {
-		t.Errorf("encoded plan is %d bytes (parent format: %d)", own.Len(), len(parent))
+	// A hit refreshes a key: 2 is the oldest left, and 3 is evicted in its place.
+	resolve(2)
+	resolve(artifactTierMax + 1)
+	if got := resolve(2); got != artifactTierMax+3 {
+		t.Errorf("builds = %d after re-asking a recently hit key, want a hit (%d)", got, artifactTierMax+3)
 	}
-
-	for name, c := range map[string]artifactCodec[*harness.SamplePlan]{
-		"warmup": s.planCodec(wl, warmup+1, window, cfg),
-		"window": s.planCodec(wl, warmup, window+500, cfg),
-		"config": s.planCodec(wl, warmup, window, simpoint.Config{IntervalInstrs: 500, MaxK: 4, Seed: 2}),
-	} {
-		if _, err := c.decode(bytes.NewReader(parent)); err == nil {
-			t.Errorf("plan accepted under a different %s", name)
-		}
-	}
-
-	// Boundaries a capture pass cannot walk are rejected before it starts.
-	for name, edit := range map[string]func(*simpoint.Plan){
-		"decreasing":              func(p *simpoint.Plan) { p.Reps[0], p.Reps[1] = p.Reps[1], p.Reps[0] },
-		"overlapping":             func(p *simpoint.Plan) { p.Reps[1].Start = p.Reps[0].Start },
-		"before the window":       func(p *simpoint.Plan) { p.Reps[0].Start = warmup - 1 },
-		"beyond the window":       func(p *simpoint.Plan) { p.Reps[len(p.Reps)-1].Start = warmup + window },
-		"running past the window": func(p *simpoint.Plan) { p.Reps[len(p.Reps)-1].Len = window + 1 },
-		"empty":                   func(p *simpoint.Plan) { p.Reps[0].Len = 0 },
-		"no representatives":      func(p *simpoint.Plan) { p.Reps = nil },
-	} {
-		bad := *built.Plan
-		bad.Reps = append([]simpoint.Rep(nil), built.Plan.Reps...)
-		edit(&bad)
-		before := metric(t, s, "sdo_checkpoints_captured_total")
-		if _, err := s.planCodec(wl, warmup, window, cfg).decode(bytes.NewReader(
-			encode(&planFile{Warmup: warmup, Window: window, Cfg: cfg, Plan: &bad}))); err == nil {
-			t.Errorf("plan with %s boundaries accepted", name)
-		}
-		if metric(t, s, "sdo_checkpoints_captured_total") != before {
-			t.Errorf("plan with %s boundaries reached the capture pass", name)
-		}
+	if n := len(s.plans.flights); n != artifactTierMax {
+		t.Errorf("tier holds %d entries, want %d", n, artifactTierMax)
 	}
 }

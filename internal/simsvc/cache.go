@@ -8,8 +8,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -378,11 +378,29 @@ func (c *Cache) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("simsvc: encode cache: %w", err)
 	}
-	write := func(w io.Writer) error { _, err := w.Write(data); return err }
-	if err := atomicWrite(path, write); err != nil {
+	if err := atomicWrite(path, data); err != nil {
 		return fmt.Errorf("simsvc: save cache: %w", err)
 	}
 	return nil
+}
+
+// atomicWrite replaces path with data, via a temp file in the same
+// directory plus rename: readers (and a crash) see the old contents or
+// the new, never a torn file.
+func atomicWrite(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 // LoadCache reads a persisted cache. A missing file yields an empty

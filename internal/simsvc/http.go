@@ -61,29 +61,9 @@ func (s *Service) Handler() http.Handler {
 		mux.HandleFunc("GET /sweeps/{id}/trace", s.handleTrace)
 	}
 	mux.HandleFunc("GET /cache/{key}", s.handleCacheGet)
-	if s.cfg.PeerArtifacts {
-		// GET /artifacts/{ckpt,plan}/{hash} — artifact peering for
-		// cluster nodes. Registered only in cluster mode, so a
-		// standalone server's API surface is unchanged.
-		mux.HandleFunc("GET /artifacts/{kind}/{hash}", s.handleArtifact)
-	}
 	mux.HandleFunc("GET /variants", s.handleVariants)
 	mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	return mux
-}
-
-// handleArtifact serves one stored checkpoint or sample-plan gob to a
-// cluster peer, wrapped in the checksummed artifact envelope. Like
-// /cache, a miss is an authoritative 404 — the healthy "I don't have
-// it" that keeps the peer's breaker closed.
-func (s *Service) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.ArtifactEntry(r.PathValue("kind"), r.PathValue("hash"))
-	if !ok {
-		http.Error(w, "unknown artifact", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
 }
 
 // handleCacheGet serves one cache entry to a peer node, in exactly the

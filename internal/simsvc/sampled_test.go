@@ -88,68 +88,53 @@ func TestSampledMatchesHarness(t *testing.T) {
 	}
 }
 
-// TestSamplePlanPersistence: sampling plans survive restarts on disk
-// next to the checkpoints, so a restarted server skips the BBV
-// re-profiling pass for workloads it has already planned. What survives
-// is the clustering — a couple of kilobytes; the restarted server
-// re-captures the representatives' checkpoints from it.
-func TestSamplePlanPersistence(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "cache.json")
+// TestSamplePlanRebuiltAfterRestart: the service stores results and
+// nothing else. A restarted server on the same cache rebuilds the sampling
+// plans — or, for a functional-warmup sweep, the checkpoints — it needs
+// (deterministically: the first life's results still answer the original
+// grid) and leaves no artifact directory behind.
+func TestSamplePlanRebuiltAfterRestart(t *testing.T) {
+	for _, tc := range []struct {
+		name, built string
+		req         SweepRequest
+	}{
+		{"sampled", "sdo_sample_plans_built_total", sampledReq()},
+		{"functional", "sdo_checkpoints_captured_total", functionalReq()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := filepath.Join(t.TempDir(), "cache.json")
 
-	s1 := newService(t, Config{Workers: 2, CachePath: cache})
-	submitAndWait(t, s1, sampledReq())
-	if got := metric(t, s1, "sdo_sample_plans_built_total"); got != 2 {
-		t.Fatalf("built %v plans, want 2", got)
-	}
-	if got := metric(t, s1, "sdo_sample_plans_persisted_total"); got != 2 {
-		t.Fatalf("persisted %v plans, want 2: %s", got, metricLines(s1, "sdo_sample_plan"))
-	}
-	if err := s1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+			s1 := newService(t, Config{Workers: 2, CachePath: cache})
+			submitAndWait(t, s1, tc.req)
+			if got := metric(t, s1, tc.built); got != 2 {
+				t.Fatalf("%s = %v, want 2", tc.built, got)
+			}
+			if err := s1.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 
-	// A restarted server running a different variant grid (cells not in
-	// the result cache, but the same plan keys) loads plans from disk
-	// instead of re-profiling.
-	s2 := newService(t, Config{Workers: 2, CachePath: cache})
-	defer s2.Shutdown(context.Background())
-	req := sampledReq()
-	req.Variants = []string{"stt"}
-	j := submitAndWait(t, s2, req)
-	if st := j.Status(); st.Cached != 0 {
-		t.Fatalf("restart sweep unexpectedly cached: %+v", st)
-	}
-	if got := metric(t, s2, "sdo_sample_plans_built_total"); got != 0 {
-		t.Errorf("restarted server re-built %v plans, want 0", got)
-	}
-	if got := metric(t, s2, "sdo_sample_plan_disk_hits_total"); got != 2 {
-		t.Errorf("plan disk hits = %v, want 2", got)
-	}
-	if got := metric(t, s2, "sdo_profiled_instrs_total"); got != 0 {
-		t.Errorf("restarted server re-profiled %v instrs, want 0", got)
-	}
-	if got := metric(t, s2, "sdo_checkpoints_captured_total"); got == 0 {
-		t.Error("restarted server captured no checkpoints for its disk-loaded plans")
-	}
-	plans, err := filepath.Glob(filepath.Join(s2.ckstore.dir, "*.plan"))
-	if err != nil || len(plans) != 2 {
-		t.Fatalf("stored plans = %v, %v; want 2", plans, err)
-	}
-	for _, p := range plans {
-		if fi, err := os.Stat(p); err != nil {
-			t.Error(err)
-		} else if fi.Size() > 16<<10 {
-			t.Errorf("%s is %d bytes; a stored plan carries no memory image", p, fi.Size())
-		}
-	}
+			// A different variant grid: cells not in the result cache, but
+			// the same artifact keys.
+			s2 := newService(t, Config{Workers: 2, CachePath: cache})
+			defer s2.Shutdown(context.Background())
+			req := tc.req
+			req.Variants = []string{"stt"}
+			j := submitAndWait(t, s2, req)
+			if st := j.Status(); st.Cached != 0 {
+				t.Fatalf("restart sweep unexpectedly cached: %+v", st)
+			}
+			if got := metric(t, s2, tc.built); got != 2 {
+				t.Errorf("restarted server: %s = %v, want 2", tc.built, got)
+			}
+			if _, err := os.Stat(cache + ".ckpts"); !os.IsNotExist(err) {
+				t.Errorf("%s.ckpts exists (stat err %v); the service must store results only", cache, err)
+			}
 
-	// Determinism: disk-restored plans reconstruct the same results a
-	// fresh build would (the first server's runs are in the cache — a
-	// re-submission of the original grid must be answered from it with
-	// no new simulation).
-	j2 := submitAndWait(t, s2, sampledReq())
-	if st := j2.Status(); st.Cached != st.Total {
-		t.Errorf("original grid not fully cached after restart: %+v", st)
+			j2 := submitAndWait(t, s2, tc.req)
+			if st := j2.Status(); st.Cached != st.Total {
+				t.Errorf("original grid not fully cached after restart: %+v", st)
+			}
+		})
 	}
 }
 

@@ -116,12 +116,6 @@ type Config struct {
 	// any node can resolve any ID's owner without coordination. Nil (the
 	// default): every ID is owned — byte-identical single-node behavior.
 	OwnsID func(id string) bool
-	// PeerArtifacts extends cache peering to the checkpoint and sample-
-	// plan artifacts: the service serves its <cache>.ckpts/ store over
-	// GET /artifacts/{ckpt,plan}/{hash} and consults peers (checksum-
-	// validated, same fabric machinery) before capturing or profiling
-	// locally. Off by default; requires Peers.
-	PeerArtifacts bool
 	// WorkStealing keeps a registry of queued-but-unstarted cells that
 	// cluster peers may claim under a journaled lease via
 	// Service.StealCells (see steal.go). Off by default.
@@ -189,7 +183,6 @@ const persistDebounce = 100 * time.Millisecond
 type Service struct {
 	cfg     Config
 	cache   *Cache
-	ckstore *ckptStore
 	pool    *harness.Pool
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -209,15 +202,15 @@ type Service struct {
 	inflight map[string]*flight
 
 	// The artifact tiers (see artifacts.go), both instances of the one
-	// resolve ladder. ckpts: one functional-warmup checkpoint per
+	// in-memory memo. ckpts: one functional-warmup checkpoint per
 	// (workload fingerprint, warmup budget), restored by every
 	// functional-mode cell that shares it. plans: one BBV profile +
 	// clustering + checkpoint series per (workload fingerprint, window,
 	// sampling config), executed by every sampled-mode cell that shares it
 	// (see RunSpec.PlanKey) — the expensive part of sampled mode, one
 	// functional profiling pass plus k-means, is thereby paid once per
-	// workload per sweep shape. Unbounded, but entries exist only per
-	// distinct key — a handful per deployment.
+	// workload per sweep shape. Each keeps its artifactTierMax most
+	// recently resolved keys.
 	ckpts *artifactTier[*arch.Checkpoint]
 	plans *artifactTier[*harness.SamplePlan]
 
@@ -327,7 +320,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		cache:    cache,
-		ckstore:  newCkptStore(cfg.CachePath, cfg.Faults),
 		ctx:      ctx,
 		cancel:   cancel,
 		inj:      cfg.Faults,
@@ -437,26 +429,14 @@ func (s *Service) registerMetrics() {
 
 	s.ckptsCaptured = ctr("sdo_checkpoints_captured_total", "Functional-warmup checkpoints captured.")
 	s.warmupSimulated = ctr("sdo_warmup_instrs_simulated_total", "Warmup instructions actually simulated (checkpoint reuse keeps this at one warmup per workload).")
-	s.ckpts = &artifactTier[*arch.Checkpoint]{
-		svc: s, kind: "ckpt", label: "checkpoint", flights: make(map[string]*artifactFlight[*arch.Checkpoint]),
-		hits:      ctr("sdo_checkpoint_hits_total", "Cells that restored an existing warmup checkpoint."),
-		persisted: ctr("sdo_checkpoints_persisted_total", "Warmup checkpoints written to the on-disk store."),
-		diskHits:  ctr("sdo_checkpoint_disk_hits_total", "Checkpoint-tier misses answered from the on-disk store (warmup skipped across restarts)."),
-	}
+	s.ckpts = newArtifactTier[*arch.Checkpoint](s, "checkpoint",
+		ctr("sdo_checkpoint_hits_total", "Cells that restored an existing warmup checkpoint."))
 	s.plansBuilt = ctr("sdo_sample_plans_built_total", "Sampling plans built (BBV profile + clustering + checkpoint series).")
 	s.sampledCells = ctr("sdo_sampled_cells_total", "Cells executed in sampled (SimPoint) mode.")
 	s.sampledInstrs = ctr("sdo_sampled_detailed_instrs_total", "Detailed instructions executed by sampled cells (vs. max_instrs per cell in detailed mode).")
 	s.profiledInstrs = ctr("sdo_profiled_instrs_total", "Functional instructions spent on BBV profiling passes.")
-	s.plans = &artifactTier[*harness.SamplePlan]{
-		svc: s, kind: "plan", label: "plan", flights: make(map[string]*artifactFlight[*harness.SamplePlan]),
-		hits:      ctr("sdo_sample_plan_hits_total", "Sampled cells that reused an existing sampling plan."),
-		persisted: ctr("sdo_sample_plans_persisted_total", "Sampling plans written to the on-disk store."),
-		diskHits:  ctr("sdo_sample_plan_disk_hits_total", "Plan-tier misses answered from the on-disk store (BBV re-profiling skipped across restarts)."),
-	}
-	if s.cfg.PeerArtifacts {
-		s.ckpts.peerHits = ctr("sdo_cluster_ckpt_peer_hits_total", "Checkpoint-tier misses answered by a cluster peer (warmup skipped).")
-		s.plans.peerHits = ctr("sdo_cluster_plan_peer_hits_total", "Sample-plan-tier misses answered by a cluster peer (BBV profiling skipped).")
-	}
+	s.plans = newArtifactTier[*harness.SamplePlan](s, "plan",
+		ctr("sdo_sample_plan_hits_total", "Sampled cells that reused an existing sampling plan."))
 
 	s.runDur = r.NewHistogram("sdo_run_duration_seconds",
 		"Wall time of individual executed simulations.", obs.DefaultLatencyBuckets())
@@ -946,11 +926,11 @@ func (s *Service) evictJobsLocked() {
 }
 
 // checkpoint resolves the warmup checkpoint for key through the
-// checkpoint tier's ladder (artifacts.go). A failed or panicking capture
-// is isolated: this cell (and any that were blocked on the flight) gets
-// nil and falls back to in-place warmup.
-func (s *Service) checkpoint(parent *trace.Span, key string, wl workload.Workload, warmup uint64) *arch.Checkpoint {
-	ck, _ := s.ckpts.resolve(parent, key, ckptCodec(warmup), func() (*arch.Checkpoint, error) {
+// checkpoint tier (artifacts.go). A failed or panicking capture is
+// isolated: this cell (and any that were blocked on the flight) gets nil
+// and falls back to in-place warmup.
+func (s *Service) checkpoint(key string, wl workload.Workload, warmup uint64) *arch.Checkpoint {
+	ck, _ := s.ckpts.resolve(key, func() (*arch.Checkpoint, error) {
 		ck := harness.CaptureCheckpoint(wl, warmup)
 		s.ckptsCaptured.Inc()
 		s.warmupSimulated.Add(ck.Arch.Instrs)
@@ -959,12 +939,12 @@ func (s *Service) checkpoint(parent *trace.Span, key string, wl workload.Workloa
 	return ck
 }
 
-// samplePlan resolves the sampling plan for key through the plan tier's
-// ladder (artifacts.go). A failed or panicking build fails this cell and
-// any blocked on the flight.
-func (s *Service) samplePlan(parent *trace.Span, key string, wl workload.Workload, spec RunSpec) (*harness.SamplePlan, error) {
+// samplePlan resolves the sampling plan for key through the plan tier
+// (artifacts.go). A failed or panicking build fails this cell and any
+// blocked on the flight.
+func (s *Service) samplePlan(key string, wl workload.Workload, spec RunSpec) (*harness.SamplePlan, error) {
 	cfg := simpoint.Config{IntervalInstrs: spec.SampleInterval, MaxK: spec.SampleMaxK, Seed: spec.SampleSeed}
-	return s.plans.resolve(parent, key, s.planCodec(wl, spec.WarmupInstrs, spec.MaxInstrs, cfg), func() (*harness.SamplePlan, error) {
+	return s.plans.resolve(key, func() (*harness.SamplePlan, error) {
 		start := time.Now()
 		sp, err := harness.BuildSamplePlan(wl, spec.WarmupInstrs, spec.MaxInstrs, cfg)
 		if err != nil {
@@ -973,7 +953,10 @@ func (s *Service) samplePlan(parent *trace.Span, key string, wl workload.Workloa
 		s.planDur.Observe(time.Since(start).Seconds())
 		s.plansBuilt.Inc()
 		s.profiledInstrs.Add(sp.Plan.ProfiledInstrs)
-		s.countCapture(sp)
+		n := len(sp.Checkpoints)
+		s.ckptsCaptured.Add(uint64(n))
+		// One continuous pass warms to the last boundary.
+		s.warmupSimulated.Add(sp.Checkpoints[n-1].Arch.Instrs)
 		if s.rec.On(obs.ClassSample) {
 			s.rec.Emit(obs.Event{Class: obs.ClassSample, Kind: "plan-built",
 				Detail: fmt.Sprintf("%s: k=%d/%d intervals, sampled %d/%d instrs, err-est %.3f",
@@ -982,16 +965,6 @@ func (s *Service) samplePlan(parent *trace.Span, key string, wl workload.Workloa
 		}
 		return sp, nil
 	})
-}
-
-// countCapture accounts for the functional pass that captured sp's
-// checkpoints — after a build, and after a disk or peer hit re-captured
-// them from the stored clustering.
-func (s *Service) countCapture(sp *harness.SamplePlan) {
-	n := len(sp.Checkpoints)
-	s.ckptsCaptured.Add(uint64(n))
-	// One continuous pass warms to the last boundary.
-	s.warmupSimulated.Add(sp.Checkpoints[n-1].Arch.Instrs)
 }
 
 // Job returns a submitted job by ID.
@@ -1317,7 +1290,7 @@ func (s *Service) execute(ctx context.Context, spec RunSpec, abort func() bool) 
 		ps := parent.Child(trace.PhasePlan)
 		var planKey string
 		if planKey, err = spec.PlanKey(); err == nil {
-			sp, err = s.samplePlan(ps, planKey, wl, spec)
+			sp, err = s.samplePlan(planKey, wl, spec)
 		}
 		ps.Finish()
 		if err != nil {
@@ -1329,7 +1302,7 @@ func (s *Service) execute(ctx context.Context, spec RunSpec, abort func() bool) 
 			return core.Result{}, 0, 0, err
 		}
 		cks := parent.Child(trace.PhaseCheckpoint)
-		if p.Checkpoint = s.checkpoint(cks, ckKey, wl, spec.WarmupInstrs); p.Checkpoint == nil {
+		if p.Checkpoint = s.checkpoint(ckKey, wl, spec.WarmupInstrs); p.Checkpoint == nil {
 			// Capture failed: degrade to in-place functional warmup for
 			// this cell (bit-identical, just slower).
 			s.warmupSimulated.Add(spec.WarmupInstrs)

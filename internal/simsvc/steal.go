@@ -319,8 +319,8 @@ type StolenRun struct {
 
 // RunStolen runs a stolen cell's spec on this (thief) node's worker pool
 // — local cache first, then the full execute path with its checkpoint/
-// plan tiers and artifact peering — and delivers the content-addressed
-// wire entry on the returned channel. The cell is on the pool before
+// plan tiers — and delivers the content-addressed wire entry on the
+// returned channel. The cell is on the pool before
 // RunStolen returns, so IdleWorkers already counts it: a thief that
 // claims IdleWorkers() cells and hands each to RunStolen never holds more
 // leases than free slots, and its own jobs queue behind a stolen run

@@ -2,62 +2,58 @@ package simsvc
 
 import (
 	"context"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
 
-// artifactGate is a fake cluster peer that parks every checkpoint fetch
-// until release. A functional-warmup cell asks its peers for the
-// checkpoint before building one, so a service peered with the gate
-// stops inside its first such cell — on an event the test controls, not
-// on a sleep — and resumes (peer miss, local build) when released.
-type artifactGate struct {
-	url     string
-	entered chan struct{} // one signal per parked fetch
-	release func()
+// buildGate is an obs.Sink that parks every sampling-plan build until
+// release. The service emits "plan-built" synchronously from inside the
+// build, so a service recording into the gate stops inside its first
+// sampled cell — on an event the test controls, not on a sleep — and
+// resumes when released.
+type buildGate struct {
+	entered chan struct{} // one signal per parked build
+	open    chan struct{}
+	once    sync.Once
 }
 
-func newArtifactGate(t *testing.T) *artifactGate {
+func newBuildGate(t *testing.T) *buildGate {
 	t.Helper()
-	g := &artifactGate{entered: make(chan struct{}, 16)} // room for every fetch a test parks
-	open := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/artifacts/") {
-			g.entered <- struct{}{}
-			<-open
-		}
-		http.NotFound(w, r)
-	}))
-	opened := false
-	g.url, g.release = srv.URL, func() {
-		if !opened {
-			opened = true
-			close(open)
-		}
-	}
-	t.Cleanup(func() { g.release(); srv.Close() })
+	g := &buildGate{entered: make(chan struct{}, 16), open: make(chan struct{})} // room for every build a test parks
+	t.Cleanup(g.release)
 	return g
 }
 
-// gatedConfig peers a service with gate, with a peer timeout long enough
-// that only release ends a parked fetch.
-func gatedConfig(g *artifactGate, workers int) Config {
-	return Config{Workers: workers, WorkStealing: true, Trace: true,
-		Peers: []string{g.url}, PeerArtifacts: true, PeerTimeout: time.Minute}
+func (g *buildGate) Emit(e obs.Event) {
+	if e.Kind == "plan-built" {
+		g.entered <- struct{}{}
+		<-g.open
+	}
 }
 
-// stealReq is one functional-warmup cell per variant of one workload, in
-// enumeration (= enqueue) order.
+func (g *buildGate) Close() error { return nil }
+
+func (g *buildGate) release() { g.once.Do(func() { close(g.open) }) }
+
+// gatedConfig records a service's sampling events into gate.
+func gatedConfig(g *buildGate, workers int) Config {
+	return Config{Workers: workers, WorkStealing: true, Trace: true,
+		Recorder: obs.NewRecorder(obs.ClassSample, g)}
+}
+
+// stealReq is one sampled cell per variant of one workload, in
+// enumeration (= enqueue) order; they share one sampling plan.
 func stealReq(variants ...string) SweepRequest {
 	req := specReq("exchange2_r", "unsafe")
 	req.Variants = variants
-	req.WarmupMode = "functional"
+	req.SimMode = "sampled"
+	req.MaxInstrs = 6000
+	req.SampleIntervalInstrs = 2000
 	return req
 }
 
@@ -142,7 +138,7 @@ func TestStealCellsFiltersBeforeCap(t *testing.T) {
 // the owner's worker dequeues from the head, so the owner reaches a
 // leased cell — and parks on it — only once nothing unleased is left.
 func TestStealCellsTailFirst(t *testing.T) {
-	gate := newArtifactGate(t)
+	gate := newBuildGate(t)
 	owner := newService(t, gatedConfig(gate, 1))
 	defer owner.Shutdown(context.Background())
 	thief := newService(t, Config{Workers: 1})
@@ -194,7 +190,7 @@ func TestStealCellsTailFirst(t *testing.T) {
 // the idle count that sizes the next claim sees it, and its completion is
 // an idle edge.
 func TestIdleWorkersCountsStolenRuns(t *testing.T) {
-	gate := newArtifactGate(t)
+	gate := newBuildGate(t)
 	thief := newService(t, gatedConfig(gate, 2))
 	defer thief.Shutdown(context.Background())
 
