@@ -178,7 +178,7 @@ func (c *client) fail(err error) int {
 }
 
 // Transient-connection retry policy for idempotent GETs: a server that
-// is restarting (resuming its journal) or briefly unreachable answers
+// is restarting (loading its cache) or briefly unreachable answers
 // with connection refused/reset, and retrying is strictly better than
 // failing the invocation. POST/DELETE are never retried — a submit that
 // half-landed must not be replayed.

@@ -17,7 +17,10 @@
 //	curl localhost:8344/metrics
 //
 // SIGINT/SIGTERM shut down gracefully: in-flight simulations finish and
-// the cache is persisted, so a restarted server answers from cache.
+// the cache is persisted, so a restarted server answers from cache. Each
+// finished cell is also persisted as it lands, so after a crash the
+// resubmitted sweep re-simulates only what the crash lost; sweep IDs do
+// not survive a restart.
 package main
 
 import (
@@ -82,8 +85,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&c.TraceMaxJobs, "trace-jobs", 0, "job traces retained (0: default 64)")
 	fs.IntVar(&c.FlightEvents, "flight", 0, "flight-recorder ring size at GET /debug/flight (0: default 256)")
 
-	fs.StringVar(&c.JournalPath, "journal", "", "job-journal file for durable resumable sweeps (default: <cache>.jobs when -cache is set; \"off\" disables)")
-
 	fs.StringVar(&o.peers, "peers", "", "comma-separated peer base URLs for cache peering, e.g. http://10.0.0.2:8344,http://10.0.0.3:8344")
 
 	fs.StringVar(&o.clusterPeers, "cluster-peers", "", "full cluster membership as comma-separated id=url pairs incl. this node, e.g. a=http://na:8344,b=http://nb:8344 (federates nodes into one logical /sweeps service)")
@@ -98,15 +99,6 @@ func main() {
 	flag.Parse()
 	cfg := &o.svc
 
-	// Resumable jobs ride alongside the result cache by default: the
-	// journal is only useful when the cache that re-derives surviving
-	// cells also persists.
-	if cfg.JournalPath == "" && cfg.CachePath != "" {
-		cfg.JournalPath = cfg.CachePath + ".jobs"
-	}
-	if cfg.JournalPath == "off" {
-		cfg.JournalPath = ""
-	}
 	for _, p := range strings.Split(o.peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			cfg.Peers = append(cfg.Peers, p)
@@ -170,15 +162,6 @@ func main() {
 	}
 	if n := svc.Cache().Len(); n > 0 {
 		fmt.Fprintf(os.Stderr, "sdoserver: loaded %d cached results from %s\n", n, cfg.CachePath)
-	}
-	if cfg.JournalPath != "" {
-		h := svc.Health()
-		if h.ResumingJobs > 0 {
-			fmt.Fprintf(os.Stderr, "sdoserver: resuming %d interrupted sweep(s) from %s (healthz: degraded until replay completes)\n",
-				h.ResumingJobs, cfg.JournalPath)
-		} else {
-			fmt.Fprintf(os.Stderr, "sdoserver: job journal at %s (sweeps survive restarts)\n", cfg.JournalPath)
-		}
 	}
 	if len(cfg.Peers) > 0 {
 		fmt.Fprintf(os.Stderr, "sdoserver: cache peering with %d peer(s): %s\n", len(cfg.Peers), strings.Join(cfg.Peers, ", "))

@@ -4,7 +4,7 @@
 // job the local node does not hold are transparently proxied to the
 // ranked owner, and GET /sweeps is answered by scatter-gather across
 // the membership. Nodes with free worker slots steal queued cells from
-// busy peers under journaled leases, woken by the busy peer's hint rather
+// busy peers under in-memory leases, woken by the busy peer's hint rather
 // than a poll.
 //
 // The layer is strictly additive: with a single member (or no cluster

@@ -47,7 +47,6 @@ func TestMetricsGolden(t *testing.T) {
 		{name: "on", node: true, cfg: simsvc.Config{
 			Workers:      1,
 			CachePath:    filepath.Join(dir, "cache.json"),
-			JournalPath:  filepath.Join(dir, "cache.json.jobs"),
 			Peers:        []string{"http://127.0.0.1:1"},
 			WorkStealing: true,
 			Trace:        true,

@@ -21,11 +21,11 @@ type wakeup struct {
 // stealLoop sleeps until there may be something to steal and a slot to
 // run it on: a peer hinted that it queued work behind busy workers, a
 // local worker slot just freed up, or — the safety net for a lost hint
-// and for jobs a peer resumed from its journal — the StealInterval
-// ticker fired. Stolen cells run on the local service's pool (own cache,
-// artifact tiers, fault policy) and post their content-addressed wire
-// entries back to the owner, which validates the checksum before settling
-// the lease — a thief can waste a lease but never corrupt a result.
+// — the StealInterval ticker fired. Stolen cells run on the local
+// service's pool (own cache, artifact tiers, fault policy) and post their
+// content-addressed wire entries back to the owner, which validates the
+// checksum before settling the lease — a thief can waste a lease but
+// never corrupt a result.
 func (n *Node) stealLoop() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.cfg.StealInterval)
@@ -88,7 +88,7 @@ func (n *Node) claimFrom(m Member, max int) ([]simsvc.StolenCell, error) {
 		return nil, err
 	}
 	// Trust but verify: the key must be the spec's own cache key, or the
-	// completed result would be filed (and journaled) under a lie.
+	// completed result would be filed under a lie.
 	ok := cells[:0]
 	for _, c := range cells {
 		if k, err := c.Spec.CacheKey(); err == nil && k == c.Key {

@@ -84,9 +84,6 @@ type Config struct {
 	CacheWriteErrProb float64
 	// DiskFullPersists fails the first N cache persists with ErrDiskFull.
 	DiskFullPersists int
-	// JournalErrProb fails job-journal appends (the write-ahead record is
-	// lost before the fsync, simulating a crash between write and sync).
-	JournalErrProb float64
 	// PeerErrProb fails peer cache lookups outright (connection-level
 	// failure); PeerSlowProb/PeerSlowDelay delay a peer response (exercises
 	// hedging and timeouts); PeerCorruptProb corrupts a peer response body
@@ -102,7 +99,6 @@ type Stats struct {
 	Panics, Slows, Freezes        uint64
 	CacheReadErrs, CacheWriteErrs uint64
 	DiskFulls                     uint64
-	JournalErrs                   uint64
 	PeerErrs, PeerSlows           uint64
 	PeerCorrupts                  uint64
 }
@@ -110,7 +106,7 @@ type Stats struct {
 // Total sums every injected-fault counter.
 func (s Stats) Total() uint64 {
 	return s.Panics + s.Slows + s.Freezes + s.CacheReadErrs + s.CacheWriteErrs +
-		s.DiskFulls + s.JournalErrs + s.PeerErrs + s.PeerSlows + s.PeerCorrupts
+		s.DiskFulls + s.PeerErrs + s.PeerSlows + s.PeerCorrupts
 }
 
 // Injector injects the configured faults. A nil *Injector is valid and
@@ -123,8 +119,6 @@ type Injector struct {
 	diskFulls              atomic.Uint64
 	readSeq, writeSeq      atomic.Uint64
 	persistSeq             atomic.Uint64
-	journalErrs            atomic.Uint64
-	journalSeq             atomic.Uint64
 	peerErrs, peerSlows    atomic.Uint64
 	peerCorrupts           atomic.Uint64
 }
@@ -155,7 +149,6 @@ func (f *Injector) Stats() Stats {
 		CacheReadErrs:  f.readErrs.Load(),
 		CacheWriteErrs: f.writeErrs.Load(),
 		DiskFulls:      f.diskFulls.Load(),
-		JournalErrs:    f.journalErrs.Load(),
 		PeerErrs:       f.peerErrs.Load(),
 		PeerSlows:      f.peerSlows.Load(),
 		PeerCorrupts:   f.peerCorrupts.Load(),
@@ -264,22 +257,6 @@ func (f *Injector) SaveErr() error {
 	return nil
 }
 
-// JournalErr returns an injected job-journal append error, or nil. Each
-// call is a fresh sequence-numbered draw, simulating a crash between the
-// record write and its fsync: the caller must treat the record as never
-// having been durably written.
-func (f *Injector) JournalErr() error {
-	if f == nil || f.cfg.JournalErrProb <= 0 {
-		return nil
-	}
-	seq := f.journalSeq.Add(1)
-	if f.draw("journal", "", int(seq)) >= f.cfg.JournalErrProb {
-		return nil
-	}
-	f.journalErrs.Add(1)
-	return fmt.Errorf("%w: journal append I/O error (op %d)", ErrInjected, seq)
-}
-
 // PeerErr returns an injected peer-lookup failure for (peer, key), or nil.
 func (f *Injector) PeerErr(peer, key string) error {
 	if f == nil || f.cfg.PeerErrProb <= 0 ||
@@ -355,8 +332,6 @@ func Parse(spec string) (*Injector, error) {
 			cfg.CacheWriteErrProb, err = parseProb(v)
 		case "disk-full":
 			cfg.DiskFullPersists, err = strconv.Atoi(v)
-		case "journal-err":
-			cfg.JournalErrProb, err = parseProb(v)
 		case "peer-err":
 			cfg.PeerErrProb, err = parseProb(v)
 		case "peer-slow":

@@ -60,36 +60,27 @@ type Job struct {
 	// Submit before any cell is enqueued, immutable afterwards.
 	jt *trace.JobTrace
 
-	// resumed marks a job re-admitted from the job journal after a
-	// restart (set before any cell is enqueued, immutable afterwards).
-	// Resume accounting splits its cells into skipped (answered by the
-	// persisted cache — work the previous life already did) and rerun.
-	resumed bool
-
 	// onTerminal, set by the service before the job starts, observes the
-	// transition to a terminal state (journal record, persistence
-	// scheduling, registry eviction). Called exactly once, outside j.mu,
-	// before done is closed.
+	// transition to a terminal state (persistence scheduling, registry
+	// eviction). Called exactly once, outside j.mu, before done is closed.
 	onTerminal func(*Job)
 
-	mu            sync.Mutex
-	state         JobState
-	total         int
-	completed     int
-	cached        int
-	resumeSkipped int // resumed job: cells answered from the persisted cache
-	resumeRerun   int // resumed job: cells that had to re-simulate
-	failed        int
-	retries       uint64
-	failures      []Failure
-	failedIdx     map[int]bool    // ablation cells that failed (by index)
-	failedWl      map[string]bool // workloads with ≥ 1 failed cell
-	progress      []string
-	runs          map[harness.Key]core.Result
-	attrib        map[harness.Key]*trace.Attribution // per-cell breakdowns (tracing on, sweep jobs only)
-	err           error
-	finished      time.Time
-	done          chan struct{}
+	mu        sync.Mutex
+	state     JobState
+	total     int
+	completed int
+	cached    int
+	failed    int
+	retries   uint64
+	failures  []Failure
+	failedIdx map[int]bool    // ablation cells that failed (by index)
+	failedWl  map[string]bool // workloads with ≥ 1 failed cell
+	progress  []string
+	runs      map[harness.Key]core.Result
+	attrib    map[harness.Key]*trace.Attribution // per-cell breakdowns (tracing on, sweep jobs only)
+	err       error
+	finished  time.Time
+	done      chan struct{}
 }
 
 // Ablation reports whether this is an ablation-study job (its export is
@@ -108,8 +99,8 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // finish moves the job into a terminal state. Caller holds j.mu; the
 // returned func must be invoked after j.mu is released. It runs the
 // onTerminal notification and only then closes done, so a waiter on
-// Done() never sees the job finished before the service has journaled
-// (fsynced) the terminal record and published the resume counters.
+// Done() never sees the job finished before the service has scheduled
+// its cache persist and enforced the registry bounds.
 func (j *Job) finish(state JobState, err error) func() {
 	j.state = state
 	j.err = err
@@ -204,13 +195,6 @@ func (j *Job) deliver(idx int, k harness.Key, r core.Result, line string, fromCa
 	if fromCache {
 		j.cached++
 	}
-	if j.resumed {
-		if fromCache {
-			j.resumeSkipped++
-		} else {
-			j.resumeRerun++
-		}
-	}
 	j.progress = append(j.progress, line)
 	note := j.maybeFinish()
 	j.mu.Unlock()
@@ -228,9 +212,6 @@ func (j *Job) cellFail(idx int, k harness.Key, f Failure, line string, retries i
 	}
 	j.failed++
 	j.retries += uint64(retries)
-	if j.resumed {
-		j.resumeRerun++
-	}
 	j.failures = append(j.failures, f)
 	if j.failedIdx == nil {
 		j.failedIdx = make(map[int]bool)
@@ -279,12 +260,6 @@ type Status struct {
 	Retries  uint64    `json:"retries,omitempty"`
 	Failures []Failure `json:"failures,omitempty"`
 	Error    string    `json:"error,omitempty"`
-	// Resumed marks a job re-admitted from the job journal after a
-	// restart; ResumeSkipped / ResumeRerun split its completed cells into
-	// ones answered by the persisted cache versus re-simulated.
-	Resumed       bool `json:"resumed,omitempty"`
-	ResumeSkipped int  `json:"resume_cells_skipped,omitempty"`
-	ResumeRerun   int  `json:"resume_cells_rerun,omitempty"`
 }
 
 // Status snapshots the job.
@@ -300,10 +275,6 @@ func (j *Job) Status() Status {
 		Failed:    j.failed,
 		Retries:   j.retries,
 		Failures:  append([]Failure(nil), j.failures...),
-
-		Resumed:       j.resumed,
-		ResumeSkipped: j.resumeSkipped,
-		ResumeRerun:   j.resumeRerun,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()

@@ -88,14 +88,6 @@ type Config struct {
 	// Recorder is configured (0: default 256).
 	FlightEvents int
 
-	// JournalPath persists the job journal as JSONL ("" disables): every
-	// submission is written ahead of execution and every terminal
-	// transition is fsynced, so a crashed service re-admits its
-	// non-terminal sweeps on restart under their original IDs, re-running
-	// only the cells absent from the persisted result cache (see
-	// journal.go / resume.go).
-	JournalPath string
-
 	// Peers is the static peer list for failure-aware cache peering
 	// (base URLs of other sdoserver nodes). On a local cache miss the
 	// service consults peers by rendezvous-hashed key over GET
@@ -117,8 +109,8 @@ type Config struct {
 	// default): every ID is owned — byte-identical single-node behavior.
 	OwnsID func(id string) bool
 	// WorkStealing keeps a registry of queued-but-unstarted cells that
-	// cluster peers may claim under a journaled lease via
-	// Service.StealCells (see steal.go). Off by default.
+	// cluster peers may claim under a lease via Service.StealCells (see
+	// steal.go). Off by default.
 	WorkStealing bool
 	// StealLeaseTTL bounds how long the owner waits on a stolen cell
 	// before reclaiming it locally (0: DefaultStealLeaseTTL).
@@ -173,26 +165,25 @@ func (e *OverloadError) Error() string {
 // retryWindow is the sliding window for retry-storm detection.
 const retryWindow = time.Minute
 
-// persistDebounce batches terminal-job persist triggers: results landing
-// within this window of each other are written in one save.
+// persistDebounce batches persist triggers: results landing within this
+// window of each other are written in one save.
 const persistDebounce = 100 * time.Millisecond
 
 // Service schedules sweep jobs over the shared harness worker pool,
 // deduplicates identical in-flight runs, and answers repeated cells from
 // the content-addressed result cache.
 type Service struct {
-	cfg     Config
-	cache   *Cache
-	pool    *harness.Pool
-	ctx     context.Context
-	cancel  context.CancelFunc
-	inj     *faults.Injector
-	rec     *obs.Recorder
-	tracer  *trace.Tracer     // nil unless cfg.Trace
-	flight  *obs.SafeRingSink // /debug/flight ring (always on)
-	journal *jobJournal       // nil unless cfg.JournalPath
-	fab     *fabric.Client    // nil unless cfg.Peers
-	steal   *stealState       // nil unless cfg.WorkStealing
+	cfg    Config
+	cache  *Cache
+	pool   *harness.Pool
+	ctx    context.Context
+	cancel context.CancelFunc
+	inj    *faults.Injector
+	rec    *obs.Recorder
+	tracer *trace.Tracer     // nil unless cfg.Trace
+	flight *obs.SafeRingSink // /debug/flight ring (always on)
+	fab    *fabric.Client    // nil unless cfg.Peers
+	steal  *stealState       // nil unless cfg.WorkStealing
 
 	mu       sync.Mutex
 	closed   bool
@@ -215,8 +206,8 @@ type Service struct {
 	plans *artifactTier[*harness.SamplePlan]
 
 	// Write-behind cache persistence: schedulePersist debounces a
-	// background save after each terminal job; repeated failures flip
-	// the cache to memory-only (cacheDegraded).
+	// background save after each new result and each terminal job;
+	// repeated failures flip the cache to memory-only (cacheDegraded).
 	persistMu      sync.Mutex
 	persistPending bool
 	persistStopped bool
@@ -227,8 +218,8 @@ type Service struct {
 	retryTimes []time.Time
 
 	// Metrics (see /metrics): each is declared once, against reg, by
-	// registerMetrics or by the component that owns it (cache, journal,
-	// artifact tiers, stealState).
+	// registerMetrics or by the component that owns it (cache, artifact
+	// tiers, stealState).
 	reg          *obs.Registry
 	runsExecuted *obs.Counter  // simulations actually run
 	runsDeduped  *obs.Counter  // cells that joined an in-flight identical run
@@ -249,13 +240,6 @@ type Service struct {
 	persistFailStreak atomic.Uint64 // consecutive persist failures
 	cacheDegraded     atomic.Bool   // persistence disabled (memory-only)
 	cacheLoadFailed   atomic.Bool   // startup cache load failed (started empty)
-
-	// Resume accounting (counters nil unless cfg.JournalPath: only
-	// journal-resumed jobs touch them).
-	resumedJobs   *obs.Counter // jobs re-admitted from the journal on startup
-	resumeSkipped *obs.Counter // resumed cells answered by the persisted cache
-	resumeReruns  *obs.Counter // resumed cells that had to re-simulate
-	resuming      atomic.Int64 // resumed jobs not yet terminal (healthz: degraded)
 
 	ckptsCaptured   *obs.Counter // warmup checkpoints captured (standalone or in a plan)
 	warmupSimulated *obs.Counter // warmup instructions actually simulated
@@ -292,7 +276,9 @@ type delivery struct {
 // loaded so a restarted server answers repeated sweeps from cache; an
 // unreadable cache never prevents startup — the service starts with an
 // empty cache and reports degraded health until the next successful
-// persist.
+// persist. Results are the only state that outlives a process: jobs and
+// their IDs do not, so a sweep a crash interrupted is resubmitted, and
+// its persisted cells resolve as cache hits.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	loadFailed := false
@@ -352,23 +338,6 @@ func New(cfg Config) (*Service, error) {
 		})
 		s.registerPeerMetrics()
 	}
-	// Durable resumable jobs: replay the write-ahead job journal and
-	// re-admit every sweep that was submitted but never reached a
-	// terminal state, under its original ID. The content-addressed
-	// result cache answers the cells the previous life already
-	// completed; only the missing ones re-simulate.
-	var resumable []journalJob
-	if cfg.JournalPath != "" {
-		var maxN int
-		s.journal, resumable, maxN = openJournal(cfg.JournalPath, cfg.Faults)
-		s.nextID = maxN
-		if s.journal.isDegraded() {
-			s.event("journal-degraded", cfg.JournalPath)
-		}
-		s.journal.register(s.reg)
-		s.registerResumeMetrics()
-	}
-	s.resumeJobs(resumable)
 	return s, nil
 }
 
@@ -382,8 +351,7 @@ func (s *Service) event(kind, detail string) {
 
 // registerMetrics declares the metrics the service itself owns and
 // builds the two artifact tiers around theirs; the optional subsystems
-// (stealing, peering, journal) declare their own when New
-// constructs them. Values that already live in a subcomponent are
+// (stealing, peering) declare their own when New constructs them. Values that already live in a subcomponent are
 // sampled at scrape time; the latency distributions are real histograms.
 func (s *Service) registerMetrics() {
 	r := s.reg
@@ -477,11 +445,6 @@ type Health struct {
 	// or "draining" (shutdown underway; not serving new work).
 	Status  string   `json:"status"`
 	Reasons []string `json:"reasons,omitempty"`
-	// ResumingJobs counts journal-resumed jobs that have not yet reached
-	// a terminal state; the status is degraded while any remain, so
-	// load balancers and scripts can tell a replaying node from a warm
-	// one.
-	ResumingJobs int `json:"resuming_jobs,omitempty"`
 	// Peers reports per-peer fabric state (breaker, probe verdict,
 	// counters) when cache peering is configured.
 	Peers []fabric.PeerStatus `json:"peers,omitempty"`
@@ -489,10 +452,9 @@ type Health struct {
 
 // Health reports the service's operational state: "draining" once
 // shutdown has begun, "degraded" while impaired (cache fell back to
-// memory-only, startup cache load failed, the job journal degraded, a
-// post-restart resume replay is still running, or a retry storm is
-// underway), otherwise "ok". Peer failures never degrade the status —
-// peering degrades to local simulation by design — but per-peer state is
+// memory-only, startup cache load failed, or a retry storm is underway),
+// otherwise "ok". Peer failures never degrade the status — peering
+// degrades to local simulation by design — but per-peer state is
 // reported.
 func (s *Service) Health() Health {
 	s.mu.Lock()
@@ -501,21 +463,12 @@ func (s *Service) Health() Health {
 	if closed {
 		return Health{Status: "draining"}
 	}
-	h := Health{
-		ResumingJobs: int(s.resuming.Load()),
-		Peers:        s.fab.Snapshot(),
-	}
+	h := Health{Peers: s.fab.Snapshot()}
 	if s.cacheDegraded.Load() {
 		h.Reasons = append(h.Reasons, "cache-degraded")
 	}
 	if s.cacheLoadFailed.Load() {
 		h.Reasons = append(h.Reasons, "cache-load-failed")
-	}
-	if s.journal.isDegraded() {
-		h.Reasons = append(h.Reasons, "journal-degraded")
-	}
-	if h.ResumingJobs > 0 {
-		h.Reasons = append(h.Reasons, "resuming")
 	}
 	if s.retryStorm() {
 		h.Reasons = append(h.Reasons, "retry-storm")
@@ -751,23 +704,6 @@ func (s *Service) retryAfter(pending int) time.Duration {
 // queue is over the configured bound, it returns an *OverloadError
 // without registering anything.
 func (s *Service) Submit(req SweepRequest) (*Job, error) {
-	return s.submit(req, submitOpts{})
-}
-
-// submitOpts distinguishes a fresh submission from a journal-resumed
-// re-admission.
-type submitOpts struct {
-	// id reuses a fixed job ID ("" allocates the next one) — resumed
-	// jobs keep the ID sdoctl already holds.
-	id string
-	// resumed re-admissions bypass queue backpressure (the work was
-	// already admitted once) and skip the write-ahead journal append
-	// (their submit record already survives in the journal).
-	resumed bool
-}
-
-// submit is the shared admission path for fresh and resumed sweeps.
-func (s *Service) submit(req SweepRequest, so submitOpts) (*Job, error) {
 	opt, cells, err := s.resolve(req)
 	if err != nil {
 		return nil, err
@@ -785,7 +721,6 @@ func (s *Service) submit(req SweepRequest, so submitOpts) (*Job, error) {
 		runs:     make(map[harness.Key]core.Result, len(cells)),
 		done:     make(chan struct{}),
 		ablation: req.Ablations,
-		resumed:  so.resumed,
 	}
 	if j.ablation {
 		j.cellRes = make([]core.Result, len(cells))
@@ -799,7 +734,7 @@ func (s *Service) submit(req SweepRequest, so submitOpts) (*Job, error) {
 		return nil, ErrClosed
 	}
 	s.evictJobsLocked()
-	if lim := s.cfg.MaxPendingCells; lim > 0 && !so.resumed {
+	if lim := s.cfg.MaxPendingCells; lim > 0 {
 		if pending := s.pool.QueueDepth(); pending+len(cells) > lim {
 			s.mu.Unlock()
 			jcancel()
@@ -807,24 +742,15 @@ func (s *Service) submit(req SweepRequest, so submitOpts) (*Job, error) {
 			return nil, &OverloadError{Pending: pending, Limit: lim, RetryAfter: s.retryAfter(pending + len(cells))}
 		}
 	}
-	if so.id != "" {
-		if _, exists := s.jobs[so.id]; exists {
-			s.mu.Unlock()
-			jcancel()
-			return nil, fmt.Errorf("simsvc: job %s already registered", so.id)
-		}
-		j.ID = so.id
-	} else {
-		// In a cluster, OwnsID partitions the "sweep-N" sequence: each
-		// node skips the numbers it does not own under the rendezvous
-		// hash, so nodes allocate disjoint IDs and any node can resolve
-		// any ID's owner with the same hash (see internal/cluster).
-		for {
-			s.nextID++
-			j.ID = fmt.Sprintf("sweep-%d", s.nextID)
-			if s.cfg.OwnsID == nil || s.cfg.OwnsID(j.ID) {
-				break
-			}
+	// In a cluster, OwnsID partitions the "sweep-N" sequence: each node
+	// skips the numbers it does not own under the rendezvous hash, so
+	// nodes allocate disjoint IDs and any node can resolve any ID's owner
+	// with the same hash (see internal/cluster).
+	for {
+		s.nextID++
+		j.ID = fmt.Sprintf("sweep-%d", s.nextID)
+		if s.cfg.OwnsID == nil || s.cfg.OwnsID(j.ID) {
+			break
 		}
 	}
 	j.jt = s.tracer.StartJob(j.ID)
@@ -832,27 +758,8 @@ func (s *Service) submit(req SweepRequest, so submitOpts) (*Job, error) {
 	s.order = append(s.order, j.ID)
 	s.mu.Unlock()
 	s.jobsTotal.Add(1)
-	if so.resumed {
-		s.resumedJobs.Add(1)
-		s.resuming.Add(1)
-	} else if s.journal != nil {
-		// Write-ahead: the admission record is durable before any cell
-		// is enqueued, so a crash from here on leaves a resumable job,
-		// never a lost one. An append failure degrades the journal
-		// (health: degraded) but keeps serving — availability over
-		// durability.
-		if raw, err := json.Marshal(req); err == nil {
-			if !s.journal.submit(j.ID, raw) {
-				s.event("journal-append-failed", j.ID)
-			}
-		}
-	}
 	if s.rec.On(obs.ClassTrace) {
-		kind := "sweep-submitted"
-		if so.resumed {
-			kind = "sweep-resumed"
-		}
-		s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: kind,
+		s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "sweep-submitted",
 			Detail: fmt.Sprintf("%s: %d cells", j.ID, len(cells))})
 	}
 
@@ -877,20 +784,6 @@ func (s *Service) jobFinished(j *Job) {
 		s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "sweep-finished",
 			Detail: fmt.Sprintf("%s: %s (%d/%d runs, %d cached, %d failed)",
 				st.ID, st.State, st.Completed, st.Total, st.Cached, st.Failed)})
-	}
-	// The terminal transition is fsynced before anything can observe the
-	// job as finished (Job.finish closes Done only after this callback
-	// returns): a crash after a client saw "done" must not resurrect the
-	// job on restart.
-	if !s.journal.terminal(st.ID, st.State) && s.journal != nil && !s.journal.isDegraded() {
-		s.event("journal-append-failed", st.ID)
-	}
-	if j.resumed {
-		s.resuming.Add(-1)
-		s.resumeSkipped.Add(uint64(st.ResumeSkipped))
-		s.resumeReruns.Add(uint64(st.ResumeRerun))
-		s.event("resume-complete", fmt.Sprintf("%s: %s (%d cells skipped via cache, %d re-run)",
-			st.ID, st.State, st.ResumeSkipped, st.ResumeRerun))
 	}
 	s.mu.Lock()
 	s.evictJobsLocked()
@@ -1108,9 +1001,6 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 	// nil check. The root span starts at enqueue, so its duration is the
 	// cell's reported wall clock; queue-wait is recorded retroactively.
 	ct := j.jt.StartCell(cellName(k), enqueued)
-	if j.resumed {
-		ct.Root().Set("resumed", "true")
-	}
 	ct.Root().ChildAt(trace.PhaseQueue, enqueued).Finish()
 	cs := ct.Root().Child(trace.PhaseCache)
 	r, hit := s.cache.Get(key)
@@ -1179,14 +1069,10 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 	switch {
 	case err == nil:
 		s.cache.Put(key, r)
-		if s.journal != nil {
-			// With resumable jobs on, each completed cell schedules a
-			// (debounced) cache persist: the persisted cache is what a
-			// restarted service re-derives surviving cells from, so a
-			// crash loses at most the debounce window of results, not
-			// the whole in-flight sweep.
-			s.schedulePersist()
-		}
+		// Each completed cell schedules a (debounced) cache persist: the
+		// persisted cache is all a crash leaves behind, so a resubmitted
+		// sweep loses at most the debounce window of results.
+		s.schedulePersist()
 	case errors.As(err, &ce):
 		o.status = "failed"
 	case errors.Is(err, harness.ErrCellAbandoned):
@@ -1340,8 +1226,10 @@ func (s *Service) execute(ctx context.Context, spec RunSpec, abort func() bool) 
 }
 
 // schedulePersist queues a debounced write-behind save of the result
-// cache (after each job reaches a terminal state), so a crash loses at
-// most the most recent debounce window, not the whole run's results.
+// cache. Every path that adds a result calls it — an executed cell, a
+// peer hit, a stolen cell's completion on the owner and its run on the
+// thief — and so does each job's terminal transition, so a crash loses
+// at most the most recent debounce window of results.
 func (s *Service) schedulePersist() {
 	if s.cfg.CachePath == "" || s.cacheDegraded.Load() {
 		return
@@ -1425,10 +1313,8 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	if s.cfg.CachePath != "" && !s.cacheDegraded.Load() {
 		if err := s.cache.Save(s.cfg.CachePath); err != nil {
 			s.persistFailures.Add(1)
-			s.journal.close()
 			return err
 		}
 	}
-	s.journal.close()
 	return waitErr
 }

@@ -16,8 +16,8 @@ import (
 // is on, the service keeps a registry of cells that are enqueued but not
 // yet picked up by a worker. A cluster peer with free worker slots (the
 // thief) claims that many via Service.StealCells, which hands each out
-// under a lease: thief identity plus an expiry, written ahead to the job
-// journal. Claims come from the tail of the queue while the owner's
+// under a lease: thief identity plus an expiry, held in memory only.
+// Claims come from the tail of the queue while the owner's
 // workers dequeue from its head, so the two meet once, at the end. The
 // thief runs the cell on its own worker pool (Service.RunStolen: its own
 // cache, checkpoint and plan tiers) and posts the content-addressed wire
@@ -226,9 +226,6 @@ func (s *Service) StealCells(thief string, max int) []StolenCell {
 		if leased || !stillPending {
 			continue
 		}
-		// Write-ahead: the lease is durable before the claim leaves the
-		// node, so the journal always explains why a cell sat waiting.
-		s.journal.lease(key, thief, until)
 		out = append(out, StolenCell{Key: key, Spec: p.spec, Until: until})
 		st.cellsStolen.Inc()
 	}
@@ -265,7 +262,6 @@ func (s *Service) CompleteSteal(key string, body []byte) error {
 	st.mu.Unlock()
 	if ok {
 		close(l.done)
-		s.journal.leaseDone(key)
 		if s.rec.On(obs.ClassTrace) {
 			s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "steal-complete",
 				Detail: fmt.Sprintf("%s from %s", key, l.thief)})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,8 +12,8 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// buildGate is an obs.Sink that parks every sampling-plan build until
-// release. The service emits "plan-built" synchronously from inside the
+// buildGate is an obs.Sink that parks every sampling-plan build (after
+// the first pass, which it lets through) until release. The service emits "plan-built" synchronously from inside the
 // build, so a service recording into the gate stops inside its first
 // sampled cell — on an event the test controls, not on a sleep — and
 // resumes when released.
@@ -20,6 +21,7 @@ type buildGate struct {
 	entered chan struct{} // one signal per parked build
 	open    chan struct{}
 	once    sync.Once
+	pass    atomic.Int32 // builds let through before the gate starts parking
 }
 
 func newBuildGate(t *testing.T) *buildGate {
@@ -30,7 +32,7 @@ func newBuildGate(t *testing.T) *buildGate {
 }
 
 func (g *buildGate) Emit(e obs.Event) {
-	if e.Kind == "plan-built" {
+	if e.Kind == "plan-built" && g.pass.Add(-1) < 0 {
 		g.entered <- struct{}{}
 		<-g.open
 	}
