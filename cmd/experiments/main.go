@@ -39,7 +39,6 @@ func main() {
 		instrs         = flag.Uint64("instrs", 60_000, "measured instructions per run")
 		warmup         = flag.Uint64("warmup", 50_000, "warmup instructions per run")
 		wmode          = flag.String("warmup-mode", "detailed", "warmup mode: detailed (per-cell pipeline warmup) or functional (emulator warmup with per-workload checkpoints)")
-		noReuse        = flag.Bool("no-checkpoint-reuse", false, "with -warmup-mode functional: re-run functional warmup per cell instead of reusing per-workload checkpoints (results are bit-identical; for measurement/CI)")
 		simMode        = flag.String("sim-mode", "detailed", "simulation mode: detailed (cycle-accurate whole window) or sampled (SimPoint-style BBV clustering, representative intervals only)")
 		sampleInterval = flag.Uint64("sample-interval", 0, "sampled mode: interval length in committed instructions (0: per-workload tuned default)")
 		sampleMaxK     = flag.Int("sample-max-k", 0, "sampled mode: maximum clusters/representatives per workload (0: per-workload tuned default)")
@@ -80,7 +79,6 @@ func main() {
 		os.Exit(1)
 	}
 	opt.WarmupMode = mode
-	opt.NoCheckpointReuse = *noReuse
 	sm, err := harness.ParseSimMode(*simMode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -144,8 +142,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *warmup > 0 {
-		// Stderr so the counters never perturb the JSON/report outputs:
-		// reuse on/off must export byte-identical documents.
+		// Stderr so the counters never perturb the JSON/report outputs.
 		fmt.Fprintf(os.Stderr, "experiments: warmup-instrs-simulated=%d checkpoints-captured=%d\n",
 			res.WarmupInstrsSimulated, res.CheckpointsCaptured)
 	}

@@ -51,6 +51,7 @@ func TestFlagsDocumented(t *testing.T) {
 		regexp.MustCompile("-peer" + "-hedge"),
 		regexp.MustCompile("-peer" + "-fanout"),
 		regexp.MustCompile("-peer" + "-probe"),
+		regexp.MustCompile("-no-check" + "point-reuse"),
 	}
 	for _, doc := range []string{
 		"README.md", "DESIGN.md", "EXPERIMENTS.md",

@@ -4,7 +4,7 @@
 // simulating.
 //
 // The content-addressed key schema (SHA-256 over the normalized cell
-// spec, see simsvc.RunSpec.CacheKey) makes every entry
+// spec, see harness.RunSpec.CacheKey) makes every entry
 // location-independent: any node that holds the key holds the answer.
 // Peers are ranked per key by rendezvous (highest-random-weight)
 // hashing, so every node agrees on which peer is the likely owner of a
@@ -158,6 +158,7 @@ type peer struct {
 	openUntil time.Time     // breaker open until (zero: closed)
 	backoff   time.Duration // next open duration
 	unhealthy bool          // last probe failed
+	trial     bool          // a Do is in flight as the half-open trial
 
 	hits, misses, errors atomic.Uint64
 }
@@ -170,6 +171,28 @@ func (p *peer) allow(now time.Time, threshold int) bool {
 	return p.fails < threshold || now.After(p.openUntil)
 }
 
+// admit gates one Do: a closed breaker admits it; a half-open one admits
+// it as the trial (trial true) unless another trial is in flight. The
+// trial's caller must endTrial once the request has its verdict.
+func (p *peer) admit(now time.Time, threshold int) (ok, trial bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.fails < threshold {
+		return true, false
+	}
+	if p.trial || !now.After(p.openUntil) {
+		return false, false
+	}
+	p.trial = true
+	return true, true
+}
+
+func (p *peer) endTrial() {
+	p.mu.Lock()
+	p.trial = false
+	p.mu.Unlock()
+}
+
 // ok closes the breaker.
 func (p *peer) ok() {
 	p.mu.Lock()
@@ -180,23 +203,25 @@ func (p *peer) ok() {
 }
 
 // fail records a failure; at the threshold the breaker opens for an
-// exponentially-growing backoff. Reports whether this call opened it.
-func (p *peer) fail(now time.Time, cfg Config) bool {
+// exponentially-growing backoff. Reports whether this call opened it, and
+// whether it was open (or half-open) already.
+func (p *peer) fail(now time.Time, cfg Config) (opened, already bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	already = p.fails >= cfg.BreakerThreshold
 	p.fails++
 	if p.fails < cfg.BreakerThreshold {
-		return false
+		return false, already
 	}
 	if p.backoff == 0 {
 		p.backoff = cfg.BreakerBackoff
 	}
-	opened := now.After(p.openUntil)
+	opened = now.After(p.openUntil)
 	p.openUntil = now.Add(p.backoff)
 	if p.backoff *= 2; p.backoff > cfg.BreakerMaxBackoff {
 		p.backoff = cfg.BreakerMaxBackoff
 	}
-	return opened
+	return opened, already
 }
 
 func (p *peer) status(now time.Time, threshold int) PeerStatus {
@@ -432,16 +457,12 @@ func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body 
 	return nil, "", false
 }
 
-// send is the one place a request leaves for another node: gate,
-// request, strike. Gated, an open breaker answers ErrPeerOpen and nothing
-// is dialled; the prober (whose job is to dial open breakers) and Lookup
-// (which consulted allow to pick its candidates) pass gated=false. Any
-// HTTP response means the peer is reachable — what else it means is the
-// caller's to say; no response is a strike.
-func (c *Client) send(ctx context.Context, p *peer, gated bool, method, path string, header http.Header, body []byte) (*http.Response, error) {
-	if gated && !p.allow(time.Now(), c.cfg.BreakerThreshold) {
-		return nil, ErrPeerOpen
-	}
+// send is the one place a request leaves for another node: request,
+// strike. It does not consult the breaker: Do gates first (admit), the
+// prober's job is to dial open breakers, and Lookup consulted allow to
+// pick its candidates. Any HTTP response means the peer is reachable —
+// what else it means is the caller's to say; no response is a strike.
+func (c *Client) send(ctx context.Context, p *peer, method, path string, header http.Header, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, p.url+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -460,17 +481,23 @@ func (c *Client) send(ctx context.Context, p *peer, gated bool, method, path str
 // opening its breaker at the threshold. A transport failure or an expired
 // deadline counts; a request its caller cancelled — a client hanging up
 // on a proxied stream, shutdown, a hedge's loser — says nothing about the
-// peer and does not.
+// peer and does not. A strike against a breaker already open is counted
+// but emits no peer-error event: the opening (and the prober's
+// peer-unreachable) already reported it, and a dead peer's every probe
+// would otherwise push one more event into the flight recorder's ring.
 func (c *Client) strike(ctx context.Context, p *peer, why string) {
 	if errors.Is(ctx.Err(), context.Canceled) {
 		return
 	}
 	p.errors.Add(1)
 	c.errors.Add(1)
-	if p.fail(time.Now(), c.cfg) {
+	opened, already := p.fail(time.Now(), c.cfg)
+	if opened {
 		c.event("peer-breaker-open", p.url)
 	}
-	c.event("peer-error", p.url+": "+why)
+	if !already {
+		c.event("peer-error", p.url+": "+why)
+	}
 }
 
 // peer finds the configured peer with the given base URL (nil: none, as
@@ -493,13 +520,23 @@ func (c *Client) HasPeer(peerURL string) bool { return c.peer(peerURL) != nil }
 // Do sends one addressed request to the configured peer with base URL
 // peerURL under ctx's deadline (it adds none) and hands the caller the
 // response to read and close. An unknown URL is an error, never a dial;
-// an open breaker is ErrPeerOpen; any response closes the breaker.
+// an open breaker is ErrPeerOpen, and so is a half-open one while another
+// Do is its trial; any response closes the breaker.
 func (c *Client) Do(ctx context.Context, peerURL, method, path string, header http.Header, body []byte) (*http.Response, error) {
 	p := c.peer(peerURL)
 	if p == nil {
 		return nil, fmt.Errorf("fabric: %s is not a configured peer", peerURL)
 	}
-	resp, err := c.send(ctx, p, true, method, path, header, body)
+	ok, trial := p.admit(time.Now(), c.cfg.BreakerThreshold)
+	if !ok {
+		return nil, ErrPeerOpen
+	}
+	if trial {
+		// Released on every verdict — a response (after ok below), a
+		// strike, or the caller cancelling — once the breaker has it.
+		defer p.endTrial()
+	}
+	resp, err := c.send(ctx, p, method, path, header, body)
 	if err == nil {
 		p.ok()
 	}
@@ -522,7 +559,7 @@ func (c *Client) fetch(ctx context.Context, p *peer, key, path string, decode fu
 	}
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	resp, err := c.send(rctx, p, false, http.MethodGet, path, nil, nil)
+	resp, err := c.send(rctx, p, http.MethodGet, path, nil, nil)
 	if err != nil {
 		return lookupRes{}
 	}
@@ -580,7 +617,7 @@ func (c *Client) probeLoop() {
 func (c *Client) probe(p *peer) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
 	defer cancel()
-	resp, err := c.send(ctx, p, false, http.MethodGet, "/healthz", nil, nil)
+	resp, err := c.send(ctx, p, http.MethodGet, "/healthz", nil, nil)
 	reachable := err == nil
 	if reachable {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))

@@ -424,3 +424,90 @@ func rankedURLs(c *Client, key string) []string {
 	}
 	return Rank(key, all)
 }
+
+// TestHalfOpenAdmitsOneTrial: past its backoff a breaker lets exactly one
+// Do through as the trial; every concurrent Do answers ErrPeerOpen without
+// dialling. The trial's slot is released on every verdict — a response
+// closes the breaker, an expired deadline strikes and re-opens it, and a
+// caller's cancellation leaves it half-open for the next trial.
+func TestHalfOpenAdmitsOneTrial(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		name      string
+		timeout   time.Duration // the callers' deadline (0: none)
+		end       func(release func(), cancel context.CancelFunc)
+		wantErr   error // the trial's error (nil: a response)
+		wantState string
+	}{
+		{"response closes the breaker", 0,
+			func(release func(), _ context.CancelFunc) { release() }, nil, "ok"},
+		{"expired deadline strikes", 300 * time.Millisecond,
+			func(func(), context.CancelFunc) {}, context.DeadlineExceeded, "open"},
+		{"caller cancellation is no verdict on the peer", 0,
+			func(_ func(), cancel context.CancelFunc) { cancel() }, context.Canceled, "half-open"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var arrivals atomic.Int64
+			arrived, released := make(chan struct{}, n), make(chan struct{})
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				arrivals.Add(1)
+				arrived <- struct{}{}
+				select {
+				case <-released:
+				case <-r.Context().Done():
+				}
+			}))
+			defer srv.Close()
+			c := New(fastCfg(srv.URL))
+			defer c.Close()
+			p := c.peers[0]
+			p.mu.Lock() // open, past its backoff; a strike re-opens it for an hour
+			p.fails, p.openUntil, p.backoff = DefaultBreakerOpens, time.Now().Add(-time.Millisecond), time.Hour
+			p.mu.Unlock()
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.timeout > 0 {
+				ctx, cancel = context.WithTimeout(ctx, tc.timeout)
+				defer cancel()
+			}
+			results := make(chan error, n)
+			for i := 0; i < n; i++ {
+				go func() {
+					resp, err := c.Do(ctx, srv.URL, http.MethodGet, "/sweeps", nil, nil)
+					if err == nil {
+						resp.Body.Close()
+					}
+					results <- err
+				}()
+			}
+			<-arrived
+			for i := 0; i < n-1; i++ {
+				select {
+				case err := <-results:
+					if !errors.Is(err, ErrPeerOpen) {
+						t.Fatalf("a concurrent Do beside the trial: err = %v, want ErrPeerOpen", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("concurrent Do calls did not answer ErrPeerOpen while the trial was parked")
+				}
+			}
+			tc.end(func() { close(released) }, cancel)
+			if err := <-results; !errors.Is(err, tc.wantErr) {
+				t.Fatalf("trial: err = %v, want %v", err, tc.wantErr)
+			}
+			if got := arrivals.Load(); got != 1 {
+				t.Errorf("%d requests reached the peer, want 1", got)
+			}
+			p.mu.Lock()
+			trial := p.trial
+			p.mu.Unlock()
+			if trial {
+				t.Error("the trial's slot was not released")
+			}
+			if ps := c.Snapshot()[0]; ps.State != tc.wantState {
+				t.Errorf("breaker after the trial = %q, want %q", ps.State, tc.wantState)
+			}
+		})
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -34,27 +35,23 @@ type Options struct {
 	// WarmupMode selects detailed (default) or functional warmup. With
 	// functional warmup the sweep captures one warmup checkpoint per
 	// workload and restores it for every (variant, model) cell instead of
-	// re-simulating warmup per cell (see NoCheckpointReuse).
+	// re-simulating warmup per cell (see Executor).
 	WarmupMode core.WarmupMode
-	// NoCheckpointReuse forces functional warmup to run in place for every
-	// cell instead of restoring the per-workload checkpoint. Results are
-	// bit-identical either way (the CI smoke asserts it); the switch exists
-	// to measure and test exactly that.
-	NoCheckpointReuse bool
 	// MaxInstrs is the committed-instruction budget per measured run. The
 	// sum of warmup and measurement must stay below every kernel's natural
 	// dynamic length.
 	MaxInstrs uint64
 	// SimMode selects detailed (default) or SimPoint-sampled execution of
 	// each cell's measurement window. Sampled mode requires MaxInstrs > 0
-	// (the window must be finite to profile) and ignores IntervalCycles
-	// and the warmup/checkpoint knobs' reuse switch: sampling is built on
-	// per-representative functional checkpoints.
+	// (the window must be finite to profile); it is built on
+	// per-representative functional checkpoints whatever WarmupMode says.
 	SimMode SimMode
 	// Sample holds the sampled-mode parameters; the zero value selects the
 	// simpoint package defaults. Ignored in detailed mode.
 	Sample simpoint.Config
-	// Workloads is the benchmark list (default: workload.All()).
+	// Workloads is the benchmark list (default: workload.All()). Cells
+	// name their workload (RunSpec), so every entry must be a suite
+	// workload workload.ByName resolves.
 	Workloads []workload.Workload
 	// Variants are the Table II rows to run (default: all).
 	Variants []core.Variant
@@ -158,28 +155,26 @@ type Results struct {
 
 	// WarmupInstrsSimulated counts warmup instructions actually simulated
 	// across the sweep (nominal budget per warmed cell, actual executed
-	// count per checkpoint capture). With checkpoint reuse a sweep warms
-	// once per workload instead of once per cell, so this counter is what
-	// the CI speedup smoke compares. Deliberately not part of the JSON
-	// Export: reuse on/off exports must stay byte-identical.
+	// count per checkpoint capture). In functional mode a sweep warms once
+	// per workload instead of once per cell, which is what the CI smoke
+	// checks. Like every counter here it is read from the sweep's Executor
+	// and deliberately not part of the JSON Export.
 	WarmupInstrsSimulated uint64
-	// CheckpointsCaptured counts per-workload warmup checkpoints captured
-	// (0 unless functional warmup with checkpoint reuse ran).
+	// CheckpointsCaptured counts warmup checkpoints captured: one per
+	// workload in functional mode, one per representative in sampled mode.
 	CheckpointsCaptured int
 
 	// Sampled-mode bookkeeping (nil/zero in detailed mode). SamplePlans
 	// maps workload name to its clustering plan, for run summaries
 	// (chosen k, sampled fraction, error estimate). ProfiledInstrs counts
-	// functional instructions the BBV profiling pass executed. Like the
-	// warmup counters these never enter the JSON Export: a sampled export
-	// carries only the reconstructed runs.
+	// functional instructions the BBV profiling pass executed. A sampled
+	// export carries only the reconstructed runs.
 	SamplePlans    map[string]*simpoint.Plan
 	ProfiledInstrs uint64
-	// DetailedInstrsSimulated counts instructions committed by the
-	// detailed pipeline across the sweep — in sampled mode only the
-	// representative intervals, which is what the "measurably fewer
-	// detailed instructions" summary line compares against the full
-	// window.
+	// DetailedInstrsSimulated counts the instructions sampled cells ran on
+	// the detailed pipeline — their representative intervals — which is
+	// what the "measurably fewer detailed instructions" summary line
+	// compares against the full window.
 	DetailedInstrsSimulated uint64
 
 	// Retries counts cell attempts beyond the first across the sweep
@@ -224,23 +219,6 @@ type RunParams struct {
 	// from its policy (cancellation, deadline, stall watchdog); direct
 	// RunOne callers normally leave it nil.
 	Check func(cycle, committed uint64) error
-}
-
-// Params returns the per-run parameters the options imply (without a
-// checkpoint; RunContext fills that in per workload when reuse is on).
-func (o Options) Params() RunParams {
-	return RunParams{
-		WarmupInstrs:   o.WarmupInstrs,
-		MaxInstrs:      o.MaxInstrs,
-		IntervalCycles: o.IntervalCycles,
-		WarmupMode:     o.WarmupMode,
-	}
-}
-
-// reuseCheckpoints reports whether the sweep warms via per-workload
-// checkpoints.
-func (o Options) reuseCheckpoints() bool {
-	return o.WarmupMode == core.WarmupFunctional && !o.NoCheckpointReuse && o.WarmupInstrs > 0
 }
 
 // CaptureCheckpoint runs functional warmup for one workload and snapshots
@@ -298,49 +276,28 @@ func Run(opt Options) (*Results, error) {
 	return RunContext(context.Background(), opt)
 }
 
-// RunContext executes the sweep on a fixed-size worker pool, stopping
-// (no new simulations are started) as soon as ctx is cancelled or any
-// run fails.
+// RunContext executes the sweep: every cell of the grid runs through one
+// Executor on a fixed-size worker pool, stopping (no new simulations are
+// started) as soon as ctx is cancelled or any run fails. A sampled cell
+// runs its representative intervals in series, so a sampled sweep, like a
+// detailed one, parallelises across cells.
 func RunContext(ctx context.Context, opt Options) (*Results, error) {
 	opt = opt.Normalized()
 	res := &Results{Opt: opt, Runs: make(map[Key]core.Result)}
-
-	byName := make(map[string]workload.Workload, len(opt.Workloads))
-	for _, wl := range opt.Workloads {
-		byName[wl.Name] = wl
-	}
-	cells := opt.Cells()
-
+	var mu sync.Mutex
+	e := &Executor{Faults: opt.Faults}
 	if opt.SimMode == SimSampled {
-		return runSampledSweep(ctx, opt, res, byName, cells)
-	}
-
-	// With functional warmup, capture one checkpoint per workload up front
-	// and restore it into every (variant, model) cell: the grid then warms
-	// each workload once instead of len(variants)×len(models) times.
-	checkpoints := make(map[string]*arch.Checkpoint)
-	if opt.reuseCheckpoints() {
-		var cmu sync.Mutex
-		if err := RunPool(ctx, opt.Workers(), len(opt.Workloads), func(ctx context.Context, i int) error {
-			wl := opt.Workloads[i]
-			ck := CaptureCheckpoint(wl, opt.WarmupInstrs)
-			cmu.Lock()
-			defer cmu.Unlock()
-			checkpoints[wl.Name] = ck
-			res.CheckpointsCaptured++
-			res.WarmupInstrsSimulated += ck.Arch.Instrs
-			return nil
-		}); err != nil {
-			return res, err
+		res.SamplePlans = make(map[string]*simpoint.Plan)
+		e.PlanBuilt = func(wl string, sp *SamplePlan, _ time.Duration) {
+			mu.Lock()
+			defer mu.Unlock()
+			res.SamplePlans[wl] = sp.Plan
 		}
 	}
-
-	var mu sync.Mutex
-	err := RunPool(ctx, opt.Workers(), len(cells), func(ctx context.Context, i int) error {
-		k := cells[i]
-		p := opt.Params()
-		p.Checkpoint = checkpoints[k.Workload]
-		r, retries, err := RunCell(ctx, byName[k.Workload], k.Variant, k.Model, core.Ablation{}, p, opt.Policy, opt.Faults)
+	specs := opt.Specs()
+	err := RunPool(ctx, opt.Workers(), len(specs), func(ctx context.Context, i int) error {
+		k := specs[i].Key()
+		r, retries, _, err := e.Run(ctx, specs[i], opt.Policy)
 		mu.Lock()
 		defer mu.Unlock()
 		res.Retries += uint64(retries)
@@ -354,15 +311,15 @@ func RunContext(ctx context.Context, opt Options) (*Results, error) {
 			return fmt.Errorf("harness: %s/%v/%v: %w", k.Workload, k.Variant, k.Model, err)
 		}
 		res.Runs[k] = r
-		res.DetailedInstrsSimulated += r.Committed
-		if p.Checkpoint == nil && opt.WarmupInstrs > 0 {
-			res.WarmupInstrsSimulated += opt.WarmupInstrs
-		}
 		if opt.Progress != nil {
 			opt.Progress(FormatProgress(k, r))
 		}
 		return nil
 	})
+	res.WarmupInstrsSimulated = e.WarmupInstrs.Load()
+	res.CheckpointsCaptured = int(e.CheckpointsCaptured.Load())
+	res.ProfiledInstrs = e.ProfiledInstrs.Load()
+	res.DetailedInstrsSimulated = e.SampledInstrs.Load()
 	return res, err
 }
 
@@ -542,8 +499,8 @@ type AblationRow struct {
 
 // AblationRows returns the design-space study's row templates in report
 // order (NormTime unset): the paper's full STT+SDO and one-mechanism-off
-// variations of it. Shared by RunAblations and the simulation service's
-// cell enumeration.
+// variations of it, as AblationSpecs enumerates and AblationTables
+// aggregates them.
 func AblationRows() []AblationRow {
 	return []AblationRow{
 		{Name: "STT+SDO (paper)"},
@@ -554,94 +511,82 @@ func AblationRows() []AblationRow {
 	}
 }
 
-// AggregateAblations fills in each row's NormTime from per-(workload, row)
-// cycle counts: cycles[wi][0] is workload wi's Unsafe baseline and
-// cycles[wi][1+ri] the Hybrid run with rows[ri].Ablate. A workload with a
-// zero baseline is skipped. Shared by RunAblations and the service's
-// ablation-export path.
-func AggregateAblations(rows []AblationRow, cycles [][]uint64) {
-	sums := make([]float64, len(rows))
-	counts := make([]int, len(rows))
-	for _, wc := range cycles {
-		if len(wc) != len(rows)+1 || wc[0] == 0 {
-			continue
+// AblationTables aggregates a design-space study into one table per
+// model of opt: res holds the cells' results in AblationSpecs order, and
+// each row's NormTime is its Hybrid cycles over the workload's Unsafe
+// baseline, averaged over the workloads. A failed cell (failed(i) true)
+// drops its whole workload block, as does a zero baseline, so a table
+// aggregates fully-measured workloads only. RunAblations and the
+// simulation service's ablation export both build their tables here.
+func AblationTables(opt Options, res []core.Result, failed func(i int) bool) [][]AblationRow {
+	opt = opt.Normalized()
+	per := 1 + len(AblationRows())
+	tables := make([][]AblationRow, len(opt.Models))
+	for mi := range opt.Models {
+		rows := AblationRows()
+		sums := make([]float64, len(rows))
+		n := 0
+	workloads:
+		for wi := range opt.Workloads {
+			block := (mi*len(opt.Workloads) + wi) * per
+			for i := block; i < block+per; i++ {
+				if failed(i) {
+					continue workloads
+				}
+			}
+			base := res[block].Cycles
+			if base == 0 {
+				continue
+			}
+			for ri := range rows {
+				sums[ri] += float64(res[block+1+ri].Cycles) / float64(base)
+			}
+			n++
 		}
 		for ri := range rows {
-			sums[ri] += float64(wc[1+ri]) / float64(wc[0])
-			counts[ri]++
+			if n > 0 {
+				rows[ri].NormTime = sums[ri] / float64(n)
+			}
 		}
+		tables[mi] = rows
 	}
-	for i := range rows {
-		rows[i].NormTime = 0
-		if counts[i] > 0 {
-			rows[i].NormTime = sums[i] / float64(counts[i])
-		}
-	}
+	return tables
 }
 
 // RunAblations measures the contribution of individual SDO/STT mechanisms
 // on the Hybrid configuration: the §V-C2 early-forwarding optimisation,
 // InvisiSpec exposures, STT's implicit-channel rules, and the DO DRAM
-// variant the paper declines to build (§VI-B2). Functional warmup with
-// checkpoint reuse warms each workload once and shares the snapshot
-// across the baseline and every ablation cell — sound because ablations
-// only alter speculative execution, which functional warmup has none of.
+// variant the paper declines to build (§VI-B2). With functional warmup the
+// baseline and every ablation cell of a workload restore one checkpoint —
+// sound because ablations only alter speculative execution, which
+// functional warmup has none of.
 func RunAblations(opt Options, model pipeline.AttackModel) ([]AblationRow, error) {
 	return RunAblationsContext(context.Background(), opt, model)
 }
 
-// RunAblationsContext is RunAblations with cancellation.
+// RunAblationsContext is RunAblations with cancellation: the cells of
+// AblationSpecs run through one Executor on a worker pool, like a sweep.
 func RunAblationsContext(ctx context.Context, opt Options, model pipeline.AttackModel) ([]AblationRow, error) {
-	if opt.MaxInstrs == 0 {
-		opt.MaxInstrs = DefaultOptions().MaxInstrs
-	}
-	if opt.Workloads == nil {
-		opt.Workloads = workload.All()
-	}
-	rows := AblationRows()
-	cycles := make([][]uint64, len(opt.Workloads))
-	err := RunPool(ctx, opt.Workers(), len(opt.Workloads), func(ctx context.Context, wi int) error {
-		wl := opt.Workloads[wi]
-		p := opt.Params()
-		p.IntervalCycles = 0
-		if opt.reuseCheckpoints() {
-			p.Checkpoint = CaptureCheckpoint(wl, opt.WarmupInstrs)
-		}
-		// A permanent failure anywhere in a tolerant ablation block zeroes
-		// the whole workload block: AggregateAblations skips zero-baseline
-		// workloads, so the table aggregates only fully-measured ones.
-		wc := make([]uint64, 1+len(rows))
-		base, _, err := RunCell(ctx, wl, core.Unsafe, model, core.Ablation{}, p, opt.Policy, opt.Faults)
-		if err != nil {
-			var ce *CellError
-			if opt.TolerateFailures && errors.As(err, &ce) {
-				return nil
-			}
+	opt.Models = []pipeline.AttackModel{model}
+	specs := opt.AblationSpecs()
+	e := &Executor{Faults: opt.Faults}
+	res := make([]core.Result, len(specs))
+	failed := make([]bool, len(specs))
+	err := RunPool(ctx, opt.Workers(), len(specs), func(ctx context.Context, i int) error {
+		r, _, _, err := e.Run(ctx, specs[i], opt.Policy)
+		var ce *CellError
+		switch {
+		case err == nil:
+			res[i] = r
+		case opt.TolerateFailures && errors.As(err, &ce):
+			failed[i] = true
+		default:
 			return err
 		}
-		wc[0] = base.Cycles
-		if base.Cycles != 0 {
-			for ri := range rows {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				r, _, err := RunCell(ctx, wl, core.Hybrid, model, rows[ri].Ablate, p, opt.Policy, opt.Faults)
-				if err != nil {
-					var ce *CellError
-					if opt.TolerateFailures && errors.As(err, &ce) {
-						return nil
-					}
-					return err
-				}
-				wc[1+ri] = r.Cycles
-			}
-		}
-		cycles[wi] = wc
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	AggregateAblations(rows, cycles)
-	return rows, nil
+	return AblationTables(opt, res, func(i int) bool { return failed[i] })[0], nil
 }

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -100,62 +102,69 @@ func TestFunctionalSweepExactWindow(t *testing.T) {
 	}
 }
 
+// warmInPlace runs spec's cell with its functional warmup executed in
+// place — RunOne without a checkpoint, the executor's fallback when a
+// capture fails.
+func warmInPlace(spec RunSpec) (core.Result, error) {
+	wl, err := workload.ByName(spec.Workload)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return RunOne(wl, spec.Variant, spec.Model, spec.Ablate, RunParams{
+		WarmupInstrs: spec.WarmupInstrs, MaxInstrs: spec.MaxInstrs, WarmupMode: spec.WarmupMode})
+}
+
 func TestCheckpointReuseBitIdentical(t *testing.T) {
 	// The sweep's headline contract: restoring per-workload checkpoints
-	// must produce bit-identical results to re-running functional warmup
-	// in every cell — while simulating far fewer warmup instructions.
+	// must produce bit-identical results to warming every cell in place —
+	// while simulating far fewer warmup instructions.
 	opt := smallFunctionalOptions(t)
 	reuse, err := Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.NoCheckpointReuse = true
-	noReuse, err := Run(opt)
-	if err != nil {
+	specs := opt.Specs()
+	if len(reuse.Runs) != len(specs) {
+		t.Fatalf("run counts differ: %d vs %d", len(reuse.Runs), len(specs))
+	}
+	inPlace := make([]core.Result, len(specs))
+	if err := RunPool(context.Background(), opt.Workers(), len(specs), func(_ context.Context, i int) (err error) {
+		inPlace[i], err = warmInPlace(specs[i])
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(reuse.Runs) != len(noReuse.Runs) {
-		t.Fatalf("run counts differ: %d vs %d", len(reuse.Runs), len(noReuse.Runs))
-	}
-	for k, a := range reuse.Runs {
-		b, ok := noReuse.Runs[k]
-		if !ok {
-			t.Fatalf("missing run %v", k)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%v: checkpoint reuse changed the result:\nreuse    %+v\nno-reuse %+v", k, a, b)
+	for i, s := range specs {
+		if a := reuse.Runs[s.Key()]; !reflect.DeepEqual(a, inPlace[i]) {
+			t.Fatalf("%v: checkpoint reuse changed the result:\nreuse    %+v\nin place %+v", s.Key(), a, inPlace[i])
 		}
 	}
-	cells := uint64(len(opt.Cells()))
-	if want := cells * opt.WarmupInstrs; noReuse.WarmupInstrsSimulated != want {
-		t.Errorf("no-reuse simulated %d warmup instructions, want %d", noReuse.WarmupInstrsSimulated, want)
-	}
-	if reuse.WarmupInstrsSimulated >= noReuse.WarmupInstrsSimulated {
-		t.Errorf("reuse simulated %d warmup instructions, no-reuse %d: no savings",
-			reuse.WarmupInstrsSimulated, noReuse.WarmupInstrsSimulated)
-	}
-	if noReuse.CheckpointsCaptured != 0 {
-		t.Errorf("no-reuse captured %d checkpoints", noReuse.CheckpointsCaptured)
+	if cells := uint64(len(specs)) * opt.WarmupInstrs; reuse.WarmupInstrsSimulated >= cells {
+		t.Errorf("reuse simulated %d warmup instructions, warming in place %d: no savings",
+			reuse.WarmupInstrsSimulated, cells)
 	}
 }
 
 func TestAblationCheckpointReuse(t *testing.T) {
 	// Ablation cells share the workload checkpoint (ablations only alter
-	// speculative execution, which functional warmup has none of), so
-	// reuse on/off must agree exactly here too.
+	// speculative execution, which functional warmup has none of), so the
+	// table must equal one aggregated from cells warmed in place.
 	opt := smallFunctionalOptions(t)
 	opt.Workloads = opt.Workloads[:1]
 	reuse, err := RunAblations(opt, pipeline.Spectre)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.NoCheckpointReuse = true
-	noReuse, err := RunAblations(opt, pipeline.Spectre)
-	if err != nil {
-		t.Fatal(err)
+	opt.Models = []pipeline.AttackModel{pipeline.Spectre}
+	specs := opt.AblationSpecs()
+	res := make([]core.Result, len(specs))
+	for i, s := range specs {
+		if res[i], err = warmInPlace(s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !reflect.DeepEqual(reuse, noReuse) {
-		t.Fatalf("ablation rows differ:\nreuse    %+v\nno-reuse %+v", reuse, noReuse)
+	if inPlace := AblationTables(opt, res, func(int) bool { return false })[0]; !reflect.DeepEqual(reuse, inPlace) {
+		t.Fatalf("ablation rows differ:\nreuse    %+v\nin place %+v", reuse, inPlace)
 	}
 	for _, r := range reuse {
 		if r.NormTime <= 0 {
@@ -339,5 +348,33 @@ func TestAblationsRun(t *testing.T) {
 	WriteAblations(&buf, pipeline.Spectre, rows)
 	if !strings.Contains(buf.String(), "no early forwarding") {
 		t.Fatal("ablation table incomplete")
+	}
+}
+
+// TestAblationTablesDropFailedBlocks pins the one ablation failure rule
+// the CLI and the service share: a failed cell drops its whole workload
+// block from its model's table, and so does a zero baseline.
+func TestAblationTablesDropFailedBlocks(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Workloads = opt.Workloads[:3]
+	opt.Models = []pipeline.AttackModel{pipeline.Spectre}
+	specs := opt.AblationSpecs()
+	res := make([]core.Result, len(specs))
+	per := 1 + len(AblationRows())
+	for i := range res {
+		wi, ci := i/per, i%per
+		res[i].Cycles = uint64(100 * (wi + 1)) // baseline
+		if ci > 0 {
+			res[i].Cycles += uint64(10 * ci * (wi + 1)) // row ci: +10·ci %
+		}
+	}
+	res[2*per].Cycles = 0                        // workload 2: zero baseline
+	failed := func(i int) bool { return i == 3 } // one cell of workload 0
+	rows := AblationTables(opt, res, failed)[0]
+	for ri, r := range rows {
+		// Only workload 1 survives: its row ri is exactly 1 + (ri+1)/10.
+		if want := 1 + float64(ri+1)/10; math.Abs(r.NormTime-want) > 1e-12 {
+			t.Errorf("%s: NormTime %v, want %v (workload 1 alone)", r.Name, r.NormTime, want)
+		}
 	}
 }

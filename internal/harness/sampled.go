@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -263,92 +262,4 @@ func unflattenCounters(v reflect.Value, vals []float64, idx *int) {
 		v.SetUint(uint64(math.Round(vals[*idx])))
 		*idx++
 	}
-}
-
-// runSampledSweep is RunContext's sampled-mode grid: one sampling plan
-// per workload (built concurrently), then one flat pool over every
-// (cell, representative) unit — per-interval parallelism and fault
-// isolation across the whole grid, not just within a cell — and finally
-// per-cell reconstruction.
-func runSampledSweep(ctx context.Context, opt Options, res *Results, byName map[string]workload.Workload, cells []Key) (*Results, error) {
-	res.SamplePlans = make(map[string]*simpoint.Plan)
-	plans := make(map[string]*SamplePlan)
-	var pmu sync.Mutex
-	if err := RunPool(ctx, opt.Workers(), len(opt.Workloads), func(ctx context.Context, i int) error {
-		wl := opt.Workloads[i]
-		sp, err := BuildSamplePlan(wl, opt.WarmupInstrs, opt.MaxInstrs, TunedSampleConfig(wl.Name, opt.Sample))
-		if err != nil {
-			return fmt.Errorf("harness: sample plan for %s: %w", wl.Name, err)
-		}
-		pmu.Lock()
-		defer pmu.Unlock()
-		plans[wl.Name] = sp
-		res.SamplePlans[wl.Name] = sp.Plan
-		res.ProfiledInstrs += sp.Plan.ProfiledInstrs
-		res.CheckpointsCaptured += len(sp.Checkpoints)
-		if n := len(sp.Checkpoints); n > 0 {
-			// One continuous pass warms to the last boundary.
-			res.WarmupInstrsSimulated += sp.Checkpoints[n-1].Arch.Instrs
-		}
-		return nil
-	}); err != nil {
-		return res, err
-	}
-
-	type unit struct{ ci, ri int }
-	var units []unit
-	perCell := make([][]core.Result, len(cells))
-	for ci, k := range cells {
-		n := len(plans[k.Workload].Plan.Reps)
-		perCell[ci] = make([]core.Result, n)
-		for ri := 0; ri < n; ri++ {
-			units = append(units, unit{ci, ri})
-		}
-	}
-	failed := make([]bool, len(cells))
-	var mu sync.Mutex
-	err := RunPool(ctx, opt.Workers(), len(units), func(ctx context.Context, ui int) error {
-		u := units[ui]
-		k := cells[u.ci]
-		sp := plans[k.Workload]
-		r, retries, err := RunCell(ctx, byName[k.Workload], k.Variant, k.Model, core.Ablation{},
-			sp.repParams(opt.Params(), u.ri), opt.Policy, opt.Faults)
-		mu.Lock()
-		defer mu.Unlock()
-		res.Retries += uint64(retries)
-		if err != nil {
-			var ce *CellError
-			if opt.TolerateFailures && errors.As(err, &ce) {
-				// One permanently-failed interval invalidates the cell's
-				// reconstruction (its cluster would be unrepresented), so
-				// the whole cell is recorded as failed — once.
-				if !failed[u.ci] {
-					failed[u.ci] = true
-					res.Failures = append(res.Failures, CellFailure{
-						Key: k, Kind: string(ce.Kind), Attempts: ce.Attempts, Err: ce.Err.Error()})
-				}
-				return nil
-			}
-			return fmt.Errorf("harness: %s/%v/%v interval@%d: %w",
-				k.Workload, k.Variant, k.Model, sp.Plan.Reps[u.ri].Start, err)
-		}
-		perCell[u.ci][u.ri] = subtractWarmBase(r, sp.Checkpoints[u.ri])
-		res.DetailedInstrsSimulated += r.Committed
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-	for ci, k := range cells {
-		if failed[ci] {
-			continue
-		}
-		r := ReconstructResult(plans[k.Workload].Plan, perCell[ci])
-		attachSampledWindows(plans[k.Workload].Plan, perCell[ci], &r)
-		res.Runs[k] = r
-		if opt.Progress != nil {
-			opt.Progress(FormatProgress(k, r))
-		}
-	}
-	return res, nil
 }

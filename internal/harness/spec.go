@@ -1,15 +1,4 @@
-// Package simsvc is a long-running simulation service over the experiment
-// harness: it accepts sweep jobs (any subset of workloads × Table II
-// variants × attack models × instruction budgets), schedules the
-// individual runs on a bounded worker pool with context-based
-// cancellation, deduplicates identical in-flight runs, and stores
-// completed results in a content-addressed cache.
-//
-// Caching simulation results is sound because the simulator is fully
-// deterministic (DESIGN.md "Determinism"): the same (workload, variant,
-// model, warmup, budget, ablation) cell always produces bit-identical
-// statistics, so a cached result is indistinguishable from a re-run.
-package simsvc
+package harness
 
 import (
 	"crypto/sha256"
@@ -19,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -35,13 +23,12 @@ import (
 // cadence are distinct cache entries).
 // v3: RunSpec gained WarmupMode (functional warmup produces different —
 // exactly-bounded, non-speculative — warm state than detailed warmup, so
-// the two modes are distinct cache entries). The same schema also keys
-// the in-memory checkpoint tier (see Service.checkpoint).
+// the two modes are distinct cache entries).
 // v4: RunSpec gained SimMode and the sampling parameters (interval
 // length, max k, seed). A sampled result is a reconstruction, not a
 // measurement, so it must never answer a detailed query (or vice versa),
 // and two sampled runs with different sampling parameters are distinct
-// entries. The same schema keys the sample-plan tier (Service.samplePlan).
+// entries.
 // v5: the variant is keyed by its registered scheme NAME instead of its
 // integer id. Variant ids beyond Table II are registration-order
 // dependent (core.RegisterScheme), so a build that registers schemes in
@@ -50,8 +37,12 @@ import (
 // the schema string feeds the hash, so v4 and v5 keys cannot collide.
 const keySchema = "sdo-cache-v5"
 
-// RunSpec identifies one simulation cell, in the exact terms the cache
-// key is derived from.
+// RunSpec identifies one simulation cell — a suite workload by name,
+// under one variant, model and ablation, with its budgets and modes — in
+// the exact terms the cache key is derived from. It is what Executor.Run
+// executes, what the simulation service caches under CacheKey, and (as
+// JSON, field names as declared) what a stolen cell carries between
+// cluster nodes.
 type RunSpec struct {
 	Workload       string
 	Variant        core.Variant
@@ -64,7 +55,7 @@ type RunSpec struct {
 
 	// SimMode is detailed or sampled ("" means detailed). The sampling
 	// parameters below are zero unless SimMode is sampled.
-	SimMode        harness.SimMode
+	SimMode        SimMode
 	SampleInterval uint64
 	SampleMaxK     int
 	SampleSeed     uint64
@@ -73,16 +64,78 @@ type RunSpec struct {
 // simMode normalizes the zero value ("") to detailed, so specs built
 // before SimMode existed (and ablation cells, which are always detailed)
 // key identically to explicit detailed cells.
-func (s RunSpec) simMode() harness.SimMode {
+func (s RunSpec) simMode() SimMode {
 	if s.SimMode == "" {
-		return harness.SimDetailed
+		return SimDetailed
 	}
 	return s.SimMode
 }
 
 // Key converts the spec to the harness's run key.
-func (s RunSpec) Key() harness.Key {
-	return harness.Key{Workload: s.Workload, Variant: s.Variant, Model: s.Model}
+func (s RunSpec) Key() Key {
+	return Key{Workload: s.Workload, Variant: s.Variant, Model: s.Model}
+}
+
+// Specs enumerates the sweep grid (Cells, duplicates dropped) as run
+// specs. A sampled spec carries the sampling config TunedSampleConfig
+// resolves for its workload: unset fields come from the per-workload
+// table (set ones always win), so the cache key names what actually ran.
+func (o Options) Specs() []RunSpec {
+	o = o.Normalized()
+	seen := make(map[Key]bool)
+	var specs []RunSpec
+	for _, k := range o.Cells() {
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		s := RunSpec{
+			Workload:       k.Workload,
+			Variant:        k.Variant,
+			Model:          k.Model,
+			WarmupInstrs:   o.WarmupInstrs,
+			MaxInstrs:      o.MaxInstrs,
+			IntervalCycles: o.IntervalCycles,
+			WarmupMode:     o.WarmupMode,
+			SimMode:        o.SimMode,
+		}
+		if o.SimMode == SimSampled {
+			cfg := TunedSampleConfig(k.Workload, o.Sample)
+			s.SampleInterval, s.SampleMaxK, s.SampleSeed = cfg.IntervalInstrs, cfg.MaxK, cfg.Seed
+		}
+		specs = append(specs, s)
+	}
+	return specs
+}
+
+// AblationSpecs enumerates the design-space study's cells: model-major,
+// then workload, then the Unsafe baseline followed by one Hybrid cell per
+// AblationRows row. AblationTables relies on exactly this order. Ablation
+// cells are always detailed and carry no interval series.
+func (o Options) AblationSpecs() []RunSpec {
+	o = o.Normalized()
+	rows := AblationRows()
+	var specs []RunSpec
+	for _, m := range o.Models {
+		for _, wl := range o.Workloads {
+			base := RunSpec{
+				Workload:     wl.Name,
+				Variant:      core.Unsafe,
+				Model:        m,
+				WarmupInstrs: o.WarmupInstrs,
+				MaxInstrs:    o.MaxInstrs,
+				WarmupMode:   o.WarmupMode,
+			}
+			specs = append(specs, base)
+			for _, row := range rows {
+				s := base
+				s.Variant = core.Hybrid
+				s.Ablate = row.Ablate
+				specs = append(specs, s)
+			}
+		}
+	}
+	return specs
 }
 
 // fingerprints memoizes per-workload program fingerprints: Build is
@@ -139,34 +192,4 @@ func (s RunSpec) CacheKey() (string, error) {
 		s.Ablate.NoImplicitChannelProtection, s.Ablate.OblDRAMVariant,
 		s.simMode(), s.SampleInterval, s.SampleMaxK, s.SampleSeed)
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// CheckpointKey identifies the warmup checkpoint a functional-mode cell
-// can restore from: workload identity (name + program fingerprint) and
-// warmup budget — deliberately nothing else, because the checkpoint is
-// variant/model/ablation-independent. Every cell of a sweep grid that
-// shares (workload, warmup) shares one checkpoint-tier entry.
-func (s RunSpec) CheckpointKey() (string, error) {
-	fp, err := programFingerprint(s.Workload)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s|ckpt|wl=%s|prog=%s|warmup=%d", keySchema, s.Workload, fp, s.WarmupInstrs), nil
-}
-
-// PlanKey identifies the sampling plan a sampled-mode cell executes:
-// workload identity, measurement window placement and the sampling
-// parameters — deliberately not variant, model or ablation, because BBV
-// profiling and clustering run on the functional emulator and are
-// microarchitecture-independent. Every sampled cell of a sweep grid that
-// shares (workload, warmup, window, sampling config) shares one
-// plan-tier entry, checkpoints included.
-func (s RunSpec) PlanKey() (string, error) {
-	fp, err := programFingerprint(s.Workload)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s|plan|wl=%s|prog=%s|warmup=%d|window=%d|sinterval=%d|smaxk=%d|sseed=%d",
-		keySchema, s.Workload, fp, s.WarmupInstrs, s.MaxInstrs,
-		s.SampleInterval, s.SampleMaxK, s.SampleSeed), nil
 }

@@ -2,28 +2,28 @@ package simsvc
 
 import (
 	"context"
-	"errors"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/arch"
-	"repro/internal/harness"
 	"repro/internal/isa"
+	"repro/internal/simpoint"
 	"repro/internal/workload"
 )
 
-// tierKind drives one artifact kind through its real entry point
-// (Service.checkpoint / Service.samplePlan), so the table below pins the
-// one memo for both kinds.
+// The artifact memo's fixed key parameters: exchange2_r at a small budget.
+const tierWarmup, tierWindow = 1000, 2000
+
+var tierSampling = simpoint.Config{IntervalInstrs: 500, MaxK: 4, Seed: 1}
+
+// tierKind drives one artifact kind through the service's executor
+// (Executor.Checkpoint / Executor.SamplePlan), so the table below pins the
+// one memo for both kinds and the metrics that count it.
 type tierKind struct {
 	name string // "ckpt" | "plan"
-	// resolve asks s for the artifact under the kind's fixed key, building
-	// from wl on a miss; v is nil when there is none.
+	// resolve asks s for wl's artifact under the kind's fixed parameters;
+	// v is nil when there is none.
 	resolve func(s *Service, wl workload.Workload) (v any, err error)
-	// failedBuildRetried drives s's tier of this kind through a build
-	// that returns an error and then one that succeeds, under one key.
-	failedBuildRetried func(t *testing.T, s *Service)
 	// failsWithError: a failed build surfaces as an error (plans) rather
 	// than a nil artifact the cell degrades around (checkpoints).
 	failsWithError bool
@@ -34,66 +34,31 @@ type tierKind struct {
 	work string
 }
 
-func tierKinds(t *testing.T) []tierKind {
-	t.Helper()
-	spec := RunSpec{Workload: "exchange2_r", WarmupInstrs: 1000, MaxInstrs: 2000,
-		SampleInterval: 500, SampleMaxK: 4, SampleSeed: 1}
-	ckKey, err := spec.CheckpointKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	planKey, err := spec.PlanKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+func tierKinds() []tierKind {
 	return []tierKind{
 		{
 			name: "ckpt",
 			resolve: func(s *Service, wl workload.Workload) (any, error) {
-				if ck := s.checkpoint(ckKey, wl, spec.WarmupInstrs); ck != nil {
+				if ck := s.exec.Checkpoint(wl, tierWarmup); ck != nil {
 					return ck, nil
 				}
 				return nil, nil
 			},
-			failedBuildRetried: func(t *testing.T, s *Service) { failedBuildRetried(t, s.ckpts, &arch.Checkpoint{}) },
-			built:              "sdo_checkpoints_captured_total", work: "sdo_warmup_instrs_simulated_total",
+			built: "sdo_checkpoints_captured_total", work: "sdo_warmup_instrs_simulated_total",
 			hits: "sdo_checkpoint_hits_total",
 		},
 		{
 			name: "plan", failsWithError: true,
 			resolve: func(s *Service, wl workload.Workload) (any, error) {
-				plan, err := s.samplePlan(planKey, wl, spec)
+				plan, err := s.exec.SamplePlan(wl, tierWarmup, tierWindow, tierSampling)
 				if plan == nil {
 					return nil, err
 				}
 				return plan, err
 			},
-			failedBuildRetried: func(t *testing.T, s *Service) { failedBuildRetried(t, s.plans, &harness.SamplePlan{}) },
-			built:              "sdo_sample_plans_built_total", work: "sdo_profiled_instrs_total",
+			built: "sdo_sample_plans_built_total", work: "sdo_profiled_instrs_total",
 			hits: "sdo_sample_plan_hits_total",
 		},
-	}
-}
-
-// failedBuildRetried: a build that returns an error fails its caller and
-// is not memoised — the next caller builds again, and that one sticks.
-func failedBuildRetried[T comparable](t *testing.T, tier *artifactTier[T], good T) {
-	t.Helper()
-	builds := 0
-	build := func(v T, err error) func() (T, error) {
-		return func() (T, error) { builds++; return v, err }
-	}
-	var zero T
-	if _, err := tier.resolve("k", build(zero, errors.New("injected build failure"))); err == nil {
-		t.Error("failed build returned no error")
-	}
-	for i := 0; i < 2; i++ {
-		if v, err := tier.resolve("k", build(good, nil)); v != good || err != nil {
-			t.Errorf("resolve after a failed build = %v, %v; want the rebuilt artifact", v, err)
-		}
-	}
-	if builds != 2 {
-		t.Errorf("builds = %d, want 2 (the failure, then one retry that is memoised)", builds)
 	}
 }
 
@@ -107,6 +72,24 @@ func tierWorkload(t *testing.T) workload.Workload {
 	return wl
 }
 
+// flakyWorkload is tierWorkload whose builds panic while failing is set,
+// each first calling park (if non-nil).
+func flakyWorkload(t *testing.T, failing *atomic.Bool, park func()) workload.Workload {
+	t.Helper()
+	wl := tierWorkload(t)
+	build := wl.Build
+	wl.Build = func() (*isa.Program, func(*isa.Memory)) {
+		if failing.Load() {
+			if park != nil {
+				park()
+			}
+			panic("injected build panic")
+		}
+		return build()
+	}
+	return wl
+}
+
 // mustResolve resolves through k and requires an artifact.
 func mustResolve(t *testing.T, k tierKind, s *Service, wl workload.Workload) any {
 	t.Helper()
@@ -115,6 +98,14 @@ func mustResolve(t *testing.T, k tierKind, s *Service, wl workload.Workload) any
 		t.Fatalf("%s resolve = %v, %v; want an artifact", k.name, v, err)
 	}
 	return v
+}
+
+// wantFailure asserts a resolve that must yield no artifact.
+func wantFailure(t *testing.T, k tierKind, v any, err error) {
+	t.Helper()
+	if v != nil || (err != nil) != k.failsWithError {
+		t.Errorf("failed build = %v, %v; want no artifact, error=%v", v, err, k.failsWithError)
+	}
 }
 
 // wantBuilds asserts how many times s built k's artifact, by the tier's
@@ -140,7 +131,7 @@ func wantMetrics(t *testing.T, s *Service, pairs map[string]float64) {
 }
 
 func TestArtifactTierLadder(t *testing.T) {
-	for _, k := range tierKinds(t) {
+	for _, k := range tierKinds() {
 		k := k
 		t.Run(k.name+"/concurrent callers build once", func(t *testing.T) {
 			s := newService(t, Config{Workers: 1})
@@ -163,9 +154,20 @@ func TestArtifactTierLadder(t *testing.T) {
 		})
 
 		t.Run(k.name+"/failed build is retried", func(t *testing.T) {
+			// A failed build fails its caller and is not memoised: the next
+			// caller builds again, and that build sticks.
 			s := newService(t, Config{Workers: 1})
 			defer s.Shutdown(context.Background())
-			k.failedBuildRetried(t, s)
+			var failing atomic.Bool
+			failing.Store(true)
+			wl := flakyWorkload(t, &failing, nil)
+			v, err := k.resolve(s, wl)
+			wantFailure(t, k, v, err)
+			failing.Store(false)
+			for i := 0; i < 2; i++ {
+				mustResolve(t, k, s, wl)
+			}
+			wantBuilds(t, k, s, 1)
 			wantMetrics(t, s, map[string]float64{k.hits: 1})
 		})
 
@@ -174,67 +176,71 @@ func TestArtifactTierLadder(t *testing.T) {
 			defer s.Shutdown(context.Background())
 			started, release := make(chan struct{}), make(chan struct{})
 			var once sync.Once
-			boom := workload.Workload{Name: "boom", Build: func() (*isa.Program, func(*isa.Memory)) {
+			var failing atomic.Bool
+			failing.Store(true)
+			boom := flakyWorkload(t, &failing, func() {
 				once.Do(func() { close(started) })
 				<-release
-				panic("injected build panic")
-			}}
-			check := func(v any, err error) {
-				if v != nil || (err != nil) != k.failsWithError {
-					t.Errorf("failed build = %v, %v; want no artifact, error=%v", v, err, k.failsWithError)
-				}
-			}
+			})
 			var wg sync.WaitGroup
 			wg.Add(2)
-			go func() { defer wg.Done(); check(k.resolve(s, boom)) }()
+			go func() { defer wg.Done(); v, err := k.resolve(s, boom); wantFailure(t, k, v, err) }()
 			<-started
 			// The second caller joins the flight (or, if it loses the race
 			// to the panic, starts and fails its own): either way it must
 			// be released with the same failure, not hang.
-			go func() { defer wg.Done(); check(k.resolve(s, boom)) }()
+			go func() { defer wg.Done(); v, err := k.resolve(s, boom); wantFailure(t, k, v, err) }()
 			close(release)
 			wg.Wait()
-			// The failed flight was dropped: the next caller retries and wins.
-			mustResolve(t, k, s, tierWorkload(t))
+			// The failed flight was dropped: the next caller of the same key
+			// builds again and wins.
+			failing.Store(false)
+			mustResolve(t, k, s, boom)
 			wantBuilds(t, k, s, 1)
 			wantMetrics(t, s, map[string]float64{k.hits: 0})
 		})
 	}
 }
 
-// TestArtifactTierBounded: a tier keeps its artifactTierMax most recently
-// resolved keys, so client-chosen budgets and seeds cannot grow it without
-// bound; an evicted key is simply built again.
+// TestArtifactTierBounded: a tier keeps its 64 most recently resolved keys
+// (the executor's memo bound), so client-chosen budgets and seeds cannot
+// grow it without bound; an evicted key is simply built again.
 func TestArtifactTierBounded(t *testing.T) {
+	const bound = 64
 	s := newService(t, Config{Workers: 1})
 	defer s.Shutdown(context.Background())
-	builds := 0
-	resolve := func(i int) int {
-		v, err := s.plans.resolve(strconv.Itoa(i), func() (*harness.SamplePlan, error) {
-			builds++
-			return &harness.SamplePlan{}, nil
-		})
-		if v == nil || err != nil {
-			t.Fatalf("resolve(%d) = %v, %v", i, v, err)
+	wl := tierWorkload(t)
+	resolve := func(seed int) int {
+		cfg := tierSampling
+		cfg.Seed = uint64(seed)
+		if _, err := s.exec.SamplePlan(wl, tierWarmup, tierWindow, cfg); err != nil {
+			t.Fatalf("resolve(%d): %v", seed, err)
 		}
-		return builds
+		return int(metric(t, s, "sdo_sample_plans_built_total"))
 	}
-	for i := 0; i <= artifactTierMax; i++ {
+	for i := 0; i <= bound; i++ {
 		resolve(i)
 	}
-	if got := resolve(artifactTierMax); got != artifactTierMax+1 {
-		t.Errorf("builds = %d after re-asking the newest key, want a hit (%d)", got, artifactTierMax+1)
+	if got := resolve(bound); got != bound+1 {
+		t.Errorf("builds = %d after re-asking the newest key, want a hit (%d)", got, bound+1)
 	}
-	if got := resolve(0); got != artifactTierMax+2 {
-		t.Errorf("builds = %d after re-asking the oldest key, want a rebuild (%d)", got, artifactTierMax+2)
+	if got := resolve(0); got != bound+2 {
+		t.Errorf("builds = %d after re-asking the oldest key, want a rebuild (%d)", got, bound+2)
 	}
 	// A hit refreshes a key: 2 is the oldest left, and 3 is evicted in its place.
 	resolve(2)
-	resolve(artifactTierMax + 1)
-	if got := resolve(2); got != artifactTierMax+3 {
-		t.Errorf("builds = %d after re-asking a recently hit key, want a hit (%d)", got, artifactTierMax+3)
+	resolve(bound + 1)
+	if got := resolve(2); got != bound+3 {
+		t.Errorf("builds = %d after re-asking a recently hit key, want a hit (%d)", got, bound+3)
 	}
-	if n := len(s.plans.flights); n != artifactTierMax {
-		t.Errorf("tier holds %d entries, want %d", n, artifactTierMax)
+	// The tier holds exactly the bound: every key still resolved hits.
+	held := []int{0, 2, bound + 1}
+	for i := 4; i <= bound; i++ {
+		held = append(held, i)
+	}
+	for _, seed := range held {
+		if got := resolve(seed); got != bound+3 {
+			t.Fatalf("builds = %d after re-asking held key %d, want a hit (%d)", got, seed, bound+3)
+		}
 	}
 }

@@ -35,7 +35,7 @@ const cacheFileVersion = 3
 const CorruptSuffix = ".corrupt"
 
 // Cache is a content-addressed store of completed simulation results,
-// keyed by RunSpec.CacheKey, with an optional LRU size bound. It is safe
+// keyed by harness.RunSpec.CacheKey, with an optional LRU size bound. It is safe
 // for concurrent use and keeps hit/miss/eviction/corruption counters for
 // the service's /metrics endpoint.
 type Cache struct {

@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/pipeline"
 )
 
-func spec(wl string, v core.Variant, m pipeline.AttackModel) RunSpec {
-	return RunSpec{Workload: wl, Variant: v, Model: m, WarmupInstrs: 1000, MaxInstrs: 2000}
+func spec(wl string, v core.Variant, m pipeline.AttackModel) harness.RunSpec {
+	return harness.RunSpec{Workload: wl, Variant: v, Model: m, WarmupInstrs: 1000, MaxInstrs: 2000}
 }
 
 func TestCacheKeyStableAndDistinct(t *testing.T) {
@@ -26,7 +27,7 @@ func TestCacheKeyStableAndDistinct(t *testing.T) {
 		t.Fatalf("key not stable: %s vs %s", k1, k2)
 	}
 	// Every dimension of the spec must change the key.
-	variants := []RunSpec{
+	variants := []harness.RunSpec{
 		spec("gcc_r", core.Hybrid, pipeline.Spectre),
 		spec("mcf_r", core.StaticL1, pipeline.Spectre),
 		spec("mcf_r", core.Hybrid, pipeline.Futuristic),

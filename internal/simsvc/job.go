@@ -359,12 +359,10 @@ type AblationExport struct {
 	Sections     []AblationSection `json:"ablations"`
 }
 
-// Ablations aggregates a completed ablation job into per-model tables,
-// using the same aggregation the CLI's RunAblations performs. Cell order
-// (fixed by Submit) is model-major, then workload, then 1 Unsafe baseline
-// followed by the harness's ablation rows. In a degraded job, a workload
-// block containing any failed cell is zeroed, which AggregateAblations
-// skips — matching the CLI's tolerant-ablation behavior.
+// Ablations aggregates a completed ablation job into per-model tables
+// with the CLI's own aggregation (harness.AblationTables, over cells in
+// harness.AblationSpecs order, fixed by Submit): in a degraded job, a
+// workload block containing any failed cell drops out of its table.
 func (j *Job) Ablations() (*AblationExport, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -378,30 +376,9 @@ func (j *Job) Ablations() (*AblationExport, error) {
 		return nil, errors.New("simsvc: job still running")
 	}
 	ex := &AblationExport{MaxInstrs: j.opt.MaxInstrs, WarmupInstrs: j.opt.WarmupInstrs}
-	rowsPer := len(harness.AblationRows())
-	perWorkload := 1 + rowsPer
-	perModel := len(j.opt.Workloads) * perWorkload
+	tables := harness.AblationTables(j.opt, j.cellRes, func(i int) bool { return j.failedIdx[i] })
 	for mi, m := range j.opt.Models {
-		rows := harness.AblationRows()
-		cycles := make([][]uint64, len(j.opt.Workloads))
-		for wi := range j.opt.Workloads {
-			wc := make([]uint64, perWorkload)
-			blockFailed := false
-			for ci := 0; ci < perWorkload; ci++ {
-				idx := mi*perModel + wi*perWorkload + ci
-				if j.failedIdx[idx] {
-					blockFailed = true
-					break
-				}
-				wc[ci] = j.cellRes[idx].Cycles
-			}
-			if blockFailed {
-				wc = make([]uint64, perWorkload)
-			}
-			cycles[wi] = wc
-		}
-		harness.AggregateAblations(rows, cycles)
-		ex.Sections = append(ex.Sections, AblationSection{Model: m.String(), Rows: rows})
+		ex.Sections = append(ex.Sections, AblationSection{Model: m.String(), Rows: tables[mi]})
 	}
 	return ex, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/faults"
 )
 
@@ -137,5 +138,28 @@ func TestPeerCorruptResponseCannotPoison(t *testing.T) {
 	}
 	if got, want := exportBytes(t, jb), exportBytes(t, ja); !bytes.Equal(got, want) {
 		t.Fatal("corrupt peer changed the final export")
+	}
+}
+
+// TestDeadPeerDoesNotFloodFlightRecorder: every unanswered probe strikes
+// a dead peer and counts in sdo_peer_errors_total, but once its breaker is
+// open the strikes add no events, so the peer costs the /debug/flight ring
+// one peer-unreachable event and at most BreakerThreshold peer-error ones.
+func TestDeadPeerDoesNotFloodFlightRecorder(t *testing.T) {
+	srv := httptest.NewServer(nil)
+	srv.Close() // connection refused from here on
+	s := newService(t, Config{Workers: 1, Peers: []string{srv.URL}, PeerProbeInterval: 5 * time.Millisecond})
+	defer s.Shutdown(context.Background())
+	strikes := 4 * float64(fabric.DefaultBreakerOpens)
+	pollUntil(t, "probes to strike the dead peer", 10*time.Second, func() bool {
+		return metric(t, s, "sdo_peer_errors_total") >= strikes
+	})
+	kinds := map[string]int{}
+	for _, e := range s.flight.Events() {
+		kinds[e.Kind]++
+	}
+	if kinds["peer-unreachable"] != 1 || kinds["peer-error"] > fabric.DefaultBreakerOpens {
+		t.Errorf("flight ring after %v strikes holds %d peer-unreachable and %d peer-error events, want 1 and at most %d",
+			strikes, kinds["peer-unreachable"], kinds["peer-error"], fabric.DefaultBreakerOpens)
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/pipeline"
 )
 
 // sampledReq is smallReq in sampled mode: a 6000-instruction window cut
@@ -192,7 +194,7 @@ func TestSampledIntervalSeries(t *testing.T) {
 }
 
 func TestCacheKeySeparatesSimModes(t *testing.T) {
-	detailed := RunSpec{Workload: "mcf_r", WarmupInstrs: 1000, MaxInstrs: 2000}
+	detailed := harness.RunSpec{Workload: "mcf_r", WarmupInstrs: 1000, MaxInstrs: 2000}
 	sampled := detailed
 	sampled.SimMode = harness.SimSampled
 	sampled.SampleInterval, sampled.SampleMaxK, sampled.SampleSeed = 5000, 8, 1
@@ -231,31 +233,27 @@ func TestCacheKeySeparatesSimModes(t *testing.T) {
 }
 
 func TestPlanKeyIgnoresVariantModelAblation(t *testing.T) {
-	a := RunSpec{Workload: "mcf_r", WarmupInstrs: 1000, MaxInstrs: 6000,
+	// A plan is keyed by workload, window and sampling config alone: cells
+	// that differ in variant, model or ablation execute one build.
+	var e harness.Executor
+	a := harness.RunSpec{Workload: "mcf_r", WarmupInstrs: 1000, MaxInstrs: 6000,
 		SimMode: harness.SimSampled, SampleInterval: 2000, SampleMaxK: 8, SampleSeed: 1}
 	b := a
-	b.Variant = 6 // Hybrid
-	b.Model = 1
+	b.Variant = core.Hybrid
+	b.Model = pipeline.Futuristic
 	b.Ablate.AlwaysValidate = true
-	ka, err := a.PlanKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := b.PlanKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ka != kb {
-		t.Fatal("plan key depends on variant/model/ablation")
-	}
 	c := a
 	c.SampleInterval = 1000
-	kc, err := c.PlanKey()
-	if err != nil {
-		t.Fatal(err)
+	for _, spec := range []harness.RunSpec{a, b, c} {
+		if _, _, _, err := e.Run(context.Background(), spec, harness.RunPolicy{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if ka == kc {
-		t.Fatal("plan key ignores the sampling interval")
+	if got := e.PlansBuilt.Load(); got != 2 {
+		t.Errorf("built %d plans, want 2: one per sampling interval", got)
+	}
+	if got := e.PlanHits.Load(); got != 1 {
+		t.Errorf("%d plan hits, want 1: the variant/model/ablation change shares", got)
 	}
 }
 

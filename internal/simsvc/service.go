@@ -1,3 +1,14 @@
+// Package simsvc is a long-running simulation service over the experiment
+// harness: it accepts sweep jobs (any subset of workloads × Table II
+// variants × attack models × instruction budgets), schedules the
+// individual runs on a bounded worker pool with context-based
+// cancellation, deduplicates identical in-flight runs, and stores
+// completed results in a content-addressed cache (harness.RunSpec.CacheKey).
+//
+// Caching simulation results is sound because the simulator is fully
+// deterministic (DESIGN.md "Determinism"): the same (workload, variant,
+// model, warmup, budget, ablation) cell always produces bit-identical
+// statistics, so a cached result is indistinguishable from a re-run.
 package simsvc
 
 import (
@@ -11,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/faults"
@@ -178,7 +188,6 @@ type Service struct {
 	pool   *harness.Pool
 	ctx    context.Context
 	cancel context.CancelFunc
-	inj    *faults.Injector
 	rec    *obs.Recorder
 	tracer *trace.Tracer     // nil unless cfg.Trace
 	flight *obs.SafeRingSink // /debug/flight ring (always on)
@@ -192,18 +201,9 @@ type Service struct {
 	order    []string
 	inflight map[string]*flight
 
-	// The artifact tiers (see artifacts.go), both instances of the one
-	// in-memory memo. ckpts: one functional-warmup checkpoint per
-	// (workload fingerprint, warmup budget), restored by every
-	// functional-mode cell that shares it. plans: one BBV profile +
-	// clustering + checkpoint series per (workload fingerprint, window,
-	// sampling config), executed by every sampled-mode cell that shares it
-	// (see RunSpec.PlanKey) — the expensive part of sampled mode, one
-	// functional profiling pass plus k-means, is thereby paid once per
-	// workload per sweep shape. Each keeps its artifactTierMax most
-	// recently resolved keys.
-	ckpts *artifactTier[*arch.Checkpoint]
-	plans *artifactTier[*harness.SamplePlan]
+	// exec runs every cell this node simulates, demand and stolen alike,
+	// and memoises the checkpoints and sampling plans they share.
+	exec *harness.Executor
 
 	// Write-behind cache persistence: schedulePersist debounces a
 	// background save after each new result and each terminal job;
@@ -218,8 +218,8 @@ type Service struct {
 	retryTimes []time.Time
 
 	// Metrics (see /metrics): each is declared once, against reg, by
-	// registerMetrics or by the component that owns it (cache, artifact
-	// tiers, stealState).
+	// registerMetrics or by the component that owns it (cache,
+	// stealState); the executor's work counters are read at scrape time.
 	reg          *obs.Registry
 	runsExecuted *obs.Counter  // simulations actually run
 	runsDeduped  *obs.Counter  // cells that joined an in-flight identical run
@@ -240,13 +240,6 @@ type Service struct {
 	persistFailStreak atomic.Uint64 // consecutive persist failures
 	cacheDegraded     atomic.Bool   // persistence disabled (memory-only)
 	cacheLoadFailed   atomic.Bool   // startup cache load failed (started empty)
-
-	ckptsCaptured   *obs.Counter // warmup checkpoints captured (standalone or in a plan)
-	warmupSimulated *obs.Counter // warmup instructions actually simulated
-	plansBuilt      *obs.Counter // sample plans built (profile + cluster + checkpoints)
-	sampledCells    *obs.Counter // cells executed in sampled mode
-	sampledInstrs   *obs.Counter // detailed instructions executed by sampled cells
-	profiledInstrs  *obs.Counter // functional instructions spent profiling BBVs
 
 	runDur   *obs.Histogram // per-run wall time
 	queueLat *obs.Histogram // submit-to-start latency per cell
@@ -308,7 +301,6 @@ func New(cfg Config) (*Service, error) {
 		cache:    cache,
 		ctx:      ctx,
 		cancel:   cancel,
-		inj:      cfg.Faults,
 		rec:      obs.NewRecorder(obs.ClassAll, sinks...),
 		flight:   ring,
 		jobs:     make(map[string]*Job),
@@ -322,6 +314,7 @@ func New(cfg Config) (*Service, error) {
 		s.cacheLoadFailed.Store(true)
 		s.event("cache-load-failed", cfg.CachePath)
 	}
+	s.exec = &harness.Executor{Faults: cfg.Faults, Event: s.event, PlanBuilt: s.planBuilt}
 	s.pool = harness.NewPool(ctx, cfg.Workers)
 	s.registerMetrics()
 	if cfg.WorkStealing {
@@ -349,10 +342,11 @@ func (s *Service) event(kind, detail string) {
 	}
 }
 
-// registerMetrics declares the metrics the service itself owns and
-// builds the two artifact tiers around theirs; the optional subsystems
-// (stealing, peering) declare their own when New constructs them. Values that already live in a subcomponent are
-// sampled at scrape time; the latency distributions are real histograms.
+// registerMetrics declares the metrics the service itself owns, and the
+// executor's; the optional subsystems (stealing, peering) declare their
+// own when New constructs them. Values that already live in a
+// subcomponent are sampled at scrape time; the latency distributions are
+// real histograms.
 func (s *Service) registerMetrics() {
 	r := s.reg
 	ctr, gau := r.NewCounter, r.NewGaugeFunc
@@ -393,18 +387,20 @@ func (s *Service) registerMetrics() {
 			return float64(len(s.jobs))
 		})
 	r.NewCounterFunc("sdo_faults_injected_total", "Chaos faults injected (0 unless fault injection is enabled).",
-		func() float64 { return float64(s.inj.Stats().Total()) })
+		func() float64 { return float64(s.cfg.Faults.Stats().Total()) })
 
-	s.ckptsCaptured = ctr("sdo_checkpoints_captured_total", "Functional-warmup checkpoints captured.")
-	s.warmupSimulated = ctr("sdo_warmup_instrs_simulated_total", "Warmup instructions actually simulated (checkpoint reuse keeps this at one warmup per workload).")
-	s.ckpts = newArtifactTier[*arch.Checkpoint](s, "checkpoint",
-		ctr("sdo_checkpoint_hits_total", "Cells that restored an existing warmup checkpoint."))
-	s.plansBuilt = ctr("sdo_sample_plans_built_total", "Sampling plans built (BBV profile + clustering + checkpoint series).")
-	s.sampledCells = ctr("sdo_sampled_cells_total", "Cells executed in sampled (SimPoint) mode.")
-	s.sampledInstrs = ctr("sdo_sampled_detailed_instrs_total", "Detailed instructions executed by sampled cells (vs. max_instrs per cell in detailed mode).")
-	s.profiledInstrs = ctr("sdo_profiled_instrs_total", "Functional instructions spent on BBV profiling passes.")
-	s.plans = newArtifactTier[*harness.SamplePlan](s, "plan",
-		ctr("sdo_sample_plan_hits_total", "Sampled cells that reused an existing sampling plan."))
+	e := s.exec
+	work := func(name, help string, v *atomic.Uint64) {
+		r.NewCounterFunc(name, help, func() float64 { return float64(v.Load()) })
+	}
+	work("sdo_checkpoints_captured_total", "Functional-warmup checkpoints captured.", &e.CheckpointsCaptured)
+	work("sdo_warmup_instrs_simulated_total", "Warmup instructions actually simulated (checkpoint reuse keeps this at one warmup per workload).", &e.WarmupInstrs)
+	work("sdo_checkpoint_hits_total", "Cells that restored an existing warmup checkpoint.", &e.CheckpointHits)
+	work("sdo_sample_plans_built_total", "Sampling plans built (BBV profile + clustering + checkpoint series).", &e.PlansBuilt)
+	work("sdo_sampled_cells_total", "Cells executed in sampled (SimPoint) mode.", &e.SampledCells)
+	work("sdo_sampled_detailed_instrs_total", "Detailed instructions executed by sampled cells (vs. max_instrs per cell in detailed mode).", &e.SampledInstrs)
+	work("sdo_profiled_instrs_total", "Functional instructions spent on BBV profiling passes.", &e.ProfiledInstrs)
+	work("sdo_sample_plan_hits_total", "Sampled cells that reused an existing sampling plan.", &e.PlanHits)
 
 	s.runDur = r.NewHistogram("sdo_run_duration_seconds",
 		"Wall time of individual executed simulations.", obs.DefaultLatencyBuckets())
@@ -521,14 +517,14 @@ type SweepRequest struct {
 	// of each run's measurement window into the export (0: off).
 	IntervalCycles uint64 `json:"interval_cycles,omitempty"`
 	// WarmupMode is "detailed" (default) or "functional". Functional-mode
-	// cells restore a per-(workload, warmup) checkpoint from the service's
-	// checkpoint tier instead of re-simulating warmup.
+	// cells restore a per-(workload, warmup) checkpoint from the
+	// executor's memo instead of re-simulating warmup.
 	WarmupMode string `json:"warmup_mode,omitempty"`
 	// SimMode is "detailed" (default: cycle-accurate whole window) or
 	// "sampled" (SimPoint-style: BBV-cluster the window, run only the
 	// representative interval of each phase, reconstruct whole-window
 	// stats from the weighted per-instruction rates). Sampled jobs share
-	// one sampling plan per workload via the service's plan tier and are
+	// one sampling plan per workload via the executor's memo and are
 	// cached under sampling-aware keys, distinct from detailed results.
 	SimMode string `json:"sim_mode,omitempty"`
 	// SampleIntervalInstrs, SampleMaxK and SampleSeed are the sampled-mode
@@ -555,8 +551,8 @@ func parseModel(name string) (pipeline.AttackModel, error) {
 }
 
 // resolve turns a request into normalized harness options (the same
-// resolution the CLI performs) plus the deduplicated cell list.
-func (s *Service) resolve(req SweepRequest) (harness.Options, []RunSpec, error) {
+// resolution the CLI performs) plus the cells the CLI would run for them.
+func (s *Service) resolve(req SweepRequest) (harness.Options, []harness.RunSpec, error) {
 	opt := harness.DefaultOptions()
 	if req.MaxInstrs != 0 {
 		opt.MaxInstrs = req.MaxInstrs
@@ -620,66 +616,9 @@ func (s *Service) resolve(req SweepRequest) (harness.Options, []RunSpec, error) 
 	}
 	opt = opt.Normalized()
 	if req.Ablations {
-		return opt, ablationCells(opt), nil
+		return opt, opt.AblationSpecs(), nil
 	}
-	seen := make(map[harness.Key]bool)
-	var cells []RunSpec
-	for _, k := range opt.Cells() {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		c := RunSpec{
-			Workload:       k.Workload,
-			Variant:        k.Variant,
-			Model:          k.Model,
-			WarmupInstrs:   opt.WarmupInstrs,
-			MaxInstrs:      opt.MaxInstrs,
-			IntervalCycles: opt.IntervalCycles,
-			WarmupMode:     opt.WarmupMode,
-			SimMode:        opt.SimMode,
-		}
-		if opt.SimMode == harness.SimSampled {
-			// Unset sampling fields resolve through the per-workload tuning
-			// table (request parameters always win); stamping the resolved
-			// values into the spec makes the cache key explicit about what
-			// actually ran.
-			cfg := harness.TunedSampleConfig(k.Workload, opt.Sample)
-			c.SampleInterval = cfg.IntervalInstrs
-			c.SampleMaxK = cfg.MaxK
-			c.SampleSeed = cfg.Seed
-		}
-		cells = append(cells, c)
-	}
-	return opt, cells, nil
-}
-
-// ablationCells enumerates a design-space-study job: model-major, then
-// workload, then the Unsafe baseline followed by the harness's ablation
-// rows on Hybrid. Job.Ablations relies on exactly this order.
-func ablationCells(opt harness.Options) []RunSpec {
-	rows := harness.AblationRows()
-	var cells []RunSpec
-	for _, m := range opt.Models {
-		for _, wl := range opt.Workloads {
-			base := RunSpec{
-				Workload:     wl.Name,
-				Variant:      core.Unsafe,
-				Model:        m,
-				WarmupInstrs: opt.WarmupInstrs,
-				MaxInstrs:    opt.MaxInstrs,
-				WarmupMode:   opt.WarmupMode,
-			}
-			cells = append(cells, base)
-			for _, row := range rows {
-				c := base
-				c.Variant = core.Hybrid
-				c.Ablate = row.Ablate
-				cells = append(cells, c)
-			}
-		}
-	}
-	return cells
+	return opt, opt.Specs(), nil
 }
 
 // retryAfter estimates how long until MaxPendingCells of queue depth
@@ -818,46 +757,17 @@ func (s *Service) evictJobsLocked() {
 	}
 }
 
-// checkpoint resolves the warmup checkpoint for key through the
-// checkpoint tier (artifacts.go). A failed or panicking capture is
-// isolated: this cell (and any that were blocked on the flight) gets nil
-// and falls back to in-place warmup.
-func (s *Service) checkpoint(key string, wl workload.Workload, warmup uint64) *arch.Checkpoint {
-	ck, _ := s.ckpts.resolve(key, func() (*arch.Checkpoint, error) {
-		ck := harness.CaptureCheckpoint(wl, warmup)
-		s.ckptsCaptured.Inc()
-		s.warmupSimulated.Add(ck.Arch.Instrs)
-		return ck, nil
-	})
-	return ck
-}
-
-// samplePlan resolves the sampling plan for key through the plan tier
-// (artifacts.go). A failed or panicking build fails this cell and any
-// blocked on the flight.
-func (s *Service) samplePlan(key string, wl workload.Workload, spec RunSpec) (*harness.SamplePlan, error) {
-	cfg := simpoint.Config{IntervalInstrs: spec.SampleInterval, MaxK: spec.SampleMaxK, Seed: spec.SampleSeed}
-	return s.plans.resolve(key, func() (*harness.SamplePlan, error) {
-		start := time.Now()
-		sp, err := harness.BuildSamplePlan(wl, spec.WarmupInstrs, spec.MaxInstrs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.planDur.Observe(time.Since(start).Seconds())
-		s.plansBuilt.Inc()
-		s.profiledInstrs.Add(sp.Plan.ProfiledInstrs)
-		n := len(sp.Checkpoints)
-		s.ckptsCaptured.Add(uint64(n))
-		// One continuous pass warms to the last boundary.
-		s.warmupSimulated.Add(sp.Checkpoints[n-1].Arch.Instrs)
-		if s.rec.On(obs.ClassSample) {
-			s.rec.Emit(obs.Event{Class: obs.ClassSample, Kind: "plan-built",
-				Detail: fmt.Sprintf("%s: k=%d/%d intervals, sampled %d/%d instrs, err-est %.3f",
-					spec.Workload, sp.Plan.K, sp.Plan.NumIntervals,
-					sp.Plan.SampledInstrs(), sp.Plan.WindowInstrs, sp.Plan.ErrEstimate)})
-		}
-		return sp, nil
-	})
+// planBuilt observes each sampling-plan build the executor makes. It runs
+// inside the build, so a Recorder sink that blocks on the "plan-built"
+// event holds every cell waiting on that plan.
+func (s *Service) planBuilt(wl string, sp *harness.SamplePlan, took time.Duration) {
+	s.planDur.Observe(took.Seconds())
+	if s.rec.On(obs.ClassSample) {
+		s.rec.Emit(obs.Event{Class: obs.ClassSample, Kind: "plan-built",
+			Detail: fmt.Sprintf("%s: k=%d/%d intervals, sampled %d/%d instrs, err-est %.3f",
+				wl, sp.Plan.K, sp.Plan.NumIntervals,
+				sp.Plan.SampledInstrs(), sp.Plan.WindowInstrs, sp.Plan.ErrEstimate)})
+	}
 }
 
 // Job returns a submitted job by ID.
@@ -977,7 +887,7 @@ func (s *Service) settle(key string, k harness.Key, o settlement) {
 // configured deadline/stall watchdog applies, and transient failures
 // retry with backoff; a permanent failure degrades the waiting jobs
 // instead of killing them.
-func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, enqueued time.Time) {
+func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.RunSpec, enqueued time.Time) {
 	s.queueLat.Observe(time.Since(enqueued).Seconds())
 	if s.steal != nil {
 		// A worker picked the cell up: it is no longer stealable (on every
@@ -1141,87 +1051,27 @@ func (s *Service) noteSlowCell(k harness.Key, elapsed time.Duration, ct *trace.C
 	}
 }
 
-// execute runs one cell's simulation — workload lookup, the sample-plan
-// or checkpoint tier, then the harness call under the service's fault
-// policy — accounts the run, and returns the result, retry count, and
-// how long the harness call itself took (0 when the tiers failed before
-// any simulation ran). The demand path (runCell) and the thief path
-// (RunStolen) both execute cells through here, so a stolen result is
-// bit-identical to the demand result for the same key. abort (may be nil)
-// lets a mid-run demand cell stop once nothing waits on it.
-func (s *Service) execute(ctx context.Context, spec RunSpec, abort func() bool) (core.Result, int, time.Duration, error) {
-	pol := harness.RunPolicy{
+// execute runs one cell through the executor under the service's fault
+// policy, accounts the run, and returns the result, retry count, and how
+// long the simulation itself took (0 when none started). The demand path
+// (runCell) and the thief path (RunStolen) both execute cells through
+// here, so a stolen result is bit-identical to the demand result for the
+// same key. abort (may be nil) lets a mid-run demand cell stop once
+// nothing waits on it.
+func (s *Service) execute(ctx context.Context, spec harness.RunSpec, abort func() bool) (core.Result, int, time.Duration, error) {
+	r, retries, elapsed, err := s.exec.Run(ctx, spec, harness.RunPolicy{
 		MaxAttempts:  s.cfg.MaxAttempts,
 		RetryBackoff: s.cfg.RetryBackoff,
 		CellTimeout:  s.cfg.CellTimeout,
 		StallTimeout: s.cfg.StallTimeout,
 		Abort:        abort,
 		Notify:       s.cellEvent,
+	})
+	if elapsed > 0 {
+		s.runNanos.Add(uint64(elapsed))
+		s.runDur.Observe(elapsed.Seconds())
+		s.runsExecuted.Inc()
 	}
-	parent := trace.FromContext(ctx)
-	wl, err := workload.ByName(spec.Workload)
-	if err != nil {
-		return core.Result{}, 0, 0, err
-	}
-	p := harness.RunParams{
-		WarmupInstrs:   spec.WarmupInstrs,
-		MaxInstrs:      spec.MaxInstrs,
-		IntervalCycles: spec.IntervalCycles,
-		WarmupMode:     spec.WarmupMode,
-	}
-	var sp *harness.SamplePlan
-	if spec.simMode() == harness.SimSampled {
-		// Sampled cells execute a shared per-workload sampling plan;
-		// warmup accounting happens once, at plan-build time.
-		ps := parent.Child(trace.PhasePlan)
-		var planKey string
-		if planKey, err = spec.PlanKey(); err == nil {
-			sp, err = s.samplePlan(planKey, wl, spec)
-		}
-		ps.Finish()
-		if err != nil {
-			return core.Result{}, 0, 0, err
-		}
-	} else if spec.WarmupMode == core.WarmupFunctional && spec.WarmupInstrs > 0 {
-		var ckKey string
-		if ckKey, err = spec.CheckpointKey(); err != nil {
-			return core.Result{}, 0, 0, err
-		}
-		cks := parent.Child(trace.PhaseCheckpoint)
-		if p.Checkpoint = s.checkpoint(ckKey, wl, spec.WarmupInstrs); p.Checkpoint == nil {
-			// Capture failed: degrade to in-place functional warmup for
-			// this cell (bit-identical, just slower).
-			s.warmupSimulated.Add(spec.WarmupInstrs)
-		}
-		cks.Set("restored", strconv.FormatBool(p.Checkpoint != nil))
-		cks.Finish()
-	} else if spec.WarmupInstrs > 0 {
-		s.warmupSimulated.Add(spec.WarmupInstrs)
-	}
-	var r core.Result
-	var retries int
-	sim := parent.Child(trace.PhaseSimulate)
-	simCtx := trace.NewContext(ctx, sim)
-	start := time.Now()
-	if sp != nil {
-		// Representative intervals run serially within the cell
-		// (workers=1): the service pool already parallelizes across
-		// cells, and each interval is its own fault-isolated RunCell
-		// attempt.
-		r, retries, err = harness.RunSampledCell(simCtx, 1,
-			wl, spec.Variant, spec.Model, spec.Ablate, sp, p, pol, s.inj)
-		if err == nil {
-			s.sampledCells.Add(1)
-			s.sampledInstrs.Add(sp.Plan.SampledInstrs())
-		}
-	} else {
-		r, retries, err = harness.RunCell(simCtx, wl, spec.Variant, spec.Model, spec.Ablate, p, pol, s.inj)
-	}
-	elapsed := time.Since(start)
-	sim.Finish()
-	s.runNanos.Add(uint64(elapsed))
-	s.runDur.Observe(elapsed.Seconds())
-	s.runsExecuted.Inc()
 	return r, retries, elapsed, err
 }
 

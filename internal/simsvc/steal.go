@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
@@ -20,8 +21,8 @@ import (
 // Claims come from the tail of the queue while the owner's
 // workers dequeue from its head, so the two meet once, at the end. The
 // thief runs the cell on its own worker pool (Service.RunStolen: its own
-// cache, checkpoint and plan tiers) and posts the content-addressed wire
-// entry back via Service.CompleteSteal.
+// cache and executor) and posts the content-addressed wire entry back
+// via Service.CompleteSteal.
 //
 // Safety comes from the cache's content addressing, not from the lease:
 // a lease only bounds how long the owner's worker waits before running
@@ -42,7 +43,7 @@ type StolenCell struct {
 	Key string `json:"key"`
 	// Spec is the full run specification; the thief re-derives Key from
 	// it and refuses the claim on mismatch (schema-version skew guard).
-	Spec RunSpec `json:"spec"`
+	Spec harness.RunSpec `json:"spec"`
 	// Until is the lease expiry; past it the owner reclaims the cell.
 	Until time.Time `json:"until"`
 }
@@ -50,7 +51,7 @@ type StolenCell struct {
 // pendingCell is a queued-but-not-started cell, stealable by peers.
 // refs counts how many queued runCell invocations share the key.
 type pendingCell struct {
-	spec RunSpec
+	spec harness.RunSpec
 	refs int
 }
 
@@ -88,7 +89,7 @@ func newStealState(r *obs.Registry) *stealState {
 }
 
 // enqueue registers a queued cell as stealable.
-func (st *stealState) enqueue(key string, spec RunSpec) {
+func (st *stealState) enqueue(key string, spec harness.RunSpec) {
 	if st == nil {
 		return
 	}
@@ -314,14 +315,14 @@ type StolenRun struct {
 }
 
 // RunStolen runs a stolen cell's spec on this (thief) node's worker pool
-// — local cache first, then the full execute path with its checkpoint/
-// plan tiers — and delivers the content-addressed wire entry on the
-// returned channel. The cell is on the pool before
+// — local cache first, then execute on this node's executor — and
+// delivers the content-addressed wire entry on the returned channel.
+// The cell is on the pool before
 // RunStolen returns, so IdleWorkers already counts it: a thief that
 // claims IdleWorkers() cells and hands each to RunStolen never holds more
 // leases than free slots, and its own jobs queue behind a stolen run
 // instead of beside it.
-func (s *Service) RunStolen(ctx context.Context, spec RunSpec) <-chan StolenRun {
+func (s *Service) RunStolen(ctx context.Context, spec harness.RunSpec) <-chan StolenRun {
 	out := make(chan StolenRun, 1)
 	if !s.pool.Submit(func(context.Context) {
 		wire, err := s.runStolen(ctx, spec)
@@ -332,7 +333,7 @@ func (s *Service) RunStolen(ctx context.Context, spec RunSpec) <-chan StolenRun 
 	return out
 }
 
-func (s *Service) runStolen(ctx context.Context, spec RunSpec) ([]byte, error) {
+func (s *Service) runStolen(ctx context.Context, spec harness.RunSpec) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err // lease ran out (or the node stopped) while queued
 	}

@@ -2,14 +2,18 @@ package simsvc
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/pipeline"
 )
 
 // buildGate is an obs.Sink that parks every sampling-plan build (after
@@ -59,7 +63,7 @@ func stealReq(variants ...string) SweepRequest {
 	return req
 }
 
-func cellKeys(t *testing.T, s *Service, req SweepRequest) ([]RunSpec, []string) {
+func cellKeys(t *testing.T, s *Service, req SweepRequest) ([]harness.RunSpec, []string) {
 	t.Helper()
 	_, specs, err := s.resolve(req)
 	if err != nil {
@@ -219,5 +223,23 @@ func TestIdleWorkersCountsStolenRuns(t *testing.T) {
 	}
 	if got := thief.IdleWorkers(); got != 2 {
 		t.Errorf("IdleWorkers after the stolen run = %d, want 2", got)
+	}
+}
+
+// TestStolenCellWireFormat pins a stolen cell's JSON field for field (the
+// spec's fields travel under their Go names): an owner and a thief built
+// from different commits must still read each other's claims.
+func TestStolenCellWireFormat(t *testing.T) {
+	b, err := json.Marshal(StolenCell{Key: "k", Until: time.Unix(0, 0).UTC(), Spec: harness.RunSpec{
+		Workload: "gcc_r", Variant: core.Hybrid, Model: pipeline.Futuristic,
+		WarmupInstrs: 20_000, MaxInstrs: 40_000, IntervalCycles: 3, WarmupMode: core.WarmupFunctional,
+		Ablate:  core.Ablation{AlwaysValidate: true},
+		SimMode: harness.SimSampled, SampleInterval: 2000, SampleMaxK: 4, SampleSeed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"key":"k","spec":{"Workload":"gcc_r","Variant":6,"Model":1,"WarmupInstrs":20000,"MaxInstrs":40000,"IntervalCycles":3,"WarmupMode":1,"Ablate":{"DisableEarlyForward":false,"AlwaysValidate":true,"NoImplicitChannelProtection":false,"OblDRAMVariant":false},"SimMode":"sampled","SampleInterval":2000,"SampleMaxK":4,"SampleSeed":7},"until":"1970-01-01T00:00:00Z"}`
+	if string(b) != want {
+		t.Errorf("stolen cell wire form changed:\n got %s\nwant %s", b, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
@@ -88,7 +89,7 @@ func mustJSON(t *testing.T, v any) string {
 }
 
 func TestCacheKeySeparatesWarmupModes(t *testing.T) {
-	a := RunSpec{Workload: "mcf_r", WarmupInstrs: 1000, MaxInstrs: 2000}
+	a := harness.RunSpec{Workload: "mcf_r", WarmupInstrs: 1000, MaxInstrs: 2000}
 	b := a
 	b.WarmupMode = 1
 	ka, err := a.CacheKey()
@@ -105,31 +106,27 @@ func TestCacheKeySeparatesWarmupModes(t *testing.T) {
 }
 
 func TestCheckpointKeyIgnoresVariantModelAblation(t *testing.T) {
-	a := RunSpec{Workload: "mcf_r", WarmupInstrs: 1000, MaxInstrs: 2000}
+	// A checkpoint is keyed by (workload, warmup) alone: cells that differ
+	// in variant, model, budget or ablation restore one capture.
+	var e harness.Executor
+	a := harness.RunSpec{Workload: "mcf_r", WarmupInstrs: 1000, MaxInstrs: 2000, WarmupMode: core.WarmupFunctional}
 	b := a
-	b.Variant = 6 // Hybrid
-	b.Model = 1
-	b.MaxInstrs = 9000
+	b.Variant = core.Hybrid
+	b.Model = pipeline.Futuristic
+	b.MaxInstrs = 3000
 	b.Ablate.AlwaysValidate = true
-	ka, err := a.CheckpointKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := b.CheckpointKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ka != kb {
-		t.Fatal("checkpoint key depends on variant/model/ablation/budget")
-	}
 	c := a
 	c.WarmupInstrs = 2000
-	kc, err := c.CheckpointKey()
-	if err != nil {
-		t.Fatal(err)
+	for _, spec := range []harness.RunSpec{a, b, c} {
+		if _, _, _, err := e.Run(context.Background(), spec, harness.RunPolicy{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if ka == kc {
-		t.Fatal("checkpoint key ignores the warmup budget")
+	if got := e.CheckpointsCaptured.Load(); got != 2 {
+		t.Errorf("captured %d checkpoints, want 2: one per warmup budget", got)
+	}
+	if got := e.CheckpointHits.Load(); got != 1 {
+		t.Errorf("%d checkpoint hits, want 1: the variant/model/budget/ablation change shares", got)
 	}
 }
 
@@ -238,7 +235,7 @@ func TestAblationCellOrder(t *testing.T) {
 	}
 	opt.Workloads = wls
 	opt.Models = []pipeline.AttackModel{pipeline.Spectre, pipeline.Futuristic}
-	cells := ablationCells(opt)
+	cells := opt.AblationSpecs()
 	rowsPer := len(harness.AblationRows())
 	perWorkload := 1 + rowsPer
 	if want := 2 * 2 * perWorkload; len(cells) != want {
