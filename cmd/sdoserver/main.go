@@ -66,7 +66,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	c := &o.svc
 	fs.StringVar(&o.addr, "addr", ":8344", "listen address")
 	fs.StringVar(&c.CachePath, "cache", "sdo-cache.json", "result-cache file (empty: in-memory only)")
-	fs.IntVar(&c.CacheMaxEntries, "cache-max", 0, "result-cache LRU bound in entries (0: unbounded)")
 	fs.Int64Var(&c.CacheMaxBytes, "cache-max-bytes", 0, "result-cache LRU bound in encoded bytes (0: unbounded)")
 	fs.IntVar(&c.Workers, "workers", 0, "concurrent simulations (0: all CPUs)")
 	fs.DurationVar(&o.drain, "drain", 2*time.Minute, "shutdown grace period for in-flight runs")
@@ -82,8 +81,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.faults, "faults", "", "chaos fault-injection spec, e.g. seed=1,panic=0.05,slow=0.1 (also $"+faults.EnvVar+")")
 
 	fs.BoolVar(&c.Trace, "trace", false, "record a span tree per sweep cell, served at GET /sweeps/{id}/trace and embedded in exports")
-	fs.IntVar(&c.TraceMaxJobs, "trace-jobs", 0, "job traces retained (0: default 64)")
-	fs.IntVar(&c.FlightEvents, "flight", 0, "flight-recorder ring size at GET /debug/flight (0: default 256)")
 
 	fs.StringVar(&o.peers, "peers", "", "comma-separated peer base URLs for cache peering, e.g. http://10.0.0.2:8344,http://10.0.0.3:8344")
 
@@ -177,7 +174,6 @@ func main() {
 			Self:          o.nodeID,
 			Members:       members,
 			Service:       svc,
-			Trace:         cfg.Trace,
 			StealInterval: o.stealInterval,
 		})
 		if err != nil {

@@ -11,8 +11,8 @@ import (
 // TestFlagsDocumented audits the command's surface against the docs:
 // every registered flag is documented in README.md as `-name` (optionally
 // followed by an argument placeholder), and the names of the removed
-// speculation, deadline-auto-tuning and peer-tuning surface appear in no
-// operator document.
+// speculation, deadline-auto-tuning, peer-tuning and telemetry surface
+// appear in no operator document.
 func TestFlagsDocumented(t *testing.T) {
 	root := filepath.Join("..", "..")
 	read := func(rel string) string {
@@ -52,6 +52,10 @@ func TestFlagsDocumented(t *testing.T) {
 		regexp.MustCompile("-peer" + "-fanout"),
 		regexp.MustCompile("-peer" + "-probe"),
 		regexp.MustCompile("-no-check" + "point-reuse"),
+		regexp.MustCompile("-trace" + "-jobs"),
+		regexp.MustCompile(`(^|[^a-z])-fli` + `ght\b`), // the flag, not "in-flight"
+		regexp.MustCompile("-cache" + `-max([^-]|$)`),  // the entry bound, not -cache-max-bytes
+		regexp.MustCompile("/cluster" + "/trace"),
 	}
 	for _, doc := range []string{
 		"README.md", "DESIGN.md", "EXPERIMENTS.md",

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/obs/trace"
 	"repro/internal/simsvc"
 )
 
@@ -115,8 +114,6 @@ type Config struct {
 	Members []Member        // full membership, self included
 	Service *simsvc.Service // the wrapped local sweep service
 
-	Trace bool // record proxy / steal-claim spans, served at GET /cluster/trace
-
 	// StealInterval is the fallback poll period of the steal loop, which
 	// otherwise wakes on peers' hints and on local worker slots freeing up.
 	// 0: default; <0: stealing off (no loop, no hints sent or honoured).
@@ -138,9 +135,6 @@ type Node struct {
 	// per-peer breakers with the cache lookups.
 	fab *fabric.Client
 
-	tr *trace.Tracer
-	jt *trace.JobTrace
-
 	proxied     *obs.Counter // requests served for a peer-owned job
 	proxyErrors *obs.Counter // owner-unreachable 503s
 	scatters    *obs.Counter // scatter-gather listings fanned out
@@ -149,9 +143,10 @@ type Node struct {
 	hints       *obs.Counter // work-available hints received from peers
 
 	// The steal loop's two mailboxes, both coalescing (capacity 1, senders
-	// never block): hinted holds a peer's wake hint, queued says a local
-	// submission left cells waiting and the peers should be hinted.
-	hinted chan wakeup
+	// never block): hinted holds the member ID of a peer's wake hint,
+	// queued says a local submission left cells waiting and the peers
+	// should be hinted.
+	hinted chan string
 	queued chan struct{}
 
 	ctx    context.Context
@@ -177,7 +172,7 @@ func New(cfg Config) (*Node, error) {
 		svc:    cfg.Service,
 		fab:    cfg.Service.Fabric(),
 		byID:   make(map[string]Member, len(cfg.Members)),
-		hinted: make(chan wakeup, 1),
+		hinted: make(chan string, 1),
 		queued: make(chan struct{}, 1),
 	}
 	for _, m := range cfg.Members {
@@ -191,10 +186,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if n.self.ID == "" {
 		return nil, fmt.Errorf("cluster: self %q not in member list", cfg.Self)
-	}
-	if cfg.Trace {
-		n.tr = trace.New(4)
-		n.jt = n.tr.StartJob("cluster")
 	}
 	reg := n.svc.Registry()
 	n.proxied = reg.NewCounter("sdo_cluster_proxied_requests_total",

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/trace"
 	"repro/internal/simsvc"
 )
 
@@ -194,6 +193,26 @@ func metric(t *testing.T, url, name string) float64 {
 	return 0
 }
 
+// flightKinds counts the fault events in a node's GET /debug/flight
+// document by kind.
+func flightKinds(t *testing.T, url string) map[string]int {
+	t.Helper()
+	b, _ := get(t, url+"/debug/flight", 200)
+	var doc struct {
+		Events []struct{ Class, Kind string }
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("flight document: %v: %s", err, b)
+	}
+	kinds := map[string]int{}
+	for _, e := range doc.Events {
+		if e.Class == "fault" {
+			kinds[e.Kind]++
+		}
+	}
+	return kinds
+}
+
 // idOwnedBy finds a job ID of the standard sweep-N form that the given
 // member owns — what that node's own OwnsID allocation would produce.
 func idOwnedBy(t *testing.T, owner string, ids []string) string {
@@ -361,6 +380,11 @@ func TestClusterScatterGatherListing(t *testing.T) {
 	}
 	if p := hdr.Get(PartialHeader); p != "" {
 		t.Errorf("healthy cluster listing marked partial: %q", p)
+	}
+	// The listing c fanned out is counted on c; the hopped requests it
+	// sent a and b are answered locally and are not.
+	if v, va := metric(t, c.srv.URL, "sdo_cluster_scatter_listings_total"), metric(t, a.srv.URL, "sdo_cluster_scatter_listings_total"); v != 1 || va != 0 {
+		t.Errorf("scatter listings: c %v, a %v; want 1 and 0", v, va)
 	}
 
 	c.srv.Close()
@@ -636,8 +660,13 @@ func TestClusterStealLeaseExpiryReclamation(t *testing.T) {
 		t.Fatalf("post-reclamation export differs from golden (%d vs %d bytes)",
 			len(export), len(golden))
 	}
-	if v := metric(t, a.srv.URL, "sdo_cluster_lease_expiries_total"); v < 1 {
-		t.Errorf("lease expiries = %v, want >= 1 (dead thief must be reclaimed)", v)
+	expired := metric(t, a.srv.URL, "sdo_cluster_lease_expiries_total")
+	if expired < 1 {
+		t.Errorf("lease expiries = %v, want >= 1 (dead thief must be reclaimed)", expired)
+	}
+	// Each expiry is one steal-lease-expired event in the flight recorder.
+	if n := flightKinds(t, a.srv.URL)["steal-lease-expired"]; float64(n) != expired {
+		t.Errorf("flight recorder holds %d steal-lease-expired events for %v expiries", n, expired)
 	}
 	if v := metric(t, a.srv.URL, "sdo_cluster_steal_completions_total"); v != 0 {
 		t.Errorf("steal completions = %v, want 0 (thief never reported back)", v)
@@ -751,7 +780,7 @@ func TestClusterFrozenMemberIsSkipped(t *testing.T) {
 	req.Variants = []string{"hybrid"}
 	stB := postSweep(t, b.srv.URL, req)
 	start = time.Now()
-	a.node.steal(wakeup{why: "tick"})
+	a.node.steal("")
 	if d := time.Since(start); d > 2*time.Second {
 		t.Errorf("steal round with c frozen took %v", d)
 	}
@@ -774,66 +803,4 @@ func TestClusterFrozenMemberIsSkipped(t *testing.T) {
 	if _, hdr := get(t, a.srv.URL+"/sweeps", 200); hdr.Get(PartialHeader) != "" {
 		t.Errorf("listing after the thaw still partial: %q", hdr.Get(PartialHeader))
 	}
-}
-
-// TestClusterTraceEndpoint: GET /cluster/trace serves the node's proxy and
-// steal-claim spans, as the span tree and as Chrome trace events, and is
-// not mounted without Trace.
-func TestClusterTraceEndpoint(t *testing.T) {
-	a, b, release := stealPair(t, 1, func(i int, ncfg *Config) { ncfg.Trace = i == 1 })
-	get(t, a.srv.URL+"/cluster/trace", 404)
-
-	st := postSweep(t, a.srv.URL, stealReq())
-	waitMetric(t, b, "sdo_cluster_steals_total", 1)
-	release()
-	get(t, b.srv.URL+"/sweeps/"+st.ID, 200) // a's job: b proxies the status request
-
-	// spans collects every span of b's cluster trace by name. The thief
-	// sets a steal-claim's outcome just after it counts the steal, so poll.
-	var spans map[string][]map[string]string
-	waitFor(t, "a finished steal-claim span in b's cluster trace", func() bool {
-		body, _ := get(t, b.srv.URL+"/cluster/trace", 200)
-		var doc trace.Doc
-		if err := json.Unmarshal(body, &doc); err != nil {
-			t.Fatalf("cluster trace: %v: %s", err, body)
-		}
-		spans = map[string][]map[string]string{}
-		var walk func(n *trace.Node)
-		walk = func(n *trace.Node) {
-			spans[n.Name] = append(spans[n.Name], n.Attrs)
-			for _, ch := range n.Children {
-				walk(ch)
-			}
-		}
-		for _, cell := range doc.Cells {
-			walk(cell.Spans)
-		}
-		cl := spans[trace.PhaseStealClaim]
-		return len(cl) > 0 && cl[0]["outcome"] != ""
-	})
-	if px := spans[trace.PhaseProxy]; len(px) != 1 || px[0]["owner"] != "a" || px[0]["served-by"] != "a" || px[0]["job"] != st.ID {
-		t.Errorf("proxy spans = %v, want one with owner=a served-by=a job=%s", px, st.ID)
-	}
-	cl := spans[trace.PhaseStealClaim][0]
-	if cl["owner"] != "a" || cl["key"] == "" || cl["wake"] != "hint" || cl["outcome"] != "completed" {
-		t.Errorf("steal-claim span = %v, want owner=a, a key, wake=hint, outcome=completed", cl)
-	}
-
-	body, _ := get(t, b.srv.URL+"/cluster/trace?format=chrome", 200)
-	var chrome struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(body, &chrome); err != nil {
-		t.Fatalf("chrome cluster trace: %v: %s", err, body)
-	}
-	names := map[string]bool{}
-	for _, ev := range chrome.TraceEvents {
-		names[ev.Name] = true
-	}
-	if !names[trace.PhaseProxy] || !names[trace.PhaseStealClaim] {
-		t.Errorf("chrome cluster trace lacks proxy / steal-claim events: %v", names)
-	}
-	get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)
 }

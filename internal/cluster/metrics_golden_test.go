@@ -31,46 +31,47 @@ func metricsPreamble(svc *simsvc.Service) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
+// startMetricsCase builds the service whose /metrics TestMetricsGolden
+// pins: "off" has every optional subsystem off; "on" has every subsystem
+// on and is wrapped by a cluster Node, so it registers every family there
+// is.
+func startMetricsCase(t *testing.T, name string) *simsvc.Service {
+	t.Helper()
+	cfg := simsvc.Config{Workers: 1}
+	if name == "on" {
+		cfg.CachePath = filepath.Join(t.TempDir(), "cache.json")
+		cfg.Peers = []string{"http://127.0.0.1:1"}
+		cfg.WorkStealing = true
+		cfg.Trace = true
+		// No prober: the peer is a placeholder nothing listens on.
+		cfg.PeerProbeInterval = -1
+	}
+	svc, err := simsvc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+	if name == "on" {
+		members := []Member{{ID: "a", URL: "http://127.0.0.1:1"}}
+		n, err := New(Config{Self: "a", Members: members, Service: svc, StealInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Close)
+	}
+	return svc
+}
+
 // TestMetricsGolden pins the /metrics surface — every name, help string
 // and type — for a service with every optional subsystem off and one
 // with every subsystem on (plus a cluster Node). The golden files were
 // recorded before the metric declarations were collapsed onto the
 // registry, so any drift in what operators see fails here.
 func TestMetricsGolden(t *testing.T) {
-	dir := t.TempDir()
-	cases := []struct {
-		name string
-		cfg  simsvc.Config
-		node bool
-	}{
-		{name: "off", cfg: simsvc.Config{Workers: 1}},
-		{name: "on", node: true, cfg: simsvc.Config{
-			Workers:      1,
-			CachePath:    filepath.Join(dir, "cache.json"),
-			Peers:        []string{"http://127.0.0.1:1"},
-			WorkStealing: true,
-			Trace:        true,
-			// No prober: the peer is a placeholder nothing listens on.
-			PeerProbeInterval: -1,
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			svc, err := simsvc.New(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer svc.Shutdown(context.Background())
-			if tc.node {
-				members := []Member{{ID: "a", URL: "http://127.0.0.1:1"}}
-				n, err := New(Config{Self: "a", Members: members, Service: svc, StealInterval: -1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer n.Close()
-			}
-			got := metricsPreamble(svc)
-			golden := filepath.Join("testdata", "metrics_"+tc.name+".golden")
+	for _, name := range []string{"off", "on"} {
+		t.Run(name, func(t *testing.T) {
+			got := metricsPreamble(startMetricsCase(t, name))
+			golden := filepath.Join("testdata", "metrics_"+name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)

@@ -10,10 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/obs/trace"
 	"repro/internal/simsvc"
 )
 
@@ -27,9 +25,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /cluster/steal", n.handleSteal)
 	mux.HandleFunc("POST /cluster/complete", n.handleComplete)
 	mux.HandleFunc("POST /cluster/wake", n.handleWake)
-	if n.tr != nil {
-		mux.HandleFunc("GET /cluster/trace", n.handleClusterTrace)
-	}
 	mux.Handle("/", n.route(base))
 	return mux
 }
@@ -99,14 +94,6 @@ func sweepID(path string) string {
 func (n *Node) proxyJob(w http.ResponseWriter, r *http.Request, id string) {
 	order := fabric.Rank(id, n.ids)
 	owner := order[0]
-	var sp *trace.Span
-	if n.jt != nil {
-		ct := n.jt.StartCell(r.Method+" "+r.URL.Path, time.Now())
-		sp = ct.Root().Child(trace.PhaseProxy)
-		sp.Set("job", id)
-		sp.Set("owner", owner)
-		defer func() { sp.Finish(); ct.Finish() }()
-	}
 
 	// Per-job requests carry no meaningful body (submit is POST /sweeps,
 	// always local), but buffer defensively so ranked retries never
@@ -125,9 +112,6 @@ func (n *Node) proxyJob(w http.ResponseWriter, r *http.Request, id string) {
 		if err != nil {
 			if mid == owner {
 				n.proxyErrors.Inc()
-				if sp != nil {
-					sp.Set("outcome", "owner-unreachable")
-				}
 				w.Header().Set(OwnerHeader, owner+" "+m.URL)
 				writeJSON(w, http.StatusServiceUnavailable, map[string]string{
 					"error":     "cluster owner unreachable",
@@ -145,16 +129,9 @@ func (n *Node) proxyJob(w http.ResponseWriter, r *http.Request, id string) {
 			continue
 		}
 		n.proxied.Inc()
-		if sp != nil {
-			sp.Set("served-by", mid)
-			sp.Set("status", strconv.Itoa(resp.StatusCode))
-		}
 		copyResponse(w, resp, mid)
 		resp.Body.Close()
 		return
-	}
-	if sp != nil {
-		sp.Set("outcome", "unknown-job")
 	}
 	http.Error(w, "unknown job", http.StatusNotFound)
 }
@@ -334,23 +311,11 @@ func (n *Node) handleWake(w http.ResponseWriter, r *http.Request) {
 	if n.stealing() {
 		n.hints.Inc()
 		select {
-		case n.hinted <- wakeup{why: "hint", from: r.URL.Query().Get("from")}:
+		case n.hinted <- r.URL.Query().Get("from"):
 		default: // the loop is already due to wake on an earlier hint
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleClusterTrace serves the node's cluster-layer span tree (proxy
-// and steal-claim spans). Registered only with tracing on.
-func (n *Node) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
-	doc := n.jt.Doc()
-	if r.URL.Query().Get("format") == "chrome" {
-		w.Header().Set("Content-Type", "application/json")
-		doc.WriteChrome(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, doc)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -7,16 +7,8 @@ import (
 	"net/url"
 	"time"
 
-	"repro/internal/obs/trace"
 	"repro/internal/simsvc"
 )
-
-// wakeup is why the steal loop woke (the steal-claim span's wake=
-// attribute) and, for a hint, which member sent it.
-type wakeup struct {
-	why  string // "hint", "idle" or "tick"
-	from string
-}
 
 // stealLoop sleeps until there may be something to steal and a slot to
 // run it on: a peer hinted that it queued work behind busy workers, a
@@ -31,33 +23,32 @@ func (n *Node) stealLoop() {
 	t := time.NewTicker(n.cfg.StealInterval)
 	defer t.Stop()
 	for {
-		var w wakeup
+		var from string
 		select {
 		case <-n.ctx.Done():
 			return
 		case <-n.queued:
 			n.hintPeers()
 			continue
-		case w = <-n.hinted:
+		case from = <-n.hinted:
 		case <-n.svc.IdleEdge():
-			w.why = "idle"
 		case <-t.C:
-			w.why = "tick"
 		}
-		n.steal(w)
+		n.steal(from)
 	}
 }
 
 // steal claims cells while this node has free worker slots and some peer
-// still hands any out, the hinting peer first. Each claim asks for
-// exactly the free slots and every claimed cell is on the pool before the
-// next IdleWorkers read, so the node never holds more leases than it can
-// run at once and stealing never delays its own work. Nothing waits for a
-// stolen cell here: its completion frees a slot, which wakes the loop.
-func (n *Node) steal(w wakeup) {
+// still hands any out, the hinting peer (from; "" when no hint woke the
+// loop) first. Each claim asks for exactly the free slots and every
+// claimed cell is on the pool before the next IdleWorkers read, so the
+// node never holds more leases than it can run at once and stealing never
+// delays its own work. Nothing waits for a stolen cell here: its
+// completion frees a slot, which wakes the loop.
+func (n *Node) steal(from string) {
 	peers := n.others()
 	for i, m := range peers {
-		if m.ID == w.from {
+		if m.ID == from {
 			peers[0], peers[i] = peers[i], peers[0]
 		}
 	}
@@ -74,7 +65,7 @@ func (n *Node) steal(w wakeup) {
 			}
 			for _, c := range cells {
 				claimed = true
-				n.runStolen(m, c, w.why)
+				n.runStolen(m, c)
 			}
 		}
 	}
@@ -104,41 +95,26 @@ func (n *Node) claimFrom(m Member, max int) ([]simsvc.StolenCell, error) {
 // the completion is still on the wire. The run is bounded by the lease
 // deadline: past it the owner reclaims the cell and any further local
 // work here is wasted, so stop instead.
-func (n *Node) runStolen(owner Member, c simsvc.StolenCell, wake string) {
+func (n *Node) runStolen(owner Member, c simsvc.StolenCell) {
 	ctx, cancel := context.WithDeadline(n.ctx, c.Until)
 	run := n.svc.RunStolen(ctx, c.Spec)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		defer cancel()
-		var sp *trace.Span
-		if n.jt != nil {
-			ct := n.jt.StartCell("steal "+c.Key, time.Now())
-			sp = ct.Root().Child(trace.PhaseStealClaim)
-			sp.Set("owner", owner.ID)
-			sp.Set("key", c.Key)
-			sp.Set("wake", wake)
-			defer func() { sp.Finish(); ct.Finish() }()
-		}
-		outcome := "completed"
 		var r simsvc.StolenRun
 		select {
 		case r = <-run:
 		case <-ctx.Done():
 			r.Err = ctx.Err() // still queued behind the node's own work
 		}
-		if r.Err != nil {
-			outcome = "run-failed"
-		} else if err := n.rpc(ctx, owner, http.MethodPost, "/cluster/complete?key="+url.QueryEscape(c.Key), r.Wire, nil); err != nil {
-			outcome = "post-failed"
+		if r.Err == nil {
+			r.Err = n.rpc(ctx, owner, http.MethodPost, "/cluster/complete?key="+url.QueryEscape(c.Key), r.Wire, nil)
 		}
-		if outcome == "completed" {
+		if r.Err == nil {
 			n.steals.Inc()
 		} else {
 			n.stealErrors.Inc()
-		}
-		if sp != nil {
-			sp.Set("outcome", outcome)
 		}
 	}()
 }

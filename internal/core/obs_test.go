@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 // TestMachineChromeTraceIsValidJSON runs a whole machine with the Chrome
@@ -55,6 +56,35 @@ func TestMachineChromeTraceIsValidJSON(t *testing.T) {
 	for _, want := range []string{"commit", "issue", "cache"} {
 		if !cats[want] {
 			t.Errorf("no %q events in machine-level trace (got %v)", want, cats)
+		}
+	}
+}
+
+// classCounter counts events by class name.
+type classCounter map[string]int
+
+func (c classCounter) Emit(e obs.Event) { c[e.ClassName()]++ }
+func (c classCounter) Close() error     { return nil }
+
+// TestEveryPipelineClassEmits: each event class the simulator itself
+// produces is emitted by one Hybrid run of an FP kernel under the
+// Futuristic model, so a -trace-events mask naming any of them records
+// something. (fault, sample and trace are the service's classes.)
+func TestEveryPipelineClassEmits(t *testing.T) {
+	wl, err := workload.ByName("cactuBSSN_r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, init := wl.Build()
+	m := NewMachine(Config{Variant: Hybrid, Model: pipeline.Futuristic, MaxInstrs: 5000}, prog, init)
+	seen := classCounter{}
+	m.SetObserver(obs.NewRecorder(obs.ClassAll, seen))
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range []string{"rename", "issue", "commit", "squash", "branch", "cache", "dram", "tlb", "sdo", "fp"} {
+		if seen[class] == 0 {
+			t.Errorf("no %q events from a Hybrid run of %s (got %v)", class, wl.Name, seen)
 		}
 	}
 }

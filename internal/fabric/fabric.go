@@ -133,8 +133,8 @@ func (c Config) withDefaults() Config {
 type PeerStatus struct {
 	URL string `json:"url"`
 	// State is "ok" (breaker closed), "open" (breaker open, peer
-	// skipped) or "half-open" (open but past backoff: next lookup is a
-	// trial).
+	// skipped) or "half-open" (open but past backoff: the next request is
+	// its one trial).
 	State string `json:"state"`
 	// Healthy is the last background probe's verdict (true before the
 	// first probe completes, so an unprobed peer is not shunned).
@@ -158,20 +158,13 @@ type peer struct {
 	openUntil time.Time     // breaker open until (zero: closed)
 	backoff   time.Duration // next open duration
 	unhealthy bool          // last probe failed
-	trial     bool          // a Do is in flight as the half-open trial
+	trial     bool          // a request is in flight as the half-open trial
 
 	hits, misses, errors atomic.Uint64
 }
 
-// allow reports whether the breaker admits a request now: closed, or
-// open-past-backoff (a half-open trial).
-func (p *peer) allow(now time.Time, threshold int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fails < threshold || now.After(p.openUntil)
-}
-
-// admit gates one Do: a closed breaker admits it; a half-open one admits
+// admit is the breaker's one gate, for a Do and for each Lookup
+// candidate: a closed breaker admits the request; a half-open one admits
 // it as the trial (trial true) unless another trial is in flight. The
 // trial's caller must endTrial once the request has its verdict.
 func (p *peer) admit(now time.Time, threshold int) (ok, trial bool) {
@@ -298,14 +291,6 @@ func (c *Client) Close() {
 	c.wg.Wait()
 }
 
-// Peers returns the configured peer count (0 on nil).
-func (c *Client) Peers() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.peers)
-}
-
 // Stats snapshots the lookup-level counters (zeroes on nil).
 func (c *Client) Stats() Stats {
 	if c == nil {
@@ -330,21 +315,6 @@ func (c *Client) Snapshot() []PeerStatus {
 		out = append(out, p.status(now, c.cfg.BreakerThreshold))
 	}
 	return out
-}
-
-// Available counts peers whose breaker currently admits requests.
-func (c *Client) Available() int {
-	if c == nil {
-		return 0
-	}
-	now := time.Now()
-	n := 0
-	for _, p := range c.peers {
-		if p.allow(now, c.cfg.BreakerThreshold) {
-			n++
-		}
-	}
-	return n
 }
 
 // rendezvousScore is the shared HRW hash: fnv64a over "key|member".
@@ -390,15 +360,23 @@ type lookupRes struct {
 // failure — no peers, breakers all open, peers down, slow, or corrupt —
 // is reported as a miss (false), never an error: the caller's fallback
 // is local work. Result lookups (/cache/{key}) are the one caller.
+//
+// Candidates pass the breaker's one gate (admit), so a half-open peer is
+// asked by one lookup, its trial, while every concurrent lookup skips it
+// undialled.
 func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body []byte) (any, error)) (any, string, bool) {
 	if c == nil {
 		return nil, "", false
 	}
 	now := time.Now()
-	var cands []*peer
+	type candidate struct {
+		p     *peer
+		trial bool
+	}
+	var cands []candidate
 	for _, p := range rankBy(key, c.peers, func(p *peer) string { return p.url }) {
-		if p.allow(now, c.cfg.BreakerThreshold) {
-			cands = append(cands, p)
+		if ok, trial := p.admit(now, c.cfg.BreakerThreshold); ok {
+			cands = append(cands, candidate{p, trial})
 			if len(cands) == c.cfg.MaxFanout {
 				break
 			}
@@ -416,11 +394,25 @@ func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body 
 	defer cancel()
 
 	ch := make(chan lookupRes, len(cands))
-	launch := func(p *peer) {
-		go func() { ch <- c.fetch(ctx, p, key, path, decode) }()
+	launch := func(cd candidate) {
+		go func() {
+			r := c.fetch(ctx, cd.p, key, path, decode)
+			if cd.trial {
+				cd.p.endTrial() // the fetch has its verdict
+			}
+			ch <- r
+		}()
 	}
 	launch(cands[0])
 	inflight, next := 1, 1
+	defer func() {
+		// A trial admitted for a candidate never asked is no trial.
+		for _, cd := range cands[next:] {
+			if cd.trial {
+				cd.p.endTrial()
+			}
+		}
+	}()
 	var hedge <-chan time.Time
 	if len(cands) > 1 {
 		t := time.NewTimer(c.cfg.HedgeDelay)
@@ -458,10 +450,10 @@ func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body 
 }
 
 // send is the one place a request leaves for another node: request,
-// strike. It does not consult the breaker: Do gates first (admit), the
-// prober's job is to dial open breakers, and Lookup consulted allow to
-// pick its candidates. Any HTTP response means the peer is reachable —
-// what else it means is the caller's to say; no response is a strike.
+// strike. It does not consult the breaker: Do and Lookup gate first
+// (admit), and the prober's job is to dial open breakers. Any HTTP
+// response means the peer is reachable — what else it means is the
+// caller's to say; no response is a strike.
 func (c *Client) send(ctx context.Context, p *peer, method, path string, header http.Header, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, p.url+path, bytes.NewReader(body))
 	if err != nil {
@@ -521,7 +513,7 @@ func (c *Client) HasPeer(peerURL string) bool { return c.peer(peerURL) != nil }
 // peerURL under ctx's deadline (it adds none) and hands the caller the
 // response to read and close. An unknown URL is an error, never a dial;
 // an open breaker is ErrPeerOpen, and so is a half-open one while another
-// Do is its trial; any response closes the breaker.
+// request is its trial; any response closes the breaker.
 func (c *Client) Do(ctx context.Context, peerURL, method, path string, header http.Header, body []byte) (*http.Response, error) {
 	p := c.peer(peerURL)
 	if p == nil {

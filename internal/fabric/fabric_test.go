@@ -64,7 +64,7 @@ func TestNilClientMisses(t *testing.T) {
 	if _, _, ok := lookup(c, "k", nil); ok {
 		t.Fatal("nil client returned a hit")
 	}
-	if c.Peers() != 0 || c.Available() != 0 || c.Snapshot() != nil {
+	if c.HasPeer("http://a") || c.Snapshot() != nil {
 		t.Fatal("nil client reported peers")
 	}
 	c.Close() // must not panic
@@ -140,9 +140,6 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	if ps := c.Snapshot()[0]; ps.State != "open" {
 		t.Fatalf("peer state after %d failures = %q, want open", DefaultBreakerOpens, ps.State)
 	}
-	if c.Available() != 0 {
-		t.Fatal("open breaker still counted available")
-	}
 	// While open, lookups don't even dial: request count stays flat.
 	errsBefore := c.Stats().Errors
 	if _, _, ok := lookup(c, "k", nil); ok {
@@ -156,9 +153,6 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	time.Sleep(2 * c.cfg.BreakerBackoff)
 	if ps := c.Snapshot()[0]; ps.State != "half-open" {
 		t.Fatalf("peer state past backoff = %q, want half-open", ps.State)
-	}
-	if c.Available() != 1 {
-		t.Fatal("half-open breaker not available for a trial")
 	}
 
 	// A recovered peer closes the breaker on the next successful trial.
@@ -504,6 +498,97 @@ func TestHalfOpenAdmitsOneTrial(t *testing.T) {
 			p.mu.Unlock()
 			if trial {
 				t.Error("the trial's slot was not released")
+			}
+			if ps := c.Snapshot()[0]; ps.State != tc.wantState {
+				t.Errorf("breaker after the trial = %q, want %q", ps.State, tc.wantState)
+			}
+		})
+	}
+}
+
+// TestHalfOpenLookupAdmitsOneTrial is the Lookup half of the one-trial
+// rule: past its backoff a breaker lets exactly one lookup ask the peer,
+// and every concurrent lookup misses without dialling. The trial's slot is
+// released once its fetch has a verdict — a hit closes the breaker, a
+// request past the lookup timeout strikes and re-opens it, and a caller's
+// cancellation leaves it half-open for the next trial.
+func TestHalfOpenLookupAdmitsOneTrial(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		name      string
+		timeout   time.Duration // the client's per-request timeout
+		end       func(release func(), cancel context.CancelFunc)
+		wantHit   bool
+		wantState string
+	}{
+		{"hit closes the breaker", time.Minute,
+			func(release func(), _ context.CancelFunc) { release() }, true, "ok"},
+		{"timeout strikes", 300 * time.Millisecond,
+			func(func(), context.CancelFunc) {}, false, "open"},
+		{"caller cancellation is no verdict on the peer", time.Minute,
+			func(_ func(), cancel context.CancelFunc) { cancel() }, false, "half-open"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var arrivals atomic.Int64
+			arrived, left, released := make(chan struct{}, n), make(chan struct{}, n), make(chan struct{})
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				arrivals.Add(1)
+				arrived <- struct{}{}
+				defer func() { left <- struct{}{} }()
+				select {
+				case <-released:
+					fmt.Fprint(w, "body")
+				case <-r.Context().Done():
+				}
+			}))
+			defer srv.Close()
+			cfg := fastCfg(srv.URL)
+			cfg.Timeout = tc.timeout
+			c := New(cfg)
+			defer c.Close()
+			p := c.peers[0]
+			p.mu.Lock() // open, past its backoff; a strike re-opens it for an hour
+			p.fails, p.openUntil, p.backoff = DefaultBreakerOpens, time.Now().Add(-time.Millisecond), time.Hour
+			p.mu.Unlock()
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			hits := make(chan bool, n)
+			for i := 0; i < n; i++ {
+				go func() {
+					_, _, ok := c.Lookup(ctx, "k", "/cache/k", func(body []byte) (any, error) { return body, nil })
+					hits <- ok
+				}()
+			}
+			<-arrived
+			for i := 0; i < n-1; i++ {
+				select {
+				case ok := <-hits:
+					if ok {
+						t.Fatal("a lookup beside the trial hit")
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("concurrent lookups did not miss while the trial was parked")
+				}
+			}
+			tc.end(func() { close(released) }, cancel)
+			if ok := <-hits; ok != tc.wantHit {
+				t.Fatalf("trial hit = %v, want %v", ok, tc.wantHit)
+			}
+			<-left
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				p.mu.Lock()
+				trial := p.trial
+				p.mu.Unlock()
+				if !trial {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the trial's slot was not released")
+				}
+			}
+			if got := arrivals.Load(); got != 1 {
+				t.Errorf("%d requests reached the peer, want 1", got)
 			}
 			if ps := c.Snapshot()[0]; ps.State != tc.wantState {
 				t.Errorf("breaker after the trial = %q, want %q", ps.State, tc.wantState)

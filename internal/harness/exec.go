@@ -35,10 +35,9 @@ type Executor struct {
 	// Event, when non-nil, observes an artifact build that panicked
 	// (kind "checkpoint-panic" or "plan-panic").
 	Event func(kind, detail string)
-	// PlanBuilt, when non-nil, observes every sampling-plan build and its
-	// wall time. It runs inside the build, so every cell waiting on the
-	// plan waits for it too.
-	PlanBuilt func(workload string, sp *SamplePlan, took time.Duration)
+	// PlanBuilt, when non-nil, observes every sampling-plan build. It runs
+	// inside the build, so every cell waiting on the plan waits for it too.
+	PlanBuilt func(workload string, sp *SamplePlan)
 
 	ckpts memo[ckptKey, *arch.Checkpoint]
 	plans memo[planKey, *SamplePlan]
@@ -148,7 +147,6 @@ func (e *Executor) Checkpoint(wl workload.Workload, warmup uint64) *arch.Checkpo
 // build is an error for this cell and every cell waiting on it.
 func (e *Executor) SamplePlan(wl workload.Workload, warmup, window uint64, cfg simpoint.Config) (*SamplePlan, error) {
 	return memoize(e, &e.plans, "plan", planKey{wl.Name, warmup, window, cfg}, &e.PlanHits, func() (*SamplePlan, error) {
-		start := time.Now()
 		sp, err := BuildSamplePlan(wl, warmup, window, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("harness: sample plan for %s: %w", wl.Name, err)
@@ -160,7 +158,7 @@ func (e *Executor) SamplePlan(wl workload.Workload, warmup, window uint64, cfg s
 		// One continuous pass warms to the last boundary.
 		e.WarmupInstrs.Add(sp.Checkpoints[n-1].Arch.Instrs)
 		if e.PlanBuilt != nil {
-			e.PlanBuilt(wl.Name, sp, time.Since(start))
+			e.PlanBuilt(wl.Name, sp)
 		}
 		return sp, nil
 	})

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -288,7 +287,7 @@ func RunContext(ctx context.Context, opt Options) (*Results, error) {
 	e := &Executor{Faults: opt.Faults}
 	if opt.SimMode == SimSampled {
 		res.SamplePlans = make(map[string]*simpoint.Plan)
-		e.PlanBuilt = func(wl string, sp *SamplePlan, _ time.Duration) {
+		e.PlanBuilt = func(wl string, sp *SamplePlan) {
 			mu.Lock()
 			defer mu.Unlock()
 			res.SamplePlans[wl] = sp.Plan

@@ -6,15 +6,14 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // This file is a minimal Prometheus-client substitute (stdlib only, per
-// the repo's no-new-dependencies rule): counters, gauges, histograms and
-// function-backed variants, collected by a Registry that writes the text
-// exposition format (version 0.0.4).
+// the repo's no-new-dependencies rule): counters, histograms and
+// function-backed counters and gauges, collected by a Registry that
+// writes the text exposition format (version 0.0.4).
 
 // metric is anything the registry can expose.
 type metric interface {
@@ -125,71 +124,11 @@ func (c *Counter) write(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", c.nm, c.v.Load())
 }
 
-// --- Gauge ---
-
-// Gauge is a settable value.
-type Gauge struct {
-	nm, help string
-	bits     atomic.Uint64 // float64 bits
-}
-
-// NewGauge registers a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{nm: name, help: help}
-	r.register(g)
-	return g
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) name() string   { return g.nm }
-func (g *Gauge) value() float64 { return g.Value() }
-func (g *Gauge) write(w io.Writer) {
-	header(w, g.nm, "gauge", g.help)
-	fmt.Fprintf(w, "%s %s\n", g.nm, formatValue(g.Value()))
-}
-
-// --- Info metric ---
-
-// infoMetric is the Prometheus "info" idiom: a gauge pinned at 1 whose
-// labels carry build/version strings (sdo_build_info).
-type infoMetric struct {
-	nm, help string
-	labels   [][2]string
-}
-
-// NewInfo registers a constant gauge of value 1 with the given label
-// pairs (rendered in the order given; values are escaped).
-func (r *Registry) NewInfo(name, help string, labels [][2]string) {
-	r.register(&infoMetric{nm: name, help: help, labels: labels})
-}
-
-// escapeLabel escapes a label value per the text exposition format.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return strings.ReplaceAll(v, `"`, `\"`)
-}
-
-func (m *infoMetric) name() string   { return m.nm }
-func (m *infoMetric) value() float64 { return 1 }
-func (m *infoMetric) write(w io.Writer) {
-	header(w, m.nm, "gauge", m.help)
-	parts := make([]string, 0, len(m.labels))
-	for _, l := range m.labels {
-		parts = append(parts, fmt.Sprintf("%s=%q", l[0], escapeLabel(l[1])))
-	}
-	fmt.Fprintf(w, "%s{%s} 1\n", m.nm, strings.Join(parts, ","))
-}
-
 // --- Function-backed metrics ---
 
 // funcMetric samples a callback at scrape time — the bridge for values
-// that already live elsewhere (cache sizes, pool depths).
+// that already live elsewhere (cache sizes, pool depths). Every gauge is
+// one.
 type funcMetric struct {
 	nm, help, typ string
 	fn            func() float64

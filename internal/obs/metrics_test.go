@@ -9,12 +9,11 @@ import (
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test_ops_total", "Operations.")
-	g := r.NewGauge("test_depth", "Depth.")
+	r.NewGaugeFunc("test_depth", "Depth.", func() float64 { return 2.5 })
 	r.NewGaugeFunc("test_live", "Live value.", func() float64 { return 7 })
 	h := r.NewHistogram("test_latency_seconds", "Latency.", []float64{0.1, 1})
 
 	c.Add(3)
-	g.Set(2.5)
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)

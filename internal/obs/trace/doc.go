@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"time"
 
@@ -200,11 +201,15 @@ func (d *Doc) WriteChrome(w io.Writer) error {
 		}
 		detail := cell
 		if len(n.Attrs) > 0 {
-			var parts []string
-			for k, v := range n.Attrs {
-				parts = append(parts, k+"="+v)
+			// Sorted, so one trace always renders the same bytes.
+			keys := make([]string, 0, len(n.Attrs))
+			for k := range n.Attrs {
+				keys = append(keys, k)
 			}
-			detail += " " + strings.Join(parts, " ")
+			sort.Strings(keys)
+			for _, k := range keys {
+				detail += " " + k + "=" + n.Attrs[k]
+			}
 		}
 		dur := n.DurUS
 		if dur < 0 {

@@ -53,35 +53,26 @@ const (
 	PhaseInterval = "interval"
 	// PhaseReconstruct is the sampled-mode weighted reconstruction.
 	PhaseReconstruct = "reconstruct"
-	// PhaseProxy is a cluster request forwarded to the job's owner node
-	// (attrs owner=<node>, status=<code>); lives in the cluster layer's
-	// own trace, not a cell trace.
-	PhaseProxy = "proxy"
-	// PhaseStealClaim covers work stealing: on the owner, the wait for a
-	// leased (stolen) cell's result (attrs thief, outcome); on the thief,
-	// the claim + execution of a stolen cell.
+	// PhaseStealClaim is the owner's wait for a leased (stolen) cell's
+	// result (attrs thief, outcome). Traces are per node: the stolen
+	// cell's own simulate spans stay on the thief.
 	PhaseStealClaim = "steal-claim"
 )
 
 // Tracer owns the retained job traces (a bounded LRU by submission
 // order). A nil *Tracer is the tracing-off state: every method no-ops.
 type Tracer struct {
-	maxJobs int
-
 	mu    sync.Mutex
 	jobs  map[string]*JobTrace
 	order []string
 }
 
-// DefaultMaxJobs bounds retained job traces when the caller passes 0.
+// DefaultMaxJobs bounds retained job traces.
 const DefaultMaxJobs = 64
 
-// New returns a tracer retaining up to maxJobs job traces (0: default).
-func New(maxJobs int) *Tracer {
-	if maxJobs <= 0 {
-		maxJobs = DefaultMaxJobs
-	}
-	return &Tracer{maxJobs: maxJobs, jobs: make(map[string]*JobTrace)}
+// New returns a tracer retaining the DefaultMaxJobs most recent job traces.
+func New() *Tracer {
+	return &Tracer{jobs: make(map[string]*JobTrace)}
 }
 
 // StartJob opens a trace for one sweep job, evicting the oldest retained
@@ -97,7 +88,7 @@ func (t *Tracer) StartJob(id string) *JobTrace {
 		t.order = append(t.order, id)
 	}
 	t.jobs[id] = jt
-	for len(t.order) > t.maxJobs {
+	for len(t.order) > DefaultMaxJobs {
 		delete(t.jobs, t.order[0])
 		t.order = t.order[1:]
 	}
@@ -113,16 +104,6 @@ func (t *Tracer) Job(id string) *JobTrace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.jobs[id]
-}
-
-// Jobs reports how many job traces are retained.
-func (t *Tracer) Jobs() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.jobs)
 }
 
 // JobTrace is one sweep job's trace: an epoch (span offsets in the

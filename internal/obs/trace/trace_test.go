@@ -21,9 +21,6 @@ func TestNilSafety(t *testing.T) {
 	if got := tr.Job("sweep-1"); got != nil {
 		t.Fatalf("nil tracer Job = %v, want nil", got)
 	}
-	if n := tr.Jobs(); n != 0 {
-		t.Fatalf("nil tracer Jobs = %d, want 0", n)
-	}
 	ct := jt.StartCell("wl/v/m", time.Now())
 	if ct != nil {
 		t.Fatalf("nil job StartCell = %v, want nil", ct)
@@ -69,7 +66,7 @@ func TestContextPropagation(t *testing.T) {
 	if got := FromContext(ctx); got != nil {
 		t.Fatalf("FromContext(empty) = %v, want nil", got)
 	}
-	tr := New(0)
+	tr := New()
 	ct := tr.StartJob("sweep-1").StartCell("wl/v/m", time.Now())
 	sp := ct.Root()
 	if got := FromContext(NewContext(ctx, sp)); got != sp {
@@ -80,7 +77,7 @@ func TestContextPropagation(t *testing.T) {
 // TestSpanTree builds a representative cell tree and checks the
 // serialized shape and timing.
 func TestSpanTree(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	jt := tr.StartJob("sweep-1")
 	start := time.Now().Add(-50 * time.Millisecond)
 	ct := jt.StartCell("wl/v/m", start)
@@ -130,7 +127,7 @@ func TestSpanTree(t *testing.T) {
 // sum of the known phases plus Other, with retry/reconstruct/attempt
 // counters derived from the nested spans.
 func TestAttributionSums(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	base := time.Now().Add(-time.Second)
 	ct := tr.StartJob("sweep-1").StartCell("wl/v/m", base)
 	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
@@ -170,25 +167,27 @@ func TestAttributionSums(t *testing.T) {
 
 // TestJobLRU checks the tracer's retention bound.
 func TestJobLRU(t *testing.T) {
-	tr := New(2)
-	tr.StartJob("a")
-	tr.StartJob("b")
-	tr.StartJob("c")
-	if tr.Job("a") != nil {
+	tr := New()
+	for i := 0; i <= DefaultMaxJobs; i++ {
+		tr.StartJob(fmt.Sprintf("sweep-%d", i))
+	}
+	if tr.Job("sweep-0") != nil {
 		t.Fatal("oldest job not evicted")
 	}
-	if tr.Job("b") == nil || tr.Job("c") == nil {
-		t.Fatal("recent jobs evicted")
+	for i := 1; i <= DefaultMaxJobs; i++ {
+		if tr.Job(fmt.Sprintf("sweep-%d", i)) == nil {
+			t.Fatalf("recent job sweep-%d evicted", i)
+		}
 	}
-	if n := tr.Jobs(); n != 2 {
-		t.Fatalf("Jobs = %d, want 2", n)
+	if n := len(tr.jobs); n != DefaultMaxJobs {
+		t.Fatalf("%d jobs retained, want %d", n, DefaultMaxJobs)
 	}
 }
 
 // TestWriteChrome checks the Chrome export is valid JSON with one event
 // per span and non-negative shifted timestamps.
 func TestWriteChrome(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	jt := tr.StartJob("sweep-1")
 	base := time.Now()
 	ct := jt.StartCell("wl/v/m", base)
@@ -217,10 +216,40 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
+// TestWriteChromeIsDeterministic: a span's attributes are a map, and the
+// Chrome rendering orders them, so one trace renders one byte string.
+func TestWriteChromeIsDeterministic(t *testing.T) {
+	ct := New().StartJob("sweep-1").StartCell("wl/v/m", time.Now())
+	sp := ct.Root().Child(PhaseAttempt)
+	sp.Set("n", "1")
+	sp.Set("outcome", "ok")
+	sp.Set("restored", "true")
+	sp.Finish()
+	ct.Finish()
+	doc := &Doc{ID: "sweep-1", Cells: []CellDoc{{Cell: ct.Cell(), Spans: ct.Node()}}}
+
+	var first bytes.Buffer
+	if err := doc.WriteChrome(&first); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(first.Bytes(), []byte(`wl/v/m n=1 outcome=ok restored=true`)) {
+		t.Fatalf("attributes not rendered in key order:\n%s", first.String())
+	}
+	for i := 0; i < 50; i++ {
+		var buf bytes.Buffer
+		if err := doc.WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), first.Bytes()) {
+			t.Fatalf("render %d differs:\n%s\nvs\n%s", i, buf.String(), first.String())
+		}
+	}
+}
+
 // TestConcurrentSpans hammers one cell trace from several goroutines
 // (run with -race).
 func TestConcurrentSpans(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	ct := tr.StartJob("sweep-1").StartCell("wl/v/m", time.Now())
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {

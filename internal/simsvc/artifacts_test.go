@@ -32,6 +32,8 @@ type tierKind struct {
 	// work counts the instructions only a build executes: a checkpoint's
 	// warmup, a plan's profiling pass.
 	work string
+	// panicked is the flight-recorder event a panicking build emits.
+	panicked string
 }
 
 func tierKinds() []tierKind {
@@ -45,7 +47,7 @@ func tierKinds() []tierKind {
 				return nil, nil
 			},
 			built: "sdo_checkpoints_captured_total", work: "sdo_warmup_instrs_simulated_total",
-			hits: "sdo_checkpoint_hits_total",
+			hits: "sdo_checkpoint_hits_total", panicked: "checkpoint-panic",
 		},
 		{
 			name: "plan", failsWithError: true,
@@ -57,7 +59,7 @@ func tierKinds() []tierKind {
 				return plan, err
 			},
 			built: "sdo_sample_plans_built_total", work: "sdo_profiled_instrs_total",
-			hits: "sdo_sample_plan_hits_total",
+			hits: "sdo_sample_plan_hits_total", panicked: "plan-panic",
 		},
 	}
 }
@@ -192,6 +194,11 @@ func TestArtifactTierLadder(t *testing.T) {
 			go func() { defer wg.Done(); v, err := k.resolve(s, boom); wantFailure(t, k, v, err) }()
 			close(release)
 			wg.Wait()
+			// One event per panicking build: one, or two if the second caller
+			// lost the race and built (and panicked) on its own.
+			if n := faultEvents(s)[k.panicked]; n < 1 || n > 2 {
+				t.Errorf("flight recorder holds %d %s events, want 1 or 2", n, k.panicked)
+			}
 			// The failed flight was dropped: the next caller of the same key
 			// builds again and wins.
 			failing.Store(false)

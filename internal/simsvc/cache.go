@@ -35,12 +35,12 @@ const cacheFileVersion = 3
 const CorruptSuffix = ".corrupt"
 
 // Cache is a content-addressed store of completed simulation results,
-// keyed by harness.RunSpec.CacheKey, with an optional LRU size bound. It is safe
-// for concurrent use and keeps hit/miss/eviction/corruption counters for
-// the service's /metrics endpoint.
+// keyed by harness.RunSpec.CacheKey, with an optional LRU bound on its
+// encoded size. It is safe for concurrent use and keeps
+// hit/miss/eviction/corruption counters for the service's /metrics
+// endpoint.
 type Cache struct {
 	mu        sync.Mutex
-	max       int   // entry bound (0: unbounded)
 	maxBytes  int64 // byte bound over encoded entry sizes (0: unbounded)
 	bytes     int64 // current total encoded size
 	entries   map[string]*list.Element
@@ -48,8 +48,8 @@ type Cache struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
-	// evictedBytes sums the encoded sizes of evicted entries (both
-	// bounds), for capacity planning via /metrics.
+	// evictedBytes sums the encoded sizes of evicted entries, for
+	// capacity planning via /metrics.
 	evictedBytes uint64
 
 	// corrupt counts entries dropped by checksum verification on load;
@@ -92,12 +92,8 @@ func (c *Cache) register(r *obs.Registry) {
 		func() float64 { return float64(c.Evictions()) })
 	gau("sdo_cache_entries", "Results currently cached.",
 		func() float64 { return float64(c.Len()) })
-	gau("sdo_cache_max_entries", "Configured result-cache bound (0: unbounded).",
-		func() float64 { return float64(c.MaxEntries()) })
 	gau("sdo_cache_bytes", "Total encoded size of cached results.",
 		func() float64 { return float64(c.Bytes()) })
-	gau("sdo_cache_max_bytes", "Configured result-cache byte bound (0: unbounded).",
-		func() float64 { return float64(c.MaxBytes()) })
 	ctr("sdo_cache_evicted_bytes_total", "Encoded bytes evicted by the cache bounds.",
 		func() float64 { return float64(c.EvictedBytes()) })
 	ctr("sdo_cache_corrupt_entries_total", "Persisted entries dropped by checksum verification.",
@@ -119,26 +115,6 @@ func (c *Cache) SetFaults(inj *faults.Injector) {
 	c.inj = inj
 }
 
-// SetMaxEntries bounds the cache to n results, evicting
-// least-recently-used entries immediately if it is already over; n <= 0
-// removes the bound.
-func (c *Cache) SetMaxEntries(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	c.max = n
-	c.evictOver()
-}
-
-// MaxEntries returns the current bound (0: unbounded).
-func (c *Cache) MaxEntries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.max
-}
-
 // SetMaxBytes bounds the cache's total encoded size to n bytes, evicting
 // least-recently-used entries immediately if it is already over; n <= 0
 // removes the bound. The bound is over entry payloads (keys + canonical
@@ -152,13 +128,6 @@ func (c *Cache) SetMaxBytes(n int64) {
 	}
 	c.maxBytes = n
 	c.evictOver()
-}
-
-// MaxBytes returns the current byte bound (0: unbounded).
-func (c *Cache) MaxBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxBytes
 }
 
 // Bytes returns the total accounted size of the cached entries.
@@ -175,13 +144,10 @@ func (c *Cache) EvictedBytes() uint64 {
 	return c.evictedBytes
 }
 
-// evictOver drops LRU entries until both bounds are met. Caller holds mu.
+// evictOver drops LRU entries until the byte bound is met. Caller holds
+// mu.
 func (c *Cache) evictOver() {
-	over := func() bool {
-		return (c.max > 0 && len(c.entries) > c.max) ||
-			(c.maxBytes > 0 && c.bytes > c.maxBytes)
-	}
-	for over() {
+	for c.maxBytes > 0 && c.bytes > c.maxBytes {
 		back := c.order.Back()
 		if back == nil {
 			return

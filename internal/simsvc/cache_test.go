@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -109,19 +110,43 @@ func TestCacheLoadMissingAndStale(t *testing.T) {
 	}
 }
 
+// cacheMetric reads one of c's /metrics families as a service scrape
+// would.
+func cacheMetric(t *testing.T, c *Cache, name string) float64 {
+	t.Helper()
+	r := obs.NewRegistry()
+	c.register(r)
+	v, ok := r.Value(name)
+	if !ok {
+		t.Fatalf("cache metric %s is not registered", name)
+	}
+	return v
+}
+
 func TestCacheByteBound(t *testing.T) {
 	c := NewCache()
 	one := entrySize("key-00", core.Result{L1DHits: 1})
 	// Room for three entries, not four.
-	c.SetMaxBytes(3*one + one/2)
+	bound := 3*one + one/2
+	c.SetMaxBytes(bound)
 	for i := 0; i < 6; i++ {
 		c.Put(fmt.Sprintf("key-%02d", i), core.Result{L1DHits: uint64(i + 1)})
 	}
 	if c.Len() != 3 {
 		t.Fatalf("len %d, want 3", c.Len())
 	}
-	if c.Bytes() > c.MaxBytes() {
-		t.Fatalf("bytes %d over bound %d", c.Bytes(), c.MaxBytes())
+	if c.Bytes() > bound {
+		t.Fatalf("bytes %d over bound %d", c.Bytes(), bound)
+	}
+	for name, want := range map[string]float64{
+		"sdo_cache_entries":             3,
+		"sdo_cache_bytes":               float64(3 * one),
+		"sdo_cache_evictions_total":     3,
+		"sdo_cache_evicted_bytes_total": float64(3 * one),
+	} {
+		if got := cacheMetric(t, c, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 	// Oldest-first: the three most recent keys survive.
 	for i := 0; i < 3; i++ {

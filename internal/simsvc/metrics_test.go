@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // metric reads one /metrics sample of s by the name operators see.
@@ -16,6 +18,18 @@ func metric(t testing.TB, s *Service, name string) float64 {
 		t.Fatalf("metric %s is not registered", name)
 	}
 	return v
+}
+
+// faultEvents counts the obs.ClassFault events in s's flight recorder
+// (what GET /debug/flight serves) by kind.
+func faultEvents(s *Service) map[string]int {
+	kinds := map[string]int{}
+	for _, e := range s.flight.Events() {
+		if e.Class == obs.ClassFault {
+			kinds[e.Kind]++
+		}
+	}
+	return kinds
 }
 
 // metricLines renders the /metrics samples of s whose name starts with

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
 
@@ -36,28 +34,26 @@ func decodeEntry(key string, body []byte) (core.Result, error) {
 // a peer-lookup trace span. Misses and every failure mode — a body that
 // fails decodeEntry counts as a peer failure (breaker food), not a hit —
 // come back as (zero, false): the caller's fallback is local simulation.
-func (s *Service) peerLookup(root *trace.Span, key string) (core.Result, string, bool) {
+func (s *Service) peerLookup(root *trace.Span, key string) (core.Result, bool) {
 	if s.fab == nil {
-		return core.Result{}, "", false
+		return core.Result{}, false
 	}
 	ps := root.Child(trace.PhasePeer)
-	start := time.Now()
 	v, peerURL, ok := s.fab.Lookup(s.ctx, key, "/cache/"+key,
 		func(body []byte) (any, error) { return decodeEntry(key, body) })
-	s.peerDur.Observe(time.Since(start).Seconds())
 	ps.Set("hit", strconv.FormatBool(ok))
 	if ok {
 		ps.Set("peer", peerURL)
 	}
 	ps.Finish()
 	if !ok {
-		return core.Result{}, "", false
+		return core.Result{}, false
 	}
-	return v.(core.Result), peerURL, true
+	return v.(core.Result), true
 }
 
-// registerPeerMetrics declares the fabric's /metrics view (its counters
-// live in the fabric client) and the peer-lookup latency histogram.
+// registerPeerMetrics declares the fabric's /metrics view; its counters
+// live in the fabric client. Per-peer breaker state is on /healthz.
 func (s *Service) registerPeerMetrics() {
 	r, fab := s.reg, s.fab
 	r.NewCounterFunc("sdo_peer_hits_total", "Cache misses answered by a peer node.",
@@ -68,10 +64,4 @@ func (s *Service) registerPeerMetrics() {
 		func() float64 { return float64(fab.Stats().Errors) })
 	r.NewCounterFunc("sdo_peer_hedges_total", "Peer lookups hedged to a second peer after the hedge delay.",
 		func() float64 { return float64(fab.Stats().Hedges) })
-	r.NewGaugeFunc("sdo_peers_configured", "Peers in the static peer list.",
-		func() float64 { return float64(fab.Peers()) })
-	r.NewGaugeFunc("sdo_peers_available", "Peers whose circuit breaker currently admits lookups.",
-		func() float64 { return float64(fab.Available()) })
-	s.peerDur = r.NewHistogram("sdo_peer_lookup_seconds",
-		"Wall time of peer cache lookups (hit or miss).", obs.DefaultLatencyBuckets())
 }

@@ -3,12 +3,15 @@ package simsvc
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/faults"
+	"repro/internal/obs/trace"
 )
 
 // newPeerNode starts a full service behind httptest — the stack another
@@ -54,6 +57,40 @@ func TestPeerHitServesSweepWithoutSimulating(t *testing.T) {
 	h := b.Health()
 	if len(h.Peers) != 1 || h.Peers[0].Hits != 4 {
 		t.Fatalf("healthz peers = %+v, want A with 4 hits", h.Peers)
+	}
+}
+
+// TestSlowPeersAreHedged: two peers hold every answer and both are slow,
+// so each lookup asks the second-ranked peer after the hedge delay. Every
+// cell still comes from a peer, each hedge counts in
+// sdo_peer_hedges_total, and each cell's trace shows the wait as a
+// peer-lookup phase that hit.
+func TestSlowPeersAreHedged(t *testing.T) {
+	var peers []string
+	for i := 0; i < 2; i++ {
+		a, srv := newPeerNode(t, Config{Workers: 2})
+		submitAndWait(t, a, smallReq())
+		peers = append(peers, srv.URL)
+	}
+	const delay = 250 * time.Millisecond // well past the hedge delay
+	inj, err := faults.Parse("seed=1,peer-slow=1,peer-slow-delay=" + delay.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newService(t, Config{Workers: 2, Peers: peers, PeerProbeInterval: -1, Faults: inj, Trace: true})
+	defer b.Shutdown(context.Background())
+	j := submitAndWait(t, b, smallReq())
+
+	wantMetrics(t, b, map[string]float64{"sdo_peer_hits_total": 4, "sdo_peer_hedges_total": 4, "sdo_runs_executed_total": 0})
+	for _, cell := range traceDoc(t, j).Cells {
+		ps := findSpans(cell.Spans, trace.PhasePeer)
+		if len(ps) != 1 || ps[0].Attrs["hit"] != "true" || ps[0].Attrs["peer"] == "" {
+			t.Errorf("cell %s: peer-lookup spans %+v, want one hit naming its peer", cell.Cell, ps)
+		}
+		if us := cell.Attribution.PeerUS; us < delay.Microseconds() {
+			t.Errorf("cell %s: peer_us %d, want at least the peers' %v delay", cell.Cell, us, delay)
+		}
+		checkAttributionSums(t, cell)
 	}
 }
 
@@ -144,22 +181,31 @@ func TestPeerCorruptResponseCannotPoison(t *testing.T) {
 // TestDeadPeerDoesNotFloodFlightRecorder: every unanswered probe strikes
 // a dead peer and counts in sdo_peer_errors_total, but once its breaker is
 // open the strikes add no events, so the peer costs the /debug/flight ring
-// one peer-unreachable event and at most BreakerThreshold peer-error ones.
+// one peer-unreachable event, a peer-breaker-open one and at most
+// BreakerThreshold peer-error ones; its return is one peer-recovered event.
 func TestDeadPeerDoesNotFloodFlightRecorder(t *testing.T) {
-	srv := httptest.NewServer(nil)
-	srv.Close() // connection refused from here on
-	s := newService(t, Config{Workers: 1, Peers: []string{srv.URL}, PeerProbeInterval: 5 * time.Millisecond})
+	var dead atomic.Bool
+	dead.Store(true)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if dead.Load() {
+			<-r.Context().Done() // accepts the connection, never answers
+		}
+	}))
+	defer srv.Close()
+	s := newService(t, Config{Workers: 1, Peers: []string{srv.URL},
+		PeerTimeout: 20 * time.Millisecond, PeerProbeInterval: 5 * time.Millisecond})
 	defer s.Shutdown(context.Background())
 	strikes := 4 * float64(fabric.DefaultBreakerOpens)
 	pollUntil(t, "probes to strike the dead peer", 10*time.Second, func() bool {
 		return metric(t, s, "sdo_peer_errors_total") >= strikes
 	})
-	kinds := map[string]int{}
-	for _, e := range s.flight.Events() {
-		kinds[e.Kind]++
+	kinds := faultEvents(s)
+	if kinds["peer-unreachable"] != 1 || kinds["peer-breaker-open"] < 1 || kinds["peer-error"] > fabric.DefaultBreakerOpens {
+		t.Errorf("flight ring after %v strikes holds %d peer-unreachable, %d peer-breaker-open and %d peer-error events, want 1, at least 1 and at most %d",
+			strikes, kinds["peer-unreachable"], kinds["peer-breaker-open"], kinds["peer-error"], fabric.DefaultBreakerOpens)
 	}
-	if kinds["peer-unreachable"] != 1 || kinds["peer-error"] > fabric.DefaultBreakerOpens {
-		t.Errorf("flight ring after %v strikes holds %d peer-unreachable and %d peer-error events, want 1 and at most %d",
-			strikes, kinds["peer-unreachable"], kinds["peer-error"], fabric.DefaultBreakerOpens)
-	}
+	dead.Store(false)
+	pollUntil(t, "the revived peer's peer-recovered event", 10*time.Second, func() bool {
+		return faultEvents(s)["peer-recovered"] == 1
+	})
 }

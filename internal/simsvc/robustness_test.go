@@ -121,6 +121,11 @@ func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 	if metric(t, s, "sdo_cell_panics_total") == 0 || metric(t, s, "sdo_runs_retried_total") == 0 || metric(t, s, "sdo_faults_injected_total") == 0 {
 		t.Fatalf("fault metrics not counted: %s", metricLines(s, "sdo_"))
 	}
+	// Each panic and each retry is also one flight-recorder event.
+	if ev := faultEvents(s); float64(ev["cell-panic"]) != metric(t, s, "sdo_cell_panics_total") || uint64(ev["cell-retry"]) != st.Retries {
+		t.Errorf("flight recorder holds %d cell-panic and %d cell-retry events, want %v and %d",
+			ev["cell-panic"], ev["cell-retry"], metric(t, s, "sdo_cell_panics_total"), st.Retries)
+	}
 
 	// The export must be byte-identical to a fault-free CLI run of the
 	// same options.
@@ -155,6 +160,10 @@ func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 	}
 	if metric(t, s, "sdo_cache_persistence_enabled") != 1 {
 		t.Fatal("one persist failure should not degrade the cache")
+	}
+	pollUntil(t, "one persist-failed event", 10*time.Second, func() bool { return faultEvents(s)["persist-failed"] == 1 })
+	if n := faultEvents(s)["cache-degraded"]; n != 0 {
+		t.Errorf("flight recorder holds %d cache-degraded events after one persist failure", n)
 	}
 	// ... and the shutdown-time persist (disk-full budget exhausted)
 	// succeeds, leaving a loadable cache with all four results.
@@ -207,6 +216,11 @@ func TestChaosPermanentFailureDegrades(t *testing.T) {
 	if got := metric(t, s, "sdo_cells_failed_total"); got != 2 {
 		t.Fatalf("cells failed = %v, want 2", got)
 	}
+	// Two attempts per failed cell: each panics, the first is retried.
+	if ev := faultEvents(s); ev["cell-panic"] != 4 || ev["cell-retry"] != 2 || ev["cell-failed"] != 2 {
+		t.Errorf("flight recorder: %d cell-panic, %d cell-retry, %d cell-failed events, want 4, 2, 2",
+			ev["cell-panic"], ev["cell-retry"], ev["cell-failed"])
+	}
 
 	res, err := j.Results()
 	if err != nil {
@@ -234,6 +248,46 @@ func TestChaosPermanentFailureDegrades(t *testing.T) {
 	}
 	if !bytes.Equal(degraded.Bytes(), want.Bytes()) {
 		t.Fatal("degraded export differs from a sweep without the failed workload")
+	}
+}
+
+// TestKilledCellsAreCountedAndRecorded: a cell frozen mid-run on every
+// attempt is killed each time by the per-cell deadline or by the stall
+// watchdog. Each kill counts in its /metrics family and is one cell-timeout
+// or cell-stall event in the flight recorder, beside one cell-retry per
+// retry and one cell-failed for the cell.
+func TestKilledCellsAreCountedAndRecorded(t *testing.T) {
+	for _, tc := range []struct {
+		kind, family string
+		cfg          Config
+	}{
+		{"timeout", "sdo_cell_timeouts_total", Config{CellTimeout: 30 * time.Millisecond}},
+		{"stall", "sdo_cell_stalls_total", Config{StallTimeout: 50 * time.Millisecond}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Workers, cfg.MaxAttempts, cfg.RetryBackoff = 1, 2, time.Millisecond
+			cfg.Faults = faults.New(faults.Config{FreezeProb: 1, FreezeFor: 200 * time.Millisecond})
+			s := newService(t, cfg)
+			defer s.Shutdown(context.Background())
+			req := specReq("mcf_r", "unsafe")
+			req.MaxInstrs = 30_000 // long enough for the run to reach its progress checks
+			j, err := s.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitJob(t, j)
+			if st := j.Status(); st.State != JobFailed || len(st.Failures) != 1 || st.Failures[0].Kind != tc.kind {
+				t.Fatalf("status %+v, want one %s failure", st, tc.kind)
+			}
+			if got := metric(t, s, tc.family); got != 2 {
+				t.Errorf("%s = %v, want 2 (one per attempt)", tc.family, got)
+			}
+			if ev := faultEvents(s); ev["cell-"+tc.kind] != 2 || ev["cell-retry"] != 1 || ev["cell-failed"] != 1 {
+				t.Errorf("flight recorder: %d cell-%s, %d cell-retry, %d cell-failed events, want 2, 1, 1",
+					ev["cell-"+tc.kind], tc.kind, ev["cell-retry"], ev["cell-failed"])
+			}
+		})
 	}
 }
 
@@ -296,8 +350,8 @@ func TestCacheTruncatedFileQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != 0 || loaded.QuarantinedFiles() != 1 {
-		t.Fatalf("len=%d quarantined=%d, want 0/1", loaded.Len(), loaded.QuarantinedFiles())
+	if q := cacheMetric(t, loaded, "sdo_cache_quarantined_files_total"); loaded.Len() != 0 || q != 1 {
+		t.Fatalf("len=%d sdo_cache_quarantined_files_total=%v, want 0/1", loaded.Len(), q)
 	}
 	if _, err := os.Stat(path + CorruptSuffix); err != nil {
 		t.Fatalf("quarantine file missing: %v", err)
@@ -327,6 +381,9 @@ func TestCacheReadFaultDegradesHealth(t *testing.T) {
 	if h.Status != "degraded" || len(h.Reasons) == 0 {
 		t.Fatalf("health = %+v, want degraded", h)
 	}
+	if n := faultEvents(s)["cache-load-failed"]; n != 1 {
+		t.Errorf("flight recorder holds %d cache-load-failed events, want 1", n)
+	}
 }
 
 // TestPersistFailuresDegradeToMemoryOnly: once consecutive persist
@@ -340,6 +397,10 @@ func TestPersistFailuresDegradeToMemoryOnly(t *testing.T) {
 	}
 	if fails, enabled := metric(t, s, "sdo_cache_persist_failures_total"), metric(t, s, "sdo_cache_persistence_enabled"); fails != 2 || enabled != 0 {
 		t.Fatalf("persist failures=%v persistence enabled=%v, want 2/0 (degraded)", fails, enabled)
+	}
+	if ev := faultEvents(s); ev["persist-failed"] != 2 || ev["cache-degraded"] != 1 {
+		t.Errorf("flight recorder: %d persist-failed and %d cache-degraded events, want 2 and 1",
+			ev["persist-failed"], ev["cache-degraded"])
 	}
 	if h := s.Health(); h.Status != "degraded" {
 		t.Fatalf("health = %+v, want degraded", h)
@@ -362,8 +423,8 @@ func TestJobRegistryBounds(t *testing.T) {
 		j := submitAndWait(t, s, smallReq())
 		ids = append(ids, j.ID)
 	}
-	if n := len(s.Jobs()); n > 2 {
-		t.Fatalf("registry holds %d jobs, bound is 2", n)
+	if n := len(s.Jobs()); n > 2 || metric(t, s, "sdo_jobs_tracked") != float64(n) {
+		t.Fatalf("registry holds %d jobs (sdo_jobs_tracked %v), bound is 2", n, metric(t, s, "sdo_jobs_tracked"))
 	}
 	if _, ok := s.Job(ids[0]); ok {
 		t.Fatal("oldest finished job not evicted")

@@ -40,12 +40,9 @@ type Config struct {
 	// CachePath persists the result cache across restarts ("" disables
 	// persistence; the in-memory cache still works).
 	CachePath string
-	// CacheMaxEntries bounds the result cache; least-recently-used
-	// results are evicted past the bound (0: unbounded).
-	CacheMaxEntries int
 	// CacheMaxBytes bounds the result cache's total encoded size in
 	// bytes; least-recently-used results are evicted past the bound
-	// (0: unbounded). Both bounds may be set; eviction satisfies both.
+	// (0: unbounded).
 	CacheMaxBytes int64
 
 	// MaxAttempts bounds attempts per cell: transiently-failed cells
@@ -89,14 +86,9 @@ type Config struct {
 	// per-cell latency attribution, and slow cells log a span breakdown.
 	// Off by default; when off the tracer is nil and every span call in
 	// the hot path degrades to a single nil check — results and exports
-	// are byte-identical to a build without the subsystem.
+	// are byte-identical to a build without the subsystem. The most recent
+	// trace.DefaultMaxJobs job traces are retained.
 	Trace bool
-	// TraceMaxJobs bounds retained job traces (0: trace.DefaultMaxJobs).
-	TraceMaxJobs int
-	// FlightEvents sizes the /debug/flight ring buffer: the last N
-	// observability events are always retained in memory, whatever
-	// Recorder is configured (0: default 256).
-	FlightEvents int
 
 	// Peers is the static peer list for failure-aware cache peering
 	// (base URLs of other sdoserver nodes). On a local cache miss the
@@ -147,9 +139,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryStormThreshold <= 0 {
 		c.RetryStormThreshold = 50
 	}
-	if c.FlightEvents <= 0 {
-		c.FlightEvents = 256
-	}
 	if c.StealLeaseTTL <= 0 {
 		c.StealLeaseTTL = DefaultStealLeaseTTL
 	}
@@ -178,6 +167,11 @@ const retryWindow = time.Minute
 // persistDebounce batches persist triggers: results landing within this
 // window of each other are written in one save.
 const persistDebounce = 100 * time.Millisecond
+
+// flightEvents sizes the /debug/flight ring: the last flightEvents
+// observability events are always retained in memory, whatever Recorder
+// is configured.
+const flightEvents = 256
 
 // Service schedules sweep jobs over the shared harness worker pool,
 // deduplicates identical in-flight runs, and answers repeated cells from
@@ -241,10 +235,7 @@ type Service struct {
 	cacheDegraded     atomic.Bool   // persistence disabled (memory-only)
 	cacheLoadFailed   atomic.Bool   // startup cache load failed (started empty)
 
-	runDur   *obs.Histogram // per-run wall time
-	queueLat *obs.Histogram // submit-to-start latency per cell
-	planDur  *obs.Histogram // sample-plan build wall time
-	peerDur  *obs.Histogram // peer-lookup wall time (nil unless peering)
+	runDur *obs.Histogram // per-run wall time
 }
 
 // flight is one in-progress simulation with every (job, cell) waiting on
@@ -284,14 +275,13 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	cache.SetFaults(cfg.Faults)
-	cache.SetMaxEntries(cfg.CacheMaxEntries)
 	cache.SetMaxBytes(cfg.CacheMaxBytes)
 	ctx, cancel := context.WithCancel(context.Background())
 	// The flight recorder always runs: every event the service emits
 	// lands in a bounded ring served by /debug/flight, with the
 	// configured Recorder (whose own class mask still applies) fanned in
 	// behind it.
-	ring := obs.NewSafeRingSink(cfg.FlightEvents)
+	ring := obs.NewSafeRingSink(flightEvents)
 	sinks := []obs.Sink{ring}
 	if cfg.Recorder != nil {
 		sinks = append(sinks, cfg.Recorder)
@@ -308,7 +298,7 @@ func New(cfg Config) (*Service, error) {
 		reg:      obs.NewRegistry(),
 	}
 	if cfg.Trace {
-		s.tracer = trace.New(cfg.TraceMaxJobs)
+		s.tracer = trace.New()
 	}
 	if loadFailed {
 		s.cacheLoadFailed.Store(true)
@@ -345,8 +335,8 @@ func (s *Service) event(kind, detail string) {
 // registerMetrics declares the metrics the service itself owns, and the
 // executor's; the optional subsystems (stealing, peering) declare their
 // own when New constructs them. Values that already live in a
-// subcomponent are sampled at scrape time; the latency distributions are
-// real histograms.
+// subcomponent are sampled at scrape time; the run-duration distribution
+// is a real histogram (the slow-cell detector reads its p99).
 func (s *Service) registerMetrics() {
 	r := s.reg
 	ctr, gau := r.NewCounter, r.NewGaugeFunc
@@ -364,8 +354,6 @@ func (s *Service) registerMetrics() {
 		func() float64 { return float64(s.pool.QueueDepth()) })
 	gau("sdo_inflight_runs", "Cells currently executing.",
 		func() float64 { return float64(s.pool.Active()) })
-	gau("sdo_workers", "Worker-pool size.",
-		func() float64 { return float64(s.cfg.Workers) })
 	s.runsExecuted = ctr("sdo_runs_executed_total", "Simulations actually run.")
 	s.runsDeduped = ctr("sdo_runs_deduped_total", "Cells coalesced onto an identical in-flight run.")
 	s.runsSkipped = ctr("sdo_runs_skipped_total", "Cells abandoned by cancellation or shutdown.")
@@ -404,15 +392,6 @@ func (s *Service) registerMetrics() {
 
 	s.runDur = r.NewHistogram("sdo_run_duration_seconds",
 		"Wall time of individual executed simulations.", obs.DefaultLatencyBuckets())
-	s.queueLat = r.NewHistogram("sdo_queue_latency_seconds",
-		"Submit-to-start latency of scheduled cells.", obs.DefaultLatencyBuckets())
-	s.planDur = r.NewHistogram("sdo_sample_plan_seconds",
-		"Wall time of sampling-plan builds (profile + cluster + checkpoints).", obs.DefaultLatencyBuckets())
-	if s.tracer != nil {
-		gau("sdo_trace_jobs", "Job traces currently retained.",
-			func() float64 { return float64(s.tracer.Jobs()) })
-	}
-	obs.RegisterProcessMetrics(r)
 }
 
 // Registry exposes the service's metrics registry (the /metrics
@@ -760,8 +739,7 @@ func (s *Service) evictJobsLocked() {
 // planBuilt observes each sampling-plan build the executor makes. It runs
 // inside the build, so a Recorder sink that blocks on the "plan-built"
 // event holds every cell waiting on that plan.
-func (s *Service) planBuilt(wl string, sp *harness.SamplePlan, took time.Duration) {
-	s.planDur.Observe(took.Seconds())
+func (s *Service) planBuilt(wl string, sp *harness.SamplePlan) {
 	if s.rec.On(obs.ClassSample) {
 		s.rec.Emit(obs.Event{Class: obs.ClassSample, Kind: "plan-built",
 			Detail: fmt.Sprintf("%s: k=%d/%d intervals, sampled %d/%d instrs, err-est %.3f",
@@ -888,7 +866,6 @@ func (s *Service) settle(key string, k harness.Key, o settlement) {
 // retry with backoff; a permanent failure degrades the waiting jobs
 // instead of killing them.
 func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.RunSpec, enqueued time.Time) {
-	s.queueLat.Observe(time.Since(enqueued).Seconds())
 	if s.steal != nil {
 		// A worker picked the cell up: it is no longer stealable (on every
 		// exit path, including skip below).
@@ -937,12 +914,8 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	// reclaims the cell — execution continues below exactly as if it
 	// was never stolen.
 	if s.steal != nil {
-		if r, thief, ok := s.stealWait(ct.Root(), key); ok {
+		if r, ok := s.stealWait(ct.Root(), key); ok {
 			s.settle(key, k, settlement{res: r, status: "stolen", note: "  [stolen]", cached: true})
-			if s.rec.On(obs.ClassTrace) {
-				s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "steal-hit",
-					Detail: fmt.Sprintf("%s from thief %s", cellName(k), thief)})
-			}
 			return
 		}
 	}
@@ -952,14 +925,10 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	// slow, corrupt) resolves to a miss and the cell simulates locally —
 	// the fabric can make a sweep faster, never break it. All waiters on
 	// this flight share the one lookup.
-	if r, peerURL, ok := s.peerLookup(ct.Root(), key); ok {
+	if r, ok := s.peerLookup(ct.Root(), key); ok {
 		s.cache.Put(key, r)
 		s.schedulePersist()
 		s.settle(key, k, settlement{res: r, status: "peer", note: "  [peer]", cached: true})
-		if s.rec.On(obs.ClassTrace) {
-			s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "peer-hit",
-				Detail: fmt.Sprintf("%s from %s", cellName(k), peerURL)})
-		}
 		return
 	}
 

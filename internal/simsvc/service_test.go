@@ -94,6 +94,11 @@ func TestDeterminismIsCacheSoundness(t *testing.T) {
 	if execAfterFirst != 4 {
 		t.Fatalf("first sweep executed %v runs, want 4", execAfterFirst)
 	}
+	// The run-duration histogram holds one sample per executed run (a
+	// histogram's value is its count), and their wall time adds up.
+	if n, secs := metric(t, s, "sdo_run_duration_seconds"), metric(t, s, "sdo_run_seconds_total"); n != 4 || secs <= 0 {
+		t.Fatalf("sdo_run_duration_seconds count %v, sdo_run_seconds_total %v; want 4 and > 0", n, secs)
+	}
 
 	j2 := submitAndWait(t, s, smallReq())
 	if got := metric(t, s, "sdo_runs_executed_total"); got != execAfterFirst {

@@ -132,12 +132,13 @@ func flightRunning(t *testing.T, s *Service) {
 }
 
 // TestJoinerSharesExecutorsFlight: a second job needing a cell that is
-// mid-run joins the flight; one simulation, one un-noted delivery each.
+// mid-run joins the flight; one simulation, one un-noted delivery each,
+// and the joiner's trace shows the wait as its await-inflight phase.
 func TestJoinerSharesExecutorsFlight(t *testing.T) {
 	// Every attempt sleeps before simulating, so the first job's cell is
 	// reliably still in flight when the second job's cell looks.
 	inj := faults.New(faults.Config{Seed: 1, SlowProb: 1, SlowDelay: 500 * time.Millisecond})
-	s := newService(t, Config{Workers: 2, Faults: inj})
+	s := newService(t, Config{Workers: 2, Faults: inj, Trace: true})
 	defer s.Shutdown(context.Background())
 	req := specReq("exchange2_r", "unsafe")
 	j1, err := s.Submit(req)
@@ -150,6 +151,19 @@ func TestJoinerSharesExecutorsFlight(t *testing.T) {
 	wantDeliveries(t, j1, "", 0)
 	wantDeliveries(t, j2, "", 0)
 	wantMetrics(t, s, map[string]float64{"sdo_runs_executed_total": 1, "sdo_runs_deduped_total": 1})
+	for _, tc := range []struct {
+		j           *Job
+		await, sims int
+	}{{j1, 0, 1}, {j2, 1, 0}} {
+		cell := traceDoc(t, tc.j).Cells[0]
+		if a, sim := len(findSpans(cell.Spans, trace.PhaseAwait)), len(findSpans(cell.Spans, trace.PhaseSimulate)); a != tc.await || sim != tc.sims {
+			t.Errorf("%s: %d await-inflight and %d simulate spans, want %d and %d", tc.j.ID, a, sim, tc.await, tc.sims)
+		}
+		checkAttributionSums(t, cell)
+	}
+	if a := traceDoc(t, j2).Cells[0].Attribution; a.AwaitUS <= 0 {
+		t.Errorf("joiner's attribution has no await time: %+v", a)
+	}
 }
 
 // hasSpan reports whether the span tree under n contains a span named name.

@@ -230,10 +230,6 @@ func (s *Service) StealCells(thief string, max int) []StolenCell {
 		out = append(out, StolenCell{Key: key, Spec: p.spec, Until: until})
 		st.cellsStolen.Inc()
 	}
-	if len(out) > 0 && s.rec.On(obs.ClassTrace) {
-		s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "cells-stolen",
-			Detail: fmt.Sprintf("%d cell(s) leased to %s until %s", len(out), thief, until.Format(time.RFC3339))})
-	}
 	return out
 }
 
@@ -263,10 +259,6 @@ func (s *Service) CompleteSteal(key string, body []byte) error {
 	st.mu.Unlock()
 	if ok {
 		close(l.done)
-		if s.rec.On(obs.ClassTrace) {
-			s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "steal-complete",
-				Detail: fmt.Sprintf("%s from %s", key, l.thief)})
-		}
 	}
 	return nil
 }
@@ -275,10 +267,10 @@ func (s *Service) CompleteSteal(key string, body []byte) error {
 // the thief delivers or the lease expires, under a steal-claim span.
 // Returns the result on delivery; an expiry reclaims the cell (the
 // caller simulates locally, exactly as if it was never stolen).
-func (s *Service) stealWait(root *trace.Span, key string) (core.Result, string, bool) {
+func (s *Service) stealWait(root *trace.Span, key string) (core.Result, bool) {
 	l, ok := s.steal.lease(key)
 	if !ok {
-		return core.Result{}, "", false
+		return core.Result{}, false
 	}
 	sp := root.Child(trace.PhaseStealClaim)
 	sp.Set("thief", l.thief)
@@ -296,7 +288,7 @@ func (s *Service) stealWait(root *trace.Span, key string) (core.Result, string, 
 	if r, hit := s.cache.Get(key); hit {
 		sp.Set("outcome", "completed")
 		sp.Finish()
-		return r, l.thief, true
+		return r, true
 	}
 	sp.Set("outcome", "expired")
 	sp.Finish()
@@ -304,7 +296,7 @@ func (s *Service) stealWait(root *trace.Span, key string) (core.Result, string, 
 		s.steal.leaseExpiries.Inc()
 		s.event("steal-lease-expired", fmt.Sprintf("%s (thief %s); reclaimed locally", key, l.thief))
 	}
-	return core.Result{}, "", false
+	return core.Result{}, false
 }
 
 // StolenRun is the outcome of one RunStolen: the wire entry to post

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
 
@@ -53,7 +54,7 @@ func checkAttributionSums(t *testing.T, cell trace.CellDoc) {
 	if a == nil {
 		t.Fatalf("cell %s has no attribution", cell.Cell)
 	}
-	sum := a.QueueUS + a.CacheUS + a.AwaitUS + a.PlanUS + a.CheckpointUS + a.SimulateUS + a.OtherUS
+	sum := a.QueueUS + a.CacheUS + a.PeerUS + a.AwaitUS + a.PlanUS + a.CheckpointUS + a.SimulateUS + a.OtherUS
 	if sum != a.WallUS {
 		t.Errorf("cell %s: phase sum %dus != wall %dus (%+v)", cell.Cell, sum, a.WallUS, a)
 	}
@@ -303,29 +304,67 @@ func TestSlowCellNote(t *testing.T) {
 	k := harness.Key{Workload: "exchange2_r"}
 
 	s.noteSlowCell(k, time.Hour, nil)
-	if n := s.slowCells.Value(); n != 0 {
-		t.Fatalf("slow cell flagged with an empty histogram: %d", n)
+	if n := metric(t, s, "sdo_slow_cells_total"); n != 0 {
+		t.Fatalf("slow cell flagged with an empty histogram: %v", n)
 	}
 	for i := 0; i < slowCellMinSamples; i++ {
 		s.runDur.Observe(0.010)
 	}
 	s.noteSlowCell(k, 5*time.Millisecond, nil)
-	if n := s.slowCells.Value(); n != 0 {
-		t.Fatalf("in-distribution cell flagged: %d", n)
+	if n := metric(t, s, "sdo_slow_cells_total"); n != 0 {
+		t.Fatalf("in-distribution cell flagged: %v", n)
 	}
 	s.noteSlowCell(k, time.Second, nil)
-	if n := s.slowCells.Value(); n != 1 {
-		t.Fatalf("slow cell not flagged: %d", n)
+	if n := metric(t, s, "sdo_slow_cells_total"); n != 1 {
+		t.Fatalf("slow cell not flagged: %v", n)
 	}
 	found := false
 	for _, e := range s.flight.Events() {
-		if e.Kind == "slow-cell" {
+		if e.Kind == "slow-cell" && e.Class == obs.ClassTrace {
 			found = true
 		}
 	}
 	if !found {
 		t.Error("slow-cell event missing from the flight recorder")
 	}
+}
+
+// TestTraceSampledCell: a sampled cell builds its plan under a plan phase,
+// and its simulate phase holds one interval span per representative it
+// ran — each with its window and its one attempt — then one reconstruct
+// span.
+func TestTraceSampledCell(t *testing.T) {
+	s := newService(t, Config{Workers: 1, Trace: true})
+	defer s.Shutdown(context.Background())
+	req := specReq("exchange2_r", "unsafe")
+	req.SimMode = "sampled"
+	req.MaxInstrs = 6000
+	req.SampleIntervalInstrs = 2000
+	doc := traceDoc(t, submitAndWait(t, s, req))
+	if len(doc.Cells) != 1 {
+		t.Fatalf("trace has %d cells, want 1", len(doc.Cells))
+	}
+	cell := doc.Cells[0]
+	sims := findSpans(cell.Spans, trace.PhaseSimulate)
+	if len(findSpans(cell.Spans, trace.PhasePlan)) != 1 || len(sims) != 1 {
+		t.Fatalf("cell %s: want one plan and one simulate phase: %+v", cell.Cell, cell.Spans)
+	}
+	intervals := findSpans(sims[0], trace.PhaseInterval)
+	if len(intervals) == 0 {
+		t.Fatalf("sampled cell %s simulated no interval", cell.Cell)
+	}
+	for _, iv := range intervals {
+		if iv.Attrs["start"] == "" || iv.Attrs["len"] == "" || len(findSpans(iv, trace.PhaseAttempt)) != 1 {
+			t.Errorf("interval span %+v, want start, len and one attempt", iv)
+		}
+	}
+	if n := len(findSpans(sims[0], trace.PhaseReconstruct)); n != 1 {
+		t.Errorf("sampled cell %s has %d reconstruct spans, want 1", cell.Cell, n)
+	}
+	if cell.Attribution.Attempts != len(intervals) {
+		t.Errorf("attribution counts %d attempts for %d intervals", cell.Attribution.Attempts, len(intervals))
+	}
+	checkAttributionSums(t, cell)
 }
 
 // TestTraceCachedCell checks a repeated sweep's cells trace as cache
