@@ -2,7 +2,9 @@ package simsvc
 
 import (
 	"context"
+	"io"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -60,4 +62,57 @@ func BenchmarkSweepPeerHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSweep(b, Config{Workers: 2, Peers: []string{srv.URL}, PeerProbeInterval: -1})
 	}
+}
+
+// ledgerReq is the benchmark ledger's Figure 6 grid: four kernels, one
+// per memory behaviour, × every Table II variant × both attack models at
+// the paper-default budget (64 cells).
+func ledgerReq() SweepRequest {
+	return SweepRequest{Workloads: []string{"mcf_r", "xalancbmk_r", "x264_r", "deepsjeng_r"}}
+}
+
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// BenchmarkWarmResubmit is the cached path a warm node serves: the ledger
+// grid is simulated once, then each iteration resubmits it, waits for it
+// and writes its export. Every finished job stays in the registry (the
+// default -max-jobs bound is far off), so live-B/job is the heap one
+// retained job costs.
+func BenchmarkWarmResubmit(b *testing.B) {
+	s, err := New(Config{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	warm := func() {
+		j, err := s.Submit(ledgerReq())
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-j.Done()
+		res, err := j.Results()
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.WriteJSON(io.Discard)
+	}
+	warm() // simulates the grid
+	before := liveHeap()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		warm()
+	}
+	b.StopTimer()
+	if got := metric(b, s, "sdo_runs_executed_total"); got != 64 {
+		b.Fatalf("the warm loop simulated: %v runs executed, want the priming 64", got)
+	}
+	b.ReportMetric(float64(int64(liveHeap())-int64(before))/float64(b.N), "live-B/job")
 }

@@ -39,6 +39,13 @@ const CorruptSuffix = ".corrupt"
 // encoded size. It is safe for concurrent use and keeps
 // hit/miss/eviction/corruption counters for the service's /metrics
 // endpoint.
+//
+// A cached result exists once. Each entry holds one heap copy of the
+// result and its canonical encoding, both made when the entry is: by Put
+// for a freshly simulated result, by verify for a loaded or peer-sent
+// one. Get hands out that copy, so every job and export reading the key
+// shares it and none may write to it; GET /cache/{key} and Save write
+// the stored bytes without encoding the result again.
 type Cache struct {
 	mu        sync.Mutex
 	maxBytes  int64 // byte bound over encoded entry sizes (0: unbounded)
@@ -61,23 +68,32 @@ type Cache struct {
 	inj *faults.Injector
 }
 
-// lruEntry is one cached result with its key (for map removal on evict)
-// and its encoded size (for the byte bound).
+// lruEntry is one cached result. Nothing in it changes once it is made.
 type lruEntry struct {
-	key  string
-	res  core.Result
-	size int64
+	key string
+	res *core.Result // shared with every reader, read-only
+	raw []byte       // canonical compact JSON encoding of *res; nil if it has none
+	sum string       // entrySum(key, raw)
 }
 
-// entrySize is an entry's accounted size: key plus the canonical compact
+// newEntry makes the entry for a freshly computed result: one heap copy,
+// encoded once.
+func newEntry(key string, r core.Result) *lruEntry {
+	e := &lruEntry{key: key, res: &r}
+	if raw, err := json.Marshal(e.res); err == nil {
+		e.raw, e.sum = raw, entrySum(key, raw)
+	}
+	return e
+}
+
+// size is the entry's accounted size: key plus the canonical compact
 // JSON encoding of the result — the same bytes the persisted file stores,
 // so the byte bound tracks what the cache actually costs on disk.
-func entrySize(key string, r core.Result) int64 {
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return int64(len(key))
-	}
-	return int64(len(key) + len(raw))
+func (e *lruEntry) size() int64 { return int64(len(e.key) + len(e.raw)) }
+
+// wire is the entry in its persisted and GET /cache/{key} form.
+func (e *lruEntry) wire() cacheEntry {
+	return cacheEntry{Key: e.key, Sum: e.sum, Result: e.raw}
 }
 
 // register declares the cache's /metrics view on r; the values live
@@ -155,21 +171,22 @@ func (c *Cache) evictOver() {
 		e := back.Value.(*lruEntry)
 		c.order.Remove(back)
 		delete(c.entries, e.key)
-		c.bytes -= e.size
-		c.evictedBytes += uint64(e.size)
+		c.bytes -= e.size()
+		c.evictedBytes += uint64(e.size())
 		c.evictions++
 	}
 }
 
 // Get looks up a result, counting the access as a hit or a miss and
-// refreshing the entry's recency.
-func (c *Cache) Get(key string) (core.Result, bool) {
+// refreshing the entry's recency. The result is the cache's own copy,
+// shared with every other reader of the key: it must not be modified.
+func (c *Cache) Get(key string) (*core.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return core.Result{}, false
+		return nil, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
@@ -193,39 +210,36 @@ func (c *Cache) Contains(key string) bool {
 // node's cache, so it must not skew the local hit-rate metrics.
 func (c *Cache) PeekEncoded(key string) (cacheEntry, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.entries[key]
-	var res core.Result
-	if ok {
-		res = el.Value.(*lruEntry).res
-	}
-	c.mu.Unlock()
-	if !ok {
+	if !ok || el.Value.(*lruEntry).raw == nil {
 		return cacheEntry{}, false
 	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return cacheEntry{}, false
-	}
-	return cacheEntry{Key: key, Sum: entrySum(key, raw), Result: raw}, true
+	return el.Value.(*lruEntry).wire(), true
 }
 
-// Put stores a completed result as the most recently used entry, evicting
-// the least recently used one if the bound is exceeded.
-func (c *Cache) Put(key string, r core.Result) {
-	size := entrySize(key, r)
+// Put stores a freshly computed result as the most recently used entry,
+// evicting the least recently used ones past the bound, and returns the
+// cache's copy of it — the one every later Get shares.
+func (c *Cache) Put(key string, r core.Result) *core.Result {
+	return c.add(newEntry(key, r))
+}
+
+// add stores a made entry (Put's, or one verify accepted) and returns
+// the result the cache now holds for its key. A key names its content,
+// so an entry already there holds the same result: it is kept and
+// refreshed, and every reader goes on sharing the one copy.
+func (c *Cache) add(e *lruEntry) *core.Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*lruEntry)
-		c.bytes += size - e.size
-		e.res, e.size = r, size
+	if el, ok := c.entries[e.key]; ok {
 		c.order.MoveToFront(el)
-		c.evictOver()
-		return
+		return el.Value.(*lruEntry).res
 	}
-	c.entries[key] = c.order.PushFront(&lruEntry{key: key, res: r, size: size})
-	c.bytes += size
+	c.entries[e.key] = c.order.PushFront(e)
+	c.bytes += e.size()
 	c.evictOver()
+	return e.res
 }
 
 // Len returns the number of cached results.
@@ -285,20 +299,22 @@ type cacheEntry struct {
 // from the persisted file or received from a peer: re-compact the result
 // (the raw bytes may carry a file's indentation, while the checksum is
 // over the canonical compact encoding), recompute the sum, then decode.
-// It returns the result and the entry's accounted size (see entrySize).
-func (e cacheEntry) verify() (core.Result, int64, error) {
-	var r core.Result
+// It returns the entry the cache stores: the decoded result beside the
+// compact bytes the checksum vouches for, its encoding from then on.
+func (e cacheEntry) verify() (*lruEntry, error) {
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, e.Result); err != nil {
-		return r, 0, fmt.Errorf("simsvc: cache entry result: %w", err)
+		return nil, fmt.Errorf("simsvc: cache entry result: %w", err)
 	}
-	if entrySum(e.Key, compact.Bytes()) != e.Sum {
-		return r, 0, errors.New("simsvc: cache entry checksum mismatch")
+	raw := compact.Bytes()
+	if entrySum(e.Key, raw) != e.Sum {
+		return nil, errors.New("simsvc: cache entry checksum mismatch")
 	}
-	if err := json.Unmarshal(e.Result, &r); err != nil {
-		return r, 0, fmt.Errorf("simsvc: cache entry result: %w", err)
+	r := new(core.Result)
+	if err := json.Unmarshal(raw, r); err != nil {
+		return nil, fmt.Errorf("simsvc: cache entry result: %w", err)
 	}
-	return r, int64(len(e.Key) + compact.Len()), nil
+	return &lruEntry{key: e.Key, res: r, raw: raw, sum: e.Sum}, nil
 }
 
 // entrySum is the per-entry integrity checksum: sha256 over the key and
@@ -315,28 +331,20 @@ func entrySum(key string, compactResult []byte) string {
 // Save writes the cache atomically (atomicWrite) to path, with a
 // per-entry checksum. A crash mid-save leaves the previous file intact.
 func (c *Cache) Save(path string) error {
+	f := cacheFile{Version: cacheFileVersion}
 	c.mu.Lock()
 	inj := c.inj
-	type kv struct {
-		key string
-		res core.Result
-	}
-	snap := make([]kv, 0, len(c.entries))
-	for k, el := range c.entries {
-		snap = append(snap, kv{k, el.Value.(*lruEntry).res})
+	for _, el := range c.entries {
+		f.Entries = append(f.Entries, el.Value.(*lruEntry).wire())
 	}
 	c.mu.Unlock()
 	if err := inj.SaveErr(); err != nil {
 		return fmt.Errorf("simsvc: save cache: %w", err)
 	}
-
-	f := cacheFile{Version: cacheFileVersion}
-	for _, e := range snap {
-		raw, err := json.Marshal(e.res)
-		if err != nil {
-			return fmt.Errorf("simsvc: encode cache: %w", err)
+	for _, e := range f.Entries {
+		if e.Result == nil {
+			return fmt.Errorf("simsvc: encode cache: result %s has no JSON encoding", e.Key)
 		}
-		f.Entries = append(f.Entries, cacheEntry{Key: e.key, Sum: entrySum(e.key, raw), Result: raw})
 	}
 	sort.Slice(f.Entries, func(i, j int) bool { return f.Entries[i].Key < f.Entries[j].Key })
 
@@ -408,13 +416,13 @@ func loadCache(path string, inj *faults.Injector) (*Cache, error) {
 		if _, ok := c.entries[e.Key]; ok {
 			continue
 		}
-		r, size, err := e.verify()
+		le, err := e.verify()
 		if err != nil {
 			c.corrupt++
 			continue
 		}
-		c.entries[e.Key] = c.order.PushFront(&lruEntry{key: e.Key, res: r, size: size})
-		c.bytes += size
+		c.entries[e.Key] = c.order.PushFront(le)
+		c.bytes += le.size()
 	}
 	return c, nil
 }

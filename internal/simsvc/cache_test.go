@@ -80,7 +80,7 @@ func TestCacheSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("reloaded %d entries, want 2", c2.Len())
 	}
 	got, ok := c2.Get("k1")
-	if !ok || !reflect.DeepEqual(got, r) {
+	if !ok || !reflect.DeepEqual(*got, r) {
 		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, r)
 	}
 
@@ -125,7 +125,7 @@ func cacheMetric(t *testing.T, c *Cache, name string) float64 {
 
 func TestCacheByteBound(t *testing.T) {
 	c := NewCache()
-	one := entrySize("key-00", core.Result{L1DHits: 1})
+	one := newEntry("key-00", core.Result{L1DHits: 1}).size()
 	// Room for three entries, not four.
 	bound := 3*one + one/2
 	c.SetMaxBytes(bound)
@@ -166,11 +166,12 @@ func TestCacheByteBound(t *testing.T) {
 		t.Errorf("evictions %d, want 3", c.Evictions())
 	}
 
-	// Overwriting an entry re-accounts its size instead of double counting.
+	// Putting a key already present keeps its entry: the same copy, the
+	// same accounted bytes.
 	before := c.Bytes()
-	c.Put("key-05", core.Result{L1DHits: 6})
-	if c.Bytes() != before {
-		t.Errorf("overwrite changed accounted bytes: %d -> %d", before, c.Bytes())
+	kept, _ := c.Get("key-05")
+	if got := c.Put("key-05", core.Result{L1DHits: 6}); got != kept || c.Bytes() != before {
+		t.Errorf("re-Put: copy %p (kept %p), bytes %d -> %d", got, kept, before, c.Bytes())
 	}
 
 	// The byte accounting survives a save/load round trip.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func httpService(t *testing.T) (*Service, *httptest.Server) {
@@ -57,7 +58,7 @@ func get(t *testing.T, url string, wantCode int) []byte {
 }
 
 func TestHTTPEndToEnd(t *testing.T) {
-	_, ts := httpService(t)
+	s, ts := httpService(t)
 
 	if got := string(get(t, ts.URL+"/healthz", 200)); !strings.Contains(got, "ok") {
 		t.Fatalf("healthz: %q", got)
@@ -110,6 +111,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Metrics expose the hit/miss and execution counters.
+	// sdo_inflight_runs counts cells on a worker, and a worker settles its
+	// cell — waking the export — before its task returns: the gauge reaches
+	// 0 just after the export, not with it.
+	pollUntil(t, "the workers to go idle", 10*time.Second, func() bool { return metric(t, s, "sdo_inflight_runs") == 0 })
 	metrics := string(get(t, ts.URL+"/metrics", 200))
 	for _, want := range []string{
 		"sdo_cache_hits_total 4",

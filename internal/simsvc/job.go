@@ -40,8 +40,8 @@ type Failure struct {
 	Error    string `json:"error"`
 }
 
-// Job is one submitted sweep: its resolved options, per-cell results as
-// they arrive, and progress lines for streaming.
+// Job is one submitted sweep: its resolved options and its finished
+// cells, one record each, in the order they finished.
 type Job struct {
 	ID string
 
@@ -50,19 +50,18 @@ type Job struct {
 	cancel context.CancelFunc
 
 	// ablation marks a design-space-study job: cells enumerate (model,
-	// workload, ablation row) and results are recorded by cell index,
+	// workload, ablation row), and its export reads results by cell index,
 	// because the harness.Key (workload, Hybrid, model) repeats across the
-	// rows and would collide in the runs map.
+	// rows.
 	ablation bool
-	cellRes  []core.Result
 
 	// jt is the job's span-tree trace (nil with tracing off). Set by
 	// Submit before any cell is enqueued, immutable afterwards.
 	jt *trace.JobTrace
 
 	// onTerminal, set by the service before the job starts, observes the
-	// transition to a terminal state (persistence scheduling, registry
-	// eviction). Called exactly once, outside j.mu, before done is closed.
+	// transition to a terminal state (registry eviction). Called exactly
+	// once, outside j.mu, before done is closed.
 	onTerminal func(*Job)
 
 	mu        sync.Mutex
@@ -73,14 +72,30 @@ type Job struct {
 	failed    int
 	retries   uint64
 	failures  []Failure
-	failedIdx map[int]bool    // ablation cells that failed (by index)
-	failedWl  map[string]bool // workloads with ≥ 1 failed cell
-	progress  []string
-	runs      map[harness.Key]core.Result
-	attrib    map[harness.Key]*trace.Attribution // per-cell breakdowns (tracing on, sweep jobs only)
+	cells     []cellRecord // append-only; a record never changes once appended
 	err       error
 	finished  time.Time
 	done      chan struct{}
+}
+
+// cellRecord is one finished cell. A delivered cell holds the result it
+// shares with the cache (read-only) and a note on how it was obtained;
+// its progress line is rendered when read. A failed cell has no result
+// and keeps its rendered failure line.
+type cellRecord struct {
+	idx  int // the cell's index in the job's enumeration order
+	key  harness.Key
+	res  *core.Result // nil: the cell failed
+	note string       // progress-line suffix ("  [cached]", ...), or the failure line
+	att  *trace.Attribution
+}
+
+// progressLine renders the record's line of the progress stream.
+func (c *cellRecord) progressLine() string {
+	if c.res == nil {
+		return c.note
+	}
+	return harness.FormatProgress(c.key, *c.res) + c.note
 }
 
 // Ablation reports whether this is an ablation-study job (its export is
@@ -97,15 +112,17 @@ func (j *Job) Trace() *trace.JobTrace { return j.jt }
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // finish moves the job into a terminal state. Caller holds j.mu; the
-// returned func must be invoked after j.mu is released. It runs the
-// onTerminal notification and only then closes done, so a waiter on
-// Done() never sees the job finished before the service has scheduled
-// its cache persist and enforced the registry bounds.
+// returned func must be invoked after j.mu is released. It releases the
+// job's context (so a finished job stops being a child of the service's),
+// runs the onTerminal notification and only then closes done, so a
+// waiter on Done() never sees the job finished before the service has
+// enforced the registry bounds.
 func (j *Job) finish(state JobState, err error) func() {
 	j.state = state
 	j.err = err
 	j.finished = time.Now()
 	return func() {
+		j.cancel()
 		if j.onTerminal != nil {
 			j.onTerminal(j)
 		}
@@ -127,7 +144,6 @@ func (j *Job) TryCancel() (bool, JobState) {
 	}
 	note := j.finish(JobCancelled, ErrCancelled)
 	j.mu.Unlock()
-	j.cancel()
 	note()
 	return true, JobCancelled
 }
@@ -170,35 +186,26 @@ func (j *Job) maybeFinish() func() {
 }
 
 // deliver records one completed cell. idx is the cell's index in the
-// job's enumeration order (ablation jobs record by index; sweep jobs by
-// harness.Key). retries counts attempts beyond the first that the cell
-// needed; att is the cell's latency attribution (nil with tracing off).
-func (j *Job) deliver(idx int, k harness.Key, r core.Result, line string, fromCache bool, retries int, att *trace.Attribution) {
+// job's enumeration order; r is the cache's copy of the result, which the
+// job shares and never writes; note is the progress-line suffix saying
+// how it was obtained. retries counts attempts beyond the first that the
+// cell needed; att is the cell's latency attribution (nil with tracing
+// off).
+func (j *Job) deliver(idx int, k harness.Key, r *core.Result, note string, fromCache bool, retries int, att *trace.Attribution) {
 	j.mu.Lock()
 	if j.terminal() {
 		j.mu.Unlock()
 		return
 	}
-	if j.ablation {
-		j.cellRes[idx] = r
-	} else {
-		j.runs[k] = r
-		if att != nil {
-			if j.attrib == nil {
-				j.attrib = make(map[harness.Key]*trace.Attribution)
-			}
-			j.attrib[k] = att
-		}
-	}
+	j.cells = append(j.cells, cellRecord{idx: idx, key: k, res: r, note: note, att: att})
 	j.completed++
 	j.retries += uint64(retries)
 	if fromCache {
 		j.cached++
 	}
-	j.progress = append(j.progress, line)
-	note := j.maybeFinish()
+	done := j.maybeFinish()
 	j.mu.Unlock()
-	note()
+	done()
 }
 
 // cellFail records one permanently-failed cell; the job keeps running and
@@ -213,16 +220,10 @@ func (j *Job) cellFail(idx int, k harness.Key, f Failure, line string, retries i
 	j.failed++
 	j.retries += uint64(retries)
 	j.failures = append(j.failures, f)
-	if j.failedIdx == nil {
-		j.failedIdx = make(map[int]bool)
-		j.failedWl = make(map[string]bool)
-	}
-	j.failedIdx[idx] = true
-	j.failedWl[k.Workload] = true
-	j.progress = append(j.progress, line)
-	note := j.maybeFinish()
+	j.cells = append(j.cells, cellRecord{idx: idx, key: k, note: line})
+	done := j.maybeFinish()
 	j.mu.Unlock()
-	note()
+	done()
 }
 
 // fail moves the job to failed (or cancelled, for cancellation errors).
@@ -239,7 +240,6 @@ func (j *Job) fail(err error) {
 		note = j.finish(JobFailed, err)
 	}
 	j.mu.Unlock()
-	j.cancel()
 	note()
 }
 
@@ -283,18 +283,39 @@ func (j *Job) Status() Status {
 }
 
 // ProgressSince returns progress lines from index i on, plus the new
-// high-water mark.
+// high-water mark. Lines are rendered here, from the finished-cell
+// records, in the order the cells finished.
 func (j *Job) ProgressSince(i int) ([]string, int) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	cells := j.cells
+	j.mu.Unlock()
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(j.progress) {
+	if i >= len(cells) {
 		return nil, i
 	}
-	out := append([]string(nil), j.progress[i:]...)
-	return out, len(j.progress)
+	// Records are never changed once appended, so they are read unlocked.
+	out := make([]string, 0, len(cells)-i)
+	for k := i; k < len(cells); k++ {
+		out = append(out, cells[k].progressLine())
+	}
+	return out, len(cells)
+}
+
+// failedWorkloads names the workloads with at least one failed cell
+// (nil when none failed). Caller holds j.mu.
+func (j *Job) failedWorkloads() map[string]bool {
+	if j.failed == 0 {
+		return nil
+	}
+	wl := make(map[string]bool)
+	for _, c := range j.cells {
+		if c.res == nil {
+			wl[c.key.Workload] = true
+		}
+	}
+	return wl
 }
 
 // Results assembles the completed sweep in the harness's form, so the
@@ -303,7 +324,9 @@ func (j *Job) ProgressSince(i int) ([]string, int) {
 // failed cell are dropped entirely (a partial workload would corrupt the
 // normalized-time aggregation, which divides by the workload's Unsafe
 // baseline), making the export byte-identical to a fault-free run of the
-// remaining workloads.
+// remaining workloads. The runs are copies of the shared results made
+// here, so writing a run's fields cannot reach the cache; their interval
+// series still alias the cached ones and are read-only.
 func (j *Job) Results() (*harness.Results, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -316,30 +339,27 @@ func (j *Job) Results() (*harness.Results, error) {
 		}
 		return nil, errors.New("simsvc: job still running")
 	}
+	failedWl := j.failedWorkloads()
 	opt := j.opt
-	if len(j.failedWl) > 0 {
+	if len(failedWl) > 0 {
 		opt.Workloads = nil
 		for _, wl := range j.opt.Workloads {
-			if !j.failedWl[wl.Name] {
+			if !failedWl[wl.Name] {
 				opt.Workloads = append(opt.Workloads, wl)
 			}
 		}
 	}
-	runs := make(map[harness.Key]core.Result, len(j.runs))
-	for k, r := range j.runs {
-		if j.failedWl[k.Workload] {
+	res := &harness.Results{Opt: opt, Runs: make(map[harness.Key]core.Result, len(j.cells))}
+	for _, c := range j.cells {
+		if c.res == nil || failedWl[c.key.Workload] {
 			continue
 		}
-		runs[k] = r
-	}
-	res := &harness.Results{Opt: opt, Runs: runs}
-	if len(j.attrib) > 0 {
-		res.Attrib = make(map[harness.Key]*trace.Attribution, len(j.attrib))
-		for k, a := range j.attrib {
-			if j.failedWl[k.Workload] {
-				continue
+		res.Runs[c.key] = *c.res
+		if c.att != nil {
+			if res.Attrib == nil {
+				res.Attrib = make(map[harness.Key]*trace.Attribution, len(j.cells))
 			}
-			res.Attrib[k] = a
+			res.Attrib[c.key] = c.att
 		}
 	}
 	return res, nil
@@ -375,8 +395,17 @@ func (j *Job) Ablations() (*AblationExport, error) {
 		}
 		return nil, errors.New("simsvc: job still running")
 	}
+	res := make([]core.Result, j.total)
+	failed := make(map[int]bool)
+	for _, c := range j.cells {
+		if c.res == nil {
+			failed[c.idx] = true
+			continue
+		}
+		res[c.idx] = *c.res
+	}
 	ex := &AblationExport{MaxInstrs: j.opt.MaxInstrs, WarmupInstrs: j.opt.WarmupInstrs}
-	tables := harness.AblationTables(j.opt, j.cellRes, func(i int) bool { return j.failedIdx[i] })
+	tables := harness.AblationTables(j.opt, res, func(i int) bool { return failed[i] })
 	for mi, m := range j.opt.Models {
 		ex.Sections = append(ex.Sections, AblationSection{Model: m.String(), Rows: tables[mi]})
 	}

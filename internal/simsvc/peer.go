@@ -18,25 +18,25 @@ import (
 
 // decodeEntry parses and verifies one wire-form cache entry for key: a
 // peer's /cache response or a thief's stolen-cell completion.
-func decodeEntry(key string, body []byte) (core.Result, error) {
+func decodeEntry(key string, body []byte) (*lruEntry, error) {
 	var e cacheEntry
 	if err := json.Unmarshal(body, &e); err != nil {
-		return core.Result{}, fmt.Errorf("simsvc: peer entry: %w", err)
+		return nil, fmt.Errorf("simsvc: peer entry: %w", err)
 	}
 	if e.Key != key {
-		return core.Result{}, fmt.Errorf("simsvc: peer entry key mismatch (got %q)", e.Key)
+		return nil, fmt.Errorf("simsvc: peer entry key mismatch (got %q)", e.Key)
 	}
-	r, _, err := e.verify()
-	return r, err
+	return e.verify()
 }
 
 // peerLookup consults the peer fabric for a content-addressed key under
-// a peer-lookup trace span. Misses and every failure mode — a body that
-// fails decodeEntry counts as a peer failure (breaker food), not a hit —
-// come back as (zero, false): the caller's fallback is local simulation.
-func (s *Service) peerLookup(root *trace.Span, key string) (core.Result, bool) {
+// a peer-lookup trace span and caches what a peer answers, returning the
+// cache's copy. Misses and every failure mode — a body that fails
+// decodeEntry counts as a peer failure (breaker food), not a hit — come
+// back as (nil, false): the caller's fallback is local simulation.
+func (s *Service) peerLookup(root *trace.Span, key string) (*core.Result, bool) {
 	if s.fab == nil {
-		return core.Result{}, false
+		return nil, false
 	}
 	ps := root.Child(trace.PhasePeer)
 	v, peerURL, ok := s.fab.Lookup(s.ctx, key, "/cache/"+key,
@@ -47,9 +47,9 @@ func (s *Service) peerLookup(root *trace.Span, key string) (core.Result, bool) {
 	}
 	ps.Finish()
 	if !ok {
-		return core.Result{}, false
+		return nil, false
 	}
-	return v.(core.Result), true
+	return s.cache.add(v.(*lruEntry)), true
 }
 
 // registerPeerMetrics declares the fabric's /metrics view; its counters

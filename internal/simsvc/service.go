@@ -200,8 +200,8 @@ type Service struct {
 	exec *harness.Executor
 
 	// Write-behind cache persistence: schedulePersist debounces a
-	// background save after each new result and each terminal job;
-	// repeated failures flip the cache to memory-only (cacheDegraded).
+	// background save after each new result; repeated failures flip the
+	// cache to memory-only (cacheDegraded).
 	persistMu      sync.Mutex
 	persistPending bool
 	persistStopped bool
@@ -636,12 +636,9 @@ func (s *Service) Submit(req SweepRequest) (*Job, error) {
 		cancel:   jcancel,
 		state:    JobRunning,
 		total:    len(cells),
-		runs:     make(map[harness.Key]core.Result, len(cells)),
+		cells:    make([]cellRecord, 0, len(cells)),
 		done:     make(chan struct{}),
 		ablation: req.Ablations,
-	}
-	if j.ablation {
-		j.cellRes = make([]core.Result, len(cells))
 	}
 	j.onTerminal = s.jobFinished
 
@@ -694,8 +691,9 @@ func (s *Service) Submit(req SweepRequest) (*Job, error) {
 	return j, nil
 }
 
-// jobFinished observes a job reaching a terminal state: the result cache
-// is persisted write-behind and the registry bound is enforced.
+// jobFinished observes a job reaching a terminal state and enforces the
+// registry bound. It schedules no cache persist: every path that adds a
+// result has already scheduled one.
 func (s *Service) jobFinished(j *Job) {
 	st := j.Status()
 	if s.rec.On(obs.ClassTrace) {
@@ -706,7 +704,6 @@ func (s *Service) jobFinished(j *Job) {
 	s.mu.Lock()
 	s.evictJobsLocked()
 	s.mu.Unlock()
-	s.schedulePersist()
 }
 
 // evictJobsLocked enforces the registry bounds (caller holds s.mu):
@@ -808,7 +805,8 @@ func (s *Service) cellEvent(ev harness.CellEvent) {
 
 // settlement is what a finished flight owes each of its waiters.
 type settlement struct {
-	res core.Result
+	// res is the cache's copy of the result: every waiter shares it.
+	res *core.Result
 	// err nil delivers res. A *harness.CellError is a permanent cell
 	// failure: the waiting jobs degrade rather than die. Any other error
 	// fails the waiting jobs with it (ErrCancelled: the cell was skipped).
@@ -835,10 +833,7 @@ func (s *Service) settle(key string, k harness.Key, o settlement) {
 		fail Failure
 		line string
 	)
-	switch {
-	case o.err == nil:
-		line = harness.FormatProgress(k, o.res) + o.note
-	case errors.As(o.err, &ce):
+	if errors.As(o.err, &ce) {
 		s.cellsFailed.Inc()
 		s.event("cell-failed", ce.Error())
 		fail = Failure{Cell: cellName(k), Kind: string(ce.Kind), Attempts: ce.Attempts, Error: ce.Err.Error()}
@@ -850,7 +845,7 @@ func (s *Service) settle(key string, k harness.Key, o settlement) {
 		att := finishCell(w.ct, o.status)
 		switch {
 		case o.err == nil:
-			w.job.deliver(w.idx, w.key, o.res, line, o.cached, o.retries, att)
+			w.job.deliver(w.idx, w.key, o.res, o.note, o.cached, o.retries, att)
 		case ce != nil:
 			w.job.cellFail(w.idx, w.key, fail, line, o.retries)
 		default:
@@ -885,16 +880,20 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	}
 	k := spec.Key()
 	// ct is nil with tracing off: every span call below degrades to one
-	// nil check. The root span starts at enqueue, so its duration is the
-	// cell's reported wall clock; queue-wait is recorded retroactively.
-	ct := j.jt.StartCell(cellName(k), enqueued)
+	// nil check, and the cell's name is never rendered. The root span
+	// starts at enqueue, so its duration is the cell's reported wall clock;
+	// queue-wait is recorded retroactively.
+	var ct *trace.CellTrace
+	if j.jt != nil {
+		ct = j.jt.StartCell(cellName(k), enqueued)
+	}
 	ct.Root().ChildAt(trace.PhaseQueue, enqueued).Finish()
 	cs := ct.Root().Child(trace.PhaseCache)
 	r, hit := s.cache.Get(key)
 	cs.Set("hit", strconv.FormatBool(hit))
 	cs.Finish()
 	if hit {
-		j.deliver(idx, k, r, harness.FormatProgress(k, r)+"  [cached]", true, 0, finishCell(ct, "cached"))
+		j.deliver(idx, k, r, "  [cached]", true, 0, finishCell(ct, "cached"))
 		return
 	}
 	s.mu.Lock()
@@ -926,7 +925,6 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	// the fabric can make a sweep faster, never break it. All waiters on
 	// this flight share the one lookup.
 	if r, ok := s.peerLookup(ct.Root(), key); ok {
-		s.cache.Put(key, r)
 		s.schedulePersist()
 		s.settle(key, k, settlement{res: r, status: "peer", note: "  [peer]", cached: true})
 		return
@@ -938,16 +936,16 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	// waits on them. The executing waiter's root span rides along so the
 	// harness nests its attempt/interval spans under this cell's simulate
 	// phase.
-	r, retries, elapsed, err := s.execute(trace.NewContext(context.Background(), ct.Root()), spec,
+	res, retries, elapsed, err := s.execute(trace.NewContext(context.Background(), ct.Root()), spec,
 		func() bool { return s.flightAbandoned(key) })
 	if elapsed > 0 {
 		s.noteSlowCell(k, elapsed, ct)
 	}
-	o := settlement{res: r, err: err, status: "done", retries: retries}
+	o := settlement{err: err, status: "done", retries: retries}
 	var ce *harness.CellError
 	switch {
 	case err == nil:
-		s.cache.Put(key, r)
+		o.res = s.cache.Put(key, res)
 		// Each completed cell schedules a (debounced) cache persist: the
 		// persisted cache is all a crash leaves behind, so a resubmitted
 		// sweep loses at most the debounce window of results.
@@ -1047,8 +1045,9 @@ func (s *Service) execute(ctx context.Context, spec harness.RunSpec, abort func(
 // schedulePersist queues a debounced write-behind save of the result
 // cache. Every path that adds a result calls it — an executed cell, a
 // peer hit, a stolen cell's completion on the owner and its run on the
-// thief — and so does each job's terminal transition, so a crash loses
-// at most the most recent debounce window of results.
+// thief — so a crash loses at most the most recent debounce window of
+// results. A job whose cells all came from the cache adds nothing and
+// rewrites nothing.
 func (s *Service) schedulePersist() {
 	if s.cfg.CachePath == "" || s.cacheDegraded.Load() {
 		return

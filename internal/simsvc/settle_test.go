@@ -18,8 +18,7 @@ import (
 // deliver into.
 func bareJob(id string) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Job{ID: id, ctx: ctx, cancel: cancel, state: JobRunning, total: 1,
-		runs: make(map[harness.Key]core.Result), done: make(chan struct{})}
+	return &Job{ID: id, ctx: ctx, cancel: cancel, state: JobRunning, total: 1, done: make(chan struct{})}
 }
 
 // TestSettleDeliversExactlyOnce drives the one settlement function with
@@ -44,9 +43,9 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 		cached  int
 		retries uint64
 	}{
-		{name: "executed", o: settlement{res: res, status: "done", retries: 1}, state: JobDone, line: okLine, retries: 1},
-		{name: "peer hit", o: settlement{res: res, status: "peer", note: "  [peer]", cached: true}, state: JobDone, line: okLine + "  [peer]", cached: 1},
-		{name: "stolen hit", o: settlement{res: res, status: "stolen", note: "  [stolen]", cached: true}, state: JobDone, line: okLine + "  [stolen]", cached: 1},
+		{name: "executed", o: settlement{res: &res, status: "done", retries: 1}, state: JobDone, line: okLine, retries: 1},
+		{name: "peer hit", o: settlement{res: &res, status: "peer", note: "  [peer]", cached: true}, state: JobDone, line: okLine + "  [peer]", cached: 1},
+		{name: "stolen hit", o: settlement{res: &res, status: "stolen", note: "  [stolen]", cached: true}, state: JobDone, line: okLine + "  [stolen]", cached: 1},
 		{name: "permanent failure", o: settlement{err: cellErr, status: "failed", retries: 1}, state: JobFailed,
 			line: "exchange2_r    Unsafe      Spectre    FAILED: panic after 2 attempt(s): boom", retries: 1},
 		{name: "skipped", o: settlement{err: ErrCancelled, status: "abandoned"}, state: JobCancelled},

@@ -242,11 +242,11 @@ func (s *Service) CompleteSteal(key string, body []byte) error {
 	if s.steal == nil {
 		return fmt.Errorf("simsvc: work stealing disabled")
 	}
-	r, err := decodeEntry(key, body)
+	e, err := decodeEntry(key, body)
 	if err != nil {
 		return err
 	}
-	s.cache.Put(key, r)
+	s.cache.add(e)
 	s.schedulePersist()
 	st := s.steal
 	st.stealCompleted.Inc()
@@ -265,12 +265,13 @@ func (s *Service) CompleteSteal(key string, body []byte) error {
 
 // stealWait blocks a worker that dequeued a leased (stolen) cell until
 // the thief delivers or the lease expires, under a steal-claim span.
-// Returns the result on delivery; an expiry reclaims the cell (the
-// caller simulates locally, exactly as if it was never stolen).
-func (s *Service) stealWait(root *trace.Span, key string) (core.Result, bool) {
+// Returns the cache's copy of the result on delivery; an expiry reclaims
+// the cell (the caller simulates locally, exactly as if it was never
+// stolen).
+func (s *Service) stealWait(root *trace.Span, key string) (*core.Result, bool) {
 	l, ok := s.steal.lease(key)
 	if !ok {
-		return core.Result{}, false
+		return nil, false
 	}
 	sp := root.Child(trace.PhaseStealClaim)
 	sp.Set("thief", l.thief)
@@ -296,7 +297,7 @@ func (s *Service) stealWait(root *trace.Span, key string) (core.Result, bool) {
 		s.steal.leaseExpiries.Inc()
 		s.event("steal-lease-expired", fmt.Sprintf("%s (thief %s); reclaimed locally", key, l.thief))
 	}
-	return core.Result{}, false
+	return nil, false
 }
 
 // StolenRun is the outcome of one RunStolen: the wire entry to post

@@ -131,7 +131,7 @@ func TestStealCellsFiltersBeforeCap(t *testing.T) {
 	// A cell that is cached while still pending (another job produced it)
 	// is filtered too, not handed out and not counted against max.
 	r, _ := owner.cache.Get(k[4])
-	owner.cache.Put(k[1], r)
+	owner.cache.Put(k[1], *r)
 	if got := claimedKeys(owner.StealCells("t4", 1)); !reflect.DeepEqual(got, k[0:1]) {
 		t.Fatalf("claim past a cached pending cell = %v, want %v", got, k[0:1])
 	}
