@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	sdoserver                          # listen on :8344, cache in sdo-cache.json
-//	sdoserver -addr :9000 -workers 4 -cache /var/lib/sdo/cache.json
+//	sdoserver                          # listen on :8344, cache in sdo-cache/
+//	sdoserver -addr :9000 -workers 4 -cache /var/lib/sdo/cache
 //
 // API (see README.md "Simulation service"):
 //
@@ -16,11 +16,11 @@
 //	curl localhost:8344/sweeps/sweep-1/export     # harness Export JSON
 //	curl localhost:8344/metrics
 //
-// SIGINT/SIGTERM shut down gracefully: in-flight simulations finish and
-// the cache is persisted, so a restarted server answers from cache. Each
-// finished cell is also persisted as it lands, so after a crash the
-// resubmitted sweep re-simulates only what the crash lost; sweep IDs do
-// not survive a restart.
+// The cache directory holds one file per result, written before any
+// sweep sees the result, so a restarted server answers from cache and,
+// after a crash, a resubmitted sweep re-simulates only the cells no sweep
+// had seen finish. SIGINT/SIGTERM shut down gracefully: in-flight
+// simulations finish. Sweep IDs do not survive a restart.
 package main
 
 import (
@@ -65,7 +65,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	c := &o.svc
 	fs.StringVar(&o.addr, "addr", ":8344", "listen address")
-	fs.StringVar(&c.CachePath, "cache", "sdo-cache.json", "result-cache file (empty: in-memory only)")
+	fs.StringVar(&c.CachePath, "cache", "sdo-cache", "result-cache directory, one file per result (empty: in-memory only)")
 	fs.Int64Var(&c.CacheMaxBytes, "cache-max-bytes", 0, "result-cache LRU bound in encoded bytes (0: unbounded)")
 	fs.IntVar(&c.Workers, "workers", 0, "concurrent simulations (0: all CPUs)")
 	fs.DurationVar(&o.drain, "drain", 2*time.Minute, "shutdown grace period for in-flight runs")
@@ -157,9 +157,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sdoserver:", err)
 		os.Exit(1)
 	}
-	if n := svc.Cache().Len(); n > 0 {
-		fmt.Fprintf(os.Stderr, "sdoserver: loaded %d cached results from %s\n", n, cfg.CachePath)
-	}
 	if len(cfg.Peers) > 0 {
 		fmt.Fprintf(os.Stderr, "sdoserver: cache peering with %d peer(s): %s\n", len(cfg.Peers), strings.Join(cfg.Peers, ", "))
 	}
@@ -222,8 +219,5 @@ func main() {
 	if err := svc.Shutdown(shutCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "sdoserver: service shutdown:", err)
 		os.Exit(1)
-	}
-	if cfg.CachePath != "" {
-		fmt.Fprintf(os.Stderr, "sdoserver: cache persisted to %s (%d results)\n", cfg.CachePath, svc.Cache().Len())
 	}
 }

@@ -8,44 +8,42 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
-// cacheFileVersion versions the on-disk cache format (the JSON shape of
-// core.Result). A mismatch discards the file rather than decoding stale
-// counters into new fields.
-//
-// v2: core.Result gained the interval time series (Intervals,
-// ROBOccHist, LQOccHist) and RunSpec gained IntervalCycles.
-// v3: per-entry integrity checksums (cacheEntry.Sum over the canonical
-// result encoding), so a bit-flipped entry is detected and dropped
-// instead of silently poisoning the determinism guarantee.
-const cacheFileVersion = 3
-
-// CorruptSuffix is appended to an unparseable cache file's name when the
-// loader quarantines it (the file is kept for forensics, the cache starts
-// empty).
-const CorruptSuffix = ".corrupt"
+// persistFailureLimit is how many consecutive entry-write failures
+// switch a persistent cache to memory-only mode.
+const persistFailureLimit = 3
 
 // Cache is a content-addressed store of completed simulation results,
-// keyed by harness.RunSpec.CacheKey, with an optional LRU bound on its
-// encoded size. It is safe for concurrent use and keeps
-// hit/miss/eviction/corruption counters for the service's /metrics
+// keyed by harness.RunSpec.CacheKey. It is safe for concurrent use and
+// keeps hit/miss/eviction/corruption counters for the service's /metrics
 // endpoint.
 //
+// A persistent cache is a directory holding one file per result,
+// <dir>/<key>.json, whose bytes are the entry's wire form — exactly what
+// GET /cache/{key} serves. A new result's file is written before the
+// entry becomes visible, so a result anyone has seen survives a process
+// crash (one a peer answered stays durable at that peer). In front of
+// the directory sits an in-memory LRU with an optional bound on its
+// encoded size; a memory miss reads through to the file, so an evicted
+// entry, or one a previous process wrote, comes back from disk.
+//
 // A cached result exists once. Each entry holds one heap copy of the
-// result and its canonical encoding, both made when the entry is: by Put
-// for a freshly simulated result, by verify for a loaded or peer-sent
-// one. Get hands out that copy, so every job and export reading the key
-// shares it and none may write to it; GET /cache/{key} and Save write
-// the stored bytes without encoding the result again.
+// result and its wire encoding, both made when the entry is: by Put for
+// a freshly simulated result, by verify for one read from disk or sent
+// by a peer. Get hands out that copy, so every job and export reading
+// the key shares it and none may write to it; GET /cache/{key} and the
+// entry's file are the stored bytes, never a new encoding.
 type Cache struct {
 	mu        sync.Mutex
 	maxBytes  int64 // byte bound over encoded entry sizes (0: unbounded)
@@ -58,22 +56,29 @@ type Cache struct {
 	// evictedBytes sums the encoded sizes of evicted entries, for
 	// capacity planning via /metrics.
 	evictedBytes uint64
+	// corrupt counts entry files dropped by verification on read.
+	corrupt uint64
 
-	// corrupt counts entries dropped by checksum verification on load;
-	// quarantined counts whole files renamed aside as unparseable.
-	corrupt     uint64
-	quarantined uint64
+	// dir holds one file per result ("": memory-only). Past
+	// persistFailureLimit consecutive write failures the cache is
+	// degraded: it stops reading and writing dir.
+	dir      string
+	failures atomic.Uint64 // entry writes that failed
+	streak   atomic.Uint64 // consecutive entry-write failures
+	degraded atomic.Bool
 
-	// inj injects I/O faults into Save/load paths (nil in production).
-	inj *faults.Injector
+	// inj injects I/O faults into entry reads and writes (nil in
+	// production); event reports persist-failed, cache-degraded and
+	// cache-load-failed.
+	inj   *faults.Injector
+	event func(kind, detail string)
 }
 
 // lruEntry is one cached result. Nothing in it changes once it is made.
 type lruEntry struct {
-	key string
-	res *core.Result // shared with every reader, read-only
-	raw []byte       // canonical compact JSON encoding of *res; nil if it has none
-	sum string       // entrySum(key, raw)
+	key  string
+	res  *core.Result // shared with every reader, read-only
+	wire []byte       // the entry's file and GET /cache/{key} body; nil if the result has no JSON encoding
 }
 
 // newEntry makes the entry for a freshly computed result: one heap copy,
@@ -81,23 +86,18 @@ type lruEntry struct {
 func newEntry(key string, r core.Result) *lruEntry {
 	e := &lruEntry{key: key, res: &r}
 	if raw, err := json.Marshal(e.res); err == nil {
-		e.raw, e.sum = raw, entrySum(key, raw)
+		e.wire = cacheEntry{Key: key, Sum: entrySum(key, raw), Result: raw}.encode()
 	}
 	return e
 }
 
-// size is the entry's accounted size: key plus the canonical compact
-// JSON encoding of the result — the same bytes the persisted file stores,
-// so the byte bound tracks what the cache actually costs on disk.
-func (e *lruEntry) size() int64 { return int64(len(e.key) + len(e.raw)) }
-
-// wire is the entry in its persisted and GET /cache/{key} form.
-func (e *lruEntry) wire() cacheEntry {
-	return cacheEntry{Key: e.key, Sum: e.sum, Result: e.raw}
-}
+// size is the entry's accounted size: key plus wire encoding, the bytes
+// its file holds.
+func (e *lruEntry) size() int64 { return int64(len(e.key) + len(e.wire)) }
 
 // register declares the cache's /metrics view on r; the values live
-// under the cache's own lock and are sampled at scrape time.
+// under the cache's own lock (or in atomics) and are sampled at scrape
+// time.
 func (c *Cache) register(r *obs.Registry) {
 	ctr, gau := r.NewCounterFunc, r.NewGaugeFunc
 	ctr("sdo_cache_hits_total", "Result-cache hits.",
@@ -114,28 +114,66 @@ func (c *Cache) register(r *obs.Registry) {
 		func() float64 { return float64(c.EvictedBytes()) })
 	ctr("sdo_cache_corrupt_entries_total", "Persisted entries dropped by checksum verification.",
 		func() float64 { return float64(c.CorruptEntries()) })
-	ctr("sdo_cache_quarantined_files_total", "Unparseable cache files quarantined (renamed aside).",
-		func() float64 { return float64(c.QuarantinedFiles()) })
+	ctr("sdo_cache_persist_failures_total", "Cache persist attempts that failed.",
+		func() float64 { return float64(c.failures.Load()) })
+	gau("sdo_cache_persistence_enabled", "1 while the cache persists to disk, 0 when memory-only.",
+		func() float64 {
+			if c.dir == "" || c.degraded.Load() {
+				return 0
+			}
+			return 1
+		})
 }
 
-// NewCache returns an empty, unbounded cache.
+// NewCache returns an empty, unbounded, memory-only cache.
 func NewCache() *Cache {
 	return &Cache{entries: make(map[string]*list.Element), order: list.New()}
 }
 
-// SetFaults attaches a fault injector to the cache's I/O paths (chaos
-// testing; nil disables injection).
-func (c *Cache) SetFaults(inj *faults.Injector) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.inj = inj
+// openCache returns an empty cache over dir ("": memory-only), creating
+// the directory if needed; that is all the disk work it does. Results
+// already in dir are read on demand.
+func openCache(dir string, inj *faults.Injector, event func(kind, detail string)) (*Cache, error) {
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("simsvc: cache directory: %w "+
+				"(a single-file cache from an older version is not read: move it aside)", err)
+		}
+	}
+	c := NewCache()
+	c.dir, c.inj, c.event = dir, inj, event
+	return c, nil
 }
 
-// SetMaxBytes bounds the cache's total encoded size to n bytes, evicting
-// least-recently-used entries immediately if it is already over; n <= 0
-// removes the bound. The bound is over entry payloads (keys + canonical
-// result encodings), i.e. what the persisted file stores, excluding the
-// file's framing.
+// validKey reports whether key has the shape RunSpec.CacheKey gives
+// every key: 64 lowercase hex digits. Only such a key names a file, so a
+// key from outside the process (a URL path, a query) never reaches the
+// file system otherwise.
+func validKey(key string) bool {
+	if len(key) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// path is key's entry file, or false when the cache has no disk to use
+// or key is not a cache key.
+func (c *Cache) path(key string) (string, bool) {
+	if c.dir == "" || c.degraded.Load() || !validKey(key) {
+		return "", false
+	}
+	return filepath.Join(c.dir, key+".json"), true
+}
+
+// SetMaxBytes bounds the in-memory total encoded size to n bytes,
+// evicting least-recently-used entries immediately if it is already
+// over; n <= 0 removes the bound. Entry files are not bounded: an
+// evicted entry is read back from its file on demand.
 func (c *Cache) SetMaxBytes(n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -146,7 +184,7 @@ func (c *Cache) SetMaxBytes(n int64) {
 	c.evictOver()
 }
 
-// Bytes returns the total accounted size of the cached entries.
+// Bytes returns the total accounted size of the entries in memory.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -177,72 +215,172 @@ func (c *Cache) evictOver() {
 	}
 }
 
-// Get looks up a result, counting the access as a hit or a miss and
-// refreshing the entry's recency. The result is the cache's own copy,
-// shared with every other reader of the key: it must not be modified.
-func (c *Cache) Get(key string) (*core.Result, bool) {
+// lookup is the one read path: memory first, then the entry's file,
+// which is vetted and kept in memory (it is not written back). touch
+// refreshes a memory hit's recency: a demand access does, a peek does
+// not.
+func (c *Cache) lookup(key string, touch bool) (*lruEntry, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
+	if ok && touch {
+		c.order.MoveToFront(el)
+	}
+	c.mu.Unlock()
+	if ok {
+		return el.Value.(*lruEntry), true
+	}
+	e, ok := c.read(key)
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).res, true
+	return c.insert(e), true
+}
+
+// read loads key's entry file. A missing file is a miss; one that fails
+// verification is a miss counted as corrupt (the re-simulated cell
+// overwrites it); any other read error is a miss reported as
+// cache-load-failed.
+func (c *Cache) read(key string) (*lruEntry, bool) {
+	path, ok := c.path(key)
+	if !ok {
+		return nil, false
+	}
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, false
+	}
+	if err == nil {
+		err = c.inj.LoadErr()
+	}
+	if err != nil {
+		c.event("cache-load-failed", fmt.Sprintf("%s: %v", key, err))
+		return nil, false
+	}
+	e, err := decodeEntry(key, data)
+	if err != nil {
+		c.mu.Lock()
+		c.corrupt++
+		c.mu.Unlock()
+		return nil, false
+	}
+	return e, true
+}
+
+// Get looks up a result, counting the access as a hit or a miss — a
+// result read from its file is a hit — and refreshing the entry's
+// recency. The result is the cache's own copy, shared with every other
+// reader of the key: it must not be modified.
+func (c *Cache) Get(key string) (*core.Result, bool) {
+	e, ok := c.lookup(key, true)
+	c.mu.Lock()
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	c.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return e.res, true
 }
 
 // Contains reports whether key is cached, without touching the hit/miss
 // counters or the LRU order — the steal registry peeks at the cache to
 // skip already-answered cells, and a peek is not a demand lookup.
 func (c *Cache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
+	_, ok := c.lookup(key, false)
 	return ok
 }
 
-// PeekEncoded returns the wire form of a cached entry — key, integrity
-// checksum, canonical compact result encoding — without touching the
-// hit/miss counters or the LRU order. This is what GET /cache/{key}
-// serves to peer nodes: a peer's lookup is not a demand access of this
-// node's cache, so it must not skew the local hit-rate metrics.
-func (c *Cache) PeekEncoded(key string) (cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok || el.Value.(*lruEntry).raw == nil {
-		return cacheEntry{}, false
+// PeekEncoded returns a cached entry's wire form — key, integrity
+// checksum, canonical result encoding; the bytes its file holds —
+// without touching the hit/miss counters or the LRU order. This is what
+// GET /cache/{key} serves to peer nodes: a peer's lookup is not a demand
+// access of this node's cache, so it must not skew the local hit-rate
+// metrics. The bytes are shared and must not be modified.
+func (c *Cache) PeekEncoded(key string) ([]byte, bool) {
+	e, ok := c.lookup(key, false)
+	if !ok || e.wire == nil {
+		return nil, false
 	}
-	return el.Value.(*lruEntry).wire(), true
+	return e.wire, true
 }
 
 // Put stores a freshly computed result as the most recently used entry,
 // evicting the least recently used ones past the bound, and returns the
 // cache's copy of it — the one every later Get shares.
 func (c *Cache) Put(key string, r core.Result) *core.Result {
-	return c.add(newEntry(key, r))
+	return c.add(newEntry(key, r)).res
 }
 
-// add stores a made entry (Put's, or one verify accepted) and returns
-// the result the cache now holds for its key. A key names its content,
-// so an entry already there holds the same result: it is kept and
-// refreshed, and every reader goes on sharing the one copy.
-func (c *Cache) add(e *lruEntry) *core.Result {
+// add stores a made entry (Put's, or a thief's completion verify
+// accepted) and returns the entry the cache now holds for its key. It is
+// the one door for a result this node is the durable home of — an
+// executed cell, a stolen cell's run on the thief and its completion on
+// the owner: a key not in memory has its file written before the entry
+// is inserted, so whoever sees the entry — a waiter settle wakes, a peer,
+// the owner of a stolen cell — sees a result that is already on disk. A
+// key names its content, so an entry already in memory holds the same
+// result: it is kept and refreshed, and every reader goes on sharing the
+// one copy.
+func (c *Cache) add(e *lruEntry) *lruEntry {
+	c.mu.Lock()
+	el, ok := c.entries[e.key]
+	if ok {
+		c.order.MoveToFront(el)
+	}
+	c.mu.Unlock()
+	if ok {
+		return el.Value.(*lruEntry)
+	}
+	c.persist(e)
+	return c.insert(e)
+}
+
+// insert puts e in memory unless its key is already there, and returns
+// the entry held for the key. It writes nothing: it is how a result read
+// from a file or a peer, which already has a durable home, is kept.
+func (c *Cache) insert(e *lruEntry) *lruEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[e.key]; ok {
 		c.order.MoveToFront(el)
-		return el.Value.(*lruEntry).res
+		return el.Value.(*lruEntry)
 	}
 	c.entries[e.key] = c.order.PushFront(e)
 	c.bytes += e.size()
 	c.evictOver()
-	return e.res
+	return e
 }
 
-// Len returns the number of cached results.
+// persist writes e's file (atomicWrite: a crash leaves the old file or
+// the new one), tracking consecutive failures; past persistFailureLimit
+// the cache degrades to memory-only instead of hammering a dead disk.
+// An entry with no encoding stays memory-only.
+func (c *Cache) persist(e *lruEntry) {
+	path, ok := c.path(e.key)
+	if !ok || e.wire == nil {
+		return
+	}
+	err := c.inj.SaveErr()
+	if err == nil {
+		err = atomicWrite(path, e.wire)
+	}
+	if err == nil {
+		c.streak.Store(0)
+		return
+	}
+	c.failures.Add(1)
+	streak := c.streak.Add(1)
+	c.event("persist-failed", err.Error())
+	if streak >= persistFailureLimit && c.degraded.CompareAndSwap(false, true) {
+		c.event("cache-degraded",
+			fmt.Sprintf("persistence disabled after %d consecutive failures: %v", streak, err))
+	}
+}
+
+// Len returns the number of results in memory.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -263,44 +401,49 @@ func (c *Cache) Evictions() uint64 {
 	return c.evictions
 }
 
-// CorruptEntries returns how many persisted entries failed checksum
-// verification and were dropped on load.
+// CorruptEntries returns how many entry files failed verification and
+// were dropped on read.
 func (c *Cache) CorruptEntries() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.corrupt
 }
 
-// QuarantinedFiles returns how many unparseable cache files the loader
-// renamed aside (0 or 1 per load).
-func (c *Cache) QuarantinedFiles() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quarantined
-}
-
-// cacheFile is the persisted form. Entries are a sorted list (not a map)
-// so the file is byte-stable across saves of the same contents.
-type cacheFile struct {
-	Version int          `json:"version"`
-	Entries []cacheEntry `json:"entries"`
-}
-
+// cacheEntry is the wire form of one result: an entry file, a
+// GET /cache/{key} body and a stolen cell's completion.
 type cacheEntry struct {
 	Key string `json:"key"`
 	// Sum is entrySum over (Key, canonical Result encoding); verified on
-	// load so a bit-flipped or hand-edited entry becomes a miss, not a
+	// read so a bit-flipped or hand-edited entry becomes a miss, not a
 	// wrong answer.
 	Sum    string          `json:"sum"`
 	Result json.RawMessage `json:"result"`
 }
 
-// verify is the one integrity rule for an entry, whether it was loaded
-// from the persisted file or received from a peer: re-compact the result
-// (the raw bytes may carry a file's indentation, while the checksum is
+// encode renders the entry as every JSON body of the service is written
+// (newJSONEncoder), or nil if it cannot be encoded.
+func (ce cacheEntry) encode() []byte {
+	var b bytes.Buffer
+	if err := newJSONEncoder(&b).Encode(ce); err != nil {
+		return nil
+	}
+	return b.Bytes()
+}
+
+// newJSONEncoder is the service's one JSON rendering: two-space indent,
+// newline-terminated.
+func newJSONEncoder(w io.Writer) *json.Encoder {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc
+}
+
+// verify is the one integrity rule for an entry, whether it was read
+// from its file or received from a peer or a thief: re-compact the
+// result (the raw bytes may carry indentation, while the checksum is
 // over the canonical compact encoding), recompute the sum, then decode.
 // It returns the entry the cache stores: the decoded result beside the
-// compact bytes the checksum vouches for, its encoding from then on.
+// canonical wire bytes the checksum vouches for.
 func (e cacheEntry) verify() (*lruEntry, error) {
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, e.Result); err != nil {
@@ -314,48 +457,19 @@ func (e cacheEntry) verify() (*lruEntry, error) {
 	if err := json.Unmarshal(raw, r); err != nil {
 		return nil, fmt.Errorf("simsvc: cache entry result: %w", err)
 	}
-	return &lruEntry{key: e.Key, res: r, raw: raw, sum: e.Sum}, nil
+	e.Result = raw
+	return &lruEntry{key: e.Key, res: r, wire: e.encode()}, nil
 }
 
 // entrySum is the per-entry integrity checksum: sha256 over the key and
 // the compact (canonical) JSON encoding of the result, truncated for
-// file compactness — this is corruption detection, not cryptography.
+// compactness — this is corruption detection, not cryptography.
 func entrySum(key string, compactResult []byte) string {
 	h := sha256.New()
 	h.Write([]byte(key))
 	h.Write([]byte{'|'})
 	h.Write(compactResult)
 	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// Save writes the cache atomically (atomicWrite) to path, with a
-// per-entry checksum. A crash mid-save leaves the previous file intact.
-func (c *Cache) Save(path string) error {
-	f := cacheFile{Version: cacheFileVersion}
-	c.mu.Lock()
-	inj := c.inj
-	for _, el := range c.entries {
-		f.Entries = append(f.Entries, el.Value.(*lruEntry).wire())
-	}
-	c.mu.Unlock()
-	if err := inj.SaveErr(); err != nil {
-		return fmt.Errorf("simsvc: save cache: %w", err)
-	}
-	for _, e := range f.Entries {
-		if e.Result == nil {
-			return fmt.Errorf("simsvc: encode cache: result %s has no JSON encoding", e.Key)
-		}
-	}
-	sort.Slice(f.Entries, func(i, j int) bool { return f.Entries[i].Key < f.Entries[j].Key })
-
-	data, err := json.MarshalIndent(&f, "", " ")
-	if err != nil {
-		return fmt.Errorf("simsvc: encode cache: %w", err)
-	}
-	if err := atomicWrite(path, data); err != nil {
-		return fmt.Errorf("simsvc: save cache: %w", err)
-	}
-	return nil
 }
 
 // atomicWrite replaces path with data, via a temp file in the same
@@ -375,54 +489,4 @@ func atomicWrite(path string, data []byte) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// LoadCache reads a persisted cache. A missing file yields an empty
-// cache; a version mismatch discards the contents (the counters would be
-// meaningless under a different schema); an unparseable (truncated,
-// mangled) file is quarantined — renamed to path+CorruptSuffix — and
-// treated as empty; individual entries whose checksum does not match are
-// dropped. Only real I/O failures return an error.
-func LoadCache(path string) (*Cache, error) {
-	return loadCache(path, nil)
-}
-
-func loadCache(path string, inj *faults.Injector) (*Cache, error) {
-	c := NewCache()
-	c.inj = inj
-	if err := inj.LoadErr(); err != nil {
-		return nil, fmt.Errorf("simsvc: load cache %s: %w", path, err)
-	}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("simsvc: load cache: %w", err)
-	}
-	var f cacheFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		// The file is not valid JSON: quarantine it for forensics and
-		// start empty. A failed rename only means we could not move it;
-		// the cache still starts empty either way.
-		c.quarantined++
-		os.Rename(path, path+CorruptSuffix)
-		return c, nil
-	}
-	if f.Version != cacheFileVersion {
-		return c, nil
-	}
-	for _, e := range f.Entries {
-		if _, ok := c.entries[e.Key]; ok {
-			continue
-		}
-		le, err := e.verify()
-		if err != nil {
-			c.corrupt++
-			continue
-		}
-		c.entries[e.Key] = c.order.PushFront(le)
-		c.bytes += le.size()
-	}
-	return c, nil
 }

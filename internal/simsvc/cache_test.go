@@ -1,10 +1,14 @@
 package simsvc
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -56,57 +60,128 @@ func TestCacheKeyUnknownWorkload(t *testing.T) {
 	}
 }
 
+// testKey is the i-th made-up cache key, in the shape RunSpec.CacheKey
+// gives every real one (64 lowercase hex digits), so it names a file.
+func testKey(i int) string { return fmt.Sprintf("%064x", i) }
+
+// diskCache opens a cache over dir with no fault injection and no event
+// sink.
+func diskCache(t *testing.T, dir string) *Cache {
+	t.Helper()
+	c, err := openCache(dir, nil, func(string, string) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// entryFile reads key's entry file in dir.
+func entryFile(t *testing.T, dir, key string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, key+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCacheSaveLoadRoundTrip: every Put writes its entry file, and a
+// second cache — and a second Service — over the same directory reads the
+// results back exactly, as hits, with nothing decoded up front. Each
+// file's bytes are the entry's GET /cache/{key} body.
 func TestCacheSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "cache.json")
-
-	c := NewCache()
+	c := diskCache(t, dir)
 	r := core.Result{Variant: core.Hybrid, Model: pipeline.Futuristic}
 	r.Cycles = 12345
 	r.Committed = 6789
 	r.Squashes[0] = 42
 	r.L1DHits = 99
-	c.Put("k1", r)
-	c.Put("k2", core.Result{})
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	c.Put(testKey(1), r)
+	c.Put(testKey(2), core.Result{})
 
-	c2, err := LoadCache(path)
-	if err != nil {
-		t.Fatal(err)
+	c2 := diskCache(t, dir)
+	if c2.Len() != 0 {
+		t.Fatalf("a fresh cache holds %d entries before any lookup, want 0", c2.Len())
 	}
-	if c2.Len() != 2 {
-		t.Fatalf("reloaded %d entries, want 2", c2.Len())
-	}
-	got, ok := c2.Get("k1")
+	got, ok := c2.Get(testKey(1))
 	if !ok || !reflect.DeepEqual(*got, r) {
 		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, r)
 	}
-
-	// Saving identical contents twice must produce identical bytes
-	// (sorted entries, no map-order dependence).
-	path2 := filepath.Join(dir, "cache2.json")
-	if err := c2.Save(path2); err != nil {
-		t.Fatal(err)
+	if _, ok := c2.Get(testKey(2)); !ok {
+		t.Fatal("second entry lost")
 	}
-	b1, _ := os.ReadFile(path)
-	b2, _ := os.ReadFile(path2)
-	if string(b1) != string(b2) {
-		t.Fatal("cache file not byte-stable across saves")
+	if h, m := c2.Stats(); h != 2 || m != 0 || c2.Len() != 2 {
+		t.Fatalf("read-through: hits=%d misses=%d len=%d, want 2/0/2", h, m, c2.Len())
+	}
+
+	s := newService(t, Config{Workers: 1, CachePath: dir})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Shutdown(context.Background())
+	})
+	for _, key := range []string{testKey(1), testKey(2)} {
+		file := entryFile(t, dir, key)
+		if body := get(t, ts.URL+"/cache/"+key, 200); !bytes.Equal(body, file) {
+			t.Errorf("%s: GET /cache body differs from the entry file:\n%s\nvs\n%s", key, body, file)
+		}
+		if wire, _ := c.PeekEncoded(key); !bytes.Equal(wire, file) {
+			t.Errorf("%s: the writer's stored bytes differ from its file", key)
+		}
 	}
 }
 
+// TestCacheLoadMissingAndStale: a missing entry file is a plain miss, a
+// missing cache directory is created, and a path holding a single-file
+// cache from an older version is refused rather than read or replaced.
 func TestCacheLoadMissingAndStale(t *testing.T) {
-	c, err := LoadCache(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil || c.Len() != 0 {
-		t.Fatalf("missing file: got len=%d err=%v", c.Len(), err)
+	dir := filepath.Join(t.TempDir(), "a", "cache")
+	c := diskCache(t, dir)
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("cache directory not created: %v", err)
 	}
-	stale := filepath.Join(t.TempDir(), "stale.json")
-	os.WriteFile(stale, []byte(`{"version": 999, "entries": [{"key":"x","result":{}}]}`), 0o644)
-	c, err = LoadCache(stale)
-	if err != nil || c.Len() != 0 {
-		t.Fatalf("stale version must be discarded: got len=%d err=%v", c.Len(), err)
+	if _, ok := c.Get(testKey(1)); ok || c.CorruptEntries() != 0 {
+		t.Fatalf("missing entry: hit=%v corrupt=%d, want a plain miss", ok, c.CorruptEntries())
+	}
+
+	stale := filepath.Join(t.TempDir(), "sdo-cache.json")
+	old := []byte(`{"version": 3, "entries": [{"key":"x","sum":"","result":{}}]}`)
+	if err := os.WriteFile(stale, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Config{Workers: 1, CachePath: stale})
+	if err == nil || !strings.Contains(err.Error(), "move it aside") {
+		t.Fatalf("New over a single-file cache: err = %v, want a move-it-aside error", err)
+	}
+	if b, _ := os.ReadFile(stale); !bytes.Equal(b, old) {
+		t.Error("the old cache file was changed")
+	}
+}
+
+// TestMemoryOnlyCacheOpensNoFile: with no cache directory, a sweep
+// writes nothing — not even relative to the working directory — and the
+// cache reports persistence off.
+func TestMemoryOnlyCacheOpensNoFile(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	if err := os.Chdir(tmp); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	s := newService(t, Config{Workers: 2})
+	submitAndWait(t, s, smallReq())
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir(tmp); len(ents) != 0 {
+		t.Errorf("a memory-only service left %d file(s) in its working directory", len(ents))
+	}
+	if got := metric(t, s, "sdo_cache_persistence_enabled"); got != 0 {
+		t.Errorf("sdo_cache_persistence_enabled = %v, want 0", got)
 	}
 }
 
@@ -174,16 +249,21 @@ func TestCacheByteBound(t *testing.T) {
 		t.Errorf("re-Put: copy %p (kept %p), bytes %d -> %d", got, kept, before, c.Bytes())
 	}
 
-	// The byte accounting survives a save/load round trip.
-	path := filepath.Join(t.TempDir(), "cache.json")
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
+	// The bound is over memory only: over a cache directory an evicted
+	// entry comes back from its file, as a hit, with the same accounting.
+	one = newEntry(testKey(0), core.Result{L1DHits: 1}).size()
+	d := diskCache(t, t.TempDir())
+	d.SetMaxBytes(3*one + one/2)
+	for i := 0; i < 4; i++ {
+		d.Put(testKey(i), core.Result{L1DHits: uint64(i + 1)})
 	}
-	loaded, err := LoadCache(path)
-	if err != nil {
-		t.Fatal(err)
+	if d.Len() != 3 || d.Evictions() != 1 {
+		t.Fatalf("bounded disk cache: len %d, evictions %d, want 3/1", d.Len(), d.Evictions())
 	}
-	if loaded.Bytes() != c.Bytes() {
-		t.Errorf("loaded bytes %d, want %d", loaded.Bytes(), c.Bytes())
+	if r, ok := d.Get(testKey(0)); !ok || r.L1DHits != 1 {
+		t.Fatalf("evicted entry not read back from disk: %+v ok=%v", r, ok)
+	}
+	if h, m := d.Stats(); h != 1 || m != 0 || d.Len() != 3 || d.Bytes() != 3*one {
+		t.Errorf("after read-back: hits=%d misses=%d len=%d bytes=%d, want 1/0/3/%d", h, m, d.Len(), d.Bytes(), 3*one)
 	}
 }

@@ -45,7 +45,7 @@ func TestResubmitAfterCrash(t *testing.T) {
 	ref.Shutdown(context.Background())
 
 	dir := t.TempDir()
-	cachePath := filepath.Join(dir, "cache.json")
+	cachePath := filepath.Join(dir, "cache")
 	s1 := newService(t, Config{Workers: 2, CachePath: cachePath})
 	submitAndWait(t, s1, smallReq())
 	if err := s1.Shutdown(context.Background()); err != nil {
@@ -95,15 +95,16 @@ func TestResubmitAfterCrash(t *testing.T) {
 }
 
 // TestFinishedCellsPersistBeforeJobEnds pins what the crash guarantee
-// rests on: every finished cell reaches the cache file on its own, not
-// only when its job ends. The sweep's second workload is parked inside
-// its plan build, so the job cannot finish, yet the file fills with the
-// first workload's cells.
+// rests on: a finished cell's file is written before anyone sees the
+// cell, not when its job ends. The sweep's second workload is parked
+// inside its plan build, so the job cannot finish; by then the first
+// workload's cells show in the progress stream, and each one that shows
+// already has its file — no waiting.
 func TestFinishedCellsPersistBeforeJobEnds(t *testing.T) {
 	gate := newBuildGate(t)
 	gate.pass.Store(1) // the first workload's plan builds; the second parks
-	path := filepath.Join(t.TempDir(), "cache.json")
-	s := newService(t, Config{Workers: 1, CachePath: path,
+	dir := t.TempDir()
+	s := newService(t, Config{Workers: 1, CachePath: dir,
 		Recorder: obs.NewRecorder(obs.ClassSample, gate)})
 	defer s.Shutdown(context.Background())
 	defer gate.release() // before Shutdown, which drains the parked cell
@@ -115,10 +116,14 @@ func TestFinishedCellsPersistBeforeJobEnds(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-gate.entered
-	pollUntil(t, "the first workload's cells in the cache file", 30*time.Second, func() bool {
-		c, err := LoadCache(path)
-		return err == nil && c.Contains(keys[0]) && c.Contains(keys[1])
-	})
+	if lines, _ := j.ProgressSince(0); len(lines) != 2 {
+		t.Fatalf("progress while the second workload is parked: %q, want the first workload's 2 cells", lines)
+	}
+	for _, key := range keys[:2] {
+		if _, err := os.Stat(filepath.Join(dir, key+".json")); err != nil {
+			t.Errorf("a cell in the progress stream has no file: %v", err)
+		}
+	}
 	if st := j.Status(); st.State != JobRunning {
 		t.Fatalf("job state = %s while a plan build is parked, want running", st.State)
 	}

@@ -26,8 +26,8 @@ import (
 //	GET    /sweeps/{id}/trace    span-tree trace JSON (?format=chrome for the
 //	                             Chrome trace-event form); registered only
 //	                             with tracing enabled
-//	GET    /cache/{key}          one content-addressed cache entry in the
-//	                             persisted wire form {key, sum, result};
+//	GET    /cache/{key}          one content-addressed cache entry: the
+//	                             bytes of its file {key, sum, result};
 //	                             404 on a miss. Internal: this is what
 //	                             peer nodes (internal/fabric) consult on
 //	                             their own cache misses
@@ -66,18 +66,20 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// handleCacheGet serves one cache entry to a peer node, in exactly the
-// persisted wire form (key + integrity checksum + canonical result
-// encoding) so the peer vets it with the same rule as a loaded cache
-// file. The lookup is a peek: peer traffic must not skew this node's
-// demand hit/miss counters or LRU order.
+// handleCacheGet serves one cache entry to a peer node: the entry's
+// stored wire bytes (key + integrity checksum + canonical result
+// encoding), the same bytes as its file, which the peer vets with the
+// same rule as a file read from disk. The lookup is a peek: peer traffic
+// must not skew this node's demand hit/miss counters or LRU order. A
+// path that is not a cache key is a 404 without touching the disk.
 func (s *Service) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.cache.PeekEncoded(r.PathValue("key"))
+	wire, ok := s.cache.PeekEncoded(r.PathValue("key"))
 	if !ok {
 		http.Error(w, "unknown cache key", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, e)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(wire)
 }
 
 // VariantInfo is one /variants row: a registered protection scheme as
@@ -107,9 +109,7 @@ func (s *Service) handleVariants(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	newJSONEncoder(w).Encode(v)
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -8,9 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/pipeline"
 )
 
 func httpService(t *testing.T) (*Service, *httptest.Server) {
@@ -165,4 +170,51 @@ func TestHTTPCancel(t *testing.T) {
 	}
 	// Export of a cancelled sweep reports the conflict.
 	get(t, fmt.Sprintf("%s/sweeps/%s/export", ts.URL, st.ID), http.StatusConflict)
+}
+
+// TestNonKeysNeverTouchTheDisk: GET /cache/{key} and a stolen cell's
+// completion name entry files, and their keys come from outside the
+// process. Anything but 64 lowercase hex digits is refused — a 404, an
+// error — before a file is opened, even where a checksum-valid entry
+// sits at the path the key would name.
+func TestNonKeysNeverTouchTheDisk(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b", "cache")
+	s, ts := newPeerNode(t, Config{Workers: 1, CachePath: dir, WorkStealing: true})
+	valid := testKey(7)
+	for _, tc := range []struct{ name, path, key string }{
+		{"traversal", "..%2F..%2Fetc%2Fpasswd", "../../etc/passwd"},
+		{"63 digits", valid[1:], valid[1:]},
+		{"65 digits", valid + "0", valid + "0"},
+		{"upper case", strings.ToUpper(testKey(0xabc)), strings.ToUpper(testKey(0xabc))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			file := filepath.Join(dir, tc.key+".json") // where the key would point
+			wire := newEntry(tc.key, core.Result{Stats: pipeline.Stats{Cycles: 7}}).wire
+			if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(file, wire, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cache/"+tc.path, nil))
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("GET /cache/%s: %d, want 404", tc.path, rec.Code)
+			}
+			get(t, ts.URL+"/cache/"+tc.path, http.StatusNotFound)
+
+			os.Remove(file)
+			if err := s.CompleteSteal(tc.key, wire); err == nil {
+				t.Errorf("CompleteSteal(%q) accepted a non-key", tc.key)
+			}
+			if _, err := os.Stat(file); !os.IsNotExist(err) {
+				t.Errorf("CompleteSteal(%q) wrote %s", tc.key, file)
+			}
+		})
+	}
+	if c := s.Cache(); c.Len() != 0 || c.CorruptEntries() != 0 || faultEvents(s)["cache-load-failed"] != 0 {
+		t.Errorf("a non-key reached the cache: %d entries, %d corrupt reads, %d failed reads",
+			c.Len(), c.CorruptEntries(), faultEvents(s)["cache-load-failed"])
+	}
 }

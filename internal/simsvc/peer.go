@@ -10,28 +10,36 @@ import (
 )
 
 // The service side of cache peering. The wire format of GET /cache/{key}
-// is exactly one persisted cache entry — {key, sum, result} with the
-// same integrity checksum the on-disk cache carries — so a peer response
-// is vetted by the same rule as a loaded cache file (cacheEntry.verify).
-// A corrupt peer can cost a lookup, never poison the determinism
-// guarantee.
+// is exactly one entry file — {key, sum, result} with the integrity
+// checksum every entry carries — so a peer response is vetted by the
+// same rule as a file read from disk (cacheEntry.verify). A corrupt peer
+// can cost a lookup, never poison the determinism guarantee.
 
-// decodeEntry parses and verifies one wire-form cache entry for key: a
-// peer's /cache response or a thief's stolen-cell completion.
+// decodeEntry parses and verifies one wire-form cache entry for key: an
+// entry file, a peer's /cache response or a thief's stolen-cell
+// completion. A key RunSpec.CacheKey cannot have made is refused before
+// the body is read.
 func decodeEntry(key string, body []byte) (*lruEntry, error) {
+	if !validKey(key) {
+		return nil, fmt.Errorf("simsvc: %q is not a cache key", key)
+	}
 	var e cacheEntry
 	if err := json.Unmarshal(body, &e); err != nil {
-		return nil, fmt.Errorf("simsvc: peer entry: %w", err)
+		return nil, fmt.Errorf("simsvc: cache entry: %w", err)
 	}
 	if e.Key != key {
-		return nil, fmt.Errorf("simsvc: peer entry key mismatch (got %q)", e.Key)
+		return nil, fmt.Errorf("simsvc: cache entry key mismatch (got %q)", e.Key)
 	}
 	return e.verify()
 }
 
 // peerLookup consults the peer fabric for a content-addressed key under
-// a peer-lookup trace span and caches what a peer answers, returning the
-// cache's copy. Misses and every failure mode — a body that fails
+// a peer-lookup trace span and caches what a peer answers in memory,
+// returning the cache's copy. The answer is not written to this node's
+// cache directory: the peer that served it holds it on its own disk, as
+// an entry read back from this node's file is not written again. (A
+// file write costs ~200 µs of kernel time; a sweep answered entirely by
+// peers would pay one per cell for a second copy of a durable result.) Misses and every failure mode — a body that fails
 // decodeEntry counts as a peer failure (breaker food), not a hit — come
 // back as (nil, false): the caller's fallback is local simulation.
 func (s *Service) peerLookup(root *trace.Span, key string) (*core.Result, bool) {
@@ -49,7 +57,7 @@ func (s *Service) peerLookup(root *trace.Span, key string) (*core.Result, bool) 
 	if !ok {
 		return nil, false
 	}
-	return s.cache.add(v.(*lruEntry)), true
+	return s.cache.insert(v.(*lruEntry)).res, true
 }
 
 // registerPeerMetrics declares the fabric's /metrics view; its counters

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -69,27 +70,24 @@ seeds:
 	return 0
 }
 
-// writeCorruptEntryCache writes a valid v3 cache file whose single entry
-// has a mismatched checksum — the moral equivalent of a bit flip on disk.
-func writeCorruptEntryCache(t *testing.T, path string) {
+// writeCorruptEntry writes key's entry file in dir with a mismatched
+// checksum — the moral equivalent of a bit flip on disk.
+func writeCorruptEntry(t *testing.T, dir, key string) {
 	t.Helper()
-	file := fmt.Sprintf(`{"version":%d,"entries":[{"key":"bogus","sum":"0000000000000000","result":{"cycles":12345}}]}`,
-		cacheFileVersion)
-	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+	file := fmt.Sprintf(`{"key":%q,"sum":"0000000000000000","result":{"cycles":12345}}`, key)
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(file), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestChaosSweepSurvivesTransientFaults is the headline robustness
-// scenario from the issue: with an injected first-attempt panic, every
-// cell artificially slowed, a corrupted cache entry on disk and the first
-// cache persist hitting a full disk, a sweep still completes, reports
+// scenario: with an injected first-attempt panic, every cell
+// artificially slowed, a corrupted entry file on disk and the first
+// entry write hitting a full disk, a sweep still completes, reports
 // accurate retry counts, and exports byte-identically to a fault-free
 // run — failure recovery must not perturb determinism.
 func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.json")
-	writeCorruptEntryCache(t, path)
-
+	dir := t.TempDir()
 	seed := chaosSeed(t, 0.4, 3)
 	inj := faults.New(faults.Config{
 		Seed:             seed,
@@ -100,11 +98,13 @@ func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 	})
 	s := newService(t, Config{
 		Workers:      2,
-		CachePath:    path,
+		CachePath:    dir,
 		MaxAttempts:  3,
 		RetryBackoff: time.Millisecond,
 		Faults:       inj,
 	})
+	_, keys := cellKeys(t, s, smallReq())
+	writeCorruptEntry(t, dir, keys[0])
 
 	j := submitAndWait(t, s, smallReq())
 	st := j.Status()
@@ -149,33 +149,31 @@ func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 		t.Fatal("chaos export differs from fault-free export")
 	}
 
-	// The write-behind persist after the job hits the injected disk-full
-	// error (counted, not fatal) ...
-	deadline := time.Now().Add(10 * time.Second)
-	for metric(t, s, "sdo_cache_persist_failures_total") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("disk-full persist failure never counted")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Every entry write happened before its cell was delivered: the
+	// first hit the injected full disk (counted, not fatal) ...
+	if got := metric(t, s, "sdo_cache_persist_failures_total"); got != 1 {
+		t.Fatalf("sdo_cache_persist_failures_total = %v, want 1", got)
 	}
 	if metric(t, s, "sdo_cache_persistence_enabled") != 1 {
 		t.Fatal("one persist failure should not degrade the cache")
 	}
-	pollUntil(t, "one persist-failed event", 10*time.Second, func() bool { return faultEvents(s)["persist-failed"] == 1 })
-	if n := faultEvents(s)["cache-degraded"]; n != 0 {
-		t.Errorf("flight recorder holds %d cache-degraded events after one persist failure", n)
+	if ev := faultEvents(s); ev["persist-failed"] != 1 || ev["cache-degraded"] != 0 {
+		t.Errorf("flight recorder: %d persist-failed and %d cache-degraded events, want 1 and 0",
+			ev["persist-failed"], ev["cache-degraded"])
 	}
-	// ... and the shutdown-time persist (disk-full budget exhausted)
-	// succeeds, leaving a loadable cache with all four results.
+	// ... and the other three left valid files behind.
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := LoadCache(path)
-	if err != nil {
-		t.Fatal(err)
+	reread := diskCache(t, dir)
+	valid := 0
+	for _, key := range keys {
+		if reread.Contains(key) {
+			valid++
+		}
 	}
-	if reloaded.Len() != 4 {
-		t.Fatalf("reloaded cache has %d entries, want 4", reloaded.Len())
+	if valid != 3 {
+		t.Fatalf("%d of 4 cells have a valid file, want 3", valid)
 	}
 }
 
@@ -291,125 +289,102 @@ func TestKilledCellsAreCountedAndRecorded(t *testing.T) {
 	}
 }
 
-// TestCacheBitFlippedEntryDropped: flipping bytes inside one persisted
-// result invalidates its checksum; the loader drops that entry (a miss,
-// not a wrong answer) and keeps the rest.
+// TestCacheBitFlippedEntryDropped: flipping a digit inside one entry
+// file invalidates its checksum. On a restart that cell is one miss — a
+// corrupt one, re-simulated, its file rewritten — never a wrong answer;
+// every other cell is a hit and the export does not move.
 func TestCacheBitFlippedEntryDropped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.json")
-	c := NewCache()
-	c.Put("cell-a", core.Result{Stats: pipeline.Stats{Cycles: 111, Committed: 11}})
-	c.Put("cell-b", core.Result{Stats: pipeline.Stats{Cycles: 222, Committed: 22}})
-	if err := c.Save(path); err != nil {
+	dir := t.TempDir()
+	s1 := newService(t, Config{Workers: 2, CachePath: dir})
+	_, keys := cellKeys(t, s1, smallReq())
+	want := exportBytes(t, submitAndWait(t, s1, smallReq()))
+	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	good := entryFile(t, dir, keys[0])
+	m := regexp.MustCompile(`"Cycles": (\d+)`).FindSubmatchIndex(good)
+	if m == nil {
+		t.Fatalf("test bug: no Cycles field in:\n%s", good)
 	}
-	mangled := bytes.Replace(data, []byte(`"Cycles": 111`), []byte(`"Cycles": 119`), 1)
-	if bytes.Equal(mangled, data) {
-		t.Fatalf("test bug: pattern not found in:\n%s", data)
-	}
-	if err := os.WriteFile(path, mangled, 0o644); err != nil {
+	flipped := append([]byte(nil), good...)
+	flipped[m[3]-1] = '0' + (flipped[m[3]-1]-'0'+1)%10 // a different last digit
+	if err := os.WriteFile(filepath.Join(dir, keys[0]+".json"), flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	loaded, err := LoadCache(path)
-	if err != nil {
-		t.Fatal(err)
+	s2 := newService(t, Config{Workers: 2, CachePath: dir})
+	defer s2.Shutdown(context.Background())
+	if got := exportBytes(t, submitAndWait(t, s2, smallReq())); !bytes.Equal(got, want) {
+		t.Error("export after a bit flip differs from the original")
 	}
-	if loaded.CorruptEntries() != 1 {
-		t.Fatalf("corrupt entries = %d, want 1", loaded.CorruptEntries())
+	for name, want := range map[string]float64{
+		"sdo_cache_corrupt_entries_total": 1,
+		"sdo_runs_executed_total":         1,
+		"sdo_cache_misses_total":          1,
+		"sdo_cache_hits_total":            float64(len(keys) - 1),
+	} {
+		if got := metric(t, s2, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
-	if _, ok := loaded.Get("cell-a"); ok {
-		t.Fatal("bit-flipped entry served from cache")
-	}
-	if r, ok := loaded.Get("cell-b"); !ok || r.Cycles != 222 {
-		t.Fatalf("intact entry lost: %+v ok=%v", r, ok)
+	if got := entryFile(t, dir, keys[0]); !bytes.Equal(got, good) {
+		t.Error("the re-simulated cell did not rewrite its file")
 	}
 }
 
-// TestCacheTruncatedFileQuarantined: an unparseable (truncated) cache
-// file is renamed aside for forensics and the cache starts empty.
-func TestCacheTruncatedFileQuarantined(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.json")
-	c := NewCache()
-	c.Put("cell-a", core.Result{Stats: pipeline.Stats{Cycles: 111}})
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := LoadCache(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q := cacheMetric(t, loaded, "sdo_cache_quarantined_files_total"); loaded.Len() != 0 || q != 1 {
-		t.Fatalf("len=%d sdo_cache_quarantined_files_total=%v, want 0/1", loaded.Len(), q)
-	}
-	if _, err := os.Stat(path + CorruptSuffix); err != nil {
-		t.Fatalf("quarantine file missing: %v", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("original corrupt file still present (err=%v)", err)
-	}
-}
-
-// TestCacheReadFaultDegradesHealth: an injected cache read error at
-// startup must not prevent the service from starting — it starts with an
-// empty cache and reports degraded health until a persist succeeds.
-func TestCacheReadFaultDegradesHealth(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.json")
-	c := NewCache()
-	c.Put("cell-a", core.Result{Stats: pipeline.Stats{Cycles: 111}})
-	if err := c.Save(path); err != nil {
+// TestCacheReadFaultIsOneMiss: an entry file whose read fails (here, an
+// injected I/O error) is one miss and one cache-load-failed event: the
+// cell is simulated again and the service stays healthy.
+func TestCacheReadFaultIsOneMiss(t *testing.T) {
+	dir := t.TempDir()
+	req := specReq("exchange2_r", "unsafe")
+	s1 := newService(t, Config{Workers: 1, CachePath: dir})
+	submitAndWait(t, s1, req)
+	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	inj := faults.New(faults.Config{CacheReadErrProb: 1})
-	s := newService(t, Config{Workers: 1, CachePath: path, Faults: inj})
+	s := newService(t, Config{Workers: 1, CachePath: dir, Faults: inj})
 	defer s.Shutdown(context.Background())
-	if s.Cache().Len() != 0 {
-		t.Fatalf("cache loaded %d entries through an injected read error", s.Cache().Len())
+	submitAndWait(t, s, req)
+	if h, m, ex := metric(t, s, "sdo_cache_hits_total"), metric(t, s, "sdo_cache_misses_total"),
+		metric(t, s, "sdo_runs_executed_total"); h != 0 || m != 1 || ex != 1 {
+		t.Fatalf("hits=%v misses=%v executed=%v, want 0/1/1", h, m, ex)
 	}
-	h := s.Health()
-	if h.Status != "degraded" || len(h.Reasons) == 0 {
-		t.Fatalf("health = %+v, want degraded", h)
+	if h := s.Health(); h.Status != "ok" {
+		t.Fatalf("health = %+v, want ok", h)
 	}
 	if n := faultEvents(s)["cache-load-failed"]; n != 1 {
 		t.Errorf("flight recorder holds %d cache-load-failed events, want 1", n)
 	}
 }
 
-// TestPersistFailuresDegradeToMemoryOnly: once consecutive persist
-// failures cross the limit, the cache switches to memory-only mode,
-// health reports degraded, and shutdown succeeds without touching disk.
+// TestPersistFailuresDegradeToMemoryOnly: three consecutive entry-write
+// failures switch the cache to memory-only mode: health reports
+// degraded, later cells write nothing, and sweeps still complete.
 func TestPersistFailuresDegradeToMemoryOnly(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nodir", "cache.json") // parent missing: every save fails
-	s := newService(t, Config{Workers: 2, CachePath: path, PersistFailureLimit: 2})
-	for i := 0; i < 2; i++ {
-		s.persistNow()
+	dir := t.TempDir()
+	inj := faults.New(faults.Config{CacheWriteErrProb: 1})
+	s := newService(t, Config{Workers: 1, CachePath: dir, Faults: inj})
+	submitAndWait(t, s, smallReq()) // four cells: three failed writes, then none
+	if fails, enabled := metric(t, s, "sdo_cache_persist_failures_total"), metric(t, s, "sdo_cache_persistence_enabled"); fails != 3 || enabled != 0 {
+		t.Fatalf("persist failures=%v persistence enabled=%v, want 3/0 (degraded)", fails, enabled)
 	}
-	if fails, enabled := metric(t, s, "sdo_cache_persist_failures_total"), metric(t, s, "sdo_cache_persistence_enabled"); fails != 2 || enabled != 0 {
-		t.Fatalf("persist failures=%v persistence enabled=%v, want 2/0 (degraded)", fails, enabled)
-	}
-	if ev := faultEvents(s); ev["persist-failed"] != 2 || ev["cache-degraded"] != 1 {
-		t.Errorf("flight recorder: %d persist-failed and %d cache-degraded events, want 2 and 1",
+	if ev := faultEvents(s); ev["persist-failed"] != 3 || ev["cache-degraded"] != 1 {
+		t.Errorf("flight recorder: %d persist-failed and %d cache-degraded events, want 3 and 1",
 			ev["persist-failed"], ev["cache-degraded"])
 	}
-	if h := s.Health(); h.Status != "degraded" {
+	if h := s.Health(); h.Status != "degraded" || !containsStr(h.Reasons, "cache-degraded") {
 		t.Fatalf("health = %+v, want degraded", h)
 	}
 	// The degraded service still serves sweeps (memory-only) and shuts
-	// down cleanly without attempting the final save.
-	submitAndWait(t, s, smallReq())
+	// down cleanly.
+	submitAndWait(t, s, supersetReq())
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("a memory-only cache left %d file(s)", len(ents))
 	}
 }
 
@@ -542,8 +517,8 @@ func TestShutdownConcurrentWithCancel(t *testing.T) {
 // shutdown begins run to completion and their results are persisted, as
 // long as their job is still alive (graceful drain, not a hard kill).
 func TestShutdownCompletesInFlightCells(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.json")
-	s := newService(t, Config{Workers: 4, CachePath: path})
+	dir := t.TempDir()
+	s := newService(t, Config{Workers: 4, CachePath: dir})
 	j, err := s.Submit(smallReq()) // 4 cells, 4 workers: all start immediately
 	if err != nil {
 		t.Fatal(err)
@@ -567,12 +542,8 @@ func TestShutdownCompletesInFlightCells(t *testing.T) {
 	if st := j.Status(); st.State != JobDone || st.Completed != 4 {
 		t.Fatalf("in-flight cells not drained: %+v", st)
 	}
-	reloaded, err := LoadCache(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reloaded.Len() != 4 {
-		t.Fatalf("persisted %d results, want 4", reloaded.Len())
+	if ents, _ := os.ReadDir(dir); len(ents) != 4 {
+		t.Fatalf("persisted %d results, want 4", len(ents))
 	}
 }
 
@@ -677,7 +648,7 @@ func TestHealthDegradedReasons(t *testing.T) {
 	if h.Status != "degraded" || !containsStr(h.Reasons, "retry-storm") {
 		t.Fatalf("storm health: %+v", h)
 	}
-	s.cacheDegraded.Store(true)
+	s.cache.degraded.Store(true)
 	if h := s.Health(); !containsStr(h.Reasons, "cache-degraded") {
 		t.Fatalf("degraded-cache health: %+v", h)
 	}

@@ -37,12 +37,13 @@ import (
 type Config struct {
 	// Workers bounds concurrent simulations (0: GOMAXPROCS).
 	Workers int
-	// CachePath persists the result cache across restarts ("" disables
-	// persistence; the in-memory cache still works).
+	// CachePath is the result-cache directory, one file per result,
+	// which persists results across restarts ("" disables persistence;
+	// the in-memory cache still works).
 	CachePath string
-	// CacheMaxBytes bounds the result cache's total encoded size in
-	// bytes; least-recently-used results are evicted past the bound
-	// (0: unbounded).
+	// CacheMaxBytes bounds the in-memory result cache's total encoded
+	// size in bytes; least-recently-used results are evicted past the
+	// bound and read back from their files on demand (0: unbounded).
 	CacheMaxBytes int64
 
 	// MaxAttempts bounds attempts per cell: transiently-failed cells
@@ -68,9 +69,6 @@ type Config struct {
 	// evicted past the bound (0: default 4096). Running jobs are never
 	// evicted.
 	MaxJobs int
-	// PersistFailureLimit is how many consecutive cache-persist failures
-	// switch the cache to memory-only mode (0: default 3).
-	PersistFailureLimit int
 	// RetryStormThreshold marks health degraded when at least this many
 	// retries happen within one minute (0: default 50).
 	RetryStormThreshold int
@@ -78,7 +76,7 @@ type Config struct {
 	// (nil in production: zero cost).
 	Faults *faults.Injector
 	// Recorder, when non-nil, receives ClassFault events (cell failures,
-	// retries, quarantine, persistence degradation).
+	// retries, cache read and write failures, persistence degradation).
 	Recorder *obs.Recorder
 
 	// Trace enables the sweep-lifecycle span model (internal/obs/trace):
@@ -133,9 +131,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 4096
 	}
-	if c.PersistFailureLimit <= 0 {
-		c.PersistFailureLimit = 3
-	}
 	if c.RetryStormThreshold <= 0 {
 		c.RetryStormThreshold = 50
 	}
@@ -163,10 +158,6 @@ func (e *OverloadError) Error() string {
 
 // retryWindow is the sliding window for retry-storm detection.
 const retryWindow = time.Minute
-
-// persistDebounce batches persist triggers: results landing within this
-// window of each other are written in one save.
-const persistDebounce = 100 * time.Millisecond
 
 // flightEvents sizes the /debug/flight ring: the last flightEvents
 // observability events are always retained in memory, whatever Recorder
@@ -199,14 +190,6 @@ type Service struct {
 	// and memoises the checkpoints and sampling plans they share.
 	exec *harness.Executor
 
-	// Write-behind cache persistence: schedulePersist debounces a
-	// background save after each new result; repeated failures flip the
-	// cache to memory-only (cacheDegraded).
-	persistMu      sync.Mutex
-	persistPending bool
-	persistStopped bool
-	bg             sync.WaitGroup
-
 	// Retry-storm detection: timestamps of recent retries.
 	retryMu    sync.Mutex
 	retryTimes []time.Time
@@ -230,11 +213,6 @@ type Service struct {
 	jobsRejected *obs.Counter // submissions refused by backpressure
 	jobsEvicted  *obs.Counter // finished jobs dropped from the registry
 
-	persistFailures   *obs.Counter  // cache persist failures (total)
-	persistFailStreak atomic.Uint64 // consecutive persist failures
-	cacheDegraded     atomic.Bool   // persistence disabled (memory-only)
-	cacheLoadFailed   atomic.Bool   // startup cache load failed (started empty)
-
 	runDur *obs.Histogram // per-run wall time
 }
 
@@ -256,26 +234,14 @@ type delivery struct {
 	await *trace.Span
 }
 
-// New starts a service. The persisted cache at cfg.CachePath, if any, is
-// loaded so a restarted server answers repeated sweeps from cache; an
-// unreadable cache never prevents startup — the service starts with an
-// empty cache and reports degraded health until the next successful
-// persist. Results are the only state that outlives a process: jobs and
-// their IDs do not, so a sweep a crash interrupted is resubmitted, and
-// its persisted cells resolve as cache hits.
+// New starts a service. Its only startup disk work is creating the
+// cache directory cfg.CachePath, and New fails if it cannot; results
+// already there are read on demand, so a restarted server answers
+// repeated sweeps from cache. Results are the only state that outlives a
+// process: jobs and their IDs do not, so a sweep a crash interrupted is
+// resubmitted, and its persisted cells resolve as cache hits.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
-	loadFailed := false
-	cache := NewCache()
-	if cfg.CachePath != "" {
-		if loaded, err := loadCache(cfg.CachePath, cfg.Faults); err == nil {
-			cache = loaded
-		} else {
-			loadFailed = true
-		}
-	}
-	cache.SetFaults(cfg.Faults)
-	cache.SetMaxBytes(cfg.CacheMaxBytes)
 	ctx, cancel := context.WithCancel(context.Background())
 	// The flight recorder always runs: every event the service emits
 	// lands in a bounded ring served by /debug/flight, with the
@@ -288,7 +254,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:      cfg,
-		cache:    cache,
 		ctx:      ctx,
 		cancel:   cancel,
 		rec:      obs.NewRecorder(obs.ClassAll, sinks...),
@@ -297,12 +262,14 @@ func New(cfg Config) (*Service, error) {
 		inflight: make(map[string]*flight),
 		reg:      obs.NewRegistry(),
 	}
+	var err error
+	if s.cache, err = openCache(cfg.CachePath, cfg.Faults, s.event); err != nil {
+		cancel()
+		return nil, err
+	}
+	s.cache.SetMaxBytes(cfg.CacheMaxBytes)
 	if cfg.Trace {
 		s.tracer = trace.New()
-	}
-	if loadFailed {
-		s.cacheLoadFailed.Store(true)
-		s.event("cache-load-failed", cfg.CachePath)
 	}
 	s.exec = &harness.Executor{Faults: cfg.Faults, Event: s.event, PlanBuilt: s.planBuilt}
 	s.pool = harness.NewPool(ctx, cfg.Workers)
@@ -342,14 +309,6 @@ func (s *Service) registerMetrics() {
 	ctr, gau := r.NewCounter, r.NewGaugeFunc
 
 	s.cache.register(r)
-	s.persistFailures = ctr("sdo_cache_persist_failures_total", "Cache persist attempts that failed.")
-	gau("sdo_cache_persistence_enabled", "1 while the cache persists to disk, 0 when memory-only.",
-		func() float64 {
-			if s.cfg.CachePath == "" || s.cacheDegraded.Load() {
-				return 0
-			}
-			return 1
-		})
 	gau("sdo_queue_depth", "Cells waiting for a worker.",
 		func() float64 { return float64(s.pool.QueueDepth()) })
 	gau("sdo_inflight_runs", "Cells currently executing.",
@@ -427,7 +386,7 @@ type Health struct {
 
 // Health reports the service's operational state: "draining" once
 // shutdown has begun, "degraded" while impaired (cache fell back to
-// memory-only, startup cache load failed, or a retry storm is underway),
+// memory-only, or a retry storm is underway),
 // otherwise "ok". Peer failures never degrade the status — peering
 // degrades to local simulation by design — but per-peer state is
 // reported.
@@ -439,11 +398,8 @@ func (s *Service) Health() Health {
 		return Health{Status: "draining"}
 	}
 	h := Health{Peers: s.fab.Snapshot()}
-	if s.cacheDegraded.Load() {
+	if s.cache.degraded.Load() {
 		h.Reasons = append(h.Reasons, "cache-degraded")
-	}
-	if s.cacheLoadFailed.Load() {
-		h.Reasons = append(h.Reasons, "cache-load-failed")
 	}
 	if s.retryStorm() {
 		h.Reasons = append(h.Reasons, "retry-storm")
@@ -692,8 +648,8 @@ func (s *Service) Submit(req SweepRequest) (*Job, error) {
 }
 
 // jobFinished observes a job reaching a terminal state and enforces the
-// registry bound. It schedules no cache persist: every path that adds a
-// result has already scheduled one.
+// registry bound. It writes nothing to the cache directory: every path
+// that adds a result wrote its file before the job could see it.
 func (s *Service) jobFinished(j *Job) {
 	st := j.Status()
 	if s.rec.On(obs.ClassTrace) {
@@ -925,7 +881,6 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	// the fabric can make a sweep faster, never break it. All waiters on
 	// this flight share the one lookup.
 	if r, ok := s.peerLookup(ct.Root(), key); ok {
-		s.schedulePersist()
 		s.settle(key, k, settlement{res: r, status: "peer", note: "  [peer]", cached: true})
 		return
 	}
@@ -945,11 +900,10 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	var ce *harness.CellError
 	switch {
 	case err == nil:
+		// Put writes the cell's file before settle wakes a waiter: the
+		// cache directory is all a crash leaves behind, so a resubmitted
+		// sweep re-simulates no cell any job has seen.
 		o.res = s.cache.Put(key, res)
-		// Each completed cell schedules a (debounced) cache persist: the
-		// persisted cache is all a crash leaves behind, so a resubmitted
-		// sweep loses at most the debounce window of results.
-		s.schedulePersist()
 	case errors.As(err, &ce):
 		o.status = "failed"
 	case errors.Is(err, harness.ErrCellAbandoned):
@@ -1042,62 +996,11 @@ func (s *Service) execute(ctx context.Context, spec harness.RunSpec, abort func(
 	return r, retries, elapsed, err
 }
 
-// schedulePersist queues a debounced write-behind save of the result
-// cache. Every path that adds a result calls it — an executed cell, a
-// peer hit, a stolen cell's completion on the owner and its run on the
-// thief — so a crash loses at most the most recent debounce window of
-// results. A job whose cells all came from the cache adds nothing and
-// rewrites nothing.
-func (s *Service) schedulePersist() {
-	if s.cfg.CachePath == "" || s.cacheDegraded.Load() {
-		return
-	}
-	s.persistMu.Lock()
-	if s.persistStopped || s.persistPending {
-		s.persistMu.Unlock()
-		return
-	}
-	s.persistPending = true
-	s.bg.Add(1)
-	s.persistMu.Unlock()
-	go func() {
-		defer s.bg.Done()
-		time.Sleep(persistDebounce)
-		s.persistMu.Lock()
-		s.persistPending = false
-		if s.persistStopped {
-			s.persistMu.Unlock()
-			return
-		}
-		s.persistMu.Unlock()
-		s.persistNow()
-	}()
-}
-
-// persistNow saves the cache, tracking consecutive failures; past the
-// configured limit the cache degrades to memory-only mode (health:
-// degraded) instead of hammering a dead disk.
-func (s *Service) persistNow() {
-	err := s.cache.Save(s.cfg.CachePath)
-	if err == nil {
-		s.persistFailStreak.Store(0)
-		s.cacheLoadFailed.Store(false) // a fresh good file now exists
-		return
-	}
-	s.persistFailures.Add(1)
-	streak := s.persistFailStreak.Add(1)
-	s.event("persist-failed", err.Error())
-	if int(streak) >= s.cfg.PersistFailureLimit && s.cacheDegraded.CompareAndSwap(false, true) {
-		s.event("cache-degraded",
-			fmt.Sprintf("persistence disabled after %d consecutive failures: %v", streak, err))
-	}
-}
-
-// Shutdown stops intake, cancels queued-but-unstarted cells, lets
+// Shutdown stops intake, cancels queued-but-unstarted cells and lets
 // in-flight simulations finish (a cell all of whose waiting jobs died is
-// aborted), then persists the cache. The pool is always waited for
-// (nothing leaks); if ctx expires during that wait the cache is still
-// persisted and ctx.Err() is reported.
+// aborted); each finished cell writes its own file, so there is nothing
+// left to save. The pool is always waited for (nothing leaks); if ctx
+// expires during that wait ctx.Err() is reported.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -1115,24 +1018,11 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		s.pool.Wait()
 		close(done)
 	}()
-	var waitErr error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
-		waitErr = ctx.Err()
 		<-done
+		return ctx.Err()
 	}
-	// Stop write-behind persists, wait for any in-flight one, then do
-	// one final synchronous save — unless persistence already degraded.
-	s.persistMu.Lock()
-	s.persistStopped = true
-	s.persistMu.Unlock()
-	s.bg.Wait()
-	if s.cfg.CachePath != "" && !s.cacheDegraded.Load() {
-		if err := s.cache.Save(s.cfg.CachePath); err != nil {
-			s.persistFailures.Add(1)
-			return err
-		}
-	}
-	return waitErr
 }

@@ -3,7 +3,6 @@ package simsvc
 import (
 	"bytes"
 	"context"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -240,32 +239,38 @@ func TestCancellationNoLeakedGoroutines(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestShutdownPersistsAndReloadsCache: graceful shutdown writes the cache
-// to disk; a restarted service answers the same sweep with zero
-// simulations.
+// TestShutdownPersistsAndReloadsCache: a restarted service on the same
+// cache directory decodes nothing at startup, answers the same sweep
+// with zero simulations — every cell a hit read from its file — and
+// serves each file's bytes as its GET /cache/{key} body.
 func TestShutdownPersistsAndReloadsCache(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.json")
+	dir := t.TempDir()
 
-	s1 := newService(t, Config{Workers: 2, CachePath: path})
+	s1 := newService(t, Config{Workers: 2, CachePath: dir})
+	_, keys := cellKeys(t, s1, smallReq())
 	j1 := submitAndWait(t, s1, smallReq())
 	res1, _ := j1.Results()
 	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	s2 := newService(t, Config{Workers: 2, CachePath: path})
-	defer s2.Shutdown(context.Background())
-	if s2.Cache().Len() != 4 {
-		t.Fatalf("reloaded cache has %d entries, want 4", s2.Cache().Len())
+	s2, ts := newPeerNode(t, Config{Workers: 2, CachePath: dir})
+	if s2.Cache().Len() != 0 {
+		t.Fatalf("restarted cache holds %d entries before any lookup, want 0", s2.Cache().Len())
 	}
 	j2 := submitAndWait(t, s2, smallReq())
-	if got := metric(t, s2, "sdo_runs_executed_total"); got != 0 {
-		t.Fatalf("restarted service executed %v simulations, want 0", got)
+	if ex, hits := metric(t, s2, "sdo_runs_executed_total"), metric(t, s2, "sdo_cache_hits_total"); ex != 0 || hits != float64(len(keys)) {
+		t.Fatalf("restarted service: %v executed, %v hits, want 0 and %d", ex, hits, len(keys))
 	}
 	res2, _ := j2.Results()
 	for k, r := range res1.Runs {
 		if !reflect.DeepEqual(res2.Runs[k], r) {
 			t.Fatalf("%v: persisted result differs from live result", k)
+		}
+	}
+	for _, key := range keys {
+		if body := get(t, ts.URL+"/cache/"+key, 200); !bytes.Equal(body, entryFile(t, dir, key)) {
+			t.Errorf("%s: GET /cache body differs from the entry file", key)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -152,11 +152,11 @@ func TestFinishedJobReleasesItsContext(t *testing.T) {
 // TestConcurrentWarmReadersShareOneCache runs, at once and under -race
 // in CI, everything that reads a shared cached result: warm resubmits
 // with their exports, peer GET /cache/{key} reads, a peer node's sweep
-// served from those reads, and the write-behind Save. Every export and
-// every wire body must stay byte-identical to the first.
+// served from those reads, and reads of the entry files. Every export,
+// every wire body and every file must stay byte-identical to the first.
 func TestConcurrentWarmReadersShareOneCache(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.json")
-	s, srv := newPeerNode(t, Config{Workers: 2, CachePath: path})
+	dir := t.TempDir()
+	s, srv := newPeerNode(t, Config{Workers: 2, CachePath: dir})
 	req := smallReq()
 	_, keys := cellKeys(t, s, req)
 	export := exportBytes(t, submitAndWait(t, s, req))
@@ -216,8 +216,11 @@ func TestConcurrentWarmReadersShareOneCache(t *testing.T) {
 		}
 	})
 	run(10, func() {
-		if err := s.Cache().Save(path); err != nil {
-			t.Error(err)
+		for _, key := range keys {
+			b, err := os.ReadFile(filepath.Join(dir, key+".json"))
+			if err != nil || !bytes.Equal(b, wire[key]) {
+				t.Errorf("%s: entry file differs from its GET /cache body (err %v)", key, err)
+			}
 		}
 	})
 	peer := newService(t, Config{Workers: 2, Peers: []string{srv.URL}, PeerProbeInterval: -1})
@@ -228,19 +231,10 @@ func TestConcurrentWarmReadersShareOneCache(t *testing.T) {
 		t.Errorf("peer node: %v peer hits, want %d", got, len(keys))
 	}
 
-	loaded, err := LoadCache(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reread := diskCache(t, dir)
 	for _, key := range keys {
-		e, ok := loaded.PeekEncoded(key)
-		if !ok {
-			t.Fatalf("saved cache lost %s", key)
-		}
-		rec := httptest.NewRecorder()
-		writeJSON(rec, http.StatusOK, e)
-		if !bytes.Equal(rec.Body.Bytes(), wire[key]) {
-			t.Errorf("%s: reloaded entry serves different bytes", key)
+		if b, ok := reread.PeekEncoded(key); !ok || !bytes.Equal(b, wire[key]) {
+			t.Errorf("%s: a fresh cache over the directory serves different bytes (found %v)", key, ok)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package simsvc
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -247,7 +246,6 @@ func (s *Service) CompleteSteal(key string, body []byte) error {
 		return err
 	}
 	s.cache.add(e)
-	s.schedulePersist()
 	st := s.steal
 	st.stealCompleted.Inc()
 	st.mu.Lock()
@@ -334,17 +332,16 @@ func (s *Service) runStolen(ctx context.Context, spec harness.RunSpec) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	if !s.cache.Contains(key) {
+	e, ok := s.cache.lookup(key, false)
+	if !ok {
 		r, _, _, err := s.execute(ctx, spec, nil)
 		if err != nil {
 			return nil, err
 		}
-		s.cache.Put(key, r)
-		s.schedulePersist()
+		e = s.cache.add(newEntry(key, r))
 	}
-	e, ok := s.cache.PeekEncoded(key)
-	if !ok {
+	if e.wire == nil {
 		return nil, fmt.Errorf("simsvc: stolen cell %s: result not cacheable", key)
 	}
-	return json.Marshal(e)
+	return e.wire, nil
 }
