@@ -6,7 +6,7 @@
 // The implementation lives under internal/:
 //
 //	internal/isa        instruction set, sparse memory, builder, golden executor
-//	internal/bpred      tournament branch predictor + BTB
+//	internal/bpred      tournament branch predictor (direct branches only: no BTB)
 //	internal/mem        caches (banks/MSHRs/slices), TLB, DRAM, DO lookup path
 //	internal/coherence  directory-based MESI across cores
 //	internal/pipeline   out-of-order core with STT taint tracking and Obl-Lds

@@ -98,14 +98,22 @@ func TestWarmupWarmsState(t *testing.T) {
 	if ck.BP.Lookups == 0 {
 		t.Error("no branch predictor lookups during warmup")
 	}
-	warmLines := 0
-	for _, l := range ck.Hier.L1D.Lines {
-		if l.Valid {
-			warmLines++
-		}
-	}
-	if warmLines == 0 {
+	// A snapshot stores only valid lines, each at its tag-array position.
+	l1d := ck.Hier.L1D
+	if len(l1d.Lines) == 0 {
 		t.Error("L1D has no valid lines after warmup")
+	}
+	if len(l1d.Index) != len(l1d.Lines) {
+		t.Fatalf("L1D snapshot has %d lines but %d positions", len(l1d.Lines), len(l1d.Index))
+	}
+	entries := mem.DefaultConfig().L1D.SizeBytes / mem.LineBytes
+	for i, l := range l1d.Lines {
+		if !l.Valid {
+			t.Errorf("L1D snapshot line %d is not valid", i)
+		}
+		if at := int(l1d.Index[i]); at >= entries || i > 0 && at <= int(l1d.Index[i-1]) {
+			t.Errorf("L1D snapshot line %d at position %d: positions must ascend below %d", i, at, entries)
+		}
 	}
 }
 

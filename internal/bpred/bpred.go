@@ -1,7 +1,8 @@
 // Package bpred implements the tournament branch predictor from the
 // simulated architecture (Table I): a local history predictor, a global
-// (gshare-style) predictor, a choice predictor arbitrating between them,
-// and a branch target buffer.
+// (gshare-style) predictor and a choice predictor arbitrating between
+// them. There is no branch target buffer: every control transfer in the
+// ISA is direct, and fetch follows the target it decodes.
 //
 // Under STT (§III-B) predictions are always safe to make: the predictor's
 // state is never a function of tainted data because the core delays Update
@@ -17,7 +18,6 @@ type Config struct {
 	LocalCounters       int // 2-bit counters indexed by local history
 	GlobalCounters      int // 2-bit counters indexed by global history ^ PC
 	ChoiceCounters      int // 2-bit counters selecting local vs global
-	BTBEntries          int // direct-mapped target buffer
 }
 
 // DefaultConfig mirrors a mid-size tournament predictor comparable to
@@ -29,18 +29,11 @@ func DefaultConfig() Config {
 		LocalCounters:       2048,
 		GlobalCounters:      8192,
 		ChoiceCounters:      8192,
-		BTBEntries:          4096,
 	}
 }
 
-type btbEntry struct {
-	valid  bool
-	pc     uint64
-	target int
-}
-
-// Predictor is a tournament branch direction predictor plus BTB. The zero
-// value is not usable; call New.
+// Predictor is a tournament branch direction predictor. The zero value is
+// not usable; call New.
 type Predictor struct {
 	cfg           Config
 	localHistory  []uint64
@@ -48,7 +41,6 @@ type Predictor struct {
 	globalCounts  []uint8
 	choiceCounts  []uint8
 	globalHistory uint64
-	btb           []btbEntry
 
 	// Stats
 	Lookups     uint64
@@ -74,16 +66,12 @@ func New(cfg Config) *Predictor {
 	if cfg.ChoiceCounters == 0 {
 		cfg.ChoiceCounters = def.ChoiceCounters
 	}
-	if cfg.BTBEntries == 0 {
-		cfg.BTBEntries = def.BTBEntries
-	}
 	p := &Predictor{
 		cfg:           cfg,
 		localHistory:  make([]uint64, cfg.LocalHistoryEntries),
 		localCounters: make([]uint8, cfg.LocalCounters),
 		globalCounts:  make([]uint8, cfg.GlobalCounters),
 		choiceCounts:  make([]uint8, cfg.ChoiceCounters),
-		btb:           make([]btbEntry, cfg.BTBEntries),
 	}
 	// Weakly bias all counters toward taken=false / choice=global.
 	for i := range p.localCounters {
@@ -177,32 +165,11 @@ func (p *Predictor) Update(pc uint64, outcome, mispredicted bool, snap Snapshot)
 	}
 }
 
-// LookupTarget consults the BTB for the branch at pc.
-func (p *Predictor) LookupTarget(pc uint64) (target int, ok bool) {
-	e := p.btb[int(pc)&(p.cfg.BTBEntries-1)]
-	if e.valid && e.pc == pc {
-		return e.target, true
-	}
-	return 0, false
-}
-
-// UpdateTarget installs the resolved target of the branch at pc.
-func (p *Predictor) UpdateTarget(pc uint64, target int) {
-	p.btb[int(pc)&(p.cfg.BTBEntries-1)] = btbEntry{valid: true, pc: pc, target: target}
-}
-
 func b2u(b bool) uint64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-// BTBEntryState is one serializable BTB entry.
-type BTBEntryState struct {
-	Valid  bool
-	PC     uint64
-	Target int
 }
 
 // State is the predictor's full serializable state: every table, the
@@ -215,7 +182,6 @@ type State struct {
 	GlobalCounts  []uint8
 	ChoiceCounts  []uint8
 	GlobalHistory uint64
-	BTB           []BTBEntryState
 
 	Lookups     uint64
 	Mispredicts uint64
@@ -223,20 +189,15 @@ type State struct {
 
 // State snapshots the predictor.
 func (p *Predictor) State() State {
-	s := State{
+	return State{
 		LocalHistory:  append([]uint64(nil), p.localHistory...),
 		LocalCounters: append([]uint8(nil), p.localCounters...),
 		GlobalCounts:  append([]uint8(nil), p.globalCounts...),
 		ChoiceCounts:  append([]uint8(nil), p.choiceCounts...),
 		GlobalHistory: p.globalHistory,
-		BTB:           make([]BTBEntryState, len(p.btb)),
 		Lookups:       p.Lookups,
 		Mispredicts:   p.Mispredicts,
 	}
-	for i, e := range p.btb {
-		s.BTB[i] = BTBEntryState{Valid: e.valid, PC: e.pc, Target: e.target}
-	}
-	return s
 }
 
 // SetState restores a snapshot taken from a predictor of identical
@@ -245,8 +206,7 @@ func (p *Predictor) SetState(s State) error {
 	if len(s.LocalHistory) != len(p.localHistory) ||
 		len(s.LocalCounters) != len(p.localCounters) ||
 		len(s.GlobalCounts) != len(p.globalCounts) ||
-		len(s.ChoiceCounts) != len(p.choiceCounts) ||
-		len(s.BTB) != len(p.btb) {
+		len(s.ChoiceCounts) != len(p.choiceCounts) {
 		return fmt.Errorf("bpred: state table sizes do not match the predictor's configuration")
 	}
 	copy(p.localHistory, s.LocalHistory)
@@ -254,9 +214,6 @@ func (p *Predictor) SetState(s State) error {
 	copy(p.globalCounts, s.GlobalCounts)
 	copy(p.choiceCounts, s.ChoiceCounts)
 	p.globalHistory = s.GlobalHistory
-	for i, e := range s.BTB {
-		p.btb[i] = btbEntry{valid: e.Valid, pc: e.PC, target: e.Target}
-	}
 	p.Lookups, p.Mispredicts = s.Lookups, s.Mispredicts
 	return nil
 }

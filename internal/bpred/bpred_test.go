@@ -82,32 +82,10 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestBTB(t *testing.T) {
-	p := New(Config{})
-	if _, ok := p.LookupTarget(0x400); ok {
-		t.Fatal("cold BTB should miss")
-	}
-	p.UpdateTarget(0x400, 17)
-	target, ok := p.LookupTarget(0x400)
-	if !ok || target != 17 {
-		t.Fatalf("target = %d, ok=%v", target, ok)
-	}
-	// Aliasing PC with same index must not false-hit (tag check).
-	alias := 0x400 + uint64(p.cfg.BTBEntries)
-	if _, ok := p.LookupTarget(alias); ok {
-		t.Fatal("aliasing PC must not hit")
-	}
-	// Alias replaces.
-	p.UpdateTarget(alias, 99)
-	if _, ok := p.LookupTarget(0x400); ok {
-		t.Fatal("replaced entry should miss")
-	}
-}
-
 func TestCountersStayInBounds(t *testing.T) {
 	// Property: after arbitrary update sequences, all 2-bit counters remain
 	// in [0,3].
-	p := New(Config{LocalHistoryEntries: 16, LocalCounters: 16, GlobalCounters: 16, ChoiceCounters: 16, BTBEntries: 16})
+	p := New(Config{LocalHistoryEntries: 16, LocalCounters: 16, GlobalCounters: 16, ChoiceCounters: 16})
 	f := func(pcs []uint8, outcomes []bool) bool {
 		n := len(pcs)
 		if len(outcomes) < n {

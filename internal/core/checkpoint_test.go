@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/pipeline"
+	"repro/internal/simpoint"
 	"repro/internal/workload"
 )
 
@@ -84,6 +86,66 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	wrongBudget := NewMachine(Config{WarmupInstrs: 2000, WarmupMode: WarmupFunctional, MaxInstrs: 100}, prog, init)
 	if err := wrongBudget.Restore(ck); err == nil {
 		t.Error("Restore accepted a mismatched warmup budget")
+	}
+}
+
+// TestRestoreHidesPriorContents: a restore replaces the hierarchy's whole
+// warm state, so nothing it held before can show. Each ledger kernel's
+// sampling-plan checkpoints are restored into a hierarchy that has just
+// run a different kernel and was not reset, and into a new one: the two
+// must hold the same state and run the representative's detailed window
+// to the same result.
+func TestRestoreHidesPriorContents(t *testing.T) {
+	const warmup, window = 5000, 12_000
+	kernels := []string{"mcf_r", "xalancbmk_r", "x264_r", "deepsjeng_r"}
+	image := func(name string) (*isa.Program, *isa.Memory) {
+		wl, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wl.Image()
+	}
+	mc := mem.DefaultConfig()
+	used := mem.NewHierarchy(mc)
+	for i, name := range kernels {
+		prog, data := image(name)
+		pr, err := simpoint.ProfileProgram(prog, data, warmup, window, simpoint.Config{IntervalInstrs: 2000, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := pr.Cluster()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, data = image(name)
+		cks := CaptureCheckpoints(Config{}, prog, data, plan.Boundaries())
+		other := kernels[(i+1)%len(kernels)]
+		for ri, ck := range cks {
+			oprog, odata := image(other)
+			if _, err := newMachineOn(used, Config{Variant: Hybrid, MaxInstrs: 3000}, oprog, odata).Run(); err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Variant: Hybrid, Model: pipeline.Futuristic, WarmupInstrs: ck.WarmupInstrs,
+				WarmupMode: WarmupFunctional, MaxInstrs: plan.Reps[ri].Len}
+			var states [2]mem.HierState
+			var results [2]Result
+			for k, h := range []*mem.Hierarchy{used, mem.NewHierarchy(mc)} {
+				m := newMachineOn(h, cfg, prog, isa.NewMemory())
+				if err := m.Restore(ck); err != nil {
+					t.Fatal(err)
+				}
+				states[k] = h.State()
+				if results[k], err = m.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(states[0], states[1]) {
+				t.Errorf("%s checkpoint %d: restoring over %s's state leaves a different hierarchy than restoring into a new one", name, ri, other)
+			}
+			if !reflect.DeepEqual(results[0], results[1]) {
+				t.Errorf("%s checkpoint %d: the window run over %s's state differs:\n got %+v\nwant %+v", name, ri, other, results[0], results[1])
+			}
+		}
 	}
 }
 

@@ -264,7 +264,11 @@ func NewMachine(cfg Config, prog *isa.Program, init func(*isa.Memory)) *Machine 
 // otherwise; the two are indistinguishable (mem.Hierarchy.Reset).
 func NewMachineWithMemory(cfg Config, prog *isa.Program, data *isa.Memory) *Machine {
 	mc, _ := geometry(cfg)
-	hier := newHierarchy(mc)
+	return newMachineOn(newHierarchy(mc), cfg, prog, data)
+}
+
+// newMachineOn builds the machine on the given memory hierarchy.
+func newMachineOn(hier *mem.Hierarchy, cfg Config, prog *isa.Program, data *isa.Memory) *Machine {
 	pc := pipelineConfig(cfg, hier.Probe)
 	return &Machine{
 		cfg:  cfg,

@@ -277,3 +277,43 @@ func TestHierarchyReuseIsInvisible(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLedgerPlans builds the sampling plans of the four ledger
+// kernels at the paper's budgets — the plan set a sampled sweep of the
+// ledger grid memoises — and reports the heap that set retains (live-B):
+// mostly the tag arrays, predictor tables and dirtied pages of its
+// checkpoints. The kernels' initial images are built beforehand, so they
+// are not counted.
+func BenchmarkLedgerPlans(b *testing.B) {
+	opt := DefaultOptions()
+	var wls []workload.Workload
+	for _, name := range []string{"mcf_r", "xalancbmk_r", "x264_r", "deepsjeng_r"} {
+		wl, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wl.Image()
+		wls = append(wls, wl)
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	plans := make([]*SamplePlan, len(wls))
+	before := liveHeap()
+	for i := 0; i < b.N; i++ {
+		for k, wl := range wls {
+			sp, err := BuildSamplePlan(wl, opt.WarmupInstrs, opt.MaxInstrs, TunedSampleConfig(wl.Name, simpoint.Config{Seed: 1}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			plans[k] = sp
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(int64(liveHeap())-int64(before)), "live-B")
+	runtime.KeepAlive(plans)
+}

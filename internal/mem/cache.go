@@ -30,8 +30,14 @@ type Cache struct {
 
 	// lines is every tag-array entry, sets × ways row-major: sets[i] is
 	// lines[i*Ways:(i+1)*Ways]. The access paths index sets; snapshot,
-	// restore and reset move the whole array at once (state.go).
+	// restore and reset work on the whole array (state.go). An invalid
+	// entry is always the zero LineState: only Fill makes one valid, and
+	// Invalidate and reset zero it again.
 	lines []LineState
+	// valid counts the valid entries of lines, so a snapshot is sized in
+	// one scan and a restore into an all-zero array (valid == 0) writes
+	// only the entries it stores.
+	valid int
 }
 
 type mshrEntry struct{ key, done uint64 }
@@ -125,7 +131,9 @@ func (c *Cache) Fill(addr uint64, write bool) (evictedAddr uint64, evictedDirty,
 		}
 	}
 	v := &set[victim]
-	if v.Valid {
+	if !v.Valid {
+		c.valid++
+	} else {
 		evicted = true
 		evictedAddr = v.Tag
 		evictedDirty = v.Dirty
@@ -148,6 +156,7 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 		if set[i].Valid && set[i].Tag == la {
 			dirty = set[i].Dirty
 			set[i] = LineState{}
+			c.valid--
 			c.InvalidationsIn++
 			return true, dirty
 		}

@@ -25,10 +25,21 @@ type LineState struct {
 	LRU   uint64 // last-touch stamp; larger = more recent
 }
 
-// CacheState is the persistent state of a Cache: every tag-array entry
-// (sets × ways, row-major), the LRU stamp, and the stat counters.
+// CacheState is the persistent state of a Cache: its valid tag-array
+// entries, the LRU stamp, and the stat counters.
+//
+// Only valid entries are stored: Lines[i] sits at position Index[i] of
+// the tag array (sets × ways, row-major), positions strictly ascending,
+// and every other entry is invalid. That is the whole state, because an
+// invalid entry of a live cache is always the zero LineState and no path
+// reads an invalid entry's tag, dirty bit or LRU stamp — every lookup,
+// touch, hit check and invalidation gates on Valid, and Fill picks an
+// invalid way without comparing stamps. After functional warmup a few
+// percent of the lines are valid, so a checkpoint holds only the warm
+// state warmup made.
 type CacheState struct {
 	Lines []LineState
+	Index []uint32
 	Stamp uint64
 
 	Hits, Misses    uint64
@@ -41,8 +52,7 @@ type CacheState struct {
 
 // State snapshots the cache's persistent state.
 func (c *Cache) State() CacheState {
-	return CacheState{
-		Lines:           append([]LineState(nil), c.lines...),
+	s := CacheState{
 		Stamp:           c.stamp,
 		Hits:            c.Hits,
 		Misses:          c.Misses,
@@ -52,16 +62,55 @@ func (c *Cache) State() CacheState {
 		DirtyWritebacks: c.DirtyWritebacks,
 		InvalidationsIn: c.InvalidationsIn,
 	}
+	if c.valid == 0 {
+		return s
+	}
+	s.Lines = make([]LineState, 0, c.valid)
+	s.Index = make([]uint32, 0, c.valid)
+	for i, l := range c.lines {
+		if l.Valid {
+			s.Lines = append(s.Lines, l)
+			s.Index = append(s.Index, uint32(i))
+		}
+	}
+	return s
 }
 
-// SetState restores a snapshot taken from a cache of identical geometry.
-// Transient timing state (bank reservations, MSHRs) is reset.
-func (c *Cache) SetState(s CacheState) error {
-	if len(s.Lines) != len(c.lines) {
-		return fmt.Errorf("mem: cache state has %d lines, geometry wants %d",
-			len(s.Lines), len(c.lines))
+// check reports whether s is a well-formed snapshot of a cache with n
+// tag-array entries.
+func (s *CacheState) check(n int) error {
+	if len(s.Index) != len(s.Lines) {
+		return fmt.Errorf("mem: cache state has %d lines but %d positions", len(s.Lines), len(s.Index))
 	}
-	copy(c.lines, s.Lines)
+	next := 0 // the lowest position the next line may take
+	for i, at := range s.Index {
+		if int(at) < next || int(at) >= n {
+			return fmt.Errorf("mem: cache state line %d at position %d: positions must ascend strictly below %d", i, at, n)
+		}
+		if !s.Lines[i].Valid {
+			return fmt.Errorf("mem: cache state line %d at position %d is not valid", i, at)
+		}
+		next = int(at) + 1
+	}
+	return nil
+}
+
+// SetState restores a snapshot taken from a cache of identical geometry,
+// leaving the cache exactly as the snapshotted one was. Transient timing
+// state (bank reservations, MSHRs) is reset. A cache with no valid line
+// — new or reset, the pooled case — is all zero already, so the restore
+// writes only the stored lines; otherwise it clears the array first.
+func (c *Cache) SetState(s CacheState) error {
+	if err := s.check(len(c.lines)); err != nil {
+		return err
+	}
+	if c.valid > 0 {
+		clear(c.lines)
+	}
+	for i, at := range s.Index {
+		c.lines[at] = s.Lines[i]
+	}
+	c.valid = len(s.Lines)
 	c.stamp = s.Stamp
 	c.Hits, c.Misses = s.Hits, s.Misses
 	c.BankWaitCycles, c.MSHRWaitCycles = s.BankWaitCycles, s.MSHRWaitCycles
@@ -98,9 +147,9 @@ func (l *tlbLevel) state() TLBLevelState {
 }
 
 func (l *tlbLevel) setState(s TLBLevelState) error {
-	if len(s.Pages) != len(l.pages) {
-		return fmt.Errorf("mem: TLB level state has %d entries, geometry wants %d",
-			len(s.Pages), len(l.pages))
+	if n := len(l.pages); len(s.Pages) != n || len(s.Valid) != n || len(s.LRUAt) != n {
+		return fmt.Errorf("mem: TLB level state has %d/%d/%d pages/valid bits/stamps, geometry wants %d",
+			len(s.Pages), len(s.Valid), len(s.LRUAt), n)
 	}
 	copy(l.pages, s.Pages)
 	copy(l.valid, s.Valid)
@@ -190,9 +239,9 @@ func (d *DRAM) State() DRAMState {
 // SetState restores a controller snapshot of identical geometry and
 // resets the transient scheduler state.
 func (d *DRAM) SetState(s DRAMState) error {
-	if len(s.OpenRow) != len(d.openRow) {
-		return fmt.Errorf("mem: DRAM state has %d banks, geometry wants %d",
-			len(s.OpenRow), len(d.openRow))
+	if n := len(d.openRow); len(s.OpenRow) != n || len(s.RowValid) != n {
+		return fmt.Errorf("mem: DRAM state has %d/%d open rows/valid bits, geometry wants %d banks",
+			len(s.OpenRow), len(s.RowValid), n)
 	}
 	copy(d.openRow, s.OpenRow)
 	copy(d.rowValid, s.RowValid)
