@@ -141,11 +141,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	if *warmup > 0 {
-		// Stderr so the counters never perturb the JSON/report outputs.
-		fmt.Fprintf(os.Stderr, "experiments: warmup-instrs-simulated=%d checkpoints-captured=%d\n",
-			res.WarmupInstrsSimulated, res.CheckpointsCaptured)
-	}
+	// Stderr so the counters never perturb the JSON/report outputs.
+	fmt.Fprintf(os.Stderr, "experiments: warmup-instrs-simulated=%d checkpoints-captured=%d cells-shared=%d\n",
+		res.WarmupInstrsSimulated, res.CheckpointsCaptured, res.SharedCells)
 	if res.SamplePlans != nil {
 		// Stderr for the same byte-identical-export reason. The headline:
 		// how many detailed instructions sampling actually executed vs. the

@@ -91,9 +91,6 @@ func NewSystem(cfg mem.Config, numCores int) *System {
 // Core returns core i's port.
 func (s *System) Core(i int) *Core { return s.cores[i] }
 
-// NumCores returns the number of attached cores.
-func (s *System) NumCores() int { return len(s.cores) }
-
 // LineState returns the directory state of the line containing addr.
 func (s *System) LineState(addr uint64) State {
 	e := s.dir[mem.LineAddr(addr)]

@@ -176,6 +176,11 @@ type Results struct {
 	// compares against the full window.
 	DetailedInstrsSimulated uint64
 
+	// SharedCells counts cells answered by an equivalent cell's simulation
+	// (RunSpec.Representative) instead of their own; not exported, like
+	// the counters around it.
+	SharedCells int
+
 	// Retries counts cell attempts beyond the first across the sweep
 	// (non-zero only under a retrying Policy). Like the warmup counters,
 	// deliberately not part of the JSON Export: a chaos run that recovers
@@ -275,11 +280,13 @@ func Run(opt Options) (*Results, error) {
 	return RunContext(context.Background(), opt)
 }
 
-// RunContext executes the sweep: every cell of the grid runs through one
-// Executor on a fixed-size worker pool, stopping (no new simulations are
-// started) as soon as ctx is cancelled or any run fails. A sampled cell
-// runs its representative intervals in series, so a sampled sweep, like a
-// detailed one, parallelises across cells.
+// RunContext executes the sweep: the first cell of every group with a
+// common representative (RunSpec.Representative) runs through one
+// Executor on a fixed-size worker pool, and the group's other cells copy
+// its result under their own labels. No new simulation starts once ctx is
+// cancelled or any run fails. A sampled cell runs its representative
+// intervals in series, so a sampled sweep, like a detailed one,
+// parallelises across cells.
 func RunContext(ctx context.Context, opt Options) (*Results, error) {
 	opt = opt.Normalized()
 	res := &Results{Opt: opt, Runs: make(map[Key]core.Result)}
@@ -293,25 +300,30 @@ func RunContext(ctx context.Context, opt Options) (*Results, error) {
 			res.SamplePlans[wl] = sp.Plan
 		}
 	}
-	specs := opt.Specs()
-	err := RunPool(ctx, opt.Workers(), len(specs), func(ctx context.Context, i int) error {
-		k := specs[i].Key()
-		r, retries, _, err := e.Run(ctx, specs[i], opt.Policy)
+	groups := groupByRepresentative(opt.Specs())
+	err := RunPool(ctx, opt.Workers(), len(groups), func(ctx context.Context, i int) error {
+		g := groups[i]
+		r, retries, _, err := e.Run(ctx, g[0], opt.Policy)
 		mu.Lock()
 		defer mu.Unlock()
 		res.Retries += uint64(retries)
-		if err != nil {
-			var ce *CellError
-			if opt.TolerateFailures && errors.As(err, &ce) {
-				res.Failures = append(res.Failures, CellFailure{
-					Key: k, Kind: string(ce.Kind), Attempts: ce.Attempts, Err: ce.Err.Error()})
-				return nil
+		res.SharedCells += len(g) - 1
+		for _, s := range g {
+			k := s.Key()
+			if err != nil {
+				var ce *CellError
+				if opt.TolerateFailures && errors.As(err, &ce) {
+					res.Failures = append(res.Failures, CellFailure{
+						Key: k, Kind: string(ce.Kind), Attempts: ce.Attempts, Err: ce.Err.Error()})
+					continue
+				}
+				return fmt.Errorf("harness: %s/%v/%v: %w", k.Workload, k.Variant, k.Model, err)
 			}
-			return fmt.Errorf("harness: %s/%v/%v: %w", k.Workload, k.Variant, k.Model, err)
-		}
-		res.Runs[k] = r
-		if opt.Progress != nil {
-			opt.Progress(FormatProgress(k, r))
+			r.Variant, r.Model = s.Variant, s.Model
+			res.Runs[k] = r
+			if opt.Progress != nil {
+				opt.Progress(FormatProgress(k, r))
+			}
 		}
 		return nil
 	})
@@ -320,6 +332,24 @@ func RunContext(ctx context.Context, opt Options) (*Results, error) {
 	res.ProfiledInstrs = e.ProfiledInstrs.Load()
 	res.DetailedInstrsSimulated = e.SampledInstrs.Load()
 	return res, err
+}
+
+// groupByRepresentative partitions specs, in order, into groups of cells
+// with a common representative (RunSpec.Representative): one simulation
+// answers a whole group.
+func groupByRepresentative(specs []RunSpec) [][]RunSpec {
+	var groups [][]RunSpec
+	at := make(map[RunSpec]int)
+	for _, s := range specs {
+		rep := s.Representative()
+		if i, ok := at[rep]; ok {
+			groups[i] = append(groups[i], s)
+			continue
+		}
+		at[rep] = len(groups)
+		groups = append(groups, []RunSpec{s})
+	}
+	return groups
 }
 
 // Get returns one run's result.

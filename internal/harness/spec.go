@@ -138,21 +138,31 @@ func (o Options) AblationSpecs() []RunSpec {
 	return specs
 }
 
-// fingerprints memoizes per-workload program fingerprints: Build is
-// deterministic per name, so the fingerprint is a function of the name.
-var fingerprints sync.Map // string -> string
+// programs memoizes per-workload program facts: Build is deterministic
+// per name, so they are a function of the name.
+var programs sync.Map // string -> programFacts
 
-// programFingerprint hashes a workload's generated program text: every
-// instruction's opcode, registers, immediate and branch target. It makes
-// the cache key content-addressed with respect to the kernel's code, so
-// editing a kernel invalidates its cached results without a schema bump.
-func programFingerprint(name string) (string, error) {
-	if fp, ok := fingerprints.Load(name); ok {
-		return fp.(string), nil
+// programFacts is what a cell's key and its representative need to know
+// of a workload's generated program.
+type programFacts struct {
+	// fingerprint hashes the program text: every instruction's opcode,
+	// registers, immediate and branch target. It makes the cache key
+	// content-addressed with respect to the kernel's code, so editing a
+	// kernel invalidates its cached results without a schema bump.
+	fingerprint string
+	// fpFree reports that no instruction is an FP transmitter
+	// (core.FPFree, the premise of core.Representative's FP clause).
+	fpFree bool
+}
+
+// programOf builds a workload's program once and derives its facts.
+func programOf(name string) (programFacts, error) {
+	if p, ok := programs.Load(name); ok {
+		return p.(programFacts), nil
 	}
 	wl, err := workload.ByName(name)
 	if err != nil {
-		return "", err
+		return programFacts{}, err
 	}
 	prog, _ := wl.Build()
 	h := sha256.New()
@@ -161,6 +171,7 @@ func programFingerprint(name string) (string, error) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
+	p := programFacts{fpFree: core.FPFree(prog)}
 	for _, in := range prog.Instrs {
 		writeInt(int64(in.Op))
 		writeInt(int64(in.Rd))
@@ -169,9 +180,22 @@ func programFingerprint(name string) (string, error) {
 		writeInt(in.Imm)
 		writeInt(int64(in.Target))
 	}
-	fp := hex.EncodeToString(h.Sum(nil)[:16])
-	fingerprints.Store(name, fp)
-	return fp, nil
+	p.fingerprint = hex.EncodeToString(h.Sum(nil)[:16])
+	programs.Store(name, p)
+	return p, nil
+}
+
+// Representative returns the cell whose simulation provably equals s's
+// (core.Representative): s itself, or s under another variant or model.
+// A sweep holding both simulates only the representative. A spec naming
+// no suite workload is its own representative (its CacheKey fails).
+func (s RunSpec) Representative() RunSpec {
+	p, err := programOf(s.Workload)
+	if err != nil {
+		return s
+	}
+	s.Variant, s.Model = core.Representative(s.Variant, s.Model, p.fpFree)
+	return s
 }
 
 // CacheKey derives the content-addressed cache key: a SHA-256 over the
@@ -180,13 +204,13 @@ func programFingerprint(name string) (string, error) {
 // protection scheme (by name, see the v5 note above), attack model,
 // warmup and measurement budgets, and the ablation flags.
 func (s RunSpec) CacheKey() (string, error) {
-	fp, err := programFingerprint(s.Workload)
+	p, err := programOf(s.Workload)
 	if err != nil {
 		return "", err
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|wl=%s|prog=%s|scheme=%s|model=%d|warmup=%d|max=%d|interval=%d|wmode=%d|ablate=%t,%t,%t,%t|sim=%s|sinterval=%d|smaxk=%d|sseed=%d",
-		keySchema, s.Workload, fp, s.Variant.String(), int(s.Model),
+		keySchema, s.Workload, p.fingerprint, s.Variant.String(), int(s.Model),
 		s.WarmupInstrs, s.MaxInstrs, s.IntervalCycles, int(s.WarmupMode),
 		s.Ablate.DisableEarlyForward, s.Ablate.AlwaysValidate,
 		s.Ablate.NoImplicitChannelProtection, s.Ablate.OblDRAMVariant,

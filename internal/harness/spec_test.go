@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/simpoint"
+	"repro/internal/workload"
 )
 
 // TestCacheKeyGolden pins the content-addressed key of six representative
@@ -48,5 +49,47 @@ func TestCacheKeyGolden(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: CacheKey = %s, want %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestSpecsShareRepresentatives counts the simulations a sweep saves: of
+// the full grid's 224 cells 34 share a representative (Unsafe under
+// Futuristic on all 14 kernels, STT{ld+fp} under both models on the 10
+// kernels without FP transmitters), of the four ledger kernels' 64 cells
+// 12. Every representative is itself a cell of the grid, and a spec that
+// names no suite workload is its own representative.
+func TestSpecsShareRepresentatives(t *testing.T) {
+	ledger := DefaultOptions()
+	ledger.Workloads = nil
+	for _, name := range []string{"mcf_r", "xalancbmk_r", "x264_r", "deepsjeng_r"} {
+		wl, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger.Workloads = append(ledger.Workloads, wl)
+	}
+	for _, tc := range []struct {
+		name         string
+		opt          Options
+		cells, steps int
+	}{{"full", DefaultOptions(), 224, 190}, {"ledger", ledger, 64, 52}} {
+		specs := tc.opt.Specs()
+		in := make(map[RunSpec]bool)
+		for _, s := range specs {
+			in[s] = true
+		}
+		groups := groupByRepresentative(specs)
+		if len(specs) != tc.cells || len(groups) != tc.steps {
+			t.Errorf("%s: %d cells in %d groups, want %d in %d", tc.name, len(specs), len(groups), tc.cells, tc.steps)
+		}
+		for _, g := range groups {
+			if rep := g[0].Representative(); !in[rep] || rep.Representative() != rep {
+				t.Errorf("%s: representative %+v is not a grid cell that represents itself", tc.name, rep)
+			}
+		}
+	}
+	odd := RunSpec{Workload: "no-such-kernel", Variant: core.Unsafe, Model: pipeline.Futuristic}
+	if odd.Representative() != odd {
+		t.Error("a spec naming no suite workload has another representative")
 	}
 }

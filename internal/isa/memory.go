@@ -218,13 +218,6 @@ func (m *Memory) Write64(addr uint64, v uint64) {
 	}
 }
 
-// WriteBytes copies b into memory starting at addr.
-func (m *Memory) WriteBytes(addr uint64, b []byte) {
-	for i, v := range b {
-		m.Write8(addr+uint64(i), v)
-	}
-}
-
 // ReadBytes copies n bytes starting at addr into a fresh slice.
 func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	b := make([]byte, n)

@@ -136,8 +136,8 @@ func ParseClasses(s string) (Class, error) {
 
 // Event is one observation. Numeric fields are structured so machine sinks
 // (JSONL, Chrome) can index them; Detail carries the human-readable rest
-// and is what the text sink prints (preserving the legacy SetTracer
-// format). Zero-valued optional fields are omitted from JSON.
+// and is what the text sink prints. Zero-valued optional fields are
+// omitted from JSON.
 type Event struct {
 	Cycle uint64 `json:"cycle"`
 	Class Class  `json:"-"`

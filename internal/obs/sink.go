@@ -20,7 +20,7 @@ type Sink interface {
 
 // --- Text sink ---
 
-// TextSink renders events in the legacy SetTracer line format:
+// TextSink renders events one per line:
 //
 //	[   cycle] kind           detail
 //

@@ -1,10 +1,6 @@
 package pipeline
 
-import (
-	"io"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // SetObserver attaches an event recorder to the core. Components emit
 // typed events (rename, issue, squash, commit, branch resolution, the
@@ -19,23 +15,3 @@ func (c *Core) SetObserver(r *obs.Recorder) { c.obs = r }
 
 // Observer returns the attached recorder (nil when tracing is off).
 func (c *Core) Observer() *obs.Recorder { return c.obs }
-
-// SetTracer directs a cycle-by-cycle event log (rename, load issue, branch
-// resolution, squash, commit) to w. Pass nil to disable.
-//
-// Deprecated: SetTracer predates the typed event bus and remains for
-// compatibility. It is equivalent to SetObserver with a text sink and all
-// event classes enabled; the line format is unchanged:
-//
-//	[cycle] event <details>
-//
-// New code should build an obs.Recorder (choosing sinks and an event-class
-// mask) and call SetObserver; cmd/sdosim exposes this as -trace-format and
-// -trace-events.
-func (c *Core) SetTracer(w io.Writer) {
-	if w == nil {
-		c.obs = nil
-		return
-	}
-	c.obs = obs.NewRecorder(obs.ClassAll, obs.NewTextSink(w))
-}

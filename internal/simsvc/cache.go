@@ -220,20 +220,28 @@ func (c *Cache) evictOver() {
 // refreshes a memory hit's recency: a demand access does, a peek does
 // not.
 func (c *Cache) lookup(key string, touch bool) (*lruEntry, bool) {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if ok && touch {
-		c.order.MoveToFront(el)
-	}
-	c.mu.Unlock()
-	if ok {
-		return el.Value.(*lruEntry), true
+	if e, ok := c.held(key, touch); ok {
+		return e, true
 	}
 	e, ok := c.read(key)
 	if !ok {
 		return nil, false
 	}
 	return c.insert(e), true
+}
+
+// held returns key's entry if it is in memory, without reading its file.
+func (c *Cache) held(key string, touch bool) (*lruEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	if touch {
+		c.order.MoveToFront(el)
+	}
+	return el.Value.(*lruEntry), true
 }
 
 // read loads key's entry file. A missing file is a miss; one that fails

@@ -1,0 +1,176 @@
+package simsvc
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/harness"
+)
+
+// equivReq is {mcf_r, lbm_r} × Table II × both models: 32 cells, 4 of
+// which share a representative — Unsafe under Futuristic on both kernels,
+// and STT{ld+fp} under both models on mcf_r, which has no FP transmitter.
+func equivReq() SweepRequest {
+	req := smallReq()
+	req.Workloads = []string{"mcf_r", "lbm_r"}
+	req.Variants = nil
+	req.Models = nil
+	return req
+}
+
+// TestEquivalentCellsSimulateOnce: a cell whose representative is another
+// cell of the sweep takes that cell's run instead of simulating. Each cell
+// still has its own file, labelled with its own variant and model, the
+// export is byte-identical to the CLI's, and a resubmit is one cache hit
+// per cell.
+func TestEquivalentCellsSimulateOnce(t *testing.T) {
+	dir := t.TempDir()
+	s := newService(t, Config{Workers: 4, CachePath: dir})
+	defer s.Shutdown(context.Background())
+	req := equivReq()
+	specs, keys := cellKeys(t, s, req)
+	if len(specs) != 32 {
+		t.Fatalf("%d cells, want 32", len(specs))
+	}
+	j := submitAndWait(t, s, req)
+	if got := metric(t, s, "sdo_runs_executed_total"); got != 28 {
+		t.Errorf("executed %v simulations for 32 cells, want 28", got)
+	}
+	// Of each pair, the cell that comes second joins the other's run, or
+	// takes its result once that run is over: a cache hit for the
+	// representative's own cell, a shared run for a follower.
+	if got := metric(t, s, "sdo_runs_deduped_total") + metric(t, s, "sdo_cache_hits_total"); got != 4 {
+		t.Errorf("%v cells coalesced or cached, want 4", got)
+	}
+	for i, sp := range specs {
+		var e struct{ Result core.Result }
+		if err := json.Unmarshal(entryFile(t, dir, keys[i]), &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Result.Variant != sp.Variant || e.Result.Model != sp.Model {
+			t.Errorf("%s/%v/%v: file labelled %v/%v", sp.Workload, sp.Variant, sp.Model, e.Result.Variant, e.Result.Model)
+		}
+	}
+	cli, err := harness.Run(j.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cli.SharedCells != 4 {
+		t.Errorf("CLI shared %d cells, want 4", cli.SharedCells)
+	}
+	var want bytes.Buffer
+	if err := cli.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(exportBytes(t, j), want.Bytes()) {
+		t.Error("service export differs from the CLI's")
+	}
+	hits := metric(t, s, "sdo_cache_hits_total")
+	again := submitAndWait(t, s, req)
+	if got := metric(t, s, "sdo_cache_hits_total") - hits; got != 32 {
+		t.Errorf("resubmit: %v cache hits, want 32", got)
+	}
+	if got := metric(t, s, "sdo_runs_executed_total"); got != 28 {
+		t.Errorf("resubmit simulated: %v executed, want 28", got)
+	}
+	if !bytes.Equal(exportBytes(t, again), want.Bytes()) {
+		t.Error("resubmitted export differs from the CLI's")
+	}
+}
+
+// TestFollowerOutlivesItsRepresentativesJob: cancelling the only job that
+// holds a representative does not abort its run while another job's cell
+// follows it — the follower's job completes, from that one run.
+func TestFollowerOutlivesItsRepresentativesJob(t *testing.T) {
+	s := newService(t, Config{
+		Workers: 2,
+		// Every run freezes at its first progress check, so the
+		// representative is mid-run while the follower joins it.
+		Faults: faults.New(faults.Config{FreezeProb: 1, FreezeFor: 300 * time.Millisecond}),
+	})
+	defer s.Shutdown(context.Background())
+	rep := specReq("mcf_r", "unsafe")
+	rep.MaxInstrs = 30_000 // long enough to reach its progress checks
+	follower := rep
+	follower.Models = []string{"futuristic"}
+
+	j1, err := s.Submit(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "the representative to run", 10*time.Second, func() bool {
+		return metric(t, s, "sdo_inflight_runs") == 1
+	})
+	j2, err := s.Submit(follower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "the follower to join", 10*time.Second, func() bool {
+		return metric(t, s, "sdo_runs_deduped_total") == 1
+	})
+	j1.Cancel()
+	waitJob(t, j2)
+	if st := j2.Status(); st.State != JobDone || st.Completed != 1 {
+		t.Fatalf("follower's job: %+v", st)
+	}
+	if got := metric(t, s, "sdo_runs_executed_total"); got != 1 {
+		t.Errorf("executed %v simulations, want 1", got)
+	}
+	cli, err := harness.Run(j2.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := cli.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(exportBytes(t, j2), want.Bytes()) {
+		t.Error("follower's export differs from the CLI's")
+	}
+}
+
+// TestRepresentativeFailureDegradesFollowers: a representative that fails
+// permanently fails its followers the same way, and the sweep degrades
+// around both cells exactly as if each had failed on its own.
+func TestRepresentativeFailureDegradesFollowers(t *testing.T) {
+	s := newService(t, Config{
+		Workers:      2,
+		MaxAttempts:  2,
+		RetryBackoff: time.Millisecond,
+		// Only the representative's own run panics: the follower would
+		// succeed if it simulated itself.
+		Faults: faults.New(faults.Config{PanicKey: "mcf_r/Unsafe/Spectre"}),
+	})
+	defer s.Shutdown(context.Background())
+	req := smallReq()
+	req.Workloads = []string{"mcf_r", "exchange2_r"}
+	req.Variants = []string{"unsafe"}
+	req.Models = nil
+	j, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	st := j.Status()
+	if st.State != JobDegraded || st.Completed != 2 || st.Failed != 2 {
+		t.Fatalf("status %+v, want degraded with 2 completed and 2 failed", st)
+	}
+	for _, f := range st.Failures {
+		if !strings.HasPrefix(f.Cell, "mcf_r/Unsafe/") || f.Kind != "panic" || f.Attempts != 2 || f.Error != st.Failures[0].Error {
+			t.Errorf("failure %+v, want mcf_r/Unsafe under either model, panic after 2 attempts, one error", f)
+		}
+	}
+	if st.Failures[0].Cell == st.Failures[1].Cell {
+		t.Errorf("failures name one cell twice: %+v", st.Failures)
+	}
+	if ev := faultEvents(s); ev["cell-panic"] != 2 || ev["cell-failed"] != 2 {
+		t.Errorf("flight recorder: %d cell-panic and %d cell-failed events, want 2 (one run) and 2 (two cells)",
+			ev["cell-panic"], ev["cell-failed"])
+	}
+}

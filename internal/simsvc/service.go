@@ -217,9 +217,20 @@ type Service struct {
 }
 
 // flight is one in-progress simulation with every (job, cell) waiting on
-// it; the executing worker delivers the result to all of them.
+// it; the executing worker delivers the result to all of them. Its
+// followers are the flights of equivalent cells (RunSpec.Representative)
+// parked on it: each gets the result under its own key once this one
+// settles.
 type flight struct {
-	waiters []delivery
+	waiters   []delivery
+	followers []follower
+}
+
+// follower names the parked flight of a cell whose representative is
+// another cell's flight.
+type follower struct {
+	key string
+	k   harness.Key
 }
 
 type delivery struct {
@@ -727,15 +738,23 @@ func (s *Service) flightAbandoned(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, ok := s.inflight[key]
-	if !ok {
-		return false
-	}
+	return ok && !s.liveLocked(f)
+}
+
+// liveLocked reports whether a job still waits on f: on f itself or on
+// one of its followers. Caller holds s.mu.
+func (s *Service) liveLocked(f *flight) bool {
 	for _, w := range f.waiters {
 		if !w.job.Terminal() {
-			return false
+			return true
 		}
 	}
-	return true
+	for _, fw := range f.followers {
+		if g, ok := s.inflight[fw.key]; ok && s.liveLocked(g) {
+			return true
+		}
+	}
+	return false
 }
 
 // cellEvent counts per-attempt outcomes from the harness (metrics +
@@ -775,9 +794,9 @@ type settlement struct {
 
 // settle retires the finished flight for key — whoever finished it: the
 // executor, or a peer or stolen-cell hit — and gives every (job, cell)
-// waiting on it exactly one delivery. The result, if any, must already be
-// in the cache, so a cell arriving from here on finds either the flight
-// or the entry.
+// waiting on it exactly one delivery, then settles each follower's flight
+// the same way. The result, if any, must already be in the cache, so a
+// cell arriving from here on finds either the flight or the entry.
 func (s *Service) settle(key string, k harness.Key, o settlement) {
 	s.mu.Lock()
 	f := s.inflight[key]
@@ -808,14 +827,51 @@ func (s *Service) settle(key string, k harness.Key, o settlement) {
 			w.job.fail(o.err)
 		}
 	}
+	for _, fw := range f.followers {
+		s.settle(fw.key, fw.k, s.forFollower(fw, o))
+	}
 }
 
-// runCell executes (or resolves from cache / an identical in-flight run)
-// one cell on a pool worker. idx is the cell's index in its job's
-// enumeration order. Execution is hardened: panics are isolated, the
-// configured deadline/stall watchdog applies, and transient failures
-// retry with backoff; a permanent failure degrades the waiting jobs
-// instead of killing them.
+// forFollower turns a representative's settlement into a follower's: the
+// result relabelled with the follower's variant and model and cached under
+// its own key, so the follower's file, peer lookups and later hits are the
+// ones its own simulation would have made.
+func (s *Service) forFollower(fw follower, o settlement) settlement {
+	if o.res != nil {
+		r := *o.res
+		r.Variant, r.Model = fw.k.Variant, fw.k.Model
+		o.res = s.cache.Put(fw.key, r)
+	}
+	return o
+}
+
+// flightOrCachedLocked returns key's flight, or else key's cached result,
+// or neither. A flight caches its result before it leaves the table, so a
+// cell whose cache lookup just missed a flight that then settled finds the
+// result here, in memory, instead of running it again; readThrough also
+// reads key's file, for a caller that has not looked yet. Caller holds
+// s.mu.
+func (s *Service) flightOrCachedLocked(key string, readThrough bool) (*flight, *core.Result) {
+	if f, ok := s.inflight[key]; ok {
+		return f, nil
+	}
+	e, ok := s.cache.held(key, false)
+	if !ok && readThrough {
+		e, ok = s.cache.lookup(key, false)
+	}
+	if ok {
+		return nil, e.res
+	}
+	return nil, nil
+}
+
+// runCell resolves one cell on a pool worker: from the cache, an
+// identical in-flight run, a stolen-cell lease, a peer, or an equivalent
+// cell's run (fly), and executes it only when all of these miss. idx is
+// the cell's index in its job's enumeration order. Execution is
+// hardened: panics are isolated, the configured deadline/stall watchdog
+// applies, and transient failures retry with backoff; a permanent
+// failure degrades the waiting jobs instead of killing them.
 func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.RunSpec, enqueued time.Time) {
 	if s.steal != nil {
 		// A worker picked the cell up: it is no longer stealable (on every
@@ -853,16 +909,30 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 		return
 	}
 	s.mu.Lock()
-	if f, ok := s.inflight[key]; ok {
+	f, cached := s.flightOrCachedLocked(key, false)
+	switch {
+	case f != nil:
 		await := ct.Root().Child(trace.PhaseAwait)
 		f.waiters = append(f.waiters, delivery{job: j, idx: idx, key: k, ct: ct, await: await})
 		s.mu.Unlock()
 		s.runsDeduped.Inc()
 		return
+	case cached != nil:
+		s.mu.Unlock()
+		s.runsDeduped.Inc() // the flight it missed settled a moment ago
+		j.deliver(idx, k, cached, "  [cached]", true, 0, finishCell(ct, "cached"))
+		return
 	}
 	s.inflight[key] = &flight{waiters: []delivery{{job: j, idx: idx, key: k, ct: ct}}}
 	s.mu.Unlock()
+	s.fly(ct, key, k, spec)
+}
 
+// fly resolves the flight for key, which the caller registered, through
+// the rungs past the local cache: a stolen-cell lease, a peer, the
+// flight of an equivalent cell, and finally execution. ct is the trace
+// of the cell whose worker runs it.
+func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harness.RunSpec) {
 	// Work stealing: if a peer claimed this cell under a still-live
 	// lease, wait (bounded by the lease expiry) for its result to land
 	// in the cache instead of duplicating the run. An expired lease
@@ -882,6 +952,13 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	// this flight share the one lookup.
 	if r, ok := s.peerLookup(ct.Root(), key); ok {
 		s.settle(key, k, settlement{res: r, status: "peer", note: "  [peer]", cached: true})
+		return
+	}
+
+	// Equivalent cells: a cell whose simulation provably equals another
+	// cell's (core.Representative) takes that cell's result instead of
+	// simulating.
+	if rep := spec.Representative(); rep != spec && s.follow(ct, key, k, rep) {
 		return
 	}
 
@@ -916,6 +993,40 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 		o.err = fmt.Errorf("simsvc: %s/%v/%v: %w", spec.Workload, spec.Variant, spec.Model, err)
 	}
 	s.settle(key, k, o)
+}
+
+// follow resolves the flight for key from its representative rep: it
+// parks the flight on rep's as a follower (the worker is released), takes
+// rep's cached result, or starts rep's flight and runs it here. It
+// reports false, leaving the flight to run itself, only if rep has no
+// key.
+func (s *Service) follow(ct *trace.CellTrace, key string, k harness.Key, rep harness.RunSpec) bool {
+	rkey, err := rep.CacheKey()
+	if err != nil {
+		return false
+	}
+	fw := follower{key: key, k: k}
+	s.mu.Lock()
+	f, cached := s.flightOrCachedLocked(rkey, true)
+	switch {
+	case f != nil:
+		f.followers = append(f.followers, fw)
+		// The worker leaves; this cell's own trace now awaits rep's flight.
+		own := s.inflight[key]
+		own.waiters[0].await = ct.Root().Child(trace.PhaseAwait)
+		s.mu.Unlock()
+		s.runsDeduped.Inc()
+		return true
+	case cached != nil:
+		s.mu.Unlock()
+		s.runsDeduped.Inc()
+		s.settle(key, k, s.forFollower(fw, settlement{res: cached, status: "cached", note: "  [cached]", cached: true}))
+		return true
+	}
+	s.inflight[rkey] = &flight{followers: []follower{fw}}
+	s.mu.Unlock()
+	s.fly(ct, rkey, rep.Key(), rep)
+	return true
 }
 
 // cellName renders a harness key as the "workload/variant/model" label
