@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/simpoint"
 	"repro/internal/workload"
@@ -47,10 +46,6 @@ func main() {
 		wls            = flag.String("workloads", "", "comma-separated subset (default: all)")
 		serial         = flag.Bool("serial", false, "disable parallel simulation")
 		verbose        = flag.Bool("v", false, "print per-run progress")
-
-		faultSpec   = flag.String("faults", "", "chaos fault-injection spec, e.g. seed=1,panic=0.05,slow=0.1 (also $"+faults.EnvVar+")")
-		maxAttempts = flag.Int("max-attempts", 0, "attempts per cell incl. retries of transient failures (0: no retries)")
-		tolerate    = flag.Bool("tolerate", false, "survive permanently-failed cells: drop their workloads from the report instead of aborting the sweep")
 	)
 	flag.Parse()
 
@@ -106,21 +101,6 @@ func main() {
 		opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
 
-	inj, err := faults.Parse(*faultSpec)
-	if err == nil && inj == nil {
-		inj, err = faults.FromEnv(os.LookupEnv)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	if inj.Enabled() {
-		fmt.Fprintf(os.Stderr, "experiments: CHAOS fault injection enabled: %+v\n", inj.Config())
-	}
-	opt.Faults = inj
-	opt.Policy.MaxAttempts = *maxAttempts
-	opt.TolerateFailures = *tolerate
-
 	if *ablate {
 		for _, m := range opt.Models {
 			rows, err := harness.RunAblations(opt, m)
@@ -157,16 +137,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "experiments: plan %-14s k=%d/%d intervals sampled=%d/%d instrs err-est=%.3f\n",
 					wl.Name, p.K, p.NumIntervals, p.SampledInstrs(), p.WindowInstrs, p.ErrEstimate)
 			}
-		}
-	}
-	if res.Retries > 0 || len(res.Failures) > 0 {
-		// Stderr, same reason: chaos-mode exports must stay byte-identical
-		// to clean runs. CI greps these counters.
-		fmt.Fprintf(os.Stderr, "experiments: cells-retried=%d cells-failed=%d\n",
-			res.Retries, len(res.Failures))
-		for _, f := range res.Failures {
-			fmt.Fprintf(os.Stderr, "experiments: FAILED %s/%v/%v: %s after %d attempt(s): %v\n",
-				f.Key.Workload, f.Key.Variant, f.Key.Model, f.Kind, f.Attempts, f.Err)
 		}
 	}
 

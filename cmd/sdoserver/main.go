@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/faults"
 	"repro/internal/simsvc"
 )
 
@@ -51,7 +50,6 @@ type options struct {
 	addr          string
 	drain         time.Duration
 	pprof         bool
-	faults        string
 	peers         string
 	clusterPeers  string
 	nodeID        string
@@ -78,7 +76,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&c.MaxPendingCells, "max-pending", 0, "pending-cell queue bound; submissions over it get 429 + Retry-After (0: unbounded)")
 	fs.DurationVar(&c.JobTTL, "job-ttl", 0, "evict finished jobs from the registry after this long (0: no TTL)")
 	fs.IntVar(&c.MaxJobs, "max-jobs", 0, "job-registry bound; oldest finished jobs evicted past it (0: default 4096)")
-	fs.StringVar(&o.faults, "faults", "", "chaos fault-injection spec, e.g. seed=1,panic=0.05,slow=0.1 (also $"+faults.EnvVar+")")
 
 	fs.BoolVar(&c.Trace, "trace", false, "record a span tree per sweep cell, served at GET /sweeps/{id}/trace and embedded in exports")
 
@@ -134,19 +131,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sdoserver: -node-id requires -cluster-peers")
 		os.Exit(1)
 	}
-
-	inj, err := faults.Parse(o.faults)
-	if err == nil && inj == nil {
-		inj, err = faults.FromEnv(os.LookupEnv)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sdoserver:", err)
-		os.Exit(1)
-	}
-	if inj.Enabled() {
-		fmt.Fprintf(os.Stderr, "sdoserver: CHAOS fault injection enabled: %+v\n", inj.Config())
-	}
-	cfg.Faults = inj
 
 	if members != nil {
 		cfg.OwnsID = cluster.Owns(o.nodeID, memberIDs)

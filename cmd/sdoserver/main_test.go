@@ -11,8 +11,8 @@ import (
 // TestFlagsDocumented audits the command's surface against the docs:
 // every registered flag is documented in README.md as `-name` (optionally
 // followed by an argument placeholder), and the names of the removed
-// speculation, deadline-auto-tuning, peer-tuning and telemetry surface
-// appear in no operator document.
+// speculation, deadline-auto-tuning, peer-tuning, telemetry and
+// fault-injection surface appear in no operator document.
 func TestFlagsDocumented(t *testing.T) {
 	root := filepath.Join("..", "..")
 	read := func(rel string) string {
@@ -56,6 +56,10 @@ func TestFlagsDocumented(t *testing.T) {
 		regexp.MustCompile(`(^|[^a-z])-fli` + `ght\b`), // the flag, not "in-flight"
 		regexp.MustCompile("-cache" + `-max([^-]|$)`),  // the entry bound, not -cache-max-bytes
 		regexp.MustCompile("/cluster" + "/trace"),
+		regexp.MustCompile(`(^|[^a-z])-fau` + `lts\b`), // the flag, not a hyphenated word
+		regexp.MustCompile("SDO_" + "FAULTS"),
+		regexp.MustCompile("sdo_faults" + "_injected"),
+		regexp.MustCompile(`(^|[^a-z])-toler` + `ate\b`), // experiments' flag
 	}
 	for _, doc := range []string{
 		"README.md", "DESIGN.md", "EXPERIMENTS.md",

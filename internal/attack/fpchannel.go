@@ -15,13 +15,13 @@ const (
 	fpSecretAddr = 0x3_0000 // the speculatively-accessed float64
 )
 
-// BuildFPChannel builds the floating-point variant of the attack (§I-A):
+// buildFPChannel builds the floating-point variant of the attack (§I-A):
 // a doomed-to-squash fmul consumes a speculatively-accessed float64. If
 // the machine lets the transient multiply run on its operand-dependent
 // slow path, the hardware resource usage depends on whether the secret is
 // subnormal — precisely the channel STT{ld+fp} and SDO close. The leak is
 // observed via Stats.FPSlowPathExecs (the resource-usage ground truth).
-func BuildFPChannel(secret float64) (*isa.Program, func(*isa.Memory)) {
+func buildFPChannel(secret float64) (*isa.Program, func(*isa.Memory)) {
 	b := isa.NewBuilder()
 	b.MovI(isa.R10, fpChainBase)
 	b.MovI(isa.R11, fpSecretAddr)
@@ -58,7 +58,7 @@ type FPOutcome struct {
 
 // RunFPChannel runs the transient-FP experiment for one configuration.
 func RunFPChannel(variant core.Variant, model pipeline.AttackModel, secret float64) (FPOutcome, error) {
-	prog, init := BuildFPChannel(secret)
+	prog, init := buildFPChannel(secret)
 	m := core.NewMachine(core.Config{Variant: variant, Model: model}, prog, init)
 	res, err := m.Run()
 	if err != nil {

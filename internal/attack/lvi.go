@@ -40,9 +40,9 @@ const (
 	rInj  = isa.R31 // injected value: &secret[k] when attacking, &pub when training
 )
 
-// BuildLVI generates the load-value-injection program for the given
+// buildLVI generates the load-value-injection program for the given
 // secret. After a run, recovered byte k is at resultBase + 8k.
-func BuildLVI(secret []byte) (*isa.Program, func(*isa.Memory)) {
+func buildLVI(secret []byte) (*isa.Program, func(*isa.Memory)) {
 	b := isa.NewBuilder()
 	b.MovI(rZero, 0)
 	b.MovI(rSix, 6)
@@ -161,7 +161,7 @@ func BuildLVI(secret []byte) (*isa.Program, func(*isa.Memory)) {
 // RunLVI runs the load-value-injection attack against one configuration
 // and reports what the attacker recovered.
 func RunLVI(variant core.Variant, model pipeline.AttackModel, secret []byte) (Outcome, error) {
-	prog, init := BuildLVI(secret)
+	prog, init := buildLVI(secret)
 	m := core.NewMachine(core.Config{Variant: variant, Model: model}, prog, init)
 	res, err := m.Run()
 	if err != nil {

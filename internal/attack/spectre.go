@@ -65,10 +65,10 @@ const (
 	rOOB      = isa.R30
 )
 
-// BuildSpectreV1 generates the attack program for the given secret. The
+// buildSpectreV1 generates the attack program for the given secret. The
 // returned init function installs the victim data (bound, A, secret) into
 // memory. After a run, recovered byte k is at resultBase + 8k.
-func BuildSpectreV1(secret []byte) (*isa.Program, func(*isa.Memory)) {
+func buildSpectreV1(secret []byte) (*isa.Program, func(*isa.Memory)) {
 	b := isa.NewBuilder()
 	b.MovI(rZero, 0)
 	b.MovI(rSix, 6)
@@ -208,7 +208,7 @@ type Outcome struct {
 // RunSpectreV1 runs the attack against one configuration and reports what
 // the attacker recovered.
 func RunSpectreV1(variant core.Variant, model pipeline.AttackModel, secret []byte) (Outcome, error) {
-	prog, init := BuildSpectreV1(secret)
+	prog, init := buildSpectreV1(secret)
 	m := core.NewMachine(core.Config{Variant: variant, Model: model}, prog, init)
 	res, err := m.Run()
 	if err != nil {

@@ -1,0 +1,197 @@
+package cluster
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// apiKeep lists the exported names under internal/ that no non-test file
+// but their own mentions, each with why it stays. The audit fails on a
+// row whose name has since gained a user or gone, so the list only
+// shrinks. Rows marked "test-only" name a symbol only tests use: each is
+// to move into the test that uses it, or go.
+var apiKeep = map[string]string{
+	"attack.RunLVI":                "test-only: TestAttackDefenseMatrix runs the LVI attack through it",
+	"coherence.System.Sharers":     "test-only: the coherence tests read the sharer set through it",
+	"core.Registered":              "test-only: every per-scheme test and golden iterates the registry through it",
+	"core.SDOVariants":             "test-only: the core, harness and root tests iterate the SDO rows through it",
+	"isa.Builder.FSub":             "test-only: arch's executor tests assemble with it",
+	"isa.Builder.Nop":              "test-only: arch's and pipeline's tests assemble with it",
+	"isa.Builder.Raw":              "test-only: arch's executor tests assemble with it",
+	"isa.IsSubnormalBits":          "test-only: the isa and workload tests classify FP operands with it",
+	"isa.Memory.ReadBytes":         "test-only: the copy-on-write memory tests read through it",
+	"isa.Memory.SetImage":          "test-only: the copy-on-write memory tests build images with it",
+	"mem.Cache.Contents":           "test-only: the cache and state tests inspect tag arrays through it",
+	"mem.Cache.OutstandingMisses":  "test-only: the MSHR, cache, hierarchy and security tests count misses in flight with it",
+	"mem.Hierarchy.SpecContents":   "test-only: the speculative-visibility tests inspect shadow state with it",
+	"mem.Hierarchy.SpecModeActive": "test-only: the reset test checks speculative mode with it",
+	"workload.Names":               "test-only: the workload tests list the suite with it",
+	"core.RegisterScheme":          "the extension point README and DESIGN document for adding a scheme; the built-in schemes register in its own file",
+	"harness.Results.Export":       "the JSON export document WriteJSON renders; the service's tests compare exports field by field through it",
+}
+
+// stdlibCalled are method names the standard library calls through an
+// interface (error, fmt.Stringer, errors.Unwrap, http.Handler): a method
+// so named is used without its name appearing at the call site.
+var stdlibCalled = map[string]bool{"Error": true, "String": true, "Unwrap": true, "ServeHTTP": true}
+
+// apiDecl is one exported function, method or type.
+type apiDecl struct {
+	name string // "pkg.Func", "pkg.Type" or "pkg.Type.Method"
+	id   string // the identifier a user writes
+	file string
+	pkg  string
+	typ  bool
+	// sig holds the identifiers of the declaration's signature or type
+	// definition: a type named there is used by whoever uses this one.
+	sig map[string]bool
+}
+
+// TestExportedAPIHasUsers is the API ratchet: every exported function,
+// method and type declared under internal/ is named by some non-test Go
+// file other than its own — in this module or the benchmark module — or
+// has an apiKeep row saying why it stays. A type also counts as used when
+// the signature or definition of a used name of its package mentions it:
+// a caller holding the value uses the type without spelling it. Names are
+// matched as identifiers, not resolved by type: two methods sharing a
+// name vouch for each other, so the audit can miss an unused name but
+// never flags a used one.
+func TestExportedAPIHasUsers(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	usedIn := map[string]map[string]bool{} // identifier -> files naming it
+	var decls []apiDecl
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if rel != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if usedIn[id.Name] == nil {
+					usedIn[id.Name] = map[string]bool{}
+				}
+				usedIn[id.Name][rel] = true
+			}
+			return true
+		})
+		if pkg, ok := strings.CutPrefix(filepath.ToSlash(filepath.Dir(rel)), "internal/"); ok {
+			decls = append(decls, exportedDecls(f, pkg, rel)...)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	used := make([]bool, len(decls))
+	for i, d := range decls {
+		for file := range usedIn[d.id] {
+			used[i] = used[i] || file != d.file
+		}
+	}
+	// A kept name counts as used: the types its signature needs stay
+	// with it.
+	kept := map[string]bool{}
+	for i, d := range decls {
+		if !used[i] && apiKeep[d.name] != "" {
+			used[i], kept[d.name] = true, true
+		}
+	}
+	for grew := true; grew; {
+		grew = false
+		for i, d := range decls {
+			for j, e := range decls {
+				if used[j] && !used[i] && d.typ && e.pkg == d.pkg && e.sig[d.id] {
+					used[i], grew = true, true
+				}
+			}
+		}
+	}
+	var unused []string
+	for i, d := range decls {
+		if !used[i] {
+			unused = append(unused, d.name+" ("+d.file+")")
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("%d exported names have no non-test user outside their own file (use them, unexport them, move them into their test, or add an apiKeep row):\n\t%s",
+			len(unused), strings.Join(unused, "\n\t"))
+	}
+	for name := range apiKeep {
+		if !kept[name] {
+			t.Errorf("apiKeep row %s names nothing left to keep: delete the row", name)
+		}
+	}
+}
+
+// exportedDecls lists f's exported functions, types, and methods on
+// exported types, qualified by pkg.
+func exportedDecls(f *ast.File, pkg, file string) []apiDecl {
+	var out []apiDecl
+	add := func(name, id string, typ bool, sig ast.Node) {
+		ids := map[string]bool{}
+		ast.Inspect(sig, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				ids[id.Name] = true
+			}
+			return true
+		})
+		out = append(out, apiDecl{pkg + "." + name, id, file, pkg, typ, ids})
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			if d.Recv == nil {
+				add(d.Name.Name, d.Name.Name, false, d.Type)
+				continue
+			}
+			recv := d.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			switch ix := recv.(type) {
+			case *ast.IndexExpr:
+				recv = ix.X
+			case *ast.IndexListExpr:
+				recv = ix.X
+			}
+			if id, ok := recv.(*ast.Ident); ok && id.IsExported() && !stdlibCalled[d.Name.Name] {
+				add(id.Name+"."+d.Name.Name, d.Name.Name, false, d.Type)
+			}
+		case *ast.GenDecl:
+			if d.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range d.Specs {
+				if ts := spec.(*ast.TypeSpec); ts.Name.IsExported() {
+					add(ts.Name.Name, ts.Name.Name, true, ts.Type)
+				}
+			}
+		}
+	}
+	return out
+}

@@ -90,10 +90,10 @@ func ParseMembers(spec string) ([]Member, error) {
 	return out, nil
 }
 
-// OwnerOf returns the member ID that owns jobID under rendezvous
+// ownerOf returns the member ID that owns jobID under rendezvous
 // hashing — the same ranking simsvc's OwnsID hook and the proxy path
 // use, so every node computes the same owner for every job.
-func OwnerOf(jobID string, memberIDs []string) string {
+func ownerOf(jobID string, memberIDs []string) string {
 	r := fabric.Rank(jobID, memberIDs)
 	if len(r) == 0 {
 		return ""
@@ -105,7 +105,7 @@ func OwnerOf(jobID string, memberIDs []string) string {
 // exactly the jobs rendezvous-ranked onto it.
 func Owns(self string, memberIDs []string) func(id string) bool {
 	ids := append([]string(nil), memberIDs...)
-	return func(id string) bool { return OwnerOf(id, ids) == self }
+	return func(id string) bool { return ownerOf(id, ids) == self }
 }
 
 // Config configures a cluster node.

@@ -219,7 +219,7 @@ func idOwnedBy(t *testing.T, owner string, ids []string) string {
 	t.Helper()
 	for n := 1; n < 10_000; n++ {
 		id := fmt.Sprintf("sweep-%d", n)
-		if OwnerOf(id, ids) == owner {
+		if ownerOf(id, ids) == owner {
 			return id
 		}
 	}
@@ -232,7 +232,7 @@ func TestOwnershipPartition(t *testing.T) {
 	owned := map[string]int{}
 	for n := 1; n <= 300; n++ {
 		id := fmt.Sprintf("sweep-%d", n)
-		o := OwnerOf(id, ids)
+		o := ownerOf(id, ids)
 		owned[o]++
 		// Every node computes the same owner, and exactly one owns it.
 		for _, self := range ids {
@@ -256,7 +256,7 @@ func TestClusterProxyServesPeerJobs(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 
 	st := postSweep(t, b.srv.URL, smallReq())
-	if owner := OwnerOf(st.ID, []string{"a", "b", "c"}); owner != "b" {
+	if owner := ownerOf(st.ID, []string{"a", "b", "c"}); owner != "b" {
 		t.Fatalf("node b allocated %s owned by %s", st.ID, owner)
 	}
 

@@ -406,7 +406,7 @@ type Result struct {
 	ROBOccHist []uint64 `json:",omitempty"`
 	LQOccHist  []uint64 `json:",omitempty"`
 	// SampledWindows holds the per-representative interval series of a
-	// sampled-mode reconstruction (harness.ReconstructResult): one entry
+	// sampled-mode reconstruction (harness.reconstructResult): one entry
 	// per detailed-simulated representative window, each carrying the
 	// cluster weight a consumer needs to recombine the series into a
 	// whole-window estimate. Nil for detailed whole-window runs, whose

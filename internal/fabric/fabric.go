@@ -39,8 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/faults"
 )
 
 // Defaults for the zero-value Config knobs.
@@ -95,9 +93,6 @@ type Config struct {
 	// negative: no prober — breakers then reopen only via the
 	// half-open-trial path).
 	ProbeInterval time.Duration
-	// Faults injects peer-down / peer-slow / peer-corrupt chaos (nil in
-	// production: zero cost).
-	Faults *faults.Injector
 	// Event, when non-nil, receives observability events
 	// (kind, detail) — peer errors, breaker transitions, probe state
 	// changes.
@@ -396,7 +391,7 @@ func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body 
 	ch := make(chan lookupRes, len(cands))
 	launch := func(cd candidate) {
 		go func() {
-			r := c.fetch(ctx, cd.p, key, path, decode)
+			r := c.fetch(ctx, cd.p, path, decode)
 			if cd.trial {
 				cd.p.endTrial() // the fetch has its verdict
 			}
@@ -535,20 +530,10 @@ func (c *Client) Do(ctx context.Context, peerURL, method, path string, header ht
 	return resp, err
 }
 
-// fetch asks one peer for one key. It reads a 5xx or a body decode
+// fetch asks one peer for one key's path. It reads a 5xx or a body decode
 // rejects as a strike too; a 404 is an authoritative (healthy) miss.
-func (c *Client) fetch(ctx context.Context, p *peer, key, path string, decode func(body []byte) (any, error)) lookupRes {
+func (c *Client) fetch(ctx context.Context, p *peer, path string, decode func(body []byte) (any, error)) lookupRes {
 	fail := func(why string) lookupRes { c.strike(ctx, p, why); return lookupRes{} }
-	if err := c.cfg.Faults.PeerErr(p.url, key); err != nil {
-		return fail(err.Error())
-	}
-	if d := c.cfg.Faults.PeerDelay(p.url, key); d > 0 {
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return fail("injected delay exceeded lookup deadline")
-		}
-	}
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	resp, err := c.send(rctx, p, http.MethodGet, path, nil, nil)
@@ -564,9 +549,6 @@ func (c *Client) fetch(ctx context.Context, p *peer, key, path string, decode fu
 		body, err := io.ReadAll(io.LimitReader(resp.Body, maxEntryBytes))
 		if err != nil {
 			return fail(err.Error())
-		}
-		if c.cfg.Faults.PeerCorrupt(p.url, key) && len(body) > 0 {
-			body[len(body)/2] ^= 0xff
 		}
 		val, err := decode(body)
 		if err != nil {

@@ -7,11 +7,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/faults"
 )
 
 // fastCfg keeps every timer short so breaker/hedge tests run in
@@ -30,15 +29,45 @@ func fastCfg(peers ...string) Config {
 
 // cacheServer serves /cache/{key} from a fixed map, counting requests.
 func cacheServer(t *testing.T, entries map[string]string) (*httptest.Server, *atomic.Int64) {
+	return faultyCacheServer(t, entries, "", 0, nil)
+}
+
+// faultyCacheServer is cacheServer behind a fault on every request:
+// "down" hijacks the connection and closes it unanswered, "slow" holds
+// the answer for delay, "corrupt" flips the middle byte of the body.
+// spoiled (nil without a fault) counts the faulted requests.
+func faultyCacheServer(t *testing.T, entries map[string]string, fault string, delay time.Duration, spoiled *atomic.Int64) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var reqs atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqs.Add(1)
-		if body, ok := entries[r.URL.Path]; ok {
-			fmt.Fprint(w, body)
+		if fault != "" {
+			spoiled.Add(1)
+		}
+		switch fault {
+		case "down":
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
+			return
+		case "slow":
+			select {
+			case <-time.After(delay):
+			case <-r.Context().Done():
+				return
+			}
+		}
+		body, ok := entries[r.URL.Path]
+		if !ok {
+			http.Error(w, "unknown cache key", http.StatusNotFound)
 			return
 		}
-		http.Error(w, "unknown cache key", http.StatusNotFound)
+		if fault == "corrupt" && len(body) > 0 {
+			b := []byte(body)
+			b[len(b)/2] ^= 0xff
+			body = string(b)
+		}
+		fmt.Fprint(w, body)
 	}))
 	t.Cleanup(srv.Close)
 	return srv, &reqs
@@ -234,15 +263,18 @@ func TestRendezvousRankIsStableAndSpread(t *testing.T) {
 	}
 }
 
+// TestInjectedPeerFaultsResolveToMisses: a peer that hangs up or sends a
+// corrupted body costs a miss and a peer error, never a wrong answer —
+// the corrupt body reaches the caller's decode and is rejected there. A
+// slow peer still under the timeout answers late.
 func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
-	srv, _ := cacheServer(t, map[string]string{"/cache/k1": "body-1"})
-	for _, spec := range []string{"seed=7,peer-err=1", "seed=7,peer-corrupt=1"} {
-		inj, err := faults.Parse(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	entries := map[string]string{"/cache/k1": "body-1"}
+	for _, fault := range []string{"down", "corrupt"} {
+		var spoiled atomic.Int64
+		srv, _ := faultyCacheServer(t, entries, fault, 0, &spoiled)
+		var events []string
 		cfg := fastCfg(srv.URL)
-		cfg.Faults = inj
+		cfg.Event = func(kind, detail string) { events = append(events, kind+": "+detail) }
 		vet := func(body []byte) error {
 			if string(body) != "body-1" {
 				return fmt.Errorf("corrupt")
@@ -251,25 +283,25 @@ func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
 		}
 		c := New(cfg)
 		if _, _, ok := lookup(c, "k1", vet); ok {
-			t.Fatalf("%s: injected fault still produced a hit", spec)
-		}
-		if st := c.Stats(); st.Errors == 0 {
-			t.Fatalf("%s: fault not counted as error: %+v", spec, st)
+			t.Fatalf("%s: injected fault still produced a hit", fault)
 		}
 		c.Close()
+		if st := c.Stats(); st.Errors == 0 || spoiled.Load() == 0 {
+			t.Fatalf("%s: %d requests spoiled, fault not counted as error: %+v", fault, spoiled.Load(), st)
+		}
+		if fault == "corrupt" && (len(events) == 0 || !strings.Contains(events[0], "corrupt response")) {
+			t.Fatalf("corrupt body: events %q, want a corrupt response peer-error", events)
+		}
 	}
-	// peer-slow below the timeout delays but still answers.
-	inj, err := faults.Parse("seed=7,peer-slow=1,peer-slow-delay=20ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastCfg(srv.URL)
-	cfg.Faults = inj
-	c := New(cfg)
+	// A slow peer under the timeout delays but still answers.
+	var spoiled atomic.Int64
+	srv, _ := faultyCacheServer(t, entries, "slow", 20*time.Millisecond, &spoiled)
+	c := New(fastCfg(srv.URL))
 	defer c.Close()
+	start := time.Now()
 	body, _, ok := lookup(c, "k1", nil)
-	if !ok || string(body) != "body-1" {
-		t.Fatalf("slow peer under the timeout = %q %v, want a delayed hit", body, ok)
+	if !ok || string(body) != "body-1" || spoiled.Load() != 1 || time.Since(start) < 20*time.Millisecond {
+		t.Fatalf("slow peer under the timeout = %q %v after %v, want a delayed hit", body, ok, time.Since(start))
 	}
 }
 

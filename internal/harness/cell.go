@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/obs/trace"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
@@ -26,7 +25,8 @@ const (
 	// deterministic simulation, so exec failures are never retried.
 	FailExec FailKind = "exec"
 	// FailPanic is a panic recovered from the cell's goroutine. Treated
-	// as transient (environmental corruption, injected chaos).
+	// as transient: nothing in a deterministic simulation should panic,
+	// so one that does points at its environment.
 	FailPanic FailKind = "panic"
 	// FailTimeout is a per-cell wall-clock deadline expiry.
 	FailTimeout FailKind = "timeout"
@@ -62,8 +62,8 @@ func (e *CellError) Error() string {
 
 func (e *CellError) Unwrap() error { return e.Err }
 
-// Transient reports whether this failure kind is worth retrying.
-func (e *CellError) Transient() bool { return e.Kind != FailExec }
+// transient reports whether this failure kind is worth retrying.
+func (e *CellError) transient() bool { return e.Kind != FailExec }
 
 // CellEvent notifies RunPolicy.Notify observers of per-attempt outcomes:
 // Kind is "panic", "timeout", "stall" or "exec" when an attempt fails,
@@ -117,7 +117,7 @@ func (pol RunPolicy) notify(ev CellEvent) {
 // backoffFor returns the pre-attempt backoff: base doubling per attempt
 // beyond the first retry, scaled by a deterministic jitter factor in
 // [0.5, 1.5) drawn from (key, attempt) so concurrent retries de-correlate
-// without making chaos runs unrepeatable.
+// without making a retried run unrepeatable.
 func (pol RunPolicy) backoffFor(k Key, attempt int) time.Duration {
 	base := pol.RetryBackoff
 	if base <= 0 {
@@ -130,16 +130,6 @@ func (pol RunPolicy) backoffFor(k Key, attempt int) time.Duration {
 	return time.Duration(float64(d) * jitter)
 }
 
-// faultKey is the cell identity string fault draws key on. The ablation
-// suffix keeps design-study cells (which reuse the same Key) distinct.
-func faultKey(k Key, ab core.Ablation) string {
-	s := fmt.Sprintf("%s/%v/%v", k.Workload, k.Variant, k.Model)
-	if ab != (core.Ablation{}) {
-		s += fmt.Sprintf("/ab%+v", ab)
-	}
-	return s
-}
-
 // RunCell executes one sweep cell under a fault-tolerance policy: panics
 // are recovered into CellErrors, each attempt runs under the optional
 // wall-clock deadline and progress-based stall watchdog, and transient
@@ -147,12 +137,11 @@ func faultKey(k Key, ab core.Ablation) string {
 // It returns the result, the number of retries performed (attempts - 1),
 // and the terminal error, which is a *CellError for cell failures or a
 // plain cancellation error (ctx.Err(), ErrCellAbandoned) when the caller
-// stopped caring. With a zero policy and nil injector this is RunOne plus
-// one recover frame.
+// stopped caring. With a zero policy this is RunOne plus one recover
+// frame.
 func RunCell(ctx context.Context, wl workload.Workload, v core.Variant, m pipeline.AttackModel,
-	ab core.Ablation, p RunParams, pol RunPolicy, inj *faults.Injector) (core.Result, int, error) {
+	ab core.Ablation, p RunParams, pol RunPolicy) (core.Result, int, error) {
 	k := Key{wl.Name, v, m}
-	fk := faultKey(k, ab)
 	// The parent span (nil with tracing off — every span call below is
 	// then a bare nil check) gets a child per attempt and per backoff
 	// sleep, so a retried cell's trace shows where the wall clock went.
@@ -174,7 +163,7 @@ func RunCell(ctx context.Context, wl workload.Workload, v core.Variant, m pipeli
 		}
 		as := parent.Child(trace.PhaseAttempt)
 		as.Set("n", strconv.Itoa(attempt+1))
-		r, err := runAttempt(ctx, wl, v, m, ab, p, pol, inj, fk, attempt)
+		r, err := runAttempt(ctx, wl, v, m, ab, p, pol)
 		if err == nil {
 			as.Set("outcome", "ok")
 			as.Finish()
@@ -194,35 +183,24 @@ func RunCell(ctx context.Context, wl workload.Workload, v core.Variant, m pipeli
 		as.Set("outcome", string(ce.Kind))
 		as.Finish()
 		pol.notify(CellEvent{Kind: string(ce.Kind), Key: k, Attempt: attempt, Err: ce.Err})
-		if !ce.Transient() {
+		if !ce.transient() {
 			break
 		}
 	}
 	return core.Result{}, last.Attempts - 1, last
 }
 
-// runAttempt performs one attempt: fault injection at the boundary, the
-// check hook wired into the pipeline, and panic recovery.
+// runAttempt performs one attempt: the check hook wired into the
+// pipeline, and panic recovery around the whole run — the hook included.
 func runAttempt(ctx context.Context, wl workload.Workload, v core.Variant, m pipeline.AttackModel,
-	ab core.Ablation, p RunParams, pol RunPolicy, inj *faults.Injector,
-	fk string, attempt int) (r core.Result, err error) {
+	ab core.Ablation, p RunParams, pol RunPolicy) (r core.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = &CellError{Kind: FailPanic, Stack: string(debug.Stack()),
 				Err: fmt.Errorf("panic: %v", rec)}
 		}
 	}()
-	inj.PanicNow(fk, attempt)
-	if d := inj.Delay(fk, attempt); d > 0 {
-		t := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return core.Result{}, ctx.Err()
-		case <-t.C:
-		}
-	}
-	check, stop := buildCheck(ctx, pol, inj.Freeze(fk, attempt))
+	check, stop := buildCheck(ctx, pol)
 	if stop != nil {
 		defer stop()
 	}
@@ -248,9 +226,9 @@ func runAttempt(ctx context.Context, wl workload.Workload, v core.Variant, m pip
 // stop function for the stall-watchdog goroutine (nil when no watchdog
 // runs). Returns (nil, nil) when nothing needs checking, keeping the
 // untouched path's per-cycle cost at a single nil compare.
-func buildCheck(ctx context.Context, pol RunPolicy, freeze time.Duration) (func(cycle, committed uint64) error, func()) {
+func buildCheck(ctx context.Context, pol RunPolicy) (func(cycle, committed uint64) error, func()) {
 	needCtx := ctx.Done() != nil
-	if !needCtx && pol.CellTimeout <= 0 && pol.StallTimeout <= 0 && pol.Abort == nil && freeze == 0 {
+	if !needCtx && pol.CellTimeout <= 0 && pol.StallTimeout <= 0 && pol.Abort == nil {
 		return nil, nil
 	}
 	var deadline time.Time
@@ -296,7 +274,6 @@ func buildCheck(ctx context.Context, pol RunPolicy, freeze time.Duration) (func(
 		stop = func() { close(done) }
 	}
 
-	froze := false
 	check := func(cycle, c uint64) error {
 		committed.Store(c)
 		if needCtx {
@@ -311,12 +288,6 @@ func buildCheck(ctx context.Context, pol RunPolicy, freeze time.Duration) (func(
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return ErrCellTimeout
-		}
-		if freeze > 0 && !froze {
-			// Injected freeze: wall time passes while the committed
-			// count stays put — the stall watchdog's trigger condition.
-			froze = true
-			time.Sleep(freeze)
 		}
 		if stalled.Load() {
 			return ErrCellStalled

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -27,8 +26,24 @@ func cellParams() RunParams {
 	return RunParams{WarmupInstrs: 1000, MaxInstrs: 30_000}
 }
 
-// With a zero policy and no injector, RunCell is RunOne plus a recover
-// frame: bit-identical result, no retries.
+// freezeOnce is a RunPolicy.Abort that, at the attempt's first progress
+// check, holds the simulator thread for d — wall time passes while the
+// committed count stays put, the stall watchdog's and the deadline's
+// trigger — and counts the freezes in *n.
+func freezeOnce(d time.Duration, n *int) func() bool {
+	frozen := false
+	return func() bool {
+		if !frozen {
+			frozen = true
+			*n++
+			time.Sleep(d)
+		}
+		return false
+	}
+}
+
+// With a zero policy, RunCell is RunOne plus a recover frame:
+// bit-identical result, no retries.
 func TestRunCellZeroPolicyMatchesRunOne(t *testing.T) {
 	wl := testWorkload(t)
 	p := cellParams()
@@ -37,7 +52,7 @@ func TestRunCellZeroPolicyMatchesRunOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, retries, err := RunCell(context.Background(), wl, core.Unsafe, pipeline.Spectre,
-		core.Ablation{}, p, RunPolicy{}, nil)
+		core.Ablation{}, p, RunPolicy{})
 	if err != nil || retries != 0 {
 		t.Fatalf("RunCell: retries=%d err=%v", retries, err)
 	}
@@ -46,35 +61,26 @@ func TestRunCellZeroPolicyMatchesRunOne(t *testing.T) {
 	}
 }
 
-// transientPanicSeed finds a seed whose injected panic hits attempt 0 of
-// the given cell but not attempt 1 — the transient shape retries recover.
-func transientPanicSeed(t *testing.T, fk string, prob float64) uint64 {
-	t.Helper()
-	for seed := uint64(0); seed < 1000; seed++ {
-		f := faults.New(faults.Config{Seed: seed, PanicProb: prob})
-		if f.WouldPanic(fk, 0) && !f.WouldPanic(fk, 1) {
-			return seed
-		}
-	}
-	t.Fatal("no transient-panic seed found")
-	return 0
-}
-
-// An injected panic on attempt 0 is recovered (not propagated, not fatal
-// to the caller) and retried; the retry succeeds with the same result a
-// clean run produces — failure recovery must not perturb determinism.
+// A panic on attempt 0 — thrown from the progress check, inside the
+// running simulation — is recovered (not propagated, not fatal to the
+// caller) and retried; the retry succeeds with the same result a clean
+// run produces — failure recovery must not perturb determinism.
 func TestRunCellRecoversTransientPanic(t *testing.T) {
 	wl := testWorkload(t)
 	p := cellParams()
-	fk := faultKey(Key{wl.Name, core.Unsafe, pipeline.Spectre}, core.Ablation{})
-	seed := transientPanicSeed(t, fk, 0.5)
-	inj := faults.New(faults.Config{Seed: seed, PanicProb: 0.5})
-
 	var events []CellEvent
+	panics := 0
 	pol := RunPolicy{MaxAttempts: 3, RetryBackoff: time.Millisecond,
 		Notify: func(ev CellEvent) { events = append(events, ev) }}
+	pol.Abort = func() bool {
+		if len(events) == 0 { // attempt 0: nothing has failed yet
+			panics++
+			panic("cell fault")
+		}
+		return false
+	}
 	got, retries, err := RunCell(context.Background(), wl, core.Unsafe, pipeline.Spectre,
-		core.Ablation{}, p, pol, inj)
+		core.Ablation{}, p, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,30 +94,32 @@ func TestRunCellRecoversTransientPanic(t *testing.T) {
 	if len(events) != 2 || events[0].Kind != "panic" || events[1].Kind != "retry" {
 		t.Fatalf("events = %+v", events)
 	}
-	if inj.Stats().Panics != 1 {
-		t.Fatalf("injected panics = %d", inj.Stats().Panics)
+	if panics != 1 {
+		t.Fatalf("the check hook panicked %d times, want 1", panics)
 	}
 }
 
-// A permanent panic (PanicKey matches every attempt) exhausts retries and
-// surfaces as a typed CellError with an accurate attempt count and stack.
+// A permanent panic (every attempt's first progress check panics)
+// exhausts retries and surfaces as a typed CellError with an accurate
+// attempt count and stack.
 func TestRunCellPermanentPanicExhaustsRetries(t *testing.T) {
 	wl := testWorkload(t)
-	inj := faults.New(faults.Config{PanicKey: "mcf_r"})
-	pol := RunPolicy{MaxAttempts: 3, RetryBackoff: time.Millisecond}
+	panics := 0
+	pol := RunPolicy{MaxAttempts: 3, RetryBackoff: time.Millisecond,
+		Abort: func() bool { panics++; panic("cell fault") }}
 	_, retries, err := RunCell(context.Background(), wl, core.Unsafe, pipeline.Spectre,
-		core.Ablation{}, cellParams(), pol, inj)
+		core.Ablation{}, cellParams(), pol)
 	var ce *CellError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CellError", err)
 	}
-	if ce.Kind != FailPanic || ce.Attempts != 3 || retries != 2 {
-		t.Fatalf("kind=%s attempts=%d retries=%d", ce.Kind, ce.Attempts, retries)
+	if ce.Kind != FailPanic || ce.Attempts != 3 || retries != 2 || panics != 3 {
+		t.Fatalf("kind=%s attempts=%d retries=%d panics=%d", ce.Kind, ce.Attempts, retries, panics)
 	}
 	if ce.Stack == "" {
 		t.Fatal("panic CellError has no stack")
 	}
-	if !ce.Transient() {
+	if !ce.transient() {
 		t.Fatal("panic should be transient")
 	}
 }
@@ -120,13 +128,13 @@ func TestRunCellPermanentPanicExhaustsRetries(t *testing.T) {
 // killed by the progress-based stall watchdog, not by a cycle count.
 func TestRunCellStallWatchdog(t *testing.T) {
 	wl := testWorkload(t)
-	inj := faults.New(faults.Config{FreezeProb: 1, FreezeFor: 400 * time.Millisecond})
-	pol := RunPolicy{StallTimeout: 50 * time.Millisecond}
+	freezes := 0
+	pol := RunPolicy{StallTimeout: 50 * time.Millisecond, Abort: freezeOnce(400*time.Millisecond, &freezes)}
 	_, _, err := RunCell(context.Background(), wl, core.Unsafe, pipeline.Spectre,
-		core.Ablation{}, cellParams(), pol, inj)
+		core.Ablation{}, cellParams(), pol)
 	var ce *CellError
-	if !errors.As(err, &ce) || ce.Kind != FailStall {
-		t.Fatalf("err = %v, want stall CellError", err)
+	if !errors.As(err, &ce) || ce.Kind != FailStall || freezes != 1 {
+		t.Fatalf("err = %v after %d freezes, want stall CellError after 1", err, freezes)
 	}
 	if !errors.Is(err, ErrCellStalled) {
 		t.Fatal("stall error does not unwrap to ErrCellStalled")
@@ -136,13 +144,13 @@ func TestRunCellStallWatchdog(t *testing.T) {
 // A cell that exceeds its wall-clock deadline is killed with FailTimeout.
 func TestRunCellDeadline(t *testing.T) {
 	wl := testWorkload(t)
-	inj := faults.New(faults.Config{FreezeProb: 1, FreezeFor: 120 * time.Millisecond})
-	pol := RunPolicy{CellTimeout: 30 * time.Millisecond}
+	freezes := 0
+	pol := RunPolicy{CellTimeout: 30 * time.Millisecond, Abort: freezeOnce(120*time.Millisecond, &freezes)}
 	_, _, err := RunCell(context.Background(), wl, core.Unsafe, pipeline.Spectre,
-		core.Ablation{}, cellParams(), pol, inj)
+		core.Ablation{}, cellParams(), pol)
 	var ce *CellError
-	if !errors.As(err, &ce) || ce.Kind != FailTimeout {
-		t.Fatalf("err = %v, want timeout CellError", err)
+	if !errors.As(err, &ce) || ce.Kind != FailTimeout || freezes != 1 {
+		t.Fatalf("err = %v after %d freezes, want timeout CellError after 1", err, freezes)
 	}
 }
 
@@ -157,7 +165,7 @@ func TestRunCellExecErrorNotRetried(t *testing.T) {
 	p := cellParams()
 	p.Checkpoint = CaptureCheckpoint(wl, 500)
 	_, retries, err := RunCell(context.Background(), wl, core.Unsafe, pipeline.Spectre,
-		core.Ablation{}, p, pol, nil)
+		core.Ablation{}, p, pol)
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Kind != FailExec {
 		t.Fatalf("err = %v, want exec CellError", err)
@@ -168,23 +176,27 @@ func TestRunCellExecErrorNotRetried(t *testing.T) {
 }
 
 // Cancellation interrupts a running cell mid-simulation and propagates
-// as ctx.Err(), not as a CellError, and is not retried.
+// as ctx.Err(), not as a CellError, and is not retried. The first progress
+// check cancels, so the next one is inside the same running attempt.
 func TestRunCellCancellationMidRun(t *testing.T) {
 	wl := testWorkload(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	inj := faults.New(faults.Config{FreezeProb: 1, FreezeFor: 100 * time.Millisecond})
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	_, _, err := RunCell(ctx, wl, core.Unsafe, pipeline.Spectre,
-		core.Ablation{}, cellParams(), RunPolicy{MaxAttempts: 3}, inj)
+	defer cancel()
+	polls, events := 0, 0
+	pol := RunPolicy{MaxAttempts: 3,
+		Abort:  func() bool { polls++; cancel(); return false },
+		Notify: func(CellEvent) { events++ }}
+	_, retries, err := RunCell(ctx, wl, core.Unsafe, pipeline.Spectre,
+		core.Ablation{}, cellParams(), pol)
 	var ce *CellError
 	if errors.As(err, &ce) {
 		t.Fatalf("cancellation wrapped in CellError: %v", err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if polls != 1 || retries != 0 || events != 0 {
+		t.Fatalf("%d progress checks reached the hook, %d retries, %d events; want 1, 0, 0", polls, retries, events)
 	}
 }
 
@@ -193,7 +205,7 @@ func TestRunCellAbort(t *testing.T) {
 	wl := testWorkload(t)
 	pol := RunPolicy{Abort: func() bool { return true }}
 	_, _, err := RunCell(context.Background(), wl, core.Unsafe, pipeline.Spectre,
-		core.Ablation{}, cellParams(), pol, nil)
+		core.Ablation{}, cellParams(), pol)
 	if !errors.Is(err, ErrCellAbandoned) {
 		t.Fatalf("err = %v, want ErrCellAbandoned", err)
 	}
@@ -213,54 +225,5 @@ func TestBackoffDeterministicWithJitter(t *testing.T) {
 	d2 := pol.backoffFor(k, 2)
 	if d2 < 100*time.Millisecond || d2 >= 300*time.Millisecond {
 		t.Fatalf("attempt-2 backoff %v outside [100ms, 300ms)", d2)
-	}
-}
-
-// A tolerant sweep with a permanently-failing workload completes, records
-// the failures, and exports the surviving workloads identically to a
-// sweep that never contained the failed workload.
-func TestTolerantSweepDegrades(t *testing.T) {
-	wl1 := testWorkload(t)
-	wl2, err := workload.ByName("x264_r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{
-		WarmupInstrs: 1000, MaxInstrs: 5000,
-		Workloads: []workload.Workload{wl1, wl2},
-		Variants:  []core.Variant{core.Unsafe, core.Hybrid},
-		Models:    []pipeline.AttackModel{pipeline.Spectre},
-		Parallel:  true,
-		Policy:    RunPolicy{MaxAttempts: 2, RetryBackoff: time.Millisecond},
-		Faults:    faults.New(faults.Config{PanicKey: "x264_r"}),
-
-		TolerateFailures: true,
-	}
-	res, err := Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) != 2 {
-		t.Fatalf("failures = %+v, want 2 (x264_r cells)", res.Failures)
-	}
-	for _, f := range res.Failures {
-		if f.Key.Workload != "x264_r" || f.Attempts != 2 {
-			t.Fatalf("unexpected failure record %+v", f)
-		}
-	}
-	if res.Retries == 0 {
-		t.Fatal("no retries counted")
-	}
-	clean := opt
-	clean.Workloads = []workload.Workload{wl1}
-	clean.Faults, clean.Policy = nil, RunPolicy{}
-	want, err := Run(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, w := range want.Runs {
-		if g, ok := res.Runs[k]; !ok || g.Cycles != w.Cycles {
-			t.Fatalf("surviving cell %v: got %+v want %+v", k, res.Runs[k], w)
-		}
 	}
 }

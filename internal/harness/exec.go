@@ -11,14 +11,13 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/obs/trace"
 	"repro/internal/simpoint"
 	"repro/internal/workload"
 )
 
 // Executor runs sweep cells. It is the one cell path: the CLI sweep
-// (RunContext), the ablation study (RunAblationsContext) and the
+// (RunContext), the ablation study (RunAblations) and the
 // simulation service all execute a RunSpec through Run. An Executor holds
 // the two per-workload artifacts cells are built from — the functional-
 // warmup checkpoint of a (workload, warmup) and the sampling plan of a
@@ -29,9 +28,6 @@ import (
 // new process builds its own, bit-identical one. The zero value is ready
 // to use, and an Executor is safe for concurrent use.
 type Executor struct {
-	// Faults optionally injects chaos faults into cell attempts (nil:
-	// none).
-	Faults *faults.Injector
 	// Event, when non-nil, observes an artifact build that panicked
 	// (kind "checkpoint-panic" or "plan-panic").
 	Event func(kind, detail string)
@@ -117,13 +113,13 @@ func (e *Executor) Run(ctx context.Context, spec RunSpec, pol RunPolicy) (core.R
 	simCtx := trace.NewContext(ctx, sim)
 	start := time.Now()
 	if sp != nil {
-		r, retries, err = RunSampledCell(simCtx, 1, wl, spec.Variant, spec.Model, spec.Ablate, sp, p, pol, e.Faults)
+		r, retries, err = RunSampledCell(simCtx, 1, wl, spec.Variant, spec.Model, spec.Ablate, sp, p, pol, nil)
 		if err == nil {
 			e.SampledCells.Add(1)
 			e.SampledInstrs.Add(sp.Plan.SampledInstrs())
 		}
 	} else {
-		r, retries, err = RunCell(simCtx, wl, spec.Variant, spec.Model, spec.Ablate, p, pol, e.Faults)
+		r, retries, err = RunCell(simCtx, wl, spec.Variant, spec.Model, spec.Ablate, p, pol)
 	}
 	elapsed := time.Since(start)
 	sim.Finish()

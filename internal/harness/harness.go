@@ -12,14 +12,12 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/isa"
 	"repro/internal/obs/trace"
 	"repro/internal/pipeline"
@@ -65,17 +63,6 @@ type Options struct {
 	Parallel bool
 	// Progress, if non-nil, receives a line per completed run.
 	Progress func(string)
-
-	// Policy is the per-cell fault-tolerance policy (retries, deadlines,
-	// stall watchdog). The zero value preserves historical behavior.
-	Policy RunPolicy
-	// Faults optionally injects chaos faults into cell execution; nil
-	// (production) injects nothing and costs a nil compare per site.
-	Faults *faults.Injector
-	// TolerateFailures records permanently-failed cells in
-	// Results.Failures and completes the sweep without them, instead of
-	// failing the whole sweep on the first bad cell.
-	TolerateFailures bool
 }
 
 // DefaultOptions returns the full sweep at a laptop-scale budget.
@@ -181,15 +168,6 @@ type Results struct {
 	// the counters around it.
 	SharedCells int
 
-	// Retries counts cell attempts beyond the first across the sweep
-	// (non-zero only under a retrying Policy). Like the warmup counters,
-	// deliberately not part of the JSON Export: a chaos run that recovers
-	// through retries must export byte-identically to a clean run.
-	Retries uint64
-	// Failures lists cells that failed permanently. Empty unless
-	// Options.TolerateFailures let the sweep complete around them.
-	Failures []CellFailure
-
 	// Attrib carries per-cell latency attributions when the producer ran
 	// with tracing enabled (the simulation service's trace layer); nil
 	// otherwise. Unlike the counters above it DOES enter the JSON Export
@@ -197,14 +175,6 @@ type Results struct {
 	// explicitly opt-in annotation, and an untraced run's export stays
 	// byte-identical to one produced before tracing existed.
 	Attrib map[Key]*trace.Attribution
-}
-
-// CellFailure records one permanently-failed cell of a tolerant sweep.
-type CellFailure struct {
-	Key      Key    `json:"key"`
-	Kind     string `json:"kind"`
-	Attempts int    `json:"attempts"`
-	Err      string `json:"error"`
 }
 
 // RunParams carries the per-run bounds and warmup policy of a cell —
@@ -283,15 +253,16 @@ func Run(opt Options) (*Results, error) {
 // RunContext executes the sweep: the first cell of every group with a
 // common representative (RunSpec.Representative) runs through one
 // Executor on a fixed-size worker pool, and the group's other cells copy
-// its result under their own labels. No new simulation starts once ctx is
-// cancelled or any run fails. A sampled cell runs its representative
-// intervals in series, so a sampled sweep, like a detailed one,
-// parallelises across cells.
+// its result under their own labels. A cell runs once, under the zero
+// RunPolicy: the simulation is deterministic, so a retry would fail the
+// same way. No new simulation starts once ctx is cancelled or any run
+// fails. A sampled cell runs its representative intervals in series, so
+// a sampled sweep, like a detailed one, parallelises across cells.
 func RunContext(ctx context.Context, opt Options) (*Results, error) {
 	opt = opt.Normalized()
 	res := &Results{Opt: opt, Runs: make(map[Key]core.Result)}
 	var mu sync.Mutex
-	e := &Executor{Faults: opt.Faults}
+	e := &Executor{}
 	if opt.SimMode == SimSampled {
 		res.SamplePlans = make(map[string]*simpoint.Plan)
 		e.PlanBuilt = func(wl string, sp *SamplePlan) {
@@ -303,22 +274,16 @@ func RunContext(ctx context.Context, opt Options) (*Results, error) {
 	groups := groupByRepresentative(opt.Specs())
 	err := RunPool(ctx, opt.Workers(), len(groups), func(ctx context.Context, i int) error {
 		g := groups[i]
-		r, retries, _, err := e.Run(ctx, g[0], opt.Policy)
+		r, _, _, err := e.Run(ctx, g[0], RunPolicy{})
+		if err != nil {
+			k := g[0].Key()
+			return fmt.Errorf("harness: %s/%v/%v: %w", k.Workload, k.Variant, k.Model, err)
+		}
 		mu.Lock()
 		defer mu.Unlock()
-		res.Retries += uint64(retries)
 		res.SharedCells += len(g) - 1
 		for _, s := range g {
 			k := s.Key()
-			if err != nil {
-				var ce *CellError
-				if opt.TolerateFailures && errors.As(err, &ce) {
-					res.Failures = append(res.Failures, CellFailure{
-						Key: k, Kind: string(ce.Kind), Attempts: ce.Attempts, Err: ce.Err.Error()})
-					continue
-				}
-				return fmt.Errorf("harness: %s/%v/%v: %w", k.Workload, k.Variant, k.Model, err)
-			}
 			r.Variant, r.Model = s.Variant, s.Model
 			res.Runs[k] = r
 			if opt.Progress != nil {
@@ -588,34 +553,20 @@ func AblationTables(opt Options, res []core.Result, failed func(i int) bool) [][
 // variant the paper declines to build (§VI-B2). With functional warmup the
 // baseline and every ablation cell of a workload restore one checkpoint —
 // sound because ablations only alter speculative execution, which
-// functional warmup has none of.
+// functional warmup has none of. The cells of AblationSpecs run through
+// one Executor on a worker pool, like a sweep.
 func RunAblations(opt Options, model pipeline.AttackModel) ([]AblationRow, error) {
-	return RunAblationsContext(context.Background(), opt, model)
-}
-
-// RunAblationsContext is RunAblations with cancellation: the cells of
-// AblationSpecs run through one Executor on a worker pool, like a sweep.
-func RunAblationsContext(ctx context.Context, opt Options, model pipeline.AttackModel) ([]AblationRow, error) {
 	opt.Models = []pipeline.AttackModel{model}
 	specs := opt.AblationSpecs()
-	e := &Executor{Faults: opt.Faults}
+	e := &Executor{}
 	res := make([]core.Result, len(specs))
-	failed := make([]bool, len(specs))
-	err := RunPool(ctx, opt.Workers(), len(specs), func(ctx context.Context, i int) error {
-		r, _, _, err := e.Run(ctx, specs[i], opt.Policy)
-		var ce *CellError
-		switch {
-		case err == nil:
-			res[i] = r
-		case opt.TolerateFailures && errors.As(err, &ce):
-			failed[i] = true
-		default:
-			return err
-		}
-		return nil
+	err := RunPool(context.Background(), opt.Workers(), len(specs), func(ctx context.Context, i int) error {
+		var err error
+		res[i], _, _, err = e.Run(ctx, specs[i], RunPolicy{})
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return AblationTables(opt, res, func(i int) bool { return failed[i] })[0], nil
+	return AblationTables(opt, res, func(int) bool { return false })[0], nil
 }

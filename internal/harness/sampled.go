@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/obs/trace"
 	"repro/internal/pipeline"
 	"repro/internal/simpoint"
@@ -29,7 +28,7 @@ const (
 	// the representative interval of each cluster runs detailed (restored
 	// from a functional checkpoint at its start), and whole-window stats
 	// are reconstructed as the weighted combination of the
-	// representatives' per-instruction rates (ReconstructResult).
+	// representatives' per-instruction rates (reconstructResult).
 	SimSampled SimMode = "sampled"
 )
 
@@ -85,7 +84,7 @@ func BuildSamplePlan(wl workload.Workload, warmup, window uint64, cfg simpoint.C
 // warmup to its start boundary) and run detailed for its length. Interval
 // sampling (IntervalCycles) is inherited: each representative produces
 // its own time series, collected into Result.SampledWindows by
-// ReconstructResult's callers rather than flattened into one fake
+// reconstructResult's callers rather than flattened into one fake
 // whole-window series.
 func (sp *SamplePlan) repParams(base RunParams, ri int) RunParams {
 	p := base
@@ -125,9 +124,11 @@ func subtractWarmBase(r core.Result, ck *arch.Checkpoint) core.Result {
 // RunCell (retries, deadlines and the stall watchdog apply per interval),
 // up to workers of them concurrently, and the results are recombined into
 // one whole-window core.Result. Returns the reconstructed result and the
-// total retries across intervals.
+// total retries across intervals. The last argument is unused: the
+// benchmark module's probes still pass nil there, and it goes with their
+// next change.
 func RunSampledCell(ctx context.Context, workers int, wl workload.Workload, v core.Variant, m pipeline.AttackModel,
-	ab core.Ablation, sp *SamplePlan, p RunParams, pol RunPolicy, inj *faults.Injector) (core.Result, int, error) {
+	ab core.Ablation, sp *SamplePlan, p RunParams, pol RunPolicy, _ any) (core.Result, int, error) {
 	reps := make([]core.Result, len(sp.Plan.Reps))
 	parent := trace.FromContext(ctx)
 	var mu sync.Mutex
@@ -138,7 +139,7 @@ func RunSampledCell(ctx context.Context, workers int, wl workload.Workload, v co
 		iv := parent.Child(trace.PhaseInterval)
 		iv.Set("start", strconv.FormatUint(sp.Plan.Reps[i].Start, 10))
 		iv.Set("len", strconv.FormatUint(sp.Plan.Reps[i].Len, 10))
-		r, rt, err := RunCell(trace.NewContext(ctx, iv), wl, v, m, ab, sp.repParams(p, i), pol, inj)
+		r, rt, err := RunCell(trace.NewContext(ctx, iv), wl, v, m, ab, sp.repParams(p, i), pol)
 		iv.Finish()
 		mu.Lock()
 		defer mu.Unlock()
@@ -153,7 +154,7 @@ func RunSampledCell(ctx context.Context, workers int, wl workload.Workload, v co
 		return core.Result{}, retries, err
 	}
 	rec := parent.Child(trace.PhaseReconstruct)
-	out := ReconstructResult(sp.Plan, reps)
+	out := reconstructResult(sp.Plan, reps)
 	attachSampledWindows(sp.Plan, reps, &out)
 	rec.Finish()
 	return out, retries, nil
@@ -179,7 +180,7 @@ func attachSampledWindows(plan *simpoint.Plan, reps []core.Result, out *core.Res
 	}
 }
 
-// ReconstructResult recombines the representatives' results into the
+// reconstructResult recombines the representatives' results into the
 // whole-window estimate: every uint64 counter c becomes
 //
 //	round( Σ_reps weight · (c_rep / committed_rep) · window )
@@ -192,7 +193,7 @@ func attachSampledWindows(plan *simpoint.Plan, reps []core.Result, out *core.Res
 // interval series are carried per representative window (see
 // attachSampledWindows), not flattened here; Result.IntervalCycles is
 // config echo, not a counter, and is skipped by name.
-func ReconstructResult(plan *simpoint.Plan, reps []core.Result) core.Result {
+func reconstructResult(plan *simpoint.Plan, reps []core.Result) core.Result {
 	var out core.Result
 	var acc []float64
 	for i, rep := range plan.Reps {

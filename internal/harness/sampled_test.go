@@ -62,7 +62,7 @@ func TestSamplePlanDeterminism(t *testing.T) {
 
 // TestSampledSingleIntervalExact pins the reconstruction identity: with
 // one interval covering the whole window (weight 1), the sampled result
-// must equal exactly what ReconstructResult produces from the equivalent
+// must equal exactly what reconstructResult produces from the equivalent
 // functional-warmup detailed run — warm-base subtraction on the memory
 // counters followed by normalization to the window length (a detailed run
 // may overshoot its budget by a few instructions on a wide commit).
@@ -83,11 +83,11 @@ func TestSampledSingleIntervalExact(t *testing.T) {
 	}
 	direct, _, err := RunCell(context.Background(), wl, core.Hybrid, pipeline.Futuristic, core.Ablation{},
 		RunParams{WarmupInstrs: warmup, MaxInstrs: window, WarmupMode: core.WarmupFunctional},
-		RunPolicy{}, nil)
+		RunPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ReconstructResult(sp.Plan, []core.Result{subtractWarmBase(direct, sp.Checkpoints[0])})
+	want := reconstructResult(sp.Plan, []core.Result{subtractWarmBase(direct, sp.Checkpoints[0])})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("single-interval sampled run is not exact:\n got %+v\nwant %+v", got, want)
 	}

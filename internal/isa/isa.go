@@ -243,20 +243,17 @@ func (o Op) IsLoad() bool { return opClasses[o]&ClassLoad != 0 }
 // IsStore reports whether the opcode writes memory.
 func (o Op) IsStore() bool { return opClasses[o]&ClassStore != 0 }
 
-// IsMem reports whether the opcode accesses data memory.
-func (o Op) IsMem() bool { return opClasses[o]&(ClassLoad|ClassStore) != 0 }
-
-// IsFP reports whether the opcode is a floating-point arithmetic operation.
-func (o Op) IsFP() bool { return opClasses[o]&ClassFP != 0 }
+// isFP reports whether the opcode is a floating-point arithmetic operation.
+func (o Op) isFP() bool { return opClasses[o]&ClassFP != 0 }
 
 // IsFPTransmitter reports whether the opcode is one of the floating-point
 // micro-ops the paper treats as transmitters in the STT{ld+fp} and SDO
 // configurations (fmult/div/fsqrt: their latency depends on operand values).
 func (o Op) IsFPTransmitter() bool { return opClasses[o]&ClassFPTransmitter != 0 }
 
-// WritesReg reports whether instructions with this opcode produce a
+// writesReg reports whether instructions with this opcode produce a
 // register result.
-func (o Op) WritesReg() bool { return opClasses[o]&ClassWritesReg != 0 }
+func (o Op) writesReg() bool { return opClasses[o]&ClassWritesReg != 0 }
 
 // SrcRegs appends the source registers read by instruction i to dst and
 // returns the extended slice. dst may be nil; passing buf[:0] of a

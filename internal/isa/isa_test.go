@@ -38,14 +38,14 @@ func TestOpClassification(t *testing.T) {
 		if got := c.op.IsStore(); got != c.store {
 			t.Errorf("%v.IsStore() = %v, want %v", c.op, got, c.store)
 		}
-		if got := c.op.IsFP(); got != c.fp {
-			t.Errorf("%v.IsFP() = %v, want %v", c.op, got, c.fp)
+		if got := c.op.isFP(); got != c.fp {
+			t.Errorf("%v.isFP() = %v, want %v", c.op, got, c.fp)
 		}
 		if got := c.op.IsFPTransmitter(); got != c.fpTx {
 			t.Errorf("%v.IsFPTransmitter() = %v, want %v", c.op, got, c.fpTx)
 		}
-		if got := c.op.WritesReg(); got != c.writesReg {
-			t.Errorf("%v.WritesReg() = %v, want %v", c.op, got, c.writesReg)
+		if got := c.op.writesReg(); got != c.writesReg {
+			t.Errorf("%v.writesReg() = %v, want %v", c.op, got, c.writesReg)
 		}
 	}
 }

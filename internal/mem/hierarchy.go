@@ -75,7 +75,6 @@ func (s *Shared) AttachCore() *Hierarchy {
 	h := &Hierarchy{
 		cfg:    s.cfg,
 		shared: s,
-		coreID: len(s.cores),
 		l1i:    NewCache(s.cfg.L1I),
 		l1d:    NewCache(s.cfg.L1D),
 		l2:     NewCache(s.cfg.L2),
@@ -91,7 +90,6 @@ func (s *Shared) AttachCore() *Hierarchy {
 type Hierarchy struct {
 	cfg    Config
 	shared *Shared
-	coreID int
 	l1i    *Cache
 	l1d    *Cache
 	l2     *Cache
@@ -132,9 +130,6 @@ func NewHierarchy(cfg Config) *Hierarchy { return NewShared(cfg).AttachCore() }
 
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
-
-// CoreID returns the index of this core in its shared system.
-func (h *Hierarchy) CoreID() int { return h.coreID }
 
 // L1D, L2, TLB expose subcomponents for stats readers and tests.
 func (h *Hierarchy) L1D() *Cache { return h.l1d }

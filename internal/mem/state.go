@@ -259,10 +259,10 @@ func (d *DRAM) reset() {
 	*d = DRAM{cfg: d.cfg, openRow: d.openRow, rowValid: d.rowValid, bankBusy: d.bankBusy, queue: d.queue[:0]}
 }
 
-// WarmAccess updates the controller's persistent row-buffer state (and the
+// warmAccess updates the controller's persistent row-buffer state (and the
 // derived counters) for one warm access, without consulting or advancing
 // the scheduler.
-func (d *DRAM) WarmAccess(addr uint64) {
+func (d *DRAM) warmAccess(addr uint64) {
 	d.Accesses++
 	b := d.bank(addr)
 	row := d.row(addr)
@@ -357,7 +357,7 @@ func (h *Hierarchy) Reset() {
 		sl.reset()
 	}
 	h.shared.dram.reset()
-	*h = Hierarchy{cfg: h.cfg, shared: h.shared, coreID: h.coreID, l1i: h.l1i, l1d: h.l1d, l2: h.l2, tlb: h.tlb}
+	*h = Hierarchy{cfg: h.cfg, shared: h.shared, l1i: h.l1i, l1d: h.l1d, l2: h.l2, tlb: h.tlb}
 }
 
 // WarmLoad, WarmStore and WarmFetch are the functional-warmup access
@@ -387,7 +387,7 @@ func (h *Hierarchy) warmWalk(l1 *Cache, addr uint64, write bool) {
 	if !h.l2.Touch(addr, false) {
 		slice := h.shared.slice(addr)
 		if !slice.Touch(addr, false) {
-			h.shared.dram.WarmAccess(addr)
+			h.shared.dram.warmAccess(addr)
 			slice.Fill(addr, false)
 		}
 		h.l2.Fill(addr, false)

@@ -44,8 +44,8 @@ const (
 	// ClassFP covers SDO floating-point fast-path issue and failure.
 	ClassFP
 	// ClassFault covers fault-tolerance activity above the pipeline:
-	// injected chaos faults, cell panics/timeouts/stalls, retries, cache
-	// corruption quarantine, and persistence degradation.
+	// cell panics/timeouts/stalls, retries, cache read and write
+	// failures, persistence degradation, and peer trouble.
 	ClassFault
 	// ClassSample covers SimPoint-style sampled simulation above the
 	// pipeline: BBV profiling passes, clustering outcomes (sampling-plan

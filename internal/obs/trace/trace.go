@@ -204,11 +204,11 @@ func (s *Span) Finish() {
 	if s == nil {
 		return
 	}
-	s.FinishAt(time.Now())
+	s.finishAt(time.Now())
 }
 
-// FinishAt closes the span at an explicit time.
-func (s *Span) FinishAt(t time.Time) {
+// finishAt closes the span at an explicit time.
+func (s *Span) finishAt(t time.Time) {
 	if s == nil {
 		return
 	}

@@ -33,7 +33,7 @@ func TestNilSafety(t *testing.T) {
 	child := sp.Child("x")
 	child.Set("k", "v")
 	child.Finish()
-	sp.ChildAt("y", time.Now()).FinishAt(time.Now())
+	sp.ChildAt("y", time.Now()).finishAt(time.Now())
 	ct.Finish()
 	if a := ct.Attribution(); a != nil {
 		t.Fatalf("nil cell Attribution = %v, want nil", a)
@@ -82,7 +82,7 @@ func TestSpanTree(t *testing.T) {
 	start := time.Now().Add(-50 * time.Millisecond)
 	ct := jt.StartCell("wl/v/m", start)
 	q := ct.Root().ChildAt(PhaseQueue, start)
-	q.FinishAt(start.Add(10 * time.Millisecond))
+	q.finishAt(start.Add(10 * time.Millisecond))
 	sim := ct.Root().Child(PhaseSimulate)
 	a1 := sim.Child(PhaseAttempt)
 	a1.Set("n", "1")
@@ -133,7 +133,7 @@ func TestAttributionSums(t *testing.T) {
 	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
 	span := func(parent *Span, name string, from, to int) *Span {
 		s := parent.ChildAt(name, at(from))
-		s.FinishAt(at(to))
+		s.finishAt(at(to))
 		return s
 	}
 	span(ct.Root(), PhaseQueue, 0, 100)
@@ -143,8 +143,8 @@ func TestAttributionSums(t *testing.T) {
 	span(sim, PhaseBackoff, 300, 350)
 	span(sim, PhaseAttempt, 350, 700)
 	span(sim, PhaseReconstruct, 700, 720)
-	sim.FinishAt(at(720))
-	ct.Root().FinishAt(at(1000))
+	sim.finishAt(at(720))
+	ct.Root().finishAt(at(1000))
 
 	a := ct.Attribution()
 	if a.WallUS != 1_000_000 {

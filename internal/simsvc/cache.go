@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -67,10 +66,7 @@ type Cache struct {
 	streak   atomic.Uint64 // consecutive entry-write failures
 	degraded atomic.Bool
 
-	// inj injects I/O faults into entry reads and writes (nil in
-	// production); event reports persist-failed, cache-degraded and
-	// cache-load-failed.
-	inj   *faults.Injector
+	// event reports persist-failed, cache-degraded and cache-load-failed.
 	event func(kind, detail string)
 }
 
@@ -109,11 +105,11 @@ func (c *Cache) register(r *obs.Registry) {
 	gau("sdo_cache_entries", "Results currently cached.",
 		func() float64 { return float64(c.Len()) })
 	gau("sdo_cache_bytes", "Total encoded size of cached results.",
-		func() float64 { return float64(c.Bytes()) })
+		func() float64 { return float64(c.heldBytes()) })
 	ctr("sdo_cache_evicted_bytes_total", "Encoded bytes evicted by the cache bounds.",
-		func() float64 { return float64(c.EvictedBytes()) })
+		func() float64 { return float64(c.evictedTotal()) })
 	ctr("sdo_cache_corrupt_entries_total", "Persisted entries dropped by checksum verification.",
-		func() float64 { return float64(c.CorruptEntries()) })
+		func() float64 { return float64(c.corruptTotal()) })
 	ctr("sdo_cache_persist_failures_total", "Cache persist attempts that failed.",
 		func() float64 { return float64(c.failures.Load()) })
 	gau("sdo_cache_persistence_enabled", "1 while the cache persists to disk, 0 when memory-only.",
@@ -133,7 +129,7 @@ func NewCache() *Cache {
 // openCache returns an empty cache over dir ("": memory-only), creating
 // the directory if needed; that is all the disk work it does. Results
 // already in dir are read on demand.
-func openCache(dir string, inj *faults.Injector, event func(kind, detail string)) (*Cache, error) {
+func openCache(dir string, event func(kind, detail string)) (*Cache, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("simsvc: cache directory: %w "+
@@ -141,7 +137,7 @@ func openCache(dir string, inj *faults.Injector, event func(kind, detail string)
 		}
 	}
 	c := NewCache()
-	c.dir, c.inj, c.event = dir, inj, event
+	c.dir, c.event = dir, event
 	return c, nil
 }
 
@@ -184,15 +180,15 @@ func (c *Cache) SetMaxBytes(n int64) {
 	c.evictOver()
 }
 
-// Bytes returns the total accounted size of the entries in memory.
-func (c *Cache) Bytes() int64 {
+// heldBytes returns the total accounted size of the entries in memory.
+func (c *Cache) heldBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
 }
 
-// EvictedBytes returns the cumulative accounted size of evicted entries.
-func (c *Cache) EvictedBytes() uint64 {
+// evictedTotal returns the cumulative accounted size of evicted entries.
+func (c *Cache) evictedTotal() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.evictedBytes
@@ -256,9 +252,6 @@ func (c *Cache) read(key string) (*lruEntry, bool) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false
-	}
-	if err == nil {
-		err = c.inj.LoadErr()
 	}
 	if err != nil {
 		c.event("cache-load-failed", fmt.Sprintf("%s: %v", key, err))
@@ -371,10 +364,7 @@ func (c *Cache) persist(e *lruEntry) {
 	if !ok || e.wire == nil {
 		return
 	}
-	err := c.inj.SaveErr()
-	if err == nil {
-		err = atomicWrite(path, e.wire)
-	}
+	err := atomicWrite(path, e.wire)
 	if err == nil {
 		c.streak.Store(0)
 		return
@@ -409,9 +399,9 @@ func (c *Cache) Evictions() uint64 {
 	return c.evictions
 }
 
-// CorruptEntries returns how many entry files failed verification and
+// corruptTotal returns how many entry files failed verification and
 // were dropped on read.
-func (c *Cache) CorruptEntries() uint64 {
+func (c *Cache) corruptTotal() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.corrupt

@@ -64,11 +64,10 @@ func TestCacheKeyUnknownWorkload(t *testing.T) {
 // gives every real one (64 lowercase hex digits), so it names a file.
 func testKey(i int) string { return fmt.Sprintf("%064x", i) }
 
-// diskCache opens a cache over dir with no fault injection and no event
-// sink.
+// diskCache opens a cache over dir with no event sink.
 func diskCache(t *testing.T, dir string) *Cache {
 	t.Helper()
-	c, err := openCache(dir, nil, func(string, string) {})
+	c, err := openCache(dir, func(string, string) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +140,8 @@ func TestCacheLoadMissingAndStale(t *testing.T) {
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		t.Fatalf("cache directory not created: %v", err)
 	}
-	if _, ok := c.Get(testKey(1)); ok || c.CorruptEntries() != 0 {
-		t.Fatalf("missing entry: hit=%v corrupt=%d, want a plain miss", ok, c.CorruptEntries())
+	if _, ok := c.Get(testKey(1)); ok || c.corruptTotal() != 0 {
+		t.Fatalf("missing entry: hit=%v corrupt=%d, want a plain miss", ok, c.corruptTotal())
 	}
 
 	stale := filepath.Join(t.TempDir(), "sdo-cache.json")
@@ -210,8 +209,8 @@ func TestCacheByteBound(t *testing.T) {
 	if c.Len() != 3 {
 		t.Fatalf("len %d, want 3", c.Len())
 	}
-	if c.Bytes() > bound {
-		t.Fatalf("bytes %d over bound %d", c.Bytes(), bound)
+	if c.heldBytes() > bound {
+		t.Fatalf("bytes %d over bound %d", c.heldBytes(), bound)
 	}
 	for name, want := range map[string]float64{
 		"sdo_cache_entries":             3,
@@ -234,7 +233,7 @@ func TestCacheByteBound(t *testing.T) {
 			t.Errorf("recent key-%02d evicted", i)
 		}
 	}
-	if got := c.EvictedBytes(); got != uint64(3*one) {
+	if got := c.evictedTotal(); got != uint64(3*one) {
 		t.Errorf("evicted %d bytes, want %d", got, 3*one)
 	}
 	if c.Evictions() != 3 {
@@ -243,10 +242,10 @@ func TestCacheByteBound(t *testing.T) {
 
 	// Putting a key already present keeps its entry: the same copy, the
 	// same accounted bytes.
-	before := c.Bytes()
+	before := c.heldBytes()
 	kept, _ := c.Get("key-05")
-	if got := c.Put("key-05", core.Result{L1DHits: 6}); got != kept || c.Bytes() != before {
-		t.Errorf("re-Put: copy %p (kept %p), bytes %d -> %d", got, kept, before, c.Bytes())
+	if got := c.Put("key-05", core.Result{L1DHits: 6}); got != kept || c.heldBytes() != before {
+		t.Errorf("re-Put: copy %p (kept %p), bytes %d -> %d", got, kept, before, c.heldBytes())
 	}
 
 	// The bound is over memory only: over a cache directory an evicted
@@ -263,7 +262,7 @@ func TestCacheByteBound(t *testing.T) {
 	if r, ok := d.Get(testKey(0)); !ok || r.L1DHits != 1 {
 		t.Fatalf("evicted entry not read back from disk: %+v ok=%v", r, ok)
 	}
-	if h, m := d.Stats(); h != 1 || m != 0 || d.Len() != 3 || d.Bytes() != 3*one {
-		t.Errorf("after read-back: hits=%d misses=%d len=%d bytes=%d, want 1/0/3/%d", h, m, d.Len(), d.Bytes(), 3*one)
+	if h, m := d.Stats(); h != 1 || m != 0 || d.Len() != 3 || d.heldBytes() != 3*one {
+		t.Errorf("after read-back: hits=%d misses=%d len=%d bytes=%d, want 1/0/3/%d", h, m, d.Len(), d.heldBytes(), 3*one)
 	}
 }

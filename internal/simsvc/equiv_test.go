@@ -5,12 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/harness"
+	"repro/internal/pipeline"
 )
 
 // equivReq is {mcf_r, lbm_r} × Table II × both models: 32 cells, 4 of
@@ -88,13 +89,12 @@ func TestEquivalentCellsSimulateOnce(t *testing.T) {
 // holds a representative does not abort its run while another job's cell
 // follows it — the follower's job completes, from that one run.
 func TestFollowerOutlivesItsRepresentativesJob(t *testing.T) {
-	s := newService(t, Config{
-		Workers: 2,
-		// Every run freezes at its first progress check, so the
-		// representative is mid-run while the follower joins it.
-		Faults: faults.New(faults.Config{FreezeProb: 1, FreezeFor: 300 * time.Millisecond}),
-	})
+	s := newService(t, Config{Workers: 2})
 	defer s.Shutdown(context.Background())
+	// The run parks at its first progress check, so the representative
+	// is mid-run while the follower joins it and while its job dies.
+	parked, release := make(chan struct{}, 1), make(chan struct{})
+	s.wrapPolicy = parking(parked, release)
 	rep := specReq("mcf_r", "unsafe")
 	rep.MaxInstrs = 30_000 // long enough to reach its progress checks
 	follower := rep
@@ -104,9 +104,7 @@ func TestFollowerOutlivesItsRepresentativesJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pollUntil(t, "the representative to run", 10*time.Second, func() bool {
-		return metric(t, s, "sdo_inflight_runs") == 1
-	})
+	waitParked(t, parked)
 	j2, err := s.Submit(follower)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +112,8 @@ func TestFollowerOutlivesItsRepresentativesJob(t *testing.T) {
 	pollUntil(t, "the follower to join", 10*time.Second, func() bool {
 		return metric(t, s, "sdo_runs_deduped_total") == 1
 	})
-	j1.Cancel()
+	j1.TryCancel()
+	close(release)
 	waitJob(t, j2)
 	if st := j2.Status(); st.State != JobDone || st.Completed != 1 {
 		t.Fatalf("follower's job: %+v", st)
@@ -143,11 +142,14 @@ func TestRepresentativeFailureDegradesFollowers(t *testing.T) {
 		Workers:      2,
 		MaxAttempts:  2,
 		RetryBackoff: time.Millisecond,
-		// Only the representative's own run panics: the follower would
-		// succeed if it simulated itself.
-		Faults: faults.New(faults.Config{PanicKey: "mcf_r/Unsafe/Spectre"}),
 	})
 	defer s.Shutdown(context.Background())
+	// Only the representative's own run panics: the follower would
+	// succeed if it simulated itself.
+	var panics atomic.Int64
+	s.wrapPolicy = panicking(func(spec harness.RunSpec) bool {
+		return spec.Workload == "mcf_r" && spec.Variant == core.Unsafe && spec.Model == pipeline.Spectre
+	}, false, &panics)
 	req := smallReq()
 	req.Workloads = []string{"mcf_r", "exchange2_r"}
 	req.Variants = []string{"unsafe"}
@@ -169,8 +171,8 @@ func TestRepresentativeFailureDegradesFollowers(t *testing.T) {
 	if st.Failures[0].Cell == st.Failures[1].Cell {
 		t.Errorf("failures name one cell twice: %+v", st.Failures)
 	}
-	if ev := faultEvents(s); ev["cell-panic"] != 2 || ev["cell-failed"] != 2 {
-		t.Errorf("flight recorder: %d cell-panic and %d cell-failed events, want 2 (one run) and 2 (two cells)",
-			ev["cell-panic"], ev["cell-failed"])
+	if ev := faultEvents(s); panics.Load() != 2 || ev["cell-panic"] != 2 || ev["cell-failed"] != 2 {
+		t.Errorf("%d panics; flight recorder: %d cell-panic and %d cell-failed events, want 2, 2 (one run) and 2 (two cells)",
+			panics.Load(), ev["cell-panic"], ev["cell-failed"])
 	}
 }

@@ -286,9 +286,9 @@ type flightEvent struct {
 	Class string `json:"class"`
 }
 
-// FlightDoc is the /debug/flight document: build identity plus the last
+// flightDoc is the /debug/flight document: build identity plus the last
 // N observability events from the always-on ring sink.
-type FlightDoc struct {
+type flightDoc struct {
 	Build  obs.Build     `json:"build"`
 	Events []flightEvent `json:"events"`
 }
@@ -298,7 +298,7 @@ type FlightDoc struct {
 // a tail of evidence even on an otherwise-unobserved server.
 func (s *Service) handleFlight(w http.ResponseWriter, r *http.Request) {
 	evs := s.flight.Events()
-	doc := FlightDoc{Build: obs.ReadBuild(), Events: make([]flightEvent, 0, len(evs))}
+	doc := flightDoc{Build: obs.ReadBuild(), Events: make([]flightEvent, 0, len(evs))}
 	for _, e := range evs {
 		doc.Events = append(doc.Events, flightEvent{Event: e, Class: e.Class.String()})
 	}

@@ -213,8 +213,8 @@ func TestNonKeysNeverTouchTheDisk(t *testing.T) {
 			}
 		})
 	}
-	if c := s.Cache(); c.Len() != 0 || c.CorruptEntries() != 0 || faultEvents(s)["cache-load-failed"] != 0 {
+	if c := s.Cache(); c.Len() != 0 || c.corruptTotal() != 0 || faultEvents(s)["cache-load-failed"] != 0 {
 		t.Errorf("a non-key reached the cache: %d entries, %d corrupt reads, %d failed reads",
-			c.Len(), c.CorruptEntries(), faultEvents(s)["cache-load-failed"])
+			c.Len(), c.corruptTotal(), faultEvents(s)["cache-load-failed"])
 	}
 }

@@ -130,7 +130,9 @@ func (j *Job) finish(state JobState, err error) func() {
 	}
 }
 
-// TryCancel atomically cancels the job if it is still running. It returns
+// TryCancel atomically cancels the job if it is still running: cells not
+// yet started are skipped; a cell already simulating is abandoned once no
+// other live job waits on it. It returns
 // whether this call performed the cancellation, plus the state afterwards
 // — so callers can distinguish "cancelled now" (true, cancelled),
 // "already cancelled" (false, cancelled — idempotent success) and
@@ -147,10 +149,6 @@ func (j *Job) TryCancel() (bool, JobState) {
 	note()
 	return true, JobCancelled
 }
-
-// Cancel abandons the job: cells not yet started are skipped; a cell
-// already simulating is abandoned once no other live job waits on it.
-func (j *Job) Cancel() { j.TryCancel() }
 
 // terminal reports whether the job has finished (under j.mu).
 func (j *Job) terminal() bool { return j.state != JobRunning }

@@ -5,12 +5,12 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/obs/trace"
 )
 
@@ -25,6 +25,67 @@ func newPeerNode(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 		svc.Shutdown(context.Background())
 	})
 	return svc, srv
+}
+
+// faultyPeer serves svc behind a fault on every request, counting the
+// requests it spoiled in *n: "down" hijacks the connection and closes it
+// unanswered, "slow" holds the answer for delay, "corrupt" flips the
+// middle byte of the body, and "mixed" rotates through those three and a
+// clean answer.
+func faultyPeer(t *testing.T, svc *Service, fault string, delay time.Duration, n *atomic.Int64) *httptest.Server {
+	t.Helper()
+	h := svc.Handler()
+	var seq atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f := fault
+		if f == "mixed" {
+			f = []string{"down", "slow", "corrupt", ""}[seq.Add(1)%4]
+		}
+		if f != "" {
+			n.Add(1)
+		}
+		switch f {
+		case "down":
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
+			return
+		case "slow":
+			select {
+			case <-time.After(delay):
+			case <-r.Context().Done():
+				return
+			}
+		case "corrupt":
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			if len(body) > 0 {
+				body[len(body)/2] ^= 0xff
+			}
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(body)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// peerErrors returns the details of the peer-error events in s's flight
+// recorder.
+func peerErrors(s *Service) []string {
+	var out []string
+	for _, e := range s.flight.Events() {
+		if e.Kind == "peer-error" {
+			out = append(out, e.Detail)
+		}
+	}
+	return out
 }
 
 // TestPeerHitServesSweepWithoutSimulating: node A has run the sweep;
@@ -66,22 +127,23 @@ func TestPeerHitServesSweepWithoutSimulating(t *testing.T) {
 // sdo_peer_hedges_total, and each cell's trace shows the wait as a
 // peer-lookup phase that hit.
 func TestSlowPeersAreHedged(t *testing.T) {
-	var peers []string
-	for i := 0; i < 2; i++ {
-		a, srv := newPeerNode(t, Config{Workers: 2})
-		submitAndWait(t, a, smallReq())
-		peers = append(peers, srv.URL)
-	}
 	const delay = 250 * time.Millisecond // well past the hedge delay
-	inj, err := faults.Parse("seed=1,peer-slow=1,peer-slow-delay=" + delay.String())
-	if err != nil {
-		t.Fatal(err)
+	var peers []string
+	var slowed atomic.Int64
+	for i := 0; i < 2; i++ {
+		a := newService(t, Config{Workers: 2})
+		t.Cleanup(func() { a.Shutdown(context.Background()) })
+		submitAndWait(t, a, smallReq())
+		peers = append(peers, faultyPeer(t, a, "slow", delay, &slowed).URL)
 	}
-	b := newService(t, Config{Workers: 2, Peers: peers, PeerProbeInterval: -1, Faults: inj, Trace: true})
+	b := newService(t, Config{Workers: 2, Peers: peers, PeerProbeInterval: -1, Trace: true})
 	defer b.Shutdown(context.Background())
 	j := submitAndWait(t, b, smallReq())
 
 	wantMetrics(t, b, map[string]float64{"sdo_peer_hits_total": 4, "sdo_peer_hedges_total": 4, "sdo_runs_executed_total": 0})
+	if n := slowed.Load(); n < 8 {
+		t.Errorf("%d answers slowed, want both peers' for every cell (8)", n)
+	}
 	for _, cell := range traceDoc(t, j).Cells {
 		ps := findSpans(cell.Spans, trace.PhasePeer)
 		if len(ps) != 1 || ps[0].Attrs["hit"] != "true" || ps[0].Attrs["peer"] == "" {
@@ -120,32 +182,32 @@ func TestPeerDownFallsBackToLocal(t *testing.T) {
 	}
 }
 
-// TestPeerFaultInjectionNeverFailsCells: under injected peer chaos —
-// down, slow, corrupt — every cell still completes (locally or via a
-// delayed hit). This is the -race acceptance scenario for the lookup
-// path.
+// TestPeerFaultInjectionNeverFailsCells: behind a faulty peer — down,
+// slow, corrupt, or all three in turn — every cell still completes
+// (locally or via a delayed hit). This is the -race acceptance scenario
+// for the lookup path.
 func TestPeerFaultInjectionNeverFailsCells(t *testing.T) {
-	a, srvA := newPeerNode(t, Config{Workers: 2})
+	a := newService(t, Config{Workers: 2})
+	defer a.Shutdown(context.Background())
 	submitAndWait(t, a, smallReq())
 
-	for _, spec := range []string{
-		"seed=11,peer-err=1",
-		"seed=11,peer-slow=1,peer-slow-delay=30ms",
-		"seed=11,peer-corrupt=1",
-		"seed=11,peer-err=0.5,peer-slow=0.5,peer-slow-delay=20ms,peer-corrupt=0.5",
-	} {
-		inj, err := faults.Parse(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := newService(t, Config{Workers: 2, Peers: []string{srvA.URL},
-			PeerTimeout: time.Second, PeerProbeInterval: -1, Faults: inj})
+	for _, fault := range []string{"down", "slow", "corrupt", "mixed"} {
+		var spoiled atomic.Int64
+		srv := faultyPeer(t, a, fault, 30*time.Millisecond, &spoiled)
+		b := newService(t, Config{Workers: 2, Peers: []string{srv.URL},
+			PeerTimeout: time.Second, PeerProbeInterval: -1})
 		j := submitAndWait(t, b, smallReq())
 		if st := j.Status(); st.Failed != 0 {
-			t.Errorf("%s: %d cells failed", spec, st.Failed)
+			t.Errorf("%s: %d cells failed", fault, st.Failed)
 		}
-		if hits, runs := metric(t, b, "sdo_peer_hits_total"), metric(t, b, "sdo_runs_executed_total"); hits+runs < 4 {
-			t.Errorf("%s: cells unaccounted for: %v peer hits + %v local runs", spec, hits, runs)
+		hits, runs := metric(t, b, "sdo_peer_hits_total"), metric(t, b, "sdo_runs_executed_total")
+		if hits+runs != 4 {
+			t.Errorf("%s: cells unaccounted for: %v peer hits + %v local runs", fault, hits, runs)
+		}
+		// The fault fired: it cost hits where it breaks an answer, and
+		// a slow peer still answered every cell.
+		if spoiled.Load() == 0 || (fault == "slow") != (hits == 4) {
+			t.Errorf("%s: %d requests spoiled, %v peer hits", fault, spoiled.Load(), hits)
 		}
 		b.Shutdown(context.Background())
 	}
@@ -155,17 +217,18 @@ func TestPeerFaultInjectionNeverFailsCells(t *testing.T) {
 // fails checksum validation inside the fabric; the cell is simulated
 // locally and the result is the true one.
 func TestPeerCorruptResponseCannotPoison(t *testing.T) {
-	a, srvA := newPeerNode(t, Config{Workers: 2})
+	a := newService(t, Config{Workers: 2})
+	defer a.Shutdown(context.Background())
 	ja := submitAndWait(t, a, smallReq())
 
-	inj, err := faults.Parse("seed=5,peer-corrupt=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := newService(t, Config{Workers: 2, Peers: []string{srvA.URL},
-		PeerProbeInterval: -1, Faults: inj})
+	var spoiled atomic.Int64
+	srv := faultyPeer(t, a, "corrupt", 0, &spoiled)
+	b := newService(t, Config{Workers: 2, Peers: []string{srv.URL}, PeerProbeInterval: -1})
 	defer b.Shutdown(context.Background())
 	jb := submitAndWait(t, b, smallReq())
+	if errs := peerErrors(b); spoiled.Load() == 0 || len(errs) == 0 || !strings.Contains(errs[0], "corrupt response") {
+		t.Fatalf("%d bodies corrupted; peer-error events %q, want a corrupt response", spoiled.Load(), errs)
+	}
 
 	if got := metric(t, b, "sdo_peer_hits_total"); got != 0 {
 		t.Fatalf("corrupt peer bodies produced %v hits", got)

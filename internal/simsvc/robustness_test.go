@@ -14,60 +14,104 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/harness"
-	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
-// smallReqFaultKeys reproduces the harness's per-cell fault keys for
-// smallReq's four cells (workload/variant/model; no ablation suffix).
-func smallReqFaultKeys() []string {
-	var fks []string
-	for _, wl := range []string{"exchange2_r", "deepsjeng_r"} {
-		for _, v := range []core.Variant{core.Unsafe, core.Hybrid} {
-			fks = append(fks, fmt.Sprintf("%s/%v/%v", wl, v, pipeline.Spectre))
-		}
+// cellPolicy is the type of Service.wrapPolicy.
+type cellPolicy = func(harness.RunSpec, harness.RunPolicy) harness.RunPolicy
+
+// withAbort returns pol whose Abort first runs hook, then defers to the
+// service's own abandonment check.
+func withAbort(pol harness.RunPolicy, hook func()) harness.RunPolicy {
+	abort := pol.Abort
+	pol.Abort = func() bool {
+		hook()
+		return abort != nil && abort()
 	}
-	return fks
+	return pol
 }
 
-// chaosSeed finds a seed where, at the given panic probability, at least
-// one of smallReq's cells panics on its first attempt, and every cell
-// succeeds within maxAttempts — so the sweep is guaranteed to complete
-// with retries but without permanent failures.
-func chaosSeed(t *testing.T, prob float64, maxAttempts int) uint64 {
-	t.Helper()
-	fks := smallReqFaultKeys()
-seeds:
-	for seed := uint64(0); seed < 10_000; seed++ {
-		inj := faults.New(faults.Config{Seed: seed, PanicProb: prob})
-		transient := false
-		for _, fk := range fks {
-			ok := false
-			for a := 0; a < maxAttempts; a++ {
-				if !inj.WouldPanic(fk, a) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				continue seeds // this cell would fail permanently
-			}
-			if inj.WouldPanic(fk, 0) {
-				transient = true
-			}
+// panicking is a Service.wrapPolicy that makes every run of a cell hit
+// selects panic at its first progress check, from inside the running
+// simulation: on every attempt, or with firstOnly only on the first. n
+// counts the panics.
+func panicking(hit func(harness.RunSpec) bool, firstOnly bool, n *atomic.Int64) cellPolicy {
+	return func(spec harness.RunSpec, pol harness.RunPolicy) harness.RunPolicy {
+		if !hit(spec) {
+			return pol
 		}
-		if transient {
-			return seed
-		}
+		panicked := false
+		return withAbort(pol, func() {
+			if !firstOnly || !panicked {
+				panicked = true
+				n.Add(1)
+				panic("cell fault")
+			}
+		})
 	}
-	t.Fatal("no chaos seed found")
-	return 0
+}
+
+// parking is a Service.wrapPolicy that parks every run at its first
+// progress check — mid-simulation, holding its worker — until release is
+// closed; parked receives a value when a run parks.
+func parking(parked chan<- struct{}, release <-chan struct{}) cellPolicy {
+	return func(_ harness.RunSpec, pol harness.RunPolicy) harness.RunPolicy {
+		held := false
+		return withAbort(pol, func() {
+			if !held {
+				held = true
+				select {
+				case parked <- struct{}{}:
+				default: // a run parked before is still unclaimed
+				}
+				<-release
+			}
+		})
+	}
+}
+
+// waitParked waits for a run to park (see parking).
+func waitParked(t *testing.T, parked <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-parked:
+	case <-time.After(time.Minute):
+		t.Fatal("no run reached its first progress check")
+	}
+}
+
+// longReq is smallReq with a budget long enough for every run to reach
+// its progress checks (every 4096 simulated cycles), where the hooks above
+// fire.
+func longReq() SweepRequest {
+	req := smallReq()
+	req.MaxInstrs = 30_000
+	return req
+}
+
+// isVariant selects the cells of one variant.
+func isVariant(v core.Variant) func(harness.RunSpec) bool {
+	return func(spec harness.RunSpec) bool { return spec.Variant == v }
+}
+
+// blockEntry puts a directory where key's entry file belongs in dir:
+// reading the entry then fails, and so does the write that renames a new
+// file onto it — as it would for root too, unlike a permission bit.
+func blockEntry(t *testing.T, dir, key string) {
+	t.Helper()
+	path := filepath.Join(dir, key+".json")
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // writeCorruptEntry writes key's entry file in dir with a mismatched
@@ -81,35 +125,29 @@ func writeCorruptEntry(t *testing.T, dir, key string) {
 }
 
 // TestChaosSweepSurvivesTransientFaults is the headline robustness
-// scenario: with an injected first-attempt panic, every cell
-// artificially slowed, a corrupted entry file on disk and the first
-// entry write hitting a full disk, a sweep still completes, reports
-// accurate retry counts, and exports byte-identically to a fault-free
-// run — failure recovery must not perturb determinism.
+// scenario: with both Hybrid cells panicking inside their first
+// attempt, a corrupted entry file on disk and a directory blocking
+// another cell's entry (its read and its write fail), a sweep still
+// completes, reports accurate retry counts, and exports byte-identically
+// to a fault-free run — failure recovery must not perturb determinism.
 func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 	dir := t.TempDir()
-	seed := chaosSeed(t, 0.4, 3)
-	inj := faults.New(faults.Config{
-		Seed:             seed,
-		PanicProb:        0.4,
-		SlowProb:         1,
-		SlowDelay:        2 * time.Millisecond,
-		DiskFullPersists: 1,
-	})
 	s := newService(t, Config{
 		Workers:      2,
 		CachePath:    dir,
 		MaxAttempts:  3,
 		RetryBackoff: time.Millisecond,
-		Faults:       inj,
 	})
-	_, keys := cellKeys(t, s, smallReq())
+	var panics atomic.Int64
+	s.wrapPolicy = panicking(isVariant(core.Hybrid), true, &panics)
+	_, keys := cellKeys(t, s, longReq())
 	writeCorruptEntry(t, dir, keys[0])
+	blockEntry(t, dir, keys[1])
 
-	j := submitAndWait(t, s, smallReq())
+	j := submitAndWait(t, s, longReq())
 	st := j.Status()
-	if st.Retries == 0 {
-		t.Fatalf("chaos sweep reported no retries: %+v", st)
+	if st.Retries != 2 || panics.Load() != 2 {
+		t.Fatalf("%d panics, status %+v; want 2 panics, each retried once", panics.Load(), st)
 	}
 	if st.Failed != 0 || len(st.Failures) != 0 {
 		t.Fatalf("chaos sweep has failures: %+v", st)
@@ -118,13 +156,13 @@ func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 	if got := metric(t, s, "sdo_cache_corrupt_entries_total"); got != 1 {
 		t.Fatalf("corrupt cache entries = %v, want 1", got)
 	}
-	if metric(t, s, "sdo_cell_panics_total") == 0 || metric(t, s, "sdo_runs_retried_total") == 0 || metric(t, s, "sdo_faults_injected_total") == 0 {
+	if metric(t, s, "sdo_cell_panics_total") != 2 || metric(t, s, "sdo_runs_retried_total") != 2 {
 		t.Fatalf("fault metrics not counted: %s", metricLines(s, "sdo_"))
 	}
 	// Each panic and each retry is also one flight-recorder event.
-	if ev := faultEvents(s); float64(ev["cell-panic"]) != metric(t, s, "sdo_cell_panics_total") || uint64(ev["cell-retry"]) != st.Retries {
-		t.Errorf("flight recorder holds %d cell-panic and %d cell-retry events, want %v and %d",
-			ev["cell-panic"], ev["cell-retry"], metric(t, s, "sdo_cell_panics_total"), st.Retries)
+	if ev := faultEvents(s); ev["cell-panic"] != 2 || ev["cell-retry"] != 2 {
+		t.Errorf("flight recorder holds %d cell-panic and %d cell-retry events, want 2 and 2",
+			ev["cell-panic"], ev["cell-retry"])
 	}
 
 	// The export must be byte-identical to a fault-free CLI run of the
@@ -150,16 +188,16 @@ func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 	}
 
 	// Every entry write happened before its cell was delivered: the
-	// first hit the injected full disk (counted, not fatal) ...
+	// blocked one failed (counted, not fatal) ...
 	if got := metric(t, s, "sdo_cache_persist_failures_total"); got != 1 {
 		t.Fatalf("sdo_cache_persist_failures_total = %v, want 1", got)
 	}
 	if metric(t, s, "sdo_cache_persistence_enabled") != 1 {
 		t.Fatal("one persist failure should not degrade the cache")
 	}
-	if ev := faultEvents(s); ev["persist-failed"] != 1 || ev["cache-degraded"] != 0 {
-		t.Errorf("flight recorder: %d persist-failed and %d cache-degraded events, want 1 and 0",
-			ev["persist-failed"], ev["cache-degraded"])
+	if ev := faultEvents(s); ev["persist-failed"] != 1 || ev["cache-degraded"] != 0 || ev["cache-load-failed"] != 1 {
+		t.Errorf("flight recorder: %d persist-failed, %d cache-degraded and %d cache-load-failed events, want 1, 0 and 1",
+			ev["persist-failed"], ev["cache-degraded"], ev["cache-load-failed"])
 	}
 	// ... and the other three left valid files behind.
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -182,16 +220,16 @@ func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 // itemizes the failed cells, and exports the surviving workloads
 // byte-identically to a sweep that never contained the failed one.
 func TestChaosPermanentFailureDegrades(t *testing.T) {
-	inj := faults.New(faults.Config{PanicKey: "deepsjeng_r"})
 	s := newService(t, Config{
 		Workers:      2,
 		MaxAttempts:  2,
 		RetryBackoff: time.Millisecond,
-		Faults:       inj,
 	})
 	defer s.Shutdown(context.Background())
+	var panics atomic.Int64
+	s.wrapPolicy = panicking(func(spec harness.RunSpec) bool { return spec.Workload == "deepsjeng_r" }, false, &panics)
 
-	j, err := s.Submit(smallReq())
+	j, err := s.Submit(longReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +253,9 @@ func TestChaosPermanentFailureDegrades(t *testing.T) {
 		t.Fatalf("cells failed = %v, want 2", got)
 	}
 	// Two attempts per failed cell: each panics, the first is retried.
-	if ev := faultEvents(s); ev["cell-panic"] != 4 || ev["cell-retry"] != 2 || ev["cell-failed"] != 2 {
-		t.Errorf("flight recorder: %d cell-panic, %d cell-retry, %d cell-failed events, want 4, 2, 2",
-			ev["cell-panic"], ev["cell-retry"], ev["cell-failed"])
+	if ev := faultEvents(s); panics.Load() != 4 || ev["cell-panic"] != 4 || ev["cell-retry"] != 2 || ev["cell-failed"] != 2 {
+		t.Errorf("%d panics; flight recorder: %d cell-panic, %d cell-retry, %d cell-failed events, want 4, 4, 2, 2",
+			panics.Load(), ev["cell-panic"], ev["cell-retry"], ev["cell-failed"])
 	}
 
 	res, err := j.Results()
@@ -250,8 +288,8 @@ func TestChaosPermanentFailureDegrades(t *testing.T) {
 }
 
 // TestKilledCellsAreCountedAndRecorded: a cell frozen mid-run on every
-// attempt is killed each time by the per-cell deadline or by the stall
-// watchdog. Each kill counts in its /metrics family and is one cell-timeout
+// attempt (its progress check holds the simulator thread) is killed each
+// time by the per-cell deadline or by the stall watchdog. Each kill counts in its /metrics family and is one cell-timeout
 // or cell-stall event in the flight recorder, beside one cell-retry per
 // retry and one cell-failed for the cell.
 func TestKilledCellsAreCountedAndRecorded(t *testing.T) {
@@ -265,9 +303,15 @@ func TestKilledCellsAreCountedAndRecorded(t *testing.T) {
 		t.Run(tc.kind, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Workers, cfg.MaxAttempts, cfg.RetryBackoff = 1, 2, time.Millisecond
-			cfg.Faults = faults.New(faults.Config{FreezeProb: 1, FreezeFor: 200 * time.Millisecond})
 			s := newService(t, cfg)
 			defer s.Shutdown(context.Background())
+			var freezes atomic.Int64
+			s.wrapPolicy = func(_ harness.RunSpec, pol harness.RunPolicy) harness.RunPolicy {
+				return withAbort(pol, func() {
+					freezes.Add(1)
+					time.Sleep(200 * time.Millisecond)
+				})
+			}
 			req := specReq("mcf_r", "unsafe")
 			req.MaxInstrs = 30_000 // long enough for the run to reach its progress checks
 			j, err := s.Submit(req)
@@ -278,8 +322,8 @@ func TestKilledCellsAreCountedAndRecorded(t *testing.T) {
 			if st := j.Status(); st.State != JobFailed || len(st.Failures) != 1 || st.Failures[0].Kind != tc.kind {
 				t.Fatalf("status %+v, want one %s failure", st, tc.kind)
 			}
-			if got := metric(t, s, tc.family); got != 2 {
-				t.Errorf("%s = %v, want 2 (one per attempt)", tc.family, got)
+			if got := metric(t, s, tc.family); got != 2 || freezes.Load() != 2 {
+				t.Errorf("%s = %v after %d freezes, want 2 and 2 (one per attempt)", tc.family, got, freezes.Load())
 			}
 			if ev := faultEvents(s); ev["cell-"+tc.kind] != 2 || ev["cell-retry"] != 1 || ev["cell-failed"] != 1 {
 				t.Errorf("flight recorder: %d cell-%s, %d cell-retry, %d cell-failed events, want 2, 1, 1",
@@ -332,19 +376,21 @@ func TestCacheBitFlippedEntryDropped(t *testing.T) {
 	}
 }
 
-// TestCacheReadFaultIsOneMiss: an entry file whose read fails (here, an
-// injected I/O error) is one miss and one cache-load-failed event: the
-// cell is simulated again and the service stays healthy.
+// TestCacheReadFaultIsOneMiss: an entry whose read fails (here, a
+// directory stands where its file was) is one miss and one
+// cache-load-failed event: the cell is simulated again, its one failed
+// write does not degrade the cache, and the service stays healthy.
 func TestCacheReadFaultIsOneMiss(t *testing.T) {
 	dir := t.TempDir()
 	req := specReq("exchange2_r", "unsafe")
 	s1 := newService(t, Config{Workers: 1, CachePath: dir})
+	_, keys := cellKeys(t, s1, req)
 	submitAndWait(t, s1, req)
 	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	inj := faults.New(faults.Config{CacheReadErrProb: 1})
-	s := newService(t, Config{Workers: 1, CachePath: dir, Faults: inj})
+	blockEntry(t, dir, keys[0])
+	s := newService(t, Config{Workers: 1, CachePath: dir})
 	defer s.Shutdown(context.Background())
 	submitAndWait(t, s, req)
 	if h, m, ex := metric(t, s, "sdo_cache_hits_total"), metric(t, s, "sdo_cache_misses_total"),
@@ -354,18 +400,23 @@ func TestCacheReadFaultIsOneMiss(t *testing.T) {
 	if h := s.Health(); h.Status != "ok" {
 		t.Fatalf("health = %+v, want ok", h)
 	}
-	if n := faultEvents(s)["cache-load-failed"]; n != 1 {
-		t.Errorf("flight recorder holds %d cache-load-failed events, want 1", n)
+	if ev := faultEvents(s); ev["cache-load-failed"] != 1 || ev["persist-failed"] != 1 {
+		t.Errorf("flight recorder holds %d cache-load-failed and %d persist-failed events, want 1 and 1",
+			ev["cache-load-failed"], ev["persist-failed"])
 	}
 }
 
 // TestPersistFailuresDegradeToMemoryOnly: three consecutive entry-write
-// failures switch the cache to memory-only mode: health reports
-// degraded, later cells write nothing, and sweeps still complete.
+// failures (the cache directory was removed under the service) switch
+// the cache to memory-only mode: health reports degraded, later cells
+// write nothing even once the directory is back, and sweeps still
+// complete.
 func TestPersistFailuresDegradeToMemoryOnly(t *testing.T) {
 	dir := t.TempDir()
-	inj := faults.New(faults.Config{CacheWriteErrProb: 1})
-	s := newService(t, Config{Workers: 1, CachePath: dir, Faults: inj})
+	s := newService(t, Config{Workers: 1, CachePath: dir})
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
 	submitAndWait(t, s, smallReq()) // four cells: three failed writes, then none
 	if fails, enabled := metric(t, s, "sdo_cache_persist_failures_total"), metric(t, s, "sdo_cache_persistence_enabled"); fails != 3 || enabled != 0 {
 		t.Fatalf("persist failures=%v persistence enabled=%v, want 3/0 (degraded)", fails, enabled)
@@ -379,6 +430,9 @@ func TestPersistFailuresDegradeToMemoryOnly(t *testing.T) {
 	}
 	// The degraded service still serves sweeps (memory-only) and shuts
 	// down cleanly.
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	submitAndWait(t, s, supersetReq())
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -488,16 +542,22 @@ func TestShutdownConcurrentWithSubmit(t *testing.T) {
 func TestShutdownConcurrentWithCancel(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := newService(t, Config{Workers: 2})
+	started := make(chan struct{})
+	var once sync.Once
+	s.wrapPolicy = func(_ harness.RunSpec, pol harness.RunPolicy) harness.RunPolicy {
+		once.Do(func() { close(started) })
+		return pol
+	}
 	j, err := s.Submit(SweepRequest{MaxInstrs: 60_000}) // full sweep, 224 cells
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // let cells start
+	<-started // a cell is simulating
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		j.Cancel()
+		j.TryCancel()
 	}()
 	go func() {
 		defer wg.Done()

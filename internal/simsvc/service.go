@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -72,9 +71,6 @@ type Config struct {
 	// RetryStormThreshold marks health degraded when at least this many
 	// retries happen within one minute (0: default 50).
 	RetryStormThreshold int
-	// Faults injects chaos faults into cell execution and cache I/O
-	// (nil in production: zero cost).
-	Faults *faults.Injector
 	// Recorder, when non-nil, receives ClassFault events (cell failures,
 	// retries, cache read and write failures, persistence degradation).
 	Recorder *obs.Recorder
@@ -189,6 +185,10 @@ type Service struct {
 	// exec runs every cell this node simulates, demand and stolen alike,
 	// and memoises the checkpoints and sampling plans they share.
 	exec *harness.Executor
+	// wrapPolicy, when non-nil, rewrites the policy execute runs a cell
+	// under. Only tests set it, to make a cell panic, freeze or wait
+	// from inside its running simulation.
+	wrapPolicy func(harness.RunSpec, harness.RunPolicy) harness.RunPolicy
 
 	// Retry-storm detection: timestamps of recent retries.
 	retryMu    sync.Mutex
@@ -274,7 +274,7 @@ func New(cfg Config) (*Service, error) {
 		reg:      obs.NewRegistry(),
 	}
 	var err error
-	if s.cache, err = openCache(cfg.CachePath, cfg.Faults, s.event); err != nil {
+	if s.cache, err = openCache(cfg.CachePath, s.event); err != nil {
 		cancel()
 		return nil, err
 	}
@@ -282,7 +282,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Trace {
 		s.tracer = trace.New()
 	}
-	s.exec = &harness.Executor{Faults: cfg.Faults, Event: s.event, PlanBuilt: s.planBuilt}
+	s.exec = &harness.Executor{Event: s.event, PlanBuilt: s.planBuilt}
 	s.pool = harness.NewPool(ctx, cfg.Workers)
 	s.registerMetrics()
 	if cfg.WorkStealing {
@@ -294,7 +294,6 @@ func New(cfg Config) (*Service, error) {
 			Peers:         cfg.Peers,
 			Timeout:       cfg.PeerTimeout,
 			ProbeInterval: cfg.PeerProbeInterval,
-			Faults:        cfg.Faults,
 			Event:         s.event,
 		})
 		s.registerPeerMetrics()
@@ -344,8 +343,6 @@ func (s *Service) registerMetrics() {
 			defer s.mu.Unlock()
 			return float64(len(s.jobs))
 		})
-	r.NewCounterFunc("sdo_faults_injected_total", "Chaos faults injected (0 unless fault injection is enabled).",
-		func() float64 { return float64(s.cfg.Faults.Stats().Total()) })
 
 	e := s.exec
 	work := func(name, help string, v *atomic.Uint64) {
@@ -1091,14 +1088,18 @@ func (s *Service) noteSlowCell(k harness.Key, elapsed time.Duration, ct *trace.C
 // same key. abort (may be nil) lets a mid-run demand cell stop once
 // nothing waits on it.
 func (s *Service) execute(ctx context.Context, spec harness.RunSpec, abort func() bool) (core.Result, int, time.Duration, error) {
-	r, retries, elapsed, err := s.exec.Run(ctx, spec, harness.RunPolicy{
+	pol := harness.RunPolicy{
 		MaxAttempts:  s.cfg.MaxAttempts,
 		RetryBackoff: s.cfg.RetryBackoff,
 		CellTimeout:  s.cfg.CellTimeout,
 		StallTimeout: s.cfg.StallTimeout,
 		Abort:        abort,
 		Notify:       s.cellEvent,
-	})
+	}
+	if s.wrapPolicy != nil {
+		pol = s.wrapPolicy(spec, pol)
+	}
+	r, retries, elapsed, err := s.exec.Run(ctx, spec, pol)
 	if elapsed > 0 {
 		s.runNanos.Add(uint64(elapsed))
 		s.runDur.Observe(elapsed.Seconds())

@@ -225,7 +225,7 @@ func TestCancellationNoLeakedGoroutines(t *testing.T) {
 	}
 	// Let at least one cell start, then cancel mid-sweep.
 	time.Sleep(50 * time.Millisecond)
-	j.Cancel()
+	j.TryCancel()
 	waitJob(t, j)
 	if st := j.Status(); st.State != JobCancelled {
 		t.Fatalf("state = %s, want cancelled", st.State)

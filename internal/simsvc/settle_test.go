@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/obs/trace"
 	"repro/internal/pipeline"
@@ -120,33 +119,33 @@ func wantDeliveries(t *testing.T, j *Job, note string, cached int) {
 	}
 }
 
-// flightRunning polls until a flight is registered in s.
-func flightRunning(t *testing.T, s *Service) {
-	t.Helper()
-	pollUntil(t, "a flight to start", 30*time.Second, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.inflight) > 0
-	})
-}
-
 // TestJoinerSharesExecutorsFlight: a second job needing a cell that is
 // mid-run joins the flight; one simulation, one un-noted delivery each,
 // and the joiner's trace shows the wait as its await-inflight phase.
 func TestJoinerSharesExecutorsFlight(t *testing.T) {
-	// Every attempt sleeps before simulating, so the first job's cell is
-	// reliably still in flight when the second job's cell looks.
-	inj := faults.New(faults.Config{Seed: 1, SlowProb: 1, SlowDelay: 500 * time.Millisecond})
-	s := newService(t, Config{Workers: 2, Faults: inj, Trace: true})
+	// The run parks at its first progress check until the second job's
+	// cell has joined it.
+	s := newService(t, Config{Workers: 2, Trace: true})
 	defer s.Shutdown(context.Background())
+	parked, release := make(chan struct{}, 1), make(chan struct{})
+	s.wrapPolicy = parking(parked, release)
 	req := specReq("exchange2_r", "unsafe")
+	req.MaxInstrs = 30_000 // long enough to reach its progress checks
 	j1, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flightRunning(t, s)
-	j2 := submitAndWait(t, s, req)
+	waitParked(t, parked)
+	j2, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "the second cell to join", 10*time.Second, func() bool {
+		return metric(t, s, "sdo_runs_deduped_total") == 1
+	})
+	close(release)
 	waitJob(t, j1)
+	waitJob(t, j2)
 	wantDeliveries(t, j1, "", 0)
 	wantDeliveries(t, j2, "", 0)
 	wantMetrics(t, s, map[string]float64{"sdo_runs_executed_total": 1, "sdo_runs_deduped_total": 1})

@@ -8,10 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/harness"
 )
 
 // TestCellsShareTheCachedResult pins the one-copy rule. Every finished
@@ -114,33 +115,35 @@ func TestRetainedHeapPerJob(t *testing.T) {
 // job's context, so no finished job stays registered as a child of the
 // service's context.
 func TestFinishedJobReleasesItsContext(t *testing.T) {
-	panicky := func() Config {
-		return Config{Workers: 2, MaxAttempts: 1, Faults: faults.New(faults.Config{PanicKey: "deepsjeng_r"})}
-	}
 	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		req   SweepRequest
-		state JobState
+		name    string
+		panicky bool // deepsjeng_r's cells panic
+		req     SweepRequest
+		state   JobState
 	}{
-		{"done", Config{Workers: 2}, smallReq(), JobDone},
-		{"degraded", panicky(), smallReq(), JobDegraded},
-		{"failed", panicky(), specReq("deepsjeng_r", "unsafe"), JobFailed},
-		{"cancelled", Config{Workers: 1}, SweepRequest{MaxInstrs: 60_000}, JobCancelled},
+		{"done", false, smallReq(), JobDone},
+		{"degraded", true, smallReq(), JobDegraded},
+		{"failed", true, specReq("deepsjeng_r", "unsafe"), JobFailed},
+		{"cancelled", false, SweepRequest{MaxInstrs: 60_000}, JobCancelled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newService(t, tc.cfg)
+			s := newService(t, Config{Workers: 2, MaxAttempts: 1})
 			defer s.Shutdown(context.Background())
+			var panics atomic.Int64
+			if tc.panicky {
+				tc.req.MaxInstrs = longReq().MaxInstrs // reach the progress checks
+				s.wrapPolicy = panicking(func(spec harness.RunSpec) bool { return spec.Workload == "deepsjeng_r" }, false, &panics)
+			}
 			j, err := s.Submit(tc.req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tc.state == JobCancelled {
-				j.Cancel()
+				j.TryCancel()
 			}
 			waitJob(t, j)
-			if st := j.Status(); st.State != tc.state {
-				t.Fatalf("state %s, want %s", st.State, tc.state)
+			if st := j.Status(); st.State != tc.state || tc.panicky != (panics.Load() > 0) {
+				t.Fatalf("state %s after %d panics, want %s", st.State, panics.Load(), tc.state)
 			}
 			if j.ctx.Err() == nil {
 				t.Errorf("a %s job's context is still live", tc.state)

@@ -12,10 +12,11 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -63,24 +64,25 @@ func checkAttributionSums(t *testing.T, cell trace.CellDoc) {
 	}
 }
 
-// TestTraceRetriedCell checks the span tree across a fault-injected,
-// retried sweep: every cell has the queue/cache phase chain, the retried
-// cell shows multiple attempt spans plus a backoff span under simulate,
-// and every cell's attribution sums to its wall clock.
+// TestTraceRetriedCell checks the span tree across a retried sweep (both
+// Hybrid cells panic inside their first attempt): every cell has the
+// queue/cache phase chain, each retried cell shows two attempt spans plus
+// a backoff span under simulate, and every cell's attribution sums to its
+// wall clock.
 func TestTraceRetriedCell(t *testing.T) {
-	seed := chaosSeed(t, 0.4, 3)
 	s := newService(t, Config{
 		Workers:      2,
 		MaxAttempts:  3,
 		RetryBackoff: time.Millisecond,
-		Faults:       faults.New(faults.Config{Seed: seed, PanicProb: 0.4}),
 		Trace:        true,
 	})
 	defer s.Shutdown(context.Background())
+	var panics atomic.Int64
+	s.wrapPolicy = panicking(isVariant(core.Hybrid), true, &panics)
 
-	j := submitAndWait(t, s, smallReq())
-	if st := j.Status(); st.Retries == 0 {
-		t.Fatalf("chaos sweep reported no retries: %+v", st)
+	j := submitAndWait(t, s, longReq())
+	if st := j.Status(); st.Retries != 2 || panics.Load() != 2 {
+		t.Fatalf("%d panics, status %+v; want 2 panics, each retried once", panics.Load(), st)
 	}
 	doc := traceDoc(t, j)
 	if len(doc.Cells) != 4 {
@@ -130,8 +132,8 @@ func TestTraceRetriedCell(t *testing.T) {
 		}
 		checkAttributionSums(t, cell)
 	}
-	if retried == 0 {
-		t.Fatal("chaos seed produced no cell with multiple attempt spans")
+	if retried != 2 {
+		t.Fatalf("%d cells have multiple attempt spans, want the 2 that panicked", retried)
 	}
 }
 
