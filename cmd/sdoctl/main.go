@@ -397,10 +397,10 @@ func (c *client) list() int {
 		fmt.Fprintln(c.out, "no sweeps")
 		return 0
 	}
-	fmt.Fprintf(c.out, "%-10s %-10s %9s %8s %7s %8s\n", "ID", "STATE", "RUNS", "CACHED", "FAILED", "RETRIES")
+	fmt.Fprintf(c.out, "%-10s %-10s %9s %8s %7s\n", "ID", "STATE", "RUNS", "CACHED", "FAILED")
 	for _, j := range jobs {
-		fmt.Fprintf(c.out, "%-10s %-10s %4d/%-4d %8d %7d %8d\n",
-			j.ID, j.State, j.Completed, j.Total, j.Cached, j.Failed, j.Retries)
+		fmt.Fprintf(c.out, "%-10s %-10s %4d/%-4d %8d %7d\n",
+			j.ID, j.State, j.Completed, j.Total, j.Cached, j.Failed)
 	}
 	return 0
 }

@@ -69,10 +69,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.drain, "drain", 2*time.Minute, "shutdown grace period for in-flight runs")
 	fs.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
 
-	fs.IntVar(&c.MaxAttempts, "max-attempts", 0, "attempts per cell incl. retries of transient failures (0: default 3)")
-	fs.DurationVar(&c.RetryBackoff, "retry-backoff", 0, "base retry delay, doubling per attempt with jitter (0: default 200ms)")
-	fs.DurationVar(&c.CellTimeout, "cell-timeout", 0, "wall-clock deadline per cell attempt (0: none)")
-	fs.DurationVar(&c.StallTimeout, "stall-timeout", 0, "kill a cell whose committed-instruction count stops advancing this long (0: off)")
+	fs.DurationVar(&c.CellTimeout, "cell-timeout", 0, "wall-clock deadline per cell; a cell runs once (0: none)")
 	fs.IntVar(&c.MaxPendingCells, "max-pending", 0, "pending-cell queue bound; submissions over it get 429 + Retry-After (0: unbounded)")
 	fs.DurationVar(&c.JobTTL, "job-ttl", 0, "evict finished jobs from the registry after this long (0: no TTL)")
 	fs.IntVar(&c.MaxJobs, "max-jobs", 0, "job-registry bound; oldest finished jobs evicted past it (0: default 4096)")

@@ -11,8 +11,8 @@ import (
 // TestFlagsDocumented audits the command's surface against the docs:
 // every registered flag is documented in README.md as `-name` (optionally
 // followed by an argument placeholder), and the names of the removed
-// speculation, deadline-auto-tuning, peer-tuning, telemetry and
-// fault-injection surface appear in no operator document.
+// speculation, deadline-auto-tuning, peer-tuning, telemetry,
+// fault-injection and cell-retry surface appear in no operator document.
 func TestFlagsDocumented(t *testing.T) {
 	root := filepath.Join("..", "..")
 	read := func(rel string) string {
@@ -60,6 +60,12 @@ func TestFlagsDocumented(t *testing.T) {
 		regexp.MustCompile("SDO_" + "FAULTS"),
 		regexp.MustCompile("sdo_faults" + "_injected"),
 		regexp.MustCompile(`(^|[^a-z])-toler` + `ate\b`), // experiments' flag
+		regexp.MustCompile("-max" + "-attempts"),
+		regexp.MustCompile("-retry" + "-backoff"),
+		regexp.MustCompile("-stall" + "-timeout"),
+		regexp.MustCompile("retry" + "-storm"),
+		regexp.MustCompile("sdo_runs" + "_retried"),
+		regexp.MustCompile("sdo_cell" + "_stalls"),
 	}
 	for _, doc := range []string{
 		"README.md", "DESIGN.md", "EXPERIMENTS.md",

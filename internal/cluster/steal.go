@@ -14,7 +14,7 @@ import (
 // run it on: a peer hinted that it queued work behind busy workers, a
 // local worker slot just freed up, or — the safety net for a lost hint
 // — the StealInterval ticker fired. Stolen cells run on the local
-// service's pool (own cache, executor, fault policy) and post their
+// service's pool (own cache, executor, cell deadline) and post their
 // content-addressed wire entries back to the owner, which validates the
 // checksum before settling the lease — a thief can waste a lease but
 // never corrupt a result.

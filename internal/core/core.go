@@ -186,8 +186,8 @@ type Config struct {
 	IntervalCycles uint64
 	// Check, when non-nil, is polled by the pipeline every few thousand
 	// cycles with the current cycle/committed counts; a non-nil return
-	// aborts the run with that error (cancellation, deadlines, stall
-	// watchdogs). Nil costs the pipeline one pointer compare per cycle.
+	// aborts the run with that error (cancellation, deadlines,
+	// abandonment). Nil costs the pipeline one pointer compare per cycle.
 	Check func(cycle, committed uint64) error
 	// Mem overrides the Table I memory parameters when non-nil.
 	Mem *mem.Config

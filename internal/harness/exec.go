@@ -67,15 +67,15 @@ type planKey struct {
 // cell's sampling plan or warmup checkpoint from the memo, and runs the
 // cell under pol. A sampled cell runs its representative intervals one
 // after the other (the caller's pool parallelises across cells), each a
-// fault-isolated RunCell. Run returns the result, the retries, and how
-// long the simulation itself took — 0 exactly when none started (an
-// unknown workload or a failed plan build). With a span in ctx (see
+// fault-isolated RunCell. Run returns the result and how long the
+// simulation itself took — 0 exactly when none started (an unknown
+// workload or a failed plan build). With a span in ctx (see
 // trace.NewContext), the plan/checkpoint and simulate phases are recorded
 // under it.
-func (e *Executor) Run(ctx context.Context, spec RunSpec, pol RunPolicy) (core.Result, int, time.Duration, error) {
+func (e *Executor) Run(ctx context.Context, spec RunSpec, pol RunPolicy) (core.Result, time.Duration, error) {
 	wl, err := workload.ByName(spec.Workload)
 	if err != nil {
-		return core.Result{}, 0, 0, err
+		return core.Result{}, 0, err
 	}
 	parent := trace.FromContext(ctx)
 	p := RunParams{
@@ -93,7 +93,7 @@ func (e *Executor) Run(ctx context.Context, spec RunSpec, pol RunPolicy) (core.R
 			simpoint.Config{IntervalInstrs: spec.SampleInterval, MaxK: spec.SampleMaxK, Seed: spec.SampleSeed})
 		ps.Finish()
 		if err != nil {
-			return core.Result{}, 0, 0, err
+			return core.Result{}, 0, err
 		}
 	case spec.WarmupMode == core.WarmupFunctional && spec.WarmupInstrs > 0:
 		cks := parent.Child(trace.PhaseCheckpoint)
@@ -108,22 +108,21 @@ func (e *Executor) Run(ctx context.Context, spec RunSpec, pol RunPolicy) (core.R
 		e.WarmupInstrs.Add(spec.WarmupInstrs)
 	}
 	var r core.Result
-	var retries int
 	sim := parent.Child(trace.PhaseSimulate)
 	simCtx := trace.NewContext(ctx, sim)
 	start := time.Now()
 	if sp != nil {
-		r, retries, err = RunSampledCell(simCtx, 1, wl, spec.Variant, spec.Model, spec.Ablate, sp, p, pol, nil)
+		r, _, err = RunSampledCell(simCtx, 1, wl, spec.Variant, spec.Model, spec.Ablate, sp, p, pol, nil)
 		if err == nil {
 			e.SampledCells.Add(1)
 			e.SampledInstrs.Add(sp.Plan.SampledInstrs())
 		}
 	} else {
-		r, retries, err = RunCell(simCtx, wl, spec.Variant, spec.Model, spec.Ablate, p, pol)
+		r, err = RunCell(simCtx, wl, spec.Variant, spec.Model, spec.Ablate, p, pol)
 	}
 	elapsed := time.Since(start)
 	sim.Finish()
-	return r, retries, elapsed, err
+	return r, elapsed, err
 }
 
 // Checkpoint returns wl's functional-warmup checkpoint at warmup, capturing

@@ -190,7 +190,7 @@ type RunParams struct {
 	Checkpoint *arch.Checkpoint
 	// Check, when non-nil, is polled by the pipeline every few thousand
 	// cycles; a non-nil return aborts the run. RunCell assembles this
-	// from its policy (cancellation, deadline, stall watchdog); direct
+	// from its policy (cancellation, deadline, abort); direct
 	// RunOne callers normally leave it nil.
 	Check func(cycle, committed uint64) error
 }
@@ -205,9 +205,10 @@ func CaptureCheckpoint(wl workload.Workload, warmup uint64) *arch.Checkpoint {
 // RunOne executes a single simulation cell: one workload under one design
 // variant and attack model. This is the single execution path shared by
 // the CLI sweep, the ablation study and the simulation service. Every
-// call — a retry after a panic included — starts from a pristine image: a
-// private copy-on-write copy of the workload's initial image, or, when a
-// checkpoint is restored, the checkpoint's own pages over an empty memory.
+// call starts from a pristine image, so a cell always gives the same
+// result: a private copy-on-write copy of the workload's initial image,
+// or, when a checkpoint is restored, the checkpoint's own pages over an
+// empty memory.
 func RunOne(wl workload.Workload, v core.Variant, m pipeline.AttackModel, ab core.Ablation, p RunParams) (core.Result, error) {
 	var prog *isa.Program
 	var data *isa.Memory
@@ -274,7 +275,7 @@ func RunContext(ctx context.Context, opt Options) (*Results, error) {
 	groups := groupByRepresentative(opt.Specs())
 	err := RunPool(ctx, opt.Workers(), len(groups), func(ctx context.Context, i int) error {
 		g := groups[i]
-		r, _, _, err := e.Run(ctx, g[0], RunPolicy{})
+		r, _, err := e.Run(ctx, g[0], RunPolicy{})
 		if err != nil {
 			k := g[0].Key()
 			return fmt.Errorf("harness: %s/%v/%v: %w", k.Workload, k.Variant, k.Model, err)
@@ -562,7 +563,7 @@ func RunAblations(opt Options, model pipeline.AttackModel) ([]AblationRow, error
 	res := make([]core.Result, len(specs))
 	err := RunPool(context.Background(), opt.Workers(), len(specs), func(ctx context.Context, i int) error {
 		var err error
-		res[i], _, _, err = e.Run(ctx, specs[i], RunPolicy{})
+		res[i], _, err = e.Run(ctx, specs[i], RunPolicy{})
 		return err
 	})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"strconv"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -121,29 +120,21 @@ func subtractWarmBase(r core.Result, ck *arch.Checkpoint) core.Result {
 
 // RunSampledCell executes one sweep cell in sampled mode: every
 // representative interval of the plan runs as its own fault-isolated
-// RunCell (retries, deadlines and the stall watchdog apply per interval),
-// up to workers of them concurrently, and the results are recombined into
-// one whole-window core.Result. Returns the reconstructed result and the
-// total retries across intervals. The last argument is unused: the
-// benchmark module's probes still pass nil there, and it goes with their
-// next change.
+// RunCell (the deadline and abort hook apply per interval), up to workers
+// of them concurrently, and the results are recombined into one
+// whole-window core.Result. The int result is always 0 and the last
+// argument is unused: the benchmark module's probes still use both, and
+// they go with its next change.
 func RunSampledCell(ctx context.Context, workers int, wl workload.Workload, v core.Variant, m pipeline.AttackModel,
 	ab core.Ablation, sp *SamplePlan, p RunParams, pol RunPolicy, _ any) (core.Result, int, error) {
 	reps := make([]core.Result, len(sp.Plan.Reps))
 	parent := trace.FromContext(ctx)
-	var mu sync.Mutex
-	var retries int
 	err := RunPool(ctx, workers, len(reps), func(ctx context.Context, i int) error {
-		// One span per representative interval; its RunCell's attempt
-		// spans nest underneath it.
 		iv := parent.Child(trace.PhaseInterval)
 		iv.Set("start", strconv.FormatUint(sp.Plan.Reps[i].Start, 10))
 		iv.Set("len", strconv.FormatUint(sp.Plan.Reps[i].Len, 10))
-		r, rt, err := RunCell(trace.NewContext(ctx, iv), wl, v, m, ab, sp.repParams(p, i), pol)
+		r, err := RunCell(ctx, wl, v, m, ab, sp.repParams(p, i), pol)
 		iv.Finish()
-		mu.Lock()
-		defer mu.Unlock()
-		retries += rt
 		if err != nil {
 			return err
 		}
@@ -151,13 +142,13 @@ func RunSampledCell(ctx context.Context, workers int, wl workload.Workload, v co
 		return nil
 	})
 	if err != nil {
-		return core.Result{}, retries, err
+		return core.Result{}, 0, err
 	}
 	rec := parent.Child(trace.PhaseReconstruct)
 	out := reconstructResult(sp.Plan, reps)
 	attachSampledWindows(sp.Plan, reps, &out)
 	rec.Finish()
-	return out, retries, nil
+	return out, 0, nil
 }
 
 // attachSampledWindows collects the representatives' interval series

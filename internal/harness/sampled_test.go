@@ -81,7 +81,7 @@ func TestSampledSingleIntervalExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _, err := RunCell(context.Background(), wl, core.Hybrid, pipeline.Futuristic, core.Ablation{},
+	direct, err := RunCell(context.Background(), wl, core.Hybrid, pipeline.Futuristic, core.Ablation{},
 		RunParams{WarmupInstrs: warmup, MaxInstrs: window, WarmupMode: core.WarmupFunctional},
 		RunPolicy{})
 	if err != nil {

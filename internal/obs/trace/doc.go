@@ -97,8 +97,8 @@ func spanDur(s *Span, now time.Time) time.Duration {
 //	         CheckpointUS + SimulateUS + OtherUS
 //
 // exactly — OtherUS is defined as the remainder (scheduling gaps between
-// phases), clamped at zero against timer skew. RetryUS, ReconstructUS
-// and Attempts describe the inside of SimulateUS.
+// phases), clamped at zero against timer skew. ReconstructUS describes
+// the inside of SimulateUS.
 type Attribution struct {
 	WallUS        int64 `json:"wall_us"`
 	QueueUS       int64 `json:"queue_us,omitempty"`
@@ -109,9 +109,7 @@ type Attribution struct {
 	CheckpointUS  int64 `json:"checkpoint_us,omitempty"`
 	SimulateUS    int64 `json:"simulate_us,omitempty"`
 	OtherUS       int64 `json:"other_us"`
-	RetryUS       int64 `json:"retry_backoff_us,omitempty"`
 	ReconstructUS int64 `json:"reconstruct_us,omitempty"`
-	Attempts      int   `json:"attempts,omitempty"`
 }
 
 // Attribution derives the breakdown from the cell's span tree (nil on a
@@ -151,17 +149,11 @@ func (ct *CellTrace) Attribution() *Attribution {
 	if a.OtherUS < 0 {
 		a.OtherUS = 0
 	}
-	// Attempt/backoff/reconstruct live nested under simulate (and under
-	// interval spans in sampled mode); count them wherever they are.
+	// Reconstruct lives nested under simulate; count it wherever it is.
 	var walk func(s *Span)
 	walk = func(s *Span) {
 		for _, c := range s.children {
-			switch c.name {
-			case PhaseAttempt:
-				a.Attempts++
-			case PhaseBackoff:
-				a.RetryUS += spanDur(c, now).Microseconds()
-			case PhaseReconstruct:
+			if c.name == PhaseReconstruct {
 				a.ReconstructUS += spanDur(c, now).Microseconds()
 			}
 			walk(c)
@@ -253,10 +245,6 @@ func (a *Attribution) Summary() string {
 	add("ckpt", a.CheckpointUS)
 	add("sim", a.SimulateUS)
 	add("other", a.OtherUS)
-	add("retry-backoff", a.RetryUS)
 	add("reconstruct", a.ReconstructUS)
-	if a.Attempts > 1 {
-		parts = append(parts, fmt.Sprintf("attempts %d", a.Attempts))
-	}
 	return strings.Join(parts, " | ")
 }

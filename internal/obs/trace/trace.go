@@ -2,8 +2,7 @@
 // job, one span tree per cell, with a span for every phase a cell passes
 // through on its way to a result — queue wait, cache lookup, checkpoint
 // restore, sample-plan build, detailed or sampled simulation (including
-// per-attempt retry spans and per-representative interval spans) and
-// result reconstruction.
+// per-representative interval spans) and result reconstruction.
 //
 // The design rule mirrors obs.Class's masking discipline one level up:
 // every producer holds a possibly-nil *Tracer / *JobTrace / *CellTrace /
@@ -11,8 +10,8 @@
 // tracer is nil, StartJob returns nil, and every downstream call is a
 // single nil check with no allocation — results are bit-identical to an
 // untraced build. Spans propagate through the harness via
-// context.Context (NewContext/FromContext), so the retry and sampling
-// layers need no tracing-specific plumbing in their signatures.
+// context.Context (NewContext/FromContext), so the sampling layer needs
+// no tracing-specific plumbing in its signatures.
 package trace
 
 import (
@@ -42,13 +41,9 @@ const (
 	PhasePlan = "plan"
 	// PhaseCheckpoint is the warmup-checkpoint tier (capture/restore).
 	PhaseCheckpoint = "checkpoint"
-	// PhaseSimulate wraps the harness call; its children are the attempt,
-	// backoff, interval and reconstruct spans below.
+	// PhaseSimulate wraps the harness call; in sampled mode its children
+	// are the interval and reconstruct spans below.
 	PhaseSimulate = "simulate"
-	// PhaseAttempt is one RunCell attempt (attr n, outcome).
-	PhaseAttempt = "attempt"
-	// PhaseBackoff is the pre-retry exponential-backoff sleep.
-	PhaseBackoff = "retry-backoff"
 	// PhaseInterval is one sampled-mode representative interval.
 	PhaseInterval = "interval"
 	// PhaseReconstruct is the sampled-mode weighted reconstruction.

@@ -84,15 +84,13 @@ func TestSpanTree(t *testing.T) {
 	q := ct.Root().ChildAt(PhaseQueue, start)
 	q.finishAt(start.Add(10 * time.Millisecond))
 	sim := ct.Root().Child(PhaseSimulate)
-	a1 := sim.Child(PhaseAttempt)
-	a1.Set("n", "1")
-	a1.Set("outcome", "panic")
-	a1.Finish()
-	sim.Child(PhaseBackoff).Finish()
-	a2 := sim.Child(PhaseAttempt)
-	a2.Set("n", "2")
-	a2.Set("outcome", "ok")
-	a2.Finish()
+	i1 := sim.Child(PhaseInterval)
+	i1.Set("start", "0")
+	i1.Finish()
+	i2 := sim.Child(PhaseInterval)
+	i2.Set("start", "5000")
+	i2.Finish()
+	sim.Child(PhaseReconstruct).Finish()
 	sim.Finish()
 	ct.Finish()
 
@@ -110,8 +108,8 @@ func TestSpanTree(t *testing.T) {
 	if simN.Name != PhaseSimulate || len(simN.Children) != 3 {
 		t.Fatalf("simulate child = %+v, want 3 children", simN)
 	}
-	if simN.Children[0].Attrs["outcome"] != "panic" || simN.Children[2].Attrs["outcome"] != "ok" {
-		t.Fatalf("attempt attrs wrong: %+v", simN.Children)
+	if simN.Children[0].Attrs["start"] != "0" || simN.Children[1].Attrs["start"] != "5000" {
+		t.Fatalf("interval attrs wrong: %+v", simN.Children)
 	}
 	if n.DurUS < 49_000 {
 		t.Fatalf("root duration = %dus, want >= ~50ms", n.DurUS)
@@ -124,8 +122,8 @@ func TestSpanTree(t *testing.T) {
 }
 
 // TestAttributionSums checks the exact-sum invariant: wall equals the
-// sum of the known phases plus Other, with retry/reconstruct/attempt
-// counters derived from the nested spans.
+// sum of the known phases plus Other, with the reconstruct time derived
+// from the nested spans.
 func TestAttributionSums(t *testing.T) {
 	tr := New()
 	base := time.Now().Add(-time.Second)
@@ -139,9 +137,8 @@ func TestAttributionSums(t *testing.T) {
 	span(ct.Root(), PhaseQueue, 0, 100)
 	span(ct.Root(), PhaseCache, 100, 110)
 	sim := ct.Root().ChildAt(PhaseSimulate, at(120))
-	span(sim, PhaseAttempt, 120, 300)
-	span(sim, PhaseBackoff, 300, 350)
-	span(sim, PhaseAttempt, 350, 700)
+	span(sim, PhaseInterval, 120, 300)
+	span(sim, PhaseInterval, 300, 700)
 	span(sim, PhaseReconstruct, 700, 720)
 	sim.finishAt(at(720))
 	ct.Root().finishAt(at(1000))
@@ -160,7 +157,7 @@ func TestAttributionSums(t *testing.T) {
 	if a.OtherUS != 290_000 { // 10ms gap cache->simulate + 280ms tail
 		t.Fatalf("other = %d, want 290000", a.OtherUS)
 	}
-	if a.Attempts != 2 || a.RetryUS != 50_000 || a.ReconstructUS != 20_000 {
+	if a.ReconstructUS != 20_000 {
 		t.Fatalf("nested counters wrong: %+v", a)
 	}
 }
@@ -220,9 +217,9 @@ func TestWriteChrome(t *testing.T) {
 // Chrome rendering orders them, so one trace renders one byte string.
 func TestWriteChromeIsDeterministic(t *testing.T) {
 	ct := New().StartJob("sweep-1").StartCell("wl/v/m", time.Now())
-	sp := ct.Root().Child(PhaseAttempt)
-	sp.Set("n", "1")
-	sp.Set("outcome", "ok")
+	sp := ct.Root().Child(PhaseInterval)
+	sp.Set("start", "0")
+	sp.Set("len", "5000")
 	sp.Set("restored", "true")
 	sp.Finish()
 	ct.Finish()
@@ -232,7 +229,7 @@ func TestWriteChromeIsDeterministic(t *testing.T) {
 	if err := doc.WriteChrome(&first); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(first.Bytes(), []byte(`wl/v/m n=1 outcome=ok restored=true`)) {
+	if !bytes.Contains(first.Bytes(), []byte(`wl/v/m len=5000 restored=true start=0`)) {
 		t.Fatalf("attributes not rendered in key order:\n%s", first.String())
 	}
 	for i := 0; i < 50; i++ {

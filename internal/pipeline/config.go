@@ -105,9 +105,8 @@ type Config struct {
 	// Check, when non-nil, is polled every checkInterval cycles with the
 	// current cycle and committed-instruction counts; a non-nil return
 	// aborts the simulation with that error. Harness-level cancellation,
-	// per-cell deadlines and the progress-based stall watchdog all hang
-	// off this single hook, so an unconfigured core pays one nil compare
-	// per cycle.
+	// per-cell deadlines and abandonment all hang off this single hook,
+	// so an unconfigured core pays one nil compare per cycle.
 	Check func(cycle, committed uint64) error
 
 	// MaxInstrs bounds committed instructions (0 = until halt).

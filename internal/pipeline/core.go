@@ -277,8 +277,8 @@ func (c *Core) skipAhead(before [3]uint64, maxCycles uint64) {
 
 // checkInterval is how often (in cycles) Step polls Config.Check. A
 // power of two so the test is one mask; ~4k cycles keeps wall-clock
-// deadline/stall detection responsive at simulation speeds of millions
-// of cycles per second while staying invisible in profiles.
+// deadline and cancellation checks responsive at simulation speeds of
+// millions of cycles per second while staying invisible in profiles.
 const checkInterval = 4096
 
 // Step advances the core by one cycle.

@@ -135,21 +135,17 @@ func TestFollowerOutlivesItsRepresentativesJob(t *testing.T) {
 }
 
 // TestRepresentativeFailureDegradesFollowers: a representative that fails
-// permanently fails its followers the same way, and the sweep degrades
-// around both cells exactly as if each had failed on its own.
+// fails its followers the same way, and the sweep degrades around both
+// cells exactly as if each had failed on its own.
 func TestRepresentativeFailureDegradesFollowers(t *testing.T) {
-	s := newService(t, Config{
-		Workers:      2,
-		MaxAttempts:  2,
-		RetryBackoff: time.Millisecond,
-	})
+	s := newService(t, Config{Workers: 2})
 	defer s.Shutdown(context.Background())
 	// Only the representative's own run panics: the follower would
 	// succeed if it simulated itself.
 	var panics atomic.Int64
 	s.wrapPolicy = panicking(func(spec harness.RunSpec) bool {
 		return spec.Workload == "mcf_r" && spec.Variant == core.Unsafe && spec.Model == pipeline.Spectre
-	}, false, &panics)
+	}, &panics)
 	req := smallReq()
 	req.Workloads = []string{"mcf_r", "exchange2_r"}
 	req.Variants = []string{"unsafe"}
@@ -164,15 +160,16 @@ func TestRepresentativeFailureDegradesFollowers(t *testing.T) {
 		t.Fatalf("status %+v, want degraded with 2 completed and 2 failed", st)
 	}
 	for _, f := range st.Failures {
-		if !strings.HasPrefix(f.Cell, "mcf_r/Unsafe/") || f.Kind != "panic" || f.Attempts != 2 || f.Error != st.Failures[0].Error {
-			t.Errorf("failure %+v, want mcf_r/Unsafe under either model, panic after 2 attempts, one error", f)
+		if !strings.HasPrefix(f.Cell, "mcf_r/Unsafe/") || f.Kind != "panic" || f.Error != st.Failures[0].Error {
+			t.Errorf("failure %+v, want mcf_r/Unsafe under either model, panic, one error", f)
 		}
 	}
 	if st.Failures[0].Cell == st.Failures[1].Cell {
 		t.Errorf("failures name one cell twice: %+v", st.Failures)
 	}
-	if ev := faultEvents(s); panics.Load() != 2 || ev["cell-panic"] != 2 || ev["cell-failed"] != 2 {
-		t.Errorf("%d panics; flight recorder: %d cell-panic and %d cell-failed events, want 2, 2 (one run) and 2 (two cells)",
-			panics.Load(), ev["cell-panic"], ev["cell-failed"])
+	// One run panicked; both cells failed with it.
+	if ev := faultEvents(s); panics.Load() != 1 || ev["cell-failed"] != 2 || metric(t, s, "sdo_cell_panics_total") != 2 {
+		t.Errorf("%d panics, %d cell-failed events, sdo_cell_panics_total %v; want 1, 2 and 2",
+			panics.Load(), ev["cell-failed"], metric(t, s, "sdo_cell_panics_total"))
 	}
 }

@@ -213,8 +213,8 @@ func (s *Service) handleProgress(w http.ResponseWriter, r *http.Request) {
 			st := j.Status()
 			trailer := fmt.Sprintf("# sweep %s: %s (%d/%d runs, %d cached",
 				st.ID, st.State, st.Completed, st.Total, st.Cached)
-			if st.Failed > 0 || st.Retries > 0 {
-				trailer += fmt.Sprintf(", %d failed, %d retries", st.Failed, st.Retries)
+			if st.Failed > 0 {
+				trailer += fmt.Sprintf(", %d failed", st.Failed)
 			}
 			fmt.Fprintln(w, trailer+")")
 			return

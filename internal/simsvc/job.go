@@ -19,9 +19,9 @@ const (
 	JobDone      JobState = "done"
 	JobFailed    JobState = "failed"
 	JobCancelled JobState = "cancelled"
-	// JobDegraded is a sweep that completed with some cells permanently
-	// failed: the surviving cells are exportable (filtered to workloads
-	// with no failures), the failures are itemized in Status.
+	// JobDegraded is a sweep that completed with some cells failed: the
+	// surviving cells are exportable (filtered to workloads with no
+	// failures), the failures are itemized in Status.
 	JobDegraded JobState = "degraded"
 )
 
@@ -32,12 +32,11 @@ func (s JobState) Terminal() bool { return s != JobRunning }
 // was cancelled.
 var ErrCancelled = errors.New("simsvc: job cancelled")
 
-// Failure itemizes one permanently-failed cell in a job's status.
+// Failure itemizes one failed cell in a job's status.
 type Failure struct {
-	Cell     string `json:"cell"` // "workload/variant/model"
-	Kind     string `json:"kind"` // exec | panic | timeout | stall
-	Attempts int    `json:"attempts"`
-	Error    string `json:"error"`
+	Cell  string `json:"cell"` // "workload/variant/model"
+	Kind  string `json:"kind"` // exec | panic | timeout
+	Error string `json:"error"`
 }
 
 // Job is one submitted sweep: its resolved options and its finished
@@ -70,7 +69,6 @@ type Job struct {
 	completed int
 	cached    int
 	failed    int
-	retries   uint64
 	failures  []Failure
 	cells     []cellRecord // append-only; a record never changes once appended
 	err       error
@@ -186,10 +184,9 @@ func (j *Job) maybeFinish() func() {
 // deliver records one completed cell. idx is the cell's index in the
 // job's enumeration order; r is the cache's copy of the result, which the
 // job shares and never writes; note is the progress-line suffix saying
-// how it was obtained. retries counts attempts beyond the first that the
-// cell needed; att is the cell's latency attribution (nil with tracing
-// off).
-func (j *Job) deliver(idx int, k harness.Key, r *core.Result, note string, fromCache bool, retries int, att *trace.Attribution) {
+// how it was obtained; att is the cell's latency attribution (nil with
+// tracing off).
+func (j *Job) deliver(idx int, k harness.Key, r *core.Result, note string, fromCache bool, att *trace.Attribution) {
 	j.mu.Lock()
 	if j.terminal() {
 		j.mu.Unlock()
@@ -197,7 +194,6 @@ func (j *Job) deliver(idx int, k harness.Key, r *core.Result, note string, fromC
 	}
 	j.cells = append(j.cells, cellRecord{idx: idx, key: k, res: r, note: note, att: att})
 	j.completed++
-	j.retries += uint64(retries)
 	if fromCache {
 		j.cached++
 	}
@@ -206,17 +202,16 @@ func (j *Job) deliver(idx int, k harness.Key, r *core.Result, note string, fromC
 	done()
 }
 
-// cellFail records one permanently-failed cell; the job keeps running and
-// finishes degraded (or failed, if nothing succeeded) once every cell is
-// accounted for.
-func (j *Job) cellFail(idx int, k harness.Key, f Failure, line string, retries int) {
+// cellFail records one failed cell; the job keeps running and finishes
+// degraded (or failed, if nothing succeeded) once every cell is accounted
+// for.
+func (j *Job) cellFail(idx int, k harness.Key, f Failure, line string) {
 	j.mu.Lock()
 	if j.terminal() {
 		j.mu.Unlock()
 		return
 	}
 	j.failed++
-	j.retries += uint64(retries)
 	j.failures = append(j.failures, f)
 	j.cells = append(j.cells, cellRecord{idx: idx, key: k, note: line})
 	done := j.maybeFinish()
@@ -251,11 +246,8 @@ type Status struct {
 	Total     int      `json:"total_runs"`
 	Completed int      `json:"completed_runs"`
 	Cached    int      `json:"cached_runs"`
-	// Failed counts permanently-failed cells; Retries counts cell
-	// attempts beyond the first across the job; Failures itemizes the
-	// failed cells.
+	// Failed counts failed cells; Failures itemizes them.
 	Failed   int       `json:"failed_runs,omitempty"`
-	Retries  uint64    `json:"retries,omitempty"`
 	Failures []Failure `json:"failures,omitempty"`
 	Error    string    `json:"error,omitempty"`
 }
@@ -271,7 +263,6 @@ func (j *Job) Status() Status {
 		Completed: j.completed,
 		Cached:    j.cached,
 		Failed:    j.failed,
-		Retries:   j.retries,
 		Failures:  append([]Failure(nil), j.failures...),
 	}
 	if j.err != nil {

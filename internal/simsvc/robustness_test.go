@@ -39,20 +39,15 @@ func withAbort(pol harness.RunPolicy, hook func()) harness.RunPolicy {
 
 // panicking is a Service.wrapPolicy that makes every run of a cell hit
 // selects panic at its first progress check, from inside the running
-// simulation: on every attempt, or with firstOnly only on the first. n
-// counts the panics.
-func panicking(hit func(harness.RunSpec) bool, firstOnly bool, n *atomic.Int64) cellPolicy {
+// simulation. n counts the panics.
+func panicking(hit func(harness.RunSpec) bool, n *atomic.Int64) cellPolicy {
 	return func(spec harness.RunSpec, pol harness.RunPolicy) harness.RunPolicy {
 		if !hit(spec) {
 			return pol
 		}
-		panicked := false
 		return withAbort(pol, func() {
-			if !firstOnly || !panicked {
-				panicked = true
-				n.Add(1)
-				panic("cell fault")
-			}
+			n.Add(1)
+			panic("cell fault")
 		})
 	}
 }
@@ -95,11 +90,6 @@ func longReq() SweepRequest {
 	return req
 }
 
-// isVariant selects the cells of one variant.
-func isVariant(v core.Variant) func(harness.RunSpec) bool {
-	return func(spec harness.RunSpec) bool { return spec.Variant == v }
-}
-
 // blockEntry puts a directory where key's entry file belongs in dir:
 // reading the entry then fails, and so does the write that renames a new
 // file onto it — as it would for root too, unlike a permission bit.
@@ -124,45 +114,24 @@ func writeCorruptEntry(t *testing.T, dir, key string) {
 	}
 }
 
-// TestChaosSweepSurvivesTransientFaults is the headline robustness
-// scenario: with both Hybrid cells panicking inside their first
-// attempt, a corrupted entry file on disk and a directory blocking
+// TestChaosSweepSurvivesTransientFaults is the headline cache-fault
+// scenario: with a corrupted entry file on disk and a directory blocking
 // another cell's entry (its read and its write fail), a sweep still
-// completes, reports accurate retry counts, and exports byte-identically
-// to a fault-free run — failure recovery must not perturb determinism.
+// completes with every cell and exports byte-identically to a fault-free
+// run — a cache fault costs a simulation, never a wrong answer.
 func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 	dir := t.TempDir()
-	s := newService(t, Config{
-		Workers:      2,
-		CachePath:    dir,
-		MaxAttempts:  3,
-		RetryBackoff: time.Millisecond,
-	})
-	var panics atomic.Int64
-	s.wrapPolicy = panicking(isVariant(core.Hybrid), true, &panics)
-	_, keys := cellKeys(t, s, longReq())
+	s := newService(t, Config{Workers: 2, CachePath: dir})
+	_, keys := cellKeys(t, s, smallReq())
 	writeCorruptEntry(t, dir, keys[0])
 	blockEntry(t, dir, keys[1])
 
-	j := submitAndWait(t, s, longReq())
-	st := j.Status()
-	if st.Retries != 2 || panics.Load() != 2 {
-		t.Fatalf("%d panics, status %+v; want 2 panics, each retried once", panics.Load(), st)
-	}
-	if st.Failed != 0 || len(st.Failures) != 0 {
+	j := submitAndWait(t, s, smallReq())
+	if st := j.Status(); st.State != JobDone || st.Failed != 0 || len(st.Failures) != 0 {
 		t.Fatalf("chaos sweep has failures: %+v", st)
 	}
-
 	if got := metric(t, s, "sdo_cache_corrupt_entries_total"); got != 1 {
 		t.Fatalf("corrupt cache entries = %v, want 1", got)
-	}
-	if metric(t, s, "sdo_cell_panics_total") != 2 || metric(t, s, "sdo_runs_retried_total") != 2 {
-		t.Fatalf("fault metrics not counted: %s", metricLines(s, "sdo_"))
-	}
-	// Each panic and each retry is also one flight-recorder event.
-	if ev := faultEvents(s); ev["cell-panic"] != 2 || ev["cell-retry"] != 2 {
-		t.Errorf("flight recorder holds %d cell-panic and %d cell-retry events, want 2 and 2",
-			ev["cell-panic"], ev["cell-retry"])
 	}
 
 	// The export must be byte-identical to a fault-free CLI run of the
@@ -215,21 +184,23 @@ func TestChaosSweepSurvivesTransientFaults(t *testing.T) {
 	}
 }
 
-// TestChaosPermanentFailureDegrades: a workload that panics on every
-// attempt exhausts its retries; the job finishes degraded (not failed),
-// itemizes the failed cells, and exports the surviving workloads
-// byte-identically to a sweep that never contained the failed one.
+// TestChaosPermanentFailureDegrades: a cell that panics fails on its one
+// run — the simulation is deterministic, so nothing runs it again. With
+// deepsjeng_r's Hybrid cell panicking under both attack models, the job
+// finishes degraded (not failed) after exactly two panics, itemizes the
+// two failed cells, and exports the surviving workload byte-identically
+// to a sweep that never contained the failed one.
 func TestChaosPermanentFailureDegrades(t *testing.T) {
-	s := newService(t, Config{
-		Workers:      2,
-		MaxAttempts:  2,
-		RetryBackoff: time.Millisecond,
-	})
+	s := newService(t, Config{Workers: 2})
 	defer s.Shutdown(context.Background())
 	var panics atomic.Int64
-	s.wrapPolicy = panicking(func(spec harness.RunSpec) bool { return spec.Workload == "deepsjeng_r" }, false, &panics)
+	s.wrapPolicy = panicking(func(spec harness.RunSpec) bool {
+		return spec.Workload == "deepsjeng_r" && spec.Variant == core.Hybrid
+	}, &panics)
 
-	j, err := s.Submit(longReq())
+	req := longReq()
+	req.Models = []string{"spectre", "futuristic"}
+	j, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,24 +209,21 @@ func TestChaosPermanentFailureDegrades(t *testing.T) {
 	if st.State != JobDegraded {
 		t.Fatalf("state = %s, want degraded (%+v)", st.State, st)
 	}
-	if st.Failed != 2 || len(st.Failures) != 2 || st.Completed != 2 {
+	if st.Failed != 2 || len(st.Failures) != 2 || st.Completed != 6 {
 		t.Fatalf("degraded status: %+v", st)
 	}
 	for _, f := range st.Failures {
-		if !strings.HasPrefix(f.Cell, "deepsjeng_r/") || f.Kind != "panic" || f.Attempts != 2 {
+		if !strings.HasPrefix(f.Cell, "deepsjeng_r/Hybrid/") || f.Kind != "panic" {
 			t.Fatalf("failure record: %+v", f)
 		}
 	}
-	if st.Retries != 2 {
-		t.Fatalf("retries = %d, want 2 (one per failed cell)", st.Retries)
+	if p, failed, counted := panics.Load(), metric(t, s, "sdo_cells_failed_total"),
+		metric(t, s, "sdo_cell_panics_total"); p != 2 || failed != 2 || counted != 2 {
+		t.Fatalf("%d panics, sdo_cells_failed_total %v, sdo_cell_panics_total %v; want 2, 2, 2", p, failed, counted)
 	}
-	if got := metric(t, s, "sdo_cells_failed_total"); got != 2 {
-		t.Fatalf("cells failed = %v, want 2", got)
-	}
-	// Two attempts per failed cell: each panics, the first is retried.
-	if ev := faultEvents(s); panics.Load() != 4 || ev["cell-panic"] != 4 || ev["cell-retry"] != 2 || ev["cell-failed"] != 2 {
-		t.Errorf("%d panics; flight recorder: %d cell-panic, %d cell-retry, %d cell-failed events, want 4, 4, 2, 2",
-			panics.Load(), ev["cell-panic"], ev["cell-retry"], ev["cell-failed"])
+	if ev := faultEvents(s); ev["cell-failed"] != 2 || ev["cell-retry"] != 0 {
+		t.Errorf("flight recorder: %d cell-failed and %d cell-retry events, want 2 and 0",
+			ev["cell-failed"], ev["cell-retry"])
 	}
 
 	res, err := j.Results()
@@ -287,50 +255,39 @@ func TestChaosPermanentFailureDegrades(t *testing.T) {
 	}
 }
 
-// TestKilledCellsAreCountedAndRecorded: a cell frozen mid-run on every
-// attempt (its progress check holds the simulator thread) is killed each
-// time by the per-cell deadline or by the stall watchdog. Each kill counts in its /metrics family and is one cell-timeout
-// or cell-stall event in the flight recorder, beside one cell-retry per
-// retry and one cell-failed for the cell.
+// TestKilledCellsAreCountedAndRecorded: a cell frozen mid-run (its
+// progress check holds the simulator thread) is killed by the per-cell
+// deadline. The kill counts once in sdo_cell_timeouts_total and is one
+// cell-failed event in the flight recorder; the cell runs once.
 func TestKilledCellsAreCountedAndRecorded(t *testing.T) {
-	for _, tc := range []struct {
-		kind, family string
-		cfg          Config
-	}{
-		{"timeout", "sdo_cell_timeouts_total", Config{CellTimeout: 30 * time.Millisecond}},
-		{"stall", "sdo_cell_stalls_total", Config{StallTimeout: 50 * time.Millisecond}},
-	} {
-		t.Run(tc.kind, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.Workers, cfg.MaxAttempts, cfg.RetryBackoff = 1, 2, time.Millisecond
-			s := newService(t, cfg)
-			defer s.Shutdown(context.Background())
-			var freezes atomic.Int64
-			s.wrapPolicy = func(_ harness.RunSpec, pol harness.RunPolicy) harness.RunPolicy {
-				return withAbort(pol, func() {
-					freezes.Add(1)
-					time.Sleep(200 * time.Millisecond)
-				})
-			}
-			req := specReq("mcf_r", "unsafe")
-			req.MaxInstrs = 30_000 // long enough for the run to reach its progress checks
-			j, err := s.Submit(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitJob(t, j)
-			if st := j.Status(); st.State != JobFailed || len(st.Failures) != 1 || st.Failures[0].Kind != tc.kind {
-				t.Fatalf("status %+v, want one %s failure", st, tc.kind)
-			}
-			if got := metric(t, s, tc.family); got != 2 || freezes.Load() != 2 {
-				t.Errorf("%s = %v after %d freezes, want 2 and 2 (one per attempt)", tc.family, got, freezes.Load())
-			}
-			if ev := faultEvents(s); ev["cell-"+tc.kind] != 2 || ev["cell-retry"] != 1 || ev["cell-failed"] != 1 {
-				t.Errorf("flight recorder: %d cell-%s, %d cell-retry, %d cell-failed events, want 2, 1, 1",
-					ev["cell-"+tc.kind], tc.kind, ev["cell-retry"], ev["cell-failed"])
-			}
-		})
-	}
+	t.Run("timeout", func(t *testing.T) {
+		s := newService(t, Config{Workers: 1, CellTimeout: 30 * time.Millisecond})
+		defer s.Shutdown(context.Background())
+		var freezes atomic.Int64
+		s.wrapPolicy = func(_ harness.RunSpec, pol harness.RunPolicy) harness.RunPolicy {
+			return withAbort(pol, func() {
+				freezes.Add(1)
+				time.Sleep(200 * time.Millisecond)
+			})
+		}
+		req := specReq("mcf_r", "unsafe")
+		req.MaxInstrs = 30_000 // long enough for the run to reach its progress checks
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		if st := j.Status(); st.State != JobFailed || len(st.Failures) != 1 || st.Failures[0].Kind != "timeout" {
+			t.Fatalf("status %+v, want one timeout failure", st)
+		}
+		if got := metric(t, s, "sdo_cell_timeouts_total"); got != 1 || freezes.Load() != 1 {
+			t.Errorf("sdo_cell_timeouts_total = %v after %d freezes, want 1 and 1", got, freezes.Load())
+		}
+		if ev := faultEvents(s); ev["cell-failed"] != 1 || ev["cell-retry"] != 0 {
+			t.Errorf("flight recorder: %d cell-failed and %d cell-retry events, want 1 and 0",
+				ev["cell-failed"], ev["cell-retry"])
+		}
+	})
 }
 
 // TestCacheBitFlippedEntryDropped: flipping a digit inside one entry
@@ -538,7 +495,7 @@ func TestShutdownConcurrentWithSubmit(t *testing.T) {
 
 // TestShutdownConcurrentWithCancel races a mid-sweep cancellation against
 // shutdown. The job must end terminal, shutdown must return cleanly, and
-// no goroutines (workers, watchdogs, persist timers) may leak.
+// no goroutine may leak.
 func TestShutdownConcurrentWithCancel(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := newService(t, Config{Workers: 2})
@@ -695,21 +652,16 @@ func TestHTTPRobustness(t *testing.T) {
 	}
 }
 
-// TestHealthDegradedReasons: each degradation source surfaces its reason.
+// TestHealthDegradedReasons: the one degradation source, a memory-only
+// cache, surfaces its reason.
 func TestHealthDegradedReasons(t *testing.T) {
-	s := newService(t, Config{Workers: 1, RetryStormThreshold: 2})
+	s := newService(t, Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	if h := s.Health(); h.Status != "ok" {
 		t.Fatalf("fresh service health: %+v", h)
 	}
-	s.noteRetry()
-	s.noteRetry()
-	h := s.Health()
-	if h.Status != "degraded" || !containsStr(h.Reasons, "retry-storm") {
-		t.Fatalf("storm health: %+v", h)
-	}
 	s.cache.degraded.Store(true)
-	if h := s.Health(); !containsStr(h.Reasons, "cache-degraded") {
+	if h := s.Health(); h.Status != "degraded" || !containsStr(h.Reasons, "cache-degraded") {
 		t.Fatalf("degraded-cache health: %+v", h)
 	}
 }

@@ -245,7 +245,7 @@ func TestPlanKeyIgnoresVariantModelAblation(t *testing.T) {
 	c := a
 	c.SampleInterval = 1000
 	for _, spec := range []harness.RunSpec{a, b, c} {
-		if _, _, _, err := e.Run(context.Background(), spec, harness.RunPolicy{}); err != nil {
+		if _, _, err := e.Run(context.Background(), spec, harness.RunPolicy{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -45,18 +45,9 @@ type Config struct {
 	// bound and read back from their files on demand (0: unbounded).
 	CacheMaxBytes int64
 
-	// MaxAttempts bounds attempts per cell: transiently-failed cells
-	// (panic, timeout, stall) are retried with exponential backoff up to
-	// this many total attempts (0: default 3; 1: no retries).
-	MaxAttempts int
-	// RetryBackoff is the base retry delay, doubling per attempt with
-	// deterministic jitter (0: default 200ms).
-	RetryBackoff time.Duration
-	// CellTimeout is a wall-clock deadline per cell attempt (0: none).
+	// CellTimeout is a wall-clock deadline per cell (0: none). A cell
+	// runs once; a failed one degrades its jobs.
 	CellTimeout time.Duration
-	// StallTimeout kills a cell attempt whose committed-instruction count
-	// stops advancing for this long (0: no stall watchdog).
-	StallTimeout time.Duration
 	// MaxPendingCells bounds the pending work queue: a submission whose
 	// cells would push the queue past this bound is rejected with an
 	// *OverloadError (HTTP 429 + Retry-After). 0: unbounded.
@@ -68,11 +59,8 @@ type Config struct {
 	// evicted past the bound (0: default 4096). Running jobs are never
 	// evicted.
 	MaxJobs int
-	// RetryStormThreshold marks health degraded when at least this many
-	// retries happen within one minute (0: default 50).
-	RetryStormThreshold int
 	// Recorder, when non-nil, receives ClassFault events (cell failures,
-	// retries, cache read and write failures, persistence degradation).
+	// cache read and write failures, persistence degradation).
 	Recorder *obs.Recorder
 
 	// Trace enables the sweep-lifecycle span model (internal/obs/trace):
@@ -118,17 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = harness.Options{Parallel: true}.Workers()
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 200 * time.Millisecond
-	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 4096
-	}
-	if c.RetryStormThreshold <= 0 {
-		c.RetryStormThreshold = 50
 	}
 	if c.StealLeaseTTL <= 0 {
 		c.StealLeaseTTL = DefaultStealLeaseTTL
@@ -151,9 +130,6 @@ func (e *OverloadError) Error() string {
 	return fmt.Sprintf("simsvc: overloaded: %d cells pending (limit %d); retry in ~%s",
 		e.Pending, e.Limit, e.RetryAfter.Round(time.Second))
 }
-
-// retryWindow is the sliding window for retry-storm detection.
-const retryWindow = time.Minute
 
 // flightEvents sizes the /debug/flight ring: the last flightEvents
 // observability events are always retained in memory, whatever Recorder
@@ -190,10 +166,6 @@ type Service struct {
 	// from inside its running simulation.
 	wrapPolicy func(harness.RunSpec, harness.RunPolicy) harness.RunPolicy
 
-	// Retry-storm detection: timestamps of recent retries.
-	retryMu    sync.Mutex
-	retryTimes []time.Time
-
 	// Metrics (see /metrics): each is declared once, against reg, by
 	// registerMetrics or by the component that owns it (cache,
 	// stealState); the executor's work counters are read at scrape time.
@@ -204,12 +176,10 @@ type Service struct {
 	runNanos     atomic.Uint64 // cumulative wall time of executed runs (exported in seconds)
 	jobsTotal    *obs.Counter
 
-	retriesTotal *obs.Counter // cell attempts beyond the first
-	cellsFailed  *obs.Counter // cells that failed permanently
+	cellsFailed  *obs.Counter // cells that failed
 	slowCells    *obs.Counter // executed cells that exceeded the p99 run duration
-	cellPanics   *obs.Counter // attempts that panicked (recovered)
-	cellTimeouts *obs.Counter // attempts killed by the wall-clock deadline
-	cellStalls   *obs.Counter // attempts killed by the stall watchdog
+	cellPanics   *obs.Counter // cells that panicked (recovered)
+	cellTimeouts *obs.Counter // cells killed by the wall-clock deadline
 	jobsRejected *obs.Counter // submissions refused by backpressure
 	jobsEvicted  *obs.Counter // finished jobs dropped from the registry
 
@@ -328,12 +298,10 @@ func (s *Service) registerMetrics() {
 	s.runsSkipped = ctr("sdo_runs_skipped_total", "Cells abandoned by cancellation or shutdown.")
 	r.NewCounterFunc("sdo_run_seconds_total", "Cumulative wall time of executed simulations.",
 		func() float64 { return float64(s.runNanos.Load()) / 1e9 })
-	s.retriesTotal = ctr("sdo_runs_retried_total", "Cell attempts beyond the first (transient-failure retries).")
-	s.cellsFailed = ctr("sdo_cells_failed_total", "Cells that failed permanently (retries exhausted or non-retryable).")
+	s.cellsFailed = ctr("sdo_cells_failed_total", "Cells that failed (panic, deadline or simulation error); each runs once.")
 	s.slowCells = ctr("sdo_slow_cells_total", "Executed cells whose wall time exceeded the observed p99 run duration.")
-	s.cellPanics = ctr("sdo_cell_panics_total", "Cell attempts that panicked (recovered in isolation).")
-	s.cellTimeouts = ctr("sdo_cell_timeouts_total", "Cell attempts killed by the per-cell deadline.")
-	s.cellStalls = ctr("sdo_cell_stalls_total", "Cell attempts killed by the progress-based stall watchdog.")
+	s.cellPanics = ctr("sdo_cell_panics_total", "Cells that panicked (recovered in isolation).")
+	s.cellTimeouts = ctr("sdo_cell_timeouts_total", "Cells killed by the per-cell deadline.")
 	s.jobsTotal = ctr("sdo_jobs_total", "Sweep jobs submitted.")
 	s.jobsRejected = ctr("sdo_jobs_rejected_total", "Submissions rejected by queue backpressure (HTTP 429).")
 	s.jobsEvicted = ctr("sdo_jobs_evicted_total", "Finished jobs evicted from the registry (TTL or count bound).")
@@ -393,11 +361,10 @@ type Health struct {
 }
 
 // Health reports the service's operational state: "draining" once
-// shutdown has begun, "degraded" while impaired (cache fell back to
-// memory-only, or a retry storm is underway),
-// otherwise "ok". Peer failures never degrade the status — peering
-// degrades to local simulation by design — but per-peer state is
-// reported.
+// shutdown has begun, "degraded" (reason "cache-degraded") while the cache
+// has fallen back to memory-only, otherwise "ok". Peer failures never
+// degrade the status — peering degrades to local simulation by design —
+// but per-peer state is reported.
 func (s *Service) Health() Health {
 	s.mu.Lock()
 	closed := s.closed
@@ -405,45 +372,11 @@ func (s *Service) Health() Health {
 	if closed {
 		return Health{Status: "draining"}
 	}
-	h := Health{Peers: s.fab.Snapshot()}
+	h := Health{Status: "ok", Peers: s.fab.Snapshot()}
 	if s.cache.degraded.Load() {
-		h.Reasons = append(h.Reasons, "cache-degraded")
-	}
-	if s.retryStorm() {
-		h.Reasons = append(h.Reasons, "retry-storm")
-	}
-	h.Status = "ok"
-	if len(h.Reasons) > 0 {
-		h.Status = "degraded"
+		h.Status, h.Reasons = "degraded", []string{"cache-degraded"}
 	}
 	return h
-}
-
-// noteRetry records a retry timestamp for storm detection.
-func (s *Service) noteRetry() {
-	now := time.Now()
-	s.retryMu.Lock()
-	defer s.retryMu.Unlock()
-	cut := 0
-	for cut < len(s.retryTimes) && now.Sub(s.retryTimes[cut]) > retryWindow {
-		cut++
-	}
-	s.retryTimes = append(s.retryTimes[cut:], now)
-}
-
-// retryStorm reports whether retries within the window exceed the
-// configured threshold.
-func (s *Service) retryStorm() bool {
-	now := time.Now()
-	s.retryMu.Lock()
-	defer s.retryMu.Unlock()
-	n := 0
-	for _, t := range s.retryTimes {
-		if now.Sub(t) <= retryWindow {
-			n++
-		}
-	}
-	return n >= s.cfg.RetryStormThreshold
 }
 
 // SweepRequest selects a sweep. Empty lists mean "all"; a zero MaxInstrs
@@ -754,39 +687,17 @@ func (s *Service) liveLocked(f *flight) bool {
 	return false
 }
 
-// cellEvent counts per-attempt outcomes from the harness (metrics +
-// observability).
-func (s *Service) cellEvent(ev harness.CellEvent) {
-	switch ev.Kind {
-	case "retry":
-		s.retriesTotal.Add(1)
-		s.noteRetry()
-	case "panic":
-		s.cellPanics.Add(1)
-	case "timeout":
-		s.cellTimeouts.Add(1)
-	case "stall":
-		s.cellStalls.Add(1)
-	}
-	if s.rec.On(obs.ClassFault) {
-		s.rec.Emit(obs.Event{Class: obs.ClassFault, Kind: "cell-" + ev.Kind,
-			Detail: fmt.Sprintf("%s/%v/%v attempt %d: %v",
-				ev.Key.Workload, ev.Key.Variant, ev.Key.Model, ev.Attempt, ev.Err)})
-	}
-}
-
 // settlement is what a finished flight owes each of its waiters.
 type settlement struct {
 	// res is the cache's copy of the result: every waiter shares it.
 	res *core.Result
-	// err nil delivers res. A *harness.CellError is a permanent cell
-	// failure: the waiting jobs degrade rather than die. Any other error
+	// err nil delivers res. A *harness.CellError is a cell failure: the
+	// waiting jobs degrade rather than die. Any other error
 	// fails the waiting jobs with it (ErrCancelled: the cell was skipped).
-	err     error
-	status  string // terminal status of each waiter's cell trace
-	note    string // progress-line suffix: how the result was obtained
-	cached  bool   // counts toward the jobs' cached_runs
-	retries int
+	err    error
+	status string // terminal status of each waiter's cell trace
+	note   string // progress-line suffix: how the result was obtained
+	cached bool   // counts toward the jobs' cached_runs
 }
 
 // settle retires the finished flight for key — whoever finished it: the
@@ -807,19 +718,25 @@ func (s *Service) settle(key string, k harness.Key, o settlement) {
 	)
 	if errors.As(o.err, &ce) {
 		s.cellsFailed.Inc()
+		switch ce.Kind {
+		case harness.FailPanic:
+			s.cellPanics.Inc()
+		case harness.FailTimeout:
+			s.cellTimeouts.Inc()
+		}
 		s.event("cell-failed", ce.Error())
-		fail = Failure{Cell: cellName(k), Kind: string(ce.Kind), Attempts: ce.Attempts, Error: ce.Err.Error()}
-		line = fmt.Sprintf("%-14s %-11s %-10s FAILED: %s after %d attempt(s): %v",
-			k.Workload, k.Variant, k.Model, ce.Kind, ce.Attempts, ce.Err)
+		fail = Failure{Cell: cellName(k), Kind: string(ce.Kind), Error: ce.Err.Error()}
+		line = fmt.Sprintf("%-14s %-11s %-10s FAILED: %s: %v",
+			k.Workload, k.Variant, k.Model, ce.Kind, ce.Err)
 	}
 	for _, w := range f.waiters {
 		w.await.Finish()
 		att := finishCell(w.ct, o.status)
 		switch {
 		case o.err == nil:
-			w.job.deliver(w.idx, w.key, o.res, o.note, o.cached, o.retries, att)
+			w.job.deliver(w.idx, w.key, o.res, o.note, o.cached, att)
 		case ce != nil:
-			w.job.cellFail(w.idx, w.key, fail, line, o.retries)
+			w.job.cellFail(w.idx, w.key, fail, line)
 		default:
 			w.job.fail(o.err)
 		}
@@ -866,9 +783,9 @@ func (s *Service) flightOrCachedLocked(key string, readThrough bool) (*flight, *
 // identical in-flight run, a stolen-cell lease, a peer, or an equivalent
 // cell's run (fly), and executes it only when all of these miss. idx is
 // the cell's index in its job's enumeration order. Execution is
-// hardened: panics are isolated, the configured deadline/stall watchdog
-// applies, and transient failures retry with backoff; a permanent
-// failure degrades the waiting jobs instead of killing them.
+// hardened: a panic is isolated and the configured deadline applies. A
+// cell runs once, and a failed one degrades the waiting jobs instead of
+// killing them.
 func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.RunSpec, enqueued time.Time) {
 	if s.steal != nil {
 		// A worker picked the cell up: it is no longer stealable (on every
@@ -902,7 +819,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	cs.Set("hit", strconv.FormatBool(hit))
 	cs.Finish()
 	if hit {
-		j.deliver(idx, k, r, "  [cached]", true, 0, finishCell(ct, "cached"))
+		j.deliver(idx, k, r, "  [cached]", true, finishCell(ct, "cached"))
 		return
 	}
 	s.mu.Lock()
@@ -917,7 +834,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	case cached != nil:
 		s.mu.Unlock()
 		s.runsDeduped.Inc() // the flight it missed settled a moment ago
-		j.deliver(idx, k, cached, "  [cached]", true, 0, finishCell(ct, "cached"))
+		j.deliver(idx, k, cached, "  [cached]", true, finishCell(ct, "cached"))
 		return
 	}
 	s.inflight[key] = &flight{waiters: []delivery{{job: j, idx: idx, key: k, ct: ct}}}
@@ -963,14 +880,13 @@ func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harne
 	// in-flight cells (complete-and-persist), and a cancelled job's
 	// cells abort via the policy's Abort hook only once no other live job
 	// waits on them. The executing waiter's root span rides along so the
-	// harness nests its attempt/interval spans under this cell's simulate
-	// phase.
-	res, retries, elapsed, err := s.execute(trace.NewContext(context.Background(), ct.Root()), spec,
+	// harness nests its interval spans under this cell's simulate phase.
+	res, elapsed, err := s.execute(trace.NewContext(context.Background(), ct.Root()), spec,
 		func() bool { return s.flightAbandoned(key) })
 	if elapsed > 0 {
 		s.noteSlowCell(k, elapsed, ct)
 	}
-	o := settlement{err: err, status: "done", retries: retries}
+	o := settlement{err: err, status: "done"}
 	var ce *harness.CellError
 	switch {
 	case err == nil:
@@ -1080,32 +996,25 @@ func (s *Service) noteSlowCell(k harness.Key, elapsed time.Duration, ct *trace.C
 	}
 }
 
-// execute runs one cell through the executor under the service's fault
-// policy, accounts the run, and returns the result, retry count, and how
-// long the simulation itself took (0 when none started). The demand path
+// execute runs one cell through the executor under the service's
+// deadline, accounts the run, and returns the result and how long the
+// simulation itself took (0 when none started). The demand path
 // (runCell) and the thief path (RunStolen) both execute cells through
 // here, so a stolen result is bit-identical to the demand result for the
 // same key. abort (may be nil) lets a mid-run demand cell stop once
 // nothing waits on it.
-func (s *Service) execute(ctx context.Context, spec harness.RunSpec, abort func() bool) (core.Result, int, time.Duration, error) {
-	pol := harness.RunPolicy{
-		MaxAttempts:  s.cfg.MaxAttempts,
-		RetryBackoff: s.cfg.RetryBackoff,
-		CellTimeout:  s.cfg.CellTimeout,
-		StallTimeout: s.cfg.StallTimeout,
-		Abort:        abort,
-		Notify:       s.cellEvent,
-	}
+func (s *Service) execute(ctx context.Context, spec harness.RunSpec, abort func() bool) (core.Result, time.Duration, error) {
+	pol := harness.RunPolicy{CellTimeout: s.cfg.CellTimeout, Abort: abort}
 	if s.wrapPolicy != nil {
 		pol = s.wrapPolicy(spec, pol)
 	}
-	r, retries, elapsed, err := s.exec.Run(ctx, spec, pol)
+	r, elapsed, err := s.exec.Run(ctx, spec, pol)
 	if elapsed > 0 {
 		s.runNanos.Add(uint64(elapsed))
 		s.runDur.Observe(elapsed.Seconds())
 		s.runsExecuted.Inc()
 	}
-	return r, retries, elapsed, err
+	return r, elapsed, err
 }
 
 // Shutdown stops intake, cancels queued-but-unstarted cells and lets

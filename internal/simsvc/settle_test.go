@@ -32,26 +32,26 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 	var res core.Result
 	res.Cycles, res.Committed = 1234, 2000
 	okLine := harness.FormatProgress(k, res)
-	cellErr := &harness.CellError{Key: k, Kind: harness.FailPanic, Attempts: 2, Err: errors.New("boom")}
+	cellErr := &harness.CellError{Key: k, Kind: harness.FailPanic, Err: errors.New("boom")}
 
 	cases := []struct {
-		name    string
-		o       settlement
-		state   JobState
-		line    string // the one progress line ("" for none)
-		cached  int
-		retries uint64
+		name   string
+		o      settlement
+		state  JobState
+		line   string // the one progress line ("" for none)
+		cached int
 	}{
-		{name: "executed", o: settlement{res: &res, status: "done", retries: 1}, state: JobDone, line: okLine, retries: 1},
+		{name: "executed", o: settlement{res: &res, status: "done"}, state: JobDone, line: okLine},
 		{name: "peer hit", o: settlement{res: &res, status: "peer", note: "  [peer]", cached: true}, state: JobDone, line: okLine + "  [peer]", cached: 1},
 		{name: "stolen hit", o: settlement{res: &res, status: "stolen", note: "  [stolen]", cached: true}, state: JobDone, line: okLine + "  [stolen]", cached: 1},
-		{name: "permanent failure", o: settlement{err: cellErr, status: "failed", retries: 1}, state: JobFailed,
-			line: "exchange2_r    Unsafe      Spectre    FAILED: panic after 2 attempt(s): boom", retries: 1},
+		{name: "permanent failure", o: settlement{err: cellErr, status: "failed"}, state: JobFailed,
+			line: "exchange2_r    Unsafe      Spectre    FAILED: panic: boom"},
 		{name: "skipped", o: settlement{err: ErrCancelled, status: "abandoned"}, state: JobCancelled},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			failedBefore := metric(t, s, "sdo_cells_failed_total")
+			panicsBefore := metric(t, s, "sdo_cell_panics_total")
 			jobs := []*Job{bareJob("executor"), bareJob("joiner")}
 			f := &flight{}
 			for _, j := range jobs {
@@ -75,9 +75,9 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 					t.Fatalf("%s: job not finished by its only cell's settlement", j.ID)
 				}
 				st := j.Status()
-				if st.State != tc.state || st.Cached != tc.cached || st.Retries != tc.retries {
-					t.Errorf("%s: state=%s cached=%d retries=%d, want %s/%d/%d",
-						j.ID, st.State, st.Cached, st.Retries, tc.state, tc.cached, tc.retries)
+				if st.State != tc.state || st.Cached != tc.cached {
+					t.Errorf("%s: state=%s cached=%d, want %s/%d",
+						j.ID, st.State, st.Cached, tc.state, tc.cached)
 				}
 				lines, _ := j.ProgressSince(0)
 				var want []string
@@ -88,12 +88,18 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 					t.Errorf("%s: progress lines %q, want %q", j.ID, lines, want)
 				}
 			}
-			wantFailed := failedBefore
+			wantFailed, wantPanics := failedBefore, panicsBefore
 			if tc.state == JobFailed {
-				wantFailed++ // one failed cell, however many jobs waited on it
+				// One failed cell, however many jobs waited on it, and
+				// its kind's count.
+				wantFailed++
+				wantPanics++
 			}
 			if got := metric(t, s, "sdo_cells_failed_total"); got != wantFailed {
 				t.Errorf("sdo_cells_failed_total = %v, want %v", got, wantFailed)
+			}
+			if got := metric(t, s, "sdo_cell_panics_total"); got != wantPanics {
+				t.Errorf("sdo_cell_panics_total = %v, want %v", got, wantPanics)
 			}
 		})
 	}

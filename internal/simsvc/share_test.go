@@ -127,12 +127,12 @@ func TestFinishedJobReleasesItsContext(t *testing.T) {
 		{"cancelled", false, SweepRequest{MaxInstrs: 60_000}, JobCancelled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newService(t, Config{Workers: 2, MaxAttempts: 1})
+			s := newService(t, Config{Workers: 2})
 			defer s.Shutdown(context.Background())
 			var panics atomic.Int64
 			if tc.panicky {
 				tc.req.MaxInstrs = longReq().MaxInstrs // reach the progress checks
-				s.wrapPolicy = panicking(func(spec harness.RunSpec) bool { return spec.Workload == "deepsjeng_r" }, false, &panics)
+				s.wrapPolicy = panicking(func(spec harness.RunSpec) bool { return spec.Workload == "deepsjeng_r" }, &panics)
 			}
 			j, err := s.Submit(tc.req)
 			if err != nil {

@@ -334,7 +334,7 @@ func (s *Service) runStolen(ctx context.Context, spec harness.RunSpec) ([]byte, 
 	}
 	e, ok := s.cache.lookup(key, false)
 	if !ok {
-		r, _, _, err := s.execute(ctx, spec, nil)
+		r, _, err := s.execute(ctx, spec, nil)
 		if err != nil {
 			return nil, err
 		}

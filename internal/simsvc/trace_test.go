@@ -64,31 +64,29 @@ func checkAttributionSums(t *testing.T, cell trace.CellDoc) {
 	}
 }
 
-// TestTraceRetriedCell checks the span tree across a retried sweep (both
-// Hybrid cells panic inside their first attempt): every cell has the
-// queue/cache phase chain, each retried cell shows two attempt spans plus
-// a backoff span under simulate, and every cell's attribution sums to its
-// wall clock.
-func TestTraceRetriedCell(t *testing.T) {
-	s := newService(t, Config{
-		Workers:      2,
-		MaxAttempts:  3,
-		RetryBackoff: time.Millisecond,
-		Trace:        true,
-	})
+// TestTraceFailedCell checks the span tree of a sweep whose Hybrid cells
+// panic: every cell has the queue/cache phase chain and exactly one
+// simulate span — a failed cell runs once — the failed cells' roots say
+// status=failed, and every cell's attribution sums to its wall clock.
+func TestTraceFailedCell(t *testing.T) {
+	s := newService(t, Config{Workers: 2, Trace: true})
 	defer s.Shutdown(context.Background())
 	var panics atomic.Int64
-	s.wrapPolicy = panicking(isVariant(core.Hybrid), true, &panics)
+	s.wrapPolicy = panicking(func(spec harness.RunSpec) bool { return spec.Variant == core.Hybrid }, &panics)
 
-	j := submitAndWait(t, s, longReq())
-	if st := j.Status(); st.Retries != 2 || panics.Load() != 2 {
-		t.Fatalf("%d panics, status %+v; want 2 panics, each retried once", panics.Load(), st)
+	j, err := s.Submit(longReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	if st := j.Status(); st.State != JobDegraded || st.Failed != 2 || panics.Load() != 2 {
+		t.Fatalf("%d panics, status %+v; want 2 panics and a degraded job", panics.Load(), st)
 	}
 	doc := traceDoc(t, j)
 	if len(doc.Cells) != 4 {
 		t.Fatalf("trace has %d cells, want 4", len(doc.Cells))
 	}
-	retried := 0
+	failed := 0
 	for _, cell := range doc.Cells {
 		root := cell.Spans
 		if root == nil || root.Name != trace.RootName {
@@ -100,40 +98,22 @@ func TestTraceRetriedCell(t *testing.T) {
 		if len(findSpans(root, trace.PhaseCache)) != 1 {
 			t.Errorf("cell %s missing cache-lookup span", cell.Cell)
 		}
-		// Every executed cell simulates; none were cached in a fresh
-		// service, so each has a simulate phase with >= 1 attempt.
-		sims := findSpans(root, trace.PhaseSimulate)
-		if len(sims) != 1 {
-			t.Fatalf("cell %s has %d simulate spans, want 1", cell.Cell, len(sims))
+		// None were cached in a fresh service: each cell simulated, once.
+		if n := len(findSpans(root, trace.PhaseSimulate)); n != 1 {
+			t.Fatalf("cell %s has %d simulate spans, want 1", cell.Cell, n)
 		}
-		attempts := findSpans(sims[0], trace.PhaseAttempt)
-		if len(attempts) == 0 {
-			t.Fatalf("cell %s simulate has no attempt spans", cell.Cell)
+		want := "done"
+		if strings.Contains(cell.Cell, "/Hybrid/") {
+			want = "failed"
+			failed++
 		}
-		if len(attempts) > 1 {
-			retried++
-			if len(findSpans(sims[0], trace.PhaseBackoff)) == 0 {
-				t.Errorf("cell %s retried without a retry-backoff span", cell.Cell)
-			}
-			if cell.Attribution.RetryUS <= 0 {
-				t.Errorf("cell %s retried but attribution has no retry time: %+v",
-					cell.Cell, cell.Attribution)
-			}
-			if got := attempts[0].Attrs["outcome"]; got != "panic" {
-				t.Errorf("first attempt outcome = %q, want panic", got)
-			}
-			if got := attempts[len(attempts)-1].Attrs["outcome"]; got != "ok" {
-				t.Errorf("last attempt outcome = %q, want ok", got)
-			}
-		}
-		if cell.Attribution.Attempts != len(attempts) {
-			t.Errorf("cell %s attribution attempts = %d, spans show %d",
-				cell.Cell, cell.Attribution.Attempts, len(attempts))
+		if got := root.Attrs["status"]; got != want {
+			t.Errorf("cell %s root status = %q, want %q", cell.Cell, got, want)
 		}
 		checkAttributionSums(t, cell)
 	}
-	if retried != 2 {
-		t.Fatalf("%d cells have multiple attempt spans, want the 2 that panicked", retried)
+	if failed != 2 {
+		t.Fatalf("%d Hybrid cells in the trace, want 2", failed)
 	}
 }
 
@@ -333,8 +313,7 @@ func TestSlowCellNote(t *testing.T) {
 
 // TestTraceSampledCell: a sampled cell builds its plan under a plan phase,
 // and its simulate phase holds one interval span per representative it
-// ran — each with its window and its one attempt — then one reconstruct
-// span.
+// ran — each with its window — then one reconstruct span.
 func TestTraceSampledCell(t *testing.T) {
 	s := newService(t, Config{Workers: 1, Trace: true})
 	defer s.Shutdown(context.Background())
@@ -356,15 +335,12 @@ func TestTraceSampledCell(t *testing.T) {
 		t.Fatalf("sampled cell %s simulated no interval", cell.Cell)
 	}
 	for _, iv := range intervals {
-		if iv.Attrs["start"] == "" || iv.Attrs["len"] == "" || len(findSpans(iv, trace.PhaseAttempt)) != 1 {
-			t.Errorf("interval span %+v, want start, len and one attempt", iv)
+		if iv.Attrs["start"] == "" || iv.Attrs["len"] == "" {
+			t.Errorf("interval span %+v, want start and len", iv)
 		}
 	}
 	if n := len(findSpans(sims[0], trace.PhaseReconstruct)); n != 1 {
 		t.Errorf("sampled cell %s has %d reconstruct spans, want 1", cell.Cell, n)
-	}
-	if cell.Attribution.Attempts != len(intervals) {
-		t.Errorf("attribution counts %d attempts for %d intervals", cell.Attribution.Attempts, len(intervals))
 	}
 	checkAttributionSums(t, cell)
 }

@@ -118,7 +118,7 @@ func TestCheckpointKeyIgnoresVariantModelAblation(t *testing.T) {
 	c := a
 	c.WarmupInstrs = 2000
 	for _, spec := range []harness.RunSpec{a, b, c} {
-		if _, _, _, err := e.Run(context.Background(), spec, harness.RunPolicy{}); err != nil {
+		if _, _, err := e.Run(context.Background(), spec, harness.RunPolicy{}); err != nil {
 			t.Fatal(err)
 		}
 	}
