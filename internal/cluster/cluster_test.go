@@ -632,8 +632,12 @@ func TestClusterNodesBuildIdenticalArtifacts(t *testing.T) {
 // TTL the owner reclaims and finishes them itself — the sweep still
 // completes exactly.
 func TestClusterStealLeaseExpiryReclamation(t *testing.T) {
+	// Sampled cells, so the owner's one worker parks inside its first
+	// cell's plan build and the other three stay queued for the claim.
 	req := smallReq()
-	req.MaxInstrs = 10_000
+	req.SimMode = "sampled"
+	req.MaxInstrs = 6000
+	req.SampleIntervalInstrs = 2000
 
 	golden := soloGolden(t, req)
 
@@ -642,17 +646,20 @@ func TestClusterStealLeaseExpiryReclamation(t *testing.T) {
 		scfg.StealLeaseTTL = 250 * time.Millisecond
 	})
 	a := nodes[0]
+	entered, release := gateBuilds(t, a, 1)
 
 	st := postSweep(t, a.srv.URL, req)
+	<-entered
 	// The "thief" claims queued cells over the wire and is then
 	// SIGKILLed: no completion ever arrives.
 	body, _ := get(t, a.srv.URL+"/cluster/steal?max=3&thief=doomed", 200)
+	release()
 	var cells []simsvc.StolenCell
 	if err := json.Unmarshal(body, &cells); err != nil {
 		t.Fatalf("steal claim: %v: %s", err, body)
 	}
-	if len(cells) == 0 {
-		t.Fatal("no cells claimable right after submit (workers=1, 4 cells)")
+	if len(cells) != 3 {
+		t.Fatalf("claimed %d cells while the one worker holds the first, want the other 3", len(cells))
 	}
 
 	export, _ := get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)

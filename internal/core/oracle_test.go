@@ -157,30 +157,40 @@ func TestEventStreamGolden(t *testing.T) {
 
 // TestStepDoesNotAllocate is the allocation guard: once a machine is warm,
 // stepping it allocates nothing — fetch buffer, issue/load/store queues
-// and work lists are fixed-capacity, rename decodes onto the stack.
+// and work lists are fixed-capacity, and the decoded program is built
+// once by pipeline.New. testing.AllocsPerRun counts every allocation of
+// the process, and under load the runtime makes a few of its own beside a
+// window; so the same window is measured on three freshly built,
+// identically warmed machines, and the test fails only if all three
+// allocated. Step is deterministic: an allocation of its own repeats in
+// every window. STT{ld} and Static L2 grow the parked-squash, Obl-Ld and
+// FP lists; Unsafe and Hybrid are the emptiest and the fullest IQ.
 func TestStepDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		kernel string
 		v      Variant
-	}{{"deepsjeng_r", Unsafe}, {"mcf_r", Hybrid}} {
+	}{{"deepsjeng_r", Unsafe}, {"mcf_r", STTLd}, {"mcf_r", StaticL2}, {"mcf_r", Hybrid}} {
 		wl, err := workload.ByName(tc.kernel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		prog, init := wl.Build()
-		c := NewMachine(Config{Variant: tc.v, Model: pipeline.Futuristic}, prog, init).Core()
-		if err := c.RunUntilCommitted(20_000); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(1, func() {
-			for i := 0; i < 10_000; i++ {
-				if err := c.Step(); err != nil {
-					t.Fatal(err)
-				}
+		var allocs [3]float64
+		for i := range allocs {
+			c := NewMachine(Config{Variant: tc.v, Model: pipeline.Futuristic}, prog, init).Core()
+			if err := c.RunUntilCommitted(20_000); err != nil {
+				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s/%v: %v allocations over 10k warm Steps, want 0", tc.kernel, tc.v, allocs)
+			allocs[i] = testing.AllocsPerRun(1, func() {
+				for i := 0; i < 10_000; i++ {
+					if err := c.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+		if min(allocs[0], allocs[1], allocs[2]) != 0 {
+			t.Errorf("%s/%v: %v allocations over 10k warm Steps on three machines, want 0 on at least one", tc.kernel, tc.v, allocs)
 		}
 	}
 }

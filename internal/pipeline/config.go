@@ -154,9 +154,9 @@ const (
 // opLatency returns the execution latency for in, given its operand values
 // (FP transmitters are operand-dependent unless forceFast, which is the SDO
 // fast-path execution).
-func opLatency(in isa.Instr, rs, rt, result uint64, forceFast bool) uint64 {
-	slow := !forceFast && isa.FPSlowPath(in.Op, rs, rt, result)
-	switch in.Op {
+func opLatency(op isa.Op, rs, rt, result uint64, forceFast bool) uint64 {
+	slow := !forceFast && isa.FPSlowPath(op, rs, rt, result)
+	switch op {
 	case isa.OpMul:
 		return latMul
 	case isa.OpDiv:

@@ -13,7 +13,7 @@ import (
 // memory image and a memory-system port.
 type Core struct {
 	cfg  Config
-	prog *isa.Program
+	code []static // the program, decoded once (decode)
 	data *isa.Memory
 	port MemPort
 	bp   *bpred.Predictor
@@ -27,6 +27,7 @@ type Core struct {
 	renameMap [isa.NumRegs]int64 // producer seq, -1 = committed regfile
 
 	rob     []robEntry // ring of 2ⁿ ≥ ROBSize slots indexed by seq&(len-1)
+	sides   []robSide  // cold halves of the rob entries, slot for slot
 	headSeq uint64     // oldest live seq
 	tailSeq uint64     // next seq to allocate
 	ready   []uint64   // issue queue, ready set: one bit per ROB ring slot (exec.go "enqueue")
@@ -36,11 +37,18 @@ type Core struct {
 
 	// Work lists: the seqs each stage walks instead of scanning the ROB
 	// (DESIGN.md "cost model"); squash trims them, CheckInvariants recomputes them.
-	exec   []uint64 // executing non-store, non-Obl ops (unordered)
-	stData []uint64 // stores with an address still waiting for data (unordered)
-	brs    []uint64 // conditional branches without effectApplied (age-ordered)
-	fps    []uint64 // fpSDO ops without effectApplied (age-ordered)
-	obls   []uint64 // Obl-Lds whose state machine is still running (age-ordered)
+	exec   []uint64  // executing non-store, non-Obl ops (unordered)
+	stData []uint64  // stores with an address still waiting for data (unordered)
+	brs    []uint64  // conditional branches without effectApplied (age-ordered)
+	fps    []uint64  // fpSDO ops without effectApplied (age-ordered)
+	obls   []oblItem // Obl-Lds whose state machine is still running (age-ordered)
+
+	// Walk gates: resolveBranches and stepOblAll walk their lists only when
+	// something on them can have become due (resolve.go, memory.go).
+	brsDue      bool   // a branch resolved since the last brs walk
+	brsFrontier uint64 // the frontier the last brs walk saw
+	oblFrontier uint64 // the frontier the last obls walk saw
+	oblWake     uint64 // earliest wake on obls when it was last walked or grown
 
 	frontierDirty uint64     // oldest seq that may have started blocking the frontier (noSeq: none)
 	nextDone      uint64     // earliest doneAt left in exec (noSeq: none)
@@ -83,7 +91,7 @@ type parkedSquash struct {
 
 type fetchSlot struct {
 	pc         int
-	in         isa.Instr
+	row        uint32 // pc's row in the static table
 	predTaken  bool
 	predTarget int
 	snap       bpred.Snapshot
@@ -104,7 +112,7 @@ func New(cfg Config, prog *isa.Program, data *isa.Memory, port MemPort) *Core {
 	}
 	c := &Core{
 		cfg:    cfg,
-		prog:   prog,
+		code:   decode(prog),
 		data:   data,
 		port:   port,
 		bp:     bpred.New(cfg.BP),
@@ -112,6 +120,7 @@ func New(cfg Config, prog *isa.Program, data *isa.Memory, port MemPort) *Core {
 		memCfg: hierCfgOf(port),
 
 		rob:      make([]robEntry, ceilPow2(cfg.ROBSize)),
+		sides:    make([]robSide, ceilPow2(cfg.ROBSize)),
 		ready:    make([]uint64, max(1, ceilPow2(cfg.ROBSize)/64)),
 		lq:       newRing[uint64](cfg.LQSize),
 		sq:       newRing[uint64](cfg.SQSize),
@@ -121,9 +130,9 @@ func New(cfg Config, prog *isa.Program, data *isa.Memory, port MemPort) *Core {
 		stData:   make([]uint64, 0, cfg.SQSize),
 		brs:      make([]uint64, 0, cfg.ROBSize),
 		fps:      make([]uint64, 0, cfg.ROBSize),
-		obls:     make([]uint64, 0, cfg.LQSize),
+		obls:     make([]oblItem, 0, cfg.LQSize),
 	}
-	c.frontierDirty, c.nextDone = noSeq, noSeq
+	c.frontierDirty, c.nextDone, c.oblWake = noSeq, noSeq, noSeq
 	c.schemeTaint = c.scheme.TracksTaint()
 	if m := c.scheme.SpecMode(); m != mem.SpecOff {
 		sp, ok := port.(SpecMemPort)
@@ -182,6 +191,20 @@ func (c *Core) Halted() bool { return c.halted }
 
 // entry returns the ROB entry for a live seq.
 func (c *Core) entry(seq uint64) *robEntry { return &c.rob[seq&uint64(len(c.rob)-1)] }
+
+// side returns the cold half of seq's ROB entry.
+func (c *Core) side(seq uint64) *robSide { return &c.sides[seq&uint64(len(c.sides)-1)] }
+
+// row returns the index of pc's row in the static table.
+func (c *Core) row(pc int) uint32 {
+	if uint(pc) >= uint(len(c.code)) {
+		return uint32(len(c.code) - 1) // the trailing Halt row
+	}
+	return uint32(pc)
+}
+
+// instr returns the instruction e executes.
+func (c *Core) instr(e *robEntry) *isa.Instr { return &c.code[e.row].in }
 
 func (c *Core) live(seq uint64) bool { return seq >= c.headSeq && seq < c.tailSeq }
 
@@ -257,11 +280,8 @@ func (c *Core) skipAhead(before [3]uint64, maxCycles uint64) {
 	if c.interval.every != 0 {
 		bound(c.interval.lastCycle + c.interval.every)
 	}
-	for _, seq := range c.obls {
-		e := c.entry(seq)
-		bound(e.oblRes.Done)
-		bound(e.oblRes.EarlyDone)
-		bound(e.valDone)
+	for _, it := range c.obls {
+		bound(it.wake)
 	}
 	k := next - 1 - c.cycle
 	c.cycle += k
@@ -314,7 +334,7 @@ func (c *Core) headInstrDesc() string {
 		return "<empty ROB>"
 	}
 	e := c.entry(c.headSeq)
-	return fmt.Sprintf("%v (state=%d obl=%d pc=%d)", e.in, e.state, e.obl, e.pc)
+	return fmt.Sprintf("%v (state=%d obl=%d pc=%d)", *c.instr(e), e.state, e.obl, e.pc)
 }
 
 // --- Fetch ---
@@ -337,9 +357,11 @@ func (c *Core) fetch() {
 				return
 			}
 		}
-		in := c.prog.At(c.fetchPC)
-		slot := c.fetchBuf.at(c.fetchBuf.n) // pushed in place
-		*slot = fetchSlot{pc: c.fetchPC, in: in}
+		row := c.row(c.fetchPC)
+		st := &c.code[row]
+		in := &st.in
+		slot := c.fetchBuf.at(c.fetchBuf.n) // pushed in place; rename reads the prediction of a conditional branch only
+		slot.pc, slot.row = c.fetchPC, row
 		c.fetchBuf.n++
 		switch {
 		case in.Op == isa.OpHalt:
@@ -347,9 +369,8 @@ func (c *Core) fetch() {
 			c.stats.Fetched++
 			return
 		case in.Op == isa.OpJmp:
-			slot.predTaken, slot.predTarget = true, in.Target
 			c.fetchPC = in.Target
-		case in.Op.IsCondBranch():
+		case st.class&isa.ClassCondBranch != 0:
 			taken, snap := c.bp.PredictDirection(addr)
 			slot.predTaken, slot.snap = taken, snap
 			if taken {
@@ -375,10 +396,10 @@ func (c *Core) rename() {
 			return // ROB full
 		}
 		slot := c.fetchBuf.at(0)
-		in := slot.in
-		class := in.Op.Class()
-		needsIQ := in.Op != isa.OpNop && in.Op != isa.OpHalt && in.Op != isa.OpFlush && in.Op != isa.OpJmp
-		if needsIQ && c.iqN >= c.cfg.IQSize ||
+		row := slot.row
+		st := &c.code[row]
+		in, class := &st.in, st.class
+		if st.needsIQ && c.iqN >= c.cfg.IQSize ||
 			class&isa.ClassLoad != 0 && c.lq.n >= c.cfg.LQSize ||
 			(class&isa.ClassStore != 0 || in.Op == isa.OpFlush) && c.sq.n >= c.cfg.SQSize {
 			return // a queue is full (flushes order with stores via the SQ)
@@ -390,22 +411,23 @@ func (c *Core) rename() {
 		if c.obs.On(obs.ClassRename) {
 			c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassRename, Kind: "rename",
 				Seq: seq, PC: slot.pc,
-				Detail: fmt.Sprintf("seq=%d pc=%d %v", seq, slot.pc, slot.in)})
+				Detail: fmt.Sprintf("seq=%d pc=%d %v", seq, slot.pc, st.in)})
 		}
 		e := c.entry(seq)
-		*e = robEntry{} // zeroed in place, then filled: no 300-byte temporary copy
-		e.seq, e.pc, e.in, e.class = seq, slot.pc, in, class
-		e.predTaken, e.predTarget, e.bpSnap = slot.predTaken, slot.predTarget, slot.snap
+		*e = robEntry{} // zeroed in place, then filled: no temporary copy of the entry
+		e.seq, e.pc, e.row = seq, slot.pc, row
+		e.class, e.op, e.rd, e.nSrc, e.nNeed = class, in.Op, in.Rd, st.nSrc, st.nNeed
 		e.sqForward, e.prevProd = -1, -1
-		c.fetchBuf.pop()
-		var regs [2]isa.Reg
-		srcs := in.SrcRegs(regs[:0])
-		e.nSrc = uint8(len(srcs))
-		for i, r := range srcs {
-			e.src[i] = operand{reg: r, producer: c.renameMap[r]}
+		switch {
+		case class&isa.ClassLoad != 0:
+			*c.side(seq) = robSide{seq: seq}
+		case class&isa.ClassCondBranch != 0:
+			s := c.side(seq)
+			s.seq, s.predTaken, s.predTarget, s.bpSnap = seq, slot.predTaken, slot.predTarget, slot.snap
 		}
-		if e.nNeed = e.nSrc; class&(isa.ClassLoad|isa.ClassStore) != 0 {
-			e.nNeed = 1 // the AGU needs only the address; store data binds later
+		c.fetchBuf.pop()
+		for i, r := range st.src[:st.nSrc] {
+			e.src[i] = operand{reg: r, producer: c.renameMap[r]}
 		}
 		if class&isa.ClassWritesReg != 0 {
 			e.hasDest = true
@@ -420,7 +442,6 @@ func (c *Core) rename() {
 			// dispatch, never mispredicts.
 			e.state = stDone
 			e.resolved, e.effectApplied = true, true
-			e.actualTaken, e.actualTarget = true, in.Target
 		case in.Op == isa.OpFlush:
 			// Flushes carry an address source; they apply at commit. The
 			// address is read at commit time from the committed regfile.

@@ -129,7 +129,7 @@ func (c *Core) issueALU(e *robEntry) bool {
 	// once it is the oldest instruction, so timing reads order with every
 	// older access — which is what makes the in-simulator covert-channel
 	// measurements meaningful.
-	if e.in.Op == isa.OpRdCyc && e.seq != c.headSeq {
+	if e.op == isa.OpRdCyc && e.seq != c.headSeq {
 		return false
 	}
 	ready, vals, root := c.srcsReady(e)
@@ -137,9 +137,9 @@ func (c *Core) issueALU(e *robEntry) bool {
 		return false
 	}
 	c.intPortsBusy++
-	e.destVal = isa.EvalALU(e.in, vals[0], vals[1], c.cycle)
+	e.destVal = isa.EvalALU(*c.instr(e), vals[0], vals[1], c.cycle)
 	e.destRoot = root
-	e.doneAt = c.cycle + opLatency(e.in, vals[0], vals[1], e.destVal, false)
+	e.doneAt = c.cycle + opLatency(e.op, vals[0], vals[1], e.destVal, false)
 	e.state = stExecuting
 	return true
 }
@@ -161,14 +161,14 @@ func (c *Core) issueFP(e *robEntry) bool {
 		return false
 	}
 	c.fpPortsBusy++
-	e.destVal = isa.EvalALU(e.in, vals[0], vals[1], c.cycle)
+	e.destVal = isa.EvalALU(*c.instr(e), vals[0], vals[1], c.cycle)
 	e.destRoot = root
-	if isa.FPSlowPath(e.in.Op, vals[0], vals[1], e.destVal) {
+	if isa.FPSlowPath(e.op, vals[0], vals[1], e.destVal) {
 		// An operand-dependent slow-path execution: the timing channel the
 		// FP transmitter protections exist to close.
 		c.stats.FPSlowPathExecs++
 	}
-	e.doneAt = c.cycle + opLatency(e.in, vals[0], vals[1], e.destVal, false)
+	e.doneAt = c.cycle + opLatency(e.op, vals[0], vals[1], e.destVal, false)
 	e.state = stExecuting
 	return true
 }
@@ -179,13 +179,14 @@ func (c *Core) issueBranch(e *robEntry) bool {
 		return false
 	}
 	c.intPortsBusy++
-	e.actualTaken = isa.BranchTaken(e.in.Op, vals[0], vals[1])
-	if e.actualTaken {
-		e.actualTarget = e.in.Target
+	s := c.side(e.seq)
+	s.actualTaken = isa.BranchTaken(e.op, vals[0], vals[1])
+	if s.actualTaken {
+		s.actualTarget = c.instr(e).Target
 	} else {
-		e.actualTarget = e.pc + 1
+		s.actualTarget = e.pc + 1
 	}
-	e.mispredicted = e.actualTaken != e.predTaken
+	s.mispredicted = s.actualTaken != s.predTaken
 	e.destRoot = root // predicate root: gates the resolution effects
 	e.doneAt = c.cycle + latALU
 	e.state = stExecuting
@@ -199,7 +200,7 @@ func (c *Core) issueStore(e *robEntry) bool {
 		return false
 	}
 	c.memPortsBusy++
-	e.addr = v + uint64(e.in.Imm)
+	e.addr = v + uint64(c.instr(e).Imm)
 	e.addrValid = true
 	e.addrRoot = root
 	if dv, dok, _ := c.operandInfo(e.src[1]); dok {
@@ -226,22 +227,26 @@ func (c *Core) issueStore(e *robEntry) bool {
 // younger than the producer of its data, so this is the order a scan of the
 // window saw them in.
 func (c *Core) completeExecution() {
-	kept, next := c.exec[:0], noSeq
-	for _, seq := range c.exec {
+	n, next := 0, noSeq // exec[:n] is what stays
+	for i, seq := range c.exec {
 		e := c.entry(seq)
 		if c.cycle < e.doneAt {
-			kept = append(kept, seq)
+			if n != i {
+				c.exec[n] = seq
+			}
+			n++
 			next = min(next, e.doneAt)
 			continue
 		}
 		e.state = stDone
 		if e.isCond() {
 			e.resolved = true
+			c.brsDue = true
 		}
 		c.wakeWaiters(e)
 		c.changed = true
 	}
-	c.exec, c.nextDone = kept, next
+	c.exec, c.nextDone = c.exec[:n], next
 
 	waiting := c.stData[:0]
 	for _, seq := range c.stData {

@@ -33,9 +33,9 @@ func (c *Core) CheckInvariants() error {
 			return fmt.Errorf("pipeline: renameMap[r%d] = %d beyond tail %d", r, seq, c.tailSeq)
 		}
 		e := c.entry(seq)
-		if !e.hasDest || e.in.Rd != isa.Reg(r) {
+		if !e.hasDest || e.rd != isa.Reg(r) {
 			return fmt.Errorf("pipeline: renameMap[r%d] = %d, but that entry writes r%d (hasDest=%v)",
-				r, seq, e.in.Rd, e.hasDest)
+				r, seq, e.rd, e.hasDest)
 		}
 	}
 
@@ -52,18 +52,18 @@ func (c *Core) CheckInvariants() error {
 	del := func(seq uint64) { w, bit := c.slotBit(seq); want[w] &^= bit }
 	for _, l := range []struct {
 		name    string
-		ring    *ring[uint64] // the list, when it is a ring
-		list    []uint64      // the list otherwise
+		n       int                // the list's length
+		at      func(i int) uint64 // its i-th seq
 		ordered bool
 		member  func(*robEntry) bool
 	}{
-		{"LQ", &c.lq, nil, true, (*robEntry).isLoad},
-		{"SQ", &c.sq, nil, true, func(e *robEntry) bool { return e.isStore() || e.in.Op == isa.OpFlush }},
-		{"exec", nil, c.exec, false, func(e *robEntry) bool { return e.state == stExecuting && e.obl == oblNone && !e.isStore() }},
-		{"stData", nil, c.stData, false, func(e *robEntry) bool { return e.isStore() && e.addrValid && !e.sqDataReady }},
-		{"brs", nil, c.brs, true, func(e *robEntry) bool { return e.isCond() && !e.effectApplied }},
-		{"fps", nil, c.fps, true, func(e *robEntry) bool { return e.fpSDO && !e.effectApplied }},
-		{"obls", nil, c.obls, true, func(e *robEntry) bool { return e.obl != oblNone && e.obl != oblResolved }},
+		{"LQ", c.lq.n, func(i int) uint64 { return *c.lq.at(i) }, true, (*robEntry).isLoad},
+		{"SQ", c.sq.n, func(i int) uint64 { return *c.sq.at(i) }, true, func(e *robEntry) bool { return e.isStore() || e.op == isa.OpFlush }},
+		{"exec", len(c.exec), func(i int) uint64 { return c.exec[i] }, false, func(e *robEntry) bool { return e.state == stExecuting && e.obl == oblNone && !e.isStore() }},
+		{"stData", len(c.stData), func(i int) uint64 { return c.stData[i] }, false, func(e *robEntry) bool { return e.isStore() && e.addrValid && !e.sqDataReady }},
+		{"brs", len(c.brs), func(i int) uint64 { return c.brs[i] }, true, func(e *robEntry) bool { return e.isCond() && !e.effectApplied }},
+		{"fps", len(c.fps), func(i int) uint64 { return c.fps[i] }, true, func(e *robEntry) bool { return e.fpSDO && !e.effectApplied }},
+		{"obls", len(c.obls), func(i int) uint64 { return c.obls[i].seq }, true, func(e *robEntry) bool { return e.obl != oblNone && e.obl != oblResolved }},
 	} {
 		clear(want)
 		for seq := c.headSeq; seq < c.tailSeq; seq++ {
@@ -71,18 +71,9 @@ func (c *Core) CheckInvariants() error {
 				put(seq)
 			}
 		}
-		n := len(l.list)
-		if l.ring != nil {
-			n = l.ring.n
-		}
 		prev := uint64(0)
-		for i := 0; i < n; i++ {
-			var seq uint64
-			if l.ring != nil {
-				seq = *l.ring.at(i)
-			} else {
-				seq = l.list[i]
-			}
+		for i := 0; i < l.n; i++ {
+			seq := l.at(i)
 			if !c.live(seq) || !has(want, seq) {
 				return fmt.Errorf("pipeline: %s holds seq %d, which is dead, listed twice or of the wrong kind", l.name, seq)
 			}
@@ -94,7 +85,7 @@ func (c *Core) CheckInvariants() error {
 		}
 		for seq := c.headSeq; seq < c.tailSeq; seq++ {
 			if has(want, seq) {
-				return fmt.Errorf("pipeline: %s is missing live seq %d (%v)", l.name, seq, c.entry(seq).in)
+				return fmt.Errorf("pipeline: %s is missing live seq %d (%v)", l.name, seq, *c.instr(c.entry(seq)))
 			}
 		}
 	}
@@ -164,6 +155,28 @@ func (c *Core) CheckInvariants() error {
 		}
 	}
 
+	// The walk gates skip nothing due. A resolved branch still on brs has
+	// a predicate the last walk found tainted, and it still is. An Obl-Ld
+	// wakes after this cycle and no later than the first of its Done,
+	// EarlyDone and valDone still ahead, and obls as a whole no later
+	// than its earliest entry.
+	for _, seq := range c.brs {
+		if e := c.entry(seq); e.resolved && (!c.schemeTaint || c.cfg.NoImplicitChannelProtection || !c.tainted(e.destRoot) || e.delayedSince == 0) {
+			return fmt.Errorf("pipeline: branch seq %d is resolved, its predicate (root %d, frontier %d) untainted or never parked, but it is still on brs", seq, e.destRoot, c.frontier)
+		}
+	}
+	for _, it := range c.obls {
+		s, due := c.side(it.seq), noSeq
+		for _, t := range [...]uint64{s.oblRes.Done, s.oblRes.EarlyDone, s.valDone} {
+			if t > c.cycle {
+				due = min(due, t)
+			}
+		}
+		if it.wake <= c.cycle || it.wake > due || c.oblWake > it.wake {
+			return fmt.Errorf("pipeline: Obl-Ld seq %d wakes at %d (list at %d), but at cycle %d its next event is at %d", it.seq, it.wake, c.oblWake, c.cycle, due)
+		}
+	}
+
 	// Parked squashes reference live instructions.
 	for _, p := range c.parked {
 		if p.from >= c.tailSeq {
@@ -182,6 +195,12 @@ func (c *Core) CheckInvariants() error {
 		}
 		if e.obl != oblNone && !e.isLoad() {
 			return fmt.Errorf("pipeline: non-load seq %d has Obl state %d", seq, e.obl)
+		}
+		if (e.isLoad() || e.isCond() || e.fpSDO) && c.side(seq).seq != seq {
+			return fmt.Errorf("pipeline: side slot of seq %d belongs to seq %d", seq, c.side(seq).seq)
+		}
+		if e.row != c.row(e.pc) || e.op != c.instr(e).Op || e.rd != c.instr(e).Rd {
+			return fmt.Errorf("pipeline: seq %d at pc %d holds another pc's static row", seq, e.pc)
 		}
 	}
 

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -24,7 +26,7 @@ func rangeContains(outer, outerSize, inner, innerSize uint64) bool {
 
 // readMem reads the load's architectural value from memory.
 func (c *Core) readMem(e *robEntry) uint64 {
-	return isa.LoadValue(c.data, e.in.Op, e.addr)
+	return isa.LoadValue(c.data, e.op, e.addr)
 }
 
 // sqSearch scans older stores for forwarding. Outcomes:
@@ -40,10 +42,10 @@ func (c *Core) readMem(e *robEntry) uint64 {
 // and must not influence the load's timing before it untaints. Violations
 // against such stores are detected when the store's address untaints.
 func (c *Core) sqSearch(e *robEntry) (val uint64, fwdSeq int64, fwdOK, stall bool) {
-	la, ls := e.addr, accessSize(e.in.Op)
+	la, ls := e.addr, accessSize(e.op)
 	for i := c.sq.n - 1; i >= 0; i-- {
 		s := c.entry(*c.sq.at(i))
-		if s.seq >= e.seq || s.in.Op == isa.OpFlush {
+		if s.seq >= e.seq || s.op == isa.OpFlush {
 			continue
 		}
 		if !s.addrValid {
@@ -52,7 +54,7 @@ func (c *Core) sqSearch(e *robEntry) (val uint64, fwdSeq int64, fwdOK, stall boo
 		if c.schemeTaint && c.tainted(s.addrRoot) {
 			continue // tainted address: treated as unknown (see above)
 		}
-		sa, ss := s.addr, accessSize(s.in.Op)
+		sa, ss := s.addr, accessSize(s.op)
 		if !rangesOverlap(sa, ss, la, ls) {
 			continue
 		}
@@ -78,7 +80,7 @@ func (c *Core) issueLoad(e *robEntry) bool {
 	if !ok {
 		return false
 	}
-	e.addr = v + uint64(e.in.Imm)
+	e.addr = v + uint64(c.instr(e).Imm)
 	e.addrValid = true
 	e.addrRoot = root
 	return c.scheme.IssueLoad(c, e)
@@ -111,7 +113,7 @@ func (c *Core) issueNormalLoad(e *robEntry) bool {
 	e.doneAt = r.Done
 	e.state = stExecuting
 	c.emitIssueLoad(e)
-	if e.oblMemDelayed {
+	if e.delayedSince != 0 && c.side(e.seq).oblMemDelayed {
 		// §V-C3: a predicted-DRAM load executes normally once safe; the
 		// location predictor is trained with where the data actually was,
 		// so it can unlearn "DRAM" when the line becomes cached.
@@ -181,16 +183,17 @@ func (c *Core) issueOblLoad(e *robEntry, pred mem.Level) bool {
 	c.stats.Loads++
 	c.stats.OblIssued++
 
-	e.oblPred = pred
-	e.oblTLBOK = c.port.TLBProbe(e.addr) // §V-B: L1-TLB lookup only; miss = ⊥
-	if !e.oblTLBOK {
+	s := c.side(e.seq)
+	s.oblPred = pred
+	s.oblTLBOK = c.port.TLBProbe(e.addr) // §V-B: L1-TLB lookup only; miss = ⊥
+	if !s.oblTLBOK {
 		c.stats.OblTLBMiss++
 	}
-	e.oblRes = c.port.OblLoad(c.cycle, e.addr, pred)
+	s.oblRes = c.port.OblLoad(c.cycle, e.addr, pred)
 	e.obl = oblInFlight
-	c.obls = insertSeq(c.obls, e.seq)
+	c.insertObl(e.seq)
 	e.state = stExecuting
-	e.doneAt = e.oblRes.Done // informational; binding happens in stepObl
+	e.doneAt = s.oblRes.Done // informational; binding happens in stepObl
 	e.destRoot = e.seq
 
 	if fwdOK {
@@ -198,20 +201,20 @@ func (c *Core) issueOblLoad(e *robEntry, pred mem.Level) bool {
 		// from the store queue once the responses return.
 		e.destVal = fv
 		e.sqForward = fwdSeq
-		e.exposure = true
+		s.exposure = true
 	} else {
 		e.destVal = c.readMem(e) // wait-buffer contents (if found)
-		e.valSnapshot = e.destVal
+		s.valSnapshot = e.destVal
 		// §VI-A Validation/Exposure bit: an L1 hit retires without a
 		// validation; the InvisiSpec reordering condition is re-checked
 		// when the load becomes safe (see stepObl).
-		e.exposure = e.oblRes.Found == mem.L1
+		s.exposure = s.oblRes.Found == mem.L1
 	}
 	if c.obs.On(obs.ClassSDO) {
 		c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassSDO, Kind: "obl-issue",
-			Seq: e.seq, PC: e.pc, Addr: e.addr, Level: pred.String(), Dur: e.oblRes.Done - c.cycle,
+			Seq: e.seq, PC: e.pc, Addr: e.addr, Level: pred.String(), Dur: s.oblRes.Done - c.cycle,
 			Detail: fmt.Sprintf("seq=%d pc=%d addr=%#x pred=%v found=%v tlb-ok=%v",
-				e.seq, e.pc, e.addr, pred, e.oblRes.Found, e.oblTLBOK)})
+				e.seq, e.pc, e.addr, pred, s.oblRes.Found, s.oblTLBOK)})
 	}
 	return true
 }
@@ -236,16 +239,16 @@ func (c *Core) noOlderIncompleteLoads(seq uint64) bool {
 // oblSuccessful reports whether the Obl-Ld produced correct data: the
 // translation hit the L1 TLB and either the data was forwarded from the
 // store queue or some looked-up level held the line.
-func (e *robEntry) oblSuccessful() bool {
+func oblSuccessful(e *robEntry, s *robSide) bool {
 	if e.sqForward >= 0 {
 		return true
 	}
-	return e.oblTLBOK && e.oblRes.Found != mem.LevelNone
+	return s.oblTLBOK && s.oblRes.Found != mem.LevelNone
 }
 
 // oblActualLevel is the "Actual Level" field of §VI-A: the level that
 // served the Obl-Ld, used to train the location predictor.
-func (e *robEntry) oblActualLevel() mem.Level { return e.oblRes.Found }
+func (s *robSide) oblActualLevel() mem.Level { return s.oblRes.Found }
 
 // checkStoreViolation runs when a store's address resolves: any younger
 // load that already executed, overlaps, and did not forward from this
@@ -253,14 +256,14 @@ func (e *robEntry) oblActualLevel() mem.Level { return e.oblRes.Found }
 // applied immediately in the Unsafe core, and parked until the predicate
 // (both addresses) untaints under STT/SDO.
 func (c *Core) checkStoreViolation(s *robEntry) {
-	sa, ss := s.addr, accessSize(s.in.Op)
+	sa, ss := s.addr, accessSize(s.op)
 	var victim *robEntry
 	for i := 0; i < c.lq.n; i++ {
 		e := c.entry(*c.lq.at(i))
 		if e.seq <= s.seq || !e.addrValid || e.state == stWaiting {
 			continue
 		}
-		if !rangesOverlap(sa, ss, e.addr, accessSize(e.in.Op)) {
+		if !rangesOverlap(sa, ss, e.addr, accessSize(e.op)) {
 			continue
 		}
 		if e.sqForward == int64(s.seq) {
@@ -318,34 +321,79 @@ func (c *Core) onInvalidate(lineAddr uint64) {
 		default:
 			// Obl-Ld still resolving: force a full validation (not an
 			// exposure) so the value comparison catches the change.
-			e.pendingInval = true
-			e.exposure = false
+			s := c.side(e.seq)
+			s.pendingInval = true
+			s.exposure = false
 		}
 	}
 }
 
-// stepOblAll advances every Obl-Ld state machine in obls one cycle (§V-C2's
+// insertObl files a newly issued Obl-Ld on obls, due the next cycle.
+func (c *Core) insertObl(seq uint64) {
+	i, _ := slices.BinarySearchFunc(c.obls, seq, func(it oblItem, seq uint64) int { return cmp.Compare(it.seq, seq) })
+	c.obls = slices.Insert(c.obls, i, oblItem{seq: seq, wake: c.cycle + 1})
+	c.oblWake = min(c.oblWake, c.cycle+1)
+}
+
+// stepOblAll advances the Obl-Ld state machines on obls one cycle (§V-C2's
 // event orderings). Called from resolve() after the frontier is computed.
+//
+// It steps only the entries that are due: those whose wake has come, and
+// those the frontier crossed since the last walk (stepObl's "safe" flipped).
+// Every action of stepObl changes obl or oblDropped, and otherwise a step
+// with neither is a no-op until the first of Done, EarlyDone or valDone that
+// is still ahead; so after a change an entry wakes the next cycle, and after
+// a no-op at that first time (robSide.wakeAfter).
 func (c *Core) stepOblAll() {
-	kept := c.obls[:0]
-	for _, seq := range c.obls {
-		e := c.entry(seq)
-		was, dropped := e.obl, e.oblDropped
-		c.stepObl(e)
-		if e.obl != was || e.oblDropped != dropped {
-			c.changed = true
-		}
-		if seq >= c.tailSeq {
-			break // a squash removed this and younger entries
-		}
-		if e.obl != oblResolved {
-			kept = append(kept, seq)
-		}
+	lo, hi := min(c.oblFrontier, c.frontier), max(c.oblFrontier, c.frontier)
+	c.oblFrontier = c.frontier
+	if c.cycle < c.oblWake && lo == hi {
+		return
 	}
-	c.obls = kept
+	n, wake := 0, noSeq // obls[:n] is what stays
+	for i := range c.obls {
+		it := &c.obls[i]
+		if it.wake <= c.cycle || lo < it.seq && it.seq <= hi {
+			e, s := c.entry(it.seq), c.side(it.seq)
+			was, dropped := e.obl, s.oblDropped
+			c.stepObl(e, s)
+			moved := e.obl != was || s.oblDropped != dropped
+			if moved {
+				c.changed = true
+			}
+			if it.seq >= c.tailSeq {
+				break // a squash removed this and younger entries
+			}
+			if e.obl == oblResolved {
+				continue
+			}
+			it.wake = c.cycle + 1
+			if !moved {
+				it.wake = s.wakeAfter(c.cycle)
+			}
+		}
+		if n != i {
+			c.obls[n] = *it
+		}
+		n++
+		wake = min(wake, it.wake)
+	}
+	c.obls, c.oblWake = c.obls[:n], wake
 }
 
-func (c *Core) stepObl(e *robEntry) {
+// wakeAfter is the first of the Obl-Ld's Done, EarlyDone and valDone after
+// cycle (noSeq: none).
+func (s *robSide) wakeAfter(cycle uint64) uint64 {
+	wake := noSeq
+	for _, t := range [...]uint64{s.oblRes.Done, s.oblRes.EarlyDone, s.valDone} {
+		if t > cycle {
+			wake = min(wake, t)
+		}
+	}
+	return wake
+}
+
+func (c *Core) stepObl(e *robEntry, s *robSide) {
 	// The load reaches its visibility point when everything older is
 	// non-speculative — i.e. the frontier scan passed every older entry
 	// (the load itself may be the frontier blocker).
@@ -355,15 +403,15 @@ func (c *Core) stepObl(e *robEntry) {
 	case oblInFlight:
 		if safe {
 			// C before B (cases 2 and 3): issue the validation right away.
-			c.startValidation(e)
+			c.startValidation(e, s)
 			e.obl = oblSafeWaitB
 			return
 		}
-		if c.cycle >= e.oblRes.Done {
+		if c.cycle >= s.oblRes.Done {
 			// B before C (case 1): forward unconditionally, tainted.
 			c.bindOblValue(e, e.destVal)
 			e.obl = oblComplete
-			if !e.oblSuccessful() {
+			if !oblSuccessful(e, s) {
 				c.markPendingSq(e) // squash once safe (§VI-A Pending Squash)
 			}
 		}
@@ -372,31 +420,31 @@ func (c *Core) stepObl(e *robEntry) {
 		if !safe {
 			return
 		}
-		if e.oblSuccessful() {
+		if oblSuccessful(e, s) {
 			c.stats.OblSuccess++
-			c.recordPrediction(e, e.oblActualLevel())
+			c.recordPrediction(e, s, s.oblActualLevel())
 			// InvisiSpec's exposure condition, evaluated now that the load
 			// is safe: under TSO a consistency squash could only have been
 			// required if an older load is still incomplete; otherwise the
 			// validation can be replaced by an asynchronous exposure
 			// ([47, Appendix A], §V-C1).
-			if !e.exposure && !c.cfg.AlwaysValidate && c.noOlderIncompleteLoads(e.seq) {
-				e.exposure = true
+			if !s.exposure && !c.cfg.AlwaysValidate && c.noOlderIncompleteLoads(e.seq) {
+				s.exposure = true
 			}
 			if c.cfg.AlwaysValidate && e.sqForward < 0 {
-				e.exposure = false
+				s.exposure = false
 			}
-			if e.exposure && !e.pendingInval {
+			if s.exposure && !s.pendingInval {
 				c.stats.Exposures++
 				c.port.Load(c.cycle, e.addr) // asynchronous line fill
 				e.obl = oblResolved
 				if c.obs.On(obs.ClassSDO) {
 					c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassSDO, Kind: "obl-expose",
-						Seq: e.seq, PC: e.pc, Addr: e.addr, Level: e.oblActualLevel().String(),
-						Detail: fmt.Sprintf("seq=%d addr=%#x found=%v", e.seq, e.addr, e.oblActualLevel())})
+						Seq: e.seq, PC: e.pc, Addr: e.addr, Level: s.oblActualLevel().String(),
+						Detail: fmt.Sprintf("seq=%d addr=%#x found=%v", e.seq, e.addr, s.oblActualLevel())})
 				}
 			} else {
-				c.startValidation(e)
+				c.startValidation(e, s)
 				e.obl = oblValidating
 			}
 			return
@@ -406,48 +454,48 @@ func (c *Core) stepObl(e *robEntry) {
 		// trained with the level the data actually lives at (§V-C3; the
 		// probe stands in for the validation's observation).
 		cause := sqOblFail
-		if !e.oblTLBOK {
+		if !s.oblTLBOK {
 			cause = sqTLB
 		}
 		c.stats.OblFail++
 		if c.obs.On(obs.ClassSDO) {
 			c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassSDO, Kind: "obl-fail",
-				Seq: e.seq, PC: e.pc, Addr: e.addr, Level: e.oblPred.String(),
+				Seq: e.seq, PC: e.pc, Addr: e.addr, Level: s.oblPred.String(),
 				Detail: fmt.Sprintf("seq=%d addr=%#x pred=%v cause=%s (squash)",
-					e.seq, e.addr, e.oblPred, squashCauseNames[cause])})
+					e.seq, e.addr, s.oblPred, squashCauseNames[cause])})
 		}
-		c.recordPrediction(e, c.port.Probe(e.addr))
+		c.recordPrediction(e, s, c.port.Probe(e.addr))
 		e.obl = oblResolved
 		c.squash(e.seq, cause, e.pc)
 
 	case oblSafeWaitB:
-		if c.cycle >= e.valDone {
+		if c.cycle >= s.valDone {
 			// D arrived (case 3, or case-2 fail waiting on the validation):
 			// the validation result — a guaranteed success — completes the
 			// load.
-			if !e.oblDropped && !e.oblSuccessful() {
+			if !s.oblDropped && !oblSuccessful(e, s) {
 				c.stats.OblFail++
-			} else if !e.oblDropped {
+			} else if !s.oblDropped {
 				c.stats.OblSuccess++
 			}
 			c.bindOblValue(e, c.readMem(e))
-			e.valSnapshot = e.destVal
-			e.memLevel = e.valLevel
-			c.recordPrediction(e, e.valLevel)
-			e.valInFlight = false
+			s.valSnapshot = e.destVal
+			e.memLevel = s.valLevel
+			c.recordPrediction(e, s, s.valLevel)
+			s.valInFlight = false
 			e.obl = oblResolved
 			return
 		}
-		if c.cycle >= e.oblRes.Done && !e.oblSuccessful() && !e.oblDropped {
+		if c.cycle >= s.oblRes.Done && !oblSuccessful(e, s) && !s.oblDropped {
 			// Case 2 with fail: it is now safe to reveal the fail; drop
 			// the Obl-Ld result and wait for the validation — no squash.
 			c.stats.OblFail++
-			e.oblDropped = true
+			s.oblDropped = true
 			if c.obs.On(obs.ClassSDO) {
 				c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassSDO, Kind: "obl-fail",
-					Seq: e.seq, PC: e.pc, Addr: e.addr, Level: e.oblPred.String(),
+					Seq: e.seq, PC: e.pc, Addr: e.addr, Level: s.oblPred.String(),
 					Detail: fmt.Sprintf("seq=%d addr=%#x pred=%v dropped; validation supplies value",
-						e.seq, e.addr, e.oblPred)})
+						e.seq, e.addr, s.oblPred)})
 			}
 			return
 		}
@@ -456,28 +504,28 @@ func (c *Core) stepObl(e *robEntry) {
 		if c.cfg.DisableEarlyForward {
 			return
 		}
-		if e.state != stDone && !e.oblDropped && e.oblSuccessful() && c.cycle >= e.oblRes.EarlyDone {
-			if c.cycle < e.oblRes.Done {
+		if e.state != stDone && !s.oblDropped && oblSuccessful(e, s) && c.cycle >= s.oblRes.EarlyDone {
+			if c.cycle < s.oblRes.Done {
 				c.stats.OblEarlyForward++
 				if c.obs.On(obs.ClassSDO) {
 					c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassSDO, Kind: "obl-early-fwd",
-						Seq: e.seq, PC: e.pc, Addr: e.addr, Level: e.oblActualLevel().String(),
+						Seq: e.seq, PC: e.pc, Addr: e.addr, Level: s.oblActualLevel().String(),
 						Detail: fmt.Sprintf("seq=%d addr=%#x found=%v saved=%d",
-							e.seq, e.addr, e.oblActualLevel(), e.oblRes.Done-c.cycle)})
+							e.seq, e.addr, s.oblActualLevel(), s.oblRes.Done-c.cycle)})
 				}
 			}
 			c.stats.OblSuccess++
 			c.bindOblValue(e, e.destVal)
-			c.recordPrediction(e, e.oblActualLevel())
+			c.recordPrediction(e, s, s.oblActualLevel())
 			e.obl = oblValidating // validation already in flight; compare at D
 		}
 
 	case oblValidating:
-		if c.cycle < e.valDone {
+		if c.cycle < s.valDone {
 			return
 		}
-		e.valInFlight = false
-		if c.readMem(e) != e.valSnapshot {
+		s.valInFlight = false
+		if c.readMem(e) != s.valSnapshot {
 			// Consistency violation detected by the validation (§V-C1).
 			if c.obs.On(obs.ClassSDO) {
 				c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassSDO, Kind: "obl-fail",
@@ -503,12 +551,12 @@ func (c *Core) bindOblValue(e *robEntry, v uint64) {
 }
 
 // startValidation issues the validation access (a normal, filling load).
-func (c *Core) startValidation(e *robEntry) {
+func (c *Core) startValidation(e *robEntry, s *robSide) {
 	c.stats.Validations++
 	r := c.port.Load(c.cycle, e.addr)
-	e.valDone = r.Done
-	e.valLevel = r.Level
-	e.valInFlight = true
+	s.valDone = r.Done
+	s.valLevel = r.Level
+	s.valInFlight = true
 	if c.obs.On(obs.ClassSDO) {
 		c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassSDO, Kind: "obl-validate",
 			Seq: e.seq, PC: e.pc, Addr: e.addr, Level: r.Level.String(), Dur: r.Done - c.cycle,
@@ -519,16 +567,16 @@ func (c *Core) startValidation(e *robEntry) {
 // recordPrediction accumulates Table III / Figure 7 statistics for one
 // resolved Obl-Ld and trains the location predictor (§V-C3). actual is the
 // level that held the data.
-func (c *Core) recordPrediction(e *robEntry, actual mem.Level) {
+func (c *Core) recordPrediction(e *robEntry, s *robSide, actual mem.Level) {
 	if e.sqForward >= 0 || actual == mem.LevelNone {
 		return // store-forwarded: no meaningful level; predictor untouched
 	}
 	switch {
-	case actual == e.oblPred:
+	case actual == s.oblPred:
 		c.stats.PredPrecise++
-	case actual < e.oblPred:
+	case actual < s.oblPred:
 		c.stats.PredImprecise++
-		c.stats.ImprecisionCycles += c.memCfg.LatencyOf(e.oblPred) - c.memCfg.LatencyOf(actual)
+		c.stats.ImprecisionCycles += c.memCfg.LatencyOf(s.oblPred) - c.memCfg.LatencyOf(actual)
 	default:
 		c.stats.PredInaccurate++
 	}

@@ -126,7 +126,15 @@ func (c *Core) applyParked() {
 // the brs list. Under STT/SDO a tainted predicate parks the resolution (and
 // the predictor update) until it untaints — the resolution-based implicit
 // channel rule.
+//
+// A walk leaves no resolved branch with an untainted predicate on brs (a
+// mispredict's squash takes every younger one), and only a new resolution
+// or a frontier move can make one, so the walk runs only after one of them.
 func (c *Core) resolveBranches() {
+	if !c.brsDue && c.frontier == c.brsFrontier {
+		return
+	}
+	c.brsDue, c.brsFrontier = false, c.frontier
 	kept := c.brs[:0]
 	for _, seq := range c.brs {
 		e := c.entry(seq)
@@ -146,18 +154,19 @@ func (c *Core) resolveBranches() {
 		e.effectApplied = true
 		c.changed = true
 		c.stats.BranchesResolved++
+		s := c.side(seq)
 		if c.obs.On(obs.ClassBranch) {
 			c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassBranch, Kind: "resolve-branch",
 				Seq: e.seq, PC: e.pc,
 				Detail: fmt.Sprintf("seq=%d pc=%d taken=%v mispredicted=%v target=%d",
-					e.seq, e.pc, e.actualTaken, e.mispredicted, e.actualTarget)})
+					e.seq, e.pc, s.actualTaken, s.mispredicted, s.actualTarget)})
 		}
-		if e.mispredicted {
+		if s.mispredicted {
 			c.stats.BranchMispredicts++
-			c.squash(e.seq+1, sqBranch, e.actualTarget)
+			c.squash(e.seq+1, sqBranch, s.actualTarget)
 		}
-		c.bp.Update(c.pcAddr(e.pc), e.actualTaken, e.mispredicted, e.bpSnap)
-		if e.mispredicted {
+		c.bp.Update(c.pcAddr(e.pc), s.actualTaken, s.mispredicted, s.bpSnap)
+		if s.mispredicted {
 			break // younger state is gone, the rest of the list with it
 		}
 	}
@@ -179,12 +188,12 @@ func (c *Core) resolveFPSDO() {
 		}
 		e.effectApplied = true
 		c.changed = true
-		if e.fpFail {
+		if c.side(seq).fpFail {
 			c.stats.FPSDOFail++
 			if c.obs.On(obs.ClassFP) {
 				c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassFP, Kind: "fp-sdo-fail",
 					Seq: e.seq, PC: e.pc,
-					Detail: fmt.Sprintf("seq=%d pc=%d %v subnormal operands", e.seq, e.pc, e.in)})
+					Detail: fmt.Sprintf("seq=%d pc=%d %v subnormal operands", e.seq, e.pc, *c.instr(e))})
 			}
 			c.squash(e.seq, sqFPFail, e.pc)
 			break
@@ -218,10 +227,10 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 			seq--
 			e := c.entry(seq)
 			if e.hasDest {
-				c.renameMap[e.in.Rd] = e.prevProd
+				c.renameMap[e.rd] = e.prevProd
 			}
 			if e.isCond() {
-				snap = e.bpSnap
+				snap = c.side(seq).bpSnap
 				restored = true
 			}
 			if e.state == stWaiting {
@@ -237,8 +246,11 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 				q.n--
 			}
 		}
-		for _, q := range [...]*[]uint64{&c.exec, &c.stData, &c.brs, &c.fps, &c.obls} {
+		for _, q := range [...]*[]uint64{&c.exec, &c.stData, &c.brs, &c.fps} {
 			*q = slices.DeleteFunc(*q, func(s uint64) bool { return s >= from })
+		}
+		for len(c.obls) > 0 && c.obls[len(c.obls)-1].seq >= from {
+			c.obls = c.obls[:len(c.obls)-1] // age-ordered: the squashed ones are a suffix
 		}
 
 		kept := c.parked[:0]
@@ -303,7 +315,7 @@ func (c *Core) commit() {
 			return // a parked squash will remove this instruction's path
 		}
 		switch {
-		case e.in.Op == isa.OpHalt:
+		case e.op == isa.OpHalt:
 			c.halted = true
 			c.changed = true
 			c.stats.Committed++
@@ -318,26 +330,30 @@ func (c *Core) commit() {
 			if !e.addrValid || !e.sqDataReady {
 				return
 			}
-			isa.StoreValue(c.data, e.in.Op, e.addr, e.sqData)
+			isa.StoreValue(c.data, e.op, e.addr, e.sqData)
 			c.port.Store(c.cycle, e.addr)
-		case e.in.Op == isa.OpFlush:
+		case e.op == isa.OpFlush:
 			// Address sources are committed by now; read the regfile.
-			c.port.Flush(c.regs[e.in.Rs] + uint64(e.in.Imm))
+			c.port.Flush(c.regs[c.instr(e).Rs] + uint64(c.instr(e).Imm))
 		case e.isLoad():
 			if e.state != stDone {
 				return
 			}
-			if e.obl != oblNone && e.obl != oblResolved {
-				if e.valInFlight && !e.exposure {
-					c.stats.ValidationStall++
+			if e.obl != oblNone {
+				// Only an Obl-Ld validates (stepObl).
+				s := c.side(e.seq)
+				if e.obl != oblResolved {
+					if s.valInFlight && !s.exposure {
+						c.stats.ValidationStall++
+					}
+					return
 				}
-				return
-			}
-			if e.valInFlight && !e.exposure {
-				// Validation must complete before retirement (§V-C1);
-				// exposures retire immediately.
-				c.stats.ValidationStall++
-				return
+				if s.valInFlight && !s.exposure {
+					// Validation must complete before retirement (§V-C1);
+					// exposures retire immediately.
+					c.stats.ValidationStall++
+					return
+				}
 			}
 		case e.fpSDO && !e.effectApplied:
 			return // resolution (and possible squash) still pending
@@ -347,9 +363,9 @@ func (c *Core) commit() {
 			}
 		}
 		if e.hasDest {
-			c.regs[e.in.Rd] = e.destVal
-			if c.renameMap[e.in.Rd] == int64(e.seq) {
-				c.renameMap[e.in.Rd] = -1
+			c.regs[e.rd] = e.destVal
+			if c.renameMap[e.rd] == int64(e.seq) {
+				c.renameMap[e.rd] = -1
 			}
 		}
 		if c.lq.n > 0 && *c.lq.at(0) == e.seq {
@@ -361,7 +377,7 @@ func (c *Core) commit() {
 		if c.obs.On(obs.ClassCommit) {
 			c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassCommit, Kind: "commit",
 				Seq: e.seq, PC: e.pc,
-				Detail: fmt.Sprintf("seq=%d pc=%d %v val=%#x", e.seq, e.pc, e.in, e.destVal)})
+				Detail: fmt.Sprintf("seq=%d pc=%d %v val=%#x", e.seq, e.pc, *c.instr(e), e.destVal)})
 		}
 		if c.specActive {
 			c.scheme.OnCommit(c, e)

@@ -161,7 +161,7 @@ func (schemeSDO) IssueLoad(c *Core, e *robEntry) bool {
 		// §VI-B2: predicted-DRAM loads revert to STT delay.
 		if e.delayedSince == 0 {
 			e.delayedSince = c.cycle
-			e.oblMemDelayed = true
+			c.side(e.seq).oblMemDelayed = true
 			c.stats.OblPredMem++
 		}
 		c.stats.LoadDelayCycles++
@@ -178,19 +178,20 @@ func (schemeSDO) IssueTaintedFP(c *Core, e *robEntry, vals [2]uint64, root uint6
 	// §I-A: statically predict "normal" and execute the fast DO
 	// variant. The operation fails if the operands/result are
 	// actually subnormal; resolution happens once args untaint.
-	e.destVal = isa.EvalALU(e.in, vals[0], vals[1], c.cycle)
+	e.destVal = isa.EvalALU(*c.instr(e), vals[0], vals[1], c.cycle)
 	e.destRoot = root
 	e.fpSDO = true
 	c.fps = insertSeq(c.fps, e.seq)
-	e.fpArgs = [2]uint64{vals[0], vals[1]}
-	e.fpFail = isa.FPSlowPath(e.in.Op, vals[0], vals[1], e.destVal)
-	e.doneAt = c.cycle + opLatency(e.in, vals[0], vals[1], e.destVal, true)
+	s := c.side(e.seq)
+	s.seq = e.seq
+	s.fpFail = isa.FPSlowPath(e.op, vals[0], vals[1], e.destVal)
+	e.doneAt = c.cycle + opLatency(e.op, vals[0], vals[1], e.destVal, true)
 	e.state = stExecuting
 	c.stats.FPSDOIssued++
 	if c.obs.On(obs.ClassFP) {
 		c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassFP, Kind: "fp-sdo-issue",
 			Seq: e.seq, PC: e.pc, Dur: e.doneAt - c.cycle,
-			Detail: fmt.Sprintf("seq=%d pc=%d %v will-fail=%v", e.seq, e.pc, e.in, e.fpFail)})
+			Detail: fmt.Sprintf("seq=%d pc=%d %v will-fail=%v", e.seq, e.pc, *c.instr(e), s.fpFail)})
 	}
 	return true, true
 }

@@ -56,10 +56,43 @@ type operand struct {
 	producer int64 // -1 when the value comes from the committed regfile
 }
 
+// static is one decoded program instruction: New decodes the program into a
+// table of these once, so fetch and rename read the class, the source
+// registers and the issue-queue need from a row instead of deriving them per
+// dynamic instruction.
+type static struct {
+	in      isa.Instr
+	class   isa.Class
+	nSrc    uint8
+	nNeed   uint8 // leading sources that must be ready to issue (memory ops: the address only)
+	needsIQ bool
+	src     [2]isa.Reg
+}
+
+// decode builds prog's static table. A trailing Halt row serves every pc
+// outside the program, as isa.Program.At does.
+func decode(prog *isa.Program) []static {
+	code := make([]static, prog.Len()+1)
+	for pc := range code {
+		in := prog.At(pc)
+		st := &code[pc]
+		st.in, st.class = in, in.Op.Class()
+		st.needsIQ = in.Op != isa.OpNop && in.Op != isa.OpHalt && in.Op != isa.OpFlush && in.Op != isa.OpJmp
+		srcs := in.SrcRegs(st.src[:0])
+		st.nSrc = uint8(len(srcs))
+		if st.nNeed = st.nSrc; st.class&(isa.ClassLoad|isa.ClassStore) != 0 {
+			st.nNeed = 1 // the AGU needs only the address; store data binds later
+		}
+	}
+	return code
+}
+
 // robEntry is one in-flight instruction. It embeds the load/store-queue
 // fields (the §VI-A extensions included) since LQ/SQ entries correspond
 // 1:1 with their ROB entries. Field order is layout: what issue, complete
-// and the frontier scan read every cycle comes first, cold state last.
+// and the frontier scan read every cycle comes first. What only Obl-Lds,
+// SDO FP operations and conditional branches read lives in the core's side
+// ring (robSide), so the ring every stage walks stays small.
 type robEntry struct {
 	seq    uint64
 	doneAt uint64 // valid when state >= stExecuting
@@ -68,13 +101,17 @@ type robEntry struct {
 	waitHead uint64 // first entry hanging on this one
 	waitNext uint64 // next waiter of waitOn
 	src      [2]operand
-	in       isa.Instr
 	pc       int
+	row      uint32 // the instruction's row in the static table (Core.instr)
+
+	// Copied from the row: what the stages dispatch on.
+	class isa.Class
+	op    isa.Op
+	rd    isa.Reg
+	nSrc  uint8
+	nNeed uint8
 
 	state entryState
-	class isa.Class // decoded once at rename
-	nSrc  uint8
-	nNeed uint8 // leading sources that must be ready to issue (memory ops: the address only)
 	obl   oblState
 
 	hasDest       bool
@@ -84,11 +121,13 @@ type robEntry struct {
 	fpSDO         bool // executed on the predicted fast path with tainted args
 	addrValid     bool
 	sqDataReady   bool
+	memLevel      mem.Level
+	specFill      bool // load filled the speculative shadow (promote at commit)
 
 	// Destination (merged rename: value lives in the ROB entry).
 	destVal  uint64
 	destRoot uint64 // YRoT: 0 = untainted
-	prevProd int64  // previous producer of in.Rd, for squash repair
+	prevProd int64  // previous producer of the destination, for squash repair
 
 	// Memory bookkeeping.
 	addr      uint64
@@ -97,33 +136,45 @@ type robEntry struct {
 	sqForward int64  // load: seq of forwarding store, -1 if from memory
 	// STT transmitter-delay accounting: cycle of the first taint stall (0 = never).
 	delayedSince uint64
-	memLevel     mem.Level
-	specFill     bool // load filled the speculative shadow (promote at commit)
+}
+
+// robSide is the cold half of a ROB entry: side[i] belongs to rob[i]. Rename
+// claims it for loads and conditional branches, and an SDO FP issue for its
+// operation; no other entry reads it.
+type robSide struct {
+	seq uint64 // the entry that last claimed this slot
 
 	// Branch bookkeeping.
-	predTaken    bool
-	actualTaken  bool
-	mispredicted bool
 	predTarget   int
 	actualTarget int
 	bpSnap       bpred.Snapshot
 
 	// Obl-Ld state machine (§V-C2 / §VI-A fields).
-	oblRes        mem.OblResult
+	oblRes      mem.OblResult
+	valDone     uint64 // D: validation completion cycle
+	valSnapshot uint64 // value the Obl-Ld forwarded (compared at D)
+
 	oblPred       mem.Level // predicted level ("Actual Level" trains the predictor)
+	valLevel      mem.Level // level the validation found data in
 	oblTLBOK      bool      // L1 TLB probe hit (⊥ translation forces fail)
 	exposure      bool      // §VI-A Validation/Exposure bit
 	valInFlight   bool
-	oblDropped    bool      // fail revealed while safe; waiting for the validation
-	oblMemDelayed bool      // SDO predicted DRAM: delayed until safe (§VI-B2)
-	pendingInval  bool      // line invalidated while speculative (§V-C1)
-	valLevel      mem.Level // level the validation found data in
-	valDone       uint64    // D: validation completion cycle
-	valSnapshot   uint64    // value the Obl-Ld forwarded (compared at D)
+	oblDropped    bool // fail revealed while safe; waiting for the validation
+	oblMemDelayed bool // SDO predicted DRAM: delayed until safe (§VI-B2); implies delayedSince != 0
+	pendingInval  bool // line invalidated while speculative (§V-C1)
 
-	// SDO floating-point operation.
-	fpFail bool // args turned out subnormal: squash when safe
-	fpArgs [2]uint64
+	predTaken    bool
+	actualTaken  bool
+	mispredicted bool
+
+	fpFail bool // SDO FP operation: args turned out subnormal, squash when safe
+}
+
+// oblItem is one running Obl-Ld on c.obls with the cycle its state machine
+// next has something to do at (stepOblAll).
+type oblItem struct {
+	seq  uint64
+	wake uint64
 }
 
 func (e *robEntry) is(cl isa.Class) bool { return e.class&cl != 0 }

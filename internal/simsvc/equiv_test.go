@@ -136,25 +136,90 @@ func TestFollowerOutlivesItsRepresentativesJob(t *testing.T) {
 
 // TestRepresentativeFailureDegradesFollowers: a representative that fails
 // fails its followers the same way, and the sweep degrades around both
-// cells exactly as if each had failed on its own.
+// cells exactly as if each had failed on its own. The representative's run
+// parks at its first progress check until the follower is on its flight,
+// and only then panics.
 func TestRepresentativeFailureDegradesFollowers(t *testing.T) {
 	s := newService(t, Config{Workers: 2})
 	defer s.Shutdown(context.Background())
 	// Only the representative's own run panics: the follower would
 	// succeed if it simulated itself.
 	var panics atomic.Int64
-	s.wrapPolicy = panicking(func(spec harness.RunSpec) bool {
-		return spec.Workload == "mcf_r" && spec.Variant == core.Unsafe && spec.Model == pipeline.Spectre
-	}, &panics)
-	req := smallReq()
-	req.Workloads = []string{"mcf_r", "exchange2_r"}
-	req.Variants = []string{"unsafe"}
-	req.Models = nil
-	j, err := s.Submit(req)
+	parked, release := make(chan struct{}, 1), make(chan struct{})
+	s.wrapPolicy = func(spec harness.RunSpec, pol harness.RunPolicy) harness.RunPolicy {
+		if !isFailingRep(spec) {
+			return pol
+		}
+		return parking(parked, release)(spec, panicking(isFailingRep, &panics)(spec, pol))
+	}
+	j, err := s.Submit(failingRepReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitParked(t, parked)
+	// Each kernel's Futuristic cell coalesces with its Spectre cell once,
+	// whichever comes first; the representative is parked, so two
+	// coalesced cells mean the follower is on its flight.
+	pollUntil(t, "the follower to join", time.Minute, func() bool {
+		return metric(t, s, "sdo_runs_deduped_total") == 2
+	})
+	close(release)
+	waitJob(t, j)
+	checkFailingRepDegrades(t, j)
+	// One run panicked; both cells failed with it.
+	if ev := faultEvents(s); panics.Load() != 1 || ev["cell-failed"] != 2 || metric(t, s, "sdo_cell_panics_total") != 2 {
+		t.Errorf("%d panics, %d cell-failed events, sdo_cell_panics_total %v; want 1, 2 and 2",
+			panics.Load(), ev["cell-failed"], metric(t, s, "sdo_cell_panics_total"))
+	}
+}
+
+// TestLateFollowerRerunsFailedRepresentative is the other order: a
+// follower that arrives after its representative failed finds neither a
+// flight nor a result, so it runs the representative again, which fails
+// the same way, and the sweep degrades exactly as when the follower joined
+// the failing run. One worker takes the representative's cell first and
+// finishes it before it takes the follower's.
+func TestLateFollowerRerunsFailedRepresentative(t *testing.T) {
+	s := newService(t, Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	var panics atomic.Int64
+	s.wrapPolicy = panicking(isFailingRep, &panics)
+	j, err := s.Submit(failingRepReq())
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitJob(t, j)
+	checkFailingRepDegrades(t, j)
+	// Two runs panicked: the representative's cell failed, then the
+	// representative's second flight and the follower it carried.
+	// Only exchange2_r's pair coalesces.
+	if ev := faultEvents(s); panics.Load() != 2 || ev["cell-failed"] != 3 || metric(t, s, "sdo_cell_panics_total") != 3 || metric(t, s, "sdo_runs_deduped_total") != 1 {
+		t.Errorf("%d panics, %d cell-failed events, sdo_cell_panics_total %v, sdo_runs_deduped_total %v; want 2, 3, 3 and 1",
+			panics.Load(), ev["cell-failed"], metric(t, s, "sdo_cell_panics_total"), metric(t, s, "sdo_runs_deduped_total"))
+	}
+}
+
+// isFailingRep selects mcf_r/Unsafe/Spectre, the representative of
+// mcf_r/Unsafe/Futuristic.
+func isFailingRep(spec harness.RunSpec) bool {
+	return spec.Workload == "mcf_r" && spec.Variant == core.Unsafe && spec.Model == pipeline.Spectre
+}
+
+// failingRepReq is {mcf_r, exchange2_r} × Unsafe × both models: the
+// representative cell comes first, its follower second.
+func failingRepReq() SweepRequest {
+	req := smallReq()
+	req.Workloads = []string{"mcf_r", "exchange2_r"}
+	req.Variants = []string{"unsafe"}
+	req.Models = nil
+	return req
+}
+
+// checkFailingRepDegrades checks j's status after isFailingRep's run
+// panicked: degraded, exchange2_r's two cells done, both mcf_r cells
+// failed with the one panic.
+func checkFailingRepDegrades(t *testing.T, j *Job) {
+	t.Helper()
 	st := j.Status()
 	if st.State != JobDegraded || st.Completed != 2 || st.Failed != 2 {
 		t.Fatalf("status %+v, want degraded with 2 completed and 2 failed", st)
@@ -166,10 +231,5 @@ func TestRepresentativeFailureDegradesFollowers(t *testing.T) {
 	}
 	if st.Failures[0].Cell == st.Failures[1].Cell {
 		t.Errorf("failures name one cell twice: %+v", st.Failures)
-	}
-	// One run panicked; both cells failed with it.
-	if ev := faultEvents(s); panics.Load() != 1 || ev["cell-failed"] != 2 || metric(t, s, "sdo_cell_panics_total") != 2 {
-		t.Errorf("%d panics, %d cell-failed events, sdo_cell_panics_total %v; want 1, 2 and 2",
-			panics.Load(), ev["cell-failed"], metric(t, s, "sdo_cell_panics_total"))
 	}
 }
