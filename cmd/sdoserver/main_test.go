@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -77,6 +78,35 @@ func TestFlagsDocumented(t *testing.T) {
 			if loc := re.FindStringIndex(text); loc != nil {
 				t.Errorf("%s still mentions removed surface %q", doc, text[loc[0]:loc[1]])
 			}
+		}
+	}
+}
+
+// TestDocsOnBudget holds each operator document to the one question it
+// answers: README.md how to run this, DESIGN.md how each live mechanism
+// works, the verify skill one current checklist. History belongs in
+// CHANGES.md; a document over its budget is growing one.
+func TestDocsOnBudget(t *testing.T) {
+	root := filepath.Join("..", "..")
+	for _, d := range []struct {
+		rel   string
+		lines bool // budget in lines rather than bytes
+		max   int
+	}{
+		{"README.md", false, 25000},
+		{"DESIGN.md", false, 50000},
+		{filepath.Join(".claude", "skills", "verify", "SKILL.md"), true, 150},
+	} {
+		b, err := os.ReadFile(filepath.Join(root, d.rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, unit := len(b), "bytes"
+		if d.lines {
+			n, unit = bytes.Count(b, []byte("\n")), "lines"
+		}
+		if n > d.max {
+			t.Errorf("%s is %d %s, over its budget of %d", d.rel, n, unit, d.max)
 		}
 	}
 }

@@ -11,14 +11,15 @@
 // key without any coordination, and the load of misses spreads evenly.
 //
 // The client is built for peers that fail: every peer carries a
-// circuit breaker (consecutive failures open it; it reopens for trials
-// after an exponentially-growing backoff), a background prober marks
-// unreachable peers unhealthy and closes breakers when they return, and
-// lookups are hedged — if the best-ranked peer has not answered within
-// HedgeDelay, the second-ranked peer is asked concurrently, bounded by
-// MaxFanout. Every failure mode (connection refused, timeout, HTTP
-// error, corrupt body) resolves to a cache miss, never an error: the
-// caller simulates locally and the sweep proceeds.
+// circuit breaker (DefaultBreakerOpens consecutive failures open it; it
+// reopens for trials after an exponentially-growing backoff), a
+// background prober marks unreachable peers unhealthy and closes
+// breakers when they return, and lookups are hedged — if the
+// best-ranked peer has not answered within
+// HedgeDelay, the second-ranked peer is asked concurrently, at most
+// DefaultMaxFanout peers per lookup. Every failure mode (connection
+// refused, timeout, HTTP error, corrupt body) resolves to a cache miss,
+// never an error: the caller simulates locally and the sweep proceeds.
 //
 // It is also the only code that sends a request to another node: the
 // cluster layer's addressed requests (Do) share the lookups' and the
@@ -41,7 +42,8 @@ import (
 	"time"
 )
 
-// Defaults for the zero-value Config knobs.
+// Defaults for the zero-value Config knobs; DefaultMaxFanout and
+// DefaultBreakerOpens are fixed, not knobs.
 const (
 	DefaultTimeout        = 2 * time.Second
 	DefaultHedgeDelay     = 75 * time.Millisecond
@@ -77,12 +79,6 @@ type Config struct {
 	// the lookup is hedged to the next-ranked peer (0:
 	// DefaultHedgeDelay).
 	HedgeDelay time.Duration
-	// MaxFanout bounds peers consulted (sequentially or hedged) per
-	// lookup (0: DefaultMaxFanout).
-	MaxFanout int
-	// BreakerThreshold opens a peer's circuit breaker after this many
-	// consecutive failures (0: DefaultBreakerOpens).
-	BreakerThreshold int
 	// BreakerBackoff is the initial open duration, doubling per
 	// consecutive open up to BreakerMaxBackoff (0: DefaultBreakerBackoff
 	// / DefaultBreakerMax).
@@ -105,12 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HedgeDelay <= 0 {
 		c.HedgeDelay = DefaultHedgeDelay
-	}
-	if c.MaxFanout <= 0 {
-		c.MaxFanout = DefaultMaxFanout
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = DefaultBreakerOpens
 	}
 	if c.BreakerBackoff <= 0 {
 		c.BreakerBackoff = DefaultBreakerBackoff
@@ -162,10 +152,10 @@ type peer struct {
 // candidate: a closed breaker admits the request; a half-open one admits
 // it as the trial (trial true) unless another trial is in flight. The
 // trial's caller must endTrial once the request has its verdict.
-func (p *peer) admit(now time.Time, threshold int) (ok, trial bool) {
+func (p *peer) admit(now time.Time) (ok, trial bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.fails < threshold {
+	if p.fails < DefaultBreakerOpens {
 		return true, false
 	}
 	if p.trial || !now.After(p.openUntil) {
@@ -190,15 +180,15 @@ func (p *peer) ok() {
 	p.mu.Unlock()
 }
 
-// fail records a failure; at the threshold the breaker opens for an
+// fail records a failure; at DefaultBreakerOpens the breaker opens for an
 // exponentially-growing backoff. Reports whether this call opened it, and
 // whether it was open (or half-open) already.
 func (p *peer) fail(now time.Time, cfg Config) (opened, already bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	already = p.fails >= cfg.BreakerThreshold
+	already = p.fails >= DefaultBreakerOpens
 	p.fails++
-	if p.fails < cfg.BreakerThreshold {
+	if p.fails < DefaultBreakerOpens {
 		return false, already
 	}
 	if p.backoff == 0 {
@@ -212,7 +202,7 @@ func (p *peer) fail(now time.Time, cfg Config) (opened, already bool) {
 	return opened, already
 }
 
-func (p *peer) status(now time.Time, threshold int) PeerStatus {
+func (p *peer) status(now time.Time) PeerStatus {
 	p.mu.Lock()
 	st := PeerStatus{
 		URL:              p.url,
@@ -220,7 +210,7 @@ func (p *peer) status(now time.Time, threshold int) PeerStatus {
 		Healthy:          !p.unhealthy,
 		ConsecutiveFails: p.fails,
 	}
-	if p.fails >= threshold {
+	if p.fails >= DefaultBreakerOpens {
 		if now.After(p.openUntil) {
 			st.State = "half-open"
 		} else {
@@ -307,7 +297,7 @@ func (c *Client) Snapshot() []PeerStatus {
 	now := time.Now()
 	out := make([]PeerStatus, 0, len(c.peers))
 	for _, p := range c.peers {
-		out = append(out, p.status(now, c.cfg.BreakerThreshold))
+		out = append(out, p.status(now))
 	}
 	return out
 }
@@ -370,9 +360,9 @@ func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body 
 	}
 	var cands []candidate
 	for _, p := range rankBy(key, c.peers, func(p *peer) string { return p.url }) {
-		if ok, trial := p.admit(now, c.cfg.BreakerThreshold); ok {
+		if ok, trial := p.admit(now); ok {
 			cands = append(cands, candidate{p, trial})
-			if len(cands) == c.cfg.MaxFanout {
+			if len(cands) == DefaultMaxFanout {
 				break
 			}
 		}
@@ -514,7 +504,7 @@ func (c *Client) Do(ctx context.Context, peerURL, method, path string, header ht
 	if p == nil {
 		return nil, fmt.Errorf("fabric: %s is not a configured peer", peerURL)
 	}
-	ok, trial := p.admit(time.Now(), c.cfg.BreakerThreshold)
+	ok, trial := p.admit(time.Now())
 	if !ok {
 		return nil, ErrPeerOpen
 	}

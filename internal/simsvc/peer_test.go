@@ -245,7 +245,7 @@ func TestPeerCorruptResponseCannotPoison(t *testing.T) {
 // a dead peer and counts in sdo_peer_errors_total, but once its breaker is
 // open the strikes add no events, so the peer costs the /debug/flight ring
 // one peer-unreachable event, a peer-breaker-open one and at most
-// BreakerThreshold peer-error ones; its return is one peer-recovered event.
+// DefaultBreakerOpens peer-error ones; its return is one peer-recovered event.
 func TestDeadPeerDoesNotFloodFlightRecorder(t *testing.T) {
 	var dead atomic.Bool
 	dead.Store(true)

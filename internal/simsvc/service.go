@@ -59,8 +59,13 @@ type Config struct {
 	// evicted past the bound (0: default 4096). Running jobs are never
 	// evicted.
 	MaxJobs int
-	// Recorder, when non-nil, receives ClassFault events (cell failures,
-	// cache read and write failures, persistence degradation).
+	// Recorder, when non-nil, receives every event the service emits —
+	// ClassFault (failures, cache and peer trouble, lease expiries),
+	// ClassSample (plan builds) and ClassTrace (sweep lifecycle, slow
+	// cells) — filtered by its own class mask, behind the flight ring. It
+	// is a test seam: no production caller sets it, and tests pass a
+	// ClassSample sink that blocks on the synchronous "plan-built" event
+	// to hold a plan build open.
 	Recorder *obs.Recorder
 
 	// Trace enables the sweep-lifecycle span model (internal/obs/trace):
