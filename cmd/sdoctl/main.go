@@ -178,9 +178,9 @@ func (c *client) fail(err error) int {
 }
 
 // Transient-connection retry policy for idempotent GETs: a server that
-// is restarting (loading its cache) or briefly unreachable answers
-// with connection refused/reset, and retrying is strictly better than
-// failing the invocation. POST/DELETE are never retried — a submit that
+// is restarting or briefly unreachable answers with connection
+// refused/reset, and retrying is strictly better than failing the
+// invocation. POST/DELETE are never retried — a submit that
 // half-landed must not be replayed.
 var (
 	retryAttempts  = 4

@@ -51,6 +51,11 @@ func TestSubmitWaitExport(t *testing.T) {
 	if !strings.Contains(out, "# sweep sweep-1: done (2/2 runs") {
 		t.Errorf("progress trailer missing: %q", out)
 	}
+	// progress on a finished job replays its lines and exits 0.
+	code, replay, errw := ctl(t, srv, "progress", "sweep-1")
+	if code != 0 || !strings.Contains(replay, "# sweep sweep-1: done (2/2 runs") {
+		t.Errorf("progress: exit %d, out %q, stderr %q", code, replay, errw)
+	}
 
 	code, out, errw = ctl(t, srv, "export", "sweep-1")
 	if code != 0 {

@@ -3,16 +3,24 @@ package main
 import (
 	"bytes"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// TestFlagsDocumented audits the command's surface against the docs:
-// every registered flag is documented in README.md as `-name` (optionally
-// followed by an argument placeholder), and the names of the removed
-// speculation, deadline-auto-tuning, peer-tuning, telemetry,
+// TestFlagsDocumented audits the commands' surface against the docs:
+// every flag a cmd/*/main.go registers — on the flag package or on a
+// FlagSet, sdoctl's global and per-subcommand flags included — is
+// documented in README.md as `-name` (optionally followed, after a space
+// or a line wrap, by an argument placeholder), and the names of the
+// removed speculation, deadline-auto-tuning, peer-tuning, telemetry,
 // fault-injection and cell-retry surface appear in no operator document.
 func TestFlagsDocumented(t *testing.T) {
 	root := filepath.Join("..", "..")
@@ -26,17 +34,24 @@ func TestFlagsDocumented(t *testing.T) {
 	}
 
 	readme := read("README.md")
+	flags := registeredFlags(t, root)
+	if len(flags) != 5 {
+		t.Errorf("found flags in %d commands, want each of the five: %v", len(flags), flags)
+	}
+	for cmd, names := range flags {
+		for _, name := range names {
+			if !regexp.MustCompile("`-" + regexp.QuoteMeta(name) + "[`\\s]").MatchString(readme) {
+				t.Errorf("%s: flag -%s is not documented in README.md", cmd, name)
+			}
+		}
+	}
+	// The scan must see what the server really registers.
 	fs := flag.NewFlagSet("sdoserver", flag.ContinueOnError)
 	registerFlags(fs)
-	n := 0
-	fs.VisitAll(func(f *flag.Flag) {
-		n++
-		if !regexp.MustCompile("`-" + regexp.QuoteMeta(f.Name) + "[` ]").MatchString(readme) {
-			t.Errorf("flag -%s is not documented in README.md", f.Name)
-		}
-	})
-	if n == 0 {
-		t.Fatal("registerFlags registered nothing")
+	var live []string
+	fs.VisitAll(func(f *flag.Flag) { live = append(live, f.Name) })
+	if len(live) == 0 || !slices.Equal(live, flags["sdoserver"]) {
+		t.Errorf("sdoserver registers %v, the source scan found %v", live, flags["sdoserver"])
 	}
 
 	// Spelled in halves so a repo-wide grep for the removed names finds
@@ -80,6 +95,101 @@ func TestFlagsDocumented(t *testing.T) {
 			}
 		}
 	}
+}
+
+// flagDefiners are the flag package's and FlagSet's flag-defining
+// methods; the *Var ones take the flag's name second.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolFunc": true, "Duration": true, "Float64": true, "Func": true,
+	"Int": true, "Int64": true, "String": true, "Uint": true, "Uint64": true,
+	"BoolVar": true, "DurationVar": true, "Float64Var": true, "IntVar": true, "Int64Var": true,
+	"StringVar": true, "TextVar": true, "UintVar": true, "Uint64Var": true, "Var": true,
+}
+
+// registeredFlags parses every cmd/*/main.go for flag definitions, by
+// command: calls of a defining method on the flag package, or on a
+// FlagSet the enclosing function received as a *flag.FlagSet parameter
+// or made with flag.NewFlagSet. A flag name that is not a string literal
+// fails the test, so no definition hides from the audit.
+func registeredFlags(t *testing.T, root string) map[string][]string {
+	t.Helper()
+	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]string{}
+	for _, path := range mains {
+		cmd := filepath.Base(filepath.Dir(path))
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			sets := map[string]bool{"flag": true}
+			for _, p := range fn.Type.Params.List {
+				if star, ok := p.Type.(*ast.StarExpr); ok && isFlagSel(star.X, "FlagSet") {
+					for _, n := range p.Names {
+						sets[n.Name] = true
+					}
+				}
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+					for i, rhs := range as.Rhs {
+						if call, ok := rhs.(*ast.CallExpr); ok && isFlagSel(call.Fun, "NewFlagSet") {
+							if id, ok := as.Lhs[i].(*ast.Ident); ok {
+								sets[id.Name] = true
+							}
+						}
+					}
+				}
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !flagDefiners[sel.Sel.Name] {
+					return true
+				}
+				if recv, ok := sel.X.(*ast.Ident); !ok || !sets[recv.Name] {
+					return true
+				}
+				arg := 0
+				if strings.HasSuffix(sel.Sel.Name, "Var") {
+					arg = 1
+				}
+				lit, ok := call.Args[arg].(*ast.BasicLit)
+				name, err := "", error(nil)
+				if ok && lit.Kind == token.STRING {
+					name, err = strconv.Unquote(lit.Value)
+				}
+				if !ok || err != nil {
+					t.Errorf("%s: flag name at %s is not a string literal", cmd, fset.Position(call.Pos()))
+					return true
+				}
+				out[cmd] = append(out[cmd], name)
+				return true
+			})
+		}
+		slices.Sort(out[cmd]) // sdoctl's export and trace both take -o
+		out[cmd] = slices.Compact(out[cmd])
+	}
+	return out
+}
+
+// isFlagSel reports whether e is flag.<name>.
+func isFlagSel(e ast.Expr, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == "flag"
 }
 
 // TestDocsOnBudget holds each operator document to the one question it

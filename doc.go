@@ -17,7 +17,9 @@
 //	internal/core       public facade: Config, Machine, Result, Table II variants
 //
 // Executables: cmd/sdosim (single run), cmd/experiments (regenerate every
-// table and figure), cmd/pentest (security evaluation). Runnable examples
-// are under examples/. The benchmarks in bench_test.go regenerate each
-// figure/table at a reduced budget; see EXPERIMENTS.md.
+// table and figure), cmd/pentest (security evaluation). internal/core's
+// Example_quickstart is the quickstart, checked by go test, and
+// examples/oblframework walks the §IV framework. The benchmarks in
+// bench_test.go regenerate each figure/table at a reduced budget; see
+// EXPERIMENTS.md.
 package repro

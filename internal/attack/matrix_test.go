@@ -8,11 +8,11 @@ import (
 )
 
 // TestAttackDefenseMatrix runs the full attack × defense grid over every
-// registered protection scheme: Spectre V1 (same thread), the cross-core
-// flush+reload, and load-value injection against all of them. Unsafe
-// must leak the secret exactly (the attacks are real); every defense —
-// STT, the SDO rows, SafeSpec and SpecBox — must leave a
-// secret-independent timing surface. New RegisterScheme additions are
+// protection scheme core.Registered lists: Spectre V1 (same thread), the
+// cross-core flush+reload, and load-value injection against all of them.
+// Unsafe must leak the secret exactly (the attacks are real); every
+// defense — STT, the SDO rows, SafeSpec and SpecBox — must leave a
+// secret-independent timing surface. A scheme added to core's table is
 // pulled in automatically.
 func TestAttackDefenseMatrix(t *testing.T) {
 	secret := testSecret[:2]

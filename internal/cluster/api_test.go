@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -17,23 +16,14 @@ import (
 // shrinks. Rows marked "test-only" name a symbol only tests use: each is
 // to move into the test that uses it, or go.
 var apiKeep = map[string]string{
-	"attack.RunLVI":                "test-only: TestAttackDefenseMatrix runs the LVI attack through it",
-	"coherence.System.Sharers":     "test-only: the coherence tests read the sharer set through it",
-	"core.Registered":              "test-only: every per-scheme test and golden iterates the registry through it",
-	"core.SDOVariants":             "test-only: the core, harness and root tests iterate the SDO rows through it",
-	"isa.Builder.FSub":             "test-only: arch's executor tests assemble with it",
-	"isa.Builder.Nop":              "test-only: arch's and pipeline's tests assemble with it",
-	"isa.Builder.Raw":              "test-only: arch's executor tests assemble with it",
-	"isa.IsSubnormalBits":          "test-only: the isa and workload tests classify FP operands with it",
-	"isa.Memory.ReadBytes":         "test-only: the copy-on-write memory tests read through it",
-	"isa.Memory.SetImage":          "test-only: the copy-on-write memory tests build images with it",
-	"mem.Cache.Contents":           "test-only: the cache and state tests inspect tag arrays through it",
-	"mem.Cache.OutstandingMisses":  "test-only: the MSHR, cache, hierarchy and security tests count misses in flight with it",
-	"mem.Hierarchy.SpecContents":   "test-only: the speculative-visibility tests inspect shadow state with it",
-	"mem.Hierarchy.SpecModeActive": "test-only: the reset test checks speculative mode with it",
-	"workload.Names":               "test-only: the workload tests list the suite with it",
-	"core.RegisterScheme":          "the extension point README and DESIGN document for adding a scheme; the built-in schemes register in its own file",
-	"harness.Results.Export":       "the JSON export document WriteJSON renders; the service's tests compare exports field by field through it",
+	"attack.RunLVI":          "test-only: TestAttackDefenseMatrix runs the LVI attack through it",
+	"core.Registered":        "test-only: every per-scheme test and golden iterates the registry through it",
+	"core.SDOVariants":       "test-only: the core, harness and root tests iterate the SDO rows through it",
+	"isa.Builder.FSub":       "test-only: arch's executor tests assemble with it",
+	"isa.Builder.Nop":        "test-only: arch's and pipeline's tests assemble with it",
+	"isa.Builder.Raw":        "test-only: arch's executor tests assemble with it",
+	"isa.IsSubnormalBits":    "test-only: the isa and workload tests classify FP operands with it",
+	"harness.Results.Export": "the JSON export document WriteJSON renders; the service's tests compare exports field by field through it",
 }
 
 // stdlibCalled are method names the standard library calls through an
@@ -67,18 +57,8 @@ func TestExportedAPIHasUsers(t *testing.T) {
 	fset := token.NewFileSet()
 	usedIn := map[string]map[string]bool{} // identifier -> files naming it
 	var decls []apiDecl
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		if d.IsDir() {
-			if rel != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+	walkGo(t, root, func(rel, path string) error {
+		if strings.HasSuffix(rel, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
@@ -99,9 +79,6 @@ func TestExportedAPIHasUsers(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	used := make([]bool, len(decls))
 	for i, d := range decls {

@@ -16,12 +16,11 @@ import (
 )
 
 // Handler returns the node's HTTP handler: the wrapped service's full
-// API plus cluster routing (proxy + scatter-gather) and the /cluster
-// control endpoints.
+// API plus cluster routing (proxy + scatter-gather) and the three
+// /cluster/ RPCs the work-stealing protocol uses.
 func (n *Node) Handler() http.Handler {
 	base := n.svc.Handler()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /cluster", n.handleInfo)
 	mux.HandleFunc("GET /cluster/steal", n.handleSteal)
 	mux.HandleFunc("POST /cluster/complete", n.handleComplete)
 	mux.HandleFunc("POST /cluster/wake", n.handleWake)
@@ -244,23 +243,6 @@ func (n *Node) scatterList(w http.ResponseWriter, r *http.Request) {
 	sortStatuses(out)
 	if len(down) > 0 {
 		w.Header().Set(PartialHeader, strings.Join(down, ","))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleInfo describes the membership and this node's place in it.
-func (n *Node) handleInfo(w http.ResponseWriter, _ *http.Request) {
-	type memberInfo struct {
-		Member
-		Self bool `json:"self,omitempty"`
-	}
-	out := struct {
-		Self     string       `json:"self"`
-		Members  []memberInfo `json:"members"`
-		Stealing bool         `json:"stealing"`
-	}{Self: n.self.ID, Stealing: n.stealing()}
-	for _, m := range n.cfg.Members {
-		out.Members = append(out.Members, memberInfo{Member: m, Self: m.ID == n.self.ID})
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -100,18 +100,6 @@ func (s *System) LineState(addr uint64) State {
 	return e.state
 }
 
-// Sharers returns the bitmask of cores holding the line (for tests).
-func (s *System) Sharers(addr uint64) uint64 {
-	e := s.dir[mem.LineAddr(addr)]
-	if e == nil {
-		return 0
-	}
-	if e.state == Exclusive || e.state == Modified {
-		return 1 << uint(e.owner)
-	}
-	return e.sharers
-}
-
 func (s *System) entry(la uint64) *dirEntry {
 	e := s.dir[la]
 	if e == nil {

@@ -1,7 +1,7 @@
 // Package core is the public face of the simulator: it assembles the ISA,
 // memory hierarchy, out-of-order pipeline, STT and SDO pieces into a
 // Machine, names the paper's evaluated design variants (Table II), and
-// returns uniform Results that the experiment harness, the examples and
+// returns uniform Results that the experiment harness, the service and
 // the benchmarks all consume.
 package core
 
@@ -17,10 +17,9 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Variant identifies one registered protection scheme. The first eight
-// ids are the paper's Table II rows (the const block below); further
-// schemes join via RegisterScheme (registry.go) without widening the
-// default Table II sweep.
+// Variant identifies one protection scheme: the paper's eight Table II
+// rows, then SafeSpec and SpecBox, the two comparison defenses outside
+// Table II. registry.go holds each one's metadata and pipeline settings.
 type Variant int
 
 const (
@@ -40,14 +39,17 @@ const (
 	Hybrid
 	// Perfect uses an oracle that always predicts the correct level.
 	Perfect
+	// SafeSpec fills a bounded per-core shadow cache and shadow TLB.
+	SafeSpec
+	// SpecBox labels speculative lines invisible until commit.
+	SpecBox
 
 	numVariants
 )
 
 // Variants returns the Table II rows in order — exactly the grid the
-// published golden results sweep. Registered additions (SafeSpec,
-// SpecBox, ...) are excluded deliberately; sweep Registered() for the
-// full defense zoo.
+// published golden results sweep. SafeSpec and SpecBox are excluded
+// deliberately; sweep Registered() for every defense.
 func Variants() []Variant {
 	out := make([]Variant, 0, numVariants)
 	for i, s := range registry {
@@ -63,8 +65,8 @@ func SDOVariants() []Variant {
 	return []Variant{StaticL1, StaticL2, StaticL3, Hybrid, Perfect}
 }
 
-// String returns the registered scheme name (Table II spelling for the
-// paper's rows).
+// String returns the scheme name (Table II spelling for the paper's
+// rows).
 func (v Variant) String() string {
 	if s := schemeOf(v); s != nil {
 		return s.Name
@@ -87,7 +89,7 @@ func (v Variant) IsSDO() bool {
 	return s != nil && s.SDO
 }
 
-// ParseVariant maps a name (registered spelling or a short alias) to a
+// ParseVariant maps a name (the scheme's spelling or a short alias) to a
 // Variant. Unknown names report the full list of valid scheme names —
 // the text surfaces verbatim in the simsvc HTTP 400 body.
 func ParseVariant(s string) (Variant, error) {
@@ -229,7 +231,7 @@ func pipelineConfig(cfg Config, probe func(uint64) mem.Level) pipeline.Config {
 	pc.Check = cfg.Check
 	s := schemeOf(cfg.Variant)
 	if s == nil {
-		panic(fmt.Sprintf("core: unregistered variant %d", int(cfg.Variant)))
+		panic(fmt.Sprintf("core: unknown variant %d", int(cfg.Variant)))
 	}
 	s.Configure(&pc, probe)
 	return pc

@@ -43,7 +43,7 @@ var (
 	equiv     []equivFacts
 )
 
-// equivTable configures every registered variant once and derives its
+// equivTable configures every variant once and derives its
 // facts. Configure may build a predictor, so nothing here runs per cell.
 func equivTable() []equivFacts {
 	equivOnce.Do(func() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -10,8 +9,8 @@ import (
 	"repro/internal/sdo"
 )
 
-// SchemeInfo describes one registered protection scheme: the metadata
-// CLI parsing, the /variants endpoint and the docs surface, plus the
+// SchemeInfo describes one protection scheme: the metadata CLI
+// parsing, the /variants endpoint and the docs surface, plus the
 // Configure hook that translates the scheme into pipeline settings.
 type SchemeInfo struct {
 	// Name is the display name (Table II spelling for the paper's rows).
@@ -30,11 +29,8 @@ type SchemeInfo struct {
 	Configure func(pc *pipeline.Config, probe func(uint64) mem.Level) `json:"-"`
 }
 
-// registry holds every known scheme, indexed by Variant. The first
-// numVariants entries are the Table II rows in const order; schemes
-// registered later (SafeSpec, SpecBox, ...) append after them.
-// Package-level initialization order guarantees builtinSchemes runs
-// before any RegisterScheme in a dependent var declaration.
+// registry holds every scheme, indexed by Variant: the eight Table II
+// rows, then the two shadow-structure defenses.
 var registry = builtinSchemes()
 
 func builtinSchemes() []SchemeInfo {
@@ -104,65 +100,32 @@ func builtinSchemes() []SchemeInfo {
 				return sdo.Perfect{Probe: probe}
 			}),
 		},
+		// The shadow-structure schemes track no taint: speculative loads
+		// execute at once but fill per-core shadow structures
+		// (mem/spec.go), promoted on retire and discarded on squash, so
+		// squashed speculation leaves no cache-visible trace.
+		SafeSpec: {
+			Name: "SafeSpec", Aliases: []string{"safespec", "safe-spec"},
+			Description: "Shadow speculative cache+TLB; fills commit on retire, vanish on squash",
+			Configure: func(pc *pipeline.Config, _ func(uint64) mem.Level) {
+				pc.Scheme = pipeline.SchemeSafeSpec
+				pc.FPTransmitters = false
+			},
+		},
+		SpecBox: {
+			Name: "SpecBox", Aliases: []string{"specbox", "spec-box"},
+			Description: "Speculation-labelled cache lines, invisible to probes until commit",
+			Configure: func(pc *pipeline.Config, _ func(uint64) mem.Level) {
+				pc.Scheme = pipeline.SchemeSpecBox
+				pc.FPTransmitters = false
+			},
+		},
 	}
 }
 
-// RegisterScheme adds a protection scheme to the registry and returns
-// its Variant id. Names and aliases must be unique across the registry
-// (checked; a collision panics at init time). Registration order is
-// deterministic — package-level var initialization — so Variant ids are
-// stable within a build.
-func RegisterScheme(info SchemeInfo) Variant {
-	if info.Name == "" || info.Configure == nil {
-		panic("core: RegisterScheme requires a Name and a Configure hook")
-	}
-	for _, s := range registry {
-		if s.Name == info.Name {
-			panic(fmt.Sprintf("core: scheme %q already registered", info.Name))
-		}
-		for _, a := range s.Aliases {
-			for _, b := range info.Aliases {
-				if a == b {
-					panic(fmt.Sprintf("core: scheme alias %q already taken by %q", b, s.Name))
-				}
-			}
-		}
-	}
-	registry = append(registry, info)
-	return Variant(len(registry) - 1)
-}
-
-// The shadow-structure schemes: first-class variants outside Table II.
-// Neither tracks taint — speculative loads execute immediately but fill
-// per-core shadow structures (mem/spec.go) that are promoted on retire
-// and discarded on squash, so squashed speculation leaves no
-// cache-visible trace.
-var (
-	// SafeSpec fills a bounded per-core shadow cache and shadow TLB.
-	SafeSpec = RegisterScheme(SchemeInfo{
-		Name:        "SafeSpec",
-		Aliases:     []string{"safespec", "safe-spec"},
-		Description: "Shadow speculative cache+TLB; fills commit on retire, vanish on squash",
-		Configure: func(pc *pipeline.Config, _ func(uint64) mem.Level) {
-			pc.Scheme = pipeline.SchemeSafeSpec
-			pc.FPTransmitters = false
-		},
-	})
-	// SpecBox labels speculative lines invisible until commit.
-	SpecBox = RegisterScheme(SchemeInfo{
-		Name:        "SpecBox",
-		Aliases:     []string{"specbox", "spec-box"},
-		Description: "Speculation-labelled cache lines, invisible to probes until commit",
-		Configure: func(pc *pipeline.Config, _ func(uint64) mem.Level) {
-			pc.Scheme = pipeline.SchemeSpecBox
-			pc.FPTransmitters = false
-		},
-	})
-)
-
-// Registered returns every registered variant in id order: the Table II
-// rows first, then the registered additions. Sweeping this instead of
-// Variants() covers the full defense zoo.
+// Registered returns every scheme in id order: the Table II rows, then
+// SafeSpec and SpecBox. Sweeping this instead of Variants() covers every
+// defense.
 func Registered() []Variant {
 	out := make([]Variant, len(registry))
 	for i := range out {
@@ -187,7 +150,7 @@ func schemeOf(v Variant) *SchemeInfo {
 	return &registry[v]
 }
 
-// validNames returns every registered name, sorted, for error messages.
+// validNames returns every scheme name, sorted, for error messages.
 func validNames() string {
 	names := make([]string, len(registry))
 	for i, s := range registry {

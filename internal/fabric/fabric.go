@@ -16,8 +16,8 @@
 // background prober marks unreachable peers unhealthy and closes
 // breakers when they return, and lookups are hedged — if the
 // best-ranked peer has not answered within
-// HedgeDelay, the second-ranked peer is asked concurrently, at most
-// DefaultMaxFanout peers per lookup. Every failure mode (connection
+// DefaultHedgeDelay, the second-ranked peer is asked concurrently, at
+// most DefaultMaxFanout peers per lookup. Every failure mode (connection
 // refused, timeout, HTTP error, corrupt body) resolves to a cache miss,
 // never an error: the caller simulates locally and the sweep proceeds.
 //
@@ -42,8 +42,9 @@ import (
 	"time"
 )
 
-// Defaults for the zero-value Config knobs; DefaultMaxFanout and
-// DefaultBreakerOpens are fixed, not knobs.
+// Defaults for the zero-value Config knobs (DefaultTimeout,
+// DefaultProbeInterval); the hedge delay, fan-out, breaker threshold and
+// breaker backoff are fixed, not knobs.
 const (
 	DefaultTimeout        = 2 * time.Second
 	DefaultHedgeDelay     = 75 * time.Millisecond
@@ -75,15 +76,6 @@ type Config struct {
 	// Timeout bounds each lookup and probe request (0: DefaultTimeout);
 	// a request sent with Do carries its caller's deadline instead.
 	Timeout time.Duration
-	// HedgeDelay is how long the best-ranked peer gets to answer before
-	// the lookup is hedged to the next-ranked peer (0:
-	// DefaultHedgeDelay).
-	HedgeDelay time.Duration
-	// BreakerBackoff is the initial open duration, doubling per
-	// consecutive open up to BreakerMaxBackoff (0: DefaultBreakerBackoff
-	// / DefaultBreakerMax).
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
 	// ProbeInterval is the background health-probe period; a reachable
 	// /healthz closes the peer's breaker (0: DefaultProbeInterval;
 	// negative: no prober — breakers then reopen only via the
@@ -99,20 +91,20 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = DefaultTimeout
 	}
-	if c.HedgeDelay <= 0 {
-		c.HedgeDelay = DefaultHedgeDelay
-	}
-	if c.BreakerBackoff <= 0 {
-		c.BreakerBackoff = DefaultBreakerBackoff
-	}
-	if c.BreakerMaxBackoff <= 0 {
-		c.BreakerMaxBackoff = DefaultBreakerMax
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = DefaultProbeInterval
 	}
 	return c
 }
+
+// timing is a client's hedge and breaker clock: how long the best-ranked
+// peer gets before a lookup is hedged, and the breaker's first open
+// duration, doubling per consecutive open up to a cap.
+type timing struct{ hedge, backoff, maxBackoff time.Duration }
+
+// defaultTiming is every production client's clock; fabric's own tests
+// pass a shorter one to newClient.
+var defaultTiming = timing{DefaultHedgeDelay, DefaultBreakerBackoff, DefaultBreakerMax}
 
 // PeerStatus is one peer's operational state, served via /healthz.
 type PeerStatus struct {
@@ -183,7 +175,7 @@ func (p *peer) ok() {
 // fail records a failure; at DefaultBreakerOpens the breaker opens for an
 // exponentially-growing backoff. Reports whether this call opened it, and
 // whether it was open (or half-open) already.
-func (p *peer) fail(now time.Time, cfg Config) (opened, already bool) {
+func (p *peer) fail(now time.Time, tm timing) (opened, already bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	already = p.fails >= DefaultBreakerOpens
@@ -192,12 +184,12 @@ func (p *peer) fail(now time.Time, cfg Config) (opened, already bool) {
 		return false, already
 	}
 	if p.backoff == 0 {
-		p.backoff = cfg.BreakerBackoff
+		p.backoff = tm.backoff
 	}
 	opened = now.After(p.openUntil)
 	p.openUntil = now.Add(p.backoff)
-	if p.backoff *= 2; p.backoff > cfg.BreakerMaxBackoff {
-		p.backoff = cfg.BreakerMaxBackoff
+	if p.backoff *= 2; p.backoff > tm.maxBackoff {
+		p.backoff = tm.maxBackoff
 	}
 	return opened, already
 }
@@ -229,6 +221,7 @@ func (p *peer) status(now time.Time) PeerStatus {
 // and knows no peer.
 type Client struct {
 	cfg   Config
+	tm    timing
 	hc    *http.Client
 	peers []*peer
 
@@ -242,7 +235,9 @@ type Client struct {
 
 // New builds a client for cfg and starts its background health prober.
 // Returns nil when cfg.Peers is empty.
-func New(cfg Config) *Client {
+func New(cfg Config) *Client { return newClient(cfg, defaultTiming) }
+
+func newClient(cfg Config, tm timing) *Client {
 	cfg = cfg.withDefaults()
 	if len(cfg.Peers) == 0 {
 		return nil
@@ -253,6 +248,7 @@ func New(cfg Config) *Client {
 	dial := (&net.Dialer{Timeout: dialTimeout}).DialContext
 	c := &Client{
 		cfg:  cfg,
+		tm:   tm,
 		hc:   &http.Client{Transport: &http.Transport{DialContext: dial}},
 		stop: make(chan struct{}),
 	}
@@ -375,7 +371,7 @@ func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body 
 	// in sequence, and the answer to "peers are slow" is local
 	// simulation, not waiting.
 	ctx, cancel := context.WithTimeout(ctx,
-		time.Duration(len(cands))*c.cfg.Timeout+c.cfg.HedgeDelay)
+		time.Duration(len(cands))*c.cfg.Timeout+c.tm.hedge)
 	defer cancel()
 
 	ch := make(chan lookupRes, len(cands))
@@ -400,7 +396,7 @@ func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body 
 	}()
 	var hedge <-chan time.Time
 	if len(cands) > 1 {
-		t := time.NewTimer(c.cfg.HedgeDelay)
+		t := time.NewTimer(c.tm.hedge)
 		defer t.Stop()
 		hedge = t.C
 	}
@@ -468,7 +464,7 @@ func (c *Client) strike(ctx context.Context, p *peer, why string) {
 	}
 	p.errors.Add(1)
 	c.errors.Add(1)
-	opened, already := p.fail(time.Now(), c.cfg)
+	opened, already := p.fail(time.Now(), c.tm)
 	if opened {
 		c.event("peer-breaker-open", p.url)
 	}

@@ -13,19 +13,15 @@ import (
 	"time"
 )
 
-// fastCfg keeps every timer short so breaker/hedge tests run in
-// milliseconds. The prober is off: tests drive state transitions
-// explicitly.
+// fastCfg keeps the lookup timeout short and the prober off: tests
+// drive state transitions explicitly.
 func fastCfg(peers ...string) Config {
-	return Config{
-		Peers:             peers,
-		Timeout:           500 * time.Millisecond,
-		HedgeDelay:        10 * time.Millisecond,
-		BreakerBackoff:    30 * time.Millisecond,
-		BreakerMaxBackoff: 200 * time.Millisecond,
-		ProbeInterval:     -1,
-	}
+	return Config{Peers: peers, Timeout: 500 * time.Millisecond, ProbeInterval: -1}
 }
+
+// fastTiming keeps the hedge and breaker clocks short so breaker/hedge
+// tests run in milliseconds.
+var fastTiming = timing{hedge: 10 * time.Millisecond, backoff: 30 * time.Millisecond, maxBackoff: 200 * time.Millisecond}
 
 // cacheServer serves /cache/{key} from a fixed map, counting requests.
 func cacheServer(t *testing.T, entries map[string]string) (*httptest.Server, *atomic.Int64) {
@@ -104,7 +100,7 @@ func TestNilClientMisses(t *testing.T) {
 
 func TestLookupHitAndMiss(t *testing.T) {
 	srv, _ := cacheServer(t, map[string]string{"/cache/k1": "body-1"})
-	c := New(fastCfg(srv.URL))
+	c := newClient(fastCfg(srv.URL), fastTiming)
 	defer c.Close()
 
 	body, url, ok := lookup(c, "k1", nil)
@@ -129,7 +125,7 @@ func TestDownPeerFallsThroughToNext(t *testing.T) {
 	down.Close() // connection refused from here on
 	up, _ := cacheServer(t, map[string]string{"/cache/k1": "body-1"})
 
-	c := New(fastCfg(down.URL, up.URL))
+	c := newClient(fastCfg(down.URL, up.URL), fastTiming)
 	defer c.Close()
 	body, url, ok := lookup(c, "k1", nil)
 	if !ok || string(body) != "body-1" || url != up.URL {
@@ -142,7 +138,7 @@ func TestDownPeerFallsThroughToNext(t *testing.T) {
 
 func TestValidateRejectionIsAPeerFailure(t *testing.T) {
 	srv, _ := cacheServer(t, map[string]string{"/cache/k1": "garbage"})
-	c := New(fastCfg(srv.URL))
+	c := newClient(fastCfg(srv.URL), fastTiming)
 	defer c.Close()
 	reject := func([]byte) error { return fmt.Errorf("checksum mismatch") }
 	if _, _, ok := lookup(c, "k1", reject); ok {
@@ -157,7 +153,7 @@ func TestValidateRejectionIsAPeerFailure(t *testing.T) {
 func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	down := httptest.NewServer(http.NotFoundHandler())
 	down.Close()
-	c := New(fastCfg(down.URL))
+	c := newClient(fastCfg(down.URL), fastTiming)
 	defer c.Close()
 
 	// DefaultBreakerOpens consecutive failures open the breaker.
@@ -179,7 +175,7 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	}
 
 	// Past the backoff the breaker half-opens and admits a trial.
-	time.Sleep(2 * c.cfg.BreakerBackoff)
+	time.Sleep(2 * c.tm.backoff)
 	if ps := c.Snapshot()[0]; ps.State != "half-open" {
 		t.Fatalf("peer state past backoff = %q, want half-open", ps.State)
 	}
@@ -187,7 +183,7 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	// A recovered peer closes the breaker on the next successful trial.
 	revived, _ := cacheServer(t, map[string]string{"/cache/k": "body"})
 	c.peers[0].url = revived.URL // swap the address: same peer, now alive
-	time.Sleep(2 * c.cfg.BreakerBackoff)
+	time.Sleep(2 * c.tm.backoff)
 	if _, _, ok := lookup(c, "k", nil); !ok {
 		t.Fatal("half-open trial against a live peer missed")
 	}
@@ -210,7 +206,7 @@ func TestHedgedLookupWinsOnSlowPrimary(t *testing.T) {
 		fmt.Fprint(w, "slow-body")
 	}))
 	defer slow.Close()
-	c := New(fastCfg(slow.URL, fast.URL))
+	c := newClient(fastCfg(slow.URL, fast.URL), fastTiming)
 	defer c.Close()
 
 	key := ""
@@ -232,7 +228,7 @@ func TestHedgedLookupWinsOnSlowPrimary(t *testing.T) {
 }
 
 func TestRendezvousRankIsStableAndSpread(t *testing.T) {
-	c := New(fastCfg("http://a", "http://b", "http://c"))
+	c := newClient(fastCfg("http://a", "http://b", "http://c"), fastTiming)
 	defer c.Close()
 	// Stable: same key, same order, every time.
 	for i := 0; i < 10; i++ {
@@ -244,7 +240,7 @@ func TestRendezvousRankIsStableAndSpread(t *testing.T) {
 	}
 	// Agreement is order-independent: a client configured with the peers
 	// in a different order ranks each key identically.
-	c2 := New(fastCfg("http://c", "http://a", "http://b"))
+	c2 := newClient(fastCfg("http://c", "http://a", "http://b"), fastTiming)
 	defer c2.Close()
 	first := map[string]int{}
 	for i := 0; i < 64; i++ {
@@ -281,7 +277,7 @@ func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
 			}
 			return nil
 		}
-		c := New(cfg)
+		c := newClient(cfg, fastTiming)
 		if _, _, ok := lookup(c, "k1", vet); ok {
 			t.Fatalf("%s: injected fault still produced a hit", fault)
 		}
@@ -296,7 +292,7 @@ func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
 	// A slow peer under the timeout delays but still answers.
 	var spoiled atomic.Int64
 	srv, _ := faultyCacheServer(t, entries, "slow", 20*time.Millisecond, &spoiled)
-	c := New(fastCfg(srv.URL))
+	c := newClient(fastCfg(srv.URL), fastTiming)
 	defer c.Close()
 	start := time.Now()
 	body, _, ok := lookup(c, "k1", nil)
@@ -320,7 +316,7 @@ func TestProbeClosesBreakerOnRecovery(t *testing.T) {
 	cfg := fastCfg(srv.URL)
 	cfg.Timeout = 20 * time.Millisecond
 	cfg.ProbeInterval = 10 * time.Millisecond
-	c := New(cfg)
+	c := newClient(cfg, fastTiming)
 	defer c.Close()
 
 	waitPeer(t, c, "probes to open the breaker", func(ps PeerStatus) bool {
@@ -369,7 +365,7 @@ func TestCallerCancellationIsNotAPeerFailure(t *testing.T) {
 		fmt.Fprint(w, "fast-body")
 	}))
 	defer fast.Close()
-	c := New(fastCfg(slow.URL, fast.URL))
+	c := newClient(fastCfg(slow.URL, fast.URL), fastTiming)
 	defer c.Close()
 	slowPeer := func() PeerStatus { return c.Snapshot()[0] }
 	clean := func(after string) {
@@ -484,7 +480,7 @@ func TestHalfOpenAdmitsOneTrial(t *testing.T) {
 				}
 			}))
 			defer srv.Close()
-			c := New(fastCfg(srv.URL))
+			c := newClient(fastCfg(srv.URL), fastTiming)
 			defer c.Close()
 			p := c.peers[0]
 			p.mu.Lock() // open, past its backoff; a strike re-opens it for an hour
@@ -576,7 +572,7 @@ func TestHalfOpenLookupAdmitsOneTrial(t *testing.T) {
 			defer srv.Close()
 			cfg := fastCfg(srv.URL)
 			cfg.Timeout = tc.timeout
-			c := New(cfg)
+			c := newClient(cfg, fastTiming)
 			defer c.Close()
 			p := c.peers[0]
 			p.mu.Lock() // open, past its backoff; a strike re-opens it for an hour

@@ -29,12 +29,14 @@ import (
 // measurement, so it must never answer a detailed query (or vice versa),
 // and two sampled runs with different sampling parameters are distinct
 // entries.
-// v5: the variant is keyed by its registered scheme NAME instead of its
-// integer id. Variant ids beyond Table II are registration-order
-// dependent (core.RegisterScheme), so a build that registers schemes in
-// a different order must not alias another build's entries; names are
-// order-independent. Old v4 entries are invalidated (never corrupted) —
-// the schema string feeds the hash, so v4 and v5 keys cannot collide.
+// v5: the variant is keyed by its scheme NAME instead of its integer
+// id. Variant ids beyond Table II were then assigned in registration
+// order at init, so a build that registered schemes in a different order
+// could have aliased another build's entries; names were
+// order-independent. The scheme table has since closed (SafeSpec and
+// SpecBox are constants), and names still key it. Old v4 entries were
+// invalidated (never corrupted) — the schema string feeds the hash, so
+// v4 and v5 keys cannot collide.
 const keySchema = "sdo-cache-v5"
 
 // RunSpec identifies one simulation cell — a suite workload by name,

@@ -218,15 +218,6 @@ func (m *Memory) Write64(addr uint64, v uint64) {
 	}
 }
 
-// ReadBytes copies n bytes starting at addr into a fresh slice.
-func (m *Memory) ReadBytes(addr uint64, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = m.Read8(addr + uint64(i))
-	}
-	return b
-}
-
 // Freeze gives up ownership of every page, so that this Memory too copies
 // a page before it next writes to it. It is what Clone and ShareImage do to
 // their receiver before letting anyone else see its pages. A Memory that
@@ -286,16 +277,6 @@ func (m *Memory) image(bytesOf func(*page) []byte) map[uint64][]byte {
 		return true
 	})
 	return img
-}
-
-// SetImage replaces the memory contents with a private copy of the given
-// page image (as produced by Image). Pages longer than the backing page
-// size are truncated; shorter pages are zero-extended.
-func (m *Memory) SetImage(img map[uint64][]byte) {
-	*m = Memory{}
-	for pn, b := range img {
-		copy(m.writePage(pn)[:], b)
-	}
 }
 
 // AdoptImage replaces the memory contents with the given page image

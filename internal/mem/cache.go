@@ -270,23 +270,3 @@ func (c *Cache) CommitMSHR(key uint64, done uint64) {
 	}
 	c.mshr = append(c.mshr, mshrEntry{key, done})
 }
-
-// OutstandingMisses returns the current number of live MSHR entries as of
-// time now (for tests).
-func (c *Cache) OutstandingMisses(now uint64) int {
-	c.pruneMSHR(now)
-	return len(c.mshr)
-}
-
-// Contents returns the number of valid lines (for tests).
-func (c *Cache) Contents() int {
-	n := 0
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.Valid {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -74,19 +74,6 @@ func (h *Hierarchy) SetSpecMode(m SpecMode) {
 	h.specTLB = make(map[uint64]uint64)
 }
 
-// SpecModeActive returns the hierarchy's current speculative mode.
-func (h *Hierarchy) SpecModeActive() SpecMode { return h.specMode }
-
-// SpecContents returns the line addresses currently held by the shadow
-// (tests and debugging).
-func (h *Hierarchy) SpecContents() []uint64 {
-	out := make([]uint64, 0, len(h.spec))
-	for la := range h.spec {
-		out = append(out, la)
-	}
-	return out
-}
-
 // SpecTranslate is the translation path for speculative loads; seq is
 // the translating load's sequence number (the squash-filter tag for a
 // shadow-TLB fill). Under SpecLabel it is the normal TLB path (SpecBox

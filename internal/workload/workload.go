@@ -127,15 +127,6 @@ func ByName(name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("workload: unknown workload %q", name)
 }
 
-// Names lists all workload names in order.
-func Names() []string {
-	var out []string
-	for _, w := range suite {
-		out = append(out, w.Name)
-	}
-	return out
-}
-
 // Shared memory-region geometry (slot counts of 8-byte words).
 const (
 	hotSlots = 1 << 11 // 16KB: L1-resident after warmup

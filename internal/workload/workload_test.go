@@ -40,13 +40,14 @@ func TestAllKernelsHaltFunctionally(t *testing.T) {
 }
 
 func TestByNameAndNames(t *testing.T) {
-	names := Names()
-	if len(names) != 14 {
-		t.Fatalf("suite has %d workloads, want 14", len(names))
+	all := All()
+	if len(all) != 14 {
+		t.Fatalf("suite has %d workloads, want 14", len(all))
 	}
-	w, err := ByName("mcf_r")
-	if err != nil || w.Name != "mcf_r" {
-		t.Fatalf("ByName(mcf_r): %v", err)
+	for _, want := range all {
+		if w, err := ByName(want.Name); err != nil || w.Name != want.Name {
+			t.Fatalf("ByName(%s) = %q, %v", want.Name, w.Name, err)
+		}
 	}
 	if _, err := ByName("nonexistent"); err == nil {
 		t.Fatal("ByName should fail for unknown workload")
