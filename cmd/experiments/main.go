@@ -12,15 +12,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/simpoint"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -63,52 +62,40 @@ func main() {
 		return // only static tables were requested
 	}
 
-	opt := harness.DefaultOptions()
-	opt.MaxInstrs = *instrs
-	opt.WarmupInstrs = *warmup
-	opt.IntervalCycles = *ivl
-	opt.Parallel = !*serial
-	mode, err := core.ParseWarmupMode(*wmode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	opt.WarmupMode = mode
-	sm, err := harness.ParseSimMode(*simMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	opt.SimMode = sm
-	opt.Sample = simpoint.Config{IntervalInstrs: *sampleInterval, MaxK: *sampleMaxK, Seed: *sampleSeed}
-	if sm == harness.SimSampled && *ablate {
-		fmt.Fprintln(os.Stderr, "experiments: -ablate runs detailed simulation; use -sim-mode detailed")
-		os.Exit(1)
+	req := harness.Request{
+		MaxInstrs:            *instrs,
+		WarmupInstrs:         warmup,
+		IntervalCycles:       *ivl,
+		WarmupMode:           *wmode,
+		SimMode:              *simMode,
+		SampleIntervalInstrs: *sampleInterval,
+		SampleMaxK:           *sampleMaxK,
+		SampleSeed:           *sampleSeed,
+		Ablations:            *ablate,
 	}
 	if *wls != "" {
-		var list []workload.Workload
 		for _, name := range strings.Split(*wls, ",") {
-			w, err := workload.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			list = append(list, w)
+			req.Workloads = append(req.Workloads, strings.TrimSpace(name))
 		}
-		opt.Workloads = list
 	}
+	opt, specs, err := req.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	opt.Parallel = !*serial
 	if *verbose {
 		opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
 
 	if *ablate {
-		for _, m := range opt.Models {
-			rows, err := harness.RunAblations(opt, m)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			harness.WriteAblations(os.Stdout, m, rows)
+		res, err := harness.RunSpecs(context.Background(), opt, specs)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
+		for mi, rows := range res.AblationTables() {
+			harness.WriteAblations(os.Stdout, opt.Models[mi], rows)
 			fmt.Println()
 		}
 		if !all && !*fig6 && !*fig7 && !*fig8 && !*table3 && !*summary {

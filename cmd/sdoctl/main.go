@@ -40,6 +40,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/obs/trace"
 	"repro/internal/simsvc"
 )
@@ -318,7 +319,7 @@ func (c *client) submit(args []string) int {
 		}
 		return parts
 	}
-	req := simsvc.SweepRequest{
+	req := harness.Request{
 		Workloads:            split(*wls),
 		Variants:             split(*vars),
 		Models:               split(*models),

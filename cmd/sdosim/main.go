@@ -33,7 +33,7 @@ import (
 func main() {
 	var (
 		wlName      = flag.String("workload", "mcf_r", "workload name (see -list)")
-		variant     = flag.String("variant", "unsafe", "design variant (Table II): unsafe, stt, stt{ld+fp}, l1, l2, l3, hybrid, perfect")
+		variant     = flag.String("variant", "unsafe", "design variant, any case: "+schemeNames())
 		model       = flag.String("model", "spectre", "attack model: spectre or futuristic")
 		instrs      = flag.Uint64("instrs", 60_000, "committed instructions to measure")
 		warmup      = flag.Uint64("warmup", 50_000, "committed instructions of cache warmup")
@@ -79,11 +79,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	m := pipeline.Spectre
-	if strings.EqualFold(*model, "futuristic") {
-		m = pipeline.Futuristic
-	} else if !strings.EqualFold(*model, "spectre") {
-		fatal(fmt.Errorf("unknown attack model %q", *model))
+	m, err := pipeline.ParseAttackModel(strings.ToLower(*model))
+	if err != nil {
+		fatal(err)
 	}
 
 	wm, err := core.ParseWarmupMode(*wmode)
@@ -279,6 +277,16 @@ func runSampled(wl workload.Workload, v core.Variant, m pipeline.AttackModel, wa
 			fatal(err)
 		}
 	}
+}
+
+// schemeNames lists every registered scheme's name in lower case, which
+// -variant accepts.
+func schemeNames() string {
+	var names []string
+	for _, v := range core.Registered() {
+		names = append(names, strings.ToLower(v.String()))
+	}
+	return strings.Join(names, ", ")
 }
 
 func fatal(err error) {

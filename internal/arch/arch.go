@@ -108,9 +108,9 @@ type ExecResult struct {
 	BranchCount uint64
 }
 
-// ErrStepBudget is returned by Exec when the program did not halt within
+// errStepBudget is returned by Exec when the program did not halt within
 // the given number of dynamic instructions.
-var ErrStepBudget = errors.New("arch: step budget exhausted before halt")
+var errStepBudget = errors.New("arch: step budget exhausted before halt")
 
 // Exec runs the program on the golden functional model. It mutates mem
 // and returns the final architectural registers. regs gives initial
@@ -132,7 +132,7 @@ func Exec(p *isa.Program, mem *isa.Memory, regs *[isa.NumRegs]uint64, maxInstrs 
 		LoadCount: st.Loads, StoreCount: st.Stores, BranchCount: st.Branches,
 	}
 	if !st.Halted {
-		return r, ErrStepBudget
+		return r, errStepBudget
 	}
 	return r, nil
 }

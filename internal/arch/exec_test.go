@@ -62,8 +62,8 @@ func TestExecMemoryOps(t *testing.T) {
 func TestExecStepBudget(t *testing.T) {
 	p := isa.NewBuilder().Label("spin").Jmp("spin").MustBuild()
 	_, err := Exec(p, isa.NewMemory(), nil, 1000)
-	if err != ErrStepBudget {
-		t.Fatalf("err = %v, want ErrStepBudget", err)
+	if err != errStepBudget {
+		t.Fatalf("err = %v, want errStepBudget", err)
 	}
 }
 

@@ -39,8 +39,8 @@ const (
 	PartialHeader = "X-Sdo-Cluster-Partial"
 )
 
-// DefaultStealInterval is the fallback steal poll period.
-const DefaultStealInterval = 2 * time.Second
+// defaultStealInterval is the fallback steal poll period.
+const defaultStealInterval = 2 * time.Second
 
 // rpcTimeout bounds each short cluster RPC: a scatter-gather fetch, a
 // steal claim, a completion, a wake hint.
@@ -165,7 +165,7 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: empty member list")
 	}
 	if cfg.StealInterval == 0 {
-		cfg.StealInterval = DefaultStealInterval
+		cfg.StealInterval = defaultStealInterval
 	}
 	n := &Node{
 		cfg:    cfg,

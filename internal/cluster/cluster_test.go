@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/simsvc"
 )
@@ -133,9 +134,9 @@ func startCluster(t *testing.T, ids []string, mut func(i int, scfg *simsvc.Confi
 }
 
 // smallReq is a fast sweep: 2 workloads x 2 variants x 1 model = 4 cells.
-func smallReq() simsvc.SweepRequest {
+func smallReq() harness.Request {
 	warmup := uint64(1000)
-	return simsvc.SweepRequest{
+	return harness.Request{
 		Workloads:    []string{"exchange2_r", "deepsjeng_r"},
 		Variants:     []string{"unsafe", "hybrid"},
 		Models:       []string{"spectre"},
@@ -144,7 +145,7 @@ func smallReq() simsvc.SweepRequest {
 	}
 }
 
-func postSweep(t *testing.T, url string, req simsvc.SweepRequest) simsvc.Status {
+func postSweep(t *testing.T, url string, req harness.Request) simsvc.Status {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/sweeps", "application/json", bytes.NewReader(body))
@@ -400,7 +401,7 @@ func TestClusterScatterGatherListing(t *testing.T) {
 
 // stealReq is one sampled cell per workload. Each builds its workload's
 // sampling plan first, which is what lets gateBuilds hold it mid-run.
-func stealReq() simsvc.SweepRequest {
+func stealReq() harness.Request {
 	req := smallReq()
 	req.Workloads = []string{"exchange2_r", "deepsjeng_r", "xz_r", "mcf_r", "gcc_r", "x264_r", "leela_r", "namd_r"}
 	req.Variants = []string{"hybrid"}
@@ -445,7 +446,7 @@ func stealPair(t *testing.T, thiefWorkers int, mut func(i int, ncfg *Config)) (a
 	return nodes[0], nodes[1], release
 }
 
-func soloGolden(t *testing.T, req simsvc.SweepRequest) []byte {
+func soloGolden(t *testing.T, req harness.Request) []byte {
 	t.Helper()
 	solo := startCluster(t, []string{"solo"}, nil)[0]
 	st := postSweep(t, solo.srv.URL, req)
@@ -607,7 +608,7 @@ func TestClusterNodesBuildIdenticalArtifacts(t *testing.T) {
 
 	for _, tc := range []struct {
 		name, built string
-		req         simsvc.SweepRequest
+		req         harness.Request
 	}{
 		{"checkpoint", "sdo_checkpoints_captured_total", ckptReq},
 		{"plan", "sdo_sample_plans_built_total", planReq},

@@ -51,9 +51,9 @@ type dirEntry struct {
 	sharers uint64 // bitmask of cores with copies (Shared state)
 }
 
-// SnoopLatency is the extra delay, in cycles, charged to an access that has
+// snoopLatency is the extra delay, in cycles, charged to an access that has
 // to downgrade or invalidate a remote core's copy (one mesh round trip).
-const SnoopLatency = 20
+const snoopLatency = 20
 
 // System is a multi-core memory system: one shared L3/DRAM, one private
 // hierarchy per core, and the directory keeping them coherent.
@@ -150,7 +150,7 @@ func (c *Core) acquireRead(la uint64) uint64 {
 		if e.owner != c.id {
 			// Downgrade the owner to Shared (implicit writeback for M).
 			c.sys.Downgrades++
-			extra = SnoopLatency
+			extra = snoopLatency
 			e.sharers = 1<<uint(e.owner) | 1<<uint(c.id)
 			e.state = Shared
 			e.owner = -1
@@ -172,7 +172,7 @@ func (c *Core) acquireWrite(la uint64) uint64 {
 			return
 		}
 		c.sys.Invalidations++
-		extra = SnoopLatency
+		extra = snoopLatency
 		c.sys.cores[core].h.Invalidate(la)
 	}
 	switch e.state {

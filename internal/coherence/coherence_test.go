@@ -44,7 +44,7 @@ func TestRemoteLoadDowngradesModified(t *testing.T) {
 	// Snoop latency was charged: the line is in the shared L3 (filled by
 	// core 0's store walk), so core 1 pays L3 latency (40) plus the
 	// owner-downgrade snoop (20).
-	if want := uint64(100 + 40 + SnoopLatency); r.Done != want {
+	if want := uint64(100 + 40 + snoopLatency); r.Done != want {
 		t.Fatalf("M-downgrade load done=%d, want %d", r.Done, want)
 	}
 }

@@ -126,9 +126,9 @@ func TestMachineJSONLTraceParses(t *testing.T) {
 
 // TestTracedRunEquivalence: attaching an observer must not perturb the
 // simulation — a traced run and an untraced run of the same machine
-// produce bit-identical Results. This is what licenses the traced copy of
-// the memory walk (mem.walkTraced) existing at all: any drift between the
-// instrumented and pristine bodies shows up here as a counter diff.
+// produce bit-identical Results. The memory walk's event emission sits on
+// the same code path as the simulation it observes: any effect it had on
+// timing or state would show up here as a counter diff.
 func TestTracedRunEquivalence(t *testing.T) {
 	prog, init := testProgram()
 	for _, v := range []Variant{Unsafe, STTLdFp, Hybrid} {

@@ -16,8 +16,8 @@
 // background prober marks unreachable peers unhealthy and closes
 // breakers when they return, and lookups are hedged — if the
 // best-ranked peer has not answered within
-// DefaultHedgeDelay, the second-ranked peer is asked concurrently, at
-// most DefaultMaxFanout peers per lookup. Every failure mode (connection
+// defaultHedgeDelay, the second-ranked peer is asked concurrently, at
+// most defaultMaxFanout peers per lookup. Every failure mode (connection
 // refused, timeout, HTTP error, corrupt body) resolves to a cache miss,
 // never an error: the caller simulates locally and the sweep proceeds.
 //
@@ -42,26 +42,26 @@ import (
 	"time"
 )
 
-// Defaults for the zero-value Config knobs (DefaultTimeout,
-// DefaultProbeInterval); the hedge delay, fan-out, breaker threshold and
+// Defaults for the zero-value Config knobs (defaultTimeout,
+// defaultProbeInterval); the hedge delay, fan-out, breaker threshold and
 // breaker backoff are fixed, not knobs.
 const (
-	DefaultTimeout        = 2 * time.Second
-	DefaultHedgeDelay     = 75 * time.Millisecond
-	DefaultMaxFanout      = 2
+	defaultTimeout        = 2 * time.Second
+	defaultHedgeDelay     = 75 * time.Millisecond
+	defaultMaxFanout      = 2
 	DefaultBreakerOpens   = 3
-	DefaultBreakerBackoff = time.Second
-	DefaultBreakerMax     = 30 * time.Second
-	DefaultProbeInterval  = 5 * time.Second
+	defaultBreakerBackoff = time.Second
+	defaultBreakerMax     = 30 * time.Second
+	defaultProbeInterval  = 5 * time.Second
 )
 
 // dialTimeout bounds the connect of every node-to-node request: a dead
 // host fails fast whatever deadline, or none, its request carries.
 const dialTimeout = 3 * time.Second
 
-// ErrPeerOpen is the answer for a peer whose breaker is open: nothing
+// errPeerOpen is the answer for a peer whose breaker is open: nothing
 // was dialled.
-var ErrPeerOpen = errors.New("fabric: peer circuit breaker open")
+var errPeerOpen = errors.New("fabric: peer circuit breaker open")
 
 // maxEntryBytes bounds a peer response body (a single encoded cell
 // result is a few KB; this is a defensive ceiling, not a tuning knob).
@@ -73,11 +73,11 @@ type Config struct {
 	// "http://10.0.0.2:8347"). Empty: New returns nil, and a nil *Client
 	// answers every Lookup with a miss at the cost of one nil check.
 	Peers []string
-	// Timeout bounds each lookup and probe request (0: DefaultTimeout);
+	// Timeout bounds each lookup and probe request (0: defaultTimeout);
 	// a request sent with Do carries its caller's deadline instead.
 	Timeout time.Duration
 	// ProbeInterval is the background health-probe period; a reachable
-	// /healthz closes the peer's breaker (0: DefaultProbeInterval;
+	// /healthz closes the peer's breaker (0: defaultProbeInterval;
 	// negative: no prober — breakers then reopen only via the
 	// half-open-trial path).
 	ProbeInterval time.Duration
@@ -89,10 +89,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
-		c.Timeout = DefaultTimeout
+		c.Timeout = defaultTimeout
 	}
 	if c.ProbeInterval == 0 {
-		c.ProbeInterval = DefaultProbeInterval
+		c.ProbeInterval = defaultProbeInterval
 	}
 	return c
 }
@@ -104,7 +104,7 @@ type timing struct{ hedge, backoff, maxBackoff time.Duration }
 
 // defaultTiming is every production client's clock; fabric's own tests
 // pass a shorter one to newClient.
-var defaultTiming = timing{DefaultHedgeDelay, DefaultBreakerBackoff, DefaultBreakerMax}
+var defaultTiming = timing{defaultHedgeDelay, defaultBreakerBackoff, defaultBreakerMax}
 
 // PeerStatus is one peer's operational state, served via /healthz.
 type PeerStatus struct {
@@ -358,7 +358,7 @@ func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body 
 	for _, p := range rankBy(key, c.peers, func(p *peer) string { return p.url }) {
 		if ok, trial := p.admit(now); ok {
 			cands = append(cands, candidate{p, trial})
-			if len(cands) == DefaultMaxFanout {
+			if len(cands) == defaultMaxFanout {
 				break
 			}
 		}
@@ -493,7 +493,7 @@ func (c *Client) HasPeer(peerURL string) bool { return c.peer(peerURL) != nil }
 // Do sends one addressed request to the configured peer with base URL
 // peerURL under ctx's deadline (it adds none) and hands the caller the
 // response to read and close. An unknown URL is an error, never a dial;
-// an open breaker is ErrPeerOpen, and so is a half-open one while another
+// an open breaker is errPeerOpen, and so is a half-open one while another
 // request is its trial; any response closes the breaker.
 func (c *Client) Do(ctx context.Context, peerURL, method, path string, header http.Header, body []byte) (*http.Response, error) {
 	p := c.peer(peerURL)
@@ -502,7 +502,7 @@ func (c *Client) Do(ctx context.Context, peerURL, method, path string, header ht
 	}
 	ok, trial := p.admit(time.Now())
 	if !ok {
-		return nil, ErrPeerOpen
+		return nil, errPeerOpen
 	}
 	if trial {
 		// Released on every verdict — a response (after ok below), a

@@ -425,8 +425,8 @@ func TestCallerCancellationIsNotAPeerFailure(t *testing.T) {
 	if ps := slowPeer(); ps.State != "open" || ps.Errors != DefaultBreakerOpens {
 		t.Fatalf("after three expired deadlines: slow peer = %+v, want open with %d errors", ps, DefaultBreakerOpens)
 	}
-	if _, err := c.Do(context.Background(), slow.URL, http.MethodGet, "/sweeps", nil, nil); !errors.Is(err, ErrPeerOpen) {
-		t.Fatalf("Do through an open breaker: err = %v, want ErrPeerOpen", err)
+	if _, err := c.Do(context.Background(), slow.URL, http.MethodGet, "/sweeps", nil, nil); !errors.Is(err, errPeerOpen) {
+		t.Fatalf("Do through an open breaker: err = %v, want errPeerOpen", err)
 	}
 	select {
 	case <-entered:
@@ -448,7 +448,7 @@ func rankedURLs(c *Client, key string) []string {
 }
 
 // TestHalfOpenAdmitsOneTrial: past its backoff a breaker lets exactly one
-// Do through as the trial; every concurrent Do answers ErrPeerOpen without
+// Do through as the trial; every concurrent Do answers errPeerOpen without
 // dialling. The trial's slot is released on every verdict — a response
 // closes the breaker, an expired deadline strikes and re-opens it, and a
 // caller's cancellation leaves it half-open for the next trial.
@@ -507,11 +507,11 @@ func TestHalfOpenAdmitsOneTrial(t *testing.T) {
 			for i := 0; i < n-1; i++ {
 				select {
 				case err := <-results:
-					if !errors.Is(err, ErrPeerOpen) {
-						t.Fatalf("a concurrent Do beside the trial: err = %v, want ErrPeerOpen", err)
+					if !errors.Is(err, errPeerOpen) {
+						t.Fatalf("a concurrent Do beside the trial: err = %v, want errPeerOpen", err)
 					}
 				case <-time.After(10 * time.Second):
-					t.Fatal("concurrent Do calls did not answer ErrPeerOpen while the trial was parked")
+					t.Fatal("concurrent Do calls did not answer errPeerOpen while the trial was parked")
 				}
 			}
 			tc.end(func() { close(released) }, cancel)

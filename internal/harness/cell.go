@@ -28,7 +28,7 @@ const (
 // Sentinel errors the in-pipeline check hook returns; RunCell classifies
 // them.
 var (
-	ErrCellTimeout = errors.New("harness: cell exceeded its wall-clock deadline")
+	errCellTimeout = errors.New("harness: cell exceeded its wall-clock deadline")
 	// ErrCellAbandoned aborts a cell none of whose consumers still wants
 	// the result (see RunPolicy.Abort). Treated like cancellation: never
 	// wrapped in a CellError.
@@ -46,8 +46,7 @@ type CellError struct {
 }
 
 func (e *CellError) Error() string {
-	return fmt.Sprintf("harness: cell %s/%v/%v failed (%s): %v",
-		e.Key.Workload, e.Key.Variant, e.Key.Model, e.Kind, e.Err)
+	return fmt.Sprintf("harness: cell %v failed (%s): %v", e.Key, e.Kind, e.Err)
 }
 
 func (e *CellError) Unwrap() error { return e.Err }
@@ -73,7 +72,7 @@ type RunPolicy struct {
 // cancelled this is RunOne plus one recover frame.
 func RunCell(ctx context.Context, wl workload.Workload, v core.Variant, m pipeline.AttackModel,
 	ab core.Ablation, p RunParams, pol RunPolicy) (r core.Result, err error) {
-	k := Key{wl.Name, v, m}
+	k := Key{Workload: wl.Name, Variant: v, Model: m, Ablate: ab}
 	defer func() {
 		if rec := recover(); rec != nil {
 			r, err = core.Result{}, &CellError{Key: k, Kind: FailPanic,
@@ -86,7 +85,7 @@ func RunCell(ctx context.Context, wl workload.Workload, v core.Variant, m pipeli
 	switch {
 	case err == nil:
 		return r, nil
-	case errors.Is(err, ErrCellTimeout):
+	case errors.Is(err, errCellTimeout):
 		kind = FailTimeout
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, ErrCellAbandoned):
@@ -119,7 +118,7 @@ func buildCheck(ctx context.Context, pol RunPolicy) func(cycle, committed uint64
 			return ErrCellAbandoned
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			return ErrCellTimeout
+			return errCellTimeout
 		}
 		return nil
 	}

@@ -81,7 +81,7 @@ func TestRunCellPanicFailsOnce(t *testing.T) {
 	if ce.Stack == "" {
 		t.Fatal("panic CellError has no stack")
 	}
-	if ce.Key != (Key{wl.Name, core.Unsafe, pipeline.Spectre}) {
+	if ce.Key != (Key{Workload: wl.Name, Variant: core.Unsafe, Model: pipeline.Spectre}) {
 		t.Fatalf("CellError key = %+v", ce.Key)
 	}
 }
@@ -97,8 +97,8 @@ func TestRunCellDeadline(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Kind != FailTimeout || freezes != 1 {
 		t.Fatalf("err = %v after %d freezes, want timeout CellError after 1", err, freezes)
 	}
-	if !errors.Is(err, ErrCellTimeout) {
-		t.Fatal("timeout error does not unwrap to ErrCellTimeout")
+	if !errors.Is(err, errCellTimeout) {
+		t.Fatal("timeout error does not unwrap to errCellTimeout")
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Executor runs sweep cells. It is the one cell path: the CLI sweep
-// (RunContext), the ablation study (RunAblations) and the
-// simulation service all execute a RunSpec through Run. An Executor holds
+// Executor runs sweep cells. It is the one cell path: the CLI's sweeps
+// and studies (RunSpecs) and the simulation service all execute a RunSpec
+// through Run. An Executor holds
 // the two per-workload artifacts cells are built from — the functional-
 // warmup checkpoint of a (workload, warmup) and the sampling plan of a
 // (workload, warmup, window, sampling config) — in a bounded in-process

@@ -112,11 +112,23 @@ func (o Options) Workers() int {
 	return 1
 }
 
-// Key identifies one run.
+// Key names one run in a sweep's or a study's results: a grid cell
+// (zero Ablate) or a design-space cell (AblationSpecs).
 type Key struct {
 	Workload string
 	Variant  core.Variant
 	Model    pipeline.AttackModel
+	Ablate   core.Ablation
+}
+
+// String names the cell "workload/variant/model", and an ablated cell
+// "workload/variant/model/<AblationRows name>".
+func (k Key) String() string {
+	s := fmt.Sprintf("%s/%v/%v", k.Workload, k.Variant, k.Model)
+	if k.Ablate != (core.Ablation{}) {
+		s += "/" + ablationName(k.Ablate)
+	}
+	return s
 }
 
 // Cells enumerates the sweep's (workload, variant, model) grid in the
@@ -127,7 +139,7 @@ func (o Options) Cells() []Key {
 	for _, wl := range o.Workloads {
 		for _, v := range o.Variants {
 			for _, m := range o.Models {
-				cells = append(cells, Key{wl.Name, v, m})
+				cells = append(cells, Key{Workload: wl.Name, Variant: v, Model: m})
 			}
 		}
 	}
@@ -204,7 +216,7 @@ func CaptureCheckpoint(wl workload.Workload, warmup uint64) *arch.Checkpoint {
 
 // RunOne executes a single simulation cell: one workload under one design
 // variant and attack model. This is the single execution path shared by
-// the CLI sweep, the ablation study and the simulation service. Every
+// the CLI's sweeps and studies and the simulation service. Every
 // call starts from a pristine image, so a cell always gives the same
 // result: a private copy-on-write copy of the workload's initial image,
 // or, when a checkpoint is restored, the checkpoint's own pages over an
@@ -240,10 +252,15 @@ func RunOne(wl workload.Workload, v core.Variant, m pipeline.AttackModel, ab cor
 	return r, err
 }
 
-// FormatProgress renders the per-run progress line.
+// FormatProgress renders the per-run progress line; an ablated cell's
+// line ends with its AblationRows name.
 func FormatProgress(k Key, r core.Result) string {
-	return fmt.Sprintf("%-14s %-11s %-10s %9d cycles (IPC %.2f)",
+	line := fmt.Sprintf("%-14s %-11s %-10s %9d cycles (IPC %.2f)",
 		k.Workload, k.Variant, k.Model, r.Cycles, r.IPC())
+	if k.Ablate != (core.Ablation{}) {
+		line += "  " + ablationName(k.Ablate)
+	}
+	return line
 }
 
 // Run executes the sweep.
@@ -251,15 +268,25 @@ func Run(opt Options) (*Results, error) {
 	return RunContext(context.Background(), opt)
 }
 
-// RunContext executes the sweep: the first cell of every group with a
-// common representative (RunSpec.Representative) runs through one
-// Executor on a fixed-size worker pool, and the group's other cells copy
-// its result under their own labels. A cell runs once, under the zero
-// RunPolicy: the simulation is deterministic, so a retry would fail the
-// same way. No new simulation starts once ctx is cancelled or any run
-// fails. A sampled cell runs its representative intervals in series, so
-// a sampled sweep, like a detailed one, parallelises across cells.
+// RunContext executes the sweep grid (Options.Specs) through RunSpecs.
 func RunContext(ctx context.Context, opt Options) (*Results, error) {
+	opt = opt.Normalized()
+	return RunSpecs(ctx, opt, opt.Specs())
+}
+
+// RunSpecs runs the cells a Request resolved to — a grid or a
+// design-space study — into results keyed by RunSpec.Key: the first cell
+// of every group with a common representative (RunSpec.Representative)
+// runs through one Executor on a fixed-size worker pool, and the group's
+// other cells copy its result under their own labels. A cell runs once,
+// under the zero RunPolicy: the simulation is deterministic, so a retry
+// would fail the same way. No new simulation starts once ctx is cancelled
+// or any run fails. A sampled cell runs its representative intervals in
+// series, so a sampled sweep, like a detailed one, parallelises across
+// cells. With functional warmup every cell of a workload, ablated or not,
+// restores one checkpoint: ablations alter only speculative execution,
+// which functional warmup has none of.
+func RunSpecs(ctx context.Context, opt Options, specs []RunSpec) (*Results, error) {
 	opt = opt.Normalized()
 	res := &Results{Opt: opt, Runs: make(map[Key]core.Result)}
 	var mu sync.Mutex
@@ -272,13 +299,12 @@ func RunContext(ctx context.Context, opt Options) (*Results, error) {
 			res.SamplePlans[wl] = sp.Plan
 		}
 	}
-	groups := groupByRepresentative(opt.Specs())
+	groups := groupByRepresentative(specs)
 	err := RunPool(ctx, opt.Workers(), len(groups), func(ctx context.Context, i int) error {
 		g := groups[i]
 		r, _, err := e.Run(ctx, g[0], RunPolicy{})
 		if err != nil {
-			k := g[0].Key()
-			return fmt.Errorf("harness: %s/%v/%v: %w", k.Workload, k.Variant, k.Model, err)
+			return fmt.Errorf("harness: %v: %w", g[0].Key(), err)
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -320,7 +346,7 @@ func groupByRepresentative(specs []RunSpec) [][]RunSpec {
 
 // Get returns one run's result.
 func (r *Results) Get(wl string, v core.Variant, m pipeline.AttackModel) (core.Result, bool) {
-	res, ok := r.Runs[Key{wl, v, m}]
+	res, ok := r.Runs[Key{Workload: wl, Variant: v, Model: m}]
 	return res, ok
 }
 
@@ -506,35 +532,43 @@ func AblationRows() []AblationRow {
 	}
 }
 
-// AblationTables aggregates a design-space study into one table per
-// model of opt: res holds the cells' results in AblationSpecs order, and
-// each row's NormTime is its Hybrid cycles over the workload's Unsafe
-// baseline, averaged over the workloads. A failed cell (failed(i) true)
-// drops its whole workload block, as does a zero baseline, so a table
-// aggregates fully-measured workloads only. RunAblations and the
-// simulation service's ablation export both build their tables here.
-func AblationTables(opt Options, res []core.Result, failed func(i int) bool) [][]AblationRow {
-	opt = opt.Normalized()
-	per := 1 + len(AblationRows())
-	tables := make([][]AblationRow, len(opt.Models))
-	for mi := range opt.Models {
+// ablationName names an ablation by its AblationRows row.
+func ablationName(a core.Ablation) string {
+	for _, row := range AblationRows() {
+		if row.Ablate == a {
+			return row.Name
+		}
+	}
+	return fmt.Sprintf("%+v", a)
+}
+
+// AblationTables aggregates a design-space study (AblationSpecs) into one
+// table per model of r.Opt: each row's NormTime is its Hybrid cycles over
+// the workload's Unsafe baseline, averaged over the workloads. A workload
+// with a missing cell or a zero baseline drops out of that model's table,
+// so a table aggregates fully-measured workloads only.
+func (r *Results) AblationTables() [][]AblationRow {
+	tables := make([][]AblationRow, len(r.Opt.Models))
+	for mi, m := range r.Opt.Models {
 		rows := AblationRows()
 		sums := make([]float64, len(rows))
 		n := 0
 	workloads:
-		for wi := range opt.Workloads {
-			block := (mi*len(opt.Workloads) + wi) * per
-			for i := block; i < block+per; i++ {
-				if failed(i) {
-					continue workloads
-				}
-			}
-			base := res[block].Cycles
-			if base == 0 {
+		for _, wl := range r.Opt.Workloads {
+			base, ok := r.Runs[Key{Workload: wl.Name, Variant: core.Unsafe, Model: m}]
+			if !ok || base.Cycles == 0 {
 				continue
 			}
+			norm := make([]float64, len(rows))
+			for ri, row := range rows {
+				run, ok := r.Runs[Key{Workload: wl.Name, Variant: core.Hybrid, Model: m, Ablate: row.Ablate}]
+				if !ok {
+					continue workloads
+				}
+				norm[ri] = float64(run.Cycles) / float64(base.Cycles)
+			}
 			for ri := range rows {
-				sums[ri] += float64(res[block+1+ri].Cycles) / float64(base)
+				sums[ri] += norm[ri]
 			}
 			n++
 		}
@@ -546,28 +580,4 @@ func AblationTables(opt Options, res []core.Result, failed func(i int) bool) [][
 		tables[mi] = rows
 	}
 	return tables
-}
-
-// RunAblations measures the contribution of individual SDO/STT mechanisms
-// on the Hybrid configuration: the §V-C2 early-forwarding optimisation,
-// InvisiSpec exposures, STT's implicit-channel rules, and the DO DRAM
-// variant the paper declines to build (§VI-B2). With functional warmup the
-// baseline and every ablation cell of a workload restore one checkpoint —
-// sound because ablations only alter speculative execution, which
-// functional warmup has none of. The cells of AblationSpecs run through
-// one Executor on a worker pool, like a sweep.
-func RunAblations(opt Options, model pipeline.AttackModel) ([]AblationRow, error) {
-	opt.Models = []pipeline.AttackModel{model}
-	specs := opt.AblationSpecs()
-	e := &Executor{}
-	res := make([]core.Result, len(specs))
-	err := RunPool(context.Background(), opt.Workers(), len(specs), func(ctx context.Context, i int) error {
-		var err error
-		res[i], _, err = e.Run(ctx, specs[i], RunPolicy{})
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return AblationTables(opt, res, func(int) bool { return false })[0], nil
 }

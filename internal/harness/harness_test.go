@@ -148,25 +148,29 @@ func TestCheckpointReuseBitIdentical(t *testing.T) {
 func TestAblationCheckpointReuse(t *testing.T) {
 	// Ablation cells share the workload checkpoint (ablations only alter
 	// speculative execution, which functional warmup has none of), so the
-	// table must equal one aggregated from cells warmed in place.
+	// study must equal one whose cells are warmed in place.
 	opt := smallFunctionalOptions(t)
 	opt.Workloads = opt.Workloads[:1]
-	reuse, err := RunAblations(opt, pipeline.Spectre)
+	opt.Models = []pipeline.AttackModel{pipeline.Spectre}
+	specs := opt.AblationSpecs()
+	reuse, err := RunSpecs(context.Background(), opt, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Models = []pipeline.AttackModel{pipeline.Spectre}
-	specs := opt.AblationSpecs()
-	res := make([]core.Result, len(specs))
-	for i, s := range specs {
-		if res[i], err = warmInPlace(s); err != nil {
+	inPlace := &Results{Opt: reuse.Opt, Runs: make(map[Key]core.Result)}
+	for _, s := range specs {
+		if inPlace.Runs[s.Key()], err = warmInPlace(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if inPlace := AblationTables(opt, res, func(int) bool { return false })[0]; !reflect.DeepEqual(reuse, inPlace) {
-		t.Fatalf("ablation rows differ:\nreuse    %+v\nin place %+v", reuse, inPlace)
+	if !reflect.DeepEqual(reuse.Runs, inPlace.Runs) {
+		t.Fatal("ablation cells restored from the checkpoint differ from cells warmed in place")
 	}
-	for _, r := range reuse {
+	rows := reuse.AblationTables()[0]
+	if want := inPlace.AblationTables()[0]; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("ablation rows differ:\nreuse    %+v\nin place %+v", rows, want)
+	}
+	for _, r := range rows {
 		if r.NormTime <= 0 {
 			t.Fatalf("%s: no measurement", r.Name)
 		}
@@ -324,18 +328,23 @@ func TestJSONExport(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	opt := DefaultOptions()
-	opt.MaxInstrs = 6_000
-	opt.WarmupInstrs = 6_000
-	wl, err := workload.ByName("xalancbmk_r")
+	warmup := uint64(6_000)
+	opt, specs, err := Request{Workloads: []string{"xalancbmk_r"}, Models: []string{"spectre"},
+		MaxInstrs: 6_000, WarmupInstrs: &warmup, Ablations: true}.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Workloads = []workload.Workload{wl}
-	rows, err := RunAblations(opt, pipeline.Spectre)
+	if want := 1 + len(AblationRows()); len(specs) != want {
+		t.Fatalf("%d cells, want %d", len(specs), want)
+	}
+	res, err := RunSpecs(context.Background(), opt, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Runs) != len(specs) {
+		t.Fatalf("%d results for %d cells: keys collide", len(res.Runs), len(specs))
+	}
+	rows := res.AblationTables()[0]
 	if len(rows) != 5 {
 		t.Fatalf("got %d ablation rows", len(rows))
 	}
@@ -349,28 +358,48 @@ func TestAblationsRun(t *testing.T) {
 	if !strings.Contains(buf.String(), "no early forwarding") {
 		t.Fatal("ablation table incomplete")
 	}
+	// An ablated cell's name carries its row; a grid cell's does not.
+	k := Key{Workload: "xalancbmk_r", Variant: core.Hybrid, Model: pipeline.Spectre, Ablate: core.Ablation{AlwaysValidate: true}}
+	if got, want := k.String(), "xalancbmk_r/Hybrid/Spectre/no exposures (always validate)"; got != want {
+		t.Errorf("ablated cell named %q, want %q", got, want)
+	}
+	if got := (Key{Workload: "xalancbmk_r", Model: pipeline.Spectre}).String(); got != "xalancbmk_r/Unsafe/Spectre" {
+		t.Errorf("baseline cell named %q", got)
+	}
+	if line := FormatProgress(k, res.Runs[k]); !strings.HasSuffix(line, "  no exposures (always validate)") {
+		t.Errorf("progress line %q does not name the ablation", line)
+	}
 }
 
 // TestAblationTablesDropFailedBlocks pins the one ablation failure rule
-// the CLI and the service share: a failed cell drops its whole workload
+// the CLI and the service share: a missing cell drops its whole workload
 // block from its model's table, and so does a zero baseline.
 func TestAblationTablesDropFailedBlocks(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Workloads = opt.Workloads[:3]
 	opt.Models = []pipeline.AttackModel{pipeline.Spectre}
-	specs := opt.AblationSpecs()
-	res := make([]core.Result, len(specs))
-	per := 1 + len(AblationRows())
-	for i := range res {
-		wi, ci := i/per, i%per
-		res[i].Cycles = uint64(100 * (wi + 1)) // baseline
-		if ci > 0 {
-			res[i].Cycles += uint64(10 * ci * (wi + 1)) // row ci: +10·ci %
-		}
+	res := &Results{Opt: opt, Runs: make(map[Key]core.Result)}
+	rowOf := make(map[core.Ablation]int)
+	for ri, row := range AblationRows() {
+		rowOf[row.Ablate] = ri + 1
 	}
-	res[2*per].Cycles = 0                        // workload 2: zero baseline
-	failed := func(i int) bool { return i == 3 } // one cell of workload 0
-	rows := AblationTables(opt, res, failed)[0]
+	wlIndex := make(map[string]int)
+	for wi, wl := range opt.Workloads {
+		wlIndex[wl.Name] = wi
+	}
+	for _, s := range opt.AblationSpecs() {
+		wi := wlIndex[s.Workload]
+		var r core.Result
+		r.Cycles = uint64(100 * (wi + 1)) // baseline
+		if s.Variant == core.Hybrid {
+			r.Cycles += uint64(10 * rowOf[s.Ablate] * (wi + 1)) // row ri: +10·ri %
+		}
+		res.Runs[s.Key()] = r
+	}
+	res.Runs[Key{Workload: opt.Workloads[2].Name, Model: pipeline.Spectre}] = core.Result{} // workload 2: zero baseline
+	delete(res.Runs, Key{Workload: opt.Workloads[0].Name, Variant: core.Hybrid, Model: pipeline.Spectre,
+		Ablate: core.Ablation{AlwaysValidate: true}}) // one cell of workload 0
+	rows := res.AblationTables()[0]
 	for ri, r := range rows {
 		// Only workload 1 survives: its row ri is exactly 1 + (ri+1)/10.
 		if want := 1 + float64(ri+1)/10; math.Abs(r.NormTime-want) > 1e-12 {

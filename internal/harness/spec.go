@@ -73,9 +73,11 @@ func (s RunSpec) simMode() SimMode {
 	return s.SimMode
 }
 
-// Key converts the spec to the harness's run key.
+// Key names the spec's cell in results: its workload, variant, model and
+// ablation. Within one sweep or study the budgets and modes are common,
+// so the key tells its cells apart.
 func (s RunSpec) Key() Key {
-	return Key{Workload: s.Workload, Variant: s.Variant, Model: s.Model}
+	return Key{Workload: s.Workload, Variant: s.Variant, Model: s.Model, Ablate: s.Ablate}
 }
 
 // Specs enumerates the sweep grid (Cells, duplicates dropped) as run
@@ -110,10 +112,10 @@ func (o Options) Specs() []RunSpec {
 	return specs
 }
 
-// AblationSpecs enumerates the design-space study's cells: model-major,
-// then workload, then the Unsafe baseline followed by one Hybrid cell per
-// AblationRows row. AblationTables relies on exactly this order. Ablation
-// cells are always detailed and carry no interval series.
+// AblationSpecs enumerates the design-space study's cells: per model and
+// workload, the Unsafe baseline and one Hybrid cell per AblationRows row,
+// which Results.AblationTables reads back by key. Ablation cells are
+// always detailed and carry no interval series.
 func (o Options) AblationSpecs() []RunSpec {
 	o = o.Normalized()
 	rows := AblationRows()

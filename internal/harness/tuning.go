@@ -3,7 +3,7 @@ package harness
 import "repro/internal/simpoint"
 
 // Per-workload sampled-mode tuning. The one-size default sampling
-// config (simpoint.DefaultIntervalInstrs / DefaultMaxK) treats a
+// config (simpoint.Config.WithDefaults: 5000 / 8) treats a
 // pointer-chasing workload and a streaming kernel identically, but the
 // phase structure they expose to BBV clustering is very different:
 // irregular workloads need finer intervals (and benefit from more

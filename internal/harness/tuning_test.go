@@ -20,11 +20,12 @@ func TestTunedSampleConfigTable(t *testing.T) {
 	}
 
 	// Tuned entries diverge from the one-size defaults in both directions.
-	if got := TunedSampleConfig("mcf_r", simpoint.Config{}); got.IntervalInstrs >= simpoint.DefaultIntervalInstrs {
+	def := simpoint.Config{}.WithDefaults()
+	if got := TunedSampleConfig("mcf_r", simpoint.Config{}); got.IntervalInstrs >= def.IntervalInstrs {
 		t.Errorf("mcf_r tuned interval %d not finer than default %d",
-			got.IntervalInstrs, simpoint.DefaultIntervalInstrs)
+			got.IntervalInstrs, def.IntervalInstrs)
 	}
-	if got := TunedSampleConfig("lbm_r", simpoint.Config{}); got.IntervalInstrs <= simpoint.DefaultIntervalInstrs || got.MaxK >= simpoint.DefaultMaxK {
+	if got := TunedSampleConfig("lbm_r", simpoint.Config{}); got.IntervalInstrs <= def.IntervalInstrs || got.MaxK >= def.MaxK {
 		t.Errorf("lbm_r tuned config %+v not coarser/cheaper than defaults", got)
 	}
 

@@ -194,46 +194,47 @@ func (h *Hierarchy) FetchAccess(now uint64, addr uint64) AccessResult {
 }
 
 // walk is the shared normal-path state machine: check/fill each level in
-// order, modelling bank and MSHR contention at every level crossed.
-//
-// With a recorder attached it dispatches to walkTraced (obs.go), an
-// instrumented copy of this body: keeping the emits out of this function
-// entirely — rather than behind nil checks at each exit — is what keeps
-// the untraced L1-hit path at its pre-instrumentation cost (the checks'
-// register pressure alone measured ~5% on BenchmarkNormalLoad). The
-// traced-run-equivalence test pins the two bodies to identical timing.
+// order, modelling bank and MSHR contention at every level crossed. An L1
+// hit ends here; a miss continues in miss. With a recorder attached the
+// access is reported once, after the walk, which keeps the reporting out
+// of the L1-hit path's body (checks at each of its exits measured ~5% on
+// BenchmarkNormalLoad from register pressure alone). Observation never
+// changes what the walk does.
 func (h *Hierarchy) walk(l1 *Cache, now uint64, addr uint64, write bool) AccessResult {
-	if h.obs != nil {
-		return h.walkTraced(l1, now, addr, write)
+	t := l1.ReserveBank(now, addr) + h.inc(L1)
+	r := AccessResult{Done: t, Level: L1}
+	if !l1.Touch(addr, write) { // a miss records the miss
+		r = h.miss(l1, now, t, addr, write)
 	}
+	if h.obs != nil {
+		h.emitAccess(now, addr, write, l1 == h.l1i, r)
+	}
+	return r
+}
+
+// miss continues a walk that missed l1 at time t. Presence below is
+// determined up front (tag-only); the walk then charges timing for every
+// level it crosses and performs the fills. With a recorder attached it
+// reports MSHR merges and DRAM accesses.
+func (h *Hierarchy) miss(l1 *Cache, now, t, addr uint64, write bool) AccessResult {
 	la := LineAddr(addr)
 	slice := h.shared.slice(addr)
-
-	// Presence is determined up front (tag-only); the walk then charges
-	// timing for every level it crosses and performs the fills.
-	var level Level
+	level := LevelMem
 	switch {
-	case l1.Lookup(addr):
-		level = L1
 	case h.l2.Lookup(addr):
 		level = L2
 	case slice.Lookup(addr):
 		level = L3
-	default:
-		level = LevelMem
 	}
 
-	t := l1.ReserveBank(now, addr) + h.inc(L1)
-	if level == L1 {
-		l1.Touch(addr, write)
-		return AccessResult{Done: t, Level: L1}
-	}
-	l1.Touch(addr, write) // records the miss
 	start, mdone, merged := l1.AcquireMSHR(t, la, true)
 	if merged {
 		done := mdone
 		if done < t {
 			done = t
+		}
+		if h.obs != nil {
+			h.emitMSHRMerge(now, addr, L1, done)
 		}
 		return AccessResult{Done: done, Level: level}
 	}
@@ -251,6 +252,9 @@ func (h *Hierarchy) walk(l1 *Cache, now uint64, addr uint64, write bool) AccessR
 			done = mdone
 			if done < t {
 				done = t
+			}
+			if h.obs != nil {
+				h.emitMSHRMerge(now, addr, L2, done)
 			}
 			h.l2.CommitMSHR(la, done)
 			l1.CommitMSHR(la, done)
@@ -270,9 +274,16 @@ func (h *Hierarchy) walk(l1 *Cache, now uint64, addr uint64, write bool) AccessR
 				if done < t {
 					done = t
 				}
+				if h.obs != nil {
+					h.emitMSHRMerge(now, addr, L3, done)
+				}
 			} else {
 				t = start
+				rowHits := h.shared.dram.RowHits
 				done = h.shared.dram.Access(t, addr)
+				if h.obs != nil {
+					h.emitDRAM(t, addr, h.shared.dram.RowHits > rowHits, done)
+				}
 			}
 			slice.CommitMSHR(la, done)
 			slice.Fill(addr, false)

@@ -36,8 +36,8 @@ const (
 	LevelMem
 )
 
-// NumCacheLevels is the number of cache levels (excluding DRAM).
-const NumCacheLevels = 3
+// numCacheLevels is the number of cache levels (excluding DRAM).
+const numCacheLevels = 3
 
 // String returns a short name for the level.
 func (l Level) String() string {

@@ -19,105 +19,6 @@ func (h *Hierarchy) SetObserver(r *obs.Recorder) { h.obs = r }
 // Observer returns the attached recorder (nil when tracing is off).
 func (h *Hierarchy) Observer() *obs.Recorder { return h.obs }
 
-// walkTraced is the instrumented copy of Hierarchy.walk (hierarchy.go),
-// entered only when a recorder is attached. It must mutate exactly the
-// same state and return exactly the same result as walk for every input —
-// observation may not perturb the simulation. That equivalence is pinned
-// by TestTracedWalkEquivalence, which diffs whole traced and untraced
-// runs counter-for-counter; keep the two bodies in sync when editing
-// either.
-func (h *Hierarchy) walkTraced(l1 *Cache, now uint64, addr uint64, write bool) AccessResult {
-	la := LineAddr(addr)
-	slice := h.shared.slice(addr)
-
-	var level Level
-	switch {
-	case l1.Lookup(addr):
-		level = L1
-	case h.l2.Lookup(addr):
-		level = L2
-	case slice.Lookup(addr):
-		level = L3
-	default:
-		level = LevelMem
-	}
-
-	ifetch := l1 == h.l1i
-	t := l1.ReserveBank(now, addr) + h.inc(L1)
-	if level == L1 {
-		l1.Touch(addr, write)
-		r := AccessResult{Done: t, Level: L1}
-		h.emitAccess(now, addr, write, ifetch, r)
-		return r
-	}
-	l1.Touch(addr, write) // records the miss
-	start, mdone, merged := l1.AcquireMSHR(t, la, true)
-	if merged {
-		done := mdone
-		if done < t {
-			done = t
-		}
-		h.emitMSHRMerge(now, addr, L1, done)
-		r := AccessResult{Done: done, Level: level}
-		h.emitAccess(now, addr, write, ifetch, r)
-		return r
-	}
-	t = start
-
-	t = h.l2.ReserveBank(t, addr) + h.inc(L2)
-	var done uint64
-	if level == L2 {
-		h.l2.Touch(addr, false)
-		done = t
-	} else {
-		h.l2.Touch(addr, false)
-		start, mdone, merged := h.l2.AcquireMSHR(t, la, true)
-		if merged {
-			done = mdone
-			if done < t {
-				done = t
-			}
-			h.emitMSHRMerge(now, addr, L2, done)
-			h.l2.CommitMSHR(la, done)
-			l1.CommitMSHR(la, done)
-			l1.Fill(addr, write)
-			r := AccessResult{Done: done, Level: level}
-			h.emitAccess(now, addr, write, ifetch, r)
-			return r
-		}
-		t = start
-		t = slice.ReserveBank(t, addr) + h.inc(L3)
-		if level == L3 {
-			slice.Touch(addr, false)
-			done = t
-		} else {
-			slice.Touch(addr, false)
-			start, mdone, merged := slice.AcquireMSHR(t, la, true)
-			if merged {
-				done = mdone
-				if done < t {
-					done = t
-				}
-				h.emitMSHRMerge(now, addr, L3, done)
-			} else {
-				t = start
-				rowHitsBefore := h.shared.dram.RowHits
-				done = h.shared.dram.Access(t, addr)
-				h.emitDRAM(t, addr, h.shared.dram.RowHits > rowHitsBefore, done)
-			}
-			slice.CommitMSHR(la, done)
-			slice.Fill(addr, false)
-		}
-		h.l2.CommitMSHR(la, done)
-		h.l2.Fill(addr, false)
-	}
-	l1.CommitMSHR(la, done)
-	l1.Fill(addr, write)
-	r := AccessResult{Done: done, Level: level}
-	h.emitAccess(now, addr, write, ifetch, r)
-	return r
-}
-
 // emitAccess reports a completed normal-path walk: "cache-hit" for an L1
 // hit, "cache-miss" (with the serving level) otherwise. Span-shaped so
 // trace viewers render the access latency.

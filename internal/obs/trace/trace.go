@@ -62,10 +62,10 @@ type Tracer struct {
 	order []string
 }
 
-// DefaultMaxJobs bounds retained job traces.
-const DefaultMaxJobs = 64
+// defaultMaxJobs bounds retained job traces.
+const defaultMaxJobs = 64
 
-// New returns a tracer retaining the DefaultMaxJobs most recent job traces.
+// New returns a tracer retaining the defaultMaxJobs most recent job traces.
 func New() *Tracer {
 	return &Tracer{jobs: make(map[string]*JobTrace)}
 }
@@ -83,7 +83,7 @@ func (t *Tracer) StartJob(id string) *JobTrace {
 		t.order = append(t.order, id)
 	}
 	t.jobs[id] = jt
-	for len(t.order) > DefaultMaxJobs {
+	for len(t.order) > defaultMaxJobs {
 		delete(t.jobs, t.order[0])
 		t.order = t.order[1:]
 	}

@@ -165,19 +165,19 @@ func TestAttributionSums(t *testing.T) {
 // TestJobLRU checks the tracer's retention bound.
 func TestJobLRU(t *testing.T) {
 	tr := New()
-	for i := 0; i <= DefaultMaxJobs; i++ {
+	for i := 0; i <= defaultMaxJobs; i++ {
 		tr.StartJob(fmt.Sprintf("sweep-%d", i))
 	}
 	if tr.Job("sweep-0") != nil {
 		t.Fatal("oldest job not evicted")
 	}
-	for i := 1; i <= DefaultMaxJobs; i++ {
+	for i := 1; i <= defaultMaxJobs; i++ {
 		if tr.Job(fmt.Sprintf("sweep-%d", i)) == nil {
 			t.Fatalf("recent job sweep-%d evicted", i)
 		}
 	}
-	if n := len(tr.jobs); n != DefaultMaxJobs {
-		t.Fatalf("%d jobs retained, want %d", n, DefaultMaxJobs)
+	if n := len(tr.jobs); n != defaultMaxJobs {
+		t.Fatalf("%d jobs retained, want %d", n, defaultMaxJobs)
 	}
 }
 

@@ -11,6 +11,9 @@
 package pipeline
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -35,6 +38,17 @@ func (m AttackModel) String() string {
 		return "Futuristic"
 	}
 	return "Spectre"
+}
+
+// ParseAttackModel maps a model name to its attack model: the name String
+// gives it, or that name in lower case.
+func ParseAttackModel(name string) (AttackModel, error) {
+	for _, m := range []AttackModel{Spectre, Futuristic} {
+		if name == m.String() || name == strings.ToLower(m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("pipeline: unknown attack model %q", name)
 }
 
 // MemPort is the memory-system interface the core drives. *mem.Hierarchy

@@ -20,8 +20,8 @@ package simpoint
 
 // Default sampling parameters (see Config).
 const (
-	DefaultIntervalInstrs = 5_000
-	DefaultMaxK           = 8
+	defaultIntervalInstrs = 5_000
+	defaultMaxK           = 8
 	DefaultSeed           = 1
 	// projDim is the dimension BBVs are randomly projected to before
 	// clustering (the SimPoint trick that makes k-means cheap regardless
@@ -56,10 +56,10 @@ type Config struct {
 // WithDefaults fills zero fields with the package defaults.
 func (c Config) WithDefaults() Config {
 	if c.IntervalInstrs == 0 {
-		c.IntervalInstrs = DefaultIntervalInstrs
+		c.IntervalInstrs = defaultIntervalInstrs
 	}
 	if c.MaxK <= 0 {
-		c.MaxK = DefaultMaxK
+		c.MaxK = defaultMaxK
 	}
 	if c.Seed == 0 {
 		c.Seed = DefaultSeed

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
 )
 
 // benchSweep runs one full sweep on a fresh service and returns once the
@@ -67,8 +69,8 @@ func BenchmarkSweepPeerHit(b *testing.B) {
 // ledgerReq is the benchmark ledger's Figure 6 grid: four kernels, one
 // per memory behaviour, × every Table II variant × both attack models at
 // the paper-default budget (64 cells).
-func ledgerReq() SweepRequest {
-	return SweepRequest{Workloads: []string{"mcf_r", "xalancbmk_r", "x264_r", "deepsjeng_r"}}
+func ledgerReq() harness.Request {
+	return harness.Request{Workloads: []string{"mcf_r", "xalancbmk_r", "x264_r", "deepsjeng_r"}}
 }
 
 // liveHeap is the heap still reachable after a full collection.

@@ -8,12 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
 // supersetReq extends smallReq by two more cells: after smallReq has run,
 // exactly two of its four cells are already in the cache.
-func supersetReq() SweepRequest {
+func supersetReq() harness.Request {
 	req := smallReq()
 	req.Variants = []string{"unsafe", "hybrid", "static-l1", "static-l2"}
 	return req

@@ -17,7 +17,7 @@ import (
 // equivReq is {mcf_r, lbm_r} × Table II × both models: 32 cells, 4 of
 // which share a representative — Unsafe under Futuristic on both kernels,
 // and STT{ld+fp} under both models on mcf_r, which has no FP transmitter.
-func equivReq() SweepRequest {
+func equivReq() harness.Request {
 	req := smallReq()
 	req.Workloads = []string{"mcf_r", "lbm_r"}
 	req.Variants = nil
@@ -207,7 +207,7 @@ func isFailingRep(spec harness.RunSpec) bool {
 
 // failingRepReq is {mcf_r, exchange2_r} × Unsafe × both models: the
 // representative cell comes first, its follower second.
-func failingRepReq() SweepRequest {
+func failingRepReq() harness.Request {
 	req := smallReq()
 	req.Workloads = []string{"mcf_r", "exchange2_r"}
 	req.Variants = []string{"unsafe"}

@@ -9,12 +9,13 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
 // Handler returns the service's HTTP API:
 //
-//	POST   /sweeps               submit a sweep (SweepRequest JSON) -> Status;
+//	POST   /sweeps               submit a sweep (harness.Request JSON) -> Status;
 //	                             429 + Retry-After when the queue is full
 //	GET    /sweeps               list job statuses
 //	GET    /sweeps/{id}          one job's status
@@ -113,7 +114,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
+	var req harness.Request
 	if r.ContentLength != 0 {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)

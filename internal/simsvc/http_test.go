@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/pipeline"
 )
 
@@ -29,7 +30,7 @@ func httpService(t *testing.T) (*Service, *httptest.Server) {
 	return s, ts
 }
 
-func postSweep(t *testing.T, ts *httptest.Server, req SweepRequest) Status {
+func postSweep(t *testing.T, ts *httptest.Server, req harness.Request) Status {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/sweeps", "application/json", bytes.NewReader(body))
@@ -156,7 +157,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 func TestHTTPCancel(t *testing.T) {
 	_, ts := httpService(t)
-	st := postSweep(t, ts, SweepRequest{MaxInstrs: 60_000}) // big sweep
+	st := postSweep(t, ts, harness.Request{MaxInstrs: 60_000}) // big sweep
 	delReq, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/sweeps/%s", ts.URL, st.ID), nil)
 	resp, err := http.DefaultClient.Do(delReq)
 	if err != nil {

@@ -34,7 +34,7 @@ var ErrCancelled = errors.New("simsvc: job cancelled")
 
 // Failure itemizes one failed cell in a job's status.
 type Failure struct {
-	Cell  string `json:"cell"` // "workload/variant/model"
+	Cell  string `json:"cell"` // harness.Key.String()
 	Kind  string `json:"kind"` // exec | panic | timeout
 	Error string `json:"error"`
 }
@@ -48,10 +48,8 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// ablation marks a design-space-study job: cells enumerate (model,
-	// workload, ablation row), and its export reads results by cell index,
-	// because the harness.Key (workload, Hybrid, model) repeats across the
-	// rows.
+	// ablation marks a design-space-study job: its export is the
+	// ablation tables (Ablations), not the sweep document (Results).
 	ablation bool
 
 	// jt is the job's span-tree trace (nil with tracing off). Set by
@@ -81,7 +79,6 @@ type Job struct {
 // its progress line is rendered when read. A failed cell has no result
 // and keeps its rendered failure line.
 type cellRecord struct {
-	idx  int // the cell's index in the job's enumeration order
 	key  harness.Key
 	res  *core.Result // nil: the cell failed
 	note string       // progress-line suffix ("  [cached]", ...), or the failure line
@@ -181,18 +178,17 @@ func (j *Job) maybeFinish() func() {
 	return j.finish(JobDegraded, nil)
 }
 
-// deliver records one completed cell. idx is the cell's index in the
-// job's enumeration order; r is the cache's copy of the result, which the
-// job shares and never writes; note is the progress-line suffix saying
-// how it was obtained; att is the cell's latency attribution (nil with
-// tracing off).
-func (j *Job) deliver(idx int, k harness.Key, r *core.Result, note string, fromCache bool, att *trace.Attribution) {
+// deliver records one completed cell, named by its key. r is the cache's
+// copy of the result, which the job shares and never writes; note is the
+// progress-line suffix saying how it was obtained; att is the cell's
+// latency attribution (nil with tracing off).
+func (j *Job) deliver(k harness.Key, r *core.Result, note string, fromCache bool, att *trace.Attribution) {
 	j.mu.Lock()
 	if j.terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.cells = append(j.cells, cellRecord{idx: idx, key: k, res: r, note: note, att: att})
+	j.cells = append(j.cells, cellRecord{key: k, res: r, note: note, att: att})
 	j.completed++
 	if fromCache {
 		j.cached++
@@ -205,7 +201,7 @@ func (j *Job) deliver(idx int, k harness.Key, r *core.Result, note string, fromC
 // cellFail records one failed cell; the job keeps running and finishes
 // degraded (or failed, if nothing succeeded) once every cell is accounted
 // for.
-func (j *Job) cellFail(idx int, k harness.Key, f Failure, line string) {
+func (j *Job) cellFail(k harness.Key, f Failure, line string) {
 	j.mu.Lock()
 	if j.terminal() {
 		j.mu.Unlock()
@@ -213,7 +209,7 @@ func (j *Job) cellFail(idx int, k harness.Key, f Failure, line string) {
 	}
 	j.failed++
 	j.failures = append(j.failures, f)
-	j.cells = append(j.cells, cellRecord{idx: idx, key: k, note: line})
+	j.cells = append(j.cells, cellRecord{key: k, note: line})
 	done := j.maybeFinish()
 	j.mu.Unlock()
 	done()
@@ -292,55 +288,27 @@ func (j *Job) ProgressSince(i int) ([]string, int) {
 	return out, len(cells)
 }
 
-// failedWorkloads names the workloads with at least one failed cell
-// (nil when none failed). Caller holds j.mu.
-func (j *Job) failedWorkloads() map[string]bool {
-	if j.failed == 0 {
+// readable reports why the job has no results to read yet (nil once it is
+// done or degraded). Caller holds j.mu.
+func (j *Job) readable() error {
+	if j.state == JobDone || j.state == JobDegraded {
 		return nil
 	}
-	wl := make(map[string]bool)
-	for _, c := range j.cells {
-		if c.res == nil {
-			wl[c.key.Workload] = true
-		}
+	if j.err != nil {
+		return j.err
 	}
-	return wl
+	return errors.New("simsvc: job still running")
 }
 
-// Results assembles the completed sweep in the harness's form, so the
-// service's export is produced by exactly the code path the CLI uses. A
-// degraded job exports the surviving configuration: workloads with any
-// failed cell are dropped entirely (a partial workload would corrupt the
-// normalized-time aggregation, which divides by the workload's Unsafe
-// baseline), making the export byte-identical to a fault-free run of the
-// remaining workloads. The runs are copies of the shared results made
-// here, so writing a run's fields cannot reach the cache; their interval
-// series still alias the cached ones and are read-only.
-func (j *Job) Results() (*harness.Results, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.ablation {
-		return nil, errors.New("simsvc: ablation job has no sweep export (see Ablations)")
-	}
-	if j.state != JobDone && j.state != JobDegraded {
-		if j.err != nil {
-			return nil, j.err
-		}
-		return nil, errors.New("simsvc: job still running")
-	}
-	failedWl := j.failedWorkloads()
-	opt := j.opt
-	if len(failedWl) > 0 {
-		opt.Workloads = nil
-		for _, wl := range j.opt.Workloads {
-			if !failedWl[wl.Name] {
-				opt.Workloads = append(opt.Workloads, wl)
-			}
-		}
-	}
+// runs collects the job's delivered cells, keyed, into harness results
+// over opt, skipping any workload in drop. The runs are copies of the
+// shared results made here, so writing a run's fields cannot reach the
+// cache; their interval series still alias the cached ones and are
+// read-only. Caller holds j.mu.
+func (j *Job) runs(opt harness.Options, drop map[string]bool) *harness.Results {
 	res := &harness.Results{Opt: opt, Runs: make(map[harness.Key]core.Result, len(j.cells))}
 	for _, c := range j.cells {
-		if c.res == nil || failedWl[c.key.Workload] {
+		if c.res == nil || drop[c.key.Workload] {
 			continue
 		}
 		res.Runs[c.key] = *c.res
@@ -351,7 +319,42 @@ func (j *Job) Results() (*harness.Results, error) {
 			res.Attrib[c.key] = c.att
 		}
 	}
-	return res, nil
+	return res
+}
+
+// Results assembles the completed sweep in the harness's form, so the
+// service's export is produced by exactly the code path the CLI uses. A
+// degraded job exports the surviving configuration: workloads with any
+// failed cell are dropped entirely (a partial workload would corrupt the
+// normalized-time aggregation, which divides by the workload's Unsafe
+// baseline), making the export byte-identical to a fault-free run of the
+// remaining workloads.
+func (j *Job) Results() (*harness.Results, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.ablation {
+		return nil, errors.New("simsvc: ablation job has no sweep export (see Ablations)")
+	}
+	if err := j.readable(); err != nil {
+		return nil, err
+	}
+	var failedWl map[string]bool
+	opt := j.opt
+	if j.failed > 0 {
+		failedWl = make(map[string]bool)
+		for _, c := range j.cells {
+			if c.res == nil {
+				failedWl[c.key.Workload] = true
+			}
+		}
+		opt.Workloads = nil
+		for _, wl := range j.opt.Workloads {
+			if !failedWl[wl.Name] {
+				opt.Workloads = append(opt.Workloads, wl)
+			}
+		}
+	}
+	return j.runs(opt, failedWl), nil
 }
 
 // AblationSection is one attack model's ablation table.
@@ -368,35 +371,22 @@ type AblationExport struct {
 	Sections     []AblationSection `json:"ablations"`
 }
 
-// Ablations aggregates a completed ablation job into per-model tables
-// with the CLI's own aggregation (harness.AblationTables, over cells in
-// harness.AblationSpecs order, fixed by Submit): in a degraded job, a
-// workload block containing any failed cell drops out of its table.
+// Ablations aggregates a completed ablation job's delivered cells into
+// per-model tables with the CLI's own aggregation
+// (harness.Results.AblationTables): in a degraded job, a workload missing
+// a cell drops out of that model's table.
 func (j *Job) Ablations() (*AblationExport, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.ablation {
 		return nil, errors.New("simsvc: not an ablation job")
 	}
-	if j.state != JobDone && j.state != JobDegraded {
-		if j.err != nil {
-			return nil, j.err
-		}
-		return nil, errors.New("simsvc: job still running")
-	}
-	res := make([]core.Result, j.total)
-	failed := make(map[int]bool)
-	for _, c := range j.cells {
-		if c.res == nil {
-			failed[c.idx] = true
-			continue
-		}
-		res[c.idx] = *c.res
+	if err := j.readable(); err != nil {
+		return nil, err
 	}
 	ex := &AblationExport{MaxInstrs: j.opt.MaxInstrs, WarmupInstrs: j.opt.WarmupInstrs}
-	tables := harness.AblationTables(j.opt, res, func(i int) bool { return failed[i] })
-	for mi, m := range j.opt.Models {
-		ex.Sections = append(ex.Sections, AblationSection{Model: m.String(), Rows: tables[mi]})
+	for mi, rows := range j.runs(j.opt, nil).AblationTables() {
+		ex.Sections = append(ex.Sections, AblationSection{Model: j.opt.Models[mi].String(), Rows: rows})
 	}
 	return ex, nil
 }

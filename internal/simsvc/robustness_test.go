@@ -84,7 +84,7 @@ func waitParked(t *testing.T, parked <-chan struct{}) {
 // longReq is smallReq with a budget long enough for every run to reach
 // its progress checks (every 4096 simulated cycles), where the hooks above
 // fire.
-func longReq() SweepRequest {
+func longReq() harness.Request {
 	req := smallReq()
 	req.MaxInstrs = 30_000
 	return req
@@ -505,7 +505,7 @@ func TestShutdownConcurrentWithCancel(t *testing.T) {
 		once.Do(func() { close(started) })
 		return pol
 	}
-	j, err := s.Submit(SweepRequest{MaxInstrs: 60_000}) // full sweep, 224 cells
+	j, err := s.Submit(harness.Request{MaxInstrs: 60_000}) // full sweep, 224 cells
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +600,7 @@ func TestHTTPRobustness(t *testing.T) {
 	// still running when the DELETE lands (cancellation then aborts the
 	// cell long before the budget is reached).
 	warmup := uint64(1000)
-	st := postSweep(t, ts, SweepRequest{
+	st := postSweep(t, ts, harness.Request{
 		Workloads: []string{"exchange2_r"}, Variants: []string{"unsafe"},
 		Models: []string{"spectre"}, MaxInstrs: 10_000_000, WarmupInstrs: &warmup,
 	})
@@ -621,7 +621,7 @@ func TestHTTPRobustness(t *testing.T) {
 	}
 
 	// DELETE of a finished job is a conflict with a clear body.
-	st2 := postSweep(t, ts, SweepRequest{
+	st2 := postSweep(t, ts, harness.Request{
 		Workloads: []string{"exchange2_r"}, Variants: []string{"unsafe"},
 		Models: []string{"spectre"}, MaxInstrs: 2000, WarmupInstrs: &warmup,
 	})

@@ -14,7 +14,7 @@ import (
 
 // sampledReq is smallReq in sampled mode: a 6000-instruction window cut
 // into 2000-instruction intervals, so clustering has real work to do.
-func sampledReq() SweepRequest {
+func sampledReq() harness.Request {
 	req := smallReq()
 	req.MaxInstrs = 6000
 	req.SimMode = "sampled"
@@ -77,7 +77,7 @@ func TestSampledMatchesHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := s.resolve(req)
+	opt, _, err := req.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSampledMatchesHarness(t *testing.T) {
 func TestSamplePlanRebuiltAfterRestart(t *testing.T) {
 	for _, tc := range []struct {
 		name, built string
-		req         SweepRequest
+		req         harness.Request
 	}{
 		{"sampled", "sdo_sample_plans_built_total", sampledReq()},
 		{"functional", "sdo_checkpoints_captured_total", functionalReq()},

@@ -27,9 +27,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
-	"repro/internal/pipeline"
-	"repro/internal/simpoint"
-	"repro/internal/workload"
 )
 
 // Config configures a Service.
@@ -74,7 +71,7 @@ type Config struct {
 	// Off by default; when off the tracer is nil and every span call in
 	// the hot path degrades to a single nil check — results and exports
 	// are byte-identical to a build without the subsystem. The most recent
-	// trace.DefaultMaxJobs job traces are retained.
+	// 64 job traces are retained.
 	Trace bool
 
 	// Peers is the static peer list for failure-aware cache peering
@@ -210,7 +207,6 @@ type follower struct {
 
 type delivery struct {
 	job *Job
-	idx int // cell index in the job's enumeration order
 	key harness.Key
 
 	// Tracing state (nil with tracing off): the waiter's cell trace, and
@@ -384,124 +380,6 @@ func (s *Service) Health() Health {
 	return h
 }
 
-// SweepRequest selects a sweep. Empty lists mean "all"; a zero MaxInstrs
-// means the default budget; a nil WarmupInstrs means the default warmup
-// (a pointer so an explicit 0 — no warmup — is expressible, mirroring
-// cmd/experiments -warmup).
-type SweepRequest struct {
-	Workloads    []string `json:"workloads,omitempty"`
-	Variants     []string `json:"variants,omitempty"`
-	Models       []string `json:"models,omitempty"`
-	MaxInstrs    uint64   `json:"max_instrs,omitempty"`
-	WarmupInstrs *uint64  `json:"warmup_instrs,omitempty"`
-	// IntervalCycles samples an interval statistics point every N cycles
-	// of each run's measurement window into the export (0: off).
-	IntervalCycles uint64 `json:"interval_cycles,omitempty"`
-	// WarmupMode is "detailed" (default) or "functional". Functional-mode
-	// cells restore a per-(workload, warmup) checkpoint from the
-	// executor's memo instead of re-simulating warmup.
-	WarmupMode string `json:"warmup_mode,omitempty"`
-	// SimMode is "detailed" (default: cycle-accurate whole window) or
-	// "sampled" (SimPoint-style: BBV-cluster the window, run only the
-	// representative interval of each phase, reconstruct whole-window
-	// stats from the weighted per-instruction rates). Sampled jobs share
-	// one sampling plan per workload via the executor's memo and are
-	// cached under sampling-aware keys, distinct from detailed results.
-	SimMode string `json:"sim_mode,omitempty"`
-	// SampleIntervalInstrs, SampleMaxK and SampleSeed are the sampled-mode
-	// parameters (0 means the simpoint package defaults: 5000 / 8 / 1).
-	SampleIntervalInstrs uint64 `json:"sample_interval_instrs,omitempty"`
-	SampleMaxK           int    `json:"sample_max_k,omitempty"`
-	SampleSeed           uint64 `json:"sample_seed,omitempty"`
-	// Ablations turns the job into a design-space study: per model and
-	// workload it runs the Unsafe baseline plus the harness's ablation
-	// rows on Hybrid (Variants is ignored), and the export endpoint serves
-	// the aggregated ablation tables.
-	Ablations bool `json:"ablations,omitempty"`
-}
-
-// parseModel maps a request string to an attack model.
-func parseModel(name string) (pipeline.AttackModel, error) {
-	for _, m := range []pipeline.AttackModel{pipeline.Spectre, pipeline.Futuristic} {
-		if name == m.String() || name == "spectre" && m == pipeline.Spectre ||
-			name == "futuristic" && m == pipeline.Futuristic {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("simsvc: unknown attack model %q", name)
-}
-
-// resolve turns a request into normalized harness options (the same
-// resolution the CLI performs) plus the cells the CLI would run for them.
-func (s *Service) resolve(req SweepRequest) (harness.Options, []harness.RunSpec, error) {
-	opt := harness.DefaultOptions()
-	if req.MaxInstrs != 0 {
-		opt.MaxInstrs = req.MaxInstrs
-	}
-	if req.WarmupInstrs != nil {
-		opt.WarmupInstrs = *req.WarmupInstrs
-	}
-	opt.IntervalCycles = req.IntervalCycles
-	wm, err := core.ParseWarmupMode(req.WarmupMode)
-	if err != nil {
-		return opt, nil, err
-	}
-	opt.WarmupMode = wm
-	sm, err := harness.ParseSimMode(req.SimMode)
-	if err != nil {
-		return opt, nil, err
-	}
-	opt.SimMode = sm
-	if sm == harness.SimSampled {
-		if req.Ablations {
-			return opt, nil, errors.New(`simsvc: ablation studies run detailed simulation; use sim_mode "detailed"`)
-		}
-		opt.Sample = simpoint.Config{
-			IntervalInstrs: req.SampleIntervalInstrs,
-			MaxK:           req.SampleMaxK,
-			Seed:           req.SampleSeed,
-		}
-	}
-	if len(req.Workloads) > 0 {
-		var wls []workload.Workload
-		for _, name := range req.Workloads {
-			w, err := workload.ByName(name)
-			if err != nil {
-				return opt, nil, err
-			}
-			wls = append(wls, w)
-		}
-		opt.Workloads = wls
-	}
-	if len(req.Variants) > 0 {
-		var vs []core.Variant
-		for _, name := range req.Variants {
-			v, err := core.ParseVariant(name)
-			if err != nil {
-				return opt, nil, err
-			}
-			vs = append(vs, v)
-		}
-		opt.Variants = vs
-	}
-	if len(req.Models) > 0 {
-		var ms []pipeline.AttackModel
-		for _, name := range req.Models {
-			m, err := parseModel(name)
-			if err != nil {
-				return opt, nil, err
-			}
-			ms = append(ms, m)
-		}
-		opt.Models = ms
-	}
-	opt = opt.Normalized()
-	if req.Ablations {
-		return opt, opt.AblationSpecs(), nil
-	}
-	return opt, opt.Specs(), nil
-}
-
 // retryAfter estimates how long until MaxPendingCells of queue depth
 // drains: pending cells divided across the workers at the observed mean
 // run time (1s when nothing has run yet), clamped to [1s, 5m].
@@ -523,8 +401,8 @@ func (s *Service) retryAfter(pending int) time.Duration {
 // Submit validates, registers and enqueues a sweep job. When the pending
 // queue is over the configured bound, it returns an *OverloadError
 // without registering anything.
-func (s *Service) Submit(req SweepRequest) (*Job, error) {
-	opt, cells, err := s.resolve(req)
+func (s *Service) Submit(req harness.Request) (*Job, error) {
+	opt, cells, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -581,14 +459,13 @@ func (s *Service) Submit(req SweepRequest) (*Job, error) {
 	}
 
 	enqueued := time.Now()
-	for i, c := range cells {
-		i, c := i, c
+	for _, c := range cells {
 		if s.steal != nil {
 			if k, err := c.CacheKey(); err == nil {
 				s.steal.enqueue(k, c)
 			}
 		}
-		s.pool.Submit(func(ctx context.Context) { s.runCell(ctx, j, i, c, enqueued) })
+		s.pool.Submit(func(ctx context.Context) { s.runCell(ctx, j, c, enqueued) })
 	}
 	return j, nil
 }
@@ -730,7 +607,7 @@ func (s *Service) settle(key string, k harness.Key, o settlement) {
 			s.cellTimeouts.Inc()
 		}
 		s.event("cell-failed", ce.Error())
-		fail = Failure{Cell: cellName(k), Kind: string(ce.Kind), Error: ce.Err.Error()}
+		fail = Failure{Cell: k.String(), Kind: string(ce.Kind), Error: ce.Err.Error()}
 		line = fmt.Sprintf("%-14s %-11s %-10s FAILED: %s: %v",
 			k.Workload, k.Variant, k.Model, ce.Kind, ce.Err)
 	}
@@ -739,9 +616,9 @@ func (s *Service) settle(key string, k harness.Key, o settlement) {
 		att := finishCell(w.ct, o.status)
 		switch {
 		case o.err == nil:
-			w.job.deliver(w.idx, w.key, o.res, o.note, o.cached, att)
+			w.job.deliver(w.key, o.res, o.note, o.cached, att)
 		case ce != nil:
-			w.job.cellFail(w.idx, w.key, fail, line)
+			w.job.cellFail(w.key, fail, line)
 		default:
 			w.job.fail(o.err)
 		}
@@ -786,12 +663,11 @@ func (s *Service) flightOrCachedLocked(key string, readThrough bool) (*flight, *
 
 // runCell resolves one cell on a pool worker: from the cache, an
 // identical in-flight run, a stolen-cell lease, a peer, or an equivalent
-// cell's run (fly), and executes it only when all of these miss. idx is
-// the cell's index in its job's enumeration order. Execution is
+// cell's run (fly), and executes it only when all of these miss. Execution is
 // hardened: a panic is isolated and the configured deadline applies. A
 // cell runs once, and a failed one degrades the waiting jobs instead of
 // killing them.
-func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.RunSpec, enqueued time.Time) {
+func (s *Service) runCell(ctx context.Context, j *Job, spec harness.RunSpec, enqueued time.Time) {
 	if s.steal != nil {
 		// A worker picked the cell up: it is no longer stealable (on every
 		// exit path, including skip below).
@@ -816,7 +692,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	// queue-wait is recorded retroactively.
 	var ct *trace.CellTrace
 	if j.jt != nil {
-		ct = j.jt.StartCell(cellName(k), enqueued)
+		ct = j.jt.StartCell(k.String(), enqueued)
 	}
 	ct.Root().ChildAt(trace.PhaseQueue, enqueued).Finish()
 	cs := ct.Root().Child(trace.PhaseCache)
@@ -824,7 +700,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	cs.Set("hit", strconv.FormatBool(hit))
 	cs.Finish()
 	if hit {
-		j.deliver(idx, k, r, "  [cached]", true, finishCell(ct, "cached"))
+		j.deliver(k, r, "  [cached]", true, finishCell(ct, "cached"))
 		return
 	}
 	s.mu.Lock()
@@ -832,17 +708,17 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec harness.Run
 	switch {
 	case f != nil:
 		await := ct.Root().Child(trace.PhaseAwait)
-		f.waiters = append(f.waiters, delivery{job: j, idx: idx, key: k, ct: ct, await: await})
+		f.waiters = append(f.waiters, delivery{job: j, key: k, ct: ct, await: await})
 		s.mu.Unlock()
 		s.runsDeduped.Inc()
 		return
 	case cached != nil:
 		s.mu.Unlock()
 		s.runsDeduped.Inc() // the flight it missed settled a moment ago
-		j.deliver(idx, k, cached, "  [cached]", true, finishCell(ct, "cached"))
+		j.deliver(k, cached, "  [cached]", true, finishCell(ct, "cached"))
 		return
 	}
-	s.inflight[key] = &flight{waiters: []delivery{{job: j, idx: idx, key: k, ct: ct}}}
+	s.inflight[key] = &flight{waiters: []delivery{{job: j, key: k, ct: ct}}}
 	s.mu.Unlock()
 	s.fly(ct, key, k, spec)
 }
@@ -908,7 +784,7 @@ func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harne
 		// Infrastructure error (cancellation, unknown workload, bad
 		// checkpoint key): fail the waiting jobs outright.
 		o.status = "error"
-		o.err = fmt.Errorf("simsvc: %s/%v/%v: %w", spec.Workload, spec.Variant, spec.Model, err)
+		o.err = fmt.Errorf("simsvc: %v: %w", k, err)
 	}
 	s.settle(key, k, o)
 }
@@ -945,12 +821,6 @@ func (s *Service) follow(ct *trace.CellTrace, key string, k harness.Key, rep har
 	s.mu.Unlock()
 	s.fly(ct, rkey, rep.Key(), rep)
 	return true
-}
-
-// cellName renders a harness key as the "workload/variant/model" label
-// span trees and slow-cell warnings use.
-func cellName(k harness.Key) string {
-	return fmt.Sprintf("%s/%v/%v", k.Workload, k.Variant, k.Model)
 }
 
 // finishCell closes a cell trace's root span with a terminal status and
@@ -990,14 +860,14 @@ func (s *Service) noteSlowCell(k harness.Key, elapsed time.Duration, ct *trace.C
 		Seconds   float64 `json:"seconds"`
 		P99       float64 `json:"p99_seconds"`
 		Breakdown string  `json:"breakdown,omitempty"`
-	}{"warn", "slow-cell", cellName(k), elapsed.Seconds(), p99, breakdown}
+	}{"warn", "slow-cell", k.String(), elapsed.Seconds(), p99, breakdown}
 	if b, err := json.Marshal(warn); err == nil {
 		fmt.Fprintln(os.Stderr, string(b))
 	}
 	if s.rec.On(obs.ClassTrace) {
 		s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "slow-cell",
 			Detail: fmt.Sprintf("%s took %s (p99 %.2fs) %s",
-				cellName(k), elapsed.Round(time.Millisecond), p99, breakdown)})
+				k.String(), elapsed.Round(time.Millisecond), p99, breakdown)})
 	}
 }
 

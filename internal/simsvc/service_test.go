@@ -12,9 +12,9 @@ import (
 )
 
 // smallReq is a fast sweep: 2 workloads x 2 variants x 1 model = 4 cells.
-func smallReq() SweepRequest {
+func smallReq() harness.Request {
 	warmup := uint64(1000)
-	return SweepRequest{
+	return harness.Request{
 		Workloads:    []string{"exchange2_r", "deepsjeng_r"},
 		Variants:     []string{"unsafe", "hybrid"},
 		Models:       []string{"spectre"},
@@ -25,9 +25,9 @@ func smallReq() SweepRequest {
 
 // specReq is a one-cell sweep, parameterized by workload and variant so
 // tests can build distinct-but-related requests.
-func specReq(workload, variant string) SweepRequest {
+func specReq(workload, variant string) harness.Request {
 	warmup := uint64(1000)
-	return SweepRequest{
+	return harness.Request{
 		Workloads:    []string{workload},
 		Variants:     []string{variant},
 		Models:       []string{"spectre"},
@@ -66,7 +66,7 @@ func waitJob(t *testing.T, j *Job) {
 	}
 }
 
-func submitAndWait(t *testing.T, s *Service, req SweepRequest) *Job {
+func submitAndWait(t *testing.T, s *Service, req harness.Request) *Job {
 	t.Helper()
 	j, err := s.Submit(req)
 	if err != nil {
@@ -218,7 +218,7 @@ func waitGoroutines(t *testing.T, base int) {
 func TestCancellationNoLeakedGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := newService(t, Config{Workers: 2})
-	req := SweepRequest{MaxInstrs: 60_000} // full default sweep: 224 cells
+	req := harness.Request{MaxInstrs: 60_000} // full default sweep: 224 cells
 	j, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestSubmitAfterShutdown(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	s := newService(t, Config{Workers: 1})
 	defer s.Shutdown(context.Background())
-	for _, req := range []SweepRequest{
+	for _, req := range []harness.Request{
 		{Workloads: []string{"nope_r"}},
 		{Variants: []string{"turbo"}},
 		{Models: []string{"meltdown"}},

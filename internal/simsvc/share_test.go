@@ -24,6 +24,10 @@ func TestCellsShareTheCachedResult(t *testing.T) {
 	s, ts := httpService(t)
 	req := smallReq()
 	specs, keys := cellKeys(t, s, req)
+	cacheKey := make(map[harness.Key]string, len(specs))
+	for i, spec := range specs {
+		cacheKey[spec.Key()] = keys[i]
+	}
 	cold := submitAndWait(t, s, req)
 	warm := submitAndWait(t, s, req)
 	for _, tc := range []struct {
@@ -37,10 +41,11 @@ func TestCellsShareTheCachedResult(t *testing.T) {
 			t.Fatalf("%s: %d finished-cell records for %d cells", tc.j.ID, len(cells), len(keys))
 		}
 		for _, c := range cells {
-			shared, ok := s.cache.Get(keys[c.idx])
-			if c.key != specs[c.idx].Key() || c.note != tc.note || !ok || c.res != shared {
-				t.Errorf("%s: record %+v, want key %v, note %q and the cache's copy %p",
-					tc.j.ID, c, specs[c.idx].Key(), tc.note, shared)
+			key, named := cacheKey[c.key]
+			shared, ok := s.cache.Get(key)
+			if !named || c.note != tc.note || !ok || c.res != shared {
+				t.Errorf("%s: record %+v, want a cell's key, note %q and the cache's copy %p",
+					tc.j.ID, c, tc.note, shared)
 			}
 		}
 	}
@@ -74,7 +79,7 @@ func TestCellsShareTheCachedResult(t *testing.T) {
 
 // tinyGridReq is a 16-cell sweep at a tiny budget: two kernels × every
 // Table II variant, one attack model.
-func tinyGridReq() SweepRequest {
+func tinyGridReq() harness.Request {
 	req := smallReq()
 	req.Variants = nil
 	return req
@@ -118,13 +123,13 @@ func TestFinishedJobReleasesItsContext(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		panicky bool // deepsjeng_r's cells panic
-		req     SweepRequest
+		req     harness.Request
 		state   JobState
 	}{
 		{"done", false, smallReq(), JobDone},
 		{"degraded", true, smallReq(), JobDegraded},
 		{"failed", true, specReq("deepsjeng_r", "unsafe"), JobFailed},
-		{"cancelled", false, SweepRequest{MaxInstrs: 60_000}, JobCancelled},
+		{"cancelled", false, harness.Request{MaxInstrs: 60_000}, JobCancelled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newService(t, Config{Workers: 2})

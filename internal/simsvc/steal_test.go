@@ -54,7 +54,7 @@ func gatedConfig(g *buildGate, workers int) Config {
 
 // stealReq is one sampled cell per variant of one workload, in
 // enumeration (= enqueue) order; they share one sampling plan.
-func stealReq(variants ...string) SweepRequest {
+func stealReq(variants ...string) harness.Request {
 	req := specReq("exchange2_r", "unsafe")
 	req.Variants = variants
 	req.SimMode = "sampled"
@@ -63,9 +63,9 @@ func stealReq(variants ...string) SweepRequest {
 	return req
 }
 
-func cellKeys(t *testing.T, s *Service, req SweepRequest) ([]harness.RunSpec, []string) {
+func cellKeys(t *testing.T, s *Service, req harness.Request) ([]harness.RunSpec, []string) {
 	t.Helper()
-	_, specs, err := s.resolve(req)
+	_, specs, err := req.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 )
 
 // TestHTTPVariants checks GET /variants lists every registered scheme —
@@ -86,7 +87,7 @@ func TestHTTPShadowSchemeSweep(t *testing.T) {
 	_, ts := httpService(t)
 
 	warmup := uint64(1000)
-	req := SweepRequest{
+	req := harness.Request{
 		Workloads:    []string{"exchange2_r"},
 		Variants:     []string{"safespec", "specbox"},
 		Models:       []string{"spectre"},

@@ -5,16 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/pipeline"
-	"repro/internal/workload"
 )
 
 // functionalReq is smallReq in functional-warmup mode.
-func functionalReq() SweepRequest {
+func functionalReq() harness.Request {
 	req := smallReq()
 	req.WarmupMode = "functional"
 	return req
@@ -63,7 +63,7 @@ func TestFunctionalModeMatchesHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := s.resolve(req)
+	opt, _, err := req.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestAblationJob(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	warmup := uint64(1000)
-	req := SweepRequest{
+	req := harness.Request{
 		Workloads:    []string{"exchange2_r"},
 		Models:       []string{"spectre"},
 		MaxInstrs:    2000,
@@ -173,16 +173,72 @@ func TestAblationJob(t *testing.T) {
 
 	// The aggregated rows equal the CLI path's (shared RunOne + shared
 	// aggregation, and the same per-workload checkpoints semantics).
-	opt, _, err := s.resolve(req)
+	opt, specs, err := req.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := harness.RunAblations(opt, pipeline.Spectre)
+	res, err := harness.RunSpecs(context.Background(), opt, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ex.Sections[0].Rows, want) {
+	if want := res.AblationTables()[0]; !reflect.DeepEqual(ex.Sections[0].Rows, want) {
 		t.Fatalf("service ablation rows differ from CLI rows:\nservice %+v\ncli     %+v", ex.Sections[0].Rows, want)
+	}
+}
+
+// TestDegradedAblationExport pins the degraded-ablation rule end to end:
+// one failed ablated Hybrid cell (xz_r, Futuristic, always-validate)
+// degrades the job, drops xz_r from the Futuristic table only, and leaves
+// the Spectre table averaging both workloads. Each table equals the one a
+// fault-free job over its surviving workloads exports.
+func TestDegradedAblationExport(t *testing.T) {
+	s := newService(t, Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+	var panics atomic.Int64
+	s.wrapPolicy = panicking(func(spec harness.RunSpec) bool {
+		return spec.Workload == "xz_r" && spec.Model == pipeline.Futuristic &&
+			spec.Variant == core.Hybrid && spec.Ablate == core.Ablation{AlwaysValidate: true}
+	}, &panics)
+
+	warmup := uint64(1000)
+	req := func(models []string, wls ...string) harness.Request {
+		return harness.Request{Workloads: wls, Models: models, MaxInstrs: 10_000,
+			WarmupInstrs: &warmup, Ablations: true}
+	}
+	both := []string{"spectre", "futuristic"}
+	j, err := s.Submit(req(both, "mcf_r", "xz_r"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	if st := j.Status(); st.State != JobDegraded || st.Failed != 1 || panics.Load() != 1 {
+		t.Fatalf("state %s, %d failed cells, %d panics; want degraded, 1, 1 (%+v)",
+			st.State, st.Failed, panics.Load(), st)
+	}
+	got, err := j.Ablations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Sections) != 2 || got.Sections[0].Model != "Spectre" || got.Sections[1].Model != "Futuristic" {
+		t.Fatalf("sections: %+v", got.Sections)
+	}
+	for _, c := range []struct {
+		sec  AblationSection
+		want harness.Request
+	}{
+		{got.Sections[0], req([]string{"spectre"}, "mcf_r", "xz_r")},
+		{got.Sections[1], req([]string{"futuristic"}, "mcf_r")},
+	} {
+		ref, err := submitAndWait(t, s, c.want).Ablations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(c.sec.Rows, ref.Sections[0].Rows) {
+			t.Errorf("%s table:\ngot  %+v\nwant %+v (workloads %v)", c.sec.Model, c.sec.Rows, ref.Sections[0].Rows, c.want.Workloads)
+		}
+	}
+	if reflect.DeepEqual(got.Sections[1].Rows, got.Sections[0].Rows) {
+		t.Error("Futuristic and Spectre tables are equal: the degraded block did not drop")
 	}
 }
 
@@ -190,7 +246,7 @@ func TestAblationsOverHTTP(t *testing.T) {
 	_, ts := httpService(t)
 
 	warmup := uint64(1000)
-	st := postSweep(t, ts, SweepRequest{
+	st := postSweep(t, ts, harness.Request{
 		Workloads:    []string{"deepsjeng_r"},
 		Models:       []string{"spectre", "futuristic"},
 		MaxInstrs:    2000,
@@ -216,38 +272,6 @@ func TestAblationsOverHTTP(t *testing.T) {
 		for _, r := range sec.Rows {
 			if r.NormTime <= 0 {
 				t.Fatalf("%s/%s: no measurement", sec.Model, r.Name)
-			}
-		}
-	}
-}
-
-// Guard against the ablation cell enumeration and the aggregation in
-// Job.Ablations drifting apart: the cell order is a documented contract.
-func TestAblationCellOrder(t *testing.T) {
-	opt := harness.DefaultOptions()
-	var wls []workload.Workload
-	for _, n := range []string{"mcf_r", "xz_r"} {
-		w, err := workload.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wls = append(wls, w)
-	}
-	opt.Workloads = wls
-	opt.Models = []pipeline.AttackModel{pipeline.Spectre, pipeline.Futuristic}
-	cells := opt.AblationSpecs()
-	rowsPer := len(harness.AblationRows())
-	perWorkload := 1 + rowsPer
-	if want := 2 * 2 * perWorkload; len(cells) != want {
-		t.Fatalf("%d cells, want %d", len(cells), want)
-	}
-	// Model-major, workload-minor; first cell of each block is the Unsafe
-	// baseline with no ablation.
-	for mi, m := range opt.Models {
-		for wi, wl := range opt.Workloads {
-			base := cells[mi*2*perWorkload+wi*perWorkload]
-			if base.Model != m || base.Workload != wl.Name || base.Variant != 0 {
-				t.Fatalf("block (%d,%d) starts with %+v", mi, wi, base)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/isa"
 	"repro/internal/simsvc"
 	"repro/internal/workload"
@@ -118,7 +119,7 @@ func TestImageMemoIsByIdentity(t *testing.T) {
 func TestCachedResubmissionBuildsNoImage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.json")
 	warmup := uint64(1000)
-	req := simsvc.SweepRequest{
+	req := harness.Request{
 		Workloads: []string{"leela_r", "xz_r"}, Variants: []string{"Unsafe", "Hybrid"},
 		MaxInstrs: 2000, WarmupInstrs: &warmup,
 	}
