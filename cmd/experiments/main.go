@@ -88,25 +88,26 @@ func main() {
 		opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
 
+	// With -ablate and a grid report, the study and the grid run as one
+	// spec list, so the cells both name simulate once.
+	grid := all || *fig6 || *fig7 || *fig8 || *table3 || *summary
+	if *ablate && grid {
+		specs = opt.GridAndStudySpecs()
+	}
+	res, err := harness.RunSpecs(context.Background(), opt, specs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
 	if *ablate {
-		res, err := harness.RunSpecs(context.Background(), opt, specs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
 		for mi, rows := range res.AblationTables() {
 			harness.WriteAblations(os.Stdout, opt.Models[mi], rows)
 			fmt.Println()
 		}
-		if !all && !*fig6 && !*fig7 && !*fig8 && !*table3 && !*summary {
+		if !grid {
 			return
 		}
-	}
-
-	res, err := harness.Run(opt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		res = res.Only(opt.Specs())
 	}
 	// Stderr so the counters never perturb the JSON/report outputs.
 	fmt.Fprintf(os.Stderr, "experiments: warmup-instrs-simulated=%d checkpoints-captured=%d cells-shared=%d\n",

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/simsvc"
@@ -593,12 +594,13 @@ func TestClusterNodesBuildIdenticalArtifacts(t *testing.T) {
 
 	nodes := startCluster(t, []string{"a", "b"}, nil)
 	for _, tn := range nodes {
-		// No result travels either, so the second node to see a request
-		// has to simulate it — and build for it — like the first.
+		// No result travels either — every peer lookup is answered with
+		// misses — so the second node to see a request has to simulate
+		// it, and build for it, like the first.
 		tn.swap.wrap(func(inner http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if strings.HasPrefix(r.URL.Path, "/cache/") {
-					http.NotFound(w, r)
+				if r.URL.Path == "/cache/lookup" {
+					fabric.ServeLookup(w, r, func(string) ([]byte, bool) { return nil, false })
 					return
 				}
 				inner.ServeHTTP(w, r)

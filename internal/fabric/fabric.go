@@ -10,16 +10,20 @@
 // hashing, so every node agrees on which peer is the likely owner of a
 // key without any coordination, and the load of misses spreads evenly.
 //
+// A lookup is batched: it asks for a set of keys, one request per peer
+// per round (Lookup, ServeLookup), so a sweep costs a round trip per
+// peer, not one per cell.
+//
 // The client is built for peers that fail: every peer carries a
 // circuit breaker (DefaultBreakerOpens consecutive failures open it; it
 // reopens for trials after an exponentially-growing backoff), a
 // background prober marks unreachable peers unhealthy and closes
-// breakers when they return, and lookups are hedged — if the
-// best-ranked peer has not answered within
-// defaultHedgeDelay, the second-ranked peer is asked concurrently, at
-// most defaultMaxFanout peers per lookup. Every failure mode (connection
-// refused, timeout, HTTP error, corrupt body) resolves to a cache miss,
-// never an error: the caller simulates locally and the sweep proceeds.
+// breakers when they return, and lookups are hedged — a round no peer
+// has answered within defaultHedgeDelay sends its keys on to their
+// next-ranked peers, at most defaultMaxFanout peers per key. Every
+// failure mode (connection refused, timeout, HTTP error, corrupt entry)
+// resolves to a cache miss, never an error: the caller simulates locally
+// and the sweep proceeds.
 //
 // It is also the only code that sends a request to another node: the
 // cluster layer's addressed requests (Do) share the lookups' and the
@@ -28,6 +32,7 @@ package fabric
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -35,7 +40,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,9 +70,10 @@ const dialTimeout = 3 * time.Second
 // was dialled.
 var errPeerOpen = errors.New("fabric: peer circuit breaker open")
 
-// maxEntryBytes bounds a peer response body (a single encoded cell
-// result is a few KB; this is a defensive ceiling, not a tuning knob).
-const maxEntryBytes = 32 << 20
+// maxBodyBytes bounds a lookup request and response body (an encoded
+// cell result is about a kilobyte; this is a defensive ceiling, not a
+// tuning knob). A response that would pass it is split, never cut.
+const maxBodyBytes = 32 << 20
 
 // Config configures a peering client.
 type Config struct {
@@ -97,8 +105,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// timing is a client's hedge and breaker clock: how long the best-ranked
-// peer gets before a lookup is hedged, and the breaker's first open
+// timing is a client's hedge and breaker clock: how long a lookup round
+// gets before it is hedged, and the breaker's first open
 // duration, doubling per consecutive open up to a cap.
 type timing struct{ hedge, backoff, maxBackoff time.Duration }
 
@@ -122,7 +130,8 @@ type PeerStatus struct {
 	Errors           uint64 `json:"errors"`
 }
 
-// Stats aggregates lookup-level counters.
+// Stats aggregates the lookup counters: hits, misses and hedges count
+// keys, errors count failed requests.
 type Stats struct {
 	Hits, Misses, Errors, Hedges uint64
 }
@@ -140,10 +149,10 @@ type peer struct {
 	hits, misses, errors atomic.Uint64
 }
 
-// admit is the breaker's one gate, for a Do and for each Lookup
-// candidate: a closed breaker admits the request; a half-open one admits
+// admit is the breaker's one gate, for a Do and for each peer a Lookup
+// may ask: a closed breaker admits the request; a half-open one admits
 // it as the trial (trial true) unless another trial is in flight. The
-// trial's caller must endTrial once the request has its verdict.
+// trial's caller must endTrial once its requests have their verdicts.
 func (p *peer) admit(now time.Time) (ok, trial bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -326,108 +335,174 @@ func Rank(key string, members []string) []string {
 	return rankBy(key, members, func(m string) string { return m })
 }
 
-type lookupRes struct {
-	val any
-	url string
-	ok  bool
+// sizesHeader carries, on a lookup response, the byte size of each
+// answered key's entry in request order, comma-separated ("0": a miss).
+// Keys past the list were not answered — the response reached
+// maxBodyBytes — and are asked again.
+const sizesHeader = "X-Sdo-Lookup-Sizes"
+
+// Hit is one key a Lookup found: what decode made of a peer's entry for
+// it, and that peer's URL.
+type Hit struct {
+	Val  any
+	Peer string
 }
 
-// Lookup GETs path from the peers, ranked (and their breakers tripped)
-// by the content-addressed key, and returns the first response that
-// decode accepts — the decoded value, so a body is parsed and verified
-// exactly once — with the answering peer's URL. The caller owns the
-// format of the endpoint, so it owns decode: an error from it counts as
-// a peer failure (corrupt response) and the lookup falls through. Any
-// failure — no peers, breakers all open, peers down, slow, or corrupt —
-// is reported as a miss (false), never an error: the caller's fallback
-// is local work. Result lookups (/cache/{key}) are the one caller.
+// answer is one lookup request's verdict: vals[i] is keys[i]'s decoded
+// entry (nil: a miss or a rejected entry) for the answered prefix; the
+// keys past it go to the same peer again.
+type answer struct {
+	p     *peer
+	round int
+	keys  []string
+	vals  []any
+}
+
+// Lookup asks the peers for every key in keys and returns the keys some
+// peer answered with an entry decode accepts — decode parses and vets an
+// entry once, so its value is what the caller keeps. The caller owns the
+// entry format, so it owns decode; a rejected entry is a miss for its key
+// and a strike against its peer.
 //
-// Candidates pass the breaker's one gate (admit), so a half-open peer is
-// asked by one lookup, its trial, while every concurrent lookup skips it
-// undialled.
-func (c *Client) Lookup(ctx context.Context, key, path string, decode func(body []byte) (any, error)) (any, string, bool) {
-	if c == nil {
-		return nil, "", false
+// Keys are asked in rounds, one POST to path per peer per round carrying
+// every key that round sends it. Round r sends each unanswered key to
+// its r-th ranked live peer (rendezvous over the key), so round 0 asks
+// each key's likely owner; a key a peer misses or fails falls through to
+// the next round, at most defaultMaxFanout rounds. A round still in
+// flight after defaultHedgeDelay is hedged: the next round starts for
+// every key without an answer, and the losers are cancelled. Each peer
+// passes the breaker's gate (admit) once per lookup, so a half-open peer
+// is asked by one lookup, its trial, while every concurrent lookup skips
+// it undialled. Any failure — no peers, breakers all open, peers down,
+// slow or corrupt — leaves keys out of the result, never an error: the
+// caller's fallback is local work. Hits and misses count per key.
+func (c *Client) Lookup(ctx context.Context, path string, keys []string, decode func(key string, body []byte) (any, error)) map[string]Hit {
+	hits := make(map[string]Hit)
+	if c == nil || len(keys) == 0 {
+		return hits
 	}
 	now := time.Now()
-	type candidate struct {
-		p     *peer
-		trial bool
-	}
-	var cands []candidate
-	for _, p := range rankBy(key, c.peers, func(p *peer) string { return p.url }) {
+	var live []*peer
+	for _, p := range c.peers {
 		if ok, trial := p.admit(now); ok {
-			cands = append(cands, candidate{p, trial})
-			if len(cands) == defaultMaxFanout {
-				break
+			live = append(live, p)
+			if trial {
+				defer p.endTrial() // the lookup's requests have their verdicts
 			}
 		}
 	}
-	if len(cands) == 0 {
-		c.misses.Add(1)
-		return nil, "", false
+	rounds := min(defaultMaxFanout, len(live))
+	type keyState struct {
+		ranked  []*peer
+		waiting int // requests in flight that carry the key
+		done    bool
 	}
-	// Bound the whole lookup: worst case is every candidate timing out
-	// in sequence, and the answer to "peers are slow" is local
-	// simulation, not waiting.
-	ctx, cancel := context.WithTimeout(ctx,
-		time.Duration(len(cands))*c.cfg.Timeout+c.tm.hedge)
+	state := make(map[string]*keyState, len(keys))
+	var order []string
+	for _, k := range keys {
+		if _, dup := state[k]; !dup {
+			state[k] = &keyState{ranked: rankBy(k, live, func(p *peer) string { return p.url })}
+			order = append(order, k)
+		}
+	}
+	defer func() { c.misses.Add(uint64(len(order) - len(hits))) }()
+	if rounds == 0 {
+		return hits
+	}
+	// Bound the whole lookup: worst case is every round timing out in
+	// sequence, and the answer to "peers are slow" is local simulation,
+	// not waiting. Requests still out when it returns are cancelled, and
+	// waited for.
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	ctx, cancel := context.WithTimeout(ctx, time.Duration(rounds)*c.cfg.Timeout+c.tm.hedge)
 	defer cancel()
 
-	ch := make(chan lookupRes, len(cands))
-	launch := func(cd candidate) {
+	ch := make(chan answer)
+	inflight := make([]int, rounds) // requests in flight per round
+	send := func(p *peer, round int, ks []string) {
+		inflight[round]++
+		for _, k := range ks {
+			state[k].waiting++
+		}
+		wg.Add(1)
 		go func() {
-			r := c.fetch(ctx, cd.p, path, decode)
-			if cd.trial {
-				cd.p.endTrial() // the fetch has its verdict
+			defer wg.Done()
+			a := c.ask(ctx, p, path, ks, decode)
+			a.round = round
+			select {
+			case ch <- a:
+			case <-ctx.Done():
 			}
-			ch <- r
 		}()
 	}
-	launch(cands[0])
-	inflight, next := 1, 1
+	round := -1
+	var hedge <-chan time.Time
+	var timers []*time.Timer
 	defer func() {
-		// A trial admitted for a candidate never asked is no trial.
-		for _, cd := range cands[next:] {
-			if cd.trial {
-				cd.p.endTrial()
-			}
+		for _, t := range timers {
+			t.Stop()
 		}
 	}()
-	var hedge <-chan time.Time
-	if len(cands) > 1 {
-		t := time.NewTimer(c.tm.hedge)
-		defer t.Stop()
-		hedge = t.C
+	// next starts the next round and reports how many of its keys still
+	// wait on an earlier request (hedged keys).
+	next := func() (hedged int) {
+		round++
+		byPeer := make(map[*peer][]string)
+		var peers []*peer
+		for _, k := range order {
+			s := state[k]
+			if s.done {
+				continue
+			}
+			if s.waiting > 0 {
+				hedged++
+			}
+			p := s.ranked[round]
+			if byPeer[p] == nil {
+				peers = append(peers, p)
+			}
+			byPeer[p] = append(byPeer[p], k)
+		}
+		for _, p := range peers {
+			send(p, round, byPeer[p])
+		}
+		hedge = nil
+		if round+1 < rounds {
+			t := time.NewTimer(c.tm.hedge)
+			timers = append(timers, t)
+			hedge = t.C
+		}
+		return hedged
 	}
-	for inflight > 0 {
+	next()
+	for pending := true; pending && len(hits) < len(order); {
 		select {
-		case r := <-ch:
-			inflight--
-			if r.ok {
-				c.hits.Add(1)
-				return r.val, r.url, true
+		case a := <-ch:
+			inflight[a.round]--
+			for i, k := range a.keys {
+				s := state[k]
+				s.waiting--
+				if i < len(a.vals) && a.vals[i] != nil && !s.done {
+					s.done = true
+					hits[k] = Hit{Val: a.vals[i], Peer: a.p.url}
+					c.hits.Add(1)
+				}
 			}
-			if inflight == 0 && next < len(cands) {
-				launch(cands[next])
-				next++
-				inflight++
+			if rest := a.keys[len(a.vals):]; len(rest) > 0 && len(a.vals) > 0 {
+				send(a.p, a.round, rest) // split at the body ceiling, not truncated
 			}
+			if inflight[round] == 0 && round+1 < rounds {
+				next() // the round has every verdict: fall through
+			}
+			pending = slices.ContainsFunc(inflight, func(n int) bool { return n > 0 })
 		case <-hedge:
-			hedge = nil
-			if next < len(cands) {
-				c.hedges.Add(1)
-				launch(cands[next])
-				next++
-				inflight++
-			}
+			c.hedges.Add(uint64(next()))
 		case <-ctx.Done():
-			c.misses.Add(1)
-			return nil, "", false
+			pending = false
 		}
 	}
-	c.misses.Add(1)
-	return nil, "", false
+	return hits
 }
 
 // send is the one place a request leaves for another node: request,
@@ -516,40 +591,128 @@ func (c *Client) Do(ctx context.Context, peerURL, method, path string, header ht
 	return resp, err
 }
 
-// fetch asks one peer for one key's path. It reads a 5xx or a body decode
-// rejects as a strike too; a 404 is an authoritative (healthy) miss.
-func (c *Client) fetch(ctx context.Context, p *peer, path string, decode func(body []byte) (any, error)) lookupRes {
-	fail := func(why string) lookupRes { c.strike(ctx, p, why); return lookupRes{} }
+// ask sends one lookup request for keys to p and returns its verdict. A
+// request that fails — no response, an HTTP error, a malformed answer —
+// is one strike and answers no key. A response answers a prefix of keys
+// (all of them unless it reached maxBodyBytes); an entry decode rejects
+// is a miss for its key, and any such entry makes the response one
+// strike.
+func (c *Client) ask(ctx context.Context, p *peer, path string, keys []string, decode func(key string, body []byte) (any, error)) answer {
+	a := answer{p: p, keys: keys}
+	fail := func(why string) answer { c.strike(ctx, p, why); return a }
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	resp, err := c.send(rctx, p, http.MethodGet, path, nil, nil)
+	resp, err := c.send(rctx, p, http.MethodPost, path, nil, []byte(strings.Join(keys, "\n")))
 	if err != nil {
-		return lookupRes{}
+		return a
 	}
 	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxEntryBytes))
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
 		resp.Body.Close()
 	}()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxEntryBytes))
-		if err != nil {
-			return fail(err.Error())
-		}
-		val, err := decode(body)
-		if err != nil {
-			return fail("corrupt response: " + err.Error())
-		}
-		p.ok()
-		p.hits.Add(1)
-		return lookupRes{val: val, url: p.url, ok: true}
-	case resp.StatusCode == http.StatusNotFound:
-		// The peer is healthy, it just does not hold the key.
-		p.ok()
-		p.misses.Add(1)
-		return lookupRes{}
-	default:
+	if resp.StatusCode != http.StatusOK {
 		return fail(fmt.Sprintf("HTTP %d", resp.StatusCode))
+	}
+	sizes, total, err := parseSizes(resp.Header.Get(sizesHeader), len(keys))
+	if err != nil {
+		return fail("malformed response: " + err.Error())
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	if err != nil {
+		return fail(err.Error())
+	}
+	if len(body) != total {
+		return fail(fmt.Sprintf("malformed response: %d body bytes, sizes sum to %d", len(body), total))
+	}
+	vals := make([]any, len(sizes))
+	var rejected error
+	for i, off := 0, 0; i < len(sizes); off, i = off+sizes[i], i+1 {
+		if sizes[i] == 0 {
+			p.misses.Add(1)
+			continue
+		}
+		v, err := decode(keys[i], body[off:off+sizes[i]:off+sizes[i]])
+		if err != nil {
+			rejected = cmp.Or(rejected, err)
+			continue
+		}
+		vals[i] = v
+		p.hits.Add(1)
+	}
+	if rejected != nil {
+		c.strike(ctx, p, "corrupt response: "+rejected.Error())
+	} else {
+		p.ok()
+	}
+	a.vals = vals
+	return a
+}
+
+// parseSizes reads a sizesHeader value for a request that asked n keys:
+// one to n non-negative sizes, and their sum.
+func parseSizes(h string, n int) ([]int, int, error) {
+	fields := strings.Split(h, ",")
+	if h == "" || len(fields) > n {
+		return nil, 0, fmt.Errorf("%d sizes for %d keys", len(fields), n)
+	}
+	sizes, total := make([]int, len(fields)), 0
+	for i, f := range fields {
+		v, err := strconv.Atoi(f)
+		if err != nil || v < 0 || v > maxBodyBytes {
+			return nil, 0, fmt.Errorf("bad size %q", f)
+		}
+		sizes[i], total = v, total+v
+	}
+	return sizes, total, nil
+}
+
+// ServeLookup is the peer's side of Lookup: it answers one request whose
+// body lists keys, one per line, with the bytes get holds for each,
+// back to back, and their sizes in request order in sizesHeader (0 for
+// a key get does not hold). A one-key request for a held key is answered
+// with exactly get's bytes. The body stays under maxBodyBytes by
+// answering fewer keys — the asker sends the rest again — so an entry is
+// never cut; an entry over the ceiling on its own is a miss. A request
+// body over the ceiling is read up to its last whole key there.
+func ServeLookup(w http.ResponseWriter, r *http.Request, get func(key string) ([]byte, bool)) {
+	serveLookup(w, r, get, maxBodyBytes)
+}
+
+func serveLookup(w http.ResponseWriter, r *http.Request, get func(key string) ([]byte, bool), ceiling int) {
+	req, err := io.ReadAll(io.LimitReader(r.Body, int64(ceiling)+1))
+	if err != nil {
+		http.Error(w, "lookup: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(req) > ceiling {
+		req = req[:bytes.LastIndexByte(req[:ceiling], '\n')+1]
+	}
+	var (
+		sizes []byte
+		parts [][]byte
+		total int
+	)
+	for i, key := range strings.Split(strings.TrimSuffix(string(req), "\n"), "\n") {
+		b, _ := get(key)
+		if total+len(b) > ceiling {
+			if i > 0 {
+				break
+			}
+			b = nil
+		}
+		if i > 0 {
+			sizes = append(sizes, ',')
+		}
+		sizes = strconv.AppendInt(sizes, int64(len(b)), 10)
+		parts = append(parts, b)
+		total += len(b)
+	}
+	h := w.Header()
+	h.Set(sizesHeader, string(sizes))
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(total))
+	for _, b := range parts {
+		w.Write(b)
 	}
 }
 

@@ -1,13 +1,17 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,7 +27,11 @@ func fastCfg(peers ...string) Config {
 // tests run in milliseconds.
 var fastTiming = timing{hedge: 10 * time.Millisecond, backoff: 30 * time.Millisecond, maxBackoff: 200 * time.Millisecond}
 
-// cacheServer serves /cache/{key} from a fixed map, counting requests.
+// lookupPath is the route the tests' peers serve lookups on.
+const lookupPath = "/cache/lookup"
+
+// cacheServer serves lookups from a fixed key → body map, counting
+// requests.
 func cacheServer(t *testing.T, entries map[string]string) (*httptest.Server, *atomic.Int64) {
 	return faultyCacheServer(t, entries, "", 0, nil)
 }
@@ -35,6 +43,10 @@ func cacheServer(t *testing.T, entries map[string]string) (*httptest.Server, *at
 func faultyCacheServer(t *testing.T, entries map[string]string, fault string, delay time.Duration, spoiled *atomic.Int64) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var reqs atomic.Int64
+	get := func(key string) ([]byte, bool) {
+		b, ok := entries[key]
+		return []byte(b), ok
+	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqs.Add(1)
 		if fault != "" {
@@ -47,41 +59,59 @@ func faultyCacheServer(t *testing.T, entries map[string]string, fault string, de
 			}
 			return
 		case "slow":
+			readAll(r) // a server notices its client leave only once it has read the request
 			select {
 			case <-time.After(delay):
 			case <-r.Context().Done():
 				return
 			}
-		}
-		body, ok := entries[r.URL.Path]
-		if !ok {
-			http.Error(w, "unknown cache key", http.StatusNotFound)
+		case "corrupt":
+			rec := httptest.NewRecorder()
+			ServeLookup(rec, r, get)
+			body := rec.Body.Bytes()
+			if len(body) > 0 {
+				body[len(body)/2] ^= 0xff
+			}
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(body)
 			return
 		}
-		if fault == "corrupt" && len(body) > 0 {
-			b := []byte(body)
-			b[len(b)/2] ^= 0xff
-			body = string(b)
-		}
-		fmt.Fprint(w, body)
+		ServeLookup(w, r, get)
 	}))
 	t.Cleanup(srv.Close)
 	return srv, &reqs
 }
 
-// lookup asks c for /cache/{key}, accepting any body unless vet (may be
-// nil) rejects it, and returns the raw body.
+// serveAll answers every key a lookup asks with body.
+func serveAll(body string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ServeLookup(w, r, func(string) ([]byte, bool) { return []byte(body), true })
+	}
+}
+
+// lookup asks c for one key, accepting any body unless vet (may be nil)
+// rejects it, and returns the raw body.
 func lookup(c *Client, key string, vet func(body []byte) error) ([]byte, string, bool) {
-	v, url, ok := c.Lookup(context.Background(), key, "/cache/"+key, func(body []byte) (any, error) {
+	return lookupCtx(context.Background(), c, key, vet)
+}
+
+func lookupCtx(ctx context.Context, c *Client, key string, vet func(body []byte) error) ([]byte, string, bool) {
+	h, ok := c.Lookup(ctx, lookupPath, []string{key}, func(k string, body []byte) (any, error) {
+		if k != key {
+			return nil, fmt.Errorf("entry for %q, asked %q", k, key)
+		}
 		if vet != nil {
 			if err := vet(body); err != nil {
 				return nil, err
 			}
 		}
 		return body, nil
-	})
-	body, _ := v.([]byte)
-	return body, url, ok
+	})[key]
+	body, _ := h.Val.([]byte)
+	return body, h.Peer, ok
 }
 
 func TestNilClientMisses(t *testing.T) {
@@ -99,7 +129,7 @@ func TestNilClientMisses(t *testing.T) {
 }
 
 func TestLookupHitAndMiss(t *testing.T) {
-	srv, _ := cacheServer(t, map[string]string{"/cache/k1": "body-1"})
+	srv, _ := cacheServer(t, map[string]string{"k1": "body-1"})
 	c := newClient(fastCfg(srv.URL), fastTiming)
 	defer c.Close()
 
@@ -123,7 +153,7 @@ func TestLookupHitAndMiss(t *testing.T) {
 func TestDownPeerFallsThroughToNext(t *testing.T) {
 	down := httptest.NewServer(http.NotFoundHandler())
 	down.Close() // connection refused from here on
-	up, _ := cacheServer(t, map[string]string{"/cache/k1": "body-1"})
+	up, _ := cacheServer(t, map[string]string{"k1": "body-1"})
 
 	c := newClient(fastCfg(down.URL, up.URL), fastTiming)
 	defer c.Close()
@@ -137,7 +167,7 @@ func TestDownPeerFallsThroughToNext(t *testing.T) {
 }
 
 func TestValidateRejectionIsAPeerFailure(t *testing.T) {
-	srv, _ := cacheServer(t, map[string]string{"/cache/k1": "garbage"})
+	srv, _ := cacheServer(t, map[string]string{"k1": "garbage"})
 	c := newClient(fastCfg(srv.URL), fastTiming)
 	defer c.Close()
 	reject := func([]byte) error { return fmt.Errorf("checksum mismatch") }
@@ -181,7 +211,7 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	}
 
 	// A recovered peer closes the breaker on the next successful trial.
-	revived, _ := cacheServer(t, map[string]string{"/cache/k": "body"})
+	revived, _ := cacheServer(t, map[string]string{"k": "body"})
 	c.peers[0].url = revived.URL // swap the address: same peer, now alive
 	time.Sleep(2 * c.tm.backoff)
 	if _, _, ok := lookup(c, "k", nil); !ok {
@@ -195,15 +225,12 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 func TestHedgedLookupWinsOnSlowPrimary(t *testing.T) {
 	// Both servers start before the one client is built, so the ranking
 	// the key is chosen by is the ranking the lookup uses. The fast peer
-	// answers any /cache/* path: whichever key ranks the slow peer first
-	// is served.
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "fast-body")
-	}))
+	// answers any key: whichever key ranks the slow peer first is served.
+	fast := httptest.NewServer(serveAll("fast-body"))
 	defer fast.Close()
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(300 * time.Millisecond)
-		fmt.Fprint(w, "slow-body")
+		serveAll("slow-body")(w, r)
 	}))
 	defer slow.Close()
 	c := newClient(fastCfg(slow.URL, fast.URL), fastTiming)
@@ -264,7 +291,7 @@ func TestRendezvousRankIsStableAndSpread(t *testing.T) {
 // the corrupt body reaches the caller's decode and is rejected there. A
 // slow peer still under the timeout answers late.
 func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
-	entries := map[string]string{"/cache/k1": "body-1"}
+	entries := map[string]string{"k1": "body-1"}
 	for _, fault := range []string{"down", "corrupt"} {
 		var spoiled atomic.Int64
 		srv, _ := faultyCacheServer(t, entries, fault, 0, &spoiled)
@@ -342,12 +369,21 @@ func waitPeer(t *testing.T, c *Client, what string, ok func(PeerStatus) bool) {
 	}
 }
 
+// readAll reads r's body ahead of its handler, which still reads it:
+// only once the body is read does the server watch the connection, so
+// that r's context ends when its client goes away.
+func readAll(r *http.Request) {
+	b, _ := io.ReadAll(r.Body)
+	r.Body = io.NopCloser(bytes.NewReader(b))
+}
+
 // parkingServer answers nothing: each request signals entered, parks until
 // its client goes away, then signals left.
 func parkingServer(t *testing.T) (srv *httptest.Server, entered, left chan struct{}) {
 	t.Helper()
 	entered, left = make(chan struct{}, 16), make(chan struct{}, 16)
 	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		readAll(r)
 		entered <- struct{}{}
 		<-r.Context().Done()
 		left <- struct{}{}
@@ -361,9 +397,7 @@ func parkingServer(t *testing.T) (srv *httptest.Server, entered, left chan struc
 // cancelled says nothing about the peer, a deadline that expired does.
 func TestCallerCancellationIsNotAPeerFailure(t *testing.T) {
 	slow, entered, left := parkingServer(t)
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "fast-body")
-	}))
+	fast := httptest.NewServer(serveAll("fast-body"))
 	defer fast.Close()
 	c := newClient(fastCfg(slow.URL, fast.URL), fastTiming)
 	defer c.Close()
@@ -561,11 +595,12 @@ func TestHalfOpenLookupAdmitsOneTrial(t *testing.T) {
 			arrived, left, released := make(chan struct{}, n), make(chan struct{}, n), make(chan struct{})
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				arrivals.Add(1)
+				readAll(r)
 				arrived <- struct{}{}
 				defer func() { left <- struct{}{} }()
 				select {
 				case <-released:
-					fmt.Fprint(w, "body")
+					serveAll("body")(w, r)
 				case <-r.Context().Done():
 				}
 			}))
@@ -584,7 +619,7 @@ func TestHalfOpenLookupAdmitsOneTrial(t *testing.T) {
 			hits := make(chan bool, n)
 			for i := 0; i < n; i++ {
 				go func() {
-					_, _, ok := c.Lookup(ctx, "k", "/cache/k", func(body []byte) (any, error) { return body, nil })
+					_, _, ok := lookupCtx(ctx, c, "k", nil)
 					hits <- ok
 				}()
 			}
@@ -622,5 +657,215 @@ func TestHalfOpenLookupAdmitsOneTrial(t *testing.T) {
 				t.Errorf("breaker after the trial = %q, want %q", ps.State, tc.wantState)
 			}
 		})
+	}
+}
+
+// countingServer serves lookups from entries, recording the keys of each
+// request it answers.
+func countingServer(t *testing.T, entries map[string]string) (*httptest.Server, func() [][]string) {
+	t.Helper()
+	var mu sync.Mutex
+	var asked [][]string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		readAll(r)
+		b, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(b))
+		mu.Lock()
+		asked = append(asked, strings.Split(string(b), "\n"))
+		mu.Unlock()
+		ServeLookup(w, r, func(key string) ([]byte, bool) {
+			v, ok := entries[key]
+			return []byte(v), ok
+		})
+	}))
+	t.Cleanup(srv.Close)
+	return srv, func() [][]string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([][]string(nil), asked...)
+	}
+}
+
+// TestLookupSendsOneRequestPerPeerPerRound: a lookup of many keys costs
+// each peer at most one request per round. Round 0 asks every key of
+// its first-ranked peer; a key that peer misses falls through to its
+// second-ranked peer in round 1, and no key is asked of a third.
+func TestLookupSendsOneRequestPerPeerPerRound(t *testing.T) {
+	const n = 40
+	var keys []string
+	for i := 0; i < n; i++ {
+		keys = append(keys, fmt.Sprintf("key-%d", i))
+	}
+	// Peer 0 holds every key; the others hold none.
+	srvs := make([]*httptest.Server, 3)
+	asked := make([]func() [][]string, 3)
+	held := map[string]string{}
+	for _, k := range keys {
+		held[k] = "body-" + k
+	}
+	srvs[0], asked[0] = countingServer(t, held)
+	srvs[1], asked[1] = countingServer(t, nil)
+	srvs[2], asked[2] = countingServer(t, nil)
+	c := newClient(fastCfg(srvs[0].URL, srvs[1].URL, srvs[2].URL), timing{hedge: time.Minute, backoff: time.Second, maxBackoff: time.Second})
+	defer c.Close()
+
+	hits := c.Lookup(context.Background(), lookupPath, keys, func(k string, body []byte) (any, error) { return string(body), nil })
+	times := map[string]map[string]int{} // peer URL → key → times asked
+	for i, srv := range srvs {
+		reqs := asked[i]()
+		if len(reqs) > defaultMaxFanout {
+			t.Errorf("peer %d got %d requests, want at most one per round (%d)", i, len(reqs), defaultMaxFanout)
+		}
+		times[srv.URL] = map[string]int{}
+		for _, req := range reqs {
+			for _, k := range req {
+				times[srv.URL][k]++
+			}
+		}
+	}
+	misses := 0
+	for _, k := range keys {
+		// Asked of its ranked peers, once each, until peer 0 or the
+		// fan-out: a hit exactly when peer 0 is within it.
+		rank := rankedURLs(c, k)
+		within := slices.Index(rank, srvs[0].URL) < defaultMaxFanout
+		if h, ok := hits[k]; ok != within || ok && (h.Val != "body-"+k || h.Peer != srvs[0].URL) {
+			t.Errorf("%s (ranked %v): hit %+v %v, want a hit from peer 0: %v", k, rank, h, ok, within)
+		}
+		if !within {
+			misses++
+		}
+		for i, u := range rank {
+			want := 0
+			if i < defaultMaxFanout && !slices.Contains(rank[:i], srvs[0].URL) {
+				want = 1
+			}
+			if got := times[u][k]; got != want {
+				t.Errorf("%s (ranked %v): asked of %s %d times, want %d", k, rank, u, got, want)
+			}
+		}
+	}
+	if misses == 0 || misses == n {
+		t.Fatalf("%d of %d keys rank peer 0 past the fan-out; the test needs some of each", misses, n)
+	}
+	st := c.Stats()
+	if st.Hits != uint64(n-misses) || st.Misses != uint64(misses) || st.Errors != 0 || st.Hedges != 0 {
+		t.Errorf("stats = %+v, want %d hits, %d misses and nothing else", st, n-misses, misses)
+	}
+	for _, ps := range c.Snapshot() {
+		if ps.State != "ok" {
+			t.Errorf("peer %s = %+v after authoritative misses, want ok", ps.URL, ps)
+		}
+	}
+}
+
+// TestCorruptEntryInBatchIsOneMissOneStrike: an entry decode rejects
+// costs its own key — which falls through to the next-ranked peer —
+// and one strike against the peer that sent it; the batch's other
+// entries are hits.
+func TestCorruptEntryInBatchIsOneMissOneStrike(t *testing.T) {
+	// Both peers start before the client is built; the keys are chosen
+	// to rank the bad peer first, so it is asked for all three at once.
+	// Each peer answers any key with its good entry, except the bad
+	// peer's entry for the key it rots.
+	var rotten atomic.Pointer[string]
+	serve := func(rots bool) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			ServeLookup(w, r, func(k string) ([]byte, bool) {
+				if rots && k == *rotten.Load() {
+					return []byte("rotten"), true
+				}
+				return []byte("good-" + k), true
+			})
+		}
+	}
+	bad := httptest.NewServer(serve(true))
+	defer bad.Close()
+	good := httptest.NewServer(serve(false))
+	defer good.Close()
+	var events []string
+	cfg := fastCfg(bad.URL, good.URL)
+	cfg.Event = func(kind, detail string) { events = append(events, kind+": "+detail) }
+	c := newClient(cfg, timing{hedge: time.Minute, backoff: time.Second, maxBackoff: time.Second})
+	defer c.Close()
+	var keys []string
+	for i := 0; len(keys) < 3; i++ {
+		if k := fmt.Sprintf("k%d", i); rankedURLs(c, k)[0] == bad.URL {
+			keys = append(keys, k)
+		}
+	}
+	rotten.Store(&keys[1])
+	vet := func(k string, body []byte) (any, error) {
+		if string(body) != "good-"+k {
+			return nil, fmt.Errorf("checksum mismatch")
+		}
+		return string(body), nil
+	}
+	hits := c.Lookup(context.Background(), lookupPath, keys, vet)
+	for _, k := range keys {
+		if hits[k].Val != "good-"+k {
+			t.Errorf("%s: %+v, want good-%s", k, hits[k], k)
+		}
+	}
+	byURL := map[string]PeerStatus{}
+	for _, ps := range c.Snapshot() {
+		byURL[ps.URL] = ps
+	}
+	if ps := byURL[bad.URL]; ps.Errors != 1 || ps.ConsecutiveFails != 1 || ps.State != "ok" {
+		t.Errorf("bad peer = %+v, want one strike, breaker closed", ps)
+	}
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 0 || st.Errors != 1 {
+		t.Errorf("stats = %+v, want 3 hits, 0 misses, 1 error", st)
+	}
+	if len(events) != 1 || !strings.Contains(events[0], "corrupt response: checksum mismatch") {
+		t.Errorf("events %q, want one corrupt response", events)
+	}
+}
+
+// TestOversizedResponseIsSplit: a peer whose answer would pass the body
+// ceiling answers the keys that fit and the asker sends it the rest, so
+// every entry arrives whole and no response passes the ceiling.
+func TestOversizedResponseIsSplit(t *testing.T) {
+	const ceiling = 25
+	entries := map[string]string{}
+	var keys []string
+	for i := 0; i < 5; i++ {
+		k := fmt.Sprintf("k%d", i)
+		keys = append(keys, k)
+		entries[k] = fmt.Sprintf("entry-%04d", i) // 10 bytes: two fit
+	}
+	var mu sync.Mutex
+	var bodies []int
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		serveLookup(rec, r, func(k string) ([]byte, bool) {
+			v, ok := entries[k]
+			return []byte(v), ok
+		}, ceiling)
+		mu.Lock()
+		bodies = append(bodies, rec.Body.Len())
+		mu.Unlock()
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.Write(rec.Body.Bytes())
+	}))
+	defer srv.Close()
+	c := newClient(fastCfg(srv.URL), fastTiming)
+	defer c.Close()
+	hits := c.Lookup(context.Background(), lookupPath, keys, func(k string, body []byte) (any, error) {
+		if string(body) != entries[k] {
+			return nil, fmt.Errorf("%s: got %q", k, body)
+		}
+		return string(body), nil
+	})
+	if len(hits) != len(keys) {
+		t.Fatalf("%d of %d keys found: %+v", len(hits), len(keys), hits)
+	}
+	if want := []int{20, 20, 10}; !reflect.DeepEqual(bodies, want) {
+		t.Errorf("response bodies %v bytes, want %v (split at the %d-byte ceiling)", bodies, want, ceiling)
+	}
+	if st := c.Stats(); st.Errors != 0 || st.Hits != 5 {
+		t.Errorf("stats = %+v, want 5 hits, no errors", st)
 	}
 }

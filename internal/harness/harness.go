@@ -326,6 +326,20 @@ func RunSpecs(ctx context.Context, opt Options, specs []RunSpec) (*Results, erro
 	return res, err
 }
 
+// Only returns r with just the runs of specs — the grid's view of a run
+// that also served a design-space study (GridAndStudySpecs). Its
+// counters are r's, those of the whole run.
+func (r *Results) Only(specs []RunSpec) *Results {
+	out := *r
+	out.Runs = make(map[Key]core.Result, len(specs))
+	for _, s := range specs {
+		if run, ok := r.Runs[s.Key()]; ok {
+			out.Runs[s.Key()] = run
+		}
+	}
+	return &out
+}
+
 // groupByRepresentative partitions specs, in order, into groups of cells
 // with a common representative (RunSpec.Representative): one simulation
 // answers a whole group.

@@ -407,3 +407,57 @@ func TestAblationTablesDropFailedBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestGridAndStudyShareCells: a run that reports both the grid and the
+// design-space study simulates each cell once. The combined list names
+// each key once, so each workload's Unsafe and unablated Hybrid cells,
+// named by both, warm and run once; the grid's view exports
+// byte-identically to a grid-only run, and the study's tables equal a
+// study-only run's.
+func TestGridAndStudyShareCells(t *testing.T) {
+	warmup := uint64(2_000)
+	req := Request{Workloads: []string{"mcf_r"}, Models: []string{"spectre"}, MaxInstrs: 3_000, WarmupInstrs: &warmup, Ablations: true}
+	opt, study, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := opt.GridAndStudySpecs()
+	named := map[Key]int{}
+	for _, s := range specs {
+		if named[s.Key()]++; named[s.Key()] > 1 {
+			t.Errorf("%v named twice in the combined list", s.Key())
+		}
+	}
+	run := func(specs []RunSpec) *Results {
+		t.Helper()
+		res, err := RunSpecs(context.Background(), opt, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res, gridOnly, studyOnly := run(specs), run(opt.Specs()), run(study)
+	// Detailed warmup is counted per simulated cell: the shared Unsafe
+	// and Hybrid cells warm once, not once per report.
+	sims := func(r *Results) uint64 { return r.WarmupInstrsSimulated / warmup }
+	if got, want := sims(res), sims(gridOnly)+sims(studyOnly)-2; got != want {
+		t.Errorf("combined run simulated %d cells, want %d (grid %d + study %d - 2 shared)",
+			got, want, sims(gridOnly), sims(studyOnly))
+	}
+	if len(res.Runs) != len(specs) {
+		t.Errorf("%d results for %d cells", len(res.Runs), len(specs))
+	}
+	var a, b bytes.Buffer
+	if err := res.Only(opt.Specs()).WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := gridOnly.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("the combined run's grid export differs from a grid-only run's")
+	}
+	if got, want := res.AblationTables(), studyOnly.AblationTables(); !reflect.DeepEqual(got, want) {
+		t.Errorf("combined run's ablation tables %+v, want %+v", got, want)
+	}
+}

@@ -142,6 +142,25 @@ func (o Options) AblationSpecs() []RunSpec {
 	return specs
 }
 
+// GridAndStudySpecs is the sweep grid's cells (Specs) followed by the
+// design-space study's (AblationSpecs) that the grid does not name: one
+// list for a run that reports both, in which each workload's Unsafe and
+// unablated Hybrid cells, named by both, simulate once. A shared cell
+// keeps the grid's spec; the study reads only its cycles.
+func (o Options) GridAndStudySpecs() []RunSpec {
+	specs := o.Specs()
+	grid := make(map[Key]bool, len(specs))
+	for _, s := range specs {
+		grid[s.Key()] = true
+	}
+	for _, s := range o.AblationSpecs() {
+		if !grid[s.Key()] {
+			specs = append(specs, s)
+		}
+	}
+	return specs
+}
+
 // programs memoizes per-workload program facts: Build is deterministic
 // per name, so they are a function of the name.
 var programs sync.Map // string -> programFacts

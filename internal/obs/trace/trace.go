@@ -31,8 +31,8 @@ const (
 	PhaseQueue = "queue-wait"
 	// PhaseCache is the result-cache lookup (attr hit=true|false).
 	PhaseCache = "cache-lookup"
-	// PhasePeer is the cache-peering fabric lookup on a local miss
-	// (attrs hit=true|false, peer=<url> on a hit).
+	// PhasePeer is a local miss's wait for its job's batched cache-peering
+	// lookup (attrs hit=true|false, peer=<url> on a hit).
 	PhasePeer = "peer-lookup"
 	// PhaseAwait covers a cell that joined an identical in-flight run and
 	// waited for its result instead of executing.

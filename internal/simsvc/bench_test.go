@@ -2,9 +2,12 @@ package simsvc
 
 import (
 	"context"
+	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,4 +120,42 @@ func BenchmarkWarmResubmit(b *testing.B) {
 		b.Fatalf("the warm loop simulated: %v runs executed, want the priming 64", got)
 	}
 	b.ReportMetric(float64(int64(liveHeap())-int64(before))/float64(b.N), "live-B/job")
+}
+
+// BenchmarkServeTableIIGrid is the traffic a server runs, over HTTP: the
+// Table II grid over every kernel under both attack models with detailed
+// warmup, submitted to a node with an empty cache directory and
+// exported, then resubmitted and exported from the cache as a warm node
+// serves it. Its CPU profile is the sdoserver PGO profile:
+//
+//	go test -run '^$' -bench ServeTableIIGrid -benchtime 2x -cpuprofile cmd/sdoserver/default.pgo -o /tmp/simsvc.test ./internal/simsvc
+//
+// (run from the repository root; -cpuprofile is relative to it).
+func BenchmarkServeTableIIGrid(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s, err := New(Config{CachePath: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := httptest.NewServer(s.Handler())
+		for sweep := 0; sweep < 50; sweep++ {
+			resp, err := http.Post(srv.URL+"/sweeps", "application/json", strings.NewReader("{}"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var st Status
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusAccepted {
+				b.Fatalf("POST /sweeps: %d, %v", resp.StatusCode, err)
+			}
+			if resp, err = http.Get(srv.URL + "/sweeps/" + st.ID + "/export"); err != nil {
+				b.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		srv.Close()
+		s.Shutdown(context.Background())
+	}
 }

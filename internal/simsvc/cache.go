@@ -30,19 +30,20 @@ const persistFailureLimit = 3
 //
 // A persistent cache is a directory holding one file per result,
 // <dir>/<key>.json, whose bytes are the entry's wire form — exactly what
-// GET /cache/{key} serves. A new result's file is written before the
-// entry becomes visible, so a result anyone has seen survives a process
-// crash (one a peer answered stays durable at that peer). In front of
-// the directory sits an in-memory LRU with an optional bound on its
-// encoded size; a memory miss reads through to the file, so an evicted
-// entry, or one a previous process wrote, comes back from disk.
+// POST /cache/lookup answers for the key. A new result's file is written
+// before the entry becomes visible, so a result anyone has seen survives
+// a process crash (one a peer answered stays durable at that peer). In
+// front of the directory sits an in-memory LRU with an optional bound on
+// its encoded size; a memory miss reads through to the file, so an
+// evicted entry, or one a previous process wrote, comes back from disk.
 //
 // A cached result exists once. Each entry holds one heap copy of the
 // result and its wire encoding, both made when the entry is: by Put for
-// a freshly simulated result, by verify for one read from disk or sent
-// by a peer. Get hands out that copy, so every job and export reading
-// the key shares it and none may write to it; GET /cache/{key} and the
-// entry's file are the stored bytes, never a new encoding.
+// a freshly simulated result, by decodeEntry for one read from disk or
+// sent by a peer or a thief, which keeps the bytes it verified. Get hands
+// out that copy, so every job and export reading the key shares it and
+// none may write to it; a peer's lookup answer and the entry's file are
+// the stored bytes, never a new encoding.
 type Cache struct {
 	mu        sync.Mutex
 	maxBytes  int64 // byte bound over encoded entry sizes (0: unbounded)
@@ -74,7 +75,7 @@ type Cache struct {
 type lruEntry struct {
 	key  string
 	res  *core.Result // shared with every reader, read-only
-	wire []byte       // the entry's file and GET /cache/{key} body; nil if the result has no JSON encoding
+	wire []byte       // the entry's file and lookup answer; nil if the result has no JSON encoding
 }
 
 // newEntry makes the entry for a freshly computed result: one heap copy,
@@ -297,9 +298,10 @@ func (c *Cache) Contains(key string) bool {
 // PeekEncoded returns a cached entry's wire form — key, integrity
 // checksum, canonical result encoding; the bytes its file holds —
 // without touching the hit/miss counters or the LRU order. This is what
-// GET /cache/{key} serves to peer nodes: a peer's lookup is not a demand
-// access of this node's cache, so it must not skew the local hit-rate
-// metrics. The bytes are shared and must not be modified.
+// POST /cache/lookup answers peer nodes with: a peer's lookup is not a
+// demand access of this node's cache, so it must not skew the local
+// hit-rate metrics. A non-key is a miss that opens no file. The bytes
+// are shared and must not be modified.
 func (c *Cache) PeekEncoded(key string) ([]byte, bool) {
 	e, ok := c.lookup(key, false)
 	if !ok || e.wire == nil {
@@ -315,7 +317,7 @@ func (c *Cache) Put(key string, r core.Result) *core.Result {
 	return c.add(newEntry(key, r)).res
 }
 
-// add stores a made entry (Put's, or a thief's completion verify
+// add stores a made entry (Put's, or a thief's completion decodeEntry
 // accepted) and returns the entry the cache now holds for its key. It is
 // the one door for a result this node is the durable home of — an
 // executed cell, a stolen cell's run on the thief and its completion on
@@ -407,13 +409,13 @@ func (c *Cache) corruptTotal() uint64 {
 	return c.corrupt
 }
 
-// cacheEntry is the wire form of one result: an entry file, a
-// GET /cache/{key} body and a stolen cell's completion.
+// cacheEntry is the wire form of one result: an entry file, a peer's
+// lookup answer and a stolen cell's completion.
 type cacheEntry struct {
 	Key string `json:"key"`
 	// Sum is entrySum over (Key, canonical Result encoding); verified on
-	// read so a bit-flipped or hand-edited entry becomes a miss, not a
-	// wrong answer.
+	// read (decodeEntry) so a bit-flipped or hand-edited entry becomes a
+	// miss, not a wrong answer.
 	Sum    string          `json:"sum"`
 	Result json.RawMessage `json:"result"`
 }
@@ -434,29 +436,6 @@ func newJSONEncoder(w io.Writer) *json.Encoder {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc
-}
-
-// verify is the one integrity rule for an entry, whether it was read
-// from its file or received from a peer or a thief: re-compact the
-// result (the raw bytes may carry indentation, while the checksum is
-// over the canonical compact encoding), recompute the sum, then decode.
-// It returns the entry the cache stores: the decoded result beside the
-// canonical wire bytes the checksum vouches for.
-func (e cacheEntry) verify() (*lruEntry, error) {
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, e.Result); err != nil {
-		return nil, fmt.Errorf("simsvc: cache entry result: %w", err)
-	}
-	raw := compact.Bytes()
-	if entrySum(e.Key, raw) != e.Sum {
-		return nil, errors.New("simsvc: cache entry checksum mismatch")
-	}
-	r := new(core.Result)
-	if err := json.Unmarshal(raw, r); err != nil {
-		return nil, fmt.Errorf("simsvc: cache entry result: %w", err)
-	}
-	e.Result = raw
-	return &lruEntry{key: e.Key, res: r, wire: e.encode()}, nil
 }
 
 // entrySum is the per-entry integrity checksum: sha256 over the key and

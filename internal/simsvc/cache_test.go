@@ -87,7 +87,7 @@ func entryFile(t *testing.T, dir, key string) []byte {
 // TestCacheSaveLoadRoundTrip: every Put writes its entry file, and a
 // second cache — and a second Service — over the same directory reads the
 // results back exactly, as hits, with nothing decoded up front. Each
-// file's bytes are the entry's GET /cache/{key} body.
+// file's bytes are the entry's one-key lookup answer.
 func TestCacheSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c := diskCache(t, dir)
@@ -122,8 +122,8 @@ func TestCacheSaveLoadRoundTrip(t *testing.T) {
 	})
 	for _, key := range []string{testKey(1), testKey(2)} {
 		file := entryFile(t, dir, key)
-		if body := get(t, ts.URL+"/cache/"+key, 200); !bytes.Equal(body, file) {
-			t.Errorf("%s: GET /cache body differs from the entry file:\n%s\nvs\n%s", key, body, file)
+		if body := entryBody(t, ts.URL, key); !bytes.Equal(body, file) {
+			t.Errorf("%s: lookup answer differs from the entry file:\n%s\nvs\n%s", key, body, file)
 		}
 		if wire, _ := c.PeekEncoded(key); !bytes.Equal(wire, file) {
 			t.Errorf("%s: the writer's stored bytes differ from its file", key)
@@ -264,5 +264,38 @@ func TestCacheByteBound(t *testing.T) {
 	}
 	if h, m := d.Stats(); h != 1 || m != 0 || d.Len() != 3 || d.heldBytes() != 3*one {
 		t.Errorf("after read-back: hits=%d misses=%d len=%d bytes=%d, want 1/0/3/%d", h, m, d.Len(), d.heldBytes(), 3*one)
+	}
+}
+
+// TestDecodeEntryKeepsTheVerifiedBytes: an entry's bytes decode to the
+// result they were made from and become its wire form as they are —
+// never re-encoded — while every truncation and every flipped byte is
+// refused.
+func TestDecodeEntryKeepsTheVerifiedBytes(t *testing.T) {
+	key := testKey(3)
+	r := core.Result{Variant: core.Hybrid, Model: pipeline.Futuristic}
+	r.Cycles, r.Committed = 12345, 6789
+	wire := newEntry(key, r).wire
+	e, err := decodeEntry(key, wire)
+	if err != nil || !reflect.DeepEqual(*e.res, r) {
+		t.Fatalf("decodeEntry = %+v, %v; want %+v", e, err, r)
+	}
+	if &e.wire[0] != &wire[0] || len(e.wire) != len(wire) {
+		t.Error("the entry's wire form is not the bytes it was decoded from")
+	}
+	for n := 0; n < len(wire); n++ {
+		if _, err := decodeEntry(key, wire[:n]); err == nil {
+			t.Fatalf("a %d-byte truncation of a %d-byte entry was accepted", n, len(wire))
+		}
+	}
+	for i := range wire {
+		flipped := bytes.Clone(wire)
+		flipped[i] ^= 0xff
+		if _, err := decodeEntry(key, flipped); err == nil {
+			t.Fatalf("byte %d (%q) flipped was accepted", i, wire[i])
+		}
+	}
+	if _, err := decodeEntry(testKey(4), wire); err == nil || !strings.Contains(err.Error(), "key mismatch") {
+		t.Errorf("an entry for another key: err = %v, want a key mismatch", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
@@ -27,11 +28,10 @@ import (
 //	GET    /sweeps/{id}/trace    span-tree trace JSON (?format=chrome for the
 //	                             Chrome trace-event form); registered only
 //	                             with tracing enabled
-//	GET    /cache/{key}          one content-addressed cache entry: the
-//	                             bytes of its file {key, sum, result};
-//	                             404 on a miss. Internal: this is what
-//	                             peer nodes (internal/fabric) consult on
-//	                             their own cache misses
+//	POST   /cache/lookup         a peer's batched lookup (internal/fabric):
+//	                             the body lists cache keys, one per line;
+//	                             the answer holds each held key's entry
+//	                             file {key, sum, result}, back to back
 //	GET    /variants             registered protection schemes: name,
 //	                             aliases, one-line description
 //	GET    /debug/flight         flight recorder: the last N observability
@@ -61,26 +61,20 @@ func (s *Service) Handler() http.Handler {
 		// untraced server's API surface is unchanged.
 		mux.HandleFunc("GET /sweeps/{id}/trace", s.handleTrace)
 	}
-	mux.HandleFunc("GET /cache/{key}", s.handleCacheGet)
+	mux.HandleFunc("POST /cache/lookup", s.handleCacheLookup)
 	mux.HandleFunc("GET /variants", s.handleVariants)
 	mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	return mux
 }
 
-// handleCacheGet serves one cache entry to a peer node: the entry's
-// stored wire bytes (key + integrity checksum + canonical result
-// encoding), the same bytes as its file, which the peer vets with the
-// same rule as a file read from disk. The lookup is a peek: peer traffic
-// must not skew this node's demand hit/miss counters or LRU order. A
-// path that is not a cache key is a 404 without touching the disk.
-func (s *Service) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	wire, ok := s.cache.PeekEncoded(r.PathValue("key"))
-	if !ok {
-		http.Error(w, "unknown cache key", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(wire)
+// handleCacheLookup answers a peer's batched lookup (fabric.ServeLookup)
+// with each held key's stored wire bytes — the bytes of its file — which
+// the peer vets with the same rule as a file read from disk. Each lookup
+// is a peek: peer traffic must not skew this node's demand hit/miss
+// counters or LRU order, and a key that is not a cache key is a miss
+// without touching the disk.
+func (s *Service) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
+	fabric.ServeLookup(w, r, s.cache.PeekEncoded)
 }
 
 // VariantInfo is one /variants row: a registered protection scheme as

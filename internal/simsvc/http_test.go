@@ -63,6 +63,35 @@ func get(t *testing.T, url string, wantCode int) []byte {
 	return b
 }
 
+// postLookup asks the node at base for keys in one POST /cache/lookup
+// and returns the answer's body and its per-key entry sizes.
+func postLookup(base string, keys ...string) ([]byte, string, error) {
+	resp, err := http.Post(base+"/cache/lookup", "text/plain", strings.NewReader(strings.Join(keys, "\n")))
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("POST /cache/lookup: %d: %s", resp.StatusCode, body)
+	}
+	return body, resp.Header.Get("X-Sdo-Lookup-Sizes"), err
+}
+
+// entryBody is the node's one-key lookup answer for a key it holds: the
+// bytes of the key's entry file, and nothing else.
+func entryBody(t *testing.T, base, key string) []byte {
+	t.Helper()
+	body, sizes, err := postLookup(base, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sizes != fmt.Sprint(len(body)) || len(body) == 0 {
+		t.Fatalf("lookup of %s: sizes %q for %d bytes, want one hit", key, sizes, len(body))
+	}
+	return body
+}
+
 func TestHTTPEndToEnd(t *testing.T) {
 	s, ts := httpService(t)
 
@@ -173,21 +202,22 @@ func TestHTTPCancel(t *testing.T) {
 	get(t, fmt.Sprintf("%s/sweeps/%s/export", ts.URL, st.ID), http.StatusConflict)
 }
 
-// TestNonKeysNeverTouchTheDisk: GET /cache/{key} and a stolen cell's
+// TestNonKeysNeverTouchTheDisk: a peer's lookup and a stolen cell's
 // completion name entry files, and their keys come from outside the
-// process. Anything but 64 lowercase hex digits is refused — a 404, an
+// process. Anything but 64 lowercase hex digits is refused — a miss, an
 // error — before a file is opened, even where a checksum-valid entry
-// sits at the path the key would name.
+// sits at the path the key would name, and even among other keys of one
+// batch.
 func TestNonKeysNeverTouchTheDisk(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "a", "b", "cache")
 	s, ts := newPeerNode(t, Config{Workers: 1, CachePath: dir, WorkStealing: true})
 	valid := testKey(7)
-	for _, tc := range []struct{ name, path, key string }{
-		{"traversal", "..%2F..%2Fetc%2Fpasswd", "../../etc/passwd"},
-		{"63 digits", valid[1:], valid[1:]},
-		{"65 digits", valid + "0", valid + "0"},
-		{"upper case", strings.ToUpper(testKey(0xabc)), strings.ToUpper(testKey(0xabc))},
+	for _, tc := range []struct{ name, key string }{
+		{"traversal", "../../etc/passwd"},
+		{"63 digits", valid[1:]},
+		{"65 digits", valid + "0"},
+		{"upper case", strings.ToUpper(testKey(0xabc))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			file := filepath.Join(dir, tc.key+".json") // where the key would point
@@ -199,11 +229,13 @@ func TestNonKeysNeverTouchTheDisk(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := httptest.NewRecorder()
-			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cache/"+tc.path, nil))
-			if rec.Code != http.StatusNotFound {
-				t.Errorf("GET /cache/%s: %d, want 404", tc.path, rec.Code)
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cache/lookup", strings.NewReader(tc.key)))
+			if rec.Code != http.StatusOK || rec.Header().Get("X-Sdo-Lookup-Sizes") != "0" || rec.Body.Len() != 0 {
+				t.Errorf("lookup of %q: %d, sizes %q, %d bytes; want a miss", tc.key, rec.Code, rec.Header().Get("X-Sdo-Lookup-Sizes"), rec.Body.Len())
 			}
-			get(t, ts.URL+"/cache/"+tc.path, http.StatusNotFound)
+			if body, sizes, err := postLookup(ts.URL, valid, tc.key, valid); err != nil || sizes != "0,0,0" || len(body) != 0 {
+				t.Errorf("batch with %q: sizes %q, %d bytes, %v; want three misses", tc.key, sizes, len(body), err)
+			}
 
 			os.Remove(file)
 			if err := s.CompleteSteal(tc.key, wire); err == nil {

@@ -55,6 +55,8 @@ type Job struct {
 	// jt is the job's span-tree trace (nil with tracing off). Set by
 	// Submit before any cell is enqueued, immutable afterwards.
 	jt *trace.JobTrace
+	// peers is the job's one batched peer lookup (nil without peers).
+	peers *peerBatch
 
 	// onTerminal, set by the service before the job starts, observes the
 	// transition to a terminal state (registry eviction). Called exactly

@@ -3,14 +3,18 @@ package simsvc
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/harness"
 	"repro/internal/obs/trace"
 )
 
@@ -27,22 +31,26 @@ func newPeerNode(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	return svc, srv
 }
 
-// faultyPeer serves svc behind a fault on every request, counting the
-// requests it spoiled in *n: "down" hijacks the connection and closes it
-// unanswered, "slow" holds the answer for delay, "corrupt" flips the
-// middle byte of the body, and "mixed" rotates through those three and a
-// clean answer.
+// faultyPeer serves svc behind a fault on every request, counting in *n
+// the keys the spoiled requests asked for: "down" hijacks the connection
+// and closes it unanswered, "slow" holds the answer for delay, "corrupt"
+// flips the middle byte of the body, and "mixed" rotates through those
+// three and a clean answer, one request each, in that order.
 func faultyPeer(t *testing.T, svc *Service, fault string, delay time.Duration, n *atomic.Int64) *httptest.Server {
 	t.Helper()
 	h := svc.Handler()
 	var seq atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Read ahead of the handler: only then does the server notice a
+		// client that goes away.
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		f := fault
 		if f == "mixed" {
-			f = []string{"down", "slow", "corrupt", ""}[seq.Add(1)%4]
+			f = []string{"down", "slow", "corrupt", ""}[(seq.Add(1)-1)%4]
 		}
 		if f != "" {
-			n.Add(1)
+			n.Add(int64(len(strings.Fields(string(body)))))
 		}
 		switch f {
 		case "down":
@@ -76,6 +84,30 @@ func faultyPeer(t *testing.T, svc *Service, fault string, delay time.Duration, n
 	return srv
 }
 
+// countingPeer serves svc, recording the keys of each lookup request.
+func countingPeer(t *testing.T, svc *Service) (*httptest.Server, func() [][]string) {
+	t.Helper()
+	h := svc.Handler()
+	var mu sync.Mutex
+	var asked [][]string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/cache/lookup" {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			mu.Lock()
+			asked = append(asked, strings.Fields(string(body)))
+			mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv, func() [][]string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([][]string(nil), asked...)
+	}
+}
+
 // peerErrors returns the details of the peer-error events in s's flight
 // recorder.
 func peerErrors(s *Service) []string {
@@ -106,6 +138,8 @@ func TestPeerHitServesSweepWithoutSimulating(t *testing.T) {
 	if got := metric(t, b, "sdo_runs_executed_total"); got != 0 {
 		t.Fatalf("RunsExecuted = %v, want 0 (peer answered everything)", got)
 	}
+	// Each cell is one local miss and one peer hit, never a cache hit.
+	wantMetrics(t, b, map[string]float64{"sdo_cache_misses_total": 4, "sdo_cache_hits_total": 0})
 	wantDeliveries(t, jb, "  [peer]", 4)
 	if got, want := exportBytes(t, jb), exportBytes(t, ja); !bytes.Equal(got, want) {
 		t.Fatal("peer-served export differs from the origin node's export")
@@ -122,10 +156,11 @@ func TestPeerHitServesSweepWithoutSimulating(t *testing.T) {
 }
 
 // TestSlowPeersAreHedged: two peers hold every answer and both are slow,
-// so each lookup asks the second-ranked peer after the hedge delay. Every
-// cell still comes from a peer, each hedge counts in
-// sdo_peer_hedges_total, and each cell's trace shows the wait as a
-// peer-lookup phase that hit.
+// so the sweep's lookup asks each key's second-ranked peer after the
+// hedge delay. Every cell still comes from a peer, each hedged key counts
+// in sdo_peer_hedges_total, and each cell's trace shows a peer-lookup
+// phase that hit. A cell whose worker waited for the lookup has that
+// wait as its peer_us; the others queued behind those workers meanwhile.
 func TestSlowPeersAreHedged(t *testing.T) {
 	const delay = 250 * time.Millisecond // well past the hedge delay
 	var peers []string
@@ -142,17 +177,66 @@ func TestSlowPeersAreHedged(t *testing.T) {
 
 	wantMetrics(t, b, map[string]float64{"sdo_peer_hits_total": 4, "sdo_peer_hedges_total": 4, "sdo_runs_executed_total": 0})
 	if n := slowed.Load(); n < 8 {
-		t.Errorf("%d answers slowed, want both peers' for every cell (8)", n)
+		t.Errorf("%d key answers slowed, want both peers' for every cell (8)", n)
 	}
+	waited := 0
 	for _, cell := range traceDoc(t, j).Cells {
 		ps := findSpans(cell.Spans, trace.PhasePeer)
 		if len(ps) != 1 || ps[0].Attrs["hit"] != "true" || ps[0].Attrs["peer"] == "" {
 			t.Errorf("cell %s: peer-lookup spans %+v, want one hit naming its peer", cell.Cell, ps)
 		}
-		if us := cell.Attribution.PeerUS; us < delay.Microseconds() {
-			t.Errorf("cell %s: peer_us %d, want at least the peers' %v delay", cell.Cell, us, delay)
+		at := cell.Attribution
+		if at.PeerUS >= delay.Microseconds() {
+			waited++
+		}
+		if us := at.PeerUS + at.QueueUS; us < delay.Microseconds() {
+			t.Errorf("cell %s: peer_us %d + queue_us %d, want at least the peers' %v delay", cell.Cell, at.PeerUS, at.QueueUS, delay)
 		}
 		checkAttributionSums(t, cell)
+	}
+	if waited == 0 {
+		t.Error("no cell's peer_us holds the wait for the lookup")
+	}
+}
+
+// TestSweepAsksEachPeerOnce: a sweep costs each peer one lookup request
+// per round, not one per cell. With both peers holding every result,
+// round 0 answers every key: each peer gets at most one request, and
+// each key is asked once, of its first-ranked peer.
+func TestSweepAsksEachPeerOnce(t *testing.T) {
+	req := smallReq()
+	req.Models = []string{"spectre", "futuristic"} // 8 cells
+	var peers []string
+	var asked []func() [][]string
+	for i := 0; i < 2; i++ {
+		a := newService(t, Config{Workers: 2})
+		t.Cleanup(func() { a.Shutdown(context.Background()) })
+		submitAndWait(t, a, req)
+		srv, reqs := countingPeer(t, a)
+		peers, asked = append(peers, srv.URL), append(asked, reqs)
+	}
+	b := newService(t, Config{Workers: 2, Peers: peers, PeerProbeInterval: -1})
+	defer b.Shutdown(context.Background())
+	_, keys := cellKeys(t, b, req)
+	submitAndWait(t, b, req)
+
+	wantMetrics(t, b, map[string]float64{"sdo_peer_hits_total": 8, "sdo_peer_misses_total": 0, "sdo_runs_executed_total": 0})
+	times := map[string]int{}
+	for i, got := range asked {
+		reqs := got()
+		if len(reqs) > 1 {
+			t.Errorf("peer %d got %d lookup requests, want at most one", i, len(reqs))
+		}
+		for _, r := range reqs {
+			for _, k := range r {
+				times[k]++
+			}
+		}
+	}
+	for _, k := range keys {
+		if times[k] != 1 {
+			t.Errorf("%s asked %d times, want once", k, times[k])
+		}
 	}
 }
 
@@ -184,38 +268,49 @@ func TestPeerDownFallsBackToLocal(t *testing.T) {
 
 // TestPeerFaultInjectionNeverFailsCells: behind a faulty peer — down,
 // slow, corrupt, or all three in turn — every cell still completes
-// (locally or via a delayed hit). This is the -race acceptance scenario
-// for the lookup path.
+// (locally or via a delayed hit). Each of four sweeps is one lookup
+// request, so "mixed" meets every fault. This is the -race acceptance
+// scenario for the lookup path.
 func TestPeerFaultInjectionNeverFailsCells(t *testing.T) {
 	a := newService(t, Config{Workers: 2})
 	defer a.Shutdown(context.Background())
-	submitAndWait(t, a, smallReq())
+	var reqs []harness.Request
+	for i := 0; i < 4; i++ {
+		req := smallReq()
+		req.MaxInstrs += uint64(100 * i)
+		reqs = append(reqs, req)
+		submitAndWait(t, a, req)
+	}
+	const cells = 16
 
 	for _, fault := range []string{"down", "slow", "corrupt", "mixed"} {
 		var spoiled atomic.Int64
 		srv := faultyPeer(t, a, fault, 30*time.Millisecond, &spoiled)
 		b := newService(t, Config{Workers: 2, Peers: []string{srv.URL},
 			PeerTimeout: time.Second, PeerProbeInterval: -1})
-		j := submitAndWait(t, b, smallReq())
-		if st := j.Status(); st.Failed != 0 {
-			t.Errorf("%s: %d cells failed", fault, st.Failed)
+		for _, req := range reqs {
+			if st := submitAndWait(t, b, req).Status(); st.Failed != 0 {
+				t.Errorf("%s: %d cells failed", fault, st.Failed)
+			}
 		}
 		hits, runs := metric(t, b, "sdo_peer_hits_total"), metric(t, b, "sdo_runs_executed_total")
-		if hits+runs != 4 {
+		if hits+runs != cells {
 			t.Errorf("%s: cells unaccounted for: %v peer hits + %v local runs", fault, hits, runs)
 		}
 		// The fault fired: it cost hits where it breaks an answer, and
 		// a slow peer still answered every cell.
-		if spoiled.Load() == 0 || (fault == "slow") != (hits == 4) {
-			t.Errorf("%s: %d requests spoiled, %v peer hits", fault, spoiled.Load(), hits)
+		if spoiled.Load() == 0 || (fault == "slow") != (hits == cells) {
+			t.Errorf("%s: %d key answers spoiled, %v peer hits", fault, spoiled.Load(), hits)
 		}
 		b.Shutdown(context.Background())
 	}
 }
 
-// TestPeerCorruptResponseCannotPoison: a peer serving a tampered body
-// fails checksum validation inside the fabric; the cell is simulated
-// locally and the result is the true one.
+// TestPeerCorruptResponseCannotPoison: a peer whose answer has one byte
+// flipped — inside one entry of the batch — fails that entry's checksum:
+// its key alone is a miss, simulated locally, and the peer takes one
+// strike; the batch's other entries are hits, and the export is the true
+// one.
 func TestPeerCorruptResponseCannotPoison(t *testing.T) {
 	a := newService(t, Config{Workers: 2})
 	defer a.Shutdown(context.Background())
@@ -226,18 +321,41 @@ func TestPeerCorruptResponseCannotPoison(t *testing.T) {
 	b := newService(t, Config{Workers: 2, Peers: []string{srv.URL}, PeerProbeInterval: -1})
 	defer b.Shutdown(context.Background())
 	jb := submitAndWait(t, b, smallReq())
-	if errs := peerErrors(b); spoiled.Load() == 0 || len(errs) == 0 || !strings.Contains(errs[0], "corrupt response") {
-		t.Fatalf("%d bodies corrupted; peer-error events %q, want a corrupt response", spoiled.Load(), errs)
+	if errs := peerErrors(b); spoiled.Load() == 0 || len(errs) != 1 || !strings.Contains(errs[0], "corrupt response") {
+		t.Fatalf("%d key answers corrupted; peer-error events %q, want one corrupt response", spoiled.Load(), errs)
 	}
-
-	if got := metric(t, b, "sdo_peer_hits_total"); got != 0 {
-		t.Fatalf("corrupt peer bodies produced %v hits", got)
-	}
-	if got := metric(t, b, "sdo_runs_executed_total"); got != 4 {
-		t.Fatalf("RunsExecuted = %v, want all 4 locally after corrupt responses", got)
-	}
+	wantMetrics(t, b, map[string]float64{"sdo_peer_hits_total": 3, "sdo_peer_errors_total": 1, "sdo_runs_executed_total": 1})
 	if got, want := exportBytes(t, jb), exportBytes(t, ja); !bytes.Equal(got, want) {
 		t.Fatal("corrupt peer changed the final export")
+	}
+}
+
+// TestPeerEntryForUnaskedKeyIsRefused: a peer that answers each key with
+// a checksum-valid entry for another key is refused entry by entry: no
+// hit, every cell simulated locally, and the true export.
+func TestPeerEntryForUnaskedKeyIsRefused(t *testing.T) {
+	a := newService(t, Config{Workers: 2})
+	defer a.Shutdown(context.Background())
+	ja := submitAndWait(t, a, smallReq())
+	_, keys := cellKeys(t, a, smallReq())
+	other := func(key string) string { // the next key of the sweep
+		i := slices.Index(keys, key)
+		return keys[(i+1)%len(keys)]
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fabric.ServeLookup(w, r, func(key string) ([]byte, bool) { return a.cache.PeekEncoded(other(key)) })
+	}))
+	defer srv.Close()
+	b := newService(t, Config{Workers: 2, Peers: []string{srv.URL}, PeerProbeInterval: -1})
+	defer b.Shutdown(context.Background())
+	jb := submitAndWait(t, b, smallReq())
+
+	wantMetrics(t, b, map[string]float64{"sdo_peer_hits_total": 0, "sdo_peer_errors_total": 1, "sdo_runs_executed_total": 4})
+	if errs := peerErrors(b); len(errs) != 1 || !strings.Contains(errs[0], "key mismatch") {
+		t.Errorf("peer-error events %q, want one key mismatch", errs)
+	}
+	if got, want := exportBytes(t, jb), exportBytes(t, ja); !bytes.Equal(got, want) {
+		t.Fatal("entries for other keys changed the final export")
 	}
 }
 

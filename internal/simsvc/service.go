@@ -75,10 +75,11 @@ type Config struct {
 	Trace bool
 
 	// Peers is the static peer list for failure-aware cache peering
-	// (base URLs of other sdoserver nodes). On a local cache miss the
-	// service consults peers by rendezvous-hashed key over GET
-	// /cache/{key} before simulating; every peer failure degrades to
-	// local simulation (see internal/fabric). Empty: peering off.
+	// (base URLs of other sdoserver nodes). A job's first local cache
+	// miss asks the peers, in one POST /cache/lookup per peer, for every
+	// key of the job the node does not hold, before simulating; every
+	// peer failure degrades to local simulation (see internal/fabric).
+	// Empty: peering off.
 	Peers []string
 	// PeerTimeout bounds each peer lookup request (0: fabric default).
 	// No flag sets it: it is a seam for tests, like PeerProbeInterval.
@@ -421,6 +422,9 @@ func (s *Service) Submit(req harness.Request) (*Job, error) {
 		ablation: req.Ablations,
 	}
 	j.onTerminal = s.jobFinished
+	if s.fab != nil {
+		j.peers = &peerBatch{cells: cells}
+	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -474,6 +478,7 @@ func (s *Service) Submit(req harness.Request) (*Job, error) {
 // registry bound. It writes nothing to the cache directory: every path
 // that adds a result wrote its file before the job could see it.
 func (s *Service) jobFinished(j *Job) {
+	j.peers.close()
 	st := j.Status()
 	if s.rec.On(obs.ClassTrace) {
 		s.rec.Emit(obs.Event{Class: obs.ClassTrace, Kind: "sweep-finished",
@@ -720,14 +725,15 @@ func (s *Service) runCell(ctx context.Context, j *Job, spec harness.RunSpec, enq
 	}
 	s.inflight[key] = &flight{waiters: []delivery{{job: j, key: k, ct: ct}}}
 	s.mu.Unlock()
-	s.fly(ct, key, k, spec)
+	s.fly(ct, key, k, spec, j.peers)
 }
 
 // fly resolves the flight for key, which the caller registered, through
-// the rungs past the local cache: a stolen-cell lease, a peer, the
-// flight of an equivalent cell, and finally execution. ct is the trace
-// of the cell whose worker runs it.
-func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harness.RunSpec) {
+// the rungs past the local cache: a stolen-cell lease, a peer (the
+// batched lookup pb of the job whose cell it is), the flight of an
+// equivalent cell, and finally execution. ct is the trace of the cell
+// whose worker runs it.
+func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harness.RunSpec, pb *peerBatch) {
 	// Work stealing: if a peer claimed this cell under a still-live
 	// lease, wait (bounded by the lease expiry) for its result to land
 	// in the cache instead of duplicating the run. An expired lease
@@ -740,12 +746,12 @@ func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harne
 		}
 	}
 
-	// Cache peering: before simulating, ask the fabric whether a peer
-	// already holds this content-addressed key. Any peer failure (down,
-	// slow, corrupt) resolves to a miss and the cell simulates locally —
-	// the fabric can make a sweep faster, never break it. All waiters on
-	// this flight share the one lookup.
-	if r, ok := s.peerLookup(ct.Root(), key); ok {
+	// Cache peering: before simulating, take this content-addressed key
+	// from the job's one batched peer lookup, waiting for it if it is
+	// under way. Any peer failure (down, slow, corrupt) resolves to a
+	// miss and the cell simulates locally — the fabric can make a sweep
+	// faster, never break it. All waiters on this flight share the hit.
+	if r, ok := s.peerHit(ct.Root(), pb, key); ok {
 		s.settle(key, k, settlement{res: r, status: "peer", note: "  [peer]", cached: true})
 		return
 	}
@@ -753,7 +759,7 @@ func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harne
 	// Equivalent cells: a cell whose simulation provably equals another
 	// cell's (core.Representative) takes that cell's result instead of
 	// simulating.
-	if rep := spec.Representative(); rep != spec && s.follow(ct, key, k, rep) {
+	if rep := spec.Representative(); rep != spec && s.follow(ct, key, k, rep, pb) {
 		return
 	}
 
@@ -794,7 +800,7 @@ func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harne
 // rep's cached result, or starts rep's flight and runs it here. It
 // reports false, leaving the flight to run itself, only if rep has no
 // key.
-func (s *Service) follow(ct *trace.CellTrace, key string, k harness.Key, rep harness.RunSpec) bool {
+func (s *Service) follow(ct *trace.CellTrace, key string, k harness.Key, rep harness.RunSpec, pb *peerBatch) bool {
 	rkey, err := rep.CacheKey()
 	if err != nil {
 		return false
@@ -819,7 +825,7 @@ func (s *Service) follow(ct *trace.CellTrace, key string, k harness.Key, rep har
 	}
 	s.inflight[rkey] = &flight{followers: []follower{fw}}
 	s.mu.Unlock()
-	s.fly(ct, rkey, rep.Key(), rep)
+	s.fly(ct, rkey, rep.Key(), rep, pb)
 	return true
 }
 

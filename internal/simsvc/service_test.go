@@ -242,7 +242,7 @@ func TestCancellationNoLeakedGoroutines(t *testing.T) {
 // TestShutdownPersistsAndReloadsCache: a restarted service on the same
 // cache directory decodes nothing at startup, answers the same sweep
 // with zero simulations — every cell a hit read from its file — and
-// serves each file's bytes as its GET /cache/{key} body.
+// answers a peer's lookup of each key with its file's bytes.
 func TestShutdownPersistsAndReloadsCache(t *testing.T) {
 	dir := t.TempDir()
 
@@ -269,8 +269,8 @@ func TestShutdownPersistsAndReloadsCache(t *testing.T) {
 		}
 	}
 	for _, key := range keys {
-		if body := get(t, ts.URL+"/cache/"+key, 200); !bytes.Equal(body, entryFile(t, dir, key)) {
-			t.Errorf("%s: GET /cache body differs from the entry file", key)
+		if body := entryBody(t, ts.URL, key); !bytes.Equal(body, entryFile(t, dir, key)) {
+			t.Errorf("%s: lookup answer differs from the entry file", key)
 		}
 	}
 }

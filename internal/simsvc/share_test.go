@@ -3,8 +3,6 @@ package simsvc
 import (
 	"bytes"
 	"context"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,7 +17,7 @@ import (
 // cell — simulated by the first sweep, a cache hit in the resubmit —
 // records the very result the cache holds, not a copy of it. An export is
 // built from copies: writing to one export's runs leaves the next export
-// and GET /cache/{key} byte-identical.
+// and a peer's lookup answer byte-identical.
 func TestCellsShareTheCachedResult(t *testing.T) {
 	s, ts := httpService(t)
 	req := smallReq()
@@ -53,7 +51,7 @@ func TestCellsShareTheCachedResult(t *testing.T) {
 	bodies := func() [][]byte {
 		var out [][]byte
 		for _, key := range keys {
-			out = append(out, get(t, ts.URL+"/cache/"+key, 200))
+			out = append(out, entryBody(t, ts.URL, key))
 		}
 		return out
 	}
@@ -72,7 +70,7 @@ func TestCellsShareTheCachedResult(t *testing.T) {
 	}
 	for i, b := range bodies() {
 		if !bytes.Equal(b, wire[i]) {
-			t.Errorf("GET /cache/%s changed after an export was written to", keys[i])
+			t.Errorf("lookup answer for %s changed after an export was written to", keys[i])
 		}
 	}
 }
@@ -159,8 +157,8 @@ func TestFinishedJobReleasesItsContext(t *testing.T) {
 
 // TestConcurrentWarmReadersShareOneCache runs, at once and under -race
 // in CI, everything that reads a shared cached result: warm resubmits
-// with their exports, peer GET /cache/{key} reads, a peer node's sweep
-// served from those reads, and reads of the entry files. Every export,
+// with their exports, peer lookups of every key at once, a peer node's
+// sweep served from those lookups, and reads of the entry files. Every export,
 // every wire body and every file must stay byte-identical to the first.
 func TestConcurrentWarmReadersShareOneCache(t *testing.T) {
 	dir := t.TempDir()
@@ -170,7 +168,7 @@ func TestConcurrentWarmReadersShareOneCache(t *testing.T) {
 	export := exportBytes(t, submitAndWait(t, s, req))
 	wire := make(map[string][]byte)
 	for _, key := range keys {
-		wire[key] = get(t, srv.URL+"/cache/"+key, 200)
+		wire[key] = entryBody(t, srv.URL, key)
 	}
 
 	sweep := func(svc *Service) {
@@ -210,24 +208,24 @@ func TestConcurrentWarmReadersShareOneCache(t *testing.T) {
 		run(10, func() { sweep(s) })
 	}
 	run(10, func() {
+		body, _, err := postLookup(srv.URL, keys...)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var want []byte
 		for _, key := range keys {
-			resp, err := http.Get(srv.URL + "/cache/" + key)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if !bytes.Equal(body, wire[key]) {
-				t.Errorf("GET /cache/%s body changed under concurrent readers", key)
-			}
+			want = append(want, wire[key]...)
+		}
+		if !bytes.Equal(body, want) {
+			t.Error("lookup answer changed under concurrent readers")
 		}
 	})
 	run(10, func() {
 		for _, key := range keys {
 			b, err := os.ReadFile(filepath.Join(dir, key+".json"))
 			if err != nil || !bytes.Equal(b, wire[key]) {
-				t.Errorf("%s: entry file differs from its GET /cache body (err %v)", key, err)
+				t.Errorf("%s: entry file differs from its lookup answer (err %v)", key, err)
 			}
 		}
 	})

@@ -233,8 +233,9 @@ func (s *Service) StealCells(thief string, max int) []StolenCell {
 }
 
 // CompleteSteal accepts a stolen cell's result: the body must be the
-// content-addressed wire entry for key (same format and checksum as
-// GET /cache/{key}), and is rejected — never cached — on any mismatch.
+// content-addressed wire entry for key (an entry file's bytes, as a
+// peer's lookup is answered), and is rejected — never cached — on any
+// mismatch.
 // Completing an expired or unknown lease is fine: the entry is still
 // byte-identical by construction, so the Put is idempotent.
 func (s *Service) CompleteSteal(key string, body []byte) error {
