@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -206,14 +205,16 @@ func main() {
 		} else {
 			fmt.Printf("\ninterval series (every %d cycles, %d samples):\n", *interval, len(res.Intervals))
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
+		b, err := harness.IndentedJSON(struct {
 			IntervalCycles uint64               `json:"interval_cycles"`
 			Intervals      []core.IntervalPoint `json:"intervals"`
 			ROBOccHist     []uint64             `json:"rob_occ_hist"`
 			LQOccHist      []uint64             `json:"lq_occ_hist"`
-		}{*interval, res.Intervals, res.ROBOccHist, res.LQOccHist}); err != nil {
+		}{*interval, res.Intervals, res.ROBOccHist, res.LQOccHist})
+		if err == nil {
+			_, err = w.Write(b)
+		}
+		if err != nil {
 			fatal(err)
 		}
 	}
@@ -268,12 +269,14 @@ func runSampled(wl workload.Workload, v core.Variant, m pipeline.AttackModel, wa
 			fmt.Printf("\nsampled interval series (every %d cycles, %d windows):\n",
 				interval, len(res.SampledWindows))
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
+		b, err := harness.IndentedJSON(struct {
 			IntervalCycles uint64               `json:"interval_cycles"`
 			SampledWindows []core.SampledWindow `json:"sampled_windows"`
-		}{interval, res.SampledWindows}); err != nil {
+		}{interval, res.SampledWindows})
+		if err == nil {
+			_, err = w.Write(b)
+		}
+		if err != nil {
 			fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/fabric"
+	"repro/internal/harness"
 	"repro/internal/simsvc"
 )
 
@@ -301,9 +302,8 @@ func (n *Node) handleWake(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, _ := harness.IndentedJSON(v) // nil, an empty body, if v cannot be encoded
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(b)
 }

@@ -38,8 +38,10 @@ func cacheServer(t *testing.T, entries map[string]string) (*httptest.Server, *at
 
 // faultyCacheServer is cacheServer behind a fault on every request:
 // "down" hijacks the connection and closes it unanswered, "slow" holds
-// the answer for delay, "corrupt" flips the middle byte of the body.
-// spoiled (nil without a fault) counts the faulted requests.
+// the answer for delay, "corrupt" flips the middle byte of the body, and
+// "cut" sends the status, the sizes header and half the body, then
+// closes the connection. spoiled (nil without a fault) counts the
+// faulted requests.
 func faultyCacheServer(t *testing.T, entries map[string]string, fault string, delay time.Duration, spoiled *atomic.Int64) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var reqs atomic.Int64
@@ -65,17 +67,22 @@ func faultyCacheServer(t *testing.T, entries map[string]string, fault string, de
 			case <-r.Context().Done():
 				return
 			}
-		case "corrupt":
+		case "corrupt", "cut":
 			rec := httptest.NewRecorder()
 			ServeLookup(rec, r, get)
 			body := rec.Body.Bytes()
-			if len(body) > 0 {
-				body[len(body)/2] ^= 0xff
-			}
 			for k, v := range rec.Header() {
 				w.Header()[k] = v
 			}
 			w.WriteHeader(rec.Code)
+			if fault == "cut" {
+				w.Write(body[:len(body)/2])
+				w.(http.Flusher).Flush()
+				panic(http.ErrAbortHandler) // the server closes the connection
+			}
+			if len(body) > 0 {
+				body[len(body)/2] ^= 0xff
+			}
 			w.Write(body)
 			return
 		}
@@ -286,13 +293,15 @@ func TestRendezvousRankIsStableAndSpread(t *testing.T) {
 	}
 }
 
-// TestInjectedPeerFaultsResolveToMisses: a peer that hangs up or sends a
-// corrupted body costs a miss and a peer error, never a wrong answer —
-// the corrupt body reaches the caller's decode and is rejected there. A
-// slow peer still under the timeout answers late.
+// TestInjectedPeerFaultsResolveToMisses: a peer that hangs up, sends a
+// corrupted body or stops mid-body costs a miss and a peer error, never a
+// wrong answer — the corrupt body reaches the caller's decode and is
+// rejected there; a cut one is one strike and answers no key, and the key
+// falls through to the next-ranked peer. A slow peer still under the
+// timeout answers late.
 func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
 	entries := map[string]string{"k1": "body-1"}
-	for _, fault := range []string{"down", "corrupt"} {
+	for _, fault := range []string{"down", "corrupt", "cut"} {
 		var spoiled atomic.Int64
 		srv, _ := faultyCacheServer(t, entries, fault, 0, &spoiled)
 		var events []string
@@ -315,6 +324,28 @@ func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
 		if fault == "corrupt" && (len(events) == 0 || !strings.Contains(events[0], "corrupt response")) {
 			t.Fatalf("corrupt body: events %q, want a corrupt response peer-error", events)
 		}
+		if st := c.Stats(); fault == "cut" && (st.Errors != 1 || st.Hits != 0 || st.Misses != 1 ||
+			len(events) != 1 || !strings.Contains(events[0], "unexpected EOF")) {
+			t.Fatalf("cut body: stats %+v, events %q, want one strike, one miss and an unexpected EOF peer-error", st, events)
+		}
+	}
+	// Behind a cut answer, the next-ranked peer answers the key: one
+	// strike, one hit, and the key asked of each peer once.
+	var cut atomic.Int64
+	cutSrv, _ := faultyCacheServer(t, entries, "cut", 0, &cut)
+	upSrv, upReqs := cacheServer(t, entries)
+	fall := newClient(fastCfg(cutSrv.URL, upSrv.URL), fastTiming)
+	defer fall.Close()
+	key := "k1"
+	for i := 2; rankedURLs(fall, key)[0] != cutSrv.URL; i++ {
+		key = fmt.Sprintf("k%d", i)
+	}
+	entries[key] = "body-1"
+	if body, url, ok := lookup(fall, key, nil); !ok || string(body) != "body-1" || url != upSrv.URL {
+		t.Fatalf("lookup behind a cut answer = %q %q %v, want body-1 from %s", body, url, ok, upSrv.URL)
+	}
+	if st := fall.Stats(); st.Errors != 1 || st.Hits != 1 || cut.Load() != 1 || upReqs.Load() != 1 {
+		t.Fatalf("stats %+v, %d cut and %d clean requests, want one strike, one hit, one request each", st, cut.Load(), upReqs.Load())
 	}
 	// A slow peer under the timeout delays but still answers.
 	var spoiled atomic.Int64

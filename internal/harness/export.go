@@ -3,7 +3,6 @@ package harness
 import (
 	"encoding/json"
 	"io"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/obs/trace"
@@ -99,25 +98,15 @@ type SumRow struct {
 	VsSTTLdFp   float64 `json:"improvement_vs_stt_ldfp_pct"`
 }
 
-// Export builds the machine-readable summary.
+// Export builds the machine-readable summary. Every aggregate reads the
+// runs through one runIndex, so each run is copied once and each
+// (variant, model) average computed once.
 func (r *Results) Export() Export {
+	ix := r.index()
 	ex := Export{MaxInstrs: r.Opt.MaxInstrs, WarmupInstrs: r.Opt.WarmupInstrs, IntervalCycles: r.Opt.IntervalCycles}
-	var keys []Key
-	for k := range r.Runs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Model != b.Model {
-			return a.Model < b.Model
-		}
-		return a.Variant < b.Variant
-	})
-	for _, k := range keys {
-		run := r.Runs[k]
+	ex.Runs = make([]ExportRun, 0, len(ix.keys))
+	for i, k := range ix.keys {
+		run := &ix.runs[i]
 		ex.Runs = append(ex.Runs, ExportRun{
 			Workload:        k.Workload,
 			Variant:         k.Variant.String(),
@@ -125,7 +114,7 @@ func (r *Results) Export() Export {
 			Cycles:          run.Cycles,
 			Committed:       run.Committed,
 			IPC:             run.IPC(),
-			NormTime:        r.NormTime(k.Workload, k.Variant, k.Model),
+			NormTime:        ix.normTime(k.Workload, k.Variant, k.Model),
 			Squashes:        run.TotalSquashes(),
 			DelayedLoads:    run.DelayedLoads,
 			OblIssued:       run.OblIssued,
@@ -144,27 +133,27 @@ func (r *Results) Export() Export {
 	}
 	for _, m := range r.Opt.Models {
 		for _, v := range r.Opt.Variants {
-			ex.Figure6 = append(ex.Figure6, Fig6Row{m.String(), v.String(), r.AvgNormTime(v, m)})
+			avg := ix.avgNormTime(v, m)
+			ex.Figure6 = append(ex.Figure6, Fig6Row{m.String(), v.String(), avg})
 			if v.IsSDO() {
-				b := r.BreakdownFor(v, m)
+				b := ix.breakdownFor(v, m)
 				ex.Figure7 = append(ex.Figure7, Fig7Row{
 					Model: m.String(), Variant: v.String(),
 					TotalPct: b.TotalPct, Inaccurate: b.Inaccurate,
 					Imprecise: b.Imprecise, Validation: b.Validation,
 					TLB: b.TLB, Other: b.Other,
 				})
-				p, a := r.PredictorQuality(v, m)
+				p, a := ix.predictorQuality(v, m)
 				ex.TableIII = append(ex.TableIII, T3Row{m.String(), v.String(), p, a})
 			}
 			if v.IsSDO() || v == core.STTLd {
-				ex.Figure8 = append(ex.Figure8, Fig8Row{m.String(), v.String(),
-					r.SquashesPerKInstr(v, m), r.AvgNormTime(v, m)})
+				ex.Figure8 = append(ex.Figure8, Fig8Row{m.String(), v.String(), ix.squashesPerKInstr(v, m), avg})
 			}
 			ex.Summary = append(ex.Summary, SumRow{
 				Model: m.String(), Variant: v.String(),
-				OverheadPct: r.AvgOverheadPct(v, m),
-				VsSTTLd:     r.ImprovementPct(v, core.STTLd, m),
-				VsSTTLdFp:   r.ImprovementPct(v, core.STTLdFp, m),
+				OverheadPct: ix.avgOverheadPct(v, m),
+				VsSTTLd:     ix.improvementPct(v, core.STTLd, m),
+				VsSTTLdFp:   ix.improvementPct(v, core.STTLdFp, m),
 			})
 		}
 	}
@@ -173,7 +162,83 @@ func (r *Results) Export() Export {
 
 // WriteJSON emits the Export document.
 func (r *Results) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Export())
+	b, err := IndentedJSON(r.Export())
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// IndentedJSON renders v as a json.Encoder with SetIndent("", "  ")
+// writes it — two spaces a level, empty objects and arrays kept as {}
+// and [], a trailing newline — and fails where it fails. It is the one
+// rendering of every JSON document the module writes: sweep exports,
+// cache entry files, HTTP bodies. The value is marshalled compactly,
+// then indented in one pass that trusts json.Marshal's output instead of
+// re-validating it as the Encoder does.
+func IndentedJSON(v any) ([]byte, error) {
+	compact, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	// A flat document grows by about 40 % when indented; a deeper one
+	// grows its buffer once more.
+	return appendIndented(make([]byte, 0, len(compact)+len(compact)/2), compact), nil
+}
+
+// jsonPunct marks the bytes appendIndented stops at outside strings.
+var jsonPunct = [256]bool{'"': true, '{': true, '[': true, '}': true, ']': true, ',': true, ':': true}
+
+// appendIndented appends compact — valid JSON holding no whitespace
+// outside its strings, as json.Marshal writes it — indented by two
+// spaces a level, and a newline. The bytes between punctuation, strings
+// whole, are copied in runs.
+func appendIndented(dst, compact []byte) []byte {
+	depth, run := 0, 0
+	for i := 0; i < len(compact); i++ {
+		c := compact[i]
+		if !jsonPunct[c] {
+			continue
+		}
+		if c == '"' {
+			for i++; compact[i] != '"'; i++ {
+				if compact[i] == '\\' {
+					i++
+				}
+			}
+			continue
+		}
+		dst = append(dst, compact[run:i]...)
+		run = i + 1
+		switch c {
+		case '{', '[':
+			if e := compact[i+1]; e == '}' || e == ']' {
+				dst = append(dst, c, e)
+				i++
+				run++
+				continue
+			}
+			depth++
+			dst = newline(append(dst, c), depth)
+		case '}', ']':
+			depth--
+			dst = append(newline(dst, depth), c)
+		case ',':
+			dst = newline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, c, ' ')
+		}
+	}
+	dst = append(dst, compact[run:]...)
+	return append(dst, '\n')
+}
+
+// newline starts a line indented depth levels.
+func newline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }

@@ -11,9 +11,12 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/arch"
@@ -358,72 +361,142 @@ func groupByRepresentative(specs []RunSpec) [][]RunSpec {
 	return groups
 }
 
-// Get returns one run's result.
-func (r *Results) Get(wl string, v core.Variant, m pipeline.AttackModel) (core.Result, bool) {
-	res, ok := r.Runs[Key{Workload: wl, Variant: v, Model: m}]
-	return res, ok
+// runIndex is the one view the aggregates read runs through: every run
+// of a Results copied once, in export order, and found by pointer; each
+// (variant, model) row of the grid gathered once; and each row's average
+// computed once. Export, AblationTables and each text report build one.
+// Its methods are the one copy of the paper's aggregate formulas.
+type runIndex struct {
+	wls  []string      // the sweep's workloads, in suite order
+	keys []Key         // every run's key, in exportOrder
+	runs []core.Result // runs[i] is keys[i]'s run
+	at   map[Key]*core.Result
+	rows map[variantModel][]*core.Result
+	avg  map[variantModel]float64
 }
 
-// NormTime returns the run's execution time normalized to the Unsafe run
-// of the same workload/model (Figure 6's metric).
-func (r *Results) NormTime(wl string, v core.Variant, m pipeline.AttackModel) float64 {
-	base, ok1 := r.Get(wl, core.Unsafe, m)
-	run, ok2 := r.Get(wl, v, m)
-	if !ok1 || !ok2 || base.Cycles == 0 {
+type variantModel struct {
+	v core.Variant
+	m pipeline.AttackModel
+}
+
+// exportOrder orders runs by workload name, then attack model, then
+// variant: the export's run order.
+func exportOrder(a, b Key) int {
+	if a.Workload != b.Workload {
+		return strings.Compare(a.Workload, b.Workload)
+	}
+	if a.Model != b.Model {
+		return cmp.Compare(a.Model, b.Model)
+	}
+	return cmp.Compare(a.Variant, b.Variant)
+}
+
+// index builds r's runIndex.
+func (r *Results) index() *runIndex {
+	ix := &runIndex{
+		wls:  make([]string, 0, len(r.Opt.Workloads)),
+		keys: make([]Key, 0, len(r.Runs)),
+		at:   make(map[Key]*core.Result, len(r.Runs)),
+		rows: make(map[variantModel][]*core.Result),
+		avg:  make(map[variantModel]float64),
+	}
+	for _, wl := range r.Opt.Workloads {
+		ix.wls = append(ix.wls, wl.Name)
+	}
+	for k := range r.Runs {
+		ix.keys = append(ix.keys, k)
+	}
+	slices.SortFunc(ix.keys, exportOrder)
+	ix.runs = make([]core.Result, len(ix.keys))
+	for i, k := range ix.keys {
+		ix.runs[i] = r.Runs[k]
+		ix.at[k] = &ix.runs[i]
+	}
+	return ix
+}
+
+// run returns the grid's run of wl under (v, m), or nil.
+func (ix *runIndex) run(wl string, v core.Variant, m pipeline.AttackModel) *core.Result {
+	return ix.at[Key{Workload: wl, Variant: v, Model: m}]
+}
+
+// row returns the grid's runs under (v, m), one per workload of ix.wls,
+// nil where the sweep has none.
+func (ix *runIndex) row(v core.Variant, m pipeline.AttackModel) []*core.Result {
+	vm := variantModel{v, m}
+	row, ok := ix.rows[vm]
+	if !ok {
+		row = make([]*core.Result, len(ix.wls))
+		for i, wl := range ix.wls {
+			row[i] = ix.run(wl, v, m)
+		}
+		ix.rows[vm] = row
+	}
+	return row
+}
+
+// normRatio is run's execution time normalized to base's, or 0 when
+// either is missing or base ran no cycles.
+func normRatio(run, base *core.Result) float64 {
+	if run == nil || base == nil || base.Cycles == 0 {
 		return 0
 	}
 	return float64(run.Cycles) / float64(base.Cycles)
 }
 
-// workloadNames lists the workloads present in the sweep, in suite order.
-func (r *Results) workloadNames() []string {
-	var names []string
-	for _, wl := range r.Opt.Workloads {
-		names = append(names, wl.Name)
-	}
-	return names
+// normTime returns the run's execution time normalized to the Unsafe run
+// of the same workload/model (Figure 6's metric).
+func (ix *runIndex) normTime(wl string, v core.Variant, m pipeline.AttackModel) float64 {
+	return normRatio(ix.run(wl, v, m), ix.run(wl, core.Unsafe, m))
 }
 
-// AvgNormTime averages NormTime over all workloads (the "Avg" bars of
+// avgNormTime averages normTime over all workloads (the "Avg" bars of
 // Figure 6).
-func (r *Results) AvgNormTime(v core.Variant, m pipeline.AttackModel) float64 {
+func (ix *runIndex) avgNormTime(v core.Variant, m pipeline.AttackModel) float64 {
+	if avg, ok := ix.avg[variantModel{v, m}]; ok {
+		return avg
+	}
 	var sum float64
 	var n int
-	for _, wl := range r.workloadNames() {
-		if t := r.NormTime(wl, v, m); t > 0 {
+	base := ix.row(core.Unsafe, m)
+	for i, run := range ix.row(v, m) {
+		if t := normRatio(run, base[i]); t > 0 {
 			sum += t
 			n++
 		}
 	}
-	if n == 0 {
-		return 0
+	var avg float64
+	if n > 0 {
+		avg = sum / float64(n)
 	}
-	return sum / float64(n)
+	ix.avg[variantModel{v, m}] = avg
+	return avg
 }
 
-// AvgOverheadPct is the average overhead vs Unsafe, in percent.
-func (r *Results) AvgOverheadPct(v core.Variant, m pipeline.AttackModel) float64 {
-	return (r.AvgNormTime(v, m) - 1) * 100
+// avgOverheadPct is the average overhead vs Unsafe, in percent.
+func (ix *runIndex) avgOverheadPct(v core.Variant, m pipeline.AttackModel) float64 {
+	return (ix.avgNormTime(v, m) - 1) * 100
 }
 
-// ImprovementPct returns how much variant v improves on baseline b, as the
+// improvementPct returns how much variant v improves on baseline b, as the
 // paper reports it: the fraction of the baseline's overhead eliminated.
-func (r *Results) ImprovementPct(v, b core.Variant, m pipeline.AttackModel) float64 {
-	ob := r.AvgOverheadPct(b, m)
-	ov := r.AvgOverheadPct(v, m)
+func (ix *runIndex) improvementPct(v, b core.Variant, m pipeline.AttackModel) float64 {
+	ob := ix.avgOverheadPct(b, m)
+	ov := ix.avgOverheadPct(v, m)
 	if ob <= 0 {
 		return 0
 	}
 	return (ob - ov) / ob * 100
 }
 
-// PredictorQuality aggregates Table III for one variant/model: precision =
+// predictorQuality aggregates Table III for one variant/model: precision =
 // precise / all, accuracy = (precise + imprecise) / all, over all resolved
 // Obl-Lds in the sweep.
-func (r *Results) PredictorQuality(v core.Variant, m pipeline.AttackModel) (precision, accuracy float64) {
+func (ix *runIndex) predictorQuality(v core.Variant, m pipeline.AttackModel) (precision, accuracy float64) {
 	var precise, imprecise, inaccurate uint64
-	for _, wl := range r.workloadNames() {
-		if run, ok := r.Get(wl, v, m); ok {
+	for _, run := range ix.row(v, m) {
+		if run != nil {
 			precise += run.PredPrecise
 			imprecise += run.PredImprecise
 			inaccurate += run.PredInaccurate
@@ -436,12 +509,12 @@ func (r *Results) PredictorQuality(v core.Variant, m pipeline.AttackModel) (prec
 	return float64(precise) / float64(total), float64(precise+imprecise) / float64(total)
 }
 
-// SquashesPerKInstr averages total squashes per 1000 committed
+// squashesPerKInstr averages total squashes per 1000 committed
 // instructions (Figure 8's x-axis).
-func (r *Results) SquashesPerKInstr(v core.Variant, m pipeline.AttackModel) float64 {
+func (ix *runIndex) squashesPerKInstr(v core.Variant, m pipeline.AttackModel) float64 {
 	var squashes, instrs uint64
-	for _, wl := range r.workloadNames() {
-		if run, ok := r.Get(wl, v, m); ok {
+	for _, run := range ix.row(v, m) {
+		if run != nil {
 			squashes += run.TotalSquashes()
 			instrs += run.Committed
 		}
@@ -452,10 +525,10 @@ func (r *Results) SquashesPerKInstr(v core.Variant, m pipeline.AttackModel) floa
 	return float64(squashes) / float64(instrs) * 1000
 }
 
-// Breakdown is Figure 7's decomposition of one SDO variant's slowdown.
+// breakdown is Figure 7's decomposition of one SDO variant's slowdown.
 // Components are percentages of execution time added over Unsafe,
 // averaged across workloads.
-type Breakdown struct {
+type breakdown struct {
 	Variant    core.Variant
 	Model      pipeline.AttackModel
 	TotalPct   float64 // total overhead vs Unsafe
@@ -470,18 +543,18 @@ type Breakdown struct {
 // squash when attributing slowdown (frontend redirect + re-dispatch).
 const squashRefillCost = 16.0
 
-// BreakdownFor computes the Figure 7 attribution for one variant/model.
+// breakdownFor computes the Figure 7 attribution for one variant/model.
 // ImprecisionCycles and ValidationStall are measured exactly; squash costs
 // are counted as squashed-instruction refill estimates; the remainder of
 // the measured slowdown is "other".
-func (r *Results) BreakdownFor(v core.Variant, m pipeline.AttackModel) Breakdown {
-	b := Breakdown{Variant: v, Model: m}
+func (ix *runIndex) breakdownFor(v core.Variant, m pipeline.AttackModel) breakdown {
+	b := breakdown{Variant: v, Model: m}
 	var over, inacc, imprec, val, tlb float64
 	var n int
-	for _, wl := range r.workloadNames() {
-		base, ok1 := r.Get(wl, core.Unsafe, m)
-		run, ok2 := r.Get(wl, v, m)
-		if !ok1 || !ok2 || base.Cycles == 0 {
+	bases := ix.row(core.Unsafe, m)
+	for i, run := range ix.row(v, m) {
+		base := bases[i]
+		if base == nil || run == nil || base.Cycles == 0 {
 			continue
 		}
 		n++
@@ -489,9 +562,8 @@ func (r *Results) BreakdownFor(v core.Variant, m pipeline.AttackModel) Breakdown
 		if slow < 0 {
 			slow = 0
 		}
-		sq := run.SquashesByCause()
-		ci := float64(sq["obl-fail"]) * squashRefillCost
-		ct := float64(sq["tlb"]) * squashRefillCost
+		ci := float64(run.SquashesFor("obl-fail")) * squashRefillCost
+		ct := float64(run.SquashesFor("tlb")) * squashRefillCost
 		cv := float64(run.ValidationStall)
 		cp := float64(run.ImprecisionCycles)
 		sum := ci + ct + cv + cp
@@ -562,24 +634,26 @@ func ablationName(a core.Ablation) string {
 // with a missing cell or a zero baseline drops out of that model's table,
 // so a table aggregates fully-measured workloads only.
 func (r *Results) AblationTables() [][]AblationRow {
+	ix := r.index()
 	tables := make([][]AblationRow, len(r.Opt.Models))
 	for mi, m := range r.Opt.Models {
 		rows := AblationRows()
 		sums := make([]float64, len(rows))
 		n := 0
+		bases := ix.row(core.Unsafe, m)
 	workloads:
-		for _, wl := range r.Opt.Workloads {
-			base, ok := r.Runs[Key{Workload: wl.Name, Variant: core.Unsafe, Model: m}]
-			if !ok || base.Cycles == 0 {
+		for i, wl := range ix.wls {
+			base := bases[i]
+			if base == nil || base.Cycles == 0 {
 				continue
 			}
 			norm := make([]float64, len(rows))
 			for ri, row := range rows {
-				run, ok := r.Runs[Key{Workload: wl.Name, Variant: core.Hybrid, Model: m, Ablate: row.Ablate}]
-				if !ok {
+				run := ix.at[Key{Workload: wl, Variant: core.Hybrid, Model: m, Ablate: row.Ablate}]
+				if run == nil {
 					continue workloads
 				}
-				norm[ri] = float64(run.Cycles) / float64(base.Cycles)
+				norm[ri] = normRatio(run, base)
 			}
 			for ri := range rows {
 				sums[ri] += norm[ri]

@@ -180,38 +180,38 @@ func TestAblationCheckpointReuse(t *testing.T) {
 func TestExpectedShapeHolds(t *testing.T) {
 	// The qualitative results the paper reports, asserted on the reduced
 	// sweep (see DESIGN.md "Expected shape").
-	res := quickSweep(t)
+	res := quickSweep(t).index()
 	for _, m := range []pipeline.AttackModel{pipeline.Spectre, pipeline.Futuristic} {
 		// 1. Unsafe normalizes to 1; protections cost something on the
 		// taint-heavy workloads.
-		if got := res.AvgNormTime(core.Unsafe, m); got != 1.0 {
+		if got := res.avgNormTime(core.Unsafe, m); got != 1.0 {
 			t.Errorf("%v: unsafe normalized time = %.3f", m, got)
 		}
-		stt := res.AvgNormTime(core.STTLd, m)
+		stt := res.avgNormTime(core.STTLd, m)
 		if stt <= 1.0 {
 			t.Errorf("%v: STT{ld} should cost something, got %.3f", m, stt)
 		}
 		// 2. STT{ld+fp} >= STT{ld} (more transmitters delayed).
-		if res.AvgNormTime(core.STTLdFp, m)+1e-9 < stt {
+		if res.avgNormTime(core.STTLdFp, m)+1e-9 < stt {
 			t.Errorf("%v: STT{ld+fp} (%.3f) cheaper than STT{ld} (%.3f)",
-				m, res.AvgNormTime(core.STTLdFp, m), stt)
+				m, res.avgNormTime(core.STTLdFp, m), stt)
 		}
 		// 3. Perfect SDO beats both STT baselines.
-		if res.AvgNormTime(core.Perfect, m) >= res.AvgNormTime(core.STTLdFp, m) {
+		if res.avgNormTime(core.Perfect, m) >= res.avgNormTime(core.STTLdFp, m) {
 			t.Errorf("%v: Perfect (%.3f) should beat STT{ld+fp} (%.3f)",
-				m, res.AvgNormTime(core.Perfect, m), res.AvgNormTime(core.STTLdFp, m))
+				m, res.avgNormTime(core.Perfect, m), res.avgNormTime(core.STTLdFp, m))
 		}
 	}
 }
 
 func TestPredictorQualityShape(t *testing.T) {
-	res := quickSweep(t)
+	res := quickSweep(t).index()
 	for _, m := range []pipeline.AttackModel{pipeline.Spectre, pipeline.Futuristic} {
-		p1, a1 := res.PredictorQuality(core.StaticL1, m)
+		p1, a1 := res.predictorQuality(core.StaticL1, m)
 		if p1 != a1 {
 			t.Errorf("%v: Static L1 precision (%f) must equal accuracy (%f)", m, p1, a1)
 		}
-		p3, a3 := res.PredictorQuality(core.StaticL3, m)
+		p3, a3 := res.predictorQuality(core.StaticL3, m)
 		if p3 > a3 {
 			t.Errorf("%v: precision cannot exceed accuracy", m)
 		}
@@ -220,7 +220,7 @@ func TestPredictorQualityShape(t *testing.T) {
 		if a3+1e-9 < a1 {
 			t.Errorf("%v: Static L3 accuracy (%.3f) < Static L1 (%.3f)", m, a3, a1)
 		}
-		ph, _ := res.PredictorQuality(core.Hybrid, m)
+		ph, _ := res.predictorQuality(core.Hybrid, m)
 		if ph <= p3 {
 			t.Errorf("%v: Hybrid precision (%.3f) should beat Static L3 (%.3f)", m, ph, p3)
 		}
@@ -228,9 +228,9 @@ func TestPredictorQualityShape(t *testing.T) {
 }
 
 func TestBreakdownConsistency(t *testing.T) {
-	res := quickSweep(t)
+	res := quickSweep(t).index()
 	for _, v := range core.SDOVariants() {
-		b := res.BreakdownFor(v, pipeline.Spectre)
+		b := res.breakdownFor(v, pipeline.Spectre)
 		sum := b.Inaccurate + b.Imprecise + b.Validation + b.TLB + b.Other
 		if b.TotalPct < 0 {
 			t.Errorf("%v: negative total overhead %.2f", v, b.TotalPct)

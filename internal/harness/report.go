@@ -46,6 +46,7 @@ func WriteTableII(w io.Writer) {
 // WriteFigure6 prints the normalized execution time of every variant on
 // every workload, for both models (Figure 6).
 func (r *Results) WriteFigure6(w io.Writer) {
+	ix := r.index()
 	for _, m := range r.Opt.Models {
 		fmt.Fprintf(w, "FIGURE 6 (%s model): execution time normalized to Unsafe.\n", m)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
@@ -54,16 +55,16 @@ func (r *Results) WriteFigure6(w io.Writer) {
 			fmt.Fprintf(tw, "%s\t", v)
 		}
 		fmt.Fprintln(tw)
-		for _, wl := range r.workloadNames() {
+		for _, wl := range ix.wls {
 			fmt.Fprintf(tw, "%s\t", wl)
 			for _, v := range r.Opt.Variants {
-				fmt.Fprintf(tw, "%.3f\t", r.NormTime(wl, v, m))
+				fmt.Fprintf(tw, "%.3f\t", ix.normTime(wl, v, m))
 			}
 			fmt.Fprintln(tw)
 		}
 		fmt.Fprintf(tw, "Avg\t")
 		for _, v := range r.Opt.Variants {
-			fmt.Fprintf(tw, "%.3f\t", r.AvgNormTime(v, m))
+			fmt.Fprintf(tw, "%.3f\t", ix.avgNormTime(v, m))
 		}
 		fmt.Fprintln(tw)
 		tw.Flush()
@@ -73,6 +74,7 @@ func (r *Results) WriteFigure6(w io.Writer) {
 
 // WriteFigure7 prints the overhead breakdown per SDO variant (Figure 7).
 func (r *Results) WriteFigure7(w io.Writer) {
+	ix := r.index()
 	fmt.Fprintln(w, "FIGURE 7: performance overhead breakdown (vs Unsafe), % of Unsafe execution time,")
 	fmt.Fprintln(w, "averaged over the workload suite.")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
@@ -82,7 +84,7 @@ func (r *Results) WriteFigure7(w io.Writer) {
 			if !v.IsSDO() {
 				continue
 			}
-			b := r.BreakdownFor(v, m)
+			b := ix.breakdownFor(v, m)
 			fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t\n",
 				v, m, b.TotalPct, b.Inaccurate, b.Imprecise, b.Validation, b.TLB, b.Other)
 		}
@@ -92,6 +94,7 @@ func (r *Results) WriteFigure7(w io.Writer) {
 
 // WriteFigure8 prints squashes vs normalized execution time (Figure 8).
 func (r *Results) WriteFigure8(w io.Writer) {
+	ix := r.index()
 	fmt.Fprintln(w, "FIGURE 8: squashes vs execution time (normalized to Unsafe), averaged over")
 	fmt.Fprintln(w, "the workload suite. One point per SDO variant and model.")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
@@ -102,7 +105,7 @@ func (r *Results) WriteFigure8(w io.Writer) {
 				continue
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.3f\t\n",
-				m, v, r.SquashesPerKInstr(v, m), r.AvgNormTime(v, m))
+				m, v, ix.squashesPerKInstr(v, m), ix.avgNormTime(v, m))
 		}
 	}
 	tw.Flush()
@@ -110,6 +113,7 @@ func (r *Results) WriteFigure8(w io.Writer) {
 
 // WriteTableIII prints predictor precision/accuracy (Table III).
 func (r *Results) WriteTableIII(w io.Writer) {
+	ix := r.index()
 	fmt.Fprintln(w, "TABLE III: Precision and Accuracy of evaluated SDO predictors,")
 	fmt.Fprintln(w, "averaged over the workload suite.")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
@@ -124,7 +128,7 @@ func (r *Results) WriteTableIII(w io.Writer) {
 		}
 		fmt.Fprintf(tw, "%s\t", v)
 		for _, m := range r.Opt.Models {
-			p, a := r.PredictorQuality(v, m)
+			p, a := ix.predictorQuality(v, m)
 			fmt.Fprintf(tw, "%.2f%%\t%.2f%%\t", p*100, a*100)
 		}
 		fmt.Fprintln(tw)
@@ -135,6 +139,7 @@ func (r *Results) WriteTableIII(w io.Writer) {
 // WriteSummary prints the §VIII-B headline numbers: average overheads and
 // the improvement of each SDO variant over the STT baselines.
 func (r *Results) WriteSummary(w io.Writer) {
+	ix := r.index()
 	fmt.Fprintln(w, "SUMMARY (§VIII-B): average overhead vs Unsafe, and improvement relative to STT.")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintf(tw, "model\tvariant\toverhead%%\tvs STT{ld}\tvs STT{ld+fp}\t\n")
@@ -143,11 +148,11 @@ func (r *Results) WriteSummary(w io.Writer) {
 			if v == core.Unsafe {
 				continue
 			}
-			line := fmt.Sprintf("%s\t%s\t%.2f\t", m, v, r.AvgOverheadPct(v, m))
+			line := fmt.Sprintf("%s\t%s\t%.2f\t", m, v, ix.avgOverheadPct(v, m))
 			if v.IsSDO() {
 				line += fmt.Sprintf("%.1f%%\t%.1f%%\t",
-					r.ImprovementPct(v, core.STTLd, m),
-					r.ImprovementPct(v, core.STTLdFp, m))
+					ix.improvementPct(v, core.STTLd, m),
+					ix.improvementPct(v, core.STTLdFp, m))
 			} else {
 				line += "-\t-\t"
 			}

@@ -257,6 +257,18 @@ func (s *Stats) SquashesByCause() map[string]uint64 {
 	return m
 }
 
+// SquashesFor returns the squash count of one cause, named as
+// SquashesByCause names it (0 for a name no cause has), without building
+// the map.
+func (s *Stats) SquashesFor(cause string) uint64 {
+	for c, name := range squashCauseNames {
+		if name == cause {
+			return s.Squashes[c]
+		}
+	}
+	return 0
+}
+
 // TotalSquashes sums all squash causes.
 func (s *Stats) TotalSquashes() uint64 {
 	var t uint64

@@ -1,14 +1,12 @@
 package simsvc
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -16,6 +14,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
@@ -421,21 +420,13 @@ type cacheEntry struct {
 }
 
 // encode renders the entry as every JSON body of the service is written
-// (newJSONEncoder), or nil if it cannot be encoded.
+// (harness.IndentedJSON), or nil if it cannot be encoded.
 func (ce cacheEntry) encode() []byte {
-	var b bytes.Buffer
-	if err := newJSONEncoder(&b).Encode(ce); err != nil {
+	b, err := harness.IndentedJSON(ce)
+	if err != nil {
 		return nil
 	}
-	return b.Bytes()
-}
-
-// newJSONEncoder is the service's one JSON rendering: two-space indent,
-// newline-terminated.
-func newJSONEncoder(w io.Writer) *json.Encoder {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc
+	return b
 }
 
 // entrySum is the per-entry integrity checksum: sha256 over the key and

@@ -3,6 +3,7 @@ package simsvc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -128,6 +129,29 @@ func TestCacheSaveLoadRoundTrip(t *testing.T) {
 		if wire, _ := c.PeekEncoded(key); !bytes.Equal(wire, file) {
 			t.Errorf("%s: the writer's stored bytes differ from its file", key)
 		}
+	}
+}
+
+// TestEntryFileIsTheEncodersBytes: an entry file holds the bytes
+// json.Encoder with a two-space indent wrote before harness.IndentedJSON
+// replaced it, so a cache directory or a peer of either build reads the
+// other's entries.
+func TestEntryFileIsTheEncodersBytes(t *testing.T) {
+	r := core.Result{Variant: core.Hybrid, Model: pipeline.Futuristic, IntervalCycles: 500,
+		Intervals: []core.IntervalPoint{{Cycle: 500, Cycles: 500, IPC: 1.25, SquashPKI: 1e-7}}, ROBOccHist: []uint64{0, 3}}
+	r.Cycles, r.Committed, r.Squashes[2] = 12345, 6789, 7
+	raw, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(cacheEntry{Key: testKey(1), Sum: entrySum(testKey(1), raw), Result: raw}); err != nil {
+		t.Fatal(err)
+	}
+	if got := newEntry(testKey(1), r).wire; !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("entry file:\n%s\nwant json.Encoder's\n%s", got, want.Bytes())
 	}
 }
 

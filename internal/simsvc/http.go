@@ -102,9 +102,10 @@ func (s *Service) handleVariants(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, _ := harness.IndentedJSON(v) // nil, an empty body, if v cannot be encoded
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	newJSONEncoder(w).Encode(v)
+	w.Write(b)
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {

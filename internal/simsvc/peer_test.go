@@ -34,8 +34,10 @@ func newPeerNode(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 // faultyPeer serves svc behind a fault on every request, counting in *n
 // the keys the spoiled requests asked for: "down" hijacks the connection
 // and closes it unanswered, "slow" holds the answer for delay, "corrupt"
-// flips the middle byte of the body, and "mixed" rotates through those
-// three and a clean answer, one request each, in that order.
+// flips the middle byte of the body, "cut" sends the status, the sizes
+// header and half the body, then closes the connection, and "mixed"
+// rotates through down, slow, corrupt and a clean answer, one request
+// each, in that order.
 func faultyPeer(t *testing.T, svc *Service, fault string, delay time.Duration, n *atomic.Int64) *httptest.Server {
 	t.Helper()
 	h := svc.Handler()
@@ -64,17 +66,22 @@ func faultyPeer(t *testing.T, svc *Service, fault string, delay time.Duration, n
 			case <-r.Context().Done():
 				return
 			}
-		case "corrupt":
+		case "corrupt", "cut":
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, r)
 			body := rec.Body.Bytes()
-			if len(body) > 0 {
-				body[len(body)/2] ^= 0xff
-			}
 			for k, v := range rec.Header() {
 				w.Header()[k] = v
 			}
 			w.WriteHeader(rec.Code)
+			if f == "cut" {
+				w.Write(body[:len(body)/2])
+				w.(http.Flusher).Flush()
+				panic(http.ErrAbortHandler) // the server closes the connection
+			}
+			if len(body) > 0 {
+				body[len(body)/2] ^= 0xff
+			}
 			w.Write(body)
 			return
 		}
@@ -267,32 +274,44 @@ func TestPeerDownFallsBackToLocal(t *testing.T) {
 }
 
 // TestPeerFaultInjectionNeverFailsCells: behind a faulty peer — down,
-// slow, corrupt, or all three in turn — every cell still completes
-// (locally or via a delayed hit). Each of four sweeps is one lookup
-// request, so "mixed" meets every fault. This is the -race acceptance
-// scenario for the lookup path.
+// slow, corrupt, cut mid-body, or down, slow and corrupt in turn — every
+// cell still completes (locally or via a delayed hit), and every export
+// is the one the peer produced alone. Each of four sweeps is one lookup
+// request, so "mixed" meets every fault, and a cut answer is one strike
+// that answers none of the request's keys. Behind a cut peer and a clean
+// one, every cell settles once, as a hit from the clean peer. This is
+// the -race acceptance scenario for the lookup path.
 func TestPeerFaultInjectionNeverFailsCells(t *testing.T) {
 	a := newService(t, Config{Workers: 2})
 	defer a.Shutdown(context.Background())
 	var reqs []harness.Request
+	var solo [][]byte
 	for i := 0; i < 4; i++ {
 		req := smallReq()
 		req.MaxInstrs += uint64(100 * i)
 		reqs = append(reqs, req)
-		submitAndWait(t, a, req)
+		solo = append(solo, exportBytes(t, submitAndWait(t, a, req)))
 	}
 	const cells = 16
+	sweeps := func(fault string, b *Service) {
+		t.Helper()
+		for i, req := range reqs {
+			j := submitAndWait(t, b, req)
+			if st := j.Status(); st.Failed != 0 {
+				t.Errorf("%s: %d cells failed", fault, st.Failed)
+			}
+			if !bytes.Equal(exportBytes(t, j), solo[i]) {
+				t.Errorf("%s: sweep %d's export differs from the peer's own", fault, i)
+			}
+		}
+	}
 
-	for _, fault := range []string{"down", "slow", "corrupt", "mixed"} {
+	for _, fault := range []string{"down", "slow", "corrupt", "cut", "mixed"} {
 		var spoiled atomic.Int64
 		srv := faultyPeer(t, a, fault, 30*time.Millisecond, &spoiled)
 		b := newService(t, Config{Workers: 2, Peers: []string{srv.URL},
 			PeerTimeout: time.Second, PeerProbeInterval: -1})
-		for _, req := range reqs {
-			if st := submitAndWait(t, b, req).Status(); st.Failed != 0 {
-				t.Errorf("%s: %d cells failed", fault, st.Failed)
-			}
-		}
+		sweeps(fault, b)
 		hits, runs := metric(t, b, "sdo_peer_hits_total"), metric(t, b, "sdo_runs_executed_total")
 		if hits+runs != cells {
 			t.Errorf("%s: cells unaccounted for: %v peer hits + %v local runs", fault, hits, runs)
@@ -302,8 +321,24 @@ func TestPeerFaultInjectionNeverFailsCells(t *testing.T) {
 		if spoiled.Load() == 0 || (fault == "slow") != (hits == cells) {
 			t.Errorf("%s: %d key answers spoiled, %v peer hits", fault, spoiled.Load(), hits)
 		}
+		// A cut lookup request (one per sweep, asking the sweep's
+		// cells/len(reqs) keys) is one strike and answers no key.
+		if strikes := metric(t, b, "sdo_peer_errors_total"); fault == "cut" &&
+			(hits != 0 || int64(strikes)*cells/int64(len(reqs)) != spoiled.Load()) {
+			t.Errorf("cut: %v peer hits and %v strikes for %d keys asked, want no hit and a strike per request", hits, strikes, spoiled.Load())
+		}
 		b.Shutdown(context.Background())
 	}
+
+	var spoiled atomic.Int64
+	cut := faultyPeer(t, a, "cut", 0, &spoiled)
+	clean := httptest.NewServer(a.Handler())
+	defer clean.Close()
+	b := newService(t, Config{Workers: 2, Peers: []string{cut.URL, clean.URL},
+		PeerTimeout: time.Second, PeerProbeInterval: -1})
+	defer b.Shutdown(context.Background())
+	sweeps("cut then clean", b)
+	wantMetrics(t, b, map[string]float64{"sdo_peer_hits_total": cells, "sdo_runs_executed_total": 0})
 }
 
 // TestPeerCorruptResponseCannotPoison: a peer whose answer has one byte
