@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -231,12 +231,25 @@ func (s RunSpec) CacheKey() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|wl=%s|prog=%s|scheme=%s|model=%d|warmup=%d|max=%d|interval=%d|wmode=%d|ablate=%t,%t,%t,%t|sim=%s|sinterval=%d|smaxk=%d|sseed=%d",
-		keySchema, s.Workload, p.fingerprint, s.Variant.String(), int(s.Model),
-		s.WarmupInstrs, s.MaxInstrs, s.IntervalCycles, int(s.WarmupMode),
-		s.Ablate.DisableEarlyForward, s.Ablate.AlwaysValidate,
-		s.Ablate.NoImplicitChannelProtection, s.Ablate.OblDRAMVariant,
-		s.simMode(), s.SampleInterval, s.SampleMaxK, s.SampleSeed)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	// The hashed text, appended field by field (fmt would box each one):
+	// keySchema|wl=%s|prog=%s|scheme=%s|model=%d|warmup=%d|max=%d|interval=%d|wmode=%d|ablate=%t,%t,%t,%t|sim=%s|sinterval=%d|smaxk=%d|sseed=%d
+	var buf [256]byte
+	b := append(buf[:0], keySchema+"|wl="...)
+	b = append(append(append(b, s.Workload...), "|prog="...), p.fingerprint...)
+	b = append(append(b, "|scheme="...), s.Variant.String()...)
+	b = strconv.AppendInt(append(b, "|model="...), int64(s.Model), 10)
+	b = strconv.AppendUint(append(b, "|warmup="...), s.WarmupInstrs, 10)
+	b = strconv.AppendUint(append(b, "|max="...), s.MaxInstrs, 10)
+	b = strconv.AppendUint(append(b, "|interval="...), s.IntervalCycles, 10)
+	b = strconv.AppendInt(append(b, "|wmode="...), int64(s.WarmupMode), 10)
+	b = strconv.AppendBool(append(b, "|ablate="...), s.Ablate.DisableEarlyForward)
+	b = strconv.AppendBool(append(b, ','), s.Ablate.AlwaysValidate)
+	b = strconv.AppendBool(append(b, ','), s.Ablate.NoImplicitChannelProtection)
+	b = strconv.AppendBool(append(b, ','), s.Ablate.OblDRAMVariant)
+	b = append(append(b, "|sim="...), s.simMode()...)
+	b = strconv.AppendUint(append(b, "|sinterval="...), s.SampleInterval, 10)
+	b = strconv.AppendInt(append(b, "|smaxk="...), int64(s.SampleMaxK), 10)
+	b = strconv.AppendUint(append(b, "|sseed="...), s.SampleSeed, 10)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
 }

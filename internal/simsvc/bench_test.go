@@ -14,16 +14,16 @@ import (
 	"repro/internal/harness"
 )
 
-// benchSweep runs one full sweep on a fresh service and returns once the
-// job is terminal.
-func benchSweep(b *testing.B, cfg Config) {
+// benchSweep runs one full sweep of req on a fresh service and returns
+// once the job is terminal, with the service's count of executed runs.
+func benchSweep(b *testing.B, cfg Config, req harness.Request) float64 {
 	b.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Shutdown(context.Background())
-	j, err := s.Submit(smallReq())
+	j, err := s.Submit(req)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,27 +35,28 @@ func benchSweep(b *testing.B, cfg Config) {
 	if st := j.Status(); st.State != JobDone {
 		b.Fatalf("sweep state %s, err %q", st.State, st.Error)
 	}
+	return metric(b, s, "sdo_runs_executed_total")
 }
 
 // BenchmarkSweepColdLocal is the baseline: a 4-cell sweep on a node with
 // an empty cache and no peers — every cell simulated locally.
 func BenchmarkSweepColdLocal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchSweep(b, Config{Workers: 2})
+		benchSweep(b, Config{Workers: 2}, smallReq())
 	}
 }
 
-// BenchmarkSweepPeerHit is the same sweep on a cold node whose peer
-// already holds every result: all cells are answered over the peering
-// fabric, none simulated. The ratio to BenchmarkSweepColdLocal is the
-// peering win for warm-fabric sweeps.
+// BenchmarkSweepPeerHit is the ledger grid on a fresh node with an empty
+// cache directory whose peer already holds every result, as the
+// fig6-peerhit benchmark runs it: all cells are answered over the
+// peering fabric, none simulated.
 func BenchmarkSweepPeerHit(b *testing.B) {
 	warm, err := New(Config{Workers: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer warm.Shutdown(context.Background())
-	j, err := warm.Submit(smallReq())
+	j, err := warm.Submit(ledgerReq())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,9 +64,63 @@ func BenchmarkSweepPeerHit(b *testing.B) {
 	srv := httptest.NewServer(warm.Handler())
 	defer srv.Close()
 
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSweep(b, Config{Workers: 2, Peers: []string{srv.URL}, PeerProbeInterval: -1})
+		cfg := Config{Workers: 2, CachePath: b.TempDir(), Peers: []string{srv.URL}, PeerProbeInterval: -1}
+		if runs := benchSweep(b, cfg, ledgerReq()); runs != 0 {
+			b.Fatalf("the peering node simulated %v cells, want 0", runs)
+		}
+	}
+}
+
+// BenchmarkDecodeEntry reads smallReq's entry files, one entry per op:
+// verify is what a peer lookup does with each answer (envelope and
+// checksum), decode what a cache-file read does (verify, then decode the
+// result).
+func BenchmarkDecodeEntry(b *testing.B) {
+	s, err := New(Config{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	j, err := s.Submit(smallReq())
+	if err != nil {
+		b.Fatal(err)
+	}
+	<-j.Done()
+	_, specs, err := smallReq().Resolve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var keys []string
+	var wires [][]byte
+	for _, c := range specs {
+		key, err := c.CacheKey()
+		if err != nil {
+			b.Fatal(err)
+		}
+		wire, ok := s.cache.PeekEncoded(key)
+		if !ok {
+			b.Fatalf("no entry for %v", c.Key())
+		}
+		keys, wires = append(keys, key), append(wires, wire)
+	}
+	for _, bc := range []struct {
+		name string
+		read func(key string, body []byte) error
+	}{
+		{"verify", func(key string, body []byte) error { _, err := verifyEntry(key, body); return err }},
+		{"decode", func(key string, body []byte) error { _, err := decodeEntry(key, body); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.read(keys[i%len(keys)], wires[i%len(keys)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

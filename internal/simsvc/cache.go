@@ -39,7 +39,8 @@ const persistFailureLimit = 3
 // A cached result exists once. Each entry holds one heap copy of the
 // result and its wire encoding, both made when the entry is: by Put for
 // a freshly simulated result, by decodeEntry for one read from disk or
-// sent by a peer or a thief, which keeps the bytes it verified. Get hands
+// sent by a thief and by decodeResult for a peer's (peerHit), which keep
+// the bytes verifyEntry verified. Get hands
 // out that copy, so every job and export reading the key shares it and
 // none may write to it; a peer's lookup answer and the entry's file are
 // the stored bytes, never a new encoding.
@@ -82,7 +83,8 @@ type lruEntry struct {
 func newEntry(key string, r core.Result) *lruEntry {
 	e := &lruEntry{key: key, res: &r}
 	if raw, err := json.Marshal(e.res); err == nil {
-		e.wire = cacheEntry{Key: key, Sum: entrySum(key, raw), Result: raw}.encode()
+		sum := entrySum(key, raw)
+		e.wire = cacheEntry{Key: key, Sum: string(sum[:]), Result: raw}.encode()
 	}
 	return e
 }
@@ -413,7 +415,7 @@ func (c *Cache) corruptTotal() uint64 {
 type cacheEntry struct {
 	Key string `json:"key"`
 	// Sum is entrySum over (Key, canonical Result encoding); verified on
-	// read (decodeEntry) so a bit-flipped or hand-edited entry becomes a
+	// read (verifyEntry) so a bit-flipped or hand-edited entry becomes a
 	// miss, not a wrong answer.
 	Sum    string          `json:"sum"`
 	Result json.RawMessage `json:"result"`
@@ -429,15 +431,47 @@ func (ce cacheEntry) encode() []byte {
 	return b
 }
 
-// entrySum is the per-entry integrity checksum: sha256 over the key and
-// the compact (canonical) JSON encoding of the result, truncated for
-// compactness — this is corruption detection, not cryptography.
-func entrySum(key string, compactResult []byte) string {
+// entrySum is the per-entry integrity checksum: sha256 over the key, a
+// '|' and the result's canonical (compact) JSON encoding, truncated to
+// 16 hex digits — corruption detection, not cryptography. One pass over
+// result feeds the hash its bytes outside JSON whitespace, leaving out
+// the spaces, tabs and line breaks that lie outside strings: for valid
+// JSON exactly json.Compact's output, so an indented result and the
+// compact bytes json.Marshal writes have one sum and neither is copied.
+func entrySum(key string, result []byte) (sum [entrySumLen]byte) {
 	h := sha256.New()
 	h.Write([]byte(key))
 	h.Write([]byte{'|'})
-	h.Write(compactResult)
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	start, n := 0, len(result)
+	for i := 0; i < n; {
+		switch result[i] {
+		case '"': // a string is hashed whole, whitespace and all
+			for i++; i < n; {
+				c := result[i]
+				i++
+				if c == '"' {
+					break
+				}
+				if c == '\\' {
+					i++
+				}
+			}
+		case ' ', '\t', '\n', '\r':
+			if start < i {
+				h.Write(result[start:i])
+			}
+			i++
+			start = i
+		default:
+			i++
+		}
+	}
+	if start < n {
+		h.Write(result[start:])
+	}
+	var d [sha256.Size]byte
+	hex.Encode(sum[:], h.Sum(d[:0])[:entrySumLen/2])
+	return sum
 }
 
 // atomicWrite replaces path with data, via a temp file in the same

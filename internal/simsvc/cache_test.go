@@ -147,7 +147,8 @@ func TestEntryFileIsTheEncodersBytes(t *testing.T) {
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(cacheEntry{Key: testKey(1), Sum: entrySum(testKey(1), raw), Result: raw}); err != nil {
+	sum := entrySum(testKey(1), raw)
+	if err := enc.Encode(cacheEntry{Key: testKey(1), Sum: string(sum[:]), Result: raw}); err != nil {
 		t.Fatal(err)
 	}
 	if got := newEntry(testKey(1), r).wire; !bytes.Equal(got, want.Bytes()) {

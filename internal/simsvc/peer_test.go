@@ -35,9 +35,10 @@ func newPeerNode(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 // the keys the spoiled requests asked for: "down" hijacks the connection
 // and closes it unanswered, "slow" holds the answer for delay, "corrupt"
 // flips the middle byte of the body, "cut" sends the status, the sizes
-// header and half the body, then closes the connection, and "mixed"
-// rotates through down, slow, corrupt and a clean answer, one request
-// each, in that order.
+// header and half the body, then closes the connection, "badresult"
+// answers each key svc holds with an entry whose checksum is correct but
+// whose result is not a core.Result, and "mixed" rotates through down,
+// slow, corrupt and a clean answer, one request each, in that order.
 func faultyPeer(t *testing.T, svc *Service, fault string, delay time.Duration, n *atomic.Int64) *httptest.Server {
 	t.Helper()
 	h := svc.Handler()
@@ -66,6 +67,16 @@ func faultyPeer(t *testing.T, svc *Service, fault string, delay time.Duration, n
 			case <-r.Context().Done():
 				return
 			}
+		case "badresult":
+			fabric.ServeLookup(w, r, func(key string) ([]byte, bool) {
+				if _, ok := svc.cache.PeekEncoded(key); !ok {
+					return nil, false
+				}
+				raw := []byte(`"not a result"`)
+				sum := entrySum(key, raw)
+				return cacheEntry{Key: key, Sum: string(sum[:]), Result: raw}.encode(), true
+			})
+			return
 		case "corrupt", "cut":
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, r)
@@ -274,11 +285,13 @@ func TestPeerDownFallsBackToLocal(t *testing.T) {
 }
 
 // TestPeerFaultInjectionNeverFailsCells: behind a faulty peer — down,
-// slow, corrupt, cut mid-body, or down, slow and corrupt in turn — every
-// cell still completes (locally or via a delayed hit), and every export
-// is the one the peer produced alone. Each of four sweeps is one lookup
-// request, so "mixed" meets every fault, and a cut answer is one strike
-// that answers none of the request's keys. Behind a cut peer and a clean
+// slow, corrupt, cut mid-body, checksummed results that do not decode,
+// or down, slow and corrupt in turn — every cell still completes
+// (locally or via a delayed hit), and every export is the one the peer
+// produced alone. Each of four sweeps is one lookup request, so "mixed"
+// meets every fault, a cut answer is one strike that answers none of the
+// request's keys, and a result that does not decode is a miss for its
+// cell but no strike: its entry passed verification. Behind a cut peer and a clean
 // one, every cell settles once, as a hit from the clean peer. This is
 // the -race acceptance scenario for the lookup path.
 func TestPeerFaultInjectionNeverFailsCells(t *testing.T) {
@@ -306,7 +319,7 @@ func TestPeerFaultInjectionNeverFailsCells(t *testing.T) {
 		}
 	}
 
-	for _, fault := range []string{"down", "slow", "corrupt", "cut", "mixed"} {
+	for _, fault := range []string{"down", "slow", "corrupt", "cut", "badresult", "mixed"} {
 		var spoiled atomic.Int64
 		srv := faultyPeer(t, a, fault, 30*time.Millisecond, &spoiled)
 		b := newService(t, Config{Workers: 2, Peers: []string{srv.URL},
@@ -326,6 +339,9 @@ func TestPeerFaultInjectionNeverFailsCells(t *testing.T) {
 		if strikes := metric(t, b, "sdo_peer_errors_total"); fault == "cut" &&
 			(hits != 0 || int64(strikes)*cells/int64(len(reqs)) != spoiled.Load()) {
 			t.Errorf("cut: %v peer hits and %v strikes for %d keys asked, want no hit and a strike per request", hits, strikes, spoiled.Load())
+		}
+		if strikes := metric(t, b, "sdo_peer_errors_total"); fault == "badresult" && (hits != 0 || strikes != 0) {
+			t.Errorf("badresult: %v peer hits and %v strikes, want neither", hits, strikes)
 		}
 		b.Shutdown(context.Background())
 	}
@@ -423,5 +439,85 @@ func TestDeadPeerDoesNotFloodFlightRecorder(t *testing.T) {
 	dead.Store(false)
 	pollUntil(t, "the revived peer's peer-recovered event", 10*time.Second, func() bool {
 		return faultEvents(s)["peer-recovered"] == 1
+	})
+}
+
+// TestFinishedJobHoldsNoPeerHits: a finished job's peer batch holds no
+// answer — neither one its lookup stored for a cell that then joined
+// another job's flight, nor one a lookup still under way when the job
+// was cancelled brings back. The peer holds its first lookup request
+// until released.
+func TestFinishedJobHoldsNoPeerHits(t *testing.T) {
+	a := newService(t, Config{Workers: 2})
+	defer a.Shutdown(context.Background())
+	submitAndWait(t, a, smallReq())
+	gated := func(t *testing.T) (*Service, <-chan struct{}, chan<- struct{}) {
+		asked, release := make(chan struct{}), make(chan struct{})
+		var first atomic.Bool
+		h := a.Handler()
+		gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/cache/lookup" && first.CompareAndSwap(false, true) {
+				close(asked)
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(gate.Close)
+		b := newService(t, Config{Workers: 2, Peers: []string{gate.URL}, PeerTimeout: 30 * time.Second, PeerProbeInterval: -1})
+		t.Cleanup(func() { b.Shutdown(context.Background()) })
+		return b, asked, release
+	}
+	holdsNone := func(t *testing.T, j *Job) {
+		t.Helper()
+		j.peers.mu.Lock()
+		defer j.peers.mu.Unlock()
+		if n := len(j.peers.hits); n != 0 || j.peers.keys != nil {
+			t.Errorf("the finished job's batch holds %d hits and %d keys, want none", n, len(j.peers.keys))
+		}
+	}
+
+	t.Run("cell joined another job's flight", func(t *testing.T) {
+		b, asked, release := gated(t)
+		one := smallReq()
+		one.Workloads, one.Variants = one.Workloads[:1], one.Variants[:1]
+		j1, err := b.Submit(one) // its lookup, for the one cell, waits at the peer
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-asked
+		// The second job's lookup answers all four keys; the shared cell
+		// joins the first job's flight and never takes its answer.
+		j2, err := b.Submit(smallReq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pollUntil(t, "the second job's lookup, and its shared cell on the first job's flight", 10*time.Second, func() bool {
+			return metric(t, b, "sdo_peer_hits_total") == 4 && metric(t, b, "sdo_runs_deduped_total") == 1
+		})
+		close(release)
+		waitJob(t, j1)
+		waitJob(t, j2)
+		wantMetrics(t, b, map[string]float64{"sdo_peer_hits_total": 5, "sdo_runs_executed_total": 0})
+		holdsNone(t, j2)
+	})
+
+	t.Run("job cancelled mid-lookup", func(t *testing.T) {
+		b, asked, release := gated(t)
+		j, err := b.Submit(smallReq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-asked
+		if ok, st := j.TryCancel(); !ok {
+			t.Fatalf("cancel: job already %s", st)
+		}
+		close(release)
+		pollUntil(t, "the cancelled job's workers to finish", 10*time.Second, func() bool {
+			return metric(t, b, "sdo_inflight_runs") == 0 && metric(t, b, "sdo_queue_depth") == 0
+		})
+		if got := metric(t, b, "sdo_peer_hits_total"); got != 4 {
+			t.Errorf("the lookup found %v of the job's 4 keys, want all", got)
+		}
+		holdsNone(t, j)
 	})
 }

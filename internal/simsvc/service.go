@@ -186,6 +186,8 @@ type Service struct {
 	jobsRejected *obs.Counter // submissions refused by backpressure
 	jobsEvicted  *obs.Counter // finished jobs dropped from the registry
 
+	peerUndecoded atomic.Uint64 // verified peer answers whose result did not decode
+
 	runDur *obs.Histogram // per-run wall time
 }
 
@@ -422,8 +424,18 @@ func (s *Service) Submit(req harness.Request) (*Job, error) {
 		ablation: req.Ablations,
 	}
 	j.onTerminal = s.jobFinished
+	// Each cell's key is computed once, here: the steal registry, the peer
+	// batch and the cell's worker share it. A cell without one fails on
+	// its worker.
+	keys, keyErrs := make([]string, len(cells)), make([]error, len(cells))
+	var batch []string
+	for i, c := range cells {
+		if keys[i], keyErrs[i] = c.CacheKey(); keyErrs[i] == nil {
+			batch = append(batch, keys[i])
+		}
+	}
 	if s.fab != nil {
-		j.peers = &peerBatch{cells: cells}
+		j.peers = &peerBatch{keys: batch}
 	}
 
 	s.mu.Lock()
@@ -463,13 +475,12 @@ func (s *Service) Submit(req harness.Request) (*Job, error) {
 	}
 
 	enqueued := time.Now()
-	for _, c := range cells {
-		if s.steal != nil {
-			if k, err := c.CacheKey(); err == nil {
-				s.steal.enqueue(k, c)
-			}
+	for i, c := range cells {
+		key, keyErr := keys[i], keyErrs[i]
+		if s.steal != nil && keyErr == nil {
+			s.steal.enqueue(key, c)
 		}
-		s.pool.Submit(func(ctx context.Context) { s.runCell(ctx, j, c, enqueued) })
+		s.pool.Submit(func(ctx context.Context) { s.runCell(ctx, j, c, key, keyErr, enqueued) })
 	}
 	return j, nil
 }
@@ -671,23 +682,21 @@ func (s *Service) flightOrCachedLocked(key string, readThrough bool) (*flight, *
 // cell's run (fly), and executes it only when all of these miss. Execution is
 // hardened: a panic is isolated and the configured deadline applies. A
 // cell runs once, and a failed one degrades the waiting jobs instead of
-// killing them.
-func (s *Service) runCell(ctx context.Context, j *Job, spec harness.RunSpec, enqueued time.Time) {
-	if s.steal != nil {
+// killing them. key is spec's cache key, computed at Submit, or keyErr
+// why it has none.
+func (s *Service) runCell(ctx context.Context, j *Job, spec harness.RunSpec, key string, keyErr error, enqueued time.Time) {
+	if s.steal != nil && keyErr == nil {
 		// A worker picked the cell up: it is no longer stealable (on every
 		// exit path, including skip below).
-		if k, err := spec.CacheKey(); err == nil {
-			s.steal.dequeue(k)
-		}
+		s.steal.dequeue(key)
 	}
 	if ctx.Err() != nil || j.ctx.Err() != nil {
 		s.runsSkipped.Inc()
 		j.skip()
 		return
 	}
-	key, err := spec.CacheKey()
-	if err != nil {
-		j.fail(err)
+	if keyErr != nil {
+		j.fail(keyErr)
 		return
 	}
 	k := spec.Key()
