@@ -8,7 +8,7 @@
 //
 //	sdoctl submit -workloads mcf_r,gcc_r -instrs 60000 -wait
 //	sdoctl submit -sim-mode sampled -sample-interval 5000 -wait
-//	sdoctl submit -ablations -wait
+//	sdoctl submit -ablate -wait
 //	sdoctl list
 //	sdoctl status sweep-1
 //	sdoctl progress sweep-1          # stream per-run lines until done
@@ -291,52 +291,14 @@ func (c *client) stream(path string) int {
 func (c *client) submit(args []string) int {
 	fs := flag.NewFlagSet("sdoctl submit", flag.ContinueOnError)
 	fs.SetOutput(c.errw)
-	var (
-		wls    = fs.String("workloads", "", "comma-separated workload subset (default: all)")
-		vars   = fs.String("variants", "", "comma-separated Table II variants (default: all)")
-		models = fs.String("models", "", "comma-separated attack models (default: both)")
-		instrs = fs.Uint64("instrs", 0, "measured instructions per run (0: server default)")
-		warmup = fs.Int64("warmup", -1, "warmup instructions per run (-1: server default; 0 is an explicit no-warmup)")
-		ivl    = fs.Uint64("interval", 0, "interval statistics every N cycles (0: off)")
-		wmode  = fs.String("warmup-mode", "", "warmup mode: detailed or functional (default: detailed)")
-		smode  = fs.String("sim-mode", "", "simulation mode: detailed or sampled (default: detailed)")
-		sivl   = fs.Uint64("sample-interval", 0, "sampled mode: interval length in instructions (0: default)")
-		smaxk  = fs.Int("sample-max-k", 0, "sampled mode: maximum representatives per workload (0: default)")
-		sseed  = fs.Uint64("sample-seed", 0, "sampled mode: clustering seed (0: default)")
-		ablate = fs.Bool("ablations", false, "run the design-space ablation study instead of a variant sweep")
-		wait   = fs.Bool("wait", false, "stream progress until the job finishes; exit non-zero unless it completes")
-	)
+	request := harness.RequestFlags(fs)
+	wait := fs.Bool("wait", false, "stream progress until the job finishes; exit non-zero unless it completes")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	split := func(s string) []string {
-		if s == "" {
-			return nil
-		}
-		parts := strings.Split(s, ",")
-		for i := range parts {
-			parts[i] = strings.TrimSpace(parts[i])
-		}
-		return parts
-	}
-	req := harness.Request{
-		Workloads:            split(*wls),
-		Variants:             split(*vars),
-		Models:               split(*models),
-		MaxInstrs:            *instrs,
-		IntervalCycles:       *ivl,
-		WarmupMode:           *wmode,
-		SimMode:              *smode,
-		SampleIntervalInstrs: *sivl,
-		SampleMaxK:           *smaxk,
-		SampleSeed:           *sseed,
-		Ablations:            *ablate,
-	}
-	if *warmup >= 0 {
-		w := uint64(*warmup)
-		req.WarmupInstrs = &w
-	}
-	body, err := json.Marshal(req)
+	// An unset flag stays out of the body, so the server applies its
+	// default.
+	body, err := json.Marshal(request())
 	if err != nil {
 		return c.fail(err)
 	}

@@ -13,15 +13,19 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // TestFlagsDocumented audits the commands' surface against the docs:
 // every flag a cmd/*/main.go registers — on the flag package or on a
-// FlagSet, sdoctl's global and per-subcommand flags included — is
-// documented in README.md as `-name` (optionally followed, after a space
-// or a line wrap, by an argument placeholder), and the names of the
+// FlagSet, sdoctl's global and per-subcommand flags included, and the
+// request flags harness.RequestFlags binds for it — is documented in
+// README.md as `-name` (optionally followed, after a space or a line
+// wrap, by an argument placeholder), and the names of the
 // removed speculation, deadline-auto-tuning, peer-tuning, telemetry,
-// fault-injection and cell-retry surface appear in no operator document.
+// fault-injection, cell-retry and single-run-command surface appear in no
+// operator document.
 func TestFlagsDocumented(t *testing.T) {
 	root := filepath.Join("..", "..")
 	read := func(rel string) string {
@@ -35,8 +39,8 @@ func TestFlagsDocumented(t *testing.T) {
 
 	readme := read("README.md")
 	flags := registeredFlags(t, root)
-	if len(flags) != 5 {
-		t.Errorf("found flags in %d commands, want each of the five: %v", len(flags), flags)
+	if len(flags) != 4 {
+		t.Errorf("found flags in %d commands, want each of the four: %v", len(flags), flags)
 	}
 	for cmd, names := range flags {
 		for _, name := range names {
@@ -82,6 +86,9 @@ func TestFlagsDocumented(t *testing.T) {
 		regexp.MustCompile("retry" + "-storm"),
 		regexp.MustCompile("sdo_runs" + "_retried"),
 		regexp.MustCompile("sdo_cell" + "_stalls"),
+		regexp.MustCompile("sdo" + "sim"),        // folded into experiments
+		regexp.MustCompile("-interval" + "-out"), // the export carries the series
+		regexp.MustCompile("-abla" + "tions"),    // sdoctl submit's old spelling
 	}
 	for _, doc := range []string{
 		"README.md", "DESIGN.md", "EXPERIMENTS.md",
@@ -109,10 +116,14 @@ var flagDefiners = map[string]bool{
 // registeredFlags parses every cmd/*/main.go for flag definitions, by
 // command: calls of a defining method on the flag package, or on a
 // FlagSet the enclosing function received as a *flag.FlagSet parameter
-// or made with flag.NewFlagSet. A flag name that is not a string literal
-// fails the test, so no definition hides from the audit.
+// or made with flag.NewFlagSet. A command that calls harness.RequestFlags
+// gets the flags that binder defines on a live FlagSet. A flag name that
+// is not a string literal fails the test, so no definition hides from
+// the audit.
 func registeredFlags(t *testing.T, root string) map[string][]string {
 	t.Helper()
+	bound := flag.NewFlagSet("request", flag.ContinueOnError)
+	harness.RequestFlags(bound)
 	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +164,10 @@ func registeredFlags(t *testing.T, root string) map[string][]string {
 					return true
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if ok && isSel(sel, "harness", "RequestFlags") {
+					bound.VisitAll(func(f *flag.Flag) { out[cmd] = append(out[cmd], f.Name) })
+					return true
+				}
 				if !ok || !flagDefiners[sel.Sel.Name] {
 					return true
 				}
@@ -185,11 +200,13 @@ func registeredFlags(t *testing.T, root string) map[string][]string {
 // isFlagSel reports whether e is flag.<name>.
 func isFlagSel(e ast.Expr, name string) bool {
 	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
+	return ok && isSel(sel, "flag", name)
+}
+
+// isSel reports whether sel is pkg.name.
+func isSel(sel *ast.SelectorExpr, pkg, name string) bool {
 	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "flag"
+	return ok && id.Name == pkg && sel.Sel.Name == name
 }
 
 // TestDocsOnBudget holds each operator document to the one question it

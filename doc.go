@@ -16,10 +16,11 @@
 //	internal/harness    the §VIII evaluation: Figures 6-8, Tables I-III
 //	internal/core       public facade: Config, Machine, Result, Table II variants
 //
-// Executables: cmd/sdosim (single run), cmd/experiments (regenerate every
-// table and figure), cmd/pentest (security evaluation). internal/core's
-// Example_quickstart is the quickstart, checked by go test, and
-// examples/oblframework walks the §IV framework. The benchmarks in
-// bench_test.go regenerate each figure/table at a reduced budget; see
-// EXPERIMENTS.md.
+// Executables: cmd/experiments (regenerate every table and figure, or
+// one run's counters and event trace), cmd/pentest (security
+// evaluation), cmd/sdoserver and cmd/sdoctl (the simulation service and
+// its client). internal/core's Example_quickstart is the quickstart,
+// checked by go test, and examples/oblframework walks the §IV framework.
+// The benchmarks in bench_test.go regenerate each figure/table at a
+// reduced budget; see EXPERIMENTS.md.
 package repro

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/simpoint"
 	"repro/internal/workload"
@@ -34,6 +35,10 @@ type Executor struct {
 	// PlanBuilt, when non-nil, observes every sampling-plan build. It runs
 	// inside the build, so every cell waiting on the plan waits for it too.
 	PlanBuilt func(workload string, sp *SamplePlan)
+	// Observer, when non-nil, is attached to every cell's machine
+	// (RunParams.Observer). Its sinks are single-goroutine: set it only
+	// on an executor that runs one cell at a time.
+	Observer *obs.Recorder
 
 	ckpts memo[ckptKey, *arch.Checkpoint]
 	plans memo[planKey, *SamplePlan]
@@ -83,6 +88,7 @@ func (e *Executor) Run(ctx context.Context, spec RunSpec, pol RunPolicy) (core.R
 		MaxInstrs:      spec.MaxInstrs,
 		IntervalCycles: spec.IntervalCycles,
 		WarmupMode:     spec.WarmupMode,
+		Observer:       e.Observer,
 	}
 	var sp *SamplePlan
 	switch {

@@ -22,6 +22,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/pipeline"
 	"repro/internal/simpoint"
@@ -66,6 +67,10 @@ type Options struct {
 	Parallel bool
 	// Progress, if non-nil, receives a line per completed run.
 	Progress func(string)
+	// Observer, if non-nil, records the pipeline and memory events of a
+	// one-cell run (RunParams.Observer). Its sinks are single-goroutine,
+	// so RunSpecs refuses it for any other number of cells.
+	Observer *obs.Recorder
 }
 
 // DefaultOptions returns the full sweep at a laptop-scale budget.
@@ -208,6 +213,9 @@ type RunParams struct {
 	// from its policy (cancellation, deadline, abort); direct
 	// RunOne callers normally leave it nil.
 	Check func(cycle, committed uint64) error
+	// Observer, when non-nil, is attached to the run's machine
+	// (core.Machine.SetObserver).
+	Observer *obs.Recorder
 }
 
 // CaptureCheckpoint runs functional warmup for one workload and snapshots
@@ -243,6 +251,9 @@ func RunOne(wl workload.Workload, v core.Variant, m pipeline.AttackModel, ab cor
 		IntervalCycles: p.IntervalCycles,
 		Check:          p.Check,
 	}, prog, data)
+	if p.Observer != nil {
+		machine.SetObserver(p.Observer)
+	}
 	if p.Checkpoint != nil {
 		if err := machine.Restore(p.Checkpoint); err != nil {
 			return core.Result{}, err
@@ -290,10 +301,13 @@ func RunContext(ctx context.Context, opt Options) (*Results, error) {
 // restores one checkpoint: ablations alter only speculative execution,
 // which functional warmup has none of.
 func RunSpecs(ctx context.Context, opt Options, specs []RunSpec) (*Results, error) {
+	if opt.Observer != nil && len(specs) != 1 {
+		return nil, fmt.Errorf("harness: an observer records one cell, not %d", len(specs))
+	}
 	opt = opt.Normalized()
 	res := &Results{Opt: opt, Runs: make(map[Key]core.Result)}
 	var mu sync.Mutex
-	e := &Executor{}
+	e := &Executor{Observer: opt.Observer}
 	if opt.SimMode == SimSampled {
 		res.SamplePlans = make(map[string]*simpoint.Plan)
 		e.PlanBuilt = func(wl string, sp *SamplePlan) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -459,5 +460,16 @@ func TestGridAndStudyShareCells(t *testing.T) {
 	}
 	if got, want := res.AblationTables(), studyOnly.AblationTables(); !reflect.DeepEqual(got, want) {
 		t.Errorf("combined run's ablation tables %+v, want %+v", got, want)
+	}
+}
+
+// TestObserverRecordsOneCell: an observer's sinks are single-goroutine, so
+// RunSpecs refuses one for a multi-cell run before simulating anything.
+func TestObserverRecordsOneCell(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Observer = obs.NewRecorder(0)
+	opt.Parallel = true
+	if _, err := RunSpecs(context.Background(), opt, opt.Specs()); err == nil {
+		t.Error("RunSpecs ran a whole grid under one observer")
 	}
 }

@@ -2,6 +2,10 @@ package harness
 
 import (
 	"errors"
+	"flag"
+	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
@@ -11,9 +15,9 @@ import (
 
 // Request selects a sweep by name: the body of the simulation service's
 // POST /sweeps, and what the experiments and sdoctl commands build from
-// their flags. Empty lists mean "all"; a zero MaxInstrs means the default
-// budget; a nil WarmupInstrs means the default warmup (a pointer so an
-// explicit 0 — no warmup — is expressible).
+// their flags (RequestFlags). Empty lists mean "all"; a zero MaxInstrs
+// means the default budget; a nil WarmupInstrs means the default warmup
+// (a pointer so an explicit 0 — no warmup — is expressible).
 type Request struct {
 	Workloads    []string `json:"workloads,omitempty"`
 	Variants     []string `json:"variants,omitempty"`
@@ -43,6 +47,49 @@ type Request struct {
 	// workload it runs the Unsafe baseline plus the AblationRows on Hybrid
 	// (Variants is ignored), and its results read as AblationTables.
 	Ablations bool `json:"ablations,omitempty"`
+}
+
+// RequestFlags defines one flag on fs per Request field and returns the
+// request the parsed flags spell. A flag left unset leaves its field zero
+// (nil for -warmup), so Resolve applies the one default.
+func RequestFlags(fs *flag.FlagSet) func() Request {
+	var req Request
+	def := DefaultOptions()
+	// Scheme and model names are lower-cased (each answers to its
+	// lower-case spelling); workload names are kept as typed.
+	list := func(dst *[]string, fold func(string) string) func(string) error {
+		return func(s string) error {
+			*dst = nil
+			for _, name := range strings.Split(s, ",") {
+				if name = fold(strings.TrimSpace(name)); name != "" {
+					*dst = append(*dst, name)
+				}
+			}
+			return nil
+		}
+	}
+	asTyped := func(s string) string { return s }
+	var schemes []string
+	for _, v := range core.Registered() {
+		schemes = append(schemes, strings.ToLower(v.String()))
+	}
+	fs.Func("workloads", "comma-separated workloads (default: all)", list(&req.Workloads, asTyped))
+	fs.Func("variants", "comma-separated schemes, any case: "+strings.Join(schemes, ", ")+" (default: the Table II rows)", list(&req.Variants, strings.ToLower))
+	fs.Func("models", "comma-separated attack models, any case: spectre, futuristic (default: both)", list(&req.Models, strings.ToLower))
+	fs.Uint64Var(&req.MaxInstrs, "instrs", 0, fmt.Sprintf("measured instructions per run (0: %d)", def.MaxInstrs))
+	fs.Func("warmup", fmt.Sprintf("warmup instructions per run (default %d; 0: no warmup)", def.WarmupInstrs), func(s string) error {
+		n, err := strconv.ParseUint(s, 0, 64)
+		req.WarmupInstrs = &n
+		return err
+	})
+	fs.Uint64Var(&req.IntervalCycles, "interval", 0, "interval statistics every N cycles of the measurement window, into the export (0: off)")
+	fs.StringVar(&req.WarmupMode, "warmup-mode", "", "warmup mode: detailed (per-cell pipeline warmup) or functional (emulator warmup, one checkpoint per workload) (default: detailed)")
+	fs.StringVar(&req.SimMode, "sim-mode", "", "simulation mode: detailed (cycle-accurate whole window) or sampled (SimPoint-style BBV clustering, representative intervals only) (default: detailed)")
+	fs.Uint64Var(&req.SampleIntervalInstrs, "sample-interval", 0, "sampled mode: interval length in committed instructions (0: per-workload tuned default)")
+	fs.IntVar(&req.SampleMaxK, "sample-max-k", 0, "sampled mode: maximum clusters/representatives per workload (0: per-workload tuned default)")
+	fs.Uint64Var(&req.SampleSeed, "sample-seed", 0, fmt.Sprintf("sampled mode: BBV projection and clustering seed (0: %d)", simpoint.DefaultSeed))
+	fs.BoolVar(&req.Ablations, "ablate", false, "run the design-space ablation study of individual SDO mechanisms (Unsafe plus ablated Hybrid cells)")
+	return func() Request { return req }
 }
 
 // Resolve turns the request into normalized options and the cells to run:

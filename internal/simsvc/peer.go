@@ -148,8 +148,9 @@ func (pb *peerBatch) take(key string, lookup func([]string) map[string]fabric.Hi
 // kernel time; a sweep answered entirely by peers would pay one per cell
 // for a second copy of a durable result.) A key no peer answered with a
 // verified entry — a miss, a failed peer, a corrupt entry, a key the
-// batch did not carry — or whose verified result does not decode comes
-// back as (nil, false): the caller's fallback is local simulation.
+// batch did not carry — or whose verified result does not decode (a
+// peer-undecodable fault event naming the peer and the key) comes back
+// as (nil, false): the caller's fallback is local simulation.
 func (s *Service) peerHit(root *trace.Span, pb *peerBatch, key string) (*core.Result, bool) {
 	if pb == nil {
 		return nil, false
@@ -164,6 +165,7 @@ func (s *Service) peerHit(root *trace.Span, pb *peerBatch, key string) (*core.Re
 		var err error
 		if e, err = decodeResult(key, bytes.Clone(pe.wire), pe.result); err != nil {
 			s.peerUndecoded.Add(1)
+			s.event("peer-undecodable", fmt.Sprintf("peer %s, key %s: %v", h.Peer, key, err))
 			ok = false
 		}
 	}

@@ -3,6 +3,7 @@ package simsvc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -342,6 +343,31 @@ func TestPeerFaultInjectionNeverFailsCells(t *testing.T) {
 		}
 		if strikes := metric(t, b, "sdo_peer_errors_total"); fault == "badresult" && (hits != 0 || strikes != 0) {
 			t.Errorf("badresult: %v peer hits and %v strikes, want neither", hits, strikes)
+		}
+		// Each answer a cell took and could not decode is named, with its
+		// peer and key, in /debug/flight.
+		if fault == "badresult" {
+			rec := httptest.NewRecorder()
+			b.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/flight", nil))
+			var doc struct {
+				Events []struct{ Class, Kind, Detail string }
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+				t.Fatalf("flight document: %v", err)
+			}
+			named := 0
+			for _, e := range doc.Events {
+				if e.Kind != "peer-undecodable" {
+					continue
+				}
+				named++
+				if e.Class != "fault" || !strings.HasPrefix(e.Detail, "peer "+srv.URL+", key ") {
+					t.Errorf("badresult: %s event %q does not name the peer and the key", e.Class, e.Detail)
+				}
+			}
+			if undecoded := b.peerUndecoded.Load(); named == 0 || uint64(named) != undecoded {
+				t.Errorf("badresult: /debug/flight names %d undecodable answers of %d", named, undecoded)
+			}
 		}
 		b.Shutdown(context.Background())
 	}
