@@ -47,13 +47,12 @@ import (
 type options struct {
 	svc simsvc.Config
 
-	addr          string
-	drain         time.Duration
-	pprof         bool
-	peers         string
-	clusterPeers  string
-	nodeID        string
-	stealInterval time.Duration
+	addr         string
+	drain        time.Duration
+	pprof        bool
+	peers        string
+	clusterPeers string
+	nodeID       string
 }
 
 // registerFlags declares every sdoserver flag on fs, bound to the
@@ -80,7 +79,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 
 	fs.StringVar(&o.clusterPeers, "cluster-peers", "", "full cluster membership as comma-separated id=url pairs incl. this node, e.g. a=http://na:8344,b=http://nb:8344 (federates nodes into one logical /sweeps service)")
 	fs.StringVar(&o.nodeID, "node-id", "", "this node's member id within -cluster-peers")
-	fs.DurationVar(&o.stealInterval, "steal-interval", 0, "work-stealing fallback poll period; stealing normally wakes on peers' hints and on free worker slots (0: default 2s; negative: stealing off)")
 	fs.DurationVar(&c.StealLeaseTTL, "steal-lease-ttl", 0, "steal-lease duration; an expired lease's cell is reclaimed by its owner (0: default 30s; read only with -cluster-peers)")
 	return o
 }
@@ -97,8 +95,10 @@ func main() {
 	}
 
 	// Cluster mode: parse the membership and fold the other members into
-	// the cache-peering list, so result lookups and steal completions
-	// flow over the same fabric.
+	// the cache-peering list, so result lookups and the steal protocol
+	// flow over the same fabric. The node steals from every other member,
+	// polling them in ring order from just past itself, so the members'
+	// first claims spread across different owners.
 	var (
 		members   []cluster.Member
 		memberIDs []string
@@ -120,9 +120,13 @@ func main() {
 				cfg.Peers = append(cfg.Peers, m.URL)
 			}
 		}
-		if !slices.Contains(memberIDs, o.nodeID) {
+		self := slices.Index(memberIDs, o.nodeID)
+		if self < 0 {
 			fmt.Fprintf(os.Stderr, "sdoserver: -node-id %q not in -cluster-peers\n", o.nodeID)
 			os.Exit(1)
+		}
+		for i := 1; i < len(members); i++ {
+			cfg.StealFrom = append(cfg.StealFrom, members[(self+i)%len(members)].URL)
 		}
 	} else if o.nodeID != "" {
 		fmt.Fprintln(os.Stderr, "sdoserver: -node-id requires -cluster-peers")
@@ -131,7 +135,6 @@ func main() {
 
 	if members != nil {
 		cfg.OwnsID = cluster.Owns(o.nodeID, memberIDs)
-		cfg.WorkStealing = true
 	}
 	svc, err := simsvc.New(*cfg)
 	if err != nil {
@@ -146,21 +149,15 @@ func main() {
 	}
 
 	handler := svc.Handler()
-	var node *cluster.Node
 	if members != nil {
-		node, err = cluster.New(cluster.Config{
-			Self:          o.nodeID,
-			Members:       members,
-			Service:       svc,
-			StealInterval: o.stealInterval,
-		})
+		node, err := cluster.New(cluster.Config{Self: o.nodeID, Members: members, Service: svc})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sdoserver:", err)
 			os.Exit(1)
 		}
 		handler = node.Handler()
 		fmt.Fprintf(os.Stderr, "sdoserver: cluster node %q in %d-member cluster (one logical /sweeps; work stealing %v)\n",
-			o.nodeID, len(members), o.stealInterval >= 0)
+			o.nodeID, len(members), len(cfg.StealFrom) > 0)
 	}
 	if o.pprof {
 		mux := http.NewServeMux()
@@ -189,9 +186,6 @@ func main() {
 	}
 
 	fmt.Fprintln(os.Stderr, "sdoserver: shutting down (finishing in-flight runs)")
-	if node != nil {
-		node.Close() // stop stealing before draining the local pool
-	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

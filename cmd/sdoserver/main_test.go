@@ -89,6 +89,7 @@ func TestFlagsDocumented(t *testing.T) {
 		regexp.MustCompile("sdo" + "sim"),        // folded into experiments
 		regexp.MustCompile("-interval" + "-out"), // the export carries the series
 		regexp.MustCompile("-abla" + "tions"),    // sdoctl submit's old spelling
+		regexp.MustCompile("-steal" + "-interval"),
 	}
 	for _, doc := range []string{
 		"README.md", "DESIGN.md", "EXPERIMENTS.md",

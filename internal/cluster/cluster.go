@@ -3,9 +3,8 @@
 // partitioned by rendezvous hashing over the member set, requests for a
 // job the local node does not hold are transparently proxied to the
 // ranked owner, and GET /sweeps is answered by scatter-gather across
-// the membership. Nodes with free worker slots steal queued cells from
-// busy peers under in-memory leases, woken by the busy peer's hint rather
-// than a poll.
+// the membership. Work stealing between members is the service's own
+// protocol (simsvc Config.StealFrom); this layer only routes.
 //
 // The layer is strictly additive: with a single member (or no cluster
 // flags at all) the wrapped service behaves byte-identically to a
@@ -13,13 +12,10 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -38,13 +34,6 @@ const (
 	ViaHeader     = "X-Sdo-Cluster-Via"
 	PartialHeader = "X-Sdo-Cluster-Partial"
 )
-
-// defaultStealInterval is the fallback steal poll period.
-const defaultStealInterval = 2 * time.Second
-
-// rpcTimeout bounds each short cluster RPC: a scatter-gather fetch, a
-// steal claim, a completion, a wake hint.
-const rpcTimeout = 10 * time.Second
 
 // Member is one node of the cluster.
 type Member struct {
@@ -113,15 +102,10 @@ type Config struct {
 	Self    string          // this node's member ID (must appear in Members)
 	Members []Member        // full membership, self included
 	Service *simsvc.Service // the wrapped local sweep service
-
-	// StealInterval is the fallback poll period of the steal loop, which
-	// otherwise wakes on peers' hints and on local worker slots freeing up.
-	// 0: default; <0: stealing off (no loop, no hints sent or honoured).
-	StealInterval time.Duration
 }
 
-// Node wires one local Service into the cluster: request routing,
-// scatter-gather listing, the steal endpoints, and the thief loop.
+// Node wires one local Service into the cluster: request routing and
+// scatter-gather listing.
 type Node struct {
 	cfg  Config
 	svc  *simsvc.Service
@@ -130,33 +114,17 @@ type Node struct {
 	self Member
 
 	// fab is the service's peer client, the only way a request leaves
-	// this node for another: proxied requests, scatter-gather, steal
-	// claims, completions and wake hints share its transport and its
-	// per-peer breakers with the cache lookups.
+	// this node for another: proxied requests and scatter-gather share its
+	// transport and its per-peer breakers with the cache lookups and the
+	// service's steal protocol.
 	fab *fabric.Client
 
 	proxied     *obs.Counter // requests served for a peer-owned job
 	proxyErrors *obs.Counter // owner-unreachable 503s
 	scatters    *obs.Counter // scatter-gather listings fanned out
-	steals      *obs.Counter // cells stolen from peers and completed
-	stealErrors *obs.Counter // stolen cells that failed to run or post back; hints that failed to send
-	hints       *obs.Counter // work-available hints received from peers
-
-	// The steal loop's two mailboxes, both coalescing (capacity 1, senders
-	// never block): hinted holds the member ID of a peer's wake hint,
-	// queued says a local submission left cells waiting and the peers
-	// should be hinted.
-	hinted chan string
-	queued chan struct{}
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
 }
 
-// New validates cfg and starts the node's background stealing loop
-// (when stealing is enabled and the cluster has peers to steal from).
-// Close stops it.
+// New validates cfg and wires the node. It starts nothing.
 func New(cfg Config) (*Node, error) {
 	if cfg.Service == nil {
 		return nil, fmt.Errorf("cluster: nil service")
@@ -164,16 +132,11 @@ func New(cfg Config) (*Node, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("cluster: empty member list")
 	}
-	if cfg.StealInterval == 0 {
-		cfg.StealInterval = defaultStealInterval
-	}
 	n := &Node{
-		cfg:    cfg,
-		svc:    cfg.Service,
-		fab:    cfg.Service.Fabric(),
-		byID:   make(map[string]Member, len(cfg.Members)),
-		hinted: make(chan string, 1),
-		queued: make(chan struct{}, 1),
+		cfg:  cfg,
+		svc:  cfg.Service,
+		fab:  cfg.Service.Fabric(),
+		byID: make(map[string]Member, len(cfg.Members)),
 	}
 	for _, m := range cfg.Members {
 		n.ids = append(n.ids, m.ID)
@@ -194,36 +157,11 @@ func New(cfg Config) (*Node, error) {
 		"Proxied requests that failed because the owning node was unreachable.")
 	n.scatters = reg.NewCounter("sdo_cluster_scatter_listings_total",
 		"GET /sweeps listings answered by scatter-gather across the membership.")
-	n.steals = reg.NewCounter("sdo_cluster_steals_total",
-		"Queued cells this node stole from peers and completed back to their owner.")
-	n.stealErrors = reg.NewCounter("sdo_cluster_steal_errors_total",
-		"Stolen cells that failed to execute or to post back to their owner, plus wake hints that failed to reach a peer.")
-	n.hints = reg.NewCounter("sdo_cluster_steal_hints_total",
-		"Work-available hints received from cluster peers.")
-	n.ctx, n.cancel = context.WithCancel(context.Background())
-	if n.stealing() {
-		n.wg.Add(1)
-		go n.stealLoop()
-	}
 	return n, nil
 }
 
-// stealing reports whether this node runs the steal loop (and so sends
-// and honours hints): StealInterval not negative, and peers to steal from.
-func (n *Node) stealing() bool {
-	return n.cfg.StealInterval > 0 && len(n.cfg.Members) > 1
-}
-
-// Close stops the stealing loop. The wrapped Service is not shut down;
-// the caller owns its lifecycle.
-func (n *Node) Close() {
-	n.cancel()
-	n.wg.Wait()
-}
-
 // others returns the membership minus self, rotated to start just past
-// self's own position so concurrent thieves spread their first polls
-// across different victims.
+// self's own position.
 func (n *Node) others() []Member {
 	var selfAt int
 	for i, id := range n.ids {

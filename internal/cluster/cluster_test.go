@@ -83,9 +83,10 @@ func (g *buildGate) Close() error { return nil }
 
 // startCluster builds an in-process cluster of len(ids) nodes, each a
 // full simsvc.Service wrapped by a cluster Node behind its own test
-// server. mut customizes the i-th node's configs before construction;
-// stealing loops default to off so tests opt in explicitly.
-func startCluster(t *testing.T, ids []string, mut func(i int, scfg *simsvc.Config, ncfg *Config)) []*testNode {
+// server. mut customizes the i-th node's service config before
+// construction; stealing defaults to off (no StealFrom) so tests opt in
+// explicitly.
+func startCluster(t *testing.T, ids []string, mut func(i int, scfg *simsvc.Config)) []*testNode {
 	t.Helper()
 	nodes := make([]*testNode, len(ids))
 	members := make([]Member, len(ids))
@@ -105,31 +106,25 @@ func startCluster(t *testing.T, ids []string, mut func(i int, scfg *simsvc.Confi
 			}
 		}
 		scfg := simsvc.Config{
-			Workers:      2,
-			OwnsID:       Owns(id, ids),
-			WorkStealing: true,
-			Peers:        peers,
-			Recorder:     obs.NewRecorder(obs.ClassSample, nodes[i].gate),
+			Workers:  2,
+			OwnsID:   Owns(id, ids),
+			Peers:    peers,
+			Recorder: obs.NewRecorder(obs.ClassSample, nodes[i].gate),
 		}
-		ncfg := Config{Self: id, Members: members, StealInterval: -1}
 		if mut != nil {
-			mut(i, &scfg, &ncfg)
+			mut(i, &scfg)
 		}
 		svc, err := simsvc.New(scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ncfg.Service = svc
-		node, err := New(ncfg)
+		node, err := New(Config{Self: id, Members: members, Service: svc})
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes[i].svc, nodes[i].node = svc, node
 		nodes[i].swap.set(node.Handler())
-		t.Cleanup(func() {
-			node.Close()
-			svc.Shutdown(context.Background())
-		})
+		t.Cleanup(func() { svc.Shutdown(context.Background()) })
 	}
 	return nodes
 }
@@ -193,26 +188,6 @@ func metric(t *testing.T, url, name string) float64 {
 		}
 	}
 	return 0
-}
-
-// flightKinds counts the fault events in a node's GET /debug/flight
-// document by kind.
-func flightKinds(t *testing.T, url string) map[string]int {
-	t.Helper()
-	b, _ := get(t, url+"/debug/flight", 200)
-	var doc struct {
-		Events []struct{ Class, Kind string }
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("flight document: %v: %s", err, b)
-	}
-	kinds := map[string]int{}
-	for _, e := range doc.Events {
-		if e.Class == "fault" {
-			kinds[e.Kind]++
-		}
-	}
-	return kinds
 }
 
 // idOwnedBy finds a job ID of the standard sweep-N form that the given
@@ -400,51 +375,17 @@ func TestClusterScatterGatherListing(t *testing.T) {
 	}
 }
 
-// stealReq is one sampled cell per workload. Each builds its workload's
-// sampling plan first, which is what lets gateBuilds hold it mid-run.
-func stealReq() harness.Request {
-	req := smallReq()
-	req.Workloads = []string{"exchange2_r", "deepsjeng_r", "xz_r", "mcf_r", "gcc_r", "x264_r", "leela_r", "namd_r"}
-	req.Variants = []string{"hybrid"}
-	req.SimMode = "sampled"
-	req.MaxInstrs = 6000
-	req.SampleIntervalInstrs = 2000
-	return req
-}
-
 // gateBuilds parks tn's next hold sampling-plan builds until release is
 // called: the cells that started them stop mid-run on an event the test
-// controls, then carry on. entered gets one signal per parked build.
-func gateBuilds(t *testing.T, tn *testNode, hold int32) (entered <-chan struct{}, release func()) {
+// controls, then carry on.
+func gateBuilds(t *testing.T, tn *testNode, hold int32) (release func()) {
 	t.Helper()
 	g := tn.gate
 	g.hold.Store(hold)
 	var once sync.Once
 	release = func() { once.Do(func() { g.hold.Store(0); close(g.open) }) }
 	t.Cleanup(release)
-	return g.entered, release
-}
-
-// stealPair is a two-node cluster for the steal tests: owner a has one
-// worker, thief b has thiefWorkers. Both steal loops run with an hour-long
-// fallback tick (mut may shorten it), so whatever gets stolen was stolen
-// on a hint or an idle edge; and a parks every plan build until the
-// returned release, so its one worker stays inside its first cell and
-// everything behind it is there for b to take.
-func stealPair(t *testing.T, thiefWorkers int, mut func(i int, ncfg *Config)) (a, b *testNode, release func()) {
-	t.Helper()
-	nodes := startCluster(t, []string{"a", "b"}, func(i int, scfg *simsvc.Config, ncfg *Config) {
-		scfg.Workers = 1
-		if i == 1 {
-			scfg.Workers = thiefWorkers
-		}
-		ncfg.StealInterval = time.Hour
-		if mut != nil {
-			mut(i, ncfg)
-		}
-	})
-	_, release = gateBuilds(t, nodes[0], 1<<30)
-	return nodes[0], nodes[1], release
+	return release
 }
 
 func soloGolden(t *testing.T, req harness.Request) []byte {
@@ -472,14 +413,26 @@ func waitMetric(t *testing.T, tn *testNode, name string, min float64) {
 		func() bool { return metric(t, tn.srv.URL, name) >= min })
 }
 
-// TestClusterWorkStealing: the owner's hint wakes the thief, which drains
-// the owner's queue with the fallback ticker an hour away; the owner's
-// export stays byte-identical to a standalone run and the steal metrics
-// account for the transfer.
+// TestClusterWorkStealing: cluster routing hands the service's steal
+// protocol its routes. Owner a's one worker parks in its first plan
+// build; the hint a's submission sends wakes b, whose claims and
+// completions reach a through a's Node handler, and a's export stays
+// byte-identical to a standalone run. (simsvc's steal tests hold the
+// protocol itself.)
 func TestClusterWorkStealing(t *testing.T) {
-	req := stealReq()
+	req := smallReq()
+	req.Workloads = []string{"exchange2_r", "deepsjeng_r", "xz_r", "mcf_r"}
+	req.Variants = []string{"hybrid"}
+	req.SimMode = "sampled" // each cell builds a plan first, which the gate holds
+	req.MaxInstrs = 6000
+	req.SampleIntervalInstrs = 2000
 	golden := soloGolden(t, req)
-	a, b, release := stealPair(t, 1, nil)
+	nodes := startCluster(t, []string{"a", "b"}, func(i int, scfg *simsvc.Config) {
+		scfg.Workers = 1
+		scfg.StealFrom = scfg.Peers
+	})
+	a, b := nodes[0], nodes[1]
+	release := gateBuilds(t, a, 1<<30)
 
 	st := postSweep(t, a.srv.URL, req)
 	waitMetric(t, b, "sdo_cluster_steals_total", 1)
@@ -493,93 +446,12 @@ func TestClusterWorkStealing(t *testing.T) {
 		t.Errorf("thief received %v hints, want 1 (one per submitted job)", v)
 	}
 	stolen := metric(t, a.srv.URL, "sdo_cluster_cells_stolen_total")
-	if stolen < 1 {
-		t.Errorf("owner leased out %v cells, want >= 1", stolen)
-	}
-	if v := metric(t, a.srv.URL, "sdo_cluster_steal_completions_total"); v != stolen {
-		t.Errorf("owner accepted %v steal completions for %v leases", v, stolen)
+	if v := metric(t, a.srv.URL, "sdo_cluster_steal_completions_total"); stolen < 1 || v != stolen {
+		t.Errorf("owner accepted %v steal completions for %v leases, want as many, >= 1", v, stolen)
 	}
 	if v := metric(t, a.srv.URL, "sdo_cluster_lease_expiries_total"); v != 0 {
 		t.Errorf("%v leases expired, want 0", v)
 	}
-}
-
-// TestClusterStealOnIdleEdge: a thief that is busy when the hint arrives
-// steals as soon as its own job finishes — the freed slot wakes it, with
-// no second hint and no tick.
-func TestClusterStealOnIdleEdge(t *testing.T) {
-	a, b, releaseA := stealPair(t, 1, nil)
-	// b's own one-cell job parks in its plan build.
-	entered, releaseB := gateBuilds(t, b, 1)
-	own := stealReq()
-	own.Workloads = []string{"perlbench_r"}
-	stB := postSweep(t, b.srv.URL, own)
-	<-entered
-
-	stA := postSweep(t, a.srv.URL, stealReq())
-	waitMetric(t, b, "sdo_cluster_steal_hints_total", 1)
-	if v := metric(t, a.srv.URL, "sdo_cluster_cells_stolen_total"); v != 0 {
-		t.Fatalf("busy thief claimed %v cells", v)
-	}
-
-	releaseB()
-	waitMetric(t, b, "sdo_cluster_steals_total", 1)
-	if v := metric(t, b.srv.URL, "sdo_cluster_steal_hints_total"); v != 1 {
-		t.Errorf("thief needed %v hints, want the one it was busy for", v)
-	}
-	releaseA()
-	get(t, b.srv.URL+"/sweeps/"+stB.ID+"/export", 200)
-	get(t, a.srv.URL+"/sweeps/"+stA.ID+"/export", 200)
-}
-
-// TestClusterStealNoBatchBarrier: a two-slot thief with one stolen cell
-// stuck keeps stealing on its other slot; nothing waits for a batch.
-func TestClusterStealNoBatchBarrier(t *testing.T) {
-	req := stealReq()
-	golden := soloGolden(t, req)
-	a, b, release := stealPair(t, 2, nil)
-	// The first of the thief's stolen cells parks in its plan build.
-	entered, releaseStuck := gateBuilds(t, b, 1)
-
-	st := postSweep(t, a.srv.URL, req)
-	<-entered
-	waitMetric(t, b, "sdo_cluster_steals_total", 2)
-	releaseStuck()
-	release()
-	export, _ := get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)
-	if !bytes.Equal(export, golden) {
-		t.Fatalf("stolen sweep export differs from standalone golden (%d vs %d bytes)",
-			len(export), len(golden))
-	}
-}
-
-// TestClusterStealLostHint: a hint that fails is counted and not retried;
-// the fallback ticker — 20 ms here, nothing else can wake this thief —
-// finds the work.
-func TestClusterStealLostHint(t *testing.T) {
-	a, b, release := stealPair(t, 1, func(i int, ncfg *Config) {
-		if i == 1 {
-			ncfg.StealInterval = 20 * time.Millisecond
-		}
-	})
-	b.swap.wrap(func(inner http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/cluster/wake" {
-				http.Error(w, "hint lost", http.StatusInternalServerError)
-				return
-			}
-			inner.ServeHTTP(w, r)
-		})
-	})
-
-	st := postSweep(t, a.srv.URL, stealReq())
-	waitMetric(t, b, "sdo_cluster_steals_total", 1)
-	waitMetric(t, a, "sdo_cluster_steal_errors_total", 1)
-	if v := metric(t, b.srv.URL, "sdo_cluster_steal_hints_total"); v != 0 {
-		t.Errorf("thief counted %v hints, want 0 (the endpoint was failing)", v)
-	}
-	release()
-	get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)
 }
 
 // TestClusterNodesBuildIdenticalArtifacts: nodes share results, never
@@ -630,59 +502,6 @@ func TestClusterNodesBuildIdenticalArtifacts(t *testing.T) {
 	}
 }
 
-// TestClusterStealLeaseExpiryReclamation is the crash-safety pillar: a
-// thief claims cells and dies (never completes), and after the lease
-// TTL the owner reclaims and finishes them itself — the sweep still
-// completes exactly.
-func TestClusterStealLeaseExpiryReclamation(t *testing.T) {
-	// Sampled cells, so the owner's one worker parks inside its first
-	// cell's plan build and the other three stay queued for the claim.
-	req := smallReq()
-	req.SimMode = "sampled"
-	req.MaxInstrs = 6000
-	req.SampleIntervalInstrs = 2000
-
-	golden := soloGolden(t, req)
-
-	nodes := startCluster(t, []string{"a"}, func(i int, scfg *simsvc.Config, ncfg *Config) {
-		scfg.Workers = 1
-		scfg.StealLeaseTTL = 250 * time.Millisecond
-	})
-	a := nodes[0]
-	entered, release := gateBuilds(t, a, 1)
-
-	st := postSweep(t, a.srv.URL, req)
-	<-entered
-	// The "thief" claims queued cells over the wire and is then
-	// SIGKILLed: no completion ever arrives.
-	body, _ := get(t, a.srv.URL+"/cluster/steal?max=3&thief=doomed", 200)
-	release()
-	var cells []simsvc.StolenCell
-	if err := json.Unmarshal(body, &cells); err != nil {
-		t.Fatalf("steal claim: %v: %s", err, body)
-	}
-	if len(cells) != 3 {
-		t.Fatalf("claimed %d cells while the one worker holds the first, want the other 3", len(cells))
-	}
-
-	export, _ := get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)
-	if !bytes.Equal(export, golden) {
-		t.Fatalf("post-reclamation export differs from golden (%d vs %d bytes)",
-			len(export), len(golden))
-	}
-	expired := metric(t, a.srv.URL, "sdo_cluster_lease_expiries_total")
-	if expired < 1 {
-		t.Errorf("lease expiries = %v, want >= 1 (dead thief must be reclaimed)", expired)
-	}
-	// Each expiry is one steal-lease-expired event in the flight recorder.
-	if n := flightKinds(t, a.srv.URL)["steal-lease-expired"]; float64(n) != expired {
-		t.Errorf("flight recorder holds %d steal-lease-expired events for %v expiries", n, expired)
-	}
-	if v := metric(t, a.srv.URL, "sdo_cluster_steal_completions_total"); v != 0 {
-		t.Errorf("steal completions = %v, want 0 (thief never reported back)", v)
-	}
-}
-
 // peerState is how tn's fabric client sees the member at url.
 func peerState(t *testing.T, tn *testNode, url string) (state string, fails int) {
 	t.Helper()
@@ -696,25 +515,29 @@ func peerState(t *testing.T, tn *testNode, url string) (state string, fails int)
 }
 
 // TestClusterFrozenMemberIsSkipped: a member that accepts connections and
-// never answers is one peer failure to every kind of traffic. Once cache
-// lookups (and the prober) have opened its breaker, listings, wake hints
-// and steal rounds skip it instead of each waiting out an RPC timeout on
-// it, and it rejoins once it answers again.
+// never answers is one peer failure to every kind of traffic. Once the
+// prober has opened its breaker, listings, steal rounds, wake hints and
+// cache lookups skip it instead of each waiting out a timeout on it, and
+// it rejoins once it answers again.
 func TestClusterFrozenMemberIsSkipped(t *testing.T) {
-	nodes := startCluster(t, []string{"a", "b", "c"}, func(i int, scfg *simsvc.Config, ncfg *Config) {
+	nodes := startCluster(t, []string{"a", "b", "c"}, func(i int, scfg *simsvc.Config) {
 		switch i {
 		case 0:
-			// a gives up on a lookup quickly; its prober keeps striking c, so
-			// the breaker cannot half-open in the middle of the test. Workers
-			// to spare: a steal round always has a free slot left to offer c.
+			// a gives up on a probe or lookup quickly; its prober keeps
+			// striking c, so the breaker cannot half-open in the middle of
+			// the test. Workers to spare: a steal round always has a free
+			// slot left to offer c. It steals from, and hints, b and c.
 			scfg.Workers = 8
 			scfg.PeerTimeout = 50 * time.Millisecond
 			scfg.PeerProbeInterval = 10 * time.Millisecond
+			scfg.StealFrom = scfg.Peers
 		case 1:
 			// b's one worker parks inside its first cell's lookup against c
-			// until c thaws; the cells behind it are there to steal.
+			// until c thaws; the cells behind it are there to steal. It
+			// hints only a.
 			scfg.Workers = 1
 			scfg.PeerTimeout = time.Minute
+			scfg.StealFrom = scfg.Peers[:1]
 		}
 	})
 	a, b, c := nodes[0], nodes[1], nodes[2]
@@ -748,12 +571,10 @@ func TestClusterFrozenMemberIsSkipped(t *testing.T) {
 		})
 	})
 
-	// Every cell of a sweep on a consults c and times out: three misses
-	// open the breaker. Wait until the strikes have pushed its backoff past
-	// anything this test could take.
-	st := postSweep(t, a.srv.URL, smallReq())
-	get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", 200)
-	waitFor(t, "lookups to open c's breaker on a and the prober's strikes to hold it open", func() bool {
+	// a's prober strikes c until its breaker opens. Wait until the strikes
+	// have pushed its backoff past anything this test could take, before
+	// anything gives a's steal loop a reason to poll.
+	waitFor(t, "the prober to open c's breaker on a and hold it open", func() bool {
 		state, fails := peerState(t, a, c.srv.URL)
 		return state == "open" && fails >= 8
 	})
@@ -774,29 +595,31 @@ func TestClusterFrozenMemberIsSkipped(t *testing.T) {
 		t.Errorf("partial header %q, want c", p)
 	}
 
-	// A hint round reaches b and skips c; the unsent hint is still counted.
-	a.node.hintPeers()
-	a.node.wg.Wait()
-	if n := hintsToB.Load(); n != 1 {
-		t.Errorf("b received %d hints, want 1", n)
-	}
-	if v := metric(t, a.srv.URL, "sdo_cluster_steal_errors_total"); v != 1 {
-		t.Errorf("a counted %v lost hints, want 1 (the one to c)", v)
-	}
-
-	// A steal round still claims from b, and skips c with a slot to spare.
+	// b's sweep hints a, whose steal round claims from b — at most 4
+	// cells, so with 8 workers it has slots left — and skips c.
 	req := smallReq()
 	req.Workloads = []string{"xz_r", "mcf_r", "gcc_r", "x264_r"}
 	req.Variants = []string{"hybrid"}
 	stB := postSweep(t, b.srv.URL, req)
-	start = time.Now()
-	a.node.steal("")
-	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("steal round with c frozen took %v", d)
-	}
 	waitMetric(t, a, "sdo_cluster_steals_total", 1)
-	if free := a.svc.IdleWorkers(); free <= 0 {
-		t.Errorf("a has %d idle workers: the steal round never got as far as c", free)
+
+	// A sweep that queues more cells than a has workers sends a hint
+	// round: it reaches b and skips c, and the unsent hint is still
+	// counted. None of its cells is cached on a (a hit finishes inside
+	// Submit, before the queue is measured), and it has 12 for 8 workers.
+	big := smallReq()
+	big.Workloads = []string{"exchange2_r", "deepsjeng_r", "leela_r", "namd_r"}
+	big.Variants = []string{"unsafe", "stt", "hybrid"}
+	stA := postSweep(t, a.srv.URL, big)
+	get(t, a.srv.URL+"/sweeps/"+stA.ID+"/export", 200)
+	waitFor(t, "the hint round", func() bool {
+		return hintsToB.Load() >= 1 && metric(t, a.srv.URL, "sdo_cluster_steal_errors_total") >= 1
+	})
+	if n := hintsToB.Load(); n != 1 {
+		t.Errorf("b received %d hints, want 1", n)
+	}
+	if v := metric(t, a.srv.URL, "sdo_cluster_steal_errors_total"); v != 1 {
+		t.Errorf("a counted %v steal errors, want 1 (the hint to c)", v)
 	}
 	if n := clusterReqs.Load(); n != before {
 		t.Errorf("%d cluster requests reached frozen c through its open breaker", n-before)

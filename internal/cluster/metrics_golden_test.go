@@ -41,7 +41,7 @@ func startMetricsCase(t *testing.T, name string) *simsvc.Service {
 	if name == "on" {
 		cfg.CachePath = filepath.Join(t.TempDir(), "cache.json")
 		cfg.Peers = []string{"http://127.0.0.1:1"}
-		cfg.WorkStealing = true
+		cfg.StealFrom = cfg.Peers
 		cfg.Trace = true
 		// No prober: the peer is a placeholder nothing listens on.
 		cfg.PeerProbeInterval = -1
@@ -53,11 +53,9 @@ func startMetricsCase(t *testing.T, name string) *simsvc.Service {
 	t.Cleanup(func() { svc.Shutdown(context.Background()) })
 	if name == "on" {
 		members := []Member{{ID: "a", URL: "http://127.0.0.1:1"}}
-		n, err := New(Config{Self: "a", Members: members, Service: svc, StealInterval: -1})
-		if err != nil {
+		if _, err := New(Config{Self: "a", Members: members, Service: svc}); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(n.Close)
 	}
 	return svc
 }

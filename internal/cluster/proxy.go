@@ -1,13 +1,8 @@
 package cluster
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -17,32 +12,19 @@ import (
 )
 
 // Handler returns the node's HTTP handler: the wrapped service's full
-// API plus cluster routing (proxy + scatter-gather) and the three
-// /cluster/ RPCs the work-stealing protocol uses.
-func (n *Node) Handler() http.Handler {
-	base := n.svc.Handler()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /cluster/steal", n.handleSteal)
-	mux.HandleFunc("POST /cluster/complete", n.handleComplete)
-	mux.HandleFunc("POST /cluster/wake", n.handleWake)
-	mux.Handle("/", n.route(base))
-	return mux
-}
-
-// route wraps the service handler with cluster routing:
+// API, its steal protocol's routes included, behind cluster routing:
 //
 //   - GET /sweeps fans out to every member and merges (scatter-gather),
 //     unless the request already hopped here from a peer.
-//   - POST /sweeps is always local; one that leaves more cells
-//     outstanding than the node has workers has the steal loop hint the
-//     peers (once per submission, never per cell).
 //   - /sweeps/{id}... for a job the local service holds is served
 //     locally — ownership is a partition of the ID space, so holding
 //     the job means being its home.
 //   - /sweeps/{id}... for an unknown job is proxied along the job's
 //     rendezvous ranking. A request carrying the hop header is never
 //     forwarded again (loop prevention): it gets the local 404.
-func (n *Node) route(base http.Handler) http.Handler {
+//   - Everything else is the service's own.
+func (n *Node) Handler() http.Handler {
+	base := n.svc.Handler()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && r.URL.Path == "/sweeps" &&
 			r.Header.Get(HopHeader) == "" && len(n.cfg.Members) > 1 {
@@ -50,22 +32,9 @@ func (n *Node) route(base http.Handler) http.Handler {
 			return
 		}
 		id := sweepID(r.URL.Path)
-		if id == "" {
-			base.ServeHTTP(w, r)
-			if r.Method == http.MethodPost && r.URL.Path == "/sweeps" && n.stealing() && n.svc.IdleWorkers() < 0 {
-				select {
-				case n.queued <- struct{}{}:
-				default: // a hint round is already due
-				}
-			}
-			return
-		}
-		if _, ok := n.svc.Job(id); ok {
-			base.ServeHTTP(w, r)
-			return
-		}
-		if r.Header.Get(HopHeader) != "" {
-			// Already forwarded once; answer locally (a 404) rather
+		if _, ok := n.svc.Job(id); id == "" || ok || r.Header.Get(HopHeader) != "" {
+			// Not a job, a local job, or already forwarded once: answer
+			// locally (a 404 for the last unless the job is here) rather
 			// than risk a proxy cycle under membership disagreement.
 			base.ServeHTTP(w, r)
 			return
@@ -146,28 +115,6 @@ func (n *Node) forward(r *http.Request, m Member, body []byte) (*http.Response, 
 	return n.fab.Do(r.Context(), m.URL, r.Method, r.URL.RequestURI(), h, body)
 }
 
-// rpc sends one short cluster RPC to member m, bounded by rpcTimeout, and
-// decodes the JSON body of a 2xx answer into out (nil: discarded). Any
-// other status is an error.
-func (n *Node) rpc(ctx context.Context, m Member, method, path string, body []byte, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
-	defer cancel()
-	resp, err := n.fab.Do(ctx, m.URL, method, path, http.Header{HopHeader: {n.self.ID}}, body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
 // copyResponse relays a proxied response, flushing after every chunk so
 // streaming endpoints (/progress) stay live through the proxy.
 func copyResponse(w http.ResponseWriter, resp *http.Response, via string) {
@@ -217,7 +164,7 @@ func (n *Node) scatterList(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, m Member) {
 			defer wg.Done()
-			errs[i] = n.rpc(r.Context(), m, http.MethodGet, "/sweeps", nil, &lists[i])
+			errs[i] = n.fab.Call(r.Context(), m.URL, http.MethodGet, "/sweeps", http.Header{HopHeader: {n.self.ID}}, nil, &lists[i])
 		}(i, m)
 	}
 	wg.Wait()
@@ -246,59 +193,6 @@ func (n *Node) scatterList(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(PartialHeader, strings.Join(down, ","))
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// handleSteal hands out lease-protected queued cells to a thief, as
-// many as it has free slots for (?max=, one when absent). An empty list
-// is the normal answer on an idle or drained node.
-func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
-	max := 1
-	if v, err := strconv.Atoi(r.URL.Query().Get("max")); err == nil && v > 0 {
-		max = v
-	}
-	thief := r.URL.Query().Get("thief")
-	if thief == "" {
-		thief = r.RemoteAddr
-	}
-	cells := n.svc.StealCells(thief, max)
-	if cells == nil {
-		cells = []simsvc.StolenCell{}
-	}
-	writeJSON(w, http.StatusOK, cells)
-}
-
-// handleComplete accepts a thief's finished cell (the content-addressed
-// wire entry) and settles the lease.
-func (n *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		http.Error(w, "missing key", http.StatusBadRequest)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := n.svc.CompleteSteal(key, body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleWake takes a peer's hint that it has queued cells to spare and
-// wakes the steal loop, which polls that peer first. Hints coalesce; with
-// stealing off they are acknowledged and ignored.
-func (n *Node) handleWake(w http.ResponseWriter, r *http.Request) {
-	if n.stealing() {
-		n.hints.Inc()
-		select {
-		case n.hinted <- r.URL.Query().Get("from"):
-		default: // the loop is already due to wake on an earlier hint
-		}
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

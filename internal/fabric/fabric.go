@@ -26,14 +26,16 @@
 // and the sweep proceeds.
 //
 // It is also the only code that sends a request to another node: the
-// cluster layer's addressed requests (Do) share the lookups' and the
-// prober's transport, breaker gate and strike accounting (send).
+// cluster's proxied requests and the work-stealing RPCs (Do, Call) share
+// the lookups' and the prober's transport, breaker gate and strike
+// accounting (send).
 package fabric
 
 import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -65,6 +67,10 @@ const (
 // dialTimeout bounds the connect of every node-to-node request: a dead
 // host fails fast whatever deadline, or none, its request carries.
 const dialTimeout = 3 * time.Second
+
+// callTimeout bounds each short request Call sends: a listing fetch, a
+// steal claim, a completion, a wake hint.
+const callTimeout = 10 * time.Second
 
 // errPeerOpen is the answer for a peer whose breaker is open: nothing
 // was dialled.
@@ -225,8 +231,8 @@ func (p *peer) status(now time.Time) PeerStatus {
 	return st
 }
 
-// Client performs failure-aware peer cache lookups and carries the
-// cluster's addressed requests. A nil *Client is valid: it always misses
+// Client performs failure-aware peer cache lookups and carries every
+// addressed request between nodes. A nil *Client is valid: it always misses
 // and knows no peer.
 type Client struct {
 	cfg   Config
@@ -589,6 +595,28 @@ func (c *Client) Do(ctx context.Context, peerURL, method, path string, header ht
 		p.ok()
 	}
 	return resp, err
+}
+
+// Call sends one short request through Do, bounded by callTimeout, and
+// decodes the JSON body of a 2xx answer into out (nil: discarded). Any
+// other status is an error.
+func (c *Client) Call(ctx context.Context, peerURL, method, path string, header http.Header, body []byte, out any) error {
+	ctx, cancel := context.WithTimeout(ctx, callTimeout)
+	defer cancel()
+	resp, err := c.Do(ctx, peerURL, method, path, header, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
+	}
+	if out == nil {
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // ask sends one lookup request for keys to p and returns its verdict. A

@@ -342,12 +342,15 @@ func (h *Hierarchy) SetState(s HierState) error {
 }
 
 // Reset returns the hierarchy — private and shared levels — to the state
-// NewHierarchy built it in, keeping every array: tags, stamps, counters,
-// bank/MSHR/DRAM-queue timing state, the TLB, the shadow structures and
-// their mode, the recorder and the invalidation listener. It is what lets
-// one hierarchy serve machine after machine (core's pool) with nothing of
-// the previous run visible to the next. Like SetState it is a single-core
-// facility: it clears the shared L3 and DRAM whoever else is attached.
+// NewHierarchy built it in. It keeps the cache, TLB and DRAM arrays,
+// cleared in place (tags, stamps, bank/MSHR/DRAM-queue timing state), and
+// drops everything else: the hierarchy's counters, the shadow structures
+// and their mode, the recorder and the invalidation listener. It is what
+// lets one hierarchy serve machine after machine (core's pool) with
+// nothing of the previous run visible to the next, and with no reference
+// left to the previous machine's pipeline. Like SetState it is a
+// single-core facility: it clears the shared L3 and DRAM whoever else is
+// attached.
 func (h *Hierarchy) Reset() {
 	h.l1i.reset()
 	h.l1d.reset()

@@ -32,6 +32,12 @@ import (
 //	                             the body lists cache keys, one per line;
 //	                             the answer holds each held key's entry
 //	                             file {key, sum, result}, back to back
+//	GET    /cluster/steal        a thief's claim: lease up to ?max= queued
+//	                             cells to the caller; registered only
+//	                             with stealing on, as are the next two
+//	POST   /cluster/complete     a thief's finished cell (?key=, body an
+//	                             entry file) settles its lease
+//	POST   /cluster/wake         a peer's hint that it has cells to steal
 //	GET    /variants             registered protection schemes: name,
 //	                             aliases, one-line description
 //	GET    /debug/flight         flight recorder: the last N observability
@@ -62,6 +68,11 @@ func (s *Service) Handler() http.Handler {
 		mux.HandleFunc("GET /sweeps/{id}/trace", s.handleTrace)
 	}
 	mux.HandleFunc("POST /cache/lookup", s.handleCacheLookup)
+	if s.steal != nil {
+		mux.HandleFunc("GET /cluster/steal", s.handleSteal)
+		mux.HandleFunc("POST /cluster/complete", s.handleComplete)
+		mux.HandleFunc("POST /cluster/wake", s.handleWake)
+	}
 	mux.HandleFunc("GET /variants", s.handleVariants)
 	mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	return mux

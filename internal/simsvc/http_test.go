@@ -211,7 +211,7 @@ func TestHTTPCancel(t *testing.T) {
 func TestNonKeysNeverTouchTheDisk(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "a", "b", "cache")
-	s, ts := newPeerNode(t, Config{Workers: 1, CachePath: dir, WorkStealing: true})
+	s, ts := newPeerNode(t, newStubPeer(t).stealing(Config{Workers: 1, CachePath: dir}))
 	valid := testKey(7)
 	for _, tc := range []struct{ name, key string }{
 		{"traversal", "../../etc/passwd"},
@@ -238,11 +238,11 @@ func TestNonKeysNeverTouchTheDisk(t *testing.T) {
 			}
 
 			os.Remove(file)
-			if err := s.CompleteSteal(tc.key, wire); err == nil {
-				t.Errorf("CompleteSteal(%q) accepted a non-key", tc.key)
+			if err := s.completeSteal(tc.key, wire); err == nil {
+				t.Errorf("completeSteal(%q) accepted a non-key", tc.key)
 			}
 			if _, err := os.Stat(file); !os.IsNotExist(err) {
-				t.Errorf("CompleteSteal(%q) wrote %s", tc.key, file)
+				t.Errorf("completeSteal(%q) wrote %s", tc.key, file)
 			}
 		})
 	}

@@ -180,13 +180,15 @@ func (s *Service) peerHit(root *trace.Span, pb *peerBatch, key string) (*core.Re
 	return s.cache.insert(e).res, true
 }
 
-// lookupPeers asks the peers for the keys this node does not hold, in
-// memory or on disk, and verifies each answer: one that fails is a miss
-// and a strike against its peer (fabric.Lookup).
+// lookupPeers asks the peers for the keys this node does not hold in
+// memory, and verifies each answer: one that fails is a miss and a
+// strike against its peer (fabric.Lookup). It opens no file: a key whose
+// file is on disk is asked too, and its cell's own cache read, which
+// comes first, takes the file and never the answer.
 func (s *Service) lookupPeers(keys []string) map[string]fabric.Hit {
 	var ask []string
 	for _, k := range keys {
-		if !s.cache.Contains(k) {
+		if _, ok := s.cache.held(k, false); !ok {
 			ask = append(ask, k)
 		}
 	}

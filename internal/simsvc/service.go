@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -95,12 +96,14 @@ type Config struct {
 	// any node can resolve any ID's owner without coordination. Nil (the
 	// default): every ID is owned — byte-identical single-node behavior.
 	OwnsID func(id string) bool
-	// WorkStealing keeps a registry of queued-but-unstarted cells that
-	// cluster peers may claim under a lease via Service.StealCells (see
-	// steal.go). Off by default.
-	WorkStealing bool
+	// StealFrom lists the base URLs of the cluster members this node
+	// steals queued cells from, each one of Peers. Non-empty turns work
+	// stealing on, both halves (see steal.go): peers may claim this
+	// node's queued cells under a lease, and its steal loop claims
+	// theirs. Empty: stealing off, and the /cluster/ routes do not exist.
+	StealFrom []string
 	// StealLeaseTTL bounds how long the owner waits on a stolen cell
-	// before reclaiming it locally (0: DefaultStealLeaseTTL).
+	// before reclaiming it locally (0: 30s).
 	StealLeaseTTL time.Duration
 }
 
@@ -113,7 +116,7 @@ func (c Config) withDefaults() Config {
 		c.MaxJobs = 4096
 	}
 	if c.StealLeaseTTL <= 0 {
-		c.StealLeaseTTL = DefaultStealLeaseTTL
+		c.StealLeaseTTL = defaultStealLeaseTTL
 	}
 	return c
 }
@@ -152,7 +155,7 @@ type Service struct {
 	tracer *trace.Tracer     // nil unless cfg.Trace
 	flight *obs.SafeRingSink // /debug/flight ring (always on)
 	fab    *fabric.Client    // nil unless cfg.Peers
-	steal  *stealState       // nil unless cfg.WorkStealing
+	steal  *stealState       // nil unless cfg.StealFrom
 
 	mu       sync.Mutex
 	closed   bool
@@ -227,6 +230,11 @@ type delivery struct {
 // resubmitted, and its persisted cells resolve as cache hits.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
+	for _, u := range cfg.StealFrom {
+		if !slices.Contains(cfg.Peers, u) {
+			return nil, fmt.Errorf("simsvc: steal peer %s is not one of Peers", u)
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	// The flight recorder always runs: every event the service emits
 	// lands in a bounded ring served by /debug/flight, with the
@@ -259,10 +267,6 @@ func New(cfg Config) (*Service, error) {
 	s.exec = &harness.Executor{Event: s.event, PlanBuilt: s.planBuilt}
 	s.pool = harness.NewPool(ctx, cfg.Workers)
 	s.registerMetrics()
-	if cfg.WorkStealing {
-		s.steal = newStealState(s.reg)
-		s.pool.OnIdle = s.steal.signalIdle
-	}
 	if len(cfg.Peers) > 0 {
 		s.fab = fabric.New(fabric.Config{
 			Peers:         cfg.Peers,
@@ -271,6 +275,9 @@ func New(cfg Config) (*Service, error) {
 			Event:         s.event,
 		})
 		s.registerPeerMetrics()
+	}
+	if len(cfg.StealFrom) > 0 {
+		s.startStealing()
 	}
 	return s, nil
 }
@@ -345,14 +352,6 @@ func (s *Service) Fabric() *fabric.Client { return s.fab }
 // metrics).
 func (s *Service) Cache() *Cache { return s.cache }
 
-// IdleWorkers is how many pool workers neither run nor have a queued
-// cell to pick up — the capacity stealing from cluster peers may use
-// without delaying demand cells. Stolen cells run on the pool (RunStolen),
-// so they count as busy workers here.
-func (s *Service) IdleWorkers() int {
-	return s.cfg.Workers - s.pool.Busy()
-}
-
 // Health is the /healthz document.
 type Health struct {
 	// Status is "ok", "degraded" (serving, but impaired — see Reasons)
@@ -403,7 +402,9 @@ func (s *Service) retryAfter(pending int) time.Duration {
 
 // Submit validates, registers and enqueues a sweep job. When the pending
 // queue is over the configured bound, it returns an *OverloadError
-// without registering anything.
+// without registering anything. With stealing on, a job that leaves more
+// cells queued than the node has workers has the steal loop hint the
+// peers (once per job, never per cell).
 func (s *Service) Submit(req harness.Request) (*Job, error) {
 	opt, cells, err := req.Resolve()
 	if err != nil {
@@ -481,6 +482,9 @@ func (s *Service) Submit(req harness.Request) (*Job, error) {
 			s.steal.enqueue(key, c)
 		}
 		s.pool.Submit(func(ctx context.Context) { s.runCell(ctx, j, c, key, keyErr, enqueued) })
+	}
+	if s.steal != nil && s.idleWorkers() < 0 {
+		nudge(s.steal.queued) // more cells than workers: hint the peers
 	}
 	return j, nil
 }
@@ -889,7 +893,7 @@ func (s *Service) noteSlowCell(k harness.Key, elapsed time.Duration, ct *trace.C
 // execute runs one cell through the executor under the service's
 // deadline, accounts the run, and returns the result and how long the
 // simulation itself took (0 when none started). The demand path
-// (runCell) and the thief path (RunStolen) both execute cells through
+// (runCell) and the thief path (stolenWire) both execute cells through
 // here, so a stolen result is bit-identical to the demand result for the
 // same key. abort (may be nil) lets a mid-run demand cell stop once
 // nothing waits on it.
@@ -921,12 +925,15 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	s.closed = true
 	s.mu.Unlock()
 
-	s.cancel() // queued cells skip; running cells finish
+	s.cancel() // queued cells skip; running cells finish; stealing stops
 	s.fab.Close()
 	s.pool.Close()
 	done := make(chan struct{})
 	go func() {
 		s.pool.Wait()
+		if s.steal != nil {
+			s.steal.wg.Wait()
+		}
 		close(done)
 	}()
 	select {

@@ -190,7 +190,7 @@ func hasSpan(n *trace.Node, name string) bool {
 // holds under lease, waits for it, and delivers the thief's result as
 // "[stolen]" (cached: the owner did not simulate it).
 func TestStolenCellDeliveredOnce(t *testing.T) {
-	owner := newService(t, Config{Workers: 1, WorkStealing: true, Trace: true})
+	owner := newService(t, newStubPeer(t).stealing(Config{Workers: 1, Trace: true}))
 	defer owner.Shutdown(context.Background())
 	thief := newService(t, Config{Workers: 1})
 	defer thief.Shutdown(context.Background())
@@ -203,9 +203,9 @@ func TestStolenCellDeliveredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cells []StolenCell
+	var cells []stolenCell
 	pollUntil(t, "a stealable cell", 10*time.Second, func() bool {
-		cells = owner.StealCells("thief", 1)
+		cells = owner.claimCells("thief", 1)
 		return len(cells) == 1
 	})
 	// Wait until the owner's worker is inside the steal-claim wait, so the
@@ -218,11 +218,11 @@ func TestStolenCellDeliveredOnce(t *testing.T) {
 		}
 		return false
 	})
-	run := <-thief.RunStolen(context.Background(), cells[0].Spec)
-	if run.Err != nil {
-		t.Fatal(run.Err)
+	wire, err := thief.stolenWire(context.Background(), cells[0].Spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := owner.CompleteSteal(cells[0].Key, run.Wire); err != nil {
+	if err := owner.completeSteal(cells[0].Key, wire); err != nil {
 		t.Fatal(err)
 	}
 	waitJob(t, j)

@@ -3,6 +3,10 @@ package simsvc
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"strconv"
 	"sync"
 	"time"
 
@@ -12,16 +16,24 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// Work stealing (the cluster's second pillar). When Config.WorkStealing
-// is on, the service keeps a registry of cells that are enqueued but not
-// yet picked up by a worker. A cluster peer with free worker slots (the
-// thief) claims that many via Service.StealCells, which hands each out
-// under a lease: thief identity plus an expiry, held in memory only.
-// Claims come from the tail of the queue while the owner's
-// workers dequeue from its head, so the two meet once, at the end. The
-// thief runs the cell on its own worker pool (Service.RunStolen: its own
-// cache and executor) and posts the content-addressed wire entry back
-// via Service.CompleteSteal.
+// Work stealing: hint, claim, run, complete. A service with
+// Config.StealFrom set is both halves of the protocol at once.
+//
+// As owner it keeps a registry of cells that are enqueued but not yet
+// picked up by a worker. A peer with free worker slots (the thief)
+// claims that many (GET /cluster/steal), each handed out under a lease:
+// the thief's address plus an expiry, held in memory only. Claims come
+// from the tail of the queue while the owner's workers dequeue from its
+// head, so the two meet once, at the end. A Submit that leaves more
+// cells queued than workers hints every peer (POST /cluster/wake).
+//
+// As thief its steal loop sleeps until there may be something to steal
+// and a slot to run it on: a peer's hint, a local worker slot freeing
+// up, or — the safety net for a lost hint — the stealTick ticker. A
+// claimed cell runs on the thief's own pool (its own cache and executor)
+// and its content-addressed wire entry is posted back (POST
+// /cluster/complete), where the owner checks it before settling the
+// lease.
 //
 // Safety comes from the cache's content addressing, not from the lease:
 // a lease only bounds how long the owner's worker waits before running
@@ -31,14 +43,18 @@ import (
 // of a byte-identical entry. Results are exactly-once by key, never by
 // coordination.
 
-// DefaultStealLeaseTTL bounds how long the owner waits on a stolen
+// defaultStealLeaseTTL bounds how long the owner waits on a stolen
 // cell's result before reclaiming it.
-const DefaultStealLeaseTTL = 30 * time.Second
+const defaultStealLeaseTTL = 30 * time.Second
 
-// StolenCell is one leased unit of work handed to a thief.
-type StolenCell struct {
-	// Key is the cell's content-addressed cache key; CompleteSteal
-	// expects the result posted back under it.
+// stealTick is the steal loop's fallback period. Tests shorten it before
+// New; nothing else writes it.
+var stealTick = 2 * time.Second
+
+// stolenCell is one leased unit of work handed to a thief.
+type stolenCell struct {
+	// Key is the cell's content-addressed cache key; the completion is
+	// expected under it.
 	Key string `json:"key"`
 	// Spec is the full run specification; the thief re-derives Key from
 	// it and refuses the claim on mismatch (schema-version skew guard).
@@ -58,40 +74,77 @@ type pendingCell struct {
 type cellLease struct {
 	thief string
 	until time.Time
-	done  chan struct{} // closed by CompleteSteal
+	done  chan struct{} // closed by completeSteal
 }
 
-// stealState tracks pending (stealable) cells and outstanding leases.
-// A nil *stealState is the stealing-off state: every method no-ops.
+// stealState is both halves of the protocol. A nil *stealState is the
+// stealing-off state.
 type stealState struct {
+	// The owner half: pending (stealable) cells and outstanding leases.
 	mu      sync.Mutex
 	pending map[string]*pendingCell
 	order   []string // enqueue order (keys; may hold stale entries)
 	leases  map[string]*cellLease
-	idle    chan struct{} // idle-edge signal, see Service.IdleEdge
+
+	// The thief half. peers are the members claimed from and hinted, and
+	// start is where the next steal round begins polling them (the loop's
+	// own). The loop's three mailboxes coalesce (capacity 1, senders never
+	// block): idle says a worker slot freed up with nothing queued behind
+	// it, hinted that a peer has cells to spare, queued that a local
+	// submission left cells waiting and the peers should be hinted. wg
+	// counts the loop, its hint sends and stolen cells' completions.
+	peers                []string
+	start                int
+	idle, hinted, queued chan struct{}
+	wg                   sync.WaitGroup
 
 	cellsStolen    *obs.Counter // queued cells leased out to work-stealing peers
 	stealCompleted *obs.Counter // stolen-cell results delivered back
 	leaseExpiries  *obs.Counter // steal leases that expired unfulfilled (cell reclaimed)
+	steals         *obs.Counter // cells stolen from peers and completed
+	stealErrors    *obs.Counter // stolen cells that failed to run or post back; hints that failed to send
+	hints          *obs.Counter // work-available hints received from peers
 }
 
-func newStealState(r *obs.Registry) *stealState {
-	return &stealState{
+// startStealing turns both halves on and starts the steal loop, which
+// Shutdown stops.
+func (s *Service) startStealing() {
+	r := s.reg
+	st := &stealState{
 		pending: make(map[string]*pendingCell),
 		leases:  make(map[string]*cellLease),
+		peers:   s.cfg.StealFrom,
 		idle:    make(chan struct{}, 1),
+		hinted:  make(chan struct{}, 1),
+		queued:  make(chan struct{}, 1),
 
 		cellsStolen:    r.NewCounter("sdo_cluster_cells_stolen_total", "Queued cells leased out to work-stealing cluster peers."),
 		stealCompleted: r.NewCounter("sdo_cluster_steal_completions_total", "Stolen-cell results accepted back into the cache."),
 		leaseExpiries:  r.NewCounter("sdo_cluster_lease_expiries_total", "Steal leases that expired unfulfilled (cell reclaimed locally)."),
+		steals: r.NewCounter("sdo_cluster_steals_total",
+			"Queued cells this node stole from peers and completed back to their owner."),
+		stealErrors: r.NewCounter("sdo_cluster_steal_errors_total",
+			"Stolen cells that failed to execute or to post back to their owner, plus wake hints that failed to reach a peer."),
+		hints: r.NewCounter("sdo_cluster_steal_hints_total",
+			"Work-available hints received from cluster peers."),
+	}
+	s.steal = st
+	s.pool.OnIdle = func() { nudge(st.idle) }
+	st.wg.Add(1)
+	go s.stealLoop(stealTick)
+}
+
+// nudge posts to a coalescing mailbox; a signal already pending absorbs
+// this one.
+func nudge(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
 // enqueue registers a queued cell as stealable.
 func (st *stealState) enqueue(key string, spec harness.RunSpec) {
-	if st == nil {
-		return
-	}
 	st.mu.Lock()
 	if p, ok := st.pending[key]; ok {
 		p.refs++
@@ -105,9 +158,6 @@ func (st *stealState) enqueue(key string, spec harness.RunSpec) {
 // dequeue unregisters one queued instance of key (a worker picked it
 // up); the key stops being stealable once the last instance is gone.
 func (st *stealState) dequeue(key string) {
-	if st == nil {
-		return
-	}
 	st.mu.Lock()
 	if p, ok := st.pending[key]; ok {
 		if p.refs--; p.refs <= 0 {
@@ -119,9 +169,6 @@ func (st *stealState) dequeue(key string) {
 
 // lease returns the outstanding lease for key, if any.
 func (st *stealState) lease(key string) (*cellLease, bool) {
-	if st == nil {
-		return nil, false
-	}
 	st.mu.Lock()
 	l, ok := st.leases[key]
 	st.mu.Unlock()
@@ -140,36 +187,19 @@ func (st *stealState) drop(key string, l *cellLease) bool {
 	return false
 }
 
-// signalIdle is the pool's OnIdle hook: a worker slot just freed up with
-// nothing queued behind it.
-func (st *stealState) signalIdle() {
-	select {
-	case st.idle <- struct{}{}:
-	default: // a signal is already pending; edges coalesce
-	}
+// idleWorkers is how many pool workers neither run nor have a queued
+// cell to pick up — the capacity stealing may use without delaying
+// demand cells. Stolen cells run on the pool, so they count as busy.
+func (s *Service) idleWorkers() int {
+	return s.cfg.Workers - s.pool.Busy()
 }
 
-// IdleEdge delivers one (coalesced) signal each time a worker finishes a
-// cell — the node's own or a stolen one — and finds nothing queued: the
-// moment IdleWorkers rises. The cluster's steal loop sleeps on it. Nil
-// (blocks forever) with work stealing off.
-func (s *Service) IdleEdge() <-chan struct{} {
-	if s.steal == nil {
-		return nil
-	}
-	return s.steal.idle
-}
-
-// StealCells claims up to max pending cells for thief under fresh
-// leases, newest-enqueued first. Cells already cached, in flight locally,
-// or under an unexpired lease are skipped before max is applied, so an
-// empty answer means nothing is claimable. Returns nil when stealing is
-// off.
-func (s *Service) StealCells(thief string, max int) []StolenCell {
+// claimCells leases up to max pending cells to thief, newest-enqueued
+// first. Cells already cached, in flight locally, or under an unexpired
+// lease are skipped before max is applied, so an empty answer means
+// nothing is claimable.
+func (s *Service) claimCells(thief string, max int) []stolenCell {
 	st := s.steal
-	if st == nil || max <= 0 || thief == "" {
-		return nil
-	}
 	// Snapshot unleased pending keys from the tail, then filter against the
 	// cache and the inflight table outside st.mu (lock order: never hold
 	// st.mu and s.mu together).
@@ -202,7 +232,7 @@ func (s *Service) StealCells(thief string, max int) []StolenCell {
 	}
 
 	until := now.Add(s.cfg.StealLeaseTTL)
-	var out []StolenCell
+	var out []stolenCell
 	for _, key := range cands {
 		if len(out) == max {
 			break
@@ -226,22 +256,19 @@ func (s *Service) StealCells(thief string, max int) []StolenCell {
 		if leased || !stillPending {
 			continue
 		}
-		out = append(out, StolenCell{Key: key, Spec: p.spec, Until: until})
+		out = append(out, stolenCell{Key: key, Spec: p.spec, Until: until})
 		st.cellsStolen.Inc()
 	}
 	return out
 }
 
-// CompleteSteal accepts a stolen cell's result: the body must be the
+// completeSteal accepts a stolen cell's result: the body must be the
 // content-addressed wire entry for key (an entry file's bytes, as a
 // peer's lookup is answered), and is rejected — never cached — on any
 // mismatch.
 // Completing an expired or unknown lease is fine: the entry is still
 // byte-identical by construction, so the Put is idempotent.
-func (s *Service) CompleteSteal(key string, body []byte) error {
-	if s.steal == nil {
-		return fmt.Errorf("simsvc: work stealing disabled")
-	}
+func (s *Service) completeSteal(key string, body []byte) error {
 	e, err := decodeEntry(key, body)
 	if err != nil {
 		return err
@@ -299,33 +326,153 @@ func (s *Service) stealWait(root *trace.Span, key string) (*core.Result, bool) {
 	return nil, false
 }
 
-// StolenRun is the outcome of one RunStolen: the wire entry to post
-// back to the owner, or why there is none.
-type StolenRun struct {
-	Wire []byte
-	Err  error
-}
-
-// RunStolen runs a stolen cell's spec on this (thief) node's worker pool
-// — local cache first, then execute on this node's executor — and
-// delivers the content-addressed wire entry on the returned channel.
-// The cell is on the pool before
-// RunStolen returns, so IdleWorkers already counts it: a thief that
-// claims IdleWorkers() cells and hands each to RunStolen never holds more
-// leases than free slots, and its own jobs queue behind a stolen run
-// instead of beside it.
-func (s *Service) RunStolen(ctx context.Context, spec harness.RunSpec) <-chan StolenRun {
-	out := make(chan StolenRun, 1)
-	if !s.pool.Submit(func(context.Context) {
-		wire, err := s.runStolen(ctx, spec)
-		out <- StolenRun{Wire: wire, Err: err}
-	}) {
-		out <- StolenRun{Err: ErrClosed}
+// handleSteal hands out lease-protected queued cells to the thief at
+// the request's remote address, as many as it has free slots for
+// (?max=, one when absent). An empty list is the normal answer on an
+// idle or drained node.
+func (s *Service) handleSteal(w http.ResponseWriter, r *http.Request) {
+	max := 1
+	if v, err := strconv.Atoi(r.URL.Query().Get("max")); err == nil && v > 0 {
+		max = v
 	}
-	return out
+	cells := s.claimCells(r.RemoteAddr, max)
+	if cells == nil {
+		cells = []stolenCell{}
+	}
+	writeJSON(w, http.StatusOK, cells)
 }
 
-func (s *Service) runStolen(ctx context.Context, spec harness.RunSpec) ([]byte, error) {
+// handleComplete accepts a thief's finished cell (the content-addressed
+// wire entry) and settles the lease.
+func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
+	key := r.URL.Query().Get("key")
+	if key == "" {
+		http.Error(w, "missing key", http.StatusBadRequest)
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if err := s.completeSteal(key, body); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// handleWake takes a peer's hint that it has queued cells to spare and
+// wakes the steal loop.
+func (s *Service) handleWake(w http.ResponseWriter, r *http.Request) {
+	s.steal.hints.Inc()
+	nudge(s.steal.hinted)
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// stealLoop is the thief's one goroutine: it hints the peers when a
+// submission asks it to, and runs a steal round on every other wake-up.
+func (s *Service) stealLoop(tick time.Duration) {
+	st := s.steal
+	defer st.wg.Done()
+	t := time.NewTicker(tick)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.ctx.Done():
+			return
+		case <-st.queued:
+			s.hintPeers()
+			continue
+		case <-st.hinted:
+		case <-st.idle:
+		case <-t.C:
+		}
+		s.stealRound()
+	}
+}
+
+// stealRound claims cells while this node has free worker slots and some
+// peer still hands any out, polling the peers from a start that rotates
+// round by round. Each claim asks for exactly the free slots and every
+// claimed cell is on the pool before the next idleWorkers read, so the
+// node never holds more leases than it can run at once and stealing
+// never delays its own work. Nothing waits for a stolen cell here: its
+// completion frees a slot, which wakes the loop.
+func (s *Service) stealRound() {
+	st := s.steal
+	first := st.start
+	st.start = (st.start + 1) % len(st.peers)
+	for claimed := true; claimed; {
+		claimed = false
+		for i := range st.peers {
+			owner := st.peers[(first+i)%len(st.peers)]
+			free := s.idleWorkers()
+			if free <= 0 || s.ctx.Err() != nil {
+				return
+			}
+			cells, err := s.claim(owner, free)
+			if err != nil {
+				continue // unreachable, skipped on its open breaker, or a bad answer: next peer
+			}
+			for _, c := range cells {
+				claimed = true
+				s.runStolen(owner, c)
+			}
+		}
+	}
+}
+
+// claim asks one owner for up to max queued cells.
+func (s *Service) claim(owner string, max int) ([]stolenCell, error) {
+	var cells []stolenCell
+	if err := s.fab.Call(s.ctx, owner, http.MethodGet, "/cluster/steal?max="+strconv.Itoa(max), nil, nil, &cells); err != nil {
+		return nil, err
+	}
+	// Trust but verify: the key must be the spec's own cache key, or the
+	// completed result would be filed under a lie.
+	ok := cells[:0]
+	for _, c := range cells {
+		if k, err := c.Spec.CacheKey(); err == nil && k == c.Key {
+			ok = append(ok, c)
+		}
+	}
+	return ok, nil
+}
+
+// runStolen puts one claimed cell on the local pool — before returning,
+// so the caller's next idleWorkers read counts it — and posts the result
+// back from a goroutine of its own: the worker slot is free again while
+// the completion is still on the wire. The run is bounded by the lease
+// deadline: past it the owner reclaims the cell and any further local
+// work here is wasted, so stop instead.
+func (s *Service) runStolen(owner string, c stolenCell) {
+	st := s.steal
+	ctx, cancel := context.WithDeadline(s.ctx, c.Until)
+	st.wg.Add(1)
+	post := func(wire []byte, err error) {
+		defer st.wg.Done()
+		defer cancel()
+		if err == nil {
+			err = s.fab.Call(ctx, owner, http.MethodPost, "/cluster/complete?key="+url.QueryEscape(c.Key), nil, wire, nil)
+		}
+		if err == nil {
+			st.steals.Inc()
+		} else {
+			st.stealErrors.Inc()
+		}
+	}
+	if !s.pool.Submit(func(context.Context) {
+		wire, err := s.stolenWire(ctx, c.Spec)
+		go post(wire, err)
+	}) {
+		post(nil, ErrClosed)
+	}
+}
+
+// stolenWire runs a stolen cell's spec — local cache first, then this
+// node's executor — and returns its content-addressed wire entry.
+func (s *Service) stolenWire(ctx context.Context, spec harness.RunSpec) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err // lease ran out (or the node stopped) while queued
 	}
@@ -345,4 +492,21 @@ func (s *Service) runStolen(ctx context.Context, spec harness.RunSpec) ([]byte, 
 		return nil, fmt.Errorf("simsvc: stolen cell %s: result not cacheable", key)
 	}
 	return e.wire, nil
+}
+
+// hintPeers tells every peer that this node just queued more cells than
+// it has workers for. It runs on the steal loop's goroutine but does not
+// wait for the sends: fire and forget. A lost hint costs the peer at most
+// one stealTick, so a failure is counted, never retried.
+func (s *Service) hintPeers() {
+	st := s.steal
+	for _, p := range st.peers {
+		st.wg.Add(1)
+		go func() {
+			defer st.wg.Done()
+			if err := s.fab.Call(s.ctx, p, http.MethodPost, "/cluster/wake", nil, nil, nil); err != nil {
+				st.stealErrors.Inc()
+			}
+		}()
+	}
 }
