@@ -218,37 +218,37 @@ func spanPhases(t *testing.T, path string) []spanPhase {
 // route is one pattern a ServeMux registers: "METHOD /path".
 type route struct{ method, path, file string }
 
-// registeredRoutes parses simsvc/http.go and cluster/proxy.go for every
-// mux.Handle/HandleFunc pattern that names a method (the cluster's
-// catch-all "/" names none: it routes to the service's own routes).
+// registeredRoutes parses simsvc/http.go, where every route is
+// registered, for each mux.Handle/HandleFunc pattern that names a method.
+// A cluster node registers none: its Handler forwards a request to the
+// owner or serves it through the service's own routes.
 func registeredRoutes(t *testing.T, root string) []route {
 	t.Helper()
-	var out []route
-	for _, rel := range []string{filepath.Join("internal", "simsvc", "http.go"), filepath.Join("internal", "cluster", "proxy.go")} {
-		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, rel), nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Handle" && sel.Sel.Name != "HandleFunc" {
-				return true
-			}
-			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				pattern, _ := strconv.Unquote(lit.Value)
-				if method, path, ok := strings.Cut(pattern, " "); ok {
-					out = append(out, route{method, path, rel})
-				}
-			}
-			return true
-		})
+	rel := filepath.Join("internal", "simsvc", "http.go")
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, rel), nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var out []route
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Handle" && sel.Sel.Name != "HandleFunc" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			pattern, _ := strconv.Unquote(lit.Value)
+			if method, path, ok := strings.Cut(pattern, " "); ok {
+				out = append(out, route{method, path, rel})
+			}
+		}
+		return true
+	})
 	if len(out) == 0 {
-		t.Fatal("no routes registered in simsvc/http.go or cluster/proxy.go")
+		t.Fatalf("no routes registered in %s", rel)
 	}
 	return out
 }

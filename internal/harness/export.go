@@ -99,14 +99,14 @@ type SumRow struct {
 }
 
 // Export builds the machine-readable summary. Every aggregate reads the
-// runs through one runIndex, so each run is copied once and each
-// (variant, model) average computed once.
+// runs through one runIndex, so no run is copied and each (variant,
+// model) average is computed once.
 func (r *Results) Export() Export {
 	ix := r.index()
 	ex := Export{MaxInstrs: r.Opt.MaxInstrs, WarmupInstrs: r.Opt.WarmupInstrs, IntervalCycles: r.Opt.IntervalCycles}
 	ex.Runs = make([]ExportRun, 0, len(ix.keys))
-	for i, k := range ix.keys {
-		run := &ix.runs[i]
+	for _, k := range ix.keys {
+		run := ix.at[k]
 		ex.Runs = append(ex.Runs, ExportRun{
 			Workload:        k.Workload,
 			Variant:         k.Variant.String(),

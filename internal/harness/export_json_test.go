@@ -38,7 +38,7 @@ func ledgerResults(tb testing.TB) *Results {
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
 	n := func(max uint64) uint64 { return rng.Uint64N(max) }
-	res := &Results{Opt: opt, Runs: make(map[Key]core.Result)}
+	res := &Results{Opt: opt, Runs: make(map[Key]*core.Result)}
 	for _, k := range opt.Cells() {
 		var r core.Result
 		r.Variant, r.Model = k.Variant, k.Model
@@ -50,7 +50,7 @@ func ledgerResults(tb testing.TB) *Results {
 		r.Validations, r.Exposures, r.ValidationStall = n(4_000), n(4_000), n(9_000)
 		r.PredPrecise, r.PredImprecise, r.PredInaccurate = n(6_000), n(1_500), n(900)
 		r.ImprecisionCycles = n(20_000)
-		res.Runs[k] = r
+		res.Runs[k] = &r
 	}
 	return res
 }

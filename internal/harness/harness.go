@@ -143,7 +143,7 @@ func (k Key) String() string {
 // canonical order (workloads outermost, models innermost).
 func (o Options) Cells() []Key {
 	o = o.Normalized()
-	var cells []Key
+	cells := make([]Key, 0, len(o.Workloads)*len(o.Variants)*len(o.Models))
 	for _, wl := range o.Workloads {
 		for _, v := range o.Variants {
 			for _, m := range o.Models {
@@ -154,10 +154,12 @@ func (o Options) Cells() []Key {
 	return cells
 }
 
-// Results holds a completed sweep.
+// Results holds a completed sweep. Its runs are shared, not copied:
+// the simulation service's point at the results its cache holds, so
+// every reader of a Results treats them as read-only.
 type Results struct {
 	Opt  Options
-	Runs map[Key]core.Result
+	Runs map[Key]*core.Result
 
 	// WarmupInstrsSimulated counts warmup instructions actually simulated
 	// across the sweep (nominal budget per warmed cell, actual executed
@@ -291,9 +293,10 @@ func RunContext(ctx context.Context, opt Options) (*Results, error) {
 // RunSpecs runs the cells a Request resolved to — a grid or a
 // design-space study — into results keyed by RunSpec.Key: the first cell
 // of every group with a common representative (RunSpec.Representative)
-// runs through one Executor on a fixed-size worker pool, and the group's
-// other cells copy its result under their own labels. A cell runs once,
-// under the zero RunPolicy: the simulation is deterministic, so a retry
+// runs through one Executor on a fixed-size worker pool, and each of the
+// group's other cells gets a copy of its result under its own labels. A
+// cell runs once, under the zero RunPolicy: the simulation is
+// deterministic, so a retry
 // would fail the same way. No new simulation starts once ctx is cancelled
 // or any run fails. A sampled cell runs its representative intervals in
 // series, so a sampled sweep, like a detailed one, parallelises across
@@ -305,7 +308,7 @@ func RunSpecs(ctx context.Context, opt Options, specs []RunSpec) (*Results, erro
 		return nil, fmt.Errorf("harness: an observer records one cell, not %d", len(specs))
 	}
 	opt = opt.Normalized()
-	res := &Results{Opt: opt, Runs: make(map[Key]core.Result)}
+	res := &Results{Opt: opt, Runs: make(map[Key]*core.Result, len(specs))}
 	var mu sync.Mutex
 	e := &Executor{Observer: opt.Observer}
 	if opt.SimMode == SimSampled {
@@ -327,11 +330,11 @@ func RunSpecs(ctx context.Context, opt Options, specs []RunSpec) (*Results, erro
 		defer mu.Unlock()
 		res.SharedCells += len(g) - 1
 		for _, s := range g {
-			k := s.Key()
-			r.Variant, r.Model = s.Variant, s.Model
-			res.Runs[k] = r
+			k, run := s.Key(), r
+			run.Variant, run.Model = s.Variant, s.Model
+			res.Runs[k] = &run
 			if opt.Progress != nil {
-				opt.Progress(FormatProgress(k, r))
+				opt.Progress(FormatProgress(k, run))
 			}
 		}
 		return nil
@@ -344,11 +347,11 @@ func RunSpecs(ctx context.Context, opt Options, specs []RunSpec) (*Results, erro
 }
 
 // Only returns r with just the runs of specs — the grid's view of a run
-// that also served a design-space study (GridAndStudySpecs). Its
-// counters are r's, those of the whole run.
+// that also served a design-space study (GridAndStudySpecs). It shares
+// r's runs, and its counters are r's, those of the whole run.
 func (r *Results) Only(specs []RunSpec) *Results {
 	out := *r
-	out.Runs = make(map[Key]core.Result, len(specs))
+	out.Runs = make(map[Key]*core.Result, len(specs))
 	for _, s := range specs {
 		if run, ok := r.Runs[s.Key()]; ok {
 			out.Runs[s.Key()] = run
@@ -375,16 +378,16 @@ func groupByRepresentative(specs []RunSpec) [][]RunSpec {
 	return groups
 }
 
-// runIndex is the one view the aggregates read runs through: every run
-// of a Results copied once, in export order, and found by pointer; each
-// (variant, model) row of the grid gathered once; and each row's average
-// computed once. Export, AblationTables and each text report build one.
-// Its methods are the one copy of the paper's aggregate formulas.
+// runIndex is the one view the aggregates read runs through: every
+// run's key in export order, the runs read in place (Results.Runs, never
+// copied), each (variant, model) row of the grid gathered once, and each
+// row's average computed once. Export, AblationTables and each text
+// report build one. Its methods are the one copy of the paper's
+// aggregate formulas.
 type runIndex struct {
-	wls  []string      // the sweep's workloads, in suite order
-	keys []Key         // every run's key, in exportOrder
-	runs []core.Result // runs[i] is keys[i]'s run
-	at   map[Key]*core.Result
+	wls  []string             // the sweep's workloads, in suite order
+	keys []Key                // every run's key, in exportOrder
+	at   map[Key]*core.Result // Results.Runs
 	rows map[variantModel][]*core.Result
 	avg  map[variantModel]float64
 }
@@ -411,7 +414,7 @@ func (r *Results) index() *runIndex {
 	ix := &runIndex{
 		wls:  make([]string, 0, len(r.Opt.Workloads)),
 		keys: make([]Key, 0, len(r.Runs)),
-		at:   make(map[Key]*core.Result, len(r.Runs)),
+		at:   r.Runs,
 		rows: make(map[variantModel][]*core.Result),
 		avg:  make(map[variantModel]float64),
 	}
@@ -422,11 +425,6 @@ func (r *Results) index() *runIndex {
 		ix.keys = append(ix.keys, k)
 	}
 	slices.SortFunc(ix.keys, exportOrder)
-	ix.runs = make([]core.Result, len(ix.keys))
-	for i, k := range ix.keys {
-		ix.runs[i] = r.Runs[k]
-		ix.at[k] = &ix.runs[i]
-	}
 	return ix
 }
 

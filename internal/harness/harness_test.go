@@ -136,7 +136,7 @@ func TestCheckpointReuseBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range specs {
-		if a := reuse.Runs[s.Key()]; !reflect.DeepEqual(a, inPlace[i]) {
+		if a := reuse.Runs[s.Key()]; !reflect.DeepEqual(*a, inPlace[i]) {
 			t.Fatalf("%v: checkpoint reuse changed the result:\nreuse    %+v\nin place %+v", s.Key(), a, inPlace[i])
 		}
 	}
@@ -158,11 +158,13 @@ func TestAblationCheckpointReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inPlace := &Results{Opt: reuse.Opt, Runs: make(map[Key]core.Result)}
+	inPlace := &Results{Opt: reuse.Opt, Runs: make(map[Key]*core.Result)}
 	for _, s := range specs {
-		if inPlace.Runs[s.Key()], err = warmInPlace(s); err != nil {
+		r, err := warmInPlace(s)
+		if err != nil {
 			t.Fatal(err)
 		}
+		inPlace.Runs[s.Key()] = &r
 	}
 	if !reflect.DeepEqual(reuse.Runs, inPlace.Runs) {
 		t.Fatal("ablation cells restored from the checkpoint differ from cells warmed in place")
@@ -367,7 +369,7 @@ func TestAblationsRun(t *testing.T) {
 	if got := (Key{Workload: "xalancbmk_r", Model: pipeline.Spectre}).String(); got != "xalancbmk_r/Unsafe/Spectre" {
 		t.Errorf("baseline cell named %q", got)
 	}
-	if line := FormatProgress(k, res.Runs[k]); !strings.HasSuffix(line, "  no exposures (always validate)") {
+	if line := FormatProgress(k, *res.Runs[k]); !strings.HasSuffix(line, "  no exposures (always validate)") {
 		t.Errorf("progress line %q does not name the ablation", line)
 	}
 }
@@ -379,7 +381,7 @@ func TestAblationTablesDropFailedBlocks(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Workloads = opt.Workloads[:3]
 	opt.Models = []pipeline.AttackModel{pipeline.Spectre}
-	res := &Results{Opt: opt, Runs: make(map[Key]core.Result)}
+	res := &Results{Opt: opt, Runs: make(map[Key]*core.Result)}
 	rowOf := make(map[core.Ablation]int)
 	for ri, row := range AblationRows() {
 		rowOf[row.Ablate] = ri + 1
@@ -395,9 +397,9 @@ func TestAblationTablesDropFailedBlocks(t *testing.T) {
 		if s.Variant == core.Hybrid {
 			r.Cycles += uint64(10 * rowOf[s.Ablate] * (wi + 1)) // row ri: +10·ri %
 		}
-		res.Runs[s.Key()] = r
+		res.Runs[s.Key()] = &r
 	}
-	res.Runs[Key{Workload: opt.Workloads[2].Name, Model: pipeline.Spectre}] = core.Result{} // workload 2: zero baseline
+	res.Runs[Key{Workload: opt.Workloads[2].Name, Model: pipeline.Spectre}] = &core.Result{} // workload 2: zero baseline
 	delete(res.Runs, Key{Workload: opt.Workloads[0].Name, Variant: core.Hybrid, Model: pipeline.Spectre,
 		Ablate: core.Ablation{AlwaysValidate: true}}) // one cell of workload 0
 	rows := res.AblationTables()[0]

@@ -86,9 +86,10 @@ func (s RunSpec) Key() Key {
 // table (set ones always win), so the cache key names what actually ran.
 func (o Options) Specs() []RunSpec {
 	o = o.Normalized()
-	seen := make(map[Key]bool)
-	var specs []RunSpec
-	for _, k := range o.Cells() {
+	cells := o.Cells()
+	seen := make(map[Key]bool, len(cells))
+	specs := make([]RunSpec, 0, len(cells))
+	for _, k := range cells {
 		if seen[k] {
 			continue
 		}

@@ -3,6 +3,7 @@ package simsvc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -39,8 +40,9 @@ type Failure struct {
 	Error string `json:"error"`
 }
 
-// Job is one submitted sweep: its resolved options and its finished
-// cells, one record each, in the order they finished.
+// Job is one submitted sweep: its resolved options and one small record
+// per cell, at the cell's position in the resolved grid (Options.Specs or
+// AblationSpecs order).
 type Job struct {
 	ID string
 
@@ -63,6 +65,10 @@ type Job struct {
 	// once, outside j.mu, before done is closed.
 	onTerminal func(*Job)
 
+	// keys[i] names cell i. The slice is shared by every job of the same
+	// grid (Service.gridKeys) and never written.
+	keys []harness.Key
+
 	mu        sync.Mutex
 	state     JobState
 	total     int
@@ -70,29 +76,86 @@ type Job struct {
 	cached    int
 	failed    int
 	failures  []Failure
-	cells     []cellRecord // append-only; a record never changes once appended
-	err       error
-	finished  time.Time
-	done      chan struct{}
+	// The cell records, each written once, when its cell finishes, and
+	// never changed after: res[i] is the result cell i shares with the
+	// cache (read-only; nil for a failed cell), how[i] how it was
+	// obtained, and att[i] its latency attribution (att is nil unless the
+	// job is traced). order lists the finished cells' positions in the
+	// order they finished, which is the progress stream's.
+	res      []*core.Result
+	how      []provenance
+	att      []*trace.Attribution
+	order    []uint16
+	err      error
+	finished time.Time
+	done     chan struct{}
 }
 
-// cellRecord is one finished cell. A delivered cell holds the result it
-// shares with the cache (read-only) and a note on how it was obtained;
-// its progress line is rendered when read. A failed cell has no result
-// and keeps its rendered failure line.
-type cellRecord struct {
-	key  harness.Key
-	res  *core.Result // nil: the cell failed
-	note string       // progress-line suffix ("  [cached]", ...), or the failure line
-	att  *trace.Attribution
-}
+// maxCells bounds a job's cells, so that a uint16 names each position.
+const maxCells = 1 << 16
 
-// progressLine renders the record's line of the progress stream.
-func (c *cellRecord) progressLine() string {
-	if c.res == nil {
-		return c.note
+// provenance is how a finished cell was obtained. It renders the suffix
+// of the cell's progress line; unfinished is a cell still under way.
+type provenance uint8
+
+const (
+	unfinished provenance = iota
+	simulated
+	fromCache
+	fromPeer
+	fromThief
+	cellFailed
+)
+
+// note is the progress-line suffix of a cell obtained this way.
+func (p provenance) note() string {
+	switch p {
+	case fromCache:
+		return "  [cached]"
+	case fromPeer:
+		return "  [peer]"
+	case fromThief:
+		return "  [stolen]"
 	}
-	return harness.FormatProgress(c.key, *c.res) + c.note
+	return ""
+}
+
+// newJob returns a running job over the cells keys names, as a child of
+// parent; a traced job keeps an attribution per cell.
+func newJob(parent context.Context, opt harness.Options, keys []harness.Key, traced bool) *Job {
+	ctx, cancel := context.WithCancel(parent)
+	j := &Job{
+		opt:    opt,
+		ctx:    ctx,
+		cancel: cancel,
+		keys:   keys,
+		state:  JobRunning,
+		total:  len(keys),
+		res:    make([]*core.Result, len(keys)),
+		how:    make([]provenance, len(keys)),
+		order:  make([]uint16, 0, len(keys)),
+		done:   make(chan struct{}),
+	}
+	if traced {
+		j.att = make([]*trace.Attribution, len(keys))
+	}
+	return j
+}
+
+// progressLine renders the line of finished cell at; failures is a
+// snapshot of j.failures taken after the cell finished.
+func (j *Job) progressLine(at int, failures []Failure) string {
+	k := j.keys[at]
+	if j.how[at] != cellFailed {
+		return harness.FormatProgress(k, *j.res[at]) + j.how[at].note()
+	}
+	cell := k.String()
+	for _, f := range failures {
+		if f.Cell == cell {
+			return fmt.Sprintf("%-14s %-11s %-10s FAILED: %s: %s", k.Workload, k.Variant, k.Model, f.Kind, f.Error)
+		}
+	}
+	return ""
 }
 
 // Ablation reports whether this is an ablation-study job (its export is
@@ -180,19 +243,22 @@ func (j *Job) maybeFinish() func() {
 	return j.finish(JobDegraded, nil)
 }
 
-// deliver records one completed cell, named by its key. r is the cache's
-// copy of the result, which the job shares and never writes; note is the
-// progress-line suffix saying how it was obtained; att is the cell's
-// latency attribution (nil with tracing off).
-func (j *Job) deliver(k harness.Key, r *core.Result, note string, fromCache bool, att *trace.Attribution) {
+// deliver records the completion of cell at. r is the cache's copy of
+// the result, which the job shares and never writes; how says how it was
+// obtained; att is the cell's latency attribution (nil with tracing off).
+func (j *Job) deliver(at int, r *core.Result, how provenance, att *trace.Attribution) {
 	j.mu.Lock()
 	if j.terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.cells = append(j.cells, cellRecord{key: k, res: r, note: note, att: att})
+	j.res[at], j.how[at] = r, how
+	if j.att != nil {
+		j.att[at] = att
+	}
+	j.order = append(j.order, uint16(at))
 	j.completed++
-	if fromCache {
+	if how != simulated { // from the cache, a peer or a thief
 		j.cached++
 	}
 	done := j.maybeFinish()
@@ -200,10 +266,10 @@ func (j *Job) deliver(k harness.Key, r *core.Result, note string, fromCache bool
 	done()
 }
 
-// cellFail records one failed cell; the job keeps running and finishes
-// degraded (or failed, if nothing succeeded) once every cell is accounted
-// for.
-func (j *Job) cellFail(k harness.Key, f Failure, line string) {
+// cellFail records the failure of cell at; the job keeps running and
+// finishes degraded (or failed, if nothing succeeded) once every cell is
+// accounted for.
+func (j *Job) cellFail(at int, f Failure) {
 	j.mu.Lock()
 	if j.terminal() {
 		j.mu.Unlock()
@@ -211,7 +277,8 @@ func (j *Job) cellFail(k harness.Key, f Failure, line string) {
 	}
 	j.failed++
 	j.failures = append(j.failures, f)
-	j.cells = append(j.cells, cellRecord{key: k, note: line})
+	j.how[at] = cellFailed
+	j.order = append(j.order, uint16(at))
 	done := j.maybeFinish()
 	j.mu.Unlock()
 	done()
@@ -270,24 +337,25 @@ func (j *Job) Status() Status {
 }
 
 // ProgressSince returns progress lines from index i on, plus the new
-// high-water mark. Lines are rendered here, from the finished-cell
-// records, in the order the cells finished.
+// high-water mark. Lines are rendered here, from the cell records, in
+// the order the cells finished.
 func (j *Job) ProgressSince(i int) ([]string, int) {
 	j.mu.Lock()
-	cells := j.cells
+	order, failures := j.order, j.failures
 	j.mu.Unlock()
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(cells) {
+	if i >= len(order) {
 		return nil, i
 	}
-	// Records are never changed once appended, so they are read unlocked.
-	out := make([]string, 0, len(cells)-i)
-	for k := i; k < len(cells); k++ {
-		out = append(out, cells[k].progressLine())
+	// A record is complete before its position joins order and is never
+	// changed after, so the records order names are read unlocked.
+	out := make([]string, 0, len(order)-i)
+	for _, at := range order[i:] {
+		out = append(out, j.progressLine(int(at), failures))
 	}
-	return out, len(cells)
+	return out, len(order)
 }
 
 // readable reports why the job has no results to read yet (nil once it is
@@ -303,22 +371,21 @@ func (j *Job) readable() error {
 }
 
 // runs collects the job's delivered cells, keyed, into harness results
-// over opt, skipping any workload in drop. The runs are copies of the
-// shared results made here, so writing a run's fields cannot reach the
-// cache; their interval series still alias the cached ones and are
-// read-only. Caller holds j.mu.
+// over opt, skipping any workload in drop. The runs are the results the
+// cache holds, shared, not copied: they are read-only. Caller holds j.mu.
 func (j *Job) runs(opt harness.Options, drop map[string]bool) *harness.Results {
-	res := &harness.Results{Opt: opt, Runs: make(map[harness.Key]core.Result, len(j.cells))}
-	for _, c := range j.cells {
-		if c.res == nil || drop[c.key.Workload] {
+	res := &harness.Results{Opt: opt, Runs: make(map[harness.Key]*core.Result, j.completed)}
+	for at, r := range j.res {
+		k := j.keys[at]
+		if r == nil || drop[k.Workload] {
 			continue
 		}
-		res.Runs[c.key] = *c.res
-		if c.att != nil {
+		res.Runs[k] = r
+		if j.att != nil && j.att[at] != nil {
 			if res.Attrib == nil {
-				res.Attrib = make(map[harness.Key]*trace.Attribution, len(j.cells))
+				res.Attrib = make(map[harness.Key]*trace.Attribution, j.completed)
 			}
-			res.Attrib[c.key] = c.att
+			res.Attrib[k] = j.att[at]
 		}
 	}
 	return res
@@ -344,9 +411,9 @@ func (j *Job) Results() (*harness.Results, error) {
 	opt := j.opt
 	if j.failed > 0 {
 		failedWl = make(map[string]bool)
-		for _, c := range j.cells {
-			if c.res == nil {
-				failedWl[c.key.Workload] = true
+		for at, how := range j.how {
+			if how == cellFailed {
+				failedWl[j.keys[at].Workload] = true
 			}
 		}
 		opt.Workloads = nil

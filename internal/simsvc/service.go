@@ -163,6 +163,9 @@ type Service struct {
 	jobs     map[string]*Job
 	order    []string
 	inflight map[string]*flight
+	// grids holds each recent grid's cell keys, one slice that every job
+	// of the grid shares (gridKeys).
+	grids map[string][]harness.Key
 
 	// exec runs every cell this node simulates, demand and stolen alike,
 	// and memoises the checkpoints and sampling plans they share.
@@ -213,7 +216,7 @@ type follower struct {
 
 type delivery struct {
 	job *Job
-	key harness.Key
+	at  int // the cell's position in job
 
 	// Tracing state (nil with tracing off): the waiter's cell trace, and
 	// — for waiters that joined an existing flight rather than executing
@@ -253,6 +256,7 @@ func New(cfg Config) (*Service, error) {
 		flight:   ring,
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*flight),
+		grids:    make(map[string][]harness.Key),
 		reg:      obs.NewRegistry(),
 	}
 	var err error
@@ -413,17 +417,11 @@ func (s *Service) Submit(req harness.Request) (*Job, error) {
 	if len(cells) == 0 {
 		return nil, errors.New("simsvc: empty sweep")
 	}
-	jctx, jcancel := context.WithCancel(s.ctx)
-	j := &Job{
-		opt:      opt,
-		ctx:      jctx,
-		cancel:   jcancel,
-		state:    JobRunning,
-		total:    len(cells),
-		cells:    make([]cellRecord, 0, len(cells)),
-		done:     make(chan struct{}),
-		ablation: req.Ablations,
+	if len(cells) > maxCells {
+		return nil, fmt.Errorf("simsvc: a sweep of %d cells; at most %d", len(cells), maxCells)
 	}
+	j := newJob(s.ctx, opt, s.gridKeys(opt, req.Ablations, cells), s.tracer != nil)
+	j.ablation = req.Ablations
 	j.onTerminal = s.jobFinished
 	// Each cell's key is computed once, here: the steal registry, the peer
 	// batch and the cell's worker share it. A cell without one fails on
@@ -442,14 +440,14 @@ func (s *Service) Submit(req harness.Request) (*Job, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		jcancel()
+		j.cancel()
 		return nil, ErrClosed
 	}
 	s.evictJobsLocked()
 	if lim := s.cfg.MaxPendingCells; lim > 0 {
 		if pending := s.pool.QueueDepth(); pending+len(cells) > lim {
 			s.mu.Unlock()
-			jcancel()
+			j.cancel()
 			s.jobsRejected.Add(1)
 			return nil, &OverloadError{Pending: pending, Limit: lim, RetryAfter: s.retryAfter(pending + len(cells))}
 		}
@@ -481,12 +479,52 @@ func (s *Service) Submit(req harness.Request) (*Job, error) {
 		if s.steal != nil && keyErr == nil {
 			s.steal.enqueue(key, c)
 		}
-		s.pool.Submit(func(ctx context.Context) { s.runCell(ctx, j, c, key, keyErr, enqueued) })
+		s.pool.Submit(func(ctx context.Context) { s.runCell(ctx, j, i, c, key, keyErr, enqueued) })
 	}
 	if s.steal != nil && s.idleWorkers() < 0 {
 		nudge(s.steal.queued) // more cells than workers: hint the peers
 	}
 	return j, nil
+}
+
+// maxGrids bounds how many grids' keys gridKeys keeps for sharing.
+const maxGrids = 64
+
+// gridKeys returns the keys of cells, the cells opt resolved to (a
+// design-space study's when ablation is set), in order. Every job of one
+// grid shares the one slice, so a retained job holds no key of its own:
+// its records are positions in the grid. The keys of the most recent
+// grids are kept; past maxGrids they are all dropped, and the next job
+// of each grid builds them again.
+func (s *Service) gridKeys(opt harness.Options, ablation bool, cells []harness.RunSpec) []harness.Key {
+	// The grid is a function of the request's lists (Options.Specs,
+	// AblationSpecs), which name it.
+	b := strconv.AppendBool(nil, ablation)
+	for _, wl := range opt.Workloads {
+		b = append(append(b, '|'), wl.Name...)
+	}
+	b = append(b, '|')
+	for _, v := range opt.Variants {
+		b = strconv.AppendInt(append(b, ','), int64(v), 10)
+	}
+	b = append(b, '|')
+	for _, m := range opt.Models {
+		b = strconv.AppendInt(append(b, ','), int64(m), 10)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if keys, ok := s.grids[string(b)]; ok {
+		return keys
+	}
+	keys := make([]harness.Key, len(cells))
+	for i, c := range cells {
+		keys[i] = c.Key()
+	}
+	if len(s.grids) >= maxGrids {
+		clear(s.grids)
+	}
+	s.grids[string(b)] = keys
+	return keys
 }
 
 // jobFinished observes a job reaching a terminal state and enforces the
@@ -597,9 +635,8 @@ type settlement struct {
 	// waiting jobs degrade rather than die. Any other error
 	// fails the waiting jobs with it (ErrCancelled: the cell was skipped).
 	err    error
-	status string // terminal status of each waiter's cell trace
-	note   string // progress-line suffix: how the result was obtained
-	cached bool   // counts toward the jobs' cached_runs
+	status string     // terminal status of each waiter's cell trace
+	how    provenance // how the result was obtained
 }
 
 // settle retires the finished flight for key — whoever finished it: the
@@ -616,7 +653,6 @@ func (s *Service) settle(key string, k harness.Key, o settlement) {
 	var (
 		ce   *harness.CellError
 		fail Failure
-		line string
 	)
 	if errors.As(o.err, &ce) {
 		s.cellsFailed.Inc()
@@ -628,17 +664,15 @@ func (s *Service) settle(key string, k harness.Key, o settlement) {
 		}
 		s.event("cell-failed", ce.Error())
 		fail = Failure{Cell: k.String(), Kind: string(ce.Kind), Error: ce.Err.Error()}
-		line = fmt.Sprintf("%-14s %-11s %-10s FAILED: %s: %v",
-			k.Workload, k.Variant, k.Model, ce.Kind, ce.Err)
 	}
 	for _, w := range f.waiters {
 		w.await.Finish()
 		att := finishCell(w.ct, o.status)
 		switch {
 		case o.err == nil:
-			w.job.deliver(w.key, o.res, o.note, o.cached, att)
+			w.job.deliver(w.at, o.res, o.how, att)
 		case ce != nil:
-			w.job.cellFail(w.key, fail, line)
+			w.job.cellFail(w.at, fail)
 		default:
 			w.job.fail(o.err)
 		}
@@ -681,14 +715,14 @@ func (s *Service) flightOrCachedLocked(key string, readThrough bool) (*flight, *
 	return nil, nil
 }
 
-// runCell resolves one cell on a pool worker: from the cache, an
+// runCell resolves cell at of job j on a pool worker: from the cache, an
 // identical in-flight run, a stolen-cell lease, a peer, or an equivalent
 // cell's run (fly), and executes it only when all of these miss. Execution is
 // hardened: a panic is isolated and the configured deadline applies. A
 // cell runs once, and a failed one degrades the waiting jobs instead of
 // killing them. key is spec's cache key, computed at Submit, or keyErr
 // why it has none.
-func (s *Service) runCell(ctx context.Context, j *Job, spec harness.RunSpec, key string, keyErr error, enqueued time.Time) {
+func (s *Service) runCell(ctx context.Context, j *Job, at int, spec harness.RunSpec, key string, keyErr error, enqueued time.Time) {
 	if s.steal != nil && keyErr == nil {
 		// A worker picked the cell up: it is no longer stealable (on every
 		// exit path, including skip below).
@@ -718,7 +752,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, spec harness.RunSpec, key
 	cs.Set("hit", strconv.FormatBool(hit))
 	cs.Finish()
 	if hit {
-		j.deliver(k, r, "  [cached]", true, finishCell(ct, "cached"))
+		j.deliver(at, r, fromCache, finishCell(ct, "cached"))
 		return
 	}
 	s.mu.Lock()
@@ -726,17 +760,17 @@ func (s *Service) runCell(ctx context.Context, j *Job, spec harness.RunSpec, key
 	switch {
 	case f != nil:
 		await := ct.Root().Child(trace.PhaseAwait)
-		f.waiters = append(f.waiters, delivery{job: j, key: k, ct: ct, await: await})
+		f.waiters = append(f.waiters, delivery{job: j, at: at, ct: ct, await: await})
 		s.mu.Unlock()
 		s.runsDeduped.Inc()
 		return
 	case cached != nil:
 		s.mu.Unlock()
 		s.runsDeduped.Inc() // the flight it missed settled a moment ago
-		j.deliver(k, cached, "  [cached]", true, finishCell(ct, "cached"))
+		j.deliver(at, cached, fromCache, finishCell(ct, "cached"))
 		return
 	}
-	s.inflight[key] = &flight{waiters: []delivery{{job: j, key: k, ct: ct}}}
+	s.inflight[key] = &flight{waiters: []delivery{{job: j, at: at, ct: ct}}}
 	s.mu.Unlock()
 	s.fly(ct, key, k, spec, j.peers)
 }
@@ -754,7 +788,7 @@ func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harne
 	// was never stolen.
 	if s.steal != nil {
 		if r, ok := s.stealWait(ct.Root(), key); ok {
-			s.settle(key, k, settlement{res: r, status: "stolen", note: "  [stolen]", cached: true})
+			s.settle(key, k, settlement{res: r, status: "stolen", how: fromThief})
 			return
 		}
 	}
@@ -765,7 +799,7 @@ func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harne
 	// miss and the cell simulates locally — the fabric can make a sweep
 	// faster, never break it. All waiters on this flight share the hit.
 	if r, ok := s.peerHit(ct.Root(), pb, key); ok {
-		s.settle(key, k, settlement{res: r, status: "peer", note: "  [peer]", cached: true})
+		s.settle(key, k, settlement{res: r, status: "peer", how: fromPeer})
 		return
 	}
 
@@ -786,7 +820,7 @@ func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harne
 	if elapsed > 0 {
 		s.noteSlowCell(k, elapsed, ct)
 	}
-	o := settlement{err: err, status: "done"}
+	o := settlement{err: err, status: "done", how: simulated}
 	var ce *harness.CellError
 	switch {
 	case err == nil:
@@ -833,7 +867,7 @@ func (s *Service) follow(ct *trace.CellTrace, key string, k harness.Key, rep har
 	case cached != nil:
 		s.mu.Unlock()
 		s.runsDeduped.Inc()
-		s.settle(key, k, s.forFollower(fw, settlement{res: cached, status: "cached", note: "  [cached]", cached: true}))
+		s.settle(key, k, s.forFollower(fw, settlement{res: cached, status: "cached", how: fromCache}))
 		return true
 	}
 	s.inflight[rkey] = &flight{followers: []follower{fw}}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -298,5 +299,23 @@ func TestBadRequests(t *testing.T) {
 		if _, err := s.Submit(req); err == nil {
 			t.Fatalf("Submit(%+v) succeeded, want error", req)
 		}
+	}
+}
+
+// TestOversizedSweepRejected: a job names each cell by a 16-bit position,
+// so a request that resolves to more cells (a study over a workload list
+// repeated past the bound) is refused before anything is registered.
+func TestOversizedSweepRejected(t *testing.T) {
+	s := newService(t, Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	req := harness.Request{Ablations: true, Models: []string{"spectre"}}
+	for len(req.Workloads)*(len(harness.AblationRows())+1) <= maxCells {
+		req.Workloads = append(req.Workloads, "mcf_r")
+	}
+	if _, err := s.Submit(req); err == nil || !strings.Contains(err.Error(), "cells; at most") {
+		t.Fatalf("Submit of a %d-workload study: err = %v, want the cell bound", len(req.Workloads), err)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("%d jobs registered after a refused submission", n)
 	}
 }

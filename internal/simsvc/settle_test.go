@@ -13,18 +13,20 @@ import (
 	"repro/internal/pipeline"
 )
 
-// bareJob is a registered-nowhere one-cell job, enough for settle to
-// deliver into.
-func bareJob(id string) *Job {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Job{ID: id, ctx: ctx, cancel: cancel, state: JobRunning, total: 1, done: make(chan struct{})}
+// bareJob is a registered-nowhere job of the one cell k, enough for
+// settle to deliver into.
+func bareJob(id string, k harness.Key) *Job {
+	j := newJob(context.Background(), harness.Options{}, []harness.Key{k}, false)
+	j.ID = id
+	return j
 }
 
 // TestSettleDeliversExactlyOnce drives the one settlement function with
 // every outcome a finished flight can have, over a flight with two
 // waiters (the executor's cell and a joiner from another job): each
-// waiter gets exactly one delivery, with the outcome's progress-line
-// note and cached_runs accounting, and the flight is gone.
+// waiter gets exactly one delivery into its cell's record, with the
+// outcome's provenance, progress-line note and cached_runs accounting,
+// and the flight is gone.
 func TestSettleDeliversExactlyOnce(t *testing.T) {
 	s := newService(t, Config{Workers: 1})
 	defer s.Shutdown(context.Background())
@@ -41,9 +43,10 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 		line   string // the one progress line ("" for none)
 		cached int
 	}{
-		{name: "executed", o: settlement{res: &res, status: "done"}, state: JobDone, line: okLine},
-		{name: "peer hit", o: settlement{res: &res, status: "peer", note: "  [peer]", cached: true}, state: JobDone, line: okLine + "  [peer]", cached: 1},
-		{name: "stolen hit", o: settlement{res: &res, status: "stolen", note: "  [stolen]", cached: true}, state: JobDone, line: okLine + "  [stolen]", cached: 1},
+		{name: "executed", o: settlement{res: &res, status: "done", how: simulated}, state: JobDone, line: okLine},
+		{name: "cache hit", o: settlement{res: &res, status: "cached", how: fromCache}, state: JobDone, line: okLine + "  [cached]", cached: 1},
+		{name: "peer hit", o: settlement{res: &res, status: "peer", how: fromPeer}, state: JobDone, line: okLine + "  [peer]", cached: 1},
+		{name: "stolen hit", o: settlement{res: &res, status: "stolen", how: fromThief}, state: JobDone, line: okLine + "  [stolen]", cached: 1},
 		{name: "permanent failure", o: settlement{err: cellErr, status: "failed"}, state: JobFailed,
 			line: "exchange2_r    Unsafe      Spectre    FAILED: panic: boom"},
 		{name: "skipped", o: settlement{err: ErrCancelled, status: "abandoned"}, state: JobCancelled},
@@ -52,10 +55,10 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			failedBefore := metric(t, s, "sdo_cells_failed_total")
 			panicsBefore := metric(t, s, "sdo_cell_panics_total")
-			jobs := []*Job{bareJob("executor"), bareJob("joiner")}
+			jobs := []*Job{bareJob("executor", k), bareJob("joiner", k)}
 			f := &flight{}
 			for _, j := range jobs {
-				f.waiters = append(f.waiters, delivery{job: j, key: k})
+				f.waiters = append(f.waiters, delivery{job: j, at: 0})
 			}
 			s.mu.Lock()
 			s.inflight["key"] = f
@@ -78,6 +81,15 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 				if st.State != tc.state || st.Cached != tc.cached {
 					t.Errorf("%s: state=%s cached=%d, want %s/%d",
 						j.ID, st.State, st.Cached, tc.state, tc.cached)
+				}
+				// The record: the shared result itself for a delivery,
+				// no result for a failure, nothing at all for a skip.
+				wantHow := tc.o.how
+				if tc.state == JobFailed {
+					wantHow = cellFailed
+				}
+				if j.res[0] != tc.o.res || j.how[0] != wantHow {
+					t.Errorf("%s: record (%p, %d), want (%p, %d)", j.ID, j.res[0], j.how[0], tc.o.res, wantHow)
 				}
 				lines, _ := j.ProgressSince(0)
 				var want []string

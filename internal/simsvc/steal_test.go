@@ -421,6 +421,49 @@ func TestStealProtocol(t *testing.T) {
 	})
 }
 
+// TestStealLeavesFollowersToTheOwner runs a grid with equivalent cells
+// (RunSpec.Representative) on an owner and two thieves. The owner's one
+// worker parks in its first plan build until the thieves have completed
+// every other representative. A follower is never leased: the owner
+// answers it from its representative's result, so the three nodes
+// together simulate each representative exactly once, and the export is
+// byte-identical to a solo run.
+func TestStealLeavesFollowersToTheOwner(t *testing.T) {
+	setStealTick(t, time.Hour)
+	req := stealReq() // every Table II variant
+	req.Models = []string{"spectre", "futuristic"}
+	specs, _ := cellKeys(t, nil, req)
+	reps := make(map[harness.RunSpec]bool)
+	for _, spec := range specs {
+		reps[spec.Representative()] = true
+	}
+	if len(reps) == len(specs) || specs[0].Representative() != specs[0] {
+		t.Fatalf("%d representatives for %d cells, the first its own %v: the grid must have followers", len(reps), len(specs), specs[0].Representative() == specs[0])
+	}
+	golden := soloExport(t, req)
+	gate := newBuildGate(t)
+	nodes := startStealNodes(t, []Config{gatedConfig(gate, 1), {Workers: 1}, {Workers: 1}}, nil, gate)
+	a := nodes[0]
+
+	st := postSweep(t, a.srv, req)
+	<-gate.entered // a's worker holds the first cell; the rest are queued
+	waitMetric(t, a.Service, "sdo_cluster_steal_completions_total", float64(len(reps)-1))
+	gate.release()
+	if export := get(t, a.srv.URL+"/sweeps/"+st.ID+"/export", http.StatusOK); !bytes.Equal(export, golden) {
+		t.Fatalf("stolen sweep export differs from the solo run's (%d vs %d bytes)", len(export), len(golden))
+	}
+	var executed float64
+	for _, n := range nodes {
+		executed += metric(t, n.Service, "sdo_runs_executed_total")
+	}
+	if executed != float64(len(reps)) {
+		t.Errorf("the nodes simulated %v runs for %d distinct representatives of %d cells", executed, len(reps), len(specs))
+	}
+	wantMetrics(t, a.Service, map[string]float64{
+		"sdo_cluster_cells_stolen_total": float64(len(reps) - 1), "sdo_cluster_lease_expiries_total": 0,
+	})
+}
+
 // TestStealingOff: a service without StealFrom has no protocol routes. A
 // claim or a hint sent to it gets a 404, which is an answer, so the
 // stealing peer that sent it takes no strike against it and finishes
