@@ -11,7 +11,7 @@ import (
 // Equivalent cells. Some cells of a sweep grid simulate identically to
 // another cell, labels aside, by construction of the pipeline rather than
 // by luck in the data; a sweep simulates only the representative and
-// copies its result. Two clauses define the representative (DESIGN.md
+// shares its result. Two clauses define the representative (DESIGN.md
 // "Equivalent cells"):
 //
 //   - Model. The attack model is read in one place, blocksFrontier

@@ -291,12 +291,12 @@ func RunContext(ctx context.Context, opt Options) (*Results, error) {
 }
 
 // RunSpecs runs the cells a Request resolved to — a grid or a
-// design-space study — into results keyed by RunSpec.Key: the first cell
-// of every group with a common representative (RunSpec.Representative)
-// runs through one Executor on a fixed-size worker pool, and each of the
-// group's other cells gets a copy of its result under its own labels. A
-// cell runs once, under the zero RunPolicy: the simulation is
-// deterministic, so a retry
+// design-space study — into results keyed by RunSpec.Key: the
+// representative (RunSpec.Representative) of every group of cells that
+// share one runs through one Executor on a fixed-size worker pool, and
+// every cell of the group shares its result. A cell's labels are its
+// key, never the result's Variant and Model. A representative runs once,
+// under the zero RunPolicy: the simulation is deterministic, so a retry
 // would fail the same way. No new simulation starts once ctx is cancelled
 // or any run fails. A sampled cell runs its representative intervals in
 // series, so a sampled sweep, like a detailed one, parallelises across
@@ -322,7 +322,7 @@ func RunSpecs(ctx context.Context, opt Options, specs []RunSpec) (*Results, erro
 	groups := groupByRepresentative(specs)
 	err := RunPool(ctx, opt.Workers(), len(groups), func(ctx context.Context, i int) error {
 		g := groups[i]
-		r, _, err := e.Run(ctx, g[0], RunPolicy{})
+		r, _, err := e.Run(ctx, g[0].Representative(), RunPolicy{})
 		if err != nil {
 			return fmt.Errorf("harness: %v: %w", g[0].Key(), err)
 		}
@@ -330,11 +330,9 @@ func RunSpecs(ctx context.Context, opt Options, specs []RunSpec) (*Results, erro
 		defer mu.Unlock()
 		res.SharedCells += len(g) - 1
 		for _, s := range g {
-			k, run := s.Key(), r
-			run.Variant, run.Model = s.Variant, s.Model
-			res.Runs[k] = &run
+			res.Runs[s.Key()] = &r
 			if opt.Progress != nil {
-				opt.Progress(FormatProgress(k, run))
+				opt.Progress(FormatProgress(s.Key(), r))
 			}
 		}
 		return nil
@@ -361,8 +359,8 @@ func (r *Results) Only(specs []RunSpec) *Results {
 }
 
 // groupByRepresentative partitions specs, in order, into groups of cells
-// with a common representative (RunSpec.Representative): one simulation
-// answers a whole group.
+// with a common representative (RunSpec.Representative), which are the
+// groups of a common CacheKey: one simulation answers a whole group.
 func groupByRepresentative(specs []RunSpec) [][]RunSpec {
 	var groups [][]RunSpec
 	at := make(map[RunSpec]int)

@@ -211,27 +211,36 @@ func programOf(name string) (programFacts, error) {
 
 // Representative returns the cell whose simulation provably equals s's
 // (core.Representative): s itself, or s under another variant or model.
-// A sweep holding both simulates only the representative. A spec naming
-// no suite workload is its own representative (its CacheKey fails).
+// A sweep holding both simulates only the representative, under the one
+// CacheKey they share. A spec naming no suite workload is its own
+// representative (its CacheKey fails).
 func (s RunSpec) Representative() RunSpec {
 	p, err := programOf(s.Workload)
 	if err != nil {
 		return s
 	}
+	return s.representative(p)
+}
+
+// representative is Representative for a workload whose facts are p.
+func (s RunSpec) representative(p programFacts) RunSpec {
 	s.Variant, s.Model = core.Representative(s.Variant, s.Model, p.fpFree)
 	return s
 }
 
-// CacheKey derives the content-addressed cache key: a SHA-256 over the
-// canonical encoding of everything that determines a run's result —
-// workload identity (name + program fingerprint), the registered
-// protection scheme (by name, see the v5 note above), attack model,
-// warmup and measurement budgets, and the ablation flags.
+// CacheKey derives the content-addressed cache key of what s simulates,
+// its Representative: a SHA-256 over the canonical encoding of
+// everything that determines a run's result — workload identity (name +
+// program fingerprint), the registered protection scheme (by name, see
+// the v5 note above), attack model, warmup and measurement budgets, and
+// the ablation flags. Equivalent cells therefore share one key, which is
+// the representative's own.
 func (s RunSpec) CacheKey() (string, error) {
 	p, err := programOf(s.Workload)
 	if err != nil {
 		return "", err
 	}
+	s = s.representative(p)
 	// The hashed text, appended field by field (fmt would box each one):
 	// keySchema|wl=%s|prog=%s|scheme=%s|model=%d|warmup=%d|max=%d|interval=%d|wmode=%d|ablate=%t,%t,%t,%t|sim=%s|sinterval=%d|smaxk=%d|sseed=%d
 	var buf [256]byte

@@ -11,9 +11,10 @@ import (
 
 // TestCacheKeyGolden pins the content-addressed key of six representative
 // specs to the hex values recorded when RunSpec still lived in the
-// simulation service. Every persisted -cache file is indexed by these
-// keys: a change that moves them (a schema bump included) must be
-// deliberate, and must update this table.
+// simulation service, and checks that a cell equivalent to one of them
+// keys as it does. Every persisted -cache file is indexed by these keys:
+// a change that moves them (a schema bump included) must be deliberate,
+// and must update this table.
 func TestCacheKeyGolden(t *testing.T) {
 	tuned := TunedSampleConfig("mcf_r", simpoint.Config{})
 	for _, tc := range []struct {
@@ -28,6 +29,12 @@ func TestCacheKeyGolden(t *testing.T) {
 			WarmupInstrs: 10_000, MaxInstrs: 8_000, WarmupMode: core.WarmupFunctional},
 			"6a0b40a506efd0b34723db21b3e85fe5efbe8628aad0508f28a9cfc7ae9622ac"},
 		{"sampled-explicit", RunSpec{Workload: "gcc_r", Variant: core.Unsafe, Model: pipeline.Spectre,
+			WarmupInstrs: 20_000, MaxInstrs: 40_000,
+			SimMode: SimSampled, SampleInterval: 2000, SampleMaxK: 4, SampleSeed: 7},
+			"3dca79a2a419cd3e1ed49bfe1787e01dd32d301bb128df4f4344d6abd9e97e6d"},
+		// Unsafe never reads the model: the Futuristic cell keys as its
+		// representative, the row above.
+		{"sampled-explicit-futuristic", RunSpec{Workload: "gcc_r", Variant: core.Unsafe, Model: pipeline.Futuristic,
 			WarmupInstrs: 20_000, MaxInstrs: 40_000,
 			SimMode: SimSampled, SampleInterval: 2000, SampleMaxK: 4, SampleSeed: 7},
 			"3dca79a2a419cd3e1ed49bfe1787e01dd32d301bb128df4f4344d6abd9e97e6d"},

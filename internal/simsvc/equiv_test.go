@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -26,10 +27,10 @@ func equivReq() harness.Request {
 }
 
 // TestEquivalentCellsSimulateOnce: a cell whose representative is another
-// cell of the sweep takes that cell's run instead of simulating. Each cell
-// still has its own file, labelled with its own variant and model, the
-// export is byte-identical to the CLI's, and a resubmit is one cache hit
-// per cell.
+// cell of the sweep shares that cell's key, so it takes that cell's run
+// instead of simulating. The sweep writes one file per representative,
+// labelled with the representative's variant and model, the export is
+// byte-identical to the CLI's, and a resubmit is one cache hit per cell.
 func TestEquivalentCellsSimulateOnce(t *testing.T) {
 	dir := t.TempDir()
 	s := newService(t, Config{Workers: 4, CachePath: dir})
@@ -44,18 +45,21 @@ func TestEquivalentCellsSimulateOnce(t *testing.T) {
 		t.Errorf("executed %v simulations for 32 cells, want 28", got)
 	}
 	// Of each pair, the cell that comes second joins the other's run, or
-	// takes its result once that run is over: a cache hit for the
-	// representative's own cell, a shared run for a follower.
+	// takes its result once that run is over: a shared run or a cache hit.
 	if got := metric(t, s, "sdo_runs_deduped_total") + metric(t, s, "sdo_cache_hits_total"); got != 4 {
 		t.Errorf("%v cells coalesced or cached, want 4", got)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 28 {
+		t.Errorf("%d entry files for 32 cells (%v), want 28", len(ents), err)
 	}
 	for i, sp := range specs {
 		var e struct{ Result core.Result }
 		if err := json.Unmarshal(entryFile(t, dir, keys[i]), &e); err != nil {
 			t.Fatal(err)
 		}
-		if e.Result.Variant != sp.Variant || e.Result.Model != sp.Model {
-			t.Errorf("%s/%v/%v: file labelled %v/%v", sp.Workload, sp.Variant, sp.Model, e.Result.Variant, e.Result.Model)
+		if rep := sp.Representative(); e.Result.Variant != rep.Variant || e.Result.Model != rep.Model {
+			t.Errorf("%s/%v/%v: file labelled %v/%v, want its representative's %v/%v",
+				sp.Workload, sp.Variant, sp.Model, e.Result.Variant, e.Result.Model, rep.Variant, rep.Model)
 		}
 	}
 	cli, err := harness.Run(j.Options())
@@ -85,38 +89,67 @@ func TestEquivalentCellsSimulateOnce(t *testing.T) {
 	}
 }
 
-// TestFollowerOutlivesItsRepresentativesJob: cancelling the only job that
-// holds a representative does not abort its run while another job's cell
-// follows it — the follower's job completes, from that one run.
-func TestFollowerOutlivesItsRepresentativesJob(t *testing.T) {
+// TestGridSimulatesEachRepresentativeOnce: the benchmark ledger's grid
+// (four kernels × Table II × both models, at a small budget) on a fresh
+// node simulates each distinct representative once and writes one entry
+// file for each: 52 for 64 cells.
+func TestGridSimulatesEachRepresentativeOnce(t *testing.T) {
+	dir := t.TempDir()
+	s := newService(t, Config{Workers: 2, CachePath: dir})
+	defer s.Shutdown(context.Background())
+	req := ledgerReq()
+	warmup := uint64(1000)
+	req.MaxInstrs, req.WarmupInstrs = 2000, &warmup
+	specs, _ := cellKeys(t, s, req)
+	reps := make(map[harness.RunSpec]bool)
+	for _, sp := range specs {
+		reps[sp.Representative()] = true
+	}
+	if len(specs) != 64 || len(reps) != 52 {
+		t.Fatalf("%d cells with %d representatives, want 64 with 52", len(specs), len(reps))
+	}
+	submitAndWait(t, s, req)
+	if got := metric(t, s, "sdo_runs_executed_total"); got != float64(len(reps)) {
+		t.Errorf("executed %v simulations for %d representatives", got, len(reps))
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != len(reps) {
+		t.Errorf("%d entry files for %d representatives (%v)", len(ents), len(reps), err)
+	}
+}
+
+// TestSharedFlightOutlivesItsFirstJob: cancelling the only job that
+// holds a representative's cell does not abort its run while another
+// job's equivalent cell waits on the same flight — that job completes,
+// from that one run.
+func TestSharedFlightOutlivesItsFirstJob(t *testing.T) {
 	s := newService(t, Config{Workers: 2})
 	defer s.Shutdown(context.Background())
 	// The run parks at its first progress check, so the representative
-	// is mid-run while the follower joins it and while its job dies.
+	// is mid-run while the equivalent cell joins it and while its job dies.
 	parked, release := make(chan struct{}, 1), make(chan struct{})
 	s.wrapPolicy = parking(parked, release)
 	rep := specReq("mcf_r", "unsafe")
 	rep.MaxInstrs = 30_000 // long enough to reach its progress checks
-	follower := rep
-	follower.Models = []string{"futuristic"}
+	equiv := rep
+	equiv.Models = []string{"futuristic"}
 
 	j1, err := s.Submit(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitParked(t, parked)
-	j2, err := s.Submit(follower)
+	j2, err := s.Submit(equiv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pollUntil(t, "the follower to join", 10*time.Second, func() bool {
+	pollUntil(t, "the equivalent cell to join", 10*time.Second, func() bool {
 		return metric(t, s, "sdo_runs_deduped_total") == 1
 	})
 	j1.TryCancel()
 	close(release)
 	waitJob(t, j2)
 	if st := j2.Status(); st.State != JobDone || st.Completed != 1 {
-		t.Fatalf("follower's job: %+v", st)
+		t.Fatalf("equivalent cell's job: %+v", st)
 	}
 	if got := metric(t, s, "sdo_runs_executed_total"); got != 1 {
 		t.Errorf("executed %v simulations, want 1", got)
@@ -130,20 +163,20 @@ func TestFollowerOutlivesItsRepresentativesJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(exportBytes(t, j2), want.Bytes()) {
-		t.Error("follower's export differs from the CLI's")
+		t.Error("equivalent cell's export differs from the CLI's")
 	}
 }
 
-// TestRepresentativeFailureDegradesFollowers: a representative that fails
-// fails its followers the same way, and the sweep degrades around both
-// cells exactly as if each had failed on its own. The representative's run
-// parks at its first progress check until the follower is on its flight,
-// and only then panics.
-func TestRepresentativeFailureDegradesFollowers(t *testing.T) {
+// TestSharedFlightFailureDegradesEveryCell: a representative's run that
+// fails fails every cell on its flight the same way, each under its own
+// label, and the sweep degrades around both cells exactly as if each had
+// failed on its own. The run parks at its first progress check until the
+// equivalent cell is on its flight, and only then panics.
+func TestSharedFlightFailureDegradesEveryCell(t *testing.T) {
 	s := newService(t, Config{Workers: 2})
 	defer s.Shutdown(context.Background())
-	// Only the representative's own run panics: the follower would
-	// succeed if it simulated itself.
+	// Only the representative's run panics: the equivalent cell would
+	// succeed if it simulated its own variant and model.
 	var panics atomic.Int64
 	parked, release := make(chan struct{}, 1), make(chan struct{})
 	s.wrapPolicy = func(spec harness.RunSpec, pol harness.RunPolicy) harness.RunPolicy {
@@ -158,10 +191,11 @@ func TestRepresentativeFailureDegradesFollowers(t *testing.T) {
 	}
 	waitParked(t, parked)
 	// Each kernel's Futuristic cell coalesces with its Spectre cell once,
-	// whichever comes first; the representative is parked, so two
-	// coalesced cells mean the follower is on its flight.
-	pollUntil(t, "the follower to join", time.Minute, func() bool {
-		return metric(t, s, "sdo_runs_deduped_total") == 2
+	// whichever comes first: it joins the flight, or hits the cache once
+	// the run is over. The representative is parked, so two coalesced
+	// cells mean the equivalent cell is on its flight.
+	pollUntil(t, "the equivalent cell to join", time.Minute, func() bool {
+		return metric(t, s, "sdo_runs_deduped_total")+metric(t, s, "sdo_cache_hits_total") == 2
 	})
 	close(release)
 	waitJob(t, j)
@@ -173,13 +207,13 @@ func TestRepresentativeFailureDegradesFollowers(t *testing.T) {
 	}
 }
 
-// TestLateFollowerRerunsFailedRepresentative is the other order: a
-// follower that arrives after its representative failed finds neither a
-// flight nor a result, so it runs the representative again, which fails
-// the same way, and the sweep degrades exactly as when the follower joined
-// the failing run. One worker takes the representative's cell first and
-// finishes it before it takes the follower's.
-func TestLateFollowerRerunsFailedRepresentative(t *testing.T) {
+// TestLateCellRerunsFailedKey is the other order: an equivalent cell that
+// arrives after its key's run failed finds neither a flight nor a result,
+// so it runs the representative again, which fails the same way, and the
+// sweep degrades exactly as when the cell joined the failing run. One
+// worker takes the representative's cell first and finishes it before it
+// takes the equivalent one.
+func TestLateCellRerunsFailedKey(t *testing.T) {
 	s := newService(t, Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	var panics atomic.Int64
@@ -190,12 +224,12 @@ func TestLateFollowerRerunsFailedRepresentative(t *testing.T) {
 	}
 	waitJob(t, j)
 	checkFailingRepDegrades(t, j)
-	// Two runs panicked: the representative's cell failed, then the
-	// representative's second flight and the follower it carried.
-	// Only exchange2_r's pair coalesces.
-	if ev := faultEvents(s); panics.Load() != 2 || ev["cell-failed"] != 3 || metric(t, s, "sdo_cell_panics_total") != 3 || metric(t, s, "sdo_runs_deduped_total") != 1 {
-		t.Errorf("%d panics, %d cell-failed events, sdo_cell_panics_total %v, sdo_runs_deduped_total %v; want 2, 3, 3 and 1",
-			panics.Load(), ev["cell-failed"], metric(t, s, "sdo_cell_panics_total"), metric(t, s, "sdo_runs_deduped_total"))
+	// Two runs panicked, one per mcf_r cell, each failing its own cell.
+	// Only exchange2_r's pair coalesces: its second cell hits the cache.
+	coalesced := metric(t, s, "sdo_runs_deduped_total") + metric(t, s, "sdo_cache_hits_total")
+	if ev := faultEvents(s); panics.Load() != 2 || ev["cell-failed"] != 2 || metric(t, s, "sdo_cell_panics_total") != 2 || coalesced != 1 {
+		t.Errorf("%d panics, %d cell-failed events, sdo_cell_panics_total %v, %v cells coalesced or cached; want 2, 2, 2 and 1",
+			panics.Load(), ev["cell-failed"], metric(t, s, "sdo_cell_panics_total"), coalesced)
 	}
 }
 
@@ -206,7 +240,7 @@ func isFailingRep(spec harness.RunSpec) bool {
 }
 
 // failingRepReq is {mcf_r, exchange2_r} × Unsafe × both models: the
-// representative cell comes first, its follower second.
+// representative cell comes first, its equivalent cell second.
 func failingRepReq() harness.Request {
 	req := smallReq()
 	req.Workloads = []string{"mcf_r", "exchange2_r"}

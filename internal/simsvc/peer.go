@@ -94,11 +94,12 @@ type peerEntry struct{ wire, result []byte }
 // locally asks the peers, in one batched fabric lookup, for every key of
 // the job the node does not hold; the job's other cells wait for that
 // lookup instead of each making a round trip of its own. Each hit is
-// handed out once, to the cell that takes it.
+// handed out once, to the cell that takes it, and the cells that share
+// its key share its flight.
 type peerBatch struct {
 	once   sync.Once
 	mu     sync.Mutex
-	keys   []string              // the job's cell keys, until the lookup runs or the job ends
+	keys   []string              // the job's cell keys, one per cell, until the job ends
 	hits   map[string]fabric.Hit // untaken answers (peerEntry values), until the job ends
 	closed bool
 }
@@ -120,7 +121,6 @@ func (pb *peerBatch) take(key string, lookup func([]string) map[string]fabric.Hi
 	pb.once.Do(func() {
 		pb.mu.Lock()
 		keys := pb.keys
-		pb.keys = nil
 		pb.mu.Unlock()
 		hits := lookup(keys)
 		pb.mu.Lock()
@@ -136,6 +136,19 @@ func (pb *peerBatch) take(key string, lookup func([]string) map[string]fabric.Hi
 	return h, ok
 }
 
+// cells counts the job's cells whose key is key.
+func (pb *peerBatch) cells(key string) uint64 {
+	pb.mu.Lock()
+	defer pb.mu.Unlock()
+	var n uint64
+	for _, k := range pb.keys {
+		if k == key {
+			n++
+		}
+	}
+	return n
+}
+
 // peerHit resolves key from its job's peer batch under a peer-lookup
 // trace span, which covers the cell's wait for the lookup and the decode
 // of its answer, and caches what a peer answered in memory, returning
@@ -149,8 +162,9 @@ func (pb *peerBatch) take(key string, lookup func([]string) map[string]fabric.Hi
 // for a second copy of a durable result.) A key no peer answered with a
 // verified entry — a miss, a failed peer, a corrupt entry, a key the
 // batch did not carry — or whose verified result does not decode (a
-// peer-undecodable fault event naming the peer and the key) comes back
-// as (nil, false): the caller's fallback is local simulation.
+// peer-undecodable fault event naming the peer and the key, and a miss
+// for every cell of the job with that key) comes back as (nil, false):
+// the caller's fallback is local simulation.
 func (s *Service) peerHit(root *trace.Span, pb *peerBatch, key string) (*core.Result, bool) {
 	if pb == nil {
 		return nil, false
@@ -164,7 +178,7 @@ func (s *Service) peerHit(root *trace.Span, pb *peerBatch, key string) (*core.Re
 		pe := h.Val.(peerEntry)
 		var err error
 		if e, err = decodeResult(key, bytes.Clone(pe.wire), pe.result); err != nil {
-			s.peerUndecoded.Add(1)
+			s.peerUndecoded.Add(pb.cells(key))
 			s.event("peer-undecodable", fmt.Sprintf("peer %s, key %s: %v", h.Peer, key, err))
 			ok = false
 		}
@@ -182,9 +196,11 @@ func (s *Service) peerHit(root *trace.Span, pb *peerBatch, key string) (*core.Re
 
 // lookupPeers asks the peers for the keys this node does not hold in
 // memory, and verifies each answer: one that fails is a miss and a
-// strike against its peer (fabric.Lookup). It opens no file: a key whose
-// file is on disk is asked too, and its cell's own cache read, which
-// comes first, takes the file and never the answer.
+// strike against its peer (fabric.Lookup). keys has one per cell, and the
+// hit and miss counts are per cell: a key the lookup answered is a hit
+// for every cell asking it. It opens no file: a key whose file is on
+// disk is asked too, and its cell's own cache read, which comes first,
+// takes the file and never the answer.
 func (s *Service) lookupPeers(keys []string) map[string]fabric.Hit {
 	var ask []string
 	for _, k := range keys {
@@ -192,22 +208,31 @@ func (s *Service) lookupPeers(keys []string) map[string]fabric.Hit {
 			ask = append(ask, k)
 		}
 	}
-	return s.fab.Lookup(s.ctx, "/cache/lookup", ask, func(key string, body []byte) (any, error) {
+	hits := s.fab.Lookup(s.ctx, "/cache/lookup", ask, func(key string, body []byte) (any, error) {
 		result, err := verifyEntry(key, body)
 		return peerEntry{wire: body, result: result}, err
 	})
+	for _, k := range ask {
+		if _, ok := hits[k]; ok {
+			s.peerHits.Add(1)
+		} else {
+			s.peerMisses.Add(1)
+		}
+	}
+	return hits
 }
 
-// registerPeerMetrics declares the fabric's /metrics view; its counters
-// live in the fabric client. A verified answer whose result does not
-// decode was counted a hit there, and is a miss here. Per-peer breaker
-// state is on /healthz.
+// registerPeerMetrics declares the fabric's /metrics view. Hits and
+// misses count cells (lookupPeers): a verified answer whose result does
+// not decode is a miss for each cell that has its key. The request
+// counters live in the fabric client; per-peer breaker state is on
+// /healthz.
 func (s *Service) registerPeerMetrics() {
 	r, fab := s.reg, s.fab
 	r.NewCounterFunc("sdo_peer_hits_total", "Cache misses answered by a peer node.",
-		func() float64 { return float64(fab.Stats().Hits - s.peerUndecoded.Load()) })
+		func() float64 { return float64(s.peerHits.Load() - s.peerUndecoded.Load()) })
 	r.NewCounterFunc("sdo_peer_misses_total", "Peer lookups no peer could answer (fell back to local simulation).",
-		func() float64 { return float64(fab.Stats().Misses + s.peerUndecoded.Load()) })
+		func() float64 { return float64(s.peerMisses.Load() + s.peerUndecoded.Load()) })
 	r.NewCounterFunc("sdo_peer_errors_total", "Peer request failures (down, slow, HTTP error, corrupt response).",
 		func() float64 { return float64(fab.Stats().Errors) })
 	r.NewCounterFunc("sdo_peer_hedges_total", "Peer lookups hedged to a second peer after the hedge delay.",

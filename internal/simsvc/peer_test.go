@@ -174,6 +174,35 @@ func TestPeerHitServesSweepWithoutSimulating(t *testing.T) {
 	}
 }
 
+// TestPeerHitsCountCells: equivalent cells share a key, so a job's one
+// lookup asks 28 keys for equivReq's 32 cells, and the peer counters
+// count cells. A warm peer answers every cell, with no simulation; a peer
+// whose every answer is verified but undecodable is a miss for every
+// cell, both cells of each shared key included.
+func TestPeerHitsCountCells(t *testing.T) {
+	a, srvA := newPeerNode(t, Config{Workers: 2})
+	ja := submitAndWait(t, a, equivReq())
+
+	b := newService(t, Config{Workers: 2, Peers: []string{srvA.URL}, PeerProbeInterval: -1})
+	defer b.Shutdown(context.Background())
+	jb := submitAndWait(t, b, equivReq())
+	wantMetrics(t, b, map[string]float64{
+		"sdo_peer_hits_total": 32, "sdo_peer_misses_total": 0, "sdo_runs_executed_total": 0,
+	})
+	if got, want := exportBytes(t, jb), exportBytes(t, ja); !bytes.Equal(got, want) {
+		t.Fatal("peer-served export differs from the origin node's export")
+	}
+
+	var spoiled atomic.Int64
+	bad := faultyPeer(t, a, "badresult", 0, &spoiled)
+	c := newService(t, Config{Workers: 2, Peers: []string{bad.URL}, PeerProbeInterval: -1})
+	defer c.Shutdown(context.Background())
+	submitAndWait(t, c, equivReq())
+	wantMetrics(t, c, map[string]float64{
+		"sdo_peer_hits_total": 0, "sdo_peer_misses_total": 32, "sdo_runs_executed_total": 28,
+	})
+}
+
 // TestSlowPeersAreHedged: two peers hold every answer and both are slow,
 // so the sweep's lookup asks each key's second-ranked peer after the
 // hedge delay. Every cell still comes from a peer, each hedged key counts

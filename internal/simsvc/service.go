@@ -192,26 +192,19 @@ type Service struct {
 	jobsRejected *obs.Counter // submissions refused by backpressure
 	jobsEvicted  *obs.Counter // finished jobs dropped from the registry
 
-	peerUndecoded atomic.Uint64 // verified peer answers whose result did not decode
+	// Peer lookup outcomes, per cell (registerPeerMetrics): cells whose key
+	// a lookup answered or missed, and cells whose verified answer did not
+	// decode.
+	peerHits, peerMisses, peerUndecoded atomic.Uint64
 
 	runDur *obs.Histogram // per-run wall time
 }
 
 // flight is one in-progress simulation with every (job, cell) waiting on
-// it; the executing worker delivers the result to all of them. Its
-// followers are the flights of equivalent cells (RunSpec.Representative)
-// parked on it: each gets the result under its own key once this one
-// settles.
+// it, equivalent cells (RunSpec.Representative) among them: they share
+// its key. The executing worker delivers the result to all of them.
 type flight struct {
-	waiters   []delivery
-	followers []follower
-}
-
-// follower names the parked flight of a cell whose representative is
-// another cell's flight.
-type follower struct {
-	key string
-	k   harness.Key
+	waiters []delivery
 }
 
 type delivery struct {
@@ -404,6 +397,17 @@ func (s *Service) retryAfter(pending int) time.Duration {
 	return d
 }
 
+// submission is one Submit's table of its job's cells, which each
+// queued cell reaches by its position: cell i simulates specs[i], its
+// representative (RunSpec.Representative), under keys[i]. Cells are
+// labelled by the job's grid (Job.keys), never by what they simulate.
+type submission struct {
+	j        *Job
+	specs    []harness.RunSpec
+	keys     []string
+	enqueued time.Time
+}
+
 // Submit validates, registers and enqueues a sweep job. When the pending
 // queue is over the configured bound, it returns an *OverloadError
 // without registering anything. With stealing on, a job that leaves more
@@ -420,21 +424,23 @@ func (s *Service) Submit(req harness.Request) (*Job, error) {
 	if len(cells) > maxCells {
 		return nil, fmt.Errorf("simsvc: a sweep of %d cells; at most %d", len(cells), maxCells)
 	}
-	j := newJob(s.ctx, opt, s.gridKeys(opt, req.Ablations, cells), s.tracer != nil)
+	// Each cell's key is computed once, here: the steal registry, the peer
+	// batch and the cell's worker share it. The grid's labels are taken
+	// first, and each cell then becomes the representative it simulates.
+	labels := s.gridKeys(opt, req.Ablations, cells)
+	sub := &submission{specs: cells, keys: make([]string, len(cells))}
+	for i, c := range cells {
+		if sub.keys[i], err = c.CacheKey(); err != nil {
+			return nil, err
+		}
+		cells[i] = c.Representative()
+	}
+	j := newJob(s.ctx, opt, labels, s.tracer != nil)
 	j.ablation = req.Ablations
 	j.onTerminal = s.jobFinished
-	// Each cell's key is computed once, here: the steal registry, the peer
-	// batch and the cell's worker share it. A cell without one fails on
-	// its worker.
-	keys, keyErrs := make([]string, len(cells)), make([]error, len(cells))
-	var batch []string
-	for i, c := range cells {
-		if keys[i], keyErrs[i] = c.CacheKey(); keyErrs[i] == nil {
-			batch = append(batch, keys[i])
-		}
-	}
+	sub.j = j
 	if s.fab != nil {
-		j.peers = &peerBatch{keys: batch}
+		j.peers = &peerBatch{keys: sub.keys}
 	}
 
 	s.mu.Lock()
@@ -473,13 +479,12 @@ func (s *Service) Submit(req harness.Request) (*Job, error) {
 			Detail: fmt.Sprintf("%s: %d cells", j.ID, len(cells))})
 	}
 
-	enqueued := time.Now()
-	for i, c := range cells {
-		key, keyErr := keys[i], keyErrs[i]
-		if s.steal != nil && keyErr == nil {
-			s.steal.enqueue(key, c)
+	sub.enqueued = time.Now()
+	for i := range cells {
+		if s.steal != nil {
+			s.steal.enqueue(sub.keys[i], cells[i])
 		}
-		s.pool.Submit(func(ctx context.Context) { s.runCell(ctx, j, i, c, key, keyErr, enqueued) })
+		s.pool.Submit(func(ctx context.Context) { s.runCell(ctx, sub, i) })
 	}
 	if s.steal != nil && s.idleWorkers() < 0 {
 		nudge(s.steal.queued) // more cells than workers: hint the peers
@@ -611,16 +616,10 @@ func (s *Service) flightAbandoned(key string) bool {
 	return ok && !s.liveLocked(f)
 }
 
-// liveLocked reports whether a job still waits on f: on f itself or on
-// one of its followers. Caller holds s.mu.
+// liveLocked reports whether a job still waits on f. Caller holds s.mu.
 func (s *Service) liveLocked(f *flight) bool {
 	for _, w := range f.waiters {
 		if !w.job.Terminal() {
-			return true
-		}
-	}
-	for _, fw := range f.followers {
-		if g, ok := s.inflight[fw.key]; ok && s.liveLocked(g) {
 			return true
 		}
 	}
@@ -641,89 +640,59 @@ type settlement struct {
 
 // settle retires the finished flight for key — whoever finished it: the
 // executor, or a peer or stolen-cell hit — and gives every (job, cell)
-// waiting on it exactly one delivery, then settles each follower's flight
-// the same way. The result, if any, must already be in the cache, so a
-// cell arriving from here on finds either the flight or the entry.
-func (s *Service) settle(key string, k harness.Key, o settlement) {
+// waiting on it exactly one delivery. A failure is itemized under each
+// waiting cell's own label, and counted once per label. The result, if
+// any, must already be in the cache, so a cell arriving from here on
+// finds either the flight or the entry.
+func (s *Service) settle(key string, o settlement) {
 	s.mu.Lock()
 	f := s.inflight[key]
 	delete(s.inflight, key)
 	s.mu.Unlock()
 
-	var (
-		ce   *harness.CellError
-		fail Failure
-	)
-	if errors.As(o.err, &ce) {
-		s.cellsFailed.Inc()
-		switch ce.Kind {
-		case harness.FailPanic:
-			s.cellPanics.Inc()
-		case harness.FailTimeout:
-			s.cellTimeouts.Inc()
-		}
-		s.event("cell-failed", ce.Error())
-		fail = Failure{Cell: k.String(), Kind: string(ce.Kind), Error: ce.Err.Error()}
-	}
-	for _, w := range f.waiters {
+	var ce *harness.CellError
+	errors.As(o.err, &ce)
+	for i, w := range f.waiters {
 		w.await.Finish()
 		att := finishCell(w.ct, o.status)
-		switch {
+		switch k := w.job.keys[w.at]; {
 		case o.err == nil:
 			w.job.deliver(w.at, o.res, o.how, att)
 		case ce != nil:
-			w.job.cellFail(w.at, fail)
+			if !slices.ContainsFunc(f.waiters[:i], func(v delivery) bool { return v.job.keys[v.at] == k }) {
+				s.cellFailed(ce, k)
+			}
+			w.job.cellFail(w.at, Failure{Cell: k.String(), Kind: string(ce.Kind), Error: ce.Err.Error()})
 		default:
 			w.job.fail(o.err)
 		}
 	}
-	for _, fw := range f.followers {
-		s.settle(fw.key, fw.k, s.forFollower(fw, o))
-	}
 }
 
-// forFollower turns a representative's settlement into a follower's: the
-// result relabelled with the follower's variant and model and cached under
-// its own key, so the follower's file, peer lookups and later hits are the
-// ones its own simulation would have made.
-func (s *Service) forFollower(fw follower, o settlement) settlement {
-	if o.res != nil {
-		r := *o.res
-		r.Variant, r.Model = fw.k.Variant, fw.k.Model
-		o.res = s.cache.Put(fw.key, r)
+// cellFailed accounts the failure of the cell labelled k, whose run
+// failed with ce.
+func (s *Service) cellFailed(ce *harness.CellError, k harness.Key) {
+	s.cellsFailed.Inc()
+	switch ce.Kind {
+	case harness.FailPanic:
+		s.cellPanics.Inc()
+	case harness.FailTimeout:
+		s.cellTimeouts.Inc()
 	}
-	return o
+	labelled := *ce
+	labelled.Key = k
+	s.event("cell-failed", labelled.Error())
 }
 
-// flightOrCachedLocked returns key's flight, or else key's cached result,
-// or neither. A flight caches its result before it leaves the table, so a
-// cell whose cache lookup just missed a flight that then settled finds the
-// result here, in memory, instead of running it again; readThrough also
-// reads key's file, for a caller that has not looked yet. Caller holds
-// s.mu.
-func (s *Service) flightOrCachedLocked(key string, readThrough bool) (*flight, *core.Result) {
-	if f, ok := s.inflight[key]; ok {
-		return f, nil
-	}
-	e, ok := s.cache.held(key, false)
-	if !ok && readThrough {
-		e, ok = s.cache.lookup(key, false)
-	}
-	if ok {
-		return nil, e.res
-	}
-	return nil, nil
-}
-
-// runCell resolves cell at of job j on a pool worker: from the cache, an
-// identical in-flight run, a stolen-cell lease, a peer, or an equivalent
-// cell's run (fly), and executes it only when all of these miss. Execution is
-// hardened: a panic is isolated and the configured deadline applies. A
-// cell runs once, and a failed one degrades the waiting jobs instead of
-// killing them. key is spec's cache key, computed at Submit, or keyErr
-// why it has none.
-func (s *Service) runCell(ctx context.Context, j *Job, at int, spec harness.RunSpec, key string, keyErr error, enqueued time.Time) {
-	if s.steal != nil && keyErr == nil {
+// runCell resolves cell at of a submission on a pool worker: from the
+// cache, an identical in-flight run, a stolen-cell lease or a peer (fly),
+// and executes it only when all of these miss. Execution is hardened: a
+// panic is isolated and the configured deadline applies. A cell runs
+// once, and a failed one degrades the waiting jobs instead of killing
+// them.
+func (s *Service) runCell(ctx context.Context, sub *submission, at int) {
+	j, key, enqueued := sub.j, sub.keys[at], sub.enqueued
+	if s.steal != nil {
 		// A worker picked the cell up: it is no longer stealable (on every
 		// exit path, including skip below).
 		s.steal.dequeue(key)
@@ -733,11 +702,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, at int, spec harness.RunS
 		j.skip()
 		return
 	}
-	if keyErr != nil {
-		j.fail(keyErr)
-		return
-	}
-	k := spec.Key()
+	k := j.keys[at]
 	// ct is nil with tracing off: every span call below degrades to one
 	// nil check, and the cell's name is never rendered. The root span
 	// starts at enqueue, so its duration is the cell's reported wall clock;
@@ -756,30 +721,32 @@ func (s *Service) runCell(ctx context.Context, j *Job, at int, spec harness.RunS
 		return
 	}
 	s.mu.Lock()
-	f, cached := s.flightOrCachedLocked(key, false)
-	switch {
-	case f != nil:
+	if f, ok := s.inflight[key]; ok {
 		await := ct.Root().Child(trace.PhaseAwait)
 		f.waiters = append(f.waiters, delivery{job: j, at: at, ct: ct, await: await})
 		s.mu.Unlock()
 		s.runsDeduped.Inc()
 		return
-	case cached != nil:
+	}
+	// A flight caches its result before it leaves the table, so a cell
+	// whose cache lookup just missed a flight that then settled finds the
+	// result here, in memory, instead of running it again.
+	if e, ok := s.cache.held(key, false); ok {
 		s.mu.Unlock()
-		s.runsDeduped.Inc() // the flight it missed settled a moment ago
-		j.deliver(at, cached, fromCache, finishCell(ct, "cached"))
+		s.runsDeduped.Inc()
+		j.deliver(at, e.res, fromCache, finishCell(ct, "cached"))
 		return
 	}
 	s.inflight[key] = &flight{waiters: []delivery{{job: j, at: at, ct: ct}}}
 	s.mu.Unlock()
-	s.fly(ct, key, k, spec, j.peers)
+	s.fly(ct, key, k, sub.specs[at], j.peers)
 }
 
 // fly resolves the flight for key, which the caller registered, through
 // the rungs past the local cache: a stolen-cell lease, a peer (the
-// batched lookup pb of the job whose cell it is), the flight of an
-// equivalent cell, and finally execution. ct is the trace of the cell
-// whose worker runs it.
+// batched lookup pb of the job whose cell it is), and finally execution
+// of spec, the representative every cell of the key shares. ct is the
+// trace, and k the label, of the cell whose worker runs it.
 func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harness.RunSpec, pb *peerBatch) {
 	// Work stealing: if a peer claimed this cell under a still-live
 	// lease, wait (bounded by the lease expiry) for its result to land
@@ -788,7 +755,7 @@ func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harne
 	// was never stolen.
 	if s.steal != nil {
 		if r, ok := s.stealWait(ct.Root(), key); ok {
-			s.settle(key, k, settlement{res: r, status: "stolen", how: fromThief})
+			s.settle(key, settlement{res: r, status: "stolen", how: fromThief})
 			return
 		}
 	}
@@ -799,14 +766,7 @@ func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harne
 	// miss and the cell simulates locally — the fabric can make a sweep
 	// faster, never break it. All waiters on this flight share the hit.
 	if r, ok := s.peerHit(ct.Root(), pb, key); ok {
-		s.settle(key, k, settlement{res: r, status: "peer", how: fromPeer})
-		return
-	}
-
-	// Equivalent cells: a cell whose simulation provably equals another
-	// cell's (core.Representative) takes that cell's result instead of
-	// simulating.
-	if rep := spec.Representative(); rep != spec && s.follow(ct, key, k, rep, pb) {
+		s.settle(key, settlement{res: r, status: "peer", how: fromPeer})
 		return
 	}
 
@@ -839,41 +799,7 @@ func (s *Service) fly(ct *trace.CellTrace, key string, k harness.Key, spec harne
 		o.status = "error"
 		o.err = fmt.Errorf("simsvc: %v: %w", k, err)
 	}
-	s.settle(key, k, o)
-}
-
-// follow resolves the flight for key from its representative rep: it
-// parks the flight on rep's as a follower (the worker is released), takes
-// rep's cached result, or starts rep's flight and runs it here. It
-// reports false, leaving the flight to run itself, only if rep has no
-// key.
-func (s *Service) follow(ct *trace.CellTrace, key string, k harness.Key, rep harness.RunSpec, pb *peerBatch) bool {
-	rkey, err := rep.CacheKey()
-	if err != nil {
-		return false
-	}
-	fw := follower{key: key, k: k}
-	s.mu.Lock()
-	f, cached := s.flightOrCachedLocked(rkey, true)
-	switch {
-	case f != nil:
-		f.followers = append(f.followers, fw)
-		// The worker leaves; this cell's own trace now awaits rep's flight.
-		own := s.inflight[key]
-		own.waiters[0].await = ct.Root().Child(trace.PhaseAwait)
-		s.mu.Unlock()
-		s.runsDeduped.Inc()
-		return true
-	case cached != nil:
-		s.mu.Unlock()
-		s.runsDeduped.Inc()
-		s.settle(key, k, s.forFollower(fw, settlement{res: cached, status: "cached", how: fromCache}))
-		return true
-	}
-	s.inflight[rkey] = &flight{followers: []follower{fw}}
-	s.mu.Unlock()
-	s.fly(ct, rkey, rep.Key(), rep, pb)
-	return true
+	s.settle(key, o)
 }
 
 // finishCell closes a cell trace's root span with a terminal status and

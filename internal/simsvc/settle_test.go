@@ -64,7 +64,7 @@ func TestSettleDeliversExactlyOnce(t *testing.T) {
 			s.inflight["key"] = f
 			s.mu.Unlock()
 
-			s.settle("key", k, tc.o)
+			s.settle("key", tc.o)
 			s.mu.Lock()
 			_, still := s.inflight["key"]
 			s.mu.Unlock()

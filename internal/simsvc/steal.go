@@ -20,9 +20,8 @@ import (
 // Config.StealFrom set is both halves of the protocol at once.
 //
 // As owner it keeps a registry of cells that are enqueued but not yet
-// picked up by a worker, followers of an equivalent cell
-// (RunSpec.Representative) aside: the owner answers those from their
-// representative, whoever runs it. A peer with free worker slots (the
+// picked up by a worker, by key: equivalent cells (RunSpec.Representative)
+// share one, and so one lease. A peer with free worker slots (the
 // thief) claims that many (GET /cluster/steal), each handed out under a lease:
 // the thief's address plus an expiry, held in memory only. Claims come
 // from the tail of the queue while the owner's workers dequeue from its
@@ -145,14 +144,9 @@ func nudge(ch chan struct{}) {
 	}
 }
 
-// enqueue registers a queued cell as stealable, unless it is a follower
-// (RunSpec.Representative): a thief would simulate a follower outright,
-// while the owner answers it from its representative's flight, stolen
-// or not.
+// enqueue registers a queued cell as stealable under its key; spec is
+// what the key names, the cell's representative.
 func (st *stealState) enqueue(key string, spec harness.RunSpec) {
-	if spec.Representative() != spec {
-		return
-	}
 	st.mu.Lock()
 	if p, ok := st.pending[key]; ok {
 		p.refs++
@@ -203,9 +197,9 @@ func (s *Service) idleWorkers() int {
 }
 
 // claimCells leases up to max pending cells to thief, newest-enqueued
-// first; a follower is never pending (enqueue). Cells already cached, in
-// flight locally, or under an unexpired lease are skipped before max is
-// applied, so an empty answer means nothing is claimable.
+// first. Cells already cached, in flight locally, or under an unexpired
+// lease are skipped before max is applied, so an empty answer means
+// nothing is claimable.
 func (s *Service) claimCells(thief string, max int) []stolenCell {
 	st := s.steal
 	// Snapshot unleased pending keys from the tail, then filter against the
