@@ -134,10 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if req.Ablations {
-		for mi, rows := range res.AblationTables() {
-			harness.WriteAblations(stdout, opt.Models[mi], rows)
-			fmt.Fprintln(stdout)
-		}
+		harness.WriteAblations(stdout, res.AblationExport())
 		if !grid {
 			return 0
 		}
@@ -162,46 +159,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *export != "" {
-		f, err := os.Create(*export)
-		if err == nil {
-			err = res.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
+	// Every report formats the one export.
+	ex := res.Export()
+	if *export != "" || *asJSON {
+		doc, err := harness.IndentedJSON(ex)
+		if err == nil && *export != "" {
+			err = os.WriteFile(*export, doc, 0o666)
 		}
 		if err != nil {
 			return fail(fmt.Errorf("export: %w", err))
 		}
+		if *asJSON {
+			if _, err := stdout.Write(doc); err != nil {
+				return fail(err)
+			}
+			return 0
+		}
 	}
 
 	switch {
-	case *asJSON:
-		if err := res.WriteJSON(stdout); err != nil {
-			return fail(err)
-		}
 	case oneCell:
 		writeCell(stdout, res, specs[0])
 	case all:
-		res.WriteAll(stdout)
+		ex.WriteAll(stdout, res.Opt.Workloads)
 	default:
 		if *fig6 {
-			res.WriteFigure6(stdout)
+			ex.WriteFigure6(stdout, res.Opt.Workloads)
 		}
 		if *fig7 {
-			res.WriteFigure7(stdout)
+			ex.WriteFigure7(stdout)
 			fmt.Fprintln(stdout)
 		}
 		if *fig8 {
-			res.WriteFigure8(stdout)
+			ex.WriteFigure8(stdout)
 			fmt.Fprintln(stdout)
 		}
 		if *table3 {
-			res.WriteTableIII(stdout)
+			ex.WriteTableIII(stdout)
 			fmt.Fprintln(stdout)
 		}
 		if *summary {
-			res.WriteSummary(stdout)
+			ex.WriteSummary(stdout)
 		}
 	}
 	return 0

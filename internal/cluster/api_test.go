@@ -23,7 +23,6 @@ var apiKeep = map[string]string{
 	"isa.Builder.Nop":            "test-only: arch's and pipeline's tests assemble with it",
 	"isa.Builder.Raw":            "test-only: arch's executor tests assemble with it",
 	"isa.IsSubnormalBits":        "test-only: the isa and workload tests classify FP operands with it",
-	"harness.Results.Export":     "the JSON export document WriteJSON renders; the service's tests compare exports field by field through it",
 	"obs/trace.RootName":         "test-only: simsvc's trace tests find each cell's root span by it",
 	"pipeline.OccupancyBuckets":  "test-only: core's interval test checks the occupancy histograms' length by it",
 }

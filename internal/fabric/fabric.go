@@ -136,10 +136,10 @@ type PeerStatus struct {
 	Errors           uint64 `json:"errors"`
 }
 
-// Stats aggregates the lookup counters: hits, misses and hedges count
-// keys, errors count failed requests.
+// Stats aggregates the client's counters: hedges count keys, errors
+// count failed requests. Hits and misses count per peer (PeerStatus).
 type Stats struct {
-	Hits, Misses, Errors, Hedges uint64
+	Errors, Hedges uint64
 }
 
 type peer struct {
@@ -240,8 +240,7 @@ type Client struct {
 	hc    *http.Client
 	peers []*peer
 
-	hits, misses, errors atomic.Uint64
-	hedges               atomic.Uint64
+	errors, hedges atomic.Uint64
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -292,12 +291,7 @@ func (c *Client) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	return Stats{
-		Hits:   c.hits.Load(),
-		Misses: c.misses.Load(),
-		Errors: c.errors.Load(),
-		Hedges: c.hedges.Load(),
-	}
+	return Stats{Errors: c.errors.Load(), Hedges: c.hedges.Load()}
 }
 
 // Snapshot reports per-peer state for /healthz (nil on nil).
@@ -381,7 +375,7 @@ type answer struct {
 // is asked by one lookup, its trial, while every concurrent lookup skips
 // it undialled. Any failure — no peers, breakers all open, peers down,
 // slow or corrupt — leaves keys out of the result, never an error: the
-// caller's fallback is local work. Hits and misses count per key.
+// caller's fallback is local work.
 func (c *Client) Lookup(ctx context.Context, path string, keys []string, decode func(key string, body []byte) (any, error)) map[string]Hit {
 	hits := make(map[string]Hit)
 	if c == nil || len(keys) == 0 {
@@ -411,7 +405,6 @@ func (c *Client) Lookup(ctx context.Context, path string, keys []string, decode 
 			order = append(order, k)
 		}
 	}
-	defer func() { c.misses.Add(uint64(len(order) - len(hits))) }()
 	if rounds == 0 {
 		return hits
 	}
@@ -492,7 +485,6 @@ func (c *Client) Lookup(ctx context.Context, path string, keys []string, decode 
 				if i < len(a.vals) && a.vals[i] != nil && !s.done {
 					s.done = true
 					hits[k] = Hit{Val: a.vals[i], Peer: a.p.url}
-					c.hits.Add(1)
 				}
 			}
 			if rest := a.keys[len(a.vals):]; len(rest) > 0 && len(a.vals) > 0 {

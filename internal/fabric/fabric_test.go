@@ -99,6 +99,16 @@ func serveAll(body string) http.HandlerFunc {
 	}
 }
 
+// peerStatus is the Snapshot entry of the peer at url.
+func peerStatus(c *Client, url string) PeerStatus {
+	for _, ps := range c.Snapshot() {
+		if ps.URL == url {
+			return ps
+		}
+	}
+	return PeerStatus{}
+}
+
 // lookup asks c for one key, accepting any body unless vet (may be nil)
 // rejects it, and returns the raw body.
 func lookup(c *Client, key string, vet func(body []byte) error) ([]byte, string, bool) {
@@ -147,9 +157,8 @@ func TestLookupHitAndMiss(t *testing.T) {
 	if _, _, ok := lookup(c, "absent", nil); ok {
 		t.Fatal("404 key returned a hit")
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Errors != 0 {
-		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 0 errors", st)
+	if ps := c.Snapshot()[0]; ps.Hits != 1 || ps.Misses != 1 || ps.Errors != 0 {
+		t.Fatalf("peer = %+v, want 1 hit, 1 miss, 0 errors", ps)
 	}
 	// A 404 is an authoritative healthy miss, never breaker food.
 	if ps := c.Snapshot()[0]; ps.State != "ok" || ps.ConsecutiveFails != 0 {
@@ -168,8 +177,8 @@ func TestDownPeerFallsThroughToNext(t *testing.T) {
 	if !ok || string(body) != "body-1" || url != up.URL {
 		t.Fatalf("lookup with one dead peer = %q %q %v, want fallthrough hit", body, url, ok)
 	}
-	if st := c.Stats(); st.Hits != 1 {
-		t.Fatalf("stats = %+v, want the hit recorded", st)
+	if ps := peerStatus(c, up.URL); ps.Hits != 1 {
+		t.Fatalf("live peer = %+v, want the hit recorded", ps)
 	}
 }
 
@@ -181,9 +190,8 @@ func TestValidateRejectionIsAPeerFailure(t *testing.T) {
 	if _, _, ok := lookup(c, "k1", reject); ok {
 		t.Fatal("corrupt body passed validation")
 	}
-	st := c.Stats()
-	if st.Errors == 0 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want the rejection counted as an error", st)
+	if st, ps := c.Stats(), c.Snapshot()[0]; st.Errors == 0 || ps.Hits != 0 {
+		t.Fatalf("stats = %+v, peer = %+v, want the rejection counted as an error", st, ps)
 	}
 }
 
@@ -324,9 +332,10 @@ func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
 		if fault == "corrupt" && (len(events) == 0 || !strings.Contains(events[0], "corrupt response")) {
 			t.Fatalf("corrupt body: events %q, want a corrupt response peer-error", events)
 		}
-		if st := c.Stats(); fault == "cut" && (st.Errors != 1 || st.Hits != 0 || st.Misses != 1 ||
+		// The key's miss is the hit map above, which lacks it.
+		if st, ps := c.Stats(), c.Snapshot()[0]; fault == "cut" && (st.Errors != 1 || ps.Hits != 0 ||
 			len(events) != 1 || !strings.Contains(events[0], "unexpected EOF")) {
-			t.Fatalf("cut body: stats %+v, events %q, want one strike, one miss and an unexpected EOF peer-error", st, events)
+			t.Fatalf("cut body: stats %+v, peer %+v, events %q, want one strike, no hit and an unexpected EOF peer-error", st, ps, events)
 		}
 	}
 	// Behind a cut answer, the next-ranked peer answers the key: one
@@ -344,8 +353,8 @@ func TestInjectedPeerFaultsResolveToMisses(t *testing.T) {
 	if body, url, ok := lookup(fall, key, nil); !ok || string(body) != "body-1" || url != upSrv.URL {
 		t.Fatalf("lookup behind a cut answer = %q %q %v, want body-1 from %s", body, url, ok, upSrv.URL)
 	}
-	if st := fall.Stats(); st.Errors != 1 || st.Hits != 1 || cut.Load() != 1 || upReqs.Load() != 1 {
-		t.Fatalf("stats %+v, %d cut and %d clean requests, want one strike, one hit, one request each", st, cut.Load(), upReqs.Load())
+	if st, ps := fall.Stats(), peerStatus(fall, upSrv.URL); st.Errors != 1 || ps.Hits != 1 || cut.Load() != 1 || upReqs.Load() != 1 {
+		t.Fatalf("stats %+v, clean peer %+v, %d cut and %d clean requests, want one strike, one hit, one request each", st, ps, cut.Load(), upReqs.Load())
 	}
 	// A slow peer under the timeout delays but still answers.
 	var spoiled atomic.Int64
@@ -380,8 +389,8 @@ func TestProbeClosesBreakerOnRecovery(t *testing.T) {
 	waitPeer(t, c, "probes to open the breaker", func(ps PeerStatus) bool {
 		return ps.State == "open" && !ps.Healthy && ps.ConsecutiveFails >= DefaultBreakerOpens
 	})
-	if st := c.Stats(); st.Hits+st.Misses != 0 {
-		t.Fatalf("setup: a lookup ran (%+v); only probes may touch the peer here", st)
+	if ps := c.Snapshot()[0]; ps.Hits+ps.Misses != 0 {
+		t.Fatalf("setup: a lookup ran (%+v); only probes may touch the peer here", ps)
 	}
 	// Any /healthz response counts as reachable.
 	frozen.Store(false)
@@ -779,9 +788,9 @@ func TestLookupSendsOneRequestPerPeerPerRound(t *testing.T) {
 	if misses == 0 || misses == n {
 		t.Fatalf("%d of %d keys rank peer 0 past the fan-out; the test needs some of each", misses, n)
 	}
-	st := c.Stats()
-	if st.Hits != uint64(n-misses) || st.Misses != uint64(misses) || st.Errors != 0 || st.Hedges != 0 {
-		t.Errorf("stats = %+v, want %d hits, %d misses and nothing else", st, n-misses, misses)
+	if st := c.Stats(); len(hits) != n-misses || peerStatus(c, srvs[0].URL).Hits != uint64(n-misses) || st.Errors != 0 || st.Hedges != 0 {
+		t.Errorf("%d hits (%d from peer 0), stats = %+v, want %d hits, %d misses and nothing else",
+			len(hits), peerStatus(c, srvs[0].URL).Hits, st, n-misses, misses)
 	}
 	for _, ps := range c.Snapshot() {
 		if ps.State != "ok" {
@@ -845,8 +854,8 @@ func TestCorruptEntryInBatchIsOneMissOneStrike(t *testing.T) {
 	if ps := byURL[bad.URL]; ps.Errors != 1 || ps.ConsecutiveFails != 1 || ps.State != "ok" {
 		t.Errorf("bad peer = %+v, want one strike, breaker closed", ps)
 	}
-	if st := c.Stats(); st.Hits != 3 || st.Misses != 0 || st.Errors != 1 {
-		t.Errorf("stats = %+v, want 3 hits, 0 misses, 1 error", st)
+	if st := c.Stats(); len(hits) != 3 || st.Errors != 1 {
+		t.Errorf("%d hits, stats = %+v, want 3 hits, 0 misses, 1 error", len(hits), st)
 	}
 	if len(events) != 1 || !strings.Contains(events[0], "corrupt response: checksum mismatch") {
 		t.Errorf("events %q, want one corrupt response", events)
@@ -896,7 +905,7 @@ func TestOversizedResponseIsSplit(t *testing.T) {
 	if want := []int{20, 20, 10}; !reflect.DeepEqual(bodies, want) {
 		t.Errorf("response bodies %v bytes, want %v (split at the %d-byte ceiling)", bodies, want, ceiling)
 	}
-	if st := c.Stats(); st.Errors != 0 || st.Hits != 5 {
-		t.Errorf("stats = %+v, want 5 hits, no errors", st)
+	if st, ps := c.Stats(), c.Snapshot()[0]; st.Errors != 0 || ps.Hits != 5 {
+		t.Errorf("stats = %+v, peer = %+v, want 5 hits, no errors", st, ps)
 	}
 }

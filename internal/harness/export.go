@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/obs/trace"
+	"repro/internal/pipeline"
 )
 
 // Export is the machine-readable form of a sweep: everything the text
@@ -98,15 +102,21 @@ type SumRow struct {
 	VsSTTLdFp   float64 `json:"improvement_vs_stt_ldfp_pct"`
 }
 
-// Export builds the machine-readable summary. Every aggregate reads the
-// runs through one runIndex, so no run is copied and each (variant,
-// model) average is computed once.
+// Export builds the machine-readable summary. It is the one place the
+// paper's aggregates are computed: the text reports format its rows. It
+// reads the runs in place (Results.Runs, never copied), and walks each
+// model once, then each variant, over the row of runs the sweep's
+// workloads gathered for it.
 func (r *Results) Export() Export {
-	ix := r.index()
+	keys := make([]Key, 0, len(r.Runs))
+	for k := range r.Runs {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, exportOrder)
 	ex := Export{MaxInstrs: r.Opt.MaxInstrs, WarmupInstrs: r.Opt.WarmupInstrs, IntervalCycles: r.Opt.IntervalCycles}
-	ex.Runs = make([]ExportRun, 0, len(ix.keys))
-	for _, k := range ix.keys {
-		run := ix.at[k]
+	ex.Runs = make([]ExportRun, 0, len(keys))
+	for _, k := range keys {
+		run := r.Runs[k]
 		ex.Runs = append(ex.Runs, ExportRun{
 			Workload:        k.Workload,
 			Variant:         k.Variant.String(),
@@ -114,7 +124,7 @@ func (r *Results) Export() Export {
 			Cycles:          run.Cycles,
 			Committed:       run.Committed,
 			IPC:             run.IPC(),
-			NormTime:        ix.normTime(k.Workload, k.Variant, k.Model),
+			NormTime:        normRatio(run, r.Runs[Key{Workload: k.Workload, Variant: core.Unsafe, Model: k.Model}]),
 			Squashes:        run.TotalSquashes(),
 			DelayedLoads:    run.DelayedLoads,
 			OblIssued:       run.OblIssued,
@@ -132,32 +142,246 @@ func (r *Results) Export() Export {
 		})
 	}
 	for _, m := range r.Opt.Models {
+		ms := m.String()
+		base := r.row(Key{Variant: core.Unsafe, Model: m})
+		sttLd := overheadPct(avgNormTime(r.row(Key{Variant: core.STTLd, Model: m}), base))
+		sttLdFp := overheadPct(avgNormTime(r.row(Key{Variant: core.STTLdFp, Model: m}), base))
 		for _, v := range r.Opt.Variants {
-			avg := ix.avgNormTime(v, m)
-			ex.Figure6 = append(ex.Figure6, Fig6Row{m.String(), v.String(), avg})
+			vs := v.String()
+			row := r.row(Key{Variant: v, Model: m})
+			avg := avgNormTime(row, base)
+			ex.Figure6 = append(ex.Figure6, Fig6Row{ms, vs, avg})
 			if v.IsSDO() {
-				b := ix.breakdownFor(v, m)
-				ex.Figure7 = append(ex.Figure7, Fig7Row{
-					Model: m.String(), Variant: v.String(),
-					TotalPct: b.TotalPct, Inaccurate: b.Inaccurate,
-					Imprecise: b.Imprecise, Validation: b.Validation,
-					TLB: b.TLB, Other: b.Other,
-				})
-				p, a := ix.predictorQuality(v, m)
-				ex.TableIII = append(ex.TableIII, T3Row{m.String(), v.String(), p, a})
+				ex.Figure7 = append(ex.Figure7, breakdown(ms, vs, row, base))
+				ex.TableIII = append(ex.TableIII, predictorQuality(ms, vs, row))
 			}
 			if v.IsSDO() || v == core.STTLd {
-				ex.Figure8 = append(ex.Figure8, Fig8Row{m.String(), v.String(), ix.squashesPerKInstr(v, m), avg})
+				ex.Figure8 = append(ex.Figure8, Fig8Row{ms, vs, squashesPerKInstr(row), avg})
 			}
-			ex.Summary = append(ex.Summary, SumRow{
-				Model: m.String(), Variant: v.String(),
-				OverheadPct: ix.avgOverheadPct(v, m),
-				VsSTTLd:     ix.improvementPct(v, core.STTLd, m),
-				VsSTTLdFp:   ix.improvementPct(v, core.STTLdFp, m),
-			})
+			ov := overheadPct(avg)
+			ex.Summary = append(ex.Summary, SumRow{ms, vs, ov, improvementPct(ov, sttLd), improvementPct(ov, sttLdFp)})
 		}
 	}
 	return ex
+}
+
+// exportOrder orders runs by workload name, then attack model, then
+// variant: the export's run order.
+func exportOrder(a, b Key) int {
+	if a.Workload != b.Workload {
+		return strings.Compare(a.Workload, b.Workload)
+	}
+	if a.Model != b.Model {
+		return cmp.Compare(a.Model, b.Model)
+	}
+	return cmp.Compare(a.Variant, b.Variant)
+}
+
+// row gathers the runs of cell k on each workload of the sweep, in its
+// order (k.Workload is ignored), nil where the sweep has none.
+func (r *Results) row(k Key) []*core.Result {
+	row := make([]*core.Result, len(r.Opt.Workloads))
+	for i, wl := range r.Opt.Workloads {
+		k.Workload = wl.Name
+		row[i] = r.Runs[k]
+	}
+	return row
+}
+
+// The formulas below are the paper's aggregates, each over a row of runs
+// and the row of its workloads' Unsafe baselines (base). Their sums run
+// in workload order, and explicit float64 conversions keep a compiler
+// from fusing a multiply into an add, so every architecture rounds as
+// amd64 does.
+
+// normRatio is run's execution time normalized to base's, or 0 when
+// either is missing or base ran no cycles (Figure 6's per-workload
+// metric).
+func normRatio(run, base *core.Result) float64 {
+	if run == nil || base == nil || base.Cycles == 0 {
+		return 0
+	}
+	return float64(run.Cycles) / float64(base.Cycles)
+}
+
+// avgNormTime averages normRatio over the workloads both rows measured
+// (the "Avg" bars of Figure 6).
+func avgNormTime(row, base []*core.Result) float64 {
+	var sum float64
+	var n int
+	for i, run := range row {
+		if t := normRatio(run, base[i]); t > 0 {
+			sum += t
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// overheadPct is the overhead over Unsafe, in percent, of an average
+// normalized time.
+func overheadPct(avgNorm float64) float64 {
+	return float64((avgNorm - 1) * 100)
+}
+
+// improvementPct is how much an overhead ov improves on a baseline's
+// overhead ob, as the paper reports it: the fraction of the baseline's
+// overhead eliminated, in percent.
+func improvementPct(ov, ob float64) float64 {
+	if ob <= 0 {
+		return 0
+	}
+	return (ob - ov) / ob * 100
+}
+
+// predictorQuality is Table III's row of one SDO variant: precision =
+// precise / all, accuracy = (precise + imprecise) / all, over all the
+// Obl-Lds its row of runs resolved.
+func predictorQuality(model, variant string, row []*core.Result) T3Row {
+	var precise, imprecise, inaccurate uint64
+	for _, run := range row {
+		if run != nil {
+			precise += run.PredPrecise
+			imprecise += run.PredImprecise
+			inaccurate += run.PredInaccurate
+		}
+	}
+	q := T3Row{Model: model, Variant: variant}
+	if total := precise + imprecise + inaccurate; total > 0 {
+		q.Precision = float64(precise) / float64(total)
+		q.Accuracy = float64(precise+imprecise) / float64(total)
+	}
+	return q
+}
+
+// squashesPerKInstr is a row's total squashes per 1000 committed
+// instructions (Figure 8's x-axis).
+func squashesPerKInstr(row []*core.Result) float64 {
+	var squashes, instrs uint64
+	for _, run := range row {
+		if run != nil {
+			squashes += run.TotalSquashes()
+			instrs += run.Committed
+		}
+	}
+	if instrs == 0 {
+		return 0
+	}
+	return float64(squashes) / float64(instrs) * 1000
+}
+
+// squashRefillCost approximates the pipeline refill penalty charged per
+// squash when attributing slowdown (frontend redirect + re-dispatch).
+const squashRefillCost = 16.0
+
+// breakdown is Figure 7's decomposition of one SDO variant's slowdown
+// over Unsafe: each component is a percentage of Unsafe's execution time,
+// averaged over the workloads both rows measured. ImprecisionCycles and
+// ValidationStall are measured exactly; squash costs are counted as
+// squashed-instruction refill estimates; the remainder of the measured
+// slowdown is "other".
+func breakdown(model, variant string, row, base []*core.Result) Fig7Row {
+	b := Fig7Row{Model: model, Variant: variant}
+	var over, inacc, imprec, val, tlb float64
+	var n int
+	for i, run := range row {
+		base := base[i]
+		if base == nil || run == nil || base.Cycles == 0 {
+			continue
+		}
+		n++
+		slow := float64(run.Cycles) - float64(base.Cycles)
+		if slow < 0 {
+			slow = 0
+		}
+		ci := float64(float64(run.SquashesFor("obl-fail")) * squashRefillCost)
+		ct := float64(float64(run.SquashesFor("tlb")) * squashRefillCost)
+		cv := float64(run.ValidationStall)
+		cp := float64(run.ImprecisionCycles)
+		sum := ci + ct + cv + cp
+		if sum > slow && sum > 0 {
+			// The components overlap with latency hiding; scale to fit.
+			f := slow / sum
+			ci, ct, cv, cp = ci*f, ct*f, cv*f, cp*f
+		}
+		den := float64(base.Cycles)
+		over += float64(slow / den * 100)
+		inacc += float64(ci / den * 100)
+		imprec += float64(cp / den * 100)
+		val += float64(cv / den * 100)
+		tlb += float64(ct / den * 100)
+	}
+	if n == 0 {
+		return b
+	}
+	fn := float64(n)
+	b.TotalPct = over / fn
+	b.Inaccurate = inacc / fn
+	b.Imprecise = imprec / fn
+	b.Validation = val / fn
+	b.TLB = tlb / fn
+	b.Other = b.TotalPct - b.Inaccurate - b.Imprecise - b.Validation - b.TLB
+	if b.Other < 0 {
+		b.Other = 0
+	}
+	return b
+}
+
+// AblationSection is one attack model's ablation table.
+type AblationSection struct {
+	Model string        `json:"model"`
+	Rows  []AblationRow `json:"rows"`
+}
+
+// AblationExport is the machine-readable form of a design-space study
+// (AblationSpecs): one table per model. The CLI's -ablate report prints
+// it (WriteAblations) and the simulation service serves it.
+type AblationExport struct {
+	MaxInstrs    uint64            `json:"max_instrs"`
+	WarmupInstrs uint64            `json:"warmup_instrs"`
+	Sections     []AblationSection `json:"ablations"`
+}
+
+// AblationExport aggregates a design-space study into one table per
+// model of r.Opt.
+func (r *Results) AblationExport() AblationExport {
+	ex := AblationExport{MaxInstrs: r.Opt.MaxInstrs, WarmupInstrs: r.Opt.WarmupInstrs}
+	for _, m := range r.Opt.Models {
+		ex.Sections = append(ex.Sections, AblationSection{Model: m.String(), Rows: r.ablationRows(m)})
+	}
+	return ex
+}
+
+// ablationRows computes model m's ablation table: each row's NormTime is
+// its Hybrid cycles over the workload's Unsafe baseline, averaged over
+// the workloads. A workload with a missing cell or a zero baseline drops
+// out of the table, so it aggregates fully-measured workloads only.
+func (r *Results) ablationRows(m pipeline.AttackModel) []AblationRow {
+	rows := AblationRows()
+	runs := make([][]*core.Result, len(rows))
+	for ri, row := range rows {
+		runs[ri] = r.row(Key{Variant: core.Hybrid, Model: m, Ablate: row.Ablate})
+	}
+	sums := make([]float64, len(rows))
+	n := 0
+	for i, base := range r.row(Key{Variant: core.Unsafe, Model: m}) {
+		if base == nil || base.Cycles == 0 || slices.ContainsFunc(runs, func(row []*core.Result) bool { return row[i] == nil }) {
+			continue
+		}
+		for ri, row := range runs {
+			sums[ri] += normRatio(row[i], base)
+		}
+		n++
+	}
+	if n > 0 {
+		for ri := range rows {
+			rows[ri].NormTime = sums[ri] / float64(n)
+		}
+	}
+	return rows
 }
 
 // WriteJSON emits the Export document.

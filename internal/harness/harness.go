@@ -11,12 +11,9 @@
 package harness
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/arch"
@@ -376,236 +373,6 @@ func groupByRepresentative(specs []RunSpec) [][]RunSpec {
 	return groups
 }
 
-// runIndex is the one view the aggregates read runs through: every
-// run's key in export order, the runs read in place (Results.Runs, never
-// copied), each (variant, model) row of the grid gathered once, and each
-// row's average computed once. Export, AblationTables and each text
-// report build one. Its methods are the one copy of the paper's
-// aggregate formulas.
-type runIndex struct {
-	wls  []string             // the sweep's workloads, in suite order
-	keys []Key                // every run's key, in exportOrder
-	at   map[Key]*core.Result // Results.Runs
-	rows map[variantModel][]*core.Result
-	avg  map[variantModel]float64
-}
-
-type variantModel struct {
-	v core.Variant
-	m pipeline.AttackModel
-}
-
-// exportOrder orders runs by workload name, then attack model, then
-// variant: the export's run order.
-func exportOrder(a, b Key) int {
-	if a.Workload != b.Workload {
-		return strings.Compare(a.Workload, b.Workload)
-	}
-	if a.Model != b.Model {
-		return cmp.Compare(a.Model, b.Model)
-	}
-	return cmp.Compare(a.Variant, b.Variant)
-}
-
-// index builds r's runIndex.
-func (r *Results) index() *runIndex {
-	ix := &runIndex{
-		wls:  make([]string, 0, len(r.Opt.Workloads)),
-		keys: make([]Key, 0, len(r.Runs)),
-		at:   r.Runs,
-		rows: make(map[variantModel][]*core.Result),
-		avg:  make(map[variantModel]float64),
-	}
-	for _, wl := range r.Opt.Workloads {
-		ix.wls = append(ix.wls, wl.Name)
-	}
-	for k := range r.Runs {
-		ix.keys = append(ix.keys, k)
-	}
-	slices.SortFunc(ix.keys, exportOrder)
-	return ix
-}
-
-// run returns the grid's run of wl under (v, m), or nil.
-func (ix *runIndex) run(wl string, v core.Variant, m pipeline.AttackModel) *core.Result {
-	return ix.at[Key{Workload: wl, Variant: v, Model: m}]
-}
-
-// row returns the grid's runs under (v, m), one per workload of ix.wls,
-// nil where the sweep has none.
-func (ix *runIndex) row(v core.Variant, m pipeline.AttackModel) []*core.Result {
-	vm := variantModel{v, m}
-	row, ok := ix.rows[vm]
-	if !ok {
-		row = make([]*core.Result, len(ix.wls))
-		for i, wl := range ix.wls {
-			row[i] = ix.run(wl, v, m)
-		}
-		ix.rows[vm] = row
-	}
-	return row
-}
-
-// normRatio is run's execution time normalized to base's, or 0 when
-// either is missing or base ran no cycles.
-func normRatio(run, base *core.Result) float64 {
-	if run == nil || base == nil || base.Cycles == 0 {
-		return 0
-	}
-	return float64(run.Cycles) / float64(base.Cycles)
-}
-
-// normTime returns the run's execution time normalized to the Unsafe run
-// of the same workload/model (Figure 6's metric).
-func (ix *runIndex) normTime(wl string, v core.Variant, m pipeline.AttackModel) float64 {
-	return normRatio(ix.run(wl, v, m), ix.run(wl, core.Unsafe, m))
-}
-
-// avgNormTime averages normTime over all workloads (the "Avg" bars of
-// Figure 6).
-func (ix *runIndex) avgNormTime(v core.Variant, m pipeline.AttackModel) float64 {
-	if avg, ok := ix.avg[variantModel{v, m}]; ok {
-		return avg
-	}
-	var sum float64
-	var n int
-	base := ix.row(core.Unsafe, m)
-	for i, run := range ix.row(v, m) {
-		if t := normRatio(run, base[i]); t > 0 {
-			sum += t
-			n++
-		}
-	}
-	var avg float64
-	if n > 0 {
-		avg = sum / float64(n)
-	}
-	ix.avg[variantModel{v, m}] = avg
-	return avg
-}
-
-// avgOverheadPct is the average overhead vs Unsafe, in percent.
-func (ix *runIndex) avgOverheadPct(v core.Variant, m pipeline.AttackModel) float64 {
-	return (ix.avgNormTime(v, m) - 1) * 100
-}
-
-// improvementPct returns how much variant v improves on baseline b, as the
-// paper reports it: the fraction of the baseline's overhead eliminated.
-func (ix *runIndex) improvementPct(v, b core.Variant, m pipeline.AttackModel) float64 {
-	ob := ix.avgOverheadPct(b, m)
-	ov := ix.avgOverheadPct(v, m)
-	if ob <= 0 {
-		return 0
-	}
-	return (ob - ov) / ob * 100
-}
-
-// predictorQuality aggregates Table III for one variant/model: precision =
-// precise / all, accuracy = (precise + imprecise) / all, over all resolved
-// Obl-Lds in the sweep.
-func (ix *runIndex) predictorQuality(v core.Variant, m pipeline.AttackModel) (precision, accuracy float64) {
-	var precise, imprecise, inaccurate uint64
-	for _, run := range ix.row(v, m) {
-		if run != nil {
-			precise += run.PredPrecise
-			imprecise += run.PredImprecise
-			inaccurate += run.PredInaccurate
-		}
-	}
-	total := precise + imprecise + inaccurate
-	if total == 0 {
-		return 0, 0
-	}
-	return float64(precise) / float64(total), float64(precise+imprecise) / float64(total)
-}
-
-// squashesPerKInstr averages total squashes per 1000 committed
-// instructions (Figure 8's x-axis).
-func (ix *runIndex) squashesPerKInstr(v core.Variant, m pipeline.AttackModel) float64 {
-	var squashes, instrs uint64
-	for _, run := range ix.row(v, m) {
-		if run != nil {
-			squashes += run.TotalSquashes()
-			instrs += run.Committed
-		}
-	}
-	if instrs == 0 {
-		return 0
-	}
-	return float64(squashes) / float64(instrs) * 1000
-}
-
-// breakdown is Figure 7's decomposition of one SDO variant's slowdown.
-// Components are percentages of execution time added over Unsafe,
-// averaged across workloads.
-type breakdown struct {
-	Variant    core.Variant
-	Model      pipeline.AttackModel
-	TotalPct   float64 // total overhead vs Unsafe
-	Inaccurate float64 // squashes from failed Obl-Lds
-	Imprecise  float64 // waiting for over-predicted levels
-	Validation float64 // commit stalls on validations
-	TLB        float64 // ⊥-translation squashes (§V-B)
-	Other      float64 // no-fill misses, implicit channels, contention
-}
-
-// squashRefillCost approximates the pipeline refill penalty charged per
-// squash when attributing slowdown (frontend redirect + re-dispatch).
-const squashRefillCost = 16.0
-
-// breakdownFor computes the Figure 7 attribution for one variant/model.
-// ImprecisionCycles and ValidationStall are measured exactly; squash costs
-// are counted as squashed-instruction refill estimates; the remainder of
-// the measured slowdown is "other".
-func (ix *runIndex) breakdownFor(v core.Variant, m pipeline.AttackModel) breakdown {
-	b := breakdown{Variant: v, Model: m}
-	var over, inacc, imprec, val, tlb float64
-	var n int
-	bases := ix.row(core.Unsafe, m)
-	for i, run := range ix.row(v, m) {
-		base := bases[i]
-		if base == nil || run == nil || base.Cycles == 0 {
-			continue
-		}
-		n++
-		slow := float64(run.Cycles) - float64(base.Cycles)
-		if slow < 0 {
-			slow = 0
-		}
-		ci := float64(run.SquashesFor("obl-fail")) * squashRefillCost
-		ct := float64(run.SquashesFor("tlb")) * squashRefillCost
-		cv := float64(run.ValidationStall)
-		cp := float64(run.ImprecisionCycles)
-		sum := ci + ct + cv + cp
-		if sum > slow && sum > 0 {
-			// The components overlap with latency hiding; scale to fit.
-			f := slow / sum
-			ci, ct, cv, cp = ci*f, ct*f, cv*f, cp*f
-			sum = slow
-		}
-		den := float64(base.Cycles)
-		over += slow / den * 100
-		inacc += ci / den * 100
-		imprec += cp / den * 100
-		val += cv / den * 100
-		tlb += ct / den * 100
-	}
-	if n == 0 {
-		return b
-	}
-	fn := float64(n)
-	b.TotalPct = over / fn
-	b.Inaccurate = inacc / fn
-	b.Imprecise = imprec / fn
-	b.Validation = val / fn
-	b.TLB = tlb / fn
-	b.Other = b.TotalPct - b.Inaccurate - b.Imprecise - b.Validation - b.TLB
-	if b.Other < 0 {
-		b.Other = 0
-	}
-	return b
-}
-
 // AblationRow is one row of the design-space study: the paper's full
 // STT+SDO with one mechanism changed.
 type AblationRow struct {
@@ -616,7 +383,7 @@ type AblationRow struct {
 
 // AblationRows returns the design-space study's row templates in report
 // order (NormTime unset): the paper's full STT+SDO and one-mechanism-off
-// variations of it, as AblationSpecs enumerates and AblationTables
+// variations of it, as AblationSpecs enumerates and AblationExport
 // aggregates them.
 func AblationRows() []AblationRow {
 	return []AblationRow{
@@ -636,46 +403,4 @@ func ablationName(a core.Ablation) string {
 		}
 	}
 	return fmt.Sprintf("%+v", a)
-}
-
-// AblationTables aggregates a design-space study (AblationSpecs) into one
-// table per model of r.Opt: each row's NormTime is its Hybrid cycles over
-// the workload's Unsafe baseline, averaged over the workloads. A workload
-// with a missing cell or a zero baseline drops out of that model's table,
-// so a table aggregates fully-measured workloads only.
-func (r *Results) AblationTables() [][]AblationRow {
-	ix := r.index()
-	tables := make([][]AblationRow, len(r.Opt.Models))
-	for mi, m := range r.Opt.Models {
-		rows := AblationRows()
-		sums := make([]float64, len(rows))
-		n := 0
-		bases := ix.row(core.Unsafe, m)
-	workloads:
-		for i, wl := range ix.wls {
-			base := bases[i]
-			if base == nil || base.Cycles == 0 {
-				continue
-			}
-			norm := make([]float64, len(rows))
-			for ri, row := range rows {
-				run := ix.at[Key{Workload: wl, Variant: core.Hybrid, Model: m, Ablate: row.Ablate}]
-				if run == nil {
-					continue workloads
-				}
-				norm[ri] = normRatio(run, base)
-			}
-			for ri := range rows {
-				sums[ri] += norm[ri]
-			}
-			n++
-		}
-		for ri := range rows {
-			if n > 0 {
-				rows[ri].NormTime = sums[ri] / float64(n)
-			}
-		}
-		tables[mi] = rows
-	}
-	return tables
 }

@@ -173,8 +173,8 @@ func TestAblationCheckpointReuse(t *testing.T) {
 	if !reflect.DeepEqual(reuse.Runs, inPlace.Runs) {
 		t.Fatal("ablation cells restored from the checkpoint differ from cells warmed in place")
 	}
-	rows := reuse.AblationTables()[0]
-	if want := inPlace.AblationTables()[0]; !reflect.DeepEqual(rows, want) {
+	rows := reuse.AblationExport().Sections[0].Rows
+	if want := inPlace.AblationExport().Sections[0].Rows; !reflect.DeepEqual(rows, want) {
 		t.Fatalf("ablation rows differ:\nreuse    %+v\nin place %+v", rows, want)
 	}
 	for _, r := range rows {
@@ -184,60 +184,82 @@ func TestAblationCheckpointReuse(t *testing.T) {
 	}
 }
 
+// exportRow finds the row of (v, m) among an export's rows, failing the
+// test when it has none.
+func exportRow[R interface{ Fig6Row | Fig7Row | T3Row }](t *testing.T, rows []R, v core.Variant, m pipeline.AttackModel) R {
+	t.Helper()
+	for _, row := range rows {
+		var model, variant string
+		switch r := any(row).(type) {
+		case Fig6Row:
+			model, variant = r.Model, r.Variant
+		case Fig7Row:
+			model, variant = r.Model, r.Variant
+		case T3Row:
+			model, variant = r.Model, r.Variant
+		}
+		if model == m.String() && variant == v.String() {
+			return row
+		}
+	}
+	t.Fatalf("the export has no %T for %v/%v", *new(R), v, m)
+	panic("unreachable")
+}
+
 func TestExpectedShapeHolds(t *testing.T) {
 	// The qualitative results the paper reports, asserted on the reduced
-	// sweep (see DESIGN.md "Expected shape").
-	res := quickSweep(t).index()
+	// sweep's export (see DESIGN.md "Expected shape").
+	ex := quickSweep(t).Export()
 	for _, m := range []pipeline.AttackModel{pipeline.Spectre, pipeline.Futuristic} {
+		avg := func(v core.Variant) float64 { return exportRow(t, ex.Figure6, v, m).NormTime }
 		// 1. Unsafe normalizes to 1; protections cost something on the
 		// taint-heavy workloads.
-		if got := res.avgNormTime(core.Unsafe, m); got != 1.0 {
+		if got := avg(core.Unsafe); got != 1.0 {
 			t.Errorf("%v: unsafe normalized time = %.3f", m, got)
 		}
-		stt := res.avgNormTime(core.STTLd, m)
+		stt := avg(core.STTLd)
 		if stt <= 1.0 {
 			t.Errorf("%v: STT{ld} should cost something, got %.3f", m, stt)
 		}
 		// 2. STT{ld+fp} >= STT{ld} (more transmitters delayed).
-		if res.avgNormTime(core.STTLdFp, m)+1e-9 < stt {
+		if avg(core.STTLdFp)+1e-9 < stt {
 			t.Errorf("%v: STT{ld+fp} (%.3f) cheaper than STT{ld} (%.3f)",
-				m, res.avgNormTime(core.STTLdFp, m), stt)
+				m, avg(core.STTLdFp), stt)
 		}
 		// 3. Perfect SDO beats both STT baselines.
-		if res.avgNormTime(core.Perfect, m) >= res.avgNormTime(core.STTLdFp, m) {
+		if avg(core.Perfect) >= avg(core.STTLdFp) {
 			t.Errorf("%v: Perfect (%.3f) should beat STT{ld+fp} (%.3f)",
-				m, res.avgNormTime(core.Perfect, m), res.avgNormTime(core.STTLdFp, m))
+				m, avg(core.Perfect), avg(core.STTLdFp))
 		}
 	}
 }
 
 func TestPredictorQualityShape(t *testing.T) {
-	res := quickSweep(t).index()
+	ex := quickSweep(t).Export()
 	for _, m := range []pipeline.AttackModel{pipeline.Spectre, pipeline.Futuristic} {
-		p1, a1 := res.predictorQuality(core.StaticL1, m)
-		if p1 != a1 {
-			t.Errorf("%v: Static L1 precision (%f) must equal accuracy (%f)", m, p1, a1)
+		l1 := exportRow(t, ex.TableIII, core.StaticL1, m)
+		if l1.Precision != l1.Accuracy {
+			t.Errorf("%v: Static L1 precision (%f) must equal accuracy (%f)", m, l1.Precision, l1.Accuracy)
 		}
-		p3, a3 := res.predictorQuality(core.StaticL3, m)
-		if p3 > a3 {
+		l3 := exportRow(t, ex.TableIII, core.StaticL3, m)
+		if l3.Precision > l3.Accuracy {
 			t.Errorf("%v: precision cannot exceed accuracy", m)
 		}
 		// Static L3 accuracy >= Static L1 accuracy (deeper predictions
 		// cover more), and its precision is lower than the hybrid's.
-		if a3+1e-9 < a1 {
-			t.Errorf("%v: Static L3 accuracy (%.3f) < Static L1 (%.3f)", m, a3, a1)
+		if l3.Accuracy+1e-9 < l1.Accuracy {
+			t.Errorf("%v: Static L3 accuracy (%.3f) < Static L1 (%.3f)", m, l3.Accuracy, l1.Accuracy)
 		}
-		ph, _ := res.predictorQuality(core.Hybrid, m)
-		if ph <= p3 {
-			t.Errorf("%v: Hybrid precision (%.3f) should beat Static L3 (%.3f)", m, ph, p3)
+		if ph := exportRow(t, ex.TableIII, core.Hybrid, m).Precision; ph <= l3.Precision {
+			t.Errorf("%v: Hybrid precision (%.3f) should beat Static L3 (%.3f)", m, ph, l3.Precision)
 		}
 	}
 }
 
 func TestBreakdownConsistency(t *testing.T) {
-	res := quickSweep(t).index()
+	ex := quickSweep(t).Export()
 	for _, v := range core.SDOVariants() {
-		b := res.breakdownFor(v, pipeline.Spectre)
+		b := exportRow(t, ex.Figure7, v, pipeline.Spectre)
 		sum := b.Inaccurate + b.Imprecise + b.Validation + b.TLB + b.Other
 		if b.TotalPct < 0 {
 			t.Errorf("%v: negative total overhead %.2f", v, b.TotalPct)
@@ -253,8 +275,9 @@ func TestBreakdownConsistency(t *testing.T) {
 
 func TestReportsRender(t *testing.T) {
 	res := quickSweep(t)
+	ex := res.Export()
 	var buf bytes.Buffer
-	res.WriteAll(&buf)
+	ex.WriteAll(&buf, res.Opt.Workloads)
 	out := buf.String()
 	for _, want := range []string{
 		"TABLE I", "TABLE II", "FIGURE 6", "FIGURE 7", "FIGURE 8",
@@ -264,6 +287,37 @@ func TestReportsRender(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
+		}
+	}
+}
+
+// TestReportsRenderFromDecodedExport: the text reports format the export
+// alone, so the document WriteJSON wrote, decoded, renders every report
+// byte for byte as the live export does.
+func TestReportsRenderFromDecodedExport(t *testing.T) {
+	res := quickSweep(t)
+	var doc bytes.Buffer
+	if err := res.WriteJSON(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var decoded Export
+	if err := json.Unmarshal(doc.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	live := res.Export()
+	for name, render := range map[string]func(*Export, *bytes.Buffer){
+		"all":     func(ex *Export, w *bytes.Buffer) { ex.WriteAll(w, res.Opt.Workloads) },
+		"figure6": func(ex *Export, w *bytes.Buffer) { ex.WriteFigure6(w, res.Opt.Workloads) },
+		"figure7": func(ex *Export, w *bytes.Buffer) { ex.WriteFigure7(w) },
+		"figure8": func(ex *Export, w *bytes.Buffer) { ex.WriteFigure8(w) },
+		"table3":  func(ex *Export, w *bytes.Buffer) { ex.WriteTableIII(w) },
+		"summary": func(ex *Export, w *bytes.Buffer) { ex.WriteSummary(w) },
+	} {
+		var want, got bytes.Buffer
+		render(&live, &want)
+		render(&decoded, &got)
+		if want.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s from the decoded export:\n%s\nfrom the live export:\n%s", name, &got, &want)
 		}
 	}
 }
@@ -351,7 +405,8 @@ func TestAblationsRun(t *testing.T) {
 	if len(res.Runs) != len(specs) {
 		t.Fatalf("%d results for %d cells: keys collide", len(res.Runs), len(specs))
 	}
-	rows := res.AblationTables()[0]
+	ex := res.AblationExport()
+	rows := ex.Sections[0].Rows
 	if len(rows) != 5 {
 		t.Fatalf("got %d ablation rows", len(rows))
 	}
@@ -361,7 +416,7 @@ func TestAblationsRun(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	WriteAblations(&buf, pipeline.Spectre, rows)
+	WriteAblations(&buf, ex)
 	if !strings.Contains(buf.String(), "no early forwarding") {
 		t.Fatal("ablation table incomplete")
 	}
@@ -406,7 +461,7 @@ func TestAblationTablesDropFailedBlocks(t *testing.T) {
 	res.Runs[Key{Workload: opt.Workloads[2].Name, Model: pipeline.Spectre}] = &core.Result{} // workload 2: zero baseline
 	delete(res.Runs, Key{Workload: opt.Workloads[0].Name, Variant: core.Hybrid, Model: pipeline.Spectre,
 		Ablate: core.Ablation{AlwaysValidate: true}}) // one cell of workload 0
-	rows := res.AblationTables()[0]
+	rows := res.AblationExport().Sections[0].Rows
 	for ri, r := range rows {
 		// Only workload 1 survives: its row ri is exactly 1 + (ri+1)/10.
 		if want := 1 + float64(ri+1)/10; math.Abs(r.NormTime-want) > 1e-12 {
@@ -464,8 +519,8 @@ func TestGridAndStudyShareCells(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("the combined run's grid export differs from a grid-only run's")
 	}
-	if got, want := res.AblationTables(), studyOnly.AblationTables(); !reflect.DeepEqual(got, want) {
-		t.Errorf("combined run's ablation tables %+v, want %+v", got, want)
+	if got, want := res.AblationExport(), studyOnly.AblationExport(); !reflect.DeepEqual(got, want) {
+		t.Errorf("combined run's ablation document %+v, want %+v", got, want)
 	}
 }
 

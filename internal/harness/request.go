@@ -45,7 +45,7 @@ type Request struct {
 	SampleSeed           uint64 `json:"sample_seed,omitempty"`
 	// Ablations turns the sweep into a design-space study: per model and
 	// workload it runs the Unsafe baseline plus the AblationRows on Hybrid
-	// (Variants is ignored), and its results read as AblationTables.
+	// (Variants is ignored), and its results read as AblationExport.
 	Ablations bool `json:"ablations,omitempty"`
 }
 

@@ -198,7 +198,7 @@ func reconstructResult(plan *simpoint.Plan, reps []core.Result) core.Result {
 			out.Variant, out.Model = reps[i].Variant, reps[i].Model
 		}
 		for j, v := range vals {
-			acc[j] += f * v
+			acc[j] += float64(f * v) // rounded, not fused: every GOARCH sums alike
 		}
 	}
 	if acc != nil {

@@ -115,7 +115,7 @@ func (o Options) Specs() []RunSpec {
 
 // AblationSpecs enumerates the design-space study's cells: per model and
 // workload, the Unsafe baseline and one Hybrid cell per AblationRows row,
-// which Results.AblationTables reads back by key. Ablation cells are
+// which Results.AblationExport reads back by key. Ablation cells are
 // always detailed and carry no interval series.
 func (o Options) AblationSpecs() []RunSpec {
 	o = o.Normalized()

@@ -24,7 +24,7 @@ import (
 //	                             be or already is cancelled, 409 once finished)
 //	GET    /sweeps/{id}/progress stream per-run progress lines (text/plain)
 //	GET    /sweeps/{id}/export   harness.Export JSON (blocks until done);
-//	                             ablation jobs return AblationExport instead
+//	                             ablation jobs return harness.AblationExport
 //	GET    /sweeps/{id}/trace    span-tree trace JSON (?format=chrome for the
 //	                             Chrome trace-event form); registered only
 //	                             with tracing enabled
@@ -234,7 +234,7 @@ func (s *Service) handleProgress(w http.ResponseWriter, r *http.Request) {
 
 // handleExport waits for the job and writes the harness.Export JSON —
 // the exact document cmd/experiments -export produces for the same
-// options. Ablation jobs write an AblationExport instead.
+// options. Ablation jobs write a harness.AblationExport instead.
 func (s *Service) handleExport(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {

@@ -426,36 +426,17 @@ func (j *Job) Results() (*harness.Results, error) {
 	return j.runs(opt, failedWl), nil
 }
 
-// AblationSection is one attack model's ablation table.
-type AblationSection struct {
-	Model string                `json:"model"`
-	Rows  []harness.AblationRow `json:"rows"`
-}
-
-// AblationExport is the machine-readable ablation-study document the
-// export endpoint serves for ablation jobs.
-type AblationExport struct {
-	MaxInstrs    uint64            `json:"max_instrs"`
-	WarmupInstrs uint64            `json:"warmup_instrs"`
-	Sections     []AblationSection `json:"ablations"`
-}
-
 // Ablations aggregates a completed ablation job's delivered cells into
-// per-model tables with the CLI's own aggregation
-// (harness.Results.AblationTables): in a degraded job, a workload missing
-// a cell drops out of that model's table.
-func (j *Job) Ablations() (*AblationExport, error) {
+// the CLI's own document (harness.Results.AblationExport): in a degraded
+// job, a workload missing a cell drops out of that model's table.
+func (j *Job) Ablations() (harness.AblationExport, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.ablation {
-		return nil, errors.New("simsvc: not an ablation job")
+		return harness.AblationExport{}, errors.New("simsvc: not an ablation job")
 	}
 	if err := j.readable(); err != nil {
-		return nil, err
+		return harness.AblationExport{}, err
 	}
-	ex := &AblationExport{MaxInstrs: j.opt.MaxInstrs, WarmupInstrs: j.opt.WarmupInstrs}
-	for mi, rows := range j.runs(j.opt, nil).AblationTables() {
-		ex.Sections = append(ex.Sections, AblationSection{Model: j.opt.Models[mi].String(), Rows: rows})
-	}
-	return ex, nil
+	return j.runs(j.opt, nil).AblationExport(), nil
 }

@@ -181,8 +181,8 @@ func TestAblationJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := res.AblationTables()[0]; !reflect.DeepEqual(ex.Sections[0].Rows, want) {
-		t.Fatalf("service ablation rows differ from CLI rows:\nservice %+v\ncli     %+v", ex.Sections[0].Rows, want)
+	if want := res.AblationExport(); !reflect.DeepEqual(ex, want) {
+		t.Fatalf("service ablation document differs from the CLI's:\nservice %+v\ncli     %+v", ex, want)
 	}
 }
 
@@ -223,7 +223,7 @@ func TestDegradedAblationExport(t *testing.T) {
 		t.Fatalf("sections: %+v", got.Sections)
 	}
 	for _, c := range []struct {
-		sec  AblationSection
+		sec  harness.AblationSection
 		want harness.Request
 	}{
 		{got.Sections[0], req([]string{"spectre"}, "mcf_r", "xz_r")},
@@ -258,7 +258,7 @@ func TestAblationsOverHTTP(t *testing.T) {
 		t.Fatalf("ablation job has %d cells, want %d", st.Total, want)
 	}
 	body := get(t, fmt.Sprintf("%s/sweeps/%s/export", ts.URL, st.ID), 200)
-	var ex AblationExport
+	var ex harness.AblationExport
 	if err := json.Unmarshal(body, &ex); err != nil {
 		t.Fatalf("export is not an ablation document: %v\n%s", err, body)
 	}
